@@ -5,9 +5,8 @@ OpenFHE clients.  This package rebuilds the complete system in Python:
 
 * :mod:`repro.api` -- the high-level entry point: :class:`CKKSSession`
   (one object bundling params, context, keys and evaluator),
-  :class:`CipherVector` and :class:`CipherBatch` (operator-overloaded
-  handles over one ciphertext or a fused cross-ciphertext batch) and the
-  pluggable :class:`EvaluationBackend` seam that runs the same program
+  :class:`CipherVector` (one operator-overloaded handle over one
+  ciphertext or a fused cross-ciphertext batch) and the pluggable :class:`EvaluationBackend` seam that runs the same program
   functionally or against the GPU cost model.
 * :mod:`repro.core` -- power-of-two polynomial ring arithmetic under
   word-sized moduli (modular arithmetic, NTT, RNS, limb containers).
@@ -41,7 +40,6 @@ OpenFHE clients.  This package rebuilds the complete system in Python:
 
 from repro.api import (
     CKKSSession,
-    CipherBatch,
     CipherVector,
     CostLedger,
     CostModelBackend,
@@ -67,7 +65,6 @@ __all__ = [
     "MetricsRegistry",
     "Observability",
     "CKKSSession",
-    "CipherBatch",
     "CipherVector",
     "EvaluationBackend",
     "FunctionalBackend",

@@ -9,7 +9,7 @@ stay available underneath):
 * :class:`~repro.api.vector.CipherVector` -- operator-overloaded
   ciphertext handles (``+ - * **2 << >>``) dispatching to
   HAdd/PtAdd/ScalarAdd/HMult/PtMult/ScalarMult/HSquare/HRotate by operand
-  type.
+  type; one handle holds one ciphertext or a fused batch of them.
 * :class:`~repro.api.backend.EvaluationBackend` -- the pluggable seam:
   :class:`~repro.api.backend.FunctionalBackend` executes for real,
   :class:`~repro.api.backend.CostModelBackend` replays the same program
@@ -22,25 +22,21 @@ from repro.api.backend import (
     CostModelBackend,
     EvaluationBackend,
     FunctionalBackend,
-    SymbolicCipherBatch,
     SymbolicCiphertext,
     TracingBackend,
     as_backend,
 )
-from repro.api.batch import CipherBatch
 from repro.api.session import CKKSSession, resolve_parameters, resolve_rotations
 from repro.api.vector import CipherVector, as_vector
 
 __all__ = [
     "CKKSSession",
-    "CipherBatch",
     "CipherVector",
     "EvaluationBackend",
     "FunctionalBackend",
     "CostModelBackend",
     "CostLedger",
     "SymbolicCiphertext",
-    "SymbolicCipherBatch",
     "TracingBackend",
     "as_backend",
     "as_vector",

@@ -19,20 +19,33 @@ to whichever backend its handle belongs to.
 Both backends accept plaintext operands either pre-encoded
 (:class:`~repro.ckks.ciphertext.Plaintext`) or as raw value arrays, which
 they encode at the ladder-restoring scale the evaluator uses.
+
+There is one operation surface: a handle is a batch of ``batch_size``
+members (1 unless it came out of ``encrypt_batch``/``batch_from``), and
+every operation takes the member count from its operand -- the functional
+backend runs fused ``(B·L, N)`` kernels, the cost model prices ``B×`` the
+bytes at ``1×`` the launches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.ckks.batch import BatchEvaluator, CiphertextBatch
-from repro.ckks.ciphertext import Ciphertext, Plaintext
+from repro.ckks.ciphertext import (
+    Ciphertext,
+    Plaintext,
+    check_fusable,
+    check_same_batch,
+    fused_lengths,
+    member_lengths,
+    scales_match,
+)
 from repro.ckks.context import Context
 from repro.ckks.encryption import Encryptor
-from repro.ckks.evaluator import Evaluator, scales_match
+from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeySet
 from repro.ckks.params import CKKSParameters
 from repro.core.dispatch import KernelTrace, get_dispatcher
@@ -45,9 +58,9 @@ class EvaluationBackend(Protocol):
     """The operation surface a :class:`~repro.api.vector.CipherVector` needs.
 
     Handles are opaque to the caller; both backends expose ``level``,
-    ``scale``, ``slots`` and ``limb_count`` attributes on them so the
-    high-level API can report ciphertext metadata without knowing which
-    backend produced it.
+    ``scale``, ``slots``, ``limb_count`` and ``batch_size`` attributes on
+    them so the high-level API can report ciphertext metadata without
+    knowing which backend produced it.
     """
 
     params: CKKSParameters
@@ -74,30 +87,21 @@ class EvaluationBackend(Protocol):
     def at_level(self, a, level: int): ...
     def dot_product_plain(self, handles: Sequence, value_rows: Sequence): ...
 
-    # -- throughput plane (cross-ciphertext batching) -----------------------
+    # -- fuse / split (a handle is a batch of ``batch_size`` members) --------
 
     def encrypt_batch(self, value_rows: Sequence, *, scale: float | None = None,
                       level: int | None = None): ...
     def batch_from(self, handles: Sequence): ...
     def batch_split(self, batch) -> list: ...
 
-    def batch_add(self, a, b): ...
-    def batch_sub(self, a, b): ...
-    def batch_negate(self, a): ...
-    def batch_add_plain(self, a, values): ...
-    def batch_sub_plain(self, a, values): ...
-    def batch_add_scalar(self, a, value: float): ...
-    def batch_multiply(self, a, b): ...
-    def batch_square(self, a): ...
-    def batch_multiply_plain(self, a, values, *, rescale: bool = True): ...
-    def batch_multiply_scalar(self, a, value: float): ...
-    def batch_rescale(self, a): ...
-    def batch_at_level(self, a, level: int): ...
-    def batch_rotate(self, a, steps: int): ...
-    def batch_conjugate(self, a): ...
-    def batch_hoisted_rotations(self, a, steps: Sequence[int]) -> dict: ...
-
     def describe(self) -> dict: ...
+
+
+#: Every operation of the protocol (its public methods except ``describe``).
+BACKEND_OPERATIONS = tuple(
+    name for name, member in vars(EvaluationBackend).items()
+    if callable(member) and not name.startswith("_") and name != "describe"
+)
 
 
 def as_backend(obj) -> EvaluationBackend:
@@ -135,7 +139,6 @@ class FunctionalBackend:
         self.context: Context = evaluator.context
         self.params: CKKSParameters = self.context.params
         self.encryptor = encryptor
-        self._batch_evaluator: BatchEvaluator | None = None
 
     # -- ciphertext sources -------------------------------------------------
 
@@ -218,86 +221,20 @@ class FunctionalBackend:
         ]
         return self.evaluator.dot_product_plain(list(handles), plaintexts)
 
-    # -- throughput plane ---------------------------------------------------
-
-    @property
-    def batch_evaluator(self) -> BatchEvaluator:
-        """The fused-kernel evaluator behind every ``batch_*`` operation."""
-        if self._batch_evaluator is None:
-            self._batch_evaluator = BatchEvaluator(self.context, self.evaluator.keys)
-        return self._batch_evaluator
+    # -- fuse / split -------------------------------------------------------
 
     def encrypt_batch(self, value_rows: Sequence, *, scale: float | None = None,
-                      level: int | None = None) -> CiphertextBatch:
-        """Encrypt one vector per row and fuse them into a batch."""
-        cts = [self.encrypt(row, scale=scale, level=level) for row in value_rows]
-        return CiphertextBatch.from_ciphertexts(cts)
+                      level: int | None = None) -> Ciphertext:
+        """Encrypt one vector per row and fuse them into one ciphertext."""
+        return Ciphertext.fuse(
+            [self.encrypt(row, scale=scale, level=level) for row in value_rows]
+        )
 
-    def batch_from(self, handles: Sequence[Ciphertext]) -> CiphertextBatch:
-        return CiphertextBatch.from_ciphertexts(list(handles))
+    def batch_from(self, handles: Sequence[Ciphertext]) -> Ciphertext:
+        return Ciphertext.fuse(handles)
 
-    def batch_split(self, batch: CiphertextBatch) -> list[Ciphertext]:
+    def batch_split(self, batch: Ciphertext) -> list[Ciphertext]:
         return batch.split()
-
-    def _batch_plaintext(self, batch: CiphertextBatch, values, *,
-                         for_multiplication: bool) -> Plaintext:
-        if isinstance(values, Plaintext):
-            return values
-        return self.batch_evaluator.encode_for(
-            batch, values, for_multiplication=for_multiplication
-        )
-
-    def batch_add(self, a: CiphertextBatch, b: CiphertextBatch) -> CiphertextBatch:
-        return self.batch_evaluator.add(a, b)
-
-    def batch_sub(self, a: CiphertextBatch, b: CiphertextBatch) -> CiphertextBatch:
-        return self.batch_evaluator.sub(a, b)
-
-    def batch_negate(self, a: CiphertextBatch) -> CiphertextBatch:
-        return self.batch_evaluator.negate(a)
-
-    def batch_add_plain(self, a: CiphertextBatch, values) -> CiphertextBatch:
-        return self.batch_evaluator.add_plain(
-            a, self._batch_plaintext(a, values, for_multiplication=False)
-        )
-
-    def batch_sub_plain(self, a: CiphertextBatch, values) -> CiphertextBatch:
-        return self.batch_evaluator.sub_plain(
-            a, self._batch_plaintext(a, values, for_multiplication=False)
-        )
-
-    def batch_add_scalar(self, a: CiphertextBatch, value: float) -> CiphertextBatch:
-        return self.batch_evaluator.add_scalar(a, value)
-
-    def batch_multiply(self, a: CiphertextBatch, b: CiphertextBatch) -> CiphertextBatch:
-        return self.batch_evaluator.multiply(a, b)
-
-    def batch_square(self, a: CiphertextBatch) -> CiphertextBatch:
-        return self.batch_evaluator.square(a)
-
-    def batch_multiply_plain(self, a: CiphertextBatch, values, *,
-                             rescale: bool = True) -> CiphertextBatch:
-        pt = self._batch_plaintext(a, values, for_multiplication=True)
-        return self.batch_evaluator.multiply_plain(a, pt, rescale=rescale)
-
-    def batch_multiply_scalar(self, a: CiphertextBatch, value: float) -> CiphertextBatch:
-        return self.batch_evaluator.multiply_scalar(a, value)
-
-    def batch_rescale(self, a: CiphertextBatch) -> CiphertextBatch:
-        return self.batch_evaluator.rescale(a)
-
-    def batch_at_level(self, a: CiphertextBatch, level: int) -> CiphertextBatch:
-        return self.batch_evaluator.adjust(a, level)
-
-    def batch_rotate(self, a: CiphertextBatch, steps: int) -> CiphertextBatch:
-        return self.batch_evaluator.rotate(a, steps)
-
-    def batch_conjugate(self, a: CiphertextBatch) -> CiphertextBatch:
-        return self.batch_evaluator.conjugate(a)
-
-    def batch_hoisted_rotations(self, a: CiphertextBatch, steps: Sequence[int]
-                                ) -> dict[int, CiphertextBatch]:
-        return self.batch_evaluator.hoisted_rotations(a, steps)
 
     # -- reporting ----------------------------------------------------------
 
@@ -316,12 +253,21 @@ class FunctionalBackend:
 
 @dataclass
 class SymbolicCiphertext:
-    """A data-free ciphertext: level, scale and slot metadata only."""
+    """A data-free ciphertext: level, scale and slot metadata only.
+
+    Like :class:`~repro.ckks.ciphertext.Ciphertext` it stands for
+    ``batch_size`` members sharing one limb count and scale; each operation
+    on it is priced as the fused kernel stream -- the single-ciphertext
+    kernels with ``B×`` the bytes and integer ops but an *unchanged* launch
+    count, which is exactly what the recorded execution plane shows.  A
+    fused handle carries one ``encoded_length`` per member as a tuple.
+    """
 
     limb_count: int
     scale: float
     slots: int
-    encoded_length: int | None = None
+    encoded_length: int | tuple | None = None
+    batch_size: int = 1
 
     @property
     def level(self) -> int:
@@ -330,37 +276,7 @@ class SymbolicCiphertext:
 
     def copy(self) -> "SymbolicCiphertext":
         """Return a copy (symbolic ciphertexts are treated as immutable)."""
-        return SymbolicCiphertext(self.limb_count, self.scale, self.slots, self.encoded_length)
-
-
-@dataclass
-class SymbolicCipherBatch:
-    """A data-free ciphertext batch: shared level/scale metadata plus ``B``.
-
-    The cost-model twin of :class:`repro.ckks.batch.CiphertextBatch`: every
-    member shares one limb count and scale, and each batched operation is
-    priced as the fused kernel stream -- the single-ciphertext kernels with
-    ``B×`` the bytes and integer ops but an *unchanged* launch count, which
-    is exactly what the recorded execution plane shows.
-    """
-
-    batch_size: int
-    limb_count: int
-    scale: float
-    slots: int
-    encoded_lengths: list | None = None
-
-    @property
-    def level(self) -> int:
-        """Common remaining multiplicative depth of every member."""
-        return self.limb_count - 1
-
-    def copy(self) -> "SymbolicCipherBatch":
-        """Return a copy (symbolic handles are treated as immutable)."""
-        return SymbolicCipherBatch(
-            self.batch_size, self.limb_count, self.scale, self.slots,
-            list(self.encoded_lengths) if self.encoded_lengths is not None else None,
-        )
+        return replace(self)
 
 
 def batched_cost(cost: OperationCost, batch_size: int) -> OperationCost:
@@ -502,7 +418,11 @@ class CostModelBackend:
     def _last_modulus(self, limb_count: int):
         return self._moduli[limb_count - 1]
 
-    def _record(self, name: str, cost: OperationCost) -> None:
+    def _record(self, name: str, cost: OperationCost, handle: SymbolicCiphertext) -> None:
+        """Append one operation's cost, priced for every member of ``handle``."""
+        if handle.batch_size > 1:
+            name = f"{name}[B={handle.batch_size}]"
+            cost = batched_cost(cost, handle.batch_size)
         self.ledger.record(name, cost)
 
     # -- ciphertext sources -------------------------------------------------
@@ -519,15 +439,37 @@ class CostModelBackend:
             encoded_length = int(np.atleast_1d(np.asarray(values)).shape[0])
         return SymbolicCiphertext(limb_count, scale, self.params.slots, encoded_length)
 
+    def encrypt_batch(self, value_rows: Sequence, *, scale: float | None = None,
+                      level: int | None = None) -> SymbolicCiphertext:
+        """Return a fresh fused symbolic handle (client-side, hence cost-free)."""
+        return self.batch_from(
+            [self.encrypt(row, scale=scale, level=level) for row in value_rows]
+        )
+
+    def batch_from(self, handles: Sequence[SymbolicCiphertext]) -> SymbolicCiphertext:
+        handles = list(handles)
+        check_fusable(handles)
+        return replace(
+            handles[0],
+            encoded_length=fused_lengths(handles),
+            batch_size=sum(h.batch_size for h in handles),
+        )
+
+    def batch_split(self, batch: SymbolicCiphertext) -> list[SymbolicCiphertext]:
+        return [
+            replace(batch, encoded_length=length, batch_size=1)
+            for length in member_lengths(batch)
+        ]
+
     # -- level and scale management (mirrors Evaluator) ----------------------
 
     def rescale(self, a: SymbolicCiphertext) -> SymbolicCiphertext:
         if a.limb_count < 2:
             raise ValueError("cannot rescale a level-0 ciphertext")
-        self._record("Rescale", self.costs.rescale(a.limb_count))
-        return SymbolicCiphertext(
-            a.limb_count - 1, a.scale / self._last_modulus(a.limb_count),
-            a.slots, a.encoded_length,
+        self._record("Rescale", self.costs.rescale(a.limb_count), a)
+        return replace(
+            a, limb_count=a.limb_count - 1,
+            scale=a.scale / self._last_modulus(a.limb_count),
         )
 
     def at_level(self, a: SymbolicCiphertext, level: int) -> SymbolicCiphertext:
@@ -549,12 +491,12 @@ class CostModelBackend:
         cost = OperationCost("Adjust")
         cost.extend(self.costs.scalar_mult(reduced_limbs))
         cost.extend(self.costs.rescale(reduced_limbs))
-        self._record("Adjust", cost)
-        return SymbolicCiphertext(target_level + 1, float(target_scale),
-                                  a.slots, a.encoded_length)
+        self._record("Adjust", cost, a)
+        return replace(a, limb_count=target_level + 1, scale=float(target_scale))
 
     def _match(self, a: SymbolicCiphertext, b: SymbolicCiphertext
                ) -> tuple[SymbolicCiphertext, SymbolicCiphertext]:
+        check_same_batch(a, b)
         if a.level == b.level:
             if scales_match(a.scale, b.scale):
                 return a, b
@@ -567,6 +509,7 @@ class CostModelBackend:
 
     def _match_for_product(self, a: SymbolicCiphertext, b: SymbolicCiphertext
                            ) -> tuple[SymbolicCiphertext, SymbolicCiphertext]:
+        check_same_batch(a, b)
         if a.level == b.level:
             return a, b
         if a.level > b.level:
@@ -587,13 +530,13 @@ class CostModelBackend:
 
     def add(self, a: SymbolicCiphertext, b: SymbolicCiphertext) -> SymbolicCiphertext:
         a2, b2 = self._match(a, b)
-        self._record("HAdd", self.costs.hadd(a2.limb_count))
-        return SymbolicCiphertext(a2.limb_count, a2.scale, a2.slots, a2.encoded_length)
+        self._record("HAdd", self.costs.hadd(a2.limb_count), a2)
+        return a2.copy()
 
     def sub(self, a: SymbolicCiphertext, b: SymbolicCiphertext) -> SymbolicCiphertext:
         a2, b2 = self._match(a, b)
-        self._record("HSub", self.costs.hadd(a2.limb_count))
-        return SymbolicCiphertext(a2.limb_count, a2.scale, a2.slots, a2.encoded_length)
+        self._record("HSub", self.costs.hadd(a2.limb_count), a2)
+        return a2.copy()
 
     def negate(self, a: SymbolicCiphertext) -> SymbolicCiphertext:
         cost = OperationCost("Negate")
@@ -601,7 +544,7 @@ class CostModelBackend:
             "negate", a.limb_count, polys_read=2.0, polys_written=2.0,
             ops_per_element=1.0,
         )
-        self._record("Negate", cost)
+        self._record("Negate", cost, a)
         return a.copy()
 
     def add_plain(self, a: SymbolicCiphertext, values) -> SymbolicCiphertext:
@@ -610,38 +553,36 @@ class CostModelBackend:
             raise ValueError(
                 f"plaintext scale {pt_scale:.6g} does not match ciphertext {a.scale:.6g}"
             )
-        self._record("PtAdd", self.costs.ptadd(a.limb_count))
+        self._record("PtAdd", self.costs.ptadd(a.limb_count), a)
         return a.copy()
 
     def sub_plain(self, a: SymbolicCiphertext, values) -> SymbolicCiphertext:
         pt_scale = self._plain_scale(a, values, for_multiplication=False)
         if not scales_match(a.scale, pt_scale):
             raise ValueError("plaintext scale does not match ciphertext")
-        self._record("PtSub", self.costs.ptadd(a.limb_count))
+        self._record("PtSub", self.costs.ptadd(a.limb_count), a)
         return a.copy()
 
     def add_scalar(self, a: SymbolicCiphertext, value: float) -> SymbolicCiphertext:
-        self._record("ScalarAdd", self.costs.scalar_add(a.limb_count))
+        self._record("ScalarAdd", self.costs.scalar_add(a.limb_count), a)
         return a.copy()
 
     # -- multiplications ----------------------------------------------------
 
     def multiply(self, a: SymbolicCiphertext, b: SymbolicCiphertext) -> SymbolicCiphertext:
         a2, b2 = self._match_for_product(a, b)
-        self._record("HMult", self.costs.hmult(a2.limb_count))
-        raw = SymbolicCiphertext(a2.limb_count, a2.scale * b2.scale, a2.slots, a2.encoded_length)
-        return self.rescale(raw)
+        self._record("HMult", self.costs.hmult(a2.limb_count), a2)
+        return self.rescale(replace(a2, scale=a2.scale * b2.scale))
 
     def square(self, a: SymbolicCiphertext) -> SymbolicCiphertext:
-        self._record("HSquare", self.costs.hsquare(a.limb_count))
-        raw = SymbolicCiphertext(a.limb_count, a.scale * a.scale, a.slots, a.encoded_length)
-        return self.rescale(raw)
+        self._record("HSquare", self.costs.hsquare(a.limb_count), a)
+        return self.rescale(replace(a, scale=a.scale * a.scale))
 
     def multiply_plain(self, a: SymbolicCiphertext, values, *,
                        rescale: bool = True) -> SymbolicCiphertext:
         pt_scale = self._plain_scale(a, values, for_multiplication=True)
-        self._record("PtMult", self.costs.ptmult(a.limb_count))
-        raw = SymbolicCiphertext(a.limb_count, a.scale * pt_scale, a.slots, a.encoded_length)
+        self._record("PtMult", self.costs.ptmult(a.limb_count), a)
+        raw = replace(a, scale=a.scale * pt_scale)
         return self.rescale(raw) if rescale else raw
 
     def multiply_scalar(self, a: SymbolicCiphertext, value: float) -> SymbolicCiphertext:
@@ -652,10 +593,10 @@ class CostModelBackend:
                 "ladder; pass rescale=False (the result keeps scale * scalar_scale) "
                 "or bootstrap the ciphertext first"
             )
-        self._record("ScalarMult", self.costs.scalar_mult(a.limb_count))
-        self._record("Rescale", self.costs.rescale(a.limb_count))
-        return SymbolicCiphertext(
-            a.limb_count - 1, self._scale_at(a.level - 1) * 1.0, a.slots, a.encoded_length
+        self._record("ScalarMult", self.costs.scalar_mult(a.limb_count), a)
+        self._record("Rescale", self.costs.rescale(a.limb_count), a)
+        return replace(
+            a, limb_count=a.limb_count - 1, scale=self._scale_at(a.level - 1) * 1.0
         )
 
     # -- rotations ----------------------------------------------------------
@@ -668,13 +609,13 @@ class CostModelBackend:
         if steps % a.slots == 0:
             return a.copy()
         self._check_rotation_key(steps)
-        self._record("HRotate", self.costs.hrotate(a.limb_count))
+        self._record("HRotate", self.costs.hrotate(a.limb_count), a)
         return a.copy()
 
     def conjugate(self, a: SymbolicCiphertext) -> SymbolicCiphertext:
         if self.key_inventory is not None and self.key_inventory.conjugation_key is None:
             raise KeyError("no conjugation key was generated")
-        self._record("HConjugate", self.costs.hrotate(a.limb_count))
+        self._record("HConjugate", self.costs.hrotate(a.limb_count), a)
         return a.copy()
 
     def hoisted_rotations(self, a: SymbolicCiphertext,
@@ -691,213 +632,7 @@ class CostModelBackend:
             self._record(
                 f"HoistedRotate x{len(effective)}",
                 self.costs.hoisted_rotations(a.limb_count, len(effective)),
-            )
-        return results
-
-    # -- throughput plane ---------------------------------------------------
-
-    def encrypt_batch(self, value_rows: Sequence, *, scale: float | None = None,
-                      level: int | None = None) -> SymbolicCipherBatch:
-        """Return a fresh symbolic batch (client-side, hence cost-free)."""
-        members = [self.encrypt(row, scale=scale, level=level) for row in value_rows]
-        return self.batch_from(members)
-
-    def batch_from(self, handles: Sequence[SymbolicCiphertext]) -> SymbolicCipherBatch:
-        handles = list(handles)
-        if not handles:
-            raise ValueError("a ciphertext batch needs at least one member")
-        levels = sorted({h.level for h in handles})
-        if len(levels) > 1:
-            raise ValueError(
-                f"cannot batch ciphertexts at mixed levels {levels}: the fused "
-                f"(B*L, N) buffer needs one common shape; bring the members to "
-                f"one level first (e.g. Evaluator.adjust / CipherVector.at_level)"
-            )
-        first = handles[0]
-        for h in handles[1:]:
-            if not scales_match(h.scale, first.scale):
-                raise ValueError(
-                    f"cannot batch ciphertexts at mixed scales "
-                    f"({h.scale:.6g} vs {first.scale:.6g})"
-                )
-        return SymbolicCipherBatch(
-            len(handles), first.limb_count, first.scale, first.slots,
-            [h.encoded_length for h in handles],
-        )
-
-    def batch_split(self, batch: SymbolicCipherBatch) -> list[SymbolicCiphertext]:
-        lengths = batch.encoded_lengths or [None] * batch.batch_size
-        return [
-            SymbolicCiphertext(batch.limb_count, batch.scale, batch.slots, lengths[i])
-            for i in range(batch.batch_size)
-        ]
-
-    def _with_batch(self, batch: SymbolicCipherBatch, *, limb_count: int | None = None,
-                    scale: float | None = None) -> SymbolicCipherBatch:
-        return SymbolicCipherBatch(
-            batch.batch_size,
-            batch.limb_count if limb_count is None else limb_count,
-            batch.scale if scale is None else scale,
-            batch.slots,
-            batch.encoded_lengths,
-        )
-
-    def _record_batched(self, name: str, batch: SymbolicCipherBatch,
-                        cost: OperationCost) -> None:
-        self._record(f"{name}[B={batch.batch_size}]", batched_cost(cost, batch.batch_size))
-
-    @staticmethod
-    def _check_batch_pair(a: SymbolicCipherBatch, b: SymbolicCipherBatch) -> None:
-        if a.batch_size != b.batch_size:
-            raise ValueError(f"batch sizes differ ({a.batch_size} vs {b.batch_size})")
-        if a.level != b.level:
-            raise ValueError(
-                f"batched operands must share one level ({a.level} vs {b.level}); "
-                f"adjust members before fusing"
-            )
-
-    def batch_add(self, a: SymbolicCipherBatch, b: SymbolicCipherBatch) -> SymbolicCipherBatch:
-        self._check_batch_pair(a, b)
-        if not scales_match(a.scale, b.scale):
-            raise ValueError(
-                f"scale mismatch at equal level: {a.scale:.6g} vs {b.scale:.6g}"
-            )
-        self._record_batched("HAdd", a, self.costs.hadd(a.limb_count))
-        return a.copy()
-
-    def batch_sub(self, a: SymbolicCipherBatch, b: SymbolicCipherBatch) -> SymbolicCipherBatch:
-        self._check_batch_pair(a, b)
-        if not scales_match(a.scale, b.scale):
-            raise ValueError(
-                f"scale mismatch at equal level: {a.scale:.6g} vs {b.scale:.6g}"
-            )
-        self._record_batched("HSub", a, self.costs.hadd(a.limb_count))
-        return a.copy()
-
-    def batch_negate(self, a: SymbolicCipherBatch) -> SymbolicCipherBatch:
-        cost = OperationCost("Negate")
-        cost.kernels = self.costs.elementwise_kernels(
-            "negate", a.limb_count, polys_read=2.0, polys_written=2.0,
-            ops_per_element=1.0,
-        )
-        self._record_batched("Negate", a, cost)
-        return a.copy()
-
-    def batch_add_plain(self, a: SymbolicCipherBatch, values) -> SymbolicCipherBatch:
-        pt_scale = self._plain_scale(
-            SymbolicCiphertext(a.limb_count, a.scale, a.slots), values,
-            for_multiplication=False,
-        )
-        if not scales_match(a.scale, pt_scale):
-            raise ValueError(
-                f"plaintext scale {pt_scale:.6g} does not match ciphertext {a.scale:.6g}"
-            )
-        self._record_batched("PtAdd", a, self.costs.ptadd(a.limb_count))
-        return a.copy()
-
-    def batch_sub_plain(self, a: SymbolicCipherBatch, values) -> SymbolicCipherBatch:
-        pt_scale = self._plain_scale(
-            SymbolicCiphertext(a.limb_count, a.scale, a.slots), values,
-            for_multiplication=False,
-        )
-        if not scales_match(a.scale, pt_scale):
-            raise ValueError("plaintext scale does not match ciphertext")
-        self._record_batched("PtSub", a, self.costs.ptadd(a.limb_count))
-        return a.copy()
-
-    def batch_add_scalar(self, a: SymbolicCipherBatch, value: float) -> SymbolicCipherBatch:
-        self._record_batched("ScalarAdd", a, self.costs.scalar_add(a.limb_count))
-        return a.copy()
-
-    def batch_multiply(self, a: SymbolicCipherBatch, b: SymbolicCipherBatch) -> SymbolicCipherBatch:
-        self._check_batch_pair(a, b)
-        self._record_batched("HMult", a, self.costs.hmult(a.limb_count))
-        raw = self._with_batch(a, scale=a.scale * b.scale)
-        return self.batch_rescale(raw)
-
-    def batch_square(self, a: SymbolicCipherBatch) -> SymbolicCipherBatch:
-        self._record_batched("HSquare", a, self.costs.hsquare(a.limb_count))
-        raw = self._with_batch(a, scale=a.scale * a.scale)
-        return self.batch_rescale(raw)
-
-    def batch_multiply_plain(self, a: SymbolicCipherBatch, values, *,
-                             rescale: bool = True) -> SymbolicCipherBatch:
-        pt_scale = self._plain_scale(
-            SymbolicCiphertext(a.limb_count, a.scale, a.slots), values,
-            for_multiplication=True,
-        )
-        self._record_batched("PtMult", a, self.costs.ptmult(a.limb_count))
-        raw = self._with_batch(a, scale=a.scale * pt_scale)
-        return self.batch_rescale(raw) if rescale else raw
-
-    def batch_multiply_scalar(self, a: SymbolicCipherBatch, value: float) -> SymbolicCipherBatch:
-        if a.level == 0:
-            raise ValueError(
-                "multiply_scalar(..., rescale=True) on a level-0 ciphertext: there is "
-                "no limb left to drop, so the result scale cannot be restored to the "
-                "ladder; pass rescale=False (the result keeps scale * scalar_scale) "
-                "or bootstrap the ciphertext first"
-            )
-        self._record_batched("ScalarMult", a, self.costs.scalar_mult(a.limb_count))
-        self._record_batched("Rescale", a, self.costs.rescale(a.limb_count))
-        return self._with_batch(
-            a, limb_count=a.limb_count - 1, scale=self._scale_at(a.level - 1) * 1.0
-        )
-
-    def batch_rescale(self, a: SymbolicCipherBatch) -> SymbolicCipherBatch:
-        if a.limb_count < 2:
-            raise ValueError("cannot rescale a level-0 batch")
-        self._record_batched("Rescale", a, self.costs.rescale(a.limb_count))
-        return self._with_batch(
-            a, limb_count=a.limb_count - 1,
-            scale=a.scale / self._last_modulus(a.limb_count),
-        )
-
-    def batch_at_level(self, a: SymbolicCipherBatch, level: int) -> SymbolicCipherBatch:
-        if level > a.level:
-            raise ValueError("cannot adjust to a higher level")
-        target_scale = self._scale_at(level)
-        if level == a.level:
-            if not scales_match(a.scale, target_scale):
-                raise ValueError(
-                    f"cannot change scale in place "
-                    f"({a.scale:.6g} vs {target_scale:.6g})"
-                )
-            return a.copy()
-        reduced_limbs = level + 2
-        cost = OperationCost("Adjust")
-        cost.extend(self.costs.scalar_mult(reduced_limbs))
-        cost.extend(self.costs.rescale(reduced_limbs))
-        self._record_batched("Adjust", a, cost)
-        return self._with_batch(a, limb_count=level + 1, scale=float(target_scale))
-
-    def batch_rotate(self, a: SymbolicCipherBatch, steps: int) -> SymbolicCipherBatch:
-        if steps % a.slots == 0:
-            return a.copy()
-        self._check_rotation_key(steps)
-        self._record_batched("HRotate", a, self.costs.hrotate(a.limb_count))
-        return a.copy()
-
-    def batch_conjugate(self, a: SymbolicCipherBatch) -> SymbolicCipherBatch:
-        if self.key_inventory is not None and self.key_inventory.conjugation_key is None:
-            raise KeyError("no conjugation key was generated")
-        self._record_batched("HConjugate", a, self.costs.hrotate(a.limb_count))
-        return a.copy()
-
-    def batch_hoisted_rotations(self, a: SymbolicCipherBatch, steps: Sequence[int]
-                                ) -> dict[int, SymbolicCipherBatch]:
-        results: dict[int, SymbolicCipherBatch] = {}
-        effective = []
-        for step in steps:
-            step = int(step)
-            results[step] = a.copy()
-            if step % a.slots != 0:
-                self._check_rotation_key(step)
-                effective.append(step)
-        if effective:
-            self._record_batched(
-                f"HoistedRotate x{len(effective)}", a,
-                self.costs.hoisted_rotations(a.limb_count, len(effective)),
+                a,
             )
         return results
 
@@ -962,118 +697,6 @@ class TracingBackend:
         with get_dispatcher().record(self.trace):
             return getattr(self.inner, method)(*args, **kwargs)
 
-    # -- delegated operation surface ----------------------------------------
-
-    def encrypt(self, values, *, scale: float | None = None, level: int | None = None):
-        return self._recorded("encrypt", values, scale=scale, level=level)
-
-    def add(self, a, b):
-        return self._recorded("add", a, b)
-
-    def sub(self, a, b):
-        return self._recorded("sub", a, b)
-
-    def negate(self, a):
-        return self._recorded("negate", a)
-
-    def add_plain(self, a, values):
-        return self._recorded("add_plain", a, values)
-
-    def sub_plain(self, a, values):
-        return self._recorded("sub_plain", a, values)
-
-    def add_scalar(self, a, value: float):
-        return self._recorded("add_scalar", a, value)
-
-    def multiply(self, a, b):
-        return self._recorded("multiply", a, b)
-
-    def square(self, a):
-        return self._recorded("square", a)
-
-    def multiply_plain(self, a, values, *, rescale: bool = True):
-        return self._recorded("multiply_plain", a, values, rescale=rescale)
-
-    def multiply_scalar(self, a, value: float):
-        return self._recorded("multiply_scalar", a, value)
-
-    def rotate(self, a, steps: int):
-        return self._recorded("rotate", a, steps)
-
-    def conjugate(self, a):
-        return self._recorded("conjugate", a)
-
-    def hoisted_rotations(self, a, steps: Sequence[int]) -> dict:
-        return self._recorded("hoisted_rotations", a, steps)
-
-    def rescale(self, a):
-        return self._recorded("rescale", a)
-
-    def at_level(self, a, level: int):
-        return self._recorded("at_level", a, level)
-
-    def dot_product_plain(self, handles: Sequence, value_rows: Sequence):
-        return self._recorded("dot_product_plain", handles, value_rows)
-
-    # -- throughput plane ---------------------------------------------------
-
-    def encrypt_batch(self, value_rows: Sequence, *, scale: float | None = None,
-                      level: int | None = None):
-        return self._recorded("encrypt_batch", value_rows, scale=scale, level=level)
-
-    def batch_from(self, handles: Sequence):
-        return self._recorded("batch_from", handles)
-
-    def batch_split(self, batch) -> list:
-        return self._recorded("batch_split", batch)
-
-    def batch_add(self, a, b):
-        return self._recorded("batch_add", a, b)
-
-    def batch_sub(self, a, b):
-        return self._recorded("batch_sub", a, b)
-
-    def batch_negate(self, a):
-        return self._recorded("batch_negate", a)
-
-    def batch_add_plain(self, a, values):
-        return self._recorded("batch_add_plain", a, values)
-
-    def batch_sub_plain(self, a, values):
-        return self._recorded("batch_sub_plain", a, values)
-
-    def batch_add_scalar(self, a, value: float):
-        return self._recorded("batch_add_scalar", a, value)
-
-    def batch_multiply(self, a, b):
-        return self._recorded("batch_multiply", a, b)
-
-    def batch_square(self, a):
-        return self._recorded("batch_square", a)
-
-    def batch_multiply_plain(self, a, values, *, rescale: bool = True):
-        return self._recorded("batch_multiply_plain", a, values, rescale=rescale)
-
-    def batch_multiply_scalar(self, a, value: float):
-        return self._recorded("batch_multiply_scalar", a, value)
-
-    def batch_rescale(self, a):
-        return self._recorded("batch_rescale", a)
-
-    def batch_at_level(self, a, level: int):
-        return self._recorded("batch_at_level", a, level)
-
-    def batch_rotate(self, a, steps: int):
-        return self._recorded("batch_rotate", a, steps)
-
-    def batch_conjugate(self, a):
-        return self._recorded("batch_conjugate", a)
-
-    def batch_hoisted_rotations(self, a, steps: Sequence[int]) -> dict:
-        return self._recorded("batch_hoisted_rotations", a, steps)
-
-    # -- reporting ----------------------------------------------------------
-
     def describe(self) -> dict:
         return {
             "backend": self.name,
@@ -1082,14 +705,29 @@ class TracingBackend:
         }
 
 
+def _recording_op(name: str):
+    def op(self, *args, **kwargs):
+        return self._recorded(name, *args, **kwargs)
+
+    op.__name__ = name
+    op.__doc__ = f"``inner.{name}`` inside a recording region."
+    return op
+
+
+# The delegated surface is every operation of the protocol, by construction.
+for _name in BACKEND_OPERATIONS:
+    setattr(TracingBackend, _name, _recording_op(_name))
+del _name
+
+
 __all__ = [
     "EvaluationBackend",
     "FunctionalBackend",
     "CostModelBackend",
     "CostLedger",
     "SymbolicCiphertext",
-    "SymbolicCipherBatch",
     "TracingBackend",
+    "BACKEND_OPERATIONS",
     "as_backend",
     "batched_cost",
 ]

@@ -29,7 +29,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.api.backend import CostModelBackend, FunctionalBackend, TracingBackend
-from repro.api.batch import CipherBatch
 from repro.api.vector import CipherVector
 from repro.core.dispatch import KernelTrace, get_dispatcher
 from repro.ckks.ciphertext import Ciphertext, Plaintext
@@ -230,21 +229,21 @@ class CKKSSession:
         return CipherVector(self.backend, self.backend.encrypt(values, scale=scale, level=level))
 
     def encrypt_batch(self, value_rows, *, scale: float | None = None,
-                      level: int | None = None) -> CipherBatch:
+                      level: int | None = None) -> CipherVector:
         """Encrypt one vector per row and fuse them into a throughput-plane batch.
 
-        The returned :class:`CipherBatch` evaluates all members with fused
-        ``(B·L, N)`` kernels -- one launch per operation for the whole
-        batch (see the README's throughput-plane section for when batching
-        pays off and its ``B·L·N``-byte memory trade-off).
+        The returned handle evaluates all members with fused ``(B·L, N)``
+        kernels -- one launch per operation for the whole batch (see the
+        README's throughput-plane section for when batching pays off and
+        its ``B·L·N``-byte memory trade-off); ``.split()`` unfuses it.
         """
-        return CipherBatch(
+        return CipherVector(
             self.backend,
             self.backend.encrypt_batch(value_rows, scale=scale, level=level),
         )
 
-    def batch(self, vectors) -> CipherBatch:
-        """Fuse existing same-shape handles into a :class:`CipherBatch`.
+    def batch(self, vectors) -> CipherVector:
+        """Fuse existing same-shape handles into one ``batch_size=B`` handle.
 
         Accepts :class:`CipherVector` handles (or raw backend handles) that
         share one level, scale and shape; mixed-level input is rejected
@@ -253,7 +252,7 @@ class CKKSSession:
         handles = [
             v.handle if isinstance(v, CipherVector) else v for v in vectors
         ]
-        return CipherBatch(self.backend, self.backend.batch_from(handles))
+        return CipherVector(self.backend, self.backend.batch_from(handles))
 
     def encode(self, values, *, like: CipherVector | Ciphertext | None = None,
                for_multiplication: bool = True, scale: float | None = None) -> Plaintext:
@@ -278,6 +277,11 @@ class CKKSSession:
             raise TypeError(
                 f"cannot decrypt a {type(ciphertext).__name__}; cost-model "
                 f"handles carry no message data"
+            )
+        if ciphertext.batch_size > 1:
+            raise ValueError(
+                f"cannot decrypt a fused batch of {ciphertext.batch_size} "
+                f"ciphertexts in one call; split() it and decrypt the members"
             )
         return self._decryptor.decrypt_values(ciphertext, length)
 

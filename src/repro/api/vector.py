@@ -15,6 +15,19 @@ the vector's :class:`~repro.api.backend.EvaluationBackend`, so the same
 program runs functionally or against the GPU cost model.  Scale-ladder
 management stays inside the backend/evaluator: mismatched scales raise
 before any polynomial arithmetic happens.
+
+One handle also stands for ``B`` independent encrypted vectors walking the
+same circuit (the throughput plane): a fused handle issues **one** backend
+operation -- fused ``(B·L, N)`` kernels on the functional backend --
+instead of ``B`` sequential ones::
+
+    batch = session.encrypt_batch([req_0, req_1, ..., req_7])
+    scored = 2.0 * (batch * batch) + 1.0      # one fused kernel stream
+    for vec in scored.split():                # back to per-request handles
+        ...
+
+Plaintext, raw-array and scalar operands broadcast to every member;
+another fused handle combines member-wise.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ _CT, _PLAIN, _SCALAR = "ciphertext", "plaintext", "scalar"
 
 
 class CipherVector:
-    """An encrypted (or symbolic) vector bound to an evaluation backend."""
+    """``batch_size`` encrypted (or symbolic) vectors bound to one backend."""
 
     # Keep NumPy from absorbing us into object arrays; reflected operators
     # (ndarray + CipherVector) must reach __radd__ and friends.
@@ -47,8 +60,16 @@ class CipherVector:
     # -- metadata -----------------------------------------------------------
 
     @property
+    def batch_size(self) -> int:
+        """Number of member vectors fused into this handle (usually 1)."""
+        return self.handle.batch_size
+
+    def __len__(self) -> int:
+        return self.batch_size
+
+    @property
     def level(self) -> int:
-        """Remaining multiplicative depth of the underlying ciphertext."""
+        """Remaining multiplicative depth (common to every member)."""
         return self.handle.level
 
     @property
@@ -67,8 +88,9 @@ class CipherVector:
         return self.handle.limb_count
 
     def __repr__(self) -> str:
+        fused = f"B={self.batch_size}, " if self.batch_size > 1 else ""
         return (
-            f"CipherVector(level={self.level}, scale={self.scale:.6g}, "
+            f"CipherVector({fused}level={self.level}, scale={self.scale:.6g}, "
             f"slots={self.slots}, backend={getattr(self.backend, 'name', '?')})"
         )
 
@@ -216,6 +238,17 @@ class CipherVector:
     def at_level(self, level: int) -> "CipherVector":
         """Return a copy adjusted down to ``level`` at the ladder scale."""
         return self._wrap(self.backend.at_level(self.handle, level))
+
+    # -- fuse / split -------------------------------------------------------
+
+    def split(self) -> list["CipherVector"]:
+        """Unfuse into per-member handles (see ``session.batch``).
+
+        On the functional backend the members are zero-copy views of the
+        fused buffers; they stay valid as long as this handle (or a copy of
+        the member) is alive.
+        """
+        return [self._wrap(h) for h in self.backend.batch_split(self.handle)]
 
 
 def as_vector(backend, value) -> CipherVector:

@@ -175,16 +175,13 @@ class EncryptedLRScorer:
     feature vectors -- each request one ciphertext with the features in
     its leading slots.  The score ``sigmoid_poly(w·x)`` lands in slot 0.
 
-    The circuit is written once against the operator surface shared by
-    :class:`~repro.api.vector.CipherVector` and
-    :class:`~repro.api.batch.CipherBatch`, so :meth:`score` (one request,
-    sequential kernels) and :meth:`score_batch` (a fused inference batch,
-    one ``(B·L, N)`` kernel stream) issue the identical op sequence --
-    which is what makes the two paths bit-identical member by member.
-    Every step keeps operand levels aligned explicitly (batched operands
-    never adjust implicitly): the cubic sigmoid term is factored as
-    ``c3·x·(x² + c1/c3)``, whose two ciphertext factors sit at the same
-    level by construction.
+    The circuit is written once against the
+    :class:`~repro.api.vector.CipherVector` operator surface, so
+    :meth:`score` issues the identical op sequence for one request
+    (``batch_size=1``) and for a fused inference batch (one ``(B·L, N)``
+    kernel stream) -- which is what makes the two bit-identical member by
+    member.  The cubic sigmoid term is factored as ``c3·x·(x² + c1/c3)``,
+    whose two ciphertext factors sit at the same level by construction.
 
     Requires rotation keys for the powers of two below the padded feature
     count (:meth:`required_rotations`).  Uses 3 multiplicative levels.
@@ -218,7 +215,7 @@ class EncryptedLRScorer:
     # ------------------------------------------------------------------
 
     def _score(self, x):
-        """The shared circuit: works on a CipherVector or a CipherBatch."""
+        """The shared circuit over a (possibly fused) CipherVector."""
         c0, c1, _, c3 = SIGMOID_COEFFS
         masked = x * self._padded_weights          # PtMult: w_j * x_j per slot
         logits = masked
@@ -231,16 +228,12 @@ class EncryptedLRScorer:
         return cubic + c0
 
     def score(self, vector: CipherVector) -> CipherVector:
-        """Score one encrypted feature vector (sequential evaluator path)."""
-        return self._score(as_vector(self.backend, vector))
+        """Score one encrypted feature vector, or every member of a fused batch.
 
-    def score_batch(self, batch):
-        """Score a fused inference batch: one kernel stream for all members.
-
-        ``batch`` is a :class:`~repro.api.batch.CipherBatch`; the returned
-        batch's members are bit-identical to :meth:`score` of each member.
+        The members of a fused result are bit-identical to scoring each
+        member alone.
         """
-        return self._score(batch)
+        return self._score(as_vector(self.backend, vector))
 
     def program(self):
         """This scorer as a serving-plane :class:`~repro.serve.OpProgram`.

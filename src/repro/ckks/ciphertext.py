@@ -5,14 +5,84 @@ These mirror the FIDESlib classes of Figure 2: thin wrappers around one
 objects plus the metadata CKKS needs to track -- the scaling factor, the
 number of meaningful message slots and a static noise-budget estimate that
 travels back to the client through the adapter layer (§III-B).
+
+A ciphertext is a batch of ``batch_size`` members (1 unless it came out of
+:meth:`Ciphertext.fuse`): ``B`` same-shape ciphertexts whose limb stacks
+are laid member-major into ``(B·L, N)`` component buffers, so every
+cross-limb kernel of the evaluator launches once per operation for the
+whole batch -- the §III-F.1 launch-overhead lever applied across requests
+rather than across limbs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.limb import LimbFormat
+from repro.core.limb_stack import LimbStack
+from repro.core.memory import FusedFootprintError
 from repro.core.rns_poly import RNSPoly
+
+#: Relative scale mismatch tolerated before two operands are rejected.
+_SCALE_TOLERANCE = 1e-6
+
+
+def scales_match(scale_a: float, scale_b: float, tolerance: float = _SCALE_TOLERANCE) -> bool:
+    """Return True when two scales are equal up to ``tolerance`` (relative).
+
+    Shared by the evaluator and the symbolic cost-model backend of
+    :mod:`repro.api` so both reject mismatched scales identically.
+    """
+    return math.isclose(scale_a, scale_b, rel_tol=tolerance)
+
+
+def check_same_batch(a, b) -> None:
+    """Reject a binary operation between handles of different member counts."""
+    if a.batch_size != b.batch_size:
+        raise ValueError(
+            f"batch sizes differ ({a.batch_size} vs {b.batch_size}): member "
+            f"i of one operand meets member i of the other, so fuse equally "
+            f"many ciphertexts on both sides (or split() and pair them up)"
+        )
+
+
+def check_fusable(handles: Sequence) -> None:
+    """Reject handles that cannot share one fused ``(B·L, N)`` shape.
+
+    Duck-typed on ``level``/``scale`` so real and symbolic ciphertexts
+    refuse mixed batches with the same message.
+    """
+    if not handles:
+        raise ValueError("a ciphertext batch needs at least one member")
+    levels = sorted({h.level for h in handles})
+    if len(levels) > 1:
+        raise ValueError(
+            f"cannot batch ciphertexts at mixed levels {levels}: the fused "
+            f"(B*L, N) buffer needs one common shape; bring the members to "
+            f"one level first (e.g. Evaluator.adjust / CipherVector.at_level)"
+        )
+    first = handles[0]
+    for h in handles[1:]:
+        if not scales_match(h.scale, first.scale):
+            raise ValueError(
+                f"cannot batch ciphertexts at mixed scales "
+                f"({h.scale:.6g} vs {first.scale:.6g})"
+            )
+
+
+def member_lengths(handle) -> tuple:
+    """Per-member ``encoded_length`` of a (possibly fused) handle."""
+    if handle.batch_size == 1:
+        return (handle.encoded_length,)
+    return tuple(handle.encoded_length)
+
+
+def fused_lengths(handles: Sequence):
+    """``encoded_length`` of the fusion of ``handles``: one entry per member."""
+    lengths = tuple(n for h in handles for n in member_lengths(h))
+    return lengths if len(lengths) > 1 else lengths[0]
 
 
 @dataclass
@@ -45,14 +115,20 @@ class Plaintext:
 
 @dataclass
 class Ciphertext:
-    """A two-component RLWE ciphertext ``(c0, c1)`` with CKKS metadata."""
+    """A two-component RLWE ciphertext ``(c0, c1)`` with CKKS metadata.
+
+    ``c0``/``c1`` may hold ``batch_size`` member ciphertexts fused
+    member-major (see :meth:`fuse`); all members share one level, scale and
+    format -- the invariants that let every kernel batch.  A fused
+    ciphertext carries one ``encoded_length`` per member as a tuple.
+    """
 
     c0: RNSPoly
     c1: RNSPoly
     scale: float
     slots: int
     noise_bits: float = 0.0
-    encoded_length: int | None = None
+    encoded_length: int | tuple | None = None
 
     def __post_init__(self) -> None:
         if self.c0.moduli != self.c1.moduli:
@@ -60,7 +136,93 @@ class Ciphertext:
         if self.c0.ring_degree != self.c1.ring_degree:
             raise ValueError("ciphertext components use different ring degrees")
 
+    # -- fuse / split -----------------------------------------------------------
+
+    @classmethod
+    def fuse(cls, cts: Sequence["Ciphertext"]) -> "Ciphertext":
+        """Fuse same-shape ciphertexts into one batch (two pool allocations).
+
+        All members must share the ring degree, RNS basis (hence level),
+        limb format, slot count and scale; a mixed-level batch is rejected
+        with a descriptive error because the fused moduli column -- and
+        with it every batched kernel -- requires one shape.
+
+        When the fused ``2·B·L·N`` footprint would exceed the members'
+        :class:`~repro.core.memory.MemoryPool` budget, this raises
+        :class:`~repro.core.memory.FusedFootprintError` *before* copying
+        any rows (the serving plane's batching policy consumes this to cap
+        bucket drain sizes).
+        """
+        cts = list(cts)
+        check_fusable(cts)
+        first = cts[0]
+        for ct in cts[1:]:
+            if ct.ring_degree != first.ring_degree:
+                raise ValueError("batched ciphertexts must share one ring degree")
+            if ct.moduli != first.moduli:
+                raise ValueError("batched ciphertexts must share one RNS basis")
+            if ct.fmt is not first.fmt:
+                raise ValueError("batched ciphertexts must share one limb format")
+            if ct.slots != first.slots:
+                raise ValueError("batched ciphertexts must share one slot count")
+        lengths = fused_lengths(cts)
+        batch_size = sum(ct.batch_size for ct in cts)
+        pool = first.c0.stack.buffer.pool
+        component_bytes = (
+            batch_size * first.limb_count * first.ring_degree
+            * first.c0.stack.buffer.element_bytes
+        )
+        if not pool.fits(component_bytes, component_bytes):
+            raise FusedFootprintError(
+                f"fusing B={batch_size} ciphertexts at L={first.limb_count} "
+                f"limbs, N={first.ring_degree} needs two "
+                f"{component_bytes}-byte component allocations, but the pool "
+                f"budget is {pool.capacity_bytes} bytes with "
+                f"{pool.free_bytes()} free; drain fewer requests per fused "
+                f"batch (serve's BatchingPolicy.memory_budget_bytes) or raise "
+                f"the pool capacity"
+            )
+        return cls(
+            RNSPoly.from_stack(LimbStack.fuse([ct.c0.stack for ct in cts]), first.fmt),
+            RNSPoly.from_stack(LimbStack.fuse([ct.c1.stack for ct in cts]), first.fmt),
+            first.scale,
+            first.slots,
+            max(ct.noise_bits for ct in cts),
+            lengths,
+        )
+
+    def split(self) -> list["Ciphertext"]:
+        """Return the member ciphertexts as zero-copy views of the batch.
+
+        Views share the fused buffers (no copy, no pool charge); use
+        ``.copy()`` on a member to detach it from the batch's lifetime.
+        """
+        fmt = self.c0.fmt
+        return [
+            Ciphertext(
+                RNSPoly.from_stack(v0, fmt),
+                RNSPoly.from_stack(v1, fmt),
+                self.scale,
+                self.slots,
+                self.noise_bits,
+                length,
+            )
+            for v0, v1, length in zip(
+                self.c0.stack.split(self.batch_size),
+                self.c1.stack.split(self.batch_size),
+                member_lengths(self),
+            )
+        ]
+
     # -- metadata -------------------------------------------------------------
+
+    @property
+    def batch_size(self) -> int:
+        """Number of member ciphertexts fused into the component stacks."""
+        return self.c0.members
+
+    def __len__(self) -> int:
+        return self.batch_size
 
     @property
     def ring_degree(self) -> int:
@@ -69,18 +231,18 @@ class Ciphertext:
 
     @property
     def limb_count(self) -> int:
-        """Current number of limbs (``ℓ + 1`` in the paper's notation)."""
-        return self.c0.level_count
+        """Per-member limb count (``ℓ + 1`` in the paper's notation)."""
+        return self.c0.level_count // self.batch_size
 
     @property
     def level(self) -> int:
-        """Remaining multiplicative depth ``ℓ``."""
+        """Remaining multiplicative depth ``ℓ`` (common to every member)."""
         return self.limb_count - 1
 
     @property
     def moduli(self) -> list[int]:
-        """The RNS moduli currently attached to the ciphertext."""
-        return list(self.c0.moduli)
+        """The per-member RNS moduli currently attached to the ciphertext."""
+        return list(self.c0.moduli[: self.limb_count])
 
     @property
     def fmt(self) -> LimbFormat:
@@ -88,7 +250,7 @@ class Ciphertext:
         return self.c0.fmt
 
     def footprint_bytes(self, element_bytes: int | None = None) -> int:
-        """Device-memory footprint of the ciphertext."""
+        """Device-memory footprint of the ciphertext (``2·B·L·N`` elements)."""
         return self.c0.footprint_bytes(element_bytes) + self.c1.footprint_bytes(element_bytes)
 
     # -- structural helpers ---------------------------------------------------
@@ -128,4 +290,12 @@ class Ciphertext:
         )
 
 
-__all__ = ["Plaintext", "Ciphertext"]
+__all__ = [
+    "Plaintext",
+    "Ciphertext",
+    "scales_match",
+    "check_same_batch",
+    "check_fusable",
+    "member_lengths",
+    "fused_lengths",
+]

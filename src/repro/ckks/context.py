@@ -8,7 +8,8 @@ precomputed once per parameter set live here:
 * digit layout and base converters for hybrid key switching (ModUp and
   ModDown at every level), cached on first use;
 * rescaling and ``P^{-1}`` constants;
-* the CRT factors ``T_j`` embedded into key-switching keys;
+* the CRT factors ``T_j`` embedded into key-switching keys, and the
+  key digits tiled to a fused operand's member count (byte-bounded LRU);
 * the canonical-embedding encoder.
 
 FIDESlib treats the context as a singleton so GPU constant memory can hold
@@ -20,7 +21,9 @@ allowing several contexts to coexist (e.g. in the unit tests).
 from __future__ import annotations
 
 import warnings
-from typing import Sequence
+from collections import OrderedDict
+
+import numpy as np
 
 from repro.ckks.encoding import CKKSEncoder
 from repro.ckks.params import CKKSParameters
@@ -32,6 +35,12 @@ from repro.core.rns import BaseConverter, RNSBasis, partition_digits
 
 class Context:
     """Precomputed state shared by every operation under one parameter set."""
+
+    #: Byte budget of the tiled key-switching-key cache.  Each entry holds
+    #: two ``(B·(L+K), N)`` stacks, so a rotation-heavy workload across
+    #: levels and batch sizes would otherwise grow it without bound; least
+    #: recently used entries are evicted beyond this.
+    TILED_KEY_BUDGET_BYTES = 128 << 20
 
     def __init__(self, params: CKKSParameters) -> None:
         self.params = params
@@ -110,6 +119,10 @@ class Context:
         self._modup_converters: dict[tuple[int, int], BaseConverter] = {}
         self._moddown_converters: dict[int, BaseConverter] = {}
         self._raise_converters: dict[int, BaseConverter] = {}
+        #: ``(id(key), digit, limb_count, B) -> (key, b_tiled, a_tiled)``.
+        #: The entry holds the key object itself, so the ``id`` cannot be
+        #: recycled by another key while the entry is alive.
+        self._tiled_keys: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._ntt_warm = False
 
     # ------------------------------------------------------------------
@@ -207,6 +220,43 @@ class Context:
             converter = BaseConverter(source, RNSBasis(target_moduli))
             self._modup_converters[key] = converter
         return converter
+
+    def key_digit_stacks(self, key, digit_index: int, limb_count: int,
+                         members: int) -> tuple[np.ndarray, np.ndarray]:
+        """Digit ``digit_index`` of a key-switching key as the key multiply reads it.
+
+        Returns the ``(b_j, a_j)`` residue stacks restricted to the limbs
+        active at ``limb_count`` plus ``P`` (the key polynomials as-is at
+        the top level -- the multiply never mutates its operands), repeated
+        member-major for a fused operand.  Tiled stacks are cached: keys are
+        shared by every request, so the tiling cost is paid once per batch
+        shape.
+        """
+        b_j, a_j = key.digits[digit_index]
+        cache_key = (id(key), digit_index, limb_count, members)
+        if members > 1:
+            entry = self._tiled_keys.get(cache_key)
+            if entry is not None:
+                self._tiled_keys.move_to_end(cache_key)
+                return entry[1], entry[2]
+        if limb_count + len(self.special_moduli) != b_j.level_count:
+            active = list(range(limb_count)) + list(
+                range(len(self.moduli), len(self.extended_moduli))
+            )
+            b_j = b_j.select_limbs(active)
+            a_j = a_j.select_limbs(active)
+        if members == 1:
+            return b_j.stack.data, a_j.stack.data
+        tiled = tuple(
+            np.concatenate([data] * members)
+            for data in (b_j.stack.data, a_j.stack.data)
+        )
+        self._tiled_keys[cache_key] = (key, *tiled)
+        total = sum(b.nbytes + a.nbytes for _, b, a in self._tiled_keys.values())
+        while total > self.TILED_KEY_BUDGET_BYTES and len(self._tiled_keys) > 1:
+            _, (_, old_b, old_a) = self._tiled_keys.popitem(last=False)
+            total -= old_b.nbytes + old_a.nbytes
+        return tiled
 
     def moddown_converter(self, limb_count: int) -> BaseConverter:
         """Converter from the special basis ``P`` to the active ciphertext basis."""

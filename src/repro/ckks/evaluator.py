@@ -11,14 +11,26 @@ context (Kim et al. [36]): ciphertexts at the same level always carry the
 same scaling factor, so additions are exact, and plaintext/scalar
 multiplications encode their operand at the scale that restores the ladder
 after the following rescale.
+
+Every operation takes the member count from its operand: a fused
+ciphertext (:meth:`~repro.ckks.ciphertext.Ciphertext.fuse`) runs the same
+kernels over ``(B·L, N)`` stacks -- one launch per operation for the whole
+batch, bit-identical per member to evaluating the members one at a time --
+and records the same kernel structure at ``B×`` the rows and bytes under a
+``batch{B}/`` scope prefix.  Plaintext and scalar operands broadcast to
+every member; ciphertext operands must hold equally many members.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.ckks.ciphertext import Ciphertext, Plaintext
+from repro.ckks.ciphertext import (
+    Ciphertext,
+    Plaintext,
+    check_same_batch,
+    scales_match,
+)
 from repro.ckks.context import Context
 from repro.ckks.encryption import encode
 from repro.ckks.keys import KeySet, KeySwitchingKey
@@ -36,9 +48,6 @@ from repro.gpu.kernel import MODADD_OPS, MODMUL_OPS
 #: granularity FIDESlib launches them.
 _DISPATCH = get_dispatcher()
 
-#: Relative scale mismatch tolerated before an addition is rejected.
-_SCALE_TOLERANCE = 1e-6
-
 
 class Evaluator:
     """Applies homomorphic operations using a context and evaluation keys."""
@@ -47,6 +56,13 @@ class Evaluator:
         self.context = context
         self.keys = keys
 
+    @staticmethod
+    def _scope(ct: Ciphertext, name: str):
+        """Operation scope; a fused operand tags it ``batch{B}/name``."""
+        if ct.batch_size > 1:
+            name = f"batch{ct.batch_size}/{name}"
+        return _DISPATCH.scope(name)
+
     # ------------------------------------------------------------------
     # level and scale management
     # ------------------------------------------------------------------
@@ -54,13 +70,13 @@ class Evaluator:
     def rescale(self, ct: Ciphertext) -> Ciphertext:
         """Drop the last limb, dividing the message scale by its prime.
 
-        Both ciphertext components go through one fused stacked rescale,
-        sharing the switch-modulus broadcast and NTT passes.
+        Both components of every member go through one fused stacked
+        rescale, sharing the switch-modulus broadcast and NTT passes.
         """
         if ct.limb_count < 2:
             raise ValueError("cannot rescale a level-0 ciphertext")
         q_last = ct.moduli[-1]
-        with _DISPATCH.scope("rescale"):
+        with self._scope(ct, "rescale"):
             c0, c1 = RNSPoly.rescale_last_many([ct.c0, ct.c1])
         return ct.with_polys(c0, c1, scale=ct.scale / q_last)
 
@@ -88,7 +104,7 @@ class Evaluator:
         if target_level > ct.level:
             raise ValueError("cannot adjust to a higher level")
         if target_level == ct.level:
-            if not _scales_match(ct.scale, target_scale):
+            if not scales_match(ct.scale, target_scale):
                 raise ValueError(
                     f"cannot change scale in place ({ct.scale:.6g} vs {target_scale:.6g})"
                 )
@@ -106,8 +122,9 @@ class Evaluator:
 
     def _match(self, ct1: Ciphertext, ct2: Ciphertext) -> tuple[Ciphertext, Ciphertext]:
         """Bring two ciphertexts to a common level and scale for addition."""
+        check_same_batch(ct1, ct2)
         if ct1.level == ct2.level:
-            if _scales_match(ct1.scale, ct2.scale):
+            if scales_match(ct1.scale, ct2.scale):
                 return ct1, ct2
             raise ValueError(
                 f"scale mismatch at equal level: {ct1.scale:.6g} vs {ct2.scale:.6g}"
@@ -122,13 +139,13 @@ class Evaluator:
 
     def add(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         """Homomorphic ciphertext addition (``HAdd``)."""
-        with _DISPATCH.scope("hadd"):
+        with self._scope(ct1, "hadd"):
             a, b = self._match(ct1, ct2)
             return a.with_polys(a.c0.add(b.c0), a.c1.add(b.c1))
 
     def sub(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         """Homomorphic ciphertext subtraction."""
-        with _DISPATCH.scope("hadd"):
+        with self._scope(ct1, "hadd"):
             a, b = self._match(ct1, ct2)
             return a.with_polys(a.c0.sub(b.c0), a.c1.sub(b.c1))
 
@@ -138,19 +155,19 @@ class Evaluator:
 
     def add_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         """Plaintext addition (``PtAdd``)."""
-        if not _scales_match(ct.scale, pt.scale):
+        if not scales_match(ct.scale, pt.scale):
             raise ValueError(
                 f"plaintext scale {pt.scale:.6g} does not match ciphertext {ct.scale:.6g}"
             )
-        with _DISPATCH.scope("ptadd"):
+        with self._scope(ct, "ptadd"):
             poly = self._plain_operand(ct, pt)
             return ct.with_polys(ct.c0.add(poly), ct.c1.copy())
 
     def sub_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         """Plaintext subtraction."""
-        if not _scales_match(ct.scale, pt.scale):
+        if not scales_match(ct.scale, pt.scale):
             raise ValueError("plaintext scale does not match ciphertext")
-        with _DISPATCH.scope("ptadd"):
+        with self._scope(ct, "ptadd"):
             poly = self._plain_operand(ct, pt)
             return ct.with_polys(ct.c0.sub(poly), ct.c1.copy())
 
@@ -165,12 +182,13 @@ class Evaluator:
         poly = pt.poly.keep_limbs(ct.limb_count)
         if poly.fmt is not LimbFormat.EVALUATION:
             poly = poly.to_evaluation()
-        return poly
+        # One plaintext broadcasts to every member of a fused ciphertext.
+        return poly.tile(ct.batch_size)
 
     def add_scalar(self, ct: Ciphertext, value: float) -> Ciphertext:
         """Constant addition (``ScalarAdd``): adds ``value`` to every slot."""
         integer = int(round(float(value) * ct.scale))
-        with _DISPATCH.scope("scalaradd"):
+        with self._scope(ct, "scalaradd"):
             return ct.with_polys(ct.c0.add_scalar(integer), ct.c1.copy())
 
     def sub_scalar(self, ct: Ciphertext, value: float) -> Ciphertext:
@@ -183,7 +201,7 @@ class Evaluator:
 
     def multiply_plain(self, ct: Ciphertext, pt: Plaintext, *, rescale: bool = True) -> Ciphertext:
         """Plaintext multiplication (``PtMult``)."""
-        with _DISPATCH.scope("ptmult"):
+        with self._scope(ct, "ptmult"):
             poly = self._plain_operand(ct, pt)
             result = ct.with_polys(
                 ct.c0.multiply(poly),
@@ -213,7 +231,7 @@ class Evaluator:
             else:
                 scalar_scale = self.context.scale
         integer = int(round(float(value) * scalar_scale))
-        with _DISPATCH.scope("scalarmult"):
+        with self._scope(ct, "scalarmult"):
             result = ct.with_polys(
                 ct.c0.multiply_scalar(integer),
                 ct.c1.multiply_scalar(integer),
@@ -238,7 +256,7 @@ class Evaluator:
     def multiply(self, ct1: Ciphertext, ct2: Ciphertext, *, rescale: bool = True,
                  relinearize: bool = True) -> Ciphertext:
         """Homomorphic multiplication (``HMult``) with relinearisation."""
-        with _DISPATCH.scope("hmult"):
+        with self._scope(ct1, "hmult"):
             a, b = self._match_for_product(ct1, ct2)
             # The GPU launches the whole tensor product as one fused kernel
             # (4 products + 2 additions per element); record it that way.
@@ -274,7 +292,7 @@ class Evaluator:
 
     def square(self, ct: Ciphertext, *, rescale: bool = True) -> Ciphertext:
         """Homomorphic squaring (``HSquare``), cheaper than a general HMult."""
-        with _DISPATCH.scope("hsquare"):
+        with self._scope(ct, "hsquare"):
             with _DISPATCH.suppressed():
                 d0 = ct.c0.multiply(ct.c0)
                 cross = ct.c0.multiply(ct.c1)
@@ -302,6 +320,7 @@ class Evaluator:
             return self.rescale(result) if rescale else result
 
     def _match_for_product(self, ct1: Ciphertext, ct2: Ciphertext) -> tuple[Ciphertext, Ciphertext]:
+        check_same_batch(ct1, ct2)
         if ct1.level == ct2.level:
             return ct1, ct2
         if ct1.level > ct2.level:
@@ -350,7 +369,7 @@ class Evaluator:
         coefficients[power] = sign
         monomial = RNSPoly.from_int_coefficients(
             n, ct.moduli, coefficients, fmt=LimbFormat.EVALUATION
-        )
+        ).tile(ct.batch_size)
         return ct.with_polys(ct.c0.multiply(monomial), ct.c1.multiply(monomial))
 
     def multiply_by_i(self, ct: Ciphertext) -> Ciphertext:
@@ -367,7 +386,7 @@ class Evaluator:
             return ct.copy()
         key = self.keys.rotation_key(steps)
         exponent = rotation_to_exponent(self.context.ring_degree, steps)
-        with _DISPATCH.scope("hrotate"):
+        with self._scope(ct, "hrotate"):
             return self._apply_automorphism(ct, exponent, key)
 
     def conjugate(self, ct: Ciphertext) -> Ciphertext:
@@ -375,7 +394,7 @@ class Evaluator:
         if self.keys.conjugation_key is None:
             raise KeyError("no conjugation key was generated")
         exponent = conjugation_exponent(self.context.ring_degree)
-        with _DISPATCH.scope("hconjugate"):
+        with self._scope(ct, "hconjugate"):
             return self._apply_automorphism(ct, exponent, self.keys.conjugation_key)
 
     def _apply_automorphism(self, ct: Ciphertext, exponent: int,
@@ -392,7 +411,7 @@ class Evaluator:
         (§III-F.6): the digit decomposition and base extension of ``c1``
         are computed once and reused for every rotation key.
         """
-        with _DISPATCH.scope("hoisted"):
+        with self._scope(ct, "hoisted"):
             return self._hoisted_rotations(ct, steps)
 
     def _hoisted_rotations(self, ct: Ciphertext, steps: Sequence[int]) -> dict[int, Ciphertext]:
@@ -449,17 +468,4 @@ class Evaluator:
         return self.rescale(acc) if rescale else acc
 
 
-def scales_match(scale_a: float, scale_b: float, tolerance: float = _SCALE_TOLERANCE) -> bool:
-    """Return True when two scales are equal up to ``tolerance`` (relative).
-
-    Shared by the evaluator and the symbolic cost-model backend of
-    :mod:`repro.api` so both reject mismatched scales identically.
-    """
-    return math.isclose(scale_a, scale_b, rel_tol=tolerance)
-
-
-#: Backwards-compatible private alias.
-_scales_match = scales_match
-
-
-__all__ = ["Evaluator", "scales_match"]
+__all__ = ["Evaluator"]

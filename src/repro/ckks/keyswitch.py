@@ -20,6 +20,14 @@ ciphertext components.  Every step is batched over the flat
 gathered and iNTT'd in one stacked call, the base conversion runs as one
 ``convert_stack`` matrix expression, and the converted limbs re-enter the
 evaluation domain through one stacked NTT -- no per-limb Python loop.
+
+Every function reads the member count off its operand
+(:attr:`~repro.core.rns_poly.RNSPoly.members`): a fused ``(B·L, N)``
+polynomial goes through the same pipeline with the stacked (i)NTT calls
+covering all ``B·rows`` at once and the base conversions and
+subtract/scale tails walking each member's row block in place, so the
+result is bit-identical per member and a recorded trace keeps the
+single-polynomial kernel structure at ``B×`` rows.
 """
 
 from __future__ import annotations
@@ -31,10 +39,14 @@ import numpy as np
 from repro.ckks.context import Context
 from repro.ckks.keys import KeySwitchingKey
 from repro.core import modmath
-from repro.core.dispatch import get_dispatcher
+from repro.core.dispatch import gather_rows, get_dispatcher
 from repro.core.limb import LimbFormat
 from repro.core.limb_stack import LimbStack
-from repro.core.ntt import get_stacked_engine, record_staged_transform
+from repro.core.ntt import (
+    get_stacked_engine,
+    record_staged_transform,
+    transform_in_place,
+)
 from repro.core.rns_poly import RNSPoly
 from repro.gpu.kernel import MODADD_OPS, MODMUL_OPS
 
@@ -56,7 +68,8 @@ class DecomposedPolynomial:
 
     Hoisted rotations (§III-F.6) perform the expensive decompose + ModUp
     once and reuse the result for every rotation key; this dataclass is
-    that reusable intermediate.
+    that reusable intermediate.  ``limb_count`` is per member: the digits
+    of a fused polynomial are fused ``(B·(L+K), N)`` polynomials.
     """
 
     extended_digits: list[RNSPoly]
@@ -67,16 +80,18 @@ def decompose_and_mod_up(context: Context, poly: RNSPoly) -> DecomposedPolynomia
     """Split ``poly`` into digits and raise each digit to the extended basis.
 
     ``poly`` must be in evaluation format over the first ``limb_count``
-    ciphertext moduli.  Each returned digit polynomial is in evaluation
-    format over ``{q_0..q_l} ∪ P``; the digit's own limbs are copied
-    verbatim (no conversion error), the remaining limbs come from the fast
-    base conversion.
+    ciphertext moduli (tiled once per member when fused).  Each returned
+    digit polynomial is in evaluation format over ``{q_0..q_l} ∪ P``; the
+    digit's own limbs are copied verbatim (no conversion error), the
+    remaining limbs come from the fast base conversion.
     """
     with _DISPATCH.scope("modup"):
-        limb_count = poly.level_count
+        members = poly.members
+        limb_count = poly.level_count // members
         n = context.ring_degree
         target_moduli = context.moduli_at(limb_count) + context.special_moduli
         target_col = modmath.moduli_column(target_moduli)
+        extended = len(target_moduli)
         num_digits = context.active_digits(limb_count)
         # Digits partition the basis contiguously, so one stacked iNTT of the
         # whole polynomial hands every digit its coefficient-domain rows.
@@ -86,6 +101,8 @@ def decompose_and_mod_up(context: Context, poly: RNSPoly) -> DecomposedPolynomia
         # (each digit needs its own Equation-1 tables), each writing its rows
         # straight into the fused NTT buffer (layout-aware: no per-block
         # vstack staging copy, no provenance links to stitch across one).
+        # A digit's block holds each converted limb once per member, so the
+        # fused NTT walks runs of one modulus sharing one twiddle row.
         digit_spans: list[tuple[int, int]] = []
         converters = []
         fused_moduli: list[int] = []
@@ -96,24 +113,44 @@ def decompose_and_mod_up(context: Context, poly: RNSPoly) -> DecomposedPolynomia
             digit_spans.append((digit_indices[0], digit_indices[-1] + 1))
             converter = context.modup_converter(limb_count, digit_index)
             converters.append(converter)
-            fused_moduli.extend(converter.target.moduli)
-        block_rows = [len(conv.target) for conv in converters]
+            for q in converter.target.moduli:
+                fused_moduli.extend([q] * members)
+        block_rows = [len(conv.target) * members for conv in converters]
         stacked = _empty_stack(backend, sum(block_rows), n)
         row = 0
         for (d0, d1), converter, rows in zip(digit_spans, converters, block_rows):
-            # The digit's coefficient rows are a zero-copy slice of the
-            # stacked iNTT output (digits are contiguous), so the recorded
-            # base conversion reads the transform's buffer directly.
-            block_out = stacked[row : row + rows]
-            if modmath.stack_backend(converter._target_col) == backend:
-                converter.convert_stack(poly_coeff[d0:d1], out=block_out)
-            else:
-                # Mixed-backend chain: the digit's own target basis is
-                # narrower than the fused one, so convert then widen (the
-                # link stitches the dependency edge across the widening copy).
-                block = converter.convert_stack(poly_coeff[d0:d1])
-                block_out[...] = modmath.coerce_stack(block, target_col)
-                _DISPATCH.link((block,), block_out)
+            # Each member's digit rows are a zero-copy slice of the stacked
+            # iNTT output (digits are contiguous), so the recorded base
+            # conversion reads the transform's buffer directly.
+            sources = tuple(
+                poly_coeff[m * limb_count + d0 : m * limb_count + d1]
+                for m in range(members)
+            )
+            block = stacked[row : row + rows]
+            converter_backend = modmath.stack_backend(converter._target_col)
+            # Mixed-backend chain: the digit's own target basis is narrower
+            # than the fused one, so convert into a staging block, then
+            # widen (the link stitches the dependency edge across the copy).
+            converted = (
+                block if converter_backend == backend
+                else _empty_stack(converter_backend, rows, n)
+            )
+
+            def convert(reads, writes, _conv=converter):
+                for m, source in enumerate(reads):
+                    _conv.convert_stack(source, out=writes[0][m::len(reads)])
+
+            with _DISPATCH.suppressed():
+                convert(sources, (converted,))
+            if _DISPATCH.recording:
+                _DISPATCH.base_conversion(
+                    "baseconv", d1 - d0, len(converter.target),
+                    reads=sources, writes=(converted,), cols=members * n,
+                    replay=convert,
+                )
+            if converted is not block:
+                block[...] = modmath.coerce_stack(converted, target_col)
+                _DISPATCH.link((converted,), block)
             row += rows
         # ... then one fused stacked NTT returns every digit's converted rows
         # to the evaluation domain in a single in-place call; the trace
@@ -125,25 +162,26 @@ def decompose_and_mod_up(context: Context, poly: RNSPoly) -> DecomposedPolynomia
         )
         digits_out: list[RNSPoly] = []
         row_offset = 0
-        for digit_index in range(num_digits):
-            d0, d1 = digit_spans[digit_index]
-            converted_eval = fused_eval[row_offset : row_offset + block_rows[digit_index]]
-            row_offset += block_rows[digit_index]
-            # Assemble the extended stack with contiguous row copies: own
-            # rows verbatim, converted rows in target order (the converter's
-            # target basis preserves it, with the digit's complement split
-            # around its own span).  Every row is written below, so an
-            # uninitialized buffer is enough.
-            stack = _empty_stack(backend, len(target_moduli), n)
-            stack[d0:d1] = modmath.coerce_stack(
-                poly.stack.data[d0:d1], target_col
-            )
-            stack[:d0] = modmath.coerce_stack(converted_eval[:d0], target_col)
-            stack[d1:] = modmath.coerce_stack(converted_eval[d0:], target_col)
+        for (d0, d1), rows in zip(digit_spans, block_rows):
+            converted_eval = fused_eval[row_offset : row_offset + rows]
+            row_offset += rows
+            # Assemble each member's extended stack with contiguous row
+            # copies: own rows verbatim, converted rows in target order (the
+            # converter's target basis preserves it, with the digit's
+            # complement split around its own span).  Every row is written
+            # below, so an uninitialized buffer is enough.
+            stack = _empty_stack(backend, members * extended, n)
+            for m, own in enumerate(poly.member_rows(d0, d1)):
+                member = stack[m * extended : (m + 1) * extended]
+                raised = converted_eval[m::members]
+                member[d0:d1] = modmath.coerce_stack(own, target_col)
+                member[:d0] = modmath.coerce_stack(raised[:d0], target_col)
+                member[d1:] = modmath.coerce_stack(raised[d0:], target_col)
             _DISPATCH.link((converted_eval, poly.stack.data), stack)
             digits_out.append(
                 RNSPoly.from_stack(
-                    LimbStack(target_moduli, stack, pool=poly.stack.buffer.pool),
+                    LimbStack(target_moduli * members, stack,
+                              pool=poly.stack.buffer.pool),
                     LimbFormat.EVALUATION,
                 )
             )
@@ -163,8 +201,8 @@ def mod_down(context: Context, poly: RNSPoly) -> RNSPoly:
 def mod_down_many(context: Context, polys: list[RNSPoly]) -> list[RNSPoly]:
     """ModDown several same-basis polynomials with fused stacked kernels.
 
-    The two key-switching accumulators (and any wider fused batch) share
-    their iNTT, base-conversion and NTT passes by concatenating rows into
+    The two key-switching accumulators (times every member of a fused
+    batch) share their iNTT and NTT passes by concatenating rows into
     single stacked calls; the per-row math is exactly :func:`mod_down`.
     """
     if not polys:
@@ -173,174 +211,152 @@ def mod_down_many(context: Context, polys: list[RNSPoly]) -> list[RNSPoly]:
     for poly in polys[1:]:
         if poly.moduli != first.moduli or poly.fmt is not first.fmt:
             raise ValueError("fused mod_down requires matching bases and formats")
-    limb_count = first.level_count - len(context.special_moduli)
+    members = first.members
+    special_count = len(context.special_moduli)
+    limb_count = first.level_count // members - special_count
     if limb_count < 1:
         raise ValueError("polynomial does not carry special limbs to remove")
     n = context.ring_degree
     is_eval = first.fmt is LimbFormat.EVALUATION
-    special_moduli = tuple(first.moduli[limb_count:])
-    special_count = len(special_moduli)
+    special_moduli = tuple(first.moduli[limb_count : limb_count + special_count])
+    converter = context.moddown_converter(limb_count)
+    target_moduli = tuple(context.moduli_at(limb_count))
+    target_col = modmath.moduli_column(target_moduli)
+    p_inv = tuple(context.p_inv_mod_q[:limb_count])
+    # Rows one polynomial contributes to the fused special / output buffers.
+    special_rows_each = members * special_count
+    out_rows_each = members * limb_count
+
+    def convert(reads, writes):
+        # Each member's P -> Q_l conversion writes its rows directly into
+        # the member-major layout the tail consumes.
+        for r in range(len(reads[0]) // special_count):
+            converter.convert_stack(
+                reads[0][r * special_count : (r + 1) * special_count],
+                out=writes[0][r * limb_count : (r + 1) * limb_count],
+            )
+
+    def fold_heads(heads, block):
+        # The ``P^{-1}(x - Conv(x'))`` tail folds each member's head limbs
+        # into its rows of ``block`` in place (no heads vstack, no separate
+        # diff/result temporaries).
+        for m, head in enumerate(heads):
+            seg = block[m * limb_count : (m + 1) * limb_count]
+            head = modmath.coerce_stack(head, target_col)
+            modmath.stack_sub_mod(head, seg, target_col, out=seg)
+            modmath.stack_scalar_mod(seg, p_inv, target_col, out=seg)
+
     with _DISPATCH.scope("moddown"), _DISPATCH.suppressed():
-        special_rows = np.vstack([p.stack.data[limb_count:] for p in polys])
+        special_rows = np.concatenate(
+            [rows for p in polys for rows in p.member_rows(limb_count)]
+        )
         for i, p in enumerate(polys):
-            # Keep the dependency chain intact across the vstack copy (the
+            # Keep the dependency chain intact across the staging copy (the
             # coefficient-format path has no recorded iNTT to carry it).
             _DISPATCH.link(
-                (p.stack.data[limb_count:],),
-                special_rows[i * special_count : (i + 1) * special_count],
+                p.member_rows(limb_count),
+                special_rows[i * special_rows_each : (i + 1) * special_rows_each],
             )
         if is_eval:
             special_rows = get_stacked_engine(
-                n, special_moduli * len(polys)
+                n, special_moduli * (members * len(polys))
             ).inverse(special_rows, consume=True)
-        # Each component's P -> Q_l conversion writes its rows directly into
-        # the (P*limb_count, N) layout the tail consumes -- the old
-        # column-axis concat/split transposes around one fused conversion
-        # are gone (layout-aware staging elimination; the per-column math
-        # is identical).
-        converter = context.moddown_converter(limb_count)
-        target_moduli = context.moduli_at(limb_count)
-        target_col = modmath.moduli_column(target_moduli)
         out = _empty_stack(
-            modmath.stack_backend(target_col), limb_count * len(polys), n
+            modmath.stack_backend(target_col), out_rows_each * len(polys), n
         )
-        for i in range(len(polys)):
-            converter.convert_stack(
-                special_rows[i * special_count : (i + 1) * special_count],
-                out=out[i * limb_count : (i + 1) * limb_count],
-            )
+        convert((special_rows,), (out,))
         if is_eval:
             out = get_stacked_engine(
-                n, tuple(target_moduli) * len(polys)
+                n, target_moduli * (members * len(polys))
             ).forward(out, consume=True)
-        # The ``P^{-1}(x - Conv(x'))`` tail folds each component's head
-        # limbs into its block of ``out`` in place (no heads vstack, no
-        # separate diff/result temporaries).
-        p_inv = tuple(context.p_inv_mod_q[:limb_count])
         for i, p in enumerate(polys):
-            seg = out[i * limb_count : (i + 1) * limb_count]
-            head = modmath.coerce_stack(p.stack.data[:limb_count], target_col)
-            modmath.stack_sub_mod(head, seg, target_col, out=seg)
-            modmath.stack_scalar_mod(seg, p_inv, target_col, out=seg)
+            fold_heads(
+                p.member_rows(0, limb_count),
+                out[i * out_rows_each : (i + 1) * out_rows_each],
+            )
     # Execution-plane record, per component, at GPU launch granularity:
     # iNTT of the special limbs, the P -> Q_l base conversion, and an NTT
     # over the ciphertext limbs with the ``P^{-1}(x - Conv(x'))`` step
     # fused in (the ModDown fusion, §III-F.5).
     if _DISPATCH.recording:
         executable = _DISPATCH.executable_recording
+        staged = is_eval and _DISPATCH.stage_granular
+        component_special_moduli = special_moduli * members
+        component_moduli = target_moduli * members
+
+        def intt_replay(reads, writes):
+            transform_in_place(
+                n, component_special_moduli, reads, writes[0], forward=False
+            )
+
+        def tail_replay(reads, writes):
+            gather_rows(reads[:1], writes[0])
+            fold_heads(reads[1:], writes[0])
+
+        def ntt_tail_replay(reads, writes):
+            transform_in_place(
+                n, component_moduli, reads[:1], writes[0], forward=True
+            )
+            fold_heads(reads[1:], writes[0])
+
         with _DISPATCH.scope("moddown"):
             # Per-component slices: the c0/c1 pipelines touch disjoint rows
             # of the fused buffers, so they stay parallel in the DAG (the
             # §III-F.1 overlap the stream scheduler exploits).
             for i, poly in enumerate(polys):
-                component_out = out[i * limb_count : (i + 1) * limb_count]
+                component_out = out[i * out_rows_each : (i + 1) * out_rows_each]
                 component_special = special_rows[
-                    i * special_count : (i + 1) * special_count
+                    i * special_rows_each : (i + 1) * special_rows_each
                 ]
-                intt_replay = conv_replay = tail_replay = None
-                if executable:
-
-                    def intt_replay(reads, writes, _n=n, _sm=special_moduli):
-                        src, dst = reads[0], writes[0]
-                        if not np.shares_memory(src, dst):
-                            np.copyto(dst, src)
-                        res = get_stacked_engine(_n, _sm).inverse(
-                            dst, consume=True
-                        )
-                        if res is not dst:
-                            np.copyto(dst, res)
-
-                    def conv_replay(reads, writes, _conv=converter):
-                        _conv.convert_stack(reads[0], out=writes[0])
-
-                    def tail_replay(
-                        reads, writes, _n=n, _tm=tuple(target_moduli),
-                        _col=target_col, _pinv=p_inv, _eval=is_eval,
-                    ):
-                        dst = writes[0]
-                        if not np.shares_memory(reads[0], dst):
-                            np.copyto(dst, reads[0])
-                        if _eval:
-                            res = get_stacked_engine(_n, _tm).forward(
-                                dst, consume=True
-                            )
-                            if res is not dst:
-                                np.copyto(dst, res)
-                        head = modmath.coerce_stack(reads[1], _col)
-                        modmath.stack_sub_mod(head, dst, _col, out=dst)
-                        modmath.stack_scalar_mod(dst, _pinv, _col, out=dst)
-
+                specials = poly.member_rows(limb_count)
+                tail_reads = (component_out,) + poly.member_rows(0, limb_count)
                 # Under stage-granular recording the two transforms expand
                 # into per-stage launch runs (the unfused GPU baseline) and
                 # the ``P^{-1}(x - Conv(x'))`` arithmetic becomes its own
                 # elementwise launch after the NTT stages.
-                staged_intt = staged_ntt = False
-                if is_eval and _DISPATCH.stage_granular:
-                    staged_intt = record_staged_transform(
-                        "intt", n, special_moduli,
-                        poly.stack.data[limb_count:], component_special,
-                        executable=executable,
-                    )
-                if is_eval and not staged_intt:
+                if is_eval and not (staged and record_staged_transform(
+                    "intt", n, component_special_moduli, specials,
+                    component_special, executable=executable,
+                )):
                     _DISPATCH.transform(
-                        "intt", special_count,
-                        reads=(poly.stack.data[limb_count:],),
+                        "intt", special_rows_each, reads=specials,
                         writes=(component_special,), cols=n,
                         replay=intt_replay,
                     )
                 _DISPATCH.base_conversion(
                     "baseconv", special_count, limb_count,
-                    reads=(component_special,), writes=(component_out,), cols=n,
-                    replay=conv_replay,
+                    reads=(component_special,), writes=(component_out,),
+                    cols=members * n, replay=convert,
                 )
-                if is_eval and _DISPATCH.stage_granular:
-                    staged_ntt = record_staged_transform(
-                        "ntt", n, tuple(target_moduli),
-                        component_out, component_out,
-                        executable=executable,
-                    )
-                if is_eval and not staged_ntt:
-                    _DISPATCH.transform(
-                        "ntt", limb_count,
-                        reads=(component_out, poly.stack.data[:limb_count]),
-                        writes=(component_out,), cols=n,
-                        fused_ops_per_element=MODMUL_OPS + MODADD_OPS,
+                if not is_eval:
+                    _DISPATCH.elementwise(
+                        "moddown-fused", reads=tail_reads,
+                        writes=(component_out,),
+                        ops_per_element=MODMUL_OPS + MODADD_OPS,
                         replay=tail_replay,
                     )
-                elif not is_eval:
+                elif staged and record_staged_transform(
+                    "ntt", n, component_moduli, (component_out,),
+                    component_out, executable=executable,
+                ):
                     _DISPATCH.elementwise(
-                        "moddown-fused",
-                        reads=(component_out, poly.stack.data[:limb_count]),
+                        "moddown-tail", reads=tail_reads,
                         writes=(component_out,),
                         ops_per_element=MODMUL_OPS + MODADD_OPS,
                         replay=tail_replay,
                     )
                 else:
-                    tail_launch = None
-                    if executable:
-
-                        def tail_launch(
-                            reads, writes, _col=target_col, _pinv=p_inv,
-                        ):
-                            dst = writes[0]
-                            if not np.shares_memory(reads[0], dst):
-                                np.copyto(dst, reads[0])
-                            head = modmath.coerce_stack(reads[1], _col)
-                            modmath.stack_sub_mod(head, dst, _col, out=dst)
-                            modmath.stack_scalar_mod(dst, _pinv, _col, out=dst)
-
-                    _DISPATCH.elementwise(
-                        "moddown-tail",
-                        reads=(component_out, poly.stack.data[:limb_count]),
-                        writes=(component_out,),
-                        ops_per_element=MODMUL_OPS + MODADD_OPS,
-                        replay=tail_launch,
+                    _DISPATCH.transform(
+                        "ntt", out_rows_each, reads=tail_reads,
+                        writes=(component_out,), cols=n,
+                        fused_ops_per_element=MODMUL_OPS + MODADD_OPS,
+                        replay=ntt_tail_replay,
                     )
     return [
         RNSPoly.from_stack(
             LimbStack(
-                target_moduli,
-                out[i * limb_count : (i + 1) * limb_count],
+                target_moduli * members,
+                out[i * out_rows_each : (i + 1) * out_rows_each],
                 pool=poly.stack.buffer.pool,
             ),
             poly.fmt,
@@ -366,123 +382,100 @@ def apply_key(
     Returns the pair ``(delta_c0, delta_c1)`` over the ciphertext basis.
     """
     with _DISPATCH.scope("keyswitch"):
-        limb_count = decomposed.limb_count
-        active_indices = list(range(limb_count)) + [
-            len(context.moduli) + i for i in range(len(context.special_moduli))
-        ]
-        pairs0: list[tuple[RNSPoly, RNSPoly]] = []
-        pairs1: list[tuple[RNSPoly, RNSPoly]] = []
+        template = decomposed.extended_digits[0]
+        col = template.stack.moduli_col
+        digits: list[np.ndarray] = []
+        keys0: list[np.ndarray] = []
+        keys1: list[np.ndarray] = []
         for digit_index, digit_poly in enumerate(decomposed.extended_digits):
             if automorphism_exponent is not None:
                 digit_poly = digit_poly.automorphism(automorphism_exponent)
-            b_j, a_j = key.digits[digit_index]
-            if len(active_indices) != b_j.level_count:
-                # Below the top level only a subset of key limbs is active;
-                # at the top level the key polys are used as-is (multiply
-                # never mutates its operands, so no defensive copy is needed).
-                b_j = b_j.select_limbs(active_indices)
-                a_j = a_j.select_limbs(active_indices)
-            pairs0.append((digit_poly, b_j))
-            pairs1.append((digit_poly, a_j))
+            # Below the top level only a subset of key limbs is active; a
+            # fused operand meets the key tiled once per member.
+            b_j, a_j = context.key_digit_stacks(
+                key, digit_index, decomposed.limb_count, template.members
+            )
+            digits.append(digit_poly.stack.data)
+            keys0.append(b_j)
+            keys1.append(a_j)
+        digit_count = len(digits)
         # Dot-product fusion (§III-F.5): each accumulator is one wide
         # multiply-accumulate with a single reduction instead of a reduced
         # product and a reduced add per digit.  The GPU launches this as a
         # single inner-product kernel producing both accumulators, which is
         # how the execution plane records it.
         with _DISPATCH.suppressed():
-            acc0 = RNSPoly.multiply_accumulate(pairs0)
-            acc1 = RNSPoly.multiply_accumulate(pairs1)
-        if _DISPATCH.recording and _DISPATCH.stage_granular and len(pairs0) > 1:
+            accs = [
+                RNSPoly.from_stack(
+                    LimbStack(
+                        template.moduli,
+                        modmath.stack_dot_mod(list(zip(digits, keys)), col),
+                        pool=template.stack.buffer.pool,
+                    ),
+                    LimbFormat.EVALUATION,
+                )
+                for keys in (keys0, keys1)
+            ]
+        if _DISPATCH.recording and _DISPATCH.stage_granular and digit_count > 1:
             # Unfused baseline: without the dot-product fusion each
             # accumulator is one reduced product plus a reduced
             # multiply-accumulate launch per further digit, every partial
             # sum a global-memory round trip.  Each run is registered as a
             # fusion group replaying the single wide inner-product kernel.
-            executable = _DISPATCH.executable_recording
-            for acc, pairs in ((acc0, pairs0), (acc1, pairs1)):
-                digit_count = len(pairs)
-                col = pairs[0][0].stack.moduli_col
-                mul_replay = None
-                if executable:
 
-                    def mul_replay(reads, writes, _col=col):
-                        modmath.stack_mul_mod(
-                            reads[0], reads[1], _col, out=writes[0]
-                        )
+            def mul_replay(reads, writes):
+                modmath.stack_mul_mod(reads[0], reads[1], col, out=writes[0])
 
+            def fma_replay(reads, writes):
+                prod = modmath.stack_mul_mod(reads[1], reads[2], col)
+                modmath.stack_add_mod(reads[0], prod, col, out=writes[0])
+
+            def dot_replay(reads, writes):
+                # Member reads in order: (digit0, key0), then
+                # (acc, digit_j, key_j) per further digit.
+                dot_pairs = [(reads[0], reads[1])] + [
+                    (reads[3 * j], reads[3 * j + 1])
+                    for j in range(1, digit_count)
+                ]
+                modmath.stack_dot_mod(dot_pairs, col, out=writes[0])
+
+            for acc, keys in zip(accs, (keys0, keys1)):
                 _DISPATCH.elementwise(
                     "ks-mul",
-                    reads=(pairs[0][0].stack.data, pairs[0][1].stack.data),
+                    reads=(digits[0], keys[0]),
                     writes=(acc.stack.data,),
                     ops_per_element=MODMUL_OPS,
                     replay=mul_replay,
                 )
                 for j in range(1, digit_count):
-                    fma_replay = None
-                    if executable:
-
-                        def fma_replay(reads, writes, _col=col):
-                            prod = modmath.stack_mul_mod(
-                                reads[1], reads[2], _col
-                            )
-                            modmath.stack_add_mod(
-                                reads[0], prod, _col, out=writes[0]
-                            )
-
                     _DISPATCH.elementwise(
                         "ks-mul-add",
-                        reads=(
-                            acc.stack.data,
-                            pairs[j][0].stack.data,
-                            pairs[j][1].stack.data,
-                        ),
+                        reads=(acc.stack.data, digits[j], keys[j]),
                         writes=(acc.stack.data,),
                         ops_per_element=MODMUL_OPS + MODADD_OPS,
                         replay=fma_replay,
                     )
-                if executable:
-
-                    def dot_replay(reads, writes, _d=digit_count, _col=col):
-                        # Member reads in order: (digit0, key0), then
-                        # (acc, digit_j, key_j) per further digit.
-                        dot_pairs = [(reads[0], reads[1])]
-                        idx = 2
-                        for _ in range(_d - 1):
-                            dot_pairs.append(
-                                (reads[idx + 1], reads[idx + 2])
-                            )
-                            idx += 3
-                        modmath.stack_dot_mod(dot_pairs, _col, out=writes[0])
-
-                    _DISPATCH.fusion_group(digit_count, dot_replay)
+                _DISPATCH.fusion_group(digit_count, dot_replay)
         elif _DISPATCH.recording:
-            replay = None
-            if _DISPATCH.executable_recording:
 
-                def replay(
-                    reads, writes, _d=len(pairs0),
-                    _col=pairs0[0][0].stack.moduli_col,
-                ):
-                    digits = reads[:_d]
-                    keys0 = reads[_d : 2 * _d]
-                    keys1 = reads[2 * _d :]
-                    modmath.stack_dot_mod(
-                        list(zip(digits, keys0)), _col, out=writes[0]
-                    )
-                    modmath.stack_dot_mod(
-                        list(zip(digits, keys1)), _col, out=writes[1]
-                    )
+            def replay(reads, writes):
+                ds = reads[:digit_count]
+                modmath.stack_dot_mod(
+                    list(zip(ds, reads[digit_count : 2 * digit_count])),
+                    col, out=writes[0],
+                )
+                modmath.stack_dot_mod(
+                    list(zip(ds, reads[2 * digit_count :])), col, out=writes[1]
+                )
 
             _DISPATCH.elementwise(
                 "ks-inner-product",
-                reads=tuple(digit.stack.data for digit, _ in pairs0)
-                + tuple(key_poly.stack.data for _, key_poly in pairs0)
-                + tuple(key_poly.stack.data for _, key_poly in pairs1),
-                writes=(acc0.stack.data, acc1.stack.data),
-                ops_per_element=len(pairs0) * 2.0 * (MODMUL_OPS + MODADD_OPS),
+                reads=(*digits, *keys0, *keys1),
+                writes=(accs[0].stack.data, accs[1].stack.data),
+                ops_per_element=digit_count * 2.0 * (MODMUL_OPS + MODADD_OPS),
                 replay=replay,
             )
-        delta0, delta1 = mod_down_many(context, [acc0, acc1])
+        delta0, delta1 = mod_down_many(context, accs)
         return delta0, delta1
 
 

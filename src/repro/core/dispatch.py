@@ -617,6 +617,22 @@ def _replay_copy(reads: tuple, writes: tuple) -> None:
         np.concatenate(reads, axis=0, out=out)
 
 
+def gather_rows(sources: Sequence[np.ndarray], out: np.ndarray) -> None:
+    """Copy row blocks into consecutive rows of ``out`` (replay helper).
+
+    A kernel over a fused ``(B·L, N)`` stack reads one row block per
+    member; its replay stages them member-major into the write view.  A
+    block that already aliases its slot (an in-place recording) is left
+    untouched.
+    """
+    row = 0
+    for source in sources:
+        slot = out[row : row + len(source)]
+        if not np.shares_memory(source, slot):
+            np.copyto(slot, source)
+        row += len(source)
+
+
 class _ScopeGuard:
     """Pushes/pops one scope name on the dispatcher (tracing/profiling)."""
 
@@ -978,5 +994,6 @@ __all__ = [
     "TraceEvent",
     "TraceProgram",
     "ViewSpec",
+    "gather_rows",
     "get_dispatcher",
 ]

@@ -35,7 +35,7 @@ class FusedFootprintError(OutOfDeviceMemory):
 
     Raised *before* any row copying starts (by
     :meth:`repro.core.limb_stack.LimbStack.fuse` and
-    :meth:`repro.ckks.batch.CiphertextBatch.from_ciphertexts`) so callers
+    :meth:`repro.ckks.ciphertext.Ciphertext.fuse`) so callers
     such as the serving plane's batching policy can react -- typically by
     draining fewer requests per fused batch -- instead of dying on a bare
     :class:`OutOfDeviceMemory` mid-copy.

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core import modmath
-from repro.core.dispatch import get_dispatcher
+from repro.core.dispatch import gather_rows, get_dispatcher
 from repro.core.primes import find_root_of_unity
 from repro.gpu.kernel import BUTTERFLY_OPS, SHOUP_MUL_OPS
 
@@ -714,9 +714,12 @@ class StackedNTTEngine:
         executable = _DISPATCH.executable_recording
         row = 0
         for part in parts:
+            seg_moduli = self.moduli[row : row + part]
             if self.fast and _DISPATCH.stage_granular:
-                self._record_stage_launches(
-                    tag, source, out, row, part, executable,
+                _record_stage_launches(
+                    tag, self.ring_degree, seg_moduli,
+                    (source[row : row + part],), out[row : row + part],
+                    executable,
                 )
                 row += part
                 continue
@@ -725,7 +728,6 @@ class StackedNTTEngine:
                 # Each segment replays through its own cached sub-engine
                 # (chunking/tiling is bit-identical, see the class docstring),
                 # transforming the program's write view in place.
-                seg_moduli = self.moduli[row : row + part]
 
                 def replay(
                     reads,
@@ -734,14 +736,9 @@ class StackedNTTEngine:
                     _moduli=seg_moduli,
                     _forward=(tag == "ntt"),
                 ):
-                    engine = get_stacked_engine(_n, _moduli)
-                    src, dst = reads[0], writes[0]
-                    if not np.shares_memory(src, dst):
-                        np.copyto(dst, src)
-                    fn = engine.forward if _forward else engine.inverse
-                    res = fn(dst, consume=True)
-                    if res is not dst:
-                        np.copyto(dst, res)
+                    transform_in_place(
+                        _n, _moduli, reads, writes[0], forward=_forward
+                    )
 
             # Per-segment row slices keep fused launches independent in the
             # dependency DAG (each digit/component touches its own rows).
@@ -755,89 +752,6 @@ class StackedNTTEngine:
                 replay=replay,
             )
             row += part
-
-    def _record_stage_launches(
-        self,
-        tag: str,
-        source: np.ndarray,
-        out: np.ndarray,
-        row: int,
-        part: int,
-        executable: bool,
-    ) -> None:
-        """Record one segment as per-stage launches (the unfused baseline).
-
-        Emits ``log2 N`` butterfly-stage events (plus the iNTT's ``N^-1``
-        scaling launch), each replaying one canonical stage via
-        :meth:`reference_stage` -- a full global-memory round trip per
-        stage, which is exactly how an unfused GPU NTT executes.  The run
-        is then registered as a fusion group whose mega-kernel replay is
-        the stage-fused engine call, so ``fuse_trace`` can collapse the
-        chain back into the fused transform (§III-F.4/F.5).
-        """
-        n = self.ring_degree
-        stages = n.bit_length() - 1
-        seg_moduli = self.moduli[row : row + part]
-        forward = tag == "ntt"
-        src = source[row : row + part]
-        dst = out[row : row + part]
-        for s in range(stages):
-            replay = None
-            if executable:
-
-                def replay(
-                    reads, writes,
-                    _n=n, _moduli=seg_moduli, _s=s, _fwd=forward,
-                ):
-                    engine = get_stacked_engine(_n, _moduli)
-                    sarr, darr = reads[0], writes[0]
-                    if not np.shares_memory(sarr, darr):
-                        np.copyto(darr, sarr)
-                    engine.reference_stage(darr, _s, forward=_fwd)
-
-            _DISPATCH.elementwise(
-                f"{tag}-stage{s}",
-                reads=(src if s == 0 else dst,),
-                writes=(dst,),
-                # One radix-2 butterfly covers two elements.
-                ops_per_element=BUTTERFLY_OPS / 2.0,
-                replay=replay,
-            )
-        count = stages
-        if not forward:
-            scale_replay = None
-            if executable:
-
-                def scale_replay(reads, writes, _n=n, _moduli=seg_moduli):
-                    engine = get_stacked_engine(_n, _moduli)
-                    sarr, darr = reads[0], writes[0]
-                    if not np.shares_memory(sarr, darr):
-                        np.copyto(darr, sarr)
-                    engine.reference_scale(darr)
-
-            _DISPATCH.elementwise(
-                f"{tag}-scale",
-                reads=(dst,),
-                writes=(dst,),
-                ops_per_element=SHOUP_MUL_OPS,
-                replay=scale_replay,
-            )
-            count += 1
-        if executable:
-
-            def fused_replay(
-                reads, writes, _n=n, _moduli=seg_moduli, _fwd=forward,
-            ):
-                engine = get_stacked_engine(_n, _moduli)
-                sarr, darr = reads[0], writes[0]
-                if not np.shares_memory(sarr, darr):
-                    np.copyto(darr, sarr)
-                fn = engine.forward if _fwd else engine.inverse
-                res = fn(darr, consume=True)
-                if res is not darr:
-                    np.copyto(darr, res)
-
-            _DISPATCH.fusion_group(count, fused_replay)
 
     def reference_stage(
         self, a: np.ndarray, stage: int, *, forward: bool = True,
@@ -1225,11 +1139,102 @@ def get_stacked_engine(ring_degree: int, moduli: tuple[int, ...]) -> StackedNTTE
     return StackedNTTEngine(ring_degree, moduli)
 
 
+def transform_in_place(
+    ring_degree: int,
+    moduli: tuple[int, ...],
+    sources: Sequence[np.ndarray],
+    dst: np.ndarray,
+    *,
+    forward: bool,
+) -> None:
+    """Stage ``sources`` into ``dst`` and (i)NTT it in place (replay helper).
+
+    ``sources`` are the row blocks a recorded transform read -- one per
+    member of a fused stack, or ``dst`` itself for an in-place launch.
+    """
+    gather_rows(sources, dst)
+    engine = get_stacked_engine(ring_degree, moduli)
+    res = (engine.forward if forward else engine.inverse)(dst, consume=True)
+    if res is not dst:
+        np.copyto(dst, res)
+
+
+def _record_stage_launches(
+    tag: str,
+    n: int,
+    moduli: tuple[int, ...],
+    sources: Sequence[np.ndarray],
+    dst: np.ndarray,
+    executable: bool,
+) -> None:
+    """Record one transform as per-stage launches (the unfused baseline).
+
+    Emits ``log2 N`` butterfly-stage events (plus the iNTT's ``N^-1``
+    scaling launch), each replaying one canonical stage via
+    :meth:`StackedNTTEngine.reference_stage` -- a full global-memory round
+    trip per stage, which is exactly how an unfused GPU NTT executes.  The
+    first stage reads ``sources`` (the row blocks that make up ``dst``,
+    one per member of a fused stack); later stages run in place.  The run
+    is then registered as a fusion group whose mega-kernel replay is the
+    stage-fused engine call, so ``fuse_trace`` can collapse the chain back
+    into the fused transform (§III-F.4/F.5).
+    """
+    stages = n.bit_length() - 1
+    forward = tag == "ntt"
+    sources = tuple(sources)
+    source_count = len(sources)
+    for s in range(stages):
+        replay = None
+        if executable:
+
+            def replay(reads, writes, _s=s):
+                gather_rows(reads, writes[0])
+                get_stacked_engine(n, moduli).reference_stage(
+                    writes[0], _s, forward=forward
+                )
+
+        _DISPATCH.elementwise(
+            f"{tag}-stage{s}",
+            reads=sources if s == 0 else (dst,),
+            writes=(dst,),
+            # One radix-2 butterfly covers two elements.
+            ops_per_element=BUTTERFLY_OPS / 2.0,
+            replay=replay,
+        )
+    count = stages
+    if not forward:
+        scale_replay = None
+        if executable:
+
+            def scale_replay(reads, writes):
+                gather_rows(reads, writes[0])
+                get_stacked_engine(n, moduli).reference_scale(writes[0])
+
+        _DISPATCH.elementwise(
+            f"{tag}-scale",
+            reads=(dst,),
+            writes=(dst,),
+            ops_per_element=SHOUP_MUL_OPS,
+            replay=scale_replay,
+        )
+        count += 1
+    if executable:
+
+        def fused_replay(reads, writes):
+            # A group replay sees every member's reads in member order;
+            # the transform's input is the first stage's.
+            transform_in_place(
+                n, moduli, reads[:source_count], writes[0], forward=forward
+            )
+
+        _DISPATCH.fusion_group(count, fused_replay)
+
+
 def record_staged_transform(
     tag: str,
     ring_degree: int,
     moduli: tuple[int, ...],
-    source: np.ndarray,
+    sources: Sequence[np.ndarray],
     out: np.ndarray,
     *,
     executable: bool,
@@ -1239,14 +1244,14 @@ def record_staged_transform(
     The entry point for call sites that record transforms directly (the
     ModDown and rescale pipelines): under ``stage_launches`` recording
     they emit the unfused per-stage launch run plus its fusion group
-    instead of one fused transform event.  Returns ``False`` -- recording
-    nothing -- when the stack is off the uint64 fast path, so the caller
-    falls back to its single fused transform record.
+    instead of one fused transform event.  ``sources`` are the row blocks
+    the transform reads, in ``out``'s row order.  Returns ``False`` --
+    recording nothing -- when the stack is off the uint64 fast path, so
+    the caller falls back to its single fused transform record.
     """
-    engine = get_stacked_engine(ring_degree, moduli)
-    if not engine.fast:
+    if not get_stacked_engine(ring_degree, moduli).fast:
         return False
-    engine._record_stage_launches(tag, source, out, 0, len(moduli), executable)
+    _record_stage_launches(tag, ring_degree, moduli, sources, out, executable)
     return True
 
 
@@ -1259,6 +1264,7 @@ __all__ = [
     "get_engine",
     "get_stacked_engine",
     "record_staged_transform",
+    "transform_in_place",
     "set_scratch_budget",
     "scratch_cache_bytes",
 ]

@@ -25,11 +25,15 @@ from typing import Sequence
 import numpy as np
 
 from repro.core import modmath
-from repro.core.dispatch import get_dispatcher
+from repro.core.dispatch import gather_rows, get_dispatcher
 from repro.core.limb import Limb, LimbFormat
 from repro.core.limb_stack import LimbStack
 from repro.core.memory import MemoryPool
-from repro.core.ntt import get_engine, get_stacked_engine, record_staged_transform
+from repro.core.ntt import (
+    get_stacked_engine,
+    record_staged_transform,
+    transform_in_place,
+)
 from repro.core.rns import RNSBasis
 from repro.gpu.kernel import MODADD_OPS, MODMUL_OPS
 
@@ -206,6 +210,48 @@ class RNSPoly:
         """Return the common representation of all limbs."""
         return self._fmt
 
+    @property
+    def members(self) -> int:
+        """Number of same-basis polynomials fused member-major in the stack.
+
+        A fused stack (:meth:`LimbStack.fuse` of same-shape members) tiles
+        one basis ``B`` times, and a basis never repeats a prime, so the
+        first modulus occurs once per member; 1 for a plain polynomial.
+        Every cross-limb pipeline (key switching, rescale, limb dropping)
+        reads the member count from here.
+        """
+        return self.moduli.count(self.moduli[0])
+
+    def member_rows(self, start: int, stop: int | None = None) -> tuple[np.ndarray, ...]:
+        """Zero-copy views of limb rows ``[start, stop)`` of every member.
+
+        Indices are per member with slice semantics (``-1`` is each
+        member's last limb); a plain polynomial yields one view.
+        """
+        members = self.members
+        per = len(self.moduli) // members
+        rows = range(per)[start:stop]
+        data = self._stack.data
+        return tuple(
+            data[m * per + rows.start : m * per + rows.stop]
+            for m in range(members)
+        )
+
+    def tile(self, members: int) -> "RNSPoly":
+        """Repeat the polynomial member-major ``members`` times.
+
+        How one plaintext, constant or key meets every member of a fused
+        operand in a single kernel; ``members == 1`` returns ``self``.
+        """
+        if members == 1:
+            return self
+        data = self._stack.data
+        tiled = np.concatenate([data] * members)
+        _DISPATCH.link((data,), tiled)
+        return self._wrap(
+            LimbStack(self.moduli * members, tiled, pool=self._stack.buffer.pool)
+        )
+
     def basis(self) -> RNSBasis:
         """Return the :class:`RNSBasis` for the current moduli."""
         return RNSBasis(self.moduli)
@@ -357,10 +403,19 @@ class RNSPoly:
         return self._wrap(self._stack.head(len(self.moduli) - count))
 
     def keep_limbs(self, count: int) -> "RNSPoly":
-        """Return the polynomial truncated to its first ``count`` limbs."""
-        if not 1 <= count <= len(self.moduli):
-            raise ValueError(f"cannot keep {count} of {len(self.moduli)} limbs")
-        return self._wrap(self._stack.head(count))
+        """Return the polynomial truncated to its first ``count`` limbs.
+
+        On a fused stack every member keeps its first ``count`` limbs.
+        """
+        members = self.members
+        per = len(self.moduli) // members
+        if not 1 <= count <= per:
+            raise ValueError(f"cannot keep {count} of {per} limbs")
+        if members == 1:
+            return self._wrap(self._stack.head(count))
+        return self.select_limbs(
+            [m * per + j for m in range(members) for j in range(count)]
+        )
 
     def select_limbs(self, indices: Sequence[int]) -> "RNSPoly":
         """Return a polynomial containing copies of the limbs at ``indices``.
@@ -391,11 +446,13 @@ class RNSPoly:
     def rescale_last_many(polys: Sequence["RNSPoly"]) -> list["RNSPoly"]:
         """Rescale several same-basis polynomials in fused stacked kernels.
 
-        The two components of a ciphertext (and the many polys of a fused
-        pipeline stage) share every transform: their switched last limbs
-        and NTT passes are concatenated row-wise into single stacked calls,
-        cutting the per-call overhead without changing any residue -- the
-        per-row math is exactly :meth:`rescale_last`.
+        The two components of a ciphertext (and every member of a fused
+        ``(B·L, N)`` stack -- the member count is read off the operands)
+        share every transform: the switched last limbs and the NTT passes
+        of all ``P·B`` member polynomials are concatenated row-wise into
+        single stacked calls, cutting the per-call overhead without
+        changing any residue -- the per-row math is exactly
+        :meth:`rescale_last`.
         """
         if not polys:
             return []
@@ -403,168 +460,146 @@ class RNSPoly:
         for poly in polys[1:]:
             if poly.moduli != first.moduli or poly.fmt is not first.fmt:
                 raise ValueError("fused rescale requires matching bases and formats")
-        if len(first.moduli) < 2:
+        members = first.members
+        keep = len(first.moduli) // members - 1
+        if keep < 1:
             raise ValueError("cannot rescale a single-limb polynomial")
         n = first.ring_degree
         q_last = first.moduli[-1]
-        target_moduli = first.moduli[:-1]
-        keep = len(target_moduli)
+        target_moduli = first.moduli[:keep]
         target_col = modmath.moduli_column(target_moduli)
+        last_moduli = (q_last,) * members
+        kept_moduli = tuple(target_moduli) * members
         is_eval = first.fmt is LimbFormat.EVALUATION
-        inverses = _rescale_inverses(tuple(first.moduli))
+        inverses = _rescale_inverses(tuple(first.moduli[: keep + 1]))
+
+        def fold_heads(heads, block):
+            # The subtract/scale tail folds each member's head limbs into
+            # its rows of the switched block in place.
+            for m, head in enumerate(heads):
+                seg = block[m * keep : (m + 1) * keep]
+                head = modmath.coerce_stack(head, target_col)
+                modmath.stack_sub_mod(head, seg, target_col, out=seg)
+                modmath.stack_scalar_mod(seg, inverses, target_col, out=seg)
+
         with _DISPATCH.suppressed():
-            last_rows = np.stack([np.asarray(p._stack.data[-1]) for p in polys])
+            last_rows = np.concatenate(
+                [row for p in polys for row in p.member_rows(-1)]
+            )
             if is_eval:
                 last_rows = get_stacked_engine(
-                    n, (q_last,) * len(polys)
+                    n, last_moduli * len(polys)
                 ).inverse(last_rows, consume=True)
-            # The batched modulus switch lands every poly's block directly
-            # in the (P*keep, N) layout the tail consumes -- no per-row
+            # The batched modulus switch lands every member's block directly
+            # in the (P*B*keep, N) layout the tail consumes -- no per-row
             # loop, no vstack staging copy.
-            switched = modmath.stack_switch_modulus_many(
+            out = modmath.stack_switch_modulus_many(
                 last_rows, q_last, target_col
             )
             if is_eval:
-                switched = get_stacked_engine(
-                    n, tuple(target_moduli) * len(polys)
-                ).forward(switched, consume=True)
-            # The subtract/scale tail folds each poly's head limbs into its
-            # block of ``switched`` in place (row math identical to the old
-            # fused-column form, without staging the heads into one buffer).
+                out = get_stacked_engine(
+                    n, kept_moduli * len(polys)
+                ).forward(out, consume=True)
             for i, poly in enumerate(polys):
-                seg = switched[i * keep : (i + 1) * keep]
-                head = modmath.coerce_stack(poly._stack.data[:-1], target_col)
-                modmath.stack_sub_mod(head, seg, target_col, out=seg)
-                modmath.stack_scalar_mod(seg, inverses, target_col, out=seg)
-            out = switched
+                fold_heads(
+                    poly.member_rows(0, -1),
+                    out[i * members * keep : (i + 1) * members * keep],
+                )
         # The execution plane sees the kernels a GPU backend launches per
-        # component: an iNTT of the dropped limb plus an NTT over the kept
+        # component: an iNTT of the dropped limbs plus an NTT over the kept
         # limbs with the switch/subtract/scale arithmetic fused in
         # ("Rescale fusion", §III-F.5); in coefficient format only the
-        # fused element-wise kernel remains.
+        # fused element-wise kernel remains.  A fused component records the
+        # same kernels over ``B×`` the rows.
         if _DISPATCH.recording:
             executable = _DISPATCH.executable_recording
+            switch_replay = tail_replay = fused_replay = None
+            if executable:
+
+                def switch_replay(reads, writes):
+                    modmath.stack_switch_modulus_many(
+                        reads[0], q_last, target_col, out=writes[0]
+                    )
+
+                def tail_replay(reads, writes):
+                    gather_rows(reads[:1], writes[0])
+                    fold_heads(reads[1:], writes[0])
+
+                def fused_replay(reads, writes):
+                    switch_replay((np.concatenate(reads[:members]),), writes)
+                    fold_heads(reads[members:], writes[0])
+
             # Per-polynomial slices keep the fused components parallel in
             # the dependency DAG (disjoint rows of the shared buffers).
             for i, poly in enumerate(polys):
-                kept = out[i * keep : (i + 1) * keep]
-                dropped = last_rows[i : i + 1]
-                if is_eval:
-                    intt_replay = ntt_replay = None
-                    if executable:
-
-                        def intt_replay(reads, writes, _n=n, _q=q_last):
-                            res = get_stacked_engine(_n, (_q,)).inverse(reads[0])
-                            np.copyto(writes[0], res)
-
-                        def ntt_replay(
-                            reads, writes, _n=n, _q=q_last,
-                            _tm=tuple(target_moduli), _col=target_col,
-                            _inv=inverses,
-                        ):
-                            sw = modmath.stack_switch_modulus_many(
-                                reads[0], _q, _col, out=writes[0]
-                            )
-                            res = get_stacked_engine(_n, _tm).forward(
-                                sw, consume=True
-                            )
-                            if res is not sw:
-                                np.copyto(sw, res)
-                            head = modmath.coerce_stack(reads[1], _col)
-                            modmath.stack_sub_mod(head, sw, _col, out=sw)
-                            modmath.stack_scalar_mod(sw, _inv, _col, out=sw)
-
-                    # Stage-granular recording unbundles the pipeline into
-                    # the launches an unfused GPU rescale makes: per-stage
-                    # iNTT, a modulus-switch launch, per-stage NTT, then
-                    # the subtract/scale tail as its own launch.
-                    staged = (
-                        _DISPATCH.stage_granular
-                        and get_stacked_engine(n, (q_last,)).fast
-                        and get_stacked_engine(n, tuple(target_moduli)).fast
-                    )
-                    if staged:
-                        switch_replay = tail_launch = None
-                        if executable:
-
-                            def switch_replay(
-                                reads, writes, _q=q_last, _col=target_col,
-                            ):
-                                modmath.stack_switch_modulus_many(
-                                    reads[0], _q, _col, out=writes[0]
-                                )
-
-                            def tail_launch(
-                                reads, writes, _col=target_col, _inv=inverses,
-                            ):
-                                dst = writes[0]
-                                if not np.shares_memory(reads[0], dst):
-                                    np.copyto(dst, reads[0])
-                                head = modmath.coerce_stack(reads[1], _col)
-                                modmath.stack_sub_mod(head, dst, _col, out=dst)
-                                modmath.stack_scalar_mod(
-                                    dst, _inv, _col, out=dst
-                                )
-
-                        record_staged_transform(
-                            "intt", n, (q_last,),
-                            poly._stack.data[-1:], dropped,
-                            executable=executable,
-                        )
-                        _DISPATCH.elementwise(
-                            "rescale-switch", reads=(dropped,), writes=(kept,),
-                            ops_per_element=MODMUL_OPS, replay=switch_replay,
-                        )
-                        record_staged_transform(
-                            "ntt", n, tuple(target_moduli), kept, kept,
-                            executable=executable,
-                        )
-                        _DISPATCH.elementwise(
-                            "rescale-tail",
-                            reads=(kept, poly._stack.data[:-1]),
-                            writes=(kept,),
-                            ops_per_element=MODMUL_OPS + MODADD_OPS,
-                            replay=tail_launch,
-                        )
-                    else:
-                        _DISPATCH.transform(
-                            "intt", 1, reads=(poly._stack.data[-1:],),
-                            writes=(dropped,), cols=n,
-                            fused_ops_per_element=MODADD_OPS,
-                            replay=intt_replay,
-                        )
-                        _DISPATCH.transform(
-                            "ntt", keep, reads=(dropped, poly._stack.data[:-1]),
-                            writes=(kept,), cols=n,
-                            fused_ops_per_element=MODMUL_OPS + MODADD_OPS,
-                            replay=ntt_replay,
-                        )
-                else:
-                    fused_replay = None
-                    if executable:
-
-                        def fused_replay(
-                            reads, writes, _q=q_last, _col=target_col,
-                            _inv=inverses,
-                        ):
-                            sw = modmath.stack_switch_modulus_many(
-                                reads[0], _q, _col, out=writes[0]
-                            )
-                            head = modmath.coerce_stack(reads[1], _col)
-                            modmath.stack_sub_mod(head, sw, _col, out=sw)
-                            modmath.stack_scalar_mod(sw, _inv, _col, out=sw)
-
+                kept = out[i * members * keep : (i + 1) * members * keep]
+                dropped = last_rows[i * members : (i + 1) * members]
+                lasts = poly.member_rows(-1)
+                heads = poly.member_rows(0, -1)
+                if not is_eval:
                     _DISPATCH.elementwise(
-                        "rescale-fused",
-                        reads=(poly._stack.data[-1:], poly._stack.data[:-1]),
-                        writes=(kept,), ops_per_element=MODMUL_OPS + MODADD_OPS,
+                        "rescale-fused", reads=lasts + heads, writes=(kept,),
+                        ops_per_element=MODMUL_OPS + MODADD_OPS,
                         replay=fused_replay,
                     )
+                    continue
+                # Stage-granular recording unbundles the pipeline into
+                # the launches an unfused GPU rescale makes: per-stage
+                # iNTT, a modulus-switch launch, per-stage NTT, then
+                # the subtract/scale tail as its own launch.
+                if (
+                    _DISPATCH.stage_granular
+                    and get_stacked_engine(n, last_moduli).fast
+                    and get_stacked_engine(n, kept_moduli).fast
+                ):
+                    record_staged_transform(
+                        "intt", n, last_moduli, lasts, dropped,
+                        executable=executable,
+                    )
+                    _DISPATCH.elementwise(
+                        "rescale-switch", reads=(dropped,), writes=(kept,),
+                        ops_per_element=MODMUL_OPS, replay=switch_replay,
+                    )
+                    record_staged_transform(
+                        "ntt", n, kept_moduli, (kept,), kept,
+                        executable=executable,
+                    )
+                    _DISPATCH.elementwise(
+                        "rescale-tail", reads=(kept,) + heads, writes=(kept,),
+                        ops_per_element=MODMUL_OPS + MODADD_OPS,
+                        replay=tail_replay,
+                    )
+                    continue
+                intt_replay = ntt_replay = None
+                if executable:
+
+                    def intt_replay(reads, writes):
+                        transform_in_place(
+                            n, last_moduli, reads, writes[0], forward=False
+                        )
+
+                    def ntt_replay(reads, writes):
+                        switch_replay(reads, writes)
+                        transform_in_place(
+                            n, kept_moduli, writes, writes[0], forward=True
+                        )
+                        fold_heads(reads[1:], writes[0])
+
+                _DISPATCH.transform(
+                    "intt", members, reads=lasts, writes=(dropped,), cols=n,
+                    fused_ops_per_element=MODADD_OPS, replay=intt_replay,
+                )
+                _DISPATCH.transform(
+                    "ntt", members * keep, reads=(dropped,) + heads,
+                    writes=(kept,), cols=n,
+                    fused_ops_per_element=MODMUL_OPS + MODADD_OPS,
+                    replay=ntt_replay,
+                )
         return [
             poly._wrap(
                 LimbStack(
-                    target_moduli,
-                    out[i * keep : (i + 1) * keep],
+                    kept_moduli,
+                    out[i * members * keep : (i + 1) * members * keep],
                     pool=poly._stack.buffer.pool,
                 )
             )

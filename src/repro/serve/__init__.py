@@ -13,13 +13,13 @@ Module map
 ----------
 
 ``request``
-    :class:`OpProgram` (a named circuit written once against the shared
-    ``CipherVector``/``CipherBatch`` operator surface),
+    :class:`OpProgram` (a named circuit written once against the
+    ``CipherVector`` operator surface, run on one request or a fused batch),
     :class:`Request`/:class:`Response` with future-style completion.
 ``bucketing``
     :class:`ShapeKey` ``(ring_degree, level, scale, op_program)`` and the
     FIFO :class:`BucketQueue` -- only fuse-compatible requests share a
-    bucket, so drains always satisfy ``CiphertextBatch.from_ciphertexts``.
+    bucket, so drains always satisfy ``Ciphertext.fuse``.
 ``policy``
     :class:`BatchingPolicy` (``max_batch_size`` / ``max_wait`` /
     ``memory_budget_bytes`` -- the throughput, latency and capacity knobs)
@@ -27,7 +27,7 @@ Module map
     runs on.
 ``executor``
     :class:`BatchExecutor` (fused drains through the backend's
-    ``batch_from`` seam; singleton drains on the sequential evaluator;
+    ``batch_from`` seam; singleton drains run unfused;
     :class:`~repro.core.memory.FusedFootprintError` triggers the
     degradation cascade ``B -> B/2 -> ... -> singleton``) and
     :class:`Server`, the front door

@@ -6,8 +6,7 @@ makes sense for requests walking the *same* circuit.  The
 :class:`ShapeKey` captures exactly that ``(ring_degree, level, scale,
 op_program)`` tuple, and the :class:`BucketQueue` groups incoming
 requests by it in FIFO order, so a drain hands the executor a list that
-:meth:`~repro.ckks.batch.CiphertextBatch.from_ciphertexts` is guaranteed
-to accept.
+:meth:`~repro.ckks.ciphertext.Ciphertext.fuse` is guaranteed to accept.
 
 Scales are compared exactly (they come off one session's deterministic
 scale ladder, so equal levels imply bit-equal scales); a near-miss scale
@@ -63,7 +62,7 @@ def validate_handle(handle, params) -> None:
     :class:`~repro.serve.errors.RequestRejected` on mismatch, so a
     foreign-session or corrupted handle fails loudly at
     :meth:`~repro.serve.executor.Server.submit` instead of deep inside
-    ``CiphertextBatch.from_ciphertexts`` at drain time.  Symbolic
+    ``Ciphertext.fuse`` at drain time.  Symbolic
     (cost-model) handles carry no ring degree; attributes a handle lacks
     are skipped.
     """

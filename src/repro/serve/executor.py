@@ -2,15 +2,13 @@
 
 :class:`BatchExecutor` turns one drained bucket into ciphertext results:
 singleton drains run the program directly on the request's
-:class:`~repro.api.vector.CipherVector` (the sequential
-:class:`~repro.ckks.evaluator.Evaluator` path -- no fused allocation at
-all), while larger drains fuse the members through the backend's
-``batch_from`` seam into a :class:`~repro.api.batch.CipherBatch` and run
-the *same program once* over the fused ``(B·L, N)`` kernels.  Because the
-batched operations are bit-identical member by member to the sequential
-evaluator (the throughput-plane contract PR 4 established and the test
-suite asserts), every response is bit-identical to running that request
-alone -- batching is invisible to clients except in latency.
+:class:`~repro.api.vector.CipherVector` (no fused allocation at all),
+while larger drains fuse the members through the backend's ``batch_from``
+seam into one ``batch_size=B`` handle and run the *same program once* over
+the fused ``(B·L, N)`` kernels.  Because the evaluator is bit-identical
+member by member whatever the member count (the throughput-plane contract
+the test suite asserts), every response is bit-identical to running that
+request alone -- batching is invisible to clients except in latency.
 
 When a fused allocation is denied -- a real
 :class:`~repro.core.memory.FusedFootprintError` or an injected OOM window
@@ -51,7 +49,6 @@ import warnings
 from typing import Sequence
 
 from repro.api.backend import as_backend
-from repro.api.batch import CipherBatch
 from repro.api.vector import CipherVector, as_vector
 from repro.core.dispatch import get_dispatcher
 from repro.core.memory import FusedFootprintError, OutOfDeviceMemory
@@ -141,7 +138,7 @@ class BatchExecutor:
         try:
             if self.injector is not None:
                 self.injector.check_fuse(now, len(vectors))
-            batch = CipherBatch(
+            batch = CipherVector(
                 self.backend, self.backend.batch_from([v.handle for v in vectors])
             )
             return program(batch).split(), 0
@@ -340,7 +337,7 @@ class Server:
         A vector whose shape cannot serve under this backend's parameters
         **raises** :class:`~repro.serve.errors.RequestRejected` here (a
         client bug should fail loudly at the call site, not deep inside
-        ``from_ciphertexts`` at drain time).  A request shed by the
+        ``Ciphertext.fuse`` at drain time).  A request shed by the
         admission policy instead **returns already resolved** with a
         ``RequestRejected`` response -- load shedding is normal operation,
         accounted in :attr:`~repro.serve.metrics.ServeMetrics.shed_requests`.

@@ -12,7 +12,7 @@ expresses that trade-off with three knobs --
 * ``memory_budget_bytes``: cap the fused ``2·B·L·N`` footprint so a drain
   can never trip :class:`~repro.core.memory.FusedFootprintError`
   (the capacity knob) -- the budget arithmetic here mirrors the pre-check
-  in :meth:`~repro.ckks.batch.CiphertextBatch.from_ciphertexts` exactly.
+  in :meth:`~repro.ckks.ciphertext.Ciphertext.fuse` exactly.
 
 Two further policies make the server failure-first (PR 9):
 
@@ -95,8 +95,8 @@ class BatchingPolicy:
         The memory budget divides by the fused per-member footprint
         (``2·L·N`` elements: both ciphertext components).  The limit never
         drops below 1 -- a singleton drain bypasses fusing entirely (the
-        executor runs it on the sequential evaluator), so it needs no
-        fused allocation at all.
+        executor runs the program on the request's own ciphertext), so it
+        needs no fused allocation at all.
         """
         limit = self.max_batch_size
         if self.memory_budget_bytes is not None:

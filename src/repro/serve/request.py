@@ -8,14 +8,13 @@ submitting client polls.  Requests carrying the *same* program and the
 same ciphertext shape are what the bucket queue fuses into one
 ``(B·L, N)`` kernel stream.
 
-Programs are written once against the operator surface shared by
-:class:`~repro.api.vector.CipherVector` and
-:class:`~repro.api.batch.CipherBatch` (``+ - * **`` ``<< >>``
-``square/rescale/at_level/conj``), so the executor can run the identical
-op sequence either per request (singleton buckets, sequential
-:class:`~repro.ckks.evaluator.Evaluator`) or fused across a drained
-bucket -- which is exactly why batched responses are bit-identical to
-sequential execution.
+Programs are written once against the
+:class:`~repro.api.vector.CipherVector` operator surface (``+ - * **``
+``<< >>`` ``square/rescale/at_level/conj``), so the executor can run the
+identical op sequence either per request (singleton buckets) or on one
+handle fused across a drained bucket -- the evaluator takes the member
+count from its operand, which is exactly why batched responses are
+bit-identical to sequential execution.
 """
 
 from __future__ import annotations
@@ -34,13 +33,10 @@ _REQUEST_IDS = itertools.count()
 class OpProgram:
     """A named homomorphic program applied uniformly to every request.
 
-    ``fn`` receives one handle -- a :class:`CipherVector` for singleton
-    buckets, a :class:`CipherBatch` for fused ones -- and must issue the
-    *same* operation sequence on either (the shared operator surface
-    guarantees this when the program is written once).  Because batched
-    operands never adjust levels implicitly, programs mixing levels must
-    align explicitly with ``.at_level(...)``, which both handle types
-    support.
+    ``fn`` receives one :class:`CipherVector` -- a single request for
+    singleton buckets, a fused ``batch_size=B`` handle otherwise -- and
+    must issue the *same* operation sequence on either (one operator
+    surface guarantees this when the program is written once).
 
     Program identity (``key``) is part of the serving shape key: two
     requests fuse only when their programs compare equal.  The default key
@@ -72,8 +68,7 @@ class OpProgram:
         """Evaluate ``c0 + c1·x + ... + cd·x^d`` under encryption.
 
         Powers are built by a level-aligned product chain and every term is
-        brought to the common (deepest) level before the additions, so the
-        program runs unchanged on fused batches.  Consumes ``degree``
+        brought to the common (deepest) level before the additions.  Consumes ``degree``
         multiplicative levels (plus the scalar multiplications' rescales).
         """
         coeffs = [float(c) for c in coeffs]

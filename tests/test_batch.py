@@ -1,32 +1,40 @@
-"""Throughput plane: batched execution vs the sequential evaluator.
+"""Throughput plane: a ciphertext is a batch of one.
 
-The contract under test is the tentpole invariant of the batching layer:
-every :class:`~repro.ckks.batch.BatchEvaluator` operation is bit-identical
-per member to the sequential :class:`~repro.ckks.evaluator.Evaluator`
-(tracing on and off), ``fuse``/``split`` are zero-copy and pool-accounted
-exactly once, mixed-level batches are rejected with a descriptive error,
-and a batched trace keeps the single-op kernel structure at ``B×`` bytes.
+The contract under test is the tentpole invariant of the single evaluator:
+every operation of the one op surface, applied to a fused ``batch_size=B``
+handle, is bit-identical per member to running the members one at a time
+-- for B in {1, 3, 8} on the uint64, dword and object backends, tracing on
+and off -- ``fuse``/``split`` are zero-copy and pool-accounted exactly
+once, mixed-shape batches are rejected with descriptive errors, and a
+fused trace keeps the single-op kernel structure at ``B×`` bytes.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.api import CKKSSession, CostModelBackend, SymbolicCipherBatch
-from repro.ckks.batch import BatchEvaluator, CiphertextBatch
-from repro.ckks.evaluator import Evaluator
+from repro.api import (
+    CKKSSession,
+    CostModelBackend,
+    EvaluationBackend,
+    FunctionalBackend,
+    SymbolicCiphertext,
+    TracingBackend,
+)
+from repro.ckks.ciphertext import Ciphertext
+from repro.ckks.keys import KeyGenerator
+from repro.ckks.params import CKKSParameters
 from repro.core.dispatch import get_dispatcher
 from repro.core.limb_stack import LimbStack
 from repro.core.memory import MemoryPool
 
 
 BATCH = 3
-
-
-@pytest.fixture(scope="module")
-def batch_evaluator(context, keys) -> BatchEvaluator:
-    return BatchEvaluator(context, keys)
+BATCH_SIZES = (1, 3, 8)
+BACKENDS = ("uint64", "dword", "object")
 
 
 @pytest.fixture(scope="module")
@@ -45,98 +53,212 @@ def cts_b(context, encryptor):
     ]
 
 
-def assert_members_identical(batch: CiphertextBatch, sequential, *,
-                             scale=True, label=""):
-    """Every member of ``batch`` matches its sequential twin bit for bit."""
-    members = batch.split()
+def assert_members_identical(fused, sequential, *, scale=True, label=""):
+    """Every member of ``fused`` matches its sequential twin bit for bit.
+
+    Accepts ciphertexts or CipherVector handles on either side.
+    """
+    members = [getattr(m, "handle", m) for m in fused.split()]
+    sequential = [getattr(ct, "handle", ct) for ct in sequential]
     assert len(members) == len(sequential), label
     for member, reference in zip(members, sequential):
         assert np.array_equal(member.c0.stack.data, reference.c0.stack.data), label
         assert np.array_equal(member.c1.stack.data, reference.c1.stack.data), label
         assert member.c0.moduli == reference.c0.moduli, label
+        assert member.encoded_length == reference.encoded_length, label
         if scale:
             assert member.scale == pytest.approx(reference.scale, rel=1e-9), label
 
 
-def _ops(evaluator: Evaluator, batch_evaluator: BatchEvaluator, cts_a, cts_b):
-    """(name, batched thunk, sequential thunk) for every batched op."""
-    pt_mult = evaluator.encode_for(cts_a[0], [0.5] * 8, for_multiplication=True)
-    pt_add = evaluator.encode_for(cts_a[0], [0.25] * 8, for_multiplication=False)
-    ba = CiphertextBatch.from_ciphertexts(cts_a)
-    bb = CiphertextBatch.from_ciphertexts(cts_b)
-    raw = evaluator.multiply(cts_a[0], cts_b[0], rescale=False)
-    raw_batch = batch_evaluator.multiply(ba, bb, rescale=False)
-    return [
-        ("add", lambda: batch_evaluator.add(ba, bb),
-         lambda: [evaluator.add(a, b) for a, b in zip(cts_a, cts_b)]),
-        ("sub", lambda: batch_evaluator.sub(ba, bb),
-         lambda: [evaluator.sub(a, b) for a, b in zip(cts_a, cts_b)]),
-        ("negate", lambda: batch_evaluator.negate(ba),
-         lambda: [evaluator.negate(a) for a in cts_a]),
-        ("add_plain", lambda: batch_evaluator.add_plain(ba, pt_add),
-         lambda: [evaluator.add_plain(a, pt_add) for a in cts_a]),
-        ("sub_plain", lambda: batch_evaluator.sub_plain(ba, pt_add),
-         lambda: [evaluator.sub_plain(a, pt_add) for a in cts_a]),
-        ("add_scalar", lambda: batch_evaluator.add_scalar(ba, 0.375),
-         lambda: [evaluator.add_scalar(a, 0.375) for a in cts_a]),
-        ("multiply_plain", lambda: batch_evaluator.multiply_plain(ba, pt_mult),
-         lambda: [evaluator.multiply_plain(a, pt_mult) for a in cts_a]),
-        ("multiply_scalar", lambda: batch_evaluator.multiply_scalar(ba, 1.5),
-         lambda: [evaluator.multiply_scalar(a, 1.5) for a in cts_a]),
-        ("multiply", lambda: batch_evaluator.multiply(ba, bb),
-         lambda: [evaluator.multiply(a, b) for a, b in zip(cts_a, cts_b)]),
-        ("square", lambda: batch_evaluator.square(ba),
-         lambda: [evaluator.square(a) for a in cts_a]),
-        ("rescale", lambda: batch_evaluator.rescale(raw_batch),
-         lambda: [evaluator.rescale(
-             evaluator.multiply(a, b, rescale=False))
-             for a, b in zip(cts_a, cts_b)]),
-        ("rotate", lambda: batch_evaluator.rotate(ba, 2),
-         lambda: [evaluator.rotate(a, 2) for a in cts_a]),
-        ("conjugate", lambda: batch_evaluator.conjugate(ba),
-         lambda: [evaluator.conjugate(a) for a in cts_a]),
-    ]
+# ----------------------------------------------------------------------
+# the one equivalence test: op x B x numeric backend
+# ----------------------------------------------------------------------
+
+#: Every ciphertext operation of the backend protocol, as ``fn(backend, x,
+#: y)`` over handles ``x``/``y`` with equally many members.  Results are
+#: handles, or dicts of handles for the hoisted rotations.
+SURFACE_OPS = {
+    "add": lambda be, x, y: be.add(x, y),
+    "sub": lambda be, x, y: be.sub(x, y),
+    "negate": lambda be, x, y: be.negate(x),
+    "add_plain": lambda be, x, y: be.add_plain(x, [0.25] * 8),
+    "sub_plain": lambda be, x, y: be.sub_plain(x, [0.25] * 8),
+    "add_scalar": lambda be, x, y: be.add_scalar(x, 0.375),
+    "multiply": lambda be, x, y: be.multiply(x, y),
+    "square": lambda be, x, y: be.square(x),
+    "multiply_plain": lambda be, x, y: be.multiply_plain(x, [0.5] * 8),
+    "multiply_scalar": lambda be, x, y: be.multiply_scalar(x, 1.5),
+    "rotate": lambda be, x, y: be.rotate(x, 2),
+    "conjugate": lambda be, x, y: be.conjugate(x),
+    "hoisted_rotations": lambda be, x, y: be.hoisted_rotations(x, [1, 2, 0]),
+    "rescale": lambda be, x, y: be.rescale(
+        be.multiply_plain(x, [0.5] * 8, rescale=False)),
+    "at_level": lambda be, x, y: be.at_level(x, x.level - 2),
+    "dot_product_plain": lambda be, x, y: be.dot_product_plain(
+        [x, y], [[0.5] * 8, [0.25] * 8]),
+    # Mixed levels: the single evaluator aligns a fused operand like any other.
+    "add_mixed_level": lambda be, x, y: be.add(x, be.at_level(y, y.level - 1)),
+}
+
+
+@pytest.fixture(scope="module")
+def backend_sessions(session):
+    """One session per numeric backend (uint64 shares the suite's keys)."""
+    def small(first_mod_bits, label):
+        return CKKSSession.create(
+            CKKSParameters(
+                ring_degree=1 << 6, mult_depth=3, scale_bits=59, dnum=2,
+                first_mod_bits=first_mod_bits, secret_hamming_weight=16,
+                label=label,
+            ),
+            seed=3, rotations=[1, 2], conjugation=True, register_default=False,
+        )
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # object fallback notice
+        sessions = {
+            "uint64": session,
+            "dword": small(60, "batch-dword"),
+            "object": small(63, "batch-object"),
+        }
+    assert {k: s.numeric_backend for k, s in sessions.items()} == {
+        k: k for k in BACKENDS
+    }
+    return sessions
+
+
+@pytest.fixture(scope="module")
+def operands(backend_sessions):
+    """``(backend, size) -> (vectors_x, vectors_y)``, encrypted once."""
+    cache = {}
+
+    def get(backend, size):
+        if (backend, size) not in cache:
+            s = backend_sessions[backend]
+            rng = np.random.default_rng(100 + size)
+            cache[backend, size] = tuple(
+                [s.encrypt(rng.uniform(-1, 1, 8)).handle for _ in range(size)]
+                for _ in range(2)
+            )
+        return cache[backend, size]
+
+    return get
+
+
+class TestSingleSurfaceEquivalence:
+    """Fused == per-member loop, residue for residue, for every operation."""
+
+    def test_surface_ops_cover_the_protocol(self):
+        from repro.api.backend import BACKEND_OPERATIONS
+
+        sources = {"encrypt", "encrypt_batch", "batch_from", "batch_split"}
+        assert set(BACKEND_OPERATIONS) - sources <= set(SURFACE_OPS)
+
+    @pytest.mark.parametrize("op", sorted(SURFACE_OPS))
+    @pytest.mark.parametrize("size", BATCH_SIZES)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_fused_equals_per_member_loop(self, backend_sessions, operands,
+                                          backend, size, op):
+        be = backend_sessions[backend].backend
+        xs, ys = operands(backend, size)
+        fn = SURFACE_OPS[op]
+        fused = fn(be, be.batch_from(xs), be.batch_from(ys))
+        loop = [fn(be, x, y) for x, y in zip(xs, ys)]
+        if isinstance(fused, dict):
+            assert set(fused) == set(loop[0])
+            for step, handle in fused.items():
+                assert handle.batch_size == size
+                assert_members_identical(
+                    handle, [member[step] for member in loop], label=f"{op}[{step}]"
+                )
+        else:
+            assert fused.batch_size == size
+            assert_members_identical(fused, loop, label=op)
 
 
 class TestBitIdenticalOutputs:
-    """Batched == sequential, residue for residue, for every operation."""
+    """Recording a fused operation never changes its residues."""
 
     @pytest.mark.parametrize("tracing", [False, True], ids=["untraced", "traced"])
-    def test_every_op_matches_sequential(self, evaluator, batch_evaluator,
-                                         cts_a, cts_b, tracing):
-        for name, batched, sequential in _ops(evaluator, batch_evaluator,
-                                              cts_a, cts_b):
-            reference = sequential()
+    def test_every_op_matches_sequential(self, session, cts_a, cts_b, tracing):
+        be = session.backend
+        for name, fn in SURFACE_OPS.items():
+            reference = [fn(be, a, b) for a, b in zip(cts_a, cts_b)]
+            fused_a, fused_b = Ciphertext.fuse(cts_a), Ciphertext.fuse(cts_b)
             if tracing:
                 with get_dispatcher().record():
-                    result = batched()
+                    result = fn(be, fused_a, fused_b)
             else:
-                result = batched()
-            assert_members_identical(result, reference, label=name)
+                result = fn(be, fused_a, fused_b)
+            if isinstance(result, dict):
+                for step, handle in result.items():
+                    assert_members_identical(
+                        handle, [ref[step] for ref in reference], label=name
+                    )
+            else:
+                assert_members_identical(result, reference, label=name)
 
-    def test_hoisted_rotations_share_one_decomposition(self, evaluator,
-                                                       batch_evaluator, cts_a):
-        batch = CiphertextBatch.from_ciphertexts(cts_a)
-        batched = batch_evaluator.hoisted_rotations(batch, [1, 2, 0])
+    def test_hoisted_rotations_share_one_decomposition(self, evaluator, cts_a):
+        fused = Ciphertext.fuse(cts_a)
+        with get_dispatcher().record() as trace:
+            batched = evaluator.hoisted_rotations(fused, [1, 2, 0])
         sequential = [evaluator.hoisted_rotations(a, [1, 2, 0]) for a in cts_a]
         for step in (1, 2, 0):
             assert_members_identical(
                 batched[step], [seq[step] for seq in sequential]
             )
+        # One ModUp for the whole batch and both keyed rotations.
+        modup = [e for e in trace.events if e.scope.endswith("modup")]
+        with get_dispatcher().record() as single:
+            evaluator.hoisted_rotations(cts_a[0], [1, 2, 0])
+        assert len(modup) == len(
+            [e for e in single.events if e.scope.endswith("modup")]
+        )
 
-    def test_decrypted_values_match_plain_compute(self, decryptor, batch_evaluator,
-                                                  cts_a, cts_b, encryptor):
+    def test_decrypted_values_match_plain_compute(self, decryptor, evaluator,
+                                                  cts_a, cts_b):
         rng = np.random.default_rng(11)
         rows_a = [rng.uniform(-1, 1, 8) for _ in range(BATCH)]
         rng = np.random.default_rng(13)
         rows_b = [rng.uniform(-1, 1, 8) for _ in range(BATCH)]
-        batch = batch_evaluator.multiply(
-            CiphertextBatch.from_ciphertexts(cts_a),
-            CiphertextBatch.from_ciphertexts(cts_b),
-        )
-        for member, expect_a, expect_b in zip(batch.split(), rows_a, rows_b):
+        product = evaluator.multiply(Ciphertext.fuse(cts_a), Ciphertext.fuse(cts_b))
+        for member, expect_a, expect_b in zip(product.split(), rows_a, rows_b):
             values = decryptor.decrypt_values(member, 8)
             assert np.allclose(values, expect_a * expect_b, atol=1e-2)
+
+    def test_replaced_rotation_key_is_not_served_stale_tiles(self, context, keys,
+                                                             cts_a):
+        """Tiled key stacks are cached per key *object*, never per ``id``.
+
+        A rotation key swapped for a freshly generated one must rotate the
+        fused batch with the new key -- the old key's cached tiles may not
+        be handed to its replacement (regression: the cache used to key on
+        ``id(key)`` alone, which the allocator recycles).
+        """
+        from repro.ckks.evaluator import Evaluator
+        from repro.ckks.keys import KeySet, KeySwitchingKey
+
+        generator = KeyGenerator(context, seed=4242)
+        own_keys = KeySet(
+            public_key=keys.public_key,
+            relinearization_key=keys.relinearization_key,
+            rotation_keys={2: generator.generate_rotation_key(keys.secret_key, 2)},
+        )
+        evaluator = Evaluator(context, own_keys)
+        fused = Ciphertext.fuse(cts_a)
+        evaluator.rotate(fused, 2)  # caches tiles of the first key
+        for _ in range(3):
+            digits = generator.generate_rotation_key(keys.secret_key, 2).digits
+            # Free the old key and allocate its replacement back to back:
+            # CPython hands the freed slot -- the old ``id`` -- straight to
+            # the next object of the same size, unless something (the cache
+            # entry) still holds the old key.
+            del own_keys.rotation_keys[2]
+            own_keys.rotation_keys[2] = KeySwitchingKey(digits=digits)
+            rotated = evaluator.rotate(fused, 2)
+            assert_members_identical(
+                rotated, [evaluator.rotate(ct, 2) for ct in cts_a]
+            )
 
 
 class TestFuseSplit:
@@ -183,13 +305,22 @@ class TestFuseSplit:
             fused.split(2)
 
     def test_ciphertext_batch_split_members_are_views(self, cts_a):
-        batch = CiphertextBatch.from_ciphertexts(cts_a)
+        batch = Ciphertext.fuse(cts_a)
+        assert batch.batch_size == len(batch) == BATCH
+        assert batch.limb_count == cts_a[0].limb_count
+        assert batch.moduli == cts_a[0].moduli
         members = batch.split()
         for member in members:
+            assert member.batch_size == 1
             assert member.c0.stack.data.base is batch.c0.stack.data
         # Mutating the fused buffer is visible through the view.
         batch.c0.stack.data[0, 0] += 0
         assert np.array_equal(members[0].c0.stack.data, batch.c0.stack.data[: members[0].c0.level_count])
+
+    def test_fusing_fused_ciphertexts_concatenates_members(self, cts_a, cts_b):
+        nested = Ciphertext.fuse([Ciphertext.fuse(cts_a), cts_b[0]])
+        assert nested.batch_size == BATCH + 1
+        assert_members_identical(nested, cts_a + [cts_b[0]])
 
 
 class TestBatchValidation:
@@ -198,7 +329,7 @@ class TestBatchValidation:
     def test_mixed_level_batch_rejected(self, evaluator, cts_a):
         dropped = evaluator.mod_reduce(cts_a[1], cts_a[1].limb_count - 1)
         with pytest.raises(ValueError, match="mixed levels"):
-            CiphertextBatch.from_ciphertexts([cts_a[0], dropped])
+            Ciphertext.fuse([cts_a[0], dropped])
 
     def test_mixed_level_symbolic_batch_rejected(self, toy_params):
         backend = CostModelBackend(toy_params)
@@ -211,33 +342,58 @@ class TestBatchValidation:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one member"):
-            CiphertextBatch.from_ciphertexts([])
+            Ciphertext.fuse([])
 
-    def test_mismatched_batch_sizes_rejected(self, batch_evaluator, cts_a, cts_b):
-        a = CiphertextBatch.from_ciphertexts(cts_a)
-        b = CiphertextBatch.from_ciphertexts(cts_b[:2])
+    def test_mismatched_batch_sizes_rejected(self, evaluator, session, cts_a, cts_b):
+        a = Ciphertext.fuse(cts_a)
+        b = Ciphertext.fuse(cts_b[:2])
+        for op in (evaluator.add, evaluator.sub, evaluator.multiply):
+            with pytest.raises(ValueError, match="batch sizes differ"):
+                op(a, b)
+        cost = session.cost_backend()
         with pytest.raises(ValueError, match="batch sizes differ"):
-            batch_evaluator.add(a, b)
+            cost.multiply(cost.encrypt_batch([[1.0]] * 3), cost.encrypt([1.0]))
 
-    def test_level_zero_batch_rescale_rejected(self, batch_evaluator, cts_a,
-                                               evaluator):
-        bottom = [evaluator.mod_reduce(ct, 1) for ct in cts_a]
-        batch = CiphertextBatch.from_ciphertexts(bottom)
+    def test_level_zero_batch_rescale_rejected(self, cts_a, evaluator):
+        bottom = Ciphertext.fuse([evaluator.mod_reduce(ct, 1) for ct in cts_a])
         with pytest.raises(ValueError, match="level-0"):
-            batch_evaluator.rescale(batch)
+            evaluator.rescale(bottom)
+
+    def test_fused_batch_cannot_be_decrypted_whole(self, session):
+        batch = session.encrypt_batch([[0.5], [0.25]])
+        with pytest.raises(ValueError, match="split"):
+            session.decrypt(batch)
 
 
 class TestBatchTrace:
-    """Batched traces keep the single-op kernel structure at B x bytes."""
+    """Fused traces keep the single-op kernel structure at B x bytes."""
 
-    def test_kernel_counts_match_single_op(self, evaluator, batch_evaluator,
-                                           cts_a, cts_b):
+    #: name -> op over (evaluator, ct_a, ct_b); the kernel-shape contract
+    #: holds for every key-switching and rescaling pipeline.
+    TRACED_OPS = {
+        "hmult": lambda ev, a, b: ev.multiply(a, b),
+        "hrotate": lambda ev, a, b: ev.rotate(a, 1),
+        "hoisted": lambda ev, a, b: ev.hoisted_rotations(a, [1, 2]),
+        "rescale": lambda ev, a, b: ev.rescale(a),
+        "adjust": lambda ev, a, b: ev.adjust(a, a.level - 2),
+    }
+
+    @staticmethod
+    def _shape(trace):
+        """Kernel kinds and names per leaf scope (sizes stripped)."""
+        return [
+            (event.scope.rsplit("/", 1)[-1], event.kind,
+             event.kernel.name.split("[")[0])
+            for event in trace.events
+        ]
+
+    def test_kernel_counts_match_single_op(self, evaluator, cts_a, cts_b):
         with get_dispatcher().record() as single:
             evaluator.multiply(cts_a[0], cts_b[0])
-        batch_a = CiphertextBatch.from_ciphertexts(cts_a)
-        batch_b = CiphertextBatch.from_ciphertexts(cts_b)
+        batch_a = Ciphertext.fuse(cts_a)
+        batch_b = Ciphertext.fuse(cts_b)
         with get_dispatcher().record() as batched:
-            batch_evaluator.multiply(batch_a, batch_b)
+            evaluator.multiply(batch_a, batch_b)
         assert batched.kernel_count == single.kernel_count
         assert batched.bytes_moved == pytest.approx(
             BATCH * single.bytes_moved, rel=1e-9
@@ -247,16 +403,48 @@ class TestBatchTrace:
         batch_scopes = {k: len(v) for k, v in batched.leaf_segments().items()}
         assert single_scopes == batch_scopes
 
-    def test_batch_scope_prefix_tags_provenance(self, batch_evaluator, cts_a, cts_b):
-        batch_a = CiphertextBatch.from_ciphertexts(cts_a)
-        batch_b = CiphertextBatch.from_ciphertexts(cts_b)
+    @pytest.mark.parametrize("stage_launches", [False, True],
+                             ids=["fused-launches", "stage-granular"])
+    @pytest.mark.parametrize("op", sorted(TRACED_OPS))
+    def test_trace_shape_is_single_op_at_b_times_bytes(
+            self, evaluator, cts_a, cts_b, op, stage_launches):
+        fn = self.TRACED_OPS[op]
+        record = get_dispatcher().record
+        with record(stage_launches=stage_launches) as single:
+            fn(evaluator, cts_a[0], cts_b[0])
+        with record(stage_launches=stage_launches) as fused:
+            fn(evaluator, Ciphertext.fuse(cts_a), Ciphertext.fuse(cts_b))
+        assert self._shape(fused) == self._shape(single)
+        assert fused.kernel_count == single.kernel_count
+        assert fused.bytes_moved == pytest.approx(BATCH * single.bytes_moved, rel=1e-9)
+        assert fused.int_ops == pytest.approx(BATCH * single.int_ops, rel=1e-9)
+        if stage_launches:
+            names = [e.kernel.name for e in fused.events]
+            assert any("-stage" in n for n in names)
+            if op != "rescale":
+                assert any(n.startswith("ks-mul") for n in names) == (op != "adjust")
+
+    def test_stage_granular_fused_trace_replays(self, evaluator, cts_a, cts_b):
+        from repro.core.dispatch import TraceProgram
+        from repro.core.fusion import fuse_trace
+
+        fused_a, fused_b = Ciphertext.fuse(cts_a), Ciphertext.fuse(cts_b)
+        with get_dispatcher().record(executable=True, stage_launches=True) as trace:
+            evaluator.rotate(evaluator.multiply(fused_a, fused_b), 1)
+        TraceProgram(trace).verify()
+        fuse_trace(trace).program().verify()
+
+    def test_batch_scope_prefix_tags_provenance(self, evaluator, cts_a, cts_b):
         with get_dispatcher().record() as trace:
-            batch_evaluator.multiply(batch_a, batch_b)
+            evaluator.multiply(Ciphertext.fuse(cts_a), Ciphertext.fuse(cts_b))
         assert any(s.startswith(f"batch{BATCH}/hmult") for s in trace.scopes())
+        with get_dispatcher().record() as single:
+            evaluator.multiply(cts_a[0], cts_b[0])
+        assert not any("batch" in s for s in single.scopes())
 
 
 class TestApiSurface:
-    """CipherBatch handles across the three backends."""
+    """Fused CipherVector handles across the three backends."""
 
     @pytest.fixture(scope="class")
     def session(self, context, evaluator, keys, encryptor, decryptor):
@@ -270,12 +458,11 @@ class TestApiSurface:
         rows = [rng.uniform(-1, 1, 8) for _ in range(BATCH)]
         vectors = [session.encrypt(row) for row in rows]
         batch = session.batch(vectors)
+        assert len(batch) == batch.batch_size == BATCH
+        assert "B=3" in repr(batch) and "B=" not in repr(vectors[0])
         batched = 2.0 * (batch * batch) + 1.0
         sequential = [2.0 * (v * v) + 1.0 for v in vectors]
-        for member, reference in zip(batched.split(), sequential):
-            assert np.array_equal(
-                member.handle.c0.stack.data, reference.handle.c0.stack.data
-            )
+        assert_members_identical(batched, sequential)
         for member, row in zip(batched.split(), rows):
             assert np.allclose(
                 session.decrypt(member, 8), 2.0 * row * row + 1.0, atol=1e-2
@@ -286,20 +473,12 @@ class TestApiSurface:
         rows = [rng.uniform(-1, 1, 8) for _ in range(BATCH)]
         vectors = [session.encrypt(row) for row in rows]
         batch = session.batch(vectors)
-        flipped = 1.0 - batch
-        for member, reference in zip(flipped.split(), [1.0 - v for v in vectors]):
-            assert np.array_equal(
-                member.handle.c0.stack.data, reference.handle.c0.stack.data
-            )
-        conjugated = batch.conj()
-        for member, reference in zip(conjugated.split(),
-                                     [v.conj() for v in vectors]):
-            assert np.array_equal(
-                member.handle.c0.stack.data, reference.handle.c0.stack.data
-            )
+        assert_members_identical(1.0 - batch, [1.0 - v for v in vectors])
+        assert_members_identical(batch.conj(), [v.conj() for v in vectors])
+        assert_members_identical(batch ** 3, [v ** 3 for v in vectors])
         cost = session.cost_backend()
-        sym = cost.batch_conjugate(cost.encrypt_batch(rows))
-        assert sym.level == batch.level
+        sym = cost.conjugate(cost.encrypt_batch(rows))
+        assert sym.level == batch.level and sym.batch_size == BATCH
 
     def test_batch_of_existing_vectors_and_rotation(self, session):
         rng = np.random.default_rng(9)
@@ -318,7 +497,7 @@ class TestApiSurface:
         rows = [[1.0]] * BATCH
         batch = backend.encrypt_batch(rows)
         single = backend.encrypt([1.0])
-        backend.batch_multiply(batch, batch)
+        backend.multiply(batch, batch)
         batch_entries = list(backend.ledger.entries)
         backend.ledger.clear()
         backend.multiply(single, single)
@@ -329,7 +508,8 @@ class TestApiSurface:
         batch_bytes = sum(c.bytes_moved for _, c in batch_entries)
         single_bytes = sum(c.bytes_moved for _, c in single_entries)
         assert batch_bytes == pytest.approx(BATCH * single_bytes, rel=1e-9)
-        assert isinstance(batch, SymbolicCipherBatch)
+        assert isinstance(batch, SymbolicCiphertext) and batch.batch_size == BATCH
+        assert [h.encoded_length for h in backend.batch_split(batch)] == [1] * BATCH
 
     def test_tracing_backend_batch_handles_match_inner(self, session):
         rng = np.random.default_rng(5)
@@ -337,43 +517,80 @@ class TestApiSurface:
         cts = [session.encrypt(row).handle for row in rows]
         tracing = session.tracing_backend()
         batch = tracing.batch_from(cts)
-        result = tracing.batch_multiply(batch, batch)
+        result = tracing.multiply(batch, batch)
         assert tracing.trace.kernel_count > 0
-        plain = session.backend.batch_multiply(
+        plain = session.backend.multiply(
             session.backend.batch_from(cts),
             session.backend.batch_from(cts),
         )
-        for traced, untraced in zip(result.split(), plain.split()):
-            assert np.array_equal(
-                traced.c0.stack.data, untraced.c0.stack.data
-            )
+        assert_members_identical(result, plain.split())
+
+
+class TestOpSurface:
+    """Drift guard: three backends, one protocol, no ``batch_*`` twins."""
+
+    @staticmethod
+    def _public_ops(cls):
+        return {
+            name for name in dir(cls)
+            if not name.startswith("_") and callable(getattr(cls, name))
+        }
+
+    def test_backends_expose_exactly_the_protocol_ops(self):
+        protocol = self._public_ops(EvaluationBackend)
+        assert len(protocol - {"describe"}) == 20  # 17 ops + 3 fuse/split
+        for name in protocol:
+            assert not name.startswith("batch_") or name in (
+                "batch_from", "batch_split"
+            ), name
+        constructors = {"from_context", "for_model"}
+        for backend in (FunctionalBackend, CostModelBackend, TracingBackend):
+            assert self._public_ops(backend) - constructors == protocol, backend
+
+    def test_cost_model_prices_a_fused_handle_at_b_times_bytes(self, session):
+        def program(backend, x):
+            y = backend.multiply(x, x)
+            y = backend.add(backend.rotate(y, 1), backend.at_level(x, y.level))
+            return backend.multiply_plain(y, [0.5])
+
+        def ledger_of(handle_of):
+            backend = session.cost_backend()
+            program(backend, handle_of(backend))
+            return backend.ledger
+
+        single = ledger_of(lambda be: be.encrypt([1.0]))
+        fused = ledger_of(lambda be: be.encrypt_batch([[1.0]] * 8))
+        assert fused.kernel_count == single.kernel_count
+        assert fused.bytes_moved == pytest.approx(8 * single.bytes_moved, rel=1e-9)
+        assert fused.int_ops == pytest.approx(8 * single.int_ops, rel=1e-9)
+        assert [name for name, _ in fused.entries] == [
+            f"{name}[B=8]" for name, _ in single.entries
+        ]
 
 
 class TestBatchAdjust:
-    """Batched level adjustment: the serving plane's alignment primitive."""
+    """Level adjustment of a fused ciphertext: the serving plane's alignment primitive."""
 
-    def test_adjust_matches_sequential_member_by_member(
-            self, evaluator, batch_evaluator, cts_a):
-        batch = CiphertextBatch.from_ciphertexts(cts_a)
+    def test_adjust_matches_sequential_member_by_member(self, evaluator, cts_a):
+        batch = Ciphertext.fuse(cts_a)
         target = batch.level - 2
-        adjusted = batch_evaluator.adjust(batch, target)
+        adjusted = evaluator.adjust(batch, target)
         sequential = [evaluator.adjust(ct, target) for ct in cts_a]
         assert_members_identical(adjusted, sequential, label="adjust")
         assert adjusted.level == target
 
-    def test_mod_reduce_matches_sequential(self, evaluator, batch_evaluator,
-                                           cts_a):
-        batch = CiphertextBatch.from_ciphertexts(cts_a)
+    def test_mod_reduce_matches_sequential(self, evaluator, cts_a):
+        batch = Ciphertext.fuse(cts_a)
         keep = batch.limb_count - 2
-        reduced = batch_evaluator.mod_reduce(batch, keep)
+        reduced = evaluator.mod_reduce(batch, keep)
         sequential = [evaluator.mod_reduce(ct, keep) for ct in cts_a]
         assert_members_identical(reduced, sequential, label="mod_reduce")
 
-    def test_adjust_rejects_higher_level(self, batch_evaluator, cts_a):
-        batch = CiphertextBatch.from_ciphertexts(cts_a)
-        lowered = batch_evaluator.adjust(batch, batch.level - 1)
+    def test_adjust_rejects_higher_level(self, evaluator, cts_a):
+        batch = Ciphertext.fuse(cts_a)
+        lowered = evaluator.adjust(batch, batch.level - 1)
         with pytest.raises(ValueError, match="higher level"):
-            batch_evaluator.adjust(lowered, lowered.level + 1)
+            evaluator.adjust(lowered, lowered.level + 1)
 
     def test_api_at_level_on_all_three_backends(self, session):
         rng = np.random.default_rng(23)
@@ -383,30 +600,24 @@ class TestBatchAdjust:
 
         fused = session.batch(vectors).at_level(target)
         sequential = [v.at_level(target) for v in vectors]
-        for member, reference in zip(fused.split(), sequential):
-            assert np.array_equal(
-                member.handle.c0.stack.data, reference.handle.c0.stack.data
-            )
+        assert_members_identical(fused, sequential)
         assert fused.level == target
 
         cost = session.cost_backend()
-        symbolic = cost.batch_at_level(cost.encrypt_batch(rows), target)
+        symbolic = cost.at_level(cost.encrypt_batch(rows), target)
         assert symbolic.level == target
         assert symbolic.scale == pytest.approx(fused.scale, rel=1e-9)
         assert any("Adjust[B=" in name for name, _ in cost.ledger.entries)
 
         tracing = session.tracing_backend()
-        traced = tracing.batch_at_level(
+        traced = tracing.at_level(
             tracing.batch_from([v.handle for v in vectors]), target
         )
-        for member, reference in zip(traced.split(), sequential):
-            assert np.array_equal(
-                member.c0.stack.data, reference.handle.c0.stack.data
-            )
+        assert_members_identical(traced, sequential)
 
 
 class TestFusedFootprintBudget:
-    """from_ciphertexts refuses over-budget batches before copying."""
+    """Ciphertext.fuse refuses over-budget batches before copying."""
 
     def test_descriptive_error_names_shape_and_budget(self, context):
         from repro.core.limb import LimbFormat
@@ -425,13 +636,12 @@ class TestFusedFootprintBudget:
                 )
                 for _ in range(2)
             ]
-            from repro.ckks.ciphertext import Ciphertext
             return Ciphertext(return_polys[0], return_polys[1], 2.0**28, n // 2)
 
         cts = [make_ct(), make_ct()]  # 8 rows resident, 3 rows free
         bytes_before = pool.bytes_in_use
         with pytest.raises(FusedFootprintError) as info:
-            CiphertextBatch.from_ciphertexts(cts)
+            Ciphertext.fuse(cts)
         message = str(info.value)
         assert "B=2" in message and "L=2" in message and f"N={n}" in message
         assert str(pool.capacity_bytes) in message

@@ -475,7 +475,7 @@ class TestLRServing:
         rows = [rng.uniform(-1, 1, 4) for _ in range(3)]
         vectors = [session.encrypt(row) for row in rows]
         sequential = [scorer.score(v) for v in vectors]
-        fused = scorer.score_batch(session.batch(vectors)).split()
+        fused = scorer.score(session.batch(vectors)).split()
         for member, reference, row in zip(fused, sequential, rows):
             assert bitwise_equal(member, reference)
             decrypted = float(session.decrypt(member, 1).real[0])

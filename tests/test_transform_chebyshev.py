@@ -182,3 +182,55 @@ class TestLinearTransform:
         transform = LinearTransform(context, matrix)
         steps = transform.required_rotations()
         assert steps and all(0 < s < context.slots for s in steps)
+
+
+class TestFusedCircuits:
+    """A fused ciphertext walks whole circuits: bit-identical per member.
+
+    Neither module knows about batches -- they only speak to the
+    evaluator, which reads the member count off its operand.
+    """
+
+    @staticmethod
+    def _assert_members_equal(fused, per_member):
+        members = fused.split()
+        assert len(members) == len(per_member) == 3
+        for member, reference in zip(members, per_member):
+            assert member.level == reference.level
+            assert member.scale == reference.scale
+            assert np.array_equal(member.c0.stack.data, reference.c0.stack.data)
+            assert np.array_equal(member.c1.stack.data, reference.c1.stack.data)
+
+    def test_linear_transform_on_a_fused_ciphertext(self, lt_setup, rng):
+        from repro.ckks.ciphertext import Ciphertext
+
+        context = lt_setup["context"]
+        slots = context.slots
+        matrix = (rng.normal(size=(slots, slots)) + 1j * rng.normal(size=(slots, slots))) / slots
+        transform = LinearTransform(context, matrix)
+        messages = [rng.uniform(-0.5, 0.5, slots) for _ in range(3)]
+        cts = [lt_setup["encryptor"].encrypt_values(m) for m in messages]
+        fused = transform.apply(lt_setup["evaluator"], Ciphertext.fuse(cts))
+        assert fused.batch_size == 3
+        self._assert_members_equal(
+            fused, [transform.apply(lt_setup["evaluator"], ct) for ct in cts]
+        )
+        assert_close(
+            lt_setup["decryptor"].decrypt_values(fused.split()[2], slots),
+            matrix @ messages[2].astype(complex),
+            1e-3,
+        )
+
+    def test_chebyshev_on_a_fused_ciphertext(self, evaluator, decryptor, encryptor, rng):
+        from repro.ckks.ciphertext import Ciphertext
+
+        rows = [rng.uniform(-0.9, 0.9, 8) for _ in range(3)]
+        cts = [encryptor.encrypt_values(ys) for ys in rows]
+        coeffs = chebyshev_coefficients(lambda x: np.cos(3 * x), 12)
+        fused = evaluate_chebyshev(evaluator, Ciphertext.fuse(cts), coeffs)
+        self._assert_members_equal(
+            fused, [evaluate_chebyshev(evaluator, ct, coeffs) for ct in cts]
+        )
+        assert_close(
+            decryptor.decrypt_values(fused.split()[1], 8).real, np.cos(3 * rows[1]), 5e-3
+        )
