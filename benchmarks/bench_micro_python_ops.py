@@ -14,7 +14,7 @@ import pytest
 
 from repro.api import CKKSSession
 from repro.ckks.params import CKKSParameters
-from repro.core.ntt import get_engine, get_stacked_engine
+from repro.core.ntt import get_stacked_engine
 
 #: The limb-batch acceptance configuration: N = 2^13, the size used by the
 #: committed ``BENCH_limbstack.json`` speedup record.
@@ -50,20 +50,22 @@ def n13_setup():
     return {"session": session, "ct_a": ct_a, "ct_b": ct_b}
 
 
+def _one_row(context, seed):
+    """The engine over ``q_0`` alone and a random one-row stack for it."""
+    q = context.moduli[0]
+    engine = get_stacked_engine(context.ring_degree, (q,))
+    rng = np.random.default_rng(seed)
+    return engine, rng.integers(0, q, (1, context.ring_degree)).astype(np.uint64)
+
+
 def test_micro_ntt_forward(benchmark, functional_setup):
-    context = functional_setup["session"].context
-    engine = get_engine(context.ring_degree, context.moduli[0])
-    data = np.random.default_rng(1).integers(0, context.moduli[0], context.ring_degree)
+    engine, data = _one_row(functional_setup["session"].context, 1)
     benchmark(engine.forward, data)
 
 
 def test_micro_ntt_inverse(benchmark, functional_setup):
-    context = functional_setup["session"].context
-    engine = get_engine(context.ring_degree, context.moduli[0])
-    data = engine.forward(
-        np.random.default_rng(2).integers(0, context.moduli[0], context.ring_degree)
-    )
-    benchmark(engine.inverse, data)
+    engine, data = _one_row(functional_setup["session"].context, 2)
+    benchmark(engine.inverse, engine.forward(data))
 
 
 def test_micro_base_conversion(benchmark, functional_setup):

@@ -4,7 +4,6 @@ Mirroring FIDESlib's ``Context`` class (§III-E), all values that can be
 precomputed once per parameter set live here:
 
 * the RNS moduli chain ``q_0 ... q_L`` and the extension limbs ``P``;
-* per-modulus NTT engines (twiddle tables, Shoup constants);
 * digit layout and base converters for hybrid key switching (ModUp and
   ModDown at every level), cached on first use;
 * rescaling and ``P^{-1}`` constants;
@@ -28,7 +27,6 @@ import numpy as np
 from repro.ckks.encoding import CKKSEncoder
 from repro.ckks.params import CKKSParameters
 from repro.core import modmath
-from repro.core.ntt import get_engine
 from repro.core.primes import find_ntt_prime_near, generate_ntt_primes
 from repro.core.rns import BaseConverter, RNSBasis, partition_digits
 
@@ -123,7 +121,6 @@ class Context:
         #: The entry holds the key object itself, so the ``id`` cannot be
         #: recycled by another key while the entry is alive.
         self._tiled_keys: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._ntt_warm = False
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -160,14 +157,6 @@ class Context:
         if not 0 <= level <= self.max_level:
             raise ValueError(f"invalid level {level}")
         return self.scale_ladder[level]
-
-    def warm_up(self) -> None:
-        """Build the NTT tables for every modulus eagerly (Context-creation cost)."""
-        if self._ntt_warm:
-            return
-        for q in self.extended_moduli:
-            get_engine(self.ring_degree, q)
-        self._ntt_warm = True
 
     # ------------------------------------------------------------------
     # hybrid key-switching layout

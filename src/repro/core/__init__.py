@@ -3,19 +3,23 @@
 This subpackage provides everything needed to compute with degree-``N``
 negacyclic polynomials under word-sized prime moduli:
 
-* :mod:`repro.core.modmath` -- modular arithmetic, including the fast
-  reduction techniques compared in Table III of the paper (Barrett,
-  Montgomery and Shoup).
+* :mod:`repro.core.modmath` -- modular arithmetic: the fast reduction
+  techniques compared in Table III of the paper (Barrett, Montgomery and
+  Shoup), the batched ``stack_*`` kernels that are the only vectorised
+  arithmetic, and the one scratch pool they and the NTT draw from.
 * :mod:`repro.core.primes` -- NTT-friendly prime generation and roots of
   unity.
-* :mod:`repro.core.ntt` -- negacyclic NTT/iNTT including the
-  hierarchical/2D formulation of Figure 3.
+* :mod:`repro.core.ntt` -- the negacyclic NTT/iNTT: one stacked engine
+  (:class:`StackedNTTEngine`, every limb of a stack at once on the
+  uint64 and dword backends) and one exact-integer oracle
+  (:func:`reference_transform`, also the ``>= 2**62`` path).
 * :mod:`repro.core.rns` -- residue number system bases, CRT recombination
   and the fast base conversion of Equation 1.
 * :mod:`repro.core.limb` / :mod:`repro.core.limb_stack` /
   :mod:`repro.core.rns_poly` -- the ``Limb`` / ``LimbStack`` /
   ``RNSPoly`` containers of Figure 2, with the flat ``(L, N)`` limb-stack
-  storage of §III-D as the data plane.
+  storage of §III-D as the data plane (a ``Limb`` is a zero-copy row view
+  of it, not a second arithmetic).
 * :mod:`repro.core.memory` -- the stream-ordered memory-pool analogue of
   the ``VectorGPU`` RAII wrapper.
 """
@@ -32,7 +36,7 @@ from repro.core.modmath import (
     inv_mod,
 )
 from repro.core.primes import generate_ntt_primes, find_primitive_root
-from repro.core.ntt import NTTEngine, StackedNTTEngine
+from repro.core.ntt import StackedNTTEngine, reference_transform, twiddle_tables
 from repro.core.rns import RNSBasis, BaseConverter
 from repro.core.rns_poly import RNSPoly
 from repro.core.limb import Limb, VectorGPU
@@ -52,8 +56,9 @@ __all__ = [
     "inv_mod",
     "generate_ntt_primes",
     "find_primitive_root",
-    "NTTEngine",
     "StackedNTTEngine",
+    "reference_transform",
+    "twiddle_tables",
     "RNSBasis",
     "BaseConverter",
     "RNSPoly",

@@ -1,10 +1,13 @@
 """``VectorGPU`` and ``Limb``: the smallest data containers of Figure 2.
 
-A ``Limb`` holds the residues of an ``N``-degree polynomial under a single
-RNS prime ``q_i``, together with the representation it is currently in
-(coefficient or evaluation/NTT).  Its backing store is a ``VectorGPU``:
-in FIDESlib this is an RAII wrapper over stream-ordered device memory;
-here it wraps a NumPy array plus an allocation handle in the
+A ``Limb`` names the residues of an ``N``-degree polynomial under a single
+RNS prime ``q_i``, together with the representation they are currently in
+(coefficient or evaluation/NTT).  It is a container, not an arithmetic:
+all compute runs batched across limbs on the flat
+:class:`~repro.core.limb_stack.LimbStack` (§III-D, §III-F), and a ``Limb``
+is the zero-copy per-row view of it that ``poly.limbs[i]`` hands out.  Its
+backing store is a ``VectorGPU``: in FIDESlib this is an RAII wrapper over
+stream-ordered device memory; here it is an allocation handle in the
 :class:`~repro.core.memory.MemoryPool` so footprint accounting matches the
 GPU library.  Unmanaged vectors (views into a larger flattened buffer, the
 second allocation strategy discussed in §III-D) are supported through the
@@ -18,10 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import modmath
-from repro.core.automorphism import apply_coeff_automorphism
 from repro.core.memory import STRATEGY_ARRAY_PER_LIMB, MemoryPool, default_pool
-from repro.core.ntt import get_engine
 
 
 class LimbFormat(enum.Enum):
@@ -99,38 +99,9 @@ class Limb:
 
     modulus: int
     data: np.ndarray
-    fmt: LimbFormat = LimbFormat.COEFFICIENT
-    ring_degree: int = field(default=0)
+    fmt: LimbFormat
+    ring_degree: int
     buffer: VectorGPU | None = field(default=None, repr=False)
-    aux_buffer: VectorGPU | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        self.data = modmath.as_residue_array(self.data, self.modulus)
-        if self.ring_degree == 0:
-            self.ring_degree = len(self.data)
-        if len(self.data) != self.ring_degree:
-            raise ValueError("limb data length does not match ring degree")
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(
-        cls,
-        ring_degree: int,
-        modulus: int,
-        fmt: LimbFormat = LimbFormat.COEFFICIENT,
-        *,
-        pool: MemoryPool | None = None,
-    ) -> "Limb":
-        """Return an all-zero limb, charging its buffer to ``pool``."""
-        buffer = VectorGPU(ring_degree, pool=pool, tag=f"limb[{modulus}]")
-        return cls(
-            modulus=modulus,
-            data=modmath.zeros(ring_degree, modulus),
-            fmt=fmt,
-            ring_degree=ring_degree,
-            buffer=buffer,
-        )
 
     @classmethod
     def view_of(
@@ -145,144 +116,16 @@ class Limb:
 
         Used for the per-limb views into a flattened
         :class:`~repro.core.limb_stack.LimbStack` buffer (the second §III-D
-        allocation strategy): canonicalization is skipped so ``data`` stays
-        a live view into the stack row, and ``buffer`` is the unmanaged
-        :class:`VectorGPU` window over the owning allocation.
+        allocation strategy): ``data`` stays a live view into the stack
+        row, and ``buffer`` is the unmanaged :class:`VectorGPU` window over
+        the owning allocation.
         """
-        limb = object.__new__(cls)
-        limb.modulus = modulus
-        limb.data = data
-        limb.fmt = fmt
-        limb.ring_degree = ring_degree
-        limb.buffer = buffer
-        limb.aux_buffer = None
-        return limb
-
-    def copy(self) -> "Limb":
-        """Return a deep copy sharing no data with this limb.
-
-        Copies of pool-charged limbs stay pool-charged: a fresh managed
-        buffer is allocated from the same pool the original was charged to,
-        so copied limbs cannot escape footprint accounting.
-        """
-        buffer = None
-        if self.buffer is not None:
-            buffer = VectorGPU(
-                self.ring_degree,
-                element_bytes=self.buffer.element_bytes,
-                pool=self.buffer.pool,
-                tag=f"limb[{self.modulus}]",
-            )
-        return Limb(
-            modulus=self.modulus,
-            data=self.data.copy(),
-            fmt=self.fmt,
-            ring_degree=self.ring_degree,
-            buffer=buffer,
-        )
+        return cls(modulus, data, fmt, ring_degree, buffer)
 
     def release(self) -> None:
-        """Free the managed buffers held by this limb."""
+        """Free the managed buffer held by this limb (no-op for views)."""
         if self.buffer is not None:
             self.buffer.free()
-        if self.aux_buffer is not None:
-            self.aux_buffer.free()
-
-    # -- element-wise arithmetic ---------------------------------------------
-
-    def _check_compatible(self, other: "Limb") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError("limb moduli differ")
-        if self.fmt != other.fmt:
-            raise ValueError(f"limb formats differ: {self.fmt} vs {other.fmt}")
-
-    def add(self, other: "Limb") -> "Limb":
-        """Return the element-wise modular sum."""
-        self._check_compatible(other)
-        return Limb(self.modulus, modmath.vec_add_mod(self.data, other.data, self.modulus),
-                    self.fmt, self.ring_degree)
-
-    def sub(self, other: "Limb") -> "Limb":
-        """Return the element-wise modular difference."""
-        self._check_compatible(other)
-        return Limb(self.modulus, modmath.vec_sub_mod(self.data, other.data, self.modulus),
-                    self.fmt, self.ring_degree)
-
-    def negate(self) -> "Limb":
-        """Return the element-wise modular negation."""
-        return Limb(self.modulus, modmath.vec_neg_mod(self.data, self.modulus),
-                    self.fmt, self.ring_degree)
-
-    def multiply(self, other: "Limb") -> "Limb":
-        """Return the element-wise modular product (evaluation format only)."""
-        self._check_compatible(other)
-        if self.fmt is not LimbFormat.EVALUATION:
-            raise ValueError("element-wise limb products require evaluation format")
-        return Limb(self.modulus, modmath.vec_mul_mod(self.data, other.data, self.modulus),
-                    self.fmt, self.ring_degree)
-
-    def multiply_scalar(self, scalar: int) -> "Limb":
-        """Return the limb multiplied by an integer constant modulo ``q_i``."""
-        return Limb(self.modulus,
-                    modmath.vec_mul_scalar_mod(self.data, scalar, self.modulus),
-                    self.fmt, self.ring_degree)
-
-    def add_scalar(self, scalar: int) -> "Limb":
-        """Add an integer constant.
-
-        In coefficient format the constant is added to the degree-0
-        coefficient; in evaluation format a constant polynomial evaluates to
-        the same value everywhere, so it is added to every element.
-        """
-        scalar = int(scalar) % self.modulus
-        if self.fmt is LimbFormat.EVALUATION:
-            const = modmath.as_residue_array(
-                np.full(self.ring_degree, scalar, dtype=object), self.modulus)
-            return Limb(self.modulus, modmath.vec_add_mod(self.data, const, self.modulus),
-                        self.fmt, self.ring_degree)
-        data = self.data.copy()
-        data[0] = modmath.add_mod(int(data[0]), scalar, self.modulus)
-        return Limb(self.modulus, data, self.fmt, self.ring_degree)
-
-    # -- representation changes ----------------------------------------------
-
-    def to_evaluation(self) -> "Limb":
-        """Return the limb in evaluation (NTT) format."""
-        if self.fmt is LimbFormat.EVALUATION:
-            return self.copy()
-        engine = get_engine(self.ring_degree, self.modulus)
-        return Limb(self.modulus, engine.forward(self.data),
-                    LimbFormat.EVALUATION, self.ring_degree)
-
-    def to_coefficient(self) -> "Limb":
-        """Return the limb in coefficient format."""
-        if self.fmt is LimbFormat.COEFFICIENT:
-            return self.copy()
-        engine = get_engine(self.ring_degree, self.modulus)
-        return Limb(self.modulus, engine.inverse(self.data),
-                    LimbFormat.COEFFICIENT, self.ring_degree)
-
-    def automorphism(self, exponent: int) -> "Limb":
-        """Apply the Galois automorphism ``X -> X^exponent``.
-
-        The permutation is defined on the coefficient representation; limbs
-        in evaluation format are transformed through an iNTT/NTT round trip
-        exactly like the GPU ``Automorph`` kernel path used before key
-        switching.
-        """
-        if self.fmt is LimbFormat.EVALUATION:
-            coeff = self.to_coefficient()
-            rotated = coeff.automorphism(exponent)
-            return rotated.to_evaluation()
-        data = apply_coeff_automorphism(self.data, self.ring_degree, exponent, self.modulus)
-        return Limb(self.modulus, data, self.fmt, self.ring_degree)
-
-    def switch_modulus(self, new_modulus: int) -> "Limb":
-        """Re-interpret the limb under a different modulus (centred lift)."""
-        if self.fmt is not LimbFormat.COEFFICIENT:
-            raise ValueError("modulus switching requires coefficient format")
-        data = modmath.vec_switch_modulus(self.data, self.modulus, new_modulus)
-        return Limb(new_modulus, data, self.fmt, self.ring_degree)
 
     def __len__(self) -> int:
         return self.ring_degree

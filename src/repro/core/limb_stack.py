@@ -9,12 +9,11 @@ the stack (:mod:`repro.core.modmath`'s ``stack_*`` kernels), which is the
 Python analogue of the batched cross-limb kernels of §III-F -- no per-limb
 Python loop remains on the hot path.
 
-Per-limb access is preserved through zero-copy views:
-:meth:`LimbStack.limb_view` hands out a :class:`~repro.core.limb.Limb`
-whose ``data`` is a row view of the stack and whose buffer is an unmanaged
-:class:`~repro.core.limb.VectorGPU` window over the flat allocation, so
-the legacy ``poly.limbs[i]`` API keeps working without duplicating memory
-or double-charging the pool.
+Per-limb access is a zero-copy view: :meth:`LimbStack.limb_view` hands
+out a :class:`~repro.core.limb.Limb` whose ``data`` is a row view of the
+stack and whose buffer is an unmanaged :class:`~repro.core.limb.VectorGPU`
+window over the flat allocation, so ``poly.limbs[i]`` neither duplicates
+memory nor double-charges the pool.
 """
 
 from __future__ import annotations
@@ -31,6 +30,24 @@ from repro.core.memory import STRATEGY_FLATTENED, FusedFootprintError, MemoryPoo
 from repro.gpu.kernel import MODADD_OPS
 
 _DISPATCH = get_dispatcher()
+
+
+def _add_column(data: np.ndarray, index: int, col: np.ndarray, qs: np.ndarray) -> None:
+    """Add ``col`` (one canonical constant per row) to column ``index``, in place."""
+    if data.ndim == 3:
+        # Merge the touched coefficient column (one lane per limb), add
+        # canonically, and split back into the digit planes.
+        shift = np.uint64(32)
+        merged = (data[:, 0, index] << shift) | data[:, 1, index]
+        s = merged + col
+        s = np.where(s >= qs, s - qs, s)
+        data[:, 0, index] = s >> shift
+        data[:, 1, index] = s & np.uint64(0xFFFFFFFF)
+    elif data.dtype == np.object_:
+        data[:, index] = (data[:, index] + col) % qs
+    else:
+        s = data[:, index] + col
+        data[:, index] = np.where(s >= qs, s - qs, s)
 
 
 class LimbStack:
@@ -334,21 +351,7 @@ class LimbStack:
         data = self.data.copy()
         col = modmath.scalar_column(scalars, self._col).ravel()
         qs = self._col.ravel()
-        if data.ndim == 3:
-            # Merge the touched coefficient column (one lane per limb),
-            # add canonically, and split back into the digit planes.
-            shift = np.uint64(32)
-            merged = (data[:, 0, index] << shift) | data[:, 1, index]
-            s = merged + col
-            s = np.where(s >= qs, s - qs, s)
-            data[:, 0, index] = s >> shift
-            data[:, 1, index] = s & np.uint64(0xFFFFFFFF)
-        elif self.is_fast:
-            s = data[:, index] + col
-            data[:, index] = np.where(s >= qs, s - qs, s)
-        else:
-            s = data[:, index] + col
-            data[:, index] = s % qs
+        _add_column(data, index, col, qs)
         if _DISPATCH.recording:
             replay = None
             if _DISPATCH.executable_recording:
@@ -357,18 +360,7 @@ class LimbStack:
                     src, col_r, dst = reads[0], reads[1], writes[0]
                     if not np.shares_memory(src, dst):
                         np.copyto(dst, src)
-                    if dst.ndim == 3:
-                        shift = np.uint64(32)
-                        merged = (dst[:, 0, _idx] << shift) | dst[:, 1, _idx]
-                        s = merged + col_r
-                        s = np.where(s >= _qs, s - _qs, s)
-                        dst[:, 0, _idx] = s >> shift
-                        dst[:, 1, _idx] = s & np.uint64(0xFFFFFFFF)
-                    elif dst.dtype == object:
-                        dst[:, _idx] = (dst[:, _idx] + col_r) % _qs
-                    else:
-                        s = dst[:, _idx] + col_r
-                        dst[:, _idx] = np.where(s >= _qs, s - _qs, s)
+                    _add_column(dst, _idx, col_r, _qs)
 
             _DISPATCH.elementwise(
                 "stack-scalar-add", reads=(self.data, col), writes=(data,),

@@ -15,11 +15,11 @@ the paper:
   known constant (twiddle factors, precomputed scalars); the constant's
   reciprocal is precomputed.
 
-This module provides faithful scalar implementations of all three (used by
-the NTT engine and exercised directly by the unit tests and the Table III
-micro-benchmark) plus vectorised NumPy routines used by the bulk of the
-library.  Three array backends are supported for the batched limb-stack
-kernels:
+This module provides faithful scalar implementations of all three (the
+Table III artefact, exercised directly by the unit tests and the
+micro-benchmark) plus the batched limb-stack kernels (``stack_*``) that
+are the library's only vectorised modular arithmetic.  Three array
+backends are supported:
 
 * a **fast backend** (``uint64``) for moduli below 2**31, where a product
   of two residues fits in an unsigned 64-bit lane and NumPy's native ``%``
@@ -36,14 +36,12 @@ kernels:
 * an **exact backend** backed by Python integers (``dtype=object``), kept
   only as the exactness oracle for moduli at or above 2**62.
 
-The stack backend is chosen per moduli column by :func:`stack_backend`;
-the per-limb ``vec_*`` routines keep the two-way choice of
-:func:`dtype_for_modulus` (they are the reference oracle the stack kernels
-are tested against).
+The backend is chosen per moduli column by :func:`stack_backend`.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -293,18 +291,8 @@ class ShoupMultiplier:
 
 
 # ---------------------------------------------------------------------------
-# Vectorised routines
+# Input canonicalisation
 # ---------------------------------------------------------------------------
-
-
-def dtype_for_modulus(q: int):
-    """Return the NumPy dtype used to store residues modulo ``q``.
-
-    Moduli below :data:`FAST_MODULUS_LIMIT` use the fast ``uint64`` path;
-    larger (e.g. 59-bit) moduli fall back to exact Python integers stored
-    in an ``object`` array.
-    """
-    return np.uint64 if q < FAST_MODULUS_LIMIT else np.object_
 
 
 def is_fast_modulus(q: int) -> bool:
@@ -325,73 +313,6 @@ def as_residue_array(values, q: int) -> np.ndarray:
     flat = [int(v) % q for v in np.asarray(values, dtype=object).ravel()]
     out = np.array(flat, dtype=object)
     return out.reshape(np.asarray(values, dtype=object).shape)
-
-
-def zeros(n: int, q: int) -> np.ndarray:
-    """Return an all-zero residue array of length ``n`` for modulus ``q``."""
-    if is_fast_modulus(q):
-        return np.zeros(n, dtype=np.uint64)
-    return np.array([0] * n, dtype=object)
-
-
-def vec_add_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Elementwise ``(a + b) mod q``."""
-    if is_fast_modulus(q):
-        s = a + b
-        return np.where(s >= q, s - np.uint64(q), s)
-    return (a + b) % q
-
-
-def vec_sub_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Elementwise ``(a - b) mod q``."""
-    if is_fast_modulus(q):
-        s = a + np.uint64(q) - b
-        return np.where(s >= q, s - np.uint64(q), s)
-    return (a - b) % q
-
-
-def vec_neg_mod(a: np.ndarray, q: int) -> np.ndarray:
-    """Elementwise ``(-a) mod q``."""
-    if is_fast_modulus(q):
-        return np.where(a == 0, a, np.uint64(q) - a)
-    return (-a) % q
-
-
-def vec_mul_mod(a: np.ndarray, b, q: int) -> np.ndarray:
-    """Elementwise ``(a * b) mod q``; ``b`` may be an array or a scalar."""
-    if is_fast_modulus(q):
-        if np.isscalar(b) or isinstance(b, (int, np.integer)):
-            b = np.uint64(int(b) % q)
-        return (a * b) % np.uint64(q)
-    if np.isscalar(b) or isinstance(b, (int, np.integer)):
-        b = int(b) % q
-    return (a * b) % q
-
-
-def vec_mul_scalar_mod(a: np.ndarray, scalar: int, q: int) -> np.ndarray:
-    """Elementwise multiplication by a scalar constant modulo ``q``."""
-    return vec_mul_mod(a, scalar % q, q)
-
-
-def vec_to_int_list(a: np.ndarray) -> list:
-    """Return the residues of ``a`` as a list of Python ints."""
-    return [int(x) for x in np.asarray(a).ravel()]
-
-
-def vec_switch_modulus(a: np.ndarray, q_from: int, q_to: int) -> np.ndarray:
-    """Re-reduce residues of ``a`` (mod ``q_from``) into modulus ``q_to``.
-
-    Residues are interpreted in the centred interval
-    ``(-q_from/2, q_from/2]`` before reduction, which is the convention the
-    base-conversion and mod-raise steps require to keep the underlying
-    signed value intact.
-    """
-    values = np.array([int(x) for x in np.asarray(a).ravel()], dtype=object)
-    half = q_from >> 1
-    centred = np.where(values > half, values - q_from, values)
-    reduced = [int(v) % q_to for v in centred]
-    out = np.array(reduced, dtype=object).reshape(np.asarray(a).shape)
-    return as_residue_array(out, q_to)
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +545,12 @@ def scalar_column(scalars, moduli_col: np.ndarray) -> np.ndarray:
 STACK_SHOUP_SHIFT = np.uint64(32)
 
 
-#: Byte budget of the shared kernel scratch pool (below).
+#: Byte budget of the scratch pool (below).
 _SCRATCH_BUDGET_BYTES = 96 << 20
 
-#: Reusable temporaries for the stack kernels, keyed by (tag, dtype, shape)
-#: with LRU eviction.  Fused (B·L, N) batches make the per-kernel
+#: The one pool of reusable temporaries -- stack kernels, the stacked NTT's
+#: stage buffers and fused-program intermediates -- keyed by (tag, dtype,
+#: shape) with LRU eviction.  Fused (B·L, N) batches make the per-kernel
 #: intermediates multi-megabyte; allocating them fresh per call costs a
 #: page-fault zero-fill pass that can exceed the arithmetic itself, so the
 #: kernels stage their *internal* temporaries here (results stay freshly
@@ -637,9 +559,29 @@ _SCRATCH_BUDGET_BYTES = 96 << 20
 #: buffers of the same (tag, shape).
 _scratch_buffers: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 
+#: ``(ident, name)`` of the thread that first drew from the pool.  The pool
+#: hands the *same mutable buffers* to every caller, so a second thread
+#: would silently corrupt the first one's temporaries; it is refused.
+_scratch_owner: tuple[int, str] | None = None
+
 
 def _scratch(tag: str, shape: tuple, dtype=np.uint64) -> np.ndarray:
-    """Return a reusable buffer of exactly ``shape``/``dtype`` (LRU-bounded)."""
+    """Return a reusable buffer of exactly ``shape``/``dtype`` (LRU-bounded).
+
+    Single-threaded by contract: the first calling thread owns the pool
+    and any other thread gets a :class:`RuntimeError`.
+    """
+    global _scratch_owner
+    ident = threading.get_ident()
+    if _scratch_owner is None:
+        _scratch_owner = (ident, threading.current_thread().name)
+    elif _scratch_owner[0] != ident:
+        raise RuntimeError(
+            f"the modmath scratch pool is owned by thread "
+            f"{_scratch_owner[1]!r} and was asked for a buffer by thread "
+            f"{threading.current_thread().name!r}; the numeric plane is "
+            f"single-threaded per process"
+        )
     dtype = np.dtype(dtype)
     key = (tag, dtype.str) + tuple(int(d) for d in shape)
     buf = _scratch_buffers.get(key)
@@ -1181,9 +1123,10 @@ def stack_add_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,
 def stack_switch_modulus(row: np.ndarray, q_from: int, moduli_col: np.ndarray) -> np.ndarray:
     """Re-reduce one residue row (mod ``q_from``) into every stack modulus.
 
-    The batched form of :func:`vec_switch_modulus`: residues are interpreted
-    in the centred interval ``(-q_from/2, q_from/2]`` and reduced against
-    each row modulus at once, producing an ``(L, N)`` stack (``(L, 2, N)``
+    Residues are interpreted in the centred interval
+    ``(-q_from/2, q_from/2]`` -- the convention base conversion and
+    mod-raise need to keep the underlying signed value intact -- and
+    reduced against each row modulus at once, producing an ``(L, N)`` stack (``(L, 2, N)``
     digit planes on the dword backend; a dword ``row`` arrives as its
     ``(2, N)`` planes).
 
@@ -1291,17 +1234,8 @@ __all__ = [
     "pow_mod",
     "inv_mod",
     "bit_length",
-    "dtype_for_modulus",
     "is_fast_modulus",
     "as_residue_array",
-    "zeros",
-    "vec_add_mod",
-    "vec_sub_mod",
-    "vec_neg_mod",
-    "vec_mul_mod",
-    "vec_mul_scalar_mod",
-    "vec_to_int_list",
-    "vec_switch_modulus",
     "all_fast_moduli",
     "backend_for_moduli",
     "BACKEND_UINT64",

@@ -190,19 +190,15 @@ class BaseConverter:
             for q in (*self.source.moduli, *self.target.moduli)
         )
 
-    def _scaled_limbs(self, limbs: Sequence[np.ndarray], fast: bool) -> list[np.ndarray]:
+    def _scaled_limbs(self, limbs: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Return the limb-wise scaling ``x_i * q̂_i^{-1} mod q_i`` of Eq. 1."""
-        scaled = []
-        for limb, q, inv in zip(limbs, self.source.moduli, self.q_hat_inv):
-            if fast:
-                scaled.append(modmath.vec_mul_scalar_mod(
-                    modmath.as_residue_array(limb, q), inv, q))
-            else:
-                scaled.append(np.array(
-                    [(int(v) * inv) % q for v in np.asarray(limb).ravel()],
-                    dtype=object,
-                ))
-        return scaled
+        return [
+            np.array(
+                [(int(v) * inv) % q for v in np.asarray(limb).ravel()],
+                dtype=object,
+            )
+            for limb, q, inv in zip(limbs, self.source.moduli, self.q_hat_inv)
+        ]
 
     def convert(self, limbs: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Convert per-limb residue arrays from the source to the target basis."""
@@ -346,8 +342,7 @@ class BaseConverter:
                 f"expected {len(self.source)} source limbs, got {len(limbs)}"
             )
         length = len(limbs[0])
-        fast = self._all_fast()
-        scaled = self._scaled_limbs(limbs, fast)
+        scaled = self._scaled_limbs(limbs)
         fractions = np.zeros(length, dtype=np.float64)
         for y, q in zip(scaled, self.source.moduli):
             fractions += np.array([float(v) for v in y]) / float(q)

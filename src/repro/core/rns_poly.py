@@ -1,24 +1,21 @@
-"""``RNSPoly`` and ``LimbPartition``: the polynomial containers of Figure 2.
+"""``RNSPoly``: the polynomial container of Figure 2.
 
 An :class:`RNSPoly` is a degree-``N`` polynomial decomposed over an RNS
-basis ``B = {q_0, ..., q_l}``.  Since the limb-batching refactor its data
-plane is a single :class:`~repro.core.limb_stack.LimbStack` -- one flat
-``(num_limbs, N)`` device buffer (the §III-D flattened allocation
-strategy) -- and every cross-limb operation (element-wise arithmetic,
-rescaling, limb dropping, base-extension glue, CRT recomposition, NTT)
-executes as vectorized broadcast expressions with no per-limb Python loop,
-matching the batched kernels of §III-F.
+basis ``B = {q_0, ..., q_l}``.  Its data plane is a single
+:class:`~repro.core.limb_stack.LimbStack` -- one flat ``(num_limbs, N)``
+device buffer (the §III-D flattened allocation strategy) -- and every
+cross-limb operation (element-wise arithmetic, rescaling, limb dropping,
+base-extension glue, CRT recomposition, NTT) executes as vectorized
+broadcast expressions with no per-limb Python loop, matching the batched
+kernels of §III-F.
 
-The legacy per-limb surface is preserved: ``poly.limbs[i]`` returns a
-zero-copy :class:`~repro.core.limb.Limb` view into the stack row, and
-:class:`LimbPartition` still models the portion of the polynomial stored
-on one device (the multi-GPU extension point the paper describes; the
-current release is single-GPU, so every poly has exactly one partition).
+Per-limb access is a view, not a second arithmetic: ``poly.limbs[i]``
+returns a zero-copy :class:`~repro.core.limb.Limb` over the stack row.
+(Which device holds which rows is :mod:`repro.cluster`'s model.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -47,30 +44,6 @@ def _rescale_inverses(moduli: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(modmath.inv_mod(q_last % q, q) for q in moduli[:-1])
 
 
-@dataclass
-class LimbPartition:
-    """The limbs of an :class:`RNSPoly` that live on a single device."""
-
-    device_id: int
-    limbs: list[Limb] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.limbs)
-
-    def __iter__(self):
-        return iter(self.limbs)
-
-    def append(self, limb: Limb) -> None:
-        """Add a limb to this partition."""
-        self.limbs.append(limb)
-
-    def footprint_bytes(self, element_bytes: int | None = None) -> int:
-        """Return the device-memory footprint of this partition."""
-        if element_bytes is None:
-            element_bytes = 8
-        return sum(limb.ring_degree * element_bytes for limb in self.limbs)
-
-
 class RNSPoly:
     """A polynomial in ``Z_Q[X]/(X^N + 1)`` stored as a flat limb stack.
 
@@ -81,19 +54,23 @@ class RNSPoly:
     moduli:
         The RNS basis primes ``q_0 ... q_l`` currently attached to the
         polynomial (shrinks as levels are consumed).
-    limbs:
-        Optional initial limbs; zero limbs are created when omitted.  All
-        limbs must share one representation (format is tracked per
+    fmt:
+        Representation shared by all limbs (format is tracked per
         polynomial, which is what lets every cross-limb kernel batch).
     device_id:
-        Device the single partition is assigned to.
+        Device the polynomial is assigned to.
+    pool:
+        Memory pool charged for the flat allocation.
+
+    The constructor returns the zero polynomial; build one from data with
+    :meth:`from_int_coefficients`, :meth:`from_limb_arrays` or
+    :meth:`from_stack`.
     """
 
     def __init__(
         self,
         ring_degree: int,
         moduli: Sequence[int],
-        limbs: Sequence[Limb] | None = None,
         *,
         fmt: LimbFormat = LimbFormat.COEFFICIENT,
         device_id: int = 0,
@@ -102,23 +79,8 @@ class RNSPoly:
         self.ring_degree = ring_degree
         self.moduli = list(int(q) for q in moduli)
         self.device_id = device_id
-        if limbs is None:
-            self._fmt = fmt
-            self._stack = LimbStack.zeros(ring_degree, self.moduli, pool=pool)
-        else:
-            limbs = list(limbs)
-            if len(limbs) != len(self.moduli):
-                raise ValueError("limb count does not match modulus count")
-            for limb, q in zip(limbs, self.moduli):
-                if limb.modulus != q:
-                    raise ValueError("limb modulus does not match basis")
-            formats = {limb.fmt for limb in limbs}
-            if len(formats) > 1:
-                raise ValueError("limbs are in mixed formats")
-            self._fmt = next(iter(formats)) if formats else fmt
-            self._stack = LimbStack.from_rows(
-                self.moduli, [limb.data for limb in limbs], pool=pool
-            )
+        self._fmt = fmt
+        self._stack = LimbStack.zeros(ring_degree, self.moduli, pool=pool)
 
     # -- constructors --------------------------------------------------------
 
@@ -190,15 +152,10 @@ class RNSPoly:
 
     @property
     def limbs(self) -> list[Limb]:
-        """Zero-copy per-limb views into the stack (legacy API)."""
+        """Zero-copy per-limb views into the stack."""
         return [
             self._stack.limb_view(i, self._fmt) for i in range(len(self.moduli))
         ]
-
-    @property
-    def partition(self) -> LimbPartition:
-        """The (single) device partition, wrapping the limb views."""
-        return LimbPartition(device_id=self.device_id, limbs=self.limbs)
 
     @property
     def level_count(self) -> int:
@@ -621,4 +578,4 @@ class RNSPoly:
         return self.ring_degree
 
 
-__all__ = ["RNSPoly", "LimbPartition"]
+__all__ = ["RNSPoly"]

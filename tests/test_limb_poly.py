@@ -10,7 +10,7 @@ from repro.core.automorphism import (
     coeff_automorphism_map,
     rotation_to_exponent,
 )
-from repro.core.limb import Limb, LimbFormat, VectorGPU
+from repro.core.limb import LimbFormat, VectorGPU
 from repro.core.memory import MemoryPool, OutOfDeviceMemory
 from repro.core.primes import generate_ntt_primes
 from repro.core.rns_poly import RNSPoly
@@ -70,38 +70,47 @@ class TestMemoryPool:
         vector.free()  # no-op
 
 
+def one_limb_poly(q, seed, fmt=LimbFormat.COEFFICIENT):
+    """A random single-limb polynomial: what a ``Limb`` is a view of."""
+    rng = np.random.default_rng(seed)
+    return RNSPoly.from_limb_arrays(N, [q], [rng.integers(0, q, N)], fmt)
+
+
+def limb_values(poly):
+    """Residues of a one-limb polynomial, read through its ``Limb`` view."""
+    (limb,) = poly.limbs
+    return [int(x) for x in limb.data]
+
+
 class TestLimb:
+    """A ``Limb`` is a zero-copy view; arithmetic happens on the polynomial."""
+
     def test_add_sub_roundtrip(self):
         q = PRIMES[0]
-        rng = np.random.default_rng(0)
-        a = Limb(q, rng.integers(0, q, N).astype(object))
-        b = Limb(q, rng.integers(0, q, N).astype(object))
-        assert [int(x) for x in a.add(b).sub(b).data] == [int(x) for x in a.data]
+        a, b = one_limb_poly(q, 0), one_limb_poly(q, 100)
+        assert limb_values(a.add(b).sub(b)) == limb_values(a)
 
     def test_multiply_requires_eval_format(self):
-        q = PRIMES[0]
-        a = Limb(q, modmath.zeros(N, q))
+        a = RNSPoly(N, PRIMES[:1])
         with pytest.raises(ValueError):
             a.multiply(a)
 
     def test_format_conversion_roundtrip(self):
-        q = PRIMES[0]
-        rng = np.random.default_rng(1)
-        limb = Limb(q, rng.integers(0, q, N).astype(object))
-        back = limb.to_evaluation().to_coefficient()
-        assert [int(x) for x in back.data] == [int(x) for x in limb.data]
+        poly = one_limb_poly(PRIMES[0], 1)
+        evaluated = poly.to_evaluation()
+        (limb,) = evaluated.limbs
+        assert limb.fmt is LimbFormat.EVALUATION and len(limb) == N
+        assert limb_values(evaluated.to_coefficient()) == limb_values(poly)
 
     def test_add_scalar_eval_vs_coeff_consistent(self):
-        q = PRIMES[0]
-        rng = np.random.default_rng(2)
-        limb = Limb(q, rng.integers(0, q, N).astype(object))
-        via_coeff = limb.add_scalar(17).to_evaluation()
-        via_eval = limb.to_evaluation().add_scalar(17)
-        assert [int(x) for x in via_coeff.data] == [int(x) for x in via_eval.data]
+        poly = one_limb_poly(PRIMES[0], 2)
+        via_coeff = poly.add_scalar(17).to_evaluation()
+        via_eval = poly.to_evaluation().add_scalar(17)
+        assert limb_values(via_coeff) == limb_values(via_eval)
 
     def test_incompatible_moduli_rejected(self):
-        a = Limb(PRIMES[0], modmath.zeros(N, PRIMES[0]))
-        b = Limb(PRIMES[1], modmath.zeros(N, PRIMES[1]))
+        a = RNSPoly(N, PRIMES[:1])
+        b = RNSPoly(N, PRIMES[1:2])
         with pytest.raises(ValueError):
             a.add(b)
 

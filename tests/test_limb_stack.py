@@ -2,8 +2,8 @@
 
 Covers the §III-D allocation-strategy comparison (array-per-limb versus
 flattened), zero-copy limb views, exact internal fragmentation, the
-batched modmath kernels against their per-limb references, and the
-stacked NTT against the per-limb engines.
+batched modmath kernels against Python-integer arithmetic, and the
+stacked NTT against the exact-integer oracle.
 """
 
 import json
@@ -13,7 +13,7 @@ import pytest
 
 from repro.bench.reporting import BenchmarkTable
 from repro.core import modmath
-from repro.core.limb import Limb, LimbFormat, VectorGPU
+from repro.core.limb import LimbFormat, VectorGPU
 from repro.core.limb_stack import LimbStack
 from repro.core.memory import (
     STRATEGY_ARRAY_PER_LIMB,
@@ -22,7 +22,7 @@ from repro.core.memory import (
     MemoryPool,
     OutOfDeviceMemory,
 )
-from repro.core.ntt import get_engine, get_stacked_engine
+from repro.core.ntt import get_stacked_engine, reference_transform
 from repro.core.primes import generate_ntt_primes
 from repro.core.rns_poly import RNSPoly
 
@@ -44,7 +44,7 @@ def merged_rows(data):
 
 
 class TestBatchedKernels:
-    """The stack_* kernels must agree with the per-limb vec_* routines."""
+    """The stack_* kernels must agree with exact Python-integer arithmetic."""
 
     @pytest.mark.parametrize(
         "moduli", [PRIMES, BIG_PRIMES, HUGE_PRIMES],
@@ -56,19 +56,18 @@ class TestBatchedKernels:
         col = a.moduli_col
         a_rows, b_rows = merged_rows(a.data), merged_rows(b.data)
         checks = {
-            "add": (modmath.stack_add_mod(a.data, b.data, col), modmath.vec_add_mod),
-            "sub": (modmath.stack_sub_mod(a.data, b.data, col), modmath.vec_sub_mod),
-            "mul": (modmath.stack_mul_mod(a.data, b.data, col), modmath.vec_mul_mod),
+            "add": (modmath.stack_add_mod(a.data, b.data, col), lambda x, y: x + y),
+            "sub": (modmath.stack_sub_mod(a.data, b.data, col), lambda x, y: x - y),
+            "mul": (modmath.stack_mul_mod(a.data, b.data, col), lambda x, y: x * y),
         }
         for name, (result, reference) in checks.items():
             rows = merged_rows(result)
             for i, q in enumerate(moduli):
-                expected = reference(
-                    modmath.as_residue_array(a_rows[i], q),
-                    modmath.as_residue_array(b_rows[i], q),
-                    q,
-                )
-                assert [int(x) for x in rows[i]] == [int(x) for x in expected], name
+                expected = [
+                    reference(int(x), int(y)) % q
+                    for x, y in zip(a_rows[i], b_rows[i])
+                ]
+                assert [int(x) for x in rows[i]] == expected, name
 
     def test_scalar_and_neg_ops(self):
         a = random_stack(PRIMES, 3)
@@ -100,26 +99,44 @@ class TestBatchedKernels:
         row = modmath.as_residue_array(rng.integers(0, q_from, N), q_from)
         col = modmath.moduli_column(PRIMES[:-1])
         switched = modmath.stack_switch_modulus(row, q_from, col)
+        half = q_from >> 1
+        centred = [int(v) - q_from if int(v) > half else int(v) for v in row]
         for i, q in enumerate(PRIMES[:-1]):
-            expected = modmath.vec_switch_modulus(row, q_from, q)
-            assert [int(x) for x in switched[i]] == [int(x) for x in expected]
+            assert [int(x) for x in switched[i]] == [v % q for v in centred]
 
 
 class TestStackedNTT:
     @pytest.mark.parametrize(
-        "moduli", [PRIMES, BIG_PRIMES, HUGE_PRIMES],
-        ids=["fast", "dword", "exact"],
+        "layout", ["chain", "member-major", "single-modulus", "limb-major"]
     )
-    def test_matches_per_limb_engines(self, moduli):
+    @pytest.mark.parametrize(
+        "bits,backend", [(28, "uint64"), (40, "dword"), (63, "object")],
+        ids=["uint64", "dword", "object"],
+    )
+    def test_matches_reference_transform(self, bits, backend, layout):
+        primes = generate_ntt_primes(5, bits, N)
+        moduli = {
+            # 3-row limb_batch chunk plus a 2-row remainder
+            "chain": primes,
+            # B=3 tiling of a 2-prime base: one repeat period per chunk
+            "member-major": primes[:2] * 3,
+            # period 1: a single table row broadcast over every data row
+            "single-modulus": primes[:1] * 4,
+            # runs of one modulus, one table row per run
+            "limb-major": primes[:1] * 3 + primes[1:2] * 2,
+        }[layout]
         stack = random_stack(moduli, 5)
         engine = get_stacked_engine(N, tuple(moduli))
-        forward = merged_rows(engine.forward(stack.data))
-        roundtrip = merged_rows(engine.inverse(engine.forward(stack.data)))
+        assert engine.backend == backend
         source = merged_rows(stack.data)
-        for i, q in enumerate(moduli):
-            reference = get_engine(N, q).forward(source[i])
-            assert [int(x) for x in forward[i]] == [int(x) for x in reference]
-            assert [int(x) for x in roundtrip[i]] == [int(x) for x in source[i]]
+        forward = engine.forward(stack.data)
+        assert merged_rows(forward).tolist() == reference_transform(
+            source, moduli
+        ).tolist()
+        assert merged_rows(engine.inverse(stack.data)).tolist() == reference_transform(
+            source, moduli, inverse=True
+        ).tolist()
+        assert merged_rows(engine.inverse(forward)).tolist() == source.tolist()
 
     def test_poly_transform_is_loop_free_path(self):
         poly, _ = _random_poly(6)
@@ -161,10 +178,12 @@ class TestLimbStackStorage:
         assert fused.to_int_coefficients() == expected.to_int_coefficients()
 
     def test_mixed_format_limbs_rejected(self):
-        coeff = Limb(PRIMES[0], modmath.zeros(N, PRIMES[0]), LimbFormat.COEFFICIENT)
-        evald = Limb(PRIMES[1], modmath.zeros(N, PRIMES[1]), LimbFormat.EVALUATION)
-        with pytest.raises(ValueError):
-            RNSPoly(N, PRIMES[:2], [coeff, evald])
+        # Format is tracked per polynomial; operands whose limbs are in
+        # different representations cannot meet in one kernel.
+        coeff, _ = _random_poly(14)
+        evald = _random_poly(15)[0].to_evaluation()
+        with pytest.raises(ValueError, match="formats differ"):
+            coeff.add(evald)
 
 
 class TestPoolAccountingUnderLimbStack:
@@ -174,7 +193,7 @@ class TestPoolAccountingUnderLimbStack:
         # A limb size that granularity rounding actually penalizes.
         ring_degree = 72  # 576 bytes/limb -> rounds to 1024 per limb
         pool_stack = MemoryPool(granularity=1024)
-        limbs = [Limb.zero(ring_degree, q, pool=pool_stack) for q in PRIMES]
+        limbs = [VectorGPU(ring_degree, pool=pool_stack) for _ in PRIMES]
         pool_flat = MemoryPool(granularity=1024)
         flat = LimbStack.zeros(ring_degree, PRIMES, pool=pool_flat)
         # Three per-limb buffers round up three times (3 x 1024); the flat
@@ -247,15 +266,17 @@ class TestPoolAccountingUnderLimbStack:
         assert fused.num_limbs == 2
 
     def test_limb_copy_stays_pool_charged(self):
-        # Satellite fix: copies of pool-charged limbs must not escape
-        # footprint accounting.
+        # A limb is a view, so limbs are copied with their polynomial: the
+        # copy's views window a fresh buffer charged to the same pool.
         pool = MemoryPool()
-        limb = Limb.zero(N, PRIMES[0], pool=pool)
+        poly = RNSPoly(N, PRIMES, pool=pool)
         baseline = pool.bytes_in_use
-        copy = limb.copy()
-        assert copy.buffer is not None and copy.buffer.pool is pool
+        clone = poly.copy()
+        for limb, original in zip(clone.limbs, poly.limbs):
+            assert limb.buffer.pool is pool and not limb.buffer.managed
+            assert not np.shares_memory(limb.data, original.data)
         assert pool.bytes_in_use == 2 * baseline
-        copy.release()
+        clone.stack.release()
         assert pool.bytes_in_use == baseline
 
     def test_limb_stack_copy_stays_pool_charged(self):

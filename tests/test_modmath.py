@@ -108,7 +108,21 @@ class TestShoup:
         assert counts == {"wide": 1, "low": 2}
 
 
+def one_row(values, q):
+    """A one-row stack of ``values`` in the backend ``q`` selects, plus its column."""
+    return modmath.as_residue_stack([values], [q]), modmath.moduli_column([q])
+
+
+def row_values(stack):
+    """Python-integer residues of a one-row stack (merging dword planes)."""
+    if modmath.is_dword_stack(stack):
+        stack = modmath.dword_merge(stack)
+    return [int(x) for x in stack[0]]
+
+
 class TestVectorised:
+    """The ``stack_*`` kernels on a one-row stack against Python integers."""
+
     @pytest.fixture(params=["fast", "word"])
     def vec_modulus(self, request):
         return PRIMES[request.param]
@@ -116,53 +130,58 @@ class TestVectorised:
     def _random(self, q, n=257, seed=0):
         rng = np.random.default_rng(seed)
         values = [int(rng.integers(0, q)) for _ in range(n)]
-        return modmath.as_residue_array(np.array(values, dtype=object), q), values
+        return one_row(values, q)[0], values
 
     def test_dtype_selection(self):
-        assert modmath.dtype_for_modulus(PRIMES["fast"]) == np.uint64
-        assert modmath.dtype_for_modulus(PRIMES["word"]) == np.object_
+        fast = modmath.as_residue_array([1, 2], PRIMES["fast"])
+        word = modmath.as_residue_array([1, 2], PRIMES["word"])
+        assert fast.dtype == np.uint64 and word.dtype == np.object_
+        # Stacks of >= 2**31 moduli stay off object arrays: uint64 digit planes.
+        stack, col = one_row([1, 2], PRIMES["word"])
+        assert stack.dtype == np.uint64 and stack.shape == (1, 2, 2)
+        assert modmath.stack_backend(col) == modmath.BACKEND_DWORD
 
     def test_vec_add(self, vec_modulus):
         q = vec_modulus
         a, av = self._random(q, seed=1)
         b, bv = self._random(q, seed=2)
-        out = modmath.vec_add_mod(a, b, q)
-        assert [int(x) for x in out] == [(x + y) % q for x, y in zip(av, bv)]
+        out = modmath.stack_add_mod(a, b, modmath.moduli_column([q]))
+        assert row_values(out) == [(x + y) % q for x, y in zip(av, bv)]
 
     def test_vec_sub(self, vec_modulus):
         q = vec_modulus
         a, av = self._random(q, seed=3)
         b, bv = self._random(q, seed=4)
-        out = modmath.vec_sub_mod(a, b, q)
-        assert [int(x) for x in out] == [(x - y) % q for x, y in zip(av, bv)]
+        out = modmath.stack_sub_mod(a, b, modmath.moduli_column([q]))
+        assert row_values(out) == [(x - y) % q for x, y in zip(av, bv)]
 
     def test_vec_mul(self, vec_modulus):
         q = vec_modulus
         a, av = self._random(q, seed=5)
         b, bv = self._random(q, seed=6)
-        out = modmath.vec_mul_mod(a, b, q)
-        assert [int(x) for x in out] == [(x * y) % q for x, y in zip(av, bv)]
+        out = modmath.stack_mul_mod(a, b, modmath.moduli_column([q]))
+        assert row_values(out) == [(x * y) % q for x, y in zip(av, bv)]
 
     def test_vec_mul_scalar(self, vec_modulus):
         q = vec_modulus
         a, av = self._random(q, seed=7)
-        out = modmath.vec_mul_scalar_mod(a, 12345, q)
-        assert [int(x) for x in out] == [(x * 12345) % q for x in av]
+        out = modmath.stack_scalar_mod(a, [12345], modmath.moduli_column([q]))
+        assert row_values(out) == [(x * 12345) % q for x in av]
 
     def test_vec_neg(self, vec_modulus):
         q = vec_modulus
         a, av = self._random(q, seed=8)
-        out = modmath.vec_neg_mod(a, q)
-        assert [int(x) for x in out] == [(-x) % q for x in av]
+        out = modmath.stack_neg_mod(a, modmath.moduli_column([q]))
+        assert row_values(out) == [(-x) % q for x in av]
 
     def test_switch_modulus_centred(self):
         q_from, q_to = PRIMES["fast"], PRIMES["small"]
         values = [1, 2, q_from - 1, q_from - 2, q_from // 2]
-        arr = modmath.as_residue_array(np.array(values, dtype=object), q_from)
-        out = modmath.vec_switch_modulus(arr, q_from, q_to)
+        row = modmath.as_residue_array(np.array(values, dtype=object), q_from)
+        out = modmath.stack_switch_modulus(row, q_from, modmath.moduli_column([q_to]))
         half = q_from >> 1
         expected = [((v - q_from) if v > half else v) % q_to for v in values]
-        assert [int(x) for x in out] == expected
+        assert row_values(out) == expected
 
     def test_as_residue_array_negative_values(self):
         q = PRIMES["fast"]
@@ -170,9 +189,9 @@ class TestVectorised:
         assert [int(x) for x in arr] == [q - 1, 0, 5]
 
     def test_zeros(self, vec_modulus):
-        z = modmath.zeros(16, vec_modulus)
-        assert len(z) == 16
-        assert all(int(x) == 0 for x in z)
+        z = modmath.stack_zeros(1, 16, modmath.moduli_column([vec_modulus]))
+        assert z.shape[0] == 1 and z.shape[-1] == 16
+        assert row_values(z) == [0] * 16
 
 
 @given(a=st.integers(min_value=0, max_value=2**59), b=st.integers(min_value=0, max_value=2**59))
@@ -196,9 +215,9 @@ def test_montgomery_matches_barrett_property(a, b):
 @settings(max_examples=100, deadline=None)
 def test_vector_add_neg_is_zero_property(values):
     q = PRIMES["fast"]
-    arr = modmath.as_residue_array(np.array(values, dtype=object), q)
-    total = modmath.vec_add_mod(arr, modmath.vec_neg_mod(arr, q), q)
-    assert all(int(x) == 0 for x in total)
+    stack, col = one_row(values, q)
+    total = modmath.stack_add_mod(stack, modmath.stack_neg_mod(stack, col), col)
+    assert row_values(total) == [0] * len(values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Tests for the radix-2 and hierarchical negacyclic NTT engines."""
+"""Tests for the negacyclic NTT: twiddle tables, the oracle and the engine."""
+
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -6,8 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import modmath
-from repro.core.ntt import HierarchicalNTT, NTTEngine, bit_reverse_indices, get_engine
+from repro.core.ntt import (
+    bit_reverse_indices,
+    get_stacked_engine,
+    reference_transform,
+    twiddle_tables,
+)
 from repro.core.primes import generate_ntt_primes
+from repro.gpu.kernel import ELEMENT_BYTES, ntt_kernel
 
 
 def schoolbook_negacyclic(a, b, q, n):
@@ -27,117 +36,129 @@ def schoolbook_negacyclic(a, b, q, n):
     return result
 
 
+def forward(values, q):
+    """Oracle forward NTT of one residue vector, as Python integers."""
+    return [int(x) for x in reference_transform([values], [q])[0]]
+
+
+def inverse(values, q):
+    """Oracle inverse NTT of one residue vector, as Python integers."""
+    return [int(x) for x in reference_transform([values], [q], inverse=True)[0]]
+
+
 @pytest.fixture(params=[(32, 25), (128, 28), (64, 59)], ids=["n32", "n128", "n64w59"])
-def engine(request):
+def ring(request):
+    """``(N, q)`` on the uint64 (n32, n128) and dword (n64w59) regimes."""
     n, bits = request.param
-    q = generate_ntt_primes(1, bits, n)[0]
-    return NTTEngine(n, q)
+    return n, generate_ntt_primes(1, bits, n)[0]
 
 
 class TestRadix2:
-    def test_roundtrip(self, engine):
+    def test_roundtrip(self, ring):
+        n, q = ring
         rng = np.random.default_rng(0)
-        a = [int(rng.integers(0, engine.modulus)) for _ in range(engine.ring_degree)]
-        forward = engine.forward(a)
-        back = engine.inverse(forward)
-        assert [int(x) for x in back] == [x % engine.modulus for x in a]
+        a = [int(rng.integers(0, q)) for _ in range(n)]
+        assert inverse(forward(a, q), q) == a
 
-    def test_convolution_theorem(self, engine):
-        n, q = engine.ring_degree, engine.modulus
+    def test_convolution_theorem(self, ring):
+        n, q = ring
         rng = np.random.default_rng(1)
         a = [int(rng.integers(0, q)) for _ in range(n)]
         b = [int(rng.integers(0, q)) for _ in range(n)]
-        product = engine.negacyclic_multiply(a, b)
-        assert [int(x) for x in product] == schoolbook_negacyclic(a, b, q, n)
+        pointwise = [(x * y) % q for x, y in zip(forward(a, q), forward(b, q))]
+        assert inverse(pointwise, q) == schoolbook_negacyclic(a, b, q, n)
 
-    def test_forward_is_linear(self, engine):
-        n, q = engine.ring_degree, engine.modulus
+    def test_forward_is_linear(self, ring):
+        n, q = ring
         rng = np.random.default_rng(2)
-        a = modmath.as_residue_array(rng.integers(0, q, n).astype(object), q)
-        b = modmath.as_residue_array(rng.integers(0, q, n).astype(object), q)
-        lhs = engine.forward(modmath.vec_add_mod(a, b, q))
-        rhs = modmath.vec_add_mod(engine.forward(a), engine.forward(b), q)
-        assert [int(x) for x in lhs] == [int(x) for x in rhs]
-
-    def test_fused_premultiply(self, engine):
-        n, q = engine.ring_degree, engine.modulus
-        rng = np.random.default_rng(3)
         a = [int(rng.integers(0, q)) for _ in range(n)]
-        scalar = 12345 % q
-        fused = engine.forward(a, premultiply=scalar)
-        reference = engine.forward([(x * scalar) % q for x in a])
-        assert [int(x) for x in fused] == [int(x) for x in reference]
+        b = [int(rng.integers(0, q)) for _ in range(n)]
+        lhs = forward([(x + y) % q for x, y in zip(a, b)], q)
+        rhs = [(x + y) % q for x, y in zip(forward(a, q), forward(b, q))]
+        assert lhs == rhs
 
-    def test_fused_postmultiply_inverse(self, engine):
-        n, q = engine.ring_degree, engine.modulus
-        rng = np.random.default_rng(4)
-        a = [int(rng.integers(0, q)) for _ in range(n)]
-        scalar = 987 % q
-        forward = engine.forward(a)
-        fused = engine.inverse(forward, postmultiply=scalar)
-        assert [int(x) for x in fused] == [(x * scalar) % q for x in a]
+    def test_constant_polynomial_transform(self, ring):
+        n, q = ring
+        assert forward([7] + [0] * (n - 1), q) == [7] * n
 
-    def test_constant_polynomial_transform(self, engine):
-        n, q = engine.ring_degree, engine.modulus
-        constant = [7] + [0] * (n - 1)
-        evaluations = engine.forward(constant)
-        assert all(int(x) == 7 for x in evaluations)
+    def test_n_inverse(self, ring):
+        n, q = ring
+        assert (twiddle_tables(n, q)[2] * n) % q == 1
 
-    def test_n_inverse(self, engine):
-        assert (engine.n_inverse * engine.ring_degree) % engine.modulus == 1
-
-    def test_shoup_twiddles_shape(self, engine):
-        twiddles = engine.shoup_twiddles()
-        assert len(twiddles) == engine.ring_degree
+    def test_shoup_twiddles_shape(self, ring):
+        # The engines multiply by twiddles through Shoup companions
+        # (Table III): one floor(w * 2**k / q) per twiddle, k = 32 on the
+        # single-word backend and 64 on the dword backend.
+        n, q = ring
+        table = np.asarray(twiddle_tables(n, q)[0]).astype(np.uint64)[None, :]
+        col = modmath.moduli_column([q])
+        if modmath.is_fast_modulus(q):
+            shoup, shift = modmath.shoup_column(table, col), 32
+        else:
+            shoup, shift = modmath.dword_shoup_column(table, col), 64
+        assert shoup.shape == (1, n)
+        assert [int(s) for s in shoup[0]] == [
+            (int(w) << shift) // q for w in table[0]
+        ]
 
     def test_rejects_bad_degree(self):
         q = generate_ntt_primes(1, 25, 32)[0]
         with pytest.raises(ValueError):
-            NTTEngine(31, q)
+            twiddle_tables(31, q)
 
     def test_rejects_unfriendly_modulus(self):
         with pytest.raises(ValueError):
-            NTTEngine(64, 97)
+            twiddle_tables(64, 97)
 
     def test_engine_cache_reuses_instances(self):
         q = generate_ntt_primes(1, 25, 64)[0]
-        assert get_engine(64, q) is get_engine(64, q)
+        assert twiddle_tables(64, q) is twiddle_tables(64, q)
+        assert get_stacked_engine(64, (q,)) is get_stacked_engine(64, (q,))
 
 
 class TestHierarchical:
+    """The engine's blocked stage pipeline (the four-step locality idea of
+    §III-F.4): for N > 16 the last stages run on a transposed grid."""
+
+    @staticmethod
+    def _engine_multiply(a, b, q, n):
+        engine = get_stacked_engine(n, (q,))
+        fa = engine.forward(np.array([a], dtype=np.uint64))
+        fb = engine.forward(np.array([b], dtype=np.uint64))
+        product = modmath.stack_mul_mod(fa, fb, modmath.moduli_column([q]))
+        return [int(x) for x in engine.inverse(product)[0]]
+
     @pytest.mark.parametrize("n,bits", [(64, 25), (256, 28)])
     def test_matches_schoolbook(self, n, bits):
         q = generate_ntt_primes(1, bits, n)[0]
-        hier = HierarchicalNTT(n, q)
         rng = np.random.default_rng(5)
         a = [int(rng.integers(0, q)) for _ in range(n)]
         b = [int(rng.integers(0, q)) for _ in range(n)]
-        assert [int(x) for x in hier.negacyclic_multiply(a, b)] == schoolbook_negacyclic(a, b, q, n)
+        assert self._engine_multiply(a, b, q, n) == schoolbook_negacyclic(a, b, q, n)
 
     def test_roundtrip(self):
         n = 64
         q = generate_ntt_primes(1, 25, n)[0]
-        hier = HierarchicalNTT(n, q)
+        engine = get_stacked_engine(n, (q,))
         rng = np.random.default_rng(6)
-        a = [int(rng.integers(0, q)) for _ in range(n)]
-        back = hier.inverse(hier.forward(a))
-        assert [int(x) for x in back] == a
+        a = rng.integers(0, q, size=(1, n)).astype(np.uint64)
+        assert np.array_equal(engine.inverse(engine.forward(a)), a)
 
     def test_agrees_with_radix2_in_evaluation_products(self):
         n = 64
         q = generate_ntt_primes(1, 25, n)[0]
-        hier = HierarchicalNTT(n, q)
-        radix2 = NTTEngine(n, q, psi=hier.psi)
         rng = np.random.default_rng(7)
         a = [int(rng.integers(0, q)) for _ in range(n)]
         b = [int(rng.integers(0, q)) for _ in range(n)]
-        assert [int(x) for x in hier.negacyclic_multiply(a, b)] == \
-            [int(x) for x in radix2.negacyclic_multiply(a, b)]
+        pointwise = [(x * y) % q for x, y in zip(forward(a, q), forward(b, q))]
+        assert self._engine_multiply(a, b, q, n) == inverse(pointwise, q)
 
     def test_memory_passes_matches_figure3(self):
-        n = 64
-        q = generate_ntt_primes(1, 25, n)[0]
-        assert HierarchicalNTT(n, q).memory_passes == 4
+        # Figure 3's "4 memory accesses per element" is the NTT kernel's
+        # traffic in the cost model.
+        n, limbs = 64, 3
+        kernel = ntt_kernel("ntt", limbs, n)
+        assert kernel.bytes_read + kernel.bytes_written == 4 * limbs * n * ELEMENT_BYTES
 
 
 class TestBitReversal:
@@ -153,49 +174,78 @@ class TestBitReversal:
 @settings(max_examples=30, deadline=None)
 def test_roundtrip_property(values):
     q = generate_ntt_primes(1, 26, 32)[0]
-    engine = get_engine(32, q)
-    back = engine.inverse(engine.forward(values))
-    assert [int(x) for x in back] == [v % q for v in values]
+    assert inverse(forward(values, q), q) == [v % q for v in values]
+
+
+class TestOperandChecks:
+    """forward/inverse reject stacks that are not one row per modulus."""
+
+    @pytest.mark.parametrize("bits", [26, 59], ids=["uint64", "dword"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_row_count_mismatch_raises(self, bits, rows):
+        moduli = tuple(generate_ntt_primes(2, bits, 64))
+        engine = get_stacked_engine(64, moduli)
+        shape = (rows, 64) if engine.fast else (rows, 2, 64)
+        stack = np.ones(shape, dtype=np.uint64)
+        for transform in (engine.forward, engine.inverse):
+            with pytest.raises(ValueError, match="does not match the engine"):
+                transform(stack)
+
+    def test_wrong_rank_or_degree_raises(self):
+        moduli = tuple(generate_ntt_primes(2, 26, 64))
+        engine = get_stacked_engine(64, moduli)
+        for shape in [(2, 32), (2, 3, 64), (2,), (2, 2, 2, 64)]:
+            with pytest.raises(ValueError, match="does not match the engine"):
+                engine.forward(np.ones(shape, dtype=np.uint64))
 
 
 class TestScratchCacheBudget:
-    """The NTT scratch-buffer cache stays within its LRU byte budget."""
+    """The one scratch pool: LRU byte budget and single-thread ownership."""
 
-    def test_budget_bounds_cache_and_evicts_lru(self):
-        from repro.core import ntt as nttmod
-        from repro.core.ntt import scratch_cache_bytes, set_scratch_budget
+    @pytest.fixture
+    def empty_pool(self, monkeypatch):
+        monkeypatch.setattr(modmath, "_scratch_buffers", OrderedDict())
+        return modmath._scratch_buffers
 
-        previous = set_scratch_budget(1 << 20)  # 1 MiB
-        saved = dict(nttmod._scratch_cache)
-        nttmod._scratch_cache.clear()
-        try:
-            # Wide batched shapes would pin ~4 MiB without the bound.
-            for tag in ("a", "b", "c", "d"):
-                nttmod._scratch(tag, (128, 1024))  # 1 MiB each
-                assert scratch_cache_bytes() <= (1 << 20)
-            # The most recent key survives; the oldest were evicted.
-            assert "d" in nttmod._scratch_cache
-            assert "a" not in nttmod._scratch_cache
-            # A single buffer above the budget is still served (and kept).
-            buf = nttmod._scratch("big", (512, 1024))  # 4 MiB
-            assert buf.shape == (512, 1024)
-            assert "big" in nttmod._scratch_cache
-        finally:
-            set_scratch_budget(previous)
-            nttmod._scratch_cache.clear()
-            nttmod._scratch_cache.update(saved)
+    def test_budget_bounds_cache_and_evicts_lru(self, empty_pool, monkeypatch):
+        monkeypatch.setattr(modmath, "_SCRATCH_BUDGET_BYTES", 1 << 20)  # 1 MiB
+        # Wide batched shapes would pin ~4 MiB without the bound.
+        for tag in ("a", "b", "c", "d"):
+            modmath._scratch(tag, (128, 1024))  # 1 MiB each
+            assert sum(b.nbytes for b in empty_pool.values()) <= (1 << 20)
+        # The most recent key survives; the oldest were evicted.
+        assert [key[0] for key in empty_pool] == ["d"]
+        # A single buffer above the budget is still served (and kept).
+        buf = modmath._scratch("big", (512, 1024))  # 4 MiB
+        assert buf.shape == (512, 1024)
+        assert [key[0] for key in empty_pool] == ["big"]
 
-    def test_transforms_unchanged_under_tiny_budget(self, toy_params=None):
-        from repro.core import ntt as nttmod
-        from repro.core.ntt import get_stacked_engine, set_scratch_budget
-
+    def test_transforms_unchanged_under_tiny_budget(self, empty_pool, monkeypatch):
         q = generate_ntt_primes(2, 26, 64)
         engine = get_stacked_engine(64, tuple(q))
         rng = np.random.default_rng(3)
         stack = rng.integers(0, min(q), size=(2, 64)).astype(np.uint64)
         reference = engine.forward(stack)
-        previous = set_scratch_budget(4096)
-        try:
-            assert np.array_equal(engine.forward(stack), reference)
-        finally:
-            set_scratch_budget(previous)
+        monkeypatch.setattr(modmath, "_SCRATCH_BUDGET_BYTES", 4096)
+        assert np.array_equal(engine.forward(stack), reference)
+
+    def test_second_thread_is_refused(self):
+        q = generate_ntt_primes(1, 26, 64)[0]
+        engine = get_stacked_engine(64, (q,))
+        stack = np.ones((1, 64), dtype=np.uint64)
+        engine.forward(stack)  # this thread owns the pool from here on
+        caught = []
+
+        def worker():
+            try:
+                engine.forward(stack)
+            except RuntimeError as exc:
+                caught.append(str(exc))
+
+        thread = threading.Thread(target=worker, name="second-caller")
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(caught) == 1
+        assert threading.current_thread().name in caught[0]
+        assert "second-caller" in caught[0]
