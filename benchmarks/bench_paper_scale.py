@@ -69,13 +69,10 @@ def _workload(params):
 
 def _residue_rows(ciphertext) -> list:
     """Backend-independent integer residues of both components."""
-    rows = []
-    for component in (ciphertext.handle.c0, ciphertext.handle.c1):
-        data = component.stack.data
-        if modmath.is_dword_stack(data):
-            data = modmath.dword_merge(data)
-        rows.append([[int(x) for x in row] for row in data])
-    return rows
+    return [
+        [[int(x) for x in row] for row in component.stack.data]
+        for component in (ciphertext.handle.c0, ciphertext.handle.c1)
+    ]
 
 
 def main() -> None:
@@ -127,7 +124,7 @@ def main() -> None:
 
     table = BenchmarkTable(
         f"Paper-scale 59-bit backend comparison [{params.describe()}]",
-        note="dword (hi/lo uint64) backend vs exact object oracle, "
+        note="dword (emulated 128-bit product) backend vs exact object oracle, "
              "bit-identity asserted before timing",
     )
     speedups: dict[str, float] = {}

@@ -18,11 +18,10 @@ model per kernel kind while launching the *same* number of kernels --
 the fused ``(B·L, N)`` contract of :mod:`repro.ckks.batch`.
 
 Finally reconciles the 59-bit double-word plane: an HMult+rescale trace
-at a paper-class 59-bit parameter set (residues as hi/lo uint64 digit
-planes) must move ``2×`` the bytes of the single-word cost model per
-kernel kind while launching the *same* number of kernels -- the dword
-backend widens every element to 16 bytes but never changes the kernel
-structure.
+at a paper-class 59-bit parameter set must match the cost model as built
+-- the same bytes and the same launches per kernel kind: a 59-bit residue
+is one 64-bit word like a 28-bit one, and the double-word arithmetic
+changes neither the traffic nor the kernel structure.
 
 The fusion plane is checked last: :func:`repro.core.fusion.fuse_trace`
 applied to a stage-granular HMult+rescale trace must conserve total
@@ -35,8 +34,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-
 import numpy as np
 
 from repro.api import CKKSSession
@@ -135,7 +132,7 @@ def main() -> int:
             f"at {batch_size}x bytes (delta {bytes_report.bytes_delta:.2%})"
         )
 
-    # -- dword plane: 59-bit trace vs 2x model bytes at 1x model launches --
+    # -- dword plane: 59-bit trace vs the model as built (1x bytes, 1x launches) --
     dword_params = paper_scale_params()
     dword_session = CKKSSession.create(dword_params, seed=3, register_default=False)
     if dword_session.numeric_backend != "dword":
@@ -147,53 +144,37 @@ def main() -> int:
     dct_a = dword_session.encrypt(rng.uniform(-1, 1, 16))
     dct_b = dword_session.encrypt(rng.uniform(-1, 1, 16))
     with dword_session.trace() as dword_trace:
-        dct_a * dct_b  # HMult + rescale on hi/lo uint64 digit planes
+        dct_a * dct_b  # HMult + rescale with double-word arithmetic
     dword_limbs = dct_a.limb_count
     dword_costs = CKKSOperationCosts(dword_params, limb_batch=None, fusion=True)
-    dword_cost = dword_costs.hmult(dword_limbs, include_rescale=True)
-    # The dword backend doubles element width (8 -> 16 bytes), nothing
-    # else: same kernels, same launch count.  Widen the model's bytes by
-    # hand -- Kernel.scaled(2) would double the launches too.
-    widened = [
-        replace(k, bytes_read=k.bytes_read * 2, bytes_written=k.bytes_written * 2)
-        for k in dword_cost.kernels
-    ]
-    dword_bytes_report = reconcile_trace(
-        dword_trace, widened,
-        name=f"59-bit dword HMult+rescale @ N=2^11, {dword_limbs} limbs "
-             f"vs 2x model bytes",
+    dword_report = reconcile_trace(
+        dword_trace, dword_costs.hmult(dword_limbs, include_rescale=True),
+        name=f"59-bit dword HMult+rescale @ N=2^11, {dword_limbs} limbs",
     )
-    print(dword_bytes_report.describe())
-    dword_launch_report = reconcile_trace(
-        dword_trace, dword_cost,
-        name=f"59-bit dword HMult+rescale vs 1x model launches",
-    )
-    if dword_bytes_report.bytes_delta > args.tolerance:
+    print(dword_report.describe())
+    if dword_report.bytes_delta > args.tolerance:
         print(
-            f"FAIL: dword trace bytes diverge from 2x the single-word "
-            f"model by {dword_bytes_report.bytes_delta:.2%} "
-            f"(> {args.tolerance:.0%}); the hi/lo digit planes must cost "
-            f"exactly one extra word per element"
+            f"FAIL: dword trace bytes diverge from the cost model by "
+            f"{dword_report.bytes_delta:.2%} (> {args.tolerance:.0%}); a "
+            f"59-bit residue must move one 64-bit word"
         )
         failed = True
-    if dword_launch_report.kernel_count_delta > args.tolerance:
+    if dword_report.kernel_count_delta > args.tolerance:
         print(
             f"FAIL: dword trace launches "
-            f"{dword_launch_report.kernel_count_trace:.0f} kernels vs "
-            f"{dword_launch_report.kernel_count_model:.0f} for the "
-            f"single-word model (delta "
-            f"{dword_launch_report.kernel_count_delta:.2%} > "
-            f"{args.tolerance:.0%}); widening the element must not change "
-            f"the kernel structure"
+            f"{dword_report.kernel_count_trace:.0f} kernels vs "
+            f"{dword_report.kernel_count_model:.0f} for the cost model "
+            f"(delta {dword_report.kernel_count_delta:.2%} > "
+            f"{args.tolerance:.0%}); the double-word arithmetic must not "
+            f"change the kernel structure"
         )
         failed = True
-    if (dword_bytes_report.bytes_delta <= args.tolerance
-            and dword_launch_report.kernel_count_delta <= args.tolerance):
+    if dword_report.within(kernel_tolerance=args.tolerance,
+                           bytes_tolerance=args.tolerance):
         print(
-            f"dword launches {dword_launch_report.kernel_count_trace:.0f} == "
-            f"single-word launches "
-            f"{dword_launch_report.kernel_count_model:.0f} at 2x bytes "
-            f"(delta {dword_bytes_report.bytes_delta:.2%})"
+            f"dword launches {dword_report.kernel_count_trace:.0f} == "
+            f"model launches {dword_report.kernel_count_model:.0f} at 1x "
+            f"bytes (delta {dword_report.bytes_delta:.2%})"
         )
 
     # -- fusion plane: the fused trace must conserve work, never add bytes --

@@ -35,8 +35,8 @@ from repro.perf.trace_model import TraceCostModel
 #: v4: device-count rows -- the B=8 batched trace member-sharded across
 #: D in {1, 2, 4} modeled devices (the cluster plane), makespan per D.
 #: v5: 59-bit double-word rows -- real timings of the paper-class 59-bit
-#: parameter set on the dword (hi/lo uint64) backend, so the vectorized
-#: wide-modulus path leaves a trail next to the 28-bit fast-path rows.
+#: parameter set on the dword backend, so the vectorized wide-modulus path
+#: leaves a trail next to the 28-bit fast-path rows.
 #: v6: fused-execution rows -- measured python wall clock of the fused
 #: HMult+rescale program vs its per-stage-launch (unfused) trace replay,
 #: both verified bit-identical to eager execution before timing.
@@ -120,8 +120,8 @@ def run_dword_rows(table: BenchmarkTable, *, ring_log2: int = 11,
     """Time the hot path at the paper-class 59-bit set (dword backend).
 
     These rows are real wall-clock timings of the same kernels as the
-    28-bit rows, but with every residue stored as (hi, lo) uint64 digit
-    planes and reduced with improved Barrett / 64-bit Shoup.  The
+    28-bit rows, but with every product emulated from 32-bit digits and
+    reduced with improved Barrett / 64-bit Shoup.  The
     dword-vs-object speedup itself is gated in
     ``benchmarks/bench_paper_scale.py``; these rows track the absolute
     cost of the wide-modulus path release over release.

@@ -168,10 +168,7 @@ class Ciphertext:
         lengths = fused_lengths(cts)
         batch_size = sum(ct.batch_size for ct in cts)
         pool = first.c0.stack.buffer.pool
-        component_bytes = (
-            batch_size * first.limb_count * first.ring_degree
-            * first.c0.stack.buffer.element_bytes
-        )
+        component_bytes = sum(ct.c0.footprint_bytes() for ct in cts)
         if not pool.fits(component_bytes, component_bytes):
             raise FusedFootprintError(
                 f"fusing B={batch_size} ciphertexts at L={first.limb_count} "
@@ -249,9 +246,9 @@ class Ciphertext:
         """Common representation of the ciphertext limbs."""
         return self.c0.fmt
 
-    def footprint_bytes(self, element_bytes: int | None = None) -> int:
+    def footprint_bytes(self) -> int:
         """Device-memory footprint of the ciphertext (``2·B·L·N`` elements)."""
-        return self.c0.footprint_bytes(element_bytes) + self.c1.footprint_bytes(element_bytes)
+        return self.c0.footprint_bytes() + self.c1.footprint_bytes()
 
     # -- structural helpers ---------------------------------------------------
 

@@ -98,8 +98,9 @@ class Context:
 
         # --- numeric backend --------------------------------------------------
         #: Which stack backend the full extended basis selects: ``uint64``
-        #: (single-word), ``dword`` (hi/lo digit planes) or ``object``
-        #: (exact Python integers, the slow oracle).
+        #: (single-word products), ``dword`` (emulated 128-bit products on
+        #: the same one-word storage) or ``object`` (exact Python integers,
+        #: the slow oracle).
         self.numeric_backend: str = modmath.backend_for_moduli(self.extended_moduli)
         if self.numeric_backend == modmath.BACKEND_OBJECT:
             widest = max(self.extended_moduli)

@@ -60,11 +60,10 @@ class KeySwitchingKey:
         """Number of digits."""
         return len(self.digits)
 
-    def footprint_bytes(self, element_bytes: int | None = None) -> int:
+    def footprint_bytes(self) -> int:
         """Device-memory footprint of the key (Figure 8 discussion)."""
         return sum(
-            b.footprint_bytes(element_bytes) + a.footprint_bytes(element_bytes)
-            for b, a in self.digits
+            b.footprint_bytes() + a.footprint_bytes() for b, a in self.digits
         )
 
 

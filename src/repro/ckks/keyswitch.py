@@ -53,15 +53,6 @@ from repro.gpu.kernel import MODADD_OPS, MODMUL_OPS
 _DISPATCH = get_dispatcher()
 
 
-def _empty_stack(backend: str, rows: int, n: int) -> np.ndarray:
-    """Uninitialized limb-stack storage in the given backend's layout."""
-    if backend == modmath.BACKEND_UINT64:
-        return np.empty((rows, n), dtype=np.uint64)
-    if backend == modmath.BACKEND_DWORD:
-        return np.empty((rows, 2, n), dtype=np.uint64)
-    return np.empty((rows, n), dtype=object)
-
-
 @dataclass
 class DecomposedPolynomial:
     """The ModUp'd digits of a polynomial, reusable across rotations.
@@ -96,7 +87,6 @@ def decompose_and_mod_up(context: Context, poly: RNSPoly) -> DecomposedPolynomia
         # Digits partition the basis contiguously, so one stacked iNTT of the
         # whole polynomial hands every digit its coefficient-domain rows.
         poly_coeff = get_stacked_engine(n, tuple(poly.moduli)).inverse(poly.stack.data)
-        backend = modmath.stack_backend(target_col)
         # Per-digit batched base conversions to the complementary basis ∪ P
         # (each digit needs its own Equation-1 tables), each writing its rows
         # straight into the fused NTT buffer (layout-aware: no per-block
@@ -116,7 +106,7 @@ def decompose_and_mod_up(context: Context, poly: RNSPoly) -> DecomposedPolynomia
             for q in converter.target.moduli:
                 fused_moduli.extend([q] * members)
         block_rows = [len(conv.target) * members for conv in converters]
-        stacked = _empty_stack(backend, sum(block_rows), n)
+        stacked = np.empty((sum(block_rows), n), dtype=target_col.dtype)
         row = 0
         for (d0, d1), converter, rows in zip(digit_spans, converters, block_rows):
             # Each member's digit rows are a zero-copy slice of the stacked
@@ -127,14 +117,12 @@ def decompose_and_mod_up(context: Context, poly: RNSPoly) -> DecomposedPolynomia
                 for m in range(members)
             )
             block = stacked[row : row + rows]
-            converter_backend = modmath.stack_backend(converter._target_col)
-            # Mixed-backend chain: the digit's own target basis is narrower
-            # than the fused one, so convert into a staging block, then
-            # widen (the link stitches the dependency edge across the copy).
-            converted = (
-                block if converter_backend == backend
-                else _empty_stack(converter_backend, rows, n)
-            )
+            # Exact chain, machine-word digit target: convert into a word
+            # staging block, then lift to Python integers (the link
+            # stitches the dependency edge across the copy).
+            converted = block
+            if converter._target_col.dtype != block.dtype:
+                converted = np.empty(block.shape, dtype=np.uint64)
 
             def convert(reads, writes, _conv=converter):
                 for m, source in enumerate(reads):
@@ -170,13 +158,13 @@ def decompose_and_mod_up(context: Context, poly: RNSPoly) -> DecomposedPolynomia
             # converter's target basis preserves it, with the digit's
             # complement split around its own span).  Every row is written
             # below, so an uninitialized buffer is enough.
-            stack = _empty_stack(backend, members * extended, n)
+            stack = np.empty((members * extended, n), dtype=target_col.dtype)
             for m, own in enumerate(poly.member_rows(d0, d1)):
                 member = stack[m * extended : (m + 1) * extended]
                 raised = converted_eval[m::members]
                 member[d0:d1] = modmath.coerce_stack(own, target_col)
-                member[:d0] = modmath.coerce_stack(raised[:d0], target_col)
-                member[d1:] = modmath.coerce_stack(raised[d0:], target_col)
+                member[:d0] = raised[:d0]
+                member[d1:] = raised[d0:]
             _DISPATCH.link((converted_eval, poly.stack.data), stack)
             digits_out.append(
                 RNSPoly.from_stack(
@@ -261,9 +249,7 @@ def mod_down_many(context: Context, polys: list[RNSPoly]) -> list[RNSPoly]:
             special_rows = get_stacked_engine(
                 n, special_moduli * (members * len(polys))
             ).inverse(special_rows, consume=True)
-        out = _empty_stack(
-            modmath.stack_backend(target_col), out_rows_each * len(polys), n
-        )
+        out = np.empty((out_rows_each * len(polys), n), dtype=target_col.dtype)
         convert((special_rows,), (out,))
         if is_eval:
             out = get_stacked_engine(

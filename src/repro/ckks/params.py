@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.gpu.kernel import ELEMENT_BYTES
+
 
 @dataclass(frozen=True)
 class CKKSParameters:
@@ -121,16 +123,16 @@ class CKKSParameters:
         """Approximate bit size of the extended modulus ``Q * P``."""
         return self.log_q + self.special_limb_count * self.special_mod_bits
 
-    def key_switching_key_bytes(self, element_bytes: int = 8) -> int:
+    def key_switching_key_bytes(self) -> int:
         """Approximate size of one key-switching key (paper §III-F.1)."""
         limbs = self.limb_count + self.special_limb_count
-        return 2 * self.dnum * limbs * self.ring_degree * element_bytes
+        return 2 * self.dnum * limbs * self.ring_degree * ELEMENT_BYTES
 
-    def ciphertext_bytes(self, limbs: int | None = None, element_bytes: int = 8) -> int:
+    def ciphertext_bytes(self, limbs: int | None = None) -> int:
         """Approximate size of a ciphertext with ``limbs`` limbs."""
         if limbs is None:
             limbs = self.limb_count
-        return 2 * limbs * self.ring_degree * element_bytes
+        return 2 * limbs * self.ring_degree * ELEMENT_BYTES
 
     def describe(self) -> str:
         """Return the ``[logN, L, Δ, dnum]`` shorthand used by the paper."""

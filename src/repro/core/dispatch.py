@@ -99,25 +99,11 @@ except ImportError:  # pragma: no cover - NumPy 1.x
     _byte_bounds = np.byte_bounds
 
 from repro.gpu.kernel import (
-    ELEMENT_BYTES,
     Kernel,
     base_conversion_kernel,
     elementwise_kernel,
     ntt_kernel,
 )
-
-
-def _stack_element_bytes(out: np.ndarray) -> int:
-    """Bytes per logical residue of a stack write.
-
-    Double-word stacks carry ``(rows, 2, N)`` hi/lo digit planes, so every
-    residue moves two machine words (the 2x-bytes contract the trace cost
-    model reconciles against).  Duplicated inline instead of importing
-    :mod:`repro.core.modmath` (which imports this module).
-    """
-    if out.ndim == 3 and out.shape[-2] == 2 and out.dtype != np.object_:
-        return 2 * ELEMENT_BYTES
-    return ELEMENT_BYTES
 
 
 @dataclass(frozen=True)
@@ -128,8 +114,7 @@ class ViewSpec:
     ``offset`` is the element offset of the view's first element within
     that allocation, and ``shape`` is the view's shape.  Together they let
     :class:`TraceProgram` rebuild the exact view against a *fresh* buffer
-    (``fresh.reshape(-1)[offset:offset+size].reshape(shape)``), which
-    works uniformly across the uint64, dword and object backends.
+    (``fresh.reshape(-1)[offset:offset+size].reshape(shape)``).
     """
 
     token: int
@@ -866,9 +851,7 @@ class Dispatcher:
         if self._trace is None or self._suppress:
             return
         out = np.asarray(writes[0])
-        # Stacks are (rows, N) flat or (rows, 2, N) dword digit planes; a
-        # 1-D write is a single row.  Elements count logical residues, so
-        # the digit planes surface as doubled polys (2x bytes) below.
+        # Stacks are (rows, N); a 1-D write is a single row.
         rows = int(out.shape[0]) if out.ndim >= 2 else 1
         cols = int(out.shape[-1])
         elements = max(1, rows * cols)
@@ -900,13 +883,10 @@ class Dispatcher:
         """Record one (i)NTT kernel over ``rows`` limbs."""
         if self._trace is None or self._suppress:
             return
-        out = np.asarray(writes[0])
         if cols is None:
-            cols = int(out.shape[-1])
+            cols = int(np.asarray(writes[0]).shape[-1])
         kernel = ntt_kernel(
-            tag, rows, cols,
-            fused_ops_per_element=fused_ops_per_element,
-            element_bytes=_stack_element_bytes(out),
+            tag, rows, cols, fused_ops_per_element=fused_ops_per_element
         )
         self._trace.add(kernel, scope=self._scope_path(), reads=reads, writes=writes,
                         device=self._device, kind="transform", replay=replay)
@@ -925,13 +905,9 @@ class Dispatcher:
         """Record one fast-base-conversion kernel (Equation 1)."""
         if self._trace is None or self._suppress:
             return
-        out = np.asarray(writes[0])
         if cols is None:
-            cols = int(out.shape[-1])
-        kernel = base_conversion_kernel(
-            tag, source_limbs, target_limbs, cols,
-            element_bytes=_stack_element_bytes(out),
-        )
+            cols = int(np.asarray(writes[0]).shape[-1])
+        kernel = base_conversion_kernel(tag, source_limbs, target_limbs, cols)
         self._trace.add(kernel, scope=self._scope_path(), reads=reads, writes=writes,
                         device=self._device, kind="baseconv", replay=replay)
 

@@ -27,23 +27,14 @@ from repro.core.automorphism import coeff_automorphism_map
 from repro.core.dispatch import get_dispatcher
 from repro.core.limb import Limb, LimbFormat, VectorGPU
 from repro.core.memory import STRATEGY_FLATTENED, FusedFootprintError, MemoryPool
-from repro.gpu.kernel import MODADD_OPS
+from repro.gpu.kernel import ELEMENT_BYTES, MODADD_OPS
 
 _DISPATCH = get_dispatcher()
 
 
 def _add_column(data: np.ndarray, index: int, col: np.ndarray, qs: np.ndarray) -> None:
     """Add ``col`` (one canonical constant per row) to column ``index``, in place."""
-    if data.ndim == 3:
-        # Merge the touched coefficient column (one lane per limb), add
-        # canonically, and split back into the digit planes.
-        shift = np.uint64(32)
-        merged = (data[:, 0, index] << shift) | data[:, 1, index]
-        s = merged + col
-        s = np.where(s >= qs, s - qs, s)
-        data[:, 0, index] = s >> shift
-        data[:, 1, index] = s & np.uint64(0xFFFFFFFF)
-    elif data.dtype == np.object_:
+    if data.dtype == np.object_:
         data[:, index] = (data[:, index] + col) % qs
     else:
         s = data[:, index] + col
@@ -53,16 +44,19 @@ def _add_column(data: np.ndarray, index: int, col: np.ndarray, qs: np.ndarray) -
 class LimbStack:
     """All limbs of one degree-``N`` polynomial in a flat ``(L, N)`` array.
 
+    One ``uint64`` word per residue whenever every modulus is below 2**62
+    (the single-word and the double-word arithmetic share this layout),
+    Python integers in an object array otherwise.
+
     Parameters
     ----------
     moduli:
         One word-sized prime per row.
     data:
-        Canonical ``(len(moduli), N)`` residue stack (or ``(len(moduli),
-        2, N)`` hi/lo digit planes on the double-word backend).  Arrays in
-        another backend's format are converted via
-        :func:`repro.core.modmath.coerce_stack`; use :meth:`from_rows` to
-        canonicalize arbitrary input.
+        Canonical ``(len(moduli), N)`` residue stack.  Machine words under
+        an exact basis (or Python integers under a word basis) are
+        converted via :func:`repro.core.modmath.coerce_stack`; use
+        :meth:`from_rows` to canonicalize arbitrary input.
     pool:
         Memory pool charged for the single flattened allocation.
     """
@@ -78,20 +72,15 @@ class LimbStack:
     ) -> None:
         self.moduli = tuple(int(q) for q in moduli)
         data = np.asarray(data)
-        if data.ndim not in (2, 3) or data.shape[0] != len(self.moduli):
+        if data.ndim != 2 or data.shape[0] != len(self.moduli):
             raise ValueError(
-                f"stack data must be ({len(self.moduli)}, N) or "
-                f"({len(self.moduli)}, 2, N), got {data.shape}"
+                f"stack data must be ({len(self.moduli)}, N), got {data.shape}"
             )
         self._col = modmath.moduli_column(self.moduli)
         self.data = modmath.coerce_stack(data, self._col)
         self.ring_degree = int(self.data.shape[-1])
-        # Double-word rows store two uint64 digit planes per residue, so
-        # the pool is charged 16 bytes per element (2x bytes/limb).
-        element_bytes = 16 if modmath.is_dword_stack(self.data) else 8
         self.buffer = VectorGPU(
             len(self.moduli) * self.ring_degree,
-            element_bytes=element_bytes,
             pool=pool,
             tag=f"LimbStack[{len(self.moduli)}x{self.ring_degree}]",
             strategy=STRATEGY_FLATTENED,
@@ -151,11 +140,7 @@ class LimbStack:
         total_rows = sum(s.num_limbs for s in stacks)
         fused_moduli = [q for stack in stacks for q in stack.moduli]
         fused_col = modmath.moduli_column(fused_moduli)
-        element_bytes = (
-            16 if modmath.stack_backend(fused_col) == modmath.BACKEND_DWORD
-            else stacks[0].buffer.element_bytes
-        )
-        nbytes = total_rows * n * element_bytes
+        nbytes = total_rows * n * ELEMENT_BYTES
         if not target_pool.fits(nbytes):
             rows_each = sorted({s.num_limbs for s in stacks})
             rows_text = (
@@ -191,7 +176,6 @@ class LimbStack:
         stack.ring_degree = int(data.shape[-1])
         stack.buffer = VectorGPU(
             len(stack.moduli) * stack.ring_degree,
-            element_bytes=owner.element_bytes,
             pool=owner.pool,
             managed=False,
             tag="stack-view",
@@ -250,54 +234,28 @@ class LimbStack:
         """Numeric backend of the stack (``uint64``/``dword``/``object``)."""
         return modmath.stack_backend(self._col)
 
-    @property
-    def is_dword(self) -> bool:
-        """True when rows are stored as double-word hi/lo digit planes."""
-        return modmath.stack_backend(self._col) == modmath.BACKEND_DWORD
-
-    def footprint_bytes(self, element_bytes: int | None = None) -> int:
-        """Device-memory footprint of the flat allocation.
-
-        Defaults to the buffer's own element width (16 bytes/element on the
-        double-word backend, 8 otherwise).
-        """
-        if element_bytes is None:
-            element_bytes = self.buffer.element_bytes
-        return self.num_limbs * self.ring_degree * element_bytes
+    def footprint_bytes(self) -> int:
+        """Device-memory footprint of the flat allocation."""
+        return self.buffer.nbytes
 
     def limb_view(self, index: int, fmt: LimbFormat) -> Limb:
-        """Return a :class:`Limb` over row ``index``.
+        """Return a zero-copy :class:`Limb` over row ``index``.
 
-        Zero-copy on the single-word backends: the limb's buffer is an
-        unmanaged window into this stack's flat allocation, so releasing
-        the view never touches pool accounting.  On the double-word backend
-        the digit planes are merged into an exact object-array *copy* (the
-        per-limb representation a >=2**31 modulus has always used) -- a
-        compatibility path, not the hot path.
+        The limb's buffer is an unmanaged window into this stack's flat
+        allocation, so releasing the view never touches pool accounting.
         """
         window = VectorGPU(
             self.ring_degree,
-            element_bytes=self.buffer.element_bytes,
             pool=self.buffer.pool,
             managed=False,
             tag="limb-view",
         )
-        row = self.data[index]
-        if self.data.ndim == 3:
-            row = modmath.object_row(modmath.dword_merge(row))
         return Limb.view_of(
-            self.moduli[index], row, fmt, self.ring_degree, window
+            self.moduli[index], self.data[index], fmt, self.ring_degree, window
         )
 
     def rows(self) -> list[np.ndarray]:
-        """Return per-limb residue rows.
-
-        Zero-copy views on the single-word backends; merged uint64 copies
-        (actual residue values, one lane each) on the double-word backend.
-        """
-        if self.data.ndim == 3:
-            merged = modmath.dword_merge(self.data)
-            return [merged[i] for i in range(self.num_limbs)]
+        """Return per-limb residue rows (zero-copy views)."""
         return [self.data[i] for i in range(self.num_limbs)]
 
     def release(self) -> None:

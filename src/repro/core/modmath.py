@@ -18,22 +18,20 @@ the paper:
 This module provides faithful scalar implementations of all three (the
 Table III artefact, exercised directly by the unit tests and the
 micro-benchmark) plus the batched limb-stack kernels (``stack_*``) that
-are the library's only vectorised modular arithmetic.  Three array
-backends are supported:
+are the library's only vectorised modular arithmetic.  A residue below
+2**62 is one ``uint64`` word of an ``(L, N)`` stack whatever its modulus;
+the three backends differ only in how a *product* is reduced:
 
-* a **fast backend** (``uint64``) for moduli below 2**31, where a product
+* the **fast backend** (``uint64``) for moduli below 2**31, where a product
   of two residues fits in an unsigned 64-bit lane and NumPy's native ``%``
-  is exact;
-* a **double-word backend** (``dword``) for moduli in ``[2**31, 2**62)``
-  -- the regime of the paper's 59/60-bit primes -- where each residue is
-  stored as a pair of uint64 digit planes (``hi = r >> 32``,
-  ``lo = r & 0xFFFFFFFF`` on a trailing ``(L, 2, N)`` axis, 2x the bytes
-  per limb).  Kernels merge the planes into single uint64 lanes (values
-  below 2**63 always fit), emulate the 64x64 -> 128-bit products with four
-  32-bit digit multiplications, and reduce with improved Barrett
-  (variable x variable) or 64-bit Shoup companions (constant operands) --
-  entirely vectorized, no object arrays, no Python loops over ``N``; and
-* an **exact backend** backed by Python integers (``dtype=object``), kept
+  (or a 32-bit Shoup companion) is exact;
+* the **double-word backend** (``dword``) for moduli in ``[2**31, 2**62)``
+  -- the regime of the paper's 59/60-bit primes -- which emulates the
+  64x64 -> 128-bit products with four 32-bit digit multiplications and
+  reduces with improved Barrett (variable x variable) or 64-bit Shoup
+  companions (constant operands) -- entirely vectorized, no object
+  arrays, no Python loops over ``N``; and
+* the **exact backend** backed by Python integers (``dtype=object``), kept
   only as the exactness oracle for moduli at or above 2**62.
 
 The backend is chosen per moduli column by :func:`stack_backend`.
@@ -60,7 +58,7 @@ _DISPATCH = get_dispatcher()
 #: residues are < 2**31, so products are < 2**62 and fit in a uint64 lane.
 FAST_MODULUS_LIMIT = 1 << 31
 
-#: Largest modulus the double-word (hi/lo digit) backend supports.  The
+#: Largest modulus the double-word backend supports.  The
 #: improved-Barrett remainder before correction lies in ``[0, 3q)``, which
 #: must fit a uint64 lane, and the lazy ``[0, 2q)`` representatives the
 #: NTT uses must leave headroom for one uncorrected butterfly sum
@@ -324,20 +322,15 @@ def as_residue_array(values, q: int) -> np.ndarray:
 # an ``(L, 1)`` column that NumPy broadcasts across every row.  One call
 # replaces a Python loop over per-limb vector routines, which is the batching
 # the paper's §III-F kernels perform across limbs on the GPU.  The backend is
-# chosen per moduli column (:func:`stack_backend`): single-word ``uint64``
-# below :data:`FAST_MODULUS_LIMIT`, double-word ``(L, 2, N)`` digit planes
-# below :data:`DWORD_MODULUS_LIMIT`, exact Python integers in an object
-# array beyond that.
+# chosen per moduli column (:func:`stack_backend`): single-word products
+# below :data:`FAST_MODULUS_LIMIT`, emulated double-word products below
+# :data:`DWORD_MODULUS_LIMIT` -- both on one ``uint64`` word per residue --
+# and exact Python integers in an object array beyond that.
 
 #: Elementwise ``int()`` over an array; the safe way to turn a uint64 array
 #: into Python-integer objects (``astype(object)`` would keep ``np.uint64``
 #: elements whose arithmetic silently wraps or degrades to float).
 _to_object_ints = np.frompyfunc(int, 1, 1)
-
-
-def all_fast_moduli(moduli) -> bool:
-    """Return True when every modulus can use the fast uint64 backend."""
-    return all(is_fast_modulus(int(q)) for q in moduli)
 
 
 #: Stack-backend names, in increasing generality.
@@ -349,10 +342,10 @@ BACKEND_OBJECT = "object"
 def backend_for_moduli(moduli) -> str:
     """Return the stack backend a set of moduli selects.
 
-    ``uint64`` when every modulus is below 2**31, ``dword`` (hi/lo digit
-    planes) when every modulus is below 2**62, ``object`` (exact Python
-    integers) otherwise.  The backend is a pure function of the modulus
-    values, so any sub-basis of a chain classifies consistently.
+    ``uint64`` when every modulus is below 2**31, ``dword`` (emulated
+    128-bit products) when every modulus is below 2**62, ``object`` (exact
+    Python integers) otherwise.  The backend is a pure function of the
+    modulus values, so any sub-basis of a chain classifies consistently.
     """
     largest = max(int(q) for q in moduli)
     if largest < FAST_MODULUS_LIMIT:
@@ -365,11 +358,11 @@ def backend_for_moduli(moduli) -> str:
 def moduli_column(moduli) -> np.ndarray:
     """Return the ``(L, 1)`` broadcastable column of stack moduli.
 
-    The column dtype and values select the backend for the whole stack:
-    ``uint64`` values below 2**62 (fast or double-word residues),
-    ``object`` (exact Python integers) otherwise.  Columns are cached per
-    moduli tuple -- every polynomial at the same level shares one
-    (hot-path constructor cost).
+    The column's dtype is the dtype of every stack over it -- ``uint64``
+    when all values are below 2**62, ``object`` (exact Python integers)
+    otherwise -- and its values select the word arithmetic.  Columns are
+    cached per moduli tuple -- every polynomial at the same level shares
+    one (hot-path constructor cost).
     """
     return _moduli_column_cached(tuple(int(q) for q in moduli))
 
@@ -414,128 +407,44 @@ def object_row(values) -> np.ndarray:
     return _to_object_ints(arr)
 
 
-# -- double-word (hi/lo digit plane) representation -------------------------
-#
-# A dword stack stores residues on a ``(..., 2, N)`` trailing axis pair:
-# plane 0 holds the high 32-bit digit (``r >> 32``), plane 1 the low digit
-# (``r & 0xFFFFFFFF``), each in its own uint64 lane (2x the bytes of a
-# single-word stack).  Because every supported modulus is below 2**62, the
-# *merged* value -- and even a lazy ``[0, 2q)`` representative -- always
-# fits one uint64, so kernels merge at entry, compute on single lanes with
-# digit-product 128-bit emulation, and split at exit.
-
-_M32 = np.uint64(0xFFFFFFFF)
-_SH32 = np.uint64(32)
-
-
-def dword_merge(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Merge ``(..., 2, N)`` hi/lo digit planes into ``(..., N)`` values."""
-    data = np.asarray(data)
-    hi = data[..., 0, :]
-    lo = data[..., 1, :]
-    if out is None:
-        out = np.empty(hi.shape, dtype=np.uint64)
-    np.left_shift(hi, _SH32, out=out)
-    np.bitwise_or(out, lo, out=out)
-    return out
-
-
-def dword_split(merged: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Split ``(..., N)`` uint64 values into ``(..., 2, N)`` digit planes."""
-    merged = np.asarray(merged)
-    shape = merged.shape[:-1] + (2, merged.shape[-1])
-    if out is None:
-        out = np.empty(shape, dtype=np.uint64)
-    np.right_shift(merged, _SH32, out=out[..., 0, :])
-    np.bitwise_and(merged, _M32, out=out[..., 1, :])
-    return out
-
-
-def is_dword_stack(data: np.ndarray) -> bool:
-    """True when an array is in dword digit-plane format.
-
-    Stacks are 2-D (``(rows, N)``) on the single-word backends and 3-D
-    (``(rows, 2, N)``) on the dword backend, so the rank is the format tag.
-    """
-    data = np.asarray(data)
-    return data.ndim == 3 and data.shape[-2] == 2 and data.dtype != np.object_
-
-
 def coerce_stack(data: np.ndarray, moduli_col: np.ndarray) -> np.ndarray:
-    """Coerce a canonical stack into the backend format of ``moduli_col``.
+    """Coerce canonical residues into the stack dtype of ``moduli_col``.
 
-    A no-op when the formats already agree.  Needed at regime boundaries:
-    a sub-basis of a mixed chain (digit decomposition, rescale targets) can
-    select a different backend than the parent stack.  Values must already
-    be canonical residues, so every conversion is exact (dword planes merge
-    into single lanes; single-word values below 2**62 split losslessly).
+    A no-op when the dtypes already agree.  The one storage boundary is
+    machine word <-> Python integer: a sub-basis of an exact chain whose
+    own moduli are all below 2**62 is a ``uint64`` stack.  Values must
+    already be canonical residues, so both directions are exact.
     """
     data = np.asarray(data)
-    backend = stack_backend(moduli_col)
-    dword = is_dword_stack(data)
-    if backend == BACKEND_UINT64:
-        if dword:
-            return dword_merge(data)
-        if data.dtype == np.object_:
-            return data.astype(np.uint64)
+    exact = moduli_col.dtype == np.object_
+    if exact == (data.dtype == np.object_):
         return data
-    if backend == BACKEND_DWORD:
-        if dword:
-            return data
-        if data.dtype == np.object_:
-            return dword_split(data.astype(np.uint64))
-        return dword_split(data)
-    if dword:
-        return _to_object_ints(dword_merge(data))
-    if data.dtype != np.object_:
-        return _to_object_ints(data)
-    return data
+    return _to_object_ints(data) if exact else data.astype(np.uint64)
 
 
 def as_residue_stack(rows, moduli) -> np.ndarray:
-    """Canonicalize per-limb residue rows into one stack array.
-
-    Returns ``(L, N)`` on the single-word backends and ``(L, 2, N)`` digit
-    planes on the dword backend.
-    """
+    """Canonicalize per-limb residue rows into one ``(L, N)`` stack array."""
     moduli = [int(q) for q in moduli]
     if len(rows) != len(moduli):
         raise ValueError("row count does not match modulus count")
     canonical = [as_residue_array(np.asarray(row), q) for row, q in zip(rows, moduli)]
-    backend = backend_for_moduli(moduli)
-    if backend == BACKEND_UINT64:
-        return np.stack(canonical)
-    if backend == BACKEND_DWORD:
-        merged = np.stack([
-            row.astype(np.uint64) if row.dtype == np.object_ else row
-            for row in canonical
-        ])
-        return dword_split(merged)
-    return np.stack([object_row(c) for c in canonical])
+    if backend_for_moduli(moduli) == BACKEND_OBJECT:
+        return np.stack([object_row(c) for c in canonical])
+    return np.stack([c.astype(np.uint64, copy=False) for c in canonical])
 
 
 def stack_zeros(num_limbs: int, n: int, moduli_col: np.ndarray) -> np.ndarray:
-    """Return an all-zero stack in the backend's dtype and shape."""
-    backend = stack_backend(moduli_col)
-    if backend == BACKEND_UINT64:
-        return np.zeros((num_limbs, n), dtype=np.uint64)
-    if backend == BACKEND_DWORD:
-        return np.zeros((num_limbs, 2, n), dtype=np.uint64)
-    return np.full((num_limbs, n), 0, dtype=object)
+    """Return an all-zero ``(num_limbs, n)`` stack in the column's dtype."""
+    return np.zeros((num_limbs, n), dtype=moduli_col.dtype)
 
 
 def scalar_column(scalars, moduli_col: np.ndarray) -> np.ndarray:
-    """Canonicalize one integer constant per limb into an ``(L, 1)`` column.
-
-    On the dword backend the column holds *merged* uint64 values (every
-    canonical residue below 2**62 fits one lane).
-    """
+    """Canonicalize one integer constant per limb into an ``(L, 1)`` column."""
     moduli = [int(q) for q in np.asarray(moduli_col).ravel()]
     if len(scalars) != len(moduli):
         raise ValueError("need one scalar per limb")
     values = [int(s) % q for s, q in zip(scalars, moduli)]
-    dtype = np.object_ if stack_backend(moduli_col) == BACKEND_OBJECT else np.uint64
-    return np.array(values, dtype=dtype).reshape(-1, 1)
+    return np.array(values, dtype=moduli_col.dtype).reshape(-1, 1)
 
 
 #: Shift of the Shoup constant-operand multiplication on the fast backend:
@@ -555,8 +464,8 @@ _SCRATCH_BUDGET_BYTES = 96 << 20
 #: page-fault zero-fill pass that can exceed the arithmetic itself, so the
 #: kernels stage their *internal* temporaries here (results stay freshly
 #: allocated -- scratch never escapes a kernel).  The dtype is part of the
-#: key so double-word temporaries cannot collide with single-word uint64
-#: buffers of the same (tag, shape).
+#: key so an exact-backend fused intermediate cannot collide with a uint64
+#: buffer of the same (tag, shape).
 _scratch_buffers: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 
 #: ``(ident, name)`` of the thread that first drew from the pool.  The pool
@@ -606,8 +515,10 @@ def _fast_reduce_once(s: np.ndarray, moduli_col: np.ndarray) -> np.ndarray:
     When ``s < q`` the uint64 subtraction ``s - q`` wraps far above ``2q``,
     so the elementwise minimum selects the already-reduced value; when
     ``s >= q`` it selects ``s - q``.  One subtract and one min replace the
-    compare/where/subtract triple.  ``s`` must be a kernel-owned temporary:
-    the reduction happens in place (the correction term lives in scratch).
+    compare/where/subtract triple -- exact for every ``q < 2**63`` (``2q``
+    still fits the lane), so the fast and the double-word backend share it.
+    ``s`` must be a kernel-owned temporary: the reduction happens in place
+    (the correction term lives in scratch).
     """
     tmp = _scratch("reduce", s.shape)
     np.subtract(s, moduli_col, out=tmp)
@@ -622,13 +533,18 @@ def shoup_column(constants: np.ndarray, moduli_col: np.ndarray) -> np.ndarray:
 
 # -- double-word kernel internals -------------------------------------------
 #
-# All helpers below operate on *merged* uint64 lanes (see dword_merge) with
-# per-row constants from :class:`_DWordTables`.  The 64x64 -> 128-bit
+# All helpers below take one uint64 word per residue and derive its 32-bit
+# digits themselves, with per-row constants from :class:`_DWordTables`.
+# Every supported modulus is below 2**62, so a residue -- and even a lazy
+# ``[0, 2q)`` representative -- always fits the word.  The 64x64 -> 128-bit
 # products a >= 2**31 modulus needs are emulated with four 32-bit digit
 # multiplications; variable x variable products reduce with the improved
 # Barrett of Shivdikar et al. (quotient estimate off by at most two, so two
 # branch-free min corrections), constant multiplies with 64-bit Shoup
 # companions (estimate off by at most one).
+
+_M32 = np.uint64(0xFFFFFFFF)
+_SH32 = np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -643,7 +559,7 @@ class _DWordTables:
     ``q < 2**62``.
     """
 
-    q: np.ndarray        # (L, 1) merged moduli
+    q: np.ndarray        # (L, 1) moduli
     q2: np.ndarray       # (L, 1) doubled moduli (lazy-representative bound)
     mu_hi: np.ndarray    # (L, 1) high/low 32-bit digits of mu
     mu_lo: np.ndarray
@@ -687,7 +603,7 @@ def _dword_tables_cached(moduli: tuple) -> _DWordTables:
 
 
 def dword_shoup_column(constants: np.ndarray, moduli_col: np.ndarray) -> np.ndarray:
-    """Precompute ``floor(c * 2**64 / q)`` companions for merged constants.
+    """Precompute ``floor(c * 2**64 / q)`` companions for dword constants.
 
     Exact object arithmetic (the quotients straddle 2**63); a setup-time
     cost paid once per cached table, never on the kernel hot path.
@@ -722,9 +638,9 @@ def _dword_barrett(p_hi: np.ndarray, p_lo: np.ndarray,
     return r
 
 
-def _dword_mul_merged(am: np.ndarray, bm: np.ndarray,
-                      dw: _DWordTables) -> np.ndarray:
-    """Canonical ``(am * bm) mod q`` for merged canonical operands."""
+def _dword_mul(am: np.ndarray, bm: np.ndarray,
+               dw: _DWordTables) -> np.ndarray:
+    """Canonical ``(am * bm) mod q`` for canonical operands."""
     a_lo = am & _M32
     a_hi = am >> _SH32
     b_lo = bm & _M32
@@ -738,7 +654,7 @@ def _dword_mul_merged(am: np.ndarray, bm: np.ndarray,
     return _dword_barrett(p_hi, p_lo, dw)
 
 
-def _dword_shoup_mul_merged(
+def _dword_shoup_mul(
     am: np.ndarray,
     constants: np.ndarray,
     shoup: np.ndarray,
@@ -746,7 +662,7 @@ def _dword_shoup_mul_merged(
     *,
     lazy: bool = False,
 ) -> np.ndarray:
-    """Merged ``(am * constants) mod q`` via 64-bit Shoup companions.
+    """``(am * constants) mod q`` via 64-bit Shoup companions.
 
     ``am`` may be any uint64 value (lazy ``[0, 2q)`` representatives
     included); the quotient estimate ``mulhi64(am, shoup)`` is at most one
@@ -759,6 +675,14 @@ def _dword_shoup_mul_merged(
         return r
     np.minimum(r, r - dw.q, out=r)
     return r
+
+
+def _into(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Return ``result``, stored into the caller's ``out`` when one is given."""
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
 def stack_shoup_mul(
@@ -780,16 +704,15 @@ def stack_shoup_mul(
     saving the correction passes when the caller reduces later anyway.
     ``out`` may alias ``a`` (the quotient is read out of ``a`` first).
 
-    On the dword backend ``a``/``out`` are digit-plane stacks while
-    ``constants``/``shoup`` are *merged* values with 64-bit companions
-    (:func:`dword_shoup_column`).
+    On the dword backend ``a`` may be any uint64 value and ``shoup`` holds
+    the 64-bit companions (:func:`dword_shoup_column`).
     """
     if stack_is_dword(moduli_col):
-        dw = _dword_tables(moduli_col)
-        r = _dword_shoup_mul_merged(
-            dword_merge(a), constants, shoup, dw, lazy=lazy
+        return _into(
+            _dword_shoup_mul(a, constants, shoup, _dword_tables(moduli_col),
+                             lazy=lazy),
+            out,
         )
-        return dword_split(r, out=out)
     shape = np.broadcast_shapes(a.shape, np.shape(shoup))
     quotient = _scratch("shoup-q", shape)
     np.multiply(a, shoup, out=quotient)
@@ -816,26 +739,15 @@ def stack_add_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
     existing buffer -- the replay/fusion path's way of avoiding fresh
     allocations per kernel.
     """
-    backend = stack_backend(moduli_col)
-    if backend == BACKEND_UINT64:
+    if moduli_col.dtype == np.object_:
+        out = _into((a + b) % moduli_col, out)
+    else:
         if out is None:
             s = a + b
         else:
             np.add(a, b, out=out)
             s = out
         out = _fast_reduce_once(s, moduli_col)
-    elif backend == BACKEND_DWORD:
-        dw = _dword_tables(moduli_col)
-        s = dword_merge(a)
-        s += dword_merge(b, out=_scratch("dw-add", s.shape))
-        np.minimum(s, s - dw.q, out=s)
-        out = dword_split(s, out=out)
-    else:
-        result = (a + b) % moduli_col
-        if out is None:
-            out = result
-        else:
-            out[...] = result
     if _DISPATCH.recording:
         replay = None
         if _DISPATCH.executable_recording:
@@ -851,8 +763,9 @@ def stack_add_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
 def stack_sub_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
                   *, out: np.ndarray | None = None) -> np.ndarray:
     """Row-broadcast elementwise ``(a - b) mod q_i`` over a limb stack."""
-    backend = stack_backend(moduli_col)
-    if backend == BACKEND_UINT64:
+    if moduli_col.dtype == np.object_:
+        out = _into((a - b) % moduli_col, out)
+    else:
         if out is None:
             s = a + moduli_col
             s -= b
@@ -863,19 +776,6 @@ def stack_sub_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
             out += moduli_col
             s = out
         out = _fast_reduce_once(s, moduli_col)
-    elif backend == BACKEND_DWORD:
-        dw = _dword_tables(moduli_col)
-        s = dword_merge(a)
-        s += dw.q
-        s -= dword_merge(b, out=_scratch("dw-sub", s.shape))
-        np.minimum(s, s - dw.q, out=s)
-        out = dword_split(s, out=out)
-    else:
-        result = (a - b) % moduli_col
-        if out is None:
-            out = result
-        else:
-            out[...] = result
     if _DISPATCH.recording:
         replay = None
         if _DISPATCH.executable_recording:
@@ -891,19 +791,11 @@ def stack_sub_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
 def stack_neg_mod(a: np.ndarray, moduli_col: np.ndarray,
                   *, out: np.ndarray | None = None) -> np.ndarray:
     """Row-broadcast elementwise ``(-a) mod q_i`` over a limb stack."""
-    backend = stack_backend(moduli_col)
-    if backend == BACKEND_UINT64:
-        result = np.where(a == 0, a, moduli_col - a)
-    elif backend == BACKEND_DWORD:
-        dw = _dword_tables(moduli_col)
-        m = dword_merge(a)
-        result = dword_split(np.where(m == 0, m, dw.q - m))
-    else:
+    if moduli_col.dtype == np.object_:
         result = (-a) % moduli_col
-    if out is None:
-        out = result
     else:
-        out[...] = result
+        result = np.where(a == 0, a, moduli_col - a)
+    out = _into(result, out)
     if _DISPATCH.recording:
         replay = None
         if _DISPATCH.executable_recording:
@@ -924,13 +816,10 @@ def stack_mul_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
     need a fixed operand) while the dword backend reduces the emulated
     128-bit product with improved Barrett.
     """
-    if stack_is_dword(moduli_col):
-        out = dword_split(
-            _dword_mul_merged(dword_merge(a), dword_merge(b),
-                              _dword_tables(moduli_col)),
-            out=out,
-        )
-    elif stack_backend(moduli_col) == BACKEND_UINT64:
+    backend = stack_backend(moduli_col)
+    if backend == BACKEND_DWORD:
+        out = _into(_dword_mul(a, b, _dword_tables(moduli_col)), out)
+    elif backend == BACKEND_UINT64:
         if out is None:
             s = a * b
         else:
@@ -939,11 +828,7 @@ def stack_mul_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
         s %= moduli_col
         out = s
     else:
-        result = (a * b) % moduli_col
-        if out is None:
-            out = result
-        else:
-            out[...] = result
+        out = _into((a * b) % moduli_col, out)
     if _DISPATCH.recording:
         replay = None
         if _DISPATCH.executable_recording:
@@ -998,21 +883,19 @@ def stack_dot_mod(pairs, moduli_col: np.ndarray,
         dw = _dword_tables(moduli_col)
         acc = None
         for x, y in pairs:
-            term = _dword_mul_merged(dword_merge(x), dword_merge(y), dw)
+            term = _dword_mul(x, y, dw)
             if acc is None:
                 acc = term
             else:
                 acc += term
                 np.minimum(acc, acc - dw.q, out=acc)
-        acc = dword_split(acc, out=out)
+        acc = _into(acc, out)
     else:
         acc = None
         for x, y in pairs:
             product = (x * y) % moduli_col
             acc = product if acc is None else (acc + product) % moduli_col
-        if out is not None:
-            out[...] = acc
-            acc = out
+        acc = _into(acc, out)
     if _DISPATCH.recording:
         replay = None
         if _DISPATCH.executable_recording:
@@ -1047,11 +930,7 @@ def stack_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,
         out = stack_shoup_mul(a, col, _dword_scalar_shoup(scalars, moduli_col),
                               moduli_col, out=out)
     else:
-        result = (a * col) % moduli_col
-        if out is None:
-            out = result
-        else:
-            out[...] = result
+        out = _into((a * col) % moduli_col, out)
     if _DISPATCH.recording:
         replay = None
         if _DISPATCH.executable_recording:
@@ -1087,26 +966,15 @@ def stack_add_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,
                          *, out: np.ndarray | None = None) -> np.ndarray:
     """Add one integer constant per row (broadcast to every element)."""
     col = scalar_column(scalars, moduli_col)
-    backend = stack_backend(moduli_col)
-    if backend == BACKEND_UINT64:
+    if moduli_col.dtype == np.object_:
+        out = _into((a + col) % moduli_col, out)
+    else:
         if out is None:
             s = a + col
         else:
             np.add(a, col, out=out)
             s = out
         out = _fast_reduce_once(s, moduli_col)
-    elif backend == BACKEND_DWORD:
-        dw = _dword_tables(moduli_col)
-        s = dword_merge(a)
-        s += col
-        np.minimum(s, s - dw.q, out=s)
-        out = dword_split(s, out=out)
-    else:
-        result = (a + col) % moduli_col
-        if out is None:
-            out = result
-        else:
-            out[...] = result
     if _DISPATCH.recording:
         replay = None
         if _DISPATCH.executable_recording:
@@ -1126,9 +994,7 @@ def stack_switch_modulus(row: np.ndarray, q_from: int, moduli_col: np.ndarray) -
     Residues are interpreted in the centred interval
     ``(-q_from/2, q_from/2]`` -- the convention base conversion and
     mod-raise need to keep the underlying signed value intact -- and
-    reduced against each row modulus at once, producing an ``(L, N)`` stack (``(L, 2, N)``
-    digit planes on the dword backend; a dword ``row`` arrives as its
-    ``(2, N)`` planes).
+    reduced against each row modulus at once, producing an ``(L, N)`` stack.
 
     Exact int64 arithmetic covers every modulus below 2**62: the centred
     values have magnitude at most ``q_from/2 < 2**61`` and NumPy's ``%``
@@ -1136,29 +1002,17 @@ def stack_switch_modulus(row: np.ndarray, q_from: int, moduli_col: np.ndarray) -
     until the exact backend itself.
     """
     half = q_from >> 1
-    backend = stack_backend(moduli_col)
     row = np.asarray(row)
-    # A single row is 1-D on the single-word backends and arrives as its
-    # (2, N) digit planes from a dword-format parent stack -- even when
-    # q_from itself is small (mixed chains store every row as planes).
-    row_is_dword = (
-        row.ndim == 2 and row.shape[0] == 2 and row.dtype != np.object_
-    )
-    if backend != BACKEND_OBJECT and q_from < DWORD_MODULUS_LIMIT:
-        merged = dword_merge(row) if row_is_dword else row
-        v = merged.astype(np.int64)
+    if moduli_col.dtype != np.object_ and q_from < DWORD_MODULUS_LIMIT:
+        v = row.astype(np.int64)
         centred = np.where(v > half, v - q_from, v)
-        out = centred[None, :] % np.asarray(moduli_col).astype(np.int64)
+        out = centred[None, :] % moduli_col.astype(np.int64)
         out = out.astype(np.uint64)
-        if backend == BACKEND_DWORD:
-            out = dword_split(out)
     else:
-        values = object_row(
-            dword_merge(row).ravel() if row_is_dword else row.ravel()
-        )
+        values = object_row(row.ravel())
         centred = np.where(values > half, values - q_from, values)
         out = centred[None, :] % np.array(
-            [int(q) for q in np.asarray(moduli_col).ravel()], dtype=object
+            [int(q) for q in moduli_col.ravel()], dtype=object
         ).reshape(-1, 1)
         out = coerce_stack(out, moduli_col)
     if _DISPATCH.recording:
@@ -1178,46 +1032,29 @@ def stack_switch_modulus_many(rows: np.ndarray, q_from: int,
                               *, out: np.ndarray | None = None) -> np.ndarray:
     """Batched :func:`stack_switch_modulus` over ``P`` residue rows at once.
 
-    ``rows`` holds ``P`` rows mod ``q_from`` (``(P, N)`` single-word,
-    ``(P, 2, N)`` dword planes); the result stacks each row's switch into
-    the ``keep`` target moduli contiguously -- ``(P*keep, N)`` (or
-    ``(P*keep, 2, N)``) with row block ``p`` covering ``rows[p]``.  This is
-    the layout the batched rescale tail consumes directly, replacing the
-    per-row python loop + ``vstack`` staging copy of the unbatched path.
-    Row ``p*keep + i`` is bit-identical to
+    ``rows`` holds ``P`` rows mod ``q_from`` as a ``(P, N)`` stack; the
+    result stacks each row's switch into the ``keep`` target moduli
+    contiguously -- ``(P*keep, N)`` with row block ``p`` covering
+    ``rows[p]``.  This is the layout the batched rescale tail consumes
+    directly, replacing the per-row python loop + ``vstack`` staging copy
+    of the unbatched path.  Row ``p*keep + i`` is bit-identical to
     ``stack_switch_modulus(rows[p], q_from, moduli_col)[i]``.
     """
     rows = np.asarray(rows)
     half = q_from >> 1
-    backend = stack_backend(moduli_col)
-    keep = int(np.asarray(moduli_col).size)
-    rows_are_dword = is_dword_stack(rows)
+    keep = int(moduli_col.size)
     count = int(rows.shape[0])
-    if backend != BACKEND_OBJECT and q_from < DWORD_MODULUS_LIMIT:
-        merged = dword_merge(rows) if rows_are_dword else rows
-        v = merged.astype(np.int64)
+    if moduli_col.dtype != np.object_ and q_from < DWORD_MODULUS_LIMIT:
+        v = rows.astype(np.int64)
         centred = np.where(v > half, v - q_from, v)
-        cols = np.asarray(moduli_col).astype(np.int64).reshape(1, keep, 1)
+        cols = moduli_col.astype(np.int64).reshape(1, keep, 1)
         switched = (centred[:, None, :] % cols).astype(np.uint64)
-        switched = switched.reshape(count * keep, -1)
-        if backend == BACKEND_DWORD:
-            result = dword_split(switched, out=out)
-        elif out is None:
-            result = switched
-        else:
-            np.copyto(out, switched)
-            result = out
-    else:
-        blocks = [
-            stack_switch_modulus(rows[p], q_from, moduli_col)
-            for p in range(count)
-        ]
-        if out is None:
-            result = np.concatenate(blocks, axis=0)
-        else:
-            np.concatenate(blocks, axis=0, out=out)
-            result = out
-    return result
+        return _into(switched.reshape(count * keep, -1), out)
+    blocks = [
+        stack_switch_modulus(rows[p], q_from, moduli_col)
+        for p in range(count)
+    ]
+    return np.concatenate(blocks, axis=0, out=out)
 
 
 __all__ = [
@@ -1236,7 +1073,6 @@ __all__ = [
     "bit_length",
     "is_fast_modulus",
     "as_residue_array",
-    "all_fast_moduli",
     "backend_for_moduli",
     "BACKEND_UINT64",
     "BACKEND_DWORD",
@@ -1245,9 +1081,6 @@ __all__ = [
     "stack_backend",
     "stack_is_fast",
     "stack_is_dword",
-    "dword_merge",
-    "dword_split",
-    "is_dword_stack",
     "dword_shoup_column",
     "object_row",
     "coerce_stack",

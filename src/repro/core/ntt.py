@@ -94,8 +94,8 @@ def reference_transform(
 ) -> np.ndarray:
     """Exact-integer negacyclic NTT (or iNTT) of every row, for any moduli.
 
-    ``rows`` holds one length-``N`` residue vector per modulus (merged
-    values, any integer dtype); the result is a fresh ``(rows, N)`` object
+    ``rows`` holds one length-``N`` residue vector per modulus (any
+    integer dtype); the result is a fresh ``(rows, N)`` object
     array of Python integers.  Canonical radix-2 stages, one ``%`` per
     operation: the production path of the exact (``>= 2**62``) backend and
     the oracle the uint64 and dword pipelines are tested against -- they
@@ -326,16 +326,11 @@ class StackedNTTEngine:
         return stages, transposed
 
     def _check_operand(self, stack: np.ndarray) -> None:
-        """Reject a stack that is not one row (or digit-plane pair) per modulus."""
-        if not (
-            (stack.ndim == 2 or modmath.is_dword_stack(stack))
-            and stack.shape[0] == len(self.moduli)
-            and stack.shape[-1] == self.ring_degree
-        ):
+        """Reject a stack that is not one length-``N`` row per modulus."""
+        if stack.shape != (len(self.moduli), self.ring_degree):
             raise ValueError(
                 f"stack of shape {stack.shape} does not match the engine: "
-                f"expected ({len(self.moduli)}, {self.ring_degree}) residues "
-                f"or ({len(self.moduli)}, 2, {self.ring_degree}) digit planes"
+                f"expected ({len(self.moduli)}, {self.ring_degree}) residues"
             )
 
     def _working_copy(self, stack: np.ndarray, consume: bool) -> np.ndarray:
@@ -525,29 +520,22 @@ class StackedNTTEngine:
     # == data rows); a period of one broadcasts a single table row over
     # every data row of the stack.
     #
-    # Dword chunks arrive as (rows, 2, N) hi/lo digit planes.  Every
-    # canonical residue (< 2**62) and lazy representative (< 2q < 2**63)
-    # fits one uint64 lane, so the chunk merges its planes into a single
-    # (rows, N) working buffer at entry, runs the same stage loop -- only
-    # the Shoup quotient estimate differs (:meth:`_shoup_quotient`) -- and
-    # splits back at exit.
+    # Every canonical residue (< 2**62) and lazy representative (< 2q <
+    # 2**63) of a dword modulus fits the uint64 word it is stored in, so
+    # both word backends run the same stage loop on the same rows -- only
+    # the Shoup quotient estimate differs (:meth:`_shoup_quotient`).
 
-    def _enter_chunk(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Single-lane working rows of a chunk plus its four stage buffers."""
-        rows = int(a.shape[0])
-        n = self.ring_degree
-        data = a
-        if self.dword:
-            data = modmath.dword_merge(a, out=modmath._scratch("ntt-dw", (rows, n)))
-        size = rows * (n // 2)
+    def _stage_buffers(self, rows: int) -> np.ndarray:
+        """The four staggered stage buffers of a ``rows``-row chunk."""
+        size = rows * (self.ring_degree // 2)
         bufs = modmath._scratch("ntt-stage", (4, size + _STAGE_BUFFER_STAGGER))
         lead = _STAGE_BUFFER_STAGGER // 2
-        return data, bufs[:, lead : lead + size]
+        return bufs[:, lead : lead + size]
 
-    def _forward_rows(self, a: np.ndarray, t0: int, t1: int) -> None:
+    def _forward_rows(self, data: np.ndarray, t0: int, t1: int) -> None:
         n = self.ring_degree
-        rows = int(a.shape[0])
-        data, bufs = self._enter_chunk(a)
+        rows = int(data.shape[0])
+        bufs = self._stage_buffers(rows)
         q3 = self._col3[t0:t1]
         tq3 = self._two3[t0:t1]
         grid = self._grid
@@ -576,12 +564,10 @@ class StackedNTTEngine:
             np.copyto(data.reshape(rows, grid, block), gbuf.transpose(0, 2, 1))
         # Canonicalize the lazy representatives once.
         modmath._fast_reduce_once(data, self._base_col[t0:t1])
-        if self.dword:
-            modmath.dword_split(data, out=a)
 
-    def _inverse_rows(self, a: np.ndarray, t0: int, t1: int) -> None:
-        rows = int(a.shape[0])
-        data, bufs = self._enter_chunk(a)
+    def _inverse_rows(self, data: np.ndarray, t0: int, t1: int) -> None:
+        rows = int(data.shape[0])
+        bufs = self._stage_buffers(rows)
         q3 = self._col3[t0:t1]
         tq3 = self._two3[t0:t1]
         grid = self._grid
@@ -608,11 +594,8 @@ class StackedNTTEngine:
                 bufs.reshape(4, rows, -1, t),
             )
             t *= 2
-        # Rows are left lazy (< 2q), through the dword split too; the
-        # caller's fused N^-1 Shoup scaling accepts any uint64 input and
-        # canonicalizes.
-        if self.dword:
-            modmath.dword_split(data, out=a)
+        # Rows are left lazy (< 2q); the caller's fused N^-1 Shoup scaling
+        # accepts any uint64 input and canonicalizes.
 
     def _shoup_quotient(self, x, sh, q, out) -> None:
         """``out = q * floor(x * w / q)`` up to one ``q``, from ``w``'s companion.

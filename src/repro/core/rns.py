@@ -208,8 +208,6 @@ class BaseConverter:
             )
         stack = modmath.as_residue_stack(limbs, self.source.moduli)
         converted = self.convert_stack(stack)
-        if modmath.is_dword_stack(converted):
-            converted = modmath.dword_merge(converted)
         return [converted[k] for k in range(len(self.target))]
 
     def convert_stack(
@@ -267,16 +265,11 @@ class BaseConverter:
                     self._q_hat_inv_shoup,
                     self._source_col,
                 )
-                merged = (
-                    modmath.dword_merge(scaled)
-                    if modmath.is_dword_stack(scaled)
-                    else scaled
-                )
                 dw = modmath._dword_tables(self._target_col)
                 acc = None
                 for i in range(len(self.source)):
-                    term = modmath._dword_shoup_mul_merged(
-                        merged[i][None, :],
+                    term = modmath._dword_shoup_mul(
+                        scaled[i][None, :],
                         self._q_hat_matrix[:, i : i + 1],
                         self._q_hat_shoup_matrix[:, i : i + 1],
                         dw,
@@ -286,13 +279,7 @@ class BaseConverter:
                     else:
                         acc += term
                         np.minimum(acc, acc - dw.q, out=acc)
-                if self._target_backend == modmath.BACKEND_DWORD:
-                    converted = modmath.dword_split(acc, out=out)
-                elif out is not None:
-                    np.copyto(out, acc)
-                    converted = out
-                else:
-                    converted = acc
+                converted = modmath._into(acc, out)
             else:
                 scaled = [
                     modmath.object_row(row) * inv % q
@@ -306,12 +293,13 @@ class BaseConverter:
                     for i in range(len(self.source)):
                         acc = acc + scaled[i] * row[i]
                     outputs.append(modmath.as_residue_array(acc % p, p))
-                converted = np.stack(
-                    [modmath.object_row(row) for row in outputs]
-                ) if not modmath.all_fast_moduli(self.target.moduli) else np.stack(outputs)
-                if out is not None:
-                    out[...] = converted
-                    converted = out
+                converted = modmath._into(
+                    modmath.coerce_stack(
+                        np.stack([modmath.object_row(row) for row in outputs]),
+                        self._target_col,
+                    ),
+                    out,
+                )
         if _DISPATCH.recording:
             replay = None
             if _DISPATCH.executable_recording:

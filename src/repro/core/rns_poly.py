@@ -116,8 +116,6 @@ class RNSPoly:
         # per-coefficient Python loop; the rows land canonical by
         # construction, so the stack adopts them without re-validation.
         rows = np.stack([values % int(q) for q in moduli])
-        if modmath.all_fast_moduli(moduli):
-            rows = rows.astype(np.uint64)
         poly = cls.from_stack(LimbStack(moduli, rows), LimbFormat.COEFFICIENT)
         if fmt is LimbFormat.EVALUATION:
             poly = poly.to_evaluation()
@@ -213,13 +211,9 @@ class RNSPoly:
         """Return the :class:`RNSBasis` for the current moduli."""
         return RNSBasis(self.moduli)
 
-    def footprint_bytes(self, element_bytes: int | None = None) -> int:
-        """Return the memory footprint of the polynomial.
-
-        Defaults to the stack buffer's own element width (16 bytes on the
-        double-word backend, 8 otherwise).
-        """
-        return self._stack.footprint_bytes(element_bytes)
+    def footprint_bytes(self) -> int:
+        """Return the memory footprint of the polynomial."""
+        return self._stack.footprint_bytes()
 
     # -- representation ------------------------------------------------------
 

@@ -227,26 +227,22 @@ def ntt_kernel(
     extra_bytes_read: float = 0.0,
     working_set_bytes: float | None = None,
     stream: int = 0,
-    element_bytes: int = ELEMENT_BYTES,
 ) -> Kernel:
     """One hierarchical (i)NTT kernel (4 memory accesses per element, Fig. 3).
 
     ``fused_ops_per_element`` is the arithmetic of element-wise pre/post
     processing folded into the transform (the §III-F.5 fusions); it adds
     int ops but no memory traffic.  ``extra_bytes_read`` charges streamed
-    twiddle vectors or unfused element-wise traffic.  ``element_bytes``
-    is the per-residue storage width (16 on the double-word backend).
+    twiddle vectors or unfused element-wise traffic.
     """
     elements = limbs * n
     butterflies = limbs * (n / 2) * math.log2(n)
     if working_set_bytes is None:
-        working_set_bytes = (
-            default_working_set(limbs, n) * element_bytes / ELEMENT_BYTES
-        )
+        working_set_bytes = default_working_set(limbs, n)
     return Kernel(
         name=f"{tag}[{limbs}]",
-        bytes_read=2.0 * elements * element_bytes + extra_bytes_read,
-        bytes_written=2.0 * elements * element_bytes,
+        bytes_read=2.0 * elements * ELEMENT_BYTES + extra_bytes_read,
+        bytes_written=2.0 * elements * ELEMENT_BYTES,
         int_ops=butterflies * butterfly_ops * compute_factor + fused_ops_per_element * elements,
         working_set_bytes=working_set_bytes,
         reuse=2.0,
@@ -262,15 +258,14 @@ def base_conversion_kernel(
     *,
     mac_ops: float = BASECONV_MAC_OPS,
     working_set_bytes: float | None = None,
-    element_bytes: int = ELEMENT_BYTES,
 ) -> Kernel:
     """One fast-base-conversion kernel (Equation 1, the §III-F.3 kernel)."""
     if working_set_bytes is None:
-        working_set_bytes = (source_limbs + target_limbs) * n * element_bytes
+        working_set_bytes = (source_limbs + target_limbs) * n * ELEMENT_BYTES
     return Kernel(
         name=f"{tag}[{source_limbs}->{target_limbs}]",
-        bytes_read=source_limbs * n * element_bytes,
-        bytes_written=target_limbs * n * element_bytes,
+        bytes_read=source_limbs * n * ELEMENT_BYTES,
+        bytes_written=target_limbs * n * ELEMENT_BYTES,
         int_ops=source_limbs * target_limbs * n * mac_ops,
         working_set_bytes=working_set_bytes,
         reuse=float(max(2, target_limbs)),

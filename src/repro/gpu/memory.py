@@ -14,9 +14,8 @@ from repro.core.memory import (
     STRATEGY_FLATTENED,
     MemoryPool,
 )
+from repro.gpu.kernel import ELEMENT_BYTES
 from repro.gpu.platforms import ComputePlatform
-
-ELEMENT_BYTES = 8
 
 
 def limb_bytes(params: CKKSParameters) -> int:
@@ -101,7 +100,6 @@ def measure_allocation_strategies(
 
 
 __all__ = [
-    "ELEMENT_BYTES",
     "limb_bytes",
     "ciphertext_bytes",
     "plaintext_bytes",

@@ -36,11 +36,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.memory import MemoryPool, default_pool
+from repro.gpu.kernel import ELEMENT_BYTES
 from repro.serve.bucketing import ShapeKey
 from repro.serve.request import Request
-
-#: Bytes per residue element in the fused stacks (the uint64 fast path).
-ELEMENT_BYTES = 8
 
 
 class SimulatedClock:
@@ -221,5 +219,4 @@ __all__ = [
     "BatchingPolicy",
     "RetryPolicy",
     "SimulatedClock",
-    "ELEMENT_BYTES",
 ]

@@ -176,6 +176,23 @@ class TestSingleSurfaceEquivalence:
             assert_members_identical(fused, loop, label=op)
 
 
+    @pytest.mark.parametrize("op", sorted(SURFACE_OPS))
+    @pytest.mark.parametrize("size", (1, 3))
+    def test_59_bit_results_are_one_word_stacks(self, backend_sessions, operands,
+                                                size, op):
+        """Storage invariant: ``(rows, N)`` uint64, canonical, on every op."""
+        be = backend_sessions["dword"].backend
+        xs, ys = operands("dword", size)
+        result = SURFACE_OPS[op](be, be.batch_from(xs), be.batch_from(ys))
+        handles = result.values() if isinstance(result, dict) else [result]
+        for handle in handles:
+            for poly in (handle.c0, handle.c1):
+                data = poly.stack.data
+                assert data.ndim == 2 and data.dtype == np.uint64, op
+                assert data.shape == (len(poly.moduli), poly.ring_degree), op
+                assert (data < poly.stack.moduli_col).all(), op
+
+
 class TestBitIdenticalOutputs:
     """Recording a fused operation never changes its residues."""
 

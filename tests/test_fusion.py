@@ -294,6 +294,17 @@ class TestReplayAcrossBackends:
         TraceProgram(trace).verify()
         fuse_trace(trace).program().verify()
 
+    @pytest.mark.parametrize(
+        "stage_launches", [False, True], ids=["fused", "stage-granular"]
+    )
+    def test_mixed_chain_replay(self, stage_launches):
+        # 60-bit q_0 over 28-bit scale primes: the rescale's kept sub-basis
+        # selects the single-word arithmetic and reads its parent's rows.
+        context, trace = self._record_hmult(28, 60, stage_launches)
+        assert context.numeric_backend == modmath.BACKEND_DWORD
+        TraceProgram(trace).verify()
+        fuse_trace(trace).program().verify()
+
     def test_object_backend_replay(self, monkeypatch):
         monkeypatch.setattr(
             modmath, "DWORD_MODULUS_LIMIT", modmath.FAST_MODULUS_LIMIT

@@ -28,7 +28,7 @@ from repro.core.rns_poly import RNSPoly
 
 N = 64
 PRIMES = generate_ntt_primes(3, 28, N)
-BIG_PRIMES = generate_ntt_primes(2, 40, N)  # double-word (hi/lo) backend
+BIG_PRIMES = generate_ntt_primes(2, 40, N)  # double-word backend
 HUGE_PRIMES = generate_ntt_primes(2, 63, N)  # exact (object) backend
 
 
@@ -36,11 +36,6 @@ def random_stack(moduli, seed=0):
     rng = np.random.default_rng(seed)
     rows = [rng.integers(0, q, N) for q in moduli]
     return LimbStack.from_rows(moduli, rows)
-
-
-def merged_rows(data):
-    """Per-limb residue rows of a stack, merging dword digit planes."""
-    return modmath.dword_merge(data) if modmath.is_dword_stack(data) else data
 
 
 class TestBatchedKernels:
@@ -54,14 +49,13 @@ class TestBatchedKernels:
         a = random_stack(moduli, 1)
         b = random_stack(moduli, 2)
         col = a.moduli_col
-        a_rows, b_rows = merged_rows(a.data), merged_rows(b.data)
+        a_rows, b_rows = a.data, b.data
         checks = {
             "add": (modmath.stack_add_mod(a.data, b.data, col), lambda x, y: x + y),
             "sub": (modmath.stack_sub_mod(a.data, b.data, col), lambda x, y: x - y),
             "mul": (modmath.stack_mul_mod(a.data, b.data, col), lambda x, y: x * y),
         }
-        for name, (result, reference) in checks.items():
-            rows = merged_rows(result)
+        for name, (rows, reference) in checks.items():
             for i, q in enumerate(moduli):
                 expected = [
                     reference(int(x), int(y)) % q
@@ -128,15 +122,13 @@ class TestStackedNTT:
         stack = random_stack(moduli, 5)
         engine = get_stacked_engine(N, tuple(moduli))
         assert engine.backend == backend
-        source = merged_rows(stack.data)
-        forward = engine.forward(stack.data)
-        assert merged_rows(forward).tolist() == reference_transform(
-            source, moduli
-        ).tolist()
-        assert merged_rows(engine.inverse(stack.data)).tolist() == reference_transform(
+        source = stack.data
+        forward = engine.forward(source)
+        assert forward.tolist() == reference_transform(source, moduli).tolist()
+        assert engine.inverse(source).tolist() == reference_transform(
             source, moduli, inverse=True
         ).tolist()
-        assert merged_rows(engine.inverse(forward)).tolist() == source.tolist()
+        assert engine.inverse(forward).tolist() == source.tolist()
 
     def test_poly_transform_is_loop_free_path(self):
         poly, _ = _random_poly(6)
@@ -160,6 +152,23 @@ class TestLimbStackStorage:
             assert limb.modulus == PRIMES[i]
             assert np.shares_memory(limb.data, poly.stack.data)
             assert limb.buffer is not None and not limb.buffer.managed
+
+    @pytest.mark.parametrize(
+        "moduli", [PRIMES, BIG_PRIMES], ids=["uint64", "dword"]
+    )
+    def test_word_backend_views_are_zero_copy(self, moduli):
+        rng = np.random.default_rng(14)
+        poly = RNSPoly.from_int_coefficients(
+            N, moduli, [int(v) for v in rng.integers(-50, 50, N)]
+        )
+        data = poly.stack.data
+        for i, (limb, row, array) in enumerate(
+            zip(poly.limbs, poly.stack.rows(), poly.limb_arrays())
+        ):
+            for view in (limb.data, row, array):
+                assert np.shares_memory(view, data)
+            limb.data[0] = np.uint64(moduli[i] - 1)  # wider than 32 bits on dword
+            assert int(data[i, 0]) == int(row[0]) == moduli[i] - 1
 
     def test_fused_rescale_matches_single(self):
         a, _ = _random_poly(8)
@@ -350,9 +359,9 @@ class TestDwordEndToEnd:
     def test_dword_path_matches_object_oracle(self, monkeypatch):
         context, fast = self._run_hmult_rescale()
         assert context.numeric_backend == modmath.BACKEND_DWORD
-        # The hot path ran on uint64 digit planes, not Python integers.
+        # The hot path ran on one uint64 word per residue, not Python integers.
         for poly in (fast.c0, fast.c1):
-            assert modmath.is_dword_stack(poly.stack.data)
+            assert poly.stack.data.ndim == 2
             assert poly.stack.data.dtype == np.uint64
         # Re-run the identical computation on the exact object oracle by
         # forcing every modulus above 2**31 off the dword backend.
@@ -369,10 +378,56 @@ class TestDwordEndToEnd:
             for fast_poly, exact_poly in (
                 (fast.c0, exact.c0), (fast.c1, exact.c1)
             ):
-                merged = modmath.dword_merge(fast_poly.stack.data)
-                assert merged.tolist() == [
+                assert fast_poly.stack.data.tolist() == [
                     [int(x) for x in row] for row in exact_poly.stack.data
                 ]
+        finally:
+            monkeypatch.undo()
+            _clear_backend_caches()
+
+    @staticmethod
+    def _run_mixed_chain():
+        """HMult+rescale, rotate and hoisted rotations, 60-bit q_0 over 28-bit primes."""
+        from repro.api import CKKSSession
+        from repro.ckks.params import CKKSParameters
+
+        session = CKKSSession.create(
+            CKKSParameters(
+                ring_degree=1 << 6, mult_depth=3, scale_bits=28, dnum=2,
+                first_mod_bits=60, secret_hamming_weight=16, label="mixed-chain",
+            ),
+            seed=3, rotations=[1, 2], register_default=False,
+        )
+        rng = np.random.default_rng(21)
+        x = session.encrypt(rng.uniform(-1, 1, 8)).handle
+        y = session.encrypt(rng.uniform(-1, 1, 8)).handle
+        be = session.backend
+        hoisted = be.hoisted_rotations(x, [1, 2])
+        return session, [be.multiply(x, y), be.rotate(x, 2), hoisted[1], hoisted[2]]
+
+    def test_mixed_chain_matches_object_oracle(self, monkeypatch):
+        session, fast = self._run_mixed_chain()
+        assert session.numeric_backend == modmath.BACKEND_DWORD
+        assert modmath.backend_for_moduli(session.context.moduli[1:]) == (
+            modmath.BACKEND_UINT64
+        )
+        monkeypatch.setattr(
+            modmath, "DWORD_MODULUS_LIMIT", modmath.FAST_MODULUS_LIMIT
+        )
+        _clear_backend_caches()
+        try:
+            with pytest.warns(RuntimeWarning, match="object backend"):
+                oracle_session, exact = self._run_mixed_chain()
+            assert oracle_session.numeric_backend == modmath.BACKEND_OBJECT
+            for fast_ct, exact_ct in zip(fast, exact):
+                for fast_poly, exact_poly in (
+                    (fast_ct.c0, exact_ct.c0), (fast_ct.c1, exact_ct.c1)
+                ):
+                    assert fast_poly.stack.data.dtype == np.uint64
+                    assert exact_poly.stack.data.dtype == np.object_
+                    assert [row.tolist() for row in fast_poly.limb_arrays()] == [
+                        [int(x) for x in row] for row in exact_poly.limb_arrays()
+                    ]
         finally:
             monkeypatch.undo()
             _clear_backend_caches()
@@ -380,7 +435,7 @@ class TestDwordEndToEnd:
     def test_59_bit_context_reports_dword_backend(self):
         context, product = self._run_hmult_rescale()
         assert context.numeric_backend == modmath.BACKEND_DWORD
-        assert product.c0.stack.buffer.element_bytes == 16
+        assert product.c0.stack.buffer.element_bytes == 8
         assert product.c0.footprint_bytes() == (
-            2 * product.c0.ring_degree * 16
+            2 * product.c0.ring_degree * 8
         )

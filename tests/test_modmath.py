@@ -114,9 +114,7 @@ def one_row(values, q):
 
 
 def row_values(stack):
-    """Python-integer residues of a one-row stack (merging dword planes)."""
-    if modmath.is_dword_stack(stack):
-        stack = modmath.dword_merge(stack)
+    """Python-integer residues of a one-row stack."""
     return [int(x) for x in stack[0]]
 
 
@@ -136,9 +134,9 @@ class TestVectorised:
         fast = modmath.as_residue_array([1, 2], PRIMES["fast"])
         word = modmath.as_residue_array([1, 2], PRIMES["word"])
         assert fast.dtype == np.uint64 and word.dtype == np.object_
-        # Stacks of >= 2**31 moduli stay off object arrays: uint64 digit planes.
+        # Stacks of >= 2**31 moduli stay off object arrays: one uint64 word each.
         stack, col = one_row([1, 2], PRIMES["word"])
-        assert stack.dtype == np.uint64 and stack.shape == (1, 2, 2)
+        assert stack.dtype == np.uint64 and stack.shape == (1, 2)
         assert modmath.stack_backend(col) == modmath.BACKEND_DWORD
 
     def test_vec_add(self, vec_modulus):
@@ -264,14 +262,13 @@ class TestDwordStackKernels:
         )
         a = modmath.coerce_stack(a_obj, col)
         b = modmath.coerce_stack(b_obj, col)
-        assert modmath.is_dword_stack(a) and modmath.is_dword_stack(b)
+        assert a.dtype == b.dtype == np.uint64 and a.shape == a_obj.shape
         return moduli, col, obj_col, a_obj, b_obj, a, b
 
     @staticmethod
     def _assert_same(dword_out, obj_out):
-        assert modmath.is_dword_stack(dword_out)
-        merged = modmath.dword_merge(dword_out)
-        assert merged.tolist() == [[int(x) for x in row] for row in obj_out]
+        assert dword_out.dtype == np.uint64 and dword_out.shape == obj_out.shape
+        assert dword_out.tolist() == [[int(x) for x in row] for row in obj_out]
 
     @pytest.mark.parametrize("name", sorted(DWORD_PRIME_SETS))
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -343,12 +340,3 @@ class TestDwordStackKernels:
             [[c % q for c in centred] for q in target], dtype=object
         )
         self._assert_same(switched, expected)
-
-    def test_merge_split_roundtrip(self):
-        rng = np.random.default_rng(0)
-        merged = rng.integers(0, 1 << 62, (4, 32), dtype=np.uint64)
-        planes = modmath.dword_split(merged)
-        assert planes.shape == (4, 2, 32)
-        assert int(planes[..., 0, :].max()) < (1 << 30)  # hi digit of < 2**62
-        assert int(planes[..., 1, :].max()) <= 0xFFFFFFFF
-        assert np.array_equal(modmath.dword_merge(planes), merged)

@@ -185,18 +185,20 @@ class TestOperandChecks:
     def test_row_count_mismatch_raises(self, bits, rows):
         moduli = tuple(generate_ntt_primes(2, bits, 64))
         engine = get_stacked_engine(64, moduli)
-        shape = (rows, 64) if engine.fast else (rows, 2, 64)
-        stack = np.ones(shape, dtype=np.uint64)
+        stack = np.ones((rows, 64), dtype=np.uint64)
         for transform in (engine.forward, engine.inverse):
             with pytest.raises(ValueError, match="does not match the engine"):
                 transform(stack)
 
     def test_wrong_rank_or_degree_raises(self):
-        moduli = tuple(generate_ntt_primes(2, 26, 64))
-        engine = get_stacked_engine(64, moduli)
-        for shape in [(2, 32), (2, 3, 64), (2,), (2, 2, 2, 64)]:
-            with pytest.raises(ValueError, match="does not match the engine"):
-                engine.forward(np.ones(shape, dtype=np.uint64))
+        # Any non-2-D operand is refused on both word backends -- (2, 2, 64)
+        # was the double-word plane layout before storage became one word.
+        for bits in (26, 59):
+            moduli = tuple(generate_ntt_primes(2, bits, 64))
+            engine = get_stacked_engine(64, moduli)
+            for shape in [(2, 32), (2, 2, 64), (2, 3, 64), (2,), (2, 2, 2, 64)]:
+                with pytest.raises(ValueError, match="does not match the engine"):
+                    engine.forward(np.ones(shape, dtype=np.uint64))
 
 
 class TestScratchCacheBudget:

@@ -149,6 +149,27 @@ class TestSerialization:
         assert restored.scale == raw.scale
         assert_close(client.decrypt(restored, 2).real, values)
 
+    def test_59_bit_residues_cross_the_wire(self):
+        wide = OpenFHEClient(
+            CKKSParameters(ring_degree=64, mult_depth=2, scale_bits=59, dnum=2,
+                           first_mod_bits=60, secret_hamming_weight=16),
+            seed=7,
+        )
+        wide.key_gen()
+        values = np.array([0.9, -0.1])
+        raw = wide.encrypt(values)
+        restored = deserialize_ciphertext(serialize_ciphertext(raw))
+        imported = import_ciphertext(wide.context, restored)
+        # One uint64 word per residue on the server, Python integers on the
+        # wire; a residue above 2**32 survives both hops bit for bit.
+        assert imported.c0.stack.data.dtype == np.uint64
+        assert int(imported.c0.stack.data.max()) >= 1 << 32
+        for poly, sent in ((imported.c0, raw.c0), (imported.c1, raw.c1)):
+            assert poly.stack.data.tolist() == [
+                [int(x) for x in limb] for limb in sent.limbs
+            ]
+        assert_close(wide.decrypt(export_ciphertext(imported), 2).real, values, 1e-9)
+
     def test_ciphertext_serialization_is_deterministic(self, client):
         raw = client.encrypt([0.5])
         assert serialize_ciphertext(raw) == serialize_ciphertext(raw)

@@ -155,6 +155,24 @@ class TestPolicyAndClock:
         tiny = BatchingPolicy(max_batch_size=8, memory_budget_bytes=1)
         assert tiny.drain_limit(key) == 1
 
+    def test_drain_limit_fits_the_budget_on_59_bit_moduli(self, rng):
+        from repro.api import CKKSSession
+        from repro.ckks.params import CKKSParameters
+
+        dword = CKKSSession.create(
+            CKKSParameters(ring_degree=1 << 6, mult_depth=2, scale_bits=59,
+                           dnum=2, first_mod_bits=60, secret_hamming_weight=16),
+            seed=5, register_default=False,
+        )
+        assert dword.numeric_backend == "dword"
+        vector = fresh_vector(dword, rng)
+        key = shape_key_of(Request(POLY_PROGRAM, vector, arrival_time=0.0),
+                           default_ring_degree=dword.params.ring_degree)
+        budget = 3 * vector.handle.footprint_bytes() + 1
+        policy = BatchingPolicy(max_batch_size=8, memory_budget_bytes=budget)
+        assert policy.drain_limit(key) == 3
+        assert policy.drain_limit(key) * vector.handle.footprint_bytes() <= budget
+
     def test_invalid_policies_rejected(self):
         with pytest.raises(ValueError):
             BatchingPolicy(max_batch_size=0)
