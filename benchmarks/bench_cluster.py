@@ -23,9 +23,9 @@ size for each (topology, parameter set) pair.  Slow links and small rings
 favour member sharding everywhere; the NVLink box at N=2^15 is where limb
 sharding holds on for small batches.
 
-``--min-shard-speedup`` fails the run unless burst modeled throughput at
-``D=4, B=8`` reaches that factor over the single-device ``D=1, B=8``
-server (the CI gate).
+Every figure is a modeled makespan (``TraceCostModel``) or a kernel count;
+the run fails unless burst modeled throughput at ``D=4, B=8`` reaches
+``MIN_SHARD_SPEEDUP`` over the single-device ``D=1, B=8`` server.
 
     PYTHONPATH=src python benchmarks/bench_cluster.py --output BENCH_cluster.json
 """
@@ -33,8 +33,6 @@ server (the CI gate).
 from __future__ import annotations
 
 import argparse
-import platform
-import time
 
 import numpy as np
 
@@ -45,7 +43,13 @@ from repro.gpu.platforms import GPU_RTX_4090
 from repro.perf.trace_model import TraceCostModel
 from repro.serve import BatchingPolicy, OpProgram
 
-from run_quick import BENCH_SCHEMA_VERSION, git_sha, quick_params
+from common import quick_params, write_artefact
+
+#: Gate: modeled serving throughput at D=4/B=8 over the single-device server.
+MIN_SHARD_SPEEDUP = 2.5
+
+#: Ring size and depth of the serving sweep.
+RING_LOG2, DEPTH = 13, 6
 
 #: Device counts of the serving sweep (D=1 is the speedup baseline).
 DEVICE_COUNTS = (1, 2, 4)
@@ -76,8 +80,8 @@ def scoring_programs(count: int = PROGRAM_COUNT) -> list[OpProgram]:
 
 
 def serve_burst(session, programs, encrypted, *, device_count: int,
-                max_batch: int, shard_drains: bool = False) -> tuple[float, dict]:
-    """Serve one burst across a D-device box; returns (wall s, metrics).
+                max_batch: int, shard_drains: bool = False) -> dict:
+    """Serve one burst across a D-device box; returns the metrics summary.
 
     ``encrypted`` maps each program to its request vectors (encrypted once
     by the caller so every configuration serves byte-identical inputs, and
@@ -93,14 +97,12 @@ def serve_burst(session, programs, encrypted, *, device_count: int,
         cluster=cluster,
         shard_drains=shard_drains,
     )
-    start = time.perf_counter()
     pending = [
         (program, vector, server.submit(program, vector))
         for program in programs
         for vector in encrypted[program]
     ]
     server.flush()
-    wall = time.perf_counter() - start
 
     # Bit-identity gate: every response equals the sequential evaluator.
     for program, vector, request in pending:
@@ -115,11 +117,11 @@ def serve_burst(session, programs, encrypted, *, device_count: int,
                 f"served response diverged from sequential execution at "
                 f"D={device_count}, B={max_batch}, shard_drains={shard_drains}"
             )
-    return wall, server.metrics.summary()
+    return server.metrics.summary()
 
 
-def run_serving(table: BenchmarkTable, ring_log2: int,
-                depth: int) -> dict[tuple[int, int], float]:
+def run_serving(table: BenchmarkTable, ring_log2: int = RING_LOG2,
+                depth: int = DEPTH) -> dict[tuple[int, int], float]:
     """The serving sweep; returns modeled throughput per (D, B)."""
     session = CKKSSession.create(
         quick_params(ring_log2, depth), seed=3, register_default=False
@@ -142,7 +144,7 @@ def run_serving(table: BenchmarkTable, ring_log2: int,
             for max_batch in BATCH_POLICIES:
                 if shard_drains and max_batch == 1:
                     continue  # singleton drains cannot shard
-                wall, metrics = serve_burst(
+                metrics = serve_burst(
                     session, programs, encrypted,
                     device_count=device_count, max_batch=max_batch,
                     shard_drains=shard_drains,
@@ -159,9 +161,8 @@ def run_serving(table: BenchmarkTable, ring_log2: int,
                     buckets=PROGRAM_COUNT,
                     modeled_makespan_s=round(metrics["modeled_makespan_s"], 9),
                     modeled_gpu_rps=round(rps, 1),
-                    min_device_util=round(min(utilization.values()), 4),
+                    modeled_min_device_util=round(min(utilization.values()), 4),
                     kernels=metrics["modeled_kernels"],
-                    python_s=round(wall, 6),
                 )
     for max_batch in BATCH_POLICIES:
         for device_count in DEVICE_COUNTS[1:]:
@@ -199,8 +200,8 @@ def run_crossover(table: BenchmarkTable) -> None:
                     parameter_set=f"N=2^{ring_log2}, L={depth}",
                     topology=topology.name,
                     batch=comparison.batch_size,
-                    member_makespan_s=round(comparison.member_makespan, 9),
-                    limb_makespan_s=round(comparison.limb_makespan, 9),
+                    modeled_member_makespan_s=round(comparison.member_makespan, 9),
+                    modeled_limb_makespan_s=round(comparison.limb_makespan, 9),
                     winner=comparison.winner,
                     crossover_batch=result["crossover_batch"],
                 )
@@ -211,14 +212,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default="BENCH_cluster.json",
                         help="path of the JSON artifact to write")
-    parser.add_argument("--ring-log2", type=int, default=13,
-                        help="ring size of the serving sweep")
-    parser.add_argument("--depth", type=int, default=6)
-    parser.add_argument(
-        "--min-shard-speedup", type=float, default=None,
-        help="fail unless modeled serving throughput at D=4/B=8 reaches "
-             "this factor over the single-device server (CI gate)",
-    )
     args = parser.parse_args()
 
     table = BenchmarkTable(
@@ -228,41 +221,24 @@ def main() -> None:
              "bit-identical to sequential execution; crossover tables price "
              "member vs limb shard plans from recorded traces",
     )
-    throughput = run_serving(table, args.ring_log2, args.depth)
+    throughput = run_serving(table)
     run_crossover(table)
+    write_artefact(table, quick_params(RING_LOG2, DEPTH), args.output)
 
-    params = quick_params(args.ring_log2, args.depth)
-    document = table.to_json(
-        schema_version=BENCH_SCHEMA_VERSION,
-        git_sha=git_sha(),
-        parameter_set={"label": params.label,
-                       "logN_L_scale_dnum": params.describe()},
-        python=platform.python_version(),
-        machine=platform.machine(),
-        numpy=np.__version__,
+    top_devices = max(DEVICE_COUNTS)
+    top_batch = max(BATCH_POLICIES)
+    speedup = throughput[(top_devices, top_batch)] / throughput[(1, top_batch)]
+    if speedup < MIN_SHARD_SPEEDUP:
+        raise SystemExit(
+            f"FAIL: modeled serving throughput at D={top_devices}, "
+            f"B={top_batch} is {speedup:.2f}x the single-device server, "
+            f"below the {MIN_SHARD_SPEEDUP:.2f}x gate"
+        )
+    print(
+        f"OK: modeled serving throughput at D={top_devices}, "
+        f"B={top_batch} is {speedup:.2f}x the single-device server "
+        f"(gate {MIN_SHARD_SPEEDUP:.2f}x)"
     )
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(document + "\n")
-    print(table.to_text())
-    print(f"\nwrote {args.output}")
-
-    if args.min_shard_speedup is not None:
-        top_devices = max(DEVICE_COUNTS)
-        top_batch = max(BATCH_POLICIES)
-        speedup = (
-            throughput[(top_devices, top_batch)] / throughput[(1, top_batch)]
-        )
-        if speedup < args.min_shard_speedup:
-            raise SystemExit(
-                f"FAIL: modeled serving throughput at D={top_devices}, "
-                f"B={top_batch} is {speedup:.2f}x the single-device server, "
-                f"below the {args.min_shard_speedup:.2f}x gate"
-            )
-        print(
-            f"OK: modeled serving throughput at D={top_devices}, "
-            f"B={top_batch} is {speedup:.2f}x the single-device server "
-            f"(gate {args.min_shard_speedup:.2f}x)"
-        )
 
 
 if __name__ == "__main__":

@@ -12,11 +12,12 @@ Two runs against the serving plane's fault-tolerant control plane:
   requests on the cost-model backend under a plan covering 10% of the
   timeline with OOM windows plus scattered transients and one device
   loss at ``D=4``.  Gates: availability (completed / admitted) at or
-  above ``--min-availability`` (CI pins 0.99) and zero OK responses
-  dispatched past their deadlines.
+  above ``MIN_AVAILABILITY`` and zero OK responses dispatched past their
+  deadlines.
 
 Both runs are pure functions of their seeds on the simulated clock, so
-the artifact trajectory is comparable commit to commit.
+the artifact trajectory is comparable commit to commit; the rows hold
+counts, availability and bit-identity verdicts only, no wall clock.
 
     PYTHONPATH=src python benchmarks/bench_faults.py --output BENCH_faults.json
 """
@@ -24,8 +25,6 @@ the artifact trajectory is comparable commit to commit.
 from __future__ import annotations
 
 import argparse
-import platform
-import time
 import warnings
 
 import numpy as np
@@ -45,7 +44,10 @@ from repro.serve import (
     burst_arrivals,
 )
 
-from run_quick import BENCH_SCHEMA_VERSION, git_sha, quick_params
+from common import quick_params, write_artefact
+
+#: Gate: scale-replay availability (completed / admitted).
+MIN_AVAILABILITY = 0.99
 
 #: The served program: 1 + 2x^2 (two levels deep, no rotation keys).
 PROGRAM = OpProgram.polynomial([1.0, 0.0, 2.0])
@@ -58,6 +60,9 @@ ORACLE_REQUESTS = 48
 
 #: Requests of the gated cost-model scale replay.
 SCALE_REQUESTS = 10_000
+
+#: Seed of both the arrival traces and the fault plans.
+SEED = 29
 
 
 def chaos_server(backend, *, plan: FaultPlan, cluster=None,
@@ -86,8 +91,8 @@ def chaos_plan(seed: int, duration: float, *, device: int | None = None) -> Faul
     )
 
 
-def run_functional_oracle(table: BenchmarkTable, *, ring_log2: int,
-                          depth: int, seed: int) -> dict:
+def run_functional_oracle(table: BenchmarkTable, *, ring_log2: int = 12,
+                          depth: int = 6, seed: int = SEED) -> dict:
     """Bit-identity under faults on the real data plane (D=4, sharded)."""
     session = CKKSSession.create(quick_params(ring_log2, depth), seed=3,
                                  register_default=False)
@@ -106,11 +111,9 @@ def run_functional_oracle(table: BenchmarkTable, *, ring_log2: int,
     registry = MetricsRegistry()
     driver = ReplayDriver(server, PROGRAM, lambda i: vectors[i],
                           deadline_offset=2e-2, registry=registry)
-    start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         report = driver.run(arrivals)
-    wall = time.perf_counter() - start
 
     identical = 0
     for request, reference in zip(driver.requests, references):
@@ -154,7 +157,6 @@ def run_functional_oracle(table: BenchmarkTable, *, ring_log2: int,
         deadline_violations=int(
             registry.value("replay_events_total", kind="deadline_violation")
         ),
-        python_s=round(wall, 6),
     )
     summary = report.summary()
     summary["availability"] = registry.value("replay_availability")
@@ -165,8 +167,8 @@ def run_functional_oracle(table: BenchmarkTable, *, ring_log2: int,
     return summary
 
 
-def run_scale_replay(table: BenchmarkTable, *, requests: int,
-                     seed: int) -> dict:
+def run_scale_replay(table: BenchmarkTable, *, requests: int = SCALE_REQUESTS,
+                     seed: int = SEED) -> dict:
     """The gated 10^4-request burst replay on the cost-model backend."""
     session = CKKSSession.create(quick_params(), seed=3, register_default=False)
     backend = session.cost_backend()
@@ -182,11 +184,9 @@ def run_scale_replay(table: BenchmarkTable, *, requests: int,
     driver = ReplayDriver(server, PROGRAM,
                           lambda i: backend.encrypt(np.full(16, 0.5)),
                           deadline_offset=1e-2, registry=registry)
-    start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         report = driver.run(arrivals)
-    wall = time.perf_counter() - start
 
     def events(kind: str) -> int:
         return int(registry.value("replay_events_total", kind=kind))
@@ -205,11 +205,9 @@ def run_scale_replay(table: BenchmarkTable, *, requests: int,
         deadline_misses=events("deadline_miss"),
         device_losses=events("device_loss"),
         deadline_violations=events("deadline_violation"),
-        p95_wait_ms=round(
+        modeled_p95_wait_ms=round(
             registry.value("replay_latency_seconds", quantile="0.95") * 1e3, 3
         ),
-        python_s=round(wall, 6),
-        python_rps=round(requests / wall, 1),
     )
     summary = report.summary()
     summary["availability"] = registry.value("replay_availability")
@@ -224,17 +222,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default="BENCH_faults.json",
                         help="path of the JSON artifact to write")
-    parser.add_argument("--ring-log2", type=int, default=12)
-    parser.add_argument("--depth", type=int, default=6)
-    parser.add_argument("--requests", type=int, default=SCALE_REQUESTS,
-                        help="request count of the scale replay")
-    parser.add_argument("--seed", type=int, default=29,
-                        help="seed of both the arrival trace and fault plan")
-    parser.add_argument(
-        "--min-availability", type=float, default=None,
-        help="fail unless scale-replay availability (completed / admitted) "
-             "reaches this fraction (CI gate)",
-    )
     args = parser.parse_args()
 
     table = BenchmarkTable(
@@ -243,24 +230,9 @@ def main() -> None:
              f"mid-replay on a D={DEVICE_COUNT} PCIe box; burst arrivals; "
              f"all timing on the simulated clock (deterministic)",
     )
-    oracle = run_functional_oracle(table, ring_log2=args.ring_log2,
-                                   depth=args.depth, seed=args.seed)
-    scale = run_scale_replay(table, requests=args.requests, seed=args.seed)
-
-    params = quick_params(args.ring_log2, args.depth)
-    document = table.to_json(
-        schema_version=BENCH_SCHEMA_VERSION,
-        git_sha=git_sha(),
-        parameter_set={"label": params.label,
-                       "logN_L_scale_dnum": params.describe()},
-        python=platform.python_version(),
-        machine=platform.machine(),
-        numpy=np.__version__,
-    )
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(document + "\n")
-    print(table.to_text())
-    print(f"\nwrote {args.output}")
+    oracle = run_functional_oracle(table)
+    scale = run_scale_replay(table)
+    write_artefact(table, quick_params(), args.output)
 
     for name, report in (("functional-oracle", oracle), ("scale-replay", scale)):
         if report["deadline_violations"]:
@@ -268,18 +240,17 @@ def main() -> None:
                 f"FAIL: {name} dispatched {report['deadline_violations']} OK "
                 f"responses past their deadlines"
             )
-    if args.min_availability is not None:
-        achieved = scale["availability"]
-        if achieved < args.min_availability:
-            raise SystemExit(
-                f"FAIL: scale-replay availability is {achieved:.4f}, below "
-                f"the {args.min_availability:.4f} gate"
-            )
-        print(
-            f"OK: availability {achieved:.4f} over {scale['admitted']} "
-            f"admitted requests (gate {args.min_availability:.4f}), "
-            f"0 deadline violations, all OK responses bit-identical"
+    achieved = scale["availability"]
+    if achieved < MIN_AVAILABILITY:
+        raise SystemExit(
+            f"FAIL: scale-replay availability is {achieved:.4f}, below "
+            f"the {MIN_AVAILABILITY:.4f} gate"
         )
+    print(
+        f"OK: availability {achieved:.4f} over {scale['admitted']} "
+        f"admitted requests (gate {MIN_AVAILABILITY:.4f}), "
+        f"0 deadline violations, all OK responses bit-identical"
+    )
 
 
 if __name__ == "__main__":

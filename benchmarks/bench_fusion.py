@@ -1,4 +1,4 @@
-"""Fusion benchmark: fused vs unfused execution, measured python wall clock.
+"""Fusion benchmark: fused vs unfused trace replay, modeled and raced.
 
 The unfused baseline is the trace recorded at **per-stage launch
 granularity** (``stage_launches=True``): every fast-path NTT/iNTT runs as
@@ -18,8 +18,10 @@ Both are first asserted bit-identical to the recorded eager execution
 rows price the same pair of traces on :class:`TraceCostModel`, where the
 per-stage launch overhead and round-trip bytes show at GPU scale.
 
-``--min-fusion-speedup`` fails the run unless the measured wall-clock
-speedup of fused over unfused HMult+rescale reaches that factor (CI gate).
+This replay race is the one wall clock under ``benchmarks/`` outside
+``benchmarks/e2e``: the e2e workloads run the eager data plane and have no
+row for replaying a recorded trace.  The run fails unless the raced speedup
+of fused over unfused HMult+rescale reaches ``MIN_FUSION_SPEEDUP``.
 
     PYTHONPATH=src python benchmarks/bench_fusion.py --output BENCH_fusion.json
 """
@@ -27,7 +29,6 @@ speedup of fused over unfused HMult+rescale reaches that factor (CI gate).
 from __future__ import annotations
 
 import argparse
-import platform
 import time
 
 import numpy as np
@@ -39,7 +40,13 @@ from repro.core.fusion import fuse_trace
 from repro.gpu.platforms import GPU_RTX_4090
 from repro.perf.trace_model import TraceCostModel
 
-from run_quick import BENCH_SCHEMA_VERSION, git_sha, quick_params
+from common import quick_params, write_artefact
+
+#: Gate: raced wall-clock speedup of fused over unfused HMult+rescale.
+MIN_FUSION_SPEEDUP = 1.3
+
+#: Ring size and depth of the three workloads.
+RING_LOG2, DEPTH = 13, 6
 
 #: Interleaved A/B timing rounds (min-of-N on both sides).
 TIMING_ROUNDS = 7
@@ -69,14 +76,6 @@ def bench_workload(table: BenchmarkTable, session, name: str, workload,
     replay and the fused program bit-identical to eager execution, then
     races them on wall clock and prices both traces on the cost model.
     """
-    # Eager wall clock (transparency row): the live data plane, untraced.
-    workload()  # warm
-    eager_wall = float("inf")
-    for _ in range(TIMING_ROUNDS):
-        start = time.perf_counter()
-        workload()
-        eager_wall = min(eager_wall, time.perf_counter() - start)
-
     with session.trace(executable=True, stage_launches=True) as trace:
         workload()
     program = TraceProgram(trace)
@@ -98,10 +97,6 @@ def bench_workload(table: BenchmarkTable, session, name: str, workload,
         seconds=round(best_f, 6),
         kernels=summary["events_after"],
         speedup_vs_unfused=round(speedup, 4),
-    )
-    table.add_row(
-        operation=f"eager {name} [python wall clock, untraced]",
-        seconds=round(eager_wall, 6),
     )
 
     unfused_report = pricer.price(trace, streams=1)
@@ -129,7 +124,7 @@ def bench_workload(table: BenchmarkTable, session, name: str, workload,
     return speedup
 
 
-def run(ring_log2: int = 13, depth: int = 6, *, batch_size: int = 8,
+def run(ring_log2: int = RING_LOG2, depth: int = DEPTH, *, batch_size: int = 8,
         ) -> tuple[BenchmarkTable, dict[str, float]]:
     """Build the fusion table; returns it plus measured speedups per workload."""
     params = quick_params(ring_log2, depth)
@@ -178,46 +173,22 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default="BENCH_fusion.json",
                         help="path of the JSON artifact to write")
-    parser.add_argument("--ring-log2", type=int, default=13)
-    parser.add_argument("--depth", type=int, default=6)
-    parser.add_argument("--batch-size", type=int, default=8)
-    parser.add_argument(
-        "--min-fusion-speedup", type=float, default=None,
-        help="fail unless the measured python wall-clock speedup of fused "
-             "over unfused HMult+rescale reaches this factor (CI gate)",
-    )
     args = parser.parse_args()
 
-    table, speedups = run(
-        args.ring_log2, args.depth, batch_size=args.batch_size
-    )
-    params = quick_params(args.ring_log2, args.depth)
-    document = table.to_json(
-        schema_version=BENCH_SCHEMA_VERSION,
-        git_sha=git_sha(),
-        parameter_set={"label": params.label,
-                       "logN_L_scale_dnum": params.describe()},
-        python=platform.python_version(),
-        machine=platform.machine(),
-        numpy=np.__version__,
-    )
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(document + "\n")
-    print(table.to_text())
-    print(f"\nwrote {args.output}")
+    table, speedups = run()
+    write_artefact(table, quick_params(RING_LOG2, DEPTH), args.output)
 
-    if args.min_fusion_speedup is not None:
-        achieved = speedups["HMult+rescale"]
-        if achieved < args.min_fusion_speedup:
-            raise SystemExit(
-                f"FAIL: measured fused HMult+rescale speedup is "
-                f"{achieved:.2f}x over the unfused path, below the "
-                f"{args.min_fusion_speedup:.2f}x gate"
-            )
-        print(
-            f"OK: measured fused HMult+rescale speedup is {achieved:.2f}x "
-            f"over the unfused path (gate {args.min_fusion_speedup:.2f}x)"
+    achieved = speedups["HMult+rescale"]
+    if achieved < MIN_FUSION_SPEEDUP:
+        raise SystemExit(
+            f"FAIL: measured fused HMult+rescale speedup is "
+            f"{achieved:.2f}x over the unfused path, below the "
+            f"{MIN_FUSION_SPEEDUP:.2f}x gate"
         )
+    print(
+        f"OK: measured fused HMult+rescale speedup is {achieved:.2f}x "
+        f"over the unfused path (gate {MIN_FUSION_SPEEDUP:.2f}x)"
+    )
 
 
 if __name__ == "__main__":

@@ -10,18 +10,17 @@ under two offered loads:
   ``max_wait`` but slower than instantly, so drains mix full and
   deadline-partial batches (what dynamic batching actually sees).
 
-Two throughput figures per configuration:
+The throughput figure is **modeled RTX 4090 requests/sec**: each drain's
+recorded kernel stream priced by
+:class:`~repro.perf.trace_model.TraceCostModel`, where the §III-F.1
+launch-overhead amortisation shows -- an unbatched server launches ``B×``
+the kernels per fused-batch-equivalent of work.  The measured wall clock of
+the same drains is ``serve.*`` / ``batch.*`` @ ``serve_burst_b8`` of
+``benchmarks/e2e``.
 
-* **python requests/sec**: real wall clock of the functional data plane
-  (the bit-exact correctness oracle, not a GPU);
-* **modeled GPU requests/sec** (headline, CI-gated): each drain's recorded
-  kernel stream priced by :class:`~repro.perf.trace_model.TraceCostModel`,
-  where the §III-F.1 launch-overhead amortisation shows -- an unbatched
-  server launches ``B×`` the kernels per fused-batch-equivalent of work.
-
-``--min-throughput-gain`` fails the run unless burst modeled throughput at
-the largest ``B`` reaches that factor over the unbatched (``B=1``) server.
-Every response is asserted bit-identical to sequential scoring first.
+The run fails unless burst modeled throughput at the largest ``B`` reaches
+``MIN_THROUGHPUT_GAIN`` over the unbatched (``B=1``) server.  Every
+response is asserted bit-identical to sequential scoring first.
 
     PYTHONPATH=src python benchmarks/bench_serve.py --output BENCH_serve.json
 """
@@ -29,8 +28,6 @@ Every response is asserted bit-identical to sequential scoring first.
 from __future__ import annotations
 
 import argparse
-import platform
-import time
 
 import numpy as np
 
@@ -41,7 +38,13 @@ from repro.gpu.platforms import GPU_RTX_4090
 from repro.perf.trace_model import TraceCostModel
 from repro.serve import BatchingPolicy, SimulatedClock
 
-from run_quick import BENCH_SCHEMA_VERSION, git_sha, quick_params
+from common import quick_params, write_artefact
+
+#: Gate: burst modeled throughput at the largest B over the unbatched server.
+MIN_THROUGHPUT_GAIN = 1.5
+
+#: Ring size and depth of the sweep (the acceptance pins N=2^13).
+RING_LOG2, DEPTH = 13, 6
 
 #: Max-batch policies measured (the acceptance pins B=8 vs B=1).
 BATCH_POLICIES = (1, 2, 4, 8)
@@ -64,8 +67,8 @@ def build_session(ring_log2: int, depth: int) -> tuple[CKKSSession, EncryptedLRS
 
 
 def serve_stream(session, scorer, *, max_batch: int, requests: int,
-                 interarrival: float) -> tuple[float, dict]:
-    """Serve one request stream; returns (python wall seconds, metrics summary).
+                 interarrival: float) -> dict:
+    """Serve one request stream; returns the server's metrics summary.
 
     ``interarrival == 0`` is the burst load (everything queued before one
     flush); otherwise arrivals advance the simulated clock and the server
@@ -82,7 +85,6 @@ def serve_stream(session, scorer, *, max_batch: int, requests: int,
         trace_costs=TraceCostModel(GPU_RTX_4090),
     )
 
-    start = time.perf_counter()
     if interarrival == 0.0:
         pending = [server.submit(program, vector) for vector in vectors]
         server.flush()
@@ -93,7 +95,6 @@ def serve_stream(session, scorer, *, max_batch: int, requests: int,
             clock.advance(interarrival)
             server.poll()
         server.drain()
-    wall = time.perf_counter() - start
 
     # Bit-identity gate: every response equals sequential scoring.
     for request in pending:
@@ -108,18 +109,19 @@ def serve_stream(session, scorer, *, max_batch: int, requests: int,
                 f"served response diverged from sequential scoring at "
                 f"B={max_batch}"
             )
-    return wall, server.metrics.summary()
+    return server.metrics.summary()
 
 
-def run(ring_log2: int = 13, depth: int = 6, *, burst_requests: int = 16,
+def run(ring_log2: int = RING_LOG2, depth: int = DEPTH, *, burst_requests: int = 16,
         paced_requests: int = 8) -> tuple[BenchmarkTable, dict[int, float]]:
     """Build the serving table; returns it plus burst modeled throughput per B."""
     session, scorer = build_session(ring_log2, depth)
     table = BenchmarkTable(
         f"Serving plane: encrypted LR scoring [{session.params.describe()}]",
         note="shape-bucketed dynamic batching over fused (B*L, N) kernels; "
-             "responses bit-identical to sequential scoring; modeled rows "
-             "price each drain's recorded kernel trace (1 stream)",
+             "responses bit-identical to sequential scoring; modeled_s/"
+             "modeled_gpu_rps price each drain's recorded kernel trace on "
+             "the RTX 4090 model (1 stream); waits are on the simulated clock",
     )
     burst_throughput: dict[int, float] = {}
     loads = (
@@ -128,7 +130,7 @@ def run(ring_log2: int = 13, depth: int = 6, *, burst_requests: int = 16,
     )
     for load_name, requests, interarrival in loads:
         for max_batch in BATCH_POLICIES:
-            wall, metrics = serve_stream(
+            metrics = serve_stream(
                 session, scorer, max_batch=max_batch, requests=requests,
                 interarrival=interarrival,
             )
@@ -140,13 +142,11 @@ def run(ring_log2: int = 13, depth: int = 6, *, burst_requests: int = 16,
                 max_batch=max_batch,
                 requests=requests,
                 mean_batch=round(metrics["mean_batch_size"], 3),
-                python_s=round(wall, 6),
-                python_rps=round(requests / wall, 3),
                 modeled_s=round(metrics["modeled_seconds"], 9),
                 modeled_gpu_rps=round(modeled_rps, 1),
                 kernels=metrics["modeled_kernels"],
-                p50_wait_ms=round(metrics["p50_latency_s"] * 1e3, 3),
-                p95_wait_ms=round(metrics["p95_latency_s"] * 1e3, 3),
+                modeled_p50_wait_ms=round(metrics["p50_latency_s"] * 1e3, 3),
+                modeled_p95_wait_ms=round(metrics["p95_latency_s"] * 1e3, 3),
             )
     for max_batch in BATCH_POLICIES[1:]:
         table.add_row(
@@ -163,50 +163,23 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default="BENCH_serve.json",
                         help="path of the JSON artifact to write")
-    parser.add_argument("--ring-log2", type=int, default=13)
-    parser.add_argument("--depth", type=int, default=6)
-    parser.add_argument("--burst-requests", type=int, default=16)
-    parser.add_argument("--paced-requests", type=int, default=8)
-    parser.add_argument(
-        "--min-throughput-gain", type=float, default=None,
-        help="fail unless burst modeled GPU throughput at the largest "
-             "max-batch policy reaches this factor over B=1 (CI gate)",
-    )
     args = parser.parse_args()
 
-    table, burst_throughput = run(
-        args.ring_log2, args.depth,
-        burst_requests=args.burst_requests,
-        paced_requests=args.paced_requests,
-    )
-    params = quick_params(args.ring_log2, args.depth)
-    document = table.to_json(
-        schema_version=BENCH_SCHEMA_VERSION,
-        git_sha=git_sha(),
-        parameter_set={"label": params.label,
-                       "logN_L_scale_dnum": params.describe()},
-        python=platform.python_version(),
-        machine=platform.machine(),
-        numpy=np.__version__,
-    )
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(document + "\n")
-    print(table.to_text())
-    print(f"\nwrote {args.output}")
+    table, burst_throughput = run()
+    write_artefact(table, quick_params(RING_LOG2, DEPTH), args.output)
 
-    if args.min_throughput_gain is not None:
-        largest = max(burst_throughput)
-        gain = burst_throughput[largest] / burst_throughput[1]
-        if gain < args.min_throughput_gain:
-            raise SystemExit(
-                f"FAIL: modeled serving throughput gain at B={largest} is "
-                f"{gain:.2f}x over unbatched, below the "
-                f"{args.min_throughput_gain:.2f}x gate"
-            )
-        print(
-            f"OK: modeled serving throughput gain at B={largest} is "
-            f"{gain:.2f}x over unbatched (gate {args.min_throughput_gain:.2f}x)"
+    largest = max(burst_throughput)
+    gain = burst_throughput[largest] / burst_throughput[1]
+    if gain < MIN_THROUGHPUT_GAIN:
+        raise SystemExit(
+            f"FAIL: modeled serving throughput gain at B={largest} is "
+            f"{gain:.2f}x over unbatched, below the "
+            f"{MIN_THROUGHPUT_GAIN:.2f}x gate"
         )
+    print(
+        f"OK: modeled serving throughput gain at B={largest} is "
+        f"{gain:.2f}x over unbatched (gate {MIN_THROUGHPUT_GAIN:.2f}x)"
+    )
 
 
 if __name__ == "__main__":

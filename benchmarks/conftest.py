@@ -1,8 +1,8 @@
 """Shared fixtures for the table/figure benchmark harness.
 
 Each ``bench_*.py`` file regenerates one table or figure of the paper's
-evaluation section using the performance models (for paper-scale
-parameters) or the functional Python backend (for the microbenchmarks).
+evaluation section using the performance models at paper-scale
+parameters; every figure is modeled, none is a wall clock.
 Run with ``pytest benchmarks/ --benchmark-only``; the reproduced tables are
 attached to each benchmark's ``extra_info`` and printed when ``-s`` is
 given.

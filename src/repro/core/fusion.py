@@ -57,7 +57,8 @@ conserved), while each internal edge's intermediate traffic -- the
 producer's write of ``W`` and the consumer's read of it -- is dropped
 from the byte counts, leaving only the chain-external endpoint bytes.
 Fusion therefore never increases ``bytes_moved`` and always conserves
-``int_ops`` (asserted by ``benchmarks/check_trace_reconciliation.py``).
+``int_ops`` (asserted on a stage-granular HMult+rescale trace by
+``tests/test_fusion.py::TestStageGranularCapture``).
 """
 
 from __future__ import annotations

@@ -9,11 +9,6 @@ whether a working set fits the L2 cache of a given platform.
 from __future__ import annotations
 
 from repro.ckks.params import CKKSParameters
-from repro.core.memory import (
-    STRATEGY_ARRAY_PER_LIMB,
-    STRATEGY_FLATTENED,
-    MemoryPool,
-)
 from repro.gpu.kernel import ELEMENT_BYTES
 from repro.gpu.platforms import ComputePlatform
 
@@ -53,52 +48,6 @@ def fits_in_shared_cache(platform: ComputePlatform, nbytes: float) -> bool:
     return nbytes <= platform.shared_cache_bytes
 
 
-def measure_allocation_strategies(
-    params: CKKSParameters,
-    limbs: int | None = None,
-    *,
-    granularity: int = 256,
-) -> dict:
-    """Measure the §III-D allocation-strategy trade-off with real pools.
-
-    Allocates one polynomial's worth of device memory both ways --
-    ``limbs`` separate per-limb buffers (stack-of-arrays) versus a single
-    flattened ``(limbs, N)`` buffer -- into fresh :class:`MemoryPool`
-    instances and reports the resulting footprints, allocation counts and
-    exact internal fragmentation, so the comparison is measured rather
-    than modeled.
-    """
-    if limbs is None:
-        limbs = params.limb_count
-    per_limb = limb_bytes(params)
-
-    stack_pool = MemoryPool(granularity=granularity)
-    for index in range(limbs):
-        stack_pool.allocate(
-            per_limb, tag=f"limb[{index}]", strategy=STRATEGY_ARRAY_PER_LIMB
-        )
-    flat_pool = MemoryPool(granularity=granularity)
-    flat_pool.allocate(
-        limbs * per_limb, tag="limb-stack", strategy=STRATEGY_FLATTENED
-    )
-
-    def report(pool: MemoryPool) -> dict:
-        return {
-            "bytes_in_use": pool.bytes_in_use,
-            "requested_bytes": pool.requested_bytes,
-            "allocations": pool.allocation_count,
-            "internal_fragmentation": pool.internal_fragmentation(),
-        }
-
-    return {
-        STRATEGY_ARRAY_PER_LIMB: report(stack_pool),
-        STRATEGY_FLATTENED: report(flat_pool),
-        "limbs": limbs,
-        "limb_bytes": per_limb,
-        "granularity": granularity,
-    }
-
-
 __all__ = [
     "limb_bytes",
     "ciphertext_bytes",
@@ -106,5 +55,4 @@ __all__ = [
     "key_switching_key_bytes",
     "hmult_working_set_bytes",
     "fits_in_shared_cache",
-    "measure_allocation_strategies",
 ]

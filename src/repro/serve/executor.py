@@ -546,10 +546,14 @@ class Server:
 
     def flush(self) -> list[Request]:
         """Drain everything immediately, ignoring readiness (still respecting
-        the policy's per-drain size and memory caps)."""
+        the policy's per-drain size and memory caps).
+
+        Requests whose deadline has already passed are expired first, as in
+        :meth:`poll`, and returned with the completed ones.
+        """
         now = self.clock.now()
         self._advance_faults()
-        completed: list[Request] = []
+        completed: list[Request] = self._expire(now)
         for key in self.queue.keys():
             target = self.policy.drain_limit(key)
             while self.queue.size(key):

@@ -1,5 +1,8 @@
 """Tests for the application workloads, noise estimation and bench reporting."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -203,3 +206,25 @@ class TestBenchReporting:
         assert csv.splitlines()[0] == "Operation,FIDESlib,Speedup"
         assert table.columns == ["Operation", "FIDESlib", "Speedup"]
         assert table.column_values("FIDESlib") == ["1.08 ms", "50.7 µs"]
+
+    def test_benchmark_scripts_are_modeled_and_independent(self):
+        # A measured number has one home, benchmarks/e2e.  The one script
+        # outside it allowed a wall clock is bench_fusion.py: its fused-vs-
+        # unfused trace-replay race has no e2e counterpart.
+        wall_clock_allowed = {"bench_fusion.py"}
+        root = Path(__file__).parent.parent / "benchmarks"
+        scripts = sorted(root.glob("*.py"))
+        assert len(scripts) > len(wall_clock_allowed)
+        for path in scripts:
+            timed = re.search(r"perf_counter|time\.time|timeit",
+                              path.read_text(encoding="utf-8")) is not None
+            assert timed == (path.name in wall_clock_allowed), path.name
+        # common.py (parameter set + artefact writer) is the only script
+        # another file under benchmarks/ may import.
+        siblings = {path.stem for path in scripts} - {"common"}
+        for path in sorted(root.rglob("*.py")):
+            imported = set(re.findall(
+                r"^\s*(?:from|import)\s+(\w+)",
+                path.read_text(encoding="utf-8"), flags=re.MULTILINE,
+            ))
+            assert not imported & siblings, (path.name, imported & siblings)

@@ -30,6 +30,8 @@ from repro.ckks.params import CKKSParameters
 from repro.core.dispatch import get_dispatcher
 from repro.core.limb_stack import LimbStack
 from repro.core.memory import MemoryPool
+from repro.gpu.platforms import GPU_RTX_4090
+from repro.perf.trace_model import TraceCostModel
 
 
 BATCH = 3
@@ -458,6 +460,29 @@ class TestBatchTrace:
         with get_dispatcher().record() as single:
             evaluator.multiply(cts_a[0], cts_b[0])
         assert not any("batch" in s for s in single.scopes())
+
+    def test_modeled_batching_speedup_at_n13(self):
+        # The modeled batching headline (README: 2.36x): on a single-stream
+        # RTX 4090 model, 8 sequential HMult+rescale launch 8x the kernels
+        # of one fused B=8 HMult+rescale over the same bytes (§III-F.1).
+        params = CKKSParameters(
+            ring_degree=1 << 13, mult_depth=6, scale_bits=28, dnum=3,
+            first_mod_bits=30, label="batch-13-6",
+        )
+        session = CKKSSession.create(params, seed=3, register_default=False)
+        rng = np.random.default_rng(0)
+        vectors_a = [session.encrypt(rng.uniform(-1, 1, 16)) for _ in range(8)]
+        vectors_b = [session.encrypt(rng.uniform(-1, 1, 16)) for _ in range(8)]
+        batch_a, batch_b = session.batch(vectors_a), session.batch(vectors_b)
+        with session.trace() as sequential:
+            for a, b in zip(vectors_a, vectors_b):
+                a * b
+        with session.trace() as fused:
+            batch_a * batch_b
+        pricer = TraceCostModel(GPU_RTX_4090)
+        ratio = (pricer.price(sequential, streams=1).makespan
+                 / pricer.price(fused, streams=1).makespan)
+        assert ratio >= 1.5, ratio
 
 
 class TestApiSurface:

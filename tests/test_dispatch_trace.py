@@ -29,6 +29,13 @@ from repro.perf.costmodel import CKKSOperationCosts
 from repro.perf.trace_model import TraceCostModel
 
 
+#: A reduced paper-class 59-bit set: every modulus in the double-word range.
+DWORD_PARAMS = CKKSParameters(
+    ring_degree=1 << 11, mult_depth=3, scale_bits=59, dnum=2,
+    first_mod_bits=60, secret_hamming_weight=16, label="trace-dword-11-3",
+)
+
+
 @pytest.fixture(scope="module")
 def traced_session():
     """A small session dedicated to tracing tests (own context, toy-sized)."""
@@ -41,15 +48,20 @@ def traced_session():
     )
 
 
+def record_hmult(session):
+    """Record one HMult+rescale on fresh ciphertexts of ``session``."""
+    rng = np.random.default_rng(1)
+    ct_a = session.encrypt(rng.uniform(-1, 1, 16))
+    ct_b = session.encrypt(rng.uniform(-1, 1, 16))
+    with session.trace() as trace:
+        ct_a * ct_b
+    return trace
+
+
 @pytest.fixture(scope="module")
 def hmult_trace(traced_session):
     """One recorded HMult+rescale trace at the module session."""
-    rng = np.random.default_rng(1)
-    ct_a = traced_session.encrypt(rng.uniform(-1, 1, 16))
-    ct_b = traced_session.encrypt(rng.uniform(-1, 1, 16))
-    with traced_session.trace() as trace:
-        ct_a * ct_b
-    return trace
+    return record_hmult(traced_session)
 
 
 class TestRecording:
@@ -145,13 +157,21 @@ class TestRecording:
 
 
 class TestReconciliation:
-    def test_hmult_trace_matches_cost_model(self, traced_session, hmult_trace):
-        limbs = traced_session.max_level + 1
-        costs = CKKSOperationCosts(traced_session.params, limb_batch=None, fusion=True)
-        report = reconcile_trace(
-            hmult_trace, costs.hmult(limbs, include_rescale=True)
+    @pytest.mark.parametrize("backend", ["uint64", "dword"])
+    def test_hmult_trace_matches_cost_model(self, backend, traced_session):
+        # dword: a 59-bit residue is one 64-bit word like a 28-bit one, so
+        # the trace must match the model as built (1x bytes, 1x launches).
+        session = traced_session if backend == "uint64" else CKKSSession.create(
+            DWORD_PARAMS, seed=3, register_default=False
         )
-        assert report.within(kernel_tolerance=0.05, bytes_tolerance=0.05)
+        assert session.numeric_backend == backend
+        costs = CKKSOperationCosts(session.params, limb_batch=None, fusion=True)
+        report = reconcile_trace(
+            record_hmult(session),
+            costs.hmult(session.max_level + 1, include_rescale=True),
+        )
+        assert report.within(kernel_tolerance=0.05, bytes_tolerance=0.05), \
+            report.describe()
 
     def test_acceptance_n13_hmult_rescale_within_5_percent(self):
         # Acceptance criterion: N=2^13 HMult+rescale kernel counts within 5%.

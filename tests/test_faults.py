@@ -198,6 +198,21 @@ class TestDeadlines:
         assert request.response().error_kind == "DeadlineExceeded"
         assert server.metrics.deadline_misses == 1
 
+    def test_flush_expires_overdue_requests_like_poll(self, session, rng):
+        clock = SimulatedClock()
+        server = Server(session, BatchingPolicy(max_batch_size=8, max_wait=5.0),
+                        clock=clock)
+        overdue = server.submit(POLY_PROGRAM, fresh_vector(session, rng),
+                                deadline=0.5)
+        on_time = server.submit(POLY_PROGRAM, fresh_vector(session, rng),
+                                deadline=3.0)
+        clock.advance(2.0)
+        completed = server.flush()
+        assert overdue in completed and on_time in completed
+        assert overdue.response().error_kind == "DeadlineExceeded"
+        assert on_time.response().ok
+        assert server.metrics.deadline_misses == 1
+
     def test_backoff_expires_overdue_members_but_serves_the_rest(
             self, session, rng):
         # A transient forces one retry whose 1 s backoff blows the first
