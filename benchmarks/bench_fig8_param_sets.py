@@ -22,7 +22,7 @@ def test_fig8_hmult_rtx4090(benchmark, set_name):
     params = PARAMETER_SETS[set_name]
     model = FIDESlibModel(GPU_RTX_4090, params, limb_batch=4)
     cost = model.operation_cost("HMult")
-    elapsed = benchmark(model.execute, cost).total_time
+    elapsed = benchmark(model.execute, cost).makespan
     benchmark.extra_info.update(
         {"parameter_set": params.describe(),
          "ksk_megabytes": round(params.key_switching_key_bytes() / 1e6, 1),

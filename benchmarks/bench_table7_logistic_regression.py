@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import CostModelBackend
+from repro.api import CostModelBackend, TracingBackend
 from repro.apps.logistic_regression import EncryptedLogisticRegression
 from repro.bench.reporting import BenchmarkTable, format_seconds, speedup
 from repro.gpu.platforms import GPU_RTX_4090
@@ -31,7 +31,7 @@ def test_table7_lr(benchmark, lr_models, with_bootstrap):
         workload.build_iteration_with_bootstrap if with_bootstrap else workload.build_iteration
     )
     cost = build(fides.costs)
-    gpu_time = benchmark(fides.execute, cost).total_time
+    gpu_time = benchmark(fides.execute, cost).makespan
     base_time = lr_models["baseline"].time_cost(build(lr_models["baseline"].costs))
     hexl_time = lr_models["hexl"].time_cost(build(lr_models["hexl"].costs))
     benchmark.extra_info.update(
@@ -52,35 +52,33 @@ def test_table7_program_on_cost_backend(benchmark, lr_params, lr_models):
     The same :class:`EncryptedLogisticRegression` step that the functional
     tests verify at toy parameters is replayed symbolically on a
     :class:`CostModelBackend` at the paper's LR parameter set, and the
-    accumulated ledger is executed on the FIDESlib GPU model -- the
+    kernel trace it emits is priced on the FIDESlib GPU model -- the
     written-once / costed-on-GPU loop of the reproduction.
     """
     batch_size, features = 8, 4
     rng = np.random.default_rng(0)
 
     def run_program():
-        backend = CostModelBackend.for_model(lr_models["fideslib"])
+        backend = TracingBackend(CostModelBackend.for_model(lr_models["fideslib"]))
         model = EncryptedLogisticRegression(backend=backend, feature_count=features)
         columns, labels = model.encrypt_batch(
             rng.uniform(-1, 1, (batch_size, features)),
             rng.integers(0, 2, batch_size).astype(float),
         )
         model.train_batch(columns, labels, batch_size)
-        return backend.ledger
+        return backend.trace
 
-    ledger = benchmark(run_program)
-    fides = lr_models["fideslib"]
-    gpu_time = fides.execute(ledger.as_cost("lr-iteration")).total_time
-    counts = ledger.operation_counts()
+    trace = benchmark(run_program)
+    gpu_time = lr_models["fideslib"].pricer.price(trace).makespan
+    scopes = trace.leaf_segments()
     benchmark.extra_info.update(
         {
-            "operations": sum(counts.values()),
-            "hmult_count": counts.get("HMult", 0),
+            "kernels": trace.kernel_count,
             "fideslib_rtx4090": format_seconds(gpu_time),
         }
     )
-    assert counts.get("HMult", 0) >= features + 1  # X·w products + sigmoid cube
-    assert counts.get("HRotate", 0) > 0            # gradient rotation sums
+    assert "hmult" in scopes    # X·w products + sigmoid cube
+    assert "hrotate" in scopes  # gradient rotation sums
     assert gpu_time > 0
 
 
@@ -93,7 +91,7 @@ def test_table7_summary(lr_models):
         ("Iteration + Bootstrap", workload.build_iteration_with_bootstrap),
     ):
         fides = lr_models["fideslib"]
-        gpu = fides.execute(build(fides.costs)).total_time
+        gpu = fides.execute(build(fides.costs)).makespan
         base = lr_models["baseline"].time_cost(build(lr_models["baseline"].costs))
         hexl = lr_models["hexl"].time_cost(build(lr_models["hexl"].costs))
         table.add_row(

@@ -3,9 +3,11 @@
 Each ``bench_*.py`` file regenerates one table or figure of the paper's
 evaluation section using the performance models at paper-scale
 parameters; every figure is modeled, none is a wall clock.
-Run with ``pytest benchmarks/ --benchmark-only``; the reproduced tables are
-attached to each benchmark's ``extra_info`` and printed when ``-s`` is
-given.
+Run with ``pytest benchmarks/bench_table*.py benchmarks/bench_fig*.py``
+(the file names do not match ``test_*.py``, so a bare ``pytest benchmarks/``
+collects only ``e2e/test_smoke.py``; add ``--benchmark-disable`` to skip
+the timing loops).  The reproduced tables are attached to each
+benchmark's ``extra_info`` and printed when ``-s`` is given.
 """
 
 from __future__ import annotations

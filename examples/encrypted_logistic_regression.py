@@ -81,10 +81,11 @@ def main() -> None:
     )
     x, y = batches[0]
     columns, label_ct = cost_lr.encrypt_batch(x, y)
-    cost_lr.train_batch(columns, label_ct, batch_size)
-    modelled = gpu.execute(cost_model.ledger.as_cost("lr-iteration")).total_time
+    with session.trace() as trace:
+        cost_lr.train_batch(columns, label_ct, batch_size)
+    modelled = gpu.pricer.price(trace).makespan
     print(f"\nsame step on the cost model at {paper_params.describe()}: "
-          f"{len(cost_model.ledger)} operations, modelled {modelled * 1e3:.1f} ms "
+          f"{trace.kernel_count} kernel launches, modelled {modelled * 1e3:.1f} ms "
           f"on an RTX 4090")
 
 

@@ -54,7 +54,7 @@ def table_vi() -> None:
     table = BenchmarkTable("Table VI: bootstrapping vs slot count (RTX 4090)")
     for slots in (64, 512, 16384, 32768):
         workload = BootstrapWorkload(params, slots)
-        gpu = fides.execute(workload.build(fides.costs)).total_time
+        gpu = fides.execute(workload.build(fides.costs)).makespan
         cpu = hexl.time_cost(workload.build(hexl.costs))
         table.add_row(
             Slots=slots,
@@ -76,7 +76,7 @@ def table_vii() -> None:
     table = BenchmarkTable("Table VII: logistic-regression training")
     for label, build in (("Iteration", workload.build_iteration),
                          ("Iteration + Bootstrap", workload.build_iteration_with_bootstrap)):
-        gpu = fides.execute(build(fides.costs)).total_time
+        gpu = fides.execute(build(fides.costs)).makespan
         base = baseline.time_cost(build(baseline.costs))
         table.add_row(
             Configuration=label,

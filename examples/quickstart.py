@@ -17,6 +17,8 @@ import numpy as np
 
 from repro.api import CipherVector, CKKSSession
 from repro.ckks.params import CKKSParameters
+from repro.gpu.platforms import GPU_RTX_4090
+from repro.perf.trace_model import TraceCostModel
 
 
 def main() -> None:
@@ -54,16 +56,21 @@ def main() -> None:
         print(f"{name:<18} {np.round(expected, 4)!s:<42} {np.round(decrypted, 4)}  (max err {error:.2e})")
 
     # 4. The same program on the cost-model backend: no data, only the
-    #    level/scale trajectory and the kernel-level cost ledger.
+    #    level/scale trajectory -- and, because it emits its closed-form
+    #    kernels onto the same trace seam the data plane records through,
+    #    a kernel trace that prices like a recorded one.
     model = session.cost_backend()
     sym_a = CipherVector(model, model.encrypt(a))
     sym_b = CipherVector(model, model.encrypt(b))
-    sym_poly = 2.0 * (sym_a * sym_b) + 1.0
+    with session.trace() as trace:
+        sym_poly = 2.0 * (sym_a * sym_b) + 1.0
     assert (sym_poly.level, sym_poly.scale) == (ct_poly.level, ct_poly.scale)
-    counts = ", ".join(f"{op} x{n}" for op, n in model.ledger.operation_counts().items())
-    print(f"\ncost model replay: level {sym_poly.level}, ops [{counts}], "
-          f"{model.ledger.bytes_moved / 1e6:.1f} MB moved, "
-          f"{model.ledger.kernel_count} kernel launches")
+    modeled = TraceCostModel(GPU_RTX_4090).price(trace).makespan
+    kernels = ", ".join(f"{scope} x{n}" for scope, n in trace.summary()["scopes"].items())
+    print(f"\ncost model replay: level {sym_poly.level}, kernels per scope [{kernels}], "
+          f"{trace.bytes_moved / 1e6:.1f} MB moved, "
+          f"{trace.kernel_count} kernel launches, "
+          f"modeled {modeled * 1e6:.1f} us on an RTX 4090")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ OpenFHE clients.  This package rebuilds the complete system in Python:
 from repro.api import (
     CKKSSession,
     CipherVector,
-    CostLedger,
     CostModelBackend,
     EvaluationBackend,
     FunctionalBackend,
@@ -69,7 +68,6 @@ __all__ = [
     "EvaluationBackend",
     "FunctionalBackend",
     "CostModelBackend",
-    "CostLedger",
     "CKKSParameters",
     "PARAMETER_SETS",
     "Context",

@@ -13,12 +13,15 @@ stay available underneath):
 * :class:`~repro.api.backend.EvaluationBackend` -- the pluggable seam:
   :class:`~repro.api.backend.FunctionalBackend` executes for real,
   :class:`~repro.api.backend.CostModelBackend` replays the same program
-  symbolically against the GPU cost model, accumulating a
-  :class:`~repro.api.backend.CostLedger`.
+  symbolically, emitting each operation's closed-form kernels onto the
+  execution-plane dispatcher -- so ``session.trace()``,
+  :class:`~repro.api.backend.TracingBackend` and a priced
+  :class:`~repro.serve.Server` record, price
+  (:class:`~repro.perf.trace_model.TraceCostModel`) and roll up
+  (:class:`~repro.obs.rollup.ScopeRollup`) either backend the same way.
 """
 
 from repro.api.backend import (
-    CostLedger,
     CostModelBackend,
     EvaluationBackend,
     FunctionalBackend,
@@ -35,7 +38,6 @@ __all__ = [
     "EvaluationBackend",
     "FunctionalBackend",
     "CostModelBackend",
-    "CostLedger",
     "SymbolicCiphertext",
     "TracingBackend",
     "as_backend",

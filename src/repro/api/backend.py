@@ -13,8 +13,13 @@ to whichever backend its handle belongs to.
 * :class:`CostModelBackend` wraps :mod:`repro.perf.costmodel`; its handles
   are :class:`SymbolicCiphertext` objects that track the level and scale
   trajectory exactly as the evaluator would (including the scale-ladder
-  bookkeeping and the error paths), while every operation appends its
-  kernel decomposition to a :class:`CostLedger`.
+  bookkeeping and the error paths), while every operation emits its
+  closed-form kernel decomposition through the execution-plane dispatcher,
+  inside the operation scopes the evaluator opens.  It keeps no books of
+  its own: ``session.trace()``, :class:`TracingBackend` and a
+  ``Server(trace_costs=...)`` observe, price and roll up a symbolic program
+  exactly as they do a functional one, and outside a recording region a
+  symbolic operation builds no kernel at all.
 
 Both backends accept plaintext operands either pre-encoded
 (:class:`~repro.ckks.ciphertext.Plaintext`) or as raw value arrays, which
@@ -29,7 +34,7 @@ bytes at ``1×`` the launches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -49,8 +54,11 @@ from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeySet
 from repro.ckks.params import CKKSParameters
 from repro.core.dispatch import KernelTrace, get_dispatcher
-from repro.gpu.kernel import Kernel
-from repro.perf.costmodel import CKKSOperationCosts, OperationCost
+from repro.perf.costmodel import CKKSOperationCosts
+
+#: Execution-plane dispatcher: the symbolic backend emits its kernels
+#: through it and the tracing backend opens its recording regions on it.
+_DISPATCH = get_dispatcher()
 
 
 @runtime_checkable
@@ -257,10 +265,11 @@ class SymbolicCiphertext:
 
     Like :class:`~repro.ckks.ciphertext.Ciphertext` it stands for
     ``batch_size`` members sharing one limb count and scale; each operation
-    on it is priced as the fused kernel stream -- the single-ciphertext
-    kernels with ``B×`` the bytes and integer ops but an *unchanged* launch
-    count, which is exactly what the recorded execution plane shows.  A
-    fused handle carries one ``encoded_length`` per member as a tuple.
+    on it emits the fused kernel stream -- the single-ciphertext kernels
+    :meth:`~repro.gpu.kernel.Kernel.batched` to ``B×`` the bytes and integer
+    ops at an *unchanged* launch count, which is exactly what the recorded
+    execution plane shows.  A fused handle carries one ``encoded_length``
+    per member as a tuple.
     """
 
     limb_count: int
@@ -279,80 +288,8 @@ class SymbolicCiphertext:
         return replace(self)
 
 
-def batched_cost(cost: OperationCost, batch_size: int) -> OperationCost:
-    """Scale an operation cost to a fused batch of ``batch_size`` members.
-
-    Bytes and integer operations grow ``B×`` (every kernel now covers
-    ``B·L`` rows); launch counts stay fixed -- the throughput-plane
-    contract that drops per-op launch overhead from ``O(B)`` to ``O(1)``.
-    """
-    scaled = OperationCost(name=f"{cost.name}[B={batch_size}]")
-    scaled.kernels = [
-        Kernel(
-            name=k.name,
-            bytes_read=k.bytes_read * batch_size,
-            bytes_written=k.bytes_written * batch_size,
-            int_ops=k.int_ops * batch_size,
-            working_set_bytes=k.working_set_bytes * batch_size,
-            reuse=k.reuse,
-            stream=k.stream,
-            fused=k.fused,
-            launches=k.launches,
-        )
-        for k in cost.kernels
-    ]
-    return scaled
-
-
-@dataclass
-class CostLedger:
-    """Accumulated kernel-level costs of a symbolic program."""
-
-    entries: list[tuple[str, OperationCost]] = field(default_factory=list)
-
-    def record(self, name: str, cost: OperationCost) -> None:
-        """Append one operation's cost."""
-        self.entries.append((name, cost))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def operation_counts(self) -> dict[str, int]:
-        """How many times each operation was issued."""
-        counts: dict[str, int] = {}
-        for name, _ in self.entries:
-            counts[name] = counts.get(name, 0) + 1
-        return counts
-
-    def as_cost(self, name: str = "program") -> OperationCost:
-        """Flatten the ledger into one composite :class:`OperationCost`."""
-        total = OperationCost(name)
-        for _, cost in self.entries:
-            total.extend(cost)
-        return total
-
-    @property
-    def bytes_moved(self) -> float:
-        """Total bytes read plus written across the whole program."""
-        return sum(cost.bytes_moved for _, cost in self.entries)
-
-    @property
-    def int_ops(self) -> float:
-        """Total integer operations across the whole program."""
-        return sum(cost.int_ops for _, cost in self.entries)
-
-    @property
-    def kernel_count(self) -> int:
-        """Total kernel launches across the whole program."""
-        return sum(cost.kernel_count for _, cost in self.entries)
-
-    def clear(self) -> None:
-        """Drop all recorded entries."""
-        self.entries.clear()
-
-
 class CostModelBackend:
-    """Symbolic execution: level/scale tracking plus an operation-cost ledger.
+    """Symbolic execution: level/scale tracking plus closed-form kernel emission.
 
     Two construction modes:
 
@@ -363,6 +300,15 @@ class CostModelBackend:
       level's scale is ``Δ`` and every rescale prime is ``2**scale_bits``;
       this is what paper-scale parameter sets use, since their contexts are
       too large for the functional Python backend.
+
+    Which kernel stream an operation emits is the ``costs`` builder's
+    choice.  The default (and :meth:`for_model` of a
+    :class:`~repro.perf.fideslib_model.FIDESlibModel`) is FIDESlib's
+    decomposition -- fused, limb-batched by ``params.limb_batch``;
+    ``for_model(PhantomModel(...))`` emits Phantom's; and
+    :meth:`CKKSSession.cost_backend
+    <repro.api.session.CKKSSession.cost_backend>` emits the stream this
+    repo's own data plane launches (fused, all limbs per kernel).
 
     Passing ``key_inventory`` (a :class:`KeySet`, typically the server key
     set of a session) makes rotations and conjugations fail with the same
@@ -377,7 +323,6 @@ class CostModelBackend:
         *,
         costs: CKKSOperationCosts | None = None,
         context: Context | None = None,
-        ledger: CostLedger | None = None,
         key_inventory: KeySet | None = None,
     ) -> None:
         self.params = params
@@ -385,7 +330,6 @@ class CostModelBackend:
             params, limb_batch=params.limb_batch, fusion=True
         )
         self.context = context
-        self.ledger = ledger if ledger is not None else CostLedger()
         self.key_inventory = key_inventory
         if context is not None:
             self._ladder: list[float] = list(context.scale_ladder)
@@ -418,12 +362,25 @@ class CostModelBackend:
     def _last_modulus(self, limb_count: int):
         return self._moduli[limb_count - 1]
 
-    def _record(self, name: str, cost: OperationCost, handle: SymbolicCiphertext) -> None:
-        """Append one operation's cost, priced for every member of ``handle``."""
-        if handle.batch_size > 1:
-            name = f"{name}[B={handle.batch_size}]"
-            cost = batched_cost(cost, handle.batch_size)
-        self.ledger.record(name, cost)
+    # -- kernel emission (in Evaluator's scopes) --------------------------------
+
+    #: The evaluator's own scope rule (``batch{B}/name`` for a fused handle);
+    #: it only reads ``batch_size``, which a symbolic handle carries too.
+    _scope = staticmethod(Evaluator._scope)
+
+    @staticmethod
+    def _emit(handle: SymbolicCiphertext, build, *args) -> None:
+        """Emit ``build(*args)``'s kernels, covering every member of ``handle``.
+
+        The builder only runs inside a recording region, so an unobserved
+        symbolic program constructs no kernel descriptors.
+        """
+        if not _DISPATCH.recording:
+            return
+        for kernel in build(*args).kernels:
+            if handle.batch_size > 1:
+                kernel = kernel.batched(handle.batch_size)
+            _DISPATCH.emit(kernel)
 
     # -- ciphertext sources -------------------------------------------------
 
@@ -466,7 +423,8 @@ class CostModelBackend:
     def rescale(self, a: SymbolicCiphertext) -> SymbolicCiphertext:
         if a.limb_count < 2:
             raise ValueError("cannot rescale a level-0 ciphertext")
-        self._record("Rescale", self.costs.rescale(a.limb_count), a)
+        with self._scope(a, "rescale"):
+            self._emit(a, self.costs.rescale, a.limb_count)
         return replace(
             a, limb_count=a.limb_count - 1,
             scale=a.scale / self._last_modulus(a.limb_count),
@@ -487,12 +445,9 @@ class CostModelBackend:
                     f"cannot change scale in place ({a.scale:.6g} vs {target_scale:.6g})"
                 )
             return a.copy()
-        reduced_limbs = target_level + 2
-        cost = OperationCost("Adjust")
-        cost.extend(self.costs.scalar_mult(reduced_limbs))
-        cost.extend(self.costs.rescale(reduced_limbs))
-        self._record("Adjust", cost, a)
-        return replace(a, limb_count=target_level + 1, scale=float(target_scale))
+        reduced = replace(a, limb_count=target_level + 2)
+        self._emit(reduced, self.costs.scalar_mult, reduced.limb_count)
+        return replace(self.rescale(reduced), scale=float(target_scale))
 
     def _match(self, a: SymbolicCiphertext, b: SymbolicCiphertext
                ) -> tuple[SymbolicCiphertext, SymbolicCiphertext]:
@@ -529,22 +484,15 @@ class CostModelBackend:
     # -- additions ----------------------------------------------------------
 
     def add(self, a: SymbolicCiphertext, b: SymbolicCiphertext) -> SymbolicCiphertext:
-        a2, b2 = self._match(a, b)
-        self._record("HAdd", self.costs.hadd(a2.limb_count), a2)
+        with self._scope(a, "hadd"):
+            a2, b2 = self._match(a, b)
+            self._emit(a2, self.costs.hadd, a2.limb_count)
         return a2.copy()
 
-    def sub(self, a: SymbolicCiphertext, b: SymbolicCiphertext) -> SymbolicCiphertext:
-        a2, b2 = self._match(a, b)
-        self._record("HSub", self.costs.hadd(a2.limb_count), a2)
-        return a2.copy()
+    sub = add  # HSub launches HAdd's kernels in HAdd's scope
 
     def negate(self, a: SymbolicCiphertext) -> SymbolicCiphertext:
-        cost = OperationCost("Negate")
-        cost.kernels = self.costs.elementwise_kernels(
-            "negate", a.limb_count, polys_read=2.0, polys_written=2.0,
-            ops_per_element=1.0,
-        )
-        self._record("Negate", cost, a)
+        self._emit(a, self.costs.negate, a.limb_count)
         return a.copy()
 
     def add_plain(self, a: SymbolicCiphertext, values) -> SymbolicCiphertext:
@@ -553,37 +501,37 @@ class CostModelBackend:
             raise ValueError(
                 f"plaintext scale {pt_scale:.6g} does not match ciphertext {a.scale:.6g}"
             )
-        self._record("PtAdd", self.costs.ptadd(a.limb_count), a)
+        with self._scope(a, "ptadd"):
+            self._emit(a, self.costs.ptadd, a.limb_count)
         return a.copy()
 
-    def sub_plain(self, a: SymbolicCiphertext, values) -> SymbolicCiphertext:
-        pt_scale = self._plain_scale(a, values, for_multiplication=False)
-        if not scales_match(a.scale, pt_scale):
-            raise ValueError("plaintext scale does not match ciphertext")
-        self._record("PtSub", self.costs.ptadd(a.limb_count), a)
-        return a.copy()
+    sub_plain = add_plain  # PtSub launches PtAdd's kernels in PtAdd's scope
 
     def add_scalar(self, a: SymbolicCiphertext, value: float) -> SymbolicCiphertext:
-        self._record("ScalarAdd", self.costs.scalar_add(a.limb_count), a)
+        with self._scope(a, "scalaradd"):
+            self._emit(a, self.costs.scalar_add, a.limb_count)
         return a.copy()
 
     # -- multiplications ----------------------------------------------------
 
     def multiply(self, a: SymbolicCiphertext, b: SymbolicCiphertext) -> SymbolicCiphertext:
-        a2, b2 = self._match_for_product(a, b)
-        self._record("HMult", self.costs.hmult(a2.limb_count), a2)
-        return self.rescale(replace(a2, scale=a2.scale * b2.scale))
+        with self._scope(a, "hmult"):
+            a2, b2 = self._match_for_product(a, b)
+            self._emit(a2, self.costs.hmult, a2.limb_count)
+            return self.rescale(replace(a2, scale=a2.scale * b2.scale))
 
     def square(self, a: SymbolicCiphertext) -> SymbolicCiphertext:
-        self._record("HSquare", self.costs.hsquare(a.limb_count), a)
-        return self.rescale(replace(a, scale=a.scale * a.scale))
+        with self._scope(a, "hsquare"):
+            self._emit(a, self.costs.hsquare, a.limb_count)
+            return self.rescale(replace(a, scale=a.scale * a.scale))
 
     def multiply_plain(self, a: SymbolicCiphertext, values, *,
                        rescale: bool = True) -> SymbolicCiphertext:
         pt_scale = self._plain_scale(a, values, for_multiplication=True)
-        self._record("PtMult", self.costs.ptmult(a.limb_count), a)
-        raw = replace(a, scale=a.scale * pt_scale)
-        return self.rescale(raw) if rescale else raw
+        with self._scope(a, "ptmult"):
+            self._emit(a, self.costs.ptmult, a.limb_count)
+            raw = replace(a, scale=a.scale * pt_scale)
+            return self.rescale(raw) if rescale else raw
 
     def multiply_scalar(self, a: SymbolicCiphertext, value: float) -> SymbolicCiphertext:
         if a.level == 0:
@@ -593,11 +541,9 @@ class CostModelBackend:
                 "ladder; pass rescale=False (the result keeps scale * scalar_scale) "
                 "or bootstrap the ciphertext first"
             )
-        self._record("ScalarMult", self.costs.scalar_mult(a.limb_count), a)
-        self._record("Rescale", self.costs.rescale(a.limb_count), a)
-        return replace(
-            a, limb_count=a.limb_count - 1, scale=self._scale_at(a.level - 1) * 1.0
-        )
+        with self._scope(a, "scalarmult"):
+            self._emit(a, self.costs.scalar_mult, a.limb_count)
+            return replace(self.rescale(a), scale=self._scale_at(a.level - 1) * 1.0)
 
     # -- rotations ----------------------------------------------------------
 
@@ -609,31 +555,30 @@ class CostModelBackend:
         if steps % a.slots == 0:
             return a.copy()
         self._check_rotation_key(steps)
-        self._record("HRotate", self.costs.hrotate(a.limb_count), a)
+        with self._scope(a, "hrotate"):
+            self._emit(a, self.costs.hrotate, a.limb_count)
         return a.copy()
 
     def conjugate(self, a: SymbolicCiphertext) -> SymbolicCiphertext:
         if self.key_inventory is not None and self.key_inventory.conjugation_key is None:
             raise KeyError("no conjugation key was generated")
-        self._record("HConjugate", self.costs.hrotate(a.limb_count), a)
+        with self._scope(a, "hconjugate"):
+            self._emit(a, self.costs.hrotate, a.limb_count)
         return a.copy()
 
     def hoisted_rotations(self, a: SymbolicCiphertext,
                           steps: Sequence[int]) -> dict[int, SymbolicCiphertext]:
         results: dict[int, SymbolicCiphertext] = {}
-        effective = []
+        effective = 0
         for step in steps:
             step = int(step)
             results[step] = a.copy()
             if step % a.slots != 0:
                 self._check_rotation_key(step)
-                effective.append(step)
+                effective += 1
         if effective:
-            self._record(
-                f"HoistedRotate x{len(effective)}",
-                self.costs.hoisted_rotations(a.limb_count, len(effective)),
-                a,
-            )
+            with self._scope(a, "hoisted"):
+                self._emit(a, self.costs.hoisted_rotations, a.limb_count, effective)
         return results
 
     # -- fusions ------------------------------------------------------------
@@ -662,7 +607,6 @@ class CostModelBackend:
             "backend": self.name,
             "parameter_set": self.params.describe(),
             "mode": "context-exact" if self.context is not None else "ideal-ladder",
-            "operations_recorded": len(self.ledger),
         }
 
 
@@ -681,9 +625,9 @@ class TracingBackend:
     data-plane kernel it launches lands in :attr:`trace` with operation
     scopes and dependency edges intact across calls.
 
-    Meaningful traces require a backend that drives the real data plane
-    (:class:`FunctionalBackend`); wrapping a :class:`CostModelBackend`
-    records nothing, since symbolic execution launches no kernels.
+    Both kernel producers land in it: a :class:`FunctionalBackend` records
+    the kernels its data plane launches, a :class:`CostModelBackend` the
+    closed-form kernels it emits for the same operations.
     """
 
     name = "tracing"
@@ -694,7 +638,7 @@ class TracingBackend:
         self.trace = trace if trace is not None else KernelTrace()
 
     def _recorded(self, method: str, *args, **kwargs):
-        with get_dispatcher().record(self.trace):
+        with _DISPATCH.record(self.trace):
             return getattr(self.inner, method)(*args, **kwargs)
 
     def describe(self) -> dict:
@@ -724,10 +668,8 @@ __all__ = [
     "EvaluationBackend",
     "FunctionalBackend",
     "CostModelBackend",
-    "CostLedger",
     "SymbolicCiphertext",
     "TracingBackend",
     "BACKEND_OPERATIONS",
     "as_backend",
-    "batched_cost",
 ]

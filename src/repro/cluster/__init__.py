@@ -20,14 +20,12 @@ Module map (topology → shard plan → sharded trace → multi-device schedule)
             TransferKernels inserted at base-conversion boundaries
                 │
                 ▼
-    repro.gpu.stream.StreamScheduler(..., topology=...)
-        per-device stream sets + host launch threads; links are serial
-        resources; cross-device edges wait for completed transfers
-                │
-                ▼
-    repro.perf.trace_model.TraceCostModel(..., topology=...)
-        prices the sharded trace: roofline per-device kernels,
-        bandwidth/latency-priced transfers, per-device busy times
+    repro.perf.trace_model.TraceCostModel(..., topology=...).price
+        the one kernels -> seconds path, topology-aware: roofline
+        per-device kernels, bandwidth/latency-priced transfers, and a
+        repro.gpu.stream.StreamScheduler with per-device stream sets +
+        host launch threads (links are serial resources; cross-device
+        edges wait for completed transfers); per-device busy times
                 │
                 ▼
     repro.cluster.planner

@@ -1,7 +1,7 @@
 """The execution plane: kernel-trace dispatch from the real data plane.
 
-Module map (data plane → dispatcher → trace → scheduler / cost model)
----------------------------------------------------------------------
+Module map (kernel producers → dispatcher → trace → the one pricing path)
+------------------------------------------------------------------------
 
 ::
 
@@ -10,8 +10,10 @@ Module map (data plane → dispatcher → trace → scheduler / cost model)
     repro.core.ntt ───────┤  StackedNTTEngine transforms (per limb batch)
     repro.core.rns ───────┤  BaseConverter.convert_stack
     repro.ckks.keyswitch ─┤  fused ModUp / inner-product / ModDown emits
-    repro.ckks.evaluator ─┘  operation scopes (hmult, rescale, ...)
-                │
+    repro.ckks.evaluator ─┤  operation scopes (hmult, rescale, ...)
+    repro.api.backend ────┘  CostModelBackend: the closed-form kernels of
+                │            repro.perf.costmodel, emitted in the same
+                │            operation scopes (symbolic programs)
                 ▼
     repro.core.dispatch.Dispatcher      (this module)
         eager execution as before; optionally records every batched
@@ -23,16 +25,20 @@ Module map (data plane → dispatcher → trace → scheduler / cost model)
     repro.core.dispatch.KernelTrace
         the recorded kernel stream: Kernel descriptors + dependency DAG
                 │
-                ├──▶ repro.gpu.stream.StreamScheduler.schedule(...,
-                │        dependencies=trace.dependencies())
-                │    dependency-aware multi-stream event simulation
+                ▼
+    repro.perf.trace_model.TraceCostModel.price
+        the only kernels → seconds path: roofline timing
+        (repro.gpu.kernel.KernelCostModel) + dependency-aware
+        multi-stream scheduling (repro.gpu.stream.StreamScheduler)
                 │
-                ├──▶ repro.perf.trace_model.TraceCostModel
-                │    prices the trace (roofline timing + scheduling)
-                │
-                └──▶ repro.perf.calibration.reconcile_trace
-                     cross-validates the trace against the hand-built
-                     repro.perf.costmodel.CKKSOperationCosts kernels
+                ▼
+    repro.obs.rollup.ScopeRollup
+        the only per-scope table (leaf rule: TraceEvent.leaf)
+
+:func:`repro.perf.calibration.reconcile_trace` sits beside the pipeline:
+it compares a recorded trace with the closed-form
+:class:`repro.perf.costmodel.CKKSOperationCosts` kernels of the same
+operation and reports where the two producers disagree.
 
 Every batched data-plane operation routes through the module-level
 :class:`Dispatcher` singleton (:func:`get_dispatcher`).  Execution stays
@@ -154,6 +160,11 @@ class TraceEvent:
     read_views: tuple[ViewSpec, ...] = ()
     write_views: tuple[ViewSpec, ...] = ()
     replay: Callable[[tuple, tuple], None] | None = None
+
+    @property
+    def leaf(self) -> str:
+        """Innermost scope component (``hmult/keyswitch/moddown`` → ``moddown``)."""
+        return self.scope.rsplit("/", 1)[-1]
 
 
 @dataclass
@@ -433,8 +444,7 @@ class KernelTrace:
         """Group events by the innermost scope component (hmult, modup, ...)."""
         segments: dict[str, list[TraceEvent]] = {}
         for event in self.events:
-            leaf = event.scope.rsplit("/", 1)[-1] if event.scope else ""
-            segments.setdefault(leaf, []).append(event)
+            segments.setdefault(event.leaf, []).append(event)
         return segments
 
     def summary(self) -> dict:

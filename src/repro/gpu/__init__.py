@@ -12,9 +12,11 @@ kernel-launch overhead and stream overlap.
 * :mod:`repro.gpu.kernel` -- kernel descriptors and their cost model.
 * :mod:`repro.gpu.stream` -- CUDA-stream-style scheduling (launch overhead
   hiding, per-stream serialisation).
-* :mod:`repro.gpu.device` -- a device that executes kernel lists and
-  reports timing breakdowns.
 * :mod:`repro.gpu.memory` -- device-memory tracking for the model.
+
+The pieces are combined in exactly one place,
+:meth:`repro.perf.trace_model.TraceCostModel.price` (kernel list →
+``KernelCostModel`` timings → ``StreamScheduler`` timeline).
 """
 
 from repro.gpu.platforms import (
@@ -28,7 +30,6 @@ from repro.gpu.platforms import (
     ALL_PLATFORMS,
 )
 from repro.gpu.kernel import Kernel, KernelCostModel
-from repro.gpu.device import GPUDevice, ExecutionResult
 from repro.gpu.stream import ScheduledKernel, ScheduleResult, StreamScheduler
 
 __all__ = [
@@ -42,8 +43,6 @@ __all__ = [
     "ALL_PLATFORMS",
     "Kernel",
     "KernelCostModel",
-    "GPUDevice",
-    "ExecutionResult",
     "StreamScheduler",
     "ScheduleResult",
     "ScheduledKernel",

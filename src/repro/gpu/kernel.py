@@ -6,21 +6,28 @@ kernels.  A kernel is characterised by how many bytes it reads and writes,
 how many integer operations it performs, the working set it keeps hot, and
 which CUDA stream it is issued to.
 
-Two producers build these descriptors and must agree on the byte/op
-conventions:
+Two producers build these descriptors, each for a question the other
+cannot answer, and both hand them to the same consumer
+(:class:`repro.perf.trace_model.TraceCostModel`, the one place a kernel
+list becomes seconds):
 
-* :mod:`repro.perf.costmodel` -- the analytical decomposition of each CKKS
-  primitive (hand-built workload math); and
-* :mod:`repro.core.dispatch` -- the execution plane, which records kernels
-  from the *real* data plane as it executes, with shapes taken from the
-  live arrays.
+* :mod:`repro.core.dispatch` -- the execution plane records the kernels
+  the *real* data plane launches, with shapes taken from the live arrays.
+  It answers "what did this program actually run", and only exists at
+  parameter sets small enough to execute in Python.
+* :mod:`repro.perf.costmodel` -- the closed-form decomposition of each
+  CKKS primitive as FIDESlib, Phantom or OpenFHE launch it (limb batching,
+  fusion, radix-8 penalties).  It answers "what would library X run at the
+  paper's [2^16, 29, 59, 4]", where nothing can execute; the symbolic
+  :class:`repro.api.backend.CostModelBackend` emits these kernels onto the
+  same dispatcher seam the data plane records through.
 
 The free functions :func:`elementwise_kernel`, :func:`ntt_kernel` and
-:func:`base_conversion_kernel` are that single source of truth: both
-producers call them, so a recorded trace and the hand-built cost of the
-same operation differ only where the executed kernel *structure* differs
--- which is exactly the drift the reconciliation check
-(:func:`repro.perf.calibration.reconcile_trace`) exists to catch.
+:func:`base_conversion_kernel` are the shared byte/op conventions: both
+producers call them, so a recorded trace and the closed form of the same
+operation differ only where the executed kernel *structure* differs --
+the drift :func:`repro.perf.calibration.reconcile_trace` measures and
+``tests/test_dispatch_trace.py::TestReconciliation`` pins per operation.
 
 The roofline-style cost model charges
 ``max(compute_time, memory_time)`` per kernel, where memory time uses the
@@ -32,7 +39,7 @@ because limb batching and multi-stream execution amortise it (§III-F.1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.gpu.cache import CacheModel
 from repro.gpu.platforms import ComputePlatform
@@ -89,17 +96,28 @@ class Kernel:
 
     def scaled(self, factor: float) -> "Kernel":
         """Return a copy representing ``factor`` times as many launches."""
-        return Kernel(
-            name=self.name,
+        return replace(
+            self,
             bytes_read=self.bytes_read * factor,
             bytes_written=self.bytes_written * factor,
             int_ops=self.int_ops * factor,
-            working_set_bytes=self.working_set_bytes,
-            reuse=self.reuse,
-            stream=self.stream,
-            fused=self.fused,
             launches=self.launches * factor,
-            device=self.device,
+        )
+
+    def batched(self, members: int) -> "Kernel":
+        """Return a copy covering ``members`` fused ciphertexts per launch.
+
+        A kernel over a fused ``(B·L, N)`` stack moves ``B×`` the bytes,
+        does ``B×`` the integer operations and keeps ``B×`` the working set
+        hot at an *unchanged* launch count -- the throughput-plane contract
+        that drops per-op launch overhead from ``O(B)`` to ``O(1)``.
+        """
+        return replace(
+            self,
+            bytes_read=self.bytes_read * members,
+            bytes_written=self.bytes_written * members,
+            int_ops=self.int_ops * members,
+            working_set_bytes=self.working_set_bytes * members,
         )
 
 

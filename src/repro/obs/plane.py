@@ -179,13 +179,9 @@ class Observability:
         if not self.enabled:
             return
         self.rollup.add_report(trace, report)
-        scopes = tuple(
-            event.scope.rsplit("/", 1)[-1] if event.scope else ""
-            for event in trace.events
-        )
         self.timelines.append(DrainTimeline(
-            offset=float(offset), label=label,
-            schedule=report.schedule, scopes=scopes,
+            offset=float(offset), label=label, schedule=report.schedule,
+            scopes=tuple(event.leaf for event in trace.events),
         ))
 
     def reset_drain_peaks(self) -> None:

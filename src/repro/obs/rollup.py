@@ -80,28 +80,21 @@ class ScopeRollup:
     def add_report(self, trace, report) -> None:
         """Fold one priced trace (``TraceCostModel.price`` output) in.
 
-        Attribution walks the schedule timeline, not the scope-cost
-        segments: each slot's execution and launch intervals land on the
-        leaf scope of the trace event the slot's ``index`` points back to,
-        so launch overhead -- which the segment view does not carry -- is
-        attributed too, and the totals close against the makespan.
+        Attribution walks the schedule timeline: each slot's execution and
+        launch intervals land on the leaf scope
+        (:attr:`~repro.core.dispatch.TraceEvent.leaf`) of the trace event
+        the slot's ``index`` points back to, so launch overhead is
+        attributed too and the totals close against the makespan.
         """
         events = trace.events
         for slot in report.schedule.timeline:
-            scope = ""
-            if 0 <= slot.index < len(events):
-                full = events[slot.index].scope
-                scope = full.rsplit("/", 1)[-1] if full else ""
-            row = self._row(scope or slot.name)
+            event = events[slot.index]
+            row = self._row(event.leaf or slot.name)
             row.execution_s += slot.end - slot.start
             row.launch_s += slot.launch_end - slot.launch_start
-            if 0 <= slot.index < len(events):
-                kernel = events[slot.index].kernel
-                row.kernels += int(round(kernel.launches))
-                row.bytes_moved += kernel.bytes_moved
-                row.int_ops += kernel.int_ops
-            else:  # pragma: no cover - defensive
-                row.kernels += 1
+            row.kernels += int(round(event.kernel.launches))
+            row.bytes_moved += event.kernel.bytes_moved
+            row.int_ops += event.kernel.int_ops
         self.makespan_total += report.makespan
 
     def add_wall(self, scope: str, seconds: float) -> None:

@@ -12,8 +12,9 @@ implementations of the same CKKS operations:
   CPU (:class:`repro.perf.openfhe_model.OpenFHEModel`).
 
 Each model maps a CKKS operation (at a given parameter set and level) to
-either a kernel sequence executed by the :mod:`repro.gpu` device model or
-an operation-count/bandwidth estimate for the CPU.  The workload
+either a kernel sequence priced by
+:class:`repro.perf.trace_model.TraceCostModel` on the :mod:`repro.gpu`
+model or an operation-count/bandwidth estimate for the CPU.  The workload
 composition used by the table/figure benches lives in
 :mod:`repro.perf.workloads`.
 """

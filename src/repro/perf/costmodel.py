@@ -6,6 +6,10 @@ happen, derived from the same formulas the functional implementation in
 that work takes).  Every public method returns an :class:`OperationCost`:
 the list of kernels a GPU backend would launch, from which byte and
 operation totals for the CPU baselines are also derived.
+:attr:`CKKSOperationCosts.OPERATIONS` is the one table from the paper's
+operation names (Table I / Table V) to those builders; the three library
+models and the LR workload index it through
+:meth:`CKKSOperationCosts.operation`.
 
 Backend-specific behaviour is expressed through constructor knobs:
 
@@ -24,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.ckks.params import CKKSParameters
+from repro.core.dispatch import KernelTrace
 from repro.gpu.kernel import (
     ELEMENT_BYTES,
     Kernel,
@@ -65,6 +70,13 @@ class OperationCost:
         repeated = OperationCost(name=f"{self.name} x{repetitions:g}")
         repeated.kernels = [k.scaled(repetitions) for k in self.kernels]
         return repeated
+
+    def as_trace(self) -> KernelTrace:
+        """These kernels as a dependency-free trace, ready to be priced."""
+        trace = KernelTrace()
+        for kernel in self.kernels:
+            trace.append(kernel)
+        return trace
 
 
 class CKKSOperationCosts:
@@ -232,6 +244,14 @@ class CKKSOperationCosts:
         cost.kernels = self.elementwise_kernels(
             "hadd", limbs, polys_read=4.0, polys_written=2.0,
             ops_per_element=2.0 * self.arith.modadd_ops,
+        )
+        return cost
+
+    def negate(self, limbs: int) -> OperationCost:
+        """Negate: element-wise negation of both ciphertext components."""
+        cost = OperationCost("Negate")
+        cost.kernels = self.elementwise_kernels(
+            "negate", limbs, polys_read=2.0, polys_written=2.0, ops_per_element=1.0,
         )
         return cost
 
@@ -429,6 +449,33 @@ class CKKSOperationCosts:
         cost = OperationCost(tag.upper())
         cost.kernels = self.ntt_kernels(limbs, tag=tag)
         return cost
+
+    #: Paper operation name (Table I / Table V) -> builder, written once.
+    OPERATIONS = {
+        "ScalarAdd": scalar_add,
+        "PtAdd": ptadd,
+        "HAdd": hadd,
+        "ScalarMult": scalar_mult,
+        "PtMult": ptmult,
+        "HMult": hmult,
+        "HSquare": hsquare,
+        "Rescale": rescale,
+        "HRotate": hrotate,
+        "HConjugate": hrotate,
+        "HoistedRotate": lambda self, limbs, rotations=2: self.hoisted_rotations(
+            limbs, rotations
+        ),
+        "NTT": ntt_microbenchmark,
+        "iNTT": lambda self, limbs: self.ntt_microbenchmark(limbs, inverse=True),
+        "PtMultRescale": ptmult_rescale,
+        "KeySwitch": key_switch,
+    }
+
+    def operation(self, name: str, limbs: int, **kwargs) -> OperationCost:
+        """Build the paper operation ``name`` at ``limbs`` active limbs."""
+        if name not in self.OPERATIONS:
+            raise ValueError(f"unknown operation {name!r}")
+        return self.OPERATIONS[name](self, limbs, **kwargs)
 
 
 __all__ = ["OperationCost", "CKKSOperationCosts", "ELEMENT_BYTES"]

@@ -13,10 +13,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.ckks.params import CKKSParameters
-from repro.gpu.device import ExecutionResult, GPUDevice
 from repro.gpu.platforms import ComputePlatform
-from repro.perf.calibration import GPU_CALIBRATION
 from repro.perf.costmodel import CKKSOperationCosts, OperationCost
+from repro.perf.trace_model import TraceCostModel, TraceReport
 
 
 class FIDESlibModel:
@@ -40,12 +39,9 @@ class FIDESlibModel:
         self.platform = platform
         self.params = params
         self.limb_batch = limb_batch if limb_batch is not None else params.limb_batch
-        self.device = GPUDevice(
-            platform,
-            streams=streams if streams is not None else GPU_CALIBRATION.fideslib_streams,
-            compute_efficiency=GPU_CALIBRATION.compute_efficiency,
-            bandwidth_efficiency=GPU_CALIBRATION.bandwidth_efficiency,
-        )
+        #: FIDESlib's calibrated stream count and efficiencies are the
+        #: TraceCostModel defaults.
+        self.pricer = TraceCostModel(platform, streams=streams)
         self.costs = CKKSOperationCosts(params, limb_batch=self.limb_batch, fusion=True)
 
     # ------------------------------------------------------------------
@@ -57,36 +53,15 @@ class FIDESlibModel:
     def operation_cost(self, operation: str, limbs: int | None = None, **kwargs) -> OperationCost:
         """Return the kernel decomposition of ``operation``."""
         limbs = self.params.limb_count if limbs is None else limbs
-        builders = {
-            "ScalarAdd": lambda: self.costs.scalar_add(limbs),
-            "PtAdd": lambda: self.costs.ptadd(limbs),
-            "HAdd": lambda: self.costs.hadd(limbs),
-            "ScalarMult": lambda: self.costs.scalar_mult(limbs),
-            "PtMult": lambda: self.costs.ptmult(limbs),
-            "HMult": lambda: self.costs.hmult(limbs),
-            "HSquare": lambda: self.costs.hsquare(limbs),
-            "Rescale": lambda: self.costs.rescale(limbs),
-            "HRotate": lambda: self.costs.hrotate(limbs),
-            "HConjugate": lambda: self.costs.hrotate(limbs),
-            "HoistedRotate": lambda: self.costs.hoisted_rotations(
-                limbs, kwargs.get("rotations", 2)
-            ),
-            "NTT": lambda: self.costs.ntt_microbenchmark(limbs),
-            "iNTT": lambda: self.costs.ntt_microbenchmark(limbs, inverse=True),
-            "PtMultRescale": lambda: self.costs.ptmult_rescale(limbs),
-            "KeySwitch": lambda: self.costs.key_switch(limbs),
-        }
-        if operation not in builders:
-            raise ValueError(f"unknown operation {operation!r}")
-        return builders[operation]()
+        return self.costs.operation(operation, limbs, **kwargs)
 
-    def execute(self, cost: OperationCost) -> ExecutionResult:
-        """Run a prepared cost object through the device model."""
-        return self.device.execute(cost.kernels)
+    def execute(self, cost: OperationCost) -> TraceReport:
+        """Price a prepared cost object's kernels on the GPU model."""
+        return self.pricer.price(cost.as_trace())
 
     def time_operation(self, operation: str, limbs: int | None = None, **kwargs) -> float:
         """Return the modelled execution time (seconds) of one operation."""
-        return self.execute(self.operation_cost(operation, limbs, **kwargs)).total_time
+        return self.execute(self.operation_cost(operation, limbs, **kwargs)).makespan
 
     # ------------------------------------------------------------------
 
@@ -94,7 +69,7 @@ class FIDESlibModel:
         """Return a copy of this model using a different limb batch."""
         return FIDESlibModel(
             self.platform, self.params, limb_batch=limb_batch,
-            streams=self.device.scheduler.streams,
+            streams=self.pricer.streams,
         )
 
     def best_limb_batch(self, candidates: tuple[int, ...] = (1, 2, 3, 4, 6, 8, 10, 12),

@@ -58,28 +58,7 @@ class OpenFHEModel:
     def operation_cost(self, operation: str, limbs: int | None = None, **kwargs) -> OperationCost:
         """Return the operation decomposition (shared with the GPU models)."""
         limbs = self.params.limb_count if limbs is None else limbs
-        builders = {
-            "ScalarAdd": lambda: self.costs.scalar_add(limbs),
-            "PtAdd": lambda: self.costs.ptadd(limbs),
-            "HAdd": lambda: self.costs.hadd(limbs),
-            "ScalarMult": lambda: self.costs.scalar_mult(limbs),
-            "PtMult": lambda: self.costs.ptmult(limbs),
-            "HMult": lambda: self.costs.hmult(limbs),
-            "HSquare": lambda: self.costs.hsquare(limbs),
-            "Rescale": lambda: self.costs.rescale(limbs),
-            "HRotate": lambda: self.costs.hrotate(limbs),
-            "HConjugate": lambda: self.costs.hrotate(limbs),
-            "HoistedRotate": lambda: self.costs.hoisted_rotations(
-                limbs, kwargs.get("rotations", 2)
-            ),
-            "NTT": lambda: self.costs.ntt_microbenchmark(limbs),
-            "iNTT": lambda: self.costs.ntt_microbenchmark(limbs, inverse=True),
-            "PtMultRescale": lambda: self.costs.ptmult_rescale(limbs),
-            "KeySwitch": lambda: self.costs.key_switch(limbs),
-        }
-        if operation not in builders:
-            raise ValueError(f"unknown operation {operation!r}")
-        return builders[operation]()
+        return self.costs.operation(operation, limbs, **kwargs)
 
     def time_cost(self, cost: OperationCost) -> float:
         """Convert an operation decomposition into CPU time (seconds)."""

@@ -19,10 +19,10 @@ encodes:
 from __future__ import annotations
 
 from repro.ckks.params import CKKSParameters
-from repro.gpu.device import ExecutionResult, GPUDevice
 from repro.gpu.platforms import ComputePlatform
 from repro.perf.calibration import GPU_CALIBRATION
 from repro.perf.costmodel import CKKSOperationCosts, OperationCost
+from repro.perf.trace_model import TraceCostModel, TraceReport
 
 
 class UnsupportedOperation(NotImplementedError):
@@ -43,12 +43,7 @@ class PhantomModel:
     def __init__(self, platform: ComputePlatform, params: CKKSParameters) -> None:
         self.platform = platform
         self.params = params
-        self.device = GPUDevice(
-            platform,
-            streams=GPU_CALIBRATION.phantom_streams,
-            compute_efficiency=GPU_CALIBRATION.compute_efficiency,
-            bandwidth_efficiency=GPU_CALIBRATION.bandwidth_efficiency,
-        )
+        self.pricer = TraceCostModel(platform, streams=GPU_CALIBRATION.phantom_streams)
         self.costs = CKKSOperationCosts(
             params,
             limb_batch=None,  # monolithic kernels over every limb
@@ -69,28 +64,15 @@ class PhantomModel:
                 f"Phantom does not implement {operation} (Table V reports N/A)"
             )
         limbs = self.params.limb_count if limbs is None else limbs
-        builders = {
-            "PtAdd": lambda: self.costs.ptadd(limbs),
-            "HAdd": lambda: self.costs.hadd(limbs),
-            "PtMult": lambda: self.costs.ptmult(limbs),
-            "HMult": lambda: self.costs.hmult(limbs),
-            "Rescale": lambda: self.costs.rescale(limbs),
-            "HRotate": lambda: self.costs.hrotate(limbs),
-            "HConjugate": lambda: self.costs.hrotate(limbs),
-            "NTT": lambda: self.costs.ntt_microbenchmark(limbs),
-            "iNTT": lambda: self.costs.ntt_microbenchmark(limbs, inverse=True),
-            "PtMultRescale": lambda: self.costs.ptmult_rescale(limbs),
-            "KeySwitch": lambda: self.costs.key_switch(limbs),
-        }
-        return builders[operation]()
+        return self.costs.operation(operation, limbs, **kwargs)
 
-    def execute(self, cost: OperationCost) -> ExecutionResult:
-        """Run a prepared cost object through the device model."""
-        return self.device.execute(cost.kernels)
+    def execute(self, cost: OperationCost) -> TraceReport:
+        """Price a prepared cost object's kernels on the GPU model."""
+        return self.pricer.price(cost.as_trace())
 
     def time_operation(self, operation: str, limbs: int | None = None, **kwargs) -> float:
         """Return the modelled execution time (seconds) of one operation."""
-        return self.execute(self.operation_cost(operation, limbs, **kwargs)).total_time
+        return self.execute(self.operation_cost(operation, limbs, **kwargs)).makespan
 
 
 __all__ = ["PhantomModel", "UnsupportedOperation"]

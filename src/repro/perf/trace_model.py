@@ -1,19 +1,27 @@
-"""Trace-driven performance backend: price recorded kernel streams.
+"""The one kernels → seconds path: price a kernel stream on the GPU model.
 
-The hand-built models in :mod:`repro.perf.costmodel` answer "what would
-this operation cost"; :class:`TraceCostModel` answers "what would the
-kernel stream *the data plane actually executed* cost".  It consumes a
-:class:`repro.core.dispatch.KernelTrace` recorded from the real execution
-plane, prices every kernel with the roofline
-:class:`repro.gpu.kernel.KernelCostModel`, and schedules the stream on the
-dependency-aware multi-stream simulator of :mod:`repro.gpu.stream` --
-launch-overhead hiding across streams (§III-F.1) included.
+:meth:`TraceCostModel.price` is the only place in ``src/`` (outside
+:mod:`repro.gpu` itself) that builds a roofline
+:class:`repro.gpu.kernel.KernelCostModel` and a dependency-aware
+:class:`repro.gpu.stream.StreamScheduler` -- launch-overhead hiding across
+streams (§III-F.1) included.  Everything that wants modeled seconds hands
+it a :class:`repro.core.dispatch.KernelTrace`::
 
-Because the evaluator and key-switching layers tag operation scopes, the
-resulting :class:`TraceReport` also segments the timeline into
-hmult/modup/moddown/rescale regions, which is how the Fig./Table
-benchmarks consume measured-from-execution traces instead of duplicating
-workload math.
+    recorded data plane   session.trace() / TracingBackend / Server drains
+    symbolic programs     CostModelBackend emits closed-form kernels onto
+                          the same dispatcher seam, so the above observe it
+    paper-scale models    FIDESlibModel / PhantomModel.execute(cost) price
+                          OperationCost.as_trace()
+    cluster plans         ShardPlan.apply(trace) (with ``topology=``)
+                │
+                ▼
+    TraceCostModel.price(trace) -> TraceReport (makespan, schedule)
+                │
+                ▼
+    repro.obs.rollup.ScopeRollup.add_report(trace, report)
+        the per-scope table (hmult / modup / moddown / rescale ...),
+        attributed from the schedule timeline so launch overhead is
+        carried too and the rows close against the makespan
 
 Fused traces price transparently: :func:`repro.core.fusion.fuse_trace`
 replaces each merged chain with a single kernel carrying the *summed*
@@ -25,23 +33,12 @@ memory traffic the fusion pass removed -- no special casing here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.gpu.kernel import KernelCostModel, KernelTiming, TransferKernel
 from repro.gpu.platforms import ComputePlatform
 from repro.gpu.stream import ScheduleResult, StreamScheduler
 from repro.perf.calibration import GPU_CALIBRATION
-
-
-@dataclass
-class ScopeCost:
-    """Aggregate cost of one operation scope inside a trace."""
-
-    scope: str
-    kernel_count: int = 0
-    bytes_moved: float = 0.0
-    int_ops: float = 0.0
-    execution_time: float = 0.0
 
 
 @dataclass
@@ -51,7 +48,6 @@ class TraceReport:
     platform: str
     streams: int
     schedule: ScheduleResult
-    segments: dict[str, ScopeCost] = field(default_factory=dict)
 
     @property
     def makespan(self) -> float:
@@ -92,14 +88,6 @@ class TraceReport:
             "launch_s": self.launch_time,
             "launch_hidden_s": self.schedule.launch_hidden,
             "kernel_count": self.kernel_count,
-            "segments": {
-                name: {
-                    "kernels": segment.kernel_count,
-                    "bytes": segment.bytes_moved,
-                    "execution_s": segment.execution_time,
-                }
-                for name, segment in self.segments.items()
-            },
         }
         device_busy = self.device_busy()
         if self.transfer_time > 0.0 or len(device_busy) > 1:
@@ -165,26 +153,15 @@ class TraceCostModel:
         return self.cost_model.time_kernel(kernel)
 
     def price(self, trace, *, streams: int | None = None) -> TraceReport:
-        """Time, schedule and segment a recorded trace."""
+        """Time and schedule a kernel trace."""
         streams = streams if streams is not None else self.streams
         timings = [self._time_kernel(k) for k in trace.kernels()]
         scheduler = StreamScheduler(
             self.platform, streams=streams, topology=self.topology
         )
         schedule = scheduler.schedule(timings, dependencies=trace.dependencies())
-        segments: dict[str, ScopeCost] = {}
-        for event, timing in zip(trace, timings):
-            leaf = event.scope.rsplit("/", 1)[-1] if event.scope else ""
-            segment = segments.setdefault(leaf, ScopeCost(scope=leaf))
-            segment.kernel_count += int(round(event.kernel.launches))
-            segment.bytes_moved += event.kernel.bytes_moved
-            segment.int_ops += event.kernel.int_ops
-            segment.execution_time += timing.execution_time
         return TraceReport(
-            platform=self.platform.name,
-            streams=streams,
-            schedule=schedule,
-            segments=segments,
+            platform=self.platform.name, streams=streams, schedule=schedule
         )
 
     def makespan(self, trace, *, streams: int | None = None) -> float:
@@ -192,4 +169,4 @@ class TraceCostModel:
         return self.price(trace, streams=streams).makespan
 
 
-__all__ = ["TraceCostModel", "TraceReport", "ScopeCost"]
+__all__ = ["TraceCostModel", "TraceReport"]

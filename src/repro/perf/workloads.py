@@ -207,17 +207,8 @@ class LogisticRegressionWorkload:
                 6, BootstrapWorkload(self.params, self.bootstrap_slots).remaining_levels
             )
         cost = OperationCost("LR iteration")
-        builders = {
-            "HMult": costs.hmult,
-            "HRotate": costs.hrotate,
-            "PtMult": costs.ptmult,
-            "HAdd": costs.hadd,
-            "ScalarMult": costs.scalar_mult,
-            "ScalarAdd": costs.scalar_add,
-            "Rescale": costs.rescale,
-        }
         for op, count in self.iteration_operations().items():
-            cost.extend(builders[op](limbs).scaled(count))
+            cost.extend(costs.operation(op, limbs).scaled(count))
         return cost
 
     def build_iteration_with_bootstrap(self, costs: CKKSOperationCosts) -> OperationCost:

@@ -4,18 +4,31 @@ The acceptance property of the backend seam: the same ``CipherVector``
 program object runs unmodified on both
 :class:`~repro.api.backend.FunctionalBackend` and
 :class:`~repro.api.backend.CostModelBackend`, with identical level/scale
-trajectories, and the cost backend additionally accumulates a kernel
-ledger the GPU models can execute.
+trajectories, and the cost backend emits its closed-form kernels onto the
+same trace seam the functional data plane records through, so the GPU
+models price either.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.api.backend import CostLedger, CostModelBackend, FunctionalBackend, as_backend
+from repro.api.backend import (
+    CostModelBackend,
+    FunctionalBackend,
+    TracingBackend,
+    as_backend,
+)
+from repro.api.session import CKKSSession
 from repro.api.vector import CipherVector
 from repro.apps.logistic_regression import EncryptedLogisticRegression
 from repro.apps.stats import EncryptedStatistics
-from repro.ckks.params import PARAMETER_SETS
+from repro.ckks.params import PARAMETER_SETS, CKKSParameters
+from repro.core.dispatch import get_dispatcher
+from repro.gpu.platforms import GPU_RTX_4090
+from repro.perf.calibration import kernel_kind
+from repro.perf.costmodel import CKKSOperationCosts
 from tests.conftest import assert_close
 
 
@@ -54,11 +67,12 @@ class TestFunctionalCostParity:
 
         fn_trace, cm_trace = [], []
         fn_result = polynomial_program(session.encrypt(a), session.encrypt(b), fn_trace)
-        cm_result = polynomial_program(
-            CipherVector(costmodel, costmodel.encrypt(a)),
-            CipherVector(costmodel, costmodel.encrypt(b)),
-            cm_trace,
-        )
+        with session.trace() as kernels:
+            cm_result = polynomial_program(
+                CipherVector(costmodel, costmodel.encrypt(a)),
+                CipherVector(costmodel, costmodel.encrypt(b)),
+                cm_trace,
+            )
 
         assert len(fn_trace) == len(cm_trace)
         for step, (fn, cm) in enumerate(zip(fn_trace, cm_trace)):
@@ -68,10 +82,9 @@ class TestFunctionalCostParity:
         assert fn_result.level == cm_result.level
         assert fn_result.scale == pytest.approx(cm_result.scale, rel=1e-12)
 
-        # The cost side really accumulated kernels while the functional
-        # side computed; the functional ledger does not exist at all.
-        assert costmodel.ledger.kernel_count > 0
-        assert costmodel.ledger.bytes_moved > 0
+        # The cost side really emitted kernels while it tracked the ladder.
+        assert kernels.kernel_count > 0
+        assert kernels.bytes_moved > 0
         assert isinstance(functional, FunctionalBackend)
 
     def test_functional_result_is_correct(self, session, rng):
@@ -108,38 +121,124 @@ class TestFunctionalCostParity:
         assert rotated.level == session.max_level
 
 
-class TestCostLedger:
-    def test_operation_counts_and_totals(self, session):
+#: Sub-scopes only the recorded data plane opens inside an operation.
+RECORDED_ONLY = {"modup", "moddown", "keyswitch"}
+
+
+def operation_scopes(trace):
+    """Distinct operation-scope paths of a trace, in first-appearance order.
+
+    Drops unscoped kernels (server-side plaintext encoding, a bare level
+    adjustment) and the key-switch sub-scopes the closed form does not open.
+    """
+    return [
+        scope for scope in trace.scopes()
+        if scope and not RECORDED_ONLY & set(scope.split("/"))
+    ]
+
+
+class TestSymbolicEmission:
+    """The cost backend emits onto the dispatcher seam and keeps no books."""
+
+    def test_scopes_and_totals_of_a_program(self, session):
         costmodel = session.cost_backend()
         ct = CipherVector(costmodel, costmodel.encrypt())
         other = CipherVector(costmodel, costmodel.encrypt())
-        _ = 2.0 * (ct * other) + 1.0
-        counts = costmodel.ledger.operation_counts()
-        assert counts["HMult"] == 1
-        assert counts["ScalarMult"] == 1
-        assert counts["ScalarAdd"] == 1
-        assert counts["Rescale"] == 2  # HMult rescale + ScalarMult rescale
-        total = costmodel.ledger.as_cost("program")
-        assert total.bytes_moved == pytest.approx(costmodel.ledger.bytes_moved)
-        assert total.int_ops == pytest.approx(costmodel.ledger.int_ops)
-        assert costmodel.ledger.kernel_count == total.kernel_count
+        with session.trace() as trace:
+            _ = 2.0 * (ct * other) + 1.0
+        assert trace.scopes() == [
+            "hmult", "hmult/rescale", "scalarmult", "scalarmult/rescale",
+            "scalaradd",
+        ]
+        costs, limbs = costmodel.costs, ct.limb_count
+        expected = [
+            costs.hmult(limbs), costs.rescale(limbs),
+            costs.scalar_mult(limbs - 1), costs.rescale(limbs - 1),
+            costs.scalar_add(limbs - 2),
+        ]
+        assert [k.name for k in trace.kernels()] == [
+            k.name for cost in expected for k in cost.kernels
+        ]
+        assert trace.bytes_moved == sum(c.bytes_moved for c in expected)
+        assert trace.int_ops == sum(c.int_ops for c in expected)
+        assert trace.kernel_count == sum(c.kernel_count for c in expected)
 
-    def test_clear(self, session):
+    def test_hoisted_rotations_emitted_once(self, session):
         costmodel = session.cost_backend()
         ct = CipherVector(costmodel, costmodel.encrypt())
-        _ = ct + 1.0
-        assert len(costmodel.ledger) == 1
-        costmodel.ledger.clear()
-        assert len(costmodel.ledger) == 0
-        assert costmodel.ledger.bytes_moved == 0
-
-    def test_hoisted_rotations_recorded_once(self, session):
-        costmodel = session.cost_backend()
-        ct = CipherVector(costmodel, costmodel.encrypt())
-        rotated = ct.rotate_many([1, 2, 4])
+        with session.trace() as trace:
+            rotated = ct.rotate_many([1, 2, 4])
         assert set(rotated) == {1, 2, 4}
-        counts = costmodel.ledger.operation_counts()
-        assert counts == {"HoistedRotate x3": 1}
+        assert trace.scopes() == ["hoisted"]
+        assert [k.name for k in trace.kernels()] == [
+            k.name for k in costmodel.costs.hoisted_rotations(ct.limb_count, 3).kernels
+        ]
+
+    def test_session_twin_emits_the_data_planes_hmult(self):
+        """Regression: the twin used to limb-batch by ``params.limb_batch`` (43 vs 20)."""
+        params = CKKSParameters(
+            ring_degree=1 << 13, mult_depth=5, scale_bits=28, dnum=3,
+            first_mod_bits=30, label="twin-13-5",
+        )
+        session = CKKSSession.create(params, seed=11, register_default=False)
+        values = np.linspace(-1.0, 1.0, 8)
+        traces = []
+        for backend in (session.backend, session.cost_backend()):
+            x, y = (CipherVector(backend, backend.encrypt(values)) for _ in range(2))
+            with session.trace() as trace:
+                x * y
+            traces.append(trace)
+        functional, symbolic = traces
+        assert functional.kernel_count == symbolic.kernel_count == 20
+        assert functional.bytes_moved == symbolic.bytes_moved == 27_131_904
+        kinds = [
+            Counter(kernel_kind(k.name) for k in trace.kernels()) for trace in traces
+        ]
+        assert kinds[0] == kinds[1] == {
+            "ntt": 7, "intt": 5, "baseconv": 5, "elementwise": 3,
+        }
+
+    def test_both_backends_fill_a_trace_with_the_same_operation_scopes(self, session):
+        rows = [np.linspace(-0.5, 0.5, 8)] * 4
+        for fused in (False, True):
+            scopes = []
+            for backend in (session.backend, session.cost_backend()):
+                handles = [
+                    backend.encrypt_batch(rows) if fused else backend.encrypt(rows[0])
+                    for _ in range(2)
+                ]
+                with session.trace() as trace:
+                    polynomial_program(*(CipherVector(backend, h) for h in handles), [])
+                scopes.append(operation_scopes(trace))
+            assert scopes[0] == scopes[1]
+            prefix = "batch4/" if fused else ""
+            assert {f"{prefix}hmult", f"{prefix}hmult/{prefix}rescale",
+                    f"{prefix}hrotate"} <= set(scopes[1])
+
+    def test_tracing_backend_records_symbolic_kernels(self, session):
+        tracing = TracingBackend(session.cost_backend())
+        ct = tracing.encrypt([0.25, -0.5])
+        tracing.multiply(ct, ct)
+        assert tracing.trace.kernel_count > 0
+        assert tracing.trace.scopes() == ["hmult", "hmult/rescale"]
+
+    def test_unobserved_program_builds_no_kernel_and_keeps_no_state(self, session):
+        class NoBuilders:
+            def __getattr__(self, name):
+                def build(*args):
+                    raise AssertionError(f"costs.{name} ran outside a recording")
+                return build
+
+        costmodel = session.cost_backend(costs=NoBuilders())
+        state = dict(vars(costmodel))
+        assert not get_dispatcher().recording
+        for _ in range(3):
+            polynomial_program(
+                CipherVector(costmodel, costmodel.encrypt([0.5])),
+                CipherVector(costmodel, costmodel.encrypt([0.5])),
+                [],
+            )
+        assert vars(costmodel) == state
 
 
 class TestPaperScaleCostModel:
@@ -154,15 +253,14 @@ class TestPaperScaleCostModel:
         assert result.scale == pytest.approx(params.scale)
 
     def test_gpu_model_executes_ledger(self):
-        from repro.gpu.platforms import GPU_RTX_4090
         from repro.perf.fideslib_model import FIDESlibModel
 
         params = PARAMETER_SETS["paper-default"]
         model = FIDESlibModel(GPU_RTX_4090, params, limb_batch=4)
-        backend = CostModelBackend.for_model(model)
+        backend = TracingBackend(CostModelBackend.for_model(model))
         ct = CipherVector(backend, backend.encrypt())
         _ = 2.0 * (ct * ct) + 1.0
-        elapsed = model.execute(backend.ledger.as_cost()).total_time
+        elapsed = model.pricer.price(backend.trace).makespan
         assert elapsed > 0
         # A single HMult at full level dominates; sanity-check magnitude.
         hmult_alone = model.time_operation("HMult")
@@ -178,16 +276,22 @@ class TestPaperScaleCostModel:
         variance = stats.variance(sample, 8)
         assert variance.level < params.mult_depth
 
-        lr_backend = CostModelBackend(params)
+        lr_backend = CostModelBackend(
+            params, costs=CKKSOperationCosts(params, limb_batch=None)
+        )
         model = EncryptedLogisticRegression(backend=lr_backend, feature_count=4)
         rng = np.random.default_rng(0)
         columns, labels = model.encrypt_batch(
             rng.uniform(-1, 1, (8, 4)), rng.integers(0, 2, 8).astype(float)
         )
-        model.train_batch(columns, labels, batch_size=8)
-        counts = lr_backend.ledger.operation_counts()
-        assert counts.get("HMult", 0) >= 5
-        assert counts.get("HRotate", 0) >= 3
+        with get_dispatcher().record() as trace:
+            model.train_batch(columns, labels, batch_size=8)
+        operations = Counter(
+            event.scope for event in trace
+            if event.kernel.name.startswith(("tensor[", "automorph["))
+        )
+        assert operations["hmult"] >= 5
+        assert operations["hrotate"] >= 3
 
 
 class TestBackendProtocol:

@@ -228,3 +228,32 @@ class TestBenchReporting:
                 path.read_text(encoding="utf-8"), flags=re.MULTILINE,
             ))
             assert not imported & siblings, (path.name, imported & siblings)
+
+    def test_a_modeled_second_has_one_pipeline(self):
+        # kernel list -> KernelTrace -> TraceCostModel.price -> ScopeRollup.
+        # Outside repro/gpu (which defines them), the roofline model and the
+        # stream scheduler are built in exactly one module ...
+        repo = Path(__file__).parent.parent
+        src = repo / "src"
+        builders = {
+            str(path.relative_to(src))
+            for path in src.rglob("*.py")
+            if "repro/gpu/" not in path.as_posix()
+            and re.search(r"\b(KernelCostModel|StreamScheduler)\(",
+                          path.read_text(encoding="utf-8"))
+        }
+        assert builders == {"repro/perf/trace_model.py"}
+        # ... and the retired second path leaves no name behind (this file,
+        # which has to spell the names, is the one exception).
+        retired = re.compile(
+            r"GPUDevice|ExecutionResult|CostLedger|batched_cost|ScopeCost"
+            r"|\.total_time\b"
+        )
+        scanned = [repo / "README.md", *sorted((repo / "benchmarks").glob("*.py"))]
+        for folder in ("src", "examples", "tests"):
+            scanned += sorted((repo / folder).rglob("*.py"))
+        assert len(scanned) > 100
+        for path in scanned:
+            if path != Path(__file__):
+                found = retired.findall(path.read_text(encoding="utf-8"))
+                assert not found, (str(path.relative_to(repo)), found)

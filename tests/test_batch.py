@@ -401,8 +401,7 @@ class TestBatchTrace:
     def _shape(trace):
         """Kernel kinds and names per leaf scope (sizes stripped)."""
         return [
-            (event.scope.rsplit("/", 1)[-1], event.kind,
-             event.kernel.name.split("[")[0])
+            (event.leaf, event.kind, event.kernel.name.split("[")[0])
             for event in trace.events
         ]
 
@@ -539,17 +538,15 @@ class TestApiSurface:
         rows = [[1.0]] * BATCH
         batch = backend.encrypt_batch(rows)
         single = backend.encrypt([1.0])
-        backend.multiply(batch, batch)
-        batch_entries = list(backend.ledger.entries)
-        backend.ledger.clear()
-        backend.multiply(single, single)
-        single_entries = list(backend.ledger.entries)
-        batch_cost = sum((c.kernel_count for _, c in batch_entries))
-        single_cost = sum((c.kernel_count for _, c in single_entries))
-        assert batch_cost == single_cost  # launches do not scale with B
-        batch_bytes = sum(c.bytes_moved for _, c in batch_entries)
-        single_bytes = sum(c.bytes_moved for _, c in single_entries)
-        assert batch_bytes == pytest.approx(BATCH * single_bytes, rel=1e-9)
+        with session.trace() as fused:
+            backend.multiply(batch, batch)
+        with session.trace() as sequential:
+            backend.multiply(single, single)
+        # launches do not scale with B
+        assert fused.kernel_count == sequential.kernel_count
+        assert fused.bytes_moved == pytest.approx(
+            BATCH * sequential.bytes_moved, rel=1e-9
+        )
         assert isinstance(batch, SymbolicCiphertext) and batch.batch_size == BATCH
         assert [h.encoded_length for h in backend.batch_split(batch)] == [1] * BATCH
 
@@ -595,18 +592,21 @@ class TestOpSurface:
             y = backend.add(backend.rotate(y, 1), backend.at_level(x, y.level))
             return backend.multiply_plain(y, [0.5])
 
-        def ledger_of(handle_of):
+        def trace_of(handle_of):
             backend = session.cost_backend()
-            program(backend, handle_of(backend))
-            return backend.ledger
+            with session.trace() as trace:
+                program(backend, handle_of(backend))
+            return trace
 
-        single = ledger_of(lambda be: be.encrypt([1.0]))
-        fused = ledger_of(lambda be: be.encrypt_batch([[1.0]] * 8))
+        single = trace_of(lambda be: be.encrypt([1.0]))
+        fused = trace_of(lambda be: be.encrypt_batch([[1.0]] * 8))
         assert fused.kernel_count == single.kernel_count
         assert fused.bytes_moved == pytest.approx(8 * single.bytes_moved, rel=1e-9)
         assert fused.int_ops == pytest.approx(8 * single.int_ops, rel=1e-9)
-        assert [name for name, _ in fused.entries] == [
-            f"{name}[B=8]" for name, _ in single.entries
+        # Every scope component of a fused operation carries the batch tag.
+        assert [e.scope for e in fused] == [
+            "/".join(f"batch8/{part}" for part in e.scope.split("/") if part)
+            for e in single
         ]
 
 
@@ -646,10 +646,11 @@ class TestBatchAdjust:
         assert fused.level == target
 
         cost = session.cost_backend()
-        symbolic = cost.at_level(cost.encrypt_batch(rows), target)
+        with session.trace() as adjust_kernels:
+            symbolic = cost.at_level(cost.encrypt_batch(rows), target)
+        assert f"batch{BATCH}/rescale" in adjust_kernels.scopes()
         assert symbolic.level == target
         assert symbolic.scale == pytest.approx(fused.scale, rel=1e-9)
-        assert any("Adjust[B=" in name for name, _ in cost.ledger.entries)
 
         tracing = session.tracing_backend()
         traced = tracing.at_level(

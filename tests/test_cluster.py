@@ -32,11 +32,12 @@ from repro.cluster import (
     pcie_box,
     single_device,
 )
+from repro.api.vector import CipherVector
 from repro.core.dispatch import get_dispatcher
 from repro.gpu.kernel import TransferKernel
 from repro.gpu.platforms import GPU_RTX_4090, GPU_V100
 from repro.perf.trace_model import TraceCostModel
-from repro.serve import BatchingPolicy, OpProgram
+from repro.serve import BatchingPolicy, OpProgram, Server
 
 #: 1 + 2x^2: two levels deep, no rotation keys needed.
 POLY_PROGRAM = OpProgram.polynomial([1.0, 0.0, 2.0])
@@ -336,6 +337,29 @@ class TestClusterServing:
         # Placement throughput beats serialising both buckets on one GPU.
         assert metrics.modeled_throughput() > \
             metrics.completed / metrics.modeled_seconds
+
+    def test_symbolic_buckets_are_priced_per_home_device(self, session, rng):
+        # The cost backend emits onto the dispatcher seam, so a symbolic
+        # server places, records and prices its buckets like a functional one.
+        backend = session.cost_backend()
+        pricer = TraceCostModel(GPU_RTX_4090)
+        server = Server(
+            backend, BatchingPolicy(max_batch_size=4, max_wait=0.0),
+            trace_costs=pricer, cluster=pcie_box(2),
+        )
+        programs = (POLY_PROGRAM, OpProgram.polynomial([0.5, 1.0]))
+        rows = [rng.uniform(-1, 1, 8) for _ in range(4)]
+        for row in rows:
+            for program in programs:
+                server.submit(program, CipherVector(backend, backend.encrypt(row)))
+        server.flush()
+        expected = []
+        for program in programs:
+            with session.trace() as emitted:
+                program(CipherVector(backend, backend.encrypt_batch(rows)))
+            expected.append(pricer.price(emitted, streams=1).makespan)
+        assert sorted(server.metrics.device_seconds.values()) == sorted(expected)
+        assert set(server.metrics.device_seconds) == {0, 1}
 
     def test_sharded_drain_charges_every_participating_device(self, session, rng):
         server = session.server(

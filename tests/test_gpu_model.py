@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.ckks.params import PARAMETER_SETS
 from repro.gpu.cache import CacheModel
-from repro.gpu.device import GPUDevice
 from repro.cluster import (
     ClusterTopology,
     InterconnectLink,
@@ -30,7 +29,6 @@ from repro.gpu.platforms import (
     platform_table,
 )
 from repro.gpu.stream import StreamScheduler
-from repro.core.memory import OutOfDeviceMemory
 
 
 class TestPlatforms:
@@ -370,21 +368,6 @@ class TestClusterScheduler:
 
 
 class TestDevice:
-    def test_execution_result_fields(self):
-        device = GPUDevice(GPU_RTX_4090)
-        kernels = [Kernel("k", 1e6, 1e6, 1e6), Kernel("c", 1e3, 1e3, 1e11)]
-        result = device.execute(kernels)
-        assert result.total_time > 0
-        assert result.kernel_count == 2
-        assert result.bytes_moved == pytest.approx(2e6 + 2e3)
-        assert result.compute_bound_kernels + result.memory_bound_kernels == 2
-        assert result.total_time_us == pytest.approx(result.total_time * 1e6)
-
-    def test_device_memory_capacity(self):
-        device = GPUDevice(GPU_RTX_4060TI)
-        with pytest.raises(OutOfDeviceMemory):
-            device.allocate(20 << 30)
-
     def test_memory_footprints_match_paper_magnitudes(self):
         params = PARAMETER_SETS["paper-default"]
         # §III-F.1: ciphertext + switching key is on the order of 120 MB.

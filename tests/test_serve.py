@@ -377,8 +377,10 @@ class TestServeBackends:
     def test_cost_model_backend_serves_symbolically(self, session, rng):
         functional = Server(session, BatchingPolicy(max_batch_size=4, max_wait=0.0))
         symbolic_backend = session.cost_backend()
+        pricer = TraceCostModel(GPU_RTX_4090)
         symbolic = Server(symbolic_backend,
-                          BatchingPolicy(max_batch_size=4, max_wait=0.0))
+                          BatchingPolicy(max_batch_size=4, max_wait=0.0),
+                          trace_costs=pricer)
         rows = [rng.uniform(-1, 1, 8) for _ in range(4)]
         real = [functional.submit(POLY_PROGRAM, session.encrypt(row))
                 for row in rows]
@@ -396,10 +398,15 @@ class TestServeBackends:
             assert ghost.result().scale == pytest.approx(
                 request.result().scale, rel=1e-9
             )
-        batched_entries = [
-            name for name, _ in symbolic_backend.ledger.entries if "[B=4]" in name
-        ]
-        assert batched_entries  # the fused ops were priced as fused
+        # The symbolic drain is on the trace seam: its modeled seconds are
+        # the price of the fused B=4 kernels the backend emitted.
+        with session.trace() as emitted:
+            POLY_PROGRAM(CipherVector(symbolic_backend,
+                                      symbolic_backend.encrypt_batch(rows)))
+        assert all(e.scope.startswith("batch4/") for e in emitted)
+        assert symbolic.metrics.modeled_kernels == emitted.kernel_count > 0
+        assert symbolic.metrics.modeled_seconds == \
+            pricer.price(emitted, streams=1).makespan
 
     def test_tracing_backend_serving_is_bit_identical(self, session, rng):
         rows = [rng.uniform(-1, 1, 8) for _ in range(3)]
