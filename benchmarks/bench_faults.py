@@ -32,7 +32,6 @@ import numpy as np
 from repro.api import CKKSSession
 from repro.bench.reporting import BenchmarkTable
 from repro.cluster import pcie_box
-from repro.obs import MetricsRegistry
 from repro.serve import (
     AdmissionPolicy,
     BatchingPolicy,
@@ -108,9 +107,8 @@ def run_functional_oracle(table: BenchmarkTable, *, ring_log2: int = 12,
         session, plan=chaos_plan(seed, duration, device=0),
         cluster=pcie_box(DEVICE_COUNT), shard_drains=True,
     )
-    registry = MetricsRegistry()
     driver = ReplayDriver(server, PROGRAM, lambda i: vectors[i],
-                          deadline_offset=2e-2, registry=registry)
+                          deadline_offset=2e-2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         report = driver.run(arrivals)
@@ -138,33 +136,21 @@ def run_functional_oracle(table: BenchmarkTable, *, ring_log2: int = 12,
                 f"response {request.id} failed with untyped error "
                 f"{response.error_kind}: {response.error}"
             )
-    # One source of truth: the driver published the report onto the
-    # registry, so the table row reads the replay_* instruments instead of
-    # re-folding ReplayReport fields by hand.
+    # One source of truth: report.metrics is the server's ServeMetrics, whose
+    # attributes read the serve_* series of the server's registry.
+    metrics = report.metrics
     table.add_row(
         run="functional-oracle",
         requests=ORACLE_REQUESTS,
         devices=DEVICE_COUNT,
         bit_identical_ok=identical,
-        availability=round(registry.value("replay_availability"), 6),
-        retries=int(registry.value("replay_events_total", kind="retry")),
-        degraded_drains=int(
-            registry.value("replay_events_total", kind="degraded_drain")
-        ),
-        device_losses=int(
-            registry.value("replay_events_total", kind="device_loss")
-        ),
-        deadline_violations=int(
-            registry.value("replay_events_total", kind="deadline_violation")
-        ),
+        availability=round(metrics.availability, 6),
+        retries=metrics.retries,
+        degraded_drains=metrics.degraded_drains,
+        device_losses=metrics.device_losses,
+        deadline_violations=report.deadline_violations,
     )
-    summary = report.summary()
-    summary["availability"] = registry.value("replay_availability")
-    summary["deadline_violations"] = int(
-        registry.value("replay_events_total", kind="deadline_violation")
-    )
-    summary["bit_identical_ok"] = identical
-    return summary
+    return {**report.summary(), "bit_identical_ok": identical}
 
 
 def run_scale_replay(table: BenchmarkTable, *, requests: int = SCALE_REQUESTS,
@@ -180,42 +166,30 @@ def run_scale_replay(table: BenchmarkTable, *, requests: int = SCALE_REQUESTS,
         cluster=pcie_box(DEVICE_COUNT),
         max_queue_depth=64,
     )
-    registry = MetricsRegistry()
     driver = ReplayDriver(server, PROGRAM,
                           lambda i: backend.encrypt(np.full(16, 0.5)),
-                          deadline_offset=1e-2, registry=registry)
+                          deadline_offset=1e-2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         report = driver.run(arrivals)
 
-    def events(kind: str) -> int:
-        return int(registry.value("replay_events_total", kind=kind))
-
-    # The gated figures read off the registry the driver published to.
+    # The gated figures are the server's own serve_* series.
+    metrics = report.metrics
     table.add_row(
         run="scale-replay",
         requests=requests,
         devices=DEVICE_COUNT,
-        admitted=int(registry.value("replay_requests_total",
-                                    outcome="admitted")),
-        shed=int(registry.value("replay_requests_total", outcome="shed")),
-        availability=round(registry.value("replay_availability"), 6),
-        retries=events("retry"),
-        degraded_drains=events("degraded_drain"),
-        deadline_misses=events("deadline_miss"),
-        device_losses=events("device_loss"),
-        deadline_violations=events("deadline_violation"),
-        modeled_p95_wait_ms=round(
-            registry.value("replay_latency_seconds", quantile="0.95") * 1e3, 3
-        ),
+        admitted=metrics.admitted,
+        shed=metrics.shed_requests,
+        availability=round(metrics.availability, 6),
+        retries=metrics.retries,
+        degraded_drains=metrics.degraded_drains,
+        deadline_misses=metrics.deadline_misses,
+        device_losses=metrics.device_losses,
+        deadline_violations=report.deadline_violations,
+        modeled_p95_wait_ms=round(metrics.p95_latency * 1e3, 3),
     )
-    summary = report.summary()
-    summary["availability"] = registry.value("replay_availability")
-    summary["admitted"] = int(
-        registry.value("replay_requests_total", outcome="admitted")
-    )
-    summary["deadline_violations"] = events("deadline_violation")
-    return summary
+    return report.summary()
 
 
 def main() -> None:

@@ -414,7 +414,7 @@ class CKKSSession:
             obs.watch_pool(default_pool)
         return obs
 
-    def server(self, policy=None, *, backend=None, clock=None, metrics=None,
+    def server(self, policy=None, *, backend=None, clock=None,
                trace_costs=None, cluster=None, shard_drains=False,
                admission=None, retry=None, fault_plan=None,
                observability=None):
@@ -455,15 +455,16 @@ class CKKSSession:
         OOM windows, transient drain failures and device losses for chaos
         replay -- successful responses stay bit-identical throughout.
         ``observability`` (from :meth:`observability`) wires the unified
-        observability plane: request-lifecycle spans, registry re-homing
-        and -- with ``trace_costs`` -- per-scope rollups plus the
-        Perfetto timeline export.
+        observability plane: request-lifecycle spans, the server's
+        metrics counting into the facade's registry and -- with
+        ``trace_costs`` -- per-scope rollups plus the Perfetto timeline
+        export.  One enabled facade serves one server.
         """
         from repro.serve import Server
 
         return Server(
             backend if backend is not None else self.backend,
-            policy, clock=clock, metrics=metrics, trace_costs=trace_costs,
+            policy, clock=clock, trace_costs=trace_costs,
             cluster=cluster, shard_drains=shard_drains,
             admission=admission, retry=retry, fault_plan=fault_plan,
             observability=observability,

@@ -10,10 +10,11 @@ Module map (sources -> instruments / spans / timelines -> exports)
 
 ::
 
-    repro.serve.metrics.ServeMetrics ──┐  counters/samples re-homed via
-    repro.serve.bucketing.BucketQueue ─┤  collectors (plain attributes
-    repro.serve.faults.FaultInjector ──┤  stay -- zero hot-path cost)
-    repro.core.memory.MemoryPool ──────┘
+    repro.serve.metrics.ServeMetrics ───  counts *into* the registry: its
+                │                         serve_* series are the only store
+    repro.serve.bucketing.BucketQueue ─┐  live state, pulled at readout
+    repro.serve.faults.FaultInjector ──┤  (watch_queue / watch_injector /
+    repro.core.memory.MemoryPool ──────┘  watch_pool)
                 │
                 ▼
     repro.obs.registry.MetricsRegistry          (labeled Counter / Gauge /
@@ -48,10 +49,10 @@ Module map (sources -> instruments / spans / timelines -> exports)
 :class:`Observability` (``session.observability()``) is the facade that
 bundles one registry, one tracer, one rollup and the export timelines;
 hand it to ``session.server(observability=...)`` and every hook above is
-wired.  Instrumentation is zero-cost when disabled: a disabled facade
+wired -- to that one server: an enabled facade handed to a second server
+raises.  Instrumentation is zero-cost when disabled: a disabled facade
 hands out shared no-op contexts (the :meth:`Dispatcher.scope` trick) and
-every hook early-outs -- the run-quick benchmark gates the residual
-hot-path overhead at <= 5%.
+every hook early-outs.
 """
 
 from repro.obs.perfetto import (

@@ -4,8 +4,9 @@
 returns and what :class:`~repro.serve.executor.Server` accepts via its
 ``observability=`` parameter.  It bundles:
 
-* a :class:`~repro.obs.registry.MetricsRegistry` (instruments re-homed
-  from every plane via collectors -- ``watch_*`` methods);
+* a :class:`~repro.obs.registry.MetricsRegistry` -- the store its one
+  server's :class:`~repro.serve.metrics.ServeMetrics` counts into, plus
+  the pull-style ``watch_*`` series over live queue/pool/injector state;
 * a :class:`~repro.obs.spans.SpanTracer` on the server's simulated clock
   (the request-lifecycle trace the server's hooks feed);
 * a :class:`~repro.obs.rollup.ScopeRollup` accumulating per-scope
@@ -15,9 +16,13 @@ returns and what :class:`~repro.serve.executor.Server` accepts via its
 **Zero cost when disabled.**  ``Observability(enabled=False)`` is inert:
 every hook early-outs, :meth:`span` hands back a shared no-op context
 (the same trick as :meth:`repro.core.dispatch.Dispatcher.scope`), and a
-server given a disabled object behaves exactly as one given ``None`` --
-the run-quick benchmark gates the residual overhead of the hot-path
-seam at <= 5%.
+server given a disabled object behaves exactly as one given ``None``.
+
+**One enabled facade, one server.**  The registry, the span clock and the
+rollup belong to the server that claims them
+(:meth:`Observability.claim`); a second server raises instead of mixing
+its counts and timestamps into the first one's.  A disabled facade is
+never claimed and stays shareable.
 """
 
 from __future__ import annotations
@@ -26,26 +31,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.core.dispatch import get_dispatcher
+from repro.core.dispatch import _NULL_CONTEXT, get_dispatcher
 from repro.obs.perfetto import export_chrome_trace
 from repro.obs.registry import BYTES_BUCKETS, MetricsRegistry
 from repro.obs.rollup import ScopeRollup, WallClockProfiler
 from repro.obs.spans import SpanTracer
-
-
-class _NullContext:
-    """Shared no-op context (the disabled-observability hot path)."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-_NULL_CONTEXT = _NullContext()
 
 
 @dataclass(frozen=True)
@@ -74,13 +64,24 @@ class Observability:
         self.tracer = SpanTracer(clock=clock)
         self.rollup = ScopeRollup()
         self.timelines: list[DrainTimeline] = []
-        self._watched: set[int] = set()
+        #: The one server this enabled facade is wired to (see :meth:`claim`).
+        self.owner = None
         self._pools: dict[str, object] = {}
 
-    # -- clock ---------------------------------------------------------------
+    # -- ownership -----------------------------------------------------------
 
-    def adopt_clock(self, clock) -> None:
-        """Stamp spans on ``clock`` unless a clock was set explicitly."""
+    def claim(self, owner, clock) -> None:
+        """Wire this facade to ``owner``, its one server, or raise.
+
+        Spans are stamped on ``clock`` unless a clock was set explicitly.
+        """
+        if self.owner is not None:
+            raise ValueError(
+                f"this Observability is already wired to {self.owner!r} and "
+                f"was handed to {owner!r}; its registry, span clock and "
+                f"rollup describe one server -- create one facade per server"
+            )
+        self.owner = owner
         if self.tracer.clock is None:
             self.tracer.clock = clock
 
@@ -92,19 +93,11 @@ class Observability:
             return _NULL_CONTEXT
         return self.tracer.span(name, **attributes)
 
-    # -- watchers (collector re-homing) --------------------------------------
-
-    def _watch_once(self, source) -> bool:
-        """True the first time ``source`` is watched (idempotence guard)."""
-        key = id(source)
-        if key in self._watched:
-            return False
-        self._watched.add(key)
-        return True
+    # -- watchers (pull-style series over live state) ------------------------
 
     def watch_pool(self, pool, name: str = "default") -> None:
         """Publish a memory pool's accounting as function-backed gauges."""
-        if not self.enabled or not self._watch_once(pool):
+        if not self.enabled:
             return
         self._pools[name] = pool
         registry = self.registry
@@ -129,7 +122,7 @@ class Observability:
 
     def watch_queue(self, queue) -> None:
         """Publish a bucket queue's live depths (one series per bucket)."""
-        if not self.enabled or not self._watch_once(queue):
+        if not self.enabled:
             return
         depth_gauge = self.registry.gauge(
             "serve_bucket_depth", "Queued requests per shape bucket",
@@ -149,27 +142,19 @@ class Observability:
 
     def watch_injector(self, injector) -> None:
         """Publish fault-injector fire counts from its append-only log."""
-        if not self.enabled or not self._watch_once(injector):
+        if not self.enabled:
             return
         counter = self.registry.counter(
             "faults_fired_total", "Fault-injector events by kind",
         )
 
         def collect() -> None:
-            counts: dict[str, int] = {}
+            # Rebuilt from the log at every readout, like the depths above.
+            counter.clear()
             for entry in injector.log:
-                kind = str(entry[0])
-                counts[kind] = counts.get(kind, 0) + 1
-            for kind, count in counts.items():
-                counter.set_total(count, kind=kind)
+                counter.inc(kind=str(entry[0]))
 
         self.registry.register_collector(collect)
-
-    def watch_metrics(self, metrics) -> None:
-        """Re-home a server's :class:`ServeMetrics` onto the registry."""
-        if not self.enabled or not self._watch_once(metrics):
-            return
-        metrics.bind_registry(self.registry)
 
     # -- server hooks --------------------------------------------------------
 

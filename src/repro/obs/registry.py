@@ -15,17 +15,16 @@ Two readouts, both deterministic:
   samples, histograms expanded to ``_bucket{le=...}`` / ``_sum`` /
   ``_count``).
 
-Collectors (:meth:`MetricsRegistry.register_collector`) run immediately
-before either readout.  They are the re-homing seam: existing sources of
-truth (:class:`~repro.serve.metrics.ServeMetrics` counters, live
-:class:`~repro.serve.bucketing.BucketQueue` depths,
-:class:`~repro.serve.faults.FaultInjector` fire logs, memory-pool
-accounting) keep their plain attributes as before -- zero hot-path cost
--- and a collector folds them into registry instruments at read time.
-Because collectors may *re-state* a source's current totals,
-:meth:`Counter.set_total` and :meth:`Histogram.reset` exist for their
-use; application code incrementing counters directly should stick to
-:meth:`Counter.inc`.
+The instruments are the store: a source that counts events
+(:class:`~repro.serve.metrics.ServeMetrics`) is constructed on a registry
+and writes its series with :meth:`Counter.inc` / :meth:`Histogram.observe`
+when the event happens, so there is no second copy to restate.  What a
+registry *pulls* is live state that is not a count of events -- current
+:class:`~repro.serve.bucketing.BucketQueue` depths, memory-pool
+accounting, a :class:`~repro.serve.faults.FaultInjector`'s append-only
+log: function-backed gauges (:meth:`Gauge.set_function`) and collectors
+(:meth:`MetricsRegistry.register_collector`) are evaluated immediately
+before either readout and rebuild their series from that state.
 """
 
 from __future__ import annotations
@@ -115,15 +114,6 @@ class Counter(_Instrument):
         key = _label_key(labels)
         self._series[key] = self._series.get(key, 0.0) + float(amount)
 
-    def set_total(self, total: float, **labels) -> None:
-        """Restate one series' running total (collector re-homing only).
-
-        The underlying source (a ``ServeMetrics`` field, a fault log
-        length) is itself monotonic; the collector copies its current
-        total rather than replaying increments.
-        """
-        self._series[_label_key(labels)] = float(total)
-
 
 class Gauge(_Instrument):
     """A point-in-time value (queue depth, bytes in use, availability)."""
@@ -201,10 +191,6 @@ class Histogram(_Instrument):
         series.sum += value
         series.count += 1
 
-    def reset(self) -> None:
-        """Drop all samples (collectors rebuilding from a sample list)."""
-        self._series.clear()
-
     def value(self, **labels):  # pragma: no cover - guard only
         raise TypeError("histograms have no scalar value; use snapshot()")
 
@@ -249,7 +235,7 @@ class MetricsRegistry:
     # -- collectors ----------------------------------------------------------
 
     def register_collector(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` before every readout (the re-homing seam)."""
+        """Run ``fn`` before every readout (pull-style live state)."""
         self._collectors.append(fn)
 
     def collect(self) -> None:

@@ -38,7 +38,8 @@ Module map
     :class:`ServeMetrics`: queue depth, fused-batch-size histogram,
     deterministic p50/p95 latency, modeled GPU throughput from priced
     per-drain traces, and the robustness counters behind the
-    ``availability`` figure.
+    ``availability`` figure -- each count declared once and stored in the
+    ``serve_*`` series of the server's :class:`~repro.obs.MetricsRegistry`.
 ``errors``
     The typed :class:`ServeError` taxonomy every failed
     :class:`Response` carries: :class:`RequestRejected`,
@@ -51,7 +52,8 @@ Module map
 ``replay``
     Seeded arrival traces (Poisson / burst / diurnal) and the
     :class:`ReplayDriver` that feeds them through a server under a fault
-    plan, reporting availability, shed rate and deadline compliance.
+    plan; its :class:`ReplayReport` is the server's metrics plus the
+    response-level error tally and deadline-violation count.
 
 Responses are **bit-identical to sequential execution**: fused drains
 inherit the throughput plane's member-by-member bit-identity contract, and

@@ -52,6 +52,7 @@ from repro.api.backend import as_backend
 from repro.api.vector import CipherVector, as_vector
 from repro.core.dispatch import get_dispatcher
 from repro.core.memory import FusedFootprintError, OutOfDeviceMemory
+from repro.obs.registry import MetricsRegistry
 from repro.serve.bucketing import (
     BucketQueue,
     ShapeKey,
@@ -253,16 +254,17 @@ class Server:
     Pass ``observability`` (a :class:`repro.obs.Observability`, see
     :meth:`repro.api.session.CKKSSession.observability`) to wire the
     unified observability plane: the request lifecycle is recorded as
-    parent/child spans on the simulated clock, the queue/metrics/fault
-    state is re-homed onto the metrics registry, and (with
-    ``trace_costs``) every priced drain feeds the per-scope rollup and
-    the Perfetto timeline export.  A disabled facade (or ``None``) costs
-    one ``is not None`` check per hook.
+    parent/child spans on the simulated clock, :attr:`metrics` counts
+    into the facade's registry (its own otherwise), live queue/fault
+    state is published next to it, and (with ``trace_costs``) every
+    priced drain feeds the per-scope rollup and the Perfetto timeline
+    export.  An enabled facade belongs to one server -- a second one
+    raises :class:`ValueError`; a disabled facade (or ``None``) costs one
+    ``is not None`` check per hook.
     """
 
     def __init__(self, backend, policy: BatchingPolicy | None = None, *,
                  clock: SimulatedClock | None = None,
-                 metrics: ServeMetrics | None = None,
                  trace_costs=None,
                  cluster=None,
                  shard_drains: bool = False,
@@ -273,7 +275,6 @@ class Server:
         self.backend = as_backend(backend)
         self.policy = policy if policy is not None else BatchingPolicy()
         self.clock = clock if clock is not None else SimulatedClock()
-        self.metrics = metrics if metrics is not None else ServeMetrics()
         if (
             cluster is not None
             and trace_costs is not None
@@ -296,26 +297,29 @@ class Server:
             self.injector = fault_plan
         else:
             self.injector = FaultInjector(fault_plan)
+        self.queue = BucketQueue()
+        # The observability plane (repro.obs.Observability): a disabled or
+        # absent facade leaves self.obs None, so every hook below is one
+        # `is not None` check -- the zero-cost-when-disabled contract.
+        self.obs = None
+        if observability is not None and getattr(observability, "enabled", False):
+            observability.claim(self, self.clock)
+            self.obs = observability
+            observability.watch_queue(self.queue)
+            if self.injector is not None:
+                observability.watch_injector(self.injector)
+        #: Counts into the enabled facade's registry, else the server's own.
+        self.metrics = ServeMetrics(
+            self.obs.registry if self.obs is not None else MetricsRegistry()
+        )
         if self.injector is not None:
             self.injector.attach(
                 clock=self.clock,
                 topology=self.cluster,
                 on_device_down=self._handle_device_down,
             )
-        self.queue = BucketQueue()
         self.executor = BatchExecutor(self.backend, injector=self.injector)
-        # The observability plane (repro.obs.Observability): a disabled or
-        # absent facade leaves self.obs None, so every hook below is one
-        # `is not None` check -- the zero-cost-when-disabled contract.
-        self.obs = None
-        if observability is not None and getattr(observability, "enabled", False):
-            self.obs = observability
-            observability.adopt_clock(self.clock)
-            observability.watch_queue(self.queue)
-            observability.watch_metrics(self.metrics)
-            if self.injector is not None:
-                observability.watch_injector(self.injector)
-        #: request.id -> (root span, queued child) of in-flight requests.
+        #: request.id -> (root span, queued child or None) of open requests.
         self._request_spans: dict = {}
         #: Bucket home devices, assigned round-robin in bucket-creation
         #: order (the planner's whole-bucket placement).
@@ -347,49 +351,38 @@ class Server:
         now = self.clock.now()
         self._advance_faults()
         request = Request(program, vector, arrival_time=now, deadline=deadline)
-        self.metrics.submitted += 1
-        root = None
-        if self.obs is not None:
-            root = self.obs.tracer.begin(
-                "request", at=now, request_id=request.id,
-                program=program.name, deadline=deadline,
-            )
+        self.metrics.count("submitted")
+        rejection = None
         if self.admission is not None:
             rejection = self.admission.rejection_reason(
                 queue_depth=self.queue.depth
             )
-            if rejection is not None:
-                reason, message = rejection
-                self.metrics.shed_requests += 1
-                request.resolve(
-                    None, batch_size=0, dispatch_time=now,
-                    error=RequestRejected(message, reason=reason),
-                )
-                if root is not None:
-                    tracer = self.obs.tracer
-                    tracer.event("admission", parent=root, at=now,
-                                 outcome=f"shed:{reason}")
-                    tracer.finish(root, at=now, outcome="shed",
-                                  error_kind="RequestRejected")
-                return request
-        if deadline is not None and deadline < now:
-            # Admitted but born expired: resolve immediately, counted as a
-            # deadline miss (availability failure), never queued.
-            self.metrics.deadline_misses += 1
-            self.metrics.failed += 1
-            request.resolve(
-                None, batch_size=0, dispatch_time=now,
-                error=DeadlineExceeded(
+        error, admission = None, "admitted"
+        if rejection is not None:
+            reason, message = rejection
+            error = RequestRejected(message, reason=reason)
+            admission = f"shed:{reason}"
+        else:
+            self.metrics.count("admitted")
+            if deadline is not None and deadline < now:
+                # Admitted but born expired: resolved now as a deadline
+                # miss (availability failure), never queued.
+                error = DeadlineExceeded(
                     f"request deadline t={deadline:.6g} already passed at "
                     f"submission (t={now:.6g})"
-                ),
+                )
+                admission = "expired-at-submit"
+        root = None
+        if self.obs is not None:
+            tracer = self.obs.tracer
+            root = tracer.begin(
+                "request", at=now, request_id=request.id,
+                program=program.name, deadline=deadline,
             )
-            if root is not None:
-                tracer = self.obs.tracer
-                tracer.event("admission", parent=root, at=now,
-                             outcome="expired-at-submit")
-                tracer.finish(root, at=now, outcome="error",
-                              error_kind="DeadlineExceeded")
+            tracer.event("admission", parent=root, at=now, outcome=admission)
+            self._request_spans[request.id] = (root, None)
+        if error is not None:
+            self._resolve(request, now, error=error)
             return request
         key = shape_key_of(
             request, default_ring_degree=self.backend.params.ring_degree
@@ -399,8 +392,6 @@ class Server:
         self.queue.push(key, request)
         self.metrics.observe_queue_depth(now, self.queue.depth)
         if root is not None:
-            tracer = self.obs.tracer
-            tracer.event("admission", parent=root, at=now, outcome="admitted")
             queued = tracer.begin("queued", parent=root, at=now,
                                   bucket=repr(key))
             self._request_spans[request.id] = (root, queued)
@@ -437,7 +428,7 @@ class Server:
         :meth:`_run`.  With no survivors the placements stand and drains
         resolve their requests with :class:`DeviceLost`.
         """
-        self.metrics.device_losses += 1
+        self.metrics.count("device_losses")
         if self.cluster is None:
             return
         alive = self.cluster.alive_devices()
@@ -463,38 +454,52 @@ class Server:
                 and request.deadline < now,
             ))
         for request in expired:
-            self.metrics.deadline_misses += 1
-            self.metrics.failed += 1
-            request.resolve(
-                None, batch_size=0, dispatch_time=now,
-                error=DeadlineExceeded(
-                    f"deadline t={request.deadline:.6g} passed while queued "
-                    f"(resolved t={now:.6g})"
-                ),
-            )
+            self._resolve(request, now, error=DeadlineExceeded(
+                f"deadline t={request.deadline:.6g} passed while queued "
+                f"(resolved t={now:.6g})"
+            ))
         if expired:
-            for request in expired:
-                self._finish_request_span(request, now)
             self.metrics.observe_queue_depth(now, self.queue.depth)
         return expired
 
-    def _finish_request_span(self, request: Request, now: float) -> None:
-        """Close a resolved request's queued/root spans with its outcome."""
-        if self.obs is None:
-            return
+    def _resolve(self, request: Request, now: float, *,
+                 result: CipherVector | None = None,
+                 error: Exception | None = None,
+                 batch_size: int = 0) -> None:
+        """The one place a request resolves: response, count, spans.
+
+        Every ending -- shed or born expired at :meth:`submit`, expired in
+        the queue, overdue during retry backoff, drained ok, drained with
+        an error -- comes through here, so the response a client reads,
+        the outcome counters and the request's spans cannot disagree.
+        """
+        request.resolve(
+            result, batch_size=batch_size, dispatch_time=now, error=error
+        )
+        if error is None:
+            outcome = "ok"
+            self.metrics.count("completed")
+        elif isinstance(error, RequestRejected):
+            outcome = "shed"
+            self.metrics.count("shed_requests")
+        else:
+            outcome = "error"
+            self.metrics.count("failed")
+            if isinstance(error, DeadlineExceeded):
+                self.metrics.count("deadline_misses")
         spans = self._request_spans.pop(request.id, None)
         if spans is None:
             return
         root, queued = spans
         tracer = self.obs.tracer
-        response = request.response()
-        tracer.finish(queued, at=now)
-        tracer.finish(
-            root, at=now,
-            outcome="ok" if response.ok else "error",
-            error_kind=response.error_kind,
-            batch_size=response.batch_size,
-        )
+        closing = {
+            "outcome": outcome,
+            "error_kind": None if error is None else type(error).__name__,
+        }
+        if queued is not None:  # a request that never queued has no batch
+            tracer.finish(queued, at=now)
+            closing["batch_size"] = batch_size
+        tracer.finish(root, at=now, **closing)
 
     # -- introspection -------------------------------------------------------
 
@@ -687,10 +692,13 @@ class Server:
                     obs.tracer.finish(attempt_span, at=now,
                                       degradations=degradations)
                 break
-            except RETRYABLE_FAULTS as exc:
+            except Exception as exc:
                 if attempt_span is not None:
                     obs.tracer.finish(attempt_span, at=now,
                                       error_kind=type(exc).__name__)
+                if not isinstance(exc, RETRYABLE_FAULTS):
+                    error = exc  # program errors fail the drain, not the server
+                    break
                 attempts += 1
                 if attempts > self.retry.max_retries:
                     error = DrainFailed(
@@ -699,7 +707,7 @@ class Server:
                     )
                     error.__cause__ = exc
                     break
-                self.metrics.retries += 1
+                self.metrics.count("retries")
                 backoff_start = now
                 self.clock.advance(self.retry.delay(attempts))
                 now = self.clock.now()
@@ -722,50 +730,30 @@ class Server:
                 if overdue:
                     requests = [r for r in requests if r not in overdue]
                     for request in overdue:
-                        self.metrics.deadline_misses += 1
-                        self.metrics.failed += 1
-                        request.resolve(
-                            None, batch_size=drained_size, dispatch_time=now,
-                            error=DeadlineExceeded(
-                                f"deadline t={request.deadline:.6g} passed "
-                                f"during retry backoff (t={now:.6g})"
-                            ),
+                        missed = DeadlineExceeded(
+                            f"deadline t={request.deadline:.6g} passed "
+                            f"during retry backoff (t={now:.6g})"
                         )
-                        self._finish_request_span(request, now)
+                        self._resolve(request, now, error=missed,
+                                      batch_size=drained_size)
                     resolved.extend(overdue)
                     if not requests:
-                        if drain_span is not None:
-                            obs.tracer.finish(
-                                drain_span, at=now, outcome="error",
-                                error_kind="DeadlineExceeded",
-                                retries=attempts,
-                            )
-                            obs.observe_drain_peaks()
-                        return resolved
-            except Exception as exc:  # program errors fail the drain, not the server
-                if attempt_span is not None:
-                    obs.tracer.finish(attempt_span, at=now,
-                                      error_kind=type(exc).__name__)
-                error = exc
-                break
-        latencies = [now - request.arrival_time for request in requests]
+                        error = missed  # nothing left to run: the drain missed too
+                        break
+        if error is not None:
+            results = [None] * len(requests)
+        for request, result in zip(requests, results):
+            self._resolve(request, now, result=result, error=error,
+                          batch_size=drained_size)
+        if requests:
+            self.metrics.record_batch(
+                len(requests), [now - r.arrival_time for r in requests]
+            )
         if error is None:
-            for request, result in zip(requests, results):
-                request.resolve(
-                    result, batch_size=drained_size, dispatch_time=now
-                )
-            self.metrics.record_batch(len(requests), latencies)
             if degradations > 0 or (max_fuse is not None and drained_size > 1):
-                self.metrics.degraded_drains += 1
+                self.metrics.count("degraded_drains")
             if degradations > 0:
-                self.metrics.footprint_fallbacks += 1
-        else:
-            for request in requests:
-                request.resolve(
-                    None, batch_size=drained_size, dispatch_time=now,
-                    error=error,
-                )
-            self.metrics.record_batch(len(requests), latencies, failed=True)
+                self.metrics.count("footprint_fallbacks")
         if obs is not None:
             obs.observe_drain_peaks()
             obs.tracer.finish(
@@ -774,8 +762,6 @@ class Server:
                 error_kind=None if error is None else type(error).__name__,
                 retries=attempts,
             )
-            for request in requests:
-                self._finish_request_span(request, now)
         resolved.extend(requests)
         return resolved
 

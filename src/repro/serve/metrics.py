@@ -1,4 +1,4 @@
-"""Serving-plane observability: queue depth, batch sizes, latency, GPU model.
+"""Serving-plane metrics: the registry's instruments are the store.
 
 The metrics a dynamic-batching deployment is tuned by:
 
@@ -18,86 +18,159 @@ The metrics a dynamic-batching deployment is tuned by:
   and ``device_losses``, rolled up into the ``availability`` figure
   (completed / admitted) the chaos-replay benchmark gates at >= 99%.
 
-All fields stay plain attributes (the back-compat surface every caller
-already reads); :meth:`ServeMetrics.bind_registry` re-homes them onto a
-:class:`repro.obs.registry.MetricsRegistry` through a read-time
-collector, so publishing costs nothing on the serving hot path.
+A serve count has one home.  :class:`ServeMetrics` is constructed on a
+:class:`~repro.obs.registry.MetricsRegistry` and declares each count once,
+as (attribute, ``serve_*`` instrument, labels) in :data:`COUNTS`;
+:meth:`ServeMetrics.count` writes that series when the event happens, and
+the attribute, :meth:`ServeMetrics.summary`, the registry snapshot and
+the Prometheus dump all read it back.  The derived gauges (availability,
+mean batch size, percentiles) are pull-style series over the readouts.
+``batch_sizes``, ``latencies`` and ``queue_depth_samples`` stay plain
+lists: exact nearest-rank percentiles need every sample.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+
+from repro.obs.registry import MetricsRegistry
+
+_REQUESTS = "serve_requests_total"
+_HANDLED = "serve_faults_handled_total"
+
+#: Every serve count, declared once: attribute -> (instrument, labels).
+#: ``metrics.<attribute>`` reads the series, ``metrics.count(<attribute>)``
+#: writes it, ``summary()`` and the registry readouts list it.
+COUNTS = {
+    "submitted": (_REQUESTS, {"outcome": "submitted"}),
+    # Requests that passed admission control (submitted minus shed).
+    "admitted": (_REQUESTS, {"outcome": "admitted"}),
+    "completed": (_REQUESTS, {"outcome": "completed"}),
+    "failed": (_REQUESTS, {"outcome": "failed"}),
+    # Requests shed by admission control (queue bound / memory watermark).
+    "shed_requests": (_HANDLED, {"kind": "shed"}),
+    # Drains that completed at reduced fused size (footprint cascade or
+    # retry-driven halving) instead of failing their requests.
+    "degraded_drains": (_HANDLED, {"kind": "degraded_drain"}),
+    # Drain retry attempts actually scheduled (transient faults / OOM).
+    "retries": (_HANDLED, {"kind": "retry"}),
+    # Admitted requests resolved with DeadlineExceeded.
+    "deadline_misses": (_HANDLED, {"kind": "deadline_miss"}),
+    # Cluster devices lost (device_down fault events handled).
+    "device_losses": (_HANDLED, {"kind": "device_loss"}),
+    "footprint_fallbacks": (_HANDLED, {"kind": "footprint_fallback"}),
+    "batches": ("serve_drains_total", {}),
+    "modeled_kernels": ("serve_modeled_kernels_total", {}),
+}
+
+#: Help text of the instruments the counts live on.
+_COUNTER_HELP = {
+    _REQUESTS: "Requests by lifecycle outcome",
+    _HANDLED: "Control-plane events by kind (retry/shed/degrade/...)",
+    "serve_drains_total": "Bucket drains executed",
+    "serve_modeled_kernels_total": "Kernel launches in priced drains",
+}
 
 
-@dataclass
 class ServeMetrics:
-    """Counters and samples accumulated by one :class:`~repro.serve.executor.Server`."""
+    """Counts and samples of one :class:`~repro.serve.executor.Server`."""
 
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    footprint_fallbacks: int = 0
-    #: Requests shed by admission control (queue bound / memory watermark).
-    shed_requests: int = 0
-    #: Drains that completed at reduced fused size (footprint cascade or
-    #: retry-driven halving) instead of failing their requests.
-    degraded_drains: int = 0
-    #: Drain retry attempts actually scheduled (transient faults / OOM).
-    retries: int = 0
-    #: Admitted requests resolved with :class:`DeadlineExceeded`.
-    deadline_misses: int = 0
-    #: Cluster devices lost (``device_down`` fault events handled).
-    device_losses: int = 0
-    batch_sizes: list[int] = field(default_factory=list)
-    latencies: list[float] = field(default_factory=list)
-    queue_depth_samples: list[tuple[float, int]] = field(default_factory=list)
-    modeled_seconds: float = 0.0
-    modeled_kernels: int = 0
-    #: Modeled GPU seconds attributed to each cluster device ({0: total}
-    #: when serving single-device).
-    device_seconds: dict[int, float] = field(default_factory=dict)
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
+        self.batch_sizes: list[int] = []
+        self.latencies: list[float] = []
+        self.queue_depth_samples: list[tuple[float, int]] = []
+        for instrument, labels in COUNTS.values():
+            # Touch every declared series so it reads 0 before its first
+            # event instead of being absent from the dump.
+            registry.counter(instrument, _COUNTER_HELP[instrument]).inc(
+                0, **labels
+            )
+        self._batch_histogram = registry.histogram(
+            "serve_fused_batch_size", "Fused batch size per drain",
+            buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
+        )
+        self._modeled = registry.gauge(
+            "serve_modeled_gpu_seconds",
+            "Modeled GPU seconds by cluster device (priced drains)",
+        )
+        self._modeled.set(0.0, device="all")
+        # The derived gauges are pull-style series over the readouts below.
+        latency = registry.gauge(
+            "serve_queue_latency_seconds",
+            "Queueing latency percentiles on the simulated clock",
+        )
+        latency.set_function(lambda: self.p50_latency, quantile="0.5")
+        latency.set_function(lambda: self.p95_latency, quantile="0.95")
+        registry.gauge(
+            "serve_availability", "completed / admitted (1.0 pre-admission)",
+        ).set_function(lambda: self.availability)
+        registry.gauge(
+            "serve_mean_batch_size", "Average fused batch size over all drains",
+        ).set_function(lambda: self.mean_batch_size)
+        registry.gauge(
+            "serve_max_queue_depth", "Deepest the queue ever got",
+        ).set_function(lambda: self.max_queue_depth)
+
+    def __getattr__(self, name: str) -> int:
+        """A declared count reads back its counter series."""
+        if name not in COUNTS:
+            raise AttributeError(name)
+        instrument, labels = COUNTS[name]
+        return int(self.registry.counter(instrument).value(**labels))
 
     # -- recording -----------------------------------------------------------
+
+    def count(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to the declared count ``name`` (e.g. ``"retries"``)."""
+        instrument, labels = COUNTS[name]
+        self.registry.counter(instrument).inc(amount, **labels)
 
     def observe_queue_depth(self, now: float, depth: int) -> None:
         """Sample the total queue depth at a simulated timestamp."""
         self.queue_depth_samples.append((float(now), int(depth)))
 
-    def record_batch(self, size: int, latencies: list[float], *,
-                     failed: bool = False) -> None:
+    def record_batch(self, size: int, latencies: list[float]) -> None:
         """Record one drained batch and its members' queueing latencies."""
         self.batch_sizes.append(int(size))
-        if failed:
-            self.failed += size
-        else:
-            self.completed += size
+        self.count("batches")
+        self._batch_histogram.observe(size)
         self.latencies.extend(float(v) for v in latencies)
 
     def record_modeled(self, seconds: float, kernels: int, *,
-                       devices: tuple[int, ...] = (0,)) -> None:
+                       devices: tuple[int, ...]) -> None:
         """Accumulate one priced trace (modeled GPU time of a drain).
 
-        ``devices`` are the cluster devices the drain occupied -- each is
-        charged the full drain time, since a sharded drain holds all of
-        its devices for its makespan.  With the default the metrics behave
-        exactly as before (everything on device 0).  Devices drain
-        concurrently, so the cluster-wide modeled makespan is the
+        ``devices`` are the cluster devices the drain occupied (``(0,)``
+        single-device) -- each is charged the full drain time, since a
+        sharded drain holds all of its devices for its makespan.  Devices
+        drain concurrently, so the cluster-wide modeled makespan is the
         *maximum* per-device total, not the sum.
         """
-        self.modeled_seconds += float(seconds)
-        self.modeled_kernels += int(kernels)
+        self._modeled.inc(seconds, device="all")
+        self.count("modeled_kernels", int(kernels))
         for device in devices:
-            self.device_seconds[device] = (
-                self.device_seconds.get(device, 0.0) + float(seconds)
-            )
+            self._modeled.inc(seconds, device=device)
 
     # -- readouts ------------------------------------------------------------
 
     @property
-    def admitted(self) -> int:
-        """Requests that entered the queue (submitted minus shed)."""
-        return self.submitted - self.shed_requests
+    def modeled_seconds(self) -> float:
+        """Modeled GPU seconds summed over every priced drain."""
+        return self._modeled.value(device="all")
+
+    @property
+    def device_seconds(self) -> dict[int, float]:
+        """Modeled GPU seconds attributed to each cluster device.
+
+        ``{0: total}`` when serving single-device, empty before any priced
+        drain.
+        """
+        return dict(sorted(
+            (int(device), seconds)
+            for ((_, device),), seconds in self._modeled.series()
+            if device != "all"
+        ))
 
     @property
     def availability(self) -> float:
@@ -162,9 +235,10 @@ class ServeMetrics:
         Buckets on different devices drain concurrently; equal to
         :attr:`modeled_seconds` when everything ran on one device.
         """
-        if not self.device_seconds:
+        device_seconds = self.device_seconds
+        if not device_seconds:
             return self.modeled_seconds
-        return max(self.device_seconds.values())
+        return max(device_seconds.values())
 
     def device_utilization(self) -> dict[int, float]:
         """Per-device busy fraction of the modeled cluster makespan."""
@@ -173,7 +247,7 @@ class ServeMetrics:
             return {}
         return {
             device: seconds / makespan
-            for device, seconds in sorted(self.device_seconds.items())
+            for device, seconds in self.device_seconds.items()
         }
 
     def modeled_throughput(self) -> float:
@@ -187,122 +261,29 @@ class ServeMetrics:
             return 0.0
         return self.completed / makespan
 
-    # -- registry re-homing --------------------------------------------------
-
-    def bind_registry(self, registry) -> None:
-        """Publish these metrics through a ``MetricsRegistry`` collector.
-
-        Registers a collector that restates the current totals into
-        labeled instruments at every registry readout -- the plain
-        attributes above remain the source of truth (and the back-compat
-        surface), so recording stays free of registry calls.  Idempotent
-        per registry.  ``registry`` is duck-typed
-        (:class:`repro.obs.registry.MetricsRegistry`).
-        """
-        bound = getattr(self, "_bound_registries", None)
-        if bound is None:
-            bound = self._bound_registries = set()
-        if id(registry) in bound:
-            return
-        bound.add(id(registry))
-
-        requests = registry.counter(
-            "serve_requests_total", "Requests by lifecycle outcome",
-        )
-        drains = registry.counter(
-            "serve_drains_total", "Bucket drains executed",
-        )
-        robustness = registry.counter(
-            "serve_faults_handled_total",
-            "Control-plane events by kind (retry/shed/degrade/...)",
-        )
-        availability = registry.gauge(
-            "serve_availability", "completed / admitted (1.0 pre-admission)",
-        )
-        mean_batch = registry.gauge(
-            "serve_mean_batch_size", "Average fused batch size over all drains",
-        )
-        max_depth = registry.gauge(
-            "serve_max_queue_depth", "Deepest the queue ever got",
-        )
-        latency = registry.gauge(
-            "serve_queue_latency_seconds",
-            "Queueing latency percentiles on the simulated clock",
-        )
-        modeled = registry.gauge(
-            "serve_modeled_gpu_seconds",
-            "Modeled GPU seconds by cluster device (priced drains)",
-        )
-        modeled_kernels = registry.counter(
-            "serve_modeled_kernels_total", "Kernel launches in priced drains",
-        )
-        batch_hist = registry.histogram(
-            "serve_fused_batch_size", "Fused batch size per drain",
-            buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
-        )
-
-        def collect() -> None:
-            requests.set_total(self.submitted, outcome="submitted")
-            requests.set_total(self.admitted, outcome="admitted")
-            requests.set_total(self.completed, outcome="completed")
-            requests.set_total(self.failed, outcome="failed")
-            drains.set_total(len(self.batch_sizes))
-            robustness.set_total(self.shed_requests, kind="shed")
-            robustness.set_total(self.degraded_drains, kind="degraded_drain")
-            robustness.set_total(self.retries, kind="retry")
-            robustness.set_total(self.deadline_misses, kind="deadline_miss")
-            robustness.set_total(self.device_losses, kind="device_loss")
-            robustness.set_total(
-                self.footprint_fallbacks, kind="footprint_fallback"
-            )
-            availability.set(self.availability)
-            mean_batch.set(self.mean_batch_size)
-            max_depth.set(self.max_queue_depth)
-            latency.set(self.p50_latency, quantile="0.5")
-            latency.set(self.p95_latency, quantile="0.95")
-            modeled.set(self.modeled_seconds, device="all")
-            for device, seconds in sorted(self.device_seconds.items()):
-                modeled.set(seconds, device=str(device))
-            modeled_kernels.set_total(self.modeled_kernels)
-            batch_hist.reset()
-            for size in self.batch_sizes:
-                batch_hist.observe(size)
-
-        registry.register_collector(collect)
-
     def summary(self) -> dict:
         """Machine-readable snapshot (benchmark artifacts embed this)."""
-        return {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "failed": self.failed,
+        summary = {name: getattr(self, name) for name in COUNTS}
+        summary.update({
             "availability": self.availability,
-            "shed_requests": self.shed_requests,
-            "degraded_drains": self.degraded_drains,
-            "retries": self.retries,
-            "deadline_misses": self.deadline_misses,
-            "device_losses": self.device_losses,
-            "footprint_fallbacks": self.footprint_fallbacks,
-            "batches": len(self.batch_sizes),
             "batch_histogram": self.batch_histogram(),
             "mean_batch_size": self.mean_batch_size,
             "max_queue_depth": self.max_queue_depth,
             "p50_latency_s": self.p50_latency,
             "p95_latency_s": self.p95_latency,
             "modeled_seconds": self.modeled_seconds,
-            "modeled_kernels": self.modeled_kernels,
             "modeled_requests_per_sec": self.modeled_throughput(),
             "modeled_makespan_s": self.modeled_makespan,
             "device_seconds": {
                 str(device): seconds
-                for device, seconds in sorted(self.device_seconds.items())
+                for device, seconds in self.device_seconds.items()
             },
             "device_utilization": {
                 str(device): fraction
                 for device, fraction in self.device_utilization().items()
             },
-        }
+        })
+        return summary
 
 
 __all__ = ["ServeMetrics"]

@@ -23,20 +23,22 @@ simulated timestamps):
 every pending drain whose policy timeout falls due (so no request ever
 waits past its deadline just because the trace was quiet), then advances
 the clock to the arrival and submits.  After the last arrival it drains
-the server dry and folds the responses plus
-:class:`~repro.serve.metrics.ServeMetrics` into a :class:`ReplayReport`
--- availability, shed rate, retry/degradation counts, p95 latency and
-the deadline-violation count the acceptance gate pins at zero.
+the server dry and returns a :class:`ReplayReport`: the server's own
+:class:`~repro.serve.metrics.ServeMetrics` (availability, shed rate,
+retry/degradation counts, p95 latency -- read, not copied) plus the two
+figures only the responses can give, the typed-error tally and the
+deadline-violation count the acceptance gate pins at zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.serve.executor import Server
+from repro.serve.metrics import ServeMetrics
 from repro.serve.request import OpProgram, Request
 
 
@@ -111,84 +113,21 @@ def diurnal_arrivals(count: int, *, period: float, seed: int,
 class ReplayReport:
     """Availability/robustness readout of one replayed trace."""
 
-    submitted: int = 0
-    admitted: int = 0
-    shed: int = 0
-    completed: int = 0
-    failed: int = 0
-    availability: float = 1.0
-    retries: int = 0
-    degraded_drains: int = 0
-    deadline_misses: int = 0
-    device_losses: int = 0
-    p50_latency: float = 0.0
-    p95_latency: float = 0.0
+    #: The replayed server's metrics -- every count is read from here.
+    metrics: ServeMetrics
     #: Responses per typed error class name (empty on a clean run).
-    error_kinds: dict = field(default_factory=dict)
+    error_kinds: dict[str, int]
     #: OK responses dispatched strictly after their deadline -- the
     #: acceptance invariant pins this at zero.
-    deadline_violations: int = 0
+    deadline_violations: int
 
     def summary(self) -> dict:
         """Machine-readable report (benchmark artifacts embed this)."""
         return {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "completed": self.completed,
-            "failed": self.failed,
-            "availability": self.availability,
-            "retries": self.retries,
-            "degraded_drains": self.degraded_drains,
-            "deadline_misses": self.deadline_misses,
-            "device_losses": self.device_losses,
-            "p50_latency_s": self.p50_latency,
-            "p95_latency_s": self.p95_latency,
+            **self.metrics.summary(),
             "error_kinds": dict(sorted(self.error_kinds.items())),
             "deadline_violations": self.deadline_violations,
         }
-
-    def publish(self, registry) -> None:
-        """Restate this report through a ``MetricsRegistry``.
-
-        The one-source-of-truth seam ``benchmarks/bench_faults.py`` reads:
-        every availability/shed/retry/latency figure lands on labeled
-        ``replay_*`` instruments, so downstream consumers need no
-        hand-folding of :class:`~repro.serve.metrics.ServeMetrics`
-        counters.  ``registry`` is duck-typed
-        (:class:`repro.obs.registry.MetricsRegistry`).
-        """
-        requests = registry.counter(
-            "replay_requests_total", "Replayed requests by outcome",
-        )
-        requests.set_total(self.submitted, outcome="submitted")
-        requests.set_total(self.admitted, outcome="admitted")
-        requests.set_total(self.shed, outcome="shed")
-        requests.set_total(self.completed, outcome="completed")
-        requests.set_total(self.failed, outcome="failed")
-        registry.gauge(
-            "replay_availability",
-            "completed / admitted over the replayed trace",
-        ).set(self.availability)
-        events = registry.counter(
-            "replay_events_total", "Control-plane events during the replay",
-        )
-        events.set_total(self.retries, kind="retry")
-        events.set_total(self.degraded_drains, kind="degraded_drain")
-        events.set_total(self.deadline_misses, kind="deadline_miss")
-        events.set_total(self.device_losses, kind="device_loss")
-        events.set_total(self.deadline_violations, kind="deadline_violation")
-        latency = registry.gauge(
-            "replay_latency_seconds",
-            "Queueing latency percentiles of the replayed trace",
-        )
-        latency.set(self.p50_latency, quantile="0.5")
-        latency.set(self.p95_latency, quantile="0.95")
-        errors = registry.counter(
-            "replay_errors_total", "Failed responses by typed error kind",
-        )
-        for kind, count in sorted(self.error_kinds.items()):
-            errors.set_total(count, kind=kind)
 
 
 class ReplayDriver:
@@ -209,19 +148,13 @@ class ReplayDriver:
 
     def __init__(self, server: Server, program: OpProgram,
                  vector_factory: Callable[[int], object], *,
-                 deadline_offset: float | None = None,
-                 registry=None) -> None:
+                 deadline_offset: float | None = None) -> None:
         self.server = server
         self.program = program
         self.vector_factory = vector_factory
         self.deadline_offset = (
             None if deadline_offset is None else float(deadline_offset)
         )
-        #: Optional MetricsRegistry the final report is published through
-        #: (defaults to the server's observability registry when wired).
-        self.registry = registry
-        if self.registry is None and getattr(server, "obs", None) is not None:
-            self.registry = server.obs.registry
         self.requests: list[Request] = []
 
     def run(self, arrivals: Sequence[float]) -> ReplayReport:
@@ -247,14 +180,10 @@ class ReplayDriver:
                               deadline=deadline)
             )
         server.drain()
-        report = self.report()
-        if self.registry is not None:
-            report.publish(self.registry)
-        return report
+        return self.report()
 
     def report(self) -> ReplayReport:
-        """Fold responses and server metrics into a :class:`ReplayReport`."""
-        metrics = self.server.metrics
+        """The server's metrics plus what only the responses can tell."""
         error_kinds: dict[str, int] = {}
         deadline_violations = 0
         for request in self.requests:
@@ -267,20 +196,7 @@ class ReplayDriver:
                 kind = response.error_kind
                 error_kinds[kind] = error_kinds.get(kind, 0) + 1
         return ReplayReport(
-            submitted=metrics.submitted,
-            admitted=metrics.admitted,
-            shed=metrics.shed_requests,
-            completed=metrics.completed,
-            failed=metrics.failed,
-            availability=metrics.availability,
-            retries=metrics.retries,
-            degraded_drains=metrics.degraded_drains,
-            deadline_misses=metrics.deadline_misses,
-            device_losses=metrics.device_losses,
-            p50_latency=metrics.p50_latency,
-            p95_latency=metrics.p95_latency,
-            error_kinds=error_kinds,
-            deadline_violations=deadline_violations,
+            self.server.metrics, error_kinds, deadline_violations
         )
 
 

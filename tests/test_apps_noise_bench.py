@@ -27,6 +27,20 @@ from repro.ckks.params import PARAMETER_SETS
 from tests.conftest import assert_close
 
 
+def assert_retired_everywhere(retired: re.Pattern) -> None:
+    """No file of src/, benchmarks/*.py, examples/, tests/ or README.md
+    matches ``retired`` (this file, which has to spell the names, excepted)."""
+    repo = Path(__file__).parent.parent
+    scanned = [repo / "README.md", *sorted((repo / "benchmarks").glob("*.py"))]
+    for folder in ("src", "examples", "tests"):
+        scanned += sorted((repo / folder).rglob("*.py"))
+    assert len(scanned) > 100
+    for path in scanned:
+        if path != Path(__file__):
+            found = retired.findall(path.read_text(encoding="utf-8"))
+            assert not found, (str(path.relative_to(repo)), found)
+
+
 class TestDataset:
     def test_shapes_and_padding(self):
         data = make_loan_dataset(samples=200, features=25, seed=1)
@@ -249,11 +263,27 @@ class TestBenchReporting:
             r"GPUDevice|ExecutionResult|CostLedger|batched_cost|ScopeCost"
             r"|\.total_time\b"
         )
-        scanned = [repo / "README.md", *sorted((repo / "benchmarks").glob("*.py"))]
-        for folder in ("src", "examples", "tests"):
-            scanned += sorted((repo / folder).rglob("*.py"))
-        assert len(scanned) > 100
-        for path in scanned:
-            if path != Path(__file__):
-                found = retired.findall(path.read_text(encoding="utf-8"))
-                assert not found, (str(path.relative_to(repo)), found)
+        assert_retired_everywhere(retired)
+
+    def test_a_serve_count_has_one_store(self):
+        # One resolution path: Request.resolve has a single call site in
+        # the serving plane (Server._resolve), so a response, its outcome
+        # counter and its spans are written together ...
+        repo = Path(__file__).parent.parent
+        serve = {
+            path.name: path.read_text(encoding="utf-8")
+            for path in sorted((repo / "src" / "repro" / "serve").glob("*.py"))
+        }
+        call_sites = [name for name, text in serve.items()
+                      for _ in re.findall(r"\.resolve\(", text)]
+        assert call_sites == ["executor.py"]
+        # ... the registry's instruments are the store, so nothing under
+        # repro/serve restates a total or registers a read-time collector ...
+        for name, text in serve.items():
+            assert not re.findall(r"set_total\(|register_collector\(", text), name
+        # ... and the retired restating chain leaves no name behind.
+        assert_retired_everywhere(re.compile(
+            r"bind_registry|watch_metrics|ReplayReport\.publish"
+            r"|replay_(?:requests|events|errors)_total"
+            r"|replay_availability|replay_latency_seconds"
+        ))

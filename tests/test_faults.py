@@ -492,9 +492,10 @@ class TestReplay:
         driver = ReplayDriver(server, POLY_PROGRAM,
                               lambda i: backend.encrypt(np.full(8, 0.5)))
         report = driver.run(burst_arrivals(32, bursts=1, burst_gap=1.0, seed=2))
-        assert report.shed == 24  # depth bound 8 against a 32-burst
-        assert report.admitted == 8
-        assert report.availability == 1.0
+        assert report.metrics is server.metrics  # read, not copied
+        assert report.metrics.shed_requests == 24  # depth bound 8 vs a 32-burst
+        assert report.metrics.admitted == 8
+        assert report.metrics.availability == 1.0
         assert report.error_kinds == {"RequestRejected": 24}
 
     def test_faulted_replay_meets_the_acceptance_contract(self, session, rng):
@@ -514,7 +515,7 @@ class TestReplay:
             report = driver.run(
                 burst_arrivals(24, bursts=6, burst_gap=0.01, seed=17))
         assert report.deadline_violations == 0
-        assert report.submitted == 24
+        assert report.metrics.submitted == 24
         expected = [POLY_PROGRAM(vector) for vector in vectors]
         for request, want in zip(driver.requests, expected):
             response = request.response()
@@ -525,4 +526,4 @@ class TestReplay:
                     "RequestRejected", "DeadlineExceeded",
                     "DrainFailed", "DeviceLost",
                 }
-        assert report.availability >= 0.99
+        assert report.metrics.availability >= 0.99

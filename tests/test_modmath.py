@@ -219,7 +219,7 @@ def test_vector_add_neg_is_zero_property(values):
 
 
 # ---------------------------------------------------------------------------
-# double-word (hi/lo digit plane) stack kernels
+# double-word stack kernels (products of residues in [2**31, 2**62))
 # ---------------------------------------------------------------------------
 
 #: Moduli straddling the dword regime: just above the single-word cutoff

@@ -14,6 +14,10 @@ The contracts under test:
   cluster run lands kernels on one track per device;
 * the per-scope rollup reconciles with the
   :class:`~repro.perf.trace_model.TraceCostModel` makespan within 1%;
+* a serve count has **one home**: ``server.metrics``, ``report.summary()``
+  and the registry's ``serve_*`` series are the same numbers with or
+  without a facade, request spans close with the outcome the counters
+  count, and an enabled facade belongs to exactly one server;
 * everything is **zero-cost when disabled**: the dispatcher hands out the
   shared null context and a server built with a disabled facade carries
   no observability hooks at all.
@@ -43,16 +47,53 @@ from repro.obs import (
 )
 from repro.perf.trace_model import TraceCostModel
 from repro.serve import (
+    AdmissionPolicy,
     BatchingPolicy,
+    FaultEvent,
     FaultPlan,
     OpProgram,
     ReplayDriver,
     RetryPolicy,
+    Server,
     SimulatedClock,
     burst_arrivals,
 )
 
 PROGRAM = OpProgram.polynomial([1.0, 0.0, 2.0])  # 1 + 2x^2
+
+#: The faulted run: three bursts of 8 against a queue bound of 6 (2 shed
+#: per burst).  Burst 1's drain hits the transient, and its 1 ms retry
+#: backoff outlasts the 2.5 ms deadlines (6 deadline misses); burst 2
+#: drains inside the OOM window (one degraded drain); burst 3 is clean.
+CHAOS_PLAN = FaultPlan([
+    FaultEvent(0.0, "transient"),
+    FaultEvent(4e-3, "oom", duration=4e-3),
+])
+
+#: summary() key -> the serve_* series that must hold the same number.
+SERVE_SERIES = {
+    "submitted": ("serve_requests_total", {"outcome": "submitted"}),
+    "admitted": ("serve_requests_total", {"outcome": "admitted"}),
+    "completed": ("serve_requests_total", {"outcome": "completed"}),
+    "failed": ("serve_requests_total", {"outcome": "failed"}),
+    "shed_requests": ("serve_faults_handled_total", {"kind": "shed"}),
+    "degraded_drains": ("serve_faults_handled_total",
+                        {"kind": "degraded_drain"}),
+    "retries": ("serve_faults_handled_total", {"kind": "retry"}),
+    "deadline_misses": ("serve_faults_handled_total",
+                        {"kind": "deadline_miss"}),
+    "device_losses": ("serve_faults_handled_total", {"kind": "device_loss"}),
+    "footprint_fallbacks": ("serve_faults_handled_total",
+                            {"kind": "footprint_fallback"}),
+    "batches": ("serve_drains_total", {}),
+    "modeled_kernels": ("serve_modeled_kernels_total", {}),
+    "modeled_seconds": ("serve_modeled_gpu_seconds", {"device": "all"}),
+    "availability": ("serve_availability", {}),
+    "mean_batch_size": ("serve_mean_batch_size", {}),
+    "max_queue_depth": ("serve_max_queue_depth", {}),
+    "p50_latency_s": ("serve_queue_latency_seconds", {"quantile": "0.5"}),
+    "p95_latency_s": ("serve_queue_latency_seconds", {"quantile": "0.95"}),
+}
 
 
 @pytest.fixture(scope="module")
@@ -62,35 +103,49 @@ def obs_session() -> CKKSSession:
 
 def run_instrumented_burst(session, *, requests: int = 8, seed: int = 3,
                            cluster=None, shard_drains: bool = False,
-                           faults: bool = False):
-    """One fused burst through an instrumented server; returns (obs, server)."""
+                           faults: bool = False, observe: bool = True):
+    """One fused burst through a server; returns (obs, server, report).
+
+    ``faults`` replays :data:`CHAOS_PLAN` (24 requests, shedding, tight
+    deadlines); ``observe=False`` serves the same run with no facade.
+    """
     clock = SimulatedClock()
-    obs = session.observability(clock=clock)
+    obs = session.observability(clock=clock) if observe else None
     rng = np.random.default_rng(seed)
-    plan = None
-    if faults:
-        plan = FaultPlan.generate(seed, duration=0.05, oom_fraction=0.1,
-                                  transients=2)
     server = session.server(
         BatchingPolicy(max_batch_size=8, max_wait=2e-3),
         clock=clock,
         trace_costs=TraceCostModel(GPU_RTX_4090),
         cluster=cluster,
         shard_drains=shard_drains,
-        retry=RetryPolicy(max_retries=3, backoff=1e-5),
-        fault_plan=plan,
+        admission=AdmissionPolicy(max_queue_depth=6) if faults else None,
+        retry=RetryPolicy(max_retries=3, backoff=1e-3 if faults else 1e-5),
+        fault_plan=CHAOS_PLAN if faults else None,
         observability=obs,
     )
-    arrivals = burst_arrivals(requests, bursts=2, burst_gap=5e-3, seed=seed)
+    arrivals = burst_arrivals(24 if faults else requests,
+                              bursts=3 if faults else 2,
+                              burst_gap=5e-3, seed=seed)
     driver = ReplayDriver(
         server, PROGRAM,
         lambda i: session.encrypt(rng.uniform(-1.0, 1.0, 8)),
-        deadline_offset=2e-2,
+        deadline_offset=2.5e-3 if faults else 2e-2,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         report = driver.run(arrivals)
     return obs, server, report
+
+
+def seeded_snapshot(obs) -> dict:
+    """The registry snapshot minus what is not a function of the seeds.
+
+    Pool gauges track the live process-wide default pool, which other
+    tests in the session mutate -- everything else must be reproducible.
+    """
+    snap = obs.snapshot()
+    return {name: entry for name, entry in snap.items()
+            if not name.startswith("memory_pool_")}
 
 
 # -- registry -----------------------------------------------------------------
@@ -165,15 +220,73 @@ class TestMetricsRegistry:
         snaps = []
         for _ in range(2):
             obs, _, _ = run_instrumented_burst(obs_session, faults=True)
-            snap = obs.snapshot()
-            # Pool gauges track the live process-wide default pool, which
-            # other tests in the session mutate -- everything else must be
-            # a pure function of the seeds.
-            for name in list(snap):
-                if name.startswith("memory_pool_"):
-                    del snap[name]
-            snaps.append(json.dumps(snap, sort_keys=True))
-        assert snaps[0] == snaps[1]
+            snaps.append(seeded_snapshot(obs))
+        assert json.dumps(snaps[0], sort_keys=True) == \
+            json.dumps(snaps[1], sort_keys=True)
+
+    def test_a_serve_count_has_one_home(self, obs_session):
+        obs, server, report = run_instrumented_burst(obs_session, faults=True)
+        summary = server.metrics.summary()
+        # The faulted run really is one: every kind of ending happened.
+        assert summary["shed_requests"] == 6 and summary["retries"] == 1
+        assert summary["deadline_misses"] == summary["failed"] == 6
+        assert summary["completed"] == 12 and summary["degraded_drains"] == 1
+        snapshot = seeded_snapshot(obs)
+
+        def series(name, **labels):
+            (entry,) = [entry for entry in snapshot[name]["series"]
+                        if entry["labels"] == labels]
+            return entry
+
+        for key, (name, labels) in SERVE_SERIES.items():
+            assert series(name, **labels)["value"] == summary[key], key
+        for device, seconds in summary["device_seconds"].items():
+            assert series("serve_modeled_gpu_seconds",
+                          device=device)["value"] == seconds
+        batch_sizes = series("serve_fused_batch_size")
+        assert batch_sizes["count"] == summary["batches"]
+        assert batch_sizes["sum"] == sum(server.metrics.batch_sizes)
+        # The report holds the server's metrics rather than a copy, and
+        # adds only what responses alone can tell.
+        assert report.metrics is server.metrics
+        assert report.summary() == {
+            **summary,
+            "error_kinds": {"DeadlineExceeded": 6, "RequestRejected": 6},
+            "deadline_violations": 0,
+        }
+        # Same numbers with no facade at all (the server's own registry).
+        _, bare, _ = run_instrumented_burst(obs_session, faults=True,
+                                            observe=False)
+        assert bare.obs is None
+        assert bare.metrics.summary() == summary
+        assert bare.metrics.registry.value(
+            "serve_requests_total", outcome="completed") == 12
+
+    def test_one_enabled_facade_serves_one_server(self, obs_session):
+        backend = obs_session.cost_backend()
+
+        def serve(count, observability):
+            server = Server(backend, BatchingPolicy(max_batch_size=4),
+                            observability=observability)
+            for _ in range(count):
+                server.submit(PROGRAM, backend.encrypt(np.full(8, 0.5)))
+            server.flush()
+            return server
+
+        obs = Observability()
+        first = serve(5, obs)
+        assert obs.owner is first
+        # A second server used to overwrite the first one's totals (the
+        # shared series read 2) and stamp its spans on the first's clock.
+        with pytest.raises(ValueError, match="already wired to"):
+            serve(2, obs)
+        assert obs.registry.value(
+            "serve_requests_total", outcome="completed") == 5
+        # A disabled facade is inert, so it stays shareable.
+        disabled = Observability(enabled=False)
+        assert serve(5, disabled).metrics.completed == 5
+        assert serve(2, disabled).metrics.completed == 2
+        assert disabled.owner is None
 
 
 # -- spans --------------------------------------------------------------------
@@ -204,7 +317,8 @@ class TestSpans:
         # Every request root closes with an outcome and its children nest
         # inside it on the simulated clock.
         roots = [span for span in tracer.roots() if span.name == "request"]
-        assert len(roots) == report.admitted + report.shed
+        metrics = report.metrics
+        assert len(roots) == metrics.admitted + metrics.shed_requests == 24
         for root in roots:
             assert root.finished
             assert root.attributes["outcome"] in {"ok", "error", "shed"}
@@ -213,10 +327,29 @@ class TestSpans:
 
     def test_retry_spans_on_faulted_run(self, obs_session):
         obs, server, _ = run_instrumented_burst(obs_session, faults=True)
-        if server.metrics.retries:
-            retries = obs.tracer.find("retry")
-            assert len(retries) == server.metrics.retries
-            assert all(span.attributes["error_kind"] for span in retries)
+        retries = obs.tracer.find("retry")
+        assert len(retries) == server.metrics.retries == 1
+        assert all(span.attributes["error_kind"] for span in retries)
+
+    def test_spans_close_with_the_outcome_the_counters_count(self, obs_session):
+        # One resolution path: a request's root span, its response and the
+        # outcome counter are written together, so they cannot drift.
+        obs, server, _ = run_instrumented_burst(obs_session, faults=True)
+        metrics = server.metrics
+        outcomes = [
+            (root.attributes["outcome"], root.attributes["error_kind"])
+            for root in obs.tracer.roots() if root.name == "request"
+        ]
+        assert outcomes.count(("error", "DeadlineExceeded")) == \
+            metrics.deadline_misses == 6
+        assert outcomes.count(("shed", "RequestRejected")) == \
+            metrics.shed_requests == 6
+        assert outcomes.count(("ok", None)) == metrics.completed == 12
+        assert len(obs.tracer.find("retry")) == metrics.retries
+        # The drain whose every request went overdue closes as a miss too.
+        assert [span.attributes["error_kind"]
+                for span in obs.tracer.find("drain")
+                if span.attributes["outcome"] == "error"] == ["DeadlineExceeded"]
 
 
 # -- Perfetto export ----------------------------------------------------------
@@ -342,16 +475,3 @@ class TestPoolAndDisabled:
         )
         assert server.obs is None
         assert get_dispatcher().scope("anything") is _NULL_CONTEXT
-
-    def test_replay_driver_publishes_to_registry(self, obs_session):
-        obs, _, report = run_instrumented_burst(obs_session, faults=True)
-        registry = obs.registry
-        assert registry.value("replay_availability") == report.availability
-        assert registry.value(
-            "replay_requests_total", outcome="submitted"
-        ) == report.submitted
-        assert registry.value(
-            "replay_events_total", kind="retry"
-        ) == report.retries
-        # serve_* and replay_* restate the same control plane.
-        assert registry.value("serve_availability") == report.availability
