@@ -7,11 +7,12 @@ launch), each a full global-memory round trip handing canonical residues
 to the next launch -- exactly how a GPU executes transforms before stage
 fusion (the paper's baseline).  ``repro.core.fusion.fuse_trace`` then
 merges each recorded stage run back into the engine's stage-fused
-mega-kernel and fuses the surrounding elementwise chains, and the two
-programs race on real python wall clock:
+mega-kernel and fuses the surrounding elementwise chains, and the one
+replayer (``repro.core.fusion.TraceProgram``) races itself on wall clock:
 
-* **unfused**: ``TraceProgram.run`` of the stage-granular trace;
-* **fused**: ``FusedProgram.run`` of the fusion pass's output.
+* **unfused**: ``TraceProgram(trace).run`` -- the trace as recorded;
+* **fused**: ``fuse_trace(trace).program().run`` -- the same class given
+  the fusion pass's chains.
 
 Both are first asserted bit-identical to the recorded eager execution
 (``verify``), so the speedup is never bought with wrong answers.  Modeled
@@ -35,8 +36,7 @@ import numpy as np
 
 from repro.api import CKKSSession
 from repro.bench.reporting import BenchmarkTable
-from repro.core.dispatch import TraceProgram
-from repro.core.fusion import fuse_trace
+from repro.core.fusion import TraceProgram, fuse_trace
 from repro.gpu.platforms import GPU_RTX_4090
 from repro.perf.trace_model import TraceCostModel
 
@@ -145,10 +145,10 @@ def run(ring_log2: int = RING_LOG2, depth: int = DEPTH, *, batch_size: int = 8,
         f"[{params.describe()}]",
         note="unfused = TraceProgram replay of the stage-granular trace "
              "(one launch per NTT butterfly stage, canonical residues at "
-             "every launch boundary); fused = FusedProgram after "
-             "fuse_trace merges stage runs into the stage-fused engine "
-             "kernels and collapses elementwise chains; both verified "
-             "bit-identical to eager execution before timing",
+             "every launch boundary); fused = the same TraceProgram given "
+             "the chains of fuse_trace, which merges stage runs into the "
+             "stage-fused engine kernels and collapses elementwise chains; "
+             "both verified bit-identical to eager execution before timing",
     )
     pricer = TraceCostModel(GPU_RTX_4090)
     speedups = {

@@ -43,7 +43,6 @@ from repro.api import (
     CipherVector,
     CostModelBackend,
     EvaluationBackend,
-    FunctionalBackend,
 )
 from repro.ckks.params import CKKSParameters, PARAMETER_SETS
 from repro.ckks.context import Context
@@ -66,7 +65,6 @@ __all__ = [
     "CKKSSession",
     "CipherVector",
     "EvaluationBackend",
-    "FunctionalBackend",
     "CostModelBackend",
     "CKKSParameters",
     "PARAMETER_SETS",

@@ -11,7 +11,8 @@ stay available underneath):
   HAdd/PtAdd/ScalarAdd/HMult/PtMult/ScalarMult/HSquare/HRotate by operand
   type; one handle holds one ciphertext or a fused batch of them.
 * :class:`~repro.api.backend.EvaluationBackend` -- the pluggable seam:
-  :class:`~repro.api.backend.FunctionalBackend` executes for real,
+  the session's :class:`~repro.ckks.evaluator.Evaluator` is the
+  functional backend and executes for real,
   :class:`~repro.api.backend.CostModelBackend` replays the same program
   symbolically, emitting each operation's closed-form kernels onto the
   execution-plane dispatcher -- so ``session.trace()``,
@@ -24,7 +25,6 @@ stay available underneath):
 from repro.api.backend import (
     CostModelBackend,
     EvaluationBackend,
-    FunctionalBackend,
     SymbolicCiphertext,
     TracingBackend,
     as_backend,
@@ -36,7 +36,6 @@ __all__ = [
     "CKKSSession",
     "CipherVector",
     "EvaluationBackend",
-    "FunctionalBackend",
     "CostModelBackend",
     "SymbolicCiphertext",
     "TracingBackend",

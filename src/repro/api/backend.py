@@ -7,19 +7,22 @@ execution model (kernel-level costs at paper-scale parameters).  The
 program: :class:`~repro.api.vector.CipherVector` dispatches each operator
 to whichever backend its handle belongs to.
 
-* :class:`FunctionalBackend` wraps :class:`~repro.ckks.evaluator.Evaluator`
-  and executes for real; its handles are
-  :class:`~repro.ckks.ciphertext.Ciphertext` objects.
+* :class:`~repro.ckks.evaluator.Evaluator` *is* the functional backend
+  (``session.backend is session.evaluator``): it executes for real, its
+  handles are :class:`~repro.ckks.ciphertext.Ciphertext` objects, and an
+  operator call reaches a kernel through ``CipherVector`` → ``Evaluator`` →
+  ``RNSPoly`` → ``modmath.stack_*`` with no forwarding layer in between.
 * :class:`CostModelBackend` wraps :mod:`repro.perf.costmodel`; its handles
-  are :class:`SymbolicCiphertext` objects that track the level and scale
-  trajectory exactly as the evaluator would (including the scale-ladder
-  bookkeeping and the error paths), while every operation emits its
-  closed-form kernel decomposition through the execution-plane dispatcher,
-  inside the operation scopes the evaluator opens.  It keeps no books of
-  its own: ``session.trace()``, :class:`TracingBackend` and a
-  ``Server(trace_costs=...)`` observe, price and roll up a symbolic program
-  exactly as they do a functional one, and outside a recording region a
-  symbolic operation builds no kernel at all.
+  are :class:`SymbolicCiphertext` objects that follow the evaluator's level
+  and scale trajectory -- the matching rule and the operand errors are the
+  evaluator's own (:func:`~repro.ckks.ciphertext.match_for_sum` and its
+  neighbours), only the ladder and the way down a level are symbolic --
+  while every operation emits its closed-form kernel decomposition through
+  the execution-plane dispatcher, inside the operation scopes the evaluator
+  opens.  It keeps no books of its own: ``session.trace()``,
+  :class:`TracingBackend` and a ``Server(trace_costs=...)`` observe, price
+  and roll up a symbolic program exactly as they do a functional one, and
+  outside a recording region a symbolic operation builds no kernel at all.
 
 Both backends accept plaintext operands either pre-encoded
 (:class:`~repro.ckks.ciphertext.Plaintext`) or as raw value arrays, which
@@ -40,16 +43,18 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.ckks.ciphertext import (
-    Ciphertext,
     Plaintext,
+    adjust_is_copy,
+    check_dot_operands,
     check_fusable,
-    check_same_batch,
+    check_plain_scale,
+    check_scalar_rescale,
     fused_lengths,
+    match_for_product,
+    match_for_sum,
     member_lengths,
-    scales_match,
 )
 from repro.ckks.context import Context
-from repro.ckks.encryption import Encryptor
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeySet
 from repro.ckks.params import CKKSParameters
@@ -125,133 +130,6 @@ def as_backend(obj) -> EvaluationBackend:
             f"object exposing one via a .backend attribute"
         )
     return backend
-
-
-# ----------------------------------------------------------------------
-# functional backend
-# ----------------------------------------------------------------------
-
-
-class FunctionalBackend:
-    """Executes operations for real through an :class:`Evaluator`.
-
-    Handles are :class:`Ciphertext` objects.  An optional encryptor makes
-    the backend a source of fresh ciphertexts so whole applications (the
-    :mod:`repro.apps` workloads) can be written against the backend alone.
-    """
-
-    name = "functional"
-
-    def __init__(self, evaluator: Evaluator, *, encryptor: Encryptor | None = None) -> None:
-        self.evaluator = evaluator
-        self.context: Context = evaluator.context
-        self.params: CKKSParameters = self.context.params
-        self.encryptor = encryptor
-
-    # -- ciphertext sources -------------------------------------------------
-
-    def encrypt(self, values, *, scale: float | None = None,
-                level: int | None = None) -> Ciphertext:
-        """Encode and encrypt fresh values (requires an encryptor)."""
-        if self.encryptor is None:
-            raise RuntimeError(
-                "this FunctionalBackend has no encryptor; construct it with "
-                "encryptor=... or encrypt through the session/client instead"
-            )
-        limb_count = None if level is None else level + 1
-        return self.encryptor.encrypt_values(values, scale=scale, limb_count=limb_count)
-
-    # -- plaintext encoding -------------------------------------------------
-
-    def _as_plaintext(self, ct: Ciphertext, values, *, for_multiplication: bool) -> Plaintext:
-        if isinstance(values, Plaintext):
-            return values
-        return self.evaluator.encode_for(ct, values, for_multiplication=for_multiplication)
-
-    # -- additions ----------------------------------------------------------
-
-    def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        return self.evaluator.add(a, b)
-
-    def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        return self.evaluator.sub(a, b)
-
-    def negate(self, a: Ciphertext) -> Ciphertext:
-        return self.evaluator.negate(a)
-
-    def add_plain(self, a: Ciphertext, values) -> Ciphertext:
-        return self.evaluator.add_plain(a, self._as_plaintext(a, values, for_multiplication=False))
-
-    def sub_plain(self, a: Ciphertext, values) -> Ciphertext:
-        return self.evaluator.sub_plain(a, self._as_plaintext(a, values, for_multiplication=False))
-
-    def add_scalar(self, a: Ciphertext, value: float) -> Ciphertext:
-        return self.evaluator.add_scalar(a, value)
-
-    # -- multiplications ----------------------------------------------------
-
-    def multiply(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        return self.evaluator.multiply(a, b)
-
-    def square(self, a: Ciphertext) -> Ciphertext:
-        return self.evaluator.square(a)
-
-    def multiply_plain(self, a: Ciphertext, values, *, rescale: bool = True) -> Ciphertext:
-        pt = self._as_plaintext(a, values, for_multiplication=True)
-        return self.evaluator.multiply_plain(a, pt, rescale=rescale)
-
-    def multiply_scalar(self, a: Ciphertext, value: float) -> Ciphertext:
-        return self.evaluator.multiply_scalar(a, value)
-
-    # -- rotations ----------------------------------------------------------
-
-    def rotate(self, a: Ciphertext, steps: int) -> Ciphertext:
-        return self.evaluator.rotate(a, steps)
-
-    def conjugate(self, a: Ciphertext) -> Ciphertext:
-        return self.evaluator.conjugate(a)
-
-    def hoisted_rotations(self, a: Ciphertext, steps: Sequence[int]) -> dict[int, Ciphertext]:
-        return self.evaluator.hoisted_rotations(a, steps)
-
-    # -- level / scale management -------------------------------------------
-
-    def rescale(self, a: Ciphertext) -> Ciphertext:
-        return self.evaluator.rescale(a)
-
-    def at_level(self, a: Ciphertext, level: int) -> Ciphertext:
-        return self.evaluator.adjust(a, level)
-
-    def dot_product_plain(self, handles: Sequence[Ciphertext], value_rows: Sequence) -> Ciphertext:
-        plaintexts = [
-            self._as_plaintext(ct, row, for_multiplication=True)
-            for ct, row in zip(handles, value_rows)
-        ]
-        return self.evaluator.dot_product_plain(list(handles), plaintexts)
-
-    # -- fuse / split -------------------------------------------------------
-
-    def encrypt_batch(self, value_rows: Sequence, *, scale: float | None = None,
-                      level: int | None = None) -> Ciphertext:
-        """Encrypt one vector per row and fuse them into one ciphertext."""
-        return Ciphertext.fuse(
-            [self.encrypt(row, scale=scale, level=level) for row in value_rows]
-        )
-
-    def batch_from(self, handles: Sequence[Ciphertext]) -> Ciphertext:
-        return Ciphertext.fuse(handles)
-
-    def batch_split(self, batch: Ciphertext) -> list[Ciphertext]:
-        return batch.split()
-
-    # -- reporting ----------------------------------------------------------
-
-    def describe(self) -> dict:
-        return {
-            "backend": self.name,
-            "parameter_set": self.params.describe(),
-            "encryptor": self.encryptor is not None,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -418,7 +296,7 @@ class CostModelBackend:
             for length in member_lengths(batch)
         ]
 
-    # -- level and scale management (mirrors Evaluator) ----------------------
+    # -- level and scale management ------------------------------------------
 
     def rescale(self, a: SymbolicCiphertext) -> SymbolicCiphertext:
         if a.limb_count < 2:
@@ -430,48 +308,17 @@ class CostModelBackend:
             scale=a.scale / self._last_modulus(a.limb_count),
         )
 
-    def at_level(self, a: SymbolicCiphertext, level: int) -> SymbolicCiphertext:
-        return self._adjust(a, level)
-
-    def _adjust(self, a: SymbolicCiphertext, target_level: int,
-                target_scale: float | None = None) -> SymbolicCiphertext:
+    def at_level(self, a: SymbolicCiphertext, target_level: int,
+                 target_scale: float | None = None) -> SymbolicCiphertext:
         if target_scale is None:
             target_scale = self._scale_at(target_level)
-        if target_level > a.level:
-            raise ValueError("cannot adjust to a higher level")
-        if target_level == a.level:
-            if not scales_match(a.scale, target_scale):
-                raise ValueError(
-                    f"cannot change scale in place ({a.scale:.6g} vs {target_scale:.6g})"
-                )
+        if adjust_is_copy(a, target_level, target_scale):
             return a.copy()
         reduced = replace(a, limb_count=target_level + 2)
         self._emit(reduced, self.costs.scalar_mult, reduced.limb_count)
         return replace(self.rescale(reduced), scale=float(target_scale))
 
-    def _match(self, a: SymbolicCiphertext, b: SymbolicCiphertext
-               ) -> tuple[SymbolicCiphertext, SymbolicCiphertext]:
-        check_same_batch(a, b)
-        if a.level == b.level:
-            if scales_match(a.scale, b.scale):
-                return a, b
-            raise ValueError(
-                f"scale mismatch at equal level: {a.scale:.6g} vs {b.scale:.6g}"
-            )
-        if a.level > b.level:
-            return self._adjust(a, b.level, b.scale), b
-        return a, self._adjust(b, a.level, a.scale)
-
-    def _match_for_product(self, a: SymbolicCiphertext, b: SymbolicCiphertext
-                           ) -> tuple[SymbolicCiphertext, SymbolicCiphertext]:
-        check_same_batch(a, b)
-        if a.level == b.level:
-            return a, b
-        if a.level > b.level:
-            return self._adjust(a, b.level), b
-        return a, self._adjust(b, a.level)
-
-    # -- plaintext scales (mirrors Evaluator.encode_for) ----------------------
+    # -- plaintext scales (the ladder-restoring scale, on this ladder) ---------
 
     def _plain_scale(self, a: SymbolicCiphertext, values, *, for_multiplication: bool) -> float:
         if isinstance(values, Plaintext):
@@ -485,7 +332,7 @@ class CostModelBackend:
 
     def add(self, a: SymbolicCiphertext, b: SymbolicCiphertext) -> SymbolicCiphertext:
         with self._scope(a, "hadd"):
-            a2, b2 = self._match(a, b)
+            a2, b2 = match_for_sum(a, b, self.at_level)
             self._emit(a2, self.costs.hadd, a2.limb_count)
         return a2.copy()
 
@@ -496,11 +343,7 @@ class CostModelBackend:
         return a.copy()
 
     def add_plain(self, a: SymbolicCiphertext, values) -> SymbolicCiphertext:
-        pt_scale = self._plain_scale(a, values, for_multiplication=False)
-        if not scales_match(a.scale, pt_scale):
-            raise ValueError(
-                f"plaintext scale {pt_scale:.6g} does not match ciphertext {a.scale:.6g}"
-            )
+        check_plain_scale(a, self._plain_scale(a, values, for_multiplication=False))
         with self._scope(a, "ptadd"):
             self._emit(a, self.costs.ptadd, a.limb_count)
         return a.copy()
@@ -516,7 +359,7 @@ class CostModelBackend:
 
     def multiply(self, a: SymbolicCiphertext, b: SymbolicCiphertext) -> SymbolicCiphertext:
         with self._scope(a, "hmult"):
-            a2, b2 = self._match_for_product(a, b)
+            a2, b2 = match_for_product(a, b, self.at_level)
             self._emit(a2, self.costs.hmult, a2.limb_count)
             return self.rescale(replace(a2, scale=a2.scale * b2.scale))
 
@@ -534,13 +377,7 @@ class CostModelBackend:
             return self.rescale(raw) if rescale else raw
 
     def multiply_scalar(self, a: SymbolicCiphertext, value: float) -> SymbolicCiphertext:
-        if a.level == 0:
-            raise ValueError(
-                "multiply_scalar(..., rescale=True) on a level-0 ciphertext: there is "
-                "no limb left to drop, so the result scale cannot be restored to the "
-                "ladder; pass rescale=False (the result keeps scale * scalar_scale) "
-                "or bootstrap the ciphertext first"
-            )
+        check_scalar_rescale(a)
         with self._scope(a, "scalarmult"):
             self._emit(a, self.costs.scalar_mult, a.limb_count)
             return replace(self.rescale(a), scale=self._scale_at(a.level - 1) * 1.0)
@@ -585,16 +422,7 @@ class CostModelBackend:
 
     def dot_product_plain(self, handles: Sequence[SymbolicCiphertext],
                           value_rows: Sequence) -> SymbolicCiphertext:
-        if not handles:
-            raise ValueError(
-                "dot_product_plain needs at least one ciphertext/plaintext pair; "
-                "got an empty ciphertext sequence"
-            )
-        if len(handles) != len(value_rows):
-            raise ValueError(
-                f"dot_product_plain needs equally many ciphertexts and plaintexts; "
-                f"got {len(handles)} ciphertexts and {len(value_rows)} plaintexts"
-            )
+        check_dot_operands(handles, value_rows)
         acc = self.multiply_plain(handles[0], value_rows[0], rescale=False)
         for ct, row in zip(handles[1:], value_rows[1:]):
             acc = self.add(acc, self.multiply_plain(ct, row, rescale=False))
@@ -625,9 +453,10 @@ class TracingBackend:
     data-plane kernel it launches lands in :attr:`trace` with operation
     scopes and dependency edges intact across calls.
 
-    Both kernel producers land in it: a :class:`FunctionalBackend` records
-    the kernels its data plane launches, a :class:`CostModelBackend` the
-    closed-form kernels it emits for the same operations.
+    Both kernel producers land in it: an
+    :class:`~repro.ckks.evaluator.Evaluator` records the kernels its data
+    plane launches, a :class:`CostModelBackend` the closed-form kernels it
+    emits for the same operations.
     """
 
     name = "tracing"
@@ -666,7 +495,6 @@ del _name
 
 __all__ = [
     "EvaluationBackend",
-    "FunctionalBackend",
     "CostModelBackend",
     "SymbolicCiphertext",
     "TracingBackend",

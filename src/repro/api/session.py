@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.api.backend import CostModelBackend, FunctionalBackend, TracingBackend
+from repro.api.backend import CostModelBackend, TracingBackend
 from repro.api.vector import CipherVector
 from repro.core.dispatch import KernelTrace, get_dispatcher
 from repro.ckks.ciphertext import Ciphertext, Plaintext
@@ -100,6 +100,11 @@ class CKKSSession:
     Most users go through :meth:`create` or :meth:`from_client`; the
     direct constructor accepts pre-built components (the tests use it to
     share expensive session-scoped key material).
+
+    ``session.backend is session.evaluator``: the evaluator is the
+    functional backend, bound to this session's encryptor.  A pre-built
+    evaluator bound to another encryptor (or none) is left untouched; the
+    session evaluates on a sibling over the same context and keys.
     """
 
     def __init__(
@@ -114,7 +119,6 @@ class CKKSSession:
         register_default: bool = True,
     ) -> None:
         self.context = context
-        self.evaluator = evaluator
         self.keys = keys if keys is not None else evaluator.keys
         self.client = client
         self._encryptor = encryptor if encryptor is not None else (
@@ -123,7 +127,11 @@ class CKKSSession:
         self._decryptor = decryptor if decryptor is not None else (
             client.decryptor if client is not None else None
         )
-        self.backend = FunctionalBackend(evaluator, encryptor=self._encryptor)
+        if evaluator.encryptor is not self._encryptor:
+            evaluator = Evaluator(
+                evaluator.context, evaluator.keys, encryptor=self._encryptor
+            )
+        self.evaluator = self.backend = evaluator
         #: Numeric stack backend the context's moduli select (``uint64``,
         #: ``dword`` or ``object``) -- surfaced so deployments can assert
         #: they stayed on a vectorized path.
@@ -159,7 +167,7 @@ class CKKSSession:
         client = OpenFHEClient(params, seed=seed)
         steps = resolve_rotations(rotations, params.slots)
         server_keys = client.key_gen(steps, conjugation=conjugation)
-        evaluator = Evaluator(client.context, server_keys)
+        evaluator = Evaluator(client.context, server_keys, encryptor=client.encryptor)
         return cls(
             context=client.context,
             evaluator=evaluator,
@@ -191,7 +199,7 @@ class CKKSSession:
                 client.keys.without_secret()
             if conjugation and server_keys.conjugation_key is None:
                 server_keys = client.add_conjugation_key()
-        evaluator = Evaluator(client.context, server_keys)
+        evaluator = Evaluator(client.context, server_keys, encryptor=client.encryptor)
         return cls(
             context=client.context,
             evaluator=evaluator,
@@ -360,7 +368,7 @@ class CKKSSession:
         bit-identical).  Pass an existing trace to append to it.  With
         ``executable=True`` the trace captures replay thunks and buffer
         views, so it can be re-run through
-        :class:`~repro.core.dispatch.TraceProgram` or optimized by
+        :class:`~repro.core.fusion.TraceProgram` or optimized by
         :func:`repro.core.fusion.fuse_trace`.  ``stage_launches=True``
         additionally records transforms at per-stage launch granularity --
         the unfused GPU baseline the fusion pass collapses back into
@@ -414,10 +422,7 @@ class CKKSSession:
             obs.watch_pool(default_pool)
         return obs
 
-    def server(self, policy=None, *, backend=None, clock=None,
-               trace_costs=None, cluster=None, shard_drains=False,
-               admission=None, retry=None, fault_plan=None,
-               observability=None):
+    def server(self, policy=None, *, backend=None, **options):
         """A dynamic-batching server over this session (the serving plane).
 
         Returns a :class:`repro.serve.Server`: a shape-bucketed request
@@ -436,38 +441,16 @@ class CKKSSession:
             values = [session.decrypt(r.result(), n) for r in requests]
 
         ``backend`` overrides the session's functional backend (e.g.
-        ``session.cost_backend()`` serves symbolically); ``trace_costs``
-        (a :class:`~repro.perf.trace_model.TraceCostModel`) prices every
-        drained batch's recorded kernel stream into the server metrics.
-        ``cluster`` (a :class:`~repro.cluster.topology.ClusterTopology`)
-        serves across a device cluster -- buckets are placed round-robin
-        on devices and metrics report per-device utilisation; add
-        ``shard_drains=True`` to member-shard every multi-request drain
-        across all devices (execution stays bit-identical).
-
-        The fault-tolerance knobs: ``admission`` (an
-        :class:`~repro.serve.policy.AdmissionPolicy`) sheds overload with
-        typed :class:`~repro.serve.errors.RequestRejected` responses;
-        ``retry`` (a :class:`~repro.serve.policy.RetryPolicy`) bounds
-        transient-failure retry with simulated-clock backoff; and
-        ``fault_plan`` (a :class:`~repro.serve.faults.FaultPlan` or ready
-        :class:`~repro.serve.faults.FaultInjector`) injects deterministic
-        OOM windows, transient drain failures and device losses for chaos
-        replay -- successful responses stay bit-identical throughout.
-        ``observability`` (from :meth:`observability`) wires the unified
-        observability plane: request-lifecycle spans, the server's
-        metrics counting into the facade's registry and -- with
-        ``trace_costs`` -- per-scope rollups plus the Perfetto timeline
-        export.  One enabled facade serves one server.
+        ``session.cost_backend()`` serves symbolically).  Every other
+        keyword (``trace_costs=``, ``cluster=``, ``admission=``,
+        ``fault_plan=``, ``observability=``, ...) is an option of
+        :class:`~repro.serve.Server`, documented there and forwarded as
+        given.
         """
         from repro.serve import Server
 
         return Server(
-            backend if backend is not None else self.backend,
-            policy, clock=clock, trace_costs=trace_costs,
-            cluster=cluster, shard_drains=shard_drains,
-            admission=admission, retry=retry, fault_plan=fault_plan,
-            observability=observability,
+            backend if backend is not None else self.backend, policy, **options
         )
 
     # ------------------------------------------------------------------

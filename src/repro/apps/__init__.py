@@ -2,8 +2,8 @@
 
 Every workload is written once against the
 :class:`~repro.api.backend.EvaluationBackend` seam: it verifies
-functionally on a :class:`~repro.api.backend.FunctionalBackend` and costs
-on a :class:`~repro.api.backend.CostModelBackend` at paper-scale
+functionally on an :class:`~repro.ckks.evaluator.Evaluator` (the
+functional backend, ``session.backend``) and costs on a :class:`~repro.api.backend.CostModelBackend` at paper-scale
 parameters.
 
 * :mod:`repro.apps.dataset` -- synthetic loan-eligibility data standing in

@@ -7,9 +7,9 @@ set of encrypted per-feature weight ciphertexts, and each iteration
 evaluates the polynomial-approximated sigmoid and the gradient entirely
 under encryption.
 
-The model is written against the backend seam of :mod:`repro.api`: on a
-:class:`~repro.api.backend.FunctionalBackend` it trains for real at
-reduced problem sizes, while the *same* training step replayed on a
+The model is written against the backend seam of :mod:`repro.api`: on an
+:class:`~repro.ckks.evaluator.Evaluator` (the functional backend) it
+trains for real at reduced problem sizes, while the *same* training step replayed on a
 :class:`~repro.api.backend.CostModelBackend` reproduces the paper-scale
 GPU cost (see :class:`repro.perf.workloads.LogisticRegressionWorkload`
 for the closed-form counterpart).

@@ -48,6 +48,83 @@ def check_same_batch(a, b) -> None:
         )
 
 
+def adjust_is_copy(handle, target_level: int, target_scale: float) -> bool:
+    """The ``adjust`` pre-check: True when ``handle`` already sits at the
+    target; raises when it is unreachable (a higher level, or the same
+    level at a different scale)."""
+    if target_level > handle.level:
+        raise ValueError("cannot adjust to a higher level")
+    if target_level < handle.level:
+        return False
+    if not scales_match(handle.scale, target_scale):
+        raise ValueError(
+            f"cannot change scale in place ({handle.scale:.6g} vs {target_scale:.6g})"
+        )
+    return True
+
+
+def match_for_sum(a, b, adjust) -> tuple:
+    """Bring two handles to a common level and scale for addition.
+
+    ``adjust(handle, level, scale)`` is the backend's own way down: real
+    arithmetic on the evaluator, closed-form emission on the cost model.
+    """
+    check_same_batch(a, b)
+    if a.level == b.level:
+        if scales_match(a.scale, b.scale):
+            return a, b
+        raise ValueError(
+            f"scale mismatch at equal level: {a.scale:.6g} vs {b.scale:.6g}"
+        )
+    if a.level > b.level:
+        return adjust(a, b.level, b.scale), b
+    return a, adjust(b, a.level, a.scale)
+
+
+def match_for_product(a, b, adjust) -> tuple:
+    """Bring two handles to a common level (at its ladder scale) for a product."""
+    check_same_batch(a, b)
+    if a.level == b.level:
+        return a, b
+    if a.level > b.level:
+        return adjust(a, b.level), b
+    return a, adjust(b, a.level)
+
+
+def check_plain_scale(handle, plain_scale: float) -> None:
+    """Reject a plaintext addend encoded at another scale than ``handle``."""
+    if not scales_match(handle.scale, plain_scale):
+        raise ValueError(
+            f"plaintext scale {plain_scale:.6g} does not match ciphertext "
+            f"{handle.scale:.6g}"
+        )
+
+
+def check_scalar_rescale(handle) -> None:
+    """Reject a rescaling ``multiply_scalar`` of a level-0 handle."""
+    if handle.level == 0:
+        raise ValueError(
+            "multiply_scalar(..., rescale=True) on a level-0 ciphertext: there is "
+            "no limb left to drop, so the result scale cannot be restored to the "
+            "ladder; pass rescale=False (the result keeps scale * scalar_scale) "
+            "or bootstrap the ciphertext first"
+        )
+
+
+def check_dot_operands(handles: Sequence, plaintexts: Sequence) -> None:
+    """Reject an empty or unequally long ``dot_product_plain`` operand pair."""
+    if not handles:
+        raise ValueError(
+            "dot_product_plain needs at least one ciphertext/plaintext pair; "
+            "got an empty ciphertext sequence"
+        )
+    if len(handles) != len(plaintexts):
+        raise ValueError(
+            f"dot_product_plain needs equally many ciphertexts and plaintexts; "
+            f"got {len(handles)} ciphertexts and {len(plaintexts)} plaintexts"
+        )
+
+
 def check_fusable(handles: Sequence) -> None:
     """Reject handles that cannot share one fused ``(B·L, N)`` shape.
 
@@ -292,6 +369,12 @@ __all__ = [
     "Ciphertext",
     "scales_match",
     "check_same_batch",
+    "adjust_is_copy",
+    "match_for_sum",
+    "match_for_product",
+    "check_plain_scale",
+    "check_scalar_rescale",
+    "check_dot_operands",
     "check_fusable",
     "member_lengths",
     "fused_lengths",

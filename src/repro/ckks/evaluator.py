@@ -19,6 +19,14 @@ batch, bit-identical per member to evaluating the members one at a time --
 and records the same kernel structure at ``B×`` the rows and bytes under a
 ``batch{B}/`` scope prefix.  Plaintext and scalar operands broadcast to
 every member; ciphertext operands must hold equally many members.
+
+The evaluator *is* the functional
+:class:`~repro.api.backend.EvaluationBackend`: a
+:class:`~repro.api.vector.CipherVector` operator calls the method below
+that does the work, with no forwarding layer in between.  Plaintext
+operands arrive pre-encoded (:class:`~repro.ckks.ciphertext.Plaintext`) or
+as raw value arrays, which are encoded at the ladder-restoring scale
+(:meth:`Evaluator.encode_for`).
 """
 
 from __future__ import annotations
@@ -28,11 +36,15 @@ from typing import Sequence
 from repro.ckks.ciphertext import (
     Ciphertext,
     Plaintext,
-    check_same_batch,
-    scales_match,
+    adjust_is_copy,
+    check_dot_operands,
+    check_plain_scale,
+    check_scalar_rescale,
+    match_for_product,
+    match_for_sum,
 )
 from repro.ckks.context import Context
-from repro.ckks.encryption import encode
+from repro.ckks.encryption import Encryptor, encode
 from repro.ckks.keys import KeySet, KeySwitchingKey
 from repro.ckks.keyswitch import apply_key, decompose_and_mod_up, key_switch
 from repro.core import modmath
@@ -50,11 +62,21 @@ _DISPATCH = get_dispatcher()
 
 
 class Evaluator:
-    """Applies homomorphic operations using a context and evaluation keys."""
+    """Applies homomorphic operations using a context and evaluation keys.
 
-    def __init__(self, context: Context, keys: KeySet) -> None:
+    Handles are :class:`Ciphertext` objects.  An optional encryptor makes
+    the evaluator a source of fresh ciphertexts, so whole applications (the
+    :mod:`repro.apps` workloads) can be written against the backend alone.
+    """
+
+    name = "functional"
+
+    def __init__(self, context: Context, keys: KeySet, *,
+                 encryptor: Encryptor | None = None) -> None:
         self.context = context
+        self.params = context.params
         self.keys = keys
+        self.encryptor = encryptor
 
     @staticmethod
     def _scope(ct: Ciphertext, name: str):
@@ -62,6 +84,32 @@ class Evaluator:
         if ct.batch_size > 1:
             name = f"batch{ct.batch_size}/{name}"
         return _DISPATCH.scope(name)
+
+    # ------------------------------------------------------------------
+    # ciphertext sources, fuse / split
+    # ------------------------------------------------------------------
+
+    def encrypt(self, values, *, scale: float | None = None,
+                level: int | None = None) -> Ciphertext:
+        """Encode and encrypt fresh values (requires an encryptor)."""
+        if self.encryptor is None:
+            raise RuntimeError(
+                "this Evaluator has no encryptor; construct it with "
+                "encryptor=... or encrypt through the session/client instead"
+            )
+        limb_count = None if level is None else level + 1
+        return self.encryptor.encrypt_values(values, scale=scale, limb_count=limb_count)
+
+    def encrypt_batch(self, value_rows: Sequence, *, scale: float | None = None,
+                      level: int | None = None) -> Ciphertext:
+        """Encrypt one vector per row and fuse them into one ciphertext."""
+        return Ciphertext.fuse(
+            [self.encrypt(row, scale=scale, level=level) for row in value_rows]
+        )
+
+    #: The backend protocol's names for :meth:`Ciphertext.fuse` / ``split``.
+    batch_from = staticmethod(Ciphertext.fuse)
+    batch_split = staticmethod(Ciphertext.split)
 
     # ------------------------------------------------------------------
     # level and scale management
@@ -101,13 +149,7 @@ class Evaluator:
         """
         if target_scale is None:
             target_scale = self.context.scale_at(target_level)
-        if target_level > ct.level:
-            raise ValueError("cannot adjust to a higher level")
-        if target_level == ct.level:
-            if not scales_match(ct.scale, target_scale):
-                raise ValueError(
-                    f"cannot change scale in place ({ct.scale:.6g} vs {target_scale:.6g})"
-                )
+        if adjust_is_copy(ct, target_level, target_scale):
             return ct.copy()
         reduced = self.mod_reduce(ct, target_level + 2)
         q = reduced.moduli[-1]
@@ -120,18 +162,8 @@ class Evaluator:
         rescaled = self.rescale(adjusted)
         return rescaled.with_polys(rescaled.c0, rescaled.c1, scale=target_scale)
 
-    def _match(self, ct1: Ciphertext, ct2: Ciphertext) -> tuple[Ciphertext, Ciphertext]:
-        """Bring two ciphertexts to a common level and scale for addition."""
-        check_same_batch(ct1, ct2)
-        if ct1.level == ct2.level:
-            if scales_match(ct1.scale, ct2.scale):
-                return ct1, ct2
-            raise ValueError(
-                f"scale mismatch at equal level: {ct1.scale:.6g} vs {ct2.scale:.6g}"
-            )
-        if ct1.level > ct2.level:
-            return self.adjust(ct1, ct2.level, ct2.scale), ct2
-        return ct1, self.adjust(ct2, ct1.level, ct1.scale)
+    #: The backend protocol's name (it passes no scale: the ladder's applies).
+    at_level = adjust
 
     # ------------------------------------------------------------------
     # additions (HAdd, PtAdd, ScalarAdd)
@@ -140,33 +172,37 @@ class Evaluator:
     def add(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         """Homomorphic ciphertext addition (``HAdd``)."""
         with self._scope(ct1, "hadd"):
-            a, b = self._match(ct1, ct2)
+            a, b = match_for_sum(ct1, ct2, self.adjust)
             return a.with_polys(a.c0.add(b.c0), a.c1.add(b.c1))
 
     def sub(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         """Homomorphic ciphertext subtraction."""
         with self._scope(ct1, "hadd"):
-            a, b = self._match(ct1, ct2)
+            a, b = match_for_sum(ct1, ct2, self.adjust)
             return a.with_polys(a.c0.sub(b.c0), a.c1.sub(b.c1))
 
     def negate(self, ct: Ciphertext) -> Ciphertext:
         """Homomorphic negation."""
         return ct.with_polys(ct.c0.negate(), ct.c1.negate())
 
-    def add_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-        """Plaintext addition (``PtAdd``)."""
-        if not scales_match(ct.scale, pt.scale):
-            raise ValueError(
-                f"plaintext scale {pt.scale:.6g} does not match ciphertext {ct.scale:.6g}"
-            )
+    def _as_plaintext(self, ct: Ciphertext, values, *, for_multiplication: bool) -> Plaintext:
+        """A plaintext operand as given, or raw values encoded to suit ``ct``."""
+        if isinstance(values, Plaintext):
+            return values
+        return self.encode_for(ct, values, for_multiplication=for_multiplication)
+
+    def add_plain(self, ct: Ciphertext, values) -> Ciphertext:
+        """Plaintext addition (``PtAdd``) of a :class:`Plaintext` or raw values."""
+        pt = self._as_plaintext(ct, values, for_multiplication=False)
+        check_plain_scale(ct, pt.scale)
         with self._scope(ct, "ptadd"):
             poly = self._plain_operand(ct, pt)
             return ct.with_polys(ct.c0.add(poly), ct.c1.copy())
 
-    def sub_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-        """Plaintext subtraction."""
-        if not scales_match(ct.scale, pt.scale):
-            raise ValueError("plaintext scale does not match ciphertext")
+    def sub_plain(self, ct: Ciphertext, values) -> Ciphertext:
+        """Plaintext subtraction of a :class:`Plaintext` or raw values."""
+        pt = self._as_plaintext(ct, values, for_multiplication=False)
+        check_plain_scale(ct, pt.scale)
         with self._scope(ct, "ptadd"):
             poly = self._plain_operand(ct, pt)
             return ct.with_polys(ct.c0.sub(poly), ct.c1.copy())
@@ -199,8 +235,9 @@ class Evaluator:
     # multiplications (HMult, PtMult, ScalarMult, HSquare)
     # ------------------------------------------------------------------
 
-    def multiply_plain(self, ct: Ciphertext, pt: Plaintext, *, rescale: bool = True) -> Ciphertext:
-        """Plaintext multiplication (``PtMult``)."""
+    def multiply_plain(self, ct: Ciphertext, values, *, rescale: bool = True) -> Ciphertext:
+        """Plaintext multiplication (``PtMult``) by a :class:`Plaintext` or raw values."""
+        pt = self._as_plaintext(ct, values, for_multiplication=True)
         with self._scope(ct, "ptmult"):
             poly = self._plain_operand(ct, pt)
             result = ct.with_polys(
@@ -217,15 +254,10 @@ class Evaluator:
         The constant is encoded at the scale that restores the ladder after
         the rescale, so chained operations keep exact per-level scales.
         """
-        if rescale and ct.level == 0:
-            raise ValueError(
-                "multiply_scalar(..., rescale=True) on a level-0 ciphertext: there is "
-                "no limb left to drop, so the result scale cannot be restored to the "
-                "ladder; pass rescale=False (the result keeps scale * scalar_scale) "
-                "or bootstrap the ciphertext first"
-            )
+        if rescale:
+            check_scalar_rescale(ct)
         if scalar_scale is None:
-            if rescale and ct.level >= 1:
+            if rescale:
                 q = ct.moduli[-1]
                 scalar_scale = q * self.context.scale_at(ct.level - 1) / ct.scale
             else:
@@ -239,11 +271,10 @@ class Evaluator:
             )
             if rescale:
                 result = self.rescale(result)
-                if ct.level >= 1:
-                    result = result.with_polys(
-                        result.c0, result.c1,
-                        scale=self.context.scale_at(ct.level - 1) * 1.0,
-                    )
+                result = result.with_polys(
+                    result.c0, result.c1,
+                    scale=self.context.scale_at(ct.level - 1) * 1.0,
+                )
         return result
 
     def multiply_scalar_int(self, ct: Ciphertext, value: int) -> Ciphertext:
@@ -257,7 +288,7 @@ class Evaluator:
                  relinearize: bool = True) -> Ciphertext:
         """Homomorphic multiplication (``HMult``) with relinearisation."""
         with self._scope(ct1, "hmult"):
-            a, b = self._match_for_product(ct1, ct2)
+            a, b = match_for_product(ct1, ct2, self.adjust)
             # The GPU launches the whole tensor product as one fused kernel
             # (4 products + 2 additions per element); record it that way.
             with _DISPATCH.suppressed():
@@ -267,16 +298,14 @@ class Evaluator:
                 d1 = RNSPoly.multiply_accumulate([(a.c0, b.c1), (a.c1, b.c0)])
                 d2 = a.c1.multiply(b.c1)
             if _DISPATCH.recording:
-                replay = None
-                if _DISPATCH.executable_recording:
 
-                    def replay(reads, writes, _col=a.c0.stack.moduli_col):
-                        ac0, ac1, bc0, bc1 = reads
-                        modmath.stack_mul_mod(ac0, bc0, _col, out=writes[0])
-                        modmath.stack_dot_mod(
-                            [(ac0, bc1), (ac1, bc0)], _col, out=writes[1]
-                        )
-                        modmath.stack_mul_mod(ac1, bc1, _col, out=writes[2])
+                def replay(reads, writes, _col=a.c0.stack.moduli_col):
+                    ac0, ac1, bc0, bc1 = reads
+                    modmath.stack_mul_mod(ac0, bc0, _col, out=writes[0])
+                    modmath.stack_dot_mod(
+                        [(ac0, bc1), (ac1, bc0)], _col, out=writes[1]
+                    )
+                    modmath.stack_mul_mod(ac1, bc1, _col, out=writes[2])
 
                 _DISPATCH.elementwise(
                     "tensor",
@@ -299,15 +328,13 @@ class Evaluator:
                 d1 = cross.add(cross)
                 d2 = ct.c1.multiply(ct.c1)
             if _DISPATCH.recording:
-                replay = None
-                if _DISPATCH.executable_recording:
 
-                    def replay(reads, writes, _col=ct.c0.stack.moduli_col):
-                        c0, c1 = reads
-                        modmath.stack_mul_mod(c0, c0, _col, out=writes[0])
-                        cross = modmath.stack_mul_mod(c0, c1, _col)
-                        modmath.stack_add_mod(cross, cross, _col, out=writes[1])
-                        modmath.stack_mul_mod(c1, c1, _col, out=writes[2])
+                def replay(reads, writes, _col=ct.c0.stack.moduli_col):
+                    c0, c1 = reads
+                    modmath.stack_mul_mod(c0, c0, _col, out=writes[0])
+                    cross = modmath.stack_mul_mod(c0, c1, _col)
+                    modmath.stack_add_mod(cross, cross, _col, out=writes[1])
+                    modmath.stack_mul_mod(c1, c1, _col, out=writes[2])
 
                 _DISPATCH.elementwise(
                     "square-tensor",
@@ -319,14 +346,6 @@ class Evaluator:
             result = self._relinearize(ct, d0, d1, d2, ct.scale * ct.scale)
             return self.rescale(result) if rescale else result
 
-    def _match_for_product(self, ct1: Ciphertext, ct2: Ciphertext) -> tuple[Ciphertext, Ciphertext]:
-        check_same_batch(ct1, ct2)
-        if ct1.level == ct2.level:
-            return ct1, ct2
-        if ct1.level > ct2.level:
-            return self.adjust(ct1, ct2.level), ct2
-        return ct1, self.adjust(ct2, ct1.level)
-
     def _relinearize(self, template: Ciphertext, d0: RNSPoly, d1: RNSPoly,
                      d2: RNSPoly, scale: float) -> Ciphertext:
         delta0, delta1 = key_switch(self.context, d2, self.keys.relinearization_key)
@@ -335,12 +354,10 @@ class Evaluator:
             c0 = d0.add(delta0)
             c1 = d1.add(delta1)
         if _DISPATCH.recording:
-            replay = None
-            if _DISPATCH.executable_recording:
 
-                def replay(reads, writes, _col=d0.stack.moduli_col):
-                    modmath.stack_add_mod(reads[0], reads[1], _col, out=writes[0])
-                    modmath.stack_add_mod(reads[2], reads[3], _col, out=writes[1])
+            def replay(reads, writes, _col=d0.stack.moduli_col):
+                modmath.stack_add_mod(reads[0], reads[1], _col, out=writes[0])
+                modmath.stack_add_mod(reads[2], reads[3], _col, out=writes[1])
 
             _DISPATCH.elementwise(
                 "relin-add",
@@ -449,23 +466,25 @@ class Evaluator:
             scale = ct.scale
         return encode(self.context, values, scale=scale, limb_count=ct.limb_count)
 
-    def dot_product_plain(self, cts: Sequence[Ciphertext], plaintexts: Sequence[Plaintext],
+    def dot_product_plain(self, cts: Sequence[Ciphertext], plaintexts: Sequence,
                           *, rescale: bool = True) -> Ciphertext:
-        """Fused weighted sum ``Σ ct_i ⊙ pt_i`` (the dot-product fusion of §III-F.5)."""
-        if not cts:
-            raise ValueError(
-                "dot_product_plain needs at least one ciphertext/plaintext pair; "
-                "got an empty ciphertext sequence"
-            )
-        if len(cts) != len(plaintexts):
-            raise ValueError(
-                f"dot_product_plain needs equally many ciphertexts and plaintexts; "
-                f"got {len(cts)} ciphertexts and {len(plaintexts)} plaintexts"
-            )
+        """Fused weighted sum ``Σ ct_i ⊙ pt_i`` (the dot-product fusion of §III-F.5).
+
+        Each ``pt_i`` is a :class:`Plaintext` or a raw value row.
+        """
+        check_dot_operands(cts, plaintexts)
         acc = self.multiply_plain(cts[0], plaintexts[0], rescale=False)
         for ct, pt in zip(cts[1:], plaintexts[1:]):
             acc = self.add(acc, self.multiply_plain(ct, pt, rescale=False))
         return self.rescale(acc) if rescale else acc
+
+    def describe(self) -> dict:
+        """Backend self-description (the :class:`EvaluationBackend` report)."""
+        return {
+            "backend": self.name,
+            "parameter_set": self.params.describe(),
+            "encryptor": self.encryptor is not None,
+        }
 
 
 __all__ = ["Evaluator"]

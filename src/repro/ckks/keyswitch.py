@@ -265,7 +265,6 @@ def mod_down_many(context: Context, polys: list[RNSPoly]) -> list[RNSPoly]:
     # over the ciphertext limbs with the ``P^{-1}(x - Conv(x'))`` step
     # fused in (the ModDown fusion, §III-F.5).
     if _DISPATCH.recording:
-        executable = _DISPATCH.executable_recording
         staged = is_eval and _DISPATCH.stage_granular
         component_special_moduli = special_moduli * members
         component_moduli = target_moduli * members
@@ -301,8 +300,7 @@ def mod_down_many(context: Context, polys: list[RNSPoly]) -> list[RNSPoly]:
                 # the ``P^{-1}(x - Conv(x'))`` arithmetic becomes its own
                 # elementwise launch after the NTT stages.
                 if is_eval and not (staged and record_staged_transform(
-                    "intt", n, component_special_moduli, specials,
-                    component_special, executable=executable,
+                    "intt", n, component_special_moduli, specials, component_special,
                 )):
                     _DISPATCH.transform(
                         "intt", special_rows_each, reads=specials,
@@ -322,8 +320,7 @@ def mod_down_many(context: Context, polys: list[RNSPoly]) -> list[RNSPoly]:
                         replay=tail_replay,
                     )
                 elif staged and record_staged_transform(
-                    "ntt", n, component_moduli, (component_out,),
-                    component_out, executable=executable,
+                    "ntt", n, component_moduli, (component_out,), component_out,
                 ):
                     _DISPATCH.elementwise(
                         "moddown-tail", reads=tail_reads,

@@ -17,11 +17,16 @@ negacyclic polynomials under word-sized prime moduli:
   and the fast base conversion of Equation 1.
 * :mod:`repro.core.limb` / :mod:`repro.core.limb_stack` /
   :mod:`repro.core.rns_poly` -- the ``Limb`` / ``LimbStack`` /
-  ``RNSPoly`` containers of Figure 2, with the flat ``(L, N)`` limb-stack
-  storage of §III-D as the data plane (a ``Limb`` is a zero-copy row view
-  of it, not a second arithmetic).
+  ``RNSPoly`` containers of Figure 2.  ``LimbStack`` is the flat
+  ``(L, N)`` storage of §III-D (a ``Limb`` is a zero-copy row view of
+  it); neither computes -- every polynomial operation is an ``RNSPoly``
+  method calling a ``stack_*`` kernel on ``stack.data``.
 * :mod:`repro.core.memory` -- the stream-ordered memory-pool analogue of
   the ``VectorGPU`` RAII wrapper.
+* :mod:`repro.core.dispatch` / :mod:`repro.core.fusion` -- the execution
+  plane: every kernel above reports to the dispatcher, which can record
+  a ``KernelTrace``; an executable trace replays (``TraceProgram``) and
+  fuses (``fuse_trace``).
 """
 
 from repro.core.dispatch import Dispatcher, KernelTrace, get_dispatcher

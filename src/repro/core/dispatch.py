@@ -6,7 +6,7 @@ Module map (kernel producers → dispatcher → trace → the one pricing path)
 ::
 
     repro.core.modmath ───┐  stack_* kernels auto-emit on execution
-    repro.core.limb_stack ┤  automorphism / copy kernels
+    repro.core.limb_stack ┤  row-copy kernels (copy / take / head)
     repro.core.ntt ───────┤  StackedNTTEngine transforms (per limb batch)
     repro.core.rns ───────┤  BaseConverter.convert_stack
     repro.ckks.keyswitch ─┤  fused ModUp / inner-product / ModDown emits
@@ -74,20 +74,19 @@ Executable traces (the trace IR)
 --------------------------------
 
 ``record(executable=True)`` promotes the trace from a costing artifact to
-an executable IR: every emitter call site passes a ``replay`` thunk with
-signature ``replay(reads, writes) -> None`` that recomputes the kernel's
-declared writes from its declared reads, and the trace captures each
-read/write as a :class:`ViewSpec` -- ``(buffer token, element offset,
-shape)`` into the owning allocation (the same byte-interval machinery the
-dependency edges already use).  :class:`TraceProgram` then re-executes the
-recorded stream against fresh buffers: read-only external inputs bind
-directly to the live recorded arrays (zero copy), buffers that are read
-before being written are re-seeded from a snapshot on every run, and all
-intermediates are allocated once and reused across runs.
-``TraceProgram.verify()`` asserts the replay is bit-identical to the eager
-execution that was recorded.  Executable traces hold strong references to
-every observed allocation (plain traces stay weak); the fusion pass in
-:mod:`repro.core.fusion` consumes this IR.
+an executable IR.  Every emitter call site that records passes a
+``replay`` thunk with signature ``replay(reads, writes) -> None`` that
+recomputes the kernel's declared writes from its declared reads -- the
+data plane never asks which kind of trace is live; :meth:`KernelTrace.add`
+is the one place that knows, keeping the thunk and capturing each
+read/write as a :class:`ViewSpec` (``(buffer token, element offset,
+shape)`` into the owning allocation, the same byte-interval machinery the
+dependency edges already use) on an executable trace and dropping both on
+a plain one.  Executable traces hold strong references to every observed
+allocation; plain traces stay weak and pin neither closures nor arrays.
+:mod:`repro.core.fusion` consumes this IR: its ``TraceProgram`` re-runs
+the recorded stream (as recorded, or with fused chains) and ``verify()``
+asserts the replay bit-identical to the eager execution.
 """
 
 from __future__ import annotations
@@ -119,7 +118,8 @@ class ViewSpec:
     ``token`` names the owning allocation in the trace's buffer table,
     ``offset`` is the element offset of the view's first element within
     that allocation, and ``shape`` is the view's shape.  Together they let
-    :class:`TraceProgram` rebuild the exact view against a *fresh* buffer
+    :class:`repro.core.fusion.TraceProgram` rebuild the exact view against
+    a *fresh* buffer
     (``fresh.reshape(-1)[offset:offset+size].reshape(shape)``).
     """
 
@@ -201,7 +201,8 @@ class KernelTrace:
     ``executable=True`` additionally captures, per event, the exact
     read/write views (:class:`ViewSpec`) and the call site's ``replay``
     thunk, and pins every observed allocation with a strong reference so
-    :class:`TraceProgram` can rebuild and re-run the stream later.
+    :class:`repro.core.fusion.TraceProgram` can rebuild and re-run the
+    stream later.
     """
 
     def __init__(self, *, executable: bool = False) -> None:
@@ -460,134 +461,6 @@ class KernelTrace:
         }
 
 
-class TraceProgram:
-    """An executable-trace replayer: the recorded stream as a program.
-
-    Built from an executable :class:`KernelTrace`, a program owns one
-    buffer per recorded allocation and a flat list of ``(replay, reads,
-    writes)`` steps whose views are reconstructed *once* against those
-    buffers -- so :meth:`run` is a bare loop over thunks with zero
-    per-step allocation, wrapper-object or bookkeeping cost.  Buffer
-    policy:
-
-    * allocations the trace only ever reads (input ciphertexts, key
-      stacks, moduli/twiddle columns) bind directly to the live recorded
-      arrays -- zero copy, zero seeding;
-    * allocations read before their first write (in-place updates,
-      consume-transforms) are re-seeded on every :meth:`run` from the
-      snapshot the trace took at the token's first recorded read --
-      later writes inside the recorded region cannot corrupt the seed;
-    * everything else (intermediates, outputs) is allocated once and
-      overwritten in place on every run.
-
-    :meth:`verify` re-runs the program and asserts every byte interval the
-    trace wrote is bit-identical to the live arrays the eager execution
-    produced -- call it before the recorded arrays are mutated further.
-    """
-
-    def __init__(self, trace: KernelTrace) -> None:
-        if not trace.executable:
-            raise ValueError(
-                "TraceProgram needs an executable trace; record with "
-                "record(executable=True)"
-            )
-        missing = [
-            e.kernel.name for e in trace.events if e.replay is None
-        ]
-        if missing:
-            raise ValueError(
-                f"trace contains {len(missing)} non-replayable events "
-                f"(no replay thunk): {sorted(set(missing))}"
-            )
-        self.trace = trace
-        # Classify tokens: written at all / read before their first write.
-        written: set[int] = set()
-        seeded: set[int] = set()
-        for event in trace.events:
-            for view in event.read_views:
-                if view.token not in written:
-                    seeded.add(view.token)
-            for view in event.write_views:
-                written.add(view.token)
-        seeded &= written  # read-only tokens bind directly, no seed needed
-        self._buffers: dict[int, np.ndarray] = {}
-        self._seeds: dict[int, np.ndarray] = {}
-        for token, base in trace._bases.items():
-            if token in written:
-                self._buffers[token] = np.empty_like(base)
-                if token in seeded:
-                    # The snapshot taken at the token's first read: the
-                    # live array may have been overwritten since (even
-                    # inside the recorded region itself).
-                    self._seeds[token] = trace._seeds.get(token, base)
-            else:
-                self._buffers[token] = base
-        # Pre-resolve every step's views against the program buffers.
-        self._steps: list[tuple[Callable, tuple, tuple]] = [
-            (
-                event.replay,
-                tuple(self.view(v) for v in event.read_views),
-                tuple(self.view(v) for v in event.write_views),
-            )
-            for event in trace.events
-        ]
-        # Final-state intervals per written token (merged element ranges),
-        # used by verify(); later writes supersede earlier overlapping
-        # ones implicitly because both sides hold the *final* bytes.
-        intervals: dict[int, list[list[int]]] = {}
-        for event in trace.events:
-            for view in event.write_views:
-                spans = intervals.setdefault(view.token, [])
-                lo, hi = view.offset, view.offset + view.size
-                merged = [s for s in spans if not (lo <= s[0] and s[1] <= hi)]
-                merged.append([lo, hi])
-                intervals[view.token] = merged
-        self._written_intervals = intervals
-
-    def view(self, spec: ViewSpec) -> np.ndarray:
-        """Rebuild one recorded view against this program's buffers."""
-        flat = self._buffers[spec.token].reshape(-1)
-        return flat[spec.offset : spec.offset + spec.size].reshape(spec.shape)
-
-    @property
-    def step_count(self) -> int:
-        return len(self._steps)
-
-    def run(self) -> None:
-        """Re-execute the recorded stream against the program's buffers."""
-        for token, seed in self._seeds.items():
-            np.copyto(self._buffers[token], seed)
-        with _DISPATCHER.suppressed():
-            for replay, reads, writes in self._steps:
-                replay(reads, writes)
-
-    def output(self, array: np.ndarray) -> np.ndarray:
-        """The program buffer holding the replayed value of ``array``.
-
-        ``array`` must be an allocation (or view into one) the trace
-        observed; the returned view covers the same element range in the
-        program's buffer.
-        """
-        state, (lo, hi) = self.trace._buffer(array)
-        if state.token not in self._buffers:
-            raise KeyError("array was not observed by the recorded trace")
-        spec = self.trace._view_spec(array, state, lo)
-        return self.view(spec)
-
-    def verify(self) -> None:
-        """Run and assert bit-identity against the eager execution."""
-        self.run()
-        for token, spans in self._written_intervals.items():
-            live = self.trace._bases[token].reshape(-1)
-            replayed = self._buffers[token].reshape(-1)
-            for lo, hi in spans:
-                if not np.array_equal(replayed[lo:hi], live[lo:hi]):
-                    raise AssertionError(
-                        f"replay diverges from eager execution in buffer "
-                        f"{token}, elements [{lo}, {hi})"
-                    )
-
-
 class _NullContext:
     """Shared reusable no-op context manager (the untraced hot path)."""
 
@@ -720,16 +593,6 @@ class Dispatcher:
         return self._trace is not None and self._suppress == 0
 
     @property
-    def executable_recording(self) -> bool:
-        """True when the active trace also captures the executable IR.
-
-        Replay-thunk closures are only built when this is set, so plain
-        (costing-only) recording stays as cheap as before.
-        """
-        trace = self._trace
-        return trace is not None and self._suppress == 0 and trace.executable
-
-    @property
     def stage_granular(self) -> bool:
         """True when recording at per-stage launch granularity.
 
@@ -757,18 +620,27 @@ class Dispatcher:
 
         Nested ``record`` blocks are allowed; the innermost trace wins.
         Passing an existing trace appends to it (dependency state carries
-        across recorded regions).  ``executable=True`` records the
-        executable IR (view specs + replay thunks; see
-        :class:`TraceProgram`).  ``stage_launches=True`` records transforms
-        at per-stage launch granularity (see :attr:`stage_granular`).
+        across recorded regions) and the trace's own ``executable`` flag
+        governs -- asking for ``executable=True`` on a plain trace is an
+        error.  ``executable=True`` records the executable IR (view specs
+        + replay thunks; see :class:`repro.core.fusion.TraceProgram`).
+        ``stage_launches=True`` records transforms at per-stage launch
+        granularity (see :attr:`stage_granular`).
         """
+        if trace is None:
+            trace = KernelTrace(executable=executable)
+        elif executable and not trace.executable:
+            raise ValueError(
+                "record(trace, executable=True) was given a plain trace: it "
+                "would record no replay thunks; pass a "
+                "KernelTrace(executable=True) (or none, to get a fresh one)"
+            )
         previous = self._trace
         previous_stage = self._stage_granular
-        active = trace if trace is not None else KernelTrace(executable=executable)
-        self._trace = active
+        self._trace = trace
         self._stage_granular = stage_launches
         try:
-            yield active
+            yield trace
         finally:
             self._trace = previous
             self._stage_granular = previous_stage
@@ -927,13 +799,9 @@ class Dispatcher:
         reads: Sequence[np.ndarray],
         writes: Sequence[np.ndarray],
         tag: str = "limb-copy",
-        replay: Callable[[tuple, tuple], None] | None = None,
+        replay: Callable[[tuple, tuple], None] = _replay_copy,
     ) -> None:
         """Record a device-to-device copy (limb/stack duplication)."""
-        if self._trace is None or self._suppress:
-            return
-        if replay is None and self.executable_recording:
-            replay = _replay_copy
         self.elementwise(tag, reads=reads, writes=writes, ops_per_element=0.0,
                          replay=replay)
 
@@ -978,7 +846,6 @@ __all__ = [
     "Dispatcher",
     "KernelTrace",
     "TraceEvent",
-    "TraceProgram",
     "ViewSpec",
     "gather_rows",
     "get_dispatcher",

@@ -1,4 +1,4 @@
-"""Auto-fusion over the executable trace IR: merge elementwise chains.
+"""The executable trace IR at work: replay it, and fuse elementwise chains.
 
 Module map (where this sits in the execution plane)
 ---------------------------------------------------
@@ -9,6 +9,10 @@ Module map (where this sits in the execution plane)
         the recorded stream: per-event ViewSpecs (buffer token + element
         interval) and replay thunks -- the trace IR
                 |
+                +--> TraceProgram(trace)           (this module)
+                |    the one replayer: re-runs the recorded stream against
+                |    its own buffers; verify() asserts bit-identity with
+                |    the recorded eager execution
                 v
     repro.core.fusion.fuse_trace          (this module)
         walks the recorded byte intervals, proves which producer ->
@@ -21,13 +25,11 @@ Module map (where this sits in the execution plane)
                 |    priced by repro.perf.trace_model.TraceCostModel and
                 |    schedulable like any recorded trace
                 |
-                +--> FusionResult.program() : a FusedProgram that actually
-                     EXECUTES the fused stream -- each chain runs as one
-                     python step whose intermediate values live in
-                     temporaries drawn from the modmath scratch pool
-                     instead of materialised data-plane buffers;
-                     FusedProgram.verify() asserts bit-identity against
-                     the recorded eager execution
+                +--> FusionResult.program() : the same TraceProgram, given
+                     the chains -- each chain's members run back to back
+                     at the tail's position and its intermediate values
+                     live in temporaries drawn from the modmath scratch
+                     pool instead of materialised data-plane buffers
 
 Legality (proved from the recorded producer/consumer byte ranges)
 -----------------------------------------------------------------
@@ -64,7 +66,7 @@ Fusion therefore never increases ``bytes_moved`` and always conserves
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -321,15 +323,15 @@ class FusionResult:
     def saved_bytes(self) -> float:
         return sum(chain.saved_bytes for chain in self.chains)
 
-    def program(self) -> "FusedProgram":
+    def program(self) -> "TraceProgram":
         """A runnable fused re-execution of the recorded stream."""
-        return FusedProgram(self)
+        return TraceProgram(self.trace, self.chains)
 
     def summary(self) -> dict:
         """Machine-readable fusion statistics (benchmark artifacts)."""
         group_map = {
             indices[0]: (indices, replay)
-            for indices, replay in getattr(self.trace, "_fusion_groups", [])
+            for indices, replay in self.trace._fusion_groups
         }
         stage_groups = sum(
             1
@@ -404,34 +406,61 @@ def fuse_trace(trace: KernelTrace) -> FusionResult:
     return FusionResult(trace=trace, chains=chains, fused_trace=fused)
 
 
-class FusedProgram:
-    """Executes the fused stream against fresh buffers + pool scratch.
+class TraceProgram:
+    """The executable-trace replayer: a recorded stream as a program.
 
-    Mirrors :class:`repro.core.dispatch.TraceProgram`, with two changes:
+    Built from an executable :class:`KernelTrace`, a program owns one
+    buffer per recorded allocation and a *flat* list of ``(replay, reads,
+    writes)`` steps whose views are reconstructed once against those
+    buffers -- so :meth:`run` is a bare loop over thunks with zero
+    per-step allocation, wrapper-object or bookkeeping cost.  Buffer
+    policy:
 
-    * each fused chain is one step -- its member thunks run back to back,
-      and every internal edge's intermediate binds to a temporary drawn
-      from the modmath scratch pool instead of a materialised program
-      buffer (tokens *only* ever touched as intermediates get no buffer
-      at all);
-    * steps execute in the fused trace's order (chains at their tail's
-      position), which the extension-safety legality check proved
-      equivalent to the recorded order.
+    * allocations the trace only ever reads (input ciphertexts, key
+      stacks, moduli/twiddle columns) bind directly to the live recorded
+      arrays -- zero copy, zero seeding;
+    * allocations read before their first write (in-place updates,
+      consume-transforms) are re-seeded on every :meth:`run` from the
+      snapshot the trace took at the token's first recorded read --
+      later writes inside the recorded region cannot corrupt the seed;
+    * everything else (intermediates, outputs) is allocated once and
+      overwritten in place on every run.
 
-    :meth:`verify` asserts every chain-external write interval is
-    bit-identical to the recorded eager execution.
+    With no ``chains`` the stream replays exactly as recorded.  Given
+    ``fuse_trace(trace).chains``, each chain's member thunks run back to
+    back at its tail's position (an order the extension-safety legality
+    check proved equivalent), every internal edge's intermediate binds to
+    a modmath scratch-pool temporary instead of a materialised program
+    buffer (tokens *only* touched as intermediates get no buffer at all),
+    and a launch group (``Dispatcher.fusion_group``) swallowed whole by a
+    chain runs as its single stage-fused mega-kernel thunk.
+
+    :meth:`verify` re-runs the program and asserts every byte interval the
+    trace wrote outside a chain is bit-identical to the live arrays the
+    eager execution produced -- call it before the recorded arrays are
+    mutated further.
     """
 
-    def __init__(self, result: FusionResult) -> None:
-        trace = result.trace
+    def __init__(self, trace: KernelTrace,
+                 chains: Sequence[FusedChain] = ()) -> None:
+        if not trace.executable:
+            raise ValueError(
+                "TraceProgram needs an executable trace; record with "
+                "record(executable=True)"
+            )
         events = trace.events
-        self.result = result
+        missing = [e.kernel.name for e in events if e.replay is None]
+        if missing:
+            raise ValueError(
+                f"trace contains {len(missing)} non-replayable events "
+                f"(no replay thunk): {sorted(set(missing))}"
+            )
         self.trace = trace
         # (event, write position) / (event, read position) -> scratch array
         # for every internal edge of every chain.
         scratch_w: dict[tuple[int, int], np.ndarray] = {}
         scratch_r: dict[tuple[int, int], np.ndarray] = {}
-        for chain in result.chains:
+        for chain in chains:
             tail_event = events[chain.members[-1]]
             tail_view = (
                 tail_event.write_views[0]
@@ -496,29 +525,28 @@ class FusedProgram:
                     self._seeds[token] = trace._seeds.get(token, base)
             else:
                 self._buffers[token] = base
-        # One step per fused-trace kernel: chains at their tail position.
+        # The flat step list: chains land at their tail position.
         # Registered launch groups (per-stage transform runs) swallowed
         # whole by a chain replace their member thunks with the single
         # stage-fused mega-kernel replay, reading the first member's
         # operands and writing the last member's destination.
         member_to_chain: dict[int, FusedChain] = {}
-        for chain in result.chains:
+        for chain in chains:
             for m in chain.members:
                 member_to_chain[m] = chain
         group_map = {
             indices[0]: (indices, replay)
-            for indices, replay in getattr(trace, "_fusion_groups", [])
+            for indices, replay in trace._fusion_groups
         }
-        self._steps: list[tuple] = []
+        self._steps: list[tuple[Callable, tuple, tuple]] = []
         for event in events:
             chain = member_to_chain.get(event.index)
             if chain is None:
-                self._steps.append((self._resolve(event),))
+                self._steps.append(self._resolve(event))
             elif event.index == chain.members[-1]:
-                step = []
                 for seg, replay in _group_segments(chain.members, group_map):
                     if replay is None:
-                        step.append(self._resolve(events[seg]))
+                        self._steps.append(self._resolve(events[seg]))
                     else:
                         # The group's replay sees every member's reads in
                         # member order (it knows its own layout) and the
@@ -528,8 +556,7 @@ class FusedProgram:
                             r for _, member_reads, _ in resolved
                             for r in member_reads
                         )
-                        step.append((replay, reads, resolved[-1][2]))
-                self._steps.append(tuple(step))
+                        self._steps.append((replay, reads, resolved[-1][2]))
         # Final-state verify intervals.  Walk ALL writes in order: an
         # internal (fused-away) write supersedes earlier external
         # intervals it touches -- the live array then holds a value the
@@ -554,47 +581,53 @@ class FusedProgram:
             token: spans for token, spans in intervals.items() if spans
         }
 
-    def _view(self, spec: ViewSpec) -> np.ndarray:
+    def view(self, spec: ViewSpec) -> np.ndarray:
+        """Rebuild one recorded view against this program's buffers."""
         flat = self._buffers[spec.token].reshape(-1)
         return flat[spec.offset : spec.offset + spec.size].reshape(spec.shape)
 
     def _resolve(self, event: TraceEvent) -> tuple:
-        """One member as (replay, reads, writes) with scratch bindings."""
+        """One event as (replay, reads, writes) with scratch bindings."""
+        index = event.index
         reads = tuple(
-            self._scratch_r.get((event.index, pos)) if
-            (event.index, pos) in self._scratch_r else self._view(view)
+            self._scratch_r[index, pos] if (index, pos) in self._scratch_r
+            else self.view(view)
             for pos, view in enumerate(event.read_views)
         )
         writes = tuple(
-            self._scratch_w.get((event.index, pos)) if
-            (event.index, pos) in self._scratch_w else self._view(view)
+            self._scratch_w[index, pos] if (index, pos) in self._scratch_w
+            else self.view(view)
             for pos, view in enumerate(event.write_views)
         )
         return (event.replay, reads, writes)
 
     @property
     def step_count(self) -> int:
+        """Thunks one :meth:`run` executes."""
         return len(self._steps)
 
     def run(self) -> None:
-        """Re-execute the fused stream (chains as single python steps)."""
+        """Re-execute the stream against the program's buffers."""
         for token, seed in self._seeds.items():
             np.copyto(self._buffers[token], seed)
         with _DISPATCH.suppressed():
-            for group in self._steps:
-                for replay_fn, reads, writes in group:
-                    replay_fn(reads, writes)
+            for replay, reads, writes in self._steps:
+                replay(reads, writes)
 
     def output(self, array: np.ndarray) -> np.ndarray:
-        """The program buffer holding the fused-replay value of ``array``."""
+        """The program buffer holding the replayed value of ``array``.
+
+        ``array`` must be an allocation (or view into one) a recorded
+        kernel touched outside a chain; the returned view covers the same
+        element range in the program's buffer.
+        """
         state, (lo, _) = self.trace._buffer(array)
         if state.token not in self._buffers:
             raise KeyError(
                 "array was not observed by the trace (or was fully fused "
                 "away as an intermediate)"
             )
-        spec = self.trace._view_spec(array, state, lo)
-        return self._view(spec)
+        return self.view(self.trace._view_spec(array, state, lo))
 
     def verify(self) -> None:
         """Run and assert bit-identity with the recorded eager execution."""
@@ -605,9 +638,9 @@ class FusedProgram:
             for lo, hi in spans:
                 if not np.array_equal(replayed[lo:hi], live[lo:hi]):
                     raise AssertionError(
-                        f"fused replay diverges from eager execution in "
-                        f"buffer {token}, elements [{lo}, {hi})"
+                        f"replay diverges from eager execution in buffer "
+                        f"{token}, elements [{lo}, {hi})"
                     )
 
 
-__all__ = ["FusedChain", "FusedProgram", "FusionResult", "fuse_trace"]
+__all__ = ["FusedChain", "FusionResult", "TraceProgram", "fuse_trace"]

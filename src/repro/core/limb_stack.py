@@ -3,11 +3,13 @@
 This is the flattened allocation strategy of §III-D: instead of one device
 buffer per limb (stack-of-arrays), all limbs of a polynomial live in a
 single contiguous 2-D array backed by one pool-charged
-:class:`~repro.core.limb.VectorGPU`.  Cross-limb operations then run as
-single NumPy expressions that broadcast the ``(L, 1)`` moduli column over
-the stack (:mod:`repro.core.modmath`'s ``stack_*`` kernels), which is the
-Python analogue of the batched cross-limb kernels of §III-F -- no per-limb
-Python loop remains on the hot path.
+:class:`~repro.core.limb.VectorGPU`.  A ``LimbStack`` is storage only --
+constructors, fuse/split, row copies, views and the pool charge.  The
+arithmetic is written once, in :mod:`repro.core.modmath`'s ``stack_*``
+kernels, which :class:`~repro.core.rns_poly.RNSPoly` calls on
+``stack.data`` with the ``(L, 1)`` moduli column ``stack.moduli_col``
+broadcast over the rows (the Python analogue of the batched cross-limb
+kernels of §III-F -- no per-limb Python loop on the hot path).
 
 Per-limb access is a zero-copy view: :meth:`LimbStack.limb_view` hands
 out a :class:`~repro.core.limb.Limb` whose ``data`` is a row view of the
@@ -23,22 +25,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.core import modmath
-from repro.core.automorphism import coeff_automorphism_map
 from repro.core.dispatch import get_dispatcher
 from repro.core.limb import Limb, LimbFormat, VectorGPU
 from repro.core.memory import STRATEGY_FLATTENED, FusedFootprintError, MemoryPool
-from repro.gpu.kernel import ELEMENT_BYTES, MODADD_OPS
+from repro.gpu.kernel import ELEMENT_BYTES
 
 _DISPATCH = get_dispatcher()
-
-
-def _add_column(data: np.ndarray, index: int, col: np.ndarray, qs: np.ndarray) -> None:
-    """Add ``col`` (one canonical constant per row) to column ``index``, in place."""
-    if data.dtype == np.object_:
-        data[:, index] = (data[:, index] + col) % qs
-    else:
-        s = data[:, index] + col
-        data[:, index] = np.where(s >= qs, s - qs, s)
 
 
 class LimbStack:
@@ -224,16 +216,6 @@ class LimbStack:
         """The broadcastable ``(L, 1)`` moduli column."""
         return self._col
 
-    @property
-    def is_fast(self) -> bool:
-        """True when the stack runs on the fast uint64 backend."""
-        return modmath.stack_is_fast(self._col)
-
-    @property
-    def backend(self) -> str:
-        """Numeric backend of the stack (``uint64``/``dword``/``object``)."""
-        return modmath.stack_backend(self._col)
-
     def footprint_bytes(self) -> int:
         """Device-memory footprint of the flat allocation."""
         return self.buffer.nbytes
@@ -261,98 +243,6 @@ class LimbStack:
     def release(self) -> None:
         """Free the flat buffer (views handed out become dangling)."""
         self.buffer.free()
-
-    # -- elementwise arithmetic (batched across limbs) -----------------------
-
-    def _check_compatible(self, other: "LimbStack") -> None:
-        if self.moduli != other.moduli:
-            raise ValueError("limb-stack moduli differ")
-        if self.ring_degree != other.ring_degree:
-            raise ValueError("limb-stack ring degrees differ")
-
-    def _wrap(self, data: np.ndarray) -> "LimbStack":
-        return LimbStack(self.moduli, data, pool=self.buffer.pool)
-
-    def add(self, other: "LimbStack") -> "LimbStack":
-        """Elementwise modular sum of two stacks (one broadcast expression)."""
-        self._check_compatible(other)
-        return self._wrap(modmath.stack_add_mod(self.data, other.data, self._col))
-
-    def sub(self, other: "LimbStack") -> "LimbStack":
-        """Elementwise modular difference."""
-        self._check_compatible(other)
-        return self._wrap(modmath.stack_sub_mod(self.data, other.data, self._col))
-
-    def negate(self) -> "LimbStack":
-        """Elementwise modular negation."""
-        return self._wrap(modmath.stack_neg_mod(self.data, self._col))
-
-    def multiply(self, other: "LimbStack") -> "LimbStack":
-        """Elementwise modular product (caller enforces evaluation format)."""
-        self._check_compatible(other)
-        return self._wrap(modmath.stack_mul_mod(self.data, other.data, self._col))
-
-    def multiply_scalars(self, scalars: Sequence[int]) -> "LimbStack":
-        """Multiply each row by its own integer constant."""
-        return self._wrap(modmath.stack_scalar_mod(self.data, scalars, self._col))
-
-    def add_scalars_broadcast(self, scalars: Sequence[int]) -> "LimbStack":
-        """Add one constant per row to every element (evaluation-format add)."""
-        return self._wrap(modmath.stack_add_scalar_mod(self.data, scalars, self._col))
-
-    def add_scalars_at(self, scalars: Sequence[int], index: int = 0) -> "LimbStack":
-        """Add one constant per row to a single coefficient column.
-
-        The coefficient-format scalar add: a constant polynomial only
-        touches the degree-``index`` coefficient of every limb.
-        """
-        data = self.data.copy()
-        col = modmath.scalar_column(scalars, self._col).ravel()
-        qs = self._col.ravel()
-        _add_column(data, index, col, qs)
-        if _DISPATCH.recording:
-            replay = None
-            if _DISPATCH.executable_recording:
-
-                def replay(reads, writes, _idx=index, _qs=qs):
-                    src, col_r, dst = reads[0], reads[1], writes[0]
-                    if not np.shares_memory(src, dst):
-                        np.copyto(dst, src)
-                    _add_column(dst, _idx, col_r, _qs)
-
-            _DISPATCH.elementwise(
-                "stack-scalar-add", reads=(self.data, col), writes=(data,),
-                ops_per_element=MODADD_OPS, replay=replay,
-            )
-        return self._wrap(data)
-
-    def automorphism_coeff(self, exponent: int) -> "LimbStack":
-        """Apply ``X -> X^exponent`` to every row (coefficient representation).
-
-        One gather plus one sign-fix expression for the whole stack -- the
-        batched form of the GPU ``Automorph`` kernel.
-        """
-        source, sign = coeff_automorphism_map(self.ring_degree, exponent)
-        with _DISPATCH.suppressed():
-            gathered = self.data[..., source]
-            negated = modmath.stack_neg_mod(gathered, self._col)
-            # np.where picks the gather's (Fortran) iteration order; traces
-            # need C-contiguous operands for byte-interval views.
-            out = np.ascontiguousarray(np.where(sign == 1, gathered, negated))
-        if _DISPATCH.recording:
-            replay = None
-            if _DISPATCH.executable_recording:
-
-                def replay(reads, writes, _src=source, _sign=sign, _col=self._col):
-                    gathered = reads[0][..., _src]
-                    negated = modmath.stack_neg_mod(gathered, _col)
-                    writes[0][...] = np.where(_sign == 1, gathered, negated)
-
-            _DISPATCH.elementwise(
-                "automorph", reads=(self.data,), writes=(out,),
-                ops_per_element=2.0, replay=replay,
-            )
-        return self._wrap(out)
 
     # -- row management ------------------------------------------------------
 

@@ -389,11 +389,6 @@ def stack_backend(moduli_col: np.ndarray) -> str:
     return BACKEND_DWORD
 
 
-def stack_is_fast(moduli_col: np.ndarray) -> bool:
-    """True when a moduli column selects the single-word uint64 backend."""
-    return stack_backend(moduli_col) == BACKEND_UINT64
-
-
 def stack_is_dword(moduli_col: np.ndarray) -> bool:
     """True when a moduli column selects the double-word backend."""
     return stack_backend(moduli_col) == BACKEND_DWORD
@@ -749,10 +744,8 @@ def stack_add_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
             s = out
         out = _fast_reduce_once(s, moduli_col)
     if _DISPATCH.recording:
-        replay = None
-        if _DISPATCH.executable_recording:
-            def replay(reads, writes, _col=moduli_col):
-                stack_add_mod(reads[0], reads[1], _col, out=writes[0])
+        def replay(reads, writes, _col=moduli_col):
+            stack_add_mod(reads[0], reads[1], _col, out=writes[0])
         _DISPATCH.elementwise(
             "stack-add", reads=(a, b), writes=(out,),
             ops_per_element=_kernelforms.MODADD_OPS, replay=replay,
@@ -777,10 +770,8 @@ def stack_sub_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
             s = out
         out = _fast_reduce_once(s, moduli_col)
     if _DISPATCH.recording:
-        replay = None
-        if _DISPATCH.executable_recording:
-            def replay(reads, writes, _col=moduli_col):
-                stack_sub_mod(reads[0], reads[1], _col, out=writes[0])
+        def replay(reads, writes, _col=moduli_col):
+            stack_sub_mod(reads[0], reads[1], _col, out=writes[0])
         _DISPATCH.elementwise(
             "stack-sub", reads=(a, b), writes=(out,),
             ops_per_element=_kernelforms.MODADD_OPS, replay=replay,
@@ -797,10 +788,8 @@ def stack_neg_mod(a: np.ndarray, moduli_col: np.ndarray,
         result = np.where(a == 0, a, moduli_col - a)
     out = _into(result, out)
     if _DISPATCH.recording:
-        replay = None
-        if _DISPATCH.executable_recording:
-            def replay(reads, writes, _col=moduli_col):
-                stack_neg_mod(reads[0], _col, out=writes[0])
+        def replay(reads, writes, _col=moduli_col):
+            stack_neg_mod(reads[0], _col, out=writes[0])
         _DISPATCH.elementwise("stack-neg", reads=(a,), writes=(out,),
                               ops_per_element=1.0, replay=replay)
     return out
@@ -830,10 +819,8 @@ def stack_mul_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
     else:
         out = _into((a * b) % moduli_col, out)
     if _DISPATCH.recording:
-        replay = None
-        if _DISPATCH.executable_recording:
-            def replay(reads, writes, _col=moduli_col):
-                stack_mul_mod(reads[0], reads[1], _col, out=writes[0])
+        def replay(reads, writes, _col=moduli_col):
+            stack_mul_mod(reads[0], reads[1], _col, out=writes[0])
         _DISPATCH.elementwise(
             "stack-mul", reads=(a, b), writes=(out,),
             ops_per_element=_kernelforms.MODMUL_OPS, replay=replay,
@@ -897,12 +884,10 @@ def stack_dot_mod(pairs, moduli_col: np.ndarray,
             acc = product if acc is None else (acc + product) % moduli_col
         acc = _into(acc, out)
     if _DISPATCH.recording:
-        replay = None
-        if _DISPATCH.executable_recording:
-            def replay(reads, writes, _col=moduli_col):
-                stack_dot_mod(
-                    list(zip(reads[0::2], reads[1::2])), _col, out=writes[0]
-                )
+        def replay(reads, writes, _col=moduli_col):
+            stack_dot_mod(
+                list(zip(reads[0::2], reads[1::2])), _col, out=writes[0]
+            )
         _DISPATCH.elementwise(
             "stack-dot",
             reads=tuple(operand for pair in pairs for operand in pair),
@@ -932,11 +917,9 @@ def stack_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,
     else:
         out = _into((a * col) % moduli_col, out)
     if _DISPATCH.recording:
-        replay = None
-        if _DISPATCH.executable_recording:
-            frozen = tuple(int(s) for s in scalars)
-            def replay(reads, writes, _scalars=frozen, _col=moduli_col):
-                stack_scalar_mod(reads[0], _scalars, _col, out=writes[0])
+        frozen = tuple(int(s) for s in scalars)
+        def replay(reads, writes, _scalars=frozen, _col=moduli_col):
+            stack_scalar_mod(reads[0], _scalars, _col, out=writes[0])
         _DISPATCH.elementwise(
             "stack-scalar-mul", reads=(a, col), writes=(out,),
             ops_per_element=_kernelforms.SHOUP_MUL_OPS, replay=replay,
@@ -976,14 +959,71 @@ def stack_add_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,
             s = out
         out = _fast_reduce_once(s, moduli_col)
     if _DISPATCH.recording:
-        replay = None
-        if _DISPATCH.executable_recording:
-            frozen = tuple(int(s) for s in scalars)
-            def replay(reads, writes, _scalars=frozen, _col=moduli_col):
-                stack_add_scalar_mod(reads[0], _scalars, _col, out=writes[0])
+        frozen = tuple(int(s) for s in scalars)
+        def replay(reads, writes, _scalars=frozen, _col=moduli_col):
+            stack_add_scalar_mod(reads[0], _scalars, _col, out=writes[0])
         _DISPATCH.elementwise(
             "stack-scalar-add", reads=(a, col), writes=(out,),
             ops_per_element=_kernelforms.MODADD_OPS, replay=replay,
+        )
+    return out
+
+
+def _add_column(data: np.ndarray, index: int, col: np.ndarray, qs: np.ndarray) -> None:
+    """Add ``col`` (one canonical constant per row) to column ``index``, in place."""
+    if data.dtype == np.object_:
+        data[:, index] = (data[:, index] + col) % qs
+    else:
+        s = data[:, index] + col
+        data[:, index] = np.where(s >= qs, s - qs, s)
+
+
+def stack_add_scalar_at(a: np.ndarray, scalars, moduli_col: np.ndarray,
+                        index: int = 0) -> np.ndarray:
+    """Add one integer constant per row to a single coefficient column.
+
+    The coefficient-format scalar add: a constant polynomial only touches
+    the degree-``index`` coefficient of every limb.
+    """
+    out = a.copy()
+    col = scalar_column(scalars, moduli_col).ravel()
+    qs = moduli_col.ravel()
+    _add_column(out, index, col, qs)
+    if _DISPATCH.recording:
+        def replay(reads, writes, _idx=index, _qs=qs):
+            src, col_r, dst = reads[0], reads[1], writes[0]
+            if not np.shares_memory(src, dst):
+                np.copyto(dst, src)
+            _add_column(dst, _idx, col_r, _qs)
+        _DISPATCH.elementwise(
+            "stack-scalar-add", reads=(a, col), writes=(out,),
+            ops_per_element=_kernelforms.MODADD_OPS, replay=replay,
+        )
+    return out
+
+
+def stack_automorphism(a: np.ndarray, source: np.ndarray, sign: np.ndarray,
+                       moduli_col: np.ndarray) -> np.ndarray:
+    """Apply a coefficient-domain Galois map to every row of a stack.
+
+    ``(source, sign)`` is :func:`repro.core.automorphism.coeff_automorphism_map`
+    of ``X -> X^k``: one gather plus one sign-fix expression for the whole
+    stack -- the batched form of the GPU ``Automorph`` kernel.
+    """
+    with _DISPATCH.suppressed():
+        gathered = a[..., source]
+        negated = stack_neg_mod(gathered, moduli_col)
+        # np.where picks the gather's (Fortran) iteration order; traces
+        # need C-contiguous operands for byte-interval views.
+        out = np.ascontiguousarray(np.where(sign == 1, gathered, negated))
+    if _DISPATCH.recording:
+        def replay(reads, writes, _src=source, _sign=sign, _col=moduli_col):
+            gathered = reads[0][..., _src]
+            negated = stack_neg_mod(gathered, _col)
+            writes[0][...] = np.where(_sign == 1, gathered, negated)
+        _DISPATCH.elementwise(
+            "automorph", reads=(a,), writes=(out,),
+            ops_per_element=2.0, replay=replay,
         )
     return out
 
@@ -1016,10 +1056,8 @@ def stack_switch_modulus(row: np.ndarray, q_from: int, moduli_col: np.ndarray) -
         ).reshape(-1, 1)
         out = coerce_stack(out, moduli_col)
     if _DISPATCH.recording:
-        replay = None
-        if _DISPATCH.executable_recording:
-            def replay(reads, writes, _q=q_from, _col=moduli_col):
-                writes[0][...] = stack_switch_modulus(reads[0], _q, _col)
+        def replay(reads, writes, _q=q_from, _col=moduli_col):
+            writes[0][...] = stack_switch_modulus(reads[0], _q, _col)
         _DISPATCH.elementwise(
             "stack-switch-modulus", reads=(row,), writes=(out,),
             ops_per_element=_kernelforms.MODADD_OPS, replay=replay,
@@ -1079,7 +1117,6 @@ __all__ = [
     "BACKEND_OBJECT",
     "moduli_column",
     "stack_backend",
-    "stack_is_fast",
     "stack_is_dword",
     "dword_shoup_column",
     "object_row",
@@ -1097,6 +1134,8 @@ __all__ = [
     "stack_dot_mod",
     "stack_scalar_mod",
     "stack_add_scalar_mod",
+    "stack_add_scalar_at",
+    "stack_automorphism",
     "stack_switch_modulus",
     "stack_switch_modulus_many",
 ]

@@ -413,7 +413,6 @@ class StackedNTTEngine:
         parts = [rows] if segments is None else [int(s) for s in segments]
         if sum(parts) != rows:
             raise ValueError(f"segments {parts} do not cover {rows} rows")
-        executable = _DISPATCH.executable_recording
         row = 0
         for part in parts:
             seg_moduli = self.moduli[row : row + part]
@@ -421,26 +420,23 @@ class StackedNTTEngine:
                 _record_stage_launches(
                     tag, self.ring_degree, seg_moduli,
                     (source[row : row + part],), out[row : row + part],
-                    executable,
                 )
                 row += part
                 continue
-            replay = None
-            if executable:
-                # Each segment replays through its own cached sub-engine
-                # (chunking/tiling is bit-identical, see the class docstring),
-                # transforming the program's write view in place.
+            # Each segment replays through its own cached sub-engine
+            # (chunking/tiling is bit-identical, see the class docstring),
+            # transforming the program's write view in place.
 
-                def replay(
-                    reads,
-                    writes,
-                    _n=self.ring_degree,
-                    _moduli=seg_moduli,
-                    _forward=(tag == "ntt"),
-                ):
-                    transform_in_place(
-                        _n, _moduli, reads, writes[0], forward=_forward
-                    )
+            def replay(
+                reads,
+                writes,
+                _n=self.ring_degree,
+                _moduli=seg_moduli,
+                _forward=(tag == "ntt"),
+            ):
+                transform_in_place(
+                    _n, _moduli, reads, writes[0], forward=_forward
+                )
 
             # Per-segment row slices keep fused launches independent in the
             # dependency DAG (each digit/component touches its own rows).
@@ -690,7 +686,6 @@ def _record_stage_launches(
     moduli: tuple[int, ...],
     sources: Sequence[np.ndarray],
     dst: np.ndarray,
-    executable: bool,
 ) -> None:
     """Record one transform as per-stage launches (the unfused baseline).
 
@@ -709,14 +704,12 @@ def _record_stage_launches(
     sources = tuple(sources)
     source_count = len(sources)
     for s in range(stages):
-        replay = None
-        if executable:
 
-            def replay(reads, writes, _s=s):
-                gather_rows(reads, writes[0])
-                get_stacked_engine(n, moduli).reference_stage(
-                    writes[0], _s, forward=forward
-                )
+        def replay(reads, writes, _s=s):
+            gather_rows(reads, writes[0])
+            get_stacked_engine(n, moduli).reference_stage(
+                writes[0], _s, forward=forward
+            )
 
         _DISPATCH.elementwise(
             f"{tag}-stage{s}",
@@ -728,12 +721,10 @@ def _record_stage_launches(
         )
     count = stages
     if not forward:
-        scale_replay = None
-        if executable:
 
-            def scale_replay(reads, writes):
-                gather_rows(reads, writes[0])
-                get_stacked_engine(n, moduli).reference_scale(writes[0])
+        def scale_replay(reads, writes):
+            gather_rows(reads, writes[0])
+            get_stacked_engine(n, moduli).reference_scale(writes[0])
 
         _DISPATCH.elementwise(
             f"{tag}-scale",
@@ -743,16 +734,15 @@ def _record_stage_launches(
             replay=scale_replay,
         )
         count += 1
-    if executable:
 
-        def fused_replay(reads, writes):
-            # A group replay sees every member's reads in member order;
-            # the transform's input is the first stage's.
-            transform_in_place(
-                n, moduli, reads[:source_count], writes[0], forward=forward
-            )
+    def fused_replay(reads, writes):
+        # A group replay sees every member's reads in member order;
+        # the transform's input is the first stage's.
+        transform_in_place(
+            n, moduli, reads[:source_count], writes[0], forward=forward
+        )
 
-        _DISPATCH.fusion_group(count, fused_replay)
+    _DISPATCH.fusion_group(count, fused_replay)
 
 
 def record_staged_transform(
@@ -761,8 +751,6 @@ def record_staged_transform(
     moduli: tuple[int, ...],
     sources: Sequence[np.ndarray],
     out: np.ndarray,
-    *,
-    executable: bool,
 ) -> bool:
     """Record one full-stack transform as per-stage launches.
 
@@ -776,7 +764,7 @@ def record_staged_transform(
     """
     if not get_stacked_engine(ring_degree, moduli).fast:
         return False
-    _record_stage_launches(tag, ring_degree, moduli, sources, out, executable)
+    _record_stage_launches(tag, ring_degree, moduli, sources, out)
     return True
 
 

@@ -301,11 +301,9 @@ class BaseConverter:
                     out,
                 )
         if _DISPATCH.recording:
-            replay = None
-            if _DISPATCH.executable_recording:
 
-                def replay(reads, writes, _conv=self):
-                    _conv.convert_stack(reads[0], out=writes[0])
+            def replay(reads, writes, _conv=self):
+                _conv.convert_stack(reads[0], out=writes[0])
 
             _DISPATCH.base_conversion(
                 "baseconv",

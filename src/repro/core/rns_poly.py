@@ -1,13 +1,14 @@
 """``RNSPoly``: the polynomial container of Figure 2.
 
 An :class:`RNSPoly` is a degree-``N`` polynomial decomposed over an RNS
-basis ``B = {q_0, ..., q_l}``.  Its data plane is a single
+basis ``B = {q_0, ..., q_l}``.  Its storage is a single
 :class:`~repro.core.limb_stack.LimbStack` -- one flat ``(num_limbs, N)``
 device buffer (the §III-D flattened allocation strategy) -- and every
 cross-limb operation (element-wise arithmetic, rescaling, limb dropping,
-base-extension glue, CRT recomposition, NTT) executes as vectorized
-broadcast expressions with no per-limb Python loop, matching the batched
-kernels of §III-F.
+base-extension glue, CRT recomposition, NTT) is written here, once, as a
+call of a :mod:`repro.core.modmath` ``stack_*`` kernel (or the stacked NTT
+engine) on ``stack.data``: vectorized broadcast expressions with no
+per-limb Python loop, matching the batched kernels of §III-F.
 
 Per-limb access is a view, not a second arithmetic: ``poly.limbs[i]``
 returns a zero-copy :class:`~repro.core.limb.Limb` over the stack row.
@@ -22,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core import modmath
+from repro.core.automorphism import coeff_automorphism_map
 from repro.core.dispatch import gather_rows, get_dispatcher
 from repro.core.limb import Limb, LimbFormat
 from repro.core.limb_stack import LimbStack
@@ -225,24 +227,14 @@ class RNSPoly:
         if self._fmt is LimbFormat.EVALUATION:
             return self.copy()
         engine = get_stacked_engine(self.ring_degree, tuple(self.moduli))
-        data = engine.forward(self._stack.data)
-        return RNSPoly.from_stack(
-            LimbStack(self.moduli, data, pool=self._stack.buffer.pool),
-            LimbFormat.EVALUATION,
-            device_id=self.device_id,
-        )
+        return self._adopt(engine.forward(self._stack.data), LimbFormat.EVALUATION)
 
     def to_coefficient(self) -> "RNSPoly":
         """Return the polynomial with every limb in coefficient format."""
         if self._fmt is LimbFormat.COEFFICIENT:
             return self.copy()
         engine = get_stacked_engine(self.ring_degree, tuple(self.moduli))
-        data = engine.inverse(self._stack.data)
-        return RNSPoly.from_stack(
-            LimbStack(self.moduli, data, pool=self._stack.buffer.pool),
-            LimbFormat.COEFFICIENT,
-            device_id=self.device_id,
-        )
+        return self._adopt(engine.inverse(self._stack.data), LimbFormat.COEFFICIENT)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -261,26 +253,42 @@ class RNSPoly:
             stack, self._fmt if fmt is None else fmt, device_id=self.device_id
         )
 
+    def _adopt(self, data: np.ndarray, fmt: LimbFormat | None = None) -> "RNSPoly":
+        """A polynomial over this one's basis and pool holding kernel output ``data``."""
+        return self._wrap(
+            LimbStack(self.moduli, data, pool=self._stack.buffer.pool), fmt
+        )
+
     def add(self, other: "RNSPoly") -> "RNSPoly":
         """Return the element-wise sum (same basis and format required)."""
         self._check_compatible(other)
-        return self._wrap(self._stack.add(other._stack))
+        stack = self._stack
+        return self._adopt(
+            modmath.stack_add_mod(stack.data, other._stack.data, stack.moduli_col)
+        )
 
     def sub(self, other: "RNSPoly") -> "RNSPoly":
         """Return the element-wise difference."""
         self._check_compatible(other)
-        return self._wrap(self._stack.sub(other._stack))
+        stack = self._stack
+        return self._adopt(
+            modmath.stack_sub_mod(stack.data, other._stack.data, stack.moduli_col)
+        )
 
     def negate(self) -> "RNSPoly":
         """Return the negated polynomial."""
-        return self._wrap(self._stack.negate())
+        stack = self._stack
+        return self._adopt(modmath.stack_neg_mod(stack.data, stack.moduli_col))
 
     def multiply(self, other: "RNSPoly") -> "RNSPoly":
         """Return the element-wise (evaluation-domain) product."""
         self._check_compatible(other)
         if self._fmt is not LimbFormat.EVALUATION:
             raise ValueError("element-wise limb products require evaluation format")
-        return self._wrap(self._stack.multiply(other._stack))
+        stack = self._stack
+        return self._adopt(
+            modmath.stack_mul_mod(stack.data, other._stack.data, stack.moduli_col)
+        )
 
     def _scalars_per_limb(self, scalar: int | Sequence[int]) -> list[int]:
         if isinstance(scalar, (int, np.integer)):
@@ -307,17 +315,17 @@ class RNSPoly:
             first._check_compatible(b)
         if first.fmt is not LimbFormat.EVALUATION:
             raise ValueError("element-wise limb products require evaluation format")
-        data = modmath.stack_dot_mod(
+        return first._adopt(modmath.stack_dot_mod(
             [(a._stack.data, b._stack.data) for a, b in pairs],
             first._stack.moduli_col,
-        )
-        return first._wrap(
-            LimbStack(first.moduli, data, pool=first._stack.buffer.pool)
-        )
+        ))
 
     def multiply_scalar(self, scalar: int | Sequence[int]) -> "RNSPoly":
         """Multiply by an integer constant, or by one constant per limb."""
-        return self._wrap(self._stack.multiply_scalars(self._scalars_per_limb(scalar)))
+        stack = self._stack
+        return self._adopt(modmath.stack_scalar_mod(
+            stack.data, self._scalars_per_limb(scalar), stack.moduli_col
+        ))
 
     def add_scalar(self, scalar: int | Sequence[int]) -> "RNSPoly":
         """Add an integer constant (or one constant per limb).
@@ -327,9 +335,12 @@ class RNSPoly:
         to the same value everywhere, so it is added to every element.
         """
         scalars = self._scalars_per_limb(scalar)
+        stack = self._stack
         if self._fmt is LimbFormat.EVALUATION:
-            return self._wrap(self._stack.add_scalars_broadcast(scalars))
-        return self._wrap(self._stack.add_scalars_at(scalars, 0))
+            add = modmath.stack_add_scalar_mod
+        else:
+            add = modmath.stack_add_scalar_at
+        return self._adopt(add(stack.data, scalars, stack.moduli_col))
 
     def automorphism(self, exponent: int) -> "RNSPoly":
         """Apply the Galois automorphism ``X -> X^exponent`` to every limb.
@@ -341,7 +352,10 @@ class RNSPoly:
         """
         if self._fmt is LimbFormat.EVALUATION:
             return self.to_coefficient().automorphism(exponent).to_evaluation()
-        return self._wrap(self._stack.automorphism_coeff(exponent))
+        source, sign = coeff_automorphism_map(self.ring_degree, exponent)
+        return self._adopt(modmath.stack_automorphism(
+            self._stack.data, source, sign, self._stack.moduli_col
+        ))
 
     # -- level management ----------------------------------------------------
 
@@ -463,22 +477,31 @@ class RNSPoly:
         # fused element-wise kernel remains.  A fused component records the
         # same kernels over ``B×`` the rows.
         if _DISPATCH.recording:
-            executable = _DISPATCH.executable_recording
-            switch_replay = tail_replay = fused_replay = None
-            if executable:
 
-                def switch_replay(reads, writes):
-                    modmath.stack_switch_modulus_many(
-                        reads[0], q_last, target_col, out=writes[0]
-                    )
+            def switch_replay(reads, writes):
+                modmath.stack_switch_modulus_many(
+                    reads[0], q_last, target_col, out=writes[0]
+                )
 
-                def tail_replay(reads, writes):
-                    gather_rows(reads[:1], writes[0])
-                    fold_heads(reads[1:], writes[0])
+            def tail_replay(reads, writes):
+                gather_rows(reads[:1], writes[0])
+                fold_heads(reads[1:], writes[0])
 
-                def fused_replay(reads, writes):
-                    switch_replay((np.concatenate(reads[:members]),), writes)
-                    fold_heads(reads[members:], writes[0])
+            def fused_replay(reads, writes):
+                switch_replay((np.concatenate(reads[:members]),), writes)
+                fold_heads(reads[members:], writes[0])
+
+            def intt_replay(reads, writes):
+                transform_in_place(
+                    n, last_moduli, reads, writes[0], forward=False
+                )
+
+            def ntt_replay(reads, writes):
+                switch_replay(reads, writes)
+                transform_in_place(
+                    n, kept_moduli, writes, writes[0], forward=True
+                )
+                fold_heads(reads[1:], writes[0])
 
             # Per-polynomial slices keep the fused components parallel in
             # the dependency DAG (disjoint rows of the shared buffers).
@@ -503,39 +526,18 @@ class RNSPoly:
                     and get_stacked_engine(n, last_moduli).fast
                     and get_stacked_engine(n, kept_moduli).fast
                 ):
-                    record_staged_transform(
-                        "intt", n, last_moduli, lasts, dropped,
-                        executable=executable,
-                    )
+                    record_staged_transform("intt", n, last_moduli, lasts, dropped)
                     _DISPATCH.elementwise(
                         "rescale-switch", reads=(dropped,), writes=(kept,),
                         ops_per_element=MODMUL_OPS, replay=switch_replay,
                     )
-                    record_staged_transform(
-                        "ntt", n, kept_moduli, (kept,), kept,
-                        executable=executable,
-                    )
+                    record_staged_transform("ntt", n, kept_moduli, (kept,), kept)
                     _DISPATCH.elementwise(
                         "rescale-tail", reads=(kept,) + heads, writes=(kept,),
                         ops_per_element=MODMUL_OPS + MODADD_OPS,
                         replay=tail_replay,
                     )
                     continue
-                intt_replay = ntt_replay = None
-                if executable:
-
-                    def intt_replay(reads, writes):
-                        transform_in_place(
-                            n, last_moduli, reads, writes[0], forward=False
-                        )
-
-                    def ntt_replay(reads, writes):
-                        switch_replay(reads, writes)
-                        transform_in_place(
-                            n, kept_moduli, writes, writes[0], forward=True
-                        )
-                        fold_heads(reads[1:], writes[0])
-
                 _DISPATCH.transform(
                     "intt", members, reads=lasts, writes=(dropped,), cols=n,
                     fused_ops_per_element=MODADD_OPS, replay=intt_replay,

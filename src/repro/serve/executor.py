@@ -221,6 +221,11 @@ class Server:
     the policy deems ready -- full fused batches immediately, partial ones
     when their oldest member's wait budget expires.  :meth:`drain` runs
     that loop to completion, visiting each pending timeout exactly.
+    ``clock`` (a :class:`SimulatedClock`) shares one simulated timeline
+    with the driver; the server creates its own otherwise.  This is the
+    reference for every keyword
+    :meth:`CKKSSession.server <repro.api.session.CKKSSession.server>`
+    forwards.
 
     Pass ``trace_costs`` (a :class:`~repro.perf.trace_model.TraceCostModel`)
     to record each drain's kernel stream from the execution plane and

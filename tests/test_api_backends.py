@@ -1,8 +1,8 @@
 """Backend-seam tests: functional vs cost-model parity.
 
 The acceptance property of the backend seam: the same ``CipherVector``
-program object runs unmodified on both
-:class:`~repro.api.backend.FunctionalBackend` and
+program object runs unmodified on both the functional backend (the
+session's :class:`~repro.ckks.evaluator.Evaluator`) and
 :class:`~repro.api.backend.CostModelBackend`, with identical level/scale
 trajectories, and the cost backend emits its closed-form kernels onto the
 same trace seam the functional data plane records through, so the GPU
@@ -16,7 +16,7 @@ import pytest
 
 from repro.api.backend import (
     CostModelBackend,
-    FunctionalBackend,
+    EvaluationBackend,
     TracingBackend,
     as_backend,
 )
@@ -30,6 +30,7 @@ from repro.gpu.platforms import GPU_RTX_4090
 from repro.perf.calibration import kernel_kind
 from repro.perf.costmodel import CKKSOperationCosts
 from tests.conftest import assert_close
+from tests.test_dispatch_trace import OP_SURFACE
 
 
 def polynomial_program(x, y, trace):
@@ -85,7 +86,8 @@ class TestFunctionalCostParity:
         # The cost side really emitted kernels while it tracked the ladder.
         assert kernels.kernel_count > 0
         assert kernels.bytes_moved > 0
-        assert isinstance(functional, FunctionalBackend)
+        assert functional is session.evaluator
+        assert isinstance(functional, EvaluationBackend)
 
     def test_functional_result_is_correct(self, session, rng):
         a = rng.uniform(-0.5, 0.5, 8)
@@ -119,6 +121,71 @@ class TestFunctionalCostParity:
         permissive = session.cost_backend(check_keys=False)
         rotated = CipherVector(permissive, permissive.encrypt([0.5])) << 7
         assert rotated.level == session.max_level
+
+
+BACKENDS = {
+    "functional": lambda session: session.backend,
+    "costmodel": lambda session: session.cost_backend(),
+}
+
+
+class TestSharedMatchingRule:
+    """One level/scale matching rule and one set of operand errors
+    (``repro.ckks.ciphertext``), so the evaluator and the symbolic backend
+    cannot drift apart."""
+
+    @pytest.mark.parametrize("op", sorted(OP_SURFACE))
+    def test_op_surface_at_mismatched_levels(self, session, op):
+        def run(backend):
+            x = CipherVector(backend, backend.encrypt(np.full(8, 0.5)))
+            y = CipherVector(backend, backend.encrypt(np.full(8, 0.25)))
+            result = OP_SURFACE[op](x, y.at_level(y.level - 1))
+            handles = result.values() if isinstance(result, dict) else [result]
+            return [(h.level, h.scale) for h in handles]
+
+        functional, symbolic = (run(make(session)) for make in BACKENDS.values())
+        assert [level for level, _ in functional] == [level for level, _ in symbolic]
+        assert [scale for _, scale in functional] == pytest.approx(
+            [scale for _, scale in symbolic], rel=1e-12
+        )
+
+    @pytest.mark.parametrize("case", [
+        "scale-mismatch", "level-0-multiply-scalar", "dot-empty",
+        "dot-surplus-rows", "dot-missing-rows",
+    ])
+    def test_operand_errors_are_the_same_error(self, session, case):
+        def attempt(backend):
+            fresh = lambda **kw: backend.encrypt([0.5], **kw)  # noqa: E731
+            if case == "scale-mismatch":
+                return lambda: backend.add(fresh(), fresh(scale=2.0 ** 20))
+            if case == "level-0-multiply-scalar":
+                return lambda: backend.multiply_scalar(fresh(level=0), 2.0)
+            handles, rows = {
+                "dot-empty": (0, 0), "dot-surplus-rows": (1, 2),
+                "dot-missing-rows": (2, 1),
+            }[case]
+            return lambda: backend.dot_product_plain(
+                [fresh() for _ in range(handles)], [[1.0]] * rows
+            )
+
+        raised = []
+        for make in BACKENDS.values():
+            with pytest.raises(ValueError) as info:
+                attempt(make(session))()
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("handles, rows", [(1, 2), (2, 1)],
+                             ids=["surplus-rows", "missing-rows"])
+    def test_dot_product_plain_rejects_unequal_operands(
+            self, session, backend, handles, rows):
+        # Regression: the functional backend used to zip() the pairs and
+        # silently drop surplus rows.
+        backend = BACKENDS[backend](session)
+        cts = [backend.encrypt([0.5]) for _ in range(handles)]
+        with pytest.raises(ValueError, match="equally many"):
+            backend.dot_product_plain(cts, [[1.0]] * rows)
 
 
 #: Sub-scopes only the recorded data plane opens inside an operation.
@@ -304,9 +371,9 @@ class TestBackendProtocol:
             as_backend(object())
 
     def test_functional_backend_without_encryptor(self, evaluator):
-        backend = FunctionalBackend(evaluator)
+        assert evaluator.encryptor is None
         with pytest.raises(RuntimeError, match="no encryptor"):
-            backend.encrypt([1.0])
+            evaluator.encrypt([1.0])
 
     def test_describe(self, session):
         fn = session.backend.describe()

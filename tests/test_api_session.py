@@ -246,3 +246,16 @@ class TestErrorPaths:
     def test_add_rotation_keys_requires_client(self, session):
         with pytest.raises(RuntimeError, match="without a client"):
             session.add_rotation_keys([16])
+
+    def test_server_options_are_the_servers_own(self, tiny_session):
+        # session.server names policy and backend; the rest is Server's
+        # signature, forwarded as given -- an unknown keyword is its error.
+        from repro.serve import SimulatedClock
+
+        clock = SimulatedClock()
+        server = tiny_session.server(clock=clock, shard_drains=True)
+        assert server.clock is clock and server.backend is tiny_session.backend
+        cost = tiny_session.cost_backend()
+        assert tiny_session.server(backend=cost).backend is cost
+        with pytest.raises(TypeError, match="metrics"):
+            tiny_session.server(metrics=object())

@@ -287,3 +287,66 @@ class TestBenchReporting:
             r"|replay_(?:requests|events|errors)_total"
             r"|replay_availability|replay_latency_seconds"
         ))
+
+    def test_an_operation_is_written_where_it_does_work(self, session):
+        # CipherVector -> Evaluator -> RNSPoly -> stack kernel.  The
+        # evaluator is the functional backend ...
+        import ast
+
+        import repro.core.dispatch
+        from repro.api.backend import (
+            BACKEND_OPERATIONS, CostModelBackend, EvaluationBackend,
+        )
+        from repro.ckks.evaluator import Evaluator
+        from repro.core.limb_stack import LimbStack
+
+        assert isinstance(session.evaluator, EvaluationBackend)
+        assert session.backend is session.evaluator
+        operations = set(BACKEND_OPERATIONS)
+        assert operations <= set(vars(Evaluator))
+        # ... under repro/api only the symbolic backend writes the surface
+        # again (TracingBackend's methods are generated from the protocol;
+        # the handle and the session spell the few verbs users call) ...
+        spelled = {}
+        src = Path(__file__).parent.parent / "src"
+        for path in sorted((src / "repro" / "api").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                names = {
+                    target.id
+                    for stmt in node.body if isinstance(stmt, ast.Assign)
+                    for target in stmt.targets if isinstance(target, ast.Name)
+                } | {
+                    stmt.name for stmt in node.body
+                    if isinstance(stmt, ast.FunctionDef)
+                }
+                if names & operations:
+                    spelled[node.name] = names & operations
+        assert spelled == {
+            "EvaluationBackend": operations,
+            "CostModelBackend": operations,
+            "CipherVector": {"square", "rotate", "rescale", "at_level"},
+            "CKKSSession": {"encrypt", "encrypt_batch"},
+        }
+        assert not {"_match", "_match_for_product"} & set(vars(CostModelBackend))
+        # ... the matching rule and the shared operand errors are written
+        # once (repro/ckks/ciphertext.py) ...
+        sources = [p.read_text(encoding="utf-8") for p in src.rglob("*.py")]
+        for phrase in (
+            "scale mismatch at equal level", "cannot adjust to a higher level",
+            "cannot change scale in place", "no limb left to drop",
+            "needs at least one ciphertext/plaintext pair",
+            "needs equally many ciphertexts and plaintexts",
+        ):
+            assert sum(text.count(phrase) for text in sources) == 1, phrase
+        # ... a LimbStack is storage, there is one replayer, and the two
+        # forwarding layers leave no name behind.
+        assert not set(vars(LimbStack)) & {
+            "add", "sub", "negate", "multiply", "multiply_scalars",
+            "add_scalars_broadcast",
+        }
+        assert not hasattr(repro.core.dispatch, "TraceProgram")
+        assert_retired_everywhere(re.compile(
+            r"FunctionalBackend|FusedProgram|executable_recording"
+        ))

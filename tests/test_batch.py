@@ -20,11 +20,11 @@ from repro.api import (
     CKKSSession,
     CostModelBackend,
     EvaluationBackend,
-    FunctionalBackend,
     SymbolicCiphertext,
     TracingBackend,
 )
 from repro.ckks.ciphertext import Ciphertext
+from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.params import CKKSParameters
 from repro.core.dispatch import get_dispatcher
@@ -254,7 +254,6 @@ class TestBitIdenticalOutputs:
         be handed to its replacement (regression: the cache used to key on
         ``id(key)`` alone, which the allocator recycles).
         """
-        from repro.ckks.evaluator import Evaluator
         from repro.ckks.keys import KeySet, KeySwitchingKey
 
         generator = KeyGenerator(context, seed=4242)
@@ -443,8 +442,7 @@ class TestBatchTrace:
                 assert any(n.startswith("ks-mul") for n in names) == (op != "adjust")
 
     def test_stage_granular_fused_trace_replays(self, evaluator, cts_a, cts_b):
-        from repro.core.dispatch import TraceProgram
-        from repro.core.fusion import fuse_trace
+        from repro.core.fusion import TraceProgram, fuse_trace
 
         fused_a, fused_b = Ciphertext.fuse(cts_a), Ciphertext.fuse(cts_b)
         with get_dispatcher().record(executable=True, stage_launches=True) as trace:
@@ -583,8 +581,13 @@ class TestOpSurface:
                 "batch_from", "batch_split"
             ), name
         constructors = {"from_context", "for_model"}
-        for backend in (FunctionalBackend, CostModelBackend, TracingBackend):
+        for backend in (CostModelBackend, TracingBackend):
             assert self._public_ops(backend) - constructors == protocol, backend
+        # The functional backend is the evaluator itself: the protocol plus
+        # the evaluator's own verbs, none of them a second batch surface.
+        functional = self._public_ops(Evaluator)
+        assert protocol <= functional
+        assert not {n for n in functional - protocol if n.startswith("batch_")}
 
     def test_cost_model_prices_a_fused_handle_at_b_times_bytes(self, session):
         def program(backend, x):

@@ -22,13 +22,8 @@ import pytest
 from repro.api import CKKSSession
 from repro.ckks.params import CKKSParameters
 from repro.core import modmath
-from repro.core.dispatch import (
-    Dispatcher,
-    KernelTrace,
-    TraceProgram,
-    get_dispatcher,
-)
-from repro.core.fusion import FusedProgram, fuse_trace
+from repro.core.dispatch import Dispatcher, KernelTrace, get_dispatcher
+from repro.core.fusion import TraceProgram, fuse_trace
 from repro.core.ntt import get_stacked_engine
 from repro.gpu.platforms import GPU_RTX_4090
 from repro.perf.trace_model import TraceCostModel
@@ -185,6 +180,47 @@ class TestFusionLegality:
     def test_fusion_requires_executable_trace(self):
         with pytest.raises(ValueError, match="executable"):
             fuse_trace(KernelTrace())
+
+
+class TestExecutableFlag:
+    """Only ``KernelTrace`` knows whether a trace is executable."""
+
+    def test_record_refuses_executable_on_a_plain_trace(self, fusion_session):
+        # Regression: this used to record a plain trace that TraceProgram
+        # then refused.
+        plain = KernelTrace()
+        with pytest.raises(ValueError, match="plain trace"):
+            with get_dispatcher().record(plain, executable=True):
+                pass
+        with pytest.raises(ValueError, match="plain trace"):
+            with fusion_session.trace(plain, executable=True):
+                pass
+        with pytest.raises(ValueError, match="executable"):
+            TraceProgram(plain)
+
+    def test_appending_to_an_executable_trace_needs_no_flag(self, fusion_session):
+        # How TracingBackend accumulates: record(trace) with the default flag.
+        ct = fusion_session.encrypt([0.5, 0.25])
+        with fusion_session.trace(executable=True) as trace:
+            doubled = ct + ct
+        with fusion_session.trace(trace):
+            doubled + ct
+        assert all(event.replay is not None for event in trace)
+        TraceProgram(trace).verify()
+
+    def test_plain_trace_pins_no_closure_and_no_array(self, fusion_session):
+        # Call sites always pass their thunk; a plain trace drops it (and
+        # captures no views), so costing-only recording pins nothing.
+        rng = np.random.default_rng(5)
+        ct_a = fusion_session.encrypt(rng.uniform(-1, 1, 16))
+        ct_b = fusion_session.encrypt(rng.uniform(-1, 1, 16))
+        with fusion_session.trace() as trace:
+            (ct_a * ct_b + 1.0).rotate(1)
+        assert len(trace) > 10
+        for event in trace:
+            assert event.replay is None
+            assert event.read_views == () and event.write_views == ()
+        assert not trace._bases and not trace._seeds
 
 
 class TestBufferIdentityGeneration:
