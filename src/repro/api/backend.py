@@ -386,7 +386,8 @@ class CostModelBackend:
 
     def _check_rotation_key(self, steps: int) -> None:
         if self.key_inventory is not None:
-            self.key_inventory.rotation_key(steps)  # raises a descriptive KeyError
+            # Raises a descriptive KeyError.
+            self.key_inventory.rotation_key(steps, self.params.slots)
 
     def rotate(self, a: SymbolicCiphertext, steps: int) -> SymbolicCiphertext:
         if steps % a.slots == 0:

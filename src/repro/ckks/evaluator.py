@@ -401,7 +401,7 @@ class Evaluator:
         """Rotate the message vector left by ``steps`` slots (``HRotate``)."""
         if steps % ct.slots == 0:
             return ct.copy()
-        key = self.keys.rotation_key(steps)
+        key = self.keys.rotation_key(steps, self.context.slots)
         exponent = rotation_to_exponent(self.context.ring_degree, steps)
         with self._scope(ct, "hrotate"):
             return self._apply_automorphism(ct, exponent, key)
@@ -416,8 +416,8 @@ class Evaluator:
 
     def _apply_automorphism(self, ct: Ciphertext, exponent: int,
                             key: KeySwitchingKey) -> Ciphertext:
-        rotated_c0 = ct.c0.automorphism(exponent)
-        rotated_c1 = ct.c1.automorphism(exponent)
+        # Both components are permuted by one Automorph launch.
+        rotated_c0, rotated_c1 = RNSPoly.automorphism_many([ct.c0, ct.c1], exponent)
         delta0, delta1 = key_switch(self.context, rotated_c1, key)
         return ct.with_polys(rotated_c0.add(delta0), delta1)
 
@@ -426,7 +426,12 @@ class Evaluator:
 
         Implements the hoisting optimisation of Halevi-Shoup [39]
         (§III-F.6): the digit decomposition and base extension of ``c1``
-        are computed once and reused for every rotation key.
+        are computed once and reused for every rotation key.  Each step
+        then gathers the extended digits (one ``Automorph`` launch, no
+        transform -- the digits are in evaluation format), runs the inner
+        product and ModDown, and gathers ``c0``; the result is keyed by
+        the requested steps, and a step is served by any loaded key with
+        the same residue mod ``slots``.
         """
         with self._scope(ct, "hoisted"):
             return self._hoisted_rotations(ct, steps)
@@ -439,7 +444,7 @@ class Evaluator:
             if step % ct.slots == 0:
                 results[step] = ct.copy()
                 continue
-            key = self.keys.rotation_key(step)
+            key = self.keys.rotation_key(step, self.context.slots)
             exponent = rotation_to_exponent(self.context.ring_degree, step)
             delta0, delta1 = apply_key(
                 self.context, decomposed, key, automorphism_exponent=exponent

@@ -22,7 +22,11 @@ import numpy as np
 
 from repro.ckks.context import Context
 from repro.core import modmath
-from repro.core.automorphism import conjugation_exponent, rotation_to_exponent
+from repro.core.automorphism import (
+    coeff_automorphism_map,
+    conjugation_exponent,
+    rotation_to_exponent,
+)
 from repro.core.limb import LimbFormat
 from repro.core.rns_poly import RNSPoly
 
@@ -77,9 +81,21 @@ class KeySet:
     conjugation_key: KeySwitchingKey | None = None
     secret_key: SecretKey | None = None
 
-    def rotation_key(self, steps: int) -> KeySwitchingKey:
-        """Return the rotation key for ``steps``, raising if it was not generated."""
+    def rotation_key(self, steps: int, slots: int) -> KeySwitchingKey:
+        """Return the key serving a rotation by ``steps`` of ``slots`` slots.
+
+        A rotation key belongs to a Galois element, and every step with
+        the same residue mod ``slots`` has the same one -- the key loaded
+        for ``-1`` also serves ``slots - 1``.  Raises if no loaded key
+        matches.
+        """
         key = self.rotation_keys.get(steps)
+        if key is None:
+            residue = steps % slots
+            key = next(
+                (k for s, k in self.rotation_keys.items() if s % slots == residue),
+                None,
+            )
         if key is None:
             available = sorted(self.rotation_keys)
             inventory = ", ".join(str(s) for s in available) if available else "none"
@@ -200,18 +216,19 @@ class KeyGenerator:
     def generate_rotation_key(self, secret: SecretKey, steps: int) -> KeySwitchingKey:
         """Generate the key-switching key for a rotation by ``steps`` slots."""
         exponent = rotation_to_exponent(self.context.ring_degree, steps)
-        rotated = _automorphism_coefficients(
-            secret.coefficients, self.context.ring_degree, exponent
-        )
+        rotated = self._automorphism_of_secret(secret, exponent)
         return self.generate_switching_key(rotated, secret, f"rot({steps})")
 
     def generate_conjugation_key(self, secret: SecretKey) -> KeySwitchingKey:
         """Generate the key-switching key for complex conjugation."""
         exponent = conjugation_exponent(self.context.ring_degree)
-        conj = _automorphism_coefficients(
-            secret.coefficients, self.context.ring_degree, exponent
-        )
+        conj = self._automorphism_of_secret(secret, exponent)
         return self.generate_switching_key(conj, secret, "conjugate")
+
+    def _automorphism_of_secret(self, secret: SecretKey, exponent: int) -> list[int]:
+        """The integer coefficients of ``s(X^exponent)`` in ``Z[X]/(X^N + 1)``."""
+        source, sign = coeff_automorphism_map(self.context.ring_degree, exponent)
+        return (sign * np.asarray(secret.coefficients, dtype=np.int64)[source]).tolist()
 
     def generate(
         self,
@@ -251,21 +268,6 @@ def _square_coefficients(coefficients: list[int], ring_degree: int) -> list[int]
                 idx -= n
                 value = -value
             result[idx] += value
-    return result
-
-
-def _automorphism_coefficients(coefficients: list[int], ring_degree: int, exponent: int) -> list[int]:
-    """Return the coefficients of ``s(X^exponent)`` in ``Z[X]/(X^N + 1)``."""
-    n = ring_degree
-    result = [0] * n
-    for i, c in enumerate(coefficients):
-        if c == 0:
-            continue
-        idx = (i * exponent) % (2 * n)
-        if idx >= n:
-            result[idx - n] -= c
-        else:
-            result[idx] += c
     return result
 
 

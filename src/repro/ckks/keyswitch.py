@@ -360,7 +360,10 @@ def apply_key(
     When ``automorphism_exponent`` is given, the automorphism is applied to
     every extended digit before the key multiplication -- this is the
     hoisted-rotation path, where the decomposition is shared across many
-    rotation keys.
+    rotation keys.  The digits are in evaluation format, so that is one
+    gather of the ``dnum`` extended stacks (a single ``Automorph`` launch)
+    and no transform: a hoisted step costs the gather, the inner product
+    and the ModDown.
 
     Returns the pair ``(delta_c0, delta_c1)`` over the ciphertext basis.
     """
@@ -370,9 +373,13 @@ def apply_key(
         digits: list[np.ndarray] = []
         keys0: list[np.ndarray] = []
         keys1: list[np.ndarray] = []
-        for digit_index, digit_poly in enumerate(decomposed.extended_digits):
-            if automorphism_exponent is not None:
-                digit_poly = digit_poly.automorphism(automorphism_exponent)
+        digit_polys = decomposed.extended_digits
+        if automorphism_exponent is not None:
+            # One Automorph launch gathers every extended digit.
+            digit_polys = RNSPoly.automorphism_many(
+                digit_polys, automorphism_exponent
+            )
+        for digit_index, digit_poly in enumerate(digit_polys):
             # Below the top level only a subset of key limbs is active; a
             # fused operand meets the key tiled once per member.
             b_j, a_j = context.key_digit_stacks(

@@ -1,12 +1,22 @@
 """Galois automorphism index maps for the negacyclic ring.
 
 Rotation (``HRotate``) and conjugation (``HConjugate``) of CKKS messages
-are realised by the ring automorphisms ``X -> X^k`` with ``k`` odd.  In the
-coefficient representation the automorphism permutes coefficients and
-flips the sign of those whose exponent wraps past ``X^N = -1``.  This
-module precomputes those permutations; :class:`~repro.core.rns_poly.RNSPoly`
-applies them limb by limb (switching to the coefficient representation
-when necessary, as the GPU ``Automorph`` kernel does).
+are realised by the ring automorphisms ``X -> X^k`` with ``k`` odd.  The
+map has one index table per representation, and neither needs a transform:
+
+* **coefficient format** -- coefficient ``j`` moves to exponent ``j·k mod
+  2N`` and flips sign when that exponent wraps past ``X^N = -1``
+  (:func:`coeff_automorphism_map`: a gather index plus a sign vector);
+* **evaluation format** -- ``a(X^k)`` evaluated at the root ``ψ^e`` is
+  ``a`` evaluated at ``ψ^(e·k)``, so the automorphism only *permutes* the
+  evaluation points: no sign, no arithmetic
+  (:func:`eval_automorphism_map`: a gather index in this engine's
+  bit-reversed evaluation order).
+
+:meth:`repro.core.rns_poly.RNSPoly.automorphism` applies the table of the
+operand's own format to every row of its stack in one gather -- the GPU
+``Automorph`` kernel -- and never changes format.  The tables are cached
+per ``(N, k mod 2N)`` and handed out read-only.
 """
 
 from __future__ import annotations
@@ -15,8 +25,20 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.core.ntt import bit_reverse_indices
 
-@lru_cache(maxsize=None)
+
+def _canonical_exponent(ring_degree: int, k: int) -> int:
+    if k % 2 == 0:
+        raise ValueError("automorphism exponent must be odd")
+    return k % (2 * ring_degree)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def coeff_automorphism_map(ring_degree: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(source_index, sign)`` arrays for ``a(X) -> a(X^k)``.
 
@@ -24,32 +46,36 @@ def coeff_automorphism_map(ring_degree: int, k: int) -> tuple[np.ndarray, np.nda
     ``b[i] = sign[i] * a[source_index[i]]`` where ``sign`` is ±1.  ``k``
     must be odd so the map is a bijection on exponents modulo ``2N``.
     """
-    n = ring_degree
-    if k % 2 == 0:
-        raise ValueError("automorphism exponent must be odd")
-    k = k % (2 * n)
-    source = np.zeros(n, dtype=np.int64)
-    sign = np.zeros(n, dtype=np.int64)
-    for j in range(n):
-        exponent = (j * k) % (2 * n)
-        if exponent < n:
-            source[exponent] = j
-            sign[exponent] = 1
-        else:
-            source[exponent - n] = j
-            sign[exponent - n] = -1
-    return source, sign
+    return _coeff_map(ring_degree, _canonical_exponent(ring_degree, k))
 
 
-def apply_coeff_automorphism(data: np.ndarray, ring_degree: int, k: int, modulus: int) -> np.ndarray:
-    """Apply ``X -> X^k`` to a coefficient-domain limb array."""
-    source, sign = coeff_automorphism_map(ring_degree, k)
-    gathered = np.asarray(data)[source]
-    if gathered.dtype == np.object_:
-        negate = np.array([(-int(v)) % modulus for v in gathered], dtype=object)
-    else:
-        negate = np.where(gathered == 0, gathered, np.uint64(modulus) - gathered)
-    return np.where(sign == 1, gathered, negate)
+@lru_cache(maxsize=None)
+def _coeff_map(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    j = np.arange(n, dtype=np.int64)
+    exponent = (j * k) % (2 * n)
+    source = np.empty(n, dtype=np.int64)
+    sign = np.empty(n, dtype=np.int64)
+    source[exponent % n] = j
+    sign[exponent % n] = np.where(exponent < n, 1, -1)
+    return _read_only(source), _read_only(sign)
+
+
+def eval_automorphism_map(ring_degree: int, k: int) -> np.ndarray:
+    """Return the gather index of ``a(X) -> a(X^k)`` on evaluation-format rows.
+
+    The forward transform leaves the evaluation at ``ψ^(2·brv(i)+1)`` in
+    position ``i`` (Cooley-Tukey, bit-reversed output), so
+    ``out[:, i] = in[:, index[i]]`` with
+    ``index[i] = brv(((2·brv(i)+1)·k mod 2N − 1) / 2)``.
+    """
+    return _eval_map(ring_degree, _canonical_exponent(ring_degree, k))
+
+
+@lru_cache(maxsize=None)
+def _eval_map(n: int, k: int) -> np.ndarray:
+    # brv is an involution: position -> root exponent and back.
+    brv = bit_reverse_indices(n)
+    return _read_only(brv[(((2 * brv + 1) * k) % (2 * n) - 1) // 2])
 
 
 def rotation_to_exponent(ring_degree: int, steps: int) -> int:
@@ -70,7 +96,7 @@ def conjugation_exponent(ring_degree: int) -> int:
 
 __all__ = [
     "coeff_automorphism_map",
-    "apply_coeff_automorphism",
+    "eval_automorphism_map",
     "rotation_to_exponent",
     "conjugation_exponent",
 ]

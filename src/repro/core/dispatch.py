@@ -146,7 +146,7 @@ class TraceEvent:
     On executable traces, ``read_views``/``write_views`` pin down the
     exact array slices the kernel touched and ``replay`` recomputes the
     writes from the reads (``replay(reads, writes)``); ``kind`` classifies
-    the emitter (``elementwise``/``transform``/``baseconv``/``copy``), which
+    the emitter (``elementwise``/``gather``/``transform``/``baseconv``), which
     is what the fusion pass keys legality on.
     """
 
@@ -728,8 +728,15 @@ class Dispatcher:
         ops_per_element: float,
         reuse: float = 1.0,
         replay: Callable[[tuple, tuple], None] | None = None,
+        kind: str = "elementwise",
     ) -> None:
-        """Record one element-wise kernel; shapes come from the live arrays."""
+        """Record one element-wise kernel; shapes come from the live arrays.
+
+        ``kind="gather"`` records a permutation (the Galois ``Automorph``
+        kernel): it streams its operands once and is charged the same way,
+        but thread ``i`` reads element ``π(i)``, so it is no per-element
+        map and :func:`repro.core.fusion.fuse_trace` never chains it.
+        """
         if self._trace is None or self._suppress:
             return
         out = np.asarray(writes[0])
@@ -749,7 +756,7 @@ class Dispatcher:
             reuse=reuse,
         )
         self._trace.add(kernel, scope=self._scope_path(), reads=reads, writes=writes,
-                        device=self._device, kind="elementwise", replay=replay)
+                        device=self._device, kind=kind, replay=replay)
 
     def transform(
         self,

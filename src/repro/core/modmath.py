@@ -1002,30 +1002,35 @@ def stack_add_scalar_at(a: np.ndarray, scalars, moduli_col: np.ndarray,
     return out
 
 
-def stack_automorphism(a: np.ndarray, source: np.ndarray, sign: np.ndarray,
-                       moduli_col: np.ndarray) -> np.ndarray:
-    """Apply a coefficient-domain Galois map to every row of a stack.
+def stack_automorphism(stacks, index: np.ndarray, sign: np.ndarray | None,
+                       moduli_col: np.ndarray) -> list[np.ndarray]:
+    """Apply one Galois map ``X -> X^k`` to every row of same-basis stacks.
 
-    ``(source, sign)`` is :func:`repro.core.automorphism.coeff_automorphism_map`
-    of ``X -> X^k``: one gather plus one sign-fix expression for the whole
-    stack -- the batched form of the GPU ``Automorph`` kernel.
+    Evaluation format (``sign is None``): ``index`` is
+    :func:`repro.core.automorphism.eval_automorphism_map` and the map is a
+    pure permutation of the evaluation points -- one gather, any dtype.
+    Coefficient format: ``(index, sign)`` is
+    :func:`~repro.core.automorphism.coeff_automorphism_map` -- the gather
+    plus one sign-fix expression.  All ``stacks`` go through one launch,
+    the batched form of the GPU ``Automorph`` kernel.
     """
+    def permute(a: np.ndarray) -> np.ndarray:
+        gathered = np.take(a, index, axis=-1)
+        if sign is None:
+            return gathered
+        return np.where(sign == 1, gathered, stack_neg_mod(gathered, moduli_col))
+
     with _DISPATCH.suppressed():
-        gathered = a[..., source]
-        negated = stack_neg_mod(gathered, moduli_col)
-        # np.where picks the gather's (Fortran) iteration order; traces
-        # need C-contiguous operands for byte-interval views.
-        out = np.ascontiguousarray(np.where(sign == 1, gathered, negated))
+        outs = [permute(a) for a in stacks]
     if _DISPATCH.recording:
-        def replay(reads, writes, _src=source, _sign=sign, _col=moduli_col):
-            gathered = reads[0][..., _src]
-            negated = stack_neg_mod(gathered, _col)
-            writes[0][...] = np.where(_sign == 1, gathered, negated)
+        def replay(reads, writes):
+            for a, out in zip(reads, writes):
+                out[...] = permute(a)
         _DISPATCH.elementwise(
-            "automorph", reads=(a,), writes=(out,),
-            ops_per_element=2.0, replay=replay,
+            "automorph", reads=tuple(stacks), writes=tuple(outs),
+            ops_per_element=2.0 * len(outs), replay=replay, kind="gather",
         )
-    return out
+    return outs
 
 
 def stack_switch_modulus(row: np.ndarray, q_from: int, moduli_col: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core import modmath
-from repro.core.automorphism import coeff_automorphism_map
+from repro.core.automorphism import coeff_automorphism_map, eval_automorphism_map
 from repro.core.dispatch import gather_rows, get_dispatcher
 from repro.core.limb import Limb, LimbFormat
 from repro.core.limb_stack import LimbStack
@@ -343,19 +343,32 @@ class RNSPoly:
         return self._adopt(add(stack.data, scalars, stack.moduli_col))
 
     def automorphism(self, exponent: int) -> "RNSPoly":
-        """Apply the Galois automorphism ``X -> X^exponent`` to every limb.
+        """Apply the Galois automorphism ``X -> X^exponent`` to every limb."""
+        return RNSPoly.automorphism_many([self], exponent)[0]
 
-        The permutation is defined on the coefficient representation;
-        polynomials in evaluation format are routed through a stacked
-        iNTT/NTT round trip exactly like the GPU ``Automorph`` kernel path
-        used before key switching.
+    @staticmethod
+    def automorphism_many(polys: Sequence["RNSPoly"], exponent: int) -> list["RNSPoly"]:
+        """Apply ``X -> X^exponent`` to same-basis polynomials in one launch.
+
+        The format never changes.  In evaluation format the automorphism
+        only permutes the evaluation points: one :func:`numpy.take` per
+        stack with the cached ``eval_automorphism_map`` index -- no
+        transform, any word backend, any member count.  In coefficient
+        format it is the ``coeff_automorphism_map`` gather plus sign fix.
+        The execution plane sees the single ``Automorph`` kernel a GPU
+        launches for both ciphertext components (or every hoisted digit).
         """
-        if self._fmt is LimbFormat.EVALUATION:
-            return self.to_coefficient().automorphism(exponent).to_evaluation()
-        source, sign = coeff_automorphism_map(self.ring_degree, exponent)
-        return self._adopt(modmath.stack_automorphism(
-            self._stack.data, source, sign, self._stack.moduli_col
-        ))
+        first = polys[0]
+        for poly in polys[1:]:
+            first._check_compatible(poly)
+        if first._fmt is LimbFormat.EVALUATION:
+            index, sign = eval_automorphism_map(first.ring_degree, exponent), None
+        else:
+            index, sign = coeff_automorphism_map(first.ring_degree, exponent)
+        outs = modmath.stack_automorphism(
+            [p._stack.data for p in polys], index, sign, first._stack.moduli_col
+        )
+        return [p._adopt(out) for p, out in zip(polys, outs)]
 
     # -- level management ----------------------------------------------------
 

@@ -207,12 +207,6 @@ KNOWN_DRIFT = {
     "scalarmult+rescale": "6 kernels vs 6, -458,640 B (the closed form charges "
                           "a scalar-encode pass the data plane does not launch) "
                           "-- ROADMAP 4(e)",
-    "hrotate": "21 kernels vs 16, +3,670,016 B (iNTT + NTT around the "
-               "coefficient-domain automorphism of c0 and c1) -- ROADMAP 1(a)",
-    "hconjugate": "21 kernels vs 16, +3,670,016 B (same round trips as "
-                  "hrotate) -- ROADMAP 1(a)",
-    "hoisted-x3": "67 kernels vs 37, +29,097,984 B (per-digit iNTT + NTT "
-                  "around every hoisted automorphism) -- ROADMAP 1(a)/(b)",
     "at_level": "8 kernels vs 6, +393,312 B (two mod-reduce limb copies, one "
                 "scalar-mul per component vs scalarmult + scalar-encode) "
                 "-- ROADMAP 4(e)",

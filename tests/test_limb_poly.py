@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import modmath
 from repro.core.automorphism import (
-    apply_coeff_automorphism,
     conjugation_exponent,
     coeff_automorphism_map,
     rotation_to_exponent,
@@ -132,9 +130,11 @@ class TestAutomorphism:
         rng = np.random.default_rng(3)
         coeffs = [int(v) for v in rng.integers(0, q, N)]
         k = 5
-        transformed = apply_coeff_automorphism(
-            modmath.as_residue_array(np.array(coeffs, dtype=object), q), N, k, q
+        poly = RNSPoly.from_limb_arrays(
+            N, [q], [np.array(coeffs, dtype=np.uint64)], LimbFormat.COEFFICIENT
         )
+        transformed = poly.automorphism(k)
+        assert transformed.fmt is LimbFormat.COEFFICIENT
         expected = [0] * N
         for j, c in enumerate(coeffs):
             idx = (j * k) % (2 * N)
@@ -142,7 +142,7 @@ class TestAutomorphism:
                 expected[idx - N] = (expected[idx - N] - c) % q
             else:
                 expected[idx] = (expected[idx] + c) % q
-        assert [int(x) for x in transformed] == expected
+        assert [int(x) for x in transformed.limb_arrays()[0]] == expected
 
     def test_inverse_automorphism_restores(self):
         poly, _ = random_poly(4)
