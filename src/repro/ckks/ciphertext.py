@@ -244,7 +244,7 @@ class Ciphertext:
                 raise ValueError("batched ciphertexts must share one slot count")
         lengths = fused_lengths(cts)
         batch_size = sum(ct.batch_size for ct in cts)
-        pool = first.c0.stack.buffer.pool
+        pool = first.c0.stack.pool
         component_bytes = sum(ct.c0.footprint_bytes() for ct in cts)
         if not pool.fits(component_bytes, component_bytes):
             raise FusedFootprintError(
@@ -268,8 +268,9 @@ class Ciphertext:
     def split(self) -> list["Ciphertext"]:
         """Return the member ciphertexts as zero-copy views of the batch.
 
-        Views share the fused buffers (no copy, no pool charge); use
-        ``.copy()`` on a member to detach it from the batch's lifetime.
+        Views share the fused buffers (no copy, no pool charge) and keep
+        them alive and charged; use ``.copy()`` on a member to detach it
+        from the batch's lifetime.
         """
         fmt = self.c0.fmt
         return [

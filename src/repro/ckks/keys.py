@@ -148,9 +148,9 @@ class KeyGenerator:
     def sample_uniform_poly(self, moduli: list[int]) -> RNSPoly:
         """Sample a uniformly random polynomial over ``moduli`` (evaluation format).
 
-        The per-limb draws go straight into the flat limb-stack layout (no
-        intermediate per-limb ``Limb`` objects); the draw sequence is
-        unchanged, so key material is reproducible across versions.
+        The per-limb draws go straight into the flat limb-stack layout; the
+        draw sequence is unchanged, so key material is reproducible across
+        versions.
         """
         n = self.context.ring_degree
         rows = [self.rng.integers(0, q, size=n, dtype=np.int64) for q in moduli]

@@ -169,7 +169,7 @@ def decompose_and_mod_up(context: Context, poly: RNSPoly) -> DecomposedPolynomia
             digits_out.append(
                 RNSPoly.from_stack(
                     LimbStack(target_moduli * members, stack,
-                              pool=poly.stack.buffer.pool),
+                              pool=poly.stack.pool),
                     LimbFormat.EVALUATION,
                 )
             )
@@ -340,7 +340,7 @@ def mod_down_many(context: Context, polys: list[RNSPoly]) -> list[RNSPoly]:
             LimbStack(
                 target_moduli * members,
                 out[i * out_rows_each : (i + 1) * out_rows_each],
-                pool=poly.stack.buffer.pool,
+                pool=poly.stack.pool,
             ),
             poly.fmt,
         )
@@ -400,7 +400,7 @@ def apply_key(
                     LimbStack(
                         template.moduli,
                         modmath.stack_dot_mod(list(zip(digits, keys)), col),
-                        pool=template.stack.buffer.pool,
+                        pool=template.stack.pool,
                     ),
                     LimbFormat.EVALUATION,
                 )

@@ -15,14 +15,14 @@ negacyclic polynomials under word-sized prime moduli:
   (:func:`reference_transform`, also the ``>= 2**62`` path).
 * :mod:`repro.core.rns` -- residue number system bases, CRT recombination
   and the fast base conversion of Equation 1.
-* :mod:`repro.core.limb` / :mod:`repro.core.limb_stack` /
-  :mod:`repro.core.rns_poly` -- the ``Limb`` / ``LimbStack`` /
-  ``RNSPoly`` containers of Figure 2.  ``LimbStack`` is the flat
-  ``(L, N)`` storage of §III-D (a ``Limb`` is a zero-copy row view of
-  it); neither computes -- every polynomial operation is an ``RNSPoly``
-  method calling a ``stack_*`` kernel on ``stack.data``.
-* :mod:`repro.core.memory` -- the stream-ordered memory-pool analogue of
-  the ``VectorGPU`` RAII wrapper.
+* :mod:`repro.core.limb_stack` / :mod:`repro.core.rns_poly` -- the
+  ``LimbStack`` / ``RNSPoly`` containers of Figure 2 (``LimbFormat``
+  lives in :mod:`repro.core.limb`).  ``LimbStack`` is the flat ``(L, N)``
+  storage of §III-D -- one array, one pool charge; a limb is a row of
+  it -- and does not compute: every polynomial operation is an
+  ``RNSPoly`` method calling a ``stack_*`` kernel on ``stack.data``.
+* :mod:`repro.core.memory` -- the stream-ordered memory-pool analogue:
+  live/peak byte counters that a ``LimbStack`` charges and credits.
 * :mod:`repro.core.dispatch` / :mod:`repro.core.fusion` -- the execution
   plane: every kernel above reports to the dispatcher, which can record
   a ``KernelTrace``; an executable trace replays (``TraceProgram``) and
@@ -44,7 +44,6 @@ from repro.core.primes import generate_ntt_primes, find_primitive_root
 from repro.core.ntt import StackedNTTEngine, reference_transform, twiddle_tables
 from repro.core.rns import RNSBasis, BaseConverter
 from repro.core.rns_poly import RNSPoly
-from repro.core.limb import Limb, VectorGPU
 from repro.core.limb_stack import LimbStack
 
 __all__ = [
@@ -67,7 +66,5 @@ __all__ = [
     "RNSBasis",
     "BaseConverter",
     "RNSPoly",
-    "Limb",
-    "VectorGPU",
     "LimbStack",
 ]

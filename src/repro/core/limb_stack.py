@@ -1,21 +1,16 @@
 """``LimbStack``: flat ``(num_limbs, N)`` residue storage for one polynomial.
 
-This is the flattened allocation strategy of §III-D: instead of one device
-buffer per limb (stack-of-arrays), all limbs of a polynomial live in a
-single contiguous 2-D array backed by one pool-charged
-:class:`~repro.core.limb.VectorGPU`.  A ``LimbStack`` is storage only --
-constructors, fuse/split, row copies, views and the pool charge.  The
-arithmetic is written once, in :mod:`repro.core.modmath`'s ``stack_*``
-kernels, which :class:`~repro.core.rns_poly.RNSPoly` calls on
-``stack.data`` with the ``(L, 1)`` moduli column ``stack.moduli_col``
-broadcast over the rows (the Python analogue of the batched cross-limb
-kernels of §III-F -- no per-limb Python loop on the hot path).
-
-Per-limb access is a zero-copy view: :meth:`LimbStack.limb_view` hands
-out a :class:`~repro.core.limb.Limb` whose ``data`` is a row view of the
-stack and whose buffer is an unmanaged :class:`~repro.core.limb.VectorGPU`
-window over the flat allocation, so ``poly.limbs[i]`` neither duplicates
-memory nor double-charges the pool.
+This is the flattened allocation strategy of §III-D: all limbs of a
+polynomial live in one contiguous 2-D array, and that array is one charge
+on a :class:`~repro.core.memory.MemoryPool` -- made at the end of
+construction, credited back by :meth:`LimbStack.release` (which ``__del__``
+also calls).  A ``LimbStack`` is storage only -- constructors, fuse/split,
+row copies and that charge.  The arithmetic is written once, in
+:mod:`repro.core.modmath`'s ``stack_*`` kernels, which
+:class:`~repro.core.rns_poly.RNSPoly` calls on ``stack.data`` with the
+``(L, 1)`` moduli column ``stack.moduli_col`` broadcast over the rows (the
+Python analogue of the batched cross-limb kernels of §III-F -- no per-limb
+Python loop on the hot path).  A limb is row ``i`` of ``data``.
 """
 
 from __future__ import annotations
@@ -26,10 +21,11 @@ import numpy as np
 
 from repro.core import modmath
 from repro.core.dispatch import get_dispatcher
-from repro.core.limb import Limb, LimbFormat, VectorGPU
-from repro.core.memory import STRATEGY_FLATTENED, FusedFootprintError, MemoryPool
+from repro.core.memory import FusedFootprintError, MemoryPool, default_pool
 from repro.gpu.kernel import ELEMENT_BYTES
 
+#: The tag every stack charges under (``charge_hook(pool, nbytes, tag)``).
+_TAG = "LimbStack"
 _DISPATCH = get_dispatcher()
 
 
@@ -50,10 +46,11 @@ class LimbStack:
         converted via :func:`repro.core.modmath.coerce_stack`; use
         :meth:`from_rows` to canonicalize arbitrary input.
     pool:
-        Memory pool charged for the single flattened allocation.
+        Memory pool charged for the single flattened allocation (the
+        process-wide ``default_pool`` when omitted).
     """
 
-    __slots__ = ("moduli", "data", "ring_degree", "buffer", "_col")
+    __slots__ = ("moduli", "moduli_col", "data", "ring_degree", "pool", "_charged", "_owner")
 
     def __init__(
         self,
@@ -62,21 +59,32 @@ class LimbStack:
         *,
         pool: MemoryPool | None = None,
     ) -> None:
-        self.moduli = tuple(int(q) for q in moduli)
+        # First, so that ``__del__`` finds a stack whose construction raised
+        # (wrong shape, capacity, a denying ``charge_hook``) uncharged.
+        self._charged = 0
+        moduli = tuple(int(q) for q in moduli)
         data = np.asarray(data)
-        if data.ndim != 2 or data.shape[0] != len(self.moduli):
+        if data.ndim != 2 or data.shape[0] != len(moduli):
             raise ValueError(
-                f"stack data must be ({len(self.moduli)}, N), got {data.shape}"
+                f"stack data must be ({len(moduli)}, N), got {data.shape}"
             )
-        self._col = modmath.moduli_column(self.moduli)
-        self.data = modmath.coerce_stack(data, self._col)
-        self.ring_degree = int(self.data.shape[-1])
-        self.buffer = VectorGPU(
-            len(self.moduli) * self.ring_degree,
-            pool=pool,
-            tag=f"LimbStack[{len(self.moduli)}x{self.ring_degree}]",
-            strategy=STRATEGY_FLATTENED,
+        col = modmath.moduli_column(moduli)
+        self._bind(
+            moduli, col, modmath.coerce_stack(data, col),
+            pool if pool is not None else default_pool, None,
         )
+        nbytes = self.footprint_bytes()
+        self.pool.charge(nbytes, _TAG)
+        self._charged = nbytes
+
+    def _bind(self, moduli, col, data, pool, owner) -> None:
+        """Set the storage fields: the one body ``__init__`` and ``split`` share."""
+        self.moduli = moduli
+        self.moduli_col = col  # the broadcastable (L, 1) moduli column
+        self.data = data
+        self.ring_degree = int(data.shape[-1])
+        self.pool = pool
+        self._owner = owner
 
     # -- constructors --------------------------------------------------------
 
@@ -128,11 +136,10 @@ class LimbStack:
         for stack in stacks[1:]:
             if stack.ring_degree != n:
                 raise ValueError("fused stacks must share one ring degree")
-        target_pool = pool if pool is not None else stacks[0].buffer.pool
-        total_rows = sum(s.num_limbs for s in stacks)
+        target_pool = pool if pool is not None else stacks[0].pool
         fused_moduli = [q for stack in stacks for q in stack.moduli]
         fused_col = modmath.moduli_column(fused_moduli)
-        nbytes = total_rows * n * ELEMENT_BYTES
+        nbytes = len(fused_moduli) * n * ELEMENT_BYTES
         if not target_pool.fits(nbytes):
             rows_each = sorted({s.num_limbs for s in stacks})
             rows_text = (
@@ -153,33 +160,14 @@ class LimbStack:
         _DISPATCH.link(tuple(s.data for s in stacks), fused.data)
         return fused
 
-    @classmethod
-    def _view(cls, moduli: Sequence[int], data: np.ndarray, owner: VectorGPU) -> "LimbStack":
-        """Zero-copy stack over already-canonical rows of a fused buffer.
-
-        The buffer is an unmanaged window into ``owner``'s allocation, so
-        the view charges nothing to the pool and :meth:`release` on it never
-        touches accounting (mirrors :meth:`limb_view`).
-        """
-        stack = object.__new__(cls)
-        stack.moduli = tuple(int(q) for q in moduli)
-        stack._col = modmath.moduli_column(stack.moduli)
-        stack.data = data
-        stack.ring_degree = int(data.shape[-1])
-        stack.buffer = VectorGPU(
-            len(stack.moduli) * stack.ring_degree,
-            pool=owner.pool,
-            managed=False,
-            tag="stack-view",
-        )
-        return stack
-
     def split(self, parts: int) -> list["LimbStack"]:
         """Split a fused stack back into ``parts`` equal zero-copy members.
 
         The inverse of :meth:`fuse`: each returned stack is a row-range view
-        of this stack's flat allocation (no copy, no pool charge).  Views
-        dangle if the fused stack is released; copy them first to detach.
+        of this stack's flat allocation (no copy, no pool charge).  A view
+        keeps the stack it windows alive (NumPy's ``.base`` rule), so the
+        allocation stays charged until its last view is gone or
+        :meth:`release` is called on the owner.
         """
         if parts <= 0:
             raise ValueError("parts must be positive")
@@ -188,21 +176,24 @@ class LimbStack:
                 f"cannot split {self.num_limbs} rows into {parts} equal members"
             )
         rows = self.num_limbs // parts
-        return [
-            LimbStack._view(
-                self.moduli[i * rows : (i + 1) * rows],
-                self.data[i * rows : (i + 1) * rows],
-                self.buffer,
+        views = []
+        for start in range(0, self.num_limbs, rows):
+            moduli = self.moduli[start : start + rows]
+            view = object.__new__(LimbStack)
+            view._charged = 0
+            view._bind(
+                moduli, modmath.moduli_column(moduli),
+                self.data[start : start + rows], self.pool, self,
             )
-            for i in range(parts)
-        ]
+            views.append(view)
+        return views
 
     def copy(self) -> "LimbStack":
-        """Deep copy, charged to the same pool as this stack's buffer."""
+        """Deep copy, charged to the same pool as this stack."""
         data = self.data.copy()
         if _DISPATCH.recording:
             _DISPATCH.copy(reads=(self.data,), writes=(data,))
-        return LimbStack(self.moduli, data, pool=self.buffer.pool)
+        return LimbStack(self.moduli, data, pool=self.pool)
 
     # -- accessors -----------------------------------------------------------
 
@@ -211,38 +202,17 @@ class LimbStack:
         """Number of limb rows currently in the stack."""
         return len(self.moduli)
 
-    @property
-    def moduli_col(self) -> np.ndarray:
-        """The broadcastable ``(L, 1)`` moduli column."""
-        return self._col
-
     def footprint_bytes(self) -> int:
         """Device-memory footprint of the flat allocation."""
-        return self.buffer.nbytes
-
-    def limb_view(self, index: int, fmt: LimbFormat) -> Limb:
-        """Return a zero-copy :class:`Limb` over row ``index``.
-
-        The limb's buffer is an unmanaged window into this stack's flat
-        allocation, so releasing the view never touches pool accounting.
-        """
-        window = VectorGPU(
-            self.ring_degree,
-            pool=self.buffer.pool,
-            managed=False,
-            tag="limb-view",
-        )
-        return Limb.view_of(
-            self.moduli[index], self.data[index], fmt, self.ring_degree, window
-        )
-
-    def rows(self) -> list[np.ndarray]:
-        """Return per-limb residue rows (zero-copy views)."""
-        return [self.data[i] for i in range(self.num_limbs)]
+        return len(self.moduli) * self.ring_degree * ELEMENT_BYTES
 
     def release(self) -> None:
-        """Free the flat buffer (views handed out become dangling)."""
-        self.buffer.free()
+        """Credit the pool charge back, once (a view charged nothing)."""
+        nbytes, self._charged = self._charged, 0
+        if nbytes:
+            self.pool.release(nbytes)
+
+    __del__ = release
 
     # -- row management ------------------------------------------------------
 
@@ -258,17 +228,14 @@ class LimbStack:
                 reads=tuple(self.data[i : i + 1] for i in indices),
                 writes=(data,),
             )
-        return LimbStack(moduli, data, pool=self.buffer.pool)
+        return LimbStack(moduli, data, pool=self.pool)
 
     def head(self, count: int) -> "LimbStack":
         """Return a new stack with copies of the first ``count`` rows."""
         data = self.data[:count].copy()
         if _DISPATCH.recording:
             _DISPATCH.copy(reads=(self.data[:count],), writes=(data,))
-        return LimbStack(self.moduli[:count], data, pool=self.buffer.pool)
-
-    def __len__(self) -> int:
-        return self.num_limbs
+        return LimbStack(self.moduli[:count], data, pool=self.pool)
 
 
 __all__ = ["LimbStack"]

@@ -10,8 +10,8 @@ call of a :mod:`repro.core.modmath` ``stack_*`` kernel (or the stacked NTT
 engine) on ``stack.data``: vectorized broadcast expressions with no
 per-limb Python loop, matching the batched kernels of §III-F.
 
-Per-limb access is a view, not a second arithmetic: ``poly.limbs[i]``
-returns a zero-copy :class:`~repro.core.limb.Limb` over the stack row.
+Per-limb access is a view, not a second arithmetic:
+``poly.limb_arrays()[i]`` is row ``i`` of ``stack.data``, zero-copy.
 (Which device holds which rows is :mod:`repro.cluster`'s model.)
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 from repro.core import modmath
 from repro.core.automorphism import coeff_automorphism_map, eval_automorphism_map
 from repro.core.dispatch import gather_rows, get_dispatcher
-from repro.core.limb import Limb, LimbFormat
+from repro.core.limb import LimbFormat
 from repro.core.limb_stack import LimbStack
 from repro.core.memory import MemoryPool
 from repro.core.ntt import (
@@ -59,8 +59,6 @@ class RNSPoly:
     fmt:
         Representation shared by all limbs (format is tracked per
         polynomial, which is what lets every cross-limb kernel batch).
-    device_id:
-        Device the polynomial is assigned to.
     pool:
         Memory pool charged for the flat allocation.
 
@@ -75,26 +73,21 @@ class RNSPoly:
         moduli: Sequence[int],
         *,
         fmt: LimbFormat = LimbFormat.COEFFICIENT,
-        device_id: int = 0,
         pool: MemoryPool | None = None,
     ) -> None:
         self.ring_degree = ring_degree
         self.moduli = list(int(q) for q in moduli)
-        self.device_id = device_id
         self._fmt = fmt
         self._stack = LimbStack.zeros(ring_degree, self.moduli, pool=pool)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_stack(
-        cls, stack: LimbStack, fmt: LimbFormat, *, device_id: int = 0
-    ) -> "RNSPoly":
+    def from_stack(cls, stack: LimbStack, fmt: LimbFormat) -> "RNSPoly":
         """Adopt an existing limb stack without copying (internal fast path)."""
         poly = object.__new__(cls)
         poly.ring_degree = stack.ring_degree
         poly.moduli = list(stack.moduli)
-        poly.device_id = device_id
         poly._fmt = fmt
         poly._stack = stack
         return poly
@@ -141,7 +134,7 @@ class RNSPoly:
 
     def copy(self) -> "RNSPoly":
         """Return a deep copy (charged to the same memory pool)."""
-        return RNSPoly.from_stack(self._stack.copy(), self._fmt, device_id=self.device_id)
+        return RNSPoly.from_stack(self._stack.copy(), self._fmt)
 
     # -- basic accessors -----------------------------------------------------
 
@@ -149,13 +142,6 @@ class RNSPoly:
     def stack(self) -> LimbStack:
         """The flat ``(num_limbs, N)`` limb-stack storage."""
         return self._stack
-
-    @property
-    def limbs(self) -> list[Limb]:
-        """Zero-copy per-limb views into the stack."""
-        return [
-            self._stack.limb_view(i, self._fmt) for i in range(len(self.moduli))
-        ]
 
     @property
     def level_count(self) -> int:
@@ -206,7 +192,7 @@ class RNSPoly:
         tiled = np.concatenate([data] * members)
         _DISPATCH.link((data,), tiled)
         return self._wrap(
-            LimbStack(self.moduli * members, tiled, pool=self._stack.buffer.pool)
+            LimbStack(self.moduli * members, tiled, pool=self._stack.pool)
         )
 
     def basis(self) -> RNSBasis:
@@ -249,15 +235,11 @@ class RNSPoly:
             raise ValueError(f"limb formats differ: {self._fmt} vs {other._fmt}")
 
     def _wrap(self, stack: LimbStack, fmt: LimbFormat | None = None) -> "RNSPoly":
-        return RNSPoly.from_stack(
-            stack, self._fmt if fmt is None else fmt, device_id=self.device_id
-        )
+        return RNSPoly.from_stack(stack, self._fmt if fmt is None else fmt)
 
     def _adopt(self, data: np.ndarray, fmt: LimbFormat | None = None) -> "RNSPoly":
         """A polynomial over this one's basis and pool holding kernel output ``data``."""
-        return self._wrap(
-            LimbStack(self.moduli, data, pool=self._stack.buffer.pool), fmt
-        )
+        return self._wrap(LimbStack(self.moduli, data, pool=self._stack.pool), fmt)
 
     def add(self, other: "RNSPoly") -> "RNSPoly":
         """Return the element-wise sum (same basis and format required)."""
@@ -566,7 +548,7 @@ class RNSPoly:
                 LimbStack(
                     kept_moduli,
                     out[i * members * keep : (i + 1) * members * keep],
-                    pool=poly._stack.buffer.pool,
+                    pool=poly._stack.pool,
                 )
             )
             for i, poly in enumerate(polys)
@@ -576,7 +558,7 @@ class RNSPoly:
 
     def limb_arrays(self) -> list[np.ndarray]:
         """Return the raw residue arrays of every limb (zero-copy views)."""
-        return self._stack.rows()
+        return list(self._stack.data)
 
     def to_int_coefficients(self, *, centered: bool = True) -> list[int]:
         """CRT-recombine the limbs into signed integer coefficients."""

@@ -12,7 +12,6 @@ kernel-launch overhead and stream overlap.
 * :mod:`repro.gpu.kernel` -- kernel descriptors and their cost model.
 * :mod:`repro.gpu.stream` -- CUDA-stream-style scheduling (launch overhead
   hiding, per-stream serialisation).
-* :mod:`repro.gpu.memory` -- device-memory tracking for the model.
 
 The pieces are combined in exactly one place,
 :meth:`repro.perf.trace_model.TraceCostModel.price` (kernel list →

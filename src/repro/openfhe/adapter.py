@@ -40,7 +40,7 @@ class RawPolynomial:
         fmt = "eval" if poly.fmt is LimbFormat.EVALUATION else "coeff"
         return cls(
             moduli=list(poly.moduli),
-            limbs=[np.array([int(x) for x in limb.data], dtype=object) for limb in poly.limbs],
+            limbs=[np.array([int(x) for x in row], dtype=object) for row in poly.limb_arrays()],
             fmt=fmt,
         )
 

@@ -296,16 +296,16 @@ class TestFuseSplit:
         assert pool.allocation_count == allocations_before + 1
         assert fused.num_limbs == 6
         assert fused.footprint_bytes() == sum(s.footprint_bytes() for s in stacks)
+        bytes_before = pool.bytes_in_use
         members = fused.split(3)
-        # Splitting allocates nothing: members are unmanaged views.
+        # Splitting charges nothing: members are views of the fused array.
         assert pool.allocation_count == allocations_before + 1
+        assert pool.bytes_in_use == bytes_before
         for member, original in zip(members, stacks):
             assert np.array_equal(member.data, original.data)
             assert member.data.base is fused.data  # zero-copy row view
-            assert not member.buffer.managed
-        bytes_before = pool.bytes_in_use
         for member in members:
-            member.release()  # no-op for unmanaged views
+            member.release()  # a view charged nothing, so it credits nothing
         assert pool.bytes_in_use == bytes_before
 
     def test_split_view_sees_fused_writes(self):

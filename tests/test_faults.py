@@ -118,14 +118,15 @@ class TestFaultInjector:
         pool = MemoryPool(capacity_bytes=1 << 20)
         plan = FaultPlan([FaultEvent(0.5, "oom", duration=0.5, min_bytes=100)])
         injector = FaultInjector(plan, clock=clock, pool=pool)
-        assert pool.allocate(512) is not None  # before the window
+        pool.charge(512)  # before the window
+        assert pool.bytes_in_use == 512
         clock.advance(0.6)
         injector.advance(clock.now())
         with pytest.raises(OutOfDeviceMemory, match="injected device OOM"):
-            pool.allocate(512)
-        pool.allocate(64)  # below min_bytes: the window lets it through
+            pool.charge(512)
+        pool.charge(64)  # below min_bytes: the window lets it through
         clock.advance(0.5)  # past the window
-        pool.allocate(512)
+        pool.charge(512)
         assert ("pool-oom", 0.6, 512) in injector.log
         injector.remove_pool_hook()
         assert pool.charge_hook is None
@@ -300,7 +301,7 @@ class TestAdmission:
 
     def test_memory_watermark_sheds(self, session, rng):
         pool = MemoryPool(capacity_bytes=2048)
-        pool.allocate(1536)
+        pool.charge(1536)
         server = Server(
             session, BatchingPolicy(),
             admission=AdmissionPolicy(memory_high_watermark=0.5, pool=pool),

@@ -13,12 +13,6 @@ from repro.cluster import (
     single_device,
 )
 from repro.gpu.kernel import Kernel, KernelCostModel, KernelTiming, transfer_kernel
-from repro.gpu.memory import (
-    ciphertext_bytes,
-    fits_in_shared_cache,
-    hmult_working_set_bytes,
-    key_switching_key_bytes,
-)
 from repro.gpu.platforms import (
     ALL_GPUS,
     ALL_PLATFORMS,
@@ -371,10 +365,19 @@ class TestDevice:
     def test_memory_footprints_match_paper_magnitudes(self):
         params = PARAMETER_SETS["paper-default"]
         # §III-F.1: ciphertext + switching key is on the order of 120 MB.
-        total = ciphertext_bytes(params) + key_switching_key_bytes(params)
+        total = params.ciphertext_bytes() + params.key_switching_key_bytes()
         assert 80e6 < total < 260e6
-        assert hmult_working_set_bytes(params) > total
-        assert not fits_in_shared_cache(GPU_RTX_4090, total)
+        assert total > GPU_RTX_4090.shared_cache_bytes  # HMult spills the L2
+
+    def test_closed_forms_equal_what_the_pool_is_charged(
+        self, toy_params, keys, encryptor
+    ):
+        fresh = encryptor.encrypt_values([0.5, -0.25])
+        assert fresh.footprint_bytes() == toy_params.ciphertext_bytes()
+        assert (
+            keys.relinearization_key.footprint_bytes()
+            == toy_params.key_switching_key_bytes()
+        )
 
 
 @given(bytes_moved=st.floats(min_value=1e3, max_value=1e10),

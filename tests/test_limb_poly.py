@@ -1,4 +1,4 @@
-"""Tests for Limb / RNSPoly containers, automorphisms and the memory pool."""
+"""Tests for the RNSPoly container, automorphisms and the memory pool."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ from repro.core.automorphism import (
     coeff_automorphism_map,
     rotation_to_exponent,
 )
-from repro.core.limb import LimbFormat, VectorGPU
+from repro.core.limb import LimbFormat
+from repro.core.limb_stack import LimbStack
 from repro.core.memory import MemoryPool, OutOfDeviceMemory
 from repro.core.primes import generate_ntt_primes
 from repro.core.rns_poly import RNSPoly
@@ -25,63 +26,64 @@ def random_poly(seed=0, fmt=LimbFormat.COEFFICIENT):
 
 
 class TestMemoryPool:
-    def test_allocation_accounting(self):
+    def test_charge_accounting(self):
         pool = MemoryPool()
-        handle = pool.allocate(1000, tag="test")
+        pool.charge(1000, "test")
         assert pool.bytes_in_use == 1024  # rounded to granularity
-        pool.free(handle)
+        pool.release(1000)
         assert pool.bytes_in_use == 0
-        assert pool.allocation_count == 1 and pool.free_count == 1
+        assert pool.allocation_count == 1
+        assert pool.internal_fragmentation() == 0.0
 
     def test_peak_tracking(self):
         pool = MemoryPool()
-        handles = [pool.allocate(4096) for _ in range(4)]
+        for _ in range(4):
+            pool.charge(4096)
         assert pool.peak_bytes == 4 * 4096
-        for handle in handles:
-            pool.free(handle)
+        for _ in range(4):
+            pool.release(4096)
+        assert pool.bytes_in_use == 0
         assert pool.peak_bytes == 4 * 4096
 
     def test_capacity_enforced(self):
         pool = MemoryPool(capacity_bytes=2048)
-        pool.allocate(1024)
+        pool.charge(1024)
         with pytest.raises(OutOfDeviceMemory):
-            pool.allocate(2048)
+            pool.charge(2048)
+        # A refused charge changes nothing.
+        assert (pool.bytes_in_use, pool.allocation_count) == (1024, 1)
 
-    def test_double_free_rejected(self):
-        pool = MemoryPool()
-        handle = pool.allocate(16)
-        pool.free(handle)
-        with pytest.raises(KeyError):
-            pool.free(handle)
+    def test_counters_are_not_constructor_fields(self):
+        with pytest.raises(TypeError):
+            MemoryPool(bytes_in_use=5)
+        with pytest.raises(TypeError):
+            MemoryPool(charge_hook=print)
 
-    def test_vector_gpu_raii(self):
+    def test_double_release_credits_once(self):
         pool = MemoryPool()
-        vector = VectorGPU(128, pool=pool)
-        assert vector.is_live and pool.bytes_in_use == 1024
-        vector.free()
-        assert not vector.is_live and pool.bytes_in_use == 0
-
-    def test_unmanaged_vector_does_not_allocate(self):
-        pool = MemoryPool()
-        vector = VectorGPU(128, pool=pool, managed=False)
-        assert pool.bytes_in_use == 0
-        vector.free()  # no-op
+        resident = LimbStack.zeros(N, PRIMES, pool=pool)
+        stack = LimbStack.zeros(N, PRIMES, pool=pool)
+        assert pool.bytes_in_use == 2 * resident.footprint_bytes()
+        stack.release()
+        stack.release()
+        del stack  # __del__ is a third release
+        assert pool.bytes_in_use == resident.footprint_bytes()
 
 
 def one_limb_poly(q, seed, fmt=LimbFormat.COEFFICIENT):
-    """A random single-limb polynomial: what a ``Limb`` is a view of."""
+    """A random single-limb polynomial."""
     rng = np.random.default_rng(seed)
     return RNSPoly.from_limb_arrays(N, [q], [rng.integers(0, q, N)], fmt)
 
 
 def limb_values(poly):
-    """Residues of a one-limb polynomial, read through its ``Limb`` view."""
-    (limb,) = poly.limbs
-    return [int(x) for x in limb.data]
+    """Residues of a one-limb polynomial, read through its row view."""
+    (row,) = poly.limb_arrays()
+    return [int(x) for x in row]
 
 
 class TestLimb:
-    """A ``Limb`` is a zero-copy view; arithmetic happens on the polynomial."""
+    """A limb is a row of the stack; arithmetic happens on the polynomial."""
 
     def test_add_sub_roundtrip(self):
         q = PRIMES[0]
@@ -96,8 +98,8 @@ class TestLimb:
     def test_format_conversion_roundtrip(self):
         poly = one_limb_poly(PRIMES[0], 1)
         evaluated = poly.to_evaluation()
-        (limb,) = evaluated.limbs
-        assert limb.fmt is LimbFormat.EVALUATION and len(limb) == N
+        (row,) = evaluated.limb_arrays()
+        assert evaluated.fmt is LimbFormat.EVALUATION and len(row) == N
         assert limb_values(evaluated.to_coefficient()) == limb_values(poly)
 
     def test_add_scalar_eval_vs_coeff_consistent(self):

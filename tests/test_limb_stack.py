@@ -1,26 +1,27 @@
 """Tests for the flat limb-stack data plane and its pool accounting.
 
-Covers the §III-D allocation-strategy comparison (array-per-limb versus
-flattened), zero-copy limb views, exact internal fragmentation, the
-batched modmath kernels against Python-integer arithmetic, and the
-stacked NTT against the exact-integer oracle.
+Covers the §III-D flattened allocation (one array, one pool charge),
+zero-copy limb rows, exact internal fragmentation, the batched modmath
+kernels against Python-integer arithmetic, and the stacked NTT against the
+exact-integer oracle.
 """
 
+import gc
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from repro.bench.reporting import BenchmarkTable
 from repro.core import modmath
-from repro.core.limb import LimbFormat, VectorGPU
+from repro.core.limb import LimbFormat
 from repro.core.limb_stack import LimbStack
 from repro.core.memory import (
-    STRATEGY_ARRAY_PER_LIMB,
-    STRATEGY_FLATTENED,
     FusedFootprintError,
     MemoryPool,
     OutOfDeviceMemory,
+    default_pool,
 )
 from repro.core.ntt import get_stacked_engine, reference_transform
 from repro.core.primes import generate_ntt_primes
@@ -147,11 +148,13 @@ def _random_poly(seed):
 class TestLimbStackStorage:
     def test_limb_views_are_zero_copy(self):
         poly, _ = _random_poly(7)
-        limbs = poly.limbs
-        for i, limb in enumerate(limbs):
-            assert limb.modulus == PRIMES[i]
-            assert np.shares_memory(limb.data, poly.stack.data)
-            assert limb.buffer is not None and not limb.buffer.managed
+        allocations = default_pool.allocation_count
+        rows = poly.limb_arrays()
+        assert len(rows) == len(PRIMES)
+        for i, row in enumerate(rows):
+            assert np.shares_memory(row, poly.stack.data)
+            assert row.tolist() == poly.stack.data[i].tolist()
+        assert default_pool.allocation_count == allocations  # rows charge nothing
 
     @pytest.mark.parametrize(
         "moduli", [PRIMES, BIG_PRIMES], ids=["uint64", "dword"]
@@ -162,13 +165,10 @@ class TestLimbStackStorage:
             N, moduli, [int(v) for v in rng.integers(-50, 50, N)]
         )
         data = poly.stack.data
-        for i, (limb, row, array) in enumerate(
-            zip(poly.limbs, poly.stack.rows(), poly.limb_arrays())
-        ):
-            for view in (limb.data, row, array):
-                assert np.shares_memory(view, data)
-            limb.data[0] = np.uint64(moduli[i] - 1)  # wider than 32 bits on dword
-            assert int(data[i, 0]) == int(row[0]) == moduli[i] - 1
+        for i, row in enumerate(poly.limb_arrays()):
+            assert np.shares_memory(row, data)
+            row[0] = np.uint64(moduli[i] - 1)  # wider than 32 bits on dword
+            assert int(data[i, 0]) == moduli[i] - 1
 
     def test_fused_rescale_matches_single(self):
         a, _ = _random_poly(8)
@@ -196,47 +196,81 @@ class TestLimbStackStorage:
 
 
 class TestPoolAccountingUnderLimbStack:
-    """Satellite: pool accounting for the two §III-D allocation strategies."""
+    """A ``LimbStack`` is one array and one pool charge (§III-D)."""
 
-    def test_flattened_vs_array_per_limb_footprints(self):
+    def test_flat_footprint_rounds_once(self):
         # A limb size that granularity rounding actually penalizes.
-        ring_degree = 72  # 576 bytes/limb -> rounds to 1024 per limb
-        pool_stack = MemoryPool(granularity=1024)
-        limbs = [VectorGPU(ring_degree, pool=pool_stack) for _ in PRIMES]
-        pool_flat = MemoryPool(granularity=1024)
-        flat = LimbStack.zeros(ring_degree, PRIMES, pool=pool_flat)
-        # Three per-limb buffers round up three times (3 x 1024); the flat
-        # 1728-byte buffer rounds once (2048).
-        assert pool_stack.bytes_in_use == 3 * 1024
-        assert pool_flat.bytes_in_use == 2048
-        assert pool_flat.internal_fragmentation() < pool_stack.internal_fragmentation()
-        assert pool_flat.internal_fragmentation() == pytest.approx(320 / 2048)
-        assert pool_stack.internal_fragmentation() == pytest.approx(1344 / 3072)
-        assert pool_flat.bytes_by_strategy() == {STRATEGY_FLATTENED: 2048}
-        assert set(pool_stack.bytes_by_strategy()) == {STRATEGY_ARRAY_PER_LIMB}
-        del limbs, flat  # keep the RAII buffers alive until the asserts ran
+        ring_degree = 72  # 576 bytes/limb: per-limb buffers would round to 3 x 1024
+        pool = MemoryPool(granularity=1024)
+        flat = LimbStack.zeros(ring_degree, PRIMES, pool=pool)
+        # The flat 1728-byte buffer rounds once (2048).
+        assert flat.footprint_bytes() == 1728
+        assert pool.bytes_in_use == 2048
+        assert pool.allocation_count == 1
+        assert pool.internal_fragmentation() == pytest.approx(320 / 2048)
 
     def test_exact_internal_fragmentation(self):
         pool = MemoryPool(granularity=256)
-        pool.allocate(1000)
+        pool.charge(1000)
         assert pool.bytes_in_use == 1024
         assert pool.internal_fragmentation() == pytest.approx(24 / 1024)
-        by_strategy = pool.fragmentation_by_strategy()
-        assert by_strategy[STRATEGY_ARRAY_PER_LIMB] == pytest.approx(24 / 1024)
+        pool.charge(256)  # an exact multiple wastes nothing more
+        assert pool.internal_fragmentation() == pytest.approx(24 / 1280)
+        pool.release(1000)
+        assert pool.internal_fragmentation() == 0.0
 
-    def test_view_backed_limbs_release_leak_free(self):
+    def test_release_is_leak_free(self):
         pool = MemoryPool()
         stack = LimbStack.zeros(N, PRIMES, pool=pool)
         charged = pool.bytes_in_use
         assert charged == stack.footprint_bytes()  # one flat allocation
-        views = [stack.limb_view(i, LimbFormat.COEFFICIENT) for i in range(3)]
-        assert pool.bytes_in_use == charged  # views charge nothing
-        for view in views:
-            view.release()
-        assert pool.bytes_in_use == charged  # releasing views frees nothing
+        rows = RNSPoly.from_stack(stack, LimbFormat.COEFFICIENT).limb_arrays()
+        assert pool.bytes_in_use == charged  # row views charge nothing
+        del rows
+        assert pool.bytes_in_use == charged  # dropping views frees nothing
         stack.release()
         assert pool.bytes_in_use == 0
-        assert pool.allocation_count == pool.free_count == 1
+        assert pool.allocation_count == 1
+
+    def test_garbage_collected_stack_is_credited(self):
+        pool = MemoryPool()
+        stack = LimbStack.zeros(N, PRIMES, pool=pool)
+        assert pool.bytes_in_use == stack.footprint_bytes()
+        del stack
+        gc.collect()
+        assert pool.bytes_in_use == 0
+
+    def test_split_view_pins_its_owner_charge(self):
+        # A served fused drain: the split responses outlive the fused result.
+        pool = MemoryPool()
+        a = LimbStack.zeros(N, PRIMES, pool=pool)
+        b = LimbStack.zeros(N, PRIMES, pool=pool)
+        fused = LimbStack.fuse([a, b])
+        fused_bytes = fused.footprint_bytes()
+        members = fused.split(2)
+        del a, b
+        assert pool.bytes_in_use == fused_bytes
+        del fused
+        gc.collect()
+        # members[i].data.base still holds every byte of the fused buffer.
+        assert pool.bytes_in_use == fused_bytes
+        del members[0]
+        assert pool.bytes_in_use == fused_bytes  # the last view still pins it
+        del members
+        gc.collect()
+        assert pool.bytes_in_use == 0
+
+    def test_explicit_owner_release_credits_at_once(self):
+        pool = MemoryPool()
+        fused = LimbStack.fuse(
+            [LimbStack.zeros(N, PRIMES[:1], pool=pool) for _ in range(2)]
+        )
+        members = fused.split(2)
+        fused.release()
+        assert pool.bytes_in_use == 0
+        del fused, members  # the finalizers credit nothing twice
+        gc.collect()
+        assert pool.bytes_in_use == 0
 
     def test_out_of_device_memory_on_capacity_bound_pool(self):
         pool = MemoryPool(capacity_bytes=2 * N * 8)
@@ -246,6 +280,30 @@ class TestPoolAccountingUnderLimbStack:
         resident.release()
         extra = LimbStack.zeros(N, PRIMES[2:], pool=pool)  # fits after release
         assert extra.footprint_bytes() == N * 8
+
+    @pytest.mark.parametrize("failure", ["shape", "capacity", "hook"])
+    def test_failed_construction_charges_nothing(self, failure, monkeypatch):
+        pool = MemoryPool(capacity_bytes=2 * N * 8)
+        resident = LimbStack.zeros(N, PRIMES[:1], pool=pool)
+        before = (pool.bytes_in_use, pool.allocation_count)
+        moduli, data, error = PRIMES[1:2], np.zeros((1, N), np.uint64), OutOfDeviceMemory
+        if failure == "shape":
+            data, error = np.zeros(N, np.uint64), ValueError  # 1-D: not a stack
+        elif failure == "capacity":
+            moduli, data = PRIMES[1:], np.zeros((2, N), np.uint64)
+        else:
+            def deny(pool, nbytes, tag):
+                raise OutOfDeviceMemory(f"denied {nbytes} bytes ({tag})")
+
+            pool.charge_hook = deny
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with pytest.raises(error):
+            LimbStack(moduli, data, pool=pool)
+        gc.collect()  # finalize the half-built stack
+        assert (pool.bytes_in_use, pool.allocation_count) == before
+        assert not unraisable  # __del__ of the half-built stack stayed silent
+        del resident
 
     def test_fuse_over_budget_raises_descriptive_footprint_error(self):
         # Room for the two members but not for the fused (B*L, N) buffer.
@@ -274,16 +332,16 @@ class TestPoolAccountingUnderLimbStack:
         fused = LimbStack.fuse(stacks, pool=pool)  # 2 + 2 rows == capacity
         assert fused.num_limbs == 2
 
-    def test_limb_copy_stays_pool_charged(self):
-        # A limb is a view, so limbs are copied with their polynomial: the
-        # copy's views window a fresh buffer charged to the same pool.
+    def test_poly_copy_stays_pool_charged(self):
+        # Limbs are rows, so they are copied with their polynomial: the
+        # copy's rows window a fresh array charged to the same pool.
         pool = MemoryPool()
         poly = RNSPoly(N, PRIMES, pool=pool)
         baseline = pool.bytes_in_use
         clone = poly.copy()
-        for limb, original in zip(clone.limbs, poly.limbs):
-            assert limb.buffer.pool is pool and not limb.buffer.managed
-            assert not np.shares_memory(limb.data, original.data)
+        assert clone.stack.pool is pool
+        for row, original in zip(clone.limb_arrays(), poly.limb_arrays()):
+            assert not np.shares_memory(row, original)
         assert pool.bytes_in_use == 2 * baseline
         clone.stack.release()
         assert pool.bytes_in_use == baseline
@@ -297,11 +355,43 @@ class TestPoolAccountingUnderLimbStack:
         clone.release()
         assert pool.bytes_in_use == baseline
 
-    def test_unmanaged_vector_still_free(self):
-        pool = MemoryPool()
-        vector = VectorGPU(128, pool=pool, managed=False)
-        assert pool.bytes_in_use == 0
-        vector.free()  # no-op
+
+def test_default_pool_accounting_is_the_parents():
+    """What a fixed program charges ``default_pool`` equals the handle layer's.
+
+    The constants were read off the parent commit 14f4f1e (``VectorGPU`` +
+    ``AllocationRecord`` accounting) by running this same program there.
+    """
+    from repro.api import CKKSSession
+    from repro.ckks.ciphertext import Ciphertext
+    from repro.ckks.params import CKKSParameters
+
+    session = CKKSSession.create(
+        CKKSParameters(ring_degree=1 << 8, mult_depth=4, scale_bits=22, dnum=2,
+                       first_mod_bits=26),
+        seed=7, rotations=[1], register_default=False,
+    )
+    rng = np.random.default_rng(5)
+    rows = [rng.uniform(-1, 1, 8) for _ in range(5)]
+    backend = session.backend
+    gc.collect()
+    allocations = default_pool.allocation_count
+    default_pool.reset_peak()
+    baseline = default_pool.bytes_in_use
+    x = backend.encrypt(rows[0])
+    y = backend.encrypt(rows[1])
+    product = backend.multiply(x, y)  # hmult + rescale
+    rotated = backend.rotate(x, 1)
+    fused = Ciphertext.fuse([backend.encrypt(row) for row in rows[2:]])
+    members = backend.multiply(fused, fused).split()
+    assert len(members) == 3
+    del x, y, product, rotated, fused, members
+    gc.collect()
+    assert (
+        default_pool.allocation_count - allocations,
+        default_pool.peak_bytes - baseline,
+        default_pool.bytes_in_use - baseline,
+    ) == (112, 489472, 0)
 
 
 class TestBenchmarkTableJson:
@@ -435,7 +525,6 @@ class TestDwordEndToEnd:
     def test_59_bit_context_reports_dword_backend(self):
         context, product = self._run_hmult_rescale()
         assert context.numeric_backend == modmath.BACKEND_DWORD
-        assert product.c0.stack.buffer.element_bytes == 8
         assert product.c0.footprint_bytes() == (
             2 * product.c0.ring_degree * 8
         )

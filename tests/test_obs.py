@@ -444,9 +444,9 @@ class TestPoolAndDisabled:
         pool = MemoryPool()
         obs = Observability()
         obs.watch_pool(pool, name="test")
-        a = pool.allocate(1000)
-        pool.allocate(500)
-        pool.free(a)
+        pool.charge(1000)
+        pool.charge(500)
+        pool.release(1000)
         assert obs.registry.value(
             "memory_pool_peak_bytes", pool="test"
         ) == pool.peak_bytes
