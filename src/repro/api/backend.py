@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.ckks.ciphertext import (
     Plaintext,
-    adjust_is_copy,
+    adjust_is_noop,
     check_dot_operands,
     check_fusable,
     check_plain_scale,
@@ -312,11 +312,12 @@ class CostModelBackend:
                  target_scale: float | None = None) -> SymbolicCiphertext:
         if target_scale is None:
             target_scale = self._scale_at(target_level)
-        if adjust_is_copy(a, target_level, target_scale):
+        if adjust_is_noop(a, target_level, target_scale):
             return a.copy()
-        reduced = replace(a, limb_count=target_level + 2)
-        self._emit(reduced, self.costs.scalar_mult, reduced.limb_count)
-        return replace(self.rescale(reduced), scale=float(target_scale))
+        with self._scope(a, "at_level"):
+            reduced = replace(a, limb_count=target_level + 2)
+            self._emit(reduced, self.costs.scalar_mult, reduced.limb_count)
+            return replace(self.rescale(reduced), scale=float(target_scale))
 
     # -- plaintext scales (the ladder-restoring scale, on this ladder) ---------
 
@@ -339,7 +340,8 @@ class CostModelBackend:
     sub = add  # HSub launches HAdd's kernels in HAdd's scope
 
     def negate(self, a: SymbolicCiphertext) -> SymbolicCiphertext:
-        self._emit(a, self.costs.negate, a.limb_count)
+        with self._scope(a, "negate"):
+            self._emit(a, self.costs.negate, a.limb_count)
         return a.copy()
 
     def add_plain(self, a: SymbolicCiphertext, values) -> SymbolicCiphertext:

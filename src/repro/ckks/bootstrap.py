@@ -48,7 +48,7 @@ from repro.ckks.linear_transform import (
     coeff_to_slot_matrix,
     slot_to_coeff_matrix,
 )
-from repro.core.limb import LimbFormat
+from repro.core.dispatch import get_dispatcher
 from repro.core.rns_poly import RNSPoly
 
 
@@ -128,13 +128,14 @@ class Bootstrapper:
         moduli = self.context.moduli
 
         def raise_poly(poly: RNSPoly) -> RNSPoly:
+            # Server work: transformed explicitly, so the NTT is recorded.
             coefficients = poly.to_int_coefficients(centered=True)
             return RNSPoly.from_int_coefficients(
-                self.context.ring_degree, moduli, coefficients,
-                fmt=LimbFormat.EVALUATION,
-            )
+                self.context.ring_degree, moduli, coefficients
+            ).to_evaluation()
 
-        return ct.with_polys(raise_poly(ct.c0), raise_poly(ct.c1))
+        with get_dispatcher().scope("modraise"):
+            return ct.with_polys(raise_poly(ct.c0), raise_poly(ct.c1))
 
     def coeff_to_slot(self, ct: Ciphertext) -> tuple[Ciphertext, Ciphertext]:
         """Return ciphertexts whose slots are the lower/upper coefficients of ``t``.

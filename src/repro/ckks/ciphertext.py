@@ -12,6 +12,16 @@ are laid member-major into ``(B·L, N)`` component buffers, so every
 cross-limb kernel of the evaluator launches once per operation for the
 whole batch -- the §III-F.1 launch-overhead lever applied across requests
 rather than across limbs.
+
+**Polynomials are immutable once built.**  Nothing writes into the residue
+stack of a polynomial a :class:`Plaintext` or :class:`Ciphertext` holds:
+an operation builds new polynomials for what it changes and *shares* what
+it does not.  That is what lets the evaluator return ``ct.c1`` itself from
+a ``ScalarAdd``, read a plaintext or a switching key where it lies, drop
+limbs with a row window, and answer a no-op with a new handle over the same
+polynomials (``ct.with_polys(ct.c0, ct.c1)``).  Metadata (``scale``,
+``noise_bits``, ``encoded_length``) is per handle and freely assignable;
+code that must write residues copies the polynomial first.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ def check_same_batch(a, b) -> None:
         )
 
 
-def adjust_is_copy(handle, target_level: int, target_scale: float) -> bool:
+def adjust_is_noop(handle, target_level: int, target_scale: float) -> bool:
     """The ``adjust`` pre-check: True when ``handle`` already sits at the
     target; raises when it is unreachable (a higher level, or the same
     level at a different scale)."""
@@ -164,7 +174,8 @@ def fused_lengths(handles: Sequence):
 
 @dataclass
 class Plaintext:
-    """An encoded (unencrypted) CKKS message."""
+    """An encoded (unencrypted) CKKS message; ``poly`` is immutable once
+    built (module docstring), so operations read it in place."""
 
     poly: RNSPoly
     scale: float
@@ -181,14 +192,6 @@ class Plaintext:
         """Remaining multiplicative depth (limb count minus one)."""
         return self.limb_count - 1
 
-    def copy(self) -> "Plaintext":
-        """Return a deep copy."""
-        return Plaintext(self.poly.copy(), self.scale, self.slots, self.encoded_length)
-
-    def to_evaluation(self) -> "Plaintext":
-        """Return the plaintext with its polynomial in evaluation format."""
-        return Plaintext(self.poly.to_evaluation(), self.scale, self.slots, self.encoded_length)
-
 
 @dataclass
 class Ciphertext:
@@ -198,6 +201,8 @@ class Ciphertext:
     member-major (see :meth:`fuse`); all members share one level, scale and
     format -- the invariants that let every kernel batch.  A fused
     ciphertext carries one ``encoded_length`` per member as a tuple.
+    ``c0``/``c1`` are immutable once built (module docstring): two
+    ciphertexts may share a component, or both.
     """
 
     c0: RNSPoly
@@ -269,8 +274,7 @@ class Ciphertext:
         """Return the member ciphertexts as zero-copy views of the batch.
 
         Views share the fused buffers (no copy, no pool charge) and keep
-        them alive and charged; use ``.copy()`` on a member to detach it
-        from the batch's lifetime.
+        them alive and charged.
         """
         fmt = self.c0.fmt
         return [
@@ -330,28 +334,6 @@ class Ciphertext:
 
     # -- structural helpers ---------------------------------------------------
 
-    def copy(self) -> "Ciphertext":
-        """Return a deep copy."""
-        return Ciphertext(
-            self.c0.copy(),
-            self.c1.copy(),
-            self.scale,
-            self.slots,
-            self.noise_bits,
-            self.encoded_length,
-        )
-
-    def map_polys(self, fn) -> "Ciphertext":
-        """Return a ciphertext with ``fn`` applied to both components."""
-        return Ciphertext(
-            fn(self.c0),
-            fn(self.c1),
-            self.scale,
-            self.slots,
-            self.noise_bits,
-            self.encoded_length,
-        )
-
     def with_polys(self, c0: RNSPoly, c1: RNSPoly, *, scale: float | None = None,
                    noise_bits: float | None = None) -> "Ciphertext":
         """Return a ciphertext reusing this one's metadata with new polynomials."""
@@ -370,7 +352,7 @@ __all__ = [
     "Ciphertext",
     "scales_match",
     "check_same_batch",
-    "adjust_is_copy",
+    "adjust_is_noop",
     "match_for_sum",
     "match_for_product",
     "check_plain_scale",

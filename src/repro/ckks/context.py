@@ -117,7 +117,6 @@ class Context:
         # --- caches -----------------------------------------------------------
         self._modup_converters: dict[tuple[int, int], BaseConverter] = {}
         self._moddown_converters: dict[int, BaseConverter] = {}
-        self._raise_converters: dict[int, BaseConverter] = {}
         #: ``(id(key), digit, limb_count, B) -> (key, b_tiled, a_tiled)``.
         #: The entry holds the key object itself, so the ``id`` cannot be
         #: recycled by another key while the entry is alive.
@@ -215,31 +214,25 @@ class Context:
                          members: int) -> tuple[np.ndarray, np.ndarray]:
         """Digit ``digit_index`` of a key-switching key as the key multiply reads it.
 
-        Returns the ``(b_j, a_j)`` residue stacks restricted to the limbs
-        active at ``limb_count`` plus ``P`` (the key polynomials as-is at
-        the top level -- the multiply never mutates its operands), repeated
-        member-major for a fused operand.  Tiled stacks are cached: keys are
-        shared by every request, so the tiling cost is paid once per batch
-        shape.
+        For a plain operand, the key's own ``(b_j, a_j)`` residue stacks
+        over the full extended basis: below the top level the multiply
+        reads the active rows where they lie (:meth:`key_row_windows`), so
+        nothing is gathered or cached.  For a fused operand, the active
+        rows repeated member-major; tiled stacks are cached, since keys are
+        shared by every request and the tiling is paid once per batch shape.
         """
-        b_j, a_j = key.digits[digit_index]
-        cache_key = (id(key), digit_index, limb_count, members)
-        if members > 1:
-            entry = self._tiled_keys.get(cache_key)
-            if entry is not None:
-                self._tiled_keys.move_to_end(cache_key)
-                return entry[1], entry[2]
-        if limb_count + len(self.special_moduli) != b_j.level_count:
-            active = list(range(limb_count)) + list(
-                range(len(self.moduli), len(self.extended_moduli))
-            )
-            b_j = b_j.select_limbs(active)
-            a_j = a_j.select_limbs(active)
+        stacks = tuple(poly.stack.data for poly in key.digits[digit_index])
         if members == 1:
-            return b_j.stack.data, a_j.stack.data
+            return stacks
+        cache_key = (id(key), digit_index, limb_count, members)
+        entry = self._tiled_keys.get(cache_key)
+        if entry is not None:
+            self._tiled_keys.move_to_end(cache_key)
+            return entry[1], entry[2]
+        windows = self.key_row_windows(limb_count, 1)
         tiled = tuple(
-            np.concatenate([data] * members)
-            for data in (b_j.stack.data, a_j.stack.data)
+            np.concatenate([data[rows] for _, rows in windows] * members)
+            for data in stacks
         )
         self._tiled_keys[cache_key] = (key, *tiled)
         total = sum(b.nbytes + a.nbytes for _, b, a in self._tiled_keys.values())
@@ -247,6 +240,19 @@ class Context:
             _, (_, old_b, old_a) = self._tiled_keys.popitem(last=False)
             total -= old_b.nbytes + old_a.nbytes
         return tiled
+
+    def key_row_windows(self, limb_count: int, members: int) -> list[tuple[slice, slice]]:
+        """``(digit rows, key rows)`` pairs lining an extended digit up with
+        the stacks :meth:`key_digit_stacks` returns: one window when they
+        match row for row (the top level, a tiled fused key), else the two
+        active ranges of the full key -- ``limb_count`` rows and ``P``."""
+        total, special = len(self.moduli), len(self.special_moduli)
+        if members > 1 or limb_count == total:
+            return [(slice(None), slice(None))]
+        return [
+            (slice(0, limb_count), slice(0, limb_count)),
+            (slice(limb_count, limb_count + special), slice(total, total + special)),
+        ]
 
     def moddown_converter(self, limb_count: int) -> BaseConverter:
         """Converter from the special basis ``P`` to the active ciphertext basis."""
@@ -256,16 +262,6 @@ class Context:
                 self.p_basis, RNSBasis(self.moduli[:limb_count])
             )
             self._moddown_converters[limb_count] = converter
-        return converter
-
-    def raise_converter(self, source_limbs: int = 1) -> BaseConverter:
-        """Converter used by bootstrapping's ModRaise (q_0 basis to the rest)."""
-        converter = self._raise_converters.get(source_limbs)
-        if converter is None:
-            source = RNSBasis(self.moduli[:source_limbs])
-            target = RNSBasis(self.moduli[source_limbs:])
-            converter = BaseConverter(source, target)
-            self._raise_converters[source_limbs] = converter
         return converter
 
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import Sequence
 from repro.ckks.ciphertext import (
     Ciphertext,
     Plaintext,
-    adjust_is_copy,
+    adjust_is_noop,
     check_dot_operands,
     check_plain_scale,
     check_scalar_rescale,
@@ -52,12 +52,11 @@ from repro.core.automorphism import conjugation_exponent, rotation_to_exponent
 from repro.core.dispatch import get_dispatcher
 from repro.core.limb import LimbFormat
 from repro.core.rns_poly import RNSPoly
-from repro.gpu.kernel import MODADD_OPS, MODMUL_OPS
 
 #: Execution-plane dispatcher: the evaluator tags operation scopes so a
 #: recorded trace segments into hmult/modup/moddown/rescale regions, and
-#: emits the fused kernels (tensor product, relinearisation add) at the
-#: granularity FIDESlib launches them.
+#: groups the kernels of one site (both components, the tensor product)
+#: into the one launch FIDESlib makes of them (``Dispatcher.launch``).
 _DISPATCH = get_dispatcher()
 
 
@@ -84,6 +83,12 @@ class Evaluator:
         if ct.batch_size > 1:
             name = f"batch{ct.batch_size}/{name}"
         return _DISPATCH.scope(name)
+
+    @staticmethod
+    def _on_both(ct: Ciphertext, tag: str, fn, *, scale: float | None = None) -> Ciphertext:
+        """Apply ``fn`` to both components in one launch."""
+        with _DISPATCH.launch(tag):
+            return ct.with_polys(fn(ct.c0), fn(ct.c1), scale=scale)
 
     # ------------------------------------------------------------------
     # ciphertext sources, fuse / split
@@ -132,8 +137,6 @@ class Evaluator:
         """Drop limbs without rescaling (message and scale unchanged)."""
         if limb_count > ct.limb_count:
             raise ValueError("cannot mod-reduce to a larger limb count")
-        if limb_count == ct.limb_count:
-            return ct.copy()
         return ct.with_polys(
             ct.c0.keep_limbs(limb_count),
             ct.c1.keep_limbs(limb_count),
@@ -149,18 +152,19 @@ class Evaluator:
         """
         if target_scale is None:
             target_scale = self.context.scale_at(target_level)
-        if adjust_is_copy(ct, target_level, target_scale):
-            return ct.copy()
-        reduced = self.mod_reduce(ct, target_level + 2)
-        q = reduced.moduli[-1]
-        weight = max(1, int(round(q * target_scale / reduced.scale)))
-        adjusted = reduced.with_polys(
-            reduced.c0.multiply_scalar(weight),
-            reduced.c1.multiply_scalar(weight),
-            scale=reduced.scale * weight,
-        )
-        rescaled = self.rescale(adjusted)
-        return rescaled.with_polys(rescaled.c0, rescaled.c1, scale=target_scale)
+        if adjust_is_noop(ct, target_level, target_scale):
+            return ct.with_polys(ct.c0, ct.c1)
+        with self._scope(ct, "at_level"):
+            reduced = self.mod_reduce(ct, target_level + 2)
+            q = reduced.moduli[-1]
+            weight = max(1, int(round(q * target_scale / reduced.scale)))
+            adjusted = self._on_both(
+                reduced, "scalarmult", lambda c: c.multiply_scalar(weight),
+                scale=reduced.scale * weight,
+            )
+            rescaled = self.rescale(adjusted)
+        rescaled.scale = target_scale
+        return rescaled
 
     #: The backend protocol's name (it passes no scale: the ladder's applies).
     at_level = adjust
@@ -171,19 +175,22 @@ class Evaluator:
 
     def add(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         """Homomorphic ciphertext addition (``HAdd``)."""
-        with self._scope(ct1, "hadd"):
-            a, b = match_for_sum(ct1, ct2, self.adjust)
-            return a.with_polys(a.c0.add(b.c0), a.c1.add(b.c1))
+        return self._sum(ct1, ct2, "hadd", RNSPoly.add)
 
     def sub(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         """Homomorphic ciphertext subtraction."""
+        return self._sum(ct1, ct2, "hsub", RNSPoly.sub)
+
+    def _sum(self, ct1: Ciphertext, ct2: Ciphertext, tag: str, op) -> Ciphertext:
         with self._scope(ct1, "hadd"):
             a, b = match_for_sum(ct1, ct2, self.adjust)
-            return a.with_polys(a.c0.sub(b.c0), a.c1.sub(b.c1))
+            with _DISPATCH.launch(tag):
+                return a.with_polys(op(a.c0, b.c0), op(a.c1, b.c1))
 
     def negate(self, ct: Ciphertext) -> Ciphertext:
         """Homomorphic negation."""
-        return ct.with_polys(ct.c0.negate(), ct.c1.negate())
+        with self._scope(ct, "negate"):
+            return self._on_both(ct, "negate", RNSPoly.negate)
 
     def _as_plaintext(self, ct: Ciphertext, values, *, for_multiplication: bool) -> Plaintext:
         """A plaintext operand as given, or raw values encoded to suit ``ct``."""
@@ -193,27 +200,27 @@ class Evaluator:
 
     def add_plain(self, ct: Ciphertext, values) -> Ciphertext:
         """Plaintext addition (``PtAdd``) of a :class:`Plaintext` or raw values."""
-        pt = self._as_plaintext(ct, values, for_multiplication=False)
-        check_plain_scale(ct, pt.scale)
-        with self._scope(ct, "ptadd"):
-            poly = self._plain_operand(ct, pt)
-            return ct.with_polys(ct.c0.add(poly), ct.c1.copy())
+        return self._plain_sum(ct, values, RNSPoly.add)
 
     def sub_plain(self, ct: Ciphertext, values) -> Ciphertext:
         """Plaintext subtraction of a :class:`Plaintext` or raw values."""
+        return self._plain_sum(ct, values, RNSPoly.sub)
+
+    def _plain_sum(self, ct: Ciphertext, values, op) -> Ciphertext:
         pt = self._as_plaintext(ct, values, for_multiplication=False)
         check_plain_scale(ct, pt.scale)
         with self._scope(ct, "ptadd"):
-            poly = self._plain_operand(ct, pt)
-            return ct.with_polys(ct.c0.sub(poly), ct.c1.copy())
+            # Only c0 changes: c1 is the operand's own (immutable) polynomial.
+            return ct.with_polys(op(ct.c0, self._plain_operand(ct, pt)), ct.c1)
 
     @staticmethod
     def _plain_operand(ct: Ciphertext, pt: Plaintext) -> RNSPoly:
         """Restrict a plaintext to the ciphertext basis, in evaluation format.
 
-        Limbs are dropped before the format conversion so the stacked NTT
-        only transforms the rows that survive (per-limb transforms are
-        independent, so the order does not change any residue).
+        Limbs are dropped (a window, not a copy) before the format
+        conversion so the stacked NTT only transforms the rows that survive;
+        a plaintext already over the ciphertext's basis in evaluation format
+        (a cached diagonal, a fresh encoding) is used as it is.
         """
         poly = pt.poly.keep_limbs(ct.limb_count)
         if poly.fmt is not LimbFormat.EVALUATION:
@@ -225,7 +232,7 @@ class Evaluator:
         """Constant addition (``ScalarAdd``): adds ``value`` to every slot."""
         integer = int(round(float(value) * ct.scale))
         with self._scope(ct, "scalaradd"):
-            return ct.with_polys(ct.c0.add_scalar(integer), ct.c1.copy())
+            return ct.with_polys(ct.c0.add_scalar(integer), ct.c1)
 
     def sub_scalar(self, ct: Ciphertext, value: float) -> Ciphertext:
         """Constant subtraction."""
@@ -240,10 +247,8 @@ class Evaluator:
         pt = self._as_plaintext(ct, values, for_multiplication=True)
         with self._scope(ct, "ptmult"):
             poly = self._plain_operand(ct, pt)
-            result = ct.with_polys(
-                ct.c0.multiply(poly),
-                ct.c1.multiply(poly),
-                scale=ct.scale * pt.scale,
+            result = self._on_both(
+                ct, "ptmult", lambda c: c.multiply(poly), scale=ct.scale * pt.scale
             )
             return self.rescale(result) if rescale else result
 
@@ -264,25 +269,21 @@ class Evaluator:
                 scalar_scale = self.context.scale
         integer = int(round(float(value) * scalar_scale))
         with self._scope(ct, "scalarmult"):
-            result = ct.with_polys(
-                ct.c0.multiply_scalar(integer),
-                ct.c1.multiply_scalar(integer),
+            result = self._on_both(
+                ct, "scalarmult", lambda c: c.multiply_scalar(integer),
                 scale=ct.scale * scalar_scale,
             )
             if rescale:
                 result = self.rescale(result)
-                result = result.with_polys(
-                    result.c0, result.c1,
-                    scale=self.context.scale_at(ct.level - 1) * 1.0,
-                )
+                result.scale = self.context.scale_at(ct.level - 1) * 1.0
         return result
 
     def multiply_scalar_int(self, ct: Ciphertext, value: int) -> Ciphertext:
         """Multiply by a small integer without changing the scale."""
-        return ct.with_polys(
-            ct.c0.multiply_scalar(int(value)),
-            ct.c1.multiply_scalar(int(value)),
-        )
+        with self._scope(ct, "scalarmult"):
+            return self._on_both(
+                ct, "scalarmult", lambda c: c.multiply_scalar(int(value))
+            )
 
     def multiply(self, ct1: Ciphertext, ct2: Ciphertext, *, rescale: bool = True,
                  relinearize: bool = True) -> Ciphertext:
@@ -290,31 +291,13 @@ class Evaluator:
         with self._scope(ct1, "hmult"):
             a, b = match_for_product(ct1, ct2, self.adjust)
             # The GPU launches the whole tensor product as one fused kernel
-            # (4 products + 2 additions per element); record it that way.
-            with _DISPATCH.suppressed():
+            # (4 products + 2 additions per element).
+            with _DISPATCH.launch("tensor"):
                 d0 = a.c0.multiply(b.c0)
                 # Dot-product fusion (§III-F.5): one wide accumulation for the
                 # cross term instead of two reduced products plus a reduced add.
                 d1 = RNSPoly.multiply_accumulate([(a.c0, b.c1), (a.c1, b.c0)])
                 d2 = a.c1.multiply(b.c1)
-            if _DISPATCH.recording:
-
-                def replay(reads, writes, _col=a.c0.stack.moduli_col):
-                    ac0, ac1, bc0, bc1 = reads
-                    modmath.stack_mul_mod(ac0, bc0, _col, out=writes[0])
-                    modmath.stack_dot_mod(
-                        [(ac0, bc1), (ac1, bc0)], _col, out=writes[1]
-                    )
-                    modmath.stack_mul_mod(ac1, bc1, _col, out=writes[2])
-
-                _DISPATCH.elementwise(
-                    "tensor",
-                    reads=(a.c0.stack.data, a.c1.stack.data,
-                           b.c0.stack.data, b.c1.stack.data),
-                    writes=(d0.stack.data, d1.stack.data, d2.stack.data),
-                    ops_per_element=4.0 * MODMUL_OPS + 2.0 * MODADD_OPS,
-                    replay=replay,
-                )
             result = self._relinearize(a, d0, d1, d2, a.scale * b.scale) if relinearize else \
                 a.with_polys(d0, d1, scale=a.scale * b.scale)
             return self.rescale(result) if rescale else result
@@ -322,27 +305,14 @@ class Evaluator:
     def square(self, ct: Ciphertext, *, rescale: bool = True) -> Ciphertext:
         """Homomorphic squaring (``HSquare``), cheaper than a general HMult."""
         with self._scope(ct, "hsquare"):
-            with _DISPATCH.suppressed():
+            with _DISPATCH.launch("square-tensor"):
                 d0 = ct.c0.multiply(ct.c0)
-                cross = ct.c0.multiply(ct.c1)
-                d1 = cross.add(cross)
+                d1 = ct.c0.multiply(ct.c1)
+                # 2·c0·c1: the product is still private to this launch, so
+                # it doubles in place instead of through a fourth buffer.
+                data = d1.stack.data
+                modmath.stack_add_mod(data, data, d1.stack.moduli_col, out=data)
                 d2 = ct.c1.multiply(ct.c1)
-            if _DISPATCH.recording:
-
-                def replay(reads, writes, _col=ct.c0.stack.moduli_col):
-                    c0, c1 = reads
-                    modmath.stack_mul_mod(c0, c0, _col, out=writes[0])
-                    cross = modmath.stack_mul_mod(c0, c1, _col)
-                    modmath.stack_add_mod(cross, cross, _col, out=writes[1])
-                    modmath.stack_mul_mod(c1, c1, _col, out=writes[2])
-
-                _DISPATCH.elementwise(
-                    "square-tensor",
-                    reads=(ct.c0.stack.data, ct.c1.stack.data),
-                    writes=(d0.stack.data, d1.stack.data, d2.stack.data),
-                    ops_per_element=3.0 * MODMUL_OPS + MODADD_OPS,
-                    replay=replay,
-                )
             result = self._relinearize(ct, d0, d1, d2, ct.scale * ct.scale)
             return self.rescale(result) if rescale else result
 
@@ -350,23 +320,9 @@ class Evaluator:
                      d2: RNSPoly, scale: float) -> Ciphertext:
         delta0, delta1 = key_switch(self.context, d2, self.keys.relinearization_key)
         # Both component additions are one fused GPU launch.
-        with _DISPATCH.suppressed():
+        with _DISPATCH.launch("relin-add"):
             c0 = d0.add(delta0)
             c1 = d1.add(delta1)
-        if _DISPATCH.recording:
-
-            def replay(reads, writes, _col=d0.stack.moduli_col):
-                modmath.stack_add_mod(reads[0], reads[1], _col, out=writes[0])
-                modmath.stack_add_mod(reads[2], reads[3], _col, out=writes[1])
-
-            _DISPATCH.elementwise(
-                "relin-add",
-                reads=(d0.stack.data, delta0.stack.data,
-                       d1.stack.data, delta1.stack.data),
-                writes=(c0.stack.data, c1.stack.data),
-                ops_per_element=2.0 * MODADD_OPS,
-                replay=replay,
-            )
         return template.with_polys(c0, c1, scale=scale)
 
     def multiply_by_monomial(self, ct: Ciphertext, power: int) -> Ciphertext:
@@ -387,7 +343,8 @@ class Evaluator:
         monomial = RNSPoly.from_int_coefficients(
             n, ct.moduli, coefficients, fmt=LimbFormat.EVALUATION
         ).tile(ct.batch_size)
-        return ct.with_polys(ct.c0.multiply(monomial), ct.c1.multiply(monomial))
+        with self._scope(ct, "monomial"):
+            return self._on_both(ct, "monomial", lambda c: c.multiply(monomial))
 
     def multiply_by_i(self, ct: Ciphertext) -> Ciphertext:
         """Multiply every slot by the imaginary unit ``i``."""
@@ -400,7 +357,7 @@ class Evaluator:
     def rotate(self, ct: Ciphertext, steps: int) -> Ciphertext:
         """Rotate the message vector left by ``steps`` slots (``HRotate``)."""
         if steps % ct.slots == 0:
-            return ct.copy()
+            return ct.with_polys(ct.c0, ct.c1)
         key = self.keys.rotation_key(steps, self.context.slots)
         exponent = rotation_to_exponent(self.context.ring_degree, steps)
         with self._scope(ct, "hrotate"):
@@ -433,24 +390,21 @@ class Evaluator:
         the requested steps, and a step is served by any loaded key with
         the same residue mod ``slots``.
         """
-        with self._scope(ct, "hoisted"):
-            return self._hoisted_rotations(ct, steps)
-
-    def _hoisted_rotations(self, ct: Ciphertext, steps: Sequence[int]) -> dict[int, Ciphertext]:
-        decomposed = decompose_and_mod_up(self.context, ct.c1)
         results: dict[int, Ciphertext] = {}
-        for step in steps:
-            step = int(step)
-            if step % ct.slots == 0:
-                results[step] = ct.copy()
-                continue
-            key = self.keys.rotation_key(step, self.context.slots)
-            exponent = rotation_to_exponent(self.context.ring_degree, step)
-            delta0, delta1 = apply_key(
-                self.context, decomposed, key, automorphism_exponent=exponent
-            )
-            rotated_c0 = ct.c0.automorphism(exponent)
-            results[step] = ct.with_polys(rotated_c0.add(delta0), delta1)
+        with self._scope(ct, "hoisted"):
+            decomposed = decompose_and_mod_up(self.context, ct.c1)
+            for step in steps:
+                step = int(step)
+                if step % ct.slots == 0:
+                    results[step] = ct.with_polys(ct.c0, ct.c1)
+                    continue
+                key = self.keys.rotation_key(step, self.context.slots)
+                exponent = rotation_to_exponent(self.context.ring_degree, step)
+                delta0, delta1 = apply_key(
+                    self.context, decomposed, key, automorphism_exponent=exponent
+                )
+                rotated_c0 = ct.c0.automorphism(exponent)
+                results[step] = ct.with_polys(rotated_c0.add(delta0), delta1)
         return results
 
     # ------------------------------------------------------------------

@@ -370,43 +370,52 @@ def apply_key(
     with _DISPATCH.scope("keyswitch"):
         template = decomposed.extended_digits[0]
         col = template.stack.moduli_col
-        digits: list[np.ndarray] = []
-        keys0: list[np.ndarray] = []
-        keys1: list[np.ndarray] = []
         digit_polys = decomposed.extended_digits
         if automorphism_exponent is not None:
             # One Automorph launch gathers every extended digit.
             digit_polys = RNSPoly.automorphism_many(
                 digit_polys, automorphism_exponent
             )
-        for digit_index, digit_poly in enumerate(digit_polys):
-            # Below the top level only a subset of key limbs is active; a
-            # fused operand meets the key tiled once per member.
-            b_j, a_j = context.key_digit_stacks(
-                key, digit_index, decomposed.limb_count, template.members
-            )
-            digits.append(digit_poly.stack.data)
-            keys0.append(b_j)
-            keys1.append(a_j)
+        digits = [poly.stack.data for poly in digit_polys]
         digit_count = len(digits)
+        # Below the top level only some key rows are active, and they are
+        # read where they lie: each window pairs a row range of the digits
+        # with the key rows it meets (a tiled fused key is one window).
+        keys = [
+            context.key_digit_stacks(key, j, decomposed.limb_count, template.members)
+            for j in range(digit_count)
+        ]
+        windows = context.key_row_windows(decomposed.limb_count, template.members)
+        staged = _DISPATCH.stage_granular and digit_count > 1
+        if staged and len(windows) > 1:
+            # The per-digit launches below read whole stacks: join the rows.
+            keys = [
+                tuple(np.concatenate([k[rows] for _, rows in windows]) for k in pair)
+                for pair in keys
+            ]
+            windows = [(slice(None), slice(None))]
         # Dot-product fusion (§III-F.5): each accumulator is one wide
         # multiply-accumulate with a single reduction instead of a reduced
         # product and a reduced add per digit.  The GPU launches this as a
         # single inner-product kernel producing both accumulators, which is
         # how the execution plane records it.
-        with _DISPATCH.suppressed():
-            accs = [
-                RNSPoly.from_stack(
-                    LimbStack(
-                        template.moduli,
-                        modmath.stack_dot_mod(list(zip(digits, keys)), col),
-                        pool=template.stack.pool,
-                    ),
-                    LimbFormat.EVALUATION,
-                )
-                for keys in (keys0, keys1)
-            ]
-        if _DISPATCH.recording and _DISPATCH.stage_granular and digit_count > 1:
+        acc_data = [np.empty(digits[0].shape, dtype=col.dtype) for _ in range(2)]
+        with _DISPATCH.suppressed() if staged else _DISPATCH.launch("ks-inner-product"):
+            for rows, key_rows in windows:
+                for component, acc in enumerate(acc_data):
+                    modmath.stack_dot_mod(
+                        [(d[rows], k[component][key_rows])
+                         for d, k in zip(digits, keys)],
+                        col[rows], out=acc[rows],
+                    )
+        accs = [
+            RNSPoly.from_stack(
+                LimbStack(template.moduli, data, pool=template.stack.pool),
+                LimbFormat.EVALUATION,
+            )
+            for data in acc_data
+        ]
+        if staged:
             # Unfused baseline: without the dot-product fusion each
             # accumulator is one reduced product plus a reduced
             # multiply-accumulate launch per further digit, every partial
@@ -429,42 +438,23 @@ def apply_key(
                 ]
                 modmath.stack_dot_mod(dot_pairs, col, out=writes[0])
 
-            for acc, keys in zip(accs, (keys0, keys1)):
+            for component, acc in enumerate(acc_data):
                 _DISPATCH.elementwise(
                     "ks-mul",
-                    reads=(digits[0], keys[0]),
-                    writes=(acc.stack.data,),
+                    reads=(digits[0], keys[0][component]),
+                    writes=(acc,),
                     ops_per_element=MODMUL_OPS,
                     replay=mul_replay,
                 )
                 for j in range(1, digit_count):
                     _DISPATCH.elementwise(
                         "ks-mul-add",
-                        reads=(acc.stack.data, digits[j], keys[j]),
-                        writes=(acc.stack.data,),
+                        reads=(acc, digits[j], keys[j][component]),
+                        writes=(acc,),
                         ops_per_element=MODMUL_OPS + MODADD_OPS,
                         replay=fma_replay,
                     )
                 _DISPATCH.fusion_group(digit_count, dot_replay)
-        elif _DISPATCH.recording:
-
-            def replay(reads, writes):
-                ds = reads[:digit_count]
-                modmath.stack_dot_mod(
-                    list(zip(ds, reads[digit_count : 2 * digit_count])),
-                    col, out=writes[0],
-                )
-                modmath.stack_dot_mod(
-                    list(zip(ds, reads[2 * digit_count :])), col, out=writes[1]
-                )
-
-            _DISPATCH.elementwise(
-                "ks-inner-product",
-                reads=(*digits, *keys0, *keys1),
-                writes=(accs[0].stack.data, accs[1].stack.data),
-                ops_per_element=digit_count * 2.0 * (MODMUL_OPS + MODADD_OPS),
-                replay=replay,
-            )
         delta0, delta1 = mod_down_many(context, accs)
         return delta0, delta1
 

@@ -6,7 +6,7 @@ Module map (kernel producers → dispatcher → trace → the one pricing path)
 ::
 
     repro.core.modmath ───┐  stack_* kernels auto-emit on execution
-    repro.core.limb_stack ┤  row-copy kernels (copy / take / head)
+    repro.core.limb_stack ┤  row-copy kernels (copy / take)
     repro.core.ntt ───────┤  StackedNTTEngine transforms (per limb batch)
     repro.core.rns ───────┤  BaseConverter.convert_stack
     repro.ckks.keyswitch ─┤  fused ModUp / inner-product / ModDown emits
@@ -54,9 +54,21 @@ Kernels are recorded at **GPU launch granularity**, not NumPy expression
 granularity: a stacked NTT is one kernel per limb batch even though it
 executes as ``log2 N`` broadcast expressions, and the fused key-switching
 routines emit the per-digit / per-component kernels a GPU backend would
-launch (with shapes taken from the live arrays).  Composite emitters wrap
-their internal computation in :meth:`Dispatcher.suppressed` so building
-blocks are not double-counted.
+launch (with shapes taken from the live arrays).
+
+**One site, one launch.**  A call site that is one GPU launch made of
+several building-block kernels (both ciphertext components, the tensor
+product, the key inner product) wraps them in ``with
+dispatcher.launch(tag):``.  Under a recording the block's leaf
+``elementwise`` emissions are collected and, on exit, recorded as **one**
+``elementwise`` event named ``tag``: it reads the distinct operand views no
+earlier member produced, writes the distinct views written, sums the
+members' integer operations and replays their replays in order -- a
+composite's replay *is* its eager computation, written once.  A transform
+or base conversion inside a group is an error; a nested group joins the
+outer one.  Pipelines whose record is *not* their eager call structure
+(ModUp, ModDown, rescale) compute under :meth:`Dispatcher.suppressed` and
+emit by hand.
 
 Dependencies are derived from buffer identity at byte-interval
 granularity: views resolve to their owning allocation plus the byte range
@@ -227,9 +239,7 @@ class KernelTrace:
 
     def _buffer(self, array: np.ndarray) -> tuple[_BufferState, tuple[int, int]]:
         """Resolve an array to its allocation state and relative byte range."""
-        base = array
-        while isinstance(getattr(base, "base", None), np.ndarray):
-            base = base.base
+        base = _allocation(array)
         key = id(base)
         state = self._buffers.get(key)
         if state is not None and (state.ref is None or state.ref() is not base):
@@ -433,14 +443,6 @@ class KernelTrace:
             seen.setdefault(event.scope, None)
         return list(seen)
 
-    def events_in_scope(self, scope: str) -> list[TraceEvent]:
-        """Events whose scope path is ``scope`` or nested below it."""
-        prefix = scope + "/"
-        return [
-            e for e in self.events
-            if e.scope == scope or e.scope.startswith(prefix)
-        ]
-
     def leaf_segments(self) -> dict[str, list[TraceEvent]]:
         """Group events by the innermost scope component (hmult, modup, ...)."""
         segments: dict[str, list[TraceEvent]] = {}
@@ -476,13 +478,23 @@ class _NullContext:
 _NULL_CONTEXT = _NullContext()
 
 
-def _replay_copy(reads: tuple, writes: tuple) -> None:
-    """Default replay of a pure copy kernel (limb/stack duplication)."""
-    out = writes[0]
-    if len(reads) == 1:
-        np.copyto(out, reads[0])
-    else:
-        np.concatenate(reads, axis=0, out=out)
+def _allocation(array: np.ndarray) -> np.ndarray:
+    """The array owning the memory ``array`` views (itself, if it owns it)."""
+    base = array
+    while isinstance(getattr(base, "base", None), np.ndarray):
+        base = base.base
+    return base
+
+
+def _rows(array) -> int:
+    """Limb rows of an operand: stacks are (rows, N), a 1-D array is one row."""
+    shape = np.shape(array)
+    return int(shape[0]) if len(shape) >= 2 else 1
+
+
+def _view_key(array) -> tuple:
+    """Identity of one operand view: the bytes it spans and its shape."""
+    return (*_byte_bounds(np.asarray(array)), np.shape(array))
 
 
 def gather_rows(sources: Sequence[np.ndarray], out: np.ndarray) -> None:
@@ -563,11 +575,11 @@ class Dispatcher:
     """Routes batched data-plane operations, optionally recording a trace.
 
     The data plane calls the typed emitters (:meth:`elementwise`,
-    :meth:`transform`, :meth:`base_conversion`, :meth:`copy`) at every
+    :meth:`transform`, :meth:`base_conversion`) at every
     batched operation.  With no active trace they return immediately, and
-    :meth:`scope`/:meth:`suppressed` hand out a shared no-op context, so
-    the untraced hot path pays one attribute check per kernel and
-    allocates nothing per operation.
+    :meth:`scope`/:meth:`launch`/:meth:`suppressed` hand out a shared no-op
+    context, so the untraced hot path pays one attribute check per kernel
+    and allocates nothing per operation.
     """
 
     def __init__(self) -> None:
@@ -576,6 +588,8 @@ class Dispatcher:
         self._suppress: int = 0
         self._device: int = 0
         self._stage_granular: bool = False
+        #: Member emissions of the open :meth:`launch` group, else ``None``.
+        self._group: list[tuple] | None = None
         #: Optional scope profiler (``enter(name)``/``exit(name)``) the
         #: observability plane installs via :meth:`profiling`; ``None``
         #: keeps :meth:`scope` on the shared null context.
@@ -685,6 +699,24 @@ class Dispatcher:
             return _NULL_CONTEXT
         return _SuppressGuard(self)
 
+    def launch(self, tag: str):
+        """Record the elementwise kernels of the with-block as one launch
+        named ``tag`` (module docstring).  The shared no-op context when
+        nothing records; inside an open group the block joins it."""
+        if self._trace is None or self._suppress or self._group is not None:
+            return _NULL_CONTEXT
+        return self._collect(tag)
+
+    @contextmanager
+    def _collect(self, tag: str) -> Iterator[None]:
+        self._group = []
+        try:
+            yield
+        finally:
+            members, self._group = self._group, None
+        if members:
+            self._record_group(tag, members)
+
     def on_device(self, device: int):
         """Tag kernels emitted in the with-block with a cluster device.
 
@@ -716,8 +748,7 @@ class Dispatcher:
         """Record a pre-built kernel descriptor."""
         if self._trace is None or self._suppress:
             return
-        self._trace.add(kernel, scope=self._scope_path(), reads=reads, writes=writes,
-                        device=self._device, kind=kind, replay=replay)
+        self._add(kernel, kind, reads=reads, writes=writes, replay=replay)
 
     def elementwise(
         self,
@@ -739,10 +770,19 @@ class Dispatcher:
         """
         if self._trace is None or self._suppress:
             return
-        out = np.asarray(writes[0])
-        # Stacks are (rows, N); a 1-D write is a single row.
-        rows = int(out.shape[0]) if out.ndim >= 2 else 1
-        cols = int(out.shape[-1])
+        rows = _rows(writes[0])
+        if self._group is not None and kind == "elementwise":
+            elements = rows * int(np.shape(writes[0])[-1])
+            self._group.append(
+                (tuple(reads), tuple(writes), ops_per_element * elements, replay)
+            )
+            return
+        self._add_elementwise(tag, rows, reads, writes, ops_per_element, reuse,
+                              replay, kind)
+
+    def _add_elementwise(self, tag, rows, reads, writes, ops_per_element,
+                         reuse, replay, kind) -> None:
+        cols = int(np.shape(writes[0])[-1])
         elements = max(1, rows * cols)
         # Poly-equivalents come from the live array sizes, so broadcast
         # columns and row operands are charged their real (tiny) traffic.
@@ -755,8 +795,7 @@ class Dispatcher:
             ops_per_element=ops_per_element,
             reuse=reuse,
         )
-        self._trace.add(kernel, scope=self._scope_path(), reads=reads, writes=writes,
-                        device=self._device, kind=kind, replay=replay)
+        self._add(kernel, kind, reads=reads, writes=writes, replay=replay)
 
     def transform(
         self,
@@ -777,8 +816,7 @@ class Dispatcher:
         kernel = ntt_kernel(
             tag, rows, cols, fused_ops_per_element=fused_ops_per_element
         )
-        self._trace.add(kernel, scope=self._scope_path(), reads=reads, writes=writes,
-                        device=self._device, kind="transform", replay=replay)
+        self._add(kernel, "transform", reads=reads, writes=writes, replay=replay)
 
     def base_conversion(
         self,
@@ -797,20 +835,59 @@ class Dispatcher:
         if cols is None:
             cols = int(np.asarray(writes[0]).shape[-1])
         kernel = base_conversion_kernel(tag, source_limbs, target_limbs, cols)
-        self._trace.add(kernel, scope=self._scope_path(), reads=reads, writes=writes,
-                        device=self._device, kind="baseconv", replay=replay)
+        self._add(kernel, "baseconv", reads=reads, writes=writes, replay=replay)
 
-    def copy(
-        self,
-        *,
-        reads: Sequence[np.ndarray],
-        writes: Sequence[np.ndarray],
-        tag: str = "limb-copy",
-        replay: Callable[[tuple, tuple], None] = _replay_copy,
-    ) -> None:
-        """Record a device-to-device copy (limb/stack duplication)."""
-        self.elementwise(tag, reads=reads, writes=writes, ops_per_element=0.0,
-                         replay=replay)
+    def _add(self, kernel: Kernel, kind: str, **accesses) -> None:
+        """The one way onto the trace (a launch group takes elementwise only)."""
+        if self._group is not None:
+            raise RuntimeError(
+                f"{kernel.name!r} ({kind}) was emitted inside a launch group: "
+                f"only per-element kernels merge into one launch"
+            )
+        self._trace.add(kernel, scope=self._scope_path(), device=self._device,
+                        kind=kind, **accesses)
+
+    def _record_group(self, tag: str, members: list[tuple]) -> None:
+        """Record a closed :meth:`launch` group as one elementwise event."""
+        # View key -> (slot, array), in first-use order.  A member operand
+        # is (0, i), the group's i-th read, or (1, i), its i-th write: an
+        # earlier member produced it.
+        reads: dict[tuple, tuple] = {}
+        writes: dict[tuple, tuple] = {}
+        steps = []
+        for member_reads, member_writes, _, member_replay in members:
+            sources = tuple(
+                (1, writes[key][0]) if key in writes
+                else (0, reads.setdefault(key, (len(reads), array))[0])
+                for key, array in ((_view_key(a), a) for a in member_reads)
+            )
+            targets = tuple(
+                writes.setdefault(key, (len(writes), array))[0]
+                for key, array in ((_view_key(a), a) for a in member_writes)
+            )
+            steps.append((member_replay, sources, targets))
+
+        def replay(group_reads, group_writes):
+            operands = (group_reads, group_writes)
+            for member_replay, sources, targets in steps:
+                member_replay(
+                    tuple(operands[side][i] for side, i in sources),
+                    tuple(group_writes[i] for i in targets),
+                )
+
+        written = [array for _, array in writes.values()]
+        # The grid is what lands in the first output's allocation: row
+        # windows of one accumulator add up, the three outputs of a tensor
+        # product share one grid.
+        first = _allocation(written[0])
+        rows = sum(_rows(a) for a in written if _allocation(a) is first)
+        elements = max(1, rows * int(np.shape(written[0])[-1]))
+        self._add_elementwise(
+            tag, rows, [array for _, array in reads.values()], written,
+            sum(member[2] for member in members) / elements, 1.0,
+            replay if all(member[3] for member in members) else None,
+            "elementwise",
+        )
 
     def fusion_group(
         self, count: int, replay: Callable[[tuple, tuple], None],

@@ -37,7 +37,9 @@ Legality (proved from the recorded producer/consumer byte ranges)
 A producer ``P`` may fuse with a consumer ``C`` when all of:
 
 * both are elementwise kernels with replay thunks, on the same device;
-* ``P`` has exactly one write view ``W``;
+* every write view ``W`` of ``P`` meets the remaining conditions with the
+  *same* ``C`` (a one-launch site writes both ciphertext components; it
+  fuses only when one consumer takes both);
 * ``C`` is the *only* event that ever reads ``W``, and reads it as the
   identical interval and shape (overlapping-but-not-equal is illegal --
   a partial read needs the materialised buffer);
@@ -87,12 +89,12 @@ def _overlaps(view: ViewSpec, token: int, lo: int, hi: int) -> bool:
 
 
 def _producer_eligible(event: TraceEvent) -> bool:
-    """Can ``event`` head a fusion edge (single intermediate write)?"""
+    """Can ``event`` head a fusion edge (its writes are all intermediates)?"""
     return (
         event.kind == "elementwise"
         and event.replay is not None
-        and len(event.write_views) == 1
-        and event.write_views[0].size > 0
+        and len(event.write_views) > 0
+        and all(view.size > 0 for view in event.write_views)
     )
 
 
@@ -138,7 +140,11 @@ class _Fuser:
         """The unique legal fusion consumer of ``producer``, if any."""
         if not _producer_eligible(producer):
             return None
-        w = producer.write_views[0]
+        consumers = {self._consumer(producer, w) for w in producer.write_views}
+        return consumers.pop() if len(consumers) == 1 else None
+
+    def _consumer(self, producer: TraceEvent, w: ViewSpec) -> int | None:
+        """The event ``producer``'s write ``w`` may legally fuse into, if any."""
         lo, hi = w.offset, w.offset + w.size
         later = [
             (index, is_write, view)
@@ -232,8 +238,9 @@ class _Fuser:
                 continue
             used.update(members)
             saved = sum(
-                2.0 * self.events[m].write_views[0].size * ELEMENT_BYTES
+                2.0 * view.size * ELEMENT_BYTES
                 for m in members[:-1]
+                for view in self.events[m].write_views
             )
             chains.append(
                 FusedChain(
@@ -468,30 +475,32 @@ class TraceProgram:
                 else None
             )
             for depth, producer_index in enumerate(chain.members[:-1]):
-                w = events[producer_index].write_views[0]
-                if (
-                    tail_view is not None
-                    and w.token == tail_view.token
-                    and w.offset == tail_view.offset
-                    and w.size == tail_view.size
-                ):
-                    # In-place run: the member writes exactly the chain's
-                    # external output interval, and chain legality proved
-                    # nothing else touches it before the tail -- execute
-                    # directly in the output buffer instead of staging
-                    # through scratch (saves the round-trip copies).
-                    continue
-                base = trace._bases[w.token]
-                tmp = modmath._scratch(f"fuse{depth}", w.shape, base.dtype)
-                scratch_w[(producer_index, 0)] = tmp
                 consumer = events[chain.members[depth + 1]]
-                for pos, view in enumerate(consumer.read_views):
+                for slot, w in enumerate(events[producer_index].write_views):
                     if (
-                        view.token == w.token
-                        and view.offset == w.offset
-                        and view.size == w.size
+                        tail_view is not None
+                        and w.token == tail_view.token
+                        and w.offset == tail_view.offset
+                        and w.size == tail_view.size
                     ):
-                        scratch_r[(consumer.index, pos)] = tmp
+                        # In-place run: the member writes exactly the chain's
+                        # external output interval, and chain legality proved
+                        # nothing else touches it before the tail -- execute
+                        # directly in the output buffer instead of staging
+                        # through scratch (saves the round-trip copies).
+                        continue
+                    base = trace._bases[w.token]
+                    tmp = modmath._scratch(
+                        f"fuse{depth}.{slot}", w.shape, base.dtype
+                    )
+                    scratch_w[(producer_index, slot)] = tmp
+                    for pos, view in enumerate(consumer.read_views):
+                        if (
+                            view.token == w.token
+                            and view.offset == w.offset
+                            and view.size == w.size
+                        ):
+                            scratch_r[(consumer.index, pos)] = tmp
         self._scratch_w = scratch_w
         self._scratch_r = scratch_r
         # Classify tokens over chain-EXTERNAL accesses only (recorded
@@ -600,11 +609,6 @@ class TraceProgram:
             for pos, view in enumerate(event.write_views)
         )
         return (event.replay, reads, writes)
-
-    @property
-    def step_count(self) -> int:
-        """Thunks one :meth:`run` executes."""
-        return len(self._steps)
 
     def run(self) -> None:
         """Re-execute the stream against the program's buffers."""

@@ -5,7 +5,9 @@ polynomial live in one contiguous 2-D array, and that array is one charge
 on a :class:`~repro.core.memory.MemoryPool` -- made at the end of
 construction, credited back by :meth:`LimbStack.release` (which ``__del__``
 also calls).  A ``LimbStack`` is storage only -- constructors, fuse/split,
-row copies and that charge.  The arithmetic is written once, in
+row windows (:meth:`LimbStack.head`; stacks are immutable once built, see
+:mod:`repro.ckks.ciphertext`), row copies and that charge.  The arithmetic
+is written once, in
 :mod:`repro.core.modmath`'s ``stack_*`` kernels, which
 :class:`~repro.core.rns_poly.RNSPoly` calls on ``stack.data`` with the
 ``(L, 1)`` moduli column ``stack.moduli_col`` broadcast over the rows (the
@@ -20,13 +22,18 @@ from typing import Sequence
 import numpy as np
 
 from repro.core import modmath
-from repro.core.dispatch import get_dispatcher
+from repro.core.dispatch import gather_rows, get_dispatcher
 from repro.core.memory import FusedFootprintError, MemoryPool, default_pool
 from repro.gpu.kernel import ELEMENT_BYTES
 
 #: The tag every stack charges under (``charge_hook(pool, nbytes, tag)``).
 _TAG = "LimbStack"
 _DISPATCH = get_dispatcher()
+
+
+def _replay_rows(reads: tuple, writes: tuple) -> None:
+    """Replay of a row copy: the source row blocks, in order."""
+    gather_rows(reads, writes[0])
 
 
 class LimbStack:
@@ -176,24 +183,25 @@ class LimbStack:
                 f"cannot split {self.num_limbs} rows into {parts} equal members"
             )
         rows = self.num_limbs // parts
-        views = []
-        for start in range(0, self.num_limbs, rows):
-            moduli = self.moduli[start : start + rows]
-            view = object.__new__(LimbStack)
-            view._charged = 0
-            view._bind(
-                moduli, modmath.moduli_column(moduli),
-                self.data[start : start + rows], self.pool, self,
-            )
-            views.append(view)
-        return views
+        return [
+            self._window(start, start + rows)
+            for start in range(0, self.num_limbs, rows)
+        ]
+
+    def _window(self, start: int, stop: int) -> "LimbStack":
+        """Rows ``[start, stop)`` as a view: no copy, no charge, owner pinned."""
+        moduli = self.moduli[start:stop]
+        view = object.__new__(LimbStack)
+        view._charged = 0
+        view._bind(
+            moduli, modmath.moduli_column(moduli),
+            self.data[start:stop], self.pool, self,
+        )
+        return view
 
     def copy(self) -> "LimbStack":
-        """Deep copy, charged to the same pool as this stack."""
-        data = self.data.copy()
-        if _DISPATCH.recording:
-            _DISPATCH.copy(reads=(self.data,), writes=(data,))
-        return LimbStack(self.moduli, data, pool=self.pool)
+        """Deep copy (every row taken), charged to the same pool as this stack."""
+        return self.take(range(self.num_limbs))
 
     # -- accessors -----------------------------------------------------------
 
@@ -219,23 +227,19 @@ class LimbStack:
     def take(self, indices: Sequence[int]) -> "LimbStack":
         """Return a new stack holding copies of the rows at ``indices``."""
         indices = list(indices)
-        moduli = [self.moduli[i] for i in indices]
         # Fancy indexing already materializes a fresh array.
         data = self.data[indices]
         if _DISPATCH.recording:
-            # The per-row read tuple is only packed when a trace is live.
-            _DISPATCH.copy(
-                reads=tuple(self.data[i : i + 1] for i in indices),
-                writes=(data,),
+            _DISPATCH.elementwise(
+                "limb-copy", reads=tuple(self.data[i : i + 1] for i in indices),
+                writes=(data,), ops_per_element=0.0, replay=_replay_rows,
             )
-        return LimbStack(moduli, data, pool=self.pool)
+        return LimbStack([self.moduli[i] for i in indices], data, pool=self.pool)
 
     def head(self, count: int) -> "LimbStack":
-        """Return a new stack with copies of the first ``count`` rows."""
-        data = self.data[:count].copy()
-        if _DISPATCH.recording:
-            _DISPATCH.copy(reads=(self.data[:count],), writes=(data,))
-        return LimbStack(self.moduli[:count], data, pool=self.pool)
+        """The first ``count`` rows as a zero-copy view (see :meth:`split`):
+        dropping limbs moves no data and charges nothing."""
+        return self._window(0, count)
 
 
 __all__ = ["LimbStack"]

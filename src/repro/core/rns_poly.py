@@ -101,7 +101,11 @@ class RNSPoly:
         *,
         fmt: LimbFormat = LimbFormat.COEFFICIENT,
     ) -> "RNSPoly":
-        """Build a poly from signed integer coefficients (length ``<= N``)."""
+        """Build a poly from signed integer coefficients (length ``<= N``).
+
+        ``fmt=EVALUATION`` prepares a *constant* (an encoding, a diagonal):
+        client-side on both kernel producers, so its transform is unrecorded.
+        """
         coeffs = [int(c) for c in coefficients]
         if len(coeffs) > ring_degree:
             raise ValueError("too many coefficients for the ring degree")
@@ -113,7 +117,8 @@ class RNSPoly:
         rows = np.stack([values % int(q) for q in moduli])
         poly = cls.from_stack(LimbStack(moduli, rows), LimbFormat.COEFFICIENT)
         if fmt is LimbFormat.EVALUATION:
-            poly = poly.to_evaluation()
+            with _DISPATCH.suppressed():
+                poly = poly.to_evaluation()
         return poly
 
     @classmethod
@@ -354,40 +359,25 @@ class RNSPoly:
 
     # -- level management ----------------------------------------------------
 
-    def drop_last_limbs(self, count: int = 1) -> "RNSPoly":
-        """Return the polynomial with the last ``count`` limbs removed."""
-        if count < 0 or count >= len(self.moduli):
-            raise ValueError(f"cannot drop {count} of {len(self.moduli)} limbs")
-        if count == 0:
-            return self.copy()
-        return self._wrap(self._stack.head(len(self.moduli) - count))
-
     def keep_limbs(self, count: int) -> "RNSPoly":
         """Return the polynomial truncated to its first ``count`` limbs.
 
-        On a fused stack every member keeps its first ``count`` limbs.
+        Keeping every limb returns ``self`` and a plain polynomial's head
+        is a zero-copy window (polynomials are immutable once built); on a
+        fused stack every member keeps its first ``count`` limbs, which is
+        a gather.
         """
         members = self.members
         per = len(self.moduli) // members
         if not 1 <= count <= per:
             raise ValueError(f"cannot keep {count} of {per} limbs")
+        if count == per:
+            return self
         if members == 1:
             return self._wrap(self._stack.head(count))
-        return self.select_limbs(
+        return self._wrap(self._stack.take(
             [m * per + j for m in range(members) for j in range(count)]
-        )
-
-    def select_limbs(self, indices: Sequence[int]) -> "RNSPoly":
-        """Return a polynomial containing copies of the limbs at ``indices``.
-
-        Used by hybrid key switching to restrict a key-switching key (stored
-        over the full extended basis) to the limbs active at the current
-        level plus the special limbs.
-        """
-        indices = list(indices)
-        if not indices:
-            raise ValueError("at least one limb index is required")
-        return self._wrap(self._stack.take(indices))
+        ))
 
     def rescale_last(self) -> "RNSPoly":
         """Divide by the last prime ``q_l`` and drop its limb (RNS rescale).

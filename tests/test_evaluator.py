@@ -254,6 +254,54 @@ class TestRotations:
         )
 
 
+class TestOperandsAreImmutable:
+    """Sharing is safe because nothing writes a built polynomial."""
+
+    @staticmethod
+    def _bits(ct):
+        return ct.c0.stack.data.copy(), ct.c1.stack.data.copy()
+
+    def test_shared_component_survives_later_operations(self, evaluator, ciphertexts):
+        x = ciphertexts[0]
+        before = self._bits(x)
+        y = evaluator.add_scalar(x, 1.0)
+        # ScalarAdd touches c0 only: c1 is the operand's, not a copy of it.
+        assert y.c1 is x.c1
+        assert np.shares_memory(x.c1.stack.data, y.c1.stack.data)
+        assert not np.shares_memory(x.c0.stack.data, y.c0.stack.data)
+        shared = self._bits(y)
+        z = evaluator.multiply(y, y)
+        evaluator.rotate(y, 1), evaluator.negate(y), evaluator.adjust(z, z.level - 1)
+        for ct, bits in ((x, before), (y, shared)):
+            for component, saved in zip((ct.c0, ct.c1), bits):
+                np.testing.assert_array_equal(component.stack.data, saved)
+
+    def test_plain_operands_are_read_in_place(self, evaluator, context, ciphertexts, messages):
+        from repro.ckks.encryption import encode
+        x = ciphertexts[0]
+        pt = encode(context, messages[1], scale=x.scale)
+        saved = pt.poly.stack.data.copy()
+        assert evaluator._plain_operand(x, pt) is pt.poly  # same basis, evaluation
+        assert evaluator.add_plain(x, pt).c1 is x.c1
+        lower = evaluator.mod_reduce(x, x.limb_count - 1)
+        windowed = evaluator._plain_operand(lower, pt)
+        assert np.shares_memory(windowed.stack.data, pt.poly.stack.data)
+        evaluator.multiply_plain(lower, pt)
+        np.testing.assert_array_equal(pt.poly.stack.data, saved)
+
+    def test_no_ops_return_a_new_handle_over_the_same_polynomials(self, evaluator, ciphertexts):
+        x = ciphertexts[0]
+        same = [
+            evaluator.rotate(x, 0), evaluator.rotate(x, x.slots),
+            evaluator.adjust(x, x.level), evaluator.mod_reduce(x, x.limb_count),
+            evaluator.hoisted_rotations(x, [0, 1])[0],
+        ]
+        for ct in same:
+            assert ct is not x and ct.c0 is x.c0 and ct.c1 is x.c1
+            ct.scale = 1.0  # metadata stays independently assignable
+        assert x.scale != 1.0
+
+
 @given(
     values=st.lists(st.floats(min_value=-1, max_value=1, allow_nan=False), min_size=4, max_size=4),
     scalar=st.floats(min_value=-2, max_value=2, allow_nan=False),

@@ -28,6 +28,8 @@ from repro.core.ntt import get_stacked_engine
 from repro.gpu.platforms import GPU_RTX_4090
 from repro.perf.trace_model import TraceCostModel
 
+from test_dispatch_trace import OP_SURFACE
+
 
 @pytest.fixture(scope="module")
 def fusion_session():
@@ -177,6 +179,39 @@ class TestFusionLegality:
         prog.verify()
         assert np.array_equal(prog.output(out), (a + 1) * 7)
 
+    def test_two_write_producer_fuses_only_into_one_common_consumer(self):
+        # A one-launch site writes both components.  It heads a chain when
+        # one consumer takes both writes, and not when they part ways.
+        d = Dispatcher()
+        a = np.arange(8, dtype=np.uint64).reshape(2, 4)
+        s0, s1, out0, out1 = (np.empty_like(a) for _ in range(4))
+
+        def both(reads, writes):
+            np.add(reads[0], np.uint64(1), out=writes[0])
+            np.add(reads[0], np.uint64(2), out=writes[1])
+
+        def join(reads, writes):
+            np.add(reads[0], reads[1], out=writes[0])
+
+        def record(consumers):
+            with d.record(executable=True) as trace:
+                both((a,), (s0, s1))
+                d.elementwise("both", reads=(a,), writes=(s0, s1),
+                              ops_per_element=2.0, replay=both)
+                for reads, out in consumers:
+                    join(reads, (out,))
+                    d.elementwise("join", reads=reads, writes=(out,),
+                                  ops_per_element=1.0, replay=join)
+            return trace
+
+        together = fuse_trace(record([((s0, s1), out0)]))
+        assert [c.members for c in together.chains] == [(0, 1)]
+        assert together.saved_bytes == 2 * (s0.nbytes + s1.nbytes)
+        together.program().verify()
+        apart = fuse_trace(record([((s0, s0), out0), ((s1, s1), out1)]))
+        assert apart.chains == []
+        apart.program().verify()
+
     def test_fusion_requires_executable_trace(self):
         with pytest.raises(ValueError, match="executable"):
             fuse_trace(KernelTrace())
@@ -273,8 +308,7 @@ class TestUntracedHotPath:
         def boom(self, *args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("emitter invoked on the untraced hot path")
 
-        for name in ("elementwise", "transform", "base_conversion", "copy",
-                     "emit"):
+        for name in ("elementwise", "transform", "base_conversion", "emit"):
             monkeypatch.setattr(Dispatcher, name, boom)
         rng = np.random.default_rng(3)
         ct_a = fusion_session.encrypt(rng.uniform(-1, 1, 16))
@@ -357,6 +391,59 @@ class TestReplayAcrossBackends:
             self._clear_backend_caches()
 
 
+class TestOperationSurfaceReplays:
+    """Every operation's record replays bit-identically, as recorded and fused.
+
+    A site's record is its building blocks merged by ``Dispatcher.launch``;
+    the merged replay is the only executable code that is not also the
+    eager path, so every operation is replayed here on both word planes.
+    """
+
+    SURFACE = {
+        **OP_SURFACE,
+        "hsub": lambda x, y: x - y,
+        "ptsub": lambda x, y: x - np.full(8, 0.5),
+    }
+
+    @pytest.fixture(scope="class")
+    def sessions(self):
+        shapes = {
+            "uint64": dict(scale_bits=28, first_mod_bits=30),
+            "dword": dict(scale_bits=59, first_mod_bits=60,
+                          secret_hamming_weight=16),
+        }
+        sessions = {
+            backend: CKKSSession.create(
+                CKKSParameters(ring_degree=1 << 8, mult_depth=4, dnum=2,
+                               label=f"surface-{backend}", **shape),
+                rotations=[1, 2, 3], conjugation=True, seed=5,
+                register_default=False,
+            )
+            for backend, shape in shapes.items()
+        }
+        for backend, session in sessions.items():
+            assert session.numeric_backend == backend
+        return sessions
+
+    @pytest.mark.parametrize("backend", ["uint64", "dword"])
+    @pytest.mark.parametrize("members", [1, 3], ids=["B1", "B3"])
+    @pytest.mark.parametrize("op", sorted(SURFACE))
+    def test_record_replays_and_fuses(self, op, members, backend, sessions):
+        session = sessions[backend]
+        rng = np.random.default_rng(29)
+
+        def operand():
+            rows = [rng.uniform(-1, 1, 8) for _ in range(members)]
+            return session.encrypt_batch(rows) if members > 1 else \
+                session.encrypt(rows[0])
+
+        x, y = operand(), operand()
+        with session.trace(executable=True) as trace:
+            self.SURFACE[op](x, y)
+        TraceProgram(trace).verify()
+        fuse_trace(trace).program().verify()
+
+
 class TestFusedEndToEnd:
     def test_hmult_rescale_replay_and_fusion(self, fusion_session):
         rng = np.random.default_rng(11)
@@ -403,8 +490,15 @@ class TestFusedEndToEnd:
         with fusion_session.trace(executable=True) as trace:
             (ct_a * 1.5 + ct_b) - ct_c
         result = fuse_trace(trace)
-        assert len(result.chains) > 0
-        assert result.events_after < result.events_before
+        # Each operation is one launch over both components, so the one
+        # legal chain is HAdd -> HSub: the sub is the only reader of both
+        # sums.  (The scalar multiply feeds the rescale's partial reads.)
+        limbs = ct_a.level  # one limb below the inputs after the rescale
+        assert [c.kernels for c in result.chains] == [
+            (f"hadd[{limbs}]", f"hsub[{limbs}]")
+        ]
+        assert result.events_after == result.events_before - 1
+        assert result.saved_bytes == 2 * 2 * limbs * (1 << 12) * 8
         prog = result.program()
         prog.verify()
         # The fused trace prices and schedules like any recorded trace,

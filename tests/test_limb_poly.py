@@ -188,15 +188,17 @@ class TestRNSPoly:
 
     def test_drop_and_keep_limbs(self):
         poly, _ = random_poly(12)
-        assert poly.drop_last_limbs(1).level_count == 2
+        assert poly.keep_limbs(2).level_count == 2
         assert poly.keep_limbs(1).level_count == 1
         with pytest.raises(ValueError):
-            poly.drop_last_limbs(3)
+            poly.keep_limbs(0)
 
     def test_select_limbs(self):
         poly, _ = random_poly(13)
-        selected = poly.select_limbs([0, 2])
-        assert selected.moduli == [PRIMES[0], PRIMES[2]]
+        selected = poly.stack.take([0, 2])
+        assert list(selected.moduli) == [PRIMES[0], PRIMES[2]]
+        np.testing.assert_array_equal(selected.data, poly.stack.data[[0, 2]])
+        assert not np.shares_memory(selected.data, poly.stack.data)
 
     def test_rescale_divides_by_last_prime(self):
         q_last = PRIMES[-1]
