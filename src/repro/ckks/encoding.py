@@ -20,6 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.core.modmath import rint_integers
+
 
 @lru_cache(maxsize=None)
 def rotation_group(ring_degree: int) -> np.ndarray:
@@ -94,25 +96,23 @@ class CKKSEncoder:
         group = rotation_group(n)
         return spectrum[group]
 
-    def encode(self, values, scale: float) -> list[int]:
+    def encode(self, values, scale: float) -> np.ndarray:
         """Encode a message into integer polynomial coefficients at ``scale``."""
         if scale <= 0:
             raise ValueError("scale must be positive")
         slots = self.expand_message(values)
-        coeffs = self.embed(slots) * scale
-        return [int(round(c)) for c in coeffs]
+        return rint_integers(self.embed(slots) * scale)
 
     def decode(self, coefficients, scale: float, length: int | None = None) -> np.ndarray:
         """Decode integer (or float) coefficients back into complex slot values."""
         if scale <= 0:
             raise ValueError("scale must be positive")
-        coeffs = np.asarray([float(c) for c in coefficients], dtype=np.float64)
-        slots = self.project(coeffs) / scale
+        slots = self.project(coefficients) / scale
         if length is None:
             length = self.max_slots
         return slots[:length]
 
-    def encode_diagonal(self, diagonal, scale: float) -> list[int]:
+    def encode_diagonal(self, diagonal, scale: float) -> np.ndarray:
         """Encode an arbitrary complex slot vector without replication.
 
         Used by the linear-transform machinery, where diagonals are already
@@ -121,8 +121,7 @@ class CKKSEncoder:
         diagonal = np.asarray(diagonal, dtype=np.complex128).ravel()
         if len(diagonal) != self.max_slots:
             raise ValueError("diagonal must have exactly N/2 entries")
-        coeffs = self.embed(diagonal) * scale
-        return [int(round(c)) for c in coeffs]
+        return rint_integers(self.embed(diagonal) * scale)
 
 
 __all__ = ["CKKSEncoder", "rotation_group"]

@@ -76,18 +76,10 @@ class Encryptor:
         moduli = ctx.moduli_at(limb_count)
         pk_b = self.public_key.b.keep_limbs(limb_count)
         pk_a = self.public_key.a.keep_limbs(limb_count)
-        v = RNSPoly.from_int_coefficients(
-            ctx.ring_degree, moduli, self._keygen.sample_ternary(),
-            fmt=LimbFormat.EVALUATION,
-        )
-        e0 = RNSPoly.from_int_coefficients(
-            ctx.ring_degree, moduli, self._keygen.sample_error(),
-            fmt=LimbFormat.EVALUATION,
-        )
-        e1 = RNSPoly.from_int_coefficients(
-            ctx.ring_degree, moduli, self._keygen.sample_error(),
-            fmt=LimbFormat.EVALUATION,
-        )
+        sampler = self._keygen
+        v = sampler.lift(sampler.sample_ternary(), moduli)
+        e0 = sampler.lift(sampler.sample_error(), moduli)
+        e1 = sampler.lift(sampler.sample_error(), moduli)
         message = plaintext.poly if plaintext.poly.fmt is LimbFormat.EVALUATION \
             else plaintext.poly.to_evaluation()
         c0 = pk_b.multiply(v).add(e0).add(message)
@@ -122,10 +114,7 @@ class SymmetricEncryptor:
         limb_count = plaintext.limb_count
         moduli = ctx.moduli_at(limb_count)
         a = self._keygen.sample_uniform_poly(moduli)
-        e = RNSPoly.from_int_coefficients(
-            ctx.ring_degree, moduli, self._keygen.sample_error(),
-            fmt=LimbFormat.EVALUATION,
-        )
+        e = self._keygen.lift(self._keygen.sample_error(), moduli)
         s = self.secret_key.restricted(limb_count)
         message = plaintext.poly if plaintext.poly.fmt is LimbFormat.EVALUATION \
             else plaintext.poly.to_evaluation()

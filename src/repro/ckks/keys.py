@@ -35,7 +35,7 @@ from repro.core.rns_poly import RNSPoly
 class SecretKey:
     """Ternary secret key stored over the full extended basis."""
 
-    coefficients: list[int]
+    coefficients: np.ndarray  # the ternary values, int64
     poly: RNSPoly  # evaluation format, extended basis
     hamming_weight: int
 
@@ -126,24 +126,28 @@ class KeyGenerator:
 
     # -- sampling helpers -----------------------------------------------------
 
-    def sample_ternary(self, hamming_weight: int | None = None) -> list[int]:
+    def sample_ternary(self, hamming_weight: int | None = None) -> np.ndarray:
         """Sample a ternary polynomial, sparse when ``hamming_weight`` is given."""
         n = self.context.ring_degree
         if hamming_weight is None:
-            return [int(v) for v in self.rng.integers(-1, 2, size=n)]
+            return self.rng.integers(-1, 2, size=n)
         hamming_weight = min(hamming_weight, n)
-        coeffs = [0] * n
+        coeffs = np.zeros(n, dtype=np.int64)
         positions = self.rng.choice(n, size=hamming_weight, replace=False)
-        signs = self.rng.choice([-1, 1], size=hamming_weight)
-        for pos, sign in zip(positions, signs):
-            coeffs[int(pos)] = int(sign)
+        coeffs[positions] = self.rng.choice([-1, 1], size=hamming_weight)
         return coeffs
 
-    def sample_error(self) -> list[int]:
+    def sample_error(self) -> np.ndarray:
         """Sample a discrete Gaussian error polynomial."""
         n = self.context.ring_degree
         std = self.context.params.error_std
-        return [int(round(v)) for v in self.rng.normal(0.0, std, size=n)]
+        return modmath.rint_integers(self.rng.normal(0.0, std, size=n))
+
+    def lift(self, coefficients: np.ndarray, moduli: list[int]) -> RNSPoly:
+        """Sampled integer coefficients as an evaluation-format polynomial over ``moduli``."""
+        return RNSPoly.from_int_coefficients(
+            self.context.ring_degree, moduli, coefficients, fmt=LimbFormat.EVALUATION
+        )
 
     def sample_uniform_poly(self, moduli: list[int]) -> RNSPoly:
         """Sample a uniformly random polynomial over ``moduli`` (evaluation format).
@@ -161,29 +165,21 @@ class KeyGenerator:
     def generate_secret(self) -> SecretKey:
         """Generate a sparse ternary secret key over the extended basis."""
         coeffs = self.sample_ternary(self.context.params.secret_hamming_weight)
-        poly = RNSPoly.from_int_coefficients(
-            self.context.ring_degree,
-            self.context.extended_moduli,
-            coeffs,
-            fmt=LimbFormat.EVALUATION,
-        )
-        weight = sum(1 for c in coeffs if c != 0)
+        poly = self.lift(coeffs, self.context.extended_moduli)
+        weight = int(np.count_nonzero(coeffs))
         return SecretKey(coefficients=coeffs, poly=poly, hamming_weight=weight)
 
     def generate_public(self, secret: SecretKey) -> PublicKey:
         """Generate the RLWE public key over the ciphertext basis."""
         moduli = self.context.moduli
         a = self.sample_uniform_poly(moduli)
-        e = RNSPoly.from_int_coefficients(
-            self.context.ring_degree, moduli, self.sample_error(),
-            fmt=LimbFormat.EVALUATION,
-        )
+        e = self.lift(self.sample_error(), moduli)
         s = secret.restricted(len(moduli))
         b = a.multiply(s).negate().add(e)
         return PublicKey(b=b, a=a)
 
     def generate_switching_key(
-        self, target_coefficients: list[int], secret: SecretKey, description: str = ""
+        self, target_coefficients: np.ndarray, secret: SecretKey, description: str = ""
     ) -> KeySwitchingKey:
         """Generate a hybrid key-switching key for the target secret ``s'``.
 
@@ -193,16 +189,12 @@ class KeyGenerator:
         """
         ctx = self.context
         moduli = ctx.extended_moduli
-        target = RNSPoly.from_int_coefficients(
-            ctx.ring_degree, moduli, target_coefficients, fmt=LimbFormat.EVALUATION
-        )
+        target = self.lift(target_coefficients, moduli)
         digits = []
         for j in range(ctx.params.dnum):
             factors = ctx.key_switch_factor(j)
             a_j = self.sample_uniform_poly(moduli)
-            e_j = RNSPoly.from_int_coefficients(
-                ctx.ring_degree, moduli, self.sample_error(), fmt=LimbFormat.EVALUATION
-            )
+            e_j = self.lift(self.sample_error(), moduli)
             payload = target.multiply_scalar(factors)
             b_j = a_j.multiply(secret.poly).negate().add(e_j).add(payload)
             digits.append((b_j, a_j))
@@ -225,10 +217,10 @@ class KeyGenerator:
         conj = self._automorphism_of_secret(secret, exponent)
         return self.generate_switching_key(conj, secret, "conjugate")
 
-    def _automorphism_of_secret(self, secret: SecretKey, exponent: int) -> list[int]:
+    def _automorphism_of_secret(self, secret: SecretKey, exponent: int) -> np.ndarray:
         """The integer coefficients of ``s(X^exponent)`` in ``Z[X]/(X^N + 1)``."""
         source, sign = coeff_automorphism_map(self.context.ring_degree, exponent)
-        return (sign * np.asarray(secret.coefficients, dtype=np.int64)[source]).tolist()
+        return sign * secret.coefficients[source]
 
     def generate(
         self,
@@ -255,20 +247,16 @@ class KeyGenerator:
         )
 
 
-def _square_coefficients(coefficients: list[int], ring_degree: int) -> list[int]:
+def _square_coefficients(coefficients: np.ndarray, ring_degree: int) -> np.ndarray:
     """Return the integer coefficients of ``s^2`` in ``Z[X]/(X^N + 1)``."""
     n = ring_degree
-    result = [0] * n
-    nonzero = [(i, c) for i, c in enumerate(coefficients) if c != 0]
-    for i, ci in nonzero:
-        for j, cj in nonzero:
-            idx = i + j
-            value = ci * cj
-            if idx >= n:
-                idx -= n
-                value = -value
-            result[idx] += value
-    return result
+    support = np.flatnonzero(coefficients)
+    values = coefficients[support]
+    full = np.zeros(2 * n, dtype=np.int64)
+    for i, c in zip(support, values):
+        full[i + support] += c * values
+    # X^N = -1: the upper half of the plain product wraps with a sign flip.
+    return full[:n] - full[n:]
 
 
 __all__ = [

@@ -117,7 +117,10 @@ class LimbStack:
         pool: MemoryPool | None = None,
     ) -> "LimbStack":
         """Canonicalize per-limb residue rows into a fresh stack."""
-        return cls(moduli, modmath.as_residue_stack(rows, moduli), pool=pool)
+        if len(rows) != len(moduli):
+            raise ValueError("row count does not match modulus count")
+        rows = modmath.lift_residues(rows, modmath.moduli_column(moduli))
+        return cls(moduli, rows, pool=pool)
 
     @classmethod
     def fuse(

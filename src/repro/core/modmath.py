@@ -289,28 +289,13 @@ class ShoupMultiplier:
 
 
 # ---------------------------------------------------------------------------
-# Input canonicalisation
+# Word-size predicate
 # ---------------------------------------------------------------------------
 
 
 def is_fast_modulus(q: int) -> bool:
     """Return True when the fast uint64 backend is exact for modulus ``q``."""
     return q < FAST_MODULUS_LIMIT
-
-
-def as_residue_array(values, q: int) -> np.ndarray:
-    """Coerce ``values`` into a canonical residue array for modulus ``q``."""
-    if is_fast_modulus(q):
-        arr = np.asarray(values)
-        if arr.dtype == np.object_:
-            arr = np.array([int(v) % q for v in arr.ravel()], dtype=np.uint64).reshape(arr.shape)
-            return arr
-        arr = arr.astype(np.int64, copy=True)
-        arr %= q
-        return arr.astype(np.uint64)
-    flat = [int(v) % q for v in np.asarray(values, dtype=object).ravel()]
-    out = np.array(flat, dtype=object)
-    return out.reshape(np.asarray(values, dtype=object).shape)
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +402,45 @@ def coerce_stack(data: np.ndarray, moduli_col: np.ndarray) -> np.ndarray:
     return _to_object_ints(data) if exact else data.astype(np.uint64)
 
 
-def as_residue_stack(rows, moduli) -> np.ndarray:
-    """Canonicalize per-limb residue rows into one ``(L, N)`` stack array."""
-    moduli = [int(q) for q in moduli]
-    if len(rows) != len(moduli):
-        raise ValueError("row count does not match modulus count")
-    canonical = [as_residue_array(np.asarray(row), q) for row, q in zip(rows, moduli)]
-    if backend_for_moduli(moduli) == BACKEND_OBJECT:
-        return np.stack([object_row(c) for c in canonical])
-    return np.stack([c.astype(np.uint64, copy=False) for c in canonical])
+def lift_residues(values, moduli_col: np.ndarray) -> np.ndarray:
+    """Reduce signed integers into canonical residues: ``values mod moduli_col``.
+
+    The one place an integer vector becomes residues.  ``values``
+    broadcasts against the column the usual way -- ``(N,)`` coefficients
+    against ``(L, 1)`` give the ``(L, N)`` stack of one polynomial, an
+    ``(L, N)`` block is reduced row by row -- and the result has the
+    column's stack dtype.  Machine integers over a word column are one
+    floored ``%`` in int64 (unsigned words stay unsigned), exact for
+    ``|v| < 2**63`` and ``q < 2**62``; anything else -- a list holding an
+    integer past int64, an object array, a modulus at or above 2**62 --
+    is reduced as exact Python integers.
+    """
+    col = np.asarray(moduli_col)
+    words = np.asarray(values)
+    if words.dtype.kind in "iub" and col.dtype != np.object_:
+        if words.dtype.kind != "u":
+            words, col = words.astype(np.int64, copy=False), col.astype(np.int64)
+        return (words % col).astype(np.uint64, copy=False)
+    exact = _to_object_ints(np.asarray(values, dtype=object)) % object_row(col)
+    return coerce_stack(exact, col)
+
+
+def as_residue_array(values, q: int) -> np.ndarray:
+    """Canonical residues of ``values`` for one modulus ``q``, same shape."""
+    return lift_residues(values, moduli_column((q,)).reshape(()))
+
+
+def rint_integers(values) -> np.ndarray:
+    """Round floats half-to-even into the integers :func:`lift_residues` takes.
+
+    ``int64`` when every magnitude is below 2**62 (the exact range of the
+    machine lift), Python integers otherwise -- the values Python's
+    ``round`` gives element by element either way.
+    """
+    rounded = np.rint(values)
+    if np.all(np.abs(rounded) < DWORD_MODULUS_LIMIT):
+        return rounded.astype(np.int64)
+    return _to_object_ints(rounded)
 
 
 def stack_zeros(num_limbs: int, n: int, moduli_col: np.ndarray) -> np.ndarray:
@@ -1033,71 +1048,28 @@ def stack_automorphism(stacks, index: np.ndarray, sign: np.ndarray | None,
     return outs
 
 
-def stack_switch_modulus(row: np.ndarray, q_from: int, moduli_col: np.ndarray) -> np.ndarray:
-    """Re-reduce one residue row (mod ``q_from``) into every stack modulus.
-
-    Residues are interpreted in the centred interval
-    ``(-q_from/2, q_from/2]`` -- the convention base conversion and
-    mod-raise need to keep the underlying signed value intact -- and
-    reduced against each row modulus at once, producing an ``(L, N)`` stack.
-
-    Exact int64 arithmetic covers every modulus below 2**62: the centred
-    values have magnitude at most ``q_from/2 < 2**61`` and NumPy's ``%``
-    follows Python's floored semantics, so no object fallback is needed
-    until the exact backend itself.
-    """
-    half = q_from >> 1
-    row = np.asarray(row)
-    if moduli_col.dtype != np.object_ and q_from < DWORD_MODULUS_LIMIT:
-        v = row.astype(np.int64)
-        centred = np.where(v > half, v - q_from, v)
-        out = centred[None, :] % moduli_col.astype(np.int64)
-        out = out.astype(np.uint64)
-    else:
-        values = object_row(row.ravel())
-        centred = np.where(values > half, values - q_from, values)
-        out = centred[None, :] % np.array(
-            [int(q) for q in moduli_col.ravel()], dtype=object
-        ).reshape(-1, 1)
-        out = coerce_stack(out, moduli_col)
-    if _DISPATCH.recording:
-        def replay(reads, writes, _q=q_from, _col=moduli_col):
-            writes[0][...] = stack_switch_modulus(reads[0], _q, _col)
-        _DISPATCH.elementwise(
-            "stack-switch-modulus", reads=(row,), writes=(out,),
-            ops_per_element=_kernelforms.MODADD_OPS, replay=replay,
-        )
-    return out
-
-
 def stack_switch_modulus_many(rows: np.ndarray, q_from: int,
                               moduli_col: np.ndarray,
                               *, out: np.ndarray | None = None) -> np.ndarray:
-    """Batched :func:`stack_switch_modulus` over ``P`` residue rows at once.
+    """Re-reduce ``P`` residue rows (mod ``q_from``) into every stack modulus.
 
-    ``rows`` holds ``P`` rows mod ``q_from`` as a ``(P, N)`` stack; the
-    result stacks each row's switch into the ``keep`` target moduli
-    contiguously -- ``(P*keep, N)`` with row block ``p`` covering
-    ``rows[p]``.  This is the layout the batched rescale tail consumes
-    directly, replacing the per-row python loop + ``vstack`` staging copy
-    of the unbatched path.  Row ``p*keep + i`` is bit-identical to
-    ``stack_switch_modulus(rows[p], q_from, moduli_col)[i]``.
+    Residues are interpreted in the centred interval
+    ``(-q_from/2, q_from/2]`` -- the convention base conversion and
+    mod-raise need to keep the underlying signed value intact -- and the
+    signed values go through :func:`lift_residues` against all ``keep``
+    target moduli at once.  ``rows`` is a ``(P, N)`` stack; the result
+    stacks each row's switch contiguously -- ``(P*keep, N)`` with row block
+    ``p`` covering ``rows[p]`` -- the layout the batched rescale tail
+    consumes directly.  Centred magnitudes are at most ``q_from/2``, so
+    int64 is exact for every ``q_from`` below 2**62.
     """
     rows = np.asarray(rows)
     half = q_from >> 1
     keep = int(moduli_col.size)
-    count = int(rows.shape[0])
-    if moduli_col.dtype != np.object_ and q_from < DWORD_MODULUS_LIMIT:
-        v = rows.astype(np.int64)
-        centred = np.where(v > half, v - q_from, v)
-        cols = moduli_col.astype(np.int64).reshape(1, keep, 1)
-        switched = (centred[:, None, :] % cols).astype(np.uint64)
-        return _into(switched.reshape(count * keep, -1), out)
-    blocks = [
-        stack_switch_modulus(rows[p], q_from, moduli_col)
-        for p in range(count)
-    ]
-    return np.concatenate(blocks, axis=0, out=out)
+    signed = rows.astype(np.int64) if q_from < DWORD_MODULUS_LIMIT else object_row(rows)
+    centred = np.where(signed > half, signed - q_from, signed)
+    switched = lift_residues(centred[:, None, :], moduli_col.reshape(1, keep, 1))
+    return _into(switched.reshape(rows.shape[0] * keep, -1), out)
 
 
 __all__ = [
@@ -1126,7 +1098,8 @@ __all__ = [
     "dword_shoup_column",
     "object_row",
     "coerce_stack",
-    "as_residue_stack",
+    "lift_residues",
+    "rint_integers",
     "stack_zeros",
     "scalar_column",
     "STACK_SHOUP_SHIFT",
@@ -1141,6 +1114,5 @@ __all__ = [
     "stack_add_scalar_mod",
     "stack_add_scalar_at",
     "stack_automorphism",
-    "stack_switch_modulus",
     "stack_switch_modulus_many",
 ]

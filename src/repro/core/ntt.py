@@ -290,11 +290,7 @@ class StackedNTTEngine:
         butterfly's mulhi64 reads precomputed operands instead of
         re-splitting per stage.
         """
-        # Per-limb tables of >=2**31 moduli are exact object rows; every
-        # canonical twiddle fits a uint64 lane.
-        table = np.stack([
-            r.astype(np.uint64) if r.dtype == np.object_ else r for r in rows
-        ])
+        table = np.stack(rows)
         if self.fast:
             shoup = modmath.shoup_column(table, self._base_col)
         else:

@@ -75,17 +75,6 @@ class RNSBasis:
         """Return the residue vector of a (possibly negative) integer."""
         return [int(value) % q for q in self.moduli]
 
-    def decompose(self, coefficients: Sequence[int]) -> list[np.ndarray]:
-        """Decompose integer coefficients into one residue array per limb."""
-        limbs = []
-        for q in self.moduli:
-            limbs.append(
-                modmath.as_residue_array(
-                    np.array([int(c) % q for c in coefficients], dtype=object), q
-                )
-            )
-        return limbs
-
     def crt_reconstruct(self, residues: Sequence[int]) -> int:
         """Recombine one residue per modulus into the value in ``[0, Q)``."""
         if len(residues) != len(self.moduli):
@@ -206,7 +195,7 @@ class BaseConverter:
             raise ValueError(
                 f"expected {len(self.source)} source limbs, got {len(limbs)}"
             )
-        stack = modmath.as_residue_stack(limbs, self.source.moduli)
+        stack = modmath.lift_residues(limbs, self._source_col)
         converted = self.convert_stack(stack)
         return [converted[k] for k in range(len(self.target))]
 
@@ -292,13 +281,9 @@ class BaseConverter:
                     acc = np.zeros(length, dtype=object)
                     for i in range(len(self.source)):
                         acc = acc + scaled[i] * row[i]
-                    outputs.append(modmath.as_residue_array(acc % p, p))
+                    outputs.append(acc % p)
                 converted = modmath._into(
-                    modmath.coerce_stack(
-                        np.stack([modmath.object_row(row) for row in outputs]),
-                        self._target_col,
-                    ),
-                    out,
+                    modmath.coerce_stack(np.stack(outputs), self._target_col), out
                 )
         if _DISPATCH.recording:
 

@@ -103,18 +103,17 @@ class RNSPoly:
     ) -> "RNSPoly":
         """Build a poly from signed integer coefficients (length ``<= N``).
 
+        ``coefficients`` is an integer array (or list) straight from the
+        encoder or a sampler; :func:`repro.core.modmath.lift_residues`
+        reduces it against every modulus in one broadcast expression.
         ``fmt=EVALUATION`` prepares a *constant* (an encoding, a diagonal):
         client-side on both kernel producers, so its transform is unrecorded.
         """
-        coeffs = [int(c) for c in coefficients]
-        if len(coeffs) > ring_degree:
+        if len(coefficients) > ring_degree:
             raise ValueError("too many coefficients for the ring degree")
-        coeffs = coeffs + [0] * (ring_degree - len(coeffs))
-        values = np.array(coeffs, dtype=object)
-        # One exact object-array reduction per limb replaces the old
-        # per-coefficient Python loop; the rows land canonical by
-        # construction, so the stack adopts them without re-validation.
-        rows = np.stack([values % int(q) for q in moduli])
+        rows = modmath.lift_residues(coefficients, modmath.moduli_column(moduli))
+        if rows.shape[1] < ring_degree:
+            rows = np.pad(rows, ((0, 0), (0, ring_degree - rows.shape[1])))
         poly = cls.from_stack(LimbStack(moduli, rows), LimbFormat.COEFFICIENT)
         if fmt is LimbFormat.EVALUATION:
             with _DISPATCH.suppressed():
@@ -130,12 +129,10 @@ class RNSPoly:
         fmt: LimbFormat,
     ) -> "RNSPoly":
         """Build a poly from raw per-limb residue arrays."""
-        if len(arrays) != len(list(moduli)):
-            raise ValueError("array count does not match modulus count")
-        for arr in arrays:
-            if len(np.asarray(arr).ravel()) != ring_degree:
-                raise ValueError("limb data length does not match ring degree")
-        return cls.from_stack(LimbStack.from_rows(moduli, arrays), fmt)
+        stack = LimbStack.from_rows(moduli, arrays)
+        if stack.ring_degree != ring_degree:
+            raise ValueError("limb data length does not match ring degree")
+        return cls.from_stack(stack, fmt)
 
     def copy(self) -> "RNSPoly":
         """Return a deep copy (charged to the same memory pool)."""

@@ -3,45 +3,77 @@
 The paper decouples OpenFHE from FIDESlib by exchanging *simplified data
 structures that retain essential data and metadata fields* instead of
 sharing rich library objects.  :class:`RawCiphertext` / :class:`RawPlaintext`
-are those structures here: plain residue arrays plus the metadata CKKS
-needs (moduli, scale, slot count, format, noise estimate).  The export
-functions flatten server objects into raw structures; the import functions
-rebuild server objects from them.  The ciphertext round trip also carries
-the static noise estimate back to the client, as described in §III-B.
+are those structures here: the ``(L, N)`` residue array of each polynomial
+plus the metadata CKKS needs (moduli, scale, slot count, format, noise
+estimate).  The export functions copy server storage into raw structures;
+the import functions check a raw structure against the context (moduli,
+format, shape, canonical residues) and adopt its array as server storage.
+The ciphertext round trip also carries the static noise estimate back to
+the client, as described in §III-B.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.context import Context
+from repro.core import modmath
 from repro.core.limb import LimbFormat
+from repro.core.limb_stack import LimbStack
 from repro.core.rns_poly import RNSPoly
+
+#: The wire names of the two limb formats.
+_FORMATS = {"eval": LimbFormat.EVALUATION, "coeff": LimbFormat.COEFFICIENT}
 
 
 @dataclass
 class RawPolynomial:
-    """A polynomial as exchanged across the adapter: one array per limb."""
+    """A polynomial as exchanged across the adapter.
+
+    ``limbs`` is the ``(L, N)`` residue array itself -- row ``i`` holds the
+    residues mod ``moduli[i]`` -- as ``uint64`` words (Python integers in
+    an object array for an exact chain).
+    """
 
     moduli: list[int]
-    limbs: list[np.ndarray]
+    limbs: np.ndarray
     fmt: str = "eval"
 
-    def to_rns_poly(self, ring_degree: int) -> RNSPoly:
-        """Rebuild an :class:`RNSPoly` from the raw arrays."""
-        fmt = LimbFormat.EVALUATION if self.fmt == "eval" else LimbFormat.COEFFICIENT
-        return RNSPoly.from_limb_arrays(ring_degree, self.moduli, self.limbs, fmt)
+    def to_rns_poly(self, context: Context) -> RNSPoly:
+        """Check the raw structure against ``context`` and adopt its array.
+
+        The moduli must be a prefix of the context's chain (the check
+        FIDESlib's adapter performs before copying data to the GPU), the
+        format a known one, and the array ``(len(moduli), N)`` canonical
+        residues; a :class:`ValueError` names the field that is not.
+        """
+        if list(self.moduli) != context.moduli[: len(self.moduli)]:
+            raise ValueError(
+                "raw object moduli do not match the server context "
+                f"(got {len(self.moduli)} limbs)"
+            )
+        if self.fmt not in _FORMATS:
+            raise ValueError(f"fmt: unknown limb format {self.fmt!r}")
+        rows = np.asarray(self.limbs)
+        expected = (len(self.moduli), context.ring_degree)
+        if rows.dtype not in (np.uint64, np.object_) or rows.shape != expected:
+            raise ValueError(
+                f"limbs: need uint64 residues of shape {expected} (one row per "
+                f"modulus, ring degree), got {rows.dtype} {rows.shape}"
+            )
+        if not np.all((rows >= 0) & (rows < modmath.moduli_column(self.moduli))):
+            raise ValueError("limbs: residue outside [0, q) for its modulus")
+        return RNSPoly.from_stack(LimbStack(self.moduli, rows), _FORMATS[self.fmt])
 
     @classmethod
     def from_rns_poly(cls, poly: RNSPoly) -> "RawPolynomial":
-        fmt = "eval" if poly.fmt is LimbFormat.EVALUATION else "coeff"
         return cls(
             moduli=list(poly.moduli),
-            limbs=[np.array([int(x) for x in row], dtype=object) for row in poly.limb_arrays()],
-            fmt=fmt,
+            limbs=poly.stack.data.copy(),
+            fmt="eval" if poly.fmt is LimbFormat.EVALUATION else "coeff",
         )
 
 
@@ -83,17 +115,11 @@ def export_ciphertext(ciphertext: Ciphertext, *, parameter_tag: str = "") -> Raw
 
 
 def import_ciphertext(context: Context, raw: RawCiphertext) -> Ciphertext:
-    """Rebuild a server ciphertext from the raw exchange structure.
-
-    Validates that the moduli the client sent are a prefix of the context's
-    moduli chain (the same check FIDESlib's adapter performs before copying
-    data to the GPU).
-    """
-    _validate_moduli(context, raw.c0.moduli)
-    _validate_moduli(context, raw.c1.moduli)
+    """Rebuild a server ciphertext from the raw exchange structure (checked
+    against ``context`` by :meth:`RawPolynomial.to_rns_poly`)."""
     return Ciphertext(
-        c0=raw.c0.to_rns_poly(context.ring_degree),
-        c1=raw.c1.to_rns_poly(context.ring_degree),
+        c0=raw.c0.to_rns_poly(context),
+        c1=raw.c1.to_rns_poly(context),
         scale=raw.scale,
         slots=raw.slots,
         noise_bits=raw.noise_bits,
@@ -114,22 +140,12 @@ def export_plaintext(plaintext: Plaintext, *, parameter_tag: str = "") -> RawPla
 
 def import_plaintext(context: Context, raw: RawPlaintext) -> Plaintext:
     """Rebuild a plaintext from the raw exchange structure."""
-    _validate_moduli(context, raw.poly.moduli)
     return Plaintext(
-        poly=raw.poly.to_rns_poly(context.ring_degree),
+        poly=raw.poly.to_rns_poly(context),
         scale=raw.scale,
         slots=raw.slots,
         encoded_length=raw.encoded_length,
     )
-
-
-def _validate_moduli(context: Context, moduli: list[int]) -> None:
-    expected = context.moduli[: len(moduli)]
-    if list(moduli) != expected:
-        raise ValueError(
-            "raw object moduli do not match the server context "
-            f"(got {len(moduli)} limbs)"
-        )
 
 
 __all__ = [

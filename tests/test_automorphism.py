@@ -435,7 +435,7 @@ class TestKeygenSharesTheCoefficientMap:
                   conjugation_exponent(n)]
         generated = [keys.rotation_keys[1], keys.rotation_keys[-3],
                      keys.conjugation_key]
-        assert secret.coefficients == keys.secret_key.coefficients
+        assert np.array_equal(secret.coefficients, keys.secret_key.coefficients)
         for k, key in zip(galois, generated):
             image = [0] * n
             for j, c in enumerate(secret.coefficients):

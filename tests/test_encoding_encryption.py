@@ -68,6 +68,19 @@ class TestEncoder:
         assert np.max(np.abs(high.real - values)) < np.max(np.abs(low.real - values))
 
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**30, 2.0**70])
+    @pytest.mark.parametrize("tie", [0.5, 1.5, 2.5, -0.5, -1.5, 1234.5])
+    def test_encode_rounds_ties_like_python_round(self, tie, scale):
+        # A constant message lands on coefficient 0 exactly, so x.5 is a true tie.
+        exact = self.encoder.embed(self.encoder.expand_message([tie])) * scale
+        assert exact[0] == tie * scale
+        coeffs = self.encoder.encode([tie], scale)
+        assert [int(c) for c in coeffs] == [int(round(c)) for c in exact]
+        assert coeffs.dtype == (np.int64 if abs(tie) * scale < 2**62 else np.object_)
+        diagonal = self.encoder.encode_diagonal(np.full(128, tie), scale)
+        assert [int(c) for c in diagonal] == [int(c) for c in coeffs]
+
+
 class TestEncodePlaintext:
     def test_encode_defaults(self, context):
         pt = encode(context, [0.5, -0.5])

@@ -93,7 +93,7 @@ class TestBatchedKernels:
         q_from = PRIMES[-1]
         row = modmath.as_residue_array(rng.integers(0, q_from, N), q_from)
         col = modmath.moduli_column(PRIMES[:-1])
-        switched = modmath.stack_switch_modulus(row, q_from, col)
+        switched = modmath.stack_switch_modulus_many(row[None, :], q_from, col)
         half = q_from >> 1
         centred = [int(v) - q_from if int(v) > half else int(v) for v in row]
         for i, q in enumerate(PRIMES[:-1]):

@@ -110,7 +110,8 @@ class TestShoup:
 
 def one_row(values, q):
     """A one-row stack of ``values`` in the backend ``q`` selects, plus its column."""
-    return modmath.as_residue_stack([values], [q]), modmath.moduli_column([q])
+    col = modmath.moduli_column([q])
+    return modmath.lift_residues([values], col), col
 
 
 def row_values(stack):
@@ -133,8 +134,10 @@ class TestVectorised:
     def test_dtype_selection(self):
         fast = modmath.as_residue_array([1, 2], PRIMES["fast"])
         word = modmath.as_residue_array([1, 2], PRIMES["word"])
-        assert fast.dtype == np.uint64 and word.dtype == np.object_
-        # Stacks of >= 2**31 moduli stay off object arrays: one uint64 word each.
+        exact = modmath.as_residue_array([1, 2], (1 << 62) + 1)
+        # A residue below 2**62 is one uint64 word, for one modulus or a stack.
+        assert fast.dtype == np.uint64 and word.dtype == np.uint64
+        assert exact.dtype == np.object_
         stack, col = one_row([1, 2], PRIMES["word"])
         assert stack.dtype == np.uint64 and stack.shape == (1, 2)
         assert modmath.stack_backend(col) == modmath.BACKEND_DWORD
@@ -176,7 +179,8 @@ class TestVectorised:
         q_from, q_to = PRIMES["fast"], PRIMES["small"]
         values = [1, 2, q_from - 1, q_from - 2, q_from // 2]
         row = modmath.as_residue_array(np.array(values, dtype=object), q_from)
-        out = modmath.stack_switch_modulus(row, q_from, modmath.moduli_column([q_to]))
+        out = modmath.stack_switch_modulus_many(
+            row[None, :], q_from, modmath.moduli_column([q_to]))
         half = q_from >> 1
         expected = [((v - q_from) if v > half else v) % q_to for v in values]
         assert row_values(out) == expected
@@ -216,6 +220,80 @@ def test_vector_add_neg_is_zero_property(values):
     stack, col = one_row(values, q)
     total = modmath.stack_add_mod(stack, modmath.stack_neg_mod(stack, col), col)
     assert row_values(total) == [0] * len(values)
+
+
+# ---------------------------------------------------------------------------
+# the one signed-integers -> residues lift
+# ---------------------------------------------------------------------------
+
+#: One column per stack dtype decision: single-word, double-word, exact.
+LIFT_MODULI = {
+    "uint64": generate_ntt_primes(3, 28, 64),
+    "dword": generate_ntt_primes(3, 59, 64),
+    "object": [(1 << 62) + 57, generate_ntt_primes(1, 63, 64)[0], 97],
+}
+_WORD_EDGE = (1 << 62) - 1
+
+
+def _lift_values(moduli, *, past_int64):
+    edges = [0, -1, _WORD_EDGE, -_WORD_EDGE, -(1 << 63), (1 << 63) - 1]
+    for q in moduli:
+        edges += [q, -q, q - 1, 1 - q]
+    if past_int64:
+        edges += [1 << 63, -(1 << 63) - 1, (1 << 64) + 3, -(1 << 200)]
+    bound = (1 << 200) if past_int64 else _WORD_EDGE
+    return st.lists(
+        st.sampled_from(edges) | st.integers(min_value=-bound, max_value=bound),
+        min_size=0, max_size=32,
+    )
+
+
+class TestLiftResidues:
+    """``lift_residues`` equals per-element ``int(v) % q``, whatever the dtypes."""
+
+    @staticmethod
+    def _check(values, moduli):
+        col = modmath.moduli_column(moduli)
+        lifted = modmath.lift_residues(values, col)
+        assert lifted.dtype == col.dtype and lifted.shape == (len(moduli), len(values))
+        assert [[int(x) for x in row] for row in lifted] == [
+            [int(v) % q for v in values] for q in moduli
+        ]
+
+    @pytest.mark.parametrize("name", sorted(LIFT_MODULI))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_int64_input(self, name, data):
+        moduli = LIFT_MODULI[name]
+        values = data.draw(_lift_values(moduli, past_int64=False))
+        self._check(np.array(values, dtype=np.int64), moduli)
+
+    @pytest.mark.parametrize("name", sorted(LIFT_MODULI))
+    @pytest.mark.parametrize("container", [list, lambda v: np.array(v, dtype=object)])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_input(self, name, container, data):
+        moduli = LIFT_MODULI[name]
+        self._check(container(data.draw(_lift_values(moduli, past_int64=True))), moduli)
+
+    def test_unsigned_words_are_not_reinterpreted_as_signed(self):
+        values = np.array([(1 << 64) - 1, 1 << 63, 5], dtype=np.uint64)
+        self._check(values, LIFT_MODULI["dword"])
+
+    def test_rows_reduce_against_their_own_modulus(self):
+        moduli = LIFT_MODULI["dword"]
+        rows = np.array([[-1, q, q + 5] for q in moduli], dtype=np.int64)
+        lifted = modmath.lift_residues(rows, modmath.moduli_column(moduli))
+        assert lifted.tolist() == [[q - 1, 0, 5] for q in moduli]
+
+    @given(st.lists(st.floats(min_value=-2.0**70, max_value=2.0**70), max_size=32)
+           | st.lists(st.integers(-(1 << 20), 1 << 20).map(lambda k: k + 0.5), max_size=32))
+    @settings(max_examples=100, deadline=None)
+    def test_rint_integers_is_python_round(self, floats):
+        rounded = modmath.rint_integers(np.array(floats, dtype=np.float64))
+        assert [int(v) for v in rounded] == [int(round(v)) for v in floats]
+        small = all(abs(round(v)) < (1 << 62) for v in floats)
+        assert rounded.dtype == (np.int64 if small else np.object_)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +409,7 @@ class TestDwordStackKernels:
         row = modmath.coerce_stack(
             a_obj[-1:].copy(), modmath.moduli_column([q_from])
         )[0]
-        switched = modmath.stack_switch_modulus(row, q_from, col)
+        switched = modmath.stack_switch_modulus_many(row[None, :], q_from, col)
         half = q_from >> 1
         centred = [
             int(v) - q_from if int(v) > half else int(v) for v in a_obj[-1]
