@@ -46,6 +46,7 @@ from repro.ckks.ciphertext import (
     Plaintext,
     adjust_is_noop,
     check_dot_operands,
+    check_finite_scalar,
     check_fusable,
     check_plain_scale,
     check_scalar_rescale,
@@ -353,6 +354,7 @@ class CostModelBackend:
     sub_plain = add_plain  # PtSub launches PtAdd's kernels in PtAdd's scope
 
     def add_scalar(self, a: SymbolicCiphertext, value: float) -> SymbolicCiphertext:
+        check_finite_scalar("add_scalar", value)
         with self._scope(a, "scalaradd"):
             self._emit(a, self.costs.scalar_add, a.limb_count)
         return a.copy()
@@ -379,6 +381,7 @@ class CostModelBackend:
             return self.rescale(raw) if rescale else raw
 
     def multiply_scalar(self, a: SymbolicCiphertext, value: float) -> SymbolicCiphertext:
+        check_finite_scalar("multiply_scalar", value)
         check_scalar_rescale(a)
         with self._scope(a, "scalarmult"):
             self._emit(a, self.costs.scalar_mult, a.limb_count)

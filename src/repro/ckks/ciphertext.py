@@ -121,6 +121,14 @@ def check_scalar_rescale(handle) -> None:
         )
 
 
+def check_finite_scalar(operation: str, value) -> float:
+    """Reject a scalar operand with no fixed-point encoding (``inf``, ``nan``)."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{operation} needs a finite scalar, got {value!r}")
+    return value
+
+
 def check_dot_operands(handles: Sequence, plaintexts: Sequence) -> None:
     """Reject an empty or unequally long ``dot_product_plain`` operand pair."""
     if not handles:
@@ -357,6 +365,7 @@ __all__ = [
     "match_for_product",
     "check_plain_scale",
     "check_scalar_rescale",
+    "check_finite_scalar",
     "check_dot_operands",
     "check_fusable",
     "member_lengths",

@@ -38,6 +38,7 @@ from repro.ckks.ciphertext import (
     Plaintext,
     adjust_is_noop,
     check_dot_operands,
+    check_finite_scalar,
     check_plain_scale,
     check_scalar_rescale,
     match_for_product,
@@ -230,7 +231,7 @@ class Evaluator:
 
     def add_scalar(self, ct: Ciphertext, value: float) -> Ciphertext:
         """Constant addition (``ScalarAdd``): adds ``value`` to every slot."""
-        integer = int(round(float(value) * ct.scale))
+        integer = int(round(check_finite_scalar("add_scalar", value) * ct.scale))
         with self._scope(ct, "scalaradd"):
             return ct.with_polys(ct.c0.add_scalar(integer), ct.c1)
 
@@ -259,6 +260,7 @@ class Evaluator:
         The constant is encoded at the scale that restores the ladder after
         the rescale, so chained operations keep exact per-level scales.
         """
+        value = check_finite_scalar("multiply_scalar", value)
         if rescale:
             check_scalar_rescale(ct)
         if scalar_scale is None:
@@ -267,7 +269,7 @@ class Evaluator:
                 scalar_scale = q * self.context.scale_at(ct.level - 1) / ct.scale
             else:
                 scalar_scale = self.context.scale
-        integer = int(round(float(value) * scalar_scale))
+        integer = int(round(value * scalar_scale))
         with self._scope(ct, "scalarmult"):
             result = self._on_both(
                 ct, "scalarmult", lambda c: c.multiply_scalar(integer),

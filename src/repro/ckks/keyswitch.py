@@ -32,6 +32,7 @@ single-polynomial kernel structure at ``B×`` rows.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,10 @@ import numpy as np
 from repro.ckks.context import Context
 from repro.ckks.keys import KeySwitchingKey
 from repro.core import modmath
-from repro.core.dispatch import gather_rows, get_dispatcher
+from repro.core.dispatch import get_dispatcher
 from repro.core.limb import LimbFormat
 from repro.core.limb_stack import LimbStack
-from repro.core.ntt import (
-    get_stacked_engine,
-    record_staged_transform,
-    transform_in_place,
-)
+from repro.core.ntt import Fused, get_stacked_engine
 from repro.core.rns_poly import RNSPoly
 from repro.gpu.kernel import MODADD_OPS, MODMUL_OPS
 
@@ -89,70 +86,41 @@ def decompose_and_mod_up(context: Context, poly: RNSPoly) -> DecomposedPolynomia
         poly_coeff = get_stacked_engine(n, tuple(poly.moduli)).inverse(poly.stack.data)
         # Per-digit batched base conversions to the complementary basis ∪ P
         # (each digit needs its own Equation-1 tables), each writing its rows
-        # straight into the fused NTT buffer (layout-aware: no per-block
-        # vstack staging copy, no provenance links to stitch across one).
-        # A digit's block holds each converted limb once per member, so the
-        # fused NTT walks runs of one modulus sharing one twiddle row.
-        digit_spans: list[tuple[int, int]] = []
-        converters = []
-        fused_moduli: list[int] = []
-        for digit_index in range(num_digits):
-            digit_indices = [
-                i for i in context.digit_limb_indices(digit_index) if i < limb_count
-            ]
-            digit_spans.append((digit_indices[0], digit_indices[-1] + 1))
-            converter = context.modup_converter(limb_count, digit_index)
-            converters.append(converter)
-            for q in converter.target.moduli:
-                fused_moduli.extend([q] * members)
+        # straight into the fused NTT buffer.  A digit's block holds each
+        # converted limb once per member, so the fused NTT walks runs of one
+        # modulus sharing one twiddle row.
+        converters = [
+            context.modup_converter(limb_count, j) for j in range(num_digits)
+        ]
         block_rows = [len(conv.target) * members for conv in converters]
         stacked = np.empty((sum(block_rows), n), dtype=target_col.dtype)
-        row = 0
-        for (d0, d1), converter, rows in zip(digit_spans, converters, block_rows):
-            # Each member's digit rows are a zero-copy slice of the stacked
-            # iNTT output (digits are contiguous), so the recorded base
+        spans, row, d0 = [], 0, 0
+        for converter, rows in zip(converters, block_rows):
+            # Digits are contiguous, so each member's digit rows are a
+            # zero-copy slice of the stacked iNTT output: the recorded base
             # conversion reads the transform's buffer directly.
-            sources = tuple(
-                poly_coeff[m * limb_count + d0 : m * limb_count + d1]
-                for m in range(members)
+            d1 = d0 + len(converter.source)
+            converter.convert_members(
+                [poly_coeff[m * limb_count + d0 : m * limb_count + d1]
+                 for m in range(members)],
+                stacked[row : row + rows],
+                limb_major=True,
             )
-            block = stacked[row : row + rows]
-            # Exact chain, machine-word digit target: convert into a word
-            # staging block, then lift to Python integers (the link
-            # stitches the dependency edge across the copy).
-            converted = block
-            if converter._target_col.dtype != block.dtype:
-                converted = np.empty(block.shape, dtype=np.uint64)
-
-            def convert(reads, writes, _conv=converter):
-                for m, source in enumerate(reads):
-                    _conv.convert_stack(source, out=writes[0][m::len(reads)])
-
-            with _DISPATCH.suppressed():
-                convert(sources, (converted,))
-            if _DISPATCH.recording:
-                _DISPATCH.base_conversion(
-                    "baseconv", d1 - d0, len(converter.target),
-                    reads=sources, writes=(converted,), cols=members * n,
-                    replay=convert,
-                )
-            if converted is not block:
-                block[...] = modmath.coerce_stack(converted, target_col)
-                _DISPATCH.link((converted,), block)
-            row += rows
+            spans.append((d0, d1, slice(row, row + rows)))
+            row, d0 = row + rows, d1
         # ... then one fused stacked NTT returns every digit's converted rows
-        # to the evaluation domain in a single in-place call; the trace
-        # records it at GPU launch granularity, one kernel per digit.
-        fused_eval = get_stacked_engine(n, tuple(fused_moduli)).forward(
-            stacked,
-            consume=True,
-            segments=block_rows,
+        # to the evaluation domain in a single in-place call, one launch per
+        # digit.
+        fused_moduli = tuple(
+            q for conv in converters for q in conv.target.moduli
+            for _ in range(members)
+        )
+        fused_eval = get_stacked_engine(n, fused_moduli).forward(
+            stacked, consume=True, segments=block_rows
         )
         digits_out: list[RNSPoly] = []
-        row_offset = 0
-        for (d0, d1), rows in zip(digit_spans, block_rows):
-            converted_eval = fused_eval[row_offset : row_offset + rows]
-            row_offset += rows
+        for d0, d1, block in spans:
+            converted_eval = fused_eval[block]
             # Assemble each member's extended stack with contiguous row
             # copies: own rows verbatim, converted rows in target order (the
             # converter's target basis preserves it, with the digit's
@@ -197,9 +165,9 @@ def mod_down_many(context: Context, polys: list[RNSPoly]) -> list[RNSPoly]:
         return []
     first = polys[0]
     for poly in polys[1:]:
-        if poly.moduli != first.moduli or poly.fmt is not first.fmt:
-            raise ValueError("fused mod_down requires matching bases and formats")
+        first._check_compatible(poly)
     members = first.members
+    count = len(polys)
     special_count = len(context.special_moduli)
     limb_count = first.level_count // members - special_count
     if limb_count < 1:
@@ -210,141 +178,45 @@ def mod_down_many(context: Context, polys: list[RNSPoly]) -> list[RNSPoly]:
     converter = context.moddown_converter(limb_count)
     target_moduli = tuple(context.moduli_at(limb_count))
     target_col = modmath.moduli_column(target_moduli)
-    p_inv = tuple(context.p_inv_mod_q[:limb_count])
-    # Rows one polynomial contributes to the fused special / output buffers.
-    special_rows_each = members * special_count
-    out_rows_each = members * limb_count
-
-    def convert(reads, writes):
-        # Each member's P -> Q_l conversion writes its rows directly into
-        # the member-major layout the tail consumes.
-        for r in range(len(reads[0]) // special_count):
-            converter.convert_stack(
-                reads[0][r * special_count : (r + 1) * special_count],
-                out=writes[0][r * limb_count : (r + 1) * limb_count],
-            )
-
-    def fold_heads(heads, block):
-        # The ``P^{-1}(x - Conv(x'))`` tail folds each member's head limbs
-        # into its rows of ``block`` in place (no heads vstack, no separate
-        # diff/result temporaries).
-        for m, head in enumerate(heads):
-            seg = block[m * limb_count : (m + 1) * limb_count]
-            head = modmath.coerce_stack(head, target_col)
-            modmath.stack_sub_mod(head, seg, target_col, out=seg)
-            modmath.stack_scalar_mod(seg, p_inv, target_col, out=seg)
-
-    with _DISPATCH.scope("moddown"), _DISPATCH.suppressed():
-        special_rows = np.concatenate(
-            [rows for p in polys for rows in p.member_rows(limb_count)]
-        )
-        for i, p in enumerate(polys):
-            # Keep the dependency chain intact across the staging copy (the
-            # coefficient-format path has no recorded iNTT to carry it).
-            _DISPATCH.link(
-                p.member_rows(limb_count),
-                special_rows[i * special_rows_each : (i + 1) * special_rows_each],
-            )
+    # The ``P^{-1}(x - Conv(x'))`` tail folds each member's head limbs into
+    # its converted rows in place (fused into the NTT: the ModDown fusion).
+    heads = [rows for p in polys for rows in p.member_rows(0, limb_count)]
+    fold = modmath.head_fold(context.p_inv_mod_q[:limb_count], target_col)
+    fold_ops = MODMUL_OPS + MODADD_OPS
+    # Per component: iNTT of the special limbs, the P -> Q_l conversion, an
+    # NTT over the ciphertext limbs with the fold.  The c0/c1 chains touch
+    # disjoint rows of the fused buffers, so they stay parallel in the DAG
+    # (the §III-F.1 overlap the stream scheduler exploits).
+    with _DISPATCH.scope("moddown"), _DISPATCH.interleaved():
+        specials = [rows for p in polys for rows in p.member_rows(limb_count)]
         if is_eval:
+            # The N^-1 scaling folds into the conversion's q-hat^-1 constants.
             special_rows = get_stacked_engine(
-                n, special_moduli * (members * len(polys))
-            ).inverse(special_rows, consume=True)
-        out = np.empty((out_rows_each * len(polys), n), dtype=target_col.dtype)
-        convert((special_rows,), (out,))
-        if is_eval:
-            out = get_stacked_engine(
-                n, target_moduli * (members * len(polys))
-            ).forward(out, consume=True)
-        for i, p in enumerate(polys):
-            fold_heads(
-                p.member_rows(0, limb_count),
-                out[i * out_rows_each : (i + 1) * out_rows_each],
-            )
-    # Execution-plane record, per component, at GPU launch granularity:
-    # iNTT of the special limbs, the P -> Q_l base conversion, and an NTT
-    # over the ciphertext limbs with the ``P^{-1}(x - Conv(x'))`` step
-    # fused in (the ModDown fusion, §III-F.5).
-    if _DISPATCH.recording:
-        staged = is_eval and _DISPATCH.stage_granular
-        component_special_moduli = special_moduli * members
-        component_moduli = target_moduli * members
-
-        def intt_replay(reads, writes):
-            transform_in_place(
-                n, component_special_moduli, reads, writes[0], forward=False
-            )
-
-        def tail_replay(reads, writes):
-            gather_rows(reads[:1], writes[0])
-            fold_heads(reads[1:], writes[0])
-
-        def ntt_tail_replay(reads, writes):
-            transform_in_place(
-                n, component_moduli, reads[:1], writes[0], forward=True
-            )
-            fold_heads(reads[1:], writes[0])
-
-        with _DISPATCH.scope("moddown"):
-            # Per-component slices: the c0/c1 pipelines touch disjoint rows
-            # of the fused buffers, so they stay parallel in the DAG (the
-            # §III-F.1 overlap the stream scheduler exploits).
-            for i, poly in enumerate(polys):
-                component_out = out[i * out_rows_each : (i + 1) * out_rows_each]
-                component_special = special_rows[
-                    i * special_rows_each : (i + 1) * special_rows_each
-                ]
-                specials = poly.member_rows(limb_count)
-                tail_reads = (component_out,) + poly.member_rows(0, limb_count)
-                # Under stage-granular recording the two transforms expand
-                # into per-stage launch runs (the unfused GPU baseline) and
-                # the ``P^{-1}(x - Conv(x'))`` arithmetic becomes its own
-                # elementwise launch after the NTT stages.
-                if is_eval and not (staged and record_staged_transform(
-                    "intt", n, component_special_moduli, specials, component_special,
-                )):
-                    _DISPATCH.transform(
-                        "intt", special_rows_each, reads=specials,
-                        writes=(component_special,), cols=n,
-                        replay=intt_replay,
-                    )
-                _DISPATCH.base_conversion(
-                    "baseconv", special_count, limb_count,
-                    reads=(component_special,), writes=(component_out,),
-                    cols=members * n, replay=convert,
+                n, special_moduli * (members * count)
+            ).inverse(sources=specials, segments=[members * special_count] * count,
+                      fused_ops_per_element=0.0)
+            specials = np.split(special_rows, members * count)
+        out = np.empty((count * members * limb_count, n), dtype=target_col.dtype)
+        for i, block in enumerate(np.split(out, count)):
+            _DISPATCH.segment = i
+            converter.convert_members(specials[i * members : (i + 1) * members], block)
+            if not is_eval:
+                _DISPATCH.run(
+                    "moddown-fused", fold, ops_per_element=fold_ops,
+                    reads=(block, *heads[i * members : (i + 1) * members]),
+                    writes=(block,),
                 )
-                if not is_eval:
-                    _DISPATCH.elementwise(
-                        "moddown-fused", reads=tail_reads,
-                        writes=(component_out,),
-                        ops_per_element=MODMUL_OPS + MODADD_OPS,
-                        replay=tail_replay,
-                    )
-                elif staged and record_staged_transform(
-                    "ntt", n, component_moduli, (component_out,), component_out,
-                ):
-                    _DISPATCH.elementwise(
-                        "moddown-tail", reads=tail_reads,
-                        writes=(component_out,),
-                        ops_per_element=MODMUL_OPS + MODADD_OPS,
-                        replay=tail_replay,
-                    )
-                else:
-                    _DISPATCH.transform(
-                        "ntt", out_rows_each, reads=tail_reads,
-                        writes=(component_out,), cols=n,
-                        fused_ops_per_element=MODMUL_OPS + MODADD_OPS,
-                        replay=ntt_tail_replay,
-                    )
+        if is_eval:
+            out = get_stacked_engine(n, target_moduli * (members * count)).forward(
+                out, consume=True, segments=[members * limb_count] * count,
+                epilogue=Fused("moddown-tail", fold_ops, heads, fold),
+            )
     return [
         RNSPoly.from_stack(
-            LimbStack(
-                target_moduli * members,
-                out[i * out_rows_each : (i + 1) * out_rows_each],
-                pool=poly.stack.pool,
-            ),
+            LimbStack(target_moduli * members, block, pool=poly.stack.pool),
             poly.fmt,
         )
-        for i, poly in enumerate(polys)
+        for poly, block in zip(polys, np.split(out, count))
     ]
 
 
@@ -386,21 +258,14 @@ def apply_key(
             for j in range(digit_count)
         ]
         windows = context.key_row_windows(decomposed.limb_count, template.members)
-        staged = _DISPATCH.stage_granular and digit_count > 1
-        if staged and len(windows) > 1:
-            # The per-digit launches below read whole stacks: join the rows.
-            keys = [
-                tuple(np.concatenate([k[rows] for _, rows in windows]) for k in pair)
-                for pair in keys
-            ]
-            windows = [(slice(None), slice(None))]
         # Dot-product fusion (§III-F.5): each accumulator is one wide
         # multiply-accumulate with a single reduction instead of a reduced
-        # product and a reduced add per digit.  The GPU launches this as a
-        # single inner-product kernel producing both accumulators, which is
-        # how the execution plane records it.
+        # product and a reduced add per digit, and the GPU launches both as
+        # one inner-product kernel -- except stage-granular, where each dot
+        # product records its own unfused per-digit launches.
         acc_data = [np.empty(digits[0].shape, dtype=col.dtype) for _ in range(2)]
-        with _DISPATCH.suppressed() if staged else _DISPATCH.launch("ks-inner-product"):
+        unfused = _DISPATCH.stage_granular and digit_count > 1
+        with nullcontext() if unfused else _DISPATCH.launch("ks-inner-product"):
             for rows, key_rows in windows:
                 for component, acc in enumerate(acc_data):
                     modmath.stack_dot_mod(
@@ -415,46 +280,6 @@ def apply_key(
             )
             for data in acc_data
         ]
-        if staged:
-            # Unfused baseline: without the dot-product fusion each
-            # accumulator is one reduced product plus a reduced
-            # multiply-accumulate launch per further digit, every partial
-            # sum a global-memory round trip.  Each run is registered as a
-            # fusion group replaying the single wide inner-product kernel.
-
-            def mul_replay(reads, writes):
-                modmath.stack_mul_mod(reads[0], reads[1], col, out=writes[0])
-
-            def fma_replay(reads, writes):
-                prod = modmath.stack_mul_mod(reads[1], reads[2], col)
-                modmath.stack_add_mod(reads[0], prod, col, out=writes[0])
-
-            def dot_replay(reads, writes):
-                # Member reads in order: (digit0, key0), then
-                # (acc, digit_j, key_j) per further digit.
-                dot_pairs = [(reads[0], reads[1])] + [
-                    (reads[3 * j], reads[3 * j + 1])
-                    for j in range(1, digit_count)
-                ]
-                modmath.stack_dot_mod(dot_pairs, col, out=writes[0])
-
-            for component, acc in enumerate(acc_data):
-                _DISPATCH.elementwise(
-                    "ks-mul",
-                    reads=(digits[0], keys[0][component]),
-                    writes=(acc,),
-                    ops_per_element=MODMUL_OPS,
-                    replay=mul_replay,
-                )
-                for j in range(1, digit_count):
-                    _DISPATCH.elementwise(
-                        "ks-mul-add",
-                        reads=(acc, digits[j], keys[j][component]),
-                        writes=(acc,),
-                        ops_per_element=MODMUL_OPS + MODADD_OPS,
-                        replay=fma_replay,
-                    )
-                _DISPATCH.fusion_group(digit_count, dot_replay)
         delta0, delta1 = mod_down_many(context, accs)
         return delta0, delta1
 

@@ -7,10 +7,11 @@ Module map (kernel producers → dispatcher → trace → the one pricing path)
 
     repro.core.modmath ───┐  stack_* kernels auto-emit on execution
     repro.core.limb_stack ┤  row-copy kernels (copy / take)
-    repro.core.ntt ───────┤  StackedNTTEngine transforms (per limb batch)
-    repro.core.rns ───────┤  BaseConverter.convert_stack
-    repro.ckks.keyswitch ─┤  fused ModUp / inner-product / ModDown emits
-    repro.ckks.evaluator ─┤  operation scopes (hmult, rescale, ...)
+    repro.core.ntt ───────┤  StackedNTTEngine: one (i)NTT launch per segment,
+                          │  with the prologue/epilogue fused into it
+    repro.core.rns ───────┤  BaseConverter.convert_stack / convert_members
+    repro.ckks.keyswitch ─┤  scopes only (modup, keyswitch, moddown): the
+    repro.ckks.evaluator ─┤  pipelines call the self-recording kernels above
     repro.api.backend ────┘  CostModelBackend: the closed-form kernels of
                 │            repro.perf.costmodel, emitted in the same
                 │            operation scopes (symbolic programs)
@@ -66,9 +67,19 @@ earlier member produced, writes the distinct views written, sums the
 members' integer operations and replays their replays in order -- a
 composite's replay *is* its eager computation, written once.  A transform
 or base conversion inside a group is an error; a nested group joins the
-outer one.  Pipelines whose record is *not* their eager call structure
-(ModUp, ModDown, rescale) compute under :meth:`Dispatcher.suppressed` and
-emit by hand.
+outer one.
+
+**A fused transform is one engine call.**  The §III-F.5 fusions fold
+element-wise work *into* the (i)NTT kernels, so ModUp, ModDown and rescale
+hand that work to the engine call as its ``prologue``/``epilogue`` operand
+(:class:`repro.core.ntt.Fused`) and the engine records the launch -- one
+fused ``ntt``/``intt`` event per segment, or its unfused form under
+``stage_launches`` -- so nothing is described a second time at the call
+site.  A stacked call covers every segment (both ciphertext components) at
+once while a GPU issues each segment's chain on its own, so such a pipeline
+runs inside :meth:`Dispatcher.interleaved`, which lands its events segment
+by segment.  A step that is one declared launch with no transform around it
+(the coefficient-format tails) goes through :meth:`Dispatcher.run`.
 
 Dependencies are derived from buffer identity at byte-interval
 granularity: views resolve to their owning allocation plus the byte range
@@ -106,6 +117,7 @@ from __future__ import annotations
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -503,13 +515,15 @@ def gather_rows(sources: Sequence[np.ndarray], out: np.ndarray) -> None:
     A kernel over a fused ``(B·L, N)`` stack reads one row block per
     member; its replay stages them member-major into the write view.  A
     block that already aliases its slot (an in-place recording) is left
-    untouched.
+    untouched.  Rows of an exact (Python-integer) chain land in the word
+    stack of a sub-basis below 2**62 as they are: canonical residues cast
+    exactly.
     """
     row = 0
     for source in sources:
         slot = out[row : row + len(source)]
         if not np.shares_memory(source, slot):
-            np.copyto(slot, source)
+            np.copyto(slot, source, casting="unsafe")
         row += len(source)
 
 
@@ -590,6 +604,11 @@ class Dispatcher:
         self._stage_granular: bool = False
         #: Member emissions of the open :meth:`launch` group, else ``None``.
         self._group: list[tuple] | None = None
+        #: ``(segment, trace addition)`` held inside :meth:`interleaved`.
+        self._held: list[tuple[int, Callable[[], None]]] | None = None
+        #: The segment (component) the emitting kernel is recording; its
+        #: per-segment loop sets it, :meth:`interleaved` orders by it.
+        self.segment: int = 0
         #: Optional scope profiler (``enter(name)``/``exit(name)``) the
         #: observability plane installs via :meth:`profiling`; ``None``
         #: keeps :meth:`scope` on the shared null context.
@@ -614,12 +633,14 @@ class Dispatcher:
         stage (the *unfused* GPU baseline: a global-memory round trip per
         stage) instead of one event per fused transform, and register the
         stage run as a fusion group so :func:`repro.core.fusion.fuse_trace`
-        can merge it back into the fused mega-kernel.
+        can merge it back into the fused mega-kernel.  A :meth:`launch`
+        group is one launch by declaration: nothing inside it expands.
         """
         return (
             self._trace is not None
             and self._suppress == 0
             and self._stage_granular
+            and self._group is None
         )
 
     @contextmanager
@@ -717,6 +738,36 @@ class Dispatcher:
         if members:
             self._record_group(tag, members)
 
+    def interleaved(self):
+        """Land the with-block's launches on the trace segment by segment.
+
+        A pipeline of stacked calls (iNTT, base conversion, NTT over both
+        ciphertext components) executes call by call, but a GPU issues each
+        component's chain on its own and the trace is in issue order.  In
+        the block an emission is held under the :attr:`segment` its kernel
+        set and added (dependency edges derived) on exit, segments in order.
+        """
+        if self._trace is None or self._suppress or self._held is not None:
+            return _NULL_CONTEXT
+        return self._interleave()
+
+    @contextmanager
+    def _interleave(self) -> Iterator[None]:
+        self._held = []
+        try:
+            yield
+        finally:
+            held, self._held = self._held, None
+        for _, add in sorted(held, key=lambda entry: entry[0]):  # stable
+            add()
+
+    def _land(self, add: Callable[[], None]) -> None:
+        """Run a trace addition now, or hold it for :meth:`interleaved`."""
+        if self._held is None:
+            add()
+        else:
+            self._held.append((self.segment, add))
+
     def on_device(self, device: int):
         """Tag kernels emitted in the with-block with a cluster device.
 
@@ -797,6 +848,17 @@ class Dispatcher:
         )
         self._add(kernel, kind, reads=reads, writes=writes, replay=replay)
 
+    def run(self, tag: str, fn: Callable[[tuple, tuple], None], *,
+            reads: Sequence[np.ndarray], writes: Sequence[np.ndarray],
+            ops_per_element: float) -> None:
+        """Compute ``fn(reads, writes)``, silenced, as one declared launch:
+        its record is one element-wise kernel named ``tag`` (not the building
+        blocks ``fn`` calls) and the function is its own replay."""
+        with self.suppressed():
+            fn(reads, writes)
+        self.elementwise(tag, reads=reads, writes=writes,
+                         ops_per_element=ops_per_element, replay=fn)
+
     def transform(
         self,
         tag: str,
@@ -844,8 +906,10 @@ class Dispatcher:
                 f"{kernel.name!r} ({kind}) was emitted inside a launch group: "
                 f"only per-element kernels merge into one launch"
             )
-        self._trace.add(kernel, scope=self._scope_path(), device=self._device,
-                        kind=kind, **accesses)
+        self._land(partial(
+            self._trace.add, kernel, scope=self._scope_path(),
+            device=self._device, kind=kind, **accesses,
+        ))
 
     def _record_group(self, tag: str, members: list[tuple]) -> None:
         """Record a closed :meth:`launch` group as one elementwise event."""
@@ -902,13 +966,17 @@ class Dispatcher:
         chain covers the whole group, so the fused program executes the
         stage-fused kernel instead of the per-stage launches.
         """
-        if self._trace is None or self._suppress or not self._trace.executable:
+        trace = self._trace
+        if trace is None or self._suppress or not trace.executable:
             return
-        events = self._trace.events
-        if count < 2 or count > len(events):
-            return
-        indices = tuple(event.index for event in events[-count:])
-        self._trace._fusion_groups.append((indices, replay))
+
+        def mark() -> None:
+            events = trace.events
+            if 2 <= count <= len(events):
+                indices = tuple(event.index for event in events[-count:])
+                trace._fusion_groups.append((indices, replay))
+
+        self._land(mark)
 
     def link(self, sources: Sequence[np.ndarray], destination: np.ndarray) -> None:
         """Forward provenance across unrecorded data movement (see trace)."""

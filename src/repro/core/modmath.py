@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.core.dispatch import get_dispatcher
+from repro.core.dispatch import gather_rows, get_dispatcher
 from repro.gpu import kernel as _kernelforms
 
 #: Execution-plane dispatcher; every batched stack kernel reports through
@@ -402,7 +402,8 @@ def coerce_stack(data: np.ndarray, moduli_col: np.ndarray) -> np.ndarray:
     return _to_object_ints(data) if exact else data.astype(np.uint64)
 
 
-def lift_residues(values, moduli_col: np.ndarray) -> np.ndarray:
+def lift_residues(values, moduli_col: np.ndarray,
+                  *, out: np.ndarray | None = None) -> np.ndarray:
     """Reduce signed integers into canonical residues: ``values mod moduli_col``.
 
     The one place an integer vector becomes residues.  ``values``
@@ -413,16 +414,21 @@ def lift_residues(values, moduli_col: np.ndarray) -> np.ndarray:
     floored ``%`` in int64 (unsigned words stay unsigned), exact for
     ``|v| < 2**63`` and ``q < 2**62``; anything else -- a list holding an
     integer past int64, an object array, a modulus at or above 2**62 --
-    is reduced as exact Python integers.
+    is reduced as exact Python integers.  ``out`` (of the broadcast shape,
+    contiguous) receives the residues without a staging copy.
     """
     col = np.asarray(moduli_col)
     words = np.asarray(values)
     if words.dtype.kind in "iub" and col.dtype != np.object_:
         if words.dtype.kind != "u":
             words, col = words.astype(np.int64, copy=False), col.astype(np.int64)
-        return (words % col).astype(np.uint64, copy=False)
+        if out is None:
+            return (words % col).astype(np.uint64, copy=False)
+        # A floored remainder is non-negative: the same bits in either word.
+        np.remainder(words, col, out=out.view(words.dtype))
+        return out
     exact = _to_object_ints(np.asarray(values, dtype=object)) % object_row(col)
-    return coerce_stack(exact, col)
+    return _into(coerce_stack(exact, col), out)
 
 
 def as_residue_array(values, q: int) -> np.ndarray:
@@ -898,7 +904,9 @@ def stack_dot_mod(pairs, moduli_col: np.ndarray,
             product = (x * y) % moduli_col
             acc = product if acc is None else (acc + product) % moduli_col
         acc = _into(acc, out)
-    if _DISPATCH.recording:
+    if _DISPATCH.stage_granular and len(pairs) > 1:
+        _record_unfused_dot(pairs, acc, moduli_col)
+    elif _DISPATCH.recording:
         def replay(reads, writes, _col=moduli_col):
             stack_dot_mod(
                 list(zip(reads[0::2], reads[1::2])), _col, out=writes[0]
@@ -911,6 +919,45 @@ def stack_dot_mod(pairs, moduli_col: np.ndarray,
             replay=replay,
         )
     return acc
+
+
+def _record_unfused_dot(pairs, acc: np.ndarray, moduli_col: np.ndarray) -> None:
+    """Record a dot product as the launches an unfused GPU makes of it.
+
+    Without the dot-product fusion the sum is one reduced product plus a
+    reduced multiply-accumulate launch per further pair, every partial sum
+    a global-memory round trip; the run is registered as a fusion group
+    replaying the single wide kernel.  (The tags are the key switch's, the
+    one site that takes a dot product outside a launch group.)
+    """
+    def mul(reads, writes):
+        stack_mul_mod(reads[0], reads[1], moduli_col, out=writes[0])
+
+    def mul_add(reads, writes):
+        product = stack_mul_mod(reads[1], reads[2], moduli_col)
+        stack_add_mod(reads[0], product, moduli_col, out=writes[0])
+
+    count = len(pairs)  # the thunks below outlive the operands: keep no pair
+
+    def dot(reads, writes):
+        # The members' reads in order: (x_0, y_0), then (acc, x_j, y_j).
+        stack_dot_mod(
+            [(reads[0], reads[1])]
+            + [(reads[3 * j], reads[3 * j + 1]) for j in range(1, count)],
+            moduli_col, out=writes[0],
+        )
+
+    _DISPATCH.elementwise(
+        "ks-mul", reads=pairs[0], writes=(acc,),
+        ops_per_element=_kernelforms.MODMUL_OPS, replay=mul,
+    )
+    for x, y in pairs[1:]:
+        _DISPATCH.elementwise(
+            "ks-mul-add", reads=(acc, x, y), writes=(acc,),
+            ops_per_element=_kernelforms.MODMUL_OPS + _kernelforms.MODADD_OPS,
+            replay=mul_add,
+        )
+    _DISPATCH.fusion_group(count, dot)
 
 
 def stack_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,
@@ -940,6 +987,27 @@ def stack_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,
             ops_per_element=_kernelforms.SHOUP_MUL_OPS, replay=replay,
         )
     return out
+
+
+def head_fold(scalars, moduli_col: np.ndarray):
+    """The ``c_i · (head_i − x_i)`` tail of rescale and ModDown, as a kernel.
+
+    Returns ``fold(reads, writes)``: ``reads[0]`` holds the switched (or
+    base-converted) rows ``x`` of every member, ``reads[1:]`` one block of
+    head limbs per member over ``moduli_col``, and the result lands in
+    ``writes[0]`` -- in place when that is ``reads[0]``, as it is wherever
+    the fold is fused into the NTT that produced ``x`` (§III-F.5).
+    """
+    def fold(reads, writes):
+        gather_rows(reads[:1], writes[0])
+        row = 0
+        for head in reads[1:]:
+            seg = writes[0][row : row + len(head)]
+            row += len(head)
+            stack_sub_mod(coerce_stack(head, moduli_col), seg, moduli_col, out=seg)
+            stack_scalar_mod(seg, scalars, moduli_col, out=seg)
+
+    return fold
 
 
 def _dword_scalar_shoup(scalars, moduli_col: np.ndarray) -> np.ndarray:
@@ -1068,8 +1136,11 @@ def stack_switch_modulus_many(rows: np.ndarray, q_from: int,
     keep = int(moduli_col.size)
     signed = rows.astype(np.int64) if q_from < DWORD_MODULUS_LIMIT else object_row(rows)
     centred = np.where(signed > half, signed - q_from, signed)
-    switched = lift_residues(centred[:, None, :], moduli_col.reshape(1, keep, 1))
-    return _into(switched.reshape(rows.shape[0] * keep, -1), out)
+    switched = lift_residues(
+        centred[:, None, :], moduli_col.reshape(1, keep, 1),
+        out=None if out is None else out.reshape(rows.shape[0], keep, -1),
+    )
+    return switched.reshape(rows.shape[0] * keep, -1)
 
 
 __all__ = [
@@ -1111,6 +1182,7 @@ __all__ = [
     "stack_mul_mod",
     "stack_dot_mod",
     "stack_scalar_mod",
+    "head_fold",
     "stack_add_scalar_mod",
     "stack_add_scalar_at",
     "stack_automorphism",

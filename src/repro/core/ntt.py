@@ -17,12 +17,19 @@ input, normal-order output), so no explicit bit reversal is ever needed.
 * :func:`reference_transform` is the exact-integer oracle: the production
   path for moduli at or above 2**62 and the reference every test compares
   the vectorized backends against.
+
+The engine is also where a transform *launch* is described.  FIDESlib folds
+element-wise work into its (i)NTT kernels (§III-F.5: rescale, ModDown); a
+call hands that work over as a :class:`Fused` prologue/epilogue next to the
+row blocks it reads, the engine runs it around the one stacked transform
+and records the launch itself (:meth:`StackedNTTEngine._record`): fused,
+or as its per-stage unfused form under ``stage_launches``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,6 +163,57 @@ _NTT_LIMB_BATCH = 3
 #: butterfly's loads would stall behind its stores to another array (4K
 #: aliasing; +6% per transform at N = 2**13).  512 bytes staggers them.
 _STAGE_BUFFER_STAGGER = 64
+
+
+class Fused(NamedTuple):
+    """Element-wise work a transform launch absorbs (the §III-F.5 fusions).
+
+    FIDESlib's (i)NTT kernels take their pre/post-processing as an
+    argument; this is that argument.  ``fn(reads, writes)`` computes it, in
+    the signature of a replay thunk, on any whole number of segments: a
+    *prologue* fills ``writes[0]``, the rows about to be transformed, from
+    ``reads`` (rescale's modulus switch); an *epilogue* gets the transformed
+    rows as ``reads[0]``, then ``reads``, and leaves its result in the same
+    rows, ``writes[0]`` (the ``c · (head − x)`` folds of rescale, ModDown).
+
+    ``reads`` are row blocks in the transform's row order at one uniform
+    scale: a segment covering a tenth of the rows reads the blocks (or the
+    slice of a block) covering that tenth.  ``tag``/``ops_per_element`` name
+    and price the step as the launch of its own it records as when the
+    transform expands into stage launches.
+    """
+
+    tag: str
+    ops_per_element: float
+    reads: Sequence[np.ndarray]
+    fn: Callable[[tuple, tuple], None]
+
+
+def _segment_blocks(blocks, parts: Sequence[int], cols: int, what: str) -> list[tuple]:
+    """Each segment's share (views, in order) of ``(rows, N)`` row ``blocks``
+    laid out like a transform cut into ``parts`` rows (see :class:`Fused`)."""
+    if not blocks:
+        return [()] * len(parts)
+    total, rows = sum(len(block) for block in blocks), sum(parts)
+    if any(np.ndim(b) != 2 or np.shape(b)[1] != cols for b in blocks) or any(
+        part * total % rows for part in parts
+    ):
+        raise ValueError(
+            f"{what} of shapes {[np.shape(b) for b in blocks]} are not "
+            f"(rows, {cols}) blocks dividing over segments {list(parts)}"
+        )
+    shares, queue = [], list(blocks)
+    for part in parts:
+        need, share = part * total // rows, []
+        while need:
+            block = queue.pop(0)
+            if len(block) > need:
+                queue.insert(0, block[need:])
+                block = block[:need]
+            share.append(block)
+            need -= len(block)
+        shares.append(tuple(share))
+    return shares
 
 
 class StackedNTTEngine:
@@ -337,45 +395,81 @@ class StackedNTTEngine:
             return a
         return a.copy()
 
-    def forward(
-        self,
-        stack: np.ndarray,
-        *,
-        consume: bool = False,
-        segments: Sequence[int] | None = None,
-    ) -> np.ndarray:
+    def forward(self, stack: np.ndarray | None = None, *,
+                consume: bool = False, **operands) -> np.ndarray:
         """Forward NTT of every row (normal-order input, bit-reversed output).
 
         ``consume=True`` lets the engine transform a caller-owned temporary
-        in place instead of taking a defensive copy.  ``segments``
-        describes how a fused call decomposes into logical GPU launches
-        (one row count per launch, e.g. one per key-switching digit); it
-        only affects trace recording, never the computation.
-        """
-        return self._transform(stack, consume, segments, inverse=False)
+        in place instead of taking a defensive copy.  ``operands`` say what
+        the launch reads and what is fused into it (none changes a residue
+        of the transform; recording only observes):
 
-    def inverse(
-        self,
-        stack: np.ndarray,
-        *,
-        consume: bool = False,
-        segments: Sequence[int] | None = None,
-    ) -> np.ndarray:
-        """Inverse NTT of every row (bit-reversed input, normal-order output)."""
-        return self._transform(stack, consume, segments, inverse=True)
+        ``segments``
+            How the stacked call decomposes into logical GPU launches (one
+            row count per launch: a key-switching digit, a ciphertext
+            component); the engine records one launch per segment.
+        ``sources``
+            Row blocks the engine gathers into the buffer it transforms,
+            in place of ``stack``; a segment's launch reads its own blocks.
+        ``prologue``, ``epilogue``
+            The element-wise neighbours the launch absorbs (:class:`Fused`);
+            a prologue produces the rows, in place of ``stack``.  They run
+            once around the one stacked transform.
+        ``fused_ops_per_element``
+            What the neighbours add to the ``ntt``/``intt`` kernel: by
+            default their declared sum (plus the inverse's ``N^-1``
+            scaling), less where folding makes one cheaper than its launch.
+        """
+        return self._transform(stack, consume, inverse=False, **operands)
+
+    def inverse(self, stack: np.ndarray | None = None, *,
+                consume: bool = False, **operands) -> np.ndarray:
+        """Inverse NTT of every row (bit-reversed input, normal-order output);
+        same operands as :meth:`forward`."""
+        return self._transform(stack, consume, inverse=True, **operands)
 
     def _transform(
         self,
-        stack: np.ndarray,
+        stack: np.ndarray | None,
         consume: bool,
-        segments: Sequence[int] | None,
         *,
         inverse: bool,
+        segments: Sequence[int] | None = None,
+        sources: Sequence[np.ndarray] | None = None,
+        prologue: Fused | None = None,
+        epilogue: Fused | None = None,
+        fused_ops_per_element: float | None = None,
     ) -> np.ndarray:
-        source = np.asarray(stack)
-        self._check_operand(source)
+        rows = len(self.moduli)
+        parts = [rows] if segments is None else [int(s) for s in segments]
+        if sum(parts) != rows or min(parts) < 1:
+            raise ValueError(f"segments {parts} do not cover {rows} rows")
+        if (stack is not None) + (sources is not None) + (prologue is not None) != 1:
+            raise ValueError(
+                "a transform takes its rows from exactly one of a stack, "
+                "sources to gather and a prologue that produces them"
+            )
+        if prologue is not None:
+            given = ()
+            a = np.empty((rows, self.ring_degree), dtype=self._col.dtype)
+        else:
+            # A gathered buffer is the engine's own: transformed in place.
+            given = (np.asarray(stack),) if sources is None else tuple(sources)
+            a = given[0] if sources is None else np.concatenate(given)
+            self._check_operand(a)
+            a = self._working_copy(a, consume or sources is not None)
+        # Every segment's share of the row blocks, checked before any work.
+        shares = [
+            _segment_blocks(blocks, parts, self.ring_degree, what)
+            for blocks, what in (
+                (given, "sources"),
+                (prologue.reads if prologue else (), "prologue reads"),
+                (epilogue.reads if epilogue else (), "epilogue reads"),
+            )
+        ]
         with _DISPATCH.suppressed():
-            a = self._working_copy(source, consume)
+            if prologue is not None:
+                prologue.fn(tuple(prologue.reads), (a,))
             if self.backend == modmath.BACKEND_OBJECT:
                 a[...] = reference_transform(a, self.moduli, inverse=inverse)
             else:
@@ -386,66 +480,75 @@ class StackedNTTEngine:
                     # The rows carry lazy [0, 2q) representatives here; the
                     # fused N^-1 scaling (Shoup) canonicalizes them.
                     a = modmath.stack_scalar_mod(a, self._n_inv, self._col, out=a)
-        # The inverse's fused N^-1 scaling is one Shoup multiply per element.
-        self._record_transform(
-            "intt" if inverse else "ntt", source, a, segments,
-            fused_ops_per_element=SHOUP_MUL_OPS if inverse else 0.0,
-        )
+            if epilogue is not None:
+                epilogue.fn((a, *epilogue.reads), (a,))
+        if _DISPATCH.recording:
+            if fused_ops_per_element is None:
+                # The inverse's fused N^-1 scaling is one Shoup multiply.
+                fused_ops_per_element = (SHOUP_MUL_OPS if inverse else 0.0) + sum(
+                    op.ops_per_element for op in (prologue, epilogue) if op
+                )
+            self._record("intt" if inverse else "ntt", parts, a, shares,
+                         prologue, epilogue, fused_ops_per_element)
         return a
 
-    def _record_transform(
-        self,
-        tag: str,
-        source: np.ndarray,
-        out: np.ndarray,
-        segments: Sequence[int] | None,
-        *,
-        fused_ops_per_element: float = 0.0,
-    ) -> None:
-        """Report the transform to the execution plane (GPU launch granularity)."""
-        if not _DISPATCH.recording:
-            return
-        rows = int(out.shape[0])
-        parts = [rows] if segments is None else [int(s) for s in segments]
-        if sum(parts) != rows:
-            raise ValueError(f"segments {parts} do not cover {rows} rows")
+    def _record(self, tag, parts, out, shares, prologue, epilogue,
+                fused_ops_per_element) -> None:
+        """Report the call to the execution plane, one launch per segment.
+
+        The one place that knows what a fused transform launch reads,
+        computes and costs, and what its unfused form is: a single
+        ``ntt``/``intt`` event whose replay is composed of the callables
+        that just ran, or -- under ``stage_launches`` on the uint64 path --
+        the prologue's launch, the ``log2 N`` stage launches with their
+        fusion group, and the epilogue's launch.
+        """
+        n = self.ring_degree
+        forward = tag == "ntt"
+        staged = self.fast and _DISPATCH.stage_granular
         row = 0
-        for part in parts:
-            seg_moduli = self.moduli[row : row + part]
-            if self.fast and _DISPATCH.stage_granular:
-                _record_stage_launches(
-                    tag, self.ring_degree, seg_moduli,
-                    (source[row : row + part],), out[row : row + part],
-                )
-                row += part
+        for index, part in enumerate(parts):
+            # Per-segment row slices keep fused launches independent in the
+            # dependency DAG (each digit/component touches its own rows).
+            _DISPATCH.segment = index
+            dst = out[row : row + part]
+            moduli = self.moduli[row : row + part]
+            row += part
+            given, before, after = (share[index] for share in shares)
+            if staged:
+                if prologue is not None:
+                    _DISPATCH.elementwise(
+                        prologue.tag, reads=before, writes=(dst,),
+                        ops_per_element=prologue.ops_per_element,
+                        replay=prologue.fn,
+                    )
+                _record_stage_launches(tag, n, moduli, given or (dst,), dst)
+                if epilogue is not None:
+                    _DISPATCH.elementwise(
+                        epilogue.tag, reads=(dst, *after), writes=(dst,),
+                        ops_per_element=epilogue.ops_per_element,
+                        replay=epilogue.fn,
+                    )
                 continue
+
             # Each segment replays through its own cached sub-engine
             # (chunking/tiling is bit-identical, see the class docstring),
             # transforming the program's write view in place.
-
-            def replay(
-                reads,
-                writes,
-                _n=self.ring_degree,
-                _moduli=seg_moduli,
-                _forward=(tag == "ntt"),
-            ):
-                transform_in_place(
-                    _n, _moduli, reads, writes[0], forward=_forward
+            def replay(reads, writes, _moduli=moduli, _split=len(given or before)):
+                if prologue is not None:
+                    prologue.fn(reads[:_split], writes)
+                _transform_in_place(
+                    n, _moduli, () if prologue else reads[:_split], writes[0],
+                    forward=forward,
                 )
+                if epilogue is not None:
+                    epilogue.fn((writes[0], *reads[_split:]), writes)
 
-            # Per-segment row slices keep fused launches independent in the
-            # dependency DAG (each digit/component touches its own rows).
             _DISPATCH.transform(
-                tag,
-                part,
-                reads=(source[row : row + part],),
-                writes=(out[row : row + part],),
-                cols=self.ring_degree,
-                fused_ops_per_element=fused_ops_per_element,
+                tag, part, reads=(*given, *before, *after), writes=(dst,),
+                cols=n, fused_ops_per_element=fused_ops_per_element,
                 replay=replay,
             )
-            row += part
 
     def reference_stage(
         self, a: np.ndarray, stage: int, *, forward: bool = True,
@@ -656,7 +759,7 @@ def get_stacked_engine(ring_degree: int, moduli: tuple[int, ...]) -> StackedNTTE
     return StackedNTTEngine(ring_degree, moduli)
 
 
-def transform_in_place(
+def _transform_in_place(
     ring_degree: int,
     moduli: tuple[int, ...],
     sources: Sequence[np.ndarray],
@@ -667,7 +770,7 @@ def transform_in_place(
     """Stage ``sources`` into ``dst`` and (i)NTT it in place (replay helper).
 
     ``sources`` are the row blocks a recorded transform read -- one per
-    member of a fused stack, or ``dst`` itself for an in-place launch.
+    member of a fused stack; none (or ``dst`` itself) for an in-place launch.
     """
     gather_rows(sources, dst)
     engine = get_stacked_engine(ring_degree, moduli)
@@ -695,82 +798,48 @@ def _record_stage_launches(
     stage-fused engine call, so ``fuse_trace`` can collapse the chain back
     into the fused transform (§III-F.4/F.5).
     """
-    stages = n.bit_length() - 1
     forward = tag == "ntt"
     sources = tuple(sources)
-    source_count = len(sources)
-    for s in range(stages):
 
-        def replay(reads, writes, _s=s):
-            gather_rows(reads, writes[0])
-            get_stacked_engine(n, moduli).reference_stage(
-                writes[0], _s, forward=forward
-            )
+    def engine() -> StackedNTTEngine:
+        return get_stacked_engine(n, moduli)
 
-        _DISPATCH.elementwise(
-            f"{tag}-stage{s}",
-            reads=sources if s == 0 else (dst,),
-            writes=(dst,),
-            # One radix-2 butterfly covers two elements.
-            ops_per_element=BUTTERFLY_OPS / 2.0,
-            replay=replay,
-        )
-    count = stages
+    # One radix-2 butterfly covers two elements.
+    launches = [
+        (f"{tag}-stage{s}", BUTTERFLY_OPS / 2.0,
+         lambda rows, _s=s: engine().reference_stage(rows, _s, forward=forward))
+        for s in range(n.bit_length() - 1)
+    ]
     if not forward:
+        launches.append((f"{tag}-scale", SHOUP_MUL_OPS,
+                         lambda rows: engine().reference_scale(rows)))
+    for index, (name, ops, step) in enumerate(launches):
 
-        def scale_replay(reads, writes):
+        def replay(reads, writes, _step=step):
             gather_rows(reads, writes[0])
-            get_stacked_engine(n, moduli).reference_scale(writes[0])
+            _step(writes[0])
 
         _DISPATCH.elementwise(
-            f"{tag}-scale",
-            reads=(dst,),
-            writes=(dst,),
-            ops_per_element=SHOUP_MUL_OPS,
-            replay=scale_replay,
+            name, reads=(dst,) if index else sources, writes=(dst,),
+            ops_per_element=ops, replay=replay,
         )
-        count += 1
 
     def fused_replay(reads, writes):
         # A group replay sees every member's reads in member order;
         # the transform's input is the first stage's.
-        transform_in_place(
-            n, moduli, reads[:source_count], writes[0], forward=forward
+        _transform_in_place(
+            n, moduli, reads[: len(sources)], writes[0], forward=forward
         )
 
-    _DISPATCH.fusion_group(count, fused_replay)
-
-
-def record_staged_transform(
-    tag: str,
-    ring_degree: int,
-    moduli: tuple[int, ...],
-    sources: Sequence[np.ndarray],
-    out: np.ndarray,
-) -> bool:
-    """Record one full-stack transform as per-stage launches.
-
-    The entry point for call sites that record transforms directly (the
-    ModDown and rescale pipelines): under ``stage_launches`` recording
-    they emit the unfused per-stage launch run plus its fusion group
-    instead of one fused transform event.  ``sources`` are the row blocks
-    the transform reads, in ``out``'s row order.  Returns ``False`` --
-    recording nothing -- when the stack is off the uint64 fast path, so
-    the caller falls back to its single fused transform record.
-    """
-    if not get_stacked_engine(ring_degree, moduli).fast:
-        return False
-    _record_stage_launches(tag, ring_degree, moduli, sources, out)
-    return True
+    _DISPATCH.fusion_group(len(launches), fused_replay)
 
 
 __all__ = [
+    "Fused",
     "StackedNTTEngine",
     "bit_reverse_indices",
     "is_power_of_two",
     "twiddle_tables",
     "reference_transform",
     "get_stacked_engine",
-    "record_staged_transform",
-    "transform_in_place",
 ]

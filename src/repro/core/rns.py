@@ -138,10 +138,12 @@ class BaseConverter:
         self._target_col = modmath.moduli_column(target.moduli)
         self._source_backend = modmath.stack_backend(self._source_col)
         self._target_backend = modmath.stack_backend(self._target_col)
-        exact = modmath.BACKEND_OBJECT in (
+        exact = self._exact = modmath.BACKEND_OBJECT in (
             self._source_backend, self._target_backend
         )
-        fast = self._all_fast()
+        fast = self._fast = all(
+            modmath.is_fast_modulus(q) for q in (*source.moduli, *target.moduli)
+        )
         table_dtype = np.object_ if exact else np.uint64
         #: (|target|, |source|) matrix of [q̂_i]_{p_k} from Equation 1.
         self._q_hat_matrix = np.array(self.q_hat_mod_target, dtype=table_dtype)
@@ -173,12 +175,6 @@ class BaseConverter:
                 self._q_hat_matrix, self._target_col
             )
 
-    def _all_fast(self) -> bool:
-        return all(
-            modmath.is_fast_modulus(q)
-            for q in (*self.source.moduli, *self.target.moduli)
-        )
-
     def _scaled_limbs(self, limbs: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Return the limb-wise scaling ``x_i * q̂_i^{-1} mod q_i`` of Eq. 1."""
         return [
@@ -204,101 +200,131 @@ class BaseConverter:
     ) -> np.ndarray:
         """Batched base conversion of a canonical ``(|source|, N)`` stack.
 
-        The whole Equation-1 computation -- limb-wise scaling followed by
-        the ``[q̂_i]_{p_k}`` matrix accumulation -- runs as broadcast NumPy
+        One launch over one member (:meth:`convert_members`); with ``out=``
+        the converted rows land directly in the caller's buffer.
+        """
+        return self.convert_members((np.asarray(stack),), out)
+
+    def convert_members(
+        self,
+        sources: Sequence[np.ndarray],
+        out: np.ndarray | None = None,
+        *,
+        limb_major: bool = False,
+    ) -> np.ndarray:
+        """Convert one ``(|source|, N)`` block per member of a fused stack.
+
+        One launch (one ``baseconv`` event reading every member's block)
+        over ``len(sources)`` members.  ``out`` receives ``|target|`` rows
+        per member in the consumer's layout, so ModUp/ModDown need no
+        staging copy between conversion and the transform that follows:
+        member after member, or -- ``limb_major`` -- each converted limb
+        once per member, the layout in which a stacked NTT walks runs of one
+        modulus (ModUp).  ``out`` may be the exact (Python-integer) stack of
+        a chain this converter's word-sized target is a sub-basis of.
+        """
+        sources = tuple(sources)
+        count, width = len(sources), len(self.target)
+        if out is None:
+            out = np.empty((count * width, sources[0].shape[-1]), self._target_col.dtype)
+        words = out
+        if out.dtype != self._target_col.dtype:
+            words = np.empty(out.shape, dtype=self._target_col.dtype)
+        with _DISPATCH.suppressed():
+            for m, source in enumerate(sources):
+                self._convert_rows(
+                    np.asarray(source),
+                    words[m::count] if limb_major
+                    else words[m * width : (m + 1) * width],
+                )
+        if words is not out:
+            out[...] = modmath.object_row(words)
+        if _DISPATCH.recording:
+
+            def replay(reads, writes, _conv=self, _limb_major=limb_major):
+                _conv.convert_members(reads, writes[0], limb_major=_limb_major)
+
+            _DISPATCH.base_conversion(
+                "baseconv",
+                len(self.source),
+                width,
+                reads=sources,
+                writes=(out,),
+                cols=count * out.shape[-1],
+                replay=replay,
+            )
+        return out
+
+    def _convert_rows(self, source_stack: np.ndarray, out: np.ndarray) -> None:
+        """Equation 1 on one member's rows, into ``out`` (any row stride).
+
+        The whole computation -- limb-wise scaling followed by the
+        ``[q̂_i]_{p_k}`` matrix accumulation -- runs as broadcast NumPy
         expressions with no per-limb Python loop on the fast backend.  The
         accumulation is the wide accumulator of §III-F.3 via
         :func:`repro.core.modmath.stack_dot_mod`: raw 64-bit products sum
         across source limbs with an intermediate fold every four terms
         (``4·(q-1)² < 2**64`` for fast moduli) and one final reduction per
         output element.
-
-        With ``out=`` the converted rows land directly in the caller's
-        buffer (the consumer's layout), so ModUp/ModDown need no staging
-        copy between conversion and the transform that follows.
         """
-        source_stack = np.asarray(stack)
-        with _DISPATCH.suppressed():
-            fast = self._all_fast()
-            exact = modmath.BACKEND_OBJECT in (
-                self._source_backend, self._target_backend
-            )
-            if fast:
-                stack = modmath.coerce_stack(source_stack, self._source_col)
-                converted = modmath.stack_dot_mod(
-                    [
-                        (scaled_row[None, :], self._q_hat_matrix[:, i : i + 1])
-                        for i, scaled_row in enumerate(
-                            modmath.stack_shoup_mul(
-                                stack,
-                                self._q_hat_inv_col,
-                                self._q_hat_inv_shoup,
-                                self._source_col,
-                            )
+        if self._fast:
+            stack = modmath.coerce_stack(source_stack, self._source_col)
+            modmath.stack_dot_mod(
+                [
+                    (scaled_row[None, :], self._q_hat_matrix[:, i : i + 1])
+                    for i, scaled_row in enumerate(
+                        modmath.stack_shoup_mul(
+                            stack,
+                            self._q_hat_inv_col,
+                            self._q_hat_inv_shoup,
+                            self._source_col,
                         )
-                    ],
-                    self._target_col,
-                    out=out,
-                )
-            elif not exact:
-                # Double-word path.  The scaled source rows are canonical
-                # mod q_i but *not* mod p_k, so the accumulation cannot use
-                # the Barrett product (its quotient bound needs x < p_k**2);
-                # each term is instead a constant-operand Shoup multiply
-                # whose 64-bit companion is exact for any uint64 input,
-                # folded in with one canonical add per source limb.
-                stack = modmath.coerce_stack(source_stack, self._source_col)
-                scaled = modmath.stack_shoup_mul(
-                    stack,
-                    self._q_hat_inv_col,
-                    self._q_hat_inv_shoup,
-                    self._source_col,
-                )
-                dw = modmath._dword_tables(self._target_col)
-                acc = None
-                for i in range(len(self.source)):
-                    term = modmath._dword_shoup_mul(
-                        scaled[i][None, :],
-                        self._q_hat_matrix[:, i : i + 1],
-                        self._q_hat_shoup_matrix[:, i : i + 1],
-                        dw,
                     )
-                    if acc is None:
-                        acc = term
-                    else:
-                        acc += term
-                        np.minimum(acc, acc - dw.q, out=acc)
-                converted = modmath._into(acc, out)
-            else:
-                scaled = [
-                    modmath.object_row(row) * inv % q
-                    for row, inv, q in zip(stack, self.q_hat_inv, self.source.moduli)
-                ]
-                outputs = []
-                length = stack.shape[1]
-                for k, p in enumerate(self.target.moduli):
-                    row = self.q_hat_mod_target[k]
-                    acc = np.zeros(length, dtype=object)
-                    for i in range(len(self.source)):
-                        acc = acc + scaled[i] * row[i]
-                    outputs.append(acc % p)
-                converted = modmath._into(
-                    modmath.coerce_stack(np.stack(outputs), self._target_col), out
-                )
-        if _DISPATCH.recording:
-
-            def replay(reads, writes, _conv=self):
-                _conv.convert_stack(reads[0], out=writes[0])
-
-            _DISPATCH.base_conversion(
-                "baseconv",
-                len(self.source),
-                len(self.target),
-                reads=(source_stack,),
-                writes=(converted,),
-                replay=replay,
+                ],
+                self._target_col,
+                out=out,
             )
-        return converted
+        elif not self._exact:
+            # Double-word path.  The scaled source rows are canonical
+            # mod q_i but *not* mod p_k, so the accumulation cannot use
+            # the Barrett product (its quotient bound needs x < p_k**2);
+            # each term is instead a constant-operand Shoup multiply
+            # whose 64-bit companion is exact for any uint64 input,
+            # folded in with one canonical add per source limb.
+            stack = modmath.coerce_stack(source_stack, self._source_col)
+            scaled = modmath.stack_shoup_mul(
+                stack,
+                self._q_hat_inv_col,
+                self._q_hat_inv_shoup,
+                self._source_col,
+            )
+            dw = modmath._dword_tables(self._target_col)
+            acc = None
+            for i in range(len(self.source)):
+                term = modmath._dword_shoup_mul(
+                    scaled[i][None, :],
+                    self._q_hat_matrix[:, i : i + 1],
+                    self._q_hat_shoup_matrix[:, i : i + 1],
+                    dw,
+                )
+                if acc is None:
+                    acc = term
+                else:
+                    acc += term
+                    np.minimum(acc, acc - dw.q, out=acc)
+            out[...] = acc
+        else:
+            scaled = [
+                modmath.object_row(row) * inv % q
+                for row, inv, q in zip(source_stack, self.q_hat_inv, self.source.moduli)
+            ]
+            length = source_stack.shape[1]
+            for k, p in enumerate(self.target.moduli):
+                row = self.q_hat_mod_target[k]
+                acc = np.zeros(length, dtype=object)
+                for i in range(len(self.source)):
+                    acc = acc + scaled[i] * row[i]
+                out[k] = acc % p
 
     def convert_exact(self, limbs: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Exact base conversion removing the ``α·Q`` overshoot.

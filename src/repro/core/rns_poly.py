@@ -24,15 +24,11 @@ import numpy as np
 
 from repro.core import modmath
 from repro.core.automorphism import coeff_automorphism_map, eval_automorphism_map
-from repro.core.dispatch import gather_rows, get_dispatcher
+from repro.core.dispatch import get_dispatcher
 from repro.core.limb import LimbFormat
 from repro.core.limb_stack import LimbStack
 from repro.core.memory import MemoryPool
-from repro.core.ntt import (
-    get_stacked_engine,
-    record_staged_transform,
-    transform_in_place,
-)
+from repro.core.ntt import Fused, get_stacked_engine
 from repro.core.rns import RNSBasis
 from repro.gpu.kernel import MODADD_OPS, MODMUL_OPS
 
@@ -405,9 +401,9 @@ class RNSPoly:
             return []
         first = polys[0]
         for poly in polys[1:]:
-            if poly.moduli != first.moduli or poly.fmt is not first.fmt:
-                raise ValueError("fused rescale requires matching bases and formats")
+            first._check_compatible(poly)
         members = first.members
+        count = len(polys)
         keep = len(first.moduli) // members - 1
         if keep < 1:
             raise ValueError("cannot rescale a single-limb polynomial")
@@ -417,128 +413,58 @@ class RNSPoly:
         target_col = modmath.moduli_column(target_moduli)
         last_moduli = (q_last,) * members
         kept_moduli = tuple(target_moduli) * members
-        is_eval = first.fmt is LimbFormat.EVALUATION
         inverses = _rescale_inverses(tuple(first.moduli[: keep + 1]))
+        lasts = [row for p in polys for row in p.member_rows(-1)]
+        heads = [rows for p in polys for rows in p.member_rows(0, -1)]
+        # The subtract/scale tail folds each member's head limbs into its
+        # rows of the switched block in place.
+        fold = modmath.head_fold(inverses, target_col)
+        fold_ops = MODMUL_OPS + MODADD_OPS
 
-        def fold_heads(heads, block):
-            # The subtract/scale tail folds each member's head limbs into
-            # its rows of the switched block in place.
-            for m, head in enumerate(heads):
-                seg = block[m * keep : (m + 1) * keep]
-                head = modmath.coerce_stack(head, target_col)
-                modmath.stack_sub_mod(head, seg, target_col, out=seg)
-                modmath.stack_scalar_mod(seg, inverses, target_col, out=seg)
-
-        with _DISPATCH.suppressed():
-            last_rows = np.concatenate(
-                [row for p in polys for row in p.member_rows(-1)]
-            )
-            if is_eval:
-                last_rows = get_stacked_engine(
-                    n, last_moduli * len(polys)
-                ).inverse(last_rows, consume=True)
+        def switch(reads, writes):
             # The batched modulus switch lands every member's block directly
-            # in the (P*B*keep, N) layout the tail consumes -- no per-row
-            # loop, no vstack staging copy.
-            out = modmath.stack_switch_modulus_many(
-                last_rows, q_last, target_col
+            # in the (members*keep, N) layout the fold consumes.
+            modmath.stack_switch_modulus_many(
+                reads[0], q_last, target_col, out=writes[0]
             )
-            if is_eval:
-                out = get_stacked_engine(
-                    n, kept_moduli * len(polys)
-                ).forward(out, consume=True)
-            for i, poly in enumerate(polys):
-                fold_heads(
-                    poly.member_rows(0, -1),
-                    out[i * members * keep : (i + 1) * members * keep],
+
+        # Per component, a GPU backend launches an iNTT of the dropped limbs
+        # plus an NTT over the kept limbs with the switch/subtract/scale
+        # arithmetic fused in ("Rescale fusion", §III-F.5); a fused component
+        # is the same kernels over ``B×`` the rows.
+        with _DISPATCH.interleaved():
+            if first.fmt is LimbFormat.EVALUATION:
+                # Folded into the transforms the switch costs its centring
+                # add on the iNTT (which absorbs the N^-1 scale) and shares
+                # the fold's multiply on the NTT.
+                dropped = get_stacked_engine(n, last_moduli * count).inverse(
+                    sources=lasts, segments=[members] * count,
+                    fused_ops_per_element=MODADD_OPS,
                 )
-        # The execution plane sees the kernels a GPU backend launches per
-        # component: an iNTT of the dropped limbs plus an NTT over the kept
-        # limbs with the switch/subtract/scale arithmetic fused in
-        # ("Rescale fusion", §III-F.5); in coefficient format only the
-        # fused element-wise kernel remains.  A fused component records the
-        # same kernels over ``B×`` the rows.
-        if _DISPATCH.recording:
-
-            def switch_replay(reads, writes):
-                modmath.stack_switch_modulus_many(
-                    reads[0], q_last, target_col, out=writes[0]
+                out = get_stacked_engine(n, kept_moduli * count).forward(
+                    segments=[members * keep] * count,
+                    prologue=Fused("rescale-switch", MODMUL_OPS, (dropped,), switch),
+                    epilogue=Fused("rescale-tail", fold_ops, heads, fold),
+                    fused_ops_per_element=fold_ops,
                 )
+            else:
+                # In coefficient format only the fused element-wise kernel
+                # remains: switch each component's last limbs and fold.
+                def switch_and_fold(reads, writes):
+                    switch((np.concatenate(reads[:members]),), writes)
+                    fold((writes[0], *reads[members:]), writes)
 
-            def tail_replay(reads, writes):
-                gather_rows(reads[:1], writes[0])
-                fold_heads(reads[1:], writes[0])
-
-            def fused_replay(reads, writes):
-                switch_replay((np.concatenate(reads[:members]),), writes)
-                fold_heads(reads[members:], writes[0])
-
-            def intt_replay(reads, writes):
-                transform_in_place(
-                    n, last_moduli, reads, writes[0], forward=False
-                )
-
-            def ntt_replay(reads, writes):
-                switch_replay(reads, writes)
-                transform_in_place(
-                    n, kept_moduli, writes, writes[0], forward=True
-                )
-                fold_heads(reads[1:], writes[0])
-
-            # Per-polynomial slices keep the fused components parallel in
-            # the dependency DAG (disjoint rows of the shared buffers).
-            for i, poly in enumerate(polys):
-                kept = out[i * members * keep : (i + 1) * members * keep]
-                dropped = last_rows[i * members : (i + 1) * members]
-                lasts = poly.member_rows(-1)
-                heads = poly.member_rows(0, -1)
-                if not is_eval:
-                    _DISPATCH.elementwise(
-                        "rescale-fused", reads=lasts + heads, writes=(kept,),
-                        ops_per_element=MODMUL_OPS + MODADD_OPS,
-                        replay=fused_replay,
+                out = np.empty((count * members * keep, n), dtype=target_col.dtype)
+                for i, block in enumerate(np.split(out, count)):
+                    _DISPATCH.segment = i
+                    mine = slice(i * members, (i + 1) * members)
+                    _DISPATCH.run(
+                        "rescale-fused", switch_and_fold, ops_per_element=fold_ops,
+                        reads=(*lasts[mine], *heads[mine]), writes=(block,),
                     )
-                    continue
-                # Stage-granular recording unbundles the pipeline into
-                # the launches an unfused GPU rescale makes: per-stage
-                # iNTT, a modulus-switch launch, per-stage NTT, then
-                # the subtract/scale tail as its own launch.
-                if (
-                    _DISPATCH.stage_granular
-                    and get_stacked_engine(n, last_moduli).fast
-                    and get_stacked_engine(n, kept_moduli).fast
-                ):
-                    record_staged_transform("intt", n, last_moduli, lasts, dropped)
-                    _DISPATCH.elementwise(
-                        "rescale-switch", reads=(dropped,), writes=(kept,),
-                        ops_per_element=MODMUL_OPS, replay=switch_replay,
-                    )
-                    record_staged_transform("ntt", n, kept_moduli, (kept,), kept)
-                    _DISPATCH.elementwise(
-                        "rescale-tail", reads=(kept,) + heads, writes=(kept,),
-                        ops_per_element=MODMUL_OPS + MODADD_OPS,
-                        replay=tail_replay,
-                    )
-                    continue
-                _DISPATCH.transform(
-                    "intt", members, reads=lasts, writes=(dropped,), cols=n,
-                    fused_ops_per_element=MODADD_OPS, replay=intt_replay,
-                )
-                _DISPATCH.transform(
-                    "ntt", members * keep, reads=(dropped,) + heads,
-                    writes=(kept,), cols=n,
-                    fused_ops_per_element=MODMUL_OPS + MODADD_OPS,
-                    replay=ntt_replay,
-                )
         return [
-            poly._wrap(
-                LimbStack(
-                    kept_moduli,
-                    out[i * members * keep : (i + 1) * members * keep],
-                    pool=poly._stack.pool,
-                )
-            )
-            for i, poly in enumerate(polys)
+            poly._wrap(LimbStack(kept_moduli, block, pool=poly._stack.pool))
+            for poly, block in zip(polys, np.split(out, count))
         ]
 
     # -- conversions ---------------------------------------------------------

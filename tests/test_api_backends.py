@@ -151,7 +151,7 @@ class TestSharedMatchingRule:
 
     @pytest.mark.parametrize("case", [
         "scale-mismatch", "level-0-multiply-scalar", "dot-empty",
-        "dot-surplus-rows", "dot-missing-rows",
+        "dot-surplus-rows", "dot-missing-rows", "add-inf", "multiply-nan",
     ])
     def test_operand_errors_are_the_same_error(self, session, case):
         def attempt(backend):
@@ -160,6 +160,13 @@ class TestSharedMatchingRule:
                 return lambda: backend.add(fresh(), fresh(scale=2.0 ** 20))
             if case == "level-0-multiply-scalar":
                 return lambda: backend.multiply_scalar(fresh(level=0), 2.0)
+            # Regression: a non-finite scalar escaped the evaluator as a bare
+            # OverflowError / "cannot convert float NaN to integer", and the
+            # symbolic backend accepted it.
+            if case == "add-inf":
+                return lambda: backend.add_scalar(fresh(), float("inf"))
+            if case == "multiply-nan":
+                return lambda: backend.multiply_scalar(fresh(), float("nan"))
             handles, rows = {
                 "dot-empty": (0, 0), "dot-surplus-rows": (1, 2),
                 "dot-missing-rows": (2, 1),
@@ -174,6 +181,10 @@ class TestSharedMatchingRule:
                 attempt(make(session))()
             raised.append(str(info.value))
         assert raised[0] == raised[1]
+        if case in ("add-inf", "multiply-nan"):
+            operation, value = {"add-inf": ("add_scalar", "inf"),
+                                "multiply-nan": ("multiply_scalar", "nan")}[case]
+            assert operation in raised[0] and value in raised[0]
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize("handles, rows", [(1, 2), (2, 1)],

@@ -1,5 +1,6 @@
 """Tests for the negacyclic NTT: twiddle tables, the oracle and the engine."""
 
+import contextlib
 import threading
 from collections import OrderedDict
 
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import modmath
+from repro.core.dispatch import get_dispatcher
+from repro.core.fusion import TraceProgram
 from repro.core.ntt import (
+    Fused,
     bit_reverse_indices,
     get_stacked_engine,
     reference_transform,
@@ -199,6 +203,85 @@ class TestOperandChecks:
             for shape in [(2, 32), (2, 2, 64), (2, 3, 64), (2,), (2, 2, 2, 64)]:
                 with pytest.raises(ValueError, match="does not match the engine"):
                     engine.forward(np.ones(shape, dtype=np.uint64))
+
+
+class TestFusedOperands:
+    """The operands of one engine call: segments, sources, prologue, epilogue."""
+
+    @pytest.fixture()
+    def engine(self):
+        return get_stacked_engine(64, tuple(generate_ntt_primes(3, 26, 64)))
+
+    @staticmethod
+    def stack(engine, seed=3):
+        rng = np.random.default_rng(seed)
+        return np.stack([rng.integers(0, q, 64, dtype=np.uint64) for q in engine.moduli])
+
+    @pytest.mark.parametrize("recording", [False, True], ids=["untraced", "traced"])
+    def test_operands_are_validated_whether_or_not_a_trace_is_live(self, engine, recording):
+        # Regression: segments were only checked inside the recorder, so a
+        # bad call returned normally untraced and raised under a trace.
+        x = self.stack(engine)
+        fold = Fused("fold", 1.0, (x[:2],), lambda reads, writes: None)
+        bad_calls = [
+            (dict(stack=x, segments=[1]), r"segments \[1\] do not cover 3 rows"),
+            (dict(stack=x, segments=[3, 0]), "do not cover 3 rows"),
+            (dict(stack=x, sources=[x]), "exactly one of"),
+            (dict(), "exactly one of"),
+            (dict(sources=[x[:2]]), "does not match the engine"),
+            (dict(sources=[x[:1], x[1:]], segments=[2, 1], epilogue=fold), "epilogue reads"),
+            (dict(stack=x, epilogue=fold._replace(reads=(x[:, :8],))), "epilogue reads"),
+        ]
+        with get_dispatcher().record() if recording else contextlib.nullcontext():
+            for kwargs, message in bad_calls:
+                for transform in (engine.forward, engine.inverse):
+                    with pytest.raises(ValueError, match=message):
+                        transform(**kwargs)
+
+    def test_sources_prologue_and_epilogue_run_around_one_transform(self, engine):
+        x = self.stack(engine)
+        want = engine.forward(x)
+        np.testing.assert_array_equal(engine.forward(sources=[x[:1], x[1:]]), want)
+        seen = []
+
+        def fill(reads, writes):
+            np.copyto(writes[0], reads[0])
+
+        def bump(reads, writes):
+            seen.append(len(reads))
+            np.add(reads[0], reads[1], out=writes[0])
+
+        got = engine.forward(
+            segments=[1, 2],
+            prologue=Fused("fill", 1.0, (x,), fill),
+            epilogue=Fused("bump", 1.0, (np.ones_like(x),), bump),
+        )
+        np.testing.assert_array_equal(got, want + 1)
+        assert seen == [2]  # once, over every segment: transformed rows + reads
+
+    def test_a_segment_records_its_share_and_replays(self, engine):
+        x = self.stack(engine)
+        ones = np.ones_like(x)
+
+        def bump(reads, writes):
+            np.add(reads[0], reads[1], out=writes[0])
+
+        with get_dispatcher().record(executable=True) as trace:
+            out = engine.inverse(
+                sources=[x[:1], x[1:]], segments=[1, 2],
+                epilogue=Fused("bump", 3.0, (ones,), bump),
+            )
+        assert [e.kernel.name for e in trace] == ["intt[1]", "intt[2]"]
+        # The inverse's N^-1 Shoup multiply plus the declared epilogue.
+        assert [e.kernel.int_ops for e in trace] == [
+            ntt_kernel("intt", rows, 64, fused_ops_per_element=5.0 + 3.0).int_ops
+            for rows in (1, 2)
+        ]
+        assert [[v.shape for v in e.read_views] for e in trace] == [
+            [(1, 64), (1, 64)], [(2, 64), (2, 64)],
+        ]
+        TraceProgram(trace).verify()
+        np.testing.assert_array_equal(out, engine.inverse(x) + 1)
 
 
 class TestScratchCacheBudget:
