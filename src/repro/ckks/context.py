@@ -35,7 +35,8 @@ class Context:
     """Precomputed state shared by every operation under one parameter set."""
 
     #: Byte budget of the tiled key-switching-key cache.  Each entry holds
-    #: two ``(B·(L+K), N)`` stacks, so a rotation-heavy workload across
+    #: two ``(B·(L+K), N)`` stacks (four with their Shoup companions on a
+    #: dword chain), so a rotation-heavy workload across
     #: levels and batch sizes would otherwise grow it without bound; least
     #: recently used entries are evicted beyond this.
     TILED_KEY_BUDGET_BYTES = 128 << 20
@@ -117,7 +118,7 @@ class Context:
         # --- caches -----------------------------------------------------------
         self._modup_converters: dict[tuple[int, int], BaseConverter] = {}
         self._moddown_converters: dict[int, BaseConverter] = {}
-        #: ``(id(key), digit, limb_count, B) -> (key, b_tiled, a_tiled)``.
+        #: ``(id(key), digit, limb_count, B) -> (key, tiled components)``.
         #: The entry holds the key object itself, so the ``id`` cannot be
         #: recycled by another key while the entry is alive.
         self._tiled_keys: "OrderedDict[tuple, tuple]" = OrderedDict()
@@ -211,34 +212,47 @@ class Context:
         return converter
 
     def key_digit_stacks(self, key, digit_index: int, limb_count: int,
-                         members: int) -> tuple[np.ndarray, np.ndarray]:
+                         members: int) -> tuple[tuple[np.ndarray, ...], ...]:
         """Digit ``digit_index`` of a key-switching key as the key multiply reads it.
 
-        For a plain operand, the key's own ``(b_j, a_j)`` residue stacks
-        over the full extended basis: below the top level the multiply
-        reads the active rows where they lie (:meth:`key_row_windows`), so
-        nothing is gathered or cached.  For a fused operand, the active
-        rows repeated member-major; tiled stacks are cached, since keys are
-        shared by every request and the tiling is paid once per batch shape.
+        One tuple per component ``b_j``, ``a_j``: its residue stack, then
+        -- on a dword chain -- the stack's 64-bit Shoup companion
+        (:meth:`KeySwitchingKey.companions`), the ``(y, y')`` tail of a
+        constant-side ``stack_dot_mod`` pair.  For a plain operand, the
+        key's own stacks over the full extended basis: below the top level
+        the multiply reads the active rows where they lie
+        (:meth:`key_row_windows`), so nothing is gathered or cached.  For a
+        fused operand, the active rows repeated member-major; tiled stacks
+        are cached, since keys are shared by every request and the tiling
+        is paid once per batch shape.
         """
-        stacks = tuple(poly.stack.data for poly in key.digits[digit_index])
+        components = tuple((poly.stack.data,) for poly in key.digits[digit_index])
+        companions = key.companions(digit_index)
+        if companions is not None:
+            components = tuple(
+                (*component, companion)
+                for component, companion in zip(components, companions)
+            )
         if members == 1:
-            return stacks
+            return components
         cache_key = (id(key), digit_index, limb_count, members)
         entry = self._tiled_keys.get(cache_key)
         if entry is not None:
             self._tiled_keys.move_to_end(cache_key)
-            return entry[1], entry[2]
+            return entry[1]
         windows = self.key_row_windows(limb_count, 1)
         tiled = tuple(
-            np.concatenate([data[rows] for _, rows in windows] * members)
-            for data in stacks
+            tuple(
+                np.concatenate([data[rows] for _, rows in windows] * members)
+                for data in component
+            )
+            for component in components
         )
-        self._tiled_keys[cache_key] = (key, *tiled)
-        total = sum(b.nbytes + a.nbytes for _, b, a in self._tiled_keys.values())
+        self._tiled_keys[cache_key] = (key, tiled)
+        total = sum(_tiled_bytes(t) for _, t in self._tiled_keys.values())
         while total > self.TILED_KEY_BUDGET_BYTES and len(self._tiled_keys) > 1:
-            _, (_, old_b, old_a) = self._tiled_keys.popitem(last=False)
-            total -= old_b.nbytes + old_a.nbytes
+            _, (_, old) = self._tiled_keys.popitem(last=False)
+            total -= _tiled_bytes(old)
         return tiled
 
     def key_row_windows(self, limb_count: int, members: int) -> list[tuple[slice, slice]]:
@@ -282,6 +296,11 @@ class Context:
             "log_qp": sum(q.bit_length() for q in self.extended_moduli),
             "scale_bits": self.params.scale_bits,
         }
+
+
+def _tiled_bytes(components) -> int:
+    """Bytes of one tiled key-cache entry (stacks and companions)."""
+    return sum(data.nbytes for component in components for data in component)
 
 
 _default_context: Context | None = None

@@ -28,6 +28,7 @@ from repro.core.automorphism import (
     rotation_to_exponent,
 )
 from repro.core.limb import LimbFormat
+from repro.core.limb_stack import LimbStack
 from repro.core.rns_poly import RNSPoly
 
 
@@ -58,11 +59,41 @@ class KeySwitchingKey:
 
     digits: list[tuple[RNSPoly, RNSPoly]]
     target_description: str = ""
+    #: One ``(b_j', a_j')`` pair of companion stacks per digit (None per
+    #: digit off the dword backend), built by :meth:`companions`.
+    _companions: list | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @property
     def dnum(self) -> int:
         """Number of digits."""
         return len(self.digits)
+
+    def companions(self, digit_index: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """64-bit Shoup companions of digit ``digit_index``'s ``(b_j, a_j)``.
+
+        The key multiply's constant side (Table III): on a dword chain every
+        digit polynomial gets one the first time any is asked for -- one
+        vectorized :func:`~repro.core.modmath.dword_shoup_column` each,
+        8 B per residue, charged to the key's pool for as long as the key
+        lives.  None on the uint64 and exact backends, whose products a
+        companion would not make cheaper.
+        """
+        if self._companions is None:
+            self._companions = [
+                tuple(
+                    LimbStack(
+                        poly.moduli,
+                        modmath.dword_shoup_column(poly.stack.data, poly.stack.moduli_col),
+                        pool=poly.stack.pool,
+                    )
+                    for poly in digit
+                )
+                if modmath.stack_is_dword(digit[0].stack.moduli_col) else None
+                for digit in self.digits
+            ]
+        pair = self._companions[digit_index]
+        return None if pair is None else tuple(stack.data for stack in pair)
 
     def footprint_bytes(self) -> int:
         """Device-memory footprint of the key (Figure 8 discussion)."""

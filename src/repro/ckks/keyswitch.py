@@ -262,14 +262,16 @@ def apply_key(
         # multiply-accumulate with a single reduction instead of a reduced
         # product and a reduced add per digit, and the GPU launches both as
         # one inner-product kernel -- except stage-granular, where each dot
-        # product records its own unfused per-digit launches.
+        # product records its own unfused per-digit launches.  The key is
+        # the constant side: on a dword chain its Shoup companion rides
+        # along with every key stack.
         acc_data = [np.empty(digits[0].shape, dtype=col.dtype) for _ in range(2)]
         unfused = _DISPATCH.stage_granular and digit_count > 1
         with nullcontext() if unfused else _DISPATCH.launch("ks-inner-product"):
             for rows, key_rows in windows:
                 for component, acc in enumerate(acc_data):
                     modmath.stack_dot_mod(
-                        [(d[rows], k[component][key_rows])
+                        [(d[rows], *(y[key_rows] for y in k[component]))
                          for d, k in zip(digits, keys)],
                         col[rows], out=acc[rows],
                     )

@@ -28,9 +28,11 @@ the three backends differ only in how a *product* is reduced:
 * the **double-word backend** (``dword``) for moduli in ``[2**31, 2**62)``
   -- the regime of the paper's 59/60-bit primes -- which emulates the
   64x64 -> 128-bit products with four 32-bit digit multiplications and
-  reduces with improved Barrett (variable x variable) or 64-bit Shoup
-  companions (constant operands) -- entirely vectorized, no object
-  arrays, no Python loops over ``N``; and
+  reduces with improved Barrett (variable x variable) or, when one
+  operand is a constant with a 64-bit Shoup companion (twiddles, scalars,
+  conversion tables, switching keys), with a three-product Shoup quotient
+  whose lazy ``[0, 4q)`` terms are summed before one reduction --
+  entirely vectorized, no object arrays, no Python loops over ``N``; and
 * the **exact backend** backed by Python integers (``dtype=object``), kept
   only as the exactness oracle for moduli at or above 2**62.
 
@@ -352,7 +354,13 @@ def moduli_column(moduli) -> np.ndarray:
     return _moduli_column_cached(tuple(int(q) for q in moduli))
 
 
-@lru_cache(maxsize=None)
+#: Entries of the per-moduli-tuple caches below (the bound of
+#: :func:`repro.core.ntt.get_stacked_engine`): fused batches make a new
+#: tuple per (level, member count), so an unbounded cache only grows.
+_TUPLE_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_TUPLE_CACHE_SIZE)
 def _moduli_column_cached(moduli: tuple) -> np.ndarray:
     backend = backend_for_moduli(moduli)
     dtype = np.object_ if backend == BACKEND_OBJECT else np.uint64
@@ -552,12 +560,13 @@ def shoup_column(constants: np.ndarray, moduli_col: np.ndarray) -> np.ndarray:
 # All helpers below take one uint64 word per residue and derive its 32-bit
 # digits themselves, with per-row constants from :class:`_DWordTables`.
 # Every supported modulus is below 2**62, so a residue -- and even a lazy
-# ``[0, 2q)`` representative -- always fits the word.  The 64x64 -> 128-bit
-# products a >= 2**31 modulus needs are emulated with four 32-bit digit
-# multiplications; variable x variable products reduce with the improved
-# Barrett of Shivdikar et al. (quotient estimate off by at most two, so two
-# branch-free min corrections), constant multiplies with 64-bit Shoup
-# companions (estimate off by at most one).
+# ``[0, 4q)`` representative -- always fits the word.  A variable x
+# variable product emulates the 64x64 -> 128-bit product with four 32-bit
+# digit multiplications and reduces with the improved Barrett of Shivdikar
+# et al. (quotient estimate off by at most two, so two branch-free min
+# corrections) -- the one user of the exact high word :func:`_dword_mulhi`.
+# A constant ``w`` with its companion ``w' = floor(w * 2**64 / q)`` needs
+# only the three-product quotient of :func:`_dword_shoup_quotient`.
 
 _M32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
@@ -565,14 +574,16 @@ _SH32 = np.uint64(32)
 
 @dataclass(frozen=True)
 class _DWordTables:
-    """Per-basis Barrett constants of the dword backend (broadcast columns).
+    """Per-basis constants of the dword backend (broadcast columns).
 
     With ``n = bitlen(q)`` and ``mu = floor(2**(2n) / q)`` (at most n+1
     bits, so a uint64 for every supported modulus), the improved Barrett
     quotient of a product ``x < q**2`` is
     ``q_est = (floor(x / 2**(n-1)) * mu) >> (n+1)`` -- within 2 of the true
     quotient, leaving a remainder in ``[0, 3q)`` that fits a lane for
-    ``q < 2**62``.
+    ``q < 2**62``.  ``r``, ``base`` and ``q_inv`` build Shoup companions
+    (:func:`dword_shoup_column`); ``q_inv`` is 0 for an even modulus, which
+    has none.
     """
 
     q: np.ndarray        # (L, 1) moduli
@@ -583,6 +594,9 @@ class _DWordTables:
     s1c: np.ndarray      # (L, 1) 65-n  (complementary shift of the hi word)
     s2: np.ndarray       # (L, 1) n+1   (q_est = t*mu >> (n+1))
     s2c: np.ndarray      # (L, 1) 63-n
+    r: np.ndarray        # (L, 1) 2**64 mod q
+    base: np.ndarray     # (L, 1) floor(2**64 / q), the companion of 1
+    q_inv: np.ndarray    # (L, 1) q**-1 mod 2**64
 
 
 def _dword_tables(moduli_col: np.ndarray) -> _DWordTables:
@@ -592,7 +606,7 @@ def _dword_tables(moduli_col: np.ndarray) -> _DWordTables:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TUPLE_CACHE_SIZE)
 def _dword_tables_cached(moduli: tuple) -> _DWordTables:
     def column(values) -> np.ndarray:
         arr = np.array(values, dtype=np.uint64).reshape(-1, 1)
@@ -615,20 +629,30 @@ def _dword_tables_cached(moduli: tuple) -> _DWordTables:
         s1c=column([65 - n for n in bits]),
         s2=column([n + 1 for n in bits]),
         s2c=column([63 - n for n in bits]),
+        r=column([WORD_BASE % q for q in qs]),
+        base=column([WORD_BASE // q for q in qs]),
+        q_inv=column([pow(q, -1, WORD_BASE) if q % 2 else 0 for q in qs]),
     )
 
 
 def dword_shoup_column(constants: np.ndarray, moduli_col: np.ndarray) -> np.ndarray:
-    """Precompute ``floor(c * 2**64 / q)`` companions for dword constants.
+    """Precompute ``floor(c * 2**64 / q)`` companions of canonical constants.
 
-    Exact object arithmetic (the quotients straddle 2**63); a setup-time
-    cost paid once per cached table, never on the kernel hot path.
+    Word arithmetic only.  With ``r = 2**64 mod q``,
+    ``c * 2**64 = c * floor(2**64 / q) * q + c * r``, so the companion is
+    ``c * floor(2**64 / q) + floor(c * r / q)``; that last quotient is
+    exact, hence ``(c*r - (c*r mod q)) * q**-1 mod 2**64`` with the
+    remainder from the Barrett product.  The companion is below 2**64, so
+    every wrap of the word products cancels.  Moduli must be odd.
     """
-    qs = np.array(
-        [int(q) for q in np.asarray(moduli_col).ravel()], dtype=object
-    ).reshape(np.asarray(moduli_col).shape)
-    wide = _to_object_ints(np.asarray(constants)) << 64
-    return (wide // qs).astype(np.uint64)
+    dw = _dword_tables(moduli_col)
+    if not np.all(dw.q & np.uint64(1)):
+        raise ValueError("a 64-bit Shoup companion needs an odd modulus")
+    c = np.asarray(constants, dtype=np.uint64)
+    companion = c * dw.r - _dword_mul(c, dw.r, dw)
+    companion *= dw.q_inv
+    companion += c * dw.base
+    return companion
 
 
 def _dword_mulhi(a: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray) -> np.ndarray:
@@ -670,6 +694,45 @@ def _dword_mul(am: np.ndarray, bm: np.ndarray,
     return _dword_barrett(p_hi, p_lo, dw)
 
 
+def _dword_shoup_quotient(x: np.ndarray, w_hi: np.ndarray, w_lo: np.ndarray,
+                          out: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """The three-product Shoup quotient of ``x * w`` from ``w'``'s 32-bit digits.
+
+    ``out = x_hi*w'_hi + (x_hi*w'_lo >> 32) + (x_lo*w'_hi >> 32)`` drops
+    the low-by-low product and the carries of the two cross products, so it
+    is ``mulhi64(x, w')`` minus 0, 1 or 2 -- and ``mulhi64`` is at most one
+    short of ``floor(x * w / q)``.  For any uint64 ``x``, ``x*w - out*q``
+    therefore lies in ``[0, 4q)``, which fits the word for ``q < 2**62``.
+    ``out`` and ``spare`` have the broadcast shape and alias no input.
+    """
+    np.right_shift(x, _SH32, out=spare)
+    np.multiply(spare, w_lo, out=out)
+    out >>= _SH32
+    spare *= w_hi
+    out += spare
+    np.bitwise_and(x, _M32, out=spare)
+    spare *= w_hi
+    spare >>= _SH32
+    out += spare
+    return out
+
+
+def _dword_fold(acc: np.ndarray, bound: int, target: int,
+                moduli_col: np.ndarray, spare: np.ndarray) -> int:
+    """Bring ``acc < bound*q`` below ``target*q`` in place; returns the new bound.
+
+    One branch-free ``min(acc, acc - 2**j q)`` per halving (``acc - c``
+    wraps above ``acc`` exactly when ``acc < c``); ``target`` is a power
+    of two and ``bound * q`` at most 2**64.
+    """
+    while bound > target:
+        step = (bound - 1).bit_length() - 1  # the largest 2**step < bound
+        np.subtract(acc, moduli_col << np.uint64(step), out=spare)
+        np.minimum(acc, spare, out=acc)
+        bound = 1 << step
+    return bound
+
+
 def _dword_shoup_mul(
     am: np.ndarray,
     constants: np.ndarray,
@@ -677,20 +740,73 @@ def _dword_shoup_mul(
     dw: _DWordTables,
     *,
     lazy: bool = False,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """``(am * constants) mod q`` via 64-bit Shoup companions.
 
-    ``am`` may be any uint64 value (lazy ``[0, 2q)`` representatives
-    included); the quotient estimate ``mulhi64(am, shoup)`` is at most one
-    short of the true quotient, so the result lies in ``[0, 2q)`` --
-    returned as-is when ``lazy``, corrected once otherwise.
+    ``am`` may be any uint64 value (lazy representatives included); the
+    three-product quotient leaves the product in ``[0, 4q)`` -- returned
+    as-is when ``lazy``, canonicalized by two minimums otherwise.  ``out``
+    may alias ``am``.
     """
-    q_est = _dword_mulhi(am, shoup >> _SH32, shoup & _M32)
-    r = am * constants - q_est * dw.q  # both products wrap mod 2**64
-    if lazy:
-        return r
-    np.minimum(r, r - dw.q, out=r)
+    shape = np.broadcast_shapes(np.shape(am), np.shape(shoup))
+    est = _dword_shoup_quotient(
+        am, shoup >> _SH32, shoup & _M32,
+        _scratch("dword-est", shape), _scratch("dword-spare", shape),
+    )
+    est *= dw.q
+    r = np.multiply(am, constants, out=out)  # both products wrap mod 2**64
+    r -= est
+    if not lazy:
+        _dword_fold(r, 4, 1, dw.q, est)
     return r
+
+
+def _dword_dot(terms, moduli_col: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """``(Σ x * y) mod q`` on the dword backend, reduced once.
+
+    A term ``(x, y, w')`` -- ``y`` a constant with its 64-bit companion --
+    is a three-product Shoup product left in ``[0, 4q)`` (any uint64 ``x``);
+    a term ``(x, y)`` is a canonical Barrett product.  The terms are summed
+    in the word while the sum provably stays below 2**64 -- counted in
+    multiples of the widest modulus -- and folded (:func:`_dword_fold`) only
+    before a term that could pass it: up to eight Shoup terms per fold at
+    2**59, one near 2**62, where the term is also halved to ``[0, 2q)`` so
+    that it fits next to the folded sum.
+    """
+    dw = _dword_tables(moduli_col)
+    room = WORD_BASE // int(np.max(moduli_col))  # the sum stays < room * q
+    shape = np.broadcast_shapes(
+        *(np.broadcast_shapes(np.shape(x), np.shape(y)) for x, y, *_ in terms)
+    )
+    spare = _scratch("dot-spare", shape)
+    acc, bound = out, 0  # acc < bound * q, row by row
+    for x, y, *companion in terms:
+        if companion:
+            term = _dword_shoup_mul(
+                x, y, companion[0], dw, lazy=True,
+                out=_scratch("dot-term", shape) if bound else acc,
+            )
+            width = 4
+        else:
+            term = _dword_mul(x, y, dw)
+            width = 1
+        if not bound:
+            if acc is None:
+                acc = term
+            elif term is not acc:
+                acc[...] = term
+            bound = width
+            continue
+        if bound + width > room:
+            bound = _dword_fold(acc, bound, 1, moduli_col, spare)
+            if bound + width > room:
+                width = _dword_fold(term, width, 2, moduli_col, spare)
+        acc += term
+        bound += width
+    _dword_fold(acc, bound, 1, moduli_col, spare)
+    return acc
 
 
 def _into(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -720,15 +836,13 @@ def stack_shoup_mul(
     saving the correction passes when the caller reduces later anyway.
     ``out`` may alias ``a`` (the quotient is read out of ``a`` first).
 
-    On the dword backend ``a`` may be any uint64 value and ``shoup`` holds
-    the 64-bit companions (:func:`dword_shoup_column`).
+    On the dword backend ``a`` may be any uint64 value, ``shoup`` holds
+    the 64-bit companions (:func:`dword_shoup_column`) and a lazy result
+    lies in ``[0, 4q)`` (:func:`_dword_shoup_quotient`).
     """
     if stack_is_dword(moduli_col):
-        return _into(
-            _dword_shoup_mul(a, constants, shoup, _dword_tables(moduli_col),
-                             lazy=lazy),
-            out,
-        )
+        return _dword_shoup_mul(a, constants, shoup, _dword_tables(moduli_col),
+                                lazy=lazy, out=out)
     shape = np.broadcast_shapes(a.shape, np.shape(shoup))
     quotient = _scratch("shoup-q", shape)
     np.multiply(a, shoup, out=quotient)
@@ -858,8 +972,15 @@ def stack_dot_mod(pairs, moduli_col: np.ndarray,
     four terms -- ``4·(q-1)² < 2**64`` for ``q < 2**31``, so the wide
     accumulator cannot overflow -- instead of reducing after every
     multiply-add.
+
+    A pair may carry a third element, the 64-bit Shoup companion of a
+    constant ``y_i`` (:func:`dword_shoup_column` -- a switching key's, say):
+    the dword backend then sums lazy three-product Shoup terms instead of
+    Barrett products (:func:`_dword_dot`).  The other backends ignore it,
+    and the recorded kernel reads and prices the products alone.
     """
-    pairs = list(pairs)
+    operands = [tuple(pair) for pair in pairs]
+    pairs = [operand[:2] for operand in operands]
     if not pairs:
         raise ValueError("stack_dot_mod needs at least one product")
     backend = stack_backend(moduli_col)
@@ -885,19 +1006,7 @@ def stack_dot_mod(pairs, moduli_col: np.ndarray,
                 pending = 0
         acc %= moduli_col
     elif backend == BACKEND_DWORD:
-        # Near 2**62 even a 128-bit accumulator could overflow after a few
-        # terms, so each emulated product is Barrett-reduced and folded in
-        # with a canonical modular add (one extra min per term).
-        dw = _dword_tables(moduli_col)
-        acc = None
-        for x, y in pairs:
-            term = _dword_mul(x, y, dw)
-            if acc is None:
-                acc = term
-            else:
-                acc += term
-                np.minimum(acc, acc - dw.q, out=acc)
-        acc = _into(acc, out)
+        acc = _dword_dot(operands, moduli_col, out)
     else:
         acc = None
         for x, y in pairs:
@@ -1020,10 +1129,8 @@ def _dword_scalar_shoup(scalars, moduli_col: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=512)
 def _dword_scalar_shoup_cached(scalars: tuple, moduli: tuple) -> np.ndarray:
-    values = [s % q for s, q in zip(scalars, moduli)]
-    out = np.array(
-        [(v << 64) // q for v, q in zip(values, moduli)], dtype=np.uint64
-    ).reshape(-1, 1)
+    col = moduli_column(moduli)
+    out = dword_shoup_column(scalar_column(scalars, col), col)
     out.flags.writeable = False
     return out
 

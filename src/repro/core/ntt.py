@@ -305,15 +305,15 @@ class StackedNTTEngine:
         self._two3 = self._col3 * np.uint64(2)
         self._two4 = self._col4 * np.uint64(2)
         self._n_inv = [twiddle_tables(ring_degree, q)[2] for q in self.moduli]
-        # The block-local stages run transposed on the single-word backend
-        # only: on the dword backend the mulhi emulation already dominates,
-        # and the standard layout keeps every stage on one code path.
+        # The block-local stages run transposed on both word backends.
         self._block = _TRANSPOSED_BLOCK
         self._grid = 0
-        if self.fast and self.ring_degree >= 2 * self._block:
+        if self.ring_degree >= 2 * self._block:
             self._grid = self.ring_degree // self._block
         self._fw_stages, self._fw_trans = self._stage_tables([t[0] for t in tables])
         self._inv_stages, self._inv_trans = self._stage_tables([t[1] for t in tables])
+        #: Stages that run in the standard layout (the rest run transposed).
+        self._standard = ring_degree.bit_length() - 1 - len(self._fw_trans)
 
     @staticmethod
     def _repeat_period(moduli: tuple[int, ...]) -> int:
@@ -345,8 +345,11 @@ class StackedNTTEngine:
         The companions are ``floor(w * 2**32 / q)`` on the single-word
         backend (Table III) and ``floor(w * 2**64 / q)`` on the dword
         backend, stored as 32-bit digit halves on an extra axis 1 so each
-        butterfly's mulhi64 reads precomputed operands instead of
-        re-splitting per stage.
+        butterfly's quotient reads precomputed operands instead of
+        re-splitting per stage.  Only the single-word backend keeps every
+        stage in the standard layout (views), for :meth:`reference_stage`;
+        the dword backend copies each stage's table in the one layout it
+        runs in, so an engine holds its twiddles once.
         """
         table = np.stack(rows)
         if self.fast:
@@ -356,23 +359,27 @@ class StackedNTTEngine:
             shoup = np.stack(
                 [wide >> np.uint64(32), wide & np.uint64(0xFFFFFFFF)], axis=1
             )
-        num_limbs = len(rows)
         grid = self._grid
         stages, transposed = [], []
         m = 1
         while m < self.ring_degree:
-            stages.append(tuple(
+            blocked = grid and m >= grid
+            stage = tuple(
                 t[..., m : 2 * m].reshape(*t.shape[:-1], m, 1) for t in (table, shoup)
-            ))
-            if grid and m >= grid:
+            )
+            if self.fast:
+                stages.append(stage)
+            elif not blocked:
+                stages.append(tuple(t.copy() for t in stage))
+            if blocked:
                 # Group ``g`` of the stage splits into block ``g // (m/grid)``
                 # and in-block subgroup ``g % (m/grid)``; on the transposed
                 # ``(L, BLOCK, grid)`` layout the stage's twiddles become an
                 # ``(L, m/grid, 1, grid)`` grid.
                 transposed.append(tuple(
-                    t[:, m : 2 * m]
-                    .reshape(num_limbs, grid, m // grid)
-                    .transpose(0, 2, 1)[:, :, None, :]
+                    t[..., m : 2 * m]
+                    .reshape(*t.shape[:-1], grid, m // grid)
+                    .swapaxes(-1, -2)[..., None, :]
                     .copy()
                     for t in (table, shoup)
                 ))
@@ -615,10 +622,11 @@ class StackedNTTEngine:
     # == data rows); a period of one broadcasts a single table row over
     # every data row of the stack.
     #
-    # Every canonical residue (< 2**62) and lazy representative (< 2q <
-    # 2**63) of a dword modulus fits the uint64 word it is stored in, so
+    # Every canonical residue (< 2**62) and lazy representative (< 4q <
+    # 2**64) of a dword modulus fits the uint64 word it is stored in, so
     # both word backends run the same stage loop on the same rows -- only
-    # the Shoup quotient estimate differs (:meth:`_shoup_quotient`).
+    # the butterflies differ (:meth:`_shoup_quotient`,
+    # :meth:`_dword_butterflies`).
 
     def _stage_buffers(self, rows: int) -> np.ndarray:
         """The four staggered stage buffers of a ``rows``-row chunk."""
@@ -634,7 +642,7 @@ class StackedNTTEngine:
         q3 = self._col3[t0:t1]
         tq3 = self._two3[t0:t1]
         grid = self._grid
-        standard = len(self._fw_stages) - len(self._fw_trans)
+        standard = self._standard
         t = n
         for tw, sh in self._fw_stages[:standard]:
             t //= 2
@@ -657,7 +665,10 @@ class StackedNTTEngine:
                     q4, tq4, bufs.reshape(4, rows, -1, t, grid),
                 )
             np.copyto(data.reshape(rows, grid, block), gbuf.transpose(0, 2, 1))
-        # Canonicalize the lazy representatives once.
+        # Canonicalize the lazy representatives once (dword rows from
+        # [0, 4q), see :meth:`_dword_butterflies`).
+        if self.dword:
+            modmath._fast_reduce_once(data, self._two3[t0:t1, :, 0])
         modmath._fast_reduce_once(data, self._base_col[t0:t1])
 
     def _inverse_rows(self, data: np.ndarray, t0: int, t1: int) -> None:
@@ -666,7 +677,7 @@ class StackedNTTEngine:
         q3 = self._col3[t0:t1]
         tq3 = self._two3[t0:t1]
         grid = self._grid
-        standard = len(self._inv_stages) - len(self._inv_trans)
+        standard = self._standard
         t = 1
         if grid:
             block = self._block
@@ -692,16 +703,18 @@ class StackedNTTEngine:
         # Rows are left lazy (< 2q); the caller's fused N^-1 Shoup scaling
         # accepts any uint64 input and canonicalizes.
 
-    def _shoup_quotient(self, x, sh, q, out) -> None:
-        """``out = q * floor(x * w / q)`` up to one ``q``, from ``w``'s companion.
+    def _shoup_quotient(self, x, sh, q, out, spare) -> None:
+        """``out = q * floor(x * w / q)`` up to a few ``q``, from ``w``'s companion.
 
-        The single-word estimate is a 32-bit shift; the dword estimate
-        ``mulhi64(x, shoup)`` is emulated from the companion's digit
-        halves and is at most one short for *any* uint64 ``x``.  Either
-        way ``x * w - out`` lands in ``[0, 2q)``.
+        The single-word estimate is a 32-bit shift and leaves ``x * w - out``
+        in ``[0, 2q)``.  The dword estimate is the three-product quotient
+        from the companion's digit halves (``spare`` is its scratch), up to
+        three short for *any* uint64 ``x``: ``x * w - out`` lands in
+        ``[0, 4q)`` and the butterfly folds it with one minimum against ``2q``.
         """
         if self.dword:
-            np.multiply(modmath._dword_mulhi(x, sh[:, 0], sh[:, 1]), q, out=out)
+            modmath._dword_shoup_quotient(x, sh[:, 0], sh[:, 1], out, spare)
+            out *= q
         else:
             np.multiply(x, sh, out=out)
             out >>= modmath.STACK_SHOUP_SHIFT
@@ -715,8 +728,11 @@ class StackedNTTEngine:
         back below ``2q`` with one subtract+minimum each (the uint64
         wraparound of the min-trick; sums stay below ``4q < 2**64``).
         """
+        if self.dword:
+            self._dword_butterflies(u, x, tw, sh, q, two_q, bufs)
+            return
         buf_v, buf_q, buf_lo, buf_hi = bufs
-        self._shoup_quotient(x, sh, q, buf_q)
+        self._shoup_quotient(x, sh, q, buf_q, buf_lo)
         np.multiply(x, tw, out=buf_v)
         buf_v -= buf_q
         np.add(u, two_q, out=buf_hi)
@@ -729,8 +745,32 @@ class StackedNTTEngine:
         np.subtract(buf_hi, two_q, out=buf_q)
         np.minimum(buf_hi, buf_q, out=x)
 
+    def _dword_butterflies(self, u, x, tw, sh, q, two_q, bufs) -> None:
+        """:meth:`_lazy_butterflies` on the dword backend (Harvey's butterfly).
+
+        The rows hold ``[0, 4q)`` representatives between stages: ``u``
+        and the three-product Shoup product ``v`` (also in ``[0, 4q)``) are
+        each folded below ``2q`` with one minimum, and ``u + v`` and
+        ``u + 2q - v`` -- both below ``4q < 2**64`` -- are stored as they
+        are.  Two minimums per butterfly, as on the single-word backend.
+        """
+        buf_v, buf_q, buf_lo, buf_hi = bufs
+        self._shoup_quotient(x, sh, q, buf_q, buf_lo)
+        np.multiply(x, tw, out=buf_v)
+        buf_v -= buf_q
+        np.subtract(buf_v, two_q, out=buf_q)
+        np.minimum(buf_v, buf_q, out=buf_v)
+        np.subtract(u, two_q, out=buf_q)
+        np.minimum(u, buf_q, out=buf_lo)
+        np.add(buf_lo, two_q, out=buf_hi)
+        np.subtract(buf_hi, buf_v, out=x)
+        np.add(buf_lo, buf_v, out=u)
+
     def _lazy_gs_butterflies(self, u, v, tw, sh, q, two_q, bufs) -> None:
         """One inverse (Gentleman-Sande) stage on lazy representatives."""
+        if self.dword:
+            self._dword_gs_butterflies(u, v, tw, sh, q, two_q, bufs)
+            return
         buf_v, buf_q, buf_lo, buf_hi = bufs
         np.add(u, v, out=buf_lo)
         np.add(u, two_q, out=buf_hi)
@@ -740,9 +780,28 @@ class StackedNTTEngine:
         np.minimum(buf_lo, buf_q, out=u)
         np.subtract(buf_hi, two_q, out=buf_q)
         np.minimum(buf_hi, buf_q, out=buf_hi)
-        self._shoup_quotient(buf_hi, sh, q, buf_q)
+        self._shoup_quotient(buf_hi, sh, q, buf_q, buf_v)
         np.multiply(buf_hi, tw, out=buf_v)
         np.subtract(buf_v, buf_q, out=v)
+
+    def _dword_gs_butterflies(self, u, v, tw, sh, q, two_q, bufs) -> None:
+        """:meth:`_lazy_gs_butterflies` on the dword backend, ``[0, 2q)`` rows.
+
+        The three-product quotient takes any uint64 operand, so
+        ``u + 2q - v`` goes into the Shoup multiply unfolded; its product,
+        in ``[0, 4q)``, takes the minimum instead.
+        """
+        buf_v, buf_q, buf_lo, buf_hi = bufs
+        np.add(u, v, out=buf_lo)
+        np.add(u, two_q, out=buf_hi)
+        buf_hi -= v
+        np.subtract(buf_lo, two_q, out=buf_q)
+        np.minimum(buf_lo, buf_q, out=u)
+        self._shoup_quotient(buf_hi, sh, q, buf_q, buf_v)
+        np.multiply(buf_hi, tw, out=buf_v)
+        buf_v -= buf_q
+        np.subtract(buf_v, two_q, out=buf_q)
+        np.minimum(buf_v, buf_q, out=v)
 
 
 @lru_cache(maxsize=128)

@@ -288,9 +288,10 @@ class BaseConverter:
             # Double-word path.  The scaled source rows are canonical
             # mod q_i but *not* mod p_k, so the accumulation cannot use
             # the Barrett product (its quotient bound needs x < p_k**2);
-            # each term is instead a constant-operand Shoup multiply
-            # whose 64-bit companion is exact for any uint64 input,
-            # folded in with one canonical add per source limb.
+            # each term is instead a constant-operand Shoup multiply,
+            # valid for any uint64 input, and the lazy terms are summed
+            # and reduced once -- by the dword kernel itself, since the
+            # target column alone may select the single-word backend.
             stack = modmath.coerce_stack(source_stack, self._source_col)
             scaled = modmath.stack_shoup_mul(
                 stack,
@@ -298,21 +299,15 @@ class BaseConverter:
                 self._q_hat_inv_shoup,
                 self._source_col,
             )
-            dw = modmath._dword_tables(self._target_col)
-            acc = None
-            for i in range(len(self.source)):
-                term = modmath._dword_shoup_mul(
-                    scaled[i][None, :],
-                    self._q_hat_matrix[:, i : i + 1],
-                    self._q_hat_shoup_matrix[:, i : i + 1],
-                    dw,
-                )
-                if acc is None:
-                    acc = term
-                else:
-                    acc += term
-                    np.minimum(acc, acc - dw.q, out=acc)
-            out[...] = acc
+            modmath._dword_dot(
+                [
+                    (scaled[i][None, :], self._q_hat_matrix[:, i : i + 1],
+                     self._q_hat_shoup_matrix[:, i : i + 1])
+                    for i in range(len(self.source))
+                ],
+                self._target_col,
+                out,
+            )
         else:
             scaled = [
                 modmath.object_row(row) * inv % q

@@ -418,3 +418,184 @@ class TestDwordStackKernels:
             [[c % q for c in centred] for q in target], dtype=object
         )
         self._assert_same(switched, expected)
+
+
+# ---------------------------------------------------------------------------
+# the three-product Shoup quotient and the constant-side dot product
+# ---------------------------------------------------------------------------
+
+#: Where the lazy ``[0, 4q)`` bound is tightest: just above the single-word
+#: cutoff, at the paper's 59-bit word (eight lazy terms fit a word) and
+#: just below 2**62 (``4q`` all but fills it, one term per fold).
+SHOUP_MODULI = {
+    "above-2^31": generate_ntt_primes(1, 32, 64, descending_from_top=False)[0],
+    "2^59": generate_ntt_primes(1, 59, 64)[0],
+    "below-2^62": generate_ntt_primes(1, 62, 64)[0],
+}
+
+_WORD_VALUES = st.lists(
+    st.sampled_from([0, 1, (1 << 64) - 1, (1 << 63), (1 << 62) - 1])
+    | st.integers(min_value=0, max_value=(1 << 64) - 1),
+    min_size=1, max_size=16,
+)
+
+
+@pytest.mark.parametrize("name", sorted(SHOUP_MODULI))
+@given(xs=_WORD_VALUES, w=st.integers(min_value=0, max_value=(1 << 62) - 1))
+@settings(max_examples=80, deadline=None)
+def test_three_product_quotient_bounds(name, xs, w):
+    """For any uint64 ``x`` the estimate is at most 3 short and never over."""
+    q = SHOUP_MODULI[name]
+    w %= q
+    col = modmath.moduli_column([q])
+    x = np.array([xs], dtype=np.uint64)
+    constant = np.array([[w]], dtype=np.uint64)
+    companion = modmath.dword_shoup_column(constant, col)
+    assert int(companion[0, 0]) == (w << 64) // q
+    estimate = modmath._dword_shoup_quotient(
+        x, companion >> np.uint64(32), companion & np.uint64(0xFFFFFFFF),
+        np.empty_like(x), np.empty_like(x),
+    )
+    lazy = modmath.stack_shoup_mul(x, constant, companion, col, lazy=True)
+    exact = modmath.stack_shoup_mul(x, constant, companion, col)
+    for value, est, low, canonical in zip(xs, estimate[0], lazy[0], exact[0]):
+        quotient = value * w // q
+        assert quotient - 3 <= int(est) <= quotient
+        assert int(low) < 4 * q and int(low) % q == value * w % q
+        assert int(canonical) == value * w % q
+
+
+#: Chains for the accumulation budget: near 2**59 the sum of lazy terms
+#: runs several terms before a fold, near 2**62 one term per fold.
+BUDGET_CHAINS = {
+    "near-2^59": generate_ntt_primes(3, 59, 64),
+    "near-2^62": generate_ntt_primes(3, 62, 64),
+}
+
+
+class TestConstantSideDot:
+    """``stack_dot_mod`` with Shoup companions equals the object oracle.
+
+    A companion term takes any uint64 ``x``: ``wide`` draws ``x`` from the
+    whole word, and ``3q`` keeps only the rare draws whose lazy term lies
+    in ``[3q, 4q)`` -- the terms that overflow a word next to a folded sum
+    near 2**62 unless the schedule halves them first.
+    """
+
+    @staticmethod
+    def _pairs(moduli, count, seed, draw="canonical"):
+        col = modmath.moduli_column(moduli)
+        rng = np.random.default_rng(seed)
+
+        def one(q, size):
+            high = (1 << 64) - 1 if draw != "canonical" else q
+            x = rng.integers(0, high, (1, size), dtype=np.uint64)
+            y = rng.integers(0, q, (1, size), dtype=np.uint64)
+            return x, y
+
+        def pair():
+            xs, ys = [], []
+            for q in moduli:
+                if draw == "3q":
+                    qcol = modmath.moduli_column([q])
+                    x, y = one(q, 40000)
+                    lazy = modmath.stack_shoup_mul(
+                        x, y, modmath.dword_shoup_column(y, qcol), qcol, lazy=True
+                    )
+                    keep = np.flatnonzero(lazy[0] >= np.uint64(3 * q))[:8]
+                    assert keep.size == 8
+                    x, y = x[:, keep], y[:, keep]
+                else:
+                    x, y = one(q, 8)
+                xs.append(x)
+                ys.append(y)
+            x, y = np.concatenate(xs), np.concatenate(ys)
+            return x, y, modmath.dword_shoup_column(y, col)
+
+        return col, [pair() for _ in range(count)]
+
+    @staticmethod
+    def _oracle(moduli, pairs):
+        return [
+            [sum(int(x[i, j]) * int(y[i, j]) for x, y, _ in pairs) % q
+             for j in range(pairs[0][0].shape[1])]
+            for i, q in enumerate(moduli)
+        ]
+
+    @pytest.mark.parametrize("chain", sorted(BUDGET_CHAINS))
+    @pytest.mark.parametrize("count", range(1, 9))
+    @pytest.mark.parametrize("draw", ["canonical", "wide", "3q"])
+    def test_every_fold_schedule_matches_object(self, chain, count, draw):
+        moduli = BUDGET_CHAINS[chain]
+        col, pairs = self._pairs(moduli, count, seed=count, draw=draw)
+        out = modmath.stack_dot_mod(pairs, col)
+        assert out.dtype == np.uint64
+        assert out.tolist() == self._oracle(moduli, pairs)
+        if draw == "canonical":
+            # Barrett products (no companions) and a mixed list agree.
+            barrett = modmath.stack_dot_mod([p[:2] for p in pairs], col)
+            assert barrett.tolist() == out.tolist()
+            mixed = [p if i % 2 else p[:2] for i, p in enumerate(pairs)]
+            assert modmath.stack_dot_mod(mixed, col).tolist() == out.tolist()
+
+    def test_out_receives_the_sum(self):
+        moduli = BUDGET_CHAINS["near-2^62"]
+        col, pairs = self._pairs(moduli, 5, seed=11)
+        out = np.empty((len(moduli), 16), dtype=np.uint64)[:, ::2]
+        assert modmath.stack_dot_mod(pairs, col, out=out) is out
+        assert out.tolist() == self._oracle(moduli, pairs)
+
+    def test_recorded_kernel_reads_the_products_alone(self):
+        from repro.core.dispatch import get_dispatcher
+
+        col, pairs = self._pairs(BUDGET_CHAINS["near-2^59"], 2, seed=5)
+        with get_dispatcher().record() as trace:
+            modmath.stack_dot_mod(pairs, col)
+        (event,) = trace.events
+        assert event.kernel.name.startswith("stack-dot")
+        assert len(event.reads) == 4
+        assert event.kernel.bytes_read == 4 * pairs[0][0].nbytes
+
+
+class TestVectorizedCompanions:
+    """``dword_shoup_column`` equals ``floor(c * 2**64 / q)`` without objects."""
+
+    @pytest.mark.parametrize("name", sorted(DWORD_PRIME_SETS))
+    def test_matches_object_formula(self, name):
+        moduli = DWORD_PRIME_SETS[name]
+        col = modmath.moduli_column(moduli)
+        rng = np.random.default_rng(17)
+        constants = np.stack([
+            np.concatenate([[0, 1, q - 1], rng.integers(0, q, 61)]).astype(np.uint64)
+            for q in moduli
+        ])
+        companion = modmath.dword_shoup_column(constants, col)
+        assert companion.dtype == np.uint64
+        assert companion.tolist() == [
+            [(int(c) << 64) // q for c in row] for row, q in zip(constants, moduli)
+        ]
+
+    def test_even_modulus_is_refused(self):
+        col = modmath.moduli_column([(1 << 40) + 2])
+        with pytest.raises(ValueError, match="odd modulus"):
+            modmath.dword_shoup_column(np.ones((1, 4), dtype=np.uint64), col)
+
+
+@pytest.mark.parametrize(
+    "cached, build",
+    [
+        (modmath._moduli_column_cached, lambda m: modmath.moduli_column(m).tolist()),
+        (modmath._dword_tables_cached,
+         lambda m: [c.tolist() for c in vars(modmath._dword_tables(
+             modmath.moduli_column(m))).values()]),
+    ],
+    ids=["moduli_column", "dword_tables"],
+)
+def test_tuple_caches_are_bounded(cached, build):
+    """1,000 distinct moduli tuples leave at most 128 entries, same answers."""
+    first = (generate_ntt_primes(1, 59, 64)[0], (1 << 40) + 1)
+    before = build(first)
+    for k in range(1000):
+        build((first[0], (1 << 40) + 2 * k + 3))
+    assert cached.cache_info().currsize <= 128
+    assert build(first) == before

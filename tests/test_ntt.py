@@ -334,3 +334,24 @@ class TestScratchCacheBudget:
         assert len(caught) == 1
         assert threading.current_thread().name in caught[0]
         assert "second-caller" in caught[0]
+
+
+#: A chain just below the dword cap: ``4q`` all but fills the word, so the
+#: three-product quotient's ``[0, 4q)`` products and the forward stages'
+#: ``[0, 4q)`` rows leave no slack.
+_NEAR_CAP = tuple(generate_ntt_primes(3, 62, 64))
+
+
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 62) - 1),
+                min_size=3 * 64, max_size=3 * 64))
+@settings(max_examples=25, deadline=None)
+def test_stacked_roundtrip_near_dword_cap(values):
+    engine = get_stacked_engine(64, _NEAR_CAP)
+    assert engine.backend == modmath.BACKEND_DWORD
+    stack = np.array(values, dtype=np.uint64).reshape(3, 64) % modmath.moduli_column(_NEAR_CAP)
+    forward = engine.forward(stack)
+    assert forward.tolist() == reference_transform(stack, _NEAR_CAP).tolist()
+    assert engine.inverse(stack).tolist() == reference_transform(
+        stack, _NEAR_CAP, inverse=True
+    ).tolist()
+    assert engine.inverse(forward).tolist() == stack.tolist()
