@@ -351,8 +351,7 @@ class CKKSSession:
 
     @contextmanager
     def trace(self, trace: KernelTrace | None = None, *,
-              executable: bool = False,
-              stage_launches: bool = False) -> Iterator[KernelTrace]:
+              executable: bool = False) -> Iterator[KernelTrace]:
         """Record the kernel stream of everything executed in the with-block.
 
         Yields a :class:`~repro.core.dispatch.KernelTrace` that fills with
@@ -369,16 +368,14 @@ class CKKSSession:
         ``executable=True`` the trace captures replay thunks and buffer
         views, so it can be re-run through
         :class:`~repro.core.fusion.TraceProgram` or optimized by
-        :func:`repro.core.fusion.fuse_trace`.  ``stage_launches=True``
-        additionally records transforms at per-stage launch granularity --
-        the unfused GPU baseline the fusion pass collapses back into
-        stage-fused mega-kernels.  For tracing scoped to a single backend
-        rather than a code region, see
-        :class:`~repro.api.backend.TracingBackend`.
+        :func:`repro.core.fusion.fuse_trace`, and
+        :func:`repro.core.fusion.expand_stages` derives from it the unfused
+        GPU baseline -- transforms and key-switch inner products at
+        per-stage launch granularity -- that the fusions are priced
+        against.  For tracing scoped to a single backend rather than a code
+        region, see :class:`~repro.api.backend.TracingBackend`.
         """
-        with get_dispatcher().record(
-            trace, executable=executable, stage_launches=stage_launches,
-        ) as active:
+        with get_dispatcher().record(trace, executable=executable) as active:
             yield active
 
     def tracing_backend(self, trace: KernelTrace | None = None) -> TracingBackend:

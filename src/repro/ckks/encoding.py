@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.modmath import rint_integers
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # one entry per ring degree
 def rotation_group(ring_degree: int) -> np.ndarray:
     """Return the slot-index exponents ``5^j mod 2N`` for ``j < N/2``."""
     n = ring_degree

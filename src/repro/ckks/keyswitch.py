@@ -32,7 +32,6 @@ single-polynomial kernel structure at ``B×`` rows.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,25 +248,21 @@ def apply_key(
                 digit_polys, automorphism_exponent
             )
         digits = [poly.stack.data for poly in digit_polys]
-        digit_count = len(digits)
         # Below the top level only some key rows are active, and they are
         # read where they lie: each window pairs a row range of the digits
         # with the key rows it meets (a tiled fused key is one window).
         keys = [
             context.key_digit_stacks(key, j, decomposed.limb_count, template.members)
-            for j in range(digit_count)
+            for j in range(len(digits))
         ]
         windows = context.key_row_windows(decomposed.limb_count, template.members)
         # Dot-product fusion (§III-F.5): each accumulator is one wide
         # multiply-accumulate with a single reduction instead of a reduced
         # product and a reduced add per digit, and the GPU launches both as
-        # one inner-product kernel -- except stage-granular, where each dot
-        # product records its own unfused per-digit launches.  The key is
-        # the constant side: on a dword chain its Shoup companion rides
-        # along with every key stack.
+        # one inner-product kernel.  The key is the constant side: on a
+        # dword chain its Shoup companion rides along with every key stack.
         acc_data = [np.empty(digits[0].shape, dtype=col.dtype) for _ in range(2)]
-        unfused = _DISPATCH.stage_granular and digit_count > 1
-        with nullcontext() if unfused else _DISPATCH.launch("ks-inner-product"):
+        with _DISPATCH.launch("ks-inner-product"):
             for rows, key_rows in windows:
                 for component, acc in enumerate(acc_data):
                     modmath.stack_dot_mod(

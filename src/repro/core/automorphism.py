@@ -49,7 +49,12 @@ def coeff_automorphism_map(ring_degree: int, k: int) -> tuple[np.ndarray, np.nda
     return _coeff_map(ring_degree, _canonical_exponent(ring_degree, k))
 
 
-@lru_cache(maxsize=None)
+#: Entries of each exponent-map cache: one per ``(N, k)``, so a few rings'
+#: rotation and conjugation keys (a toy bootstrap uses 31).
+_MAP_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_MAP_CACHE_SIZE)
 def _coeff_map(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     j = np.arange(n, dtype=np.int64)
     exponent = (j * k) % (2 * n)
@@ -71,7 +76,7 @@ def eval_automorphism_map(ring_degree: int, k: int) -> np.ndarray:
     return _eval_map(ring_degree, _canonical_exponent(ring_degree, k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MAP_CACHE_SIZE)
 def _eval_map(n: int, k: int) -> np.ndarray:
     # brv is an involution: position -> root exponent and back.
     brv = bit_reverse_indices(n)

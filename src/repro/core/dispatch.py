@@ -73,11 +73,10 @@ outer one.
 element-wise work *into* the (i)NTT kernels, so ModUp, ModDown and rescale
 hand that work to the engine call as its ``prologue``/``epilogue`` operand
 (:class:`repro.core.ntt.Fused`) and the engine records the launch -- one
-fused ``ntt``/``intt`` event per segment, or its unfused form under
-``stage_launches`` -- so nothing is described a second time at the call
-site.  A stacked call covers every segment (both ciphertext components) at
-once while a GPU issues each segment's chain on its own, so such a pipeline
-runs inside :meth:`Dispatcher.interleaved`, which lands its events segment
+fused ``ntt``/``intt`` event per segment -- so nothing is described a
+second time at the call site.  A stacked call covers every segment (both
+ciphertext components) at once while a GPU issues each segment's chain on
+its own, so such a pipeline runs inside :meth:`Dispatcher.interleaved`, which lands its events segment
 by segment.  A step that is one declared launch with no transform around it
 (the coefficient-format tails) goes through :meth:`Dispatcher.run`.
 
@@ -110,6 +109,15 @@ allocation; plain traces stay weak and pin neither closures nor arrays.
 :mod:`repro.core.fusion` consumes this IR: its ``TraceProgram`` re-runs
 the recorded stream (as recorded, or with fused chains) and ``verify()``
 asserts the replay bit-identical to the eager execution.
+
+**One recorded stream: the fused one.**  The unfused GPU baseline the
+paper's stage and kernel fusions are priced against is a formula over it,
+not a second recording: an event whose launch a GPU without those fusions
+would split (a uint64 transform into its ``log2 N`` butterfly stages, a
+key-switch inner product into per-pair multiply-adds) carries that split as
+plain data (``TraceEvent.unfused``), and an executable trace logs its
+:meth:`KernelTrace.link` calls, so :func:`repro.core.fusion.expand_stages`
+can re-add the per-stage stream with the edges a recording would derive.
 """
 
 from __future__ import annotations
@@ -158,6 +166,11 @@ class ViewSpec:
             size *= dim
         return size
 
+    def within(self, base: np.ndarray) -> np.ndarray:
+        """This view rebuilt against ``base`` (its allocation, or a copy)."""
+        flat = base.reshape(-1)
+        return flat[self.offset : self.offset + self.size].reshape(self.shape)
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -171,7 +184,11 @@ class TraceEvent:
     exact array slices the kernel touched and ``replay`` recomputes the
     writes from the reads (``replay(reads, writes)``); ``kind`` classifies
     the emitter (``elementwise``/``gather``/``transform``/``baseconv``), which
-    is what the fusion pass keys legality on.
+    is what the fusion pass keys legality on.  ``unfused`` is the launch as
+    an unfused GPU makes it, in plain data: one ``(tag, ops_per_element,
+    sources, targets)`` element-wise launch after another, a source being
+    ``(0, i)``, the event's ``i``-th read, or ``(1, i)``, its ``i``-th write,
+    and a target a write index (:func:`repro.core.fusion.expand_stages`).
     """
 
     index: int
@@ -184,6 +201,7 @@ class TraceEvent:
     read_views: tuple[ViewSpec, ...] = ()
     write_views: tuple[ViewSpec, ...] = ()
     replay: Callable[[tuple, tuple], None] | None = None
+    unfused: tuple = ()
 
     @property
     def leaf(self) -> str:
@@ -242,24 +260,29 @@ class KernelTrace:
         #: overwritten later inside the recorded region itself.
         self._seeds: dict[int, np.ndarray] = {}
         self._written_tokens: set[int] = set()
-        #: ``(member event indices, fused replay)`` launch groups recorded
-        #: at stage granularity (see :meth:`Dispatcher.fusion_group`): a
-        #: run of per-stage launches that one fused mega-kernel replaces.
-        self._fusion_groups: list[tuple[tuple[int, ...], Callable]] = []
+        #: ``(events recorded before it, source spans, destination span)``
+        #: per effective :meth:`link`, in issue order (executable traces
+        #: only): a span is a flat ``ViewSpec`` of the bytes linked.
+        self._links: list[tuple[int, tuple[ViewSpec, ...], ViewSpec]] = []
 
     # -- recording (called through the Dispatcher) ---------------------------
+
+    def _known(self, base: np.ndarray) -> _BufferState | None:
+        """The tracking state of allocation ``base``; ``None`` if it has none."""
+        state = self._buffers.get(id(base))
+        if state is not None and (state.ref is None or state.ref() is not base):
+            # Generation mismatch: the allocation this state was created
+            # for died and a new one reused its id before the finalize
+            # callback ran.  Inheriting its last-writer intervals would
+            # fabricate dependency edges, so it is not this one's.
+            return None
+        return state
 
     def _buffer(self, array: np.ndarray) -> tuple[_BufferState, tuple[int, int]]:
         """Resolve an array to its allocation state and relative byte range."""
         base = _allocation(array)
         key = id(base)
-        state = self._buffers.get(key)
-        if state is not None and (state.ref is None or state.ref() is not base):
-            # Generation mismatch: the allocation this state was created
-            # for died and a new one reused its id before the finalize
-            # callback ran.  Inheriting its last-writer intervals would
-            # fabricate dependency edges, so start fresh.
-            state = None
+        state = self._known(base)
         if state is None:
             base_lo, _ = _byte_bounds(base)
             state = _BufferState(
@@ -275,6 +298,15 @@ class KernelTrace:
             self._bases.setdefault(state.token, base)
         lo, hi = _byte_bounds(np.asarray(array))
         return state, (lo - state.base_lo, hi - state.base_lo)
+
+    def _view_of(self, array: np.ndarray) -> ViewSpec | None:
+        """``array`` as a view into an allocation the trace knows, if it
+        knows it -- a lookup that registers nothing."""
+        state = self._known(_allocation(array))
+        if state is None:
+            return None
+        lo, _ = _byte_bounds(np.asarray(array))
+        return self._view_spec(array, state, lo - state.base_lo)
 
     def _view_spec(self, array: np.ndarray, state: _BufferState,
                    lo: int) -> ViewSpec:
@@ -305,13 +337,14 @@ class KernelTrace:
         device: int = 0,
         kind: str = "",
         replay: Callable[[tuple, tuple], None] | None = None,
+        unfused: tuple = (),
     ) -> TraceEvent:
         """Append one kernel, deriving dependency edges from byte intervals.
 
         ``device`` stamps the kernel with the cluster device that launches
         it (0 in the single-GPU model); per-device drains in the serving
-        plane record with the bucket's home device.  ``kind``/``replay``
-        populate the executable IR (ignored on plain traces).
+        plane record with the bucket's home device.  ``kind``/``replay``/
+        ``unfused`` populate the executable IR (ignored on plain traces).
         """
         index = len(self.events)
         kernel.device = device
@@ -362,6 +395,7 @@ class KernelTrace:
             read_views=tuple(read_views),
             write_views=tuple(write_views),
             replay=replay if executable else None,
+            unfused=unfused if executable else (),
         )
         self.events.append(event)
         return event
@@ -407,15 +441,27 @@ class KernelTrace:
         across them by making ``destination`` inherit the newest writer of
         ``sources``.
         """
-        writers = []
+        writers, spans = [], []
         for source in sources:
             state, (lo, hi) = self._buffer(source)
             writers.extend(self._overlapping_writers(state, lo, hi))
+            spans.append((state, lo, hi))
         if not writers:
             return
         state, (lo, hi) = self._buffer(destination)
         state.writes = [r for r in state.writes if not (lo <= r[0] and r[1] <= hi)]
         state.writes.append([lo, hi, max(writers)])
+        if self.executable:
+            self._links.append((
+                len(self.events),
+                tuple(self._span(*span) for span in spans),
+                self._span(state, lo, hi),
+            ))
+
+    def _span(self, state: _BufferState, lo: int, hi: int) -> ViewSpec:
+        """Relative bytes ``[lo, hi)`` of a pinned allocation as a flat view."""
+        itemsize = self._bases[state.token].itemsize
+        return ViewSpec(state.token, lo // itemsize, ((hi - lo) // itemsize,))
 
     # -- views ---------------------------------------------------------------
 
@@ -502,6 +548,26 @@ def _rows(array) -> int:
     """Limb rows of an operand: stacks are (rows, N), a 1-D array is one row."""
     shape = np.shape(array)
     return int(shape[0]) if len(shape) >= 2 else 1
+
+
+def _launch_kernel(tag: str, rows: int, reads, writes, ops_per_element: float,
+                   reuse: float = 1.0) -> Kernel:
+    """One element-wise launch over ``rows`` x the first write's last axis.
+
+    Poly-equivalents come from the operand sizes, so broadcast columns and
+    row operands are charged their real (tiny) traffic.
+    """
+    cols = int(np.shape(writes[0])[-1])
+    elements = max(1, rows * cols)
+    return elementwise_kernel(
+        tag,
+        rows,
+        cols,
+        polys_read=sum(np.asarray(a).size for a in reads) / elements,
+        polys_written=sum(np.asarray(a).size for a in writes) / elements,
+        ops_per_element=ops_per_element,
+        reuse=reuse,
+    )
 
 
 def _view_key(array) -> tuple:
@@ -601,7 +667,6 @@ class Dispatcher:
         self._scopes: list[str] = []
         self._suppress: int = 0
         self._device: int = 0
-        self._stage_granular: bool = False
         #: Member emissions of the open :meth:`launch` group, else ``None``.
         self._group: list[tuple] | None = None
         #: ``(segment, trace addition)`` held inside :meth:`interleaved`.
@@ -625,31 +690,12 @@ class Dispatcher:
         """
         return self._trace is not None and self._suppress == 0
 
-    @property
-    def stage_granular(self) -> bool:
-        """True when recording at per-stage launch granularity.
-
-        In this mode the transform engines emit one event per butterfly
-        stage (the *unfused* GPU baseline: a global-memory round trip per
-        stage) instead of one event per fused transform, and register the
-        stage run as a fusion group so :func:`repro.core.fusion.fuse_trace`
-        can merge it back into the fused mega-kernel.  A :meth:`launch`
-        group is one launch by declaration: nothing inside it expands.
-        """
-        return (
-            self._trace is not None
-            and self._suppress == 0
-            and self._stage_granular
-            and self._group is None
-        )
-
     @contextmanager
     def record(
         self,
         trace: KernelTrace | None = None,
         *,
         executable: bool = False,
-        stage_launches: bool = False,
     ) -> Iterator[KernelTrace]:
         """Record every dispatched kernel in the with-block into a trace.
 
@@ -657,10 +703,9 @@ class Dispatcher:
         Passing an existing trace appends to it (dependency state carries
         across recorded regions) and the trace's own ``executable`` flag
         governs -- asking for ``executable=True`` on a plain trace is an
-        error.  ``executable=True`` records the executable IR (view specs
-        + replay thunks; see :class:`repro.core.fusion.TraceProgram`).
-        ``stage_launches=True`` records transforms at per-stage launch
-        granularity (see :attr:`stage_granular`).
+        error.  ``executable=True`` records the executable IR (view specs,
+        replay thunks and unfused forms; see
+        :class:`repro.core.fusion.TraceProgram`).
         """
         if trace is None:
             trace = KernelTrace(executable=executable)
@@ -671,14 +716,11 @@ class Dispatcher:
                 "KernelTrace(executable=True) (or none, to get a fresh one)"
             )
         previous = self._trace
-        previous_stage = self._stage_granular
         self._trace = trace
-        self._stage_granular = stage_launches
         try:
             yield trace
         finally:
             self._trace = previous
-            self._stage_granular = previous_stage
 
     def scope(self, name: str):
         """Tag kernels emitted in the with-block with an operation scope.
@@ -811,6 +853,7 @@ class Dispatcher:
         reuse: float = 1.0,
         replay: Callable[[tuple, tuple], None] | None = None,
         kind: str = "elementwise",
+        unfused: tuple = (),
     ) -> None:
         """Record one element-wise kernel; shapes come from the live arrays.
 
@@ -818,35 +861,18 @@ class Dispatcher:
         kernel): it streams its operands once and is charged the same way,
         but thread ``i`` reads element ``π(i)``, so it is no per-element
         map and :func:`repro.core.fusion.fuse_trace` never chains it.
+        ``unfused`` is the kernel's unfused form (:class:`TraceEvent`).
         """
         if self._trace is None or self._suppress:
             return
         rows = _rows(writes[0])
         if self._group is not None and kind == "elementwise":
             elements = rows * int(np.shape(writes[0])[-1])
-            self._group.append(
-                (tuple(reads), tuple(writes), ops_per_element * elements, replay)
-            )
+            self._group.append((tuple(reads), tuple(writes),
+                                ops_per_element * elements, replay, unfused))
             return
-        self._add_elementwise(tag, rows, reads, writes, ops_per_element, reuse,
-                              replay, kind)
-
-    def _add_elementwise(self, tag, rows, reads, writes, ops_per_element,
-                         reuse, replay, kind) -> None:
-        cols = int(np.shape(writes[0])[-1])
-        elements = max(1, rows * cols)
-        # Poly-equivalents come from the live array sizes, so broadcast
-        # columns and row operands are charged their real (tiny) traffic.
-        kernel = elementwise_kernel(
-            tag,
-            rows,
-            cols,
-            polys_read=sum(np.asarray(a).size for a in reads) / elements,
-            polys_written=sum(np.asarray(a).size for a in writes) / elements,
-            ops_per_element=ops_per_element,
-            reuse=reuse,
-        )
-        self._add(kernel, kind, reads=reads, writes=writes, replay=replay)
+        self._add(_launch_kernel(tag, rows, reads, writes, ops_per_element, reuse),
+                  kind, reads=reads, writes=writes, replay=replay, unfused=unfused)
 
     def run(self, tag: str, fn: Callable[[tuple, tuple], None], *,
             reads: Sequence[np.ndarray], writes: Sequence[np.ndarray],
@@ -869,6 +895,7 @@ class Dispatcher:
         cols: int | None = None,
         fused_ops_per_element: float = 0.0,
         replay: Callable[[tuple, tuple], None] | None = None,
+        unfused: tuple = (),
     ) -> None:
         """Record one (i)NTT kernel over ``rows`` limbs."""
         if self._trace is None or self._suppress:
@@ -878,7 +905,8 @@ class Dispatcher:
         kernel = ntt_kernel(
             tag, rows, cols, fused_ops_per_element=fused_ops_per_element
         )
-        self._add(kernel, "transform", reads=reads, writes=writes, replay=replay)
+        self._add(kernel, "transform", reads=reads, writes=writes, replay=replay,
+                  unfused=unfused)
 
     def base_conversion(
         self,
@@ -919,7 +947,10 @@ class Dispatcher:
         reads: dict[tuple, tuple] = {}
         writes: dict[tuple, tuple] = {}
         steps = []
-        for member_reads, member_writes, _, member_replay in members:
+        # The group's unfused form is its members', in group slots -- when
+        # every member has one; otherwise the group stays one launch.
+        unfused = []
+        for member_reads, member_writes, _, member_replay, member_unfused in members:
             sources = tuple(
                 (1, writes[key][0]) if key in writes
                 else (0, reads.setdefault(key, (len(reads), array))[0])
@@ -930,6 +961,12 @@ class Dispatcher:
                 for key, array in ((_view_key(a), a) for a in member_writes)
             )
             steps.append((member_replay, sources, targets))
+            slots = (sources, tuple((1, i) for i in targets))
+            unfused.extend(
+                (name, ops, tuple(slots[side][i] for side, i in reading),
+                 tuple(targets[i] for i in writing))
+                for name, ops, reading, writing in member_unfused
+            )
 
         def replay(group_reads, group_writes):
             operands = (group_reads, group_writes)
@@ -946,37 +983,14 @@ class Dispatcher:
         first = _allocation(written[0])
         rows = sum(_rows(a) for a in written if _allocation(a) is first)
         elements = max(1, rows * int(np.shape(written[0])[-1]))
-        self._add_elementwise(
-            tag, rows, [array for _, array in reads.values()], written,
-            sum(member[2] for member in members) / elements, 1.0,
-            replay if all(member[3] for member in members) else None,
-            "elementwise",
+        group_reads = [array for _, array in reads.values()]
+        self._add(
+            _launch_kernel(tag, rows, group_reads, written,
+                           sum(member[2] for member in members) / elements),
+            "elementwise", reads=group_reads, writes=written,
+            replay=replay if all(member[3] for member in members) else None,
+            unfused=tuple(unfused) if all(member[4] for member in members) else (),
         )
-
-    def fusion_group(
-        self, count: int, replay: Callable[[tuple, tuple], None],
-    ) -> None:
-        """Mark the last ``count`` recorded events as one fusable group.
-
-        Emitters that decompose a fused launch into per-stage events
-        (:attr:`stage_granular`) call this right after emitting the run;
-        ``replay`` is the single mega-kernel thunk -- with the first
-        member's reads and the last member's writes -- that computes the
-        identical result.  The fusion pass substitutes it when a legal
-        chain covers the whole group, so the fused program executes the
-        stage-fused kernel instead of the per-stage launches.
-        """
-        trace = self._trace
-        if trace is None or self._suppress or not trace.executable:
-            return
-
-        def mark() -> None:
-            events = trace.events
-            if 2 <= count <= len(events):
-                indices = tuple(event.index for event in events[-count:])
-                trace._fusion_groups.append((indices, replay))
-
-        self._land(mark)
 
     def link(self, sources: Sequence[np.ndarray], destination: np.ndarray) -> None:
         """Forward provenance across unrecorded data movement (see trace)."""

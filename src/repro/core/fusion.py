@@ -1,4 +1,4 @@
-"""The executable trace IR at work: replay it, and fuse elementwise chains.
+"""The executable trace IR at work: replay it, expand it, fuse its chains.
 
 Module map (where this sits in the execution plane)
 ---------------------------------------------------
@@ -7,12 +7,20 @@ Module map (where this sits in the execution plane)
 
     repro.core.dispatch.KernelTrace (executable=True)
         the recorded stream: per-event ViewSpecs (buffer token + element
-        interval) and replay thunks -- the trace IR
+        interval), replay thunks and unfused forms -- the trace IR
                 |
                 +--> TraceProgram(trace)           (this module)
                 |    the one replayer: re-runs the recorded stream against
                 |    its own buffers; verify() asserts bit-identity with
                 |    the recorded eager execution
+                |
+                +--> expand_stages(trace)          (this module)
+                |    the unfused GPU baseline as a formula over the fused
+                |    stream: every uint64 (i)NTT becomes its prologue,
+                |    log2 N butterfly-stage, N^-1 scale and epilogue
+                |    launches, every multi-pair key-switch inner product its
+                |    ks-mul / ks-mul-add runs -- plain elementwise events
+                |    with no replay, for pricing and for fuse_trace
                 v
     repro.core.fusion.fuse_trace          (this module)
         walks the recorded byte intervals, proves which producer ->
@@ -30,13 +38,15 @@ Module map (where this sits in the execution plane)
                      at the tail's position and its intermediate values
                      live in temporaries drawn from the modmath scratch
                      pool instead of materialised data-plane buffers
+                     (an expanded trace prices but does not run: its
+                     stage launches have no replay)
 
 Legality (proved from the recorded producer/consumer byte ranges)
 -----------------------------------------------------------------
 
 A producer ``P`` may fuse with a consumer ``C`` when all of:
 
-* both are elementwise kernels with replay thunks, on the same device;
+* both are elementwise kernels, on the same device;
 * every write view ``W`` of ``P`` meets the remaining conditions with the
   *same* ``C`` (a one-launch site writes both ciphertext components; it
   fuses only when one consumer takes both);
@@ -61,8 +71,8 @@ conserved), while each internal edge's intermediate traffic -- the
 producer's write of ``W`` and the consumer's read of it -- is dropped
 from the byte counts, leaving only the chain-external endpoint bytes.
 Fusion therefore never increases ``bytes_moved`` and always conserves
-``int_ops`` (asserted on a stage-granular HMult+rescale trace by
-``tests/test_fusion.py::TestStageGranularCapture``).
+``int_ops`` (asserted on the expanded HMult+rescale trace by
+``tests/test_fusion.py::TestExpandStages``).
 """
 
 from __future__ import annotations
@@ -73,7 +83,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core import modmath
-from repro.core.dispatch import KernelTrace, TraceEvent, ViewSpec, get_dispatcher
+from repro.core.dispatch import (
+    KernelTrace,
+    TraceEvent,
+    ViewSpec,
+    _launch_kernel,
+    _rows,
+    get_dispatcher,
+)
 from repro.gpu.kernel import ELEMENT_BYTES, Kernel
 
 _DISPATCH = get_dispatcher()
@@ -92,7 +109,6 @@ def _producer_eligible(event: TraceEvent) -> bool:
     """Can ``event`` head a fusion edge (its writes are all intermediates)?"""
     return (
         event.kind == "elementwise"
-        and event.replay is not None
         and len(event.write_views) > 0
         and all(view.size > 0 for view in event.write_views)
     )
@@ -158,7 +174,6 @@ class _Fuser:
         consumer = self.events[consumer_index]
         if (
             consumer.kind != "elementwise"
-            or consumer.replay is None
             or consumer.kernel.device != producer.kernel.device
         ):
             return None
@@ -254,33 +269,6 @@ class _Fuser:
         return chains
 
 
-def _group_segments(
-    members: tuple[int, ...],
-    group_map: dict[int, tuple[tuple[int, ...], object]],
-):
-    """Split chain ``members`` into fusion-group runs and solo members.
-
-    Yields ``(indices, replay)`` for each registered launch group (see
-    ``Dispatcher.fusion_group``) whose member events appear consecutively
-    in the chain, and ``(index, None)`` for every other member.  A group
-    only substitutes when the chain swallowed it whole -- a partially
-    fused group (e.g. a downstream reader split the stage run) falls back
-    to per-member execution.
-    """
-    i = 0
-    while i < len(members):
-        group = group_map.get(members[i])
-        if group is not None:
-            indices, replay = group
-            k = len(indices)
-            if tuple(members[i : i + k]) == indices:
-                yield indices, replay
-                i += k
-                continue
-        yield members[i], None
-        i += 1
-
-
 def _fused_kernel(events: list[TraceEvent], chain: FusedChain) -> Kernel:
     """Price one chain as a single launched mega-kernel."""
     members = [events[m] for m in chain.members]
@@ -336,23 +324,12 @@ class FusionResult:
 
     def summary(self) -> dict:
         """Machine-readable fusion statistics (benchmark artifacts)."""
-        group_map = {
-            indices[0]: (indices, replay)
-            for indices, replay in self.trace._fusion_groups
-        }
-        stage_groups = sum(
-            1
-            for chain in self.chains
-            for _, replay in _group_segments(chain.members, group_map)
-            if replay is not None
-        )
         return {
             "events_before": self.events_before,
             "events_after": self.events_after,
             "chains": len(self.chains),
             "fused_events": sum(len(c) for c in self.chains),
             "longest_chain": max((len(c) for c in self.chains), default=0),
-            "stage_groups_fused": stage_groups,
             "int_ops_before": self.trace.int_ops,
             "int_ops_after": self.fused_trace.int_ops,
             "bytes_moved_before": self.trace.bytes_moved,
@@ -413,6 +390,61 @@ def fuse_trace(trace: KernelTrace) -> FusionResult:
     return FusionResult(trace=trace, chains=chains, fused_trace=fused)
 
 
+def expand_stages(trace: KernelTrace) -> KernelTrace:
+    """The per-stage stream of an executable fused trace: the unfused baseline.
+
+    Every event that carries an unfused form (``TraceEvent.unfused``: a
+    uint64 (i)NTT, a key-switch inner product over more than one digit)
+    becomes those launches, each a plain ``elementwise`` event with no
+    replay, priced by :func:`repro.gpu.kernel.elementwise_kernel`; every
+    other event is re-added as recorded.  Events are re-added against views
+    rebuilt from the trace's pinned allocations, under the same buffer
+    tokens, with the trace's ``link`` calls replayed where they were issued,
+    so :meth:`KernelTrace.add` derives the dependency edges a recording of
+    the unfused stream would.  :func:`fuse_trace` prices the result;
+    :class:`TraceProgram` rejects it (the stage launches have no replay).
+    """
+    if not trace.executable:
+        raise ValueError(
+            "expand_stages needs an executable trace; record with "
+            "record(executable=True) / session.trace(executable=True)"
+        )
+    bases = trace._bases
+    expanded = KernelTrace(executable=True)
+    for base in bases.values():  # in token order: the tokens carry over
+        expanded._buffer(base)
+    expanded._seeds.update(trace._seeds)  # and the first-read snapshots
+    links = iter(trace._links)
+    link = next(links, None)
+    for event in trace.events:
+        while link is not None and link[0] <= event.index:
+            _, sources, destination = link
+            expanded.link([s.within(bases[s.token]) for s in sources],
+                          destination.within(bases[destination.token]))
+            link = next(links, None)
+        operands = tuple(
+            [view.within(bases[view.token]) for view in views]
+            for views in (event.read_views, event.write_views)
+        )
+        reads, writes = operands
+        device = event.kernel.device
+        if not event.unfused:
+            expanded.add(replace(event.kernel), scope=event.scope, reads=reads,
+                         writes=writes, device=device, kind=event.kind,
+                         replay=event.replay)
+            continue
+        for tag, ops, sources, targets in event.unfused:
+            launch_reads = [operands[side][i] for side, i in sources]
+            launch_writes = [writes[i] for i in targets]
+            expanded.add(
+                _launch_kernel(tag, _rows(launch_writes[0]), launch_reads,
+                               launch_writes, ops),
+                scope=event.scope, reads=launch_reads, writes=launch_writes,
+                device=device, kind="elementwise",
+            )
+    return expanded
+
+
 class TraceProgram:
     """The executable-trace replayer: a recorded stream as a program.
 
@@ -436,11 +468,9 @@ class TraceProgram:
     With no ``chains`` the stream replays exactly as recorded.  Given
     ``fuse_trace(trace).chains``, each chain's member thunks run back to
     back at its tail's position (an order the extension-safety legality
-    check proved equivalent), every internal edge's intermediate binds to
-    a modmath scratch-pool temporary instead of a materialised program
-    buffer (tokens *only* touched as intermediates get no buffer at all),
-    and a launch group (``Dispatcher.fusion_group``) swallowed whole by a
-    chain runs as its single stage-fused mega-kernel thunk.
+    check proved equivalent), and every internal edge's intermediate binds
+    to a modmath scratch-pool temporary instead of a materialised program
+    buffer (tokens *only* touched as intermediates get no buffer at all).
 
     :meth:`verify` re-runs the program and asserts every byte interval the
     trace wrote outside a chain is bit-identical to the live arrays the
@@ -535,37 +565,19 @@ class TraceProgram:
             else:
                 self._buffers[token] = base
         # The flat step list: chains land at their tail position.
-        # Registered launch groups (per-stage transform runs) swallowed
-        # whole by a chain replace their member thunks with the single
-        # stage-fused mega-kernel replay, reading the first member's
-        # operands and writing the last member's destination.
         member_to_chain: dict[int, FusedChain] = {}
         for chain in chains:
             for m in chain.members:
                 member_to_chain[m] = chain
-        group_map = {
-            indices[0]: (indices, replay)
-            for indices, replay in trace._fusion_groups
-        }
         self._steps: list[tuple[Callable, tuple, tuple]] = []
         for event in events:
             chain = member_to_chain.get(event.index)
             if chain is None:
                 self._steps.append(self._resolve(event))
             elif event.index == chain.members[-1]:
-                for seg, replay in _group_segments(chain.members, group_map):
-                    if replay is None:
-                        self._steps.append(self._resolve(events[seg]))
-                    else:
-                        # The group's replay sees every member's reads in
-                        # member order (it knows its own layout) and the
-                        # last member's writes.
-                        resolved = [self._resolve(events[i]) for i in seg]
-                        reads = tuple(
-                            r for _, member_reads, _ in resolved
-                            for r in member_reads
-                        )
-                        self._steps.append((replay, reads, resolved[-1][2]))
+                self._steps.extend(
+                    self._resolve(events[m]) for m in chain.members
+                )
         # Final-state verify intervals.  Walk ALL writes in order: an
         # internal (fused-away) write supersedes earlier external
         # intervals it touches -- the live array then holds a value the
@@ -592,8 +604,7 @@ class TraceProgram:
 
     def view(self, spec: ViewSpec) -> np.ndarray:
         """Rebuild one recorded view against this program's buffers."""
-        flat = self._buffers[spec.token].reshape(-1)
-        return flat[spec.offset : spec.offset + spec.size].reshape(spec.shape)
+        return spec.within(self._buffers[spec.token])
 
     def _resolve(self, event: TraceEvent) -> tuple:
         """One event as (replay, reads, writes) with scratch bindings."""
@@ -623,15 +634,16 @@ class TraceProgram:
 
         ``array`` must be an allocation (or view into one) a recorded
         kernel touched outside a chain; the returned view covers the same
-        element range in the program's buffer.
+        element range in the program's buffer.  Looking ``array`` up
+        registers nothing with the trace.
         """
-        state, (lo, _) = self.trace._buffer(array)
-        if state.token not in self._buffers:
+        spec = self.trace._view_of(array)
+        if spec is None or spec.token not in self._buffers:
             raise KeyError(
                 "array was not observed by the trace (or was fully fused "
                 "away as an intermediate)"
             )
-        return self.view(self.trace._view_spec(array, state, lo))
+        return self.view(spec)
 
     def verify(self) -> None:
         """Run and assert bit-identity with the recorded eager execution."""
@@ -647,4 +659,6 @@ class TraceProgram:
                     )
 
 
-__all__ = ["FusedChain", "FusionResult", "TraceProgram", "fuse_trace"]
+__all__ = [
+    "FusedChain", "FusionResult", "TraceProgram", "expand_stages", "fuse_trace",
+]

@@ -1013,60 +1013,30 @@ def stack_dot_mod(pairs, moduli_col: np.ndarray,
             product = (x * y) % moduli_col
             acc = product if acc is None else (acc + product) % moduli_col
         acc = _into(acc, out)
-    if _DISPATCH.stage_granular and len(pairs) > 1:
-        _record_unfused_dot(pairs, acc, moduli_col)
-    elif _DISPATCH.recording:
+    if _DISPATCH.recording:
         def replay(reads, writes, _col=moduli_col):
             stack_dot_mod(
                 list(zip(reads[0::2], reads[1::2])), _col, out=writes[0]
             )
+        mul_add = _kernelforms.MODMUL_OPS + _kernelforms.MODADD_OPS
+        # Unfused, the sum is one reduced product plus a reduced
+        # multiply-accumulate launch per further pair, every partial sum a
+        # global-memory round trip.  (The tags are the key switch's, whose
+        # inner product is the dot product that expands.)
+        unfused = () if len(pairs) == 1 else (
+            ("ks-mul", _kernelforms.MODMUL_OPS, ((0, 0), (0, 1)), (0,)),
+            *(("ks-mul-add", mul_add, ((1, 0), (0, 2 * j), (0, 2 * j + 1)), (0,))
+              for j in range(1, len(pairs))),
+        )
         _DISPATCH.elementwise(
             "stack-dot",
             reads=tuple(operand for pair in pairs for operand in pair),
             writes=(acc,),
-            ops_per_element=len(pairs) * (_kernelforms.MODMUL_OPS + _kernelforms.MODADD_OPS),
+            ops_per_element=len(pairs) * mul_add,
             replay=replay,
+            unfused=unfused,
         )
     return acc
-
-
-def _record_unfused_dot(pairs, acc: np.ndarray, moduli_col: np.ndarray) -> None:
-    """Record a dot product as the launches an unfused GPU makes of it.
-
-    Without the dot-product fusion the sum is one reduced product plus a
-    reduced multiply-accumulate launch per further pair, every partial sum
-    a global-memory round trip; the run is registered as a fusion group
-    replaying the single wide kernel.  (The tags are the key switch's, the
-    one site that takes a dot product outside a launch group.)
-    """
-    def mul(reads, writes):
-        stack_mul_mod(reads[0], reads[1], moduli_col, out=writes[0])
-
-    def mul_add(reads, writes):
-        product = stack_mul_mod(reads[1], reads[2], moduli_col)
-        stack_add_mod(reads[0], product, moduli_col, out=writes[0])
-
-    count = len(pairs)  # the thunks below outlive the operands: keep no pair
-
-    def dot(reads, writes):
-        # The members' reads in order: (x_0, y_0), then (acc, x_j, y_j).
-        stack_dot_mod(
-            [(reads[0], reads[1])]
-            + [(reads[3 * j], reads[3 * j + 1]) for j in range(1, count)],
-            moduli_col, out=writes[0],
-        )
-
-    _DISPATCH.elementwise(
-        "ks-mul", reads=pairs[0], writes=(acc,),
-        ops_per_element=_kernelforms.MODMUL_OPS, replay=mul,
-    )
-    for x, y in pairs[1:]:
-        _DISPATCH.elementwise(
-            "ks-mul-add", reads=(acc, x, y), writes=(acc,),
-            ops_per_element=_kernelforms.MODMUL_OPS + _kernelforms.MODADD_OPS,
-            replay=mul_add,
-        )
-    _DISPATCH.fusion_group(count, dot)
 
 
 def stack_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,

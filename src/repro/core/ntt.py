@@ -22,8 +22,11 @@ The engine is also where a transform *launch* is described.  FIDESlib folds
 element-wise work into its (i)NTT kernels (§III-F.5: rescale, ModDown); a
 call hands that work over as a :class:`Fused` prologue/epilogue next to the
 row blocks it reads, the engine runs it around the one stacked transform
-and records the launch itself (:meth:`StackedNTTEngine._record`): fused,
-or as its per-stage unfused form under ``stage_launches``.
+and records the fused launch itself (:meth:`StackedNTTEngine._record`).  On
+the uint64 backend the event also carries its unfused form -- the
+prologue's launch, ``log2 N`` butterfly-stage launches, the iNTT's ``N^-1``
+scale and the epilogue's launch -- as plain data, which
+:func:`repro.core.fusion.expand_stages` turns into the per-stage stream.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ def is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def twiddle_tables(ring_degree: int, modulus: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Return ``(ψ powers, ψ⁻¹ powers, N⁻¹ mod q)`` for one prime modulus.
 
@@ -66,7 +69,9 @@ def twiddle_tables(ring_degree: int, modulus: int) -> tuple[np.ndarray, np.ndarr
     ``ring_degree`` must be a power of two and ``modulus`` an NTT-friendly
     prime (``modulus ≡ 1 mod 2N``).  Cached per ``(N, q)`` and read-only,
     mirroring FIDESlib's singleton precomputation: the tables are built
-    once per context and shared by every engine over that modulus.
+    once per context and shared by every engine over that modulus.  The
+    cache holds the moduli of several contexts (a context has ``L + K``),
+    not every prime a long-lived process ever meets.
     """
     n, q = ring_degree, modulus
     if not is_power_of_two(n):
@@ -179,8 +184,8 @@ class Fused(NamedTuple):
     ``reads`` are row blocks in the transform's row order at one uniform
     scale: a segment covering a tenth of the rows reads the blocks (or the
     slice of a block) covering that tenth.  ``tag``/``ops_per_element`` name
-    and price the step as the launch of its own it records as when the
-    transform expands into stage launches.
+    and price the step as a launch of its own, which it is in the
+    transform's unfused form (:func:`repro.core.fusion.expand_stages`).
     """
 
     tag: str
@@ -312,8 +317,6 @@ class StackedNTTEngine:
             self._grid = self.ring_degree // self._block
         self._fw_stages, self._fw_trans = self._stage_tables([t[0] for t in tables])
         self._inv_stages, self._inv_trans = self._stage_tables([t[1] for t in tables])
-        #: Stages that run in the standard layout (the rest run transposed).
-        self._standard = ring_degree.bit_length() - 1 - len(self._fw_trans)
 
     @staticmethod
     def _repeat_period(moduli: tuple[int, ...]) -> int:
@@ -339,17 +342,15 @@ class StackedNTTEngine:
         """Per-stage ``(twiddles, shoup)`` tables from per-modulus twiddle rows.
 
         Returns the standard-layout stages -- entry ``s`` holds the
-        ``m = 2**s`` twiddles of that stage as an ``(L, m, 1)`` view next
-        to their Shoup companions -- and the block-local stages again in
-        the transposed-grid layout (empty when no stage runs transposed).
+        ``m = 2**s`` twiddles of that stage as an ``(L, m, 1)`` array next
+        to their Shoup companions -- and the block-local stages in the
+        transposed-grid layout (empty when no stage runs transposed).
         The companions are ``floor(w * 2**32 / q)`` on the single-word
         backend (Table III) and ``floor(w * 2**64 / q)`` on the dword
         backend, stored as 32-bit digit halves on an extra axis 1 so each
         butterfly's quotient reads precomputed operands instead of
-        re-splitting per stage.  Only the single-word backend keeps every
-        stage in the standard layout (views), for :meth:`reference_stage`;
-        the dword backend copies each stage's table in the one layout it
-        runs in, so an engine holds its twiddles once.
+        re-splitting per stage.  Each stage's table is copied in the one
+        layout it runs in, so an engine holds its twiddles once.
         """
         table = np.stack(rows)
         if self.fast:
@@ -363,15 +364,12 @@ class StackedNTTEngine:
         stages, transposed = [], []
         m = 1
         while m < self.ring_degree:
-            blocked = grid and m >= grid
-            stage = tuple(
-                t[..., m : 2 * m].reshape(*t.shape[:-1], m, 1) for t in (table, shoup)
-            )
-            if self.fast:
-                stages.append(stage)
-            elif not blocked:
-                stages.append(tuple(t.copy() for t in stage))
-            if blocked:
+            if not grid or m < grid:
+                stages.append(tuple(
+                    t[..., m : 2 * m].reshape(*t.shape[:-1], m, 1).copy()
+                    for t in (table, shoup)
+                ))
+            else:
                 # Group ``g`` of the stage splits into block ``g // (m/grid)``
                 # and in-block subgroup ``g % (m/grid)``; on the transposed
                 # ``(L, BLOCK, grid)`` layout the stage's twiddles become an
@@ -506,13 +504,13 @@ class StackedNTTEngine:
         The one place that knows what a fused transform launch reads,
         computes and costs, and what its unfused form is: a single
         ``ntt``/``intt`` event whose replay is composed of the callables
-        that just ran, or -- under ``stage_launches`` on the uint64 path --
-        the prologue's launch, the ``log2 N`` stage launches with their
-        fusion group, and the epilogue's launch.
+        that just ran and which, on the uint64 path, carries as plain data
+        the prologue's launch, the ``log2 N`` stage launches (plus the
+        iNTT's ``N^-1`` scale) and the epilogue's launch
+        (:func:`repro.core.fusion.expand_stages`).
         """
         n = self.ring_degree
         forward = tag == "ntt"
-        staged = self.fast and _DISPATCH.stage_granular
         row = 0
         for index, part in enumerate(parts):
             # Per-segment row slices keep fused launches independent in the
@@ -522,21 +520,9 @@ class StackedNTTEngine:
             moduli = self.moduli[row : row + part]
             row += part
             given, before, after = (share[index] for share in shares)
-            if staged:
-                if prologue is not None:
-                    _DISPATCH.elementwise(
-                        prologue.tag, reads=before, writes=(dst,),
-                        ops_per_element=prologue.ops_per_element,
-                        replay=prologue.fn,
-                    )
-                _record_stage_launches(tag, n, moduli, given or (dst,), dst)
-                if epilogue is not None:
-                    _DISPATCH.elementwise(
-                        epilogue.tag, reads=(dst, *after), writes=(dst,),
-                        ops_per_element=epilogue.ops_per_element,
-                        replay=epilogue.fn,
-                    )
-                continue
+            unfused = _unfused_launches(
+                tag, n, len(given), len(before), len(after), prologue, epilogue,
+            ) if self.fast else ()
 
             # Each segment replays through its own cached sub-engine
             # (chunking/tiling is bit-identical, see the class docstring),
@@ -554,58 +540,8 @@ class StackedNTTEngine:
             _DISPATCH.transform(
                 tag, part, reads=(*given, *before, *after), writes=(dst,),
                 cols=n, fused_ops_per_element=fused_ops_per_element,
-                replay=replay,
+                replay=replay, unfused=unfused,
             )
-
-    def reference_stage(
-        self, a: np.ndarray, stage: int, *, forward: bool = True,
-    ) -> None:
-        """One canonical radix-2 butterfly stage, in place (fast path).
-
-        The per-launch granularity of an *unfused* GPU NTT: each stage
-        streams the whole stack through memory and hands canonical
-        ``[0, q)`` residues to the next launch, with fresh temporaries per
-        launch (cross-stage lazy representatives and scratch pipelining
-        are exactly the privileges stage fusion buys).  Running all
-        ``log2 N`` stages is bit-identical to :meth:`forward` /
-        :meth:`inverse` at the transform boundary -- the fused lazy
-        pipeline canonicalizes to the same residues.
-        """
-        if not self.fast:
-            raise NotImplementedError(
-                "per-stage reference execution covers the uint64 fast path"
-            )
-        self._check_operand(a)
-        n = self.ring_degree
-        if forward:
-            m = 1 << stage
-            t = n >> (stage + 1)
-        else:
-            t = 1 << stage
-            m = n >> (stage + 1)
-        tw_all, sh_all = (self._fw_stages if forward else self._inv_stages)[
-            m.bit_length() - 1
-        ]
-        for r0, r1, t0, t1 in self._chunks:
-            q3 = self._col3[t0:t1]
-            tw, sh = tw_all[t0:t1], sh_all[t0:t1]
-            view = a[r0:r1].reshape(r1 - r0, m, 2 * t)
-            u = view[:, :, :t]
-            v = view[:, :, t:]
-            if forward:
-                v = modmath.stack_shoup_mul(v, tw, sh, q3)
-            lo = u + v
-            np.minimum(lo, lo - q3, out=lo)
-            hi = u - v
-            np.minimum(hi, hi + q3, out=hi)
-            if not forward:
-                hi = modmath.stack_shoup_mul(hi, tw, sh, q3)
-            u[...] = lo
-            view[:, :, t:] = hi
-
-    def reference_scale(self, a: np.ndarray) -> None:
-        """The iNTT's trailing ``N^-1`` scaling as its own launch, in place."""
-        modmath.stack_scalar_mod(a, self._n_inv, self._col, out=a)
 
     # -- the stage pipeline ---------------------------------------------------
     #
@@ -642,9 +578,8 @@ class StackedNTTEngine:
         q3 = self._col3[t0:t1]
         tq3 = self._two3[t0:t1]
         grid = self._grid
-        standard = self._standard
         t = n
-        for tw, sh in self._fw_stages[:standard]:
+        for tw, sh in self._fw_stages:
             t //= 2
             view = data.reshape(rows, -1, 2 * t)
             self._lazy_butterflies(
@@ -677,7 +612,6 @@ class StackedNTTEngine:
         q3 = self._col3[t0:t1]
         tq3 = self._two3[t0:t1]
         grid = self._grid
-        standard = self._standard
         t = 1
         if grid:
             block = self._block
@@ -693,7 +627,7 @@ class StackedNTTEngine:
                 )
                 t *= 2
             np.copyto(data.reshape(rows, grid, block), gbuf.transpose(0, 2, 1))
-        for tw, sh in reversed(self._inv_stages[:standard]):
+        for tw, sh in reversed(self._inv_stages):
             view = data.reshape(rows, -1, 2 * t)
             self._lazy_gs_butterflies(
                 view[:, :, :t], view[:, :, t:], tw[t0:t1], sh[t0:t1], q3, tq3,
@@ -838,59 +772,35 @@ def _transform_in_place(
         np.copyto(dst, res)
 
 
-def _record_stage_launches(
-    tag: str,
-    n: int,
-    moduli: tuple[int, ...],
-    sources: Sequence[np.ndarray],
-    dst: np.ndarray,
-) -> None:
-    """Record one transform as per-stage launches (the unfused baseline).
+def _unfused_launches(tag: str, n: int, given: int, before: int, after: int,
+                      prologue: Fused | None, epilogue: Fused | None) -> tuple:
+    """A transform launch's unfused form (see ``TraceEvent.unfused``).
 
-    Emits ``log2 N`` butterfly-stage events (plus the iNTT's ``N^-1``
-    scaling launch), each replaying one canonical stage via
-    :meth:`StackedNTTEngine.reference_stage` -- a full global-memory round
-    trip per stage, which is exactly how an unfused GPU NTT executes.  The
-    first stage reads ``sources`` (the row blocks that make up ``dst``,
-    one per member of a fused stack); later stages run in place.  The run
-    is then registered as a fusion group whose mega-kernel replay is the
-    stage-fused engine call, so ``fuse_trace`` can collapse the chain back
-    into the fused transform (§III-F.4/F.5).
+    The event reads ``given`` source blocks, then the prologue's ``before``
+    and the epilogue's ``after`` blocks, and writes its rows.  Unfused, the
+    prologue is a launch of its own, then ``log2 N`` butterfly stages each
+    stream the rows through memory (the first reads the sources, when there
+    are any), the iNTT scales by ``N^-1`` in another, and the epilogue
+    folds last -- how a GPU runs the transform before the §III-F.4/F.5
+    fusions.
     """
-    forward = tag == "ntt"
-    sources = tuple(sources)
-
-    def engine() -> StackedNTTEngine:
-        return get_stacked_engine(n, moduli)
-
+    rows = ((1, 0),)
+    launches = []
+    if prologue is not None:
+        launches.append((prologue.tag, prologue.ops_per_element,
+                         tuple((0, given + i) for i in range(before)), (0,)))
+    first = tuple((0, i) for i in range(given)) or rows
     # One radix-2 butterfly covers two elements.
-    launches = [
-        (f"{tag}-stage{s}", BUTTERFLY_OPS / 2.0,
-         lambda rows, _s=s: engine().reference_stage(rows, _s, forward=forward))
+    launches.extend(
+        (f"{tag}-stage{s}", BUTTERFLY_OPS / 2.0, rows if s else first, (0,))
         for s in range(n.bit_length() - 1)
-    ]
-    if not forward:
-        launches.append((f"{tag}-scale", SHOUP_MUL_OPS,
-                         lambda rows: engine().reference_scale(rows)))
-    for index, (name, ops, step) in enumerate(launches):
-
-        def replay(reads, writes, _step=step):
-            gather_rows(reads, writes[0])
-            _step(writes[0])
-
-        _DISPATCH.elementwise(
-            name, reads=(dst,) if index else sources, writes=(dst,),
-            ops_per_element=ops, replay=replay,
-        )
-
-    def fused_replay(reads, writes):
-        # A group replay sees every member's reads in member order;
-        # the transform's input is the first stage's.
-        _transform_in_place(
-            n, moduli, reads[: len(sources)], writes[0], forward=forward
-        )
-
-    _DISPATCH.fusion_group(len(launches), fused_replay)
+    )
+    if tag == "intt":
+        launches.append((f"{tag}-scale", SHOUP_MUL_OPS, rows, (0,)))
+    if epilogue is not None:
+        launches.append((epilogue.tag, epilogue.ops_per_element, rows + tuple(
+            (0, given + before + i) for i in range(after)), (0,)))
+    return tuple(launches)
 
 
 __all__ = [

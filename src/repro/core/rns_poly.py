@@ -35,7 +35,7 @@ from repro.gpu.kernel import MODADD_OPS, MODMUL_OPS
 _DISPATCH = get_dispatcher()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)  # one entry per rescaled basis (a toy bootstrap: 11)
 def _rescale_inverses(moduli: tuple[int, ...]) -> tuple[int, ...]:
     """``(q_l^{-1} mod q_i)`` for every limb kept by a rescale (cached)."""
     q_last = moduli[-1]

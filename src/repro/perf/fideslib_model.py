@@ -84,7 +84,7 @@ class FIDESlibModel:
         return best_batch
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # one entry per (platform, parameter set) swept
 def _cached_best_batch(platform_name: str, log_n: int, depth: int, scale: int, dnum: int) -> int:
     from repro.gpu.platforms import PLATFORMS_BY_NAME
     from repro.ckks.params import paper_parameter_set

@@ -222,10 +222,9 @@ class TestBenchReporting:
         assert table.column_values("FIDESlib") == ["1.08 ms", "50.7 µs"]
 
     def test_benchmark_scripts_are_modeled_and_independent(self):
-        # A measured number has one home, benchmarks/e2e.  The one script
-        # outside it allowed a wall clock is bench_fusion.py: its fused-vs-
-        # unfused trace-replay race has no e2e counterpart.
-        wall_clock_allowed = {"bench_fusion.py"}
+        # A measured number has one home, benchmarks/e2e: no script outside
+        # it reads a wall clock.
+        wall_clock_allowed: set[str] = set()
         root = Path(__file__).parent.parent / "benchmarks"
         scripts = sorted(root.glob("*.py"))
         assert len(scripts) > len(wall_clock_allowed)

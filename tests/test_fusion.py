@@ -23,8 +23,8 @@ from repro.api import CKKSSession
 from repro.ckks.params import CKKSParameters
 from repro.core import modmath
 from repro.core.dispatch import Dispatcher, KernelTrace, get_dispatcher
-from repro.core.fusion import TraceProgram, fuse_trace
-from repro.core.ntt import get_stacked_engine
+from repro.core.fusion import TraceProgram, expand_stages, fuse_trace
+from repro.core.ntt import Fused, get_stacked_engine
 from repro.gpu.platforms import GPU_RTX_4090
 from repro.perf.trace_model import TraceCostModel
 
@@ -283,6 +283,22 @@ class TestBufferIdentityGeneration:
         # dependency on the writer event.
         assert trace.events[-1].deps == ()
 
+    def test_output_of_an_unseen_array_registers_nothing(self):
+        # Regression: the failed lookup used to give the array a token, pin
+        # it among the trace's allocations and attach a finalizer.
+        d = get_dispatcher()
+        a = np.arange(8, dtype=np.uint64).reshape(2, 4)
+        out = np.empty_like(a)
+        with d.record(executable=True) as trace:
+            _emit(d, "step", a, out, _add_const(1))
+        program = TraceProgram(trace)
+        before = (trace._next_token, list(trace._bases), len(trace._buffers))
+        with pytest.raises(KeyError, match="not observed"):
+            program.output(np.zeros_like(a))
+        assert (trace._next_token, list(trace._bases), len(trace._buffers)) == before
+        program.run()
+        assert np.array_equal(program.output(out), a + 1)
+
     def test_free_and_reallocate_between_kernels(self):
         d = get_dispatcher()
         src = np.ones((2, 4), dtype=np.uint64)
@@ -323,7 +339,7 @@ class TestReplayAcrossBackends:
     """TraceProgram bit-identity on the uint64, dword and object planes."""
 
     @staticmethod
-    def _record_hmult(scale_bits, first_mod_bits, stage_launches=False):
+    def _record_hmult(scale_bits, first_mod_bits):
         from repro.ckks.context import Context
         from repro.ckks.encryption import Encryptor
         from repro.ckks.evaluator import Evaluator
@@ -341,9 +357,7 @@ class TestReplayAcrossBackends:
         rng = np.random.default_rng(9)
         a = encryptor.encrypt_values(rng.uniform(-1, 1, 8))
         b = encryptor.encrypt_values(rng.uniform(-1, 1, 8))
-        with get_dispatcher().record(
-            executable=True, stage_launches=stage_launches
-        ) as trace:
+        with get_dispatcher().record(executable=True) as trace:
             evaluator.multiply(a, b)
         return context, trace
 
@@ -364,16 +378,25 @@ class TestReplayAcrossBackends:
         TraceProgram(trace).verify()
         fuse_trace(trace).program().verify()
 
-    @pytest.mark.parametrize(
-        "stage_launches", [False, True], ids=["fused", "stage-granular"]
-    )
-    def test_mixed_chain_replay(self, stage_launches):
+    @pytest.mark.parametrize("mode", ["fused", "stage-granular"])
+    def test_mixed_chain_replay(self, mode):
         # 60-bit q_0 over 28-bit scale primes: the rescale's kept sub-basis
         # selects the single-word arithmetic and reads its parent's rows.
-        context, trace = self._record_hmult(28, 60, stage_launches)
+        context, trace = self._record_hmult(28, 60)
         assert context.numeric_backend == modmath.BACKEND_DWORD
-        TraceProgram(trace).verify()
-        fuse_trace(trace).program().verify()
+        if mode == "fused":
+            TraceProgram(trace).verify()
+            fuse_trace(trace).program().verify()
+            return
+        # Its unfused baseline: the single-word transforms expand into
+        # stages, the dword ones stay whole, and fusion conserves the
+        # arithmetic of the result.
+        staged = expand_stages(trace)
+        names = [e.kernel.name for e in staged]
+        assert any("-stage" in n for n in names)
+        assert any(n.startswith(("ntt[", "intt[")) for n in names)
+        result = fuse_trace(staged)
+        assert result.fused_trace.int_ops == pytest.approx(staged.int_ops)
 
     def test_object_backend_replay(self, monkeypatch):
         monkeypatch.setattr(
@@ -520,114 +543,113 @@ class TestFusedEndToEnd:
             TraceProgram(trace)
 
 
-class TestStageGranularCapture:
-    """Per-stage launch recording: the unfused GPU baseline (§III-F.4).
+def _base_names(trace) -> list[str]:
+    return [e.kernel.name.split("[")[0] for e in trace]
 
-    ``stage_launches=True`` records every fast-path transform as its
-    ``log2 N`` butterfly-stage launches (plus the iNTT scale), registered
-    as fusion groups so the pass can merge each run back into the
-    engine's stage-fused mega-kernel.
+
+class TestExpandStages:
+    """The unfused GPU baseline (§III-F.4/F.5), derived from the fused record.
+
+    ``expand_stages`` turns every uint64 transform into its ``log2 N``
+    butterfly-stage launches (plus the iNTT scale and the fused prologue/
+    epilogue as launches of their own) and every multi-digit key-switch
+    inner product into its per-pair launches; ``fuse_trace`` merges each
+    run back into one kernel.
     """
 
-    def test_stage_trace_replay_and_group_fusion(self, fusion_session):
+    @staticmethod
+    def _expand(session, program):
+        with session.trace(executable=True) as trace:
+            program()
+        return trace, expand_stages(trace)
+
+    def test_expanded_hmult_fuses_back(self, fusion_session):
         rng = np.random.default_rng(29)
         ct_a = fusion_session.encrypt(rng.uniform(-1, 1, 16))
         ct_b = fusion_session.encrypt(rng.uniform(-1, 1, 16))
-        with fusion_session.trace(
-            executable=True, stage_launches=True
-        ) as trace:
-            (ct_a * ct_b).rescale()
-        names = [e.kernel.name for e in trace.events]
-        assert any("-stage" in n for n in names)
-        assert trace._fusion_groups
-        TraceProgram(trace).verify()
-        result = fuse_trace(trace)
+        _, staged = self._expand(fusion_session, lambda: (ct_a * ct_b).rescale())
+        stages = [e.index for e in staged if "-stage" in e.kernel.name]
+        assert stages
+        result = fuse_trace(staged)
         summary = result.summary()
-        # Every recorded stage run is swallowed whole by a chain and
-        # replaced by the fused transform; arithmetic is conserved and
-        # the per-stage global-memory round trips drop out.
-        assert summary["stage_groups_fused"] == len(trace._fusion_groups)
+        # Every stage launch is swallowed by a chain; arithmetic is
+        # conserved and the per-stage global-memory round trips drop out.
+        chained = {m for chain in result.chains for m in chain.members}
+        assert chained.issuperset(stages)
         assert result.events_after < result.events_before / 3
         assert summary["int_ops_after"] == pytest.approx(
             summary["int_ops_before"]
         )
         assert summary["bytes_moved_after"] < summary["bytes_moved_before"]
-        result.program().verify()
 
-    def test_stage_trace_keyswitch_rotation(self, fusion_session):
+    def test_expanded_rotation_unbundles_the_inner_product(self, fusion_session):
         rng = np.random.default_rng(31)
         ct = fusion_session.encrypt(rng.uniform(-1, 1, 16))
-        with fusion_session.trace(
-            executable=True, stage_launches=True
-        ) as trace:
-            ct.rotate(1)
-        TraceProgram(trace).verify()
-        fuse_trace(trace).program().verify()
+        trace, staged = self._expand(fusion_session, lambda: ct.rotate(1))
+        names = _base_names(staged)
+        # dnum = 2 digits: one multiply and one multiply-add per component.
+        assert "ks-inner-product" in _base_names(trace)
+        assert "ks-inner-product" not in names
+        assert names.count("ks-mul") == names.count("ks-mul-add") == 2
+        assert fuse_trace(staged).chains
 
-    def test_stage_trace_batched_drain(self, fusion_session):
+    def test_expanded_batch_is_the_single_op_at_b_rows(self, fusion_session):
         rng = np.random.default_rng(37)
         cts = [
             fusion_session.encrypt(rng.uniform(-1, 1, 16)) for _ in range(8)
         ]
         batch = fusion_session.batch(cts)
-        with fusion_session.trace(
-            executable=True, stage_launches=True
-        ) as trace:
-            batch * batch
-        TraceProgram(trace).verify()
-        fuse_trace(trace).program().verify()
+        _, single = self._expand(fusion_session, lambda: cts[0] * cts[1])
+        _, fused = self._expand(fusion_session, lambda: batch * batch)
+        assert _base_names(fused) == _base_names(single)
+        assert fused.int_ops == pytest.approx(8 * single.int_ops, rel=1e-9)
 
-    def test_reference_stage_matches_fused_engine(self):
-        from repro.ckks.context import Context
-
-        n = 1 << 10
-        params = CKKSParameters(
-            ring_degree=n, mult_depth=3, scale_bits=28, dnum=2,
-            first_mod_bits=30, secret_hamming_weight=16,
-            label="stage-ref-10",
-        )
-        moduli = tuple(Context(params).extended_moduli)
+    def test_launch_counts_per_transform_match_the_formula(self, fusion_session):
+        n = fusion_session.context.ring_degree
+        log_n = n.bit_length() - 1
+        moduli = tuple(fusion_session.context.moduli[:2])
         engine = get_stacked_engine(n, moduli)
-        rng = np.random.default_rng(23)
-        x = rng.integers(
-            0, np.array(moduli, dtype=np.uint64)[:, None],
-            size=(len(moduli), n), dtype=np.uint64,
-        )
-        staged = x.copy()
-        for s in range(n.bit_length() - 1):
-            engine.reference_stage(staged, s, forward=True)
-        assert np.array_equal(staged, engine.forward(x.copy(), consume=True))
-        back = staged.copy()
-        for s in range(n.bit_length() - 1):
-            engine.reference_stage(back, s, forward=False)
-        engine.reference_scale(back)
-        assert np.array_equal(
-            back, engine.inverse(staged.copy(), consume=True)
-        )
-        assert np.array_equal(back, x)  # exact round trip
+        x = np.ones((2, n), dtype=np.uint64)
 
-    def test_dword_backend_falls_back_to_fused_transforms(self):
-        context, trace = TestReplayAcrossBackends._record_hmult(
-            59, 60, stage_launches=True
-        )
+        def copy(reads, writes):
+            np.copyto(writes[0], reads[0])
+
+        with get_dispatcher().record(executable=True) as trace:
+            engine.forward(x)
+            y = engine.inverse(x)
+            engine.inverse(segments=(1, 1), prologue=Fused("pro", 1.0, (y,), copy),
+                           epilogue=Fused("epi", 2.0, (), copy))
+        assert _base_names(trace) == ["ntt", "intt", "intt", "intt"]
+        staged = _base_names(expand_stages(trace))
+        stages = [f"ntt-stage{s}" for s in range(log_n)]
+        inverse = [f"intt-stage{s}" for s in range(log_n)] + ["intt-scale"]
+        # log2 N stages forward; log2 N + 1 inverse; per segment, the
+        # prologue and the epilogue are a launch each around them.
+        assert staged == stages + inverse + 2 * (["pro"] + inverse + ["epi"])
+        assert len(staged) == log_n + (log_n + 1) + 2 * (log_n + 3)
+
+    def test_dword_chain_expands_only_its_dot_products(self):
+        context, trace = TestReplayAcrossBackends._record_hmult(59, 60)
         assert context.numeric_backend == modmath.BACKEND_DWORD
-        names = [e.kernel.name for e in trace.events]
-        # Off the uint64 fast path the stage expansion declines and the
-        # single fused transform events record instead; the backend-generic
-        # inner-product unbundling still applies.
-        assert not any("-stage" in n for n in names)
-        assert any(n.startswith(("ntt[", "intt[")) for n in names)
-        assert any(n.startswith("ks-mul") for n in names)
-        TraceProgram(trace).verify()
-        fuse_trace(trace).program().verify()
+        staged = expand_stages(trace)
+        names = _base_names(staged)
+        # Off the uint64 path the transforms stay whole; the inner product
+        # unbundles on every backend.
+        assert not any("-stage" in name for name in names)
+        assert "ntt" in names and "intt" in names
+        assert "ks-mul" in names and "ks-inner-product" not in names
+        assert [n for n in names if not n.startswith("ks-mul")] == [
+            n for n in _base_names(trace) if n != "ks-inner-product"
+        ]
 
-    def test_untraced_dispatcher_is_not_stage_granular(self):
-        d = get_dispatcher()
-        assert d.stage_granular is False
-        with d.record(executable=True) as _:
-            assert d.stage_granular is False
-        with d.record(executable=True, stage_launches=True) as _:
-            assert d.stage_granular is True
-            with d.suppressed():
-                assert d.stage_granular is False
-        assert d.stage_granular is False
+    def test_expanded_trace_prices_but_does_not_replay(self, fusion_session):
+        ct = fusion_session.encrypt(np.linspace(-1, 1, 16))
+        _, staged = self._expand(fusion_session, lambda: ct.rotate(1))
+        with pytest.raises(ValueError, match="non-replayable") as excinfo:
+            fuse_trace(staged).program()
+        assert "ntt-stage0" in str(excinfo.value)
+        assert "ks-mul-add" in str(excinfo.value)
+
+    def test_expansion_needs_an_executable_trace(self):
+        with pytest.raises(ValueError, match="executable"):
+            expand_stages(KernelTrace())

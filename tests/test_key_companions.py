@@ -22,7 +22,7 @@ from repro.ckks.keyswitch import key_switch
 from repro.ckks.params import CKKSParameters
 from repro.core import modmath
 from repro.core.dispatch import get_dispatcher
-from repro.core.fusion import TraceProgram, fuse_trace
+from repro.core.fusion import TraceProgram, expand_stages, fuse_trace
 from repro.core.limb import LimbFormat
 from repro.core.limb_stack import LimbStack
 from repro.core.memory import MemoryPool
@@ -197,11 +197,22 @@ class TestBitIdentity:
 
         x, y = operand(), operand()
         low = (x * y).rescale()  # below the top level: two key-row windows
-        with get_dispatcher().record(
-            executable=True, stage_launches=stage_launches
-        ) as trace:
+        with get_dispatcher().record(executable=True) as trace:
             x * y
             x << 1
             low << 1
-        TraceProgram(trace).verify()
-        fuse_trace(trace).program().verify()
+        if not stage_launches:
+            TraceProgram(trace).verify()
+            fuse_trace(trace).program().verify()
+            return
+        # Unfused, each component's two-digit dot product at the top level
+        # is a multiply and a multiply-add reading the products' operands
+        # alone: the companions are how a dword product is computed, not
+        # what the launch reads.  Two levels down one digit is left, and
+        # its inner product stays one launch.
+        staged = expand_stages(trace)
+        products = [e for e in staged if e.kernel.name.startswith("ks-")]
+        assert [e.kernel.name.split("[")[0] for e in products] == \
+            ["ks-mul", "ks-mul-add"] * 4 + ["ks-inner-product"]
+        assert [len(e.read_views) for e in products[:-1]] == [2, 3] * 4
+        assert fuse_trace(staged).fused_trace.int_ops == pytest.approx(staged.int_ops)

@@ -5,16 +5,19 @@ surface rather than one hand-picked pipeline:
 
 * **golden streams** -- what an operation records (kernel names, launches,
   bytes, integer operations and dependency edges, event for event) is
-  pinned per operation, member count, word arithmetic and recording mode,
-  so a refactor of the self-recording kernels (the NTT engine's fused
-  prologue/epilogue, the member-aware base conversion, the dot product)
-  cannot move a launch unnoticed;
+  pinned per operation, member count and word arithmetic, fused as recorded
+  and stage-granular as :func:`expand_stages` derives it, so a refactor of
+  the self-recording kernels (the NTT engine's fused prologue/epilogue, the
+  member-aware base conversion, the dot product) cannot move a launch
+  unnoticed;
 * **replay lattice** -- every record replays bit-identically, as recorded
-  and fused, where the hand-picked replay tests do not reach: operands below
+  and fused, and its stage-granular expansion fuses back with the arithmetic
+  conserved, where the hand-picked replay tests do not reach: operands below
   the top level (the key multiply reads two row windows), ``B = 3``, the
   mixed 60+28-bit chain and a chain past ``2**62``;
-* **the dispatcher only observes** -- untraced, plain, executable and
-  stage-granular runs return the same ciphertext bits.
+* **the dispatcher only observes** -- untraced, plain and executable runs,
+  and an executable run after its expansion, return the same ciphertext
+  bits.
 """
 
 from __future__ import annotations
@@ -27,11 +30,13 @@ import pytest
 
 from repro.api import CKKSSession
 from repro.ckks.params import CKKSParameters
-from repro.core.fusion import TraceProgram, fuse_trace
+from repro.core.fusion import TraceProgram, expand_stages, fuse_trace
 
 from test_dispatch_trace import OP_SURFACE
 
-MODES = {"fused": False, "stage-granular": True}
+#: The two streams pinned per operation: the fused one a recording holds,
+#: and the per-stage unfused baseline derived from its executable twin.
+MODES = ("fused", "stage-granular")
 
 #: Word-size chains: ``(scale_bits, first_mod_bits)`` and the backend the
 #: session must report.  ``mixed`` keeps 28-bit scale primes under a 60-bit
@@ -84,7 +89,8 @@ def stream_digest(trace) -> str:
 
 
 #: Read off 76cfcfd (the commit before the engine recorded its own fused
-#: launches), N=2^8, depth 4, dnum 3: ``op/B/backend/mode`` -> digest.
+#: launches, when the stage-granular stream was a second recording mode),
+#: N=2^8, depth 4, dnum 3: ``op/B/backend/mode`` -> digest.
 GOLDEN: dict[str, str] = {
     "at_level/B1/uint64/fused": "f1c0b1961aa552fc",
     "at_level/B1/uint64/stage-granular": "e92ebb1185cb4dd0",
@@ -206,15 +212,18 @@ class TestGoldenStreams:
     def sessions(self):
         return {chain: make_session(chain) for chain in ("uint64", "dword")}
 
-    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("backend", ["uint64", "dword"])
     @pytest.mark.parametrize("members", [1, 8], ids=["B1", "B8"])
     @pytest.mark.parametrize("op", sorted(OP_SURFACE))
     def test_event_list_is_the_pinned_one(self, op, members, backend, mode, sessions):
         session = sessions[backend]
         x, y = operands(session, members)
-        with session.trace(stage_launches=MODES[mode]) as trace:
+        staged = mode == "stage-granular"
+        with session.trace(executable=staged) as trace:
             OP_SURFACE[op](x, y)
+        if staged:
+            trace = expand_stages(trace)
         assert stream_digest(trace) == GOLDEN[f"{op}/B{members}/{backend}/{mode}"], \
             [(e.kernel.name, e.deps) for e in trace]
 
@@ -237,7 +246,24 @@ class TestReplayLattice:
             for chain in CHAINS
         }
 
-    @pytest.mark.parametrize("mode", sorted(MODES))
+    @staticmethod
+    def _check_expansion(trace):
+        # The unfused baseline expands and fuses on every chain, with the
+        # arithmetic conserved.  Its stage launches price but do not replay;
+        # a record with nothing to expand is its own baseline and replays.
+        staged = expand_stages(trace)
+        result = fuse_trace(staged)
+        assert result.fused_trace.int_ops == pytest.approx(staged.int_ops)
+        if any(e.replay is None for e in staged):
+            with pytest.raises(ValueError, match="non-replayable"):
+                result.program()
+        else:
+            assert stream_digest(staged) == stream_digest(trace)
+            result.program().verify()
+        # Expanding reads the record and leaves it replayable.
+        TraceProgram(trace).verify()
+
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("levels_down", [0, 2], ids=["top", "two-down"])
     @pytest.mark.parametrize("members", [1, 3], ids=["B1", "B3"])
     @pytest.mark.parametrize("chain", sorted(CHAINS))
@@ -249,11 +275,14 @@ class TestReplayLattice:
             # The key multiply reads the active key rows where they lie.
             assert len(session.context.key_row_windows(x.limb_count, 1)) == 2
         for op in PIPELINE_OPS:
-            with session.trace(executable=True, stage_launches=MODES[mode]) as trace:
+            with session.trace(executable=True) as trace:
                 OP_SURFACE[op](x, y)
             try:
-                TraceProgram(trace).verify()
-                fuse_trace(trace).program().verify()
+                if mode == "fused":
+                    TraceProgram(trace).verify()
+                    fuse_trace(trace).program().verify()
+                else:
+                    self._check_expansion(trace)
             except AssertionError as exc:
                 raise AssertionError(f"{op}: {exc}") from exc
 
@@ -269,13 +298,10 @@ class TestTheDispatcherOnlyObserves:
             return result.c0.stack.data.copy(), result.c1.stack.data.copy()
 
         untraced = program()
-        for kwargs in (
-            {},
-            {"executable": True},
-            {"stage_launches": True},
-            {"executable": True, "stage_launches": True},
-        ):
-            with session.trace(**kwargs):
+        for executable in (False, True):
+            with session.trace(executable=executable) as trace:
                 traced = program()
+            if executable:
+                expand_stages(trace)  # derives a stream, touches no array
             for want, got in zip(untraced, traced):
-                np.testing.assert_array_equal(want, got, err_msg=str(kwargs))
+                np.testing.assert_array_equal(want, got, err_msg=str(executable))
