@@ -2,18 +2,17 @@
 
 Two runs against the serving plane's fault-tolerant control plane:
 
-* **functional oracle** -- a modest replay on the functional backend with
-  a ``D=4`` cluster, sharded drains and a seeded fault plan (OOM windows,
-  transient drain failures, one device loss).  Every OK response is
-  asserted **bit-identical** to fault-free sequential execution and every
-  failure must carry a typed :class:`~repro.serve.errors.ServeError` --
-  the acceptance contract, checked on real ciphertexts.
+* **functional oracle** -- a modest replay on the functional backend
+  under a seeded fault plan (OOM windows and transient drain failures).
+  Every OK response is asserted **bit-identical** to fault-free
+  sequential execution and every failure must carry a typed
+  :class:`~repro.serve.errors.ServeError` -- the acceptance contract,
+  checked on real ciphertexts.
 * **scale replay** (headline, CI-gated) -- a burst arrival trace of 10^4
   requests on the cost-model backend under a plan covering 10% of the
-  timeline with OOM windows plus scattered transients and one device
-  loss at ``D=4``.  Gates: availability (completed / admitted) at or
-  above ``MIN_AVAILABILITY`` and zero OK responses dispatched past their
-  deadlines.
+  timeline with OOM windows plus scattered transients.  Gates:
+  availability (completed / admitted) at or above ``MIN_AVAILABILITY``
+  and zero OK responses dispatched past their deadlines.
 
 Both runs are pure functions of their seeds on the simulated clock, so
 the artifact trajectory is comparable commit to commit; the rows hold
@@ -31,7 +30,6 @@ import numpy as np
 
 from repro.api import CKKSSession
 from repro.bench.reporting import BenchmarkTable
-from repro.cluster import pcie_box
 from repro.serve import (
     AdmissionPolicy,
     BatchingPolicy,
@@ -51,9 +49,6 @@ MIN_AVAILABILITY = 0.99
 #: The served program: 1 + 2x^2 (two levels deep, no rotation keys).
 PROGRAM = OpProgram.polynomial([1.0, 0.0, 2.0])
 
-#: Cluster size of both runs (one device dies mid-replay).
-DEVICE_COUNT = 4
-
 #: Requests of the functional bit-identity oracle.
 ORACLE_REQUESTS = 48
 
@@ -64,8 +59,7 @@ SCALE_REQUESTS = 10_000
 SEED = 29
 
 
-def chaos_server(backend, *, plan: FaultPlan, cluster=None,
-                 shard_drains: bool = False,
+def chaos_server(backend, *, plan: FaultPlan,
                  max_queue_depth: int | None = None) -> Server:
     """One consistently-configured server for both runs."""
     admission = (
@@ -74,25 +68,23 @@ def chaos_server(backend, *, plan: FaultPlan, cluster=None,
     )
     return Server(
         backend, BatchingPolicy(max_batch_size=8, max_wait=1e-3),
-        cluster=cluster, shard_drains=shard_drains,
         admission=admission,
         retry=RetryPolicy(max_retries=3, backoff=1e-5),
         fault_plan=plan,
     )
 
 
-def chaos_plan(seed: int, duration: float, *, device: int | None = None) -> FaultPlan:
-    """OOM windows over 10% of the timeline + transients (+ one device loss)."""
-    device_loss = None if device is None else (duration / 2.0, device)
+def chaos_plan(seed: int, duration: float) -> FaultPlan:
+    """OOM windows over 10% of the timeline + transients."""
     return FaultPlan.generate(
         seed, duration=duration, oom_fraction=0.10,
-        oom_window=duration / 50.0, transients=3, device_loss=device_loss,
+        oom_window=duration / 50.0, transients=3,
     )
 
 
 def run_functional_oracle(table: BenchmarkTable, *, ring_log2: int = 12,
                           depth: int = 6, seed: int = SEED) -> dict:
-    """Bit-identity under faults on the real data plane (D=4, sharded)."""
+    """Bit-identity under faults on the real data plane."""
     session = CKKSSession.create(quick_params(ring_log2, depth), seed=3,
                                  register_default=False)
     rng = np.random.default_rng(seed)
@@ -103,10 +95,7 @@ def run_functional_oracle(table: BenchmarkTable, *, ring_log2: int = 12,
     arrivals = burst_arrivals(ORACLE_REQUESTS, bursts=6, burst_gap=1e-2,
                               seed=seed)
     duration = float(arrivals[-1]) + 1e-2
-    server = chaos_server(
-        session, plan=chaos_plan(seed, duration, device=0),
-        cluster=pcie_box(DEVICE_COUNT), shard_drains=True,
-    )
+    server = chaos_server(session, plan=chaos_plan(seed, duration))
     driver = ReplayDriver(server, PROGRAM, lambda i: vectors[i],
                           deadline_offset=2e-2)
     with warnings.catch_warnings():
@@ -130,7 +119,7 @@ def run_functional_oracle(table: BenchmarkTable, *, ring_log2: int = 12,
                 )
             identical += 1
         elif response.error_kind not in {
-            "RequestRejected", "DeadlineExceeded", "DrainFailed", "DeviceLost",
+            "RequestRejected", "DeadlineExceeded", "DrainFailed",
         }:
             raise AssertionError(
                 f"response {request.id} failed with untyped error "
@@ -142,12 +131,10 @@ def run_functional_oracle(table: BenchmarkTable, *, ring_log2: int = 12,
     table.add_row(
         run="functional-oracle",
         requests=ORACLE_REQUESTS,
-        devices=DEVICE_COUNT,
         bit_identical_ok=identical,
         availability=round(metrics.availability, 6),
         retries=metrics.retries,
         degraded_drains=metrics.degraded_drains,
-        device_losses=metrics.device_losses,
         deadline_violations=report.deadline_violations,
     )
     return {**report.summary(), "bit_identical_ok": identical}
@@ -161,11 +148,8 @@ def run_scale_replay(table: BenchmarkTable, *, requests: int = SCALE_REQUESTS,
     arrivals = burst_arrivals(requests, bursts=max(1, requests // 100),
                               burst_gap=5e-3, seed=seed)
     duration = float(arrivals[-1]) + 5e-3
-    server = chaos_server(
-        backend, plan=chaos_plan(seed, duration, device=0),
-        cluster=pcie_box(DEVICE_COUNT),
-        max_queue_depth=64,
-    )
+    server = chaos_server(backend, plan=chaos_plan(seed, duration),
+                          max_queue_depth=64)
     driver = ReplayDriver(server, PROGRAM,
                           lambda i: backend.encrypt(np.full(16, 0.5)),
                           deadline_offset=1e-2)
@@ -178,14 +162,12 @@ def run_scale_replay(table: BenchmarkTable, *, requests: int = SCALE_REQUESTS,
     table.add_row(
         run="scale-replay",
         requests=requests,
-        devices=DEVICE_COUNT,
         admitted=metrics.admitted,
         shed=metrics.shed_requests,
         availability=round(metrics.availability, 6),
         retries=metrics.retries,
         degraded_drains=metrics.degraded_drains,
         deadline_misses=metrics.deadline_misses,
-        device_losses=metrics.device_losses,
         deadline_violations=report.deadline_violations,
         modeled_p95_wait_ms=round(metrics.p95_latency * 1e3, 3),
     )
@@ -200,9 +182,8 @@ def main() -> None:
 
     table = BenchmarkTable(
         "Fault-tolerant serving: availability under a seeded chaos plan",
-        note=f"FaultPlan: 10% OOM timeline + 3 transients + device 0 lost "
-             f"mid-replay on a D={DEVICE_COUNT} PCIe box; burst arrivals; "
-             f"all timing on the simulated clock (deterministic)",
+        note="FaultPlan: 10% OOM timeline + 3 transients; burst arrivals; "
+             "all timing on the simulated clock (deterministic)",
     )
     oracle = run_functional_oracle(table)
     scale = run_scale_replay(table)

@@ -1,4 +1,4 @@
-"""Shared by the four plane scripts: the parameter set and the artefact writer."""
+"""Shared by the three plane scripts: the parameter set and the artefact writer."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 from repro.bench.reporting import BenchmarkTable
 from repro.ckks.params import CKKSParameters
 
-#: One schema for BENCH_{serve,cluster,faults,fusion}.json (v9: no wall-clock columns).
+#: One schema for BENCH_{serve,faults,fusion}.json (v9: no wall-clock columns).
 BENCH_SCHEMA_VERSION = 9
 
 

@@ -50,7 +50,6 @@ from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.keys import KeySet, KeyGenerator
 from repro.serve.errors import (
     DeadlineExceeded,
-    DeviceLost,
     DrainFailed,
     RequestRejected,
     ServeError,
@@ -78,7 +77,6 @@ __all__ = [
     "DeadlineExceeded",
     "TransientFault",
     "DrainFailed",
-    "DeviceLost",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",

@@ -439,7 +439,7 @@ class CKKSSession:
 
         ``backend`` overrides the session's functional backend (e.g.
         ``session.cost_backend()`` serves symbolically).  Every other
-        keyword (``trace_costs=``, ``cluster=``, ``admission=``,
+        keyword (``trace_costs=``, ``admission=``, ``retry=``,
         ``fault_plan=``, ``observability=``, ...) is an option of
         :class:`~repro.serve.Server`, documented there and forwarded as
         given.

@@ -334,20 +334,16 @@ class KernelTrace:
         scope: str = "",
         reads: Sequence[np.ndarray] = (),
         writes: Sequence[np.ndarray] = (),
-        device: int = 0,
         kind: str = "",
         replay: Callable[[tuple, tuple], None] | None = None,
         unfused: tuple = (),
     ) -> TraceEvent:
         """Append one kernel, deriving dependency edges from byte intervals.
 
-        ``device`` stamps the kernel with the cluster device that launches
-        it (0 in the single-GPU model); per-device drains in the serving
-        plane record with the bucket's home device.  ``kind``/``replay``/
-        ``unfused`` populate the executable IR (ignored on plain traces).
+        ``kind``/``replay``/``unfused`` populate the executable IR (ignored
+        on plain traces).
         """
         index = len(self.events)
-        kernel.device = device
         deps: set[int] = set()
         read_tokens: dict[int, None] = {}
         read_views: list[ViewSpec] = []
@@ -409,11 +405,11 @@ class KernelTrace:
     ) -> TraceEvent:
         """Append one kernel with explicit dependency edges (no buffers).
 
-        This is the rewriting entry point used by
-        :class:`repro.cluster.sharding.ShardPlan`: a shard plan synthesises
-        per-device kernel copies and transfer kernels from an existing
-        trace, where dependencies are already known as event indices rather
-        than live arrays.  ``deps`` must reference earlier events.
+        This is the entry point for kernels that exist only as descriptors
+        -- :meth:`repro.perf.costmodel.OperationCost.as_trace` turns a
+        closed-form kernel list into a trace this way -- where dependencies
+        are known as event indices rather than live arrays.  ``deps`` must
+        reference earlier events.
         """
         index = len(self.events)
         if any(d >= index or d < 0 for d in deps):
@@ -632,25 +628,6 @@ class _SuppressGuard:
         return False
 
 
-class _DeviceGuard:
-    """Sets/restores the active device tag (tracing only)."""
-
-    __slots__ = ("_dispatcher", "_device", "_previous")
-
-    def __init__(self, dispatcher: "Dispatcher", device: int) -> None:
-        self._dispatcher = dispatcher
-        self._device = device
-        self._previous = 0
-
-    def __enter__(self) -> None:
-        self._previous = self._dispatcher._device
-        self._dispatcher._device = self._device
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._dispatcher._device = self._previous
-        return False
-
-
 class Dispatcher:
     """Routes batched data-plane operations, optionally recording a trace.
 
@@ -666,7 +643,6 @@ class Dispatcher:
         self._trace: KernelTrace | None = None
         self._scopes: list[str] = []
         self._suppress: int = 0
-        self._device: int = 0
         #: Member emissions of the open :meth:`launch` group, else ``None``.
         self._group: list[tuple] | None = None
         #: ``(segment, trace addition)`` held inside :meth:`interleaved`.
@@ -810,20 +786,6 @@ class Dispatcher:
         else:
             self._held.append((self.segment, add))
 
-    def on_device(self, device: int):
-        """Tag kernels emitted in the with-block with a cluster device.
-
-        The serving plane wraps each bucket drain in the bucket's home
-        device, so a recorded multi-bucket trace carries real placement.
-        Zero-allocation no-op when no trace is active (the device tag only
-        matters to recorded kernels).  Blocks nest; the innermost wins.
-        """
-        if self._trace is None:
-            return _NULL_CONTEXT
-        if device < 0:
-            raise ValueError(f"device index cannot be negative (got {device})")
-        return _DeviceGuard(self, device)
-
     def _scope_path(self) -> str:
         return "/".join(self._scopes)
 
@@ -935,8 +897,8 @@ class Dispatcher:
                 f"only per-element kernels merge into one launch"
             )
         self._land(partial(
-            self._trace.add, kernel, scope=self._scope_path(),
-            device=self._device, kind=kind, **accesses,
+            self._trace.add, kernel, scope=self._scope_path(), kind=kind,
+            **accesses,
         ))
 
     def _record_group(self, tag: str, members: list[tuple]) -> None:

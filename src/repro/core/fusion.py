@@ -46,7 +46,7 @@ Legality (proved from the recorded producer/consumer byte ranges)
 
 A producer ``P`` may fuse with a consumer ``C`` when all of:
 
-* both are elementwise kernels, on the same device;
+* both are elementwise kernels;
 * every write view ``W`` of ``P`` meets the remaining conditions with the
   *same* ``C`` (a one-launch site writes both ciphertext components; it
   fuses only when one consumer takes both);
@@ -172,10 +172,7 @@ class _Fuser:
             return None  # dead intermediate: nothing to fuse into
         consumer_index = readers[0]
         consumer = self.events[consumer_index]
-        if (
-            consumer.kind != "elementwise"
-            or consumer.kernel.device != producer.kernel.device
-        ):
+        if consumer.kind != "elementwise":
             return None
         in_place = False
         for index, is_write, view in later:
@@ -294,7 +291,6 @@ def _fused_kernel(events: list[TraceEvent], chain: FusedChain) -> Kernel:
         stream=members[0].kernel.stream,
         fused=sum(e.kernel.fused for e in members),
         launches=1.0,
-        device=members[0].kernel.device,
     )
 
 
@@ -427,11 +423,9 @@ def expand_stages(trace: KernelTrace) -> KernelTrace:
             for views in (event.read_views, event.write_views)
         )
         reads, writes = operands
-        device = event.kernel.device
         if not event.unfused:
-            expanded.add(replace(event.kernel), scope=event.scope, reads=reads,
-                         writes=writes, device=device, kind=event.kind,
-                         replay=event.replay)
+            expanded.add(event.kernel, scope=event.scope, reads=reads,
+                         writes=writes, kind=event.kind, replay=event.replay)
             continue
         for tag, ops, sources, targets in event.unfused:
             launch_reads = [operands[side][i] for side, i in sources]
@@ -440,7 +434,7 @@ def expand_stages(trace: KernelTrace) -> KernelTrace:
                 _launch_kernel(tag, _rows(launch_writes[0]), launch_reads,
                                launch_writes, ops),
                 scope=event.scope, reads=launch_reads, writes=launch_writes,
-                device=device, kind="elementwise",
+                kind="elementwise",
             )
     return expanded
 

@@ -12,7 +12,6 @@ per-limb Python loop, matching the batched kernels of §III-F.
 
 Per-limb access is a view, not a second arithmetic:
 ``poly.limb_arrays()[i]`` is row ``i`` of ``stack.data``, zero-copy.
-(Which device holds which rows is :mod:`repro.cluster`'s model.)
 """
 
 from __future__ import annotations

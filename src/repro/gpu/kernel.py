@@ -87,7 +87,6 @@ class Kernel:
     stream: int = 0
     fused: int = 1  # number of logical operations fused into this launch
     launches: float = 1.0
-    device: int = 0  # which cluster device launches this kernel
 
     @property
     def bytes_moved(self) -> float:
@@ -119,55 +118,6 @@ class Kernel:
             int_ops=self.int_ops * members,
             working_set_bytes=self.working_set_bytes * members,
         )
-
-
-@dataclass
-class TransferKernel(Kernel):
-    """A device-to-device copy over an interconnect link.
-
-    Transfer kernels are *link* work, not device work: the multi-device
-    stream scheduler serialises them on the ``{src, dst}`` link resource
-    instead of a device's execution resource, and
-    :class:`repro.perf.trace_model.TraceCostModel` prices them from the
-    link's bandwidth/latency rather than the roofline.  ``device`` is the
-    source device (whose host thread issues the copy).
-    """
-
-    src_device: int = 0
-    dst_device: int = 0
-
-    @property
-    def payload_bytes(self) -> float:
-        """Bytes that cross the link (one direction)."""
-        return self.bytes_written
-
-    @property
-    def is_self_transfer(self) -> bool:
-        """True for a same-device transfer (a no-op kernel)."""
-        return self.src_device == self.dst_device
-
-
-def transfer_kernel(tag: str, payload_bytes: float, src_device: int,
-                    dst_device: int) -> TransferKernel:
-    """One interconnect transfer of ``payload_bytes`` from src to dst.
-
-    A self-transfer (``src == dst``) degenerates to a zero-byte,
-    zero-launch no-op: the data is already resident, so it costs neither
-    link time nor launch overhead.
-    """
-    if src_device == dst_device:
-        payload_bytes = 0.0
-    return TransferKernel(
-        name=f"{tag}[{src_device}->{dst_device}]",
-        bytes_read=payload_bytes,
-        bytes_written=payload_bytes,
-        int_ops=0.0,
-        working_set_bytes=payload_bytes,
-        launches=0.0 if src_device == dst_device else 1.0,
-        device=src_device,
-        src_device=src_device,
-        dst_device=dst_device,
-    )
 
 
 @dataclass
@@ -318,8 +268,6 @@ class KernelCostModel:
 
 __all__ = [
     "Kernel",
-    "TransferKernel",
-    "transfer_kernel",
     "KernelTiming",
     "KernelCostModel",
     "ELEMENT_BYTES",

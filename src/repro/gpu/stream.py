@@ -1,4 +1,4 @@
-"""Dependency-aware multi-stream (and multi-device) kernel scheduling.
+"""Dependency-aware multi-stream kernel scheduling on one device.
 
 §III-F.1 of the paper: FIDESlib runs independent per-limb(-batch) kernels
 asynchronously in separate CUDA streams so that (a) small working sets
@@ -33,35 +33,16 @@ The scheduler is an event-based simulation of exactly that trade-off:
   execution.  The scheduler therefore prefers placing a kernel on the
   stream where its latest dependency ran.
 
-Multi-device generalisation (the cluster plane)
------------------------------------------------
-
-Given a :class:`repro.cluster.topology.ClusterTopology`, every device gets
-its *own* stream set, its own serial execution resource and its own host
-launch thread (one driver thread per device, the standard multi-GPU
-arrangement), so independent per-device work is embarrassingly parallel.
-:class:`~repro.gpu.kernel.TransferKernel` events are *link* work: a
-transfer occupies the ``{src, dst}`` interconnect link -- a serial
-resource, so two transfers over the same pair never overlap -- and is
-issued by the source device's host thread.  A same-device transfer is a
-no-op (zero time, zero launches).  Cross-device dependency edges behave
-like cross-stream ones: the launch waits for the dependency (which, when
-the trace was rewritten by a :class:`~repro.cluster.sharding.ShardPlan`,
-is the completed transfer that staged the data).
-
-The timeline summary reduces to the previous closed-form numbers in the
-degenerate cases that pin the refactor:
+The timeline summary reduces to the closed-form numbers in the
+degenerate cases that pin it:
 
 * ``streams == 1``: the makespan is exactly
   ``total_launch + total_execution`` (every kernel pays its launch
   latency on the critical path), so ``launch_hidden == 0``;
 * ``streams > 1`` with independent kernels and execution-bound work: the
   makespan is exactly ``launch + total_execution`` -- the steady-state
-  pipeline bound ``max(execution, launch_time) + launch`` of the old
-  closed form -- and in the launch-bound regime it converges to
-  ``total_launch`` as before;
-* a one-device topology (or an all-device-0 trace scheduled on a
-  multi-device one) is bit-identical to the single-device scheduler.
+  pipeline bound ``max(execution, launch_time) + launch`` -- and in the
+  launch-bound regime it converges to ``total_launch``.
 """
 
 from __future__ import annotations
@@ -70,7 +51,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.gpu.kernel import KernelTiming, TransferKernel
+from repro.gpu.kernel import KernelTiming
 from repro.gpu.platforms import ComputePlatform
 
 
@@ -85,13 +66,10 @@ class ScheduledKernel:
     launch_end: float
     start: float
     end: float
-    device: int = 0
-    #: Unordered link pair occupied by a cross-device transfer, else None.
-    link: tuple[int, int] | None = None
 
     @property
     def execution_time(self) -> float:
-        """Device (or link) execution time of this kernel."""
+        """Device execution time of this kernel."""
         return self.end - self.start
 
 
@@ -105,8 +83,6 @@ class ScheduleResult:
     launch_hidden: float
     kernel_count: int
     timeline: tuple[ScheduledKernel, ...] = field(default_factory=tuple)
-    #: Total time spent on interconnect links (zero without transfers).
-    transfer_time: float = 0.0
 
     @property
     def launch_bound(self) -> bool:
@@ -117,91 +93,40 @@ class ScheduleResult:
         """Per-stream execution timelines, each sorted by start time."""
         streams: dict[int, list[ScheduledKernel]] = {}
         for slot in self.timeline:
-            if slot.link is None:
-                streams.setdefault(slot.stream, []).append(slot)
+            streams.setdefault(slot.stream, []).append(slot)
         for slots in streams.values():
             slots.sort(key=lambda slot: slot.start)
         return streams
 
-    def device_timelines(self) -> dict[int, list[ScheduledKernel]]:
-        """Per-device execution timelines (transfers excluded)."""
-        devices: dict[int, list[ScheduledKernel]] = {}
-        for slot in self.timeline:
-            if slot.link is None:
-                devices.setdefault(slot.device, []).append(slot)
-        for slots in devices.values():
-            slots.sort(key=lambda slot: slot.start)
-        return devices
-
-    def link_timelines(self) -> dict[tuple[int, int], list[ScheduledKernel]]:
-        """Per-link transfer timelines, each sorted by start time."""
-        links: dict[tuple[int, int], list[ScheduledKernel]] = {}
-        for slot in self.timeline:
-            if slot.link is not None:
-                links.setdefault(slot.link, []).append(slot)
-        for slots in links.values():
-            slots.sort(key=lambda slot: slot.start)
-        return links
-
-    def device_busy(self) -> dict[int, float]:
-        """Device busy seconds (sum of execution times) per device."""
-        busy: dict[int, float] = {}
-        for device, slots in self.device_timelines().items():
-            busy[device] = sum(slot.execution_time for slot in slots)
-        return busy
-
 
 class StreamScheduler:
-    """Schedules kernel timings onto the streams of one or more devices.
+    """Schedules kernel timings onto the streams of one device."""
 
-    Without a ``topology`` this is the single-device scheduler of the
-    execution plane.  With one, each device owns ``streams`` streams, a
-    serial execution resource and a host launch thread, and
-    :class:`TransferKernel` timings serialise on interconnect links.
-    """
-
-    def __init__(self, platform: ComputePlatform, streams: int = 1, *,
-                 topology=None) -> None:
+    def __init__(self, platform: ComputePlatform, streams: int = 1) -> None:
         if streams < 1:
             raise ValueError("at least one stream is required")
         self.platform = platform
         self.streams = streams
-        self.topology = topology
-        self.devices: tuple[ComputePlatform, ...] = (
-            topology.devices if topology is not None else (platform,)
-        )
 
     def schedule(
         self,
         timings: list[KernelTiming],
         dependencies: Sequence[Sequence[int]] | None = None,
     ) -> ScheduleResult:
-        """Simulate executing ``timings`` on this device set.
+        """Simulate executing ``timings`` on this device.
 
         ``dependencies`` optionally gives, per kernel, the indices of
         earlier kernels that must finish before it may execute (the
         dependency DAG of a recorded trace).  Without it every kernel is
         treated as independent and issued in list order.
         """
-        device_count = len(self.devices)
-        launch_of = [p.launch_overhead_us * 1e-6 for p in self.devices]
+        launch_of = self.platform.launch_overhead_us * 1e-6
         count = len(timings)
         execution = 0.0
-        transfer = 0.0
         total_launch = 0.0
         for t in timings:
-            device = t.kernel.device
-            if not 0 <= device < device_count:
-                raise ValueError(
-                    f"kernel {t.kernel.name!r} targets device {device}, but "
-                    f"this scheduler has devices 0..{device_count - 1}; pass "
-                    f"a matching ClusterTopology"
-                )
-            if isinstance(t.kernel, TransferKernel) and not t.kernel.is_self_transfer:
-                transfer += t.execution_time
-            else:
-                execution += t.execution_time
-            total_launch += t.kernel.launches * launch_of[device]
+            execution += t.execution_time
+            total_launch += t.kernel.launches * launch_of
         launch_count = sum(t.kernel.launches for t in timings)
         if not timings:
             return ScheduleResult(0.0, 0.0, 0.0, 0.0, 0)
@@ -234,90 +159,51 @@ class StreamScheduler:
         ready = [i for i in range(count) if missing[i] == 0]
         heapq.heapify(ready)
 
-        cpu_free = [0.0] * device_count
-        device_free = [0.0] * device_count
-        stream_free = [[0.0] * self.streams for _ in range(device_count)]
-        link_free: dict[tuple[int, int], float] = {}
+        cpu_free = 0.0
+        device_free = 0.0
+        stream_free = [0.0] * self.streams
         finish = [0.0] * count
         stream_of = [0] * count
-        device_of = [0] * count
         timeline: list[ScheduledKernel] = []
         issued = 0
         while ready:
             index = heapq.heappop(ready)
             timing = timings[index]
             kernel = timing.kernel
-            device = kernel.device
             dep_ready = max((finish[d] for d in deps[index]), default=0.0)
-            if isinstance(kernel, TransferKernel) and not kernel.is_self_transfer:
-                # Link work: issued by the source device's host thread,
-                # serialised on the {src, dst} interconnect link.
-                pair = (min(kernel.src_device, kernel.dst_device),
-                        max(kernel.src_device, kernel.dst_device))
-                launch_start = max(cpu_free[device], dep_ready)
-                launch_end = launch_start + kernel.launches * launch_of[device]
-                cpu_free[device] = launch_end
-                start = max(launch_end, link_free.get(pair, 0.0))
-                end = start + timing.execution_time
-                link_free[pair] = end
-                finish[index] = end
-                device_of[index] = device
-                timeline.append(
-                    ScheduledKernel(
-                        index=index,
-                        name=kernel.name,
-                        stream=0,
-                        launch_start=launch_start,
-                        launch_end=launch_end,
-                        start=start,
-                        end=end,
-                        device=device,
-                        link=pair,
-                    )
+            # Pick the stream with the earliest possible launch: same-stream
+            # dependencies ride the stream FIFO, cross-stream dependencies
+            # stall the host thread until they finish.
+            stream = 0
+            launch_start = float("inf")
+            for candidate in range(self.streams):
+                cross_wait = max(
+                    (finish[d] for d in deps[index] if stream_of[d] != candidate),
+                    default=0.0,
                 )
-            else:
-                # Pick the stream with the earliest possible launch:
-                # same-device same-stream dependencies ride the stream FIFO,
-                # cross-stream (and cross-device) dependencies stall this
-                # device's host thread until they finish.
-                stream = 0
-                launch_start = float("inf")
-                for candidate in range(self.streams):
-                    cross_wait = max(
-                        (
-                            finish[d]
-                            for d in deps[index]
-                            if stream_of[d] != candidate or device_of[d] != device
-                        ),
-                        default=0.0,
-                    )
-                    candidate_start = max(
-                        cpu_free[device], stream_free[device][candidate], cross_wait
-                    )
-                    if candidate_start < launch_start:
-                        stream = candidate
-                        launch_start = candidate_start
-                launch_end = launch_start + kernel.launches * launch_of[device]
-                cpu_free[device] = launch_end
-                start = max(launch_end, device_free[device], dep_ready)
-                end = start + timing.execution_time
-                stream_free[device][stream] = end
-                device_free[device] = end
-                finish[index] = end
-                stream_of[index] = stream
-                device_of[index] = device
-                timeline.append(
-                    ScheduledKernel(
-                        index=index,
-                        name=kernel.name,
-                        stream=stream,
-                        launch_start=launch_start,
-                        launch_end=launch_end,
-                        start=start,
-                        end=end,
-                        device=device,
-                    )
+                candidate_start = max(cpu_free, stream_free[candidate], cross_wait)
+                if candidate_start < launch_start:
+                    stream = candidate
+                    launch_start = candidate_start
+            launch_end = launch_start + kernel.launches * launch_of
+            cpu_free = launch_end
+            start = max(launch_end, device_free, dep_ready)
+            end = start + timing.execution_time
+            stream_free[stream] = end
+            device_free = end
+            finish[index] = end
+            stream_of[index] = stream
+            timeline.append(
+                ScheduledKernel(
+                    index=index,
+                    name=kernel.name,
+                    stream=stream,
+                    launch_start=launch_start,
+                    launch_end=launch_end,
+                    start=start,
+                    end=end,
                 )
+            )
             issued += 1
             for dependent in dependents[index]:
                 missing[dependent] -= 1
@@ -336,7 +222,6 @@ class StreamScheduler:
             launch_hidden=max(0.0, total_launch + execution - makespan),
             kernel_count=int(round(launch_count)),
             timeline=tuple(timeline),
-            transfer_time=transfer,
         )
 
 

@@ -26,7 +26,7 @@ Module map (sources -> instruments / spans / timelines -> exports)
                 ▼                                retry -> complete/error)
     repro.obs.spans.SpanTracer                  parent/child request spans
         on the server's SimulatedClock           with ShapeKey / batch-size /
-                │                                device / error_kind attrs
+                │                                error_kind attrs
                 │
     repro.perf.trace_model.TraceCostModel       every priced drain feeds
         (Server._run_priced) ───────────────┐    both accumulators below
@@ -42,8 +42,8 @@ Module map (sources -> instruments / spans / timelines -> exports)
                 ▼                           ▼
     obs.report() -- table / JSON       repro.obs.perfetto
         reconciles with the                Chrome-trace / Perfetto JSON:
-        TraceCostModel makespan            kernel tracks (one per device /
-        at <= 1%                           stream / link) + the span tree
+        TraceCostModel makespan            kernel tracks (one per stream,
+        at <= 1%                           plus host launches) + the span tree
                                            in one loadable file
 
 :class:`Observability` (``session.observability()``) is the facade that

@@ -5,11 +5,10 @@ One loadable file (open it at https://ui.perfetto.dev or
 simulated-time axis:
 
 * **kernel tracks** -- every recorded drain's
-  :class:`~repro.gpu.stream.ScheduleResult` timeline, one process per
-  GPU device with one thread per stream (plus a ``host launch`` thread
-  for the kernel-launch intervals of §III-F.1 and an ``interconnect``
-  process with one thread per link for cross-device transfers).  Slice
-  names are the kernel names; the operation scope tag rides in ``args``.
+  :class:`~repro.gpu.stream.ScheduleResult` timeline, one process for the
+  GPU with one thread per stream (plus a ``host launch`` thread for the
+  kernel-launch intervals of §III-F.1).  Slice names are the kernel
+  names; the operation scope tag rides in ``args``.
 * **request spans** -- the :class:`~repro.obs.spans.SpanTracer` tree
   (submit/admission/queued/drain/fused/retry), one thread per root span,
   nested by time containment.
@@ -25,12 +24,11 @@ from __future__ import annotations
 
 import json
 
-#: Process-id bases of the three track families.
+#: Process ids of the two track families.
 PID_SPANS = 1
 PID_DEVICE_BASE = 100
-PID_LINKS = 900
 
-#: Thread id of each device's host-side launch track.
+#: Thread id of the GPU's host-side launch track.
 TID_LAUNCH = 99
 
 #: Simulated seconds -> trace microseconds.
@@ -67,10 +65,8 @@ def chrome_trace_events(*, timelines=(), spans=()) -> list[dict]:
     :class:`~repro.obs.spans.Span` (unfinished spans are skipped).
     """
     slices: list[dict] = []
-    devices: set[int] = set()
-    streams: set[tuple[int, int]] = set()
-    launch_tracks: set[int] = set()
-    links: dict[tuple[int, int], int] = {}
+    streams: set[int] = set()
+    launches = False
 
     for record in timelines:
         offset = float(record.offset)
@@ -82,26 +78,18 @@ def chrome_trace_events(*, timelines=(), spans=()) -> list[dict]:
                 if 0 <= slot.index < len(scopes) else ""
             )
             args = {"scope": scope, "drain": label, "index": slot.index}
-            if slot.link is not None:
-                tid = links.setdefault(slot.link, len(links))
-                slices.append(_slice(
-                    slot.name, offset + slot.start, slot.end - slot.start,
-                    PID_LINKS, tid, args,
-                ))
-                continue
-            devices.add(slot.device)
-            streams.add((slot.device, slot.stream))
+            streams.add(slot.stream)
             slices.append(_slice(
                 slot.name, offset + slot.start, slot.end - slot.start,
-                PID_DEVICE_BASE + slot.device, slot.stream, args,
+                PID_DEVICE_BASE, slot.stream, args,
             ))
             if slot.launch_end > slot.launch_start:
-                launch_tracks.add(slot.device)
+                launches = True
                 slices.append(_slice(
                     f"launch {slot.name}",
                     offset + slot.launch_start,
                     slot.launch_end - slot.launch_start,
-                    PID_DEVICE_BASE + slot.device, TID_LAUNCH, args,
+                    PID_DEVICE_BASE, TID_LAUNCH, args,
                 ))
 
     # Serve spans: one thread per root tree, nesting by containment.
@@ -125,21 +113,15 @@ def chrome_trace_events(*, timelines=(), spans=()) -> list[dict]:
                 PID_SPANS, tid, "thread_name",
                 f"{by_id[root_id].name} #{root_id}",
             ))
-    for device in sorted(devices):
-        pid = PID_DEVICE_BASE + device
-        metadata.append(_meta(pid, 0, "process_name", f"GPU device {device}"))
-        for dev, stream in sorted(streams):
-            if dev == device:
-                metadata.append(_meta(pid, stream, "thread_name",
-                                      f"stream {stream}"))
-        if device in launch_tracks:
-            metadata.append(_meta(pid, TID_LAUNCH, "thread_name",
+    if streams:
+        metadata.append(_meta(PID_DEVICE_BASE, 0, "process_name",
+                              "GPU device 0"))
+        for stream in sorted(streams):
+            metadata.append(_meta(PID_DEVICE_BASE, stream, "thread_name",
+                                  f"stream {stream}"))
+        if launches:
+            metadata.append(_meta(PID_DEVICE_BASE, TID_LAUNCH, "thread_name",
                                   "host launch"))
-    if links:
-        metadata.append(_meta(PID_LINKS, 0, "process_name", "interconnect"))
-        for pair, tid in sorted(links.items(), key=lambda kv: kv[1]):
-            metadata.append(_meta(PID_LINKS, tid, "thread_name",
-                                  f"link {pair[0]}-{pair[1]}"))
 
     slices.sort(key=lambda e: (e["ts"], e["pid"], e["tid"], -e["dur"]))
     return metadata + slices

@@ -141,7 +141,7 @@ class Observability:
         self.registry.register_collector(collect)
 
     def watch_injector(self, injector) -> None:
-        """Publish fault-injector fire counts from its append-only log."""
+        """Publish the fault injector's per-kind fire counts."""
         if not self.enabled:
             return
         counter = self.registry.counter(
@@ -149,10 +149,9 @@ class Observability:
         )
 
         def collect() -> None:
-            # Rebuilt from the log at every readout, like the depths above.
             counter.clear()
-            for entry in injector.log:
-                counter.inc(kind=str(entry[0]))
+            for kind, fired in injector.fired.items():
+                counter.inc(fired, kind=kind)
 
         self.registry.register_collector(collect)
 

@@ -12,7 +12,6 @@ it a :class:`repro.core.dispatch.KernelTrace`::
                           the same dispatcher seam, so the above observe it
     paper-scale models    FIDESlibModel / PhantomModel.execute(cost) price
                           OperationCost.as_trace()
-    cluster plans         ShardPlan.apply(trace) (with ``topology=``)
                 │
                 ▼
     TraceCostModel.price(trace) -> TraceReport (makespan, schedule)
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gpu.kernel import KernelCostModel, KernelTiming, TransferKernel
+from repro.gpu.kernel import KernelCostModel
 from repro.gpu.platforms import ComputePlatform
 from repro.gpu.stream import ScheduleResult, StreamScheduler
 from repro.perf.calibration import GPU_CALIBRATION
@@ -69,18 +68,9 @@ class TraceReport:
         """Number of kernel launches in the trace."""
         return self.schedule.kernel_count
 
-    @property
-    def transfer_time(self) -> float:
-        """Total interconnect-link time (zero for single-device traces)."""
-        return self.schedule.transfer_time
-
-    def device_busy(self) -> dict[int, float]:
-        """Busy seconds per cluster device (transfers excluded)."""
-        return self.schedule.device_busy()
-
     def summary(self) -> dict:
         """Machine-readable summary (used by the benchmark artifacts)."""
-        summary = {
+        return {
             "platform": self.platform,
             "streams": self.streams,
             "makespan_s": self.makespan,
@@ -89,13 +79,6 @@ class TraceReport:
             "launch_hidden_s": self.schedule.launch_hidden,
             "kernel_count": self.kernel_count,
         }
-        device_busy = self.device_busy()
-        if self.transfer_time > 0.0 or len(device_busy) > 1:
-            summary["transfer_s"] = self.transfer_time
-            summary["device_busy_s"] = {
-                str(device): busy for device, busy in sorted(device_busy.items())
-            }
-        return summary
 
 
 class TraceCostModel:
@@ -114,10 +97,8 @@ class TraceCostModel:
         streams: int | None = None,
         compute_efficiency: float | None = None,
         bandwidth_efficiency: float | None = None,
-        topology=None,
     ) -> None:
         self.platform = platform
-        self.topology = topology
         self.streams = streams if streams is not None else GPU_CALIBRATION.fideslib_streams
         self.cost_model = KernelCostModel(
             platform,
@@ -133,32 +114,11 @@ class TraceCostModel:
             ),
         )
 
-    def _time_kernel(self, kernel) -> KernelTiming:
-        """Roofline timing, except transfers priced from their link."""
-        if isinstance(kernel, TransferKernel):
-            if kernel.is_self_transfer:
-                return KernelTiming(kernel=kernel, compute_time=0.0, memory_time=0.0)
-            if self.topology is None:
-                raise ValueError(
-                    f"trace contains cross-device transfer {kernel.name!r} but "
-                    f"this TraceCostModel has no topology; pass topology= to "
-                    f"price multi-device traces"
-                )
-            link = self.topology.link(kernel.src_device, kernel.dst_device)
-            return KernelTiming(
-                kernel=kernel,
-                compute_time=0.0,
-                memory_time=link.transfer_time(kernel.payload_bytes),
-            )
-        return self.cost_model.time_kernel(kernel)
-
     def price(self, trace, *, streams: int | None = None) -> TraceReport:
         """Time and schedule a kernel trace."""
         streams = streams if streams is not None else self.streams
-        timings = [self._time_kernel(k) for k in trace.kernels()]
-        scheduler = StreamScheduler(
-            self.platform, streams=streams, topology=self.topology
-        )
+        timings = self.cost_model.time_kernels(trace.kernels())
+        scheduler = StreamScheduler(self.platform, streams=streams)
         schedule = scheduler.schedule(timings, dependencies=trace.dependencies())
         return TraceReport(
             platform=self.platform.name, streams=streams, schedule=schedule

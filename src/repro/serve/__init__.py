@@ -31,9 +31,8 @@ Module map
     :class:`~repro.core.memory.FusedFootprintError` triggers the
     degradation cascade ``B -> B/2 -> ... -> singleton``) and
     :class:`Server`, the front door
-    :meth:`~repro.api.session.CKKSSession.server` returns -- now with
-    admission control, per-request deadlines, retry-with-backoff and
-    device-loss recovery.
+    :meth:`~repro.api.session.CKKSSession.server` returns -- with
+    admission control, per-request deadlines and retry-with-backoff.
 ``metrics``
     :class:`ServeMetrics`: queue depth, fused-batch-size histogram,
     deterministic p50/p95 latency, modeled GPU throughput from priced
@@ -44,11 +43,11 @@ Module map
     The typed :class:`ServeError` taxonomy every failed
     :class:`Response` carries: :class:`RequestRejected`,
     :class:`DeadlineExceeded`, :class:`TransientFault`,
-    :class:`DrainFailed`, :class:`DeviceLost`.
+    :class:`DrainFailed`.
 ``faults``
     Deterministic fault injection: seed-derived :class:`FaultPlan`
-    schedules of OOM windows, transient drain failures and device
-    losses, fired by a :class:`FaultInjector` on the simulated clock.
+    schedules of OOM windows and transient drain failures, fired by a
+    :class:`FaultInjector` on the simulated clock.
 ``replay``
     Seeded arrival traces (Poisson / burst / diurnal) and the
     :class:`ReplayDriver` that feeds them through a server under a fault
@@ -60,14 +59,7 @@ inherit the throughput plane's member-by-member bit-identity contract, and
 singleton drains literally *are* the sequential path.  The server speaks
 only the :class:`~repro.api.backend.EvaluationBackend` surface, so the
 same serving loop runs functionally, symbolically (cost model) or traced.
-
-The cluster plane (:mod:`repro.cluster`) extends the server past one GPU:
-pass ``cluster=`` a :class:`~repro.cluster.topology.ClusterTopology` and
-buckets are placed round-robin across devices (drains record and are
-priced under their home device; :class:`ServeMetrics` reports per-device
-utilisation and a cluster-makespan throughput), or ``shard_drains=True``
-to member-shard each drain across all devices -- still bit-identical,
-since every shard runs the same fused execution on its member slice.
+Drains are priced on one modeled GPU.
 """
 
 from repro.serve.bucketing import (
@@ -78,7 +70,6 @@ from repro.serve.bucketing import (
 )
 from repro.serve.errors import (
     DeadlineExceeded,
-    DeviceLost,
     DrainFailed,
     RequestRejected,
     ServeError,
@@ -108,7 +99,6 @@ __all__ = [
     "BatchingPolicy",
     "BucketQueue",
     "DeadlineExceeded",
-    "DeviceLost",
     "DrainFailed",
     "FaultEvent",
     "FaultInjector",

@@ -19,9 +19,6 @@ these typed errors (read it through ``response().error`` /
 * :class:`DrainFailed` -- a drain kept failing past the
   :class:`~repro.serve.policy.RetryPolicy` budget; the last underlying
   error is chained as ``__cause__``.
-* :class:`DeviceLost` -- the cluster has no surviving device to run the
-  drain on (every device is marked down on the
-  :class:`~repro.cluster.topology.ClusterTopology`).
 
 All of these derive from :class:`ServeError`, which is what the top-level
 ``repro`` package exports for catch-all handling.
@@ -59,15 +56,10 @@ class DrainFailed(ServeError):
     """A drain exhausted its retry budget; the last error is ``__cause__``."""
 
 
-class DeviceLost(ServeError):
-    """No surviving cluster device can run the drain."""
-
-
 __all__ = [
     "ServeError",
     "RequestRejected",
     "DeadlineExceeded",
     "TransientFault",
     "DrainFailed",
-    "DeviceLost",
 ]

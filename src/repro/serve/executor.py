@@ -35,16 +35,14 @@ The failure-first layer (PR 9) threads through both classes: requests are
 shape-validated and admission-controlled at :meth:`Server.submit`,
 per-request deadlines are enforced by the drain loop, transient drain
 failures retry with bounded backoff on the simulated clock
-(:class:`~repro.serve.policy.RetryPolicy`), and a lost cluster device's
-buckets are re-placed round-robin on the survivors with sharded drains
-re-planned over the alive set.  Every admitted request therefore resolves
--- bit-identical result or typed :class:`~repro.serve.errors.ServeError`
--- and successful responses never dispatch past their deadline.
+(:class:`~repro.serve.policy.RetryPolicy`).  Every admitted request
+therefore resolves -- bit-identical result or typed
+:class:`~repro.serve.errors.ServeError` -- and successful responses never
+dispatch past their deadline.
 """
 
 from __future__ import annotations
 
-import copy
 import warnings
 from typing import Sequence
 
@@ -61,7 +59,6 @@ from repro.serve.bucketing import (
 )
 from repro.serve.errors import (
     DeadlineExceeded,
-    DeviceLost,
     DrainFailed,
     RequestRejected,
     TransientFault,
@@ -165,52 +162,6 @@ class BatchExecutor:
             stacklevel=2,
         )
 
-    def execute_sharded(
-        self,
-        program: OpProgram,
-        vectors: Sequence[CipherVector],
-        devices: Sequence[int],
-        *,
-        key: ShapeKey | None = None,
-        now: float = 0.0,
-        max_fuse: int | None = None,
-    ) -> tuple[list[CipherVector], int, tuple[int, ...]]:
-        """Member-shard one drain across an explicit device set.
-
-        The members are partitioned contiguously over ``devices``
-        (:func:`~repro.cluster.sharding.member_partition_over` -- after a
-        device loss this is the surviving alive set, not ``range(D)``) and
-        each shard runs the normal fused/cascade path under the shard's
-        device tag, so a recorded trace carries real placement.  Results
-        come back in submission order; because every shard is the same
-        bit-identical batched execution, the concatenation is bit-identical
-        to a single-device drain.  Returns ``(results, degradations,
-        devices_used)``.
-        """
-        from repro.cluster.sharding import member_partition_over
-
-        vectors = list(vectors)
-        members = member_partition_over(len(vectors), list(devices))
-        dispatcher = get_dispatcher()
-        results: list[CipherVector] = []
-        degradations = 0
-        used: list[int] = []
-        offset = 0
-        for device in sorted(members):
-            count = members[device]
-            if count == 0:
-                continue
-            shard = vectors[offset:offset + count]
-            offset += count
-            used.append(device)
-            with dispatcher.on_device(device):
-                shard_results, shard_degradations = self.execute(
-                    program, shard, key=key, now=now, max_fuse=max_fuse
-                )
-            results.extend(shard_results)
-            degradations += shard_degradations
-        return results, degradations, tuple(used)
-
 
 class Server:
     """A shape-bucketed, dynamically-batched front end over one backend.
@@ -232,15 +183,6 @@ class Server:
     accumulate its modeled GPU time in :attr:`metrics` -- only meaningful
     on backends that drive the real data plane.
 
-    Pass ``cluster`` (a :class:`~repro.cluster.topology.ClusterTopology`)
-    to serve on a device cluster: buckets get home devices round-robin in
-    creation order (the planner's whole-bucket placement), drains record
-    under their bucket's device tag, modeled time is attributed per device
-    and :attr:`metrics` reports per-device utilisation.  With
-    ``shard_drains=True`` each multi-request drain is additionally
-    member-sharded across the alive devices (still bit-identical -- every
-    shard is the same fused execution over a slice of the members).
-
     The failure-first knobs (PR 9):
 
     * ``admission`` -- an :class:`~repro.serve.policy.AdmissionPolicy`;
@@ -253,8 +195,8 @@ class Server:
       fused size each retry).
     * ``fault_plan`` -- a :class:`~repro.serve.faults.FaultPlan` (or a
       ready :class:`~repro.serve.faults.FaultInjector`); the server
-      attaches its clock, topology and device-loss recovery and advances
-      the injector as simulated time moves.
+      attaches its clock and advances the injector as simulated time
+      moves.
 
     Pass ``observability`` (a :class:`repro.obs.Observability`, see
     :meth:`repro.api.session.CKKSSession.observability`) to wire the
@@ -271,8 +213,6 @@ class Server:
     def __init__(self, backend, policy: BatchingPolicy | None = None, *,
                  clock: SimulatedClock | None = None,
                  trace_costs=None,
-                 cluster=None,
-                 shard_drains: bool = False,
                  admission: AdmissionPolicy | None = None,
                  retry: RetryPolicy | None = None,
                  fault_plan=None,
@@ -280,20 +220,7 @@ class Server:
         self.backend = as_backend(backend)
         self.policy = policy if policy is not None else BatchingPolicy()
         self.clock = clock if clock is not None else SimulatedClock()
-        if (
-            cluster is not None
-            and trace_costs is not None
-            and getattr(trace_costs, "topology", None) is None
-        ):
-            # Pricing a multi-device serving trace needs the interconnect;
-            # shallow-copy so the caller's model keeps its configuration.
-            trace_costs = copy.copy(trace_costs)
-            trace_costs.topology = cluster
         self.trace_costs = trace_costs
-        self.cluster = cluster
-        self.shard_drains = shard_drains and (
-            cluster is not None and cluster.device_count > 1
-        )
         self.admission = admission
         self.retry = retry if retry is not None else RetryPolicy()
         if fault_plan is None:
@@ -318,19 +245,10 @@ class Server:
             self.obs.registry if self.obs is not None else MetricsRegistry()
         )
         if self.injector is not None:
-            self.injector.attach(
-                clock=self.clock,
-                topology=self.cluster,
-                on_device_down=self._handle_device_down,
-            )
+            self.injector.attach(clock=self.clock)
         self.executor = BatchExecutor(self.backend, injector=self.injector)
         #: request.id -> (root span, queued child or None) of open requests.
         self._request_spans: dict = {}
-        #: Bucket home devices, assigned round-robin in bucket-creation
-        #: order (the planner's whole-bucket placement).
-        self.placements: dict[ShapeKey, int] = {}
-        #: Round-robin cursor for re-placing buckets after device loss.
-        self._replacements = 0
 
     # -- intake --------------------------------------------------------------
 
@@ -392,8 +310,6 @@ class Server:
         key = shape_key_of(
             request, default_ring_degree=self.backend.params.ring_degree
         )
-        if self.cluster is not None and key not in self.placements:
-            self.placements[key] = self._place_new_bucket()
         self.queue.push(key, request)
         self.metrics.observe_queue_depth(now, self.queue.depth)
         if root is not None:
@@ -402,47 +318,12 @@ class Server:
             self._request_spans[request.id] = (root, queued)
         return request
 
-    def _place_new_bucket(self) -> int:
-        """Home device of a new bucket: round-robin over alive devices."""
-        alive = self._alive_devices()
-        if not alive:
-            # Every device is down; keep the placement slot -- the drain
-            # will resolve the requests with DeviceLost.
-            return 0
-        return alive[len(self.placements) % len(alive)]
-
     # -- fault plumbing ------------------------------------------------------
 
     def _advance_faults(self) -> None:
         """Fire every fault event scheduled at or before the current time."""
         if self.injector is not None:
             self.injector.advance(self.clock.now())
-
-    def _alive_devices(self) -> list[int]:
-        """Cluster devices not marked down ([0] without a cluster)."""
-        if self.cluster is None:
-            return [0]
-        return self.cluster.alive_devices()
-
-    def _handle_device_down(self, device: int) -> None:
-        """Recovery: re-place the dead device's buckets on the survivors.
-
-        Buckets homed on the lost device move round-robin over the alive
-        set (deterministic: bucket-creation order, one shared cursor);
-        subsequent sharded drains re-plan over the survivors in
-        :meth:`_run`.  With no survivors the placements stand and drains
-        resolve their requests with :class:`DeviceLost`.
-        """
-        self.metrics.count("device_losses")
-        if self.cluster is None:
-            return
-        alive = self.cluster.alive_devices()
-        if not alive:
-            return
-        for key, home in list(self.placements.items()):
-            if home == device:
-                self.placements[key] = alive[self._replacements % len(alive)]
-                self._replacements += 1
 
     def _expire(self, now: float) -> list[Request]:
         """Resolve every queued request whose deadline has already passed.
@@ -589,61 +470,25 @@ class Server:
 
     # -- execution -----------------------------------------------------------
 
-    def _home_of(self, key: ShapeKey) -> int | None:
-        """Resolve a bucket's home device, re-placing off dead devices.
-
-        Returns ``None`` when every cluster device is down (the drain then
-        resolves its requests with :class:`DeviceLost`).
-        """
-        if self.cluster is None:
-            return 0
-        home = self.placements.get(key, 0)
-        if self.cluster.is_down(home):
-            alive = self.cluster.alive_devices()
-            if not alive:
-                return None
-            home = alive[self._replacements % len(alive)]
-            self._replacements += 1
-            self.placements[key] = home
-        return home
-
-    def _run(self, key: ShapeKey, vectors: list[CipherVector], home: int,
-             now: float, max_fuse: int | None
-             ) -> tuple[list[CipherVector], int, tuple[int, ...]]:
-        """Execute one drain attempt on its home device (or member-sharded)."""
-        if self.shard_drains and len(vectors) > 1:
-            devices = self._alive_devices()
-            if len(devices) > 1:
-                return self.executor.execute_sharded(
-                    key.program, vectors, devices,
-                    key=key, now=now, max_fuse=max_fuse,
-                )
-        with get_dispatcher().on_device(home):
+    def _run_priced(self, key: ShapeKey, vectors: list[CipherVector],
+                    now: float, max_fuse: int | None
+                    ) -> tuple[list[CipherVector], int]:
+        """One drain attempt, with the kernel stream priced when configured."""
+        if self.trace_costs is None:
+            return self.executor.execute(
+                key.program, vectors, key=key, now=now, max_fuse=max_fuse
+            )
+        with get_dispatcher().record() as trace:
             results, degradations = self.executor.execute(
                 key.program, vectors, key=key, now=now, max_fuse=max_fuse
             )
-        return results, degradations, (home,)
-
-    def _run_priced(self, key: ShapeKey, vectors: list[CipherVector],
-                    home: int, now: float, max_fuse: int | None
-                    ) -> tuple[list[CipherVector], int]:
-        """One drain attempt, with the kernel stream priced when configured."""
-        if self.trace_costs is not None:
-            with get_dispatcher().record() as trace:
-                results, degradations, devices = self._run(
-                    key, vectors, home, now, max_fuse
-                )
-            report = self.trace_costs.price(trace, streams=1)
-            self.metrics.record_modeled(
-                report.makespan, report.kernel_count, devices=devices
+        report = self.trace_costs.price(trace, streams=1)
+        self.metrics.record_modeled(report.makespan, report.kernel_count)
+        if self.obs is not None:
+            self.obs.record_drain(
+                trace, report, offset=now,
+                label=f"{key.program.name} B={len(vectors)}",
             )
-            if self.obs is not None:
-                self.obs.record_drain(
-                    trace, report, offset=now,
-                    label=f"{key.program.name} B={len(vectors)}",
-                )
-            return results, degradations
-        results, degradations, _ = self._run(key, vectors, home, now, max_fuse)
         return results, degradations
 
     def _execute(self, key: ShapeKey, requests: list[Request],
@@ -674,13 +519,6 @@ class Server:
             )
             obs.reset_drain_peaks()
         while True:
-            home = self._home_of(key)
-            if home is None:
-                error = DeviceLost(
-                    f"every device of cluster {self.cluster.name!r} is down; "
-                    f"drain of {len(requests)} requests cannot run"
-                )
-                break
             attempt_span = None
             try:
                 if self.injector is not None:
@@ -688,10 +526,10 @@ class Server:
                 if drain_span is not None:
                     attempt_span = obs.tracer.begin(
                         "fused", parent=drain_span, at=now,
-                        batch_size=len(requests), device=home,
+                        batch_size=len(requests),
                     )
                 results, degradations = self._run_priced(
-                    key, [r.vector for r in requests], home, now, max_fuse
+                    key, [r.vector for r in requests], now, max_fuse
                 )
                 if attempt_span is not None:
                     obs.tracer.finish(attempt_span, at=now,
@@ -800,10 +638,6 @@ class Server:
             ),
             "clock": self.clock.now(),
             "pending": self.pending,
-            "cluster": (
-                self.cluster.describe() if self.cluster is not None else None
-            ),
-            "shard_drains": self.shard_drains,
             "metrics": self.metrics.summary(),
         }
 

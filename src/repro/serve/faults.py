@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the serve + cluster planes.
+"""Deterministic fault injection for the serving plane.
 
 Module map
 ----------
@@ -7,21 +7,19 @@ Module map
     One scheduled fault: an ``"oom"`` window (fused allocations denied for
     ``duration`` simulated seconds, and -- when the injector is installed
     on a :class:`~repro.core.memory.MemoryPool` -- pool charges of at
-    least ``min_bytes`` denied), a one-shot ``"transient"`` drain failure
-    (armed at ``time``, fired at the next drain attempt), or a
-    ``"device_down"`` event marking one cluster device lost.
+    least ``min_bytes`` denied) or a one-shot ``"transient"`` drain
+    failure (armed at ``time``, fired at the next drain attempt).
 ``FaultPlan``
     An immutable, time-sorted schedule of events.  :meth:`FaultPlan.generate`
     derives a plan from a seed -- OOM windows covering a target fraction of
-    the timeline, ``transients`` one-shot failures at seeded times, and
-    explicit ``(time, device)`` loss pairs -- so the same seed always
-    yields the identical plan (the chaos-replay determinism the tests and
-    ``benchmarks/bench_faults.py`` pin).
+    the timeline and ``transients`` one-shot failures at seeded times -- so
+    the same seed always yields the identical plan (the chaos-replay
+    determinism the tests and ``benchmarks/bench_faults.py`` pin).
 ``FaultInjector``
     The runtime: the :class:`~repro.serve.executor.Server` advances it on
-    the simulated clock and it fires due events, keeping an append-only
-    :attr:`~FaultInjector.log` (the deterministic event log).  Injection
-    hooks:
+    the simulated clock and it fires due events, keeping per-kind fire
+    counts and the most recent :data:`LOG_LIMIT` entries of the
+    deterministic event :attr:`~FaultInjector.log`.  Injection hooks:
 
     * :meth:`~FaultInjector.check_fuse` -- consulted by
       :class:`~repro.serve.executor.BatchExecutor` before every fused
@@ -36,10 +34,6 @@ Module map
     * ``MemoryPool.charge_hook`` -- installed via ``attach(pool=...)``;
       denies real pool charges during OOM windows with a bare
       :class:`~repro.core.memory.OutOfDeviceMemory` (also retried).
-    * ``device_down`` events mark the device on the attached
-      :class:`~repro.cluster.topology.ClusterTopology` and notify the
-      server, which re-places the dead device's buckets round-robin on
-      the survivors and re-plans subsequent sharded drains.
 
 Everything runs on the caller-driven simulated clock, so a chaos replay
 is bit-reproducible in CI: same seed, same request stream, same event
@@ -50,19 +44,21 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.memory import FusedFootprintError, MemoryPool, OutOfDeviceMemory
 from repro.serve.errors import TransientFault
 
-#: The three fault kinds a plan can schedule.
+#: The two fault kinds a plan can schedule.
 FAULT_OOM = "oom"
 FAULT_TRANSIENT = "transient"
-FAULT_DEVICE_DOWN = "device_down"
 
-_FAULT_KINDS = frozenset({FAULT_OOM, FAULT_TRANSIENT, FAULT_DEVICE_DOWN})
+_FAULT_KINDS = frozenset({FAULT_OOM, FAULT_TRANSIENT})
+
+#: Entries :attr:`FaultInjector.log` keeps (the most recent ones).
+LOG_LIMIT = 4096
 
 
 class InjectedOOM(FusedFootprintError):
@@ -77,8 +73,6 @@ class FaultEvent:
     kind: str
     #: OOM window length in simulated seconds (``oom`` events only).
     duration: float = 0.0
-    #: Device index lost (``device_down`` events only).
-    device: int | None = None
     #: Smallest pool charge the OOM window denies (``oom`` + pool hook).
     min_bytes: int = 0
 
@@ -88,18 +82,15 @@ class FaultEvent:
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{sorted(_FAULT_KINDS)}"
             )
-        if self.time < 0:
+        # Written so NaN fails too (every comparison with NaN is False).
+        if not self.time >= 0:
             raise ValueError("fault times are simulated seconds >= 0")
-        if self.duration < 0:
+        if not self.duration >= 0:
             raise ValueError("fault durations cannot be negative")
-        if self.kind == FAULT_DEVICE_DOWN and self.device is None:
-            raise ValueError("a device_down event needs a device index")
 
     def sort_key(self) -> tuple:
         """Total deterministic ordering (time first, then structure)."""
-        return (self.time, self.kind,
-                -1 if self.device is None else self.device,
-                self.duration, self.min_bytes)
+        return (self.time, self.kind, self.duration, self.min_bytes)
 
 
 class FaultPlan:
@@ -135,19 +126,15 @@ class FaultPlan:
         oom_window: float | None = None,
         oom_min_bytes: int = 0,
         transients: int = 0,
-        device_loss: Sequence | None = None,
     ) -> "FaultPlan":
         """Derive a plan from a seed (same seed => identical plan).
 
         ``oom_fraction`` is the fraction of the ``duration`` timeline
         covered by OOM windows (each ``oom_window`` long, default
         ``duration / 20``) placed at seeded offsets; ``transients``
-        one-shot drain failures are armed at seeded times; ``device_loss``
-        is a ``(time, device)`` pair or a sequence of such pairs
-        (device losses are explicit, not random -- a chaos plan should
-        name which device dies when).
+        one-shot drain failures are armed at seeded times.
         """
-        if duration <= 0:
+        if not duration > 0:
             raise ValueError("a fault plan needs a positive timeline duration")
         if not 0.0 <= oom_fraction <= 1.0:
             raise ValueError("oom_fraction is a timeline fraction in [0, 1]")
@@ -165,13 +152,6 @@ class FaultPlan:
         if transients:
             for time in np.sort(rng.uniform(0.0, duration, int(transients))):
                 events.append(FaultEvent(float(time), FAULT_TRANSIENT))
-        if device_loss is not None:
-            pairs = list(device_loss)
-            if pairs and not isinstance(pairs[0], (tuple, list)):
-                pairs = [tuple(pairs)]
-            for time, device in pairs:
-                events.append(FaultEvent(float(time), FAULT_DEVICE_DOWN,
-                                         device=int(device)))
         return cls(events)
 
     def describe(self) -> dict:
@@ -191,43 +171,42 @@ class FaultInjector:
     """Fires a :class:`FaultPlan` as simulated time advances.
 
     One injector serves one :class:`~repro.serve.executor.Server` (the
-    server attaches its clock, cluster topology and device-loss callback
-    at construction).  The append-only :attr:`log` records every fired
-    event and every injection -- ``("oom-window", start, until)``,
-    ``("fuse-denied", now, batch)``, ``("transient-fired", now, batch)``,
-    ``("pool-oom", now, nbytes)``, ``("device-down", time, device)`` --
-    and is byte-for-byte reproducible for the same plan and request
-    stream (the seeded-chaos determinism contract).
+    server attaches its clock at construction).  The :attr:`log` records
+    every fired event and every injection -- ``("oom-window", start,
+    until)``, ``("transient-armed", time)``, ``("fuse-denied", now,
+    batch)``, ``("transient-fired", now, batch)``, ``("pool-oom", now,
+    nbytes)`` -- and is byte-for-byte reproducible for the same plan and
+    request stream (the seeded-chaos determinism contract).  It keeps the
+    last :data:`LOG_LIMIT` entries; :attr:`fired` counts every entry ever
+    logged, by kind.  State stays bounded over any plan length: expired
+    OOM windows are dropped as the clock passes them.
     """
 
     def __init__(self, plan: FaultPlan | Iterable[FaultEvent], *,
                  clock=None, pool: MemoryPool | None = None) -> None:
         self.plan = plan if isinstance(plan, FaultPlan) else FaultPlan(plan)
         self.clock = clock
-        self.topology = None
         self.pool: MemoryPool | None = None
-        self._on_device_down: Callable[[int], None] | None = None
         self._cursor = 0
-        #: Active OOM windows as ``(start, until, min_bytes)`` triples.
+        #: Fired OOM windows not yet over, as ``(start, until, min_bytes)``.
         self._windows: list[tuple[float, float, int]] = []
+        #: Latest time passed to :meth:`advance` (windows over by then are gone).
+        self._advanced_to = 0.0
         #: Armed one-shot transients (arm times, FIFO).
         self._transients: deque[float] = deque()
-        #: Deterministic event log (see class docstring).
-        self.log: list[tuple] = []
+        #: Deterministic event log, newest :data:`LOG_LIMIT` entries.
+        self.log: deque[tuple] = deque(maxlen=LOG_LIMIT)
+        #: Log entries ever appended, by kind (``entry[0]``).
+        self.fired: dict[str, int] = {}
         if pool is not None:
             self.install_pool_hook(pool)
 
     # -- wiring --------------------------------------------------------------
 
-    def attach(self, *, clock=None, topology=None, pool: MemoryPool | None = None,
-               on_device_down: Callable[[int], None] | None = None) -> "FaultInjector":
+    def attach(self, *, clock=None, pool: MemoryPool | None = None) -> "FaultInjector":
         """Bind the runtime surfaces faults act on; returns ``self``."""
         if clock is not None:
             self.clock = clock
-        if topology is not None:
-            self.topology = topology
-        if on_device_down is not None:
-            self._on_device_down = on_device_down
         if pool is not None:
             self.install_pool_hook(pool)
         return self
@@ -243,6 +222,10 @@ class FaultInjector:
             self.pool.charge_hook = None
             self.pool = None
 
+    def _record(self, entry: tuple) -> None:
+        self.log.append(entry)
+        self.fired[entry[0]] = self.fired.get(entry[0], 0) + 1
+
     # -- clock-driven event firing -------------------------------------------
 
     def advance(self, now: float) -> None:
@@ -254,20 +237,28 @@ class FaultInjector:
             if event.kind == FAULT_OOM:
                 until = event.time + event.duration
                 self._windows.append((event.time, until, event.min_bytes))
-                self.log.append(("oom-window", event.time, until))
-            elif event.kind == FAULT_TRANSIENT:
+                self._record(("oom-window", event.time, until))
+            else:  # transient
                 self._transients.append(event.time)
-                self.log.append(("transient-armed", event.time))
-            else:  # device_down
-                self.log.append(("device-down", event.time, event.device))
-                if self.topology is not None:
-                    self.topology.mark_down(event.device)
-                if self._on_device_down is not None:
-                    self._on_device_down(event.device)
+                self._record(("transient-armed", event.time))
+        if now > self._advanced_to:
+            self._advanced_to = now
+            self._windows = [w for w in self._windows if w[1] > now]
 
     def oom_active(self, now: float, nbytes: int | None = None) -> bool:
         """Whether an OOM window covers ``now`` (and ``nbytes``, if given)."""
-        for start, until, min_bytes in self._windows:
+        windows = self._windows
+        if now < self._advanced_to:
+            # The server drains every bucket of one poll at the poll's
+            # start time, even after another bucket's retry backoff moved
+            # the clock on; such a query may need windows already dropped,
+            # so rebuild them from the plan (exact, and only after a retry).
+            windows = [
+                (event.time, event.time + event.duration, event.min_bytes)
+                for event in self.plan.events[:self._cursor]
+                if event.kind == FAULT_OOM
+            ]
+        for start, until, min_bytes in windows:
             if start <= now < until and (nbytes is None or nbytes >= min_bytes):
                 return True
         return False
@@ -282,7 +273,7 @@ class FaultInjector:
         degradation cascade handles it exactly like a real footprint miss.
         """
         if batch_size > 1 and self.oom_active(now):
-            self.log.append(("fuse-denied", now, batch_size))
+            self._record(("fuse-denied", now, batch_size))
             raise InjectedOOM(
                 f"injected OOM window active at t={now:.6g}: fused "
                 f"B={batch_size} allocation denied"
@@ -292,7 +283,7 @@ class FaultInjector:
         """Fire one armed transient per drain attempt (FIFO by arm time)."""
         if self._transients and self._transients[0] <= now:
             armed = self._transients.popleft()
-            self.log.append(("transient-fired", now, batch_size))
+            self._record(("transient-fired", now, batch_size))
             raise TransientFault(
                 f"injected transient drain failure (armed t={armed:.6g}, "
                 f"fired t={now:.6g})"
@@ -301,7 +292,7 @@ class FaultInjector:
     def _charge_hook(self, pool: MemoryPool, nbytes: int, tag: str) -> None:
         now = self.clock.now() if self.clock is not None else 0.0
         if self.oom_active(now, nbytes):
-            self.log.append(("pool-oom", now, int(nbytes)))
+            self._record(("pool-oom", now, int(nbytes)))
             raise OutOfDeviceMemory(
                 f"injected device OOM at t={now:.6g}: charge of {nbytes} "
                 f"bytes ({tag or 'untagged'}) denied"
@@ -311,7 +302,7 @@ class FaultInjector:
 __all__ = [
     "FAULT_OOM",
     "FAULT_TRANSIENT",
-    "FAULT_DEVICE_DOWN",
+    "LOG_LIMIT",
     "FaultEvent",
     "FaultPlan",
     "FaultInjector",

@@ -14,8 +14,8 @@ The metrics a dynamic-batching deployment is tuned by:
   figure the serve benchmark gates on;
 * the **robustness counters** of the fault-tolerant control plane:
   ``shed_requests`` (admission control), ``degraded_drains`` (the
-  footprint/retry degradation cascade), ``retries``, ``deadline_misses``
-  and ``device_losses``, rolled up into the ``availability`` figure
+  footprint/retry degradation cascade), ``retries`` and
+  ``deadline_misses``, rolled up into the ``availability`` figure
   (completed / admitted) the chaos-replay benchmark gates at >= 99%.
 
 A serve count has one home.  :class:`ServeMetrics` is constructed on a
@@ -56,8 +56,6 @@ COUNTS = {
     "retries": (_HANDLED, {"kind": "retry"}),
     # Admitted requests resolved with DeadlineExceeded.
     "deadline_misses": (_HANDLED, {"kind": "deadline_miss"}),
-    # Cluster devices lost (device_down fault events handled).
-    "device_losses": (_HANDLED, {"kind": "device_loss"}),
     "footprint_fallbacks": (_HANDLED, {"kind": "footprint_fallback"}),
     "batches": ("serve_drains_total", {}),
     "modeled_kernels": ("serve_modeled_kernels_total", {}),
@@ -92,9 +90,9 @@ class ServeMetrics:
         )
         self._modeled = registry.gauge(
             "serve_modeled_gpu_seconds",
-            "Modeled GPU seconds by cluster device (priced drains)",
+            "Modeled GPU seconds of priced drains",
         )
-        self._modeled.set(0.0, device="all")
+        self._modeled.set(0.0)
         # The derived gauges are pull-style series over the readouts below.
         latency = registry.gauge(
             "serve_queue_latency_seconds",
@@ -137,40 +135,17 @@ class ServeMetrics:
         self._batch_histogram.observe(size)
         self.latencies.extend(float(v) for v in latencies)
 
-    def record_modeled(self, seconds: float, kernels: int, *,
-                       devices: tuple[int, ...]) -> None:
-        """Accumulate one priced trace (modeled GPU time of a drain).
-
-        ``devices`` are the cluster devices the drain occupied (``(0,)``
-        single-device) -- each is charged the full drain time, since a
-        sharded drain holds all of its devices for its makespan.  Devices
-        drain concurrently, so the cluster-wide modeled makespan is the
-        *maximum* per-device total, not the sum.
-        """
-        self._modeled.inc(seconds, device="all")
+    def record_modeled(self, seconds: float, kernels: int) -> None:
+        """Accumulate one priced trace (modeled GPU time of a drain)."""
+        self._modeled.inc(seconds)
         self.count("modeled_kernels", int(kernels))
-        for device in devices:
-            self._modeled.inc(seconds, device=device)
 
     # -- readouts ------------------------------------------------------------
 
     @property
     def modeled_seconds(self) -> float:
         """Modeled GPU seconds summed over every priced drain."""
-        return self._modeled.value(device="all")
-
-    @property
-    def device_seconds(self) -> dict[int, float]:
-        """Modeled GPU seconds attributed to each cluster device.
-
-        ``{0: total}`` when serving single-device, empty before any priced
-        drain.
-        """
-        return dict(sorted(
-            (int(device), seconds)
-            for ((_, device),), seconds in self._modeled.series()
-            if device != "all"
-        ))
+        return self._modeled.value()
 
     @property
     def availability(self) -> float:
@@ -228,38 +203,12 @@ class ServeMetrics:
         """95th-percentile queueing latency (simulated seconds)."""
         return self.latency_percentile(0.95)
 
-    @property
-    def modeled_makespan(self) -> float:
-        """Modeled wall time of all drains: max per-device total.
-
-        Buckets on different devices drain concurrently; equal to
-        :attr:`modeled_seconds` when everything ran on one device.
-        """
-        device_seconds = self.device_seconds
-        if not device_seconds:
-            return self.modeled_seconds
-        return max(device_seconds.values())
-
-    def device_utilization(self) -> dict[int, float]:
-        """Per-device busy fraction of the modeled cluster makespan."""
-        makespan = self.modeled_makespan
-        if makespan <= 0.0:
-            return {}
-        return {
-            device: seconds / makespan
-            for device, seconds in self.device_seconds.items()
-        }
-
     def modeled_throughput(self) -> float:
-        """Completed requests per modeled second of serving wall time.
-
-        Uses the cluster makespan (max per-device busy time), which for a
-        single device is exactly the old completed/modeled_seconds.
-        """
-        makespan = self.modeled_makespan
-        if makespan <= 0.0:
+        """Completed requests per modeled GPU second (0.0 before any)."""
+        seconds = self.modeled_seconds
+        if seconds <= 0.0:
             return 0.0
-        return self.completed / makespan
+        return self.completed / seconds
 
     def summary(self) -> dict:
         """Machine-readable snapshot (benchmark artifacts embed this)."""
@@ -273,15 +222,6 @@ class ServeMetrics:
             "p95_latency_s": self.p95_latency,
             "modeled_seconds": self.modeled_seconds,
             "modeled_requests_per_sec": self.modeled_throughput(),
-            "modeled_makespan_s": self.modeled_makespan,
-            "device_seconds": {
-                str(device): seconds
-                for device, seconds in self.device_seconds.items()
-            },
-            "device_utilization": {
-                str(device): fraction
-                for device, fraction in self.device_utilization().items()
-            },
         })
         return summary
 

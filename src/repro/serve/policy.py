@@ -54,8 +54,8 @@ class SimulatedClock:
         return self._now
 
     def advance(self, seconds: float) -> float:
-        """Move time forward by ``seconds`` (negative steps are rejected)."""
-        if seconds < 0:
+        """Move time forward by ``seconds`` (negative or NaN steps are rejected)."""
+        if not seconds >= 0:
             raise ValueError("the simulated clock cannot run backwards")
         self._now += float(seconds)
         return self._now
@@ -80,7 +80,8 @@ class BatchingPolicy:
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be at least 1")
-        if self.max_wait < 0:
+        # ``not x >= 0`` rather than ``x < 0``, so NaN is rejected too.
+        if not self.max_wait >= 0:
             raise ValueError("max_wait must be non-negative")
         if self.memory_budget_bytes is not None and self.memory_budget_bytes < 1:
             raise ValueError("memory_budget_bytes must be positive when set")
@@ -202,9 +203,9 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries cannot be negative")
-        if self.backoff < 0:
+        if not self.backoff >= 0:
             raise ValueError("backoff cannot be negative")
-        if self.backoff_factor < 1.0:
+        if not self.backoff_factor >= 1.0:
             raise ValueError("backoff_factor must be at least 1.0")
 
     def delay(self, attempt: int) -> float:

@@ -130,9 +130,9 @@ class Response:
         """Structured error tag: the typed error's class name, None when ok.
 
         Stable values are the :mod:`repro.serve.errors` taxonomy
-        (``"RequestRejected"``, ``"DeadlineExceeded"``, ``"DrainFailed"``,
-        ``"DeviceLost"``); program bugs surface their own exception class
-        name.  Replay drivers and benchmarks aggregate on this instead of
+        (``"RequestRejected"``, ``"DeadlineExceeded"``, ``"DrainFailed"``);
+        program bugs surface their own exception class name.  Replay
+        drivers and benchmarks aggregate on this instead of
         string-matching messages.
         """
         return None if self.error is None else type(self.error).__name__

@@ -250,11 +250,12 @@ class TestErrorPaths:
     def test_server_options_are_the_servers_own(self, tiny_session):
         # session.server names policy and backend; the rest is Server's
         # signature, forwarded as given -- an unknown keyword is its error.
-        from repro.serve import SimulatedClock
+        from repro.serve import RetryPolicy, SimulatedClock
 
-        clock = SimulatedClock()
-        server = tiny_session.server(clock=clock, shard_drains=True)
+        clock, retry = SimulatedClock(), RetryPolicy(max_retries=1)
+        server = tiny_session.server(clock=clock, retry=retry)
         assert server.clock is clock and server.backend is tiny_session.backend
+        assert server.retry is retry
         cost = tiny_session.cost_backend()
         assert tiny_session.server(backend=cost).backend is cost
         with pytest.raises(TypeError, match="metrics"):

@@ -23,7 +23,9 @@ import pytest
 from repro.api import CKKSSession, CipherVector, TracingBackend
 from repro.ckks.params import CKKSParameters
 from repro.core.dispatch import KernelTrace, get_dispatcher
+from repro.gpu.kernel import Kernel
 from repro.gpu.platforms import GPU_RTX_4090
+from repro.gpu.stream import StreamScheduler
 from repro.obs.rollup import ScopeRollup, rollup_trace
 from repro.perf.calibration import kernel_kind, reconcile_trace
 from repro.perf.costmodel import CKKSOperationCosts
@@ -423,6 +425,47 @@ class TestTracePricing:
         assert report.kernel_count == 0
         assert rollup_trace(KernelTrace(), TraceCostModel(GPU_RTX_4090)).rows == {}
 
+    @pytest.mark.parametrize("deps", [(0,), (1,), (-1,)],
+                             ids=["self", "forward", "negative"])
+    def test_append_rejects_deps_on_later_events(self, deps):
+        trace = KernelTrace()
+        with pytest.raises(ValueError, match="earlier events"):
+            trace.append(Kernel("k", 1e6, 1e6, 1e6), deps=deps)
+        assert len(trace) == 0
+
+    def test_appended_trace_prices_like_its_scheduled_kernels(self):
+        # Descriptor-only kernels (OperationCost.as_trace) keep their
+        # explicit edges, deduplicated and sorted, and price exactly as
+        # the scheduler runs them.
+        trace = KernelTrace()
+        kernels = [Kernel(f"k{i}", 1e6 * (i + 1), 1e6, 1e6) for i in range(4)]
+        trace.append(kernels[0], scope="a")
+        trace.append(kernels[1], scope="a")
+        trace.append(kernels[2], scope="b", deps=(1, 0, 1))
+        trace.append(kernels[3], scope="b", deps=(2,))
+        assert trace.dependencies() == [(), (), (0, 1), (2,)]
+        pricer = TraceCostModel(GPU_RTX_4090, streams=2)
+        report = pricer.price(trace)
+        direct = StreamScheduler(GPU_RTX_4090, streams=2).schedule(
+            pricer.cost_model.time_kernels(kernels),
+            dependencies=trace.dependencies(),
+        )
+        assert report.schedule.timeline == direct.timeline
+        assert report.makespan == direct.makespan
+
+    def test_report_summary_reads_the_schedule(self, hmult_trace):
+        report = TraceCostModel(GPU_RTX_4090).price(hmult_trace, streams=4)
+        schedule = report.schedule
+        assert report.summary() == {
+            "platform": GPU_RTX_4090.name,
+            "streams": 4,
+            "makespan_s": schedule.makespan,
+            "execution_s": schedule.execution_time,
+            "launch_s": schedule.launch_time,
+            "launch_hidden_s": schedule.launch_hidden,
+            "kernel_count": schedule.kernel_count,
+        }
+
     def test_segments_cover_all_kernels(self, hmult_trace):
         # The per-scope segments of a priced trace are ScopeRollup's rows.
         report = TraceCostModel(GPU_RTX_4090).price(hmult_trace)
@@ -459,8 +502,6 @@ class TestTracePricing:
         # rescale components) still beat a single stream.
         pricer = TraceCostModel(GPU_RTX_4090)
         timings = pricer.cost_model.time_kernels(hmult_trace.kernels())
-        from repro.gpu.stream import StreamScheduler
-
         scheduler = StreamScheduler(GPU_RTX_4090, streams=8)
         with_deps = scheduler.schedule(timings, dependencies=hmult_trace.dependencies())
         without = scheduler.schedule(timings)

@@ -1,18 +1,13 @@
 """Tests of the GPU execution-model substrate (platforms, cache, kernels, streams)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckks.params import PARAMETER_SETS
 from repro.gpu.cache import CacheModel
-from repro.cluster import (
-    ClusterTopology,
-    InterconnectLink,
-    nvlink_box,
-    single_device,
-)
-from repro.gpu.kernel import Kernel, KernelCostModel, KernelTiming, transfer_kernel
+from repro.gpu.kernel import Kernel, KernelCostModel
 from repro.gpu.platforms import (
     ALL_GPUS,
     ALL_PLATFORMS,
@@ -231,134 +226,120 @@ class TestStreamScheduler:
             )
 
 
-class TestClusterScheduler:
-    """Multi-device generalisation: per-device streams, links as resources."""
+class TestSingleDeviceTimeline:
+    """Invariants of the one device every schedule runs on, per stream count."""
 
-    def _timings(self, count, execution=1e-5, device=0):
+    STREAMS = (1, 2, 4, 8)
+
+    def _timings(self, executions):
         model = KernelCostModel(GPU_RTX_4090, bandwidth_efficiency=1.0)
         kernels = [
-            Kernel(f"k{i}", bytes_read=execution * GPU_RTX_4090.bandwidth_bytes_per_s,
-                   bytes_written=0, int_ops=0, device=device)
-            for i in range(count)
+            Kernel(f"k{i}", bytes_read=t * GPU_RTX_4090.bandwidth_bytes_per_s,
+                   bytes_written=0, int_ops=0)
+            for i, t in enumerate(executions)
         ]
         return model.time_kernels(kernels)
 
-    def _transfer_timing(self, src, dst, duration=1e-6, payload=1e6):
-        kernel = transfer_kernel("xfer", payload, src, dst)
-        return KernelTiming(kernel=kernel, compute_time=0.0,
-                            memory_time=duration if src != dst else 0.0)
+    def _mixed(self, count=24, seed=5):
+        rng = np.random.default_rng(seed)
+        return self._timings(rng.uniform(5e-7, 8e-6, count))
 
-    def test_single_device_topology_is_bit_identical_to_plain(self):
-        # The degenerate one-device topology must not perturb any number.
-        timings = self._timings(24, execution=2e-6)
-        deps = [(i - 1,) if i else () for i in range(24)]
-        topo = single_device(GPU_RTX_4090)
-        for streams in (1, 4):
-            plain = StreamScheduler(GPU_RTX_4090, streams=streams).schedule(
-                timings, dependencies=deps
-            )
-            clustered = StreamScheduler(
-                GPU_RTX_4090, streams=streams, topology=topo
-            ).schedule(timings, dependencies=deps)
-            assert clustered.makespan == plain.makespan
-            assert clustered.launch_hidden == plain.launch_hidden
-            assert clustered.timeline == plain.timeline
+    @staticmethod
+    def _random_dag(count, seed=5):
+        rng = np.random.default_rng(seed)
+        return [
+            tuple(sorted({int(d) for d in rng.integers(0, i, rng.integers(0, 3))}))
+            if i else ()
+            for i in range(count)
+        ]
 
-    def test_self_transfer_is_a_noop_kernel(self):
-        kernel = transfer_kernel("xfer", 1e9, 2, 2)
-        assert kernel.is_self_transfer
-        assert kernel.payload_bytes == 0.0
-        assert kernel.launches == 0.0
-        # Scheduling it adds neither time nor launches to the makespan.
-        topo = nvlink_box(4)
-        base = self._timings(4, execution=2e-6)
-        with_noop = base + [self._transfer_timing(2, 2)]
-        scheduler = StreamScheduler(GPU_RTX_4090, streams=2, topology=topo)
-        assert scheduler.schedule(with_noop).makespan == pytest.approx(
-            scheduler.schedule(base).makespan
+    @pytest.mark.parametrize("streams", STREAMS)
+    def test_device_runs_one_kernel_at_a_time(self, streams):
+        timings = self._mixed()
+        result = StreamScheduler(GPU_RTX_4090, streams=streams).schedule(
+            timings, dependencies=self._random_dag(len(timings))
         )
-        assert scheduler.schedule(with_noop).transfer_time == 0.0
+        slots = sorted(result.timeline, key=lambda slot: slot.start)
+        for earlier, later in zip(slots, slots[1:]):
+            assert later.start >= earlier.end - 1e-15
 
-    def test_independent_devices_run_in_parallel(self):
-        topo = nvlink_box(2, platform=GPU_RTX_4090)
-        split = self._timings(8, device=0) + self._timings(8, device=1)
-        one = StreamScheduler(GPU_RTX_4090, streams=1).schedule(
-            self._timings(16)
-        )
-        two = StreamScheduler(GPU_RTX_4090, streams=1, topology=topo).schedule(split)
-        assert two.makespan < one.makespan
-        assert two.execution_time == pytest.approx(one.execution_time)
-        busy = two.device_busy()
-        assert set(busy) == {0, 1}
-        assert busy[0] == pytest.approx(busy[1])
+    @pytest.mark.parametrize("streams", STREAMS)
+    def test_host_issues_launches_serially(self, streams):
+        timings = self._mixed()
+        result = StreamScheduler(GPU_RTX_4090, streams=streams).schedule(timings)
+        launch = GPU_RTX_4090.launch_overhead_us * 1e-6
+        slots = sorted(result.timeline, key=lambda slot: slot.launch_start)
+        for slot in slots:
+            assert slot.launch_end - slot.launch_start == pytest.approx(launch)
+            assert slot.start >= slot.launch_end - 1e-15
+        for earlier, later in zip(slots, slots[1:]):
+            assert later.launch_start >= earlier.launch_end - 1e-15
 
-    def test_timelines_do_not_overlap_per_device_and_per_link(self):
-        topo = nvlink_box(3, platform=GPU_RTX_4090)
-        timings = []
-        for device in (0, 1, 2):
-            timings.extend(self._timings(6, execution=2e-6, device=device))
-        for src, dst in [(0, 1), (1, 2), (0, 2), (1, 0), (2, 0)]:
-            timings.append(self._transfer_timing(src, dst, duration=3e-6))
-        result = StreamScheduler(GPU_RTX_4090, streams=2, topology=topo).schedule(
-            timings
-        )
-        for slots in result.device_timelines().values():
-            for earlier, later in zip(slots, slots[1:]):
-                assert later.start >= earlier.end - 1e-15
-        link_slots = result.link_timelines()
-        assert set(link_slots) == {(0, 1), (1, 2), (0, 2)}
-        for slots in link_slots.values():
-            for earlier, later in zip(slots, slots[1:]):
-                assert later.start >= earlier.end - 1e-15
-        assert result.transfer_time == pytest.approx(5 * 3e-6)
-
-    def test_zero_latency_link_chain_reduces_to_single_device_closed_form(self):
-        # A fully dependent chain alternating between two devices joined by
-        # a zero-cost link behaves exactly like the chain on one device:
-        # makespan == total_launch + total_execution (the streams=1 closed
-        # form), because instantaneous transfers add nothing to the path.
-        topo = ClusterTopology(
-            [GPU_RTX_4090, GPU_RTX_4090],
-            default_link=InterconnectLink("ideal", 1e12, latency_us=0.0),
-        )
-        timings = []
-        deps = []
-        for i in range(6):
-            device = i % 2
-            timings.append(self._timings(1, execution=2e-6, device=device)[0])
-            index = len(timings) - 1
-            deps.append((index - 1,) if index else ())
-            if i < 5:
-                timings.append(self._transfer_timing(device, 1 - device, 0.0))
-                deps.append((index,))
-        result = StreamScheduler(GPU_RTX_4090, streams=1, topology=topo).schedule(
+    @pytest.mark.parametrize("streams", STREAMS)
+    def test_kernels_start_after_their_dependencies(self, streams):
+        timings = self._mixed()
+        deps = self._random_dag(len(timings))
+        result = StreamScheduler(GPU_RTX_4090, streams=streams).schedule(
             timings, dependencies=deps
+        )
+        end = {slot.index: slot.end for slot in result.timeline}
+        for slot in result.timeline:
+            for dep in deps[slot.index]:
+                assert slot.start >= end[dep] - 1e-15
+
+    @pytest.mark.parametrize("streams", STREAMS)
+    def test_busy_time_is_the_execution_sum(self, streams):
+        # One device: its busy time is every kernel's execution time, and
+        # the makespan can never undercut it.
+        timings = self._mixed()
+        result = StreamScheduler(GPU_RTX_4090, streams=streams).schedule(timings)
+        busy = sum(slot.execution_time for slot in result.timeline)
+        assert busy == pytest.approx(result.execution_time)
+        assert busy == pytest.approx(sum(t.execution_time for t in timings))
+        assert result.makespan >= busy - 1e-15
+
+    @pytest.mark.parametrize("streams", STREAMS)
+    def test_dependent_chain_is_the_single_stream_closed_form(self, streams):
+        # A fully dependent chain pays every launch on the critical path
+        # however many streams the device has.
+        timings = self._mixed(12)
+        chain = [(i - 1,) if i else () for i in range(12)]
+        result = StreamScheduler(GPU_RTX_4090, streams=streams).schedule(
+            timings, dependencies=chain
         )
         assert result.makespan == pytest.approx(
             result.launch_time + result.execution_time
         )
-        assert result.transfer_time == 0.0
+        assert result.launch_hidden == pytest.approx(0.0)
 
-    def test_transfers_serialise_on_their_link(self):
-        # Two transfers over the same device pair queue on the link; two
-        # transfers over disjoint pairs overlap freely.
-        topo = nvlink_box(4, platform=GPU_RTX_4090)
-        scheduler = StreamScheduler(GPU_RTX_4090, streams=1, topology=topo)
-        same_pair = [
-            self._transfer_timing(0, 1, duration=5e-6),
-            self._transfer_timing(1, 0, duration=5e-6),
-        ]
-        disjoint = [
-            self._transfer_timing(0, 1, duration=5e-6),
-            self._transfer_timing(2, 3, duration=5e-6),
-        ]
-        assert scheduler.schedule(same_pair).makespan > \
-            scheduler.schedule(disjoint).makespan
+    def test_kernel_count_counts_aggregated_launches(self):
+        model = KernelCostModel(GPU_RTX_4090)
+        kernel = Kernel("k", 1e6, 1e6, 1e6)
+        timings = model.time_kernels([kernel.scaled(3), kernel])
+        result = StreamScheduler(GPU_RTX_4090, streams=2).schedule(timings)
+        assert result.kernel_count == 4
+        assert len(result.timeline) == 2
+        assert result.launch_time == pytest.approx(
+            4 * GPU_RTX_4090.launch_overhead_us * 1e-6
+        )
 
-    def test_unknown_device_raises_descriptive_error(self):
-        timings = self._timings(1, device=5)
-        with pytest.raises(ValueError, match="devices 0..0"):
-            StreamScheduler(GPU_RTX_4090, streams=1).schedule(timings)
+    def test_stream_timelines_partition_the_timeline(self):
+        timings = self._mixed(30)
+        result = StreamScheduler(GPU_RTX_4090, streams=4).schedule(timings)
+        per_stream = result.stream_timelines()
+        assert set(per_stream) <= set(range(4))
+        indices = sorted(slot.index for slots in per_stream.values()
+                         for slot in slots)
+        assert indices == list(range(30))
+
+    def test_schedule_is_deterministic(self):
+        timings = self._mixed()
+        deps = self._random_dag(len(timings))
+        scheduler = StreamScheduler(GPU_RTX_4090, streams=4)
+        first = scheduler.schedule(timings, dependencies=deps)
+        second = scheduler.schedule(timings, dependencies=deps)
+        assert first.timeline == second.timeline
+        assert first.makespan == second.makespan
 
 
 class TestDevice:

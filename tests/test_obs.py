@@ -10,8 +10,8 @@ The contracts under test:
   the simulated clock, and :meth:`SpanTracer.validate` passes on a real
   chaos run;
 * the Chrome-trace export is schema-complete (every event carries
-  ``ph/ts/dur/pid/tid/name``), slice timestamps are monotonic, and a
-  cluster run lands kernels on one track per device;
+  ``ph/ts/dur/pid/tid/name``), slice timestamps are monotonic, and the
+  export of one priced B=8 drain is pinned by digest;
 * the per-scope rollup reconciles with the
   :class:`~repro.perf.trace_model.TraceCostModel` makespan within 1%;
 * a serve count has **one home**: ``server.metrics``, ``report.summary()``
@@ -25,6 +25,9 @@ The contracts under test:
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import itertools
 import json
 import warnings
 
@@ -32,20 +35,26 @@ import numpy as np
 import pytest
 
 from repro.api.session import CKKSSession
-from repro.cluster import pcie_box
 from repro.core.dispatch import get_dispatcher, _NULL_CONTEXT
 from repro.core.memory import MemoryPool
+from repro.gpu.kernel import Kernel, KernelCostModel
 from repro.gpu.platforms import GPU_RTX_4090
+from repro.gpu.stream import StreamScheduler
 from repro.obs import (
+    DrainTimeline,
     MetricsRegistry,
     Observability,
     ScopeRollup,
     SpanTracer,
     WallClockProfiler,
     chrome_trace_document,
+    chrome_trace_events,
     rollup_trace,
 )
+from repro.obs.perfetto import PID_DEVICE_BASE, TID_LAUNCH
 from repro.perf.trace_model import TraceCostModel
+from repro.serve.metrics import ServeMetrics
+from repro.serve import request as request_module
 from repro.serve import (
     AdmissionPolicy,
     BatchingPolicy,
@@ -82,12 +91,11 @@ SERVE_SERIES = {
     "retries": ("serve_faults_handled_total", {"kind": "retry"}),
     "deadline_misses": ("serve_faults_handled_total",
                         {"kind": "deadline_miss"}),
-    "device_losses": ("serve_faults_handled_total", {"kind": "device_loss"}),
     "footprint_fallbacks": ("serve_faults_handled_total",
                             {"kind": "footprint_fallback"}),
     "batches": ("serve_drains_total", {}),
     "modeled_kernels": ("serve_modeled_kernels_total", {}),
-    "modeled_seconds": ("serve_modeled_gpu_seconds", {"device": "all"}),
+    "modeled_seconds": ("serve_modeled_gpu_seconds", {}),
     "availability": ("serve_availability", {}),
     "mean_batch_size": ("serve_mean_batch_size", {}),
     "max_queue_depth": ("serve_max_queue_depth", {}),
@@ -96,13 +104,19 @@ SERVE_SERIES = {
 }
 
 
+#: sha256 of the sorted-key JSON export of one priced B=8 drain with spans
+#: (``TestChromeTraceExport.test_single_drain_export_is_pinned``).
+SINGLE_DRAIN_EXPORT_SHA256 = (
+    "f046b9e03398e8f4ca98709cf92000437a0bdb8aa17aa28c690181e32b60e6bc"
+)
+
+
 @pytest.fixture(scope="module")
 def obs_session() -> CKKSSession:
     return CKKSSession.create("toy", seed=11, register_default=False)
 
 
 def run_instrumented_burst(session, *, requests: int = 8, seed: int = 3,
-                           cluster=None, shard_drains: bool = False,
                            faults: bool = False, observe: bool = True):
     """One fused burst through a server; returns (obs, server, report).
 
@@ -116,8 +130,6 @@ def run_instrumented_burst(session, *, requests: int = 8, seed: int = 3,
         BatchingPolicy(max_batch_size=8, max_wait=2e-3),
         clock=clock,
         trace_costs=TraceCostModel(GPU_RTX_4090),
-        cluster=cluster,
-        shard_drains=shard_drains,
         admission=AdmissionPolicy(max_queue_depth=6) if faults else None,
         retry=RetryPolicy(max_retries=3, backoff=1e-3 if faults else 1e-5),
         fault_plan=CHAOS_PLAN if faults else None,
@@ -240,9 +252,6 @@ class TestMetricsRegistry:
 
         for key, (name, labels) in SERVE_SERIES.items():
             assert series(name, **labels)["value"] == summary[key], key
-        for device, seconds in summary["device_seconds"].items():
-            assert series("serve_modeled_gpu_seconds",
-                          device=device)["value"] == seconds
         batch_sizes = series("serve_fused_batch_size")
         assert batch_sizes["count"] == summary["batches"]
         assert batch_sizes["sum"] == sum(server.metrics.batch_sizes)
@@ -287,6 +296,25 @@ class TestMetricsRegistry:
         assert serve(5, disabled).metrics.completed == 5
         assert serve(2, disabled).metrics.completed == 2
         assert disabled.owner is None
+
+    def test_modeled_throughput_is_completed_per_modeled_second(self):
+        metrics = ServeMetrics(MetricsRegistry())
+        assert metrics.modeled_throughput() == 0.0
+        metrics.count("completed", 12)
+        assert metrics.modeled_throughput() == 0.0  # nothing priced yet
+        metrics.record_modeled(0.25, 40)
+        metrics.record_modeled(0.5, 60)
+        assert metrics.modeled_seconds == pytest.approx(0.75)
+        assert metrics.modeled_kernels == 100
+        assert metrics.modeled_throughput() == pytest.approx(16.0)
+        assert metrics.summary()["modeled_requests_per_sec"] == \
+            pytest.approx(16.0)
+
+    def test_modeled_gpu_seconds_is_one_unlabeled_series(self, obs_session):
+        obs, server, _ = run_instrumented_burst(obs_session)
+        (series,) = obs.snapshot()["serve_modeled_gpu_seconds"]["series"]
+        assert series["labels"] == {}
+        assert series["value"] == server.metrics.modeled_seconds > 0
 
 
 # -- spans --------------------------------------------------------------------
@@ -379,21 +407,80 @@ class TestChromeTraceExport:
         assert document["traceEvents"]
         assert document["displayTimeUnit"] == "ms"
 
-    def test_track_per_device_on_cluster_run(self, obs_session):
-        obs, _, _ = run_instrumented_burst(
-            obs_session, cluster=pcie_box(2), shard_drains=True,
+    def test_single_drain_export_is_pinned(self, obs_session, monkeypatch):
+        # One priced B=8 drain with spans: the GPU's kernel and launch
+        # tracks plus the request/drain span tree.  Request ids are
+        # process-wide, so restart them to make the document a function
+        # of this test alone.
+        monkeypatch.setattr(request_module, "_REQUEST_IDS", itertools.count())
+        clock = SimulatedClock()
+        obs = obs_session.observability(clock=clock)
+        server = obs_session.server(
+            BatchingPolicy(max_batch_size=8, max_wait=2e-3), clock=clock,
+            trace_costs=TraceCostModel(GPU_RTX_4090), observability=obs,
         )
+        rng = np.random.default_rng(3)
+        for _ in range(8):
+            server.submit(PROGRAM, obs_session.encrypt(rng.uniform(-1, 1, 8)))
+        server.drain()
+        assert server.metrics.batch_sizes == [8]
         document = obs.export_chrome_trace()
-        kernel_pids = {
-            event["pid"] for event in document["traceEvents"]
-            if event["ph"] == "X" and event["pid"] >= 100 and event["pid"] < 900
-        }
-        assert len(kernel_pids) == 2  # one track group per device
-        span_pids = {
-            event["pid"] for event in document["traceEvents"]
-            if event["ph"] == "X" and event["pid"] == 1
-        }
-        assert span_pids == {1}
+        assert {event["pid"] for event in document["traceEvents"]} == {1, 100}
+        digest = hashlib.sha256(
+            json.dumps(document, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == SINGLE_DRAIN_EXPORT_SHA256
+
+    @staticmethod
+    def _drain(offset=0.0, *, launch_overhead_us=None, scopes=("hmult",)):
+        platform = GPU_RTX_4090 if launch_overhead_us is None else \
+            dataclasses.replace(GPU_RTX_4090,
+                                launch_overhead_us=launch_overhead_us)
+        timings = KernelCostModel(platform).time_kernels(
+            [Kernel(f"k{i}", 1e6, 1e6, 1e6) for i in range(4)]
+        )
+        schedule = StreamScheduler(platform, streams=2).schedule(timings)
+        return DrainTimeline(offset=offset, label="drain", schedule=schedule,
+                             scopes=scopes)
+
+    def test_empty_export_has_no_events(self):
+        assert chrome_trace_events() == []
+        assert chrome_trace_document()["traceEvents"] == []
+
+    def test_kernels_run_on_the_one_gpu_process(self):
+        events = chrome_trace_events(timelines=[self._drain(), self._drain(1.0)])
+        assert {event["pid"] for event in events} == {PID_DEVICE_BASE}
+        processes = [event["args"]["name"] for event in events
+                     if event["name"] == "process_name"]
+        assert processes == ["GPU device 0"]
+        threads = {event["tid"]: event["args"]["name"] for event in events
+                   if event["name"] == "thread_name"}
+        assert threads == {0: "stream 0", 1: "stream 1",
+                           TID_LAUNCH: "host launch"}
+        kernels = [event for event in events
+                   if event["ph"] == "X" and event["tid"] != TID_LAUNCH]
+        assert len(kernels) == 8
+
+    def test_launch_track_needs_launch_intervals(self):
+        events = chrome_trace_events(
+            timelines=[self._drain(launch_overhead_us=0.0)]
+        )
+        assert all(event["tid"] != TID_LAUNCH for event in events)
+        assert "host launch" not in {event["args"].get("name")
+                                     for event in events}
+
+    def test_drain_offset_and_scope_args(self):
+        record = self._drain(2.0)
+        events = chrome_trace_events(timelines=[record])
+        kernels = {event["args"]["index"]: event for event in events
+                   if event["ph"] == "X" and event["tid"] != TID_LAUNCH}
+        for slot in record.schedule.timeline:
+            event = kernels[slot.index]
+            assert event["name"] == slot.name
+            assert event["ts"] == round((2.0 + slot.start) * 1e6, 3)
+            assert event["args"]["drain"] == "drain"
+            # Scopes cover trace indices; one past their end reads "".
+            assert event["args"]["scope"] == ("hmult" if slot.index == 0 else "")
 
 
 # -- rollup -------------------------------------------------------------------
