@@ -108,10 +108,8 @@ def run_functional_oracle(table: BenchmarkTable, *, ring_log2: int = 12,
         if response.ok:
             result = request.result()
             if not (
-                np.array_equal(result.handle.c0.stack.data,
-                               reference.handle.c0.stack.data)
-                and np.array_equal(result.handle.c1.stack.data,
-                                   reference.handle.c1.stack.data)
+                np.array_equal(result.handle.c0.data, reference.handle.c0.data)
+                and np.array_equal(result.handle.c1.data, reference.handle.c1.data)
             ):
                 raise AssertionError(
                     f"response {request.id} diverged from fault-free "

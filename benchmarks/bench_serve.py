@@ -100,10 +100,10 @@ def serve_stream(session, scorer, *, max_batch: int, requests: int,
     for request in pending:
         reference = scorer.score(request.vector)
         if not (
-            np.array_equal(request.result().handle.c0.stack.data,
-                           reference.handle.c0.stack.data)
-            and np.array_equal(request.result().handle.c1.stack.data,
-                               reference.handle.c1.stack.data)
+            np.array_equal(request.result().handle.c0.data,
+                           reference.handle.c0.data)
+            and np.array_equal(request.result().handle.c1.data,
+                               reference.handle.c1.data)
         ):
             raise AssertionError(
                 f"served response diverged from sequential scoring at "

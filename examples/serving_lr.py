@@ -73,10 +73,10 @@ def main() -> None:
         # Bit-identity: the served result equals the sequential evaluator's.
         reference = scorer.score(request.vector)
         assert np.array_equal(
-            request.result().handle.c0.stack.data, reference.handle.c0.stack.data
+            request.result().handle.c0.data, reference.handle.c0.data
         )
         assert np.array_equal(
-            request.result().handle.c1.stack.data, reference.handle.c1.stack.data
+            request.result().handle.c1.data, reference.handle.c1.data
         )
 
         decrypted = float(session.decrypt(request.result(), 1).real[0])

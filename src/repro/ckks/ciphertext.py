@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.limb import LimbFormat
-from repro.core.limb_stack import LimbStack
-from repro.core.memory import FusedFootprintError
 from repro.core.rns_poly import RNSPoly
 
 #: Relative scale mismatch tolerated before two operands are rejected.
@@ -238,7 +236,8 @@ class Ciphertext:
         with it every batched kernel -- requires one shape.
 
         When the fused ``2·B·L·N`` footprint would exceed the members'
-        :class:`~repro.core.memory.MemoryPool` budget, this raises
+        :class:`~repro.core.memory.MemoryPool` budget,
+        :meth:`RNSPoly.fuse_many` raises
         :class:`~repro.core.memory.FusedFootprintError` *before* copying
         any rows (the serving plane's batching policy consumes this to cap
         bucket drain sizes).
@@ -256,27 +255,9 @@ class Ciphertext:
             if ct.slots != first.slots:
                 raise ValueError("batched ciphertexts must share one slot count")
         lengths = fused_lengths(cts)
-        batch_size = sum(ct.batch_size for ct in cts)
-        pool = first.c0.stack.pool
-        component_bytes = sum(ct.c0.footprint_bytes() for ct in cts)
-        if not pool.fits(component_bytes, component_bytes):
-            raise FusedFootprintError(
-                f"fusing B={batch_size} ciphertexts at L={first.limb_count} "
-                f"limbs, N={first.ring_degree} needs two "
-                f"{component_bytes}-byte component allocations, but the pool "
-                f"budget is {pool.capacity_bytes} bytes with "
-                f"{pool.free_bytes()} free; drain fewer requests per fused "
-                f"batch (serve's BatchingPolicy.memory_budget_bytes) or raise "
-                f"the pool capacity"
-            )
-        return cls(
-            RNSPoly.from_stack(LimbStack.fuse([ct.c0.stack for ct in cts]), first.fmt),
-            RNSPoly.from_stack(LimbStack.fuse([ct.c1.stack for ct in cts]), first.fmt),
-            first.scale,
-            first.slots,
-            max(ct.noise_bits for ct in cts),
-            lengths,
-        )
+        c0, c1 = RNSPoly.fuse_many([[ct.c0 for ct in cts], [ct.c1 for ct in cts]])
+        return cls(c0, c1, first.scale, first.slots,
+                   max(ct.noise_bits for ct in cts), lengths)
 
     def split(self) -> list["Ciphertext"]:
         """Return the member ciphertexts as zero-copy views of the batch.
@@ -284,19 +265,11 @@ class Ciphertext:
         Views share the fused buffers (no copy, no pool charge) and keep
         them alive and charged.
         """
-        fmt = self.c0.fmt
         return [
-            Ciphertext(
-                RNSPoly.from_stack(v0, fmt),
-                RNSPoly.from_stack(v1, fmt),
-                self.scale,
-                self.slots,
-                self.noise_bits,
-                length,
-            )
+            Ciphertext(v0, v1, self.scale, self.slots, self.noise_bits, length)
             for v0, v1, length in zip(
-                self.c0.stack.split(self.batch_size),
-                self.c1.stack.split(self.batch_size),
+                self.c0.split(self.batch_size),
+                self.c1.split(self.batch_size),
                 member_lengths(self),
             )
         ]

@@ -226,7 +226,7 @@ class Context:
         are cached, since keys are shared by every request and the tiling
         is paid once per batch shape.
         """
-        components = tuple((poly.stack.data,) for poly in key.digits[digit_index])
+        components = tuple((poly.data,) for poly in key.digits[digit_index])
         companions = key.companions(digit_index)
         if companions is not None:
             components = tuple(

@@ -312,8 +312,8 @@ class Evaluator:
                 d1 = ct.c0.multiply(ct.c1)
                 # 2·c0·c1: the product is still private to this launch, so
                 # it doubles in place instead of through a fourth buffer.
-                data = d1.stack.data
-                modmath.stack_add_mod(data, data, d1.stack.moduli_col, out=data)
+                data = d1.data
+                modmath.stack_add_mod(data, data, d1.moduli_col, out=data)
                 d2 = ct.c1.multiply(ct.c1)
             result = self._relinearize(ct, d0, d1, d2, ct.scale * ct.scale)
             return self.rescale(result) if rescale else result

@@ -28,7 +28,6 @@ from repro.core.automorphism import (
     rotation_to_exponent,
 )
 from repro.core.limb import LimbFormat
-from repro.core.limb_stack import LimbStack
 from repro.core.rns_poly import RNSPoly
 
 
@@ -59,8 +58,8 @@ class KeySwitchingKey:
 
     digits: list[tuple[RNSPoly, RNSPoly]]
     target_description: str = ""
-    #: One ``(b_j', a_j')`` pair of companion stacks per digit (None per
-    #: digit off the dword backend), built by :meth:`companions`.
+    #: One ``(b_j', a_j')`` pair of companion polynomials per digit (None
+    #: per digit off the dword backend), built by :meth:`companions`.
     _companions: list | None = field(default=None, init=False, repr=False,
                                      compare=False)
 
@@ -82,18 +81,19 @@ class KeySwitchingKey:
         if self._companions is None:
             self._companions = [
                 tuple(
-                    LimbStack(
+                    RNSPoly(
                         poly.moduli,
-                        modmath.dword_shoup_column(poly.stack.data, poly.stack.moduli_col),
-                        pool=poly.stack.pool,
+                        modmath.dword_shoup_column(poly.data, poly.moduli_col),
+                        poly.fmt,
+                        pool=poly.pool,
                     )
                     for poly in digit
                 )
-                if modmath.stack_is_dword(digit[0].stack.moduli_col) else None
+                if modmath.stack_is_dword(digit[0].moduli_col) else None
                 for digit in self.digits
             ]
         pair = self._companions[digit_index]
-        return None if pair is None else tuple(stack.data for stack in pair)
+        return None if pair is None else tuple(poly.data for poly in pair)
 
     def footprint_bytes(self) -> int:
         """Device-memory footprint of the key (Figure 8 discussion)."""

@@ -15,8 +15,8 @@ to ``s`` using the hybrid technique of Han-Ki [37]:
 
 The functions here operate on :class:`~repro.core.rns_poly.RNSPoly`
 objects in evaluation format and return deltas that the caller adds to the
-ciphertext components.  Every step is batched over the flat
-:class:`~repro.core.limb_stack.LimbStack` data plane: digit rows are
+ciphertext components.  Every step is batched over the polynomials' flat
+``(L, N)`` arrays (``RNSPoly.data``): digit rows are
 gathered and iNTT'd in one stacked call, the base conversion runs as one
 ``convert_stack`` matrix expression, and the converted limbs re-enter the
 evaluation domain through one stacked NTT -- no per-limb Python loop.
@@ -41,7 +41,6 @@ from repro.ckks.keys import KeySwitchingKey
 from repro.core import modmath
 from repro.core.dispatch import get_dispatcher
 from repro.core.limb import LimbFormat
-from repro.core.limb_stack import LimbStack
 from repro.core.ntt import Fused, get_stacked_engine
 from repro.core.rns_poly import RNSPoly
 from repro.gpu.kernel import MODADD_OPS, MODMUL_OPS
@@ -82,7 +81,7 @@ def decompose_and_mod_up(context: Context, poly: RNSPoly) -> DecomposedPolynomia
         num_digits = context.active_digits(limb_count)
         # Digits partition the basis contiguously, so one stacked iNTT of the
         # whole polynomial hands every digit its coefficient-domain rows.
-        poly_coeff = get_stacked_engine(n, tuple(poly.moduli)).inverse(poly.stack.data)
+        poly_coeff = get_stacked_engine(n, tuple(poly.moduli)).inverse(poly.data)
         # Per-digit batched base conversions to the complementary basis ∪ P
         # (each digit needs its own Equation-1 tables), each writing its rows
         # straight into the fused NTT buffer.  A digit's block holds each
@@ -132,14 +131,10 @@ def decompose_and_mod_up(context: Context, poly: RNSPoly) -> DecomposedPolynomia
                 member[d0:d1] = modmath.coerce_stack(own, target_col)
                 member[:d0] = raised[:d0]
                 member[d1:] = raised[d0:]
-            _DISPATCH.link((converted_eval, poly.stack.data), stack)
-            digits_out.append(
-                RNSPoly.from_stack(
-                    LimbStack(target_moduli * members, stack,
-                              pool=poly.stack.pool),
-                    LimbFormat.EVALUATION,
-                )
-            )
+            _DISPATCH.link((converted_eval, poly.data), stack)
+            digits_out.append(RNSPoly(
+                target_moduli * members, stack, LimbFormat.EVALUATION, pool=poly.pool
+            ))
         return DecomposedPolynomial(extended_digits=digits_out, limb_count=limb_count)
 
 
@@ -211,10 +206,7 @@ def mod_down_many(context: Context, polys: list[RNSPoly]) -> list[RNSPoly]:
                 epilogue=Fused("moddown-tail", fold_ops, heads, fold),
             )
     return [
-        RNSPoly.from_stack(
-            LimbStack(target_moduli * members, block, pool=poly.stack.pool),
-            poly.fmt,
-        )
+        RNSPoly(target_moduli * members, block, poly.fmt, pool=poly.pool)
         for poly, block in zip(polys, np.split(out, count))
     ]
 
@@ -240,14 +232,14 @@ def apply_key(
     """
     with _DISPATCH.scope("keyswitch"):
         template = decomposed.extended_digits[0]
-        col = template.stack.moduli_col
+        col = template.moduli_col
         digit_polys = decomposed.extended_digits
         if automorphism_exponent is not None:
             # One Automorph launch gathers every extended digit.
             digit_polys = RNSPoly.automorphism_many(
                 digit_polys, automorphism_exponent
             )
-        digits = [poly.stack.data for poly in digit_polys]
+        digits = [poly.data for poly in digit_polys]
         # Below the top level only some key rows are active, and they are
         # read where they lie: each window pairs a row range of the digits
         # with the key rows it meets (a tiled fused key is one window).
@@ -271,10 +263,7 @@ def apply_key(
                         col[rows], out=acc[rows],
                     )
         accs = [
-            RNSPoly.from_stack(
-                LimbStack(template.moduli, data, pool=template.stack.pool),
-                LimbFormat.EVALUATION,
-            )
+            RNSPoly(template.moduli, data, LimbFormat.EVALUATION, pool=template.pool)
             for data in acc_data
         ]
         delta0, delta1 = mod_down_many(context, accs)

@@ -3,10 +3,10 @@
 This subpackage provides everything needed to compute with degree-``N``
 negacyclic polynomials under word-sized prime moduli:
 
-* :mod:`repro.core.modmath` -- modular arithmetic: the fast reduction
-  techniques compared in Table III of the paper (Barrett, Montgomery and
-  Shoup), the batched ``stack_*`` kernels that are the only vectorised
-  arithmetic, and the one scratch pool they and the NTT draw from.
+* :mod:`repro.core.modmath` -- modular arithmetic: the batched
+  ``stack_*`` kernels (improved Barrett and Shoup reductions, Table III)
+  that are the only arithmetic on residues, and the one scratch pool they
+  and the NTT draw from.
 * :mod:`repro.core.primes` -- NTT-friendly prime generation and roots of
   unity.
 * :mod:`repro.core.ntt` -- the negacyclic NTT/iNTT: one stacked engine
@@ -15,14 +15,13 @@ negacyclic polynomials under word-sized prime moduli:
   (:func:`reference_transform`, also the ``>= 2**62`` path).
 * :mod:`repro.core.rns` -- residue number system bases, CRT recombination
   and the fast base conversion of Equation 1.
-* :mod:`repro.core.limb_stack` / :mod:`repro.core.rns_poly` -- the
-  ``LimbStack`` / ``RNSPoly`` containers of Figure 2 (``LimbFormat``
-  lives in :mod:`repro.core.limb`).  ``LimbStack`` is the flat ``(L, N)``
-  storage of §III-D -- one array, one pool charge; a limb is a row of
-  it -- and does not compute: every polynomial operation is an
-  ``RNSPoly`` method calling a ``stack_*`` kernel on ``stack.data``.
+* :mod:`repro.core.rns_poly` -- the ``RNSPoly`` container of Figure 2
+  (``LimbFormat`` lives in :mod:`repro.core.limb`): the flat ``(L, N)``
+  storage of §III-D -- one array, one pool charge; a limb is a row of it
+  -- and every polynomial operation, each a call of a ``stack_*`` kernel
+  on ``poly.data``.
 * :mod:`repro.core.memory` -- the stream-ordered memory-pool analogue:
-  live/peak byte counters that a ``LimbStack`` charges and credits.
+  live/peak byte counters that an ``RNSPoly`` charges and credits.
 * :mod:`repro.core.dispatch` / :mod:`repro.core.fusion` -- the execution
   plane: every kernel above reports to the dispatcher, which can record
   a ``KernelTrace``; an executable trace replays (``TraceProgram``),
@@ -31,32 +30,16 @@ negacyclic polynomials under word-sized prime moduli:
 """
 
 from repro.core.dispatch import Dispatcher, KernelTrace, get_dispatcher
-from repro.core.modmath import (
-    BarrettReducer,
-    MontgomeryReducer,
-    ShoupMultiplier,
-    add_mod,
-    sub_mod,
-    mul_mod,
-    pow_mod,
-    inv_mod,
-)
+from repro.core.modmath import pow_mod, inv_mod
 from repro.core.primes import generate_ntt_primes, find_primitive_root
 from repro.core.ntt import StackedNTTEngine, reference_transform, twiddle_tables
 from repro.core.rns import RNSBasis, BaseConverter
 from repro.core.rns_poly import RNSPoly
-from repro.core.limb_stack import LimbStack
 
 __all__ = [
     "Dispatcher",
     "KernelTrace",
     "get_dispatcher",
-    "BarrettReducer",
-    "MontgomeryReducer",
-    "ShoupMultiplier",
-    "add_mod",
-    "sub_mod",
-    "mul_mod",
     "pow_mod",
     "inv_mod",
     "generate_ntt_primes",
@@ -67,5 +50,4 @@ __all__ = [
     "RNSBasis",
     "BaseConverter",
     "RNSPoly",
-    "LimbStack",
 ]

@@ -6,7 +6,7 @@ Module map (kernel producers → dispatcher → trace → the one pricing path)
 ::
 
     repro.core.modmath ───┐  stack_* kernels auto-emit on execution
-    repro.core.limb_stack ┤  row-copy kernels (copy / take)
+                          │  (stack_take: the row copy of copy / take)
     repro.core.ntt ───────┤  StackedNTTEngine: one (i)NTT launch per segment,
                           │  with the prologue/epilogue fused into it
     repro.core.rns ───────┤  BaseConverter.convert_stack / convert_members

@@ -2,8 +2,8 @@
 
 Format is tracked per polynomial (:class:`~repro.core.rns_poly.RNSPoly`),
 never per row, which is what lets every cross-limb kernel batch.  A limb
-itself is not an object: it is row ``i`` of the flat
-:class:`~repro.core.limb_stack.LimbStack` array, handed out by
+itself is not an object: it is row ``i`` of the polynomial's flat
+``(L, N)`` array ``RNSPoly.data``, handed out by
 ``RNSPoly.limb_arrays()``.
 """
 

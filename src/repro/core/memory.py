@@ -2,10 +2,11 @@
 
 FIDESlib allocates each polynomial's flattened buffer (§III-D) from CUDA's
 stream-ordered memory pool.  There is no physical device here, so a
-:class:`MemoryPool` is a handful of integer counters: a
-:class:`~repro.core.limb_stack.LimbStack` -- the only thing that charges a
+:class:`MemoryPool` is a handful of integer counters: an
+:class:`~repro.core.rns_poly.RNSPoly` -- the only thing that charges a
 pool -- calls :meth:`MemoryPool.charge` once when it is built and
-:meth:`MemoryPool.release` once when it goes.  Admission control,
+:meth:`MemoryPool.release` once when it goes (a row window charges
+nothing).  Admission control,
 :class:`FusedFootprintError` and the ``memory_pool_*`` instruments read the
 counters; the fault injector denies charges through ``charge_hook``.
 """
@@ -24,8 +25,8 @@ class FusedFootprintError(OutOfDeviceMemory):
     """A fused ``(B·L, N)`` allocation would not fit the pool budget.
 
     Raised *before* any row copying starts (by
-    :meth:`repro.core.limb_stack.LimbStack.fuse` and
-    :meth:`repro.ckks.ciphertext.Ciphertext.fuse`) so callers
+    :meth:`repro.core.rns_poly.RNSPoly.fuse_many`, which
+    :meth:`repro.ckks.ciphertext.Ciphertext.fuse` calls) so callers
     such as the serving plane's batching policy can react -- typically by
     draining fewer requests per fused batch -- instead of dying on a bare
     :class:`OutOfDeviceMemory` mid-copy.

@@ -3,24 +3,19 @@
 The CKKS scheme performs all polynomial arithmetic modulo a set of primes
 ``{q_0, ..., q_L}``.  Because GPUs (and CPUs) have no native modulo unit,
 FIDESlib relies on the fast reduction techniques compared in Table III of
-the paper:
+the paper: **Barrett** (the "improved Barrett" of Shivdikar et al. [50],
+its general-purpose reduction: two multiplications with a precomputed
+reciprocal, no special operand encoding), **Montgomery** (the same count,
+operands in Montgomery form) and **Shoup** (the cheapest when one operand
+is a known constant -- twiddle factors, precomputed scalars -- whose
+reciprocal is precomputed).  Their integer-operation counts price the
+kernels in :mod:`repro.gpu.kernel`.
 
-* **Barrett reduction / multiplication** (the "improved Barrett" of
-  Shivdikar et al. [50]) -- reduction by two multiplications using a
-  precomputed reciprocal of the modulus.  FIDESlib uses Barrett as its
-  general-purpose reduction because it needs no special operand encoding.
-* **Montgomery reduction / multiplication** -- the same multiplication
-  count, but operands must live in Montgomery form.
-* **Shoup multiplication** -- the cheapest option when one operand is a
-  known constant (twiddle factors, precomputed scalars); the constant's
-  reciprocal is precomputed.
-
-This module provides faithful scalar implementations of all three (the
-Table III artefact, exercised directly by the unit tests and the
-micro-benchmark) plus the batched limb-stack kernels (``stack_*``) that
-are the library's only vectorised modular arithmetic.  A residue below
-2**62 is one ``uint64`` word of an ``(L, N)`` stack whatever its modulus;
-the three backends differ only in how a *product* is reduced:
+This module holds the batched limb-stack kernels (``stack_*``) that are
+the library's only modular arithmetic on residues, built from improved
+Barrett and Shoup.  A residue below 2**62 is one ``uint64`` word of an
+``(L, N)`` stack whatever its modulus; the three backends differ only in
+how a *product* is reduced:
 
 * the **fast backend** (``uint64``) for moduli below 2**31, where a product
   of two residues fits in an unsigned 64-bit lane and NumPy's native ``%``
@@ -69,45 +64,14 @@ FAST_MODULUS_LIMIT = 1 << 31
 #: comfortably inside.
 DWORD_MODULUS_LIMIT = 1 << 62
 
-#: Machine word size assumed by the Montgomery/Shoup precomputations.
-WORD_BITS = 64
-WORD_BASE = 1 << WORD_BITS
+#: ``2**64``: the machine word the double-word Barrett and Shoup constants
+#: are built over.
+WORD_BASE = 1 << 64
 
 
 # ---------------------------------------------------------------------------
 # Scalar helpers
 # ---------------------------------------------------------------------------
-
-
-def add_mod(a: int, b: int, q: int) -> int:
-    """Return ``(a + b) mod q`` for residues ``a, b`` in ``[0, q)``.
-
-    The sum lies in ``[0, 2q)`` so a single conditional subtraction brings
-    it back into range, exactly as the paper describes for modular
-    addition on the GPU.
-    """
-    s = a + b
-    if s >= q:
-        s -= q
-    return s
-
-
-def sub_mod(a: int, b: int, q: int) -> int:
-    """Return ``(a - b) mod q`` for residues in ``[0, q)``."""
-    d = a - b
-    if d < 0:
-        d += q
-    return d
-
-
-def neg_mod(a: int, q: int) -> int:
-    """Return ``(-a) mod q``."""
-    return 0 if a == 0 else q - a
-
-
-def mul_mod(a: int, b: int, q: int) -> int:
-    """Return ``(a * b) mod q`` using Python's arbitrary precision."""
-    return (a * b) % q
 
 
 def pow_mod(base: int, exponent: int, q: int) -> int:
@@ -121,173 +85,6 @@ def inv_mod(a: int, q: int) -> int:
     Raises :class:`ZeroDivisionError` if ``a`` is not invertible.
     """
     return pow(a, -1, q)
-
-
-def bit_length(x: int) -> int:
-    """Return the bit length of ``x`` (0 for 0)."""
-    return int(x).bit_length()
-
-
-# ---------------------------------------------------------------------------
-# Barrett reduction (improved Barrett, Table III)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BarrettReducer:
-    """Barrett modular reduction for a fixed modulus ``q``.
-
-    Precomputes ``mu = floor(2**(2k) / q)`` where ``k = bitlen(q)``.  The
-    :meth:`reduce` method accepts any value below ``q**2`` (the range of a
-    residue product) and returns the canonical residue.  Following the
-    improved Barrett formulation, the quotient estimate is off by at most
-    one, so a single correction step suffices; the paper notes the output
-    naturally falls in ``[0, 2q)`` before that final correction.
-    """
-
-    modulus: int
-    shift: int
-    mu: int
-
-    @classmethod
-    def create(cls, modulus: int) -> "BarrettReducer":
-        if modulus < 2:
-            raise ValueError(f"Barrett modulus must be >= 2, got {modulus}")
-        k = bit_length(modulus)
-        shift = 2 * k
-        mu = (1 << shift) // modulus
-        return cls(modulus=modulus, shift=shift, mu=mu)
-
-    def reduce(self, x: int) -> int:
-        """Reduce ``x`` (``0 <= x < q**2``) modulo ``q``."""
-        q = self.modulus
-        estimate = (x * self.mu) >> self.shift
-        r = x - estimate * q
-        # The estimate underestimates the true quotient by at most one.
-        if r >= q:
-            r -= q
-        return r
-
-    def mul(self, a: int, b: int) -> int:
-        """Return ``(a * b) mod q`` via Barrett reduction of the product."""
-        return self.reduce(a * b)
-
-    def multiplication_count(self) -> dict:
-        """Return the wide/low multiplication counts of Table III."""
-        return {"wide": 2, "low": 1}
-
-
-# ---------------------------------------------------------------------------
-# Montgomery reduction (Table III)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MontgomeryReducer:
-    """Montgomery modular arithmetic with ``R = 2**64``.
-
-    Values are mapped into Montgomery form ``aR mod q`` with
-    :meth:`to_montgomery`; :meth:`mul` multiplies two Montgomery-form
-    values and returns a Montgomery-form result; :meth:`from_montgomery`
-    converts back.  This mirrors the Table III observation that Montgomery
-    multiplication matches Barrett's cost but requires operands in a
-    special encoding -- the reason FIDESlib prefers Barrett for general
-    use.
-    """
-
-    modulus: int
-    r_bits: int
-    r_mask: int
-    q_inv_neg: int
-    r2: int
-
-    @classmethod
-    def create(cls, modulus: int, r_bits: int = WORD_BITS) -> "MontgomeryReducer":
-        if modulus % 2 == 0:
-            raise ValueError("Montgomery reduction requires an odd modulus")
-        r = 1 << r_bits
-        q_inv = inv_mod(modulus, r)
-        q_inv_neg = (-q_inv) % r
-        r2 = (r * r) % modulus
-        return cls(
-            modulus=modulus,
-            r_bits=r_bits,
-            r_mask=r - 1,
-            q_inv_neg=q_inv_neg,
-            r2=r2,
-        )
-
-    def reduce(self, x: int) -> int:
-        """Montgomery-reduce ``x < q * R``: returns ``x * R^-1 mod q``."""
-        q = self.modulus
-        m = ((x & self.r_mask) * self.q_inv_neg) & self.r_mask
-        t = (x + m * q) >> self.r_bits
-        if t >= q:
-            t -= q
-        return t
-
-    def to_montgomery(self, a: int) -> int:
-        """Map ``a`` to Montgomery form ``a * R mod q``."""
-        return self.reduce(a * self.r2)
-
-    def from_montgomery(self, a_mont: int) -> int:
-        """Map a Montgomery-form value back to the canonical residue."""
-        return self.reduce(a_mont)
-
-    def mul(self, a_mont: int, b_mont: int) -> int:
-        """Multiply two Montgomery-form residues (result in Montgomery form)."""
-        return self.reduce(a_mont * b_mont)
-
-    def mul_plain(self, a: int, b: int) -> int:
-        """Multiply two canonical residues, handling the form conversions."""
-        return self.from_montgomery(
-            self.mul(self.to_montgomery(a), self.to_montgomery(b))
-        )
-
-    def multiplication_count(self) -> dict:
-        """Return the wide/low multiplication counts of Table III."""
-        return {"wide": 2, "low": 1}
-
-
-# ---------------------------------------------------------------------------
-# Shoup multiplication (Table III)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShoupMultiplier:
-    """Shoup modular multiplication by a fixed constant ``b``.
-
-    Precomputes ``b_shoup = floor(b * 2**64 / q)``.  Multiplying an
-    arbitrary residue ``a`` by the constant then costs one wide and two low
-    multiplications (Table III).  FIDESlib uses Shoup multiplication for
-    the NTT twiddle factors and other precomputed constants.
-    """
-
-    modulus: int
-    operand: int
-    precomputed: int
-    shift: int
-
-    @classmethod
-    def create(cls, operand: int, modulus: int, shift: int = WORD_BITS) -> "ShoupMultiplier":
-        if not 0 <= operand < modulus:
-            raise ValueError("Shoup operand must be a canonical residue")
-        precomputed = (operand << shift) // modulus
-        return cls(modulus=modulus, operand=operand, precomputed=precomputed, shift=shift)
-
-    def mul(self, a: int) -> int:
-        """Return ``(a * operand) mod q`` in ``[0, q)``."""
-        q = self.modulus
-        quotient = (a * self.precomputed) >> self.shift
-        r = (a * self.operand - quotient * q) % (1 << self.shift)
-        if r >= q:
-            r -= q
-        return r
-
-    def multiplication_count(self) -> dict:
-        """Return the wide/low multiplication counts of Table III."""
-        return {"wide": 1, "low": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +220,8 @@ def lift_residues(values, moduli_col: np.ndarray,
     ``|v| < 2**63`` and ``q < 2**62``; anything else -- a list holding an
     integer past int64, an object array, a modulus at or above 2**62 --
     is reduced as exact Python integers.  ``out`` (of the broadcast shape,
-    contiguous) receives the residues without a staging copy.
+    contiguous) receives the residues without a staging copy.  Floats are
+    a :class:`TypeError`: round them with :func:`rint_integers` first.
     """
     col = np.asarray(moduli_col)
     words = np.asarray(values)
@@ -435,8 +233,17 @@ def lift_residues(values, moduli_col: np.ndarray,
         # A floored remainder is non-negative: the same bits in either word.
         np.remainder(words, col, out=out.view(words.dtype))
         return out
-    exact = _to_object_ints(np.asarray(values, dtype=object)) % object_row(col)
-    return _into(coerce_stack(exact, col), out)
+    exact = np.asarray(values, dtype=object)
+    # NumPy reads a list of Python integers past int64 as float64 too; only
+    # the elements tell a float from such an integer.
+    if words.dtype.kind in "fc" and not all(
+        isinstance(v, (int, np.integer)) for v in exact.flat
+    ):
+        raise TypeError(
+            f"lift_residues takes integers, got {words.dtype}; round floats "
+            f"with rint_integers first"
+        )
+    return _into(coerce_stack(_to_object_ints(exact) % object_row(col), col), out)
 
 
 def as_residue_array(values, q: int) -> np.ndarray:
@@ -460,6 +267,24 @@ def rint_integers(values) -> np.ndarray:
 def stack_zeros(num_limbs: int, n: int, moduli_col: np.ndarray) -> np.ndarray:
     """Return an all-zero ``(num_limbs, n)`` stack in the column's dtype."""
     return np.zeros((num_limbs, n), dtype=moduli_col.dtype)
+
+
+def stack_take(a: np.ndarray, indices) -> np.ndarray:
+    """Copy the rows at ``indices`` into a fresh stack: one ``limb-copy`` launch.
+
+    Pure data movement (a deep copy, limb dropping on a fused batch); the
+    replay gathers the source rows in order.
+    """
+    indices = list(indices)
+    out = a[indices]  # fancy indexing already materializes a fresh array
+    if _DISPATCH.recording:
+        def replay(reads, writes):
+            gather_rows(reads, writes[0])
+        _DISPATCH.elementwise(
+            "limb-copy", reads=tuple(a[i : i + 1] for i in indices),
+            writes=(out,), ops_per_element=0.0, replay=replay,
+        )
+    return out
 
 
 def scalar_column(scalars, moduli_col: np.ndarray) -> np.ndarray:
@@ -1223,17 +1048,8 @@ def stack_switch_modulus_many(rows: np.ndarray, q_from: int,
 __all__ = [
     "FAST_MODULUS_LIMIT",
     "DWORD_MODULUS_LIMIT",
-    "WORD_BITS",
-    "BarrettReducer",
-    "MontgomeryReducer",
-    "ShoupMultiplier",
-    "add_mod",
-    "sub_mod",
-    "neg_mod",
-    "mul_mod",
     "pow_mod",
     "inv_mod",
-    "bit_length",
     "is_fast_modulus",
     "as_residue_array",
     "backend_for_moduli",
@@ -1249,6 +1065,7 @@ __all__ = [
     "lift_residues",
     "rint_integers",
     "stack_zeros",
+    "stack_take",
     "scalar_column",
     "STACK_SHOUP_SHIFT",
     "shoup_column",

@@ -22,7 +22,6 @@ from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.context import Context
 from repro.core import modmath
 from repro.core.limb import LimbFormat
-from repro.core.limb_stack import LimbStack
 from repro.core.rns_poly import RNSPoly
 
 #: The wire names of the two limb formats.
@@ -66,13 +65,13 @@ class RawPolynomial:
             )
         if not np.all((rows >= 0) & (rows < modmath.moduli_column(self.moduli))):
             raise ValueError("limbs: residue outside [0, q) for its modulus")
-        return RNSPoly.from_stack(LimbStack(self.moduli, rows), _FORMATS[self.fmt])
+        return RNSPoly(self.moduli, rows, _FORMATS[self.fmt])
 
     @classmethod
     def from_rns_poly(cls, poly: RNSPoly) -> "RawPolynomial":
         return cls(
             moduli=list(poly.moduli),
-            limbs=poly.stack.data.copy(),
+            limbs=poly.data.copy(),
             fmt="eval" if poly.fmt is LimbFormat.EVALUATION else "coeff",
         )
 

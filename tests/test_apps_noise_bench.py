@@ -291,13 +291,14 @@ class TestBenchReporting:
         # CipherVector -> Evaluator -> RNSPoly -> stack kernel.  The
         # evaluator is the functional backend ...
         import ast
+        import importlib.util
 
         import repro.core.dispatch
         from repro.api.backend import (
             BACKEND_OPERATIONS, CostModelBackend, EvaluationBackend,
         )
         from repro.ckks.evaluator import Evaluator
-        from repro.core.limb_stack import LimbStack
+        from repro.core.rns_poly import RNSPoly
 
         assert isinstance(session.evaluator, EvaluationBackend)
         assert session.backend is session.evaluator
@@ -339,11 +340,11 @@ class TestBenchReporting:
             "needs equally many ciphertexts and plaintexts",
         ):
             assert sum(text.count(phrase) for text in sources) == 1, phrase
-        # ... a LimbStack is storage, there is one replayer, and the two
-        # forwarding layers leave no name behind.
-        assert not set(vars(LimbStack)) & {
-            "add", "sub", "negate", "multiply", "multiply_scalars",
-            "add_scalars_broadcast",
+        # ... a polynomial is one object (no storage class beside it), there
+        # is one replayer, and the two forwarding layers leave no name behind.
+        assert importlib.util.find_spec("repro.core.limb_stack") is None
+        assert not set(vars(RNSPoly)) & {
+            "from_stack", "multiply_scalars", "add_scalars_broadcast",
         }
         assert not hasattr(repro.core.dispatch, "TraceProgram")
         assert_retired_everywhere(re.compile(

@@ -114,7 +114,7 @@ def eval_poly(n: int, chain: str, members: int) -> RNSPoly:
 
 
 def as_ints(poly: RNSPoly) -> list[list[int]]:
-    return [[int(v) for v in row] for row in poly.stack.data]
+    return [[int(v) for v in row] for row in poly.data]
 
 
 class TestEvaluationPermutation:
@@ -125,13 +125,13 @@ class TestEvaluationPermutation:
     def test_gather_equals_the_round_trip_oracle(self, n, chain, members, label):
         poly = eval_poly(n, chain, members)
         expected_dtype = np.object_ if chain == "object" else np.uint64
-        assert poly.stack.data.dtype == expected_dtype
+        assert poly.data.dtype == expected_dtype
         image = poly.automorphism(exponents(n)[label])
         assert image.fmt is LimbFormat.EVALUATION
         assert image.moduli == poly.moduli
-        assert image.stack.data.dtype == expected_dtype
+        assert image.data.dtype == expected_dtype
         oracle = oracle_case(n, chain)[2][label][: len(poly.moduli)]
-        assert np.array_equal(modmath.object_row(image.stack.data), oracle)
+        assert np.array_equal(modmath.object_row(image.data), oracle)
 
     @pytest.mark.parametrize("chain", list(CHAINS))
     @pytest.mark.parametrize("fmt", list(LimbFormat), ids=lambda f: f.name.lower())

@@ -29,8 +29,9 @@ from repro.ckks.keys import KeyGenerator
 from repro.ckks.params import CKKSParameters
 from repro.core.dispatch import get_dispatcher
 from repro.core.fusion import expand_stages, fuse_trace
-from repro.core.limb_stack import LimbStack
+from repro.core.limb import LimbFormat
 from repro.core.memory import MemoryPool
+from repro.core.rns_poly import RNSPoly
 from repro.gpu.platforms import GPU_RTX_4090
 from repro.perf.trace_model import TraceCostModel
 
@@ -65,8 +66,8 @@ def assert_members_identical(fused, sequential, *, scale=True, label=""):
     sequential = [getattr(ct, "handle", ct) for ct in sequential]
     assert len(members) == len(sequential), label
     for member, reference in zip(members, sequential):
-        assert np.array_equal(member.c0.stack.data, reference.c0.stack.data), label
-        assert np.array_equal(member.c1.stack.data, reference.c1.stack.data), label
+        assert np.array_equal(member.c0.data, reference.c0.data), label
+        assert np.array_equal(member.c1.data, reference.c1.data), label
         assert member.c0.moduli == reference.c0.moduli, label
         assert member.encoded_length == reference.encoded_length, label
         if scale:
@@ -190,10 +191,10 @@ class TestSingleSurfaceEquivalence:
         handles = result.values() if isinstance(result, dict) else [result]
         for handle in handles:
             for poly in (handle.c0, handle.c1):
-                data = poly.stack.data
+                data = poly.data
                 assert data.ndim == 2 and data.dtype == np.uint64, op
                 assert data.shape == (len(poly.moduli), poly.ring_degree), op
-                assert (data < poly.stack.moduli_col).all(), op
+                assert (data < poly.moduli_col).all(), op
 
 
 class TestBitIdenticalOutputs:
@@ -281,21 +282,21 @@ class TestBitIdenticalOutputs:
 
 
 class TestFuseSplit:
-    """LimbStack.fuse/split: zero-copy members, single pool charge."""
+    """RNSPoly.fuse_many/split: zero-copy members, single pool charge."""
 
     def test_fuse_charges_pool_once_and_split_is_free(self):
         pool = MemoryPool()
         stacks = [
-            LimbStack.from_rows(
-                [97, 193], [np.arange(8) % 97 + i, np.arange(8) % 193 + i],
-                pool=pool,
+            RNSPoly.from_limb_arrays(
+                8, [97, 193], [np.arange(8) % 97 + i, np.arange(8) % 193 + i],
+                LimbFormat.COEFFICIENT, pool=pool,
             )
             for i in range(3)
         ]
         allocations_before = pool.allocation_count
-        fused = LimbStack.fuse(stacks, pool=pool)
+        fused = RNSPoly.fuse_many([stacks], pool=pool)[0]
         assert pool.allocation_count == allocations_before + 1
-        assert fused.num_limbs == 6
+        assert fused.level_count == 6
         assert fused.footprint_bytes() == sum(s.footprint_bytes() for s in stacks)
         bytes_before = pool.bytes_in_use
         members = fused.split(3)
@@ -311,15 +312,20 @@ class TestFuseSplit:
 
     def test_split_view_sees_fused_writes(self):
         stacks = [
-            LimbStack.from_rows([97], [np.arange(8) % 97]) for _ in range(2)
+            RNSPoly.from_limb_arrays(8, [97], [np.arange(8) % 97],
+                                     LimbFormat.COEFFICIENT)
+            for _ in range(2)
         ]
-        fused = LimbStack.fuse(stacks)
+        fused = RNSPoly.fuse_many([stacks])[0]
         view = fused.split(2)[1]
         fused.data[1, 0] = 42
         assert int(view.data[0, 0]) == 42
 
     def test_split_rejects_uneven_partition(self):
-        fused = LimbStack.from_rows([97, 193, 389], [np.zeros(8)] * 3)
+        fused = RNSPoly.from_limb_arrays(
+            8, [97, 193, 389], [np.zeros(8, dtype=np.int64)] * 3,
+            LimbFormat.COEFFICIENT,
+        )
         with pytest.raises(ValueError, match="equal members"):
             fused.split(2)
 
@@ -331,10 +337,10 @@ class TestFuseSplit:
         members = batch.split()
         for member in members:
             assert member.batch_size == 1
-            assert member.c0.stack.data.base is batch.c0.stack.data
+            assert member.c0.data.base is batch.c0.data
         # Mutating the fused buffer is visible through the view.
-        batch.c0.stack.data[0, 0] += 0
-        assert np.array_equal(members[0].c0.stack.data, batch.c0.stack.data[: members[0].c0.level_count])
+        batch.c0.data[0, 0] += 0
+        assert np.array_equal(members[0].c0.data, batch.c0.data[: members[0].c0.level_count])
 
     def test_fusing_fused_ciphertexts_concatenates_members(self, cts_a, cts_b):
         nested = Ciphertext.fuse([Ciphertext.fuse(cts_a), cts_b[0]])
@@ -686,9 +692,7 @@ class TestFusedFootprintBudget:
     """Ciphertext.fuse refuses over-budget batches before copying."""
 
     def test_descriptive_error_names_shape_and_budget(self, context):
-        from repro.core.limb import LimbFormat
         from repro.core.memory import FusedFootprintError, OutOfDeviceMemory
-        from repro.core.rns_poly import RNSPoly
 
         n = context.ring_degree
         moduli = context.moduli[:2]
@@ -697,9 +701,7 @@ class TestFusedFootprintBudget:
 
         def make_ct():
             return_polys = [
-                RNSPoly.from_stack(
-                    LimbStack.zeros(n, moduli, pool=pool), LimbFormat.EVALUATION
-                )
+                RNSPoly.zeros(n, moduli, fmt=LimbFormat.EVALUATION, pool=pool)
                 for _ in range(2)
             ]
             return Ciphertext(return_polys[0], return_polys[1], 2.0**28, n // 2)

@@ -136,10 +136,10 @@ class TestRecording:
         with traced_session.trace():
             traced = (ct_a * ct_b).handle
         np.testing.assert_array_equal(
-            np.asarray(plain.c0.stack.data), np.asarray(traced.c0.stack.data)
+            np.asarray(plain.c0.data), np.asarray(traced.c0.data)
         )
         np.testing.assert_array_equal(
-            np.asarray(plain.c1.stack.data), np.asarray(traced.c1.stack.data)
+            np.asarray(plain.c1.data), np.asarray(traced.c1.data)
         )
         assert plain.scale == traced.scale
 

@@ -259,7 +259,7 @@ class TestOperandsAreImmutable:
 
     @staticmethod
     def _bits(ct):
-        return ct.c0.stack.data.copy(), ct.c1.stack.data.copy()
+        return ct.c0.data.copy(), ct.c1.data.copy()
 
     def test_shared_component_survives_later_operations(self, evaluator, ciphertexts):
         x = ciphertexts[0]
@@ -267,27 +267,27 @@ class TestOperandsAreImmutable:
         y = evaluator.add_scalar(x, 1.0)
         # ScalarAdd touches c0 only: c1 is the operand's, not a copy of it.
         assert y.c1 is x.c1
-        assert np.shares_memory(x.c1.stack.data, y.c1.stack.data)
-        assert not np.shares_memory(x.c0.stack.data, y.c0.stack.data)
+        assert np.shares_memory(x.c1.data, y.c1.data)
+        assert not np.shares_memory(x.c0.data, y.c0.data)
         shared = self._bits(y)
         z = evaluator.multiply(y, y)
         evaluator.rotate(y, 1), evaluator.negate(y), evaluator.adjust(z, z.level - 1)
         for ct, bits in ((x, before), (y, shared)):
             for component, saved in zip((ct.c0, ct.c1), bits):
-                np.testing.assert_array_equal(component.stack.data, saved)
+                np.testing.assert_array_equal(component.data, saved)
 
     def test_plain_operands_are_read_in_place(self, evaluator, context, ciphertexts, messages):
         from repro.ckks.encryption import encode
         x = ciphertexts[0]
         pt = encode(context, messages[1], scale=x.scale)
-        saved = pt.poly.stack.data.copy()
+        saved = pt.poly.data.copy()
         assert evaluator._plain_operand(x, pt) is pt.poly  # same basis, evaluation
         assert evaluator.add_plain(x, pt).c1 is x.c1
         lower = evaluator.mod_reduce(x, x.limb_count - 1)
         windowed = evaluator._plain_operand(lower, pt)
-        assert np.shares_memory(windowed.stack.data, pt.poly.stack.data)
+        assert np.shares_memory(windowed.data, pt.poly.data)
         evaluator.multiply_plain(lower, pt)
-        np.testing.assert_array_equal(pt.poly.stack.data, saved)
+        np.testing.assert_array_equal(pt.poly.data, saved)
 
     def test_no_ops_return_a_new_handle_over_the_same_polynomials(self, evaluator, ciphertexts):
         x = ciphertexts[0]

@@ -49,8 +49,8 @@ SQUARE_PROGRAM = OpProgram("square-shift", lambda x: (x * x) + 0.5)
 
 
 def bitwise_equal(a: CipherVector, b: CipherVector) -> bool:
-    return np.array_equal(a.handle.c0.stack.data, b.handle.c0.stack.data) and \
-        np.array_equal(a.handle.c1.stack.data, b.handle.c1.stack.data)
+    return np.array_equal(a.handle.c0.data, b.handle.c0.data) and \
+        np.array_equal(a.handle.c1.data, b.handle.c1.data)
 
 
 def fresh_vector(session, rng) -> CipherVector:

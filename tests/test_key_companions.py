@@ -24,7 +24,6 @@ from repro.core import modmath
 from repro.core.dispatch import get_dispatcher
 from repro.core.fusion import TraceProgram, expand_stages, fuse_trace
 from repro.core.limb import LimbFormat
-from repro.core.limb_stack import LimbStack
 from repro.core.memory import MemoryPool
 from repro.core.rns_poly import RNSPoly
 
@@ -48,7 +47,7 @@ def _on_pool(key: KeySwitchingKey, pool: MemoryPool) -> KeySwitchingKey:
     """The same key digits, charged to ``pool``."""
     return KeySwitchingKey(digits=[
         tuple(
-            RNSPoly.from_stack(LimbStack(p.moduli, p.stack.data, pool=pool), p.fmt)
+            RNSPoly(p.moduli, p.data, p.fmt, pool=pool)
             for p in digit
         )
         for digit in key.digits
@@ -78,7 +77,7 @@ class TestLifecycle:
         key = _on_pool(keys.relinearization_key, pool)
         before, allocations = pool.bytes_in_use, pool.allocation_count
         first = key.companions(0)
-        key_bytes = sum(p.stack.footprint_bytes() for d in key.digits for p in d)
+        key_bytes = sum(p.footprint_bytes() for d in key.digits for p in d)
         # One charge per digit polynomial, 8 B per residue: the key's size.
         assert pool.bytes_in_use - before == key_bytes
         assert pool.allocation_count - allocations == 2 * key.dnum
@@ -87,7 +86,7 @@ class TestLifecycle:
         key.companions(1)
         assert pool.bytes_in_use - before == key_bytes
         # Each is floor(k * 2**64 / q) of its key stack.
-        b0 = key.digits[0][0].stack
+        b0 = key.digits[0][0]
         for row, q, companion in zip(b0.data, b0.moduli, first[0]):
             assert [int(c) for c in companion] == [(int(k) << 64) // q for k in row]
         # Released with the key.
@@ -107,7 +106,7 @@ class TestLifecycle:
         monkeypatch.setattr(modmath, "dword_shoup_column", refuse)
         second = key_switch(context, poly, key)
         for a, b in zip(first, second):
-            assert a.stack.data.tolist() == b.stack.data.tolist()
+            assert a.data.tolist() == b.data.tolist()
 
     @pytest.mark.parametrize(
         "params, backend",
@@ -173,7 +172,7 @@ class TestBitIdentity:
             poly = _random_eval_poly(context, limb_count, seed=limb_count)
             for shoup, barrett in zip(key_switch(context, poly, key),
                                       key_switch(context, poly, bare)):
-                assert shoup.stack.data.tolist() == barrett.stack.data.tolist()
+                assert shoup.data.tolist() == barrett.data.tolist()
         assert key._companions is not None and bare.companions(0) is None
 
     @pytest.fixture(scope="class")

@@ -9,7 +9,6 @@ from repro.core.automorphism import (
     rotation_to_exponent,
 )
 from repro.core.limb import LimbFormat
-from repro.core.limb_stack import LimbStack
 from repro.core.memory import MemoryPool, OutOfDeviceMemory
 from repro.core.primes import generate_ntt_primes
 from repro.core.rns_poly import RNSPoly
@@ -61,8 +60,8 @@ class TestMemoryPool:
 
     def test_double_release_credits_once(self):
         pool = MemoryPool()
-        resident = LimbStack.zeros(N, PRIMES, pool=pool)
-        stack = LimbStack.zeros(N, PRIMES, pool=pool)
+        resident = RNSPoly.zeros(N, PRIMES, pool=pool)
+        stack = RNSPoly.zeros(N, PRIMES, pool=pool)
         assert pool.bytes_in_use == 2 * resident.footprint_bytes()
         stack.release()
         stack.release()
@@ -91,7 +90,7 @@ class TestLimb:
         assert limb_values(a.add(b).sub(b)) == limb_values(a)
 
     def test_multiply_requires_eval_format(self):
-        a = RNSPoly(N, PRIMES[:1])
+        a = RNSPoly.zeros(N, PRIMES[:1])
         with pytest.raises(ValueError):
             a.multiply(a)
 
@@ -109,8 +108,8 @@ class TestLimb:
         assert limb_values(via_coeff) == limb_values(via_eval)
 
     def test_incompatible_moduli_rejected(self):
-        a = RNSPoly(N, PRIMES[:1])
-        b = RNSPoly(N, PRIMES[1:2])
+        a = RNSPoly.zeros(N, PRIMES[:1])
+        b = RNSPoly.zeros(N, PRIMES[1:2])
         with pytest.raises(ValueError):
             a.add(b)
 
@@ -195,10 +194,10 @@ class TestRNSPoly:
 
     def test_select_limbs(self):
         poly, _ = random_poly(13)
-        selected = poly.stack.take([0, 2])
+        selected = poly.take([0, 2])
         assert list(selected.moduli) == [PRIMES[0], PRIMES[2]]
-        np.testing.assert_array_equal(selected.data, poly.stack.data[[0, 2]])
-        assert not np.shares_memory(selected.data, poly.stack.data)
+        np.testing.assert_array_equal(selected.data, poly.data[[0, 2]])
+        assert not np.shares_memory(selected.data, poly.data)
 
     def test_rescale_divides_by_last_prime(self):
         q_last = PRIMES[-1]

@@ -1,6 +1,8 @@
 """Tests for the flat limb-stack data plane and its pool accounting.
 
-Covers the §III-D flattened allocation (one array, one pool charge),
+A polynomial is one object: an ``RNSPoly`` holds its flat ``(L, N)``
+residue array and that array's pool charge.  Covers the §III-D flattened
+allocation (one array, one pool charge),
 zero-copy limb rows, exact internal fragmentation, the batched modmath
 kernels against Python-integer arithmetic, and the stacked NTT against the
 exact-integer oracle.
@@ -16,7 +18,6 @@ import pytest
 from repro.bench.reporting import BenchmarkTable
 from repro.core import modmath
 from repro.core.limb import LimbFormat
-from repro.core.limb_stack import LimbStack
 from repro.core.memory import (
     FusedFootprintError,
     MemoryPool,
@@ -36,7 +37,7 @@ HUGE_PRIMES = generate_ntt_primes(2, 63, N)  # exact (object) backend
 def random_stack(moduli, seed=0):
     rng = np.random.default_rng(seed)
     rows = [rng.integers(0, q, N) for q in moduli]
-    return LimbStack.from_rows(moduli, rows)
+    return RNSPoly.from_limb_arrays(N, moduli, rows, LimbFormat.COEFFICIENT)
 
 
 class TestBatchedKernels:
@@ -145,15 +146,15 @@ def _random_poly(seed):
     return RNSPoly.from_int_coefficients(N, PRIMES, coeffs), coeffs
 
 
-class TestLimbStackStorage:
+class TestRNSPolyStorage:
     def test_limb_views_are_zero_copy(self):
         poly, _ = _random_poly(7)
         allocations = default_pool.allocation_count
         rows = poly.limb_arrays()
         assert len(rows) == len(PRIMES)
         for i, row in enumerate(rows):
-            assert np.shares_memory(row, poly.stack.data)
-            assert row.tolist() == poly.stack.data[i].tolist()
+            assert np.shares_memory(row, poly.data)
+            assert row.tolist() == poly.data[i].tolist()
         assert default_pool.allocation_count == allocations  # rows charge nothing
 
     @pytest.mark.parametrize(
@@ -164,7 +165,7 @@ class TestLimbStackStorage:
         poly = RNSPoly.from_int_coefficients(
             N, moduli, [int(v) for v in rng.integers(-50, 50, N)]
         )
-        data = poly.stack.data
+        data = poly.data
         for i, row in enumerate(poly.limb_arrays()):
             assert np.shares_memory(row, data)
             row[0] = np.uint64(moduli[i] - 1)  # wider than 32 bits on dword
@@ -195,14 +196,14 @@ class TestLimbStackStorage:
             coeff.add(evald)
 
 
-class TestPoolAccountingUnderLimbStack:
-    """A ``LimbStack`` is one array and one pool charge (§III-D)."""
+class TestPoolAccountingUnderRNSPoly:
+    """An ``RNSPoly`` is one array and one pool charge (§III-D)."""
 
     def test_flat_footprint_rounds_once(self):
         # A limb size that granularity rounding actually penalizes.
         ring_degree = 72  # 576 bytes/limb: per-limb buffers would round to 3 x 1024
         pool = MemoryPool(granularity=1024)
-        flat = LimbStack.zeros(ring_degree, PRIMES, pool=pool)
+        flat = RNSPoly.zeros(ring_degree, PRIMES, pool=pool)
         # The flat 1728-byte buffer rounds once (2048).
         assert flat.footprint_bytes() == 1728
         assert pool.bytes_in_use == 2048
@@ -221,10 +222,10 @@ class TestPoolAccountingUnderLimbStack:
 
     def test_release_is_leak_free(self):
         pool = MemoryPool()
-        stack = LimbStack.zeros(N, PRIMES, pool=pool)
+        stack = RNSPoly.zeros(N, PRIMES, pool=pool)
         charged = pool.bytes_in_use
         assert charged == stack.footprint_bytes()  # one flat allocation
-        rows = RNSPoly.from_stack(stack, LimbFormat.COEFFICIENT).limb_arrays()
+        rows = stack.limb_arrays()
         assert pool.bytes_in_use == charged  # row views charge nothing
         del rows
         assert pool.bytes_in_use == charged  # dropping views frees nothing
@@ -234,7 +235,7 @@ class TestPoolAccountingUnderLimbStack:
 
     def test_garbage_collected_stack_is_credited(self):
         pool = MemoryPool()
-        stack = LimbStack.zeros(N, PRIMES, pool=pool)
+        stack = RNSPoly.zeros(N, PRIMES, pool=pool)
         assert pool.bytes_in_use == stack.footprint_bytes()
         del stack
         gc.collect()
@@ -243,9 +244,9 @@ class TestPoolAccountingUnderLimbStack:
     def test_split_view_pins_its_owner_charge(self):
         # A served fused drain: the split responses outlive the fused result.
         pool = MemoryPool()
-        a = LimbStack.zeros(N, PRIMES, pool=pool)
-        b = LimbStack.zeros(N, PRIMES, pool=pool)
-        fused = LimbStack.fuse([a, b])
+        a = RNSPoly.zeros(N, PRIMES, pool=pool)
+        b = RNSPoly.zeros(N, PRIMES, pool=pool)
+        fused = RNSPoly.fuse_many([[a, b]])[0]
         fused_bytes = fused.footprint_bytes()
         members = fused.split(2)
         del a, b
@@ -264,17 +265,18 @@ class TestPoolAccountingUnderLimbStack:
         # Dropping limbs: no copy, no charge, and the owner stays charged
         # for as long as a window (or a window of a window) is alive.
         pool = MemoryPool()
-        stack = LimbStack.from_rows(
-            PRIMES, [np.arange(N) % q for q in PRIMES], pool=pool
+        stack = RNSPoly.from_limb_arrays(
+            N, PRIMES, [np.arange(N) % q for q in PRIMES], LimbFormat.COEFFICIENT,
+            pool=pool,
         )
         charged, allocations = pool.bytes_in_use, pool.allocation_count
-        head = stack.head(2)
-        assert head.moduli == stack.moduli[:2] and head.num_limbs == 2
+        head = stack.keep_limbs(2)
+        assert head.moduli == stack.moduli[:2] and head.level_count == 2
         assert np.shares_memory(head.data, stack.data)
         np.testing.assert_array_equal(head.data, stack.data[:2])
         assert head.moduli_col.shape == (2, 1)
         assert (pool.bytes_in_use, pool.allocation_count) == (charged, allocations)
-        inner = head.head(1)
+        inner = head.keep_limbs(1)
         assert np.shares_memory(inner.data, stack.data)
         del stack, head
         gc.collect()
@@ -285,20 +287,18 @@ class TestPoolAccountingUnderLimbStack:
 
     def test_keeping_limbs_of_a_polynomial_shares_its_storage(self):
         pool = MemoryPool()
-        poly = RNSPoly.from_stack(
-            LimbStack.zeros(N, PRIMES, pool=pool), LimbFormat.EVALUATION
-        )
+        poly = RNSPoly.zeros(N, PRIMES, fmt=LimbFormat.EVALUATION, pool=pool)
         assert poly.keep_limbs(len(PRIMES)) is poly
         kept = poly.keep_limbs(2)
         assert kept.moduli == list(PRIMES[:2]) and kept.fmt is poly.fmt
-        assert np.shares_memory(kept.stack.data, poly.stack.data)
+        assert np.shares_memory(kept.data, poly.data)
         assert pool.allocation_count == 1
 
     def test_explicit_owner_release_credits_at_once(self):
         pool = MemoryPool()
-        fused = LimbStack.fuse(
-            [LimbStack.zeros(N, PRIMES[:1], pool=pool) for _ in range(2)]
-        )
+        fused = RNSPoly.fuse_many(
+            [[RNSPoly.zeros(N, PRIMES[:1], pool=pool) for _ in range(2)]]
+        )[0]
         members = fused.split(2)
         fused.release()
         assert pool.bytes_in_use == 0
@@ -308,17 +308,17 @@ class TestPoolAccountingUnderLimbStack:
 
     def test_out_of_device_memory_on_capacity_bound_pool(self):
         pool = MemoryPool(capacity_bytes=2 * N * 8)
-        resident = LimbStack.zeros(N, PRIMES[:2], pool=pool)  # fills the device
+        resident = RNSPoly.zeros(N, PRIMES[:2], pool=pool)  # fills the device
         with pytest.raises(OutOfDeviceMemory):
-            LimbStack.zeros(N, PRIMES[2:], pool=pool)
+            RNSPoly.zeros(N, PRIMES[2:], pool=pool)
         resident.release()
-        extra = LimbStack.zeros(N, PRIMES[2:], pool=pool)  # fits after release
+        extra = RNSPoly.zeros(N, PRIMES[2:], pool=pool)  # fits after release
         assert extra.footprint_bytes() == N * 8
 
     @pytest.mark.parametrize("failure", ["shape", "capacity", "hook"])
     def test_failed_construction_charges_nothing(self, failure, monkeypatch):
         pool = MemoryPool(capacity_bytes=2 * N * 8)
-        resident = LimbStack.zeros(N, PRIMES[:1], pool=pool)
+        resident = RNSPoly.zeros(N, PRIMES[:1], pool=pool)
         before = (pool.bytes_in_use, pool.allocation_count)
         moduli, data, error = PRIMES[1:2], np.zeros((1, N), np.uint64), OutOfDeviceMemory
         if failure == "shape":
@@ -333,7 +333,7 @@ class TestPoolAccountingUnderLimbStack:
         unraisable = []
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
         with pytest.raises(error):
-            LimbStack(moduli, data, pool=pool)
+            RNSPoly(moduli, data, LimbFormat.COEFFICIENT, pool=pool)
         gc.collect()  # finalize the half-built stack
         assert (pool.bytes_in_use, pool.allocation_count) == before
         assert not unraisable  # __del__ of the half-built stack stayed silent
@@ -343,12 +343,12 @@ class TestPoolAccountingUnderLimbStack:
         # Room for the two members but not for the fused (B*L, N) buffer.
         pool = MemoryPool(capacity_bytes=3 * N * 8, granularity=1)
         stacks = [
-            LimbStack.zeros(N, PRIMES[:1], pool=pool),
-            LimbStack.zeros(N, PRIMES[1:2], pool=pool),
+            RNSPoly.zeros(N, PRIMES[:1], pool=pool),
+            RNSPoly.zeros(N, PRIMES[1:2], pool=pool),
         ]
         allocations_before = pool.allocation_count
         with pytest.raises(FusedFootprintError) as info:
-            LimbStack.fuse(stacks, pool=pool)
+            RNSPoly.fuse_many([stacks], pool=pool)[0]
         message = str(info.value)
         assert "B=2" in message and "L=1" in message and f"N={N}" in message
         assert str(pool.capacity_bytes) in message
@@ -360,34 +360,54 @@ class TestPoolAccountingUnderLimbStack:
     def test_fuse_fits_exactly_at_the_budget(self):
         pool = MemoryPool(capacity_bytes=4 * N * 8, granularity=1)
         stacks = [
-            LimbStack.zeros(N, PRIMES[:1], pool=pool),
-            LimbStack.zeros(N, PRIMES[1:2], pool=pool),
+            RNSPoly.zeros(N, PRIMES[:1], pool=pool),
+            RNSPoly.zeros(N, PRIMES[1:2], pool=pool),
         ]
-        fused = LimbStack.fuse(stacks, pool=pool)  # 2 + 2 rows == capacity
-        assert fused.num_limbs == 2
+        fused = RNSPoly.fuse_many([stacks], pool=pool)[0]  # 2 + 2 rows == capacity
+        assert fused.level_count == 2
 
     def test_poly_copy_stays_pool_charged(self):
         # Limbs are rows, so they are copied with their polynomial: the
         # copy's rows window a fresh array charged to the same pool.
         pool = MemoryPool()
-        poly = RNSPoly(N, PRIMES, pool=pool)
+        poly = RNSPoly.zeros(N, PRIMES, pool=pool)
         baseline = pool.bytes_in_use
         clone = poly.copy()
-        assert clone.stack.pool is pool
+        assert clone.pool is pool
         for row, original in zip(clone.limb_arrays(), poly.limb_arrays()):
             assert not np.shares_memory(row, original)
         assert pool.bytes_in_use == 2 * baseline
-        clone.stack.release()
+        clone.release()
         assert pool.bytes_in_use == baseline
 
-    def test_limb_stack_copy_stays_pool_charged(self):
+    def test_zeros_copy_stays_pool_charged(self):
         pool = MemoryPool()
-        stack = LimbStack.zeros(N, PRIMES, pool=pool)
+        stack = RNSPoly.zeros(N, PRIMES, pool=pool)
         baseline = pool.bytes_in_use
         clone = stack.copy()
         assert pool.bytes_in_use == 2 * baseline
         clone.release()
         assert pool.bytes_in_use == baseline
+
+
+_P = PRIMES[:2]
+
+
+@pytest.mark.parametrize("build, dtype", [
+    (lambda: RNSPoly(_P, np.full((2, 16), 3.99), LimbFormat.COEFFICIENT), "float64"),
+    (lambda: RNSPoly(_P, np.full((2, 16), -1), LimbFormat.COEFFICIENT), "int64"),
+    (lambda: RNSPoly.from_limb_arrays(16, _P, [np.full(16, 1.5)] * 2,
+                                      LimbFormat.COEFFICIENT), "float64"),
+    (lambda: RNSPoly.from_int_coefficients(16, _P, np.full(16, 2.9)), "float64"),
+    (lambda: modmath.lift_residues(np.full(16, 1 + 1j), modmath.moduli_column(_P)),
+     "complex128"),
+], ids=["float-stack", "negative-int64-stack", "float-rows", "float-coefficients",
+        "complex-lift"])
+def test_storage_refuses_what_is_not_residues(build, dtype):
+    """Residues are uint64 words or Python integers: a float is not truncated
+    into one, and a negative machine integer is not stored as it is."""
+    with pytest.raises(TypeError, match=f"got {dtype}"):
+        build()
 
 
 def test_default_pool_accounting_is_the_parents():
@@ -490,8 +510,8 @@ class TestDwordEndToEnd:
         assert context.numeric_backend == modmath.BACKEND_DWORD
         # The hot path ran on one uint64 word per residue, not Python integers.
         for poly in (fast.c0, fast.c1):
-            assert poly.stack.data.ndim == 2
-            assert poly.stack.data.dtype == np.uint64
+            assert poly.data.ndim == 2
+            assert poly.data.dtype == np.uint64
         # Re-run the identical computation on the exact object oracle by
         # forcing every modulus above 2**31 off the dword backend.
         monkeypatch.setattr(
@@ -502,13 +522,13 @@ class TestDwordEndToEnd:
             with pytest.warns(RuntimeWarning, match="object backend"):
                 oracle_context, exact = self._run_hmult_rescale()
             assert oracle_context.numeric_backend == modmath.BACKEND_OBJECT
-            assert exact.c0.stack.data.dtype == np.object_
+            assert exact.c0.data.dtype == np.object_
             assert fast.scale == exact.scale
             for fast_poly, exact_poly in (
                 (fast.c0, exact.c0), (fast.c1, exact.c1)
             ):
-                assert fast_poly.stack.data.tolist() == [
-                    [int(x) for x in row] for row in exact_poly.stack.data
+                assert fast_poly.data.tolist() == [
+                    [int(x) for x in row] for row in exact_poly.data
                 ]
         finally:
             monkeypatch.undo()
@@ -552,8 +572,8 @@ class TestDwordEndToEnd:
                 for fast_poly, exact_poly in (
                     (fast_ct.c0, exact_ct.c0), (fast_ct.c1, exact_ct.c1)
                 ):
-                    assert fast_poly.stack.data.dtype == np.uint64
-                    assert exact_poly.stack.data.dtype == np.object_
+                    assert fast_poly.data.dtype == np.uint64
+                    assert exact_poly.data.dtype == np.object_
                     assert [row.tolist() for row in fast_poly.limb_arrays()] == [
                         [int(x) for x in row] for row in exact_poly.limb_arrays()
                     ]

@@ -1,4 +1,5 @@
-"""Unit and property tests for the modular-arithmetic primitives (Table III)."""
+"""Unit and property tests for the modular-arithmetic primitives: the
+scalar helpers and the batched ``stack_*`` kernels (Table III reductions)."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ PRIMES = {
     "small": generate_ntt_primes(1, 20, 64)[0],
     "fast": generate_ntt_primes(1, 30, 1024)[0],
     "word": generate_ntt_primes(1, 59, 1024)[0],
+    "exact": generate_ntt_primes(1, 63, 64)[0],
 }
 
 
@@ -21,25 +23,6 @@ def modulus(request):
 
 
 class TestScalarHelpers:
-    def test_add_mod_wraps(self, modulus):
-        assert modmath.add_mod(modulus - 1, 1, modulus) == 0
-
-    def test_add_mod_no_wrap(self, modulus):
-        assert modmath.add_mod(2, 3, modulus) == 5
-
-    def test_sub_mod_wraps(self, modulus):
-        assert modmath.sub_mod(0, 1, modulus) == modulus - 1
-
-    def test_neg_mod_zero(self, modulus):
-        assert modmath.neg_mod(0, modulus) == 0
-
-    def test_neg_mod_inverse(self, modulus):
-        assert modmath.add_mod(5 % modulus, modmath.neg_mod(5 % modulus, modulus), modulus) == 0
-
-    def test_mul_mod_matches_python(self, modulus):
-        a, b = modulus - 3, modulus - 7
-        assert modmath.mul_mod(a, b, modulus) == (a * b) % modulus
-
     def test_inv_mod(self, modulus):
         for value in (2, 3, 12345 % modulus):
             inv = modmath.inv_mod(value, modulus)
@@ -47,65 +30,6 @@ class TestScalarHelpers:
 
     def test_pow_mod_fermat(self, modulus):
         assert modmath.pow_mod(7, modulus - 1, modulus) == 1
-
-
-class TestBarrett:
-    def test_reduce_matches_modulo(self, modulus):
-        reducer = modmath.BarrettReducer.create(modulus)
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            x = int(rng.integers(0, modulus)) * int(rng.integers(0, modulus))
-            assert reducer.reduce(x) == x % modulus
-
-    def test_mul(self, modulus):
-        reducer = modmath.BarrettReducer.create(modulus)
-        assert reducer.mul(modulus - 1, modulus - 1) == ((modulus - 1) ** 2) % modulus
-
-    def test_rejects_tiny_modulus(self):
-        with pytest.raises(ValueError):
-            modmath.BarrettReducer.create(1)
-
-    def test_multiplication_count_matches_table_iii(self):
-        counts = modmath.BarrettReducer.create(97).multiplication_count()
-        assert counts == {"wide": 2, "low": 1}
-
-
-class TestMontgomery:
-    def test_roundtrip(self, modulus):
-        reducer = modmath.MontgomeryReducer.create(modulus)
-        for value in (0, 1, 12345 % modulus, modulus - 1):
-            assert reducer.from_montgomery(reducer.to_montgomery(value)) == value
-
-    def test_mul_plain(self, modulus):
-        reducer = modmath.MontgomeryReducer.create(modulus)
-        a, b = 987654321 % modulus, 123456789 % modulus
-        assert reducer.mul_plain(a, b) == (a * b) % modulus
-
-    def test_requires_odd_modulus(self):
-        with pytest.raises(ValueError):
-            modmath.MontgomeryReducer.create(2**20)
-
-    def test_multiplication_count_matches_table_iii(self):
-        counts = modmath.MontgomeryReducer.create(97).multiplication_count()
-        assert counts == {"wide": 2, "low": 1}
-
-
-class TestShoup:
-    def test_matches_modmul(self, modulus):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            operand = int(rng.integers(0, modulus))
-            multiplier = modmath.ShoupMultiplier.create(operand, modulus)
-            a = int(rng.integers(0, modulus))
-            assert multiplier.mul(a) == (a * operand) % modulus
-
-    def test_rejects_out_of_range_operand(self, modulus):
-        with pytest.raises(ValueError):
-            modmath.ShoupMultiplier.create(modulus, modulus)
-
-    def test_multiplication_count_matches_table_iii(self):
-        counts = modmath.ShoupMultiplier.create(5, 97).multiplication_count()
-        assert counts == {"wide": 1, "low": 2}
 
 
 def one_row(values, q):
@@ -196,21 +120,128 @@ class TestVectorised:
         assert row_values(z) == [0] * 16
 
 
+class TestStackEdgeCases:
+    """Wrap-around edges and Table III reductions on a one-row stack, for
+    every backend the ``modulus`` fixture selects (``small``/``fast``:
+    uint64, ``word``: dword, ``exact``: object)."""
+
+    @staticmethod
+    def _apply(kernel, q, *operands):
+        col = modmath.moduli_column([q])
+        rows = [one_row(list(values), q)[0] for values in operands]
+        return row_values(kernel(*rows, col))
+
+    def test_backend_of_each_modulus(self, modulus):
+        expected = {
+            PRIMES["small"]: modmath.BACKEND_UINT64,
+            PRIMES["fast"]: modmath.BACKEND_UINT64,
+            PRIMES["word"]: modmath.BACKEND_DWORD,
+            PRIMES["exact"]: modmath.BACKEND_OBJECT,
+        }[modulus]
+        assert modmath.stack_backend(modmath.moduli_column([modulus])) == expected
+
+    def test_add_wraps(self, modulus):
+        q = modulus
+        assert self._apply(modmath.stack_add_mod, q, [q - 1, q - 1], [1, q - 1]) == [
+            0, q - 2]
+
+    def test_add_no_wrap(self, modulus):
+        assert self._apply(modmath.stack_add_mod, modulus, [2, 0], [3, 0]) == [5, 0]
+
+    def test_sub_wraps(self, modulus):
+        q = modulus
+        assert self._apply(modmath.stack_sub_mod, q, [0, 0], [1, q - 1]) == [q - 1, 1]
+
+    def test_neg_zero(self, modulus):
+        assert self._apply(modmath.stack_neg_mod, modulus, [0, 0]) == [0, 0]
+
+    def test_neg_inverse(self, modulus):
+        q = modulus
+        values = [1, 5, q // 2, q - 1]
+        col = modmath.moduli_column([q])
+        row = one_row(values, q)[0]
+        total = modmath.stack_add_mod(row, modmath.stack_neg_mod(row, col), col)
+        assert row_values(total) == [0] * len(values)
+
+    def test_mul_matches_python(self, modulus):
+        q = modulus
+        a, b = q - 3, q - 7
+        assert self._apply(modmath.stack_mul_mod, q, [a], [b]) == [(a * b) % q]
+
+    def test_mul_of_largest_residues(self, modulus):
+        q = modulus
+        assert self._apply(modmath.stack_mul_mod, q, [q - 1], [q - 1]) == [1]
+
+    def test_mul_reduces_random_products(self, modulus):
+        q = modulus
+        rng = np.random.default_rng(0)
+        a = [int(rng.integers(0, min(q, 1 << 62))) % q for _ in range(200)]
+        b = [int(rng.integers(0, min(q, 1 << 62))) % q for _ in range(200)]
+        a[:2], b[:2] = [q - 1, 0], [q - 1, q - 1]
+        assert self._apply(modmath.stack_mul_mod, q, a, b) == [
+            (x * y) % q for x, y in zip(a, b)]
+
+    def test_constant_multiply_matches_mul(self, modulus):
+        q = modulus
+        rng = np.random.default_rng(1)
+        values = [0, 1, q - 1] + [int(rng.integers(0, min(q, 1 << 62))) for _ in range(29)]
+        row, col = one_row(values, q)
+        for constant in [0, 1, q - 1] + [int(rng.integers(0, min(q, 1 << 62))) for _ in range(12)]:
+            out = modmath.stack_scalar_mod(row, [constant], col)
+            assert row_values(out) == [(v * constant) % q for v in values]
+
+    def test_dot_matches_sum_of_products(self, modulus):
+        q = modulus
+        rng = np.random.default_rng(2)
+        col = modmath.moduli_column([q])
+        values = [
+            ([int(rng.integers(0, min(q, 1 << 62))) for _ in range(16)],
+             [q - 1] * 8 + [int(rng.integers(0, min(q, 1 << 62))) for _ in range(8)])
+            for _ in range(6)
+        ]
+        pairs = [(one_row(x, q)[0], one_row(y, q)[0]) for x, y in values]
+        expected = [sum(x[j] * y[j] for x, y in values) % q for j in range(16)]
+        assert row_values(modmath.stack_dot_mod(pairs, col)) == expected
+
+
+@pytest.mark.parametrize("name", ["small", "fast", "word"])
+def test_lazy_shoup_stays_in_its_bound(name):
+    """A word-backend Shoup product is congruent and below 2q (uint64) or 4q (dword)."""
+    q = PRIMES[name]
+    col = modmath.moduli_column([q])
+    dword = modmath.stack_is_dword(col)
+    rng = np.random.default_rng(3)
+    values = [0, 1, q - 1] + [int(rng.integers(0, q)) for _ in range(61)]
+    row = one_row(values, q)[0]
+    for w in (1, q - 1, int(rng.integers(0, q))):
+        constant = modmath.scalar_column([w], col)
+        companion = (modmath.dword_shoup_column(constant, col) if dword
+                     else modmath.shoup_column(constant, col))
+        lazy = modmath.stack_shoup_mul(row, constant, companion, col, lazy=True)
+        bound = (4 if dword else 2) * q
+        assert all(int(x) < bound and int(x) % q == v * w % q
+                   for x, v in zip(lazy[0], values))
+
+
 @given(a=st.integers(min_value=0, max_value=2**59), b=st.integers(min_value=0, max_value=2**59))
 @settings(max_examples=200, deadline=None)
-def test_barrett_reduce_property(a, b):
+def test_dword_barrett_mul_property(a, b):
     q = PRIMES["word"]
-    reducer = modmath.BarrettReducer.create(q)
-    assert reducer.mul(a % q, b % q) == ((a % q) * (b % q)) % q
+    col = modmath.moduli_column([q])
+    x, y = one_row([a % q], q)[0], one_row([b % q], q)[0]
+    assert row_values(modmath.stack_mul_mod(x, y, col)) == [((a % q) * (b % q)) % q]
 
 
 @given(a=st.integers(min_value=0, max_value=2**62), b=st.integers(min_value=0, max_value=2**62))
 @settings(max_examples=200, deadline=None)
-def test_montgomery_matches_barrett_property(a, b):
+def test_dword_shoup_matches_barrett_property(a, b):
     q = PRIMES["word"]
-    barrett = modmath.BarrettReducer.create(q)
-    montgomery = modmath.MontgomeryReducer.create(q)
-    assert montgomery.mul_plain(a % q, b % q) == barrett.mul(a % q, b % q)
+    col = modmath.moduli_column([q])
+    x = one_row([a % q], q)[0]
+    constant = modmath.scalar_column([b % q], col)
+    shoup = modmath.stack_shoup_mul(
+        x, constant, modmath.dword_shoup_column(constant, col), col)
+    assert row_values(shoup) == row_values(modmath.stack_mul_mod(x, constant, col))
 
 
 @given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=1, max_size=64))

@@ -169,10 +169,10 @@ class TestSerialization:
         imported = import_ciphertext(wide.context, restored)
         # One uint64 word per residue on the server and in the exchange
         # structure; a residue above 2**32 survives both hops bit for bit.
-        assert imported.c0.stack.data.dtype == np.uint64
-        assert int(imported.c0.stack.data.max()) >= 1 << 32
+        assert imported.c0.data.dtype == np.uint64
+        assert int(imported.c0.data.max()) >= 1 << 32
         for poly, sent in ((imported.c0, raw.c0), (imported.c1, raw.c1)):
-            assert poly.stack.data.tolist() == [
+            assert poly.data.tolist() == [
                 [int(x) for x in limb] for limb in sent.limbs
             ]
         assert_close(wide.decrypt(export_ciphertext(imported), 2).real, values, 1e-9)
@@ -365,11 +365,11 @@ def test_mutated_frames_raise_value_error_or_import_canonical(toy_client, toy_fr
             return
         outcomes["imported"] += 1
         for poly in (ct.c0, ct.c1):
-            rows = poly.stack.data
+            rows = poly.data
             assert poly.moduli == context.moduli[: len(poly.moduli)]
             assert rows.dtype == np.uint64
             assert rows.shape == (len(poly.moduli), context.ring_degree)
-            assert bool(np.all(rows < poly.stack.moduli_col))
+            assert bool(np.all(rows < poly.moduli_col))
 
     run()
     # Both arms are exercised: most mutations break the frame, some survive
@@ -416,7 +416,7 @@ GOLDEN = {'uint64': {'secret': 'fba59b5ee495b0b8a4feab1934c42fe0831b1151c94107a7
 def _rows_digest(*polys):
     sha = hashlib.sha256()
     for poly in polys:
-        sha.update(np.asarray(poly.stack.data).astype(">u8").tobytes())
+        sha.update(np.asarray(poly.data).astype(">u8").tobytes())
     return sha.hexdigest()
 
 
@@ -444,4 +444,4 @@ def test_same_seed_keys_ciphertext_and_wire_are_the_parents(chain):
     # The parent's bytes are these bytes, so its frames import here unchanged.
     imported = import_ciphertext(client.context, deserialize_ciphertext(blob))
     assert _rows_digest(imported.c0, imported.c1) == GOLDEN[chain]["ciphertext"]
-    assert imported.c0.stack.data.dtype == ciphertext.c0.stack.data.dtype
+    assert imported.c0.data.dtype == ciphertext.c0.data.dtype

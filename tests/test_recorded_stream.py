@@ -295,7 +295,7 @@ class TestTheDispatcherOnlyObserves:
 
         def program():
             result = ((x * y) << 1).handle
-            return result.c0.stack.data.copy(), result.c1.stack.data.copy()
+            return result.c0.data.copy(), result.c1.data.copy()
 
         untraced = program()
         for executable in (False, True):

@@ -198,8 +198,8 @@ class TestFusedCircuits:
         for member, reference in zip(members, per_member):
             assert member.level == reference.level
             assert member.scale == reference.scale
-            assert np.array_equal(member.c0.stack.data, reference.c0.stack.data)
-            assert np.array_equal(member.c1.stack.data, reference.c1.stack.data)
+            assert np.array_equal(member.c0.data, reference.c0.data)
+            assert np.array_equal(member.c1.data, reference.c1.data)
 
     def test_linear_transform_on_a_fused_ciphertext(self, lt_setup, rng):
         from repro.ckks.ciphertext import Ciphertext
