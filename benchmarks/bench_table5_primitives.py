@@ -45,7 +45,7 @@ def test_table5_summary(fideslib_4090, phantom_4090, openfhe_baseline, openfhe_h
     """Print the full reproduced Table V."""
     table = BenchmarkTable(
         "Table V: CKKS primitive latency, [2^16, 29, 59, 4], level 29",
-        note="Modelled times; paper-measured values in EXPERIMENTS.md",
+        note="Modelled times; calibration constants in repro.perf.calibration",
     )
     for operation in OPERATIONS:
         base = openfhe_baseline.time_operation(operation)

@@ -4,7 +4,7 @@ The paper uses Google Benchmark for its performance harness; this package
 provides the equivalent reporting layer for the Python reproduction: result
 tables with named rows/columns, speedup computation against a baseline
 column, and text/markdown/CSV rendering used by the ``benchmarks/``
-directory and EXPERIMENTS.md.
+directory (model constants and rationale: :mod:`repro.perf.calibration`).
 """
 
 from repro.bench.reporting import BenchmarkTable, format_seconds, speedup

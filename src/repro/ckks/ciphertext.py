@@ -6,6 +6,11 @@ objects plus the metadata CKKS needs to track -- the scaling factor, the
 number of meaningful message slots and a static noise-budget estimate that
 travels back to the client through the adapter layer (§III-B).
 
+**Polynomials are in evaluation format.**  Both containers refuse any
+other with a :class:`ValueError`: a coefficient frame is converted once, at
+the adapter boundary (:mod:`repro.openfhe.adapter`), and no kernel
+downstream decides the format again.
+
 A ciphertext is a batch of ``batch_size`` members (1 unless it came out of
 :meth:`Ciphertext.fuse`): ``B`` same-shape ciphertexts whose limb stacks
 are laid member-major into ``(B·L, N)`` component buffers, so every
@@ -30,7 +35,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.limb import LimbFormat
 from repro.core.rns_poly import RNSPoly
 
 #: Relative scale mismatch tolerated before two operands are rejected.
@@ -188,6 +192,9 @@ class Plaintext:
     slots: int
     encoded_length: int | None = None
 
+    def __post_init__(self) -> None:
+        self.poly.require_evaluation("Plaintext.poly")
+
     @property
     def limb_count(self) -> int:
         """Number of RNS limbs the plaintext is defined over."""
@@ -204,8 +211,8 @@ class Ciphertext:
     """A two-component RLWE ciphertext ``(c0, c1)`` with CKKS metadata.
 
     ``c0``/``c1`` may hold ``batch_size`` member ciphertexts fused
-    member-major (see :meth:`fuse`); all members share one level, scale and
-    format -- the invariants that let every kernel batch.  A fused
+    member-major (see :meth:`fuse`); all members share one level and
+    scale -- the invariants that let every kernel batch.  A fused
     ciphertext carries one ``encoded_length`` per member as a tuple.
     ``c0``/``c1`` are immutable once built (module docstring): two
     ciphertexts may share a component, or both.
@@ -219,6 +226,8 @@ class Ciphertext:
     encoded_length: int | tuple | None = None
 
     def __post_init__(self) -> None:
+        self.c0.require_evaluation("Ciphertext.c0")
+        self.c1.require_evaluation("Ciphertext.c1")
         if self.c0.moduli != self.c1.moduli:
             raise ValueError("ciphertext components use different RNS bases")
         if self.c0.ring_degree != self.c1.ring_degree:
@@ -231,7 +240,7 @@ class Ciphertext:
         """Fuse same-shape ciphertexts into one batch (two pool allocations).
 
         All members must share the ring degree, RNS basis (hence level),
-        limb format, slot count and scale; a mixed-level batch is rejected
+        slot count and scale; a mixed-level batch is rejected
         with a descriptive error because the fused moduli column -- and
         with it every batched kernel -- requires one shape.
 
@@ -250,8 +259,6 @@ class Ciphertext:
                 raise ValueError("batched ciphertexts must share one ring degree")
             if ct.moduli != first.moduli:
                 raise ValueError("batched ciphertexts must share one RNS basis")
-            if ct.fmt is not first.fmt:
-                raise ValueError("batched ciphertexts must share one limb format")
             if ct.slots != first.slots:
                 raise ValueError("batched ciphertexts must share one slot count")
         lengths = fused_lengths(cts)
@@ -303,11 +310,6 @@ class Ciphertext:
     def moduli(self) -> list[int]:
         """The per-member RNS moduli currently attached to the ciphertext."""
         return list(self.c0.moduli[: self.limb_count])
-
-    @property
-    def fmt(self) -> LimbFormat:
-        """Common representation of the ciphertext limbs."""
-        return self.c0.fmt
 
     def footprint_bytes(self) -> int:
         """Device-memory footprint of the ciphertext (``2·B·L·N`` elements)."""

@@ -5,6 +5,8 @@ receives the resulting ciphertexts through the adapter layer.  The
 reference implementation here plays the OpenFHE role: it is used by
 :mod:`repro.openfhe.client` and by every integration test that checks the
 server-side GPU-style operations against freshly decrypted results.
+:func:`encode` yields an evaluation-format plaintext, the one format a
+container holds, so no step below converts.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ def encode(
     *,
     scale: float | None = None,
     limb_count: int | None = None,
-    fmt: LimbFormat = LimbFormat.EVALUATION,
 ) -> Plaintext:
-    """Encode a message vector into a :class:`Plaintext`.
+    """Encode a message vector into an evaluation-format :class:`Plaintext`.
 
     Parameters
     ----------
@@ -38,16 +39,14 @@ def encode(
         Number of RNS limbs to encode over (defaults to all of them).  A
         plaintext can only operate with ciphertexts having at most this
         many limbs.
-    fmt:
-        Representation of the resulting polynomial; server-side operations
-        expect evaluation format.
     """
     scale = context.scale if scale is None else float(scale)
     limb_count = len(context.moduli) if limb_count is None else limb_count
     values = np.atleast_1d(np.asarray(values))
     coefficients = context.encoder.encode(values, scale)
     poly = RNSPoly.from_int_coefficients(
-        context.ring_degree, context.moduli_at(limb_count), coefficients, fmt=fmt
+        context.ring_degree, context.moduli_at(limb_count), coefficients,
+        fmt=LimbFormat.EVALUATION,
     )
     return Plaintext(poly=poly, scale=scale, slots=context.slots,
                      encoded_length=len(values))
@@ -80,9 +79,7 @@ class Encryptor:
         v = sampler.lift(sampler.sample_ternary(), moduli)
         e0 = sampler.lift(sampler.sample_error(), moduli)
         e1 = sampler.lift(sampler.sample_error(), moduli)
-        message = plaintext.poly if plaintext.poly.fmt is LimbFormat.EVALUATION \
-            else plaintext.poly.to_evaluation()
-        c0 = pk_b.multiply(v).add(e0).add(message)
+        c0 = pk_b.multiply(v).add(e0).add(plaintext.poly)
         c1 = pk_a.multiply(v).add(e1)
         return Ciphertext(
             c0=c0,
@@ -116,9 +113,7 @@ class SymmetricEncryptor:
         a = self._keygen.sample_uniform_poly(moduli)
         e = self._keygen.lift(self._keygen.sample_error(), moduli)
         s = self.secret_key.restricted(limb_count)
-        message = plaintext.poly if plaintext.poly.fmt is LimbFormat.EVALUATION \
-            else plaintext.poly.to_evaluation()
-        c0 = a.multiply(s).negate().add(e).add(message)
+        c0 = a.multiply(s).negate().add(e).add(plaintext.poly)
         return Ciphertext(
             c0=c0,
             c1=a,
@@ -139,18 +134,12 @@ class Decryptor:
     def decrypt(self, ciphertext: Ciphertext) -> Plaintext:
         """Decrypt a ciphertext into an encoded plaintext.
 
-        Ciphertexts normally arrive in evaluation format already; the
-        conversion (one stacked NTT over the whole limb stack) only runs
-        when needed, and ``add``/``multiply`` never mutate their operands,
-        so no defensive copies are taken.
+        A ciphertext is in evaluation format (its constructor checks), and
+        ``add``/``multiply`` never mutate their operands, so no conversion
+        and no defensive copy is taken.
         """
-        limb_count = ciphertext.limb_count
-        s = self.secret_key.restricted(limb_count)
-        c0 = ciphertext.c0 if ciphertext.c0.fmt is LimbFormat.EVALUATION \
-            else ciphertext.c0.to_evaluation()
-        c1 = ciphertext.c1 if ciphertext.c1.fmt is LimbFormat.EVALUATION \
-            else ciphertext.c1.to_evaluation()
-        poly = c0.add(c1.multiply(s))
+        s = self.secret_key.restricted(ciphertext.limb_count)
+        poly = ciphertext.c0.add(ciphertext.c1.multiply(s))
         return Plaintext(
             poly=poly,
             scale=ciphertext.scale,

@@ -216,18 +216,10 @@ class Evaluator:
 
     @staticmethod
     def _plain_operand(ct: Ciphertext, pt: Plaintext) -> RNSPoly:
-        """Restrict a plaintext to the ciphertext basis, in evaluation format.
-
-        Limbs are dropped (a window, not a copy) before the format
-        conversion so the stacked NTT only transforms the rows that survive;
-        a plaintext already over the ciphertext's basis in evaluation format
-        (a cached diagonal, a fresh encoding) is used as it is.
-        """
-        poly = pt.poly.keep_limbs(ct.limb_count)
-        if poly.fmt is not LimbFormat.EVALUATION:
-            poly = poly.to_evaluation()
+        """Restrict a plaintext to the ciphertext basis with a row window
+        (a cached diagonal or fresh encoding already over it is used as is)."""
         # One plaintext broadcasts to every member of a fused ciphertext.
-        return poly.tile(ct.batch_size)
+        return pt.poly.keep_limbs(ct.limb_count).tile(ct.batch_size)
 
     def add_scalar(self, ct: Ciphertext, value: float) -> Ciphertext:
         """Constant addition (``ScalarAdd``): adds ``value`` to every slot."""

@@ -9,14 +9,15 @@ to ``s`` using the hybrid technique of Han-Ki [37]:
    plus the extension limbs ``P`` (a fast base conversion, Equation 1);
 3. multiply each extended digit with the matching key-switching key
    component and accumulate (the "dot product fusion" of §III-F.5);
-4. **ModDown** the accumulators by ``P`` (another base conversion followed
-   by the fused ``P^{-1}(x - Conv(x'))`` step the paper folds into its NTT
-   kernels).
+4. **ModDown** the accumulators by ``P``: an iNTT of the special limbs,
+   another base conversion, and an NTT with the ``P^{-1}(x - Conv(x'))``
+   step folded into it, as the paper folds it into its NTT kernels.
 
 The functions here operate on :class:`~repro.core.rns_poly.RNSPoly`
-objects in evaluation format and return deltas that the caller adds to the
-ciphertext components.  Every step is batched over the polynomials' flat
-``(L, N)`` arrays (``RNSPoly.data``): digit rows are
+objects in evaluation format, the only format a server polynomial is in
+(ModDown raises :class:`ValueError` on any other), and return deltas that
+the caller adds to the ciphertext components.  Every step is batched over
+the polynomials' flat ``(L, N)`` arrays (``RNSPoly.data``): digit rows are
 gathered and iNTT'd in one stacked call, the base conversion runs as one
 ``convert_stack`` matrix expression, and the converted limbs re-enter the
 evaluation domain through one stacked NTT -- no per-limb Python loop.
@@ -143,7 +144,8 @@ def mod_down(context: Context, poly: RNSPoly) -> RNSPoly:
 
     Computes ``P^{-1} * (x_i - Conv_{P->Q_l}(x_P))`` per ciphertext limb,
     the sequence FIDESlib fuses into its NTT kernels (ModDown fusion), as
-    three batched stack expressions plus two stacked (i)NTT calls.
+    a stacked iNTT, one batched base conversion and a stacked NTT that
+    carries the fold.  ``poly`` must be in evaluation format.
     """
     return mod_down_many(context, [poly])[0]
 
@@ -160,6 +162,7 @@ def mod_down_many(context: Context, polys: list[RNSPoly]) -> list[RNSPoly]:
     first = polys[0]
     for poly in polys[1:]:
         first._check_compatible(poly)
+    first.require_evaluation("ModDown")
     members = first.members
     count = len(polys)
     special_count = len(context.special_moduli)
@@ -167,7 +170,6 @@ def mod_down_many(context: Context, polys: list[RNSPoly]) -> list[RNSPoly]:
     if limb_count < 1:
         raise ValueError("polynomial does not carry special limbs to remove")
     n = context.ring_degree
-    is_eval = first.fmt is LimbFormat.EVALUATION
     special_moduli = tuple(first.moduli[limb_count : limb_count + special_count])
     converter = context.moddown_converter(limb_count)
     target_moduli = tuple(context.moduli_at(limb_count))
@@ -182,31 +184,22 @@ def mod_down_many(context: Context, polys: list[RNSPoly]) -> list[RNSPoly]:
     # disjoint rows of the fused buffers, so they stay parallel in the DAG
     # (the §III-F.1 overlap the stream scheduler exploits).
     with _DISPATCH.scope("moddown"), _DISPATCH.interleaved():
-        specials = [rows for p in polys for rows in p.member_rows(limb_count)]
-        if is_eval:
-            # The N^-1 scaling folds into the conversion's q-hat^-1 constants.
-            special_rows = get_stacked_engine(
-                n, special_moduli * (members * count)
-            ).inverse(sources=specials, segments=[members * special_count] * count,
-                      fused_ops_per_element=0.0)
-            specials = np.split(special_rows, members * count)
+        # The N^-1 scaling folds into the conversion's q-hat^-1 constants.
+        special_rows = get_stacked_engine(n, special_moduli * (members * count)).inverse(
+            sources=[rows for p in polys for rows in p.member_rows(limb_count)],
+            segments=[members * special_count] * count, fused_ops_per_element=0.0,
+        )
+        specials = np.split(special_rows, members * count)
         out = np.empty((count * members * limb_count, n), dtype=target_col.dtype)
         for i, block in enumerate(np.split(out, count)):
             _DISPATCH.segment = i
             converter.convert_members(specials[i * members : (i + 1) * members], block)
-            if not is_eval:
-                _DISPATCH.run(
-                    "moddown-fused", fold, ops_per_element=fold_ops,
-                    reads=(block, *heads[i * members : (i + 1) * members]),
-                    writes=(block,),
-                )
-        if is_eval:
-            out = get_stacked_engine(n, target_moduli * (members * count)).forward(
-                out, consume=True, segments=[members * limb_count] * count,
-                epilogue=Fused("moddown-tail", fold_ops, heads, fold),
-            )
+        out = get_stacked_engine(n, target_moduli * (members * count)).forward(
+            out, consume=True, segments=[members * limb_count] * count,
+            epilogue=Fused("moddown-tail", fold_ops, heads, fold),
+        )
     return [
-        RNSPoly(target_moduli * members, block, poly.fmt, pool=poly.pool)
+        RNSPoly(target_moduli * members, block, LimbFormat.EVALUATION, pool=poly.pool)
         for poly, block in zip(polys, np.split(out, count))
     ]
 

@@ -76,9 +76,8 @@ hand that work to the engine call as its ``prologue``/``epilogue`` operand
 fused ``ntt``/``intt`` event per segment -- so nothing is described a
 second time at the call site.  A stacked call covers every segment (both
 ciphertext components) at once while a GPU issues each segment's chain on
-its own, so such a pipeline runs inside :meth:`Dispatcher.interleaved`, which lands its events segment
-by segment.  A step that is one declared launch with no transform around it
-(the coefficient-format tails) goes through :meth:`Dispatcher.run`.
+its own, so such a pipeline runs inside :meth:`Dispatcher.interleaved`,
+which lands its events segment by segment.
 
 Dependencies are derived from buffer identity at byte-interval
 granularity: views resolve to their owning allocation plus the byte range
@@ -835,17 +834,6 @@ class Dispatcher:
             return
         self._add(_launch_kernel(tag, rows, reads, writes, ops_per_element, reuse),
                   kind, reads=reads, writes=writes, replay=replay, unfused=unfused)
-
-    def run(self, tag: str, fn: Callable[[tuple, tuple], None], *,
-            reads: Sequence[np.ndarray], writes: Sequence[np.ndarray],
-            ops_per_element: float) -> None:
-        """Compute ``fn(reads, writes)``, silenced, as one declared launch:
-        its record is one element-wise kernel named ``tag`` (not the building
-        blocks ``fn`` calls) and the function is its own replay."""
-        with self.suppressed():
-            fn(reads, writes)
-        self.elementwise(tag, reads=reads, writes=writes,
-                         ops_per_element=ops_per_element, replay=fn)
 
     def transform(
         self,

@@ -954,39 +954,6 @@ def stack_add_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,
     return out
 
 
-def _add_column(data: np.ndarray, index: int, col: np.ndarray, qs: np.ndarray) -> None:
-    """Add ``col`` (one canonical constant per row) to column ``index``, in place."""
-    if data.dtype == np.object_:
-        data[:, index] = (data[:, index] + col) % qs
-    else:
-        s = data[:, index] + col
-        data[:, index] = np.where(s >= qs, s - qs, s)
-
-
-def stack_add_scalar_at(a: np.ndarray, scalars, moduli_col: np.ndarray,
-                        index: int = 0) -> np.ndarray:
-    """Add one integer constant per row to a single coefficient column.
-
-    The coefficient-format scalar add: a constant polynomial only touches
-    the degree-``index`` coefficient of every limb.
-    """
-    out = a.copy()
-    col = scalar_column(scalars, moduli_col).ravel()
-    qs = moduli_col.ravel()
-    _add_column(out, index, col, qs)
-    if _DISPATCH.recording:
-        def replay(reads, writes, _idx=index, _qs=qs):
-            src, col_r, dst = reads[0], reads[1], writes[0]
-            if not np.shares_memory(src, dst):
-                np.copyto(dst, src)
-            _add_column(dst, _idx, col_r, _qs)
-        _DISPATCH.elementwise(
-            "stack-scalar-add", reads=(a, col), writes=(out,),
-            ops_per_element=_kernelforms.MODADD_OPS, replay=replay,
-        )
-    return out
-
-
 def stack_automorphism(stacks, index: np.ndarray, sign: np.ndarray | None,
                        moduli_col: np.ndarray) -> list[np.ndarray]:
     """Apply one Galois map ``X -> X^k`` to every row of same-basis stacks.
@@ -1078,7 +1045,6 @@ __all__ = [
     "stack_scalar_mod",
     "head_fold",
     "stack_add_scalar_mod",
-    "stack_add_scalar_at",
     "stack_automorphism",
     "stack_switch_modulus_many",
 ]

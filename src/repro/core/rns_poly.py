@@ -18,6 +18,11 @@ per-limb Python loop, matching the batched kernels of §III-F.
 
 Per-limb access is a view, not a second arithmetic:
 ``poly.limb_arrays()[i]`` is row ``i`` of ``data``, zero-copy.
+
+The server computes in evaluation format, so products, the scalar add and
+the fused rescale have no coefficient pipeline: such an operand is a
+:class:`ValueError` (:meth:`RNSPoly.require_evaluation`).  Coefficient
+format is where integers enter and leave, and the automorphism oracle's.
 """
 
 from __future__ import annotations
@@ -380,6 +385,14 @@ class RNSPoly:
         if self._fmt != other._fmt:
             raise ValueError(f"limb formats differ: {self._fmt} vs {other._fmt}")
 
+    def require_evaluation(self, operation: str) -> None:
+        """Raise a :class:`ValueError` naming ``operation`` and the format
+        unless the polynomial is in evaluation format."""
+        if self._fmt is not LimbFormat.EVALUATION:
+            raise ValueError(
+                f"{operation} requires evaluation format, got {self._fmt.value!r}"
+            )
+
     def _adopt(self, data: np.ndarray, fmt: LimbFormat | None = None) -> "RNSPoly":
         """A polynomial over this one's basis and pool holding kernel output ``data``."""
         return RNSPoly(
@@ -407,8 +420,7 @@ class RNSPoly:
     def multiply(self, other: "RNSPoly") -> "RNSPoly":
         """Return the element-wise (evaluation-domain) product."""
         self._check_compatible(other)
-        if self._fmt is not LimbFormat.EVALUATION:
-            raise ValueError("element-wise limb products require evaluation format")
+        self.require_evaluation("an element-wise limb product")
         return self._adopt(
             modmath.stack_mul_mod(self.data, other.data, self.moduli_col)
         )
@@ -436,8 +448,7 @@ class RNSPoly:
         for a, b in pairs:
             first._check_compatible(a)
             first._check_compatible(b)
-        if first.fmt is not LimbFormat.EVALUATION:
-            raise ValueError("element-wise limb products require evaluation format")
+        first.require_evaluation("an element-wise limb product")
         return first._adopt(modmath.stack_dot_mod(
             [(a.data, b.data) for a, b in pairs], first.moduli_col,
         ))
@@ -451,16 +462,13 @@ class RNSPoly:
     def add_scalar(self, scalar: int | Sequence[int]) -> "RNSPoly":
         """Add an integer constant (or one constant per limb).
 
-        In coefficient format the constant is added to the degree-0
-        coefficient; in evaluation format a constant polynomial evaluates
-        to the same value everywhere, so it is added to every element.
+        A constant polynomial evaluates to the same value at every point,
+        so it is added to every element (evaluation format only).
         """
-        scalars = self._scalars_per_limb(scalar)
-        if self._fmt is LimbFormat.EVALUATION:
-            add = modmath.stack_add_scalar_mod
-        else:
-            add = modmath.stack_add_scalar_at
-        return self._adopt(add(self.data, scalars, self.moduli_col))
+        self.require_evaluation("a scalar add")
+        return self._adopt(modmath.stack_add_scalar_mod(
+            self.data, self._scalars_per_limb(scalar), self.moduli_col
+        ))
 
     def automorphism(self, exponent: int) -> "RNSPoly":
         """Apply the Galois automorphism ``X -> X^exponent`` to every limb."""
@@ -516,10 +524,9 @@ class RNSPoly:
         For every remaining limb ``i``:
         ``c_i' = q_l^{-1} · (c_i - SwitchModulus(c_l)) mod q_i``.
         This is the computation FIDESlib fuses into its NTT kernels
-        ("Rescale fusion", §III-F.5).  Here the switched last limb is
-        broadcast into every remaining modulus, transformed with one
-        stacked NTT when needed, and folded in with batched subtract and
-        scalar-multiply kernels -- no per-limb loop.
+        ("Rescale fusion", §III-F.5).  Here, in evaluation format, the last
+        limb is iNTT'd, switched into every remaining modulus and brought
+        back with one stacked NTT that folds in the subtract/scale tail.
         """
         return RNSPoly.rescale_last_many([self])[0]
 
@@ -540,6 +547,7 @@ class RNSPoly:
         first = polys[0]
         for poly in polys[1:]:
             first._check_compatible(poly)
+        first.require_evaluation("a rescale")
         members = first.members
         count = len(polys)
         keep = len(first.moduli) // members - 1
@@ -569,39 +577,22 @@ class RNSPoly:
         # Per component, a GPU backend launches an iNTT of the dropped limbs
         # plus an NTT over the kept limbs with the switch/subtract/scale
         # arithmetic fused in ("Rescale fusion", §III-F.5); a fused component
-        # is the same kernels over ``B×`` the rows.
+        # is the same kernels over ``B×`` the rows.  Folded into the
+        # transforms, the switch costs its centring add on the iNTT (which
+        # absorbs the N^-1 scale) and shares the fold's multiply on the NTT.
         with _DISPATCH.interleaved():
-            if first.fmt is LimbFormat.EVALUATION:
-                # Folded into the transforms the switch costs its centring
-                # add on the iNTT (which absorbs the N^-1 scale) and shares
-                # the fold's multiply on the NTT.
-                dropped = get_stacked_engine(n, last_moduli * count).inverse(
-                    sources=lasts, segments=[members] * count,
-                    fused_ops_per_element=MODADD_OPS,
-                )
-                out = get_stacked_engine(n, kept_moduli * count).forward(
-                    segments=[members * keep] * count,
-                    prologue=Fused("rescale-switch", MODMUL_OPS, (dropped,), switch),
-                    epilogue=Fused("rescale-tail", fold_ops, heads, fold),
-                    fused_ops_per_element=fold_ops,
-                )
-            else:
-                # In coefficient format only the fused element-wise kernel
-                # remains: switch each component's last limbs and fold.
-                def switch_and_fold(reads, writes):
-                    switch((np.concatenate(reads[:members]),), writes)
-                    fold((writes[0], *reads[members:]), writes)
-
-                out = np.empty((count * members * keep, n), dtype=target_col.dtype)
-                for i, block in enumerate(np.split(out, count)):
-                    _DISPATCH.segment = i
-                    mine = slice(i * members, (i + 1) * members)
-                    _DISPATCH.run(
-                        "rescale-fused", switch_and_fold, ops_per_element=fold_ops,
-                        reads=(*lasts[mine], *heads[mine]), writes=(block,),
-                    )
+            dropped = get_stacked_engine(n, last_moduli * count).inverse(
+                sources=lasts, segments=[members] * count,
+                fused_ops_per_element=MODADD_OPS,
+            )
+            out = get_stacked_engine(n, kept_moduli * count).forward(
+                segments=[members * keep] * count,
+                prologue=Fused("rescale-switch", MODMUL_OPS, (dropped,), switch),
+                epilogue=Fused("rescale-tail", fold_ops, heads, fold),
+                fused_ops_per_element=fold_ops,
+            )
         return [
-            RNSPoly(kept_moduli, block, poly._fmt, pool=poly.pool)
+            RNSPoly(kept_moduli, block, LimbFormat.EVALUATION, pool=poly.pool)
             for poly, block in zip(polys, np.split(out, count))
         ]
 

@@ -4,7 +4,7 @@ Every performance experiment in the evaluation is parameterised by one of
 these platforms.  The figures are taken directly from Table IV; the two
 model-only fields (kernel-launch overhead and cache bandwidth multiplier)
 use typical values for the respective hardware generations and are part of
-the calibration documented in EXPERIMENTS.md.
+the calibration documented in :mod:`repro.perf.calibration`.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ are those structures here: the ``(L, N)`` residue array of each polynomial
 plus the metadata CKKS needs (moduli, scale, slot count, format, noise
 estimate).  The export functions copy server storage into raw structures;
 the import functions check a raw structure against the context (moduli,
-format, shape, canonical residues) and adopt its array as server storage.
+format, shape, canonical residues) and adopt its array as server storage,
+in evaluation format: a ``"coeff"`` polynomial is converted on import with
+one stacked NTT, so no kernel behind the boundary sees another format.
 The ciphertext round trip also carries the static noise estimate back to
 the client, as described in §III-B.
 """
@@ -42,7 +44,8 @@ class RawPolynomial:
     fmt: str = "eval"
 
     def to_rns_poly(self, context: Context) -> RNSPoly:
-        """Check the raw structure against ``context`` and adopt its array.
+        """Check the raw structure against ``context`` and adopt its array
+        in evaluation format.
 
         The moduli must be a prefix of the context's chain (the check
         FIDESlib's adapter performs before copying data to the GPU), the
@@ -65,7 +68,8 @@ class RawPolynomial:
             )
         if not np.all((rows >= 0) & (rows < modmath.moduli_column(self.moduli))):
             raise ValueError("limbs: residue outside [0, q) for its modulus")
-        return RNSPoly(self.moduli, rows, _FORMATS[self.fmt])
+        poly = RNSPoly(self.moduli, rows, _FORMATS[self.fmt])
+        return poly if poly.fmt is LimbFormat.EVALUATION else poly.to_evaluation()
 
     @classmethod
     def from_rns_poly(cls, poly: RNSPoly) -> "RawPolynomial":

@@ -19,7 +19,7 @@ and the traces recorded from the real data plane by
 deltas, so drift between what the model charges and what the code
 actually executes fails loudly instead of silently skewing every figure.
 
-See EXPERIMENTS.md for the calibration discussion.
+Each constant below carries its calibration rationale in its comment.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ test -- is reproducible with no wall-clock flakiness.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +40,18 @@ from repro.core.memory import MemoryPool, default_pool
 from repro.gpu.kernel import ELEMENT_BYTES
 from repro.serve.bucketing import ShapeKey
 from repro.serve.request import Request
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject a non-integer count (``2.5``, NaN, ``True``) or one below ``minimum``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
 
 
 class SimulatedClock:
@@ -78,8 +91,7 @@ class BatchingPolicy:
     memory_budget_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be at least 1")
+        _check_count("max_batch_size", self.max_batch_size, 1)
         # ``not x >= 0`` rather than ``x < 0``, so NaN is rejected too.
         if not self.max_wait >= 0:
             raise ValueError("max_wait must be non-negative")
@@ -151,8 +163,8 @@ class AdmissionPolicy:
     pool: MemoryPool | None = None
 
     def __post_init__(self) -> None:
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be at least 1 when set")
+        if self.max_queue_depth is not None:
+            _check_count("max_queue_depth", self.max_queue_depth, 1)
         if self.memory_high_watermark is not None and \
                 not 0.0 < self.memory_high_watermark <= 1.0:
             raise ValueError(
@@ -201,8 +213,7 @@ class RetryPolicy:
     degrade_on_retry: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries cannot be negative")
+        _check_count("max_retries", self.max_retries, 0)
         if not self.backoff >= 0:
             raise ValueError("backoff cannot be negative")
         if not self.backoff_factor >= 1.0:

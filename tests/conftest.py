@@ -7,6 +7,8 @@ operations return new ciphertexts, so this is the natural usage anyway).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,9 @@ from repro.ckks.encryption import Decryptor, Encryptor
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator, KeySet
 from repro.ckks.params import CKKSParameters, PARAMETER_SETS
+from repro.core.limb import LimbFormat
+from repro.core.rns_poly import RNSPoly
+from repro.openfhe.adapter import RawCiphertext, RawPolynomial
 
 
 #: Rotation steps made available in the shared key set.
@@ -78,6 +83,16 @@ def session(context, keys, evaluator, encryptor, decryptor) -> CKKSSession:
 def rng() -> np.random.Generator:
     """Deterministic random generator for message sampling."""
     return np.random.default_rng(20250614)
+
+
+def coefficient_frame(raw: RawCiphertext) -> RawCiphertext:
+    """``raw`` with both polynomials sent in coefficient format, the
+    other limb format a v1 frame may carry (``fmt="coeff"``)."""
+    def convert(poly: RawPolynomial) -> RawPolynomial:
+        rows = RNSPoly(poly.moduli, poly.limbs, LimbFormat.EVALUATION).to_coefficient()
+        return RawPolynomial(list(poly.moduli), rows.data, fmt="coeff")
+
+    return dataclasses.replace(raw, c0=convert(raw.c0), c1=convert(raw.c1))
 
 
 def assert_close(actual, expected, tolerance=5e-4):

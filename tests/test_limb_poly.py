@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.ckks.keyswitch import mod_down
 from repro.core.automorphism import (
     conjugation_exponent,
     coeff_automorphism_map,
@@ -22,6 +23,19 @@ def random_poly(seed=0, fmt=LimbFormat.COEFFICIENT):
     coeffs = [int(v) for v in rng.integers(-50, 50, N)]
     poly = RNSPoly.from_int_coefficients(N, PRIMES, coeffs, fmt=fmt)
     return poly, coeffs
+
+
+def last_prime_multiple(seed):
+    """An evaluation-format ``q_last·v + e`` (``|e| < q_last/2``) and ``v``.
+
+    Rescaling divides by the last prime and rounds to the nearest integer,
+    so the exact result is ``v``.
+    """
+    rng = np.random.default_rng(seed)
+    quotients = rng.integers(-1000, 1000, N)
+    values = PRIMES[-1] * quotients + rng.integers(-100, 100, N)
+    poly = RNSPoly.from_int_coefficients(N, PRIMES, values, fmt=LimbFormat.EVALUATION)
+    return poly, [int(v) for v in quotients]
 
 
 class TestMemoryPool:
@@ -101,11 +115,13 @@ class TestLimb:
         assert evaluated.fmt is LimbFormat.EVALUATION and len(row) == N
         assert limb_values(evaluated.to_coefficient()) == limb_values(poly)
 
-    def test_add_scalar_eval_vs_coeff_consistent(self):
-        poly = one_limb_poly(PRIMES[0], 2)
-        via_coeff = poly.add_scalar(17).to_evaluation()
-        via_eval = poly.to_evaluation().add_scalar(17)
-        assert limb_values(via_coeff) == limb_values(via_eval)
+    def test_add_scalar_lands_on_coefficient_zero(self):
+        # A constant polynomial is its degree-0 coefficient: adding it to
+        # every evaluation point adds it to that coefficient alone.
+        poly, coeffs = random_poly(2, fmt=LimbFormat.EVALUATION)
+        shifted = poly.add_scalar(17)
+        assert shifted.fmt is LimbFormat.EVALUATION
+        assert shifted.to_int_coefficients() == [coeffs[0] + 17, *coeffs[1:]]
 
     def test_incompatible_moduli_rejected(self):
         a = RNSPoly.zeros(N, PRIMES[:1])
@@ -200,17 +216,31 @@ class TestRNSPoly:
         assert not np.shares_memory(selected.data, poly.data)
 
     def test_rescale_divides_by_last_prime(self):
-        q_last = PRIMES[-1]
-        values = [q_last * v for v in range(-10, 10)]
-        poly = RNSPoly.from_int_coefficients(N, PRIMES, values)
+        poly, quotients = last_prime_multiple(16)
         rescaled = poly.rescale_last()
-        assert rescaled.level_count == 2
-        assert rescaled.to_int_coefficients()[: len(values)] == [v // q_last for v in values]
+        assert rescaled.level_count == 2 and rescaled.fmt is LimbFormat.EVALUATION
+        assert rescaled.to_int_coefficients() == quotients
 
     def test_rescale_requires_two_limbs(self):
-        poly = RNSPoly.from_int_coefficients(N, PRIMES[:1], [1, 2, 3])
-        with pytest.raises(ValueError):
+        poly = RNSPoly.from_int_coefficients(
+            N, PRIMES[:1], [1, 2, 3], fmt=LimbFormat.EVALUATION
+        )
+        with pytest.raises(ValueError, match="single-limb"):
             poly.rescale_last()
+
+    @pytest.mark.parametrize("operation", ["rescale_last", "add_scalar", "mod_down"])
+    def test_coefficient_format_operand_is_rejected(self, operation, context):
+        # The server computes in evaluation format: these kernels have no
+        # coefficient-domain pipeline to fall back on.
+        moduli = list(context.moduli) + list(context.special_moduli)
+        poly = RNSPoly.zeros(context.ring_degree, moduli)
+        run = {
+            "rescale_last": poly.rescale_last,
+            "add_scalar": lambda: poly.add_scalar(1),
+            "mod_down": lambda: mod_down(context, poly),
+        }[operation]
+        with pytest.raises(ValueError, match="requires evaluation format, got 'coeff'"):
+            run()
 
     def test_mixed_basis_rejected(self):
         a, _ = random_poly(14)

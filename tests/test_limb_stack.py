@@ -27,6 +27,7 @@ from repro.core.memory import (
 from repro.core.ntt import get_stacked_engine, reference_transform
 from repro.core.primes import generate_ntt_primes
 from repro.core.rns_poly import RNSPoly
+from tests.test_limb_poly import last_prime_multiple
 
 N = 64
 PRIMES = generate_ntt_primes(3, 28, N)
@@ -172,11 +173,11 @@ class TestRNSPolyStorage:
             assert int(data[i, 0]) == moduli[i] - 1
 
     def test_fused_rescale_matches_single(self):
-        a, _ = _random_poly(8)
-        b, _ = _random_poly(9)
+        (a, qa), (b, qb) = last_prime_multiple(8), last_prime_multiple(9)
         fused = RNSPoly.rescale_last_many([a, b])
-        assert fused[0].to_int_coefficients() == a.rescale_last().to_int_coefficients()
-        assert fused[1].to_int_coefficients() == b.rescale_last().to_int_coefficients()
+        for out, poly, quotients in zip(fused, (a, b), (qa, qb)):
+            np.testing.assert_array_equal(out.data, poly.rescale_last().data)
+            assert out.to_int_coefficients() == quotients
 
     def test_multiply_accumulate_matches_sequential(self):
         a = _random_poly(10)[0].to_evaluation()

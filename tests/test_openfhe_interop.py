@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.encryption import encode
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.params import CKKSParameters
+from repro.core.limb import LimbFormat
 from repro.openfhe.adapter import (
     export_ciphertext,
     export_plaintext,
@@ -32,7 +34,7 @@ from repro.openfhe.serialization import (
     serialize_ciphertext,
     serialize_plaintext,
 )
-from tests.conftest import assert_close
+from tests.conftest import assert_close, coefficient_frame
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +109,34 @@ class TestAdapter:
         raw = client.encrypt([1.0])
         ct = import_ciphertext(client.context, raw)
         assert ct.noise_bits == raw.noise_bits
+
+    def test_coefficient_frame_imports_in_evaluation_format(self, client):
+        # The server decides the format once, here: a "coeff" frame (read
+        # off the v1 wire) becomes the ciphertext its "eval" frame imports.
+        values = np.array([0.1, -0.2, 0.3])
+        raw = client.encrypt(values)
+        sent = deserialize_ciphertext(serialize_ciphertext(coefficient_frame(raw)))
+        assert (sent.c0.fmt, sent.c1.fmt) == ("coeff", "coeff")
+        imported = import_ciphertext(client.context, sent)
+        reference = import_ciphertext(client.context, raw)
+        for got, want in ((imported.c0, reference.c0), (imported.c1, reference.c1)):
+            assert got.fmt is LimbFormat.EVALUATION
+            np.testing.assert_array_equal(got.data, want.data)
+        decrypted = client.decrypt(imported, 3)
+        np.testing.assert_array_equal(decrypted, client.decrypt(reference, 3))
+        assert_close(decrypted.real, values)
+
+    def test_hand_built_coefficient_containers_are_rejected(self, client):
+        ct = import_ciphertext(client.context, client.encrypt([0.5]))
+        coeff = ct.c0.to_coefficient()
+        for build, name in (
+            (lambda: Ciphertext(coeff, ct.c1, ct.scale, ct.slots), "Ciphertext.c0"),
+            (lambda: Ciphertext(ct.c0, coeff, ct.scale, ct.slots), "Ciphertext.c1"),
+            (lambda: Plaintext(coeff, ct.scale, ct.slots), "Plaintext.poly"),
+        ):
+            with pytest.raises(ValueError, match=rf"^{name} requires evaluation "
+                                                 rf"format, got 'coeff'$"):
+                build()
 
 
 class TestServerSideIntegration:

@@ -21,15 +21,18 @@ from repro.core.memory import FusedFootprintError
 from repro.gpu.platforms import GPU_RTX_4090
 from repro.perf.trace_model import TraceCostModel
 from repro.serve import (
+    AdmissionPolicy,
     BatchingPolicy,
     BucketQueue,
     OpProgram,
+    RetryPolicy,
     Server,
     ShapeKey,
     SimulatedClock,
     shape_key_of,
 )
 from repro.serve.request import Request
+from tests.conftest import coefficient_frame
 
 #: 1 + 2x^2: two levels deep, no rotation keys needed.
 POLY_PROGRAM = OpProgram.polynomial([1.0, 0.0, 2.0])
@@ -181,6 +184,23 @@ class TestPolicyAndClock:
         with pytest.raises(ValueError):
             BatchingPolicy(memory_budget_bytes=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_batch_size", 2.5),
+        ("max_batch_size", True),
+        ("max_queue_depth", 2.5),
+        ("max_retries", float("nan")),
+        ("max_retries", 3.0),
+    ], ids=["fractional-batch", "bool-batch", "fractional-queue", "nan-retries",
+            "float-retries"])
+    def test_policy_counts_must_be_integers(self, field, value):
+        """Regression: a fractional batch size used to pass validation and
+        break ``BucketQueue.take`` at drain time, and NaN retries never ran out."""
+        policy = {"max_batch_size": BatchingPolicy, "max_queue_depth": AdmissionPolicy,
+                  "max_retries": RetryPolicy}[field]
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            policy(**{field: value})
+        assert getattr(policy(**{field: np.int64(4)}), field) == 4
+
 
 # ----------------------------------------------------------------------
 # the server on the functional backend
@@ -234,6 +254,22 @@ class TestServer:
         server.poll()
         assert urgent.response().dispatch_time <= urgent.deadline
         assert relaxed.done()  # drained together, well within its own budget
+
+    def test_coefficient_frame_fuses_with_evaluation_frames(self, session, rng):
+        """Regression: a ciphertext uploaded from a "coeff" frame lands in
+        the same bucket as evaluation-format uploads (the shape key has no
+        format) and must fuse with them, not fail the whole drain."""
+        frames = [session.download(fresh_vector(session, rng)) for _ in range(3)]
+        uploads = [session.upload(frame) for frame in frames]
+        uploads.append(session.upload(coefficient_frame(frames[0])))
+        server = Server(session, BatchingPolicy(max_batch_size=4, max_wait=1.0))
+        requests = [server.submit(POLY_PROGRAM, vector) for vector in uploads]
+        server.poll()
+        assert server.metrics.batch_histogram() == {4: 1}
+        for request in requests:
+            assert request.response().ok and request.response().batch_size == 4
+            assert bitwise_equal(request.result(), POLY_PROGRAM(request.vector))
+        assert bitwise_equal(requests[3].result(), requests[0].result())
 
     def test_singleton_bucket_runs_sequentially(self, session, rng):
         server = Server(session, BatchingPolicy(max_batch_size=8, max_wait=0.0))
