@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.api import CKKSSession
 from repro.bench.reporting import BenchmarkTable
-from repro.core.fusion import expand_stages, fuse_trace
+from repro.core.fusion import TraceProgram, expand_stages, fuse_trace
 from repro.gpu.platforms import GPU_RTX_4090
 from repro.perf.trace_model import TraceCostModel
 
@@ -37,13 +37,13 @@ def bench_workload(table: BenchmarkTable, session, name: str, workload,
                    *, pricer: TraceCostModel) -> None:
     """One fused-vs-unfused comparison on the modeled GPU.
 
-    Records the workload, asserts its fused program bit-identical to eager
+    Records the workload, asserts its replay bit-identical to eager
     execution, then prices its unfused expansion against the fusion pass's
     rewrite of that expansion.
     """
     with session.trace(executable=True) as trace:
         workload()
-    fuse_trace(trace).program().verify()
+    TraceProgram(trace).verify()
     unfused = expand_stages(trace)
     result = fuse_trace(unfused)
     summary = result.summary()

@@ -366,8 +366,8 @@ class CKKSSession:
         Execution is unchanged by recording (ciphertext outputs stay
         bit-identical).  Pass an existing trace to append to it.  With
         ``executable=True`` the trace captures replay thunks and buffer
-        views, so it can be re-run through
-        :class:`~repro.core.fusion.TraceProgram` or optimized by
+        views, so it can be re-run and verified through
+        :class:`~repro.core.fusion.TraceProgram` or fusion-priced by
         :func:`repro.core.fusion.fuse_trace`, and
         :func:`repro.core.fusion.expand_stages` derives from it the unfused
         GPU baseline -- transforms and key-switch inner products at

@@ -24,9 +24,9 @@ negacyclic polynomials under word-sized prime moduli:
   live/peak byte counters that an ``RNSPoly`` charges and credits.
 * :mod:`repro.core.dispatch` / :mod:`repro.core.fusion` -- the execution
   plane: every kernel above reports to the dispatcher, which can record
-  a ``KernelTrace``; an executable trace replays (``TraceProgram``),
-  expands into its unfused baseline (``expand_stages``) and fuses
-  (``fuse_trace``).
+  a ``KernelTrace``; an executable trace replays as recorded
+  (``TraceProgram``), expands into its unfused baseline (``expand_stages``)
+  and prices its fusions (``fuse_trace``).
 """
 
 from repro.core.dispatch import Dispatcher, KernelTrace, get_dispatcher

@@ -106,8 +106,8 @@ dependency edges already use) on an executable trace and dropping both on
 a plain one.  Executable traces hold strong references to every observed
 allocation; plain traces stay weak and pin neither closures nor arrays.
 :mod:`repro.core.fusion` consumes this IR: its ``TraceProgram`` re-runs
-the recorded stream (as recorded, or with fused chains) and ``verify()``
-asserts the replay bit-identical to the eager execution.
+the recorded stream as recorded and ``verify()`` asserts the replay
+bit-identical to the eager execution; ``fuse_trace`` prices its fusions.
 
 **One recorded stream: the fused one.**  The unfused GPU baseline the
 paper's stage and kernel fusions are priced against is a formula over it,

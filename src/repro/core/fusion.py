@@ -1,4 +1,4 @@
-"""The executable trace IR at work: replay it, expand it, fuse its chains.
+"""The executable trace IR at work: replay it, expand it, price its fusions.
 
 Module map (where this sits in the execution plane)
 ---------------------------------------------------
@@ -28,18 +28,13 @@ Module map (where this sits in the execution plane)
         chains of elementwise kernels into mega-kernels
                 |
                 +--> FusionResult.fused_trace : a rebuilt KernelTrace in
-                |    which each chain is ONE kernel (launches=1, summed
-                |    int_ops, chain-external endpoint bytes only) --
-                |    priced by repro.perf.trace_model.TraceCostModel and
-                |    schedulable like any recorded trace
-                |
-                +--> FusionResult.program() : the same TraceProgram, given
-                     the chains -- each chain's members run back to back
-                     at the tail's position and its intermediate values
-                     live in temporaries drawn from the modmath scratch
-                     pool instead of materialised data-plane buffers
-                     (an expanded trace prices but does not run: its
-                     stage launches have no replay)
+                     which each chain is ONE kernel (launches=1, summed
+                     int_ops, chain-external endpoint bytes only) --
+                     priced by repro.perf.trace_model.TraceCostModel and
+                     schedulable like any recorded trace
+
+A fused chain is priced, not run: ``TraceProgram`` replays the record only
+as recorded, and an expanded trace prices but has no replay.
 
 Legality (proved from the recorded producer/consumer byte ranges)
 -----------------------------------------------------------------
@@ -61,9 +56,9 @@ A producer ``P`` may fuse with a consumer ``C`` when all of:
 
 Chains extend greedily (``P -> C -> C' ...``) while each new tail keeps
 every earlier member's *other* operands unclobbered by the events the
-member is moved past -- fused chains execute contiguously at the tail's
-position, so an interleaved writer to any member's read operand vetoes
-the extension.
+member is moved past -- a mega-kernel is issued at the tail's position,
+so an interleaved writer to any member's read operand vetoes the
+extension.
 
 Pricing of a fused kernel is symbolic, mirroring what a single launched
 mega-kernel would do: ``int_ops`` is the sum over members (arithmetic is
@@ -78,11 +73,10 @@ Fusion therefore never increases ``bytes_moved`` and always conserves
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from repro.core import modmath
 from repro.core.dispatch import (
     KernelTrace,
     TraceEvent,
@@ -205,7 +199,7 @@ class _Fuser:
     def _extension_safe(self, members: list[int], new_tail: int) -> bool:
         """Moving ``members`` down to ``new_tail``: operands unclobbered?
 
-        The chain executes contiguously at the tail's position, so every
+        The chain's mega-kernel is issued at the tail's position, so every
         event between the current tail and ``new_tail`` runs *before*
         members that originally preceded it.  Any such event writing a
         byte one of the members reads would change what the member sees.
@@ -314,10 +308,6 @@ class FusionResult:
     def saved_bytes(self) -> float:
         return sum(chain.saved_bytes for chain in self.chains)
 
-    def program(self) -> "TraceProgram":
-        """A runnable fused re-execution of the recorded stream."""
-        return TraceProgram(self.trace, self.chains)
-
     def summary(self) -> dict:
         """Machine-readable fusion statistics (benchmark artifacts)."""
         return {
@@ -339,8 +329,7 @@ def fuse_trace(trace: KernelTrace) -> FusionResult:
 
     Returns a :class:`FusionResult` whose ``fused_trace`` is a plain
     (priceable, schedulable) :class:`KernelTrace` with each legal chain
-    collapsed to one kernel, and whose :meth:`FusionResult.program`
-    executes the fused stream with scratch-pool intermediates.
+    collapsed to one kernel.
     """
     fuser = _Fuser(trace)
     chains = fuser.chains()
@@ -409,7 +398,6 @@ def expand_stages(trace: KernelTrace) -> KernelTrace:
     expanded = KernelTrace(executable=True)
     for base in bases.values():  # in token order: the tokens carry over
         expanded._buffer(base)
-    expanded._seeds.update(trace._seeds)  # and the first-read snapshots
     links = iter(trace._links)
     link = next(links, None)
     for event in trace.events:
@@ -459,21 +447,14 @@ class TraceProgram:
     * everything else (intermediates, outputs) is allocated once and
       overwritten in place on every run.
 
-    With no ``chains`` the stream replays exactly as recorded.  Given
-    ``fuse_trace(trace).chains``, each chain's member thunks run back to
-    back at its tail's position (an order the extension-safety legality
-    check proved equivalent), and every internal edge's intermediate binds
-    to a modmath scratch-pool temporary instead of a materialised program
-    buffer (tokens *only* touched as intermediates get no buffer at all).
-
-    :meth:`verify` re-runs the program and asserts every byte interval the
-    trace wrote outside a chain is bit-identical to the live arrays the
-    eager execution produced -- call it before the recorded arrays are
-    mutated further.
+    The stream replays exactly as recorded.  :meth:`verify` re-runs the
+    program and asserts every byte interval the trace wrote is
+    bit-identical to the live arrays the eager execution produced -- the
+    check that a record's declared byte ranges are honest.  Call it before
+    the recorded arrays are mutated further.
     """
 
-    def __init__(self, trace: KernelTrace,
-                 chains: Sequence[FusedChain] = ()) -> None:
+    def __init__(self, trace: KernelTrace) -> None:
         if not trace.executable:
             raise ValueError(
                 "TraceProgram needs an executable trace; record with "
@@ -487,133 +468,37 @@ class TraceProgram:
                 f"(no replay thunk): {sorted(set(missing))}"
             )
         self.trace = trace
-        # (event, write position) / (event, read position) -> scratch array
-        # for every internal edge of every chain.
-        scratch_w: dict[tuple[int, int], np.ndarray] = {}
-        scratch_r: dict[tuple[int, int], np.ndarray] = {}
-        for chain in chains:
-            tail_event = events[chain.members[-1]]
-            tail_view = (
-                tail_event.write_views[0]
-                if len(tail_event.write_views) == 1
-                else None
-            )
-            for depth, producer_index in enumerate(chain.members[:-1]):
-                consumer = events[chain.members[depth + 1]]
-                for slot, w in enumerate(events[producer_index].write_views):
-                    if (
-                        tail_view is not None
-                        and w.token == tail_view.token
-                        and w.offset == tail_view.offset
-                        and w.size == tail_view.size
-                    ):
-                        # In-place run: the member writes exactly the chain's
-                        # external output interval, and chain legality proved
-                        # nothing else touches it before the tail -- execute
-                        # directly in the output buffer instead of staging
-                        # through scratch (saves the round-trip copies).
-                        continue
-                    base = trace._bases[w.token]
-                    tmp = modmath._scratch(
-                        f"fuse{depth}.{slot}", w.shape, base.dtype
-                    )
-                    scratch_w[(producer_index, slot)] = tmp
-                    for pos, view in enumerate(consumer.read_views):
-                        if (
-                            view.token == w.token
-                            and view.offset == w.offset
-                            and view.size == w.size
-                        ):
-                            scratch_r[(consumer.index, pos)] = tmp
-        self._scratch_w = scratch_w
-        self._scratch_r = scratch_r
-        # Classify tokens over chain-EXTERNAL accesses only (recorded
-        # order == execution order for externals, by extension safety).
+        # Classify tokens by their first access, in recorded order.
         written: set[int] = set()
-        seeded: set[int] = set()
-        external: set[int] = set()
-        for event in events:
-            for pos, view in enumerate(event.read_views):
-                if (event.index, pos) in scratch_r:
-                    continue
-                external.add(view.token)
-                if view.token not in written:
-                    seeded.add(view.token)
-            for pos, view in enumerate(event.write_views):
-                if (event.index, pos) in scratch_w:
-                    continue
-                external.add(view.token)
-                written.add(view.token)
-        seeded &= written
-        self._buffers: dict[int, np.ndarray] = {}
-        self._seeds: dict[int, np.ndarray] = {}
-        for token, base in trace._bases.items():
-            if token not in external:
-                continue  # pure intermediate: scratch only, no buffer
-            if token in written:
-                self._buffers[token] = np.empty_like(base)
-                if token in seeded:
-                    # The trace's first-read snapshot, not the live array
-                    # (which the recorded region may have overwritten).
-                    self._seeds[token] = trace._seeds.get(token, base)
-            else:
-                self._buffers[token] = base
-        # The flat step list: chains land at their tail position.
-        member_to_chain: dict[int, FusedChain] = {}
-        for chain in chains:
-            for m in chain.members:
-                member_to_chain[m] = chain
-        self._steps: list[tuple[Callable, tuple, tuple]] = []
-        for event in events:
-            chain = member_to_chain.get(event.index)
-            if chain is None:
-                self._steps.append(self._resolve(event))
-            elif event.index == chain.members[-1]:
-                self._steps.extend(
-                    self._resolve(events[m]) for m in chain.members
-                )
-        # Final-state verify intervals.  Walk ALL writes in order: an
-        # internal (fused-away) write supersedes earlier external
-        # intervals it touches -- the live array then holds a value the
-        # fused program intentionally never materialises, so those
-        # intervals drop out of verification.
+        read_first: set[int] = set()
         intervals: dict[int, list[list[int]]] = {}
         for event in events:
-            for pos, view in enumerate(event.write_views):
-                spans = intervals.setdefault(view.token, [])
+            read_first.update({view.token for view in event.read_views} - written)
+            for view in event.write_views:
+                written.add(view.token)
+                # Final-state verify intervals: a write supersedes the
+                # earlier intervals it fully covers.
                 lo, hi = view.offset, view.offset + view.size
-                if (event.index, pos) in scratch_w:
-                    spans[:] = [
-                        s for s in spans
-                        if not (s[0] < hi and lo < s[1])
-                    ]
-                else:
-                    spans[:] = [
-                        s for s in spans if not (lo <= s[0] and s[1] <= hi)
-                    ]
-                    spans.append([lo, hi])
-        self._written_intervals = {
-            token: spans for token, spans in intervals.items() if spans
-        }
+                spans = intervals.setdefault(view.token, [])
+                spans[:] = [s for s in spans if not (lo <= s[0] and s[1] <= hi)]
+                spans.append([lo, hi])
+        self._written_intervals = intervals
+        self._buffers: dict[int, np.ndarray] = {}
+        for token in read_first | written:
+            base = trace._bases[token]
+            self._buffers[token] = np.empty_like(base) if token in written else base
+        # The trace's first-read snapshots, not the live arrays (which the
+        # recorded region may have overwritten).
+        self._seeds = {token: trace._seeds[token] for token in read_first & written}
+        self._steps: list[tuple[Callable, tuple, tuple]] = [
+            (event.replay, tuple(map(self.view, event.read_views)),
+             tuple(map(self.view, event.write_views)))
+            for event in events
+        ]
 
     def view(self, spec: ViewSpec) -> np.ndarray:
         """Rebuild one recorded view against this program's buffers."""
         return spec.within(self._buffers[spec.token])
-
-    def _resolve(self, event: TraceEvent) -> tuple:
-        """One event as (replay, reads, writes) with scratch bindings."""
-        index = event.index
-        reads = tuple(
-            self._scratch_r[index, pos] if (index, pos) in self._scratch_r
-            else self.view(view)
-            for pos, view in enumerate(event.read_views)
-        )
-        writes = tuple(
-            self._scratch_w[index, pos] if (index, pos) in self._scratch_w
-            else self.view(view)
-            for pos, view in enumerate(event.write_views)
-        )
-        return (event.replay, reads, writes)
 
     def run(self) -> None:
         """Re-execute the stream against the program's buffers."""
@@ -627,16 +512,13 @@ class TraceProgram:
         """The program buffer holding the replayed value of ``array``.
 
         ``array`` must be an allocation (or view into one) a recorded
-        kernel touched outside a chain; the returned view covers the same
-        element range in the program's buffer.  Looking ``array`` up
-        registers nothing with the trace.
+        kernel touched; the returned view covers the same element range in
+        the program's buffer.  Looking ``array`` up registers nothing with
+        the trace.
         """
         spec = self.trace._view_of(array)
         if spec is None or spec.token not in self._buffers:
-            raise KeyError(
-                "array was not observed by the trace (or was fully fused "
-                "away as an intermediate)"
-            )
+            raise KeyError("array was not observed by the trace")
         return self.view(spec)
 
     def verify(self) -> None:

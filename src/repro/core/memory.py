@@ -13,8 +13,21 @@ counters; the fault injector denies charges through ``charge_hook``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject a non-integer count (``2.5``, NaN, ``True``) or one below ``minimum``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
 
 
 class OutOfDeviceMemory(RuntimeError):
@@ -62,6 +75,13 @@ class MemoryPool:
     #: Live bytes as requested, before rounding (for the fragmentation readout).
     _requested_in_use: int = field(default=0, init=False, repr=False)
 
+    def __post_init__(self) -> None:
+        # A zero granularity divides by zero on the first charge; a zero
+        # capacity refuses every charge while reading as 0% utilised.
+        if self.capacity_bytes is not None:
+            _check_count("capacity_bytes", self.capacity_bytes, 1)
+        _check_count("granularity", self.granularity, 1)
+
     def charge(self, nbytes: int, tag: str = "") -> None:
         """Admit a live allocation of ``nbytes`` or raise, changing nothing."""
         if self.charge_hook is not None:
@@ -94,7 +114,7 @@ class MemoryPool:
         The serving plane's admission controller sheds load when this
         crosses its configured high watermark.
         """
-        if not self.capacity_bytes:
+        if self.capacity_bytes is None:
             return 0.0
         return self.bytes_in_use / self.capacity_bytes
 

@@ -306,15 +306,14 @@ STACK_SHOUP_SHIFT = np.uint64(32)
 #: Byte budget of the scratch pool (below).
 _SCRATCH_BUDGET_BYTES = 96 << 20
 
-#: The one pool of reusable temporaries -- stack kernels, the stacked NTT's
-#: stage buffers and fused-program intermediates -- keyed by (tag, dtype,
-#: shape) with LRU eviction.  Fused (B·L, N) batches make the per-kernel
-#: intermediates multi-megabyte; allocating them fresh per call costs a
-#: page-fault zero-fill pass that can exceed the arithmetic itself, so the
-#: kernels stage their *internal* temporaries here (results stay freshly
-#: allocated -- scratch never escapes a kernel).  The dtype is part of the
-#: key so an exact-backend fused intermediate cannot collide with a uint64
-#: buffer of the same (tag, shape).
+#: The one pool of reusable temporaries -- stack kernels and the stacked
+#: NTT's stage buffers -- keyed by (tag, dtype, shape) with LRU eviction.
+#: Fused (B·L, N) batches make the per-kernel intermediates multi-megabyte;
+#: allocating them fresh per call costs a page-fault zero-fill pass that can
+#: exceed the arithmetic itself, so the kernels stage their *internal*
+#: temporaries here (results stay freshly allocated -- scratch never escapes
+#: a kernel).  The dtype is part of the key so an exact-backend intermediate
+#: cannot collide with a uint64 buffer of the same (tag, shape).
 _scratch_buffers: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 
 #: ``(ident, name)`` of the thread that first drew from the pool.  The pool

@@ -70,6 +70,14 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
+def _finite(sample: float) -> float:
+    """``sample`` as a float; NaN or an infinity would corrupt its series."""
+    sample = float(sample)
+    if not math.isfinite(sample):
+        raise ValueError(f"metric samples must be finite, got {sample}")
+    return sample
+
+
 def _render_labels(key: tuple[tuple[str, str], ...]) -> str:
     if not key:
         return ""
@@ -108,11 +116,12 @@ class Counter(_Instrument):
     kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        """Add ``amount`` (must be non-negative) to one series."""
+        """Add ``amount`` (finite and non-negative) to one series."""
+        amount = _finite(amount)
         if amount < 0:
             raise ValueError(f"counters only go up (inc by {amount})")
         key = _label_key(labels)
-        self._series[key] = self._series.get(key, 0.0) + float(amount)
+        self._series[key] = self._series.get(key, 0.0) + amount
 
 
 class Gauge(_Instrument):
@@ -181,9 +190,9 @@ class Histogram(_Instrument):
     def observe(self, value: float, **labels) -> None:
         key = _label_key(labels)
         series = self._series.get(key)
+        value = _finite(value)
         if series is None:
             series = self._series[key] = _HistogramSeries(len(self.buckets))
-        value = float(value)
         for i, bound in enumerate(self.buckets):
             if value <= bound:
                 series.counts[i] += 1

@@ -32,26 +32,13 @@ test -- is reproducible with no wall-clock flakiness.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.memory import MemoryPool, default_pool
+from repro.core.memory import MemoryPool, _check_count, default_pool
 from repro.gpu.kernel import ELEMENT_BYTES
 from repro.serve.bucketing import ShapeKey
 from repro.serve.request import Request
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    """Reject a non-integer count (``2.5``, NaN, ``True``) or one below ``minimum``."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}")
 
 
 class SimulatedClock:
@@ -95,8 +82,8 @@ class BatchingPolicy:
         # ``not x >= 0`` rather than ``x < 0``, so NaN is rejected too.
         if not self.max_wait >= 0:
             raise ValueError("max_wait must be non-negative")
-        if self.memory_budget_bytes is not None and self.memory_budget_bytes < 1:
-            raise ValueError("memory_budget_bytes must be positive when set")
+        if self.memory_budget_bytes is not None:
+            _check_count("memory_budget_bytes", self.memory_budget_bytes, 1)
 
     # -- capacity ------------------------------------------------------------
 

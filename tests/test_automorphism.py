@@ -327,7 +327,6 @@ class TestRecordedGather:
             assert not any(name.startswith("automorph") for name in chain.kernels)
         if not stage_launches:  # the expansion prices; only the record runs
             TraceProgram(trace).verify()
-            fused.program().verify()
 
     def test_hrotate_holds_exactly_the_transforms_of_a_key_switch(self, trace_session):
         ct = trace_session.encrypt(np.linspace(-1, 1, 16))

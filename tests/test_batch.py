@@ -28,7 +28,7 @@ from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.params import CKKSParameters
 from repro.core.dispatch import get_dispatcher
-from repro.core.fusion import expand_stages, fuse_trace
+from repro.core.fusion import TraceProgram, expand_stages, fuse_trace
 from repro.core.limb import LimbFormat
 from repro.core.memory import MemoryPool
 from repro.core.rns_poly import RNSPoly
@@ -466,7 +466,7 @@ class TestBatchTrace:
         fused_a, fused_b = Ciphertext.fuse(cts_a), Ciphertext.fuse(cts_b)
         with get_dispatcher().record(executable=True) as trace:
             evaluator.rotate(evaluator.multiply(fused_a, fused_b), 1)
-        fuse_trace(trace).program().verify()
+        TraceProgram(trace).verify()
         staged = expand_stages(trace)
         result = fuse_trace(staged)
         # The unfused B-row stream fuses back to fewer launches than the

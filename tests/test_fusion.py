@@ -1,14 +1,15 @@
-"""Tests of the executable trace IR and the auto-fusion pass.
+"""Tests of the executable trace IR and the fusion pricing pass.
 
-Covers the PR-8 tentpole acceptance criteria:
+* ``TraceProgram`` replays a record as recorded, bit-identical to eager
+  execution across all three numeric backends (uint64 / dword / object)
+  and every operation of the surface;
+* ``fuse_trace`` prices each legal chain as one kernel: it conserves
+  ``int_ops`` and never increases ``bytes_moved`` (a fused chain is
+  priced, not run);
+* ``expand_stages`` derives the unfused baseline, which prices but does
+  not replay;
 
-* ``TraceProgram`` replay is bit-identical to eager execution across all
-  three numeric backends (uint64 / dword / object);
-* fused execution is bit-identical to eager for HMult+rescale, a
-  key-switched rotation, and a B=8 batched drain;
-* fusion conserves ``int_ops`` and never increases ``bytes_moved``;
-
-plus the satellite corner cases: multi-consumer intermediates,
+plus the legality corner cases: multi-consumer intermediates,
 overlapping-but-not-equal byte ranges, interleaved writers, the
 buffer-identity generation tag, and the zero-work untraced hot path.
 """
@@ -80,7 +81,7 @@ class TestFusionLegality:
         # Arithmetic is conserved; the intermediate's traffic is not.
         assert result.fused_trace.int_ops == trace.int_ops
         assert result.fused_trace.bytes_moved < trace.bytes_moved
-        prog = result.program()
+        prog = TraceProgram(trace)
         prog.verify()
         assert np.array_equal(prog.output(out), (a + 1) * 3)
 
@@ -94,7 +95,7 @@ class TestFusionLegality:
             _emit(d, "consume2", t, out2, _mul_const(5))
         result = fuse_trace(trace)
         assert result.chains == []
-        result.program().verify()  # degenerates to a plain replay
+        TraceProgram(trace).verify()
 
     def test_overlapping_but_not_equal_ranges_block_fusion(self):
         d = get_dispatcher()
@@ -120,7 +121,7 @@ class TestFusionLegality:
         # produce->consume is illegal (clobber interleaves); the
         # clobber->consume edge itself is a legal adjacent chain.
         assert [c.members for c in result.chains] == [(1, 2)]
-        result.program().verify()
+        TraceProgram(trace).verify()
 
     def test_operand_clobber_vetoes_chain_extension(self):
         d = get_dispatcher()
@@ -136,7 +137,7 @@ class TestFusionLegality:
             _emit(d, "consume", t, out, _mul_const(2))
         result = fuse_trace(trace)
         assert (0, 2) not in [c.members for c in result.chains]
-        result.program().verify()
+        TraceProgram(trace).verify()
 
     def test_in_place_tail_fuses_with_live_output(self):
         d = get_dispatcher()
@@ -158,7 +159,7 @@ class TestFusionLegality:
             _emit(d, "after", t, out, _add_const(0))
         result = fuse_trace(trace)
         assert result.chains and result.chains[0].members[:2] == (0, 1)
-        prog = result.program()
+        prog = TraceProgram(trace)
         prog.verify()
         assert np.array_equal(prog.output(out), (a + 1) * 7)
 
@@ -190,10 +191,10 @@ class TestFusionLegality:
         together = fuse_trace(record([((s0, s1), out0)]))
         assert [c.members for c in together.chains] == [(0, 1)]
         assert together.saved_bytes == 2 * (s0.nbytes + s1.nbytes)
-        together.program().verify()
+        TraceProgram(together.trace).verify()
         apart = fuse_trace(record([((s0, s0), out0), ((s1, s1), out1)]))
         assert apart.chains == []
-        apart.program().verify()
+        TraceProgram(apart.trace).verify()
 
     def test_fusion_requires_executable_trace(self):
         with pytest.raises(ValueError, match="executable"):
@@ -353,13 +354,11 @@ class TestReplayAcrossBackends:
         context, trace = self._record_hmult(28, 30)
         assert context.numeric_backend == modmath.BACKEND_UINT64
         TraceProgram(trace).verify()
-        fuse_trace(trace).program().verify()
 
     def test_dword_backend_replay(self):
         context, trace = self._record_hmult(59, 60)
         assert context.numeric_backend == modmath.BACKEND_DWORD
         TraceProgram(trace).verify()
-        fuse_trace(trace).program().verify()
 
     @pytest.mark.parametrize("mode", ["fused", "stage-granular"])
     def test_mixed_chain_replay(self, mode):
@@ -369,7 +368,6 @@ class TestReplayAcrossBackends:
         assert context.numeric_backend == modmath.BACKEND_DWORD
         if mode == "fused":
             TraceProgram(trace).verify()
-            fuse_trace(trace).program().verify()
             return
         # Its unfused baseline: the single-word transforms expand into
         # stages, the dword ones stay whole, and fusion conserves the
@@ -391,14 +389,13 @@ class TestReplayAcrossBackends:
                 context, trace = self._record_hmult(59, 60)
             assert context.numeric_backend == modmath.BACKEND_OBJECT
             TraceProgram(trace).verify()
-            fuse_trace(trace).program().verify()
         finally:
             monkeypatch.undo()
             self._clear_backend_caches()
 
 
 class TestOperationSurfaceReplays:
-    """Every operation's record replays bit-identically, as recorded and fused.
+    """Every operation's record replays bit-identically as recorded.
 
     A site's record is its building blocks merged by ``Dispatcher.launch``;
     the merged replay is the only executable code that is not also the
@@ -447,7 +444,6 @@ class TestOperationSurfaceReplays:
         with session.trace(executable=True) as trace:
             self.SURFACE[op](x, y)
         TraceProgram(trace).verify()
-        fuse_trace(trace).program().verify()
 
 
 class TestFusedEndToEnd:
@@ -461,9 +457,7 @@ class TestFusedEndToEnd:
         prog.verify()
         prog.run()  # idempotent: buffers re-seed, second run stays clean
         prog.verify()
-        result = fuse_trace(trace)
-        result.program().verify()
-        summary = result.summary()
+        summary = fuse_trace(trace).summary()
         assert summary["int_ops_after"] == pytest.approx(
             summary["int_ops_before"]
         )
@@ -475,7 +469,9 @@ class TestFusedEndToEnd:
         with fusion_session.trace(executable=True) as trace:
             ct.rotate(1)
         TraceProgram(trace).verify()
-        fuse_trace(trace).program().verify()
+        assert fuse_trace(trace).fused_trace.int_ops == pytest.approx(
+            trace.int_ops
+        )
 
     def test_batched_b8_drain_replay_and_fusion(self, fusion_session):
         rng = np.random.default_rng(17)
@@ -486,7 +482,9 @@ class TestFusedEndToEnd:
         with fusion_session.trace(executable=True) as trace:
             batch * batch
         TraceProgram(trace).verify()
-        fuse_trace(trace).program().verify()
+        assert fuse_trace(trace).fused_trace.int_ops == pytest.approx(
+            trace.int_ops
+        )
 
     def test_elementwise_workload_actually_fuses(self, fusion_session):
         rng = np.random.default_rng(19)
@@ -505,8 +503,7 @@ class TestFusedEndToEnd:
         ]
         assert result.events_after == result.events_before - 1
         assert result.saved_bytes == 2 * 2 * limbs * (1 << 12) * 8
-        prog = result.program()
-        prog.verify()
+        TraceProgram(trace).verify()
         # The fused trace prices and schedules like any recorded trace,
         # and fusion never slows the modeled stream down.
         pricer = TraceCostModel(GPU_RTX_4090)
@@ -524,6 +521,25 @@ class TestFusedEndToEnd:
                           ops_per_element=1.0)  # no replay thunk
         with pytest.raises(ValueError, match="non-replayable"):
             TraceProgram(trace)
+
+    def test_verify_catches_an_undeclared_read(self):
+        # verify() is the check that a record's declared byte ranges are
+        # honest: a thunk reading an array its event never declared replays
+        # against whatever that array holds later.
+        d = get_dispatcher()
+        a = np.arange(8, dtype=np.uint64).reshape(2, 4)
+        hidden = np.ones_like(a)
+        out = np.empty_like(a)
+
+        def replay(reads, writes):
+            np.add(reads[0], hidden, out=writes[0])
+
+        with d.record(executable=True) as trace:
+            _emit(d, "dishonest", a, out, replay)
+        TraceProgram(trace).verify()
+        hidden += 1
+        with pytest.raises(AssertionError, match="diverges"):
+            TraceProgram(trace).verify()
 
 
 def _base_names(trace) -> list[str]:
@@ -628,8 +644,9 @@ class TestExpandStages:
     def test_expanded_trace_prices_but_does_not_replay(self, fusion_session):
         ct = fusion_session.encrypt(np.linspace(-1, 1, 16))
         _, staged = self._expand(fusion_session, lambda: ct.rotate(1))
+        assert fuse_trace(staged).chains
         with pytest.raises(ValueError, match="non-replayable") as excinfo:
-            fuse_trace(staged).program()
+            TraceProgram(staged)
         assert "ntt-stage0" in str(excinfo.value)
         assert "ks-mul-add" in str(excinfo.value)
 

@@ -202,7 +202,6 @@ class TestBitIdentity:
             low << 1
         if not stage_launches:
             TraceProgram(trace).verify()
-            fuse_trace(trace).program().verify()
             return
         # Unfused, each component's two-digit dot product at the top level
         # is a multiply and a multiply-add reading the products' operands

@@ -66,6 +66,21 @@ class TestMemoryPool:
         # A refused charge changes nothing.
         assert (pool.bytes_in_use, pool.allocation_count) == (1024, 1)
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("granularity", 0, ValueError),
+        ("granularity", 2.5, TypeError),
+        ("capacity_bytes", 0, ValueError),
+        ("capacity_bytes", -1024, ValueError),
+        ("capacity_bytes", True, TypeError),
+    ], ids=["zero-granularity", "fractional-granularity", "zero-capacity",
+            "negative-capacity", "bool-capacity"])
+    def test_sizes_must_be_positive_integers(self, field, value, error):
+        """Regression: a zero granularity divided by zero on the first charge,
+        and a zero capacity refused every charge while reading 0% utilised."""
+        with pytest.raises(error, match=field):
+            MemoryPool(**{field: value})
+        assert getattr(MemoryPool(**{field: np.int64(512)}), field) == 512
+
     def test_counters_are_not_constructor_fields(self):
         with pytest.raises(TypeError):
             MemoryPool(bytes_in_use=5)

@@ -206,6 +206,25 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             counter.inc(**{"bad-label": "x"})
 
+    @pytest.mark.parametrize("sample", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_non_finite_samples_are_rejected(self, sample):
+        """Regression: a NaN observation counted in ``_count`` but no bucket,
+        and a NaN increment left the counter at NaN for good."""
+        registry = MetricsRegistry()
+        counter = registry.counter("events_total")
+        lat = registry.histogram("lat_seconds", buckets=(0.1, 1.0))
+        counter.inc(2)
+        lat.observe(0.5)
+        with pytest.raises(ValueError, match="finite"):
+            counter.inc(sample)
+        with pytest.raises(ValueError, match="finite"):
+            lat.observe(sample)
+        assert registry.value("events_total") == 2
+        text = registry.to_prometheus()
+        assert 'lat_seconds_bucket{le="+Inf"} 1' in text
+        assert "lat_seconds_count 1" in text
+
     def test_gauge_function_evaluated_at_collect(self):
         registry = MetricsRegistry()
         box = {"v": 1.0}

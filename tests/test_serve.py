@@ -190,13 +190,21 @@ class TestPolicyAndClock:
         ("max_queue_depth", 2.5),
         ("max_retries", float("nan")),
         ("max_retries", 3.0),
+        ("memory_budget_bytes", 250_000.0),
+        ("memory_budget_bytes", float("inf")),
+        ("memory_budget_bytes", float("nan")),
+        ("memory_budget_bytes", True),
     ], ids=["fractional-batch", "bool-batch", "fractional-queue", "nan-retries",
-            "float-retries"])
+            "float-retries", "float-budget", "inf-budget", "nan-budget",
+            "bool-budget"])
     def test_policy_counts_must_be_integers(self, field, value):
         """Regression: a fractional batch size used to pass validation and
-        break ``BucketQueue.take`` at drain time, and NaN retries never ran out."""
+        break ``BucketQueue.take`` at drain time, NaN retries never ran out,
+        a float budget broke ``Server.drain`` and an infinite one turned
+        fusion off."""
         policy = {"max_batch_size": BatchingPolicy, "max_queue_depth": AdmissionPolicy,
-                  "max_retries": RetryPolicy}[field]
+                  "max_retries": RetryPolicy,
+                  "memory_budget_bytes": BatchingPolicy}[field]
         with pytest.raises(TypeError, match=f"{field} must be an integer"):
             policy(**{field: value})
         assert getattr(policy(**{field: np.int64(4)}), field) == 4
