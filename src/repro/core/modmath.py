@@ -307,13 +307,14 @@ STACK_SHOUP_SHIFT = np.uint64(32)
 _SCRATCH_BUDGET_BYTES = 96 << 20
 
 #: The one pool of reusable temporaries -- stack kernels and the stacked
-#: NTT's stage buffers -- keyed by (tag, dtype, shape) with LRU eviction.
-#: Fused (B·L, N) batches make the per-kernel intermediates multi-megabyte;
-#: allocating them fresh per call costs a page-fault zero-fill pass that can
-#: exceed the arithmetic itself, so the kernels stage their *internal*
-#: temporaries here (results stay freshly allocated -- scratch never escapes
-#: a kernel).  The dtype is part of the key so an exact-backend intermediate
-#: cannot collide with a uint64 buffer of the same (tag, shape).
+#: NTT's GEMM and stage buffers -- keyed by (tag, dtype, shape) with LRU
+#: eviction.  Fused (B·L, N) batches make the per-kernel intermediates
+#: multi-megabyte; allocating them fresh per call costs a page-fault
+#: zero-fill pass that can exceed the arithmetic itself, so the kernels
+#: stage their *internal* temporaries here (results stay freshly allocated
+#: -- scratch never escapes a kernel).  The dtype is part of the key so an
+#: exact-backend intermediate cannot collide with a uint64 buffer of the
+#: same (tag, shape).
 _scratch_buffers: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 
 #: ``(ident, name)`` of the thread that first drew from the pool.  The pool

@@ -3,30 +3,35 @@
 Polynomial multiplication in ``Z_q[X]/(X^N + 1)`` is carried out in the
 evaluation domain: the forward NTT maps a coefficient vector to its
 evaluations at the odd powers of a 2N-th root of unity ``ψ``, where
-multiplication is element-wise.  Following §III-F.4 of the paper, the
-forward transform is radix-2 Cooley-Tukey (normal-order input,
-bit-reversed output) and the inverse is Gentleman-Sande (bit-reversed
-input, normal-order output), so no explicit bit reversal is ever needed.
+multiplication is element-wise.  The forward transform takes normal-order
+input to bit-reversed output and the inverse the other way round, so no
+explicit bit reversal is ever needed.
 
 * :func:`twiddle_tables` validates ``(N, q)`` and caches the
   bit-reversed ``ψ``/``ψ⁻¹`` tables and ``N⁻¹`` per modulus;
 * :class:`StackedNTTEngine` is the only engine: it transforms every row
-  of a flat ``(rows, N)`` limb stack at once with Shoup-precomputed
-  twiddles (Table III) on lazy ``[0, 2q)`` representatives, on the
-  single-word and the double-word backend alike;
+  of a flat ``(rows, N)`` limb stack at once.  Moduli below 2**31 (the
+  uint64 backend) at ``N <= 2**14`` take the hierarchical four-step
+  transform of §III-F.4 as three exact float64 matrix steps -- two GEMMs
+  of small DFTs around a twiddle ``twist``, the matrix-unit mapping of
+  TensorFHE -- over the per-``(N, q)`` factors of :func:`gemm_tables`;
+  every other word-sized stack runs radix-2 Cooley-Tukey /
+  Gentleman-Sande butterflies with 64-bit Shoup twiddles (Table III) in
+  double-word arithmetic on lazy ``[0, 2q)`` representatives;
 * :func:`reference_transform` is the exact-integer oracle: the production
   path for moduli at or above 2**62 and the reference every test compares
-  the vectorized backends against.
+  the vectorized paths against.
 
 The engine is also where a transform *launch* is described.  FIDESlib folds
 element-wise work into its (i)NTT kernels (§III-F.5: rescale, ModDown); a
 call hands that work over as a :class:`Fused` prologue/epilogue next to the
 row blocks it reads, the engine runs it around the one stacked transform
 and records the fused launch itself (:meth:`StackedNTTEngine._record`).  On
-the uint64 backend the event also carries its unfused form -- the
-prologue's launch, ``log2 N`` butterfly-stage launches, the iNTT's ``N^-1``
-scale and the epilogue's launch -- as plain data, which
-:func:`repro.core.fusion.expand_stages` turns into the per-stage stream.
+the uint64 backend the event also carries its unfused form as plain data --
+the prologue's launch, the ``log2 N`` radix-2 butterfly-stage launches of
+the modeled GPU baseline, the iNTT's ``N^-1`` scale and the epilogue's
+launch -- which :func:`repro.core.fusion.expand_stages` turns into the
+per-stage stream.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 
 from repro.core import modmath
 from repro.core.dispatch import gather_rows, get_dispatcher
-from repro.core.primes import find_root_of_unity
+from repro.core.primes import find_root_of_unity, is_prime
 from repro.gpu.kernel import BUTTERFLY_OPS, SHOUP_MUL_OPS
 
 _DISPATCH = get_dispatcher()
@@ -46,6 +51,8 @@ _DISPATCH = get_dispatcher()
 
 def bit_reverse_indices(n: int) -> np.ndarray:
     """Return the bit-reversal permutation of ``range(n)`` (n a power of two)."""
+    if not is_power_of_two(n):
+        raise ValueError(f"bit reversal needs a power of two, got {n}")
     bits = n.bit_length() - 1
     indices = np.arange(n, dtype=np.int64)
     result = np.zeros(n, dtype=np.int64)
@@ -76,7 +83,7 @@ def twiddle_tables(ring_degree: int, modulus: int) -> tuple[np.ndarray, np.ndarr
     n, q = ring_degree, modulus
     if not is_power_of_two(n):
         raise ValueError(f"ring degree must be a power of two, got {n}")
-    if (q - 1) % (2 * n) != 0:
+    if (q - 1) % (2 * n) != 0 or not is_prime(q):
         raise ValueError(f"modulus {q} is not NTT-friendly for N={n}")
     psi = find_root_of_unity(2 * n, q)
     if modmath.pow_mod(psi, 2 * n, q) != 1 or modmath.pow_mod(psi, n, q) == 1:
@@ -144,6 +151,102 @@ def reference_transform(
     return a
 
 
+#: Bits of the low half a GEMM data operand is split into,
+#: ``x = h * 2**15 + l``.  Residues are kept centred, ``|x| <= (q+1)/2 <=
+#: 2**30`` for ``q < 2**31``, so ``|h| <= 2**15`` and ``|l| <= 2**14``.
+_SPLIT_BITS = 15
+_SPLIT = float(1 << _SPLIT_BITS)
+_INV_SPLIT = 1.0 / _SPLIT
+
+#: Largest inner dimension ``k`` of an exact GEMM step: a factor entry is
+#: centred too, ``|w| < 2**30``, so a dot product of a split operand is at
+#: most ``k * 2**30 * (2**15 + 2**14) <= 1.5 * 2**52`` -- every partial sum
+#: is an integer below 2**53 and exact in float64, whatever order BLAS
+#: adds in.  ``n1, n2 <= 128`` means ``N <= 2**14``.
+_GEMM_MAX_SIDE = 128
+
+
+def _gemm_sides(ring_degree: int) -> tuple[int, int]:
+    """``(n1, n2)`` with ``N = n1 * n2`` and ``n1 = 2**ceil(log2(N) / 2)``."""
+    bits = ring_degree.bit_length() - 1
+    n1 = 1 << ((bits + 1) // 2)
+    return n1, ring_degree // n1
+
+
+class GemmFactors(NamedTuple):
+    """One direction of the four-step transform of one ``(N, q)``.
+
+    Entries are centred residues in float64.  A product factor carries the
+    split ``x = h * 2**15 + l`` of its data operand: a left factor is
+    ``[W * 2**15 | W]``, ``(n1, 2 n1)``, one GEMM against ``[h; l]``; a
+    right factor is the pair ``(W * 2**15, W)``, ``(2, n2, n2)``, one
+    batched GEMM against ``(h, l)`` whose halves add up.  Either way the
+    result is ``W x mod q`` up to one reduction.  The twist is
+    ``(n1, n2)``: ``twist_hi`` multiplies ``h`` and ``twist`` multiplies ``l``.
+    """
+
+    first: np.ndarray
+    twist_hi: np.ndarray
+    twist: np.ndarray
+    second: np.ndarray
+
+
+@lru_cache(maxsize=128)
+def gemm_tables(ring_degree: int, modulus: int) -> tuple[GemmFactors, GemmFactors]:
+    """The forward and inverse :class:`GemmFactors` of one ``(N, q)``.
+
+    With ``N = n1 * n2``, ``X = a.reshape(n1, n2)`` and ``r`` the bit
+    reversal of a row index, the forward transform is
+    ``Z = ((W1 X) * T) W2^T`` with ``W1[p1, j1] = ψ^((2 r(p1) + 1) n2 j1)``,
+    ``T[p1, j2] = ψ^((2 r(p1) + 1) j2)`` and ``W2[p2, j2] = ψ^(2 n1 r(p2) j2)``;
+    taking the rows in bit-reversed order makes ``Z`` the engine's
+    bit-reversed output as it lies.  The inverse is the mirror image over
+    ``ψ⁻¹`` -- ``X = V1 ((Z V2) * T')`` -- with ``N⁻¹`` folded into ``V1``.
+    Cached per ``(N, q)`` like :func:`twiddle_tables` and read-only; an
+    engine looks its factors up per call and never copies them.
+    """
+    n, q = ring_degree, modulus
+    n1, n2 = _gemm_sides(n)
+    forward_table, _, n_inv = twiddle_tables(n, q)
+    natural = forward_table.astype(np.int64)[bit_reverse_indices(n)]  # ψ^e
+
+    def power(exponents):
+        e = np.asarray(exponents, dtype=np.int64) % (2 * n)
+        values = natural[e % n]
+        return np.where(e >= n, (q - values) % q, values)  # ψ^N = -1
+
+    lift = pow(2, _SPLIT_BITS, q)
+
+    def centred(values, split=None):
+        values = np.asarray(values, dtype=np.int64) % q
+        if split == "left":     # [W 2**15 | W]
+            values = np.concatenate([values * lift % q, values], axis=1)
+        elif split == "right":  # [W 2**15, W]
+            values = np.stack([values * lift % q, values])
+        out = np.where(values > q // 2, values - q, values).astype(np.float64)
+        out.flags.writeable = False
+        return out
+
+    rows1 = 2 * bit_reverse_indices(n1)[:, None] + 1   # 2 r(p1) + 1
+    rows2 = bit_reverse_indices(n2)[:, None]           # r(p2)
+    outer = rows1 * n2 * np.arange(n1)                 # (p1, j1)
+    twist = rows1 * np.arange(n2)                      # (p1, j2)
+    inner = 2 * n1 * rows2 * np.arange(n2)             # (p2, j2)
+    forward = GemmFactors(
+        first=centred(power(outer), "left"),
+        twist_hi=centred(power(twist) * lift),
+        twist=centred(power(twist)),
+        second=centred(power(inner).T, "right"),
+    )
+    inverse = GemmFactors(
+        first=centred(power(-inner), "right"),
+        twist_hi=centred(power(-twist) * lift),
+        twist=centred(power(-twist)),
+        second=centred(power(-outer).T * n_inv, "left"),
+    )
+    return forward, inverse
+
+
 #: Contiguous block size (elements) below which radix-2 stages run in a
 #: transposed layout.  Stages with butterfly half-width ``t < BLOCK/2``
 #: touch tiny strided slices that defeat vectorization; transposing the
@@ -152,13 +255,16 @@ def reference_transform(
 #: NTT (§III-F.4, Figure 3), applied to the CPU cache hierarchy.
 _TRANSPOSED_BLOCK = 16
 
-#: Rows processed together by one pass of the stacked stage pipeline --
-#: the CPU analogue of the paper's ``limb_batch`` parameter (§III-F.1,
-#: Figure 7): batches must be wide enough to amortize kernel overhead but
-#: small enough that the working set (data plus scratch) stays resident in
-#: the private cache, or throughput degrades exactly as Figure 7 shows for
-#: small-L2 GPUs.
-_NTT_LIMB_BATCH = 3
+#: Scratch bytes one chunk of rows may use -- the CPU analogue of the
+#: paper's ``limb_batch`` parameter (§III-F.1, Figure 7): batches must be
+#: wide enough to amortize kernel overhead but small enough that the
+#: working set stays resident in the private cache.  Both paths stage
+#: :data:`_SCRATCH_PER_COEFF` bytes per coefficient: four float64 rows for
+#: the GEMM transform; four half-row stage buffers, a transposed grid row
+#: and a reduction row of uint64 for the butterflies.  Three rows at
+#: ``N = 2**12``.
+_NTT_CHUNK_BYTES = 384 << 10
+_SCRATCH_PER_COEFF = 32
 
 #: Extra elements between the four stage buffers of a chunk (the first one
 #: starts half a stagger in).  Large NumPy allocations all start at the
@@ -224,32 +330,42 @@ def _segment_blocks(blocks, parts: Sequence[int], cols: int, what: str) -> list[
 class StackedNTTEngine:
     """Batched negacyclic NTT/iNTT over a flat ``(num_limbs, N)`` limb stack.
 
-    Radix-2 transforms share their butterfly schedule across limbs -- only
-    the twiddle values differ.  Stacking the per-modulus twiddle tables
-    into ``(L, N)`` matrices therefore lets one pass of ``log2 N``
-    broadcast expressions transform every limb of a polynomial at once,
-    which is the limb-batched NTT of §III-F: no Python loop per limb, and
-    each stage is a single vectorized butterfly over the whole stack.
+    One engine, two kernels chosen from ``(max q, N)`` alone:
 
-    The last ``log2(BLOCK)`` stages only move data within contiguous
-    ``BLOCK``-sized runs, so on the single-word backend they execute on a
-    transposed ``(L, BLOCK, N/BLOCK)`` grid where the vectorized inner
-    axis stays long (the four-step locality idea of §III-F.4).
+    * **Four-step GEMMs** for moduli below 2**31 and ``N <= 2**14`` (every
+      uint64 stack in use): each row is an ``(n1, n2)`` matrix, and the
+      transform is a left product with ``W1``, a twist and a right product
+      with ``W2^T`` (:func:`gemm_tables`) -- two BLAS calls per row instead
+      of ``log2 N`` sweeps, the hierarchical NTT of §III-F.4 with the small
+      DFTs on matrix units as in TensorFHE.  Values are centred float64
+      residues; a data operand is split into 15-bit halves, so every
+      product sum is an exact integer below 2**53 and one
+      ``x - q * rint(x / q)`` reduces it.
+    * **Radix-2 butterflies** for everything else word-sized (the dword
+      backend, and uint64 stacks beyond ``N = 2**14``): stacking the
+      per-modulus twiddle tables into ``(L, N)`` matrices lets one pass of
+      ``log2 N`` broadcast expressions transform every limb at once, with
+      64-bit Shoup companions and double-word products, on lazy
+      ``[0, 2q)`` representatives.  The last ``log2(BLOCK)`` stages only
+      move data within contiguous ``BLOCK``-sized runs, so they execute on
+      a transposed ``(L, BLOCK, N/BLOCK)`` grid where the vectorized inner
+      axis stays long.  This is also the schedule the modeled GPU baseline
+      prices (:func:`_unfused_launches`).
 
-    Results are bit-identical to :func:`reference_transform`: the same
-    butterflies execute in the same order on the same residues, merely
-    staged through a different memory layout.
+    Results are bit-identical to :func:`reference_transform` on both: every
+    GEMM partial sum is exact, and the butterflies execute in the oracle's
+    order on the same residues, merely staged through another layout.
 
     Fused cross-ciphertext calls (the throughput plane) transform stacks
     whose moduli tuple is a *tiling* of a shorter base -- ``B`` members at
-    the same level repeat the same ``L`` primes.  The engine detects the
-    repeat period and materializes its twiddle/Shoup tables only for the
-    base period: a GPU keeps one twiddle table in constant memory no
-    matter how many ciphertexts a kernel covers, and duplicating the
-    tables ``B×`` on the CPU would just evict them from cache.  Tiled
-    stacks are processed per period (single-modulus tilings broadcast one
-    table row over the whole stack), which changes neither the butterfly
-    order nor any residue.
+    the same level repeat the same ``L`` primes.  The engine reads tables
+    only for the distinct moduli: a GPU keeps one twiddle table in
+    constant memory no matter how many ciphertexts a kernel covers, and
+    duplicating the tables ``B×`` on the CPU would just evict them from
+    cache.  The GEMM kernel multiplies all rows of one modulus in a chunk
+    by its factors in one call; the butterflies walk a tiled stack one
+    repeat period at a time (single-modulus tilings broadcast one table
+    row over the whole stack).  Neither changes a residue.
     """
 
     def __init__(self, ring_degree: int, moduli: Sequence[int]) -> None:
@@ -258,20 +374,42 @@ class StackedNTTEngine:
         col = modmath.moduli_column(self.moduli)
         self.backend = modmath.stack_backend(col)
         self.fast = self.backend == modmath.BACKEND_UINT64
-        self.dword = self.backend == modmath.BACKEND_DWORD
         self._col = col
-        # Twiddle tables cover one table row per *distinct* chunk modulus:
-        # fused cross-ciphertext stacks repeat a short base either
-        # member-major (the tuple tiles with some period) or limb-major
-        # (runs of one modulus), and materializing the repeats would only
-        # evict the tables from cache.
+        #: Rows of one chunk, by the scratch byte budget.
+        self._chunk_rows = max(
+            1, _NTT_CHUNK_BYTES // (_SCRATCH_PER_COEFF * ring_degree)
+        )
+        for q in dict.fromkeys(self.moduli):
+            twiddle_tables(ring_degree, q)  # validates (N, q)
+        #: The four-step GEMM kernel's precondition (see ``_GEMM_MAX_SIDE``).
+        self.gemm = self.fast and max(_gemm_sides(ring_degree)) <= _GEMM_MAX_SIDE
+        if self.backend == modmath.BACKEND_OBJECT:
+            # The exact backend keeps no tables -- reference_transform is
+            # its whole transform.
+            return
         length = len(self.moduli)
+        if self.gemm:
+            #: ``(row_lo, row_hi, groups)`` chunks: each group is the rows of
+            #: one modulus, which share its factors (:meth:`_groups`).
+            self._blocks = [
+                (r0, min(r0 + self._chunk_rows, length),
+                 self._groups(self.moduli[r0 : r0 + self._chunk_rows]))
+                for r0 in range(0, length, self._chunk_rows)
+            ]
+            self._qf = col.astype(np.float64).reshape(-1, 1, 1)
+            self._qinv = 1.0 / self._qf
+            return
+        # Twiddle tables cover one row per *distinct* chunk modulus: fused
+        # cross-ciphertext stacks repeat a short base either member-major
+        # (the tuple tiles with some period) or limb-major (runs of one
+        # modulus), and materializing the repeats would only evict the
+        # tables from cache.
         base = self.moduli
         #: ``(row_lo, row_hi, table_lo, table_hi)`` processing chunks.
-        #: Non-repeating stacks walk :data:`_NTT_LIMB_BATCH`-row chunks
-        #: with matching table rows; member-major tilings walk one repeat
-        #: period per chunk; limb-major runs walk one run per chunk with
-        #: its single table row broadcast over the run's data rows.
+        #: Non-repeating stacks walk budget-sized chunks with matching
+        #: table rows; member-major tilings walk one repeat period per
+        #: chunk; limb-major runs walk one run per chunk with its single
+        #: table row broadcast over the run's data rows.
         self._chunks: list[tuple[int, int, int, int]] = []
         period = self._repeat_period(self.moduli)
         runs = self._runs(self.moduli)
@@ -291,16 +429,12 @@ class StackedNTTEngine:
                 self._chunks.append((row, row + count, index, index + 1))
                 row += count
         else:
+            step = self._chunk_rows
             self._chunks = [
-                (r0, min(r0 + _NTT_LIMB_BATCH, length), r0,
-                 min(r0 + _NTT_LIMB_BATCH, length))
-                for r0 in range(0, length, _NTT_LIMB_BATCH)
+                (r0, min(r0 + step, length), r0, min(r0 + step, length))
+                for r0 in range(0, length, step)
             ]
         tables = [twiddle_tables(ring_degree, q) for q in base]
-        if self.backend == modmath.BACKEND_OBJECT:
-            # The moduli are validated; the exact backend keeps no stacked
-            # tables -- reference_transform is its whole transform.
-            return
         base_col = modmath.moduli_column(base)
         self._base_col = base_col
         self._col3 = base_col.reshape(-1, 1, 1)
@@ -310,13 +444,29 @@ class StackedNTTEngine:
         self._two3 = self._col3 * np.uint64(2)
         self._two4 = self._col4 * np.uint64(2)
         self._n_inv = [twiddle_tables(ring_degree, q)[2] for q in self.moduli]
-        # The block-local stages run transposed on both word backends.
         self._block = _TRANSPOSED_BLOCK
         self._grid = 0
         if self.ring_degree >= 2 * self._block:
             self._grid = self.ring_degree // self._block
         self._fw_stages, self._fw_trans = self._stage_tables([t[0] for t in tables])
         self._inv_stages, self._inv_trans = self._stage_tables([t[1] for t in tables])
+
+    @staticmethod
+    def _groups(moduli: tuple[int, ...]) -> list[tuple[slice, int]]:
+        """``(rows, modulus)`` pairs covering ``moduli`` -- one evenly spaced
+        slice per distinct modulus (a tiling's period, a run), else one per
+        row."""
+        where: dict[int, list[int]] = {}
+        for row, q in enumerate(moduli):
+            where.setdefault(q, []).append(row)
+        groups = []
+        for q, rows in where.items():
+            step = rows[1] - rows[0] if len(rows) > 1 else 1
+            if rows == list(range(rows[0], rows[-1] + 1, step)):
+                groups.append((slice(rows[0], rows[-1] + 1, step), q))
+            else:
+                groups += [(slice(row, row + 1), q) for row in rows]
+        return groups
 
     @staticmethod
     def _repeat_period(moduli: tuple[int, ...]) -> int:
@@ -345,21 +495,17 @@ class StackedNTTEngine:
         ``m = 2**s`` twiddles of that stage as an ``(L, m, 1)`` array next
         to their Shoup companions -- and the block-local stages in the
         transposed-grid layout (empty when no stage runs transposed).
-        The companions are ``floor(w * 2**32 / q)`` on the single-word
-        backend (Table III) and ``floor(w * 2**64 / q)`` on the dword
-        backend, stored as 32-bit digit halves on an extra axis 1 so each
-        butterfly's quotient reads precomputed operands instead of
-        re-splitting per stage.  Each stage's table is copied in the one
-        layout it runs in, so an engine holds its twiddles once.
+        The companions are ``floor(w * 2**64 / q)``, stored as 32-bit digit
+        halves on an extra axis 1 so each butterfly's quotient reads
+        precomputed operands instead of re-splitting per stage.  Each
+        stage's table is copied in the one layout it runs in, so an engine
+        holds its twiddles once.
         """
         table = np.stack(rows)
-        if self.fast:
-            shoup = modmath.shoup_column(table, self._base_col)
-        else:
-            wide = modmath.dword_shoup_column(table, self._base_col)
-            shoup = np.stack(
-                [wide >> np.uint64(32), wide & np.uint64(0xFFFFFFFF)], axis=1
-            )
+        wide = modmath.dword_shoup_column(table, self._base_col)
+        shoup = np.stack(
+            [wide >> np.uint64(32), wide & np.uint64(0xFFFFFFFF)], axis=1
+        )
         grid = self._grid
         stages, transposed = [], []
         m = 1
@@ -477,6 +623,9 @@ class StackedNTTEngine:
                 prologue.fn(tuple(prologue.reads), (a,))
             if self.backend == modmath.BACKEND_OBJECT:
                 a[...] = reference_transform(a, self.moduli, inverse=inverse)
+            elif self.gemm:
+                for r0, r1, groups in self._blocks:
+                    self._gemm_block(a[r0:r1], groups, r0, inverse)
             else:
                 rows_fn = self._inverse_rows if inverse else self._forward_rows
                 for r0, r1, t0, t1 in self._chunks:
@@ -543,26 +692,66 @@ class StackedNTTEngine:
                 replay=replay, unfused=unfused,
             )
 
-    # -- the stage pipeline ---------------------------------------------------
+    # -- the four-step GEMM transform ------------------------------------------
+    #
+    # A chunk of rows runs through one float64 scratch of four rows per data
+    # row: ``x`` (the values) and ``tmp`` (the reduction's quotient) side by
+    # side, then the split operand ``(hi, lo)``.  Between steps every value
+    # is a centred residue, |x| <= (q+1)/2.
+
+    def _gemm_block(self, data, groups, r0: int, inverse: bool) -> None:
+        """Transform the chunk ``data`` (stack rows ``r0:``) in place."""
+        rows, n = data.shape
+        n1, n2 = _gemm_sides(n)
+        block = [(rows_of, gemm_tables(n, q)[inverse]) for rows_of, q in groups]
+        q, qinv = self._qf[r0 : r0 + rows], self._qinv[r0 : r0 + rows]
+        buf = modmath._scratch("ntt-gemm", (self._chunk_rows, 4 * n), np.float64)
+        pair = buf[:rows, : 2 * n].reshape(rows, 2, n1, n2)
+        x, tmp = pair[:, 0], pair[:, 1]
+        split = buf[:rows, 2 * n :].reshape(rows, 2, n1, n2)
+        hi, lo = split[:, 0], split[:, 1]
+        # Residues are below 2**32: the int64 view converts in one pass.
+        matrix = data.view(np.int64).reshape(rows, n1, n2)
+        np.copyto(x, matrix)
+        _reduce(x, q, qinv, tmp)
+        # Forward: W1 from the left, the twist, W2^T from the right; the
+        # inverse mirrors it.
+        _split(x, hi, lo)
+        _product(pair, split, block, "first", left=not inverse)
+        _reduce(x, q, qinv, tmp)
+        _split(x, hi, lo)
+        for rows_of, factors in block:
+            # x * T = hi * (T 2**15) + lo * T, below 2**46.
+            hi[rows_of] *= factors.twist_hi
+            lo[rows_of] *= factors.twist
+        np.add(hi, lo, out=x)
+        _reduce(x, q, qinv, tmp)
+        _split(x, hi, lo)
+        _product(pair, split, block, "second", left=inverse)
+        _reduce(x, q, qinv, tmp)
+        # Centred -> canonical [0, q).
+        np.less(x, 0.0, out=tmp)
+        tmp *= q
+        x += tmp
+        np.copyto(matrix, x, casting="unsafe")
+
+    # -- the radix-2 stage pipeline -------------------------------------------
     #
     # One chunk of rows runs through the whole stage pipeline while its
     # working set (data + scratch) is cache-resident.  All intermediates
     # live in pooled scratch buffers (no allocator traffic on the hot
-    # path), and values travel as lazy [0, 2q) representatives -- Shoup
-    # products and one conditional subtraction against 2q per butterfly --
-    # with a single canonicalization at the end, which leaves the output
-    # bit-identical to the canonical per-stage computation.
+    # path), and values travel as lazy representatives -- Harvey's
+    # butterflies with three-product 64-bit Shoup quotients
+    # (:func:`repro.core.modmath._dword_shoup_quotient`) -- with a single
+    # canonicalization at the end, which leaves the output bit-identical to
+    # the canonical per-stage computation.
     #
     # ``a`` holds the data rows of the chunk; ``t0:t1`` indexes the twiddle
     # tables.  For tiled stacks the chunk is one repeat period (table rows
     # == data rows); a period of one broadcasts a single table row over
-    # every data row of the stack.
-    #
-    # Every canonical residue (< 2**62) and lazy representative (< 4q <
-    # 2**64) of a dword modulus fits the uint64 word it is stored in, so
-    # both word backends run the same stage loop on the same rows -- only
-    # the butterflies differ (:meth:`_shoup_quotient`,
-    # :meth:`_dword_butterflies`).
+    # every data row of the stack.  Every canonical residue (< 2**62) and
+    # lazy representative (< 4q < 2**64) fits the uint64 word it is
+    # stored in.
 
     def _stage_buffers(self, rows: int) -> np.ndarray:
         """The four staggered stage buffers of a ``rows``-row chunk."""
@@ -582,7 +771,7 @@ class StackedNTTEngine:
         for tw, sh in self._fw_stages:
             t //= 2
             view = data.reshape(rows, -1, 2 * t)
-            self._lazy_butterflies(
+            _butterflies(
                 view[:, :, :t], view[:, :, t:], tw[t0:t1], sh[t0:t1], q3, tq3,
                 bufs.reshape(4, rows, -1, t),
             )
@@ -595,15 +784,13 @@ class StackedNTTEngine:
             for tw, sh in self._fw_trans:
                 t //= 2
                 view = gbuf.reshape(rows, -1, 2 * t, grid)
-                self._lazy_butterflies(
+                _butterflies(
                     view[:, :, :t, :], view[:, :, t:, :], tw[t0:t1], sh[t0:t1],
                     q4, tq4, bufs.reshape(4, rows, -1, t, grid),
                 )
             np.copyto(data.reshape(rows, grid, block), gbuf.transpose(0, 2, 1))
-        # Canonicalize the lazy representatives once (dword rows from
-        # [0, 4q), see :meth:`_dword_butterflies`).
-        if self.dword:
-            modmath._fast_reduce_once(data, self._two3[t0:t1, :, 0])
+        # Canonicalize the lazy [0, 4q) representatives once.
+        modmath._fast_reduce_once(data, self._two3[t0:t1, :, 0])
         modmath._fast_reduce_once(data, self._base_col[t0:t1])
 
     def _inverse_rows(self, data: np.ndarray, t0: int, t1: int) -> None:
@@ -621,7 +808,7 @@ class StackedNTTEngine:
             tq4 = self._two4[t0:t1]
             for tw, sh in reversed(self._inv_trans):
                 view = gbuf.reshape(rows, -1, 2 * t, grid)
-                self._lazy_gs_butterflies(
+                _gs_butterflies(
                     view[:, :, :t, :], view[:, :, t:, :], tw[t0:t1], sh[t0:t1],
                     q4, tq4, bufs.reshape(4, rows, -1, t, grid),
                 )
@@ -629,7 +816,7 @@ class StackedNTTEngine:
             np.copyto(data.reshape(rows, grid, block), gbuf.transpose(0, 2, 1))
         for tw, sh in reversed(self._inv_stages):
             view = data.reshape(rows, -1, 2 * t)
-            self._lazy_gs_butterflies(
+            _gs_butterflies(
                 view[:, :, :t], view[:, :, t:], tw[t0:t1], sh[t0:t1], q3, tq3,
                 bufs.reshape(4, rows, -1, t),
             )
@@ -637,105 +824,94 @@ class StackedNTTEngine:
         # Rows are left lazy (< 2q); the caller's fused N^-1 Shoup scaling
         # accepts any uint64 input and canonicalizes.
 
-    def _shoup_quotient(self, x, sh, q, out, spare) -> None:
-        """``out = q * floor(x * w / q)`` up to a few ``q``, from ``w``'s companion.
 
-        The single-word estimate is a 32-bit shift and leaves ``x * w - out``
-        in ``[0, 2q)``.  The dword estimate is the three-product quotient
-        from the companion's digit halves (``spare`` is its scratch), up to
-        three short for *any* uint64 ``x``: ``x * w - out`` lands in
-        ``[0, 4q)`` and the butterfly folds it with one minimum against ``2q``.
-        """
-        if self.dword:
-            modmath._dword_shoup_quotient(x, sh[:, 0], sh[:, 1], out, spare)
-            out *= q
+def _reduce(x, q, qinv, tmp) -> None:
+    """``x -= q * rint(x / q)`` in place, for integers ``|x| <= 1.5 * 2**52``.
+
+    ``x * qinv`` is within ``|x| * 2**-52 <= 1.5`` of ``x / q``, so the
+    rounding misses the nearest quotient only at a near-tie: the result is
+    within ``q/2 + 1.5``, i.e. ``(q+1)/2`` for an odd ``q``, and ``q``
+    times the quotient stays below 2**53, so every step is exact.
+    """
+    np.multiply(x, qinv, out=tmp)
+    np.rint(tmp, out=tmp)
+    tmp *= q
+    x -= tmp
+
+
+def _split(x, hi, lo) -> None:
+    """Write ``x = hi * 2**15 + lo`` with ``|lo| <= 2**14``."""
+    np.multiply(x, _INV_SPLIT, out=hi)
+    np.rint(hi, out=hi)
+    np.multiply(hi, _SPLIT, out=lo)
+    np.subtract(x, lo, out=lo)
+
+
+def _product(pair, split, block, which: str, *, left: bool) -> None:
+    """``x = W x`` (``left``) or ``x W``, ``W`` each group's ``which``
+    factor, from the split ``(hi, lo)`` of ``x = pair[:, 0]``.
+
+    A left factor takes ``[hi; lo]`` as one ``(2 n1, n2)`` operand; a right
+    factor multiplies ``hi`` and ``lo`` by its two halves into ``pair`` and
+    the halves add up.
+    """
+    n1, n2 = split.shape[2:]
+    x = pair[:, 0]
+    for rows_of, factors in block:
+        w = getattr(factors, which)
+        if left:
+            np.matmul(w, split[rows_of].reshape(-1, 2 * n1, n2), out=x[rows_of])
         else:
-            np.multiply(x, sh, out=out)
-            out >>= modmath.STACK_SHOUP_SHIFT
-            out *= q
+            np.matmul(split[rows_of], w, out=pair[rows_of])
+    if not left:
+        np.add(x, pair[:, 1], out=x)
 
-    def _lazy_butterflies(self, u, x, tw, sh, q, two_q, bufs) -> None:
-        """One forward stage on lazy representatives, entirely in scratch.
 
-        ``v = (x * tw) mod-ish q`` lands in ``[0, 2q)`` (Shoup, no final
-        correction); ``low = u + v`` and ``high = u + 2q - v`` are folded
-        back below ``2q`` with one subtract+minimum each (the uint64
-        wraparound of the min-trick; sums stay below ``4q < 2**64``).
-        """
-        if self.dword:
-            self._dword_butterflies(u, x, tw, sh, q, two_q, bufs)
-            return
-        buf_v, buf_q, buf_lo, buf_hi = bufs
-        self._shoup_quotient(x, sh, q, buf_q, buf_lo)
-        np.multiply(x, tw, out=buf_v)
-        buf_v -= buf_q
-        np.add(u, two_q, out=buf_hi)
-        buf_hi -= buf_v
-        np.add(u, buf_v, out=buf_lo)
-        # u and x are no longer read; the final minimums write straight
-        # into the data views, saving two copy passes.
-        np.subtract(buf_lo, two_q, out=buf_q)
-        np.minimum(buf_lo, buf_q, out=u)
-        np.subtract(buf_hi, two_q, out=buf_q)
-        np.minimum(buf_hi, buf_q, out=x)
+def _butterflies(u, x, tw, sh, q, two_q, bufs) -> None:
+    """One forward (Cooley-Tukey) stage on lazy representatives, entirely
+    in scratch (Harvey's butterfly).
 
-    def _dword_butterflies(self, u, x, tw, sh, q, two_q, bufs) -> None:
-        """:meth:`_lazy_butterflies` on the dword backend (Harvey's butterfly).
+    The rows hold ``[0, 4q)`` representatives between stages: ``u`` and
+    the three-product Shoup product ``v = x * tw`` (also in ``[0, 4q)``:
+    the quotient from the companion's digit halves is up to three short for
+    *any* uint64 ``x``) are each folded below ``2q`` with one minimum
+    against ``2q`` (the uint64 wraparound of the min-trick), and
+    ``u + v`` and ``u + 2q - v`` -- both below ``4q < 2**64`` -- are
+    stored as they are.
+    """
+    buf_v, buf_q, buf_lo, buf_hi = bufs
+    modmath._dword_shoup_quotient(x, sh[:, 0], sh[:, 1], buf_q, buf_lo)
+    buf_q *= q
+    np.multiply(x, tw, out=buf_v)
+    buf_v -= buf_q
+    np.subtract(buf_v, two_q, out=buf_q)
+    np.minimum(buf_v, buf_q, out=buf_v)
+    np.subtract(u, two_q, out=buf_q)
+    np.minimum(u, buf_q, out=buf_lo)
+    np.add(buf_lo, two_q, out=buf_hi)
+    np.subtract(buf_hi, buf_v, out=x)
+    np.add(buf_lo, buf_v, out=u)
 
-        The rows hold ``[0, 4q)`` representatives between stages: ``u``
-        and the three-product Shoup product ``v`` (also in ``[0, 4q)``) are
-        each folded below ``2q`` with one minimum, and ``u + v`` and
-        ``u + 2q - v`` -- both below ``4q < 2**64`` -- are stored as they
-        are.  Two minimums per butterfly, as on the single-word backend.
-        """
-        buf_v, buf_q, buf_lo, buf_hi = bufs
-        self._shoup_quotient(x, sh, q, buf_q, buf_lo)
-        np.multiply(x, tw, out=buf_v)
-        buf_v -= buf_q
-        np.subtract(buf_v, two_q, out=buf_q)
-        np.minimum(buf_v, buf_q, out=buf_v)
-        np.subtract(u, two_q, out=buf_q)
-        np.minimum(u, buf_q, out=buf_lo)
-        np.add(buf_lo, two_q, out=buf_hi)
-        np.subtract(buf_hi, buf_v, out=x)
-        np.add(buf_lo, buf_v, out=u)
 
-    def _lazy_gs_butterflies(self, u, v, tw, sh, q, two_q, bufs) -> None:
-        """One inverse (Gentleman-Sande) stage on lazy representatives."""
-        if self.dword:
-            self._dword_gs_butterflies(u, v, tw, sh, q, two_q, bufs)
-            return
-        buf_v, buf_q, buf_lo, buf_hi = bufs
-        np.add(u, v, out=buf_lo)
-        np.add(u, two_q, out=buf_hi)
-        buf_hi -= v
-        # u and v are no longer read as inputs from here on.
-        np.subtract(buf_lo, two_q, out=buf_q)
-        np.minimum(buf_lo, buf_q, out=u)
-        np.subtract(buf_hi, two_q, out=buf_q)
-        np.minimum(buf_hi, buf_q, out=buf_hi)
-        self._shoup_quotient(buf_hi, sh, q, buf_q, buf_v)
-        np.multiply(buf_hi, tw, out=buf_v)
-        np.subtract(buf_v, buf_q, out=v)
+def _gs_butterflies(u, v, tw, sh, q, two_q, bufs) -> None:
+    """One inverse (Gentleman-Sande) stage on lazy ``[0, 2q)`` rows.
 
-    def _dword_gs_butterflies(self, u, v, tw, sh, q, two_q, bufs) -> None:
-        """:meth:`_lazy_gs_butterflies` on the dword backend, ``[0, 2q)`` rows.
-
-        The three-product quotient takes any uint64 operand, so
-        ``u + 2q - v`` goes into the Shoup multiply unfolded; its product,
-        in ``[0, 4q)``, takes the minimum instead.
-        """
-        buf_v, buf_q, buf_lo, buf_hi = bufs
-        np.add(u, v, out=buf_lo)
-        np.add(u, two_q, out=buf_hi)
-        buf_hi -= v
-        np.subtract(buf_lo, two_q, out=buf_q)
-        np.minimum(buf_lo, buf_q, out=u)
-        self._shoup_quotient(buf_hi, sh, q, buf_q, buf_v)
-        np.multiply(buf_hi, tw, out=buf_v)
-        buf_v -= buf_q
-        np.subtract(buf_v, two_q, out=buf_q)
-        np.minimum(buf_v, buf_q, out=v)
+    The three-product quotient takes any uint64 operand, so ``u + 2q - v``
+    goes into the Shoup multiply unfolded; its product, in ``[0, 4q)``,
+    takes the minimum instead.
+    """
+    buf_v, buf_q, buf_lo, buf_hi = bufs
+    np.add(u, v, out=buf_lo)
+    np.add(u, two_q, out=buf_hi)
+    buf_hi -= v
+    np.subtract(buf_lo, two_q, out=buf_q)
+    np.minimum(buf_lo, buf_q, out=u)
+    modmath._dword_shoup_quotient(buf_hi, sh[:, 0], sh[:, 1], buf_q, buf_v)
+    buf_q *= q
+    np.multiply(buf_hi, tw, out=buf_v)
+    buf_v -= buf_q
+    np.subtract(buf_v, two_q, out=buf_q)
+    np.minimum(buf_v, buf_q, out=v)
 
 
 @lru_cache(maxsize=128)
@@ -805,7 +981,9 @@ def _unfused_launches(tag: str, n: int, given: int, before: int, after: int,
 
 __all__ = [
     "Fused",
+    "GemmFactors",
     "StackedNTTEngine",
+    "gemm_tables",
     "bit_reverse_indices",
     "is_power_of_two",
     "twiddle_tables",

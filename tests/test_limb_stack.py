@@ -107,8 +107,9 @@ class TestStackedNTT:
         "layout", ["chain", "member-major", "single-modulus", "limb-major"]
     )
     @pytest.mark.parametrize(
-        "bits,backend", [(28, "uint64"), (40, "dword"), (63, "object")],
-        ids=["uint64", "dword", "object"],
+        "bits,backend",
+        [(28, "uint64"), (31, "uint64"), (40, "dword"), (63, "object")],
+        ids=["uint64", "uint64-31", "dword", "object"],
     )
     def test_matches_reference_transform(self, bits, backend, layout):
         primes = generate_ntt_primes(5, bits, N)

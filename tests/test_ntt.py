@@ -13,8 +13,10 @@ from repro.core import modmath
 from repro.core.dispatch import get_dispatcher
 from repro.core.fusion import TraceProgram
 from repro.core.ntt import (
+    _SPLIT_BITS,
     Fused,
     bit_reverse_indices,
+    gemm_tables,
     get_stacked_engine,
     reference_transform,
     twiddle_tables,
@@ -111,8 +113,11 @@ class TestRadix2:
             twiddle_tables(31, q)
 
     def test_rejects_unfriendly_modulus(self):
-        with pytest.raises(ValueError):
-            twiddle_tables(64, 97)
+        # 97 is not 1 mod 128; 65 = 5 * 13 and 289 = 17**2 are 1 mod 2N but
+        # composite, so no root search may run on them.
+        for n, q in [(64, 97), (32, 65), (8, 289)]:
+            with pytest.raises(ValueError, match="not NTT-friendly"):
+                twiddle_tables(n, q)
 
     def test_engine_cache_reuses_instances(self):
         q = generate_ntt_primes(1, 25, 64)[0]
@@ -121,8 +126,11 @@ class TestRadix2:
 
 
 class TestHierarchical:
-    """The engine's blocked stage pipeline (the four-step locality idea of
-    §III-F.4): for N > 16 the last stages run on a transposed grid."""
+    """The hierarchical transform of §III-F.4: on the uint64 backend every
+    row is an ``(n1, n2)`` matrix transformed by two exact float64 GEMMs
+    around a twist (:func:`repro.core.ntt.gemm_tables`); the radix-2
+    butterflies, whose last stages run on a transposed grid for N > 16,
+    remain for the dword backend and uint64 stacks beyond N = 2**14."""
 
     @staticmethod
     def _engine_multiply(a, b, q, n):
@@ -172,6 +180,65 @@ class TestBitReversal:
 
     def test_small_case(self):
         assert list(bit_reverse_indices(8)) == [0, 4, 2, 6, 1, 5, 3, 7]
+
+    @pytest.mark.parametrize("n", [0, 3, 6, 12])
+    def test_rejects_non_power_of_two(self, n):
+        # bit_reverse_indices(6) was [0 2 1 3 0 2]: not a permutation.
+        with pytest.raises(ValueError, match="power of two"):
+            bit_reverse_indices(n)
+
+
+class TestGemmExactness:
+    """The four-step GEMM transform where its float64 sums come closest to
+    2**53: 31-bit primes, extreme residues and lazy ``[0, 2q)`` input."""
+
+    @pytest.mark.parametrize("log_n", range(3, 15))
+    def test_extreme_rows_match_reference(self, log_n):
+        n = 1 << log_n
+        q = generate_ntt_primes(1, 31, n)[0]
+        moduli = (q,) * 4
+        engine = get_stacked_engine(n, moduli)
+        assert engine.gemm
+        stack = np.array([
+            [q - 1] * n,
+            [q // 2 + 1] * n,
+            [0, q - 1] * (n // 2),
+            [2 * q - 1] * n,
+        ], dtype=np.uint64)
+        assert engine.forward(stack).tolist() == reference_transform(
+            stack, moduli).tolist()
+        assert engine.inverse(stack).tolist() == reference_transform(
+            stack, moduli, inverse=True).tolist()
+
+    def test_sign_aligned_rows_match_reference(self):
+        # Every row of X equals one centred x whose split halves take the
+        # signs of the heaviest row of the forward left factor [W 2**b | W]
+        # at near-maximal size: that row's product sums are the largest any
+        # input can make them.
+        n, n1, b = 1 << 13, 128, _SPLIT_BITS
+        q = generate_ntt_primes(1, 31, n)[0]
+        first = gemm_tables(n, q)[0].first
+        row = first[np.argmax(np.abs(first).sum(axis=1))]
+        big = ((q - 1) // 2 - (1 << (b - 1))) >> b
+        x = np.sign(row[:n1]) * big * (1 << b) + np.sign(row[n1:]) * ((1 << (b - 1)) - 1)
+        stack = (np.repeat(x.astype(np.int64), n // n1) % q).astype(np.uint64)[None]
+        engine = get_stacked_engine(n, (q,))
+        assert engine.forward(stack).tolist() == reference_transform(stack, [q]).tolist()
+
+    def test_beyond_largest_side_runs_the_butterflies(self):
+        # N = 2**15 needs a 256-wide GEMM, past the exact bound: the uint64
+        # stack takes the double-word butterflies and stays exact.
+        n = 1 << 15
+        moduli = tuple(generate_ntt_primes(2, 31, n))
+        engine = get_stacked_engine(n, moduli)
+        assert engine.backend == modmath.BACKEND_UINT64
+        assert not engine.gemm
+        rng = np.random.default_rng(11)
+        stack = rng.integers(0, 2 * min(moduli), (2, n), dtype=np.uint64)
+        forward = engine.forward(stack)
+        assert forward.tolist() == reference_transform(stack, moduli).tolist()
+        assert engine.inverse(stack).tolist() == reference_transform(
+            stack, moduli, inverse=True).tolist()
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**25 - 1), min_size=32, max_size=32))
@@ -355,3 +422,32 @@ def test_stacked_roundtrip_near_dword_cap(values):
         stack, _NEAR_CAP, inverse=True
     ).tolist()
     assert engine.inverse(forward).tolist() == stack.tolist()
+
+
+#: The widest uint64 chain at the largest GEMM inner dimension in use
+#: (N = 2**13, n1 = 128): the float64 product sums come closest to 2**53.
+_NEAR_UINT64_CAP = tuple(generate_ntt_primes(3, 31, 1 << 13))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from(["canonical", "lazy", "extreme"]))
+@settings(max_examples=8, deadline=None)
+def test_stacked_roundtrip_near_uint64_cap(seed, kind):
+    n = 1 << 13
+    engine = get_stacked_engine(n, _NEAR_UINT64_CAP)
+    assert engine.backend == modmath.BACKEND_UINT64 and engine.gemm
+    col = modmath.moduli_column(_NEAR_UINT64_CAP)
+    rng = np.random.default_rng(seed)
+    if kind == "extreme":
+        # Residues farthest from zero once centred, and their neighbours.
+        choices = np.concatenate([col - 1, col // 2, col // 2 + 1, np.ones_like(col)], axis=1)
+        stack = np.take_along_axis(choices, rng.integers(0, 4, (3, n)), axis=1)
+    else:
+        bound = 2 * col if kind == "lazy" else col
+        stack = rng.integers(0, 1 << 62, (3, n), dtype=np.uint64) % bound
+    forward = engine.forward(stack)
+    assert forward.tolist() == reference_transform(stack, _NEAR_UINT64_CAP).tolist()
+    assert engine.inverse(stack).tolist() == reference_transform(
+        stack, _NEAR_UINT64_CAP, inverse=True
+    ).tolist()
+    assert engine.inverse(forward).tolist() == (stack % col).tolist()
