@@ -59,12 +59,8 @@ from repro.ckks.context import Context
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeySet
 from repro.ckks.params import CKKSParameters
-from repro.core.dispatch import KernelTrace, get_dispatcher
+from repro.core.dispatch import DISPATCH, KernelTrace
 from repro.perf.costmodel import CKKSOperationCosts
-
-#: Execution-plane dispatcher: the symbolic backend emits its kernels
-#: through it and the tracing backend opens its recording regions on it.
-_DISPATCH = get_dispatcher()
 
 
 @runtime_checkable
@@ -254,12 +250,12 @@ class CostModelBackend:
         The builder only runs inside a recording region, so an unobserved
         symbolic program constructs no kernel descriptors.
         """
-        if not _DISPATCH.recording:
+        if not DISPATCH.recording:
             return
         for kernel in build(*args).kernels:
             if handle.batch_size > 1:
                 kernel = kernel.batched(handle.batch_size)
-            _DISPATCH.emit(kernel)
+            DISPATCH.emit(kernel)
 
     # -- ciphertext sources -------------------------------------------------
 
@@ -473,7 +469,7 @@ class TracingBackend:
         self.trace = trace if trace is not None else KernelTrace()
 
     def _recorded(self, method: str, *args, **kwargs):
-        with _DISPATCH.record(self.trace):
+        with DISPATCH.record(self.trace):
             return getattr(self.inner, method)(*args, **kwargs)
 
     def describe(self) -> dict:

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.api.backend import CostModelBackend, TracingBackend
 from repro.api.vector import CipherVector
-from repro.core.dispatch import KernelTrace, get_dispatcher
+from repro.core.dispatch import DISPATCH, KernelTrace
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.context import Context, set_default_context
 from repro.ckks.encryption import encode as encode_plaintext
@@ -375,7 +375,7 @@ class CKKSSession:
         against.  For tracing scoped to a single backend rather than a code
         region, see :class:`~repro.api.backend.TracingBackend`.
         """
-        with get_dispatcher().record(trace, executable=executable) as active:
+        with DISPATCH.record(trace, executable=executable) as active:
             yield active
 
     def tracing_backend(self, trace: KernelTrace | None = None) -> TracingBackend:

@@ -48,7 +48,7 @@ from repro.ckks.linear_transform import (
     coeff_to_slot_matrix,
     slot_to_coeff_matrix,
 )
-from repro.core.dispatch import get_dispatcher
+from repro.core.dispatch import DISPATCH
 from repro.core.rns_poly import RNSPoly
 
 
@@ -134,7 +134,7 @@ class Bootstrapper:
                 self.context.ring_degree, moduli, coefficients
             ).to_evaluation()
 
-        with get_dispatcher().scope("modraise"):
+        with DISPATCH.scope("modraise"):
             return ct.with_polys(raise_poly(ct.c0), raise_poly(ct.c1))
 
     def coeff_to_slot(self, ct: Ciphertext) -> tuple[Ciphertext, Ciphertext]:

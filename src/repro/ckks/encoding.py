@@ -15,12 +15,14 @@ supported on every ``N/(2s)``-th coefficient).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from repro.core.modmath import rint_integers
+from repro.core.modmath import read_only, rint_integers
 
 
 @lru_cache(maxsize=16)  # one entry per ring degree
@@ -32,7 +34,7 @@ def rotation_group(ring_degree: int) -> np.ndarray:
     for j in range(n // 2):
         group[j] = value
         value = (value * 5) % (2 * n)
-    return group
+    return read_only(group)
 
 
 def _next_power_of_two(value: int) -> int:
@@ -98,19 +100,22 @@ class CKKSEncoder:
 
     def encode(self, values, scale: float) -> np.ndarray:
         """Encode a message into integer polynomial coefficients at ``scale``."""
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        slots = self.expand_message(values)
-        return rint_integers(self.embed(slots) * scale)
+        return self._integer_coefficients(self.expand_message(values), scale)
 
     def decode(self, coefficients, scale: float, length: int | None = None) -> np.ndarray:
-        """Decode integer (or float) coefficients back into complex slot values."""
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        slots = self.project(coefficients) / scale
+        """Decode integer (or float) coefficients back into complex slot values.
+
+        ``length`` (default: every slot) is an integer in ``[0, N/2]``.
+        """
+        _check_scale(scale)
         if length is None:
             length = self.max_slots
-        return slots[:length]
+        length = operator.index(length)
+        if not 0 <= length <= self.max_slots:
+            raise ValueError(
+                f"length must be in [0, {self.max_slots}] slots, got {length}"
+            )
+        return (self.project(coefficients) / scale)[:length]
 
     def encode_diagonal(self, diagonal, scale: float) -> np.ndarray:
         """Encode an arbitrary complex slot vector without replication.
@@ -121,7 +126,31 @@ class CKKSEncoder:
         diagonal = np.asarray(diagonal, dtype=np.complex128).ravel()
         if len(diagonal) != self.max_slots:
             raise ValueError("diagonal must have exactly N/2 entries")
-        return rint_integers(self.embed(diagonal) * scale)
+        return self._integer_coefficients(diagonal, scale)
+
+    def _integer_coefficients(self, slots: np.ndarray, scale: float) -> np.ndarray:
+        """``rint(embed(slots) * scale)``, refusing input it cannot represent.
+
+        Checked before the FFT: a non-finite slot value, a non-finite or
+        non-positive scale, or a message that may overflow float64 -- a
+        coefficient is below twice the largest slot part, an FFT partial
+        sum below ``N`` times that.
+        """
+        _check_scale(scale)
+        if not np.all(np.isfinite(slots)):
+            raise ValueError("message has a non-finite (NaN or infinite) slot value")
+        peak = float(max(np.abs(slots.real).max(), np.abs(slots.imag).max()))
+        if not math.isfinite(2 * peak * max(float(scale), self.ring_degree)):
+            raise ValueError(
+                f"message scaled by {scale:g} overflows float64 "
+                f"(largest slot part {peak:g})"
+            )
+        return rint_integers(self.embed(slots) * scale)
+
+
+def _check_scale(scale: float) -> None:
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
 
 
 __all__ = ["CKKSEncoder", "rotation_group"]

@@ -50,15 +50,9 @@ from repro.ckks.keys import KeySet, KeySwitchingKey
 from repro.ckks.keyswitch import apply_key, decompose_and_mod_up, key_switch
 from repro.core import modmath
 from repro.core.automorphism import conjugation_exponent, rotation_to_exponent
-from repro.core.dispatch import get_dispatcher
+from repro.core.dispatch import DISPATCH
 from repro.core.limb import LimbFormat
 from repro.core.rns_poly import RNSPoly
-
-#: Execution-plane dispatcher: the evaluator tags operation scopes so a
-#: recorded trace segments into hmult/modup/moddown/rescale regions, and
-#: groups the kernels of one site (both components, the tensor product)
-#: into the one launch FIDESlib makes of them (``Dispatcher.launch``).
-_DISPATCH = get_dispatcher()
 
 
 class Evaluator:
@@ -83,12 +77,12 @@ class Evaluator:
         """Operation scope; a fused operand tags it ``batch{B}/name``."""
         if ct.batch_size > 1:
             name = f"batch{ct.batch_size}/{name}"
-        return _DISPATCH.scope(name)
+        return DISPATCH.scope(name)
 
     @staticmethod
     def _on_both(ct: Ciphertext, tag: str, fn, *, scale: float | None = None) -> Ciphertext:
         """Apply ``fn`` to both components in one launch."""
-        with _DISPATCH.launch(tag):
+        with DISPATCH.launch(tag):
             return ct.with_polys(fn(ct.c0), fn(ct.c1), scale=scale)
 
     # ------------------------------------------------------------------
@@ -185,7 +179,7 @@ class Evaluator:
     def _sum(self, ct1: Ciphertext, ct2: Ciphertext, tag: str, op) -> Ciphertext:
         with self._scope(ct1, "hadd"):
             a, b = match_for_sum(ct1, ct2, self.adjust)
-            with _DISPATCH.launch(tag):
+            with DISPATCH.launch(tag):
                 return a.with_polys(op(a.c0, b.c0), op(a.c1, b.c1))
 
     def negate(self, ct: Ciphertext) -> Ciphertext:
@@ -286,7 +280,7 @@ class Evaluator:
             a, b = match_for_product(ct1, ct2, self.adjust)
             # The GPU launches the whole tensor product as one fused kernel
             # (4 products + 2 additions per element).
-            with _DISPATCH.launch("tensor"):
+            with DISPATCH.launch("tensor"):
                 d0 = a.c0.multiply(b.c0)
                 # Dot-product fusion (§III-F.5): one wide accumulation for the
                 # cross term instead of two reduced products plus a reduced add.
@@ -299,7 +293,7 @@ class Evaluator:
     def square(self, ct: Ciphertext, *, rescale: bool = True) -> Ciphertext:
         """Homomorphic squaring (``HSquare``), cheaper than a general HMult."""
         with self._scope(ct, "hsquare"):
-            with _DISPATCH.launch("square-tensor"):
+            with DISPATCH.launch("square-tensor"):
                 d0 = ct.c0.multiply(ct.c0)
                 d1 = ct.c0.multiply(ct.c1)
                 # 2·c0·c1: the product is still private to this launch, so
@@ -314,7 +308,7 @@ class Evaluator:
                      d2: RNSPoly, scale: float) -> Ciphertext:
         delta0, delta1 = key_switch(self.context, d2, self.keys.relinearization_key)
         # Both component additions are one fused GPU launch.
-        with _DISPATCH.launch("relin-add"):
+        with DISPATCH.launch("relin-add"):
             c0 = d0.add(delta0)
             c1 = d1.add(delta1)
         return template.with_polys(c0, c1, scale=scale)

@@ -40,13 +40,11 @@ import numpy as np
 from repro.ckks.context import Context
 from repro.ckks.keys import KeySwitchingKey
 from repro.core import modmath
-from repro.core.dispatch import get_dispatcher
+from repro.core.dispatch import DISPATCH
 from repro.core.limb import LimbFormat
 from repro.core.ntt import Fused, get_stacked_engine
 from repro.core.rns_poly import RNSPoly
 from repro.gpu.kernel import MODADD_OPS, MODMUL_OPS
-
-_DISPATCH = get_dispatcher()
 
 
 @dataclass
@@ -72,7 +70,7 @@ def decompose_and_mod_up(context: Context, poly: RNSPoly) -> DecomposedPolynomia
     digit's own limbs are copied verbatim (no conversion error), the
     remaining limbs come from the fast base conversion.
     """
-    with _DISPATCH.scope("modup"):
+    with DISPATCH.scope("modup"):
         members = poly.members
         limb_count = poly.level_count // members
         n = context.ring_degree
@@ -132,7 +130,7 @@ def decompose_and_mod_up(context: Context, poly: RNSPoly) -> DecomposedPolynomia
                 member[d0:d1] = modmath.coerce_stack(own, target_col)
                 member[:d0] = raised[:d0]
                 member[d1:] = raised[d0:]
-            _DISPATCH.link((converted_eval, poly.data), stack)
+            DISPATCH.link((converted_eval, poly.data), stack)
             digits_out.append(RNSPoly(
                 target_moduli * members, stack, LimbFormat.EVALUATION, pool=poly.pool
             ))
@@ -183,7 +181,7 @@ def mod_down_many(context: Context, polys: list[RNSPoly]) -> list[RNSPoly]:
     # NTT over the ciphertext limbs with the fold.  The c0/c1 chains touch
     # disjoint rows of the fused buffers, so they stay parallel in the DAG
     # (the §III-F.1 overlap the stream scheduler exploits).
-    with _DISPATCH.scope("moddown"), _DISPATCH.interleaved():
+    with DISPATCH.scope("moddown"), DISPATCH.interleaved():
         # The N^-1 scaling folds into the conversion's q-hat^-1 constants.
         special_rows = get_stacked_engine(n, special_moduli * (members * count)).inverse(
             sources=[rows for p in polys for rows in p.member_rows(limb_count)],
@@ -192,7 +190,7 @@ def mod_down_many(context: Context, polys: list[RNSPoly]) -> list[RNSPoly]:
         specials = np.split(special_rows, members * count)
         out = np.empty((count * members * limb_count, n), dtype=target_col.dtype)
         for i, block in enumerate(np.split(out, count)):
-            _DISPATCH.segment = i
+            DISPATCH.segment = i
             converter.convert_members(specials[i * members : (i + 1) * members], block)
         out = get_stacked_engine(n, target_moduli * (members * count)).forward(
             out, consume=True, segments=[members * limb_count] * count,
@@ -223,7 +221,7 @@ def apply_key(
 
     Returns the pair ``(delta_c0, delta_c1)`` over the ciphertext basis.
     """
-    with _DISPATCH.scope("keyswitch"):
+    with DISPATCH.scope("keyswitch"):
         template = decomposed.extended_digits[0]
         col = template.moduli_col
         digit_polys = decomposed.extended_digits
@@ -247,7 +245,7 @@ def apply_key(
         # one inner-product kernel.  The key is the constant side: on a
         # dword chain its Shoup companion rides along with every key stack.
         acc_data = [np.empty(digits[0].shape, dtype=col.dtype) for _ in range(2)]
-        with _DISPATCH.launch("ks-inner-product"):
+        with DISPATCH.launch("ks-inner-product"):
             for rows, key_rows in windows:
                 for component, acc in enumerate(acc_data):
                     modmath.stack_dot_mod(

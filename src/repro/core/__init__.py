@@ -5,8 +5,7 @@ negacyclic polynomials under word-sized prime moduli:
 
 * :mod:`repro.core.modmath` -- modular arithmetic: the batched
   ``stack_*`` kernels (improved Barrett and Shoup reductions, Table III)
-  that are the only arithmetic on residues, and the one scratch pool they
-  and the NTT draw from.
+  that are the only arithmetic on residues.
 * :mod:`repro.core.primes` -- NTT-friendly prime generation and roots of
   unity.
 * :mod:`repro.core.ntt` -- the negacyclic NTT/iNTT: one stacked engine
@@ -23,13 +22,14 @@ negacyclic polynomials under word-sized prime moduli:
 * :mod:`repro.core.memory` -- the stream-ordered memory-pool analogue:
   live/peak byte counters that an ``RNSPoly`` charges and credits.
 * :mod:`repro.core.dispatch` / :mod:`repro.core.fusion` -- the execution
-  plane: every kernel above reports to the dispatcher, which can record
-  a ``KernelTrace``; an executable trace replays as recorded
-  (``TraceProgram``), expands into its unfused baseline (``expand_stages``)
-  and prices its fusions (``fuse_trace``).
+  plane: every kernel above reports to ``DISPATCH``, one runtime per
+  thread that can record a ``KernelTrace`` and holds the scratch pool the
+  kernels and the NTT draw their temporaries from; an executable trace
+  replays as recorded (``TraceProgram``), expands into its unfused
+  baseline (``expand_stages``) and prices its fusions (``fuse_trace``).
 """
 
-from repro.core.dispatch import Dispatcher, KernelTrace, get_dispatcher
+from repro.core.dispatch import Dispatcher, KernelTrace
 from repro.core.modmath import pow_mod, inv_mod
 from repro.core.primes import generate_ntt_primes, find_primitive_root
 from repro.core.ntt import StackedNTTEngine, reference_transform, twiddle_tables
@@ -39,7 +39,6 @@ from repro.core.rns_poly import RNSPoly
 __all__ = [
     "Dispatcher",
     "KernelTrace",
-    "get_dispatcher",
     "pow_mod",
     "inv_mod",
     "generate_ntt_primes",

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.core.modmath import read_only
 from repro.core.ntt import bit_reverse_indices
 
 
@@ -32,11 +33,6 @@ def _canonical_exponent(ring_degree: int, k: int) -> int:
     if k % 2 == 0:
         raise ValueError("automorphism exponent must be odd")
     return k % (2 * ring_degree)
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def coeff_automorphism_map(ring_degree: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -62,7 +58,7 @@ def _coeff_map(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     sign = np.empty(n, dtype=np.int64)
     source[exponent % n] = j
     sign[exponent % n] = np.where(exponent < n, 1, -1)
-    return _read_only(source), _read_only(sign)
+    return read_only(source), read_only(sign)
 
 
 def eval_automorphism_map(ring_degree: int, k: int) -> np.ndarray:
@@ -80,7 +76,7 @@ def eval_automorphism_map(ring_degree: int, k: int) -> np.ndarray:
 def _eval_map(n: int, k: int) -> np.ndarray:
     # brv is an involution: position -> root exponent and back.
     brv = bit_reverse_indices(n)
-    return _read_only(brv[(((2 * brv + 1) * k) % (2 * n) - 1) // 2])
+    return read_only(brv[(((2 * brv + 1) * k) % (2 * n) - 1) // 2])
 
 
 def rotation_to_exponent(ring_degree: int, steps: int) -> int:

@@ -42,14 +42,21 @@ it compares a recorded trace with the closed-form
 operation and reports where the two producers disagree.
 
 Every batched data-plane operation routes through the module-level
-:class:`Dispatcher` singleton (:func:`get_dispatcher`).  Execution stays
-eager and bit-identical whether or not a trace is being recorded: the
-dispatcher only *observes*.  Recording is enabled with::
+:data:`DISPATCH`.  Execution stays eager and bit-identical whether or not
+a trace is being recorded: the dispatcher only *observes*.  Recording is
+enabled with::
 
-    with get_dispatcher().record() as trace:
+    with DISPATCH.record() as trace:
         ct3 = evaluator.multiply(ct1, ct2)
     trace.kernel_count            # kernels the GPU backend would launch
     trace.dependencies()          # DAG edges for the stream scheduler
+
+**One runtime per thread.**  The dispatcher's recording state and its
+scratch pool (:meth:`Dispatcher.scratch`) are the numeric plane's only
+mutable state -- every cache holds read-only tables -- and
+:class:`Dispatcher` is a :class:`threading.local`: each thread records
+only its own kernels and draws temporaries from its own pool (freed when
+the thread exits), so threads may run numeric work at once.
 
 Kernels are recorded at **GPU launch granularity**, not NumPy expression
 granularity: a stacked NTT is one kernel per limb batch even though it
@@ -121,7 +128,9 @@ can re-add the per-stage stream with the edges a recording would derive.
 
 from __future__ import annotations
 
+import threading
 import weakref
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -627,7 +636,11 @@ class _SuppressGuard:
         return False
 
 
-class Dispatcher:
+#: Byte budget of each thread's scratch pool (:meth:`Dispatcher.scratch`).
+_SCRATCH_BUDGET_BYTES = 96 << 20
+
+
+class Dispatcher(threading.local):
     """Routes batched data-plane operations, optionally recording a trace.
 
     The data plane calls the typed emitters (:meth:`elementwise`,
@@ -635,7 +648,8 @@ class Dispatcher:
     batched operation.  With no active trace they return immediately, and
     :meth:`scope`/:meth:`launch`/:meth:`suppressed` hand out a shared no-op
     context, so the untraced hot path pays one attribute check per kernel
-    and allocates nothing per operation.
+    and allocates nothing per operation.  ``__init__`` runs once per thread
+    (a :class:`threading.local`), so no state here is shared.
     """
 
     def __init__(self) -> None:
@@ -653,6 +667,9 @@ class Dispatcher:
         #: observability plane installs via :meth:`profiling`; ``None``
         #: keeps :meth:`scope` on the shared null context.
         self._profiler = None
+        #: This thread's reusable temporaries, ``(tag, dtype, shape)`` ->
+        #: buffer in LRU order (:meth:`scratch`).
+        self._scratch: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 
     # -- state ---------------------------------------------------------------
 
@@ -787,6 +804,35 @@ class Dispatcher:
 
     def _scope_path(self) -> str:
         return "/".join(self._scopes)
+
+    # -- scratch -------------------------------------------------------------
+
+    def scratch(self, tag: str, shape: tuple, dtype=np.uint64) -> np.ndarray:
+        """This thread's reusable buffer of exactly ``shape``/``dtype``.
+
+        Kernel temporaries (the stack kernels', the NTT's GEMM and stage
+        buffers), LRU-evicted past ``_SCRATCH_BUDGET_BYTES``.  Fused
+        ``(B·L, N)`` intermediates are megabytes, and a fresh allocation's
+        zero-fill can cost more than the arithmetic; results stay fresh --
+        scratch never escapes a kernel.
+        """
+        dtype = np.dtype(dtype)
+        key = (tag, dtype.str) + tuple(int(d) for d in shape)
+        pool = self._scratch
+        buf = pool.get(key)
+        if buf is None:
+            buf = np.empty(shape, dtype=dtype)
+            pool[key] = buf
+            total = sum(b.nbytes for b in pool.values())
+            while total > _SCRATCH_BUDGET_BYTES and len(pool) > 1:
+                oldest = next(iter(pool))
+                if oldest == key:
+                    pool.move_to_end(oldest)
+                    oldest = next(iter(pool))
+                total -= pool.pop(oldest).nbytes
+        else:
+            pool.move_to_end(key)
+        return buf
 
     # -- emitters ------------------------------------------------------------
 
@@ -949,20 +995,16 @@ class Dispatcher:
         self._trace.link(sources, destination)
 
 
-#: Process-wide dispatcher every data-plane call site routes through.
-_DISPATCHER = Dispatcher()
-
-
-def get_dispatcher() -> Dispatcher:
-    """Return the process-wide execution-plane dispatcher."""
-    return _DISPATCHER
+#: The dispatcher every data-plane call site routes through: one runtime
+#: (recording state and scratch pool) per thread.
+DISPATCH = Dispatcher()
 
 
 __all__ = [
+    "DISPATCH",
     "Dispatcher",
     "KernelTrace",
     "TraceEvent",
     "ViewSpec",
     "gather_rows",
-    "get_dispatcher",
 ]

@@ -78,16 +78,14 @@ from typing import Callable
 import numpy as np
 
 from repro.core.dispatch import (
+    DISPATCH,
     KernelTrace,
     TraceEvent,
     ViewSpec,
     _launch_kernel,
     _rows,
-    get_dispatcher,
 )
 from repro.gpu.kernel import ELEMENT_BYTES, Kernel
-
-_DISPATCH = get_dispatcher()
 
 
 def _overlaps(view: ViewSpec, token: int, lo: int, hi: int) -> bool:
@@ -504,7 +502,7 @@ class TraceProgram:
         """Re-execute the stream against the program's buffers."""
         for token, seed in self._seeds.items():
             np.copyto(self._buffers[token], seed)
-        with _DISPATCH.suppressed():
+        with DISPATCH.suppressed():
             for replay, reads, writes in self._steps:
                 replay(reads, writes)
 

@@ -36,20 +36,13 @@ The backend is chosen per moduli column by :func:`stack_backend`.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from repro.core.dispatch import gather_rows, get_dispatcher
+from repro.core.dispatch import DISPATCH, gather_rows
 from repro.gpu import kernel as _kernelforms
-
-#: Execution-plane dispatcher; every batched stack kernel reports through
-#: it so recorded traces reflect what actually executed (a no-op unless a
-#: trace is being recorded).
-_DISPATCH = get_dispatcher()
 
 #: Largest modulus for which the fast uint64 NumPy backend is exact:
 #: residues are < 2**31, so products are < 2**62 and fit in a uint64 lane.
@@ -151,6 +144,20 @@ def moduli_column(moduli) -> np.ndarray:
     return _moduli_column_cached(tuple(int(q) for q in moduli))
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """Freeze ``array`` and every array it is a view of; return it.
+
+    A cached table is shared by every caller on every thread, so it is
+    frozen: an accidental in-place write fails loudly instead of
+    corrupting the cache.
+    """
+    base = array
+    while isinstance(base, np.ndarray):
+        base.flags.writeable = False
+        base = base.base
+    return array
+
+
 #: Entries of the per-moduli-tuple caches below (the bound of
 #: :func:`repro.core.ntt.get_stacked_engine`): fused batches make a new
 #: tuple per (level, member count), so an unbounded cache only grows.
@@ -161,12 +168,8 @@ _TUPLE_CACHE_SIZE = 128
 def _moduli_column_cached(moduli: tuple) -> np.ndarray:
     backend = backend_for_moduli(moduli)
     dtype = np.object_ if backend == BACKEND_OBJECT else np.uint64
-    column = np.array(moduli, dtype=dtype).reshape(-1, 1)
-    # The column is shared by every stack and engine built over this
-    # basis; freeze it so an accidental in-place write fails loudly
-    # instead of corrupting the cache.
-    column.flags.writeable = False
-    return column
+    # Shared by every stack and engine built over this basis.
+    return read_only(np.array(moduli, dtype=dtype).reshape(-1, 1))
 
 
 def stack_backend(moduli_col: np.ndarray) -> str:
@@ -277,10 +280,10 @@ def stack_take(a: np.ndarray, indices) -> np.ndarray:
     """
     indices = list(indices)
     out = a[indices]  # fancy indexing already materializes a fresh array
-    if _DISPATCH.recording:
+    if DISPATCH.recording:
         def replay(reads, writes):
             gather_rows(reads, writes[0])
-        _DISPATCH.elementwise(
+        DISPATCH.elementwise(
             "limb-copy", reads=tuple(a[i : i + 1] for i in indices),
             writes=(out,), ops_per_element=0.0, replay=replay,
         )
@@ -303,61 +306,6 @@ def scalar_column(scalars, moduli_col: np.ndarray) -> np.ndarray:
 STACK_SHOUP_SHIFT = np.uint64(32)
 
 
-#: Byte budget of the scratch pool (below).
-_SCRATCH_BUDGET_BYTES = 96 << 20
-
-#: The one pool of reusable temporaries -- stack kernels and the stacked
-#: NTT's GEMM and stage buffers -- keyed by (tag, dtype, shape) with LRU
-#: eviction.  Fused (B·L, N) batches make the per-kernel intermediates
-#: multi-megabyte; allocating them fresh per call costs a page-fault
-#: zero-fill pass that can exceed the arithmetic itself, so the kernels
-#: stage their *internal* temporaries here (results stay freshly allocated
-#: -- scratch never escapes a kernel).  The dtype is part of the key so an
-#: exact-backend intermediate cannot collide with a uint64 buffer of the
-#: same (tag, shape).
-_scratch_buffers: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-
-#: ``(ident, name)`` of the thread that first drew from the pool.  The pool
-#: hands the *same mutable buffers* to every caller, so a second thread
-#: would silently corrupt the first one's temporaries; it is refused.
-_scratch_owner: tuple[int, str] | None = None
-
-
-def _scratch(tag: str, shape: tuple, dtype=np.uint64) -> np.ndarray:
-    """Return a reusable buffer of exactly ``shape``/``dtype`` (LRU-bounded).
-
-    Single-threaded by contract: the first calling thread owns the pool
-    and any other thread gets a :class:`RuntimeError`.
-    """
-    global _scratch_owner
-    ident = threading.get_ident()
-    if _scratch_owner is None:
-        _scratch_owner = (ident, threading.current_thread().name)
-    elif _scratch_owner[0] != ident:
-        raise RuntimeError(
-            f"the modmath scratch pool is owned by thread "
-            f"{_scratch_owner[1]!r} and was asked for a buffer by thread "
-            f"{threading.current_thread().name!r}; the numeric plane is "
-            f"single-threaded per process"
-        )
-    dtype = np.dtype(dtype)
-    key = (tag, dtype.str) + tuple(int(d) for d in shape)
-    buf = _scratch_buffers.get(key)
-    if buf is None:
-        buf = np.empty(shape, dtype=dtype)
-        _scratch_buffers[key] = buf
-        total = sum(b.nbytes for b in _scratch_buffers.values())
-        while total > _SCRATCH_BUDGET_BYTES and len(_scratch_buffers) > 1:
-            oldest = next(iter(_scratch_buffers))
-            if oldest == key:
-                _scratch_buffers.move_to_end(oldest)
-                oldest = next(iter(_scratch_buffers))
-            total -= _scratch_buffers.pop(oldest).nbytes
-    else:
-        _scratch_buffers.move_to_end(key)
-    return buf
-
-
 def _fast_reduce_once(s: np.ndarray, moduli_col: np.ndarray) -> np.ndarray:
     """Map ``s`` in ``[0, 2q)`` to ``[0, q)`` without a branch or division.
 
@@ -369,7 +317,7 @@ def _fast_reduce_once(s: np.ndarray, moduli_col: np.ndarray) -> np.ndarray:
     ``s`` must be a kernel-owned temporary: the reduction happens in place
     (the correction term lives in scratch).
     """
-    tmp = _scratch("reduce", s.shape)
+    tmp = DISPATCH.scratch("reduce", s.shape)
     np.subtract(s, moduli_col, out=tmp)
     np.minimum(s, tmp, out=s)
     return s
@@ -434,9 +382,7 @@ def _dword_tables(moduli_col: np.ndarray) -> _DWordTables:
 @lru_cache(maxsize=_TUPLE_CACHE_SIZE)
 def _dword_tables_cached(moduli: tuple) -> _DWordTables:
     def column(values) -> np.ndarray:
-        arr = np.array(values, dtype=np.uint64).reshape(-1, 1)
-        arr.flags.writeable = False
-        return arr
+        return read_only(np.array(values, dtype=np.uint64).reshape(-1, 1))
 
     qs = [int(q) for q in moduli]
     if max(qs) >= DWORD_MODULUS_LIMIT:
@@ -577,7 +523,8 @@ def _dword_shoup_mul(
     shape = np.broadcast_shapes(np.shape(am), np.shape(shoup))
     est = _dword_shoup_quotient(
         am, shoup >> _SH32, shoup & _M32,
-        _scratch("dword-est", shape), _scratch("dword-spare", shape),
+        DISPATCH.scratch("dword-est", shape),
+        DISPATCH.scratch("dword-spare", shape),
     )
     est *= dw.q
     r = np.multiply(am, constants, out=out)  # both products wrap mod 2**64
@@ -605,13 +552,13 @@ def _dword_dot(terms, moduli_col: np.ndarray,
     shape = np.broadcast_shapes(
         *(np.broadcast_shapes(np.shape(x), np.shape(y)) for x, y, *_ in terms)
     )
-    spare = _scratch("dot-spare", shape)
+    spare = DISPATCH.scratch("dot-spare", shape)
     acc, bound = out, 0  # acc < bound * q, row by row
     for x, y, *companion in terms:
         if companion:
             term = _dword_shoup_mul(
                 x, y, companion[0], dw, lazy=True,
-                out=_scratch("dot-term", shape) if bound else acc,
+                out=DISPATCH.scratch("dot-term", shape) if bound else acc,
             )
             width = 4
         else:
@@ -669,7 +616,7 @@ def stack_shoup_mul(
         return _dword_shoup_mul(a, constants, shoup, _dword_tables(moduli_col),
                                 lazy=lazy, out=out)
     shape = np.broadcast_shapes(a.shape, np.shape(shoup))
-    quotient = _scratch("shoup-q", shape)
+    quotient = DISPATCH.scratch("shoup-q", shape)
     np.multiply(a, shoup, out=quotient)
     quotient >>= STACK_SHOUP_SHIFT
     np.multiply(quotient, moduli_col, out=quotient)
@@ -703,10 +650,10 @@ def stack_add_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
             np.add(a, b, out=out)
             s = out
         out = _fast_reduce_once(s, moduli_col)
-    if _DISPATCH.recording:
+    if DISPATCH.recording:
         def replay(reads, writes, _col=moduli_col):
             stack_add_mod(reads[0], reads[1], _col, out=writes[0])
-        _DISPATCH.elementwise(
+        DISPATCH.elementwise(
             "stack-add", reads=(a, b), writes=(out,),
             ops_per_element=_kernelforms.MODADD_OPS, replay=replay,
         )
@@ -729,10 +676,10 @@ def stack_sub_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
             out += moduli_col
             s = out
         out = _fast_reduce_once(s, moduli_col)
-    if _DISPATCH.recording:
+    if DISPATCH.recording:
         def replay(reads, writes, _col=moduli_col):
             stack_sub_mod(reads[0], reads[1], _col, out=writes[0])
-        _DISPATCH.elementwise(
+        DISPATCH.elementwise(
             "stack-sub", reads=(a, b), writes=(out,),
             ops_per_element=_kernelforms.MODADD_OPS, replay=replay,
         )
@@ -747,10 +694,10 @@ def stack_neg_mod(a: np.ndarray, moduli_col: np.ndarray,
     else:
         result = np.where(a == 0, a, moduli_col - a)
     out = _into(result, out)
-    if _DISPATCH.recording:
+    if DISPATCH.recording:
         def replay(reads, writes, _col=moduli_col):
             stack_neg_mod(reads[0], _col, out=writes[0])
-        _DISPATCH.elementwise("stack-neg", reads=(a,), writes=(out,),
+        DISPATCH.elementwise("stack-neg", reads=(a,), writes=(out,),
                               ops_per_element=1.0, replay=replay)
     return out
 
@@ -778,10 +725,10 @@ def stack_mul_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
         out = s
     else:
         out = _into((a * b) % moduli_col, out)
-    if _DISPATCH.recording:
+    if DISPATCH.recording:
         def replay(reads, writes, _col=moduli_col):
             stack_mul_mod(reads[0], reads[1], _col, out=writes[0])
-        _DISPATCH.elementwise(
+        DISPATCH.elementwise(
             "stack-mul", reads=(a, b), writes=(out,),
             ops_per_element=_kernelforms.MODMUL_OPS, replay=replay,
         )
@@ -822,7 +769,7 @@ def stack_dot_mod(pairs, moduli_col: np.ndarray,
                     acc = out
             else:
                 if product is None:
-                    product = _scratch("dot-prod", acc.shape)
+                    product = DISPATCH.scratch("dot-prod", acc.shape)
                 np.multiply(x, y, out=product)
                 acc += product
             pending += 1
@@ -838,7 +785,7 @@ def stack_dot_mod(pairs, moduli_col: np.ndarray,
             product = (x * y) % moduli_col
             acc = product if acc is None else (acc + product) % moduli_col
         acc = _into(acc, out)
-    if _DISPATCH.recording:
+    if DISPATCH.recording:
         def replay(reads, writes, _col=moduli_col):
             stack_dot_mod(
                 list(zip(reads[0::2], reads[1::2])), _col, out=writes[0]
@@ -853,7 +800,7 @@ def stack_dot_mod(pairs, moduli_col: np.ndarray,
             *(("ks-mul-add", mul_add, ((1, 0), (0, 2 * j), (0, 2 * j + 1)), (0,))
               for j in range(1, len(pairs))),
         )
-        _DISPATCH.elementwise(
+        DISPATCH.elementwise(
             "stack-dot",
             reads=tuple(operand for pair in pairs for operand in pair),
             writes=(acc,),
@@ -882,11 +829,11 @@ def stack_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,
                               moduli_col, out=out)
     else:
         out = _into((a * col) % moduli_col, out)
-    if _DISPATCH.recording:
+    if DISPATCH.recording:
         frozen = tuple(int(s) for s in scalars)
         def replay(reads, writes, _scalars=frozen, _col=moduli_col):
             stack_scalar_mod(reads[0], _scalars, _col, out=writes[0])
-        _DISPATCH.elementwise(
+        DISPATCH.elementwise(
             "stack-scalar-mul", reads=(a, col), writes=(out,),
             ops_per_element=_kernelforms.SHOUP_MUL_OPS, replay=replay,
         )
@@ -925,9 +872,7 @@ def _dword_scalar_shoup(scalars, moduli_col: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=512)
 def _dword_scalar_shoup_cached(scalars: tuple, moduli: tuple) -> np.ndarray:
     col = moduli_column(moduli)
-    out = dword_shoup_column(scalar_column(scalars, col), col)
-    out.flags.writeable = False
-    return out
+    return read_only(dword_shoup_column(scalar_column(scalars, col), col))
 
 
 def stack_add_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,
@@ -943,11 +888,11 @@ def stack_add_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,
             np.add(a, col, out=out)
             s = out
         out = _fast_reduce_once(s, moduli_col)
-    if _DISPATCH.recording:
+    if DISPATCH.recording:
         frozen = tuple(int(s) for s in scalars)
         def replay(reads, writes, _scalars=frozen, _col=moduli_col):
             stack_add_scalar_mod(reads[0], _scalars, _col, out=writes[0])
-        _DISPATCH.elementwise(
+        DISPATCH.elementwise(
             "stack-scalar-add", reads=(a, col), writes=(out,),
             ops_per_element=_kernelforms.MODADD_OPS, replay=replay,
         )
@@ -972,13 +917,13 @@ def stack_automorphism(stacks, index: np.ndarray, sign: np.ndarray | None,
             return gathered
         return np.where(sign == 1, gathered, stack_neg_mod(gathered, moduli_col))
 
-    with _DISPATCH.suppressed():
+    with DISPATCH.suppressed():
         outs = [permute(a) for a in stacks]
-    if _DISPATCH.recording:
+    if DISPATCH.recording:
         def replay(reads, writes):
             for a, out in zip(reads, writes):
                 out[...] = permute(a)
-        _DISPATCH.elementwise(
+        DISPATCH.elementwise(
             "automorph", reads=tuple(stacks), writes=tuple(outs),
             ops_per_element=2.0 * len(outs), replay=replay, kind="gather",
         )
@@ -1024,6 +969,7 @@ __all__ = [
     "BACKEND_DWORD",
     "BACKEND_OBJECT",
     "moduli_column",
+    "read_only",
     "stack_backend",
     "stack_is_dword",
     "dword_shoup_column",

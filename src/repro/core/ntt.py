@@ -42,11 +42,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from repro.core import modmath
-from repro.core.dispatch import gather_rows, get_dispatcher
+from repro.core.dispatch import DISPATCH, gather_rows
 from repro.core.primes import find_root_of_unity, is_prime
 from repro.gpu.kernel import BUTTERFLY_OPS, SHOUP_MUL_OPS
-
-_DISPATCH = get_dispatcher()
 
 
 def bit_reverse_indices(n: int) -> np.ndarray:
@@ -99,13 +97,11 @@ def twiddle_tables(ring_degree: int, modulus: int) -> tuple[np.ndarray, np.ndarr
         acc = (acc * psi) % q
         acc_inv = (acc_inv * psi_inv) % q
     rev = bit_reverse_indices(n)
-    tables = (
-        modmath.as_residue_array(powers[rev], q),
-        modmath.as_residue_array(inv_powers[rev], q),
+    return (
+        modmath.read_only(modmath.as_residue_array(powers[rev], q)),
+        modmath.read_only(modmath.as_residue_array(inv_powers[rev], q)),
+        modmath.inv_mod(n, q),
     )
-    for table in tables:
-        table.flags.writeable = False
-    return (*tables, modmath.inv_mod(n, q))
 
 
 def reference_transform(
@@ -223,9 +219,9 @@ def gemm_tables(ring_degree: int, modulus: int) -> tuple[GemmFactors, GemmFactor
             values = np.concatenate([values * lift % q, values], axis=1)
         elif split == "right":  # [W 2**15, W]
             values = np.stack([values * lift % q, values])
-        out = np.where(values > q // 2, values - q, values).astype(np.float64)
-        out.flags.writeable = False
-        return out
+        return modmath.read_only(
+            np.where(values > q // 2, values - q, values).astype(np.float64)
+        )
 
     rows1 = 2 * bit_reverse_indices(n1)[:, None] + 1   # 2 r(p1) + 1
     rows2 = bit_reverse_indices(n2)[:, None]           # r(p2)
@@ -396,8 +392,8 @@ class StackedNTTEngine:
                  self._groups(self.moduli[r0 : r0 + self._chunk_rows]))
                 for r0 in range(0, length, self._chunk_rows)
             ]
-            self._qf = col.astype(np.float64).reshape(-1, 1, 1)
-            self._qinv = 1.0 / self._qf
+            self._qf = modmath.read_only(col.astype(np.float64).reshape(-1, 1, 1))
+            self._qinv = modmath.read_only(1.0 / self._qf)
             return
         # Twiddle tables cover one row per *distinct* chunk modulus: fused
         # cross-ciphertext stacks repeat a short base either member-major
@@ -441,8 +437,8 @@ class StackedNTTEngine:
         self._col4 = base_col.reshape(-1, 1, 1, 1)
         # 2q columns for the lazy [0, 2q) butterfly representatives
         # (2q < 2**63 for every dword modulus, so sums stay below 4q < 2**64).
-        self._two3 = self._col3 * np.uint64(2)
-        self._two4 = self._col4 * np.uint64(2)
+        self._two3 = modmath.read_only(self._col3 * np.uint64(2))
+        self._two4 = self._two3.reshape(-1, 1, 1, 1)
         self._n_inv = [twiddle_tables(ring_degree, q)[2] for q in self.moduli]
         self._block = _TRANSPOSED_BLOCK
         self._grid = 0
@@ -512,7 +508,9 @@ class StackedNTTEngine:
         while m < self.ring_degree:
             if not grid or m < grid:
                 stages.append(tuple(
-                    t[..., m : 2 * m].reshape(*t.shape[:-1], m, 1).copy()
+                    modmath.read_only(
+                        t[..., m : 2 * m].reshape(*t.shape[:-1], m, 1).copy()
+                    )
                     for t in (table, shoup)
                 ))
             else:
@@ -521,10 +519,12 @@ class StackedNTTEngine:
                 # ``(L, BLOCK, grid)`` layout the stage's twiddles become an
                 # ``(L, m/grid, 1, grid)`` grid.
                 transposed.append(tuple(
-                    t[..., m : 2 * m]
-                    .reshape(*t.shape[:-1], grid, m // grid)
-                    .swapaxes(-1, -2)[..., None, :]
-                    .copy()
+                    modmath.read_only(
+                        t[..., m : 2 * m]
+                        .reshape(*t.shape[:-1], grid, m // grid)
+                        .swapaxes(-1, -2)[..., None, :]
+                        .copy()
+                    )
                     for t in (table, shoup)
                 ))
             m *= 2
@@ -618,7 +618,7 @@ class StackedNTTEngine:
                 (epilogue.reads if epilogue else (), "epilogue reads"),
             )
         ]
-        with _DISPATCH.suppressed():
+        with DISPATCH.suppressed():
             if prologue is not None:
                 prologue.fn(tuple(prologue.reads), (a,))
             if self.backend == modmath.BACKEND_OBJECT:
@@ -636,7 +636,7 @@ class StackedNTTEngine:
                     a = modmath.stack_scalar_mod(a, self._n_inv, self._col, out=a)
             if epilogue is not None:
                 epilogue.fn((a, *epilogue.reads), (a,))
-        if _DISPATCH.recording:
+        if DISPATCH.recording:
             if fused_ops_per_element is None:
                 # The inverse's fused N^-1 scaling is one Shoup multiply.
                 fused_ops_per_element = (SHOUP_MUL_OPS if inverse else 0.0) + sum(
@@ -664,7 +664,7 @@ class StackedNTTEngine:
         for index, part in enumerate(parts):
             # Per-segment row slices keep fused launches independent in the
             # dependency DAG (each digit/component touches its own rows).
-            _DISPATCH.segment = index
+            DISPATCH.segment = index
             dst = out[row : row + part]
             moduli = self.moduli[row : row + part]
             row += part
@@ -686,7 +686,7 @@ class StackedNTTEngine:
                 if epilogue is not None:
                     epilogue.fn((writes[0], *reads[_split:]), writes)
 
-            _DISPATCH.transform(
+            DISPATCH.transform(
                 tag, part, reads=(*given, *before, *after), writes=(dst,),
                 cols=n, fused_ops_per_element=fused_ops_per_element,
                 replay=replay, unfused=unfused,
@@ -705,7 +705,7 @@ class StackedNTTEngine:
         n1, n2 = _gemm_sides(n)
         block = [(rows_of, gemm_tables(n, q)[inverse]) for rows_of, q in groups]
         q, qinv = self._qf[r0 : r0 + rows], self._qinv[r0 : r0 + rows]
-        buf = modmath._scratch("ntt-gemm", (self._chunk_rows, 4 * n), np.float64)
+        buf = DISPATCH.scratch("ntt-gemm", (self._chunk_rows, 4 * n), np.float64)
         pair = buf[:rows, : 2 * n].reshape(rows, 2, n1, n2)
         x, tmp = pair[:, 0], pair[:, 1]
         split = buf[:rows, 2 * n :].reshape(rows, 2, n1, n2)
@@ -756,7 +756,7 @@ class StackedNTTEngine:
     def _stage_buffers(self, rows: int) -> np.ndarray:
         """The four staggered stage buffers of a ``rows``-row chunk."""
         size = rows * (self.ring_degree // 2)
-        bufs = modmath._scratch("ntt-stage", (4, size + _STAGE_BUFFER_STAGGER))
+        bufs = DISPATCH.scratch("ntt-stage", (4, size + _STAGE_BUFFER_STAGGER))
         lead = _STAGE_BUFFER_STAGGER // 2
         return bufs[:, lead : lead + size]
 
@@ -777,7 +777,7 @@ class StackedNTTEngine:
             )
         if grid:
             block = self._block
-            gbuf = modmath._scratch("ntt-grid", (rows, block, grid))
+            gbuf = DISPATCH.scratch("ntt-grid", (rows, block, grid))
             np.copyto(gbuf, data.reshape(rows, grid, block).transpose(0, 2, 1))
             q4 = self._col4[t0:t1]
             tq4 = self._two4[t0:t1]
@@ -802,7 +802,7 @@ class StackedNTTEngine:
         t = 1
         if grid:
             block = self._block
-            gbuf = modmath._scratch("ntt-grid", (rows, block, grid))
+            gbuf = DISPATCH.scratch("ntt-grid", (rows, block, grid))
             np.copyto(gbuf, data.reshape(rows, grid, block).transpose(0, 2, 1))
             q4 = self._col4[t0:t1]
             tq4 = self._two4[t0:t1]

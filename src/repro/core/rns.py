@@ -25,9 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core import modmath
-from repro.core.dispatch import get_dispatcher
-
-_DISPATCH = get_dispatcher()
+from repro.core.dispatch import DISPATCH
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,7 @@ class BaseConverter:
         words = out
         if out.dtype != self._target_col.dtype:
             words = np.empty(out.shape, dtype=self._target_col.dtype)
-        with _DISPATCH.suppressed():
+        with DISPATCH.suppressed():
             for m, source in enumerate(sources):
                 self._convert_rows(
                     np.asarray(source),
@@ -239,12 +237,12 @@ class BaseConverter:
                 )
         if words is not out:
             out[...] = modmath.object_row(words)
-        if _DISPATCH.recording:
+        if DISPATCH.recording:
 
             def replay(reads, writes, _conv=self, _limb_major=limb_major):
                 _conv.convert_members(reads, writes[0], limb_major=_limb_major)
 
-            _DISPATCH.base_conversion(
+            DISPATCH.base_conversion(
                 "baseconv",
                 len(self.source),
                 width,

@@ -34,14 +34,12 @@ import numpy as np
 
 from repro.core import modmath
 from repro.core.automorphism import coeff_automorphism_map, eval_automorphism_map
-from repro.core.dispatch import get_dispatcher
+from repro.core.dispatch import DISPATCH
 from repro.core.limb import LimbFormat
 from repro.core.memory import FusedFootprintError, MemoryPool, default_pool
 from repro.core.ntt import Fused, get_stacked_engine
 from repro.core.rns import RNSBasis
 from repro.gpu.kernel import ELEMENT_BYTES, MODADD_OPS, MODMUL_OPS
-
-_DISPATCH = get_dispatcher()
 
 #: The tag every polynomial charges under (``charge_hook(pool, nbytes, tag)``).
 _TAG = "RNSPoly"
@@ -166,7 +164,7 @@ class RNSPoly:
             rows = np.pad(rows, ((0, 0), (0, ring_degree - rows.shape[1])))
         poly = cls(moduli, rows, LimbFormat.COEFFICIENT)
         if fmt is LimbFormat.EVALUATION:
-            with _DISPATCH.suppressed():
+            with DISPATCH.suppressed():
                 poly = poly.to_evaluation()
         return poly
 
@@ -232,7 +230,7 @@ class RNSPoly:
             col = modmath.moduli_column(moduli)
             data = np.concatenate([modmath.coerce_stack(p.data, col) for p in group])
             poly = RNSPoly(moduli, data, fmt, pool=target)
-            _DISPATCH.link(tuple(p.data for p in group), poly.data)
+            DISPATCH.link(tuple(p.data for p in group), poly.data)
             fused.append(poly)
         return fused
 
@@ -343,7 +341,7 @@ class RNSPoly:
         if members == 1:
             return self
         tiled = np.concatenate([self.data] * members)
-        _DISPATCH.link((self.data,), tiled)
+        DISPATCH.link((self.data,), tiled)
         return RNSPoly(self.moduli * members, tiled, self._fmt, pool=self.pool)
 
     def basis(self) -> RNSBasis:
@@ -580,7 +578,7 @@ class RNSPoly:
         # is the same kernels over ``B×`` the rows.  Folded into the
         # transforms, the switch costs its centring add on the iNTT (which
         # absorbs the N^-1 scale) and shares the fold's multiply on the NTT.
-        with _DISPATCH.interleaved():
+        with DISPATCH.interleaved():
             dropped = get_stacked_engine(n, last_moduli * count).inverse(
                 sources=lasts, segments=[members] * count,
                 fused_ops_per_element=MODADD_OPS,

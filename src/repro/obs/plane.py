@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.core.dispatch import _NULL_CONTEXT, get_dispatcher
+from repro.core.dispatch import DISPATCH, _NULL_CONTEXT
 from repro.obs.perfetto import export_chrome_trace
 from repro.obs.registry import BYTES_BUCKETS, MetricsRegistry
 from repro.obs.rollup import ScopeRollup, WallClockProfiler
@@ -202,7 +202,7 @@ class Observability:
             yield None
             return
         profiler = WallClockProfiler()
-        with get_dispatcher().profiling(profiler):
+        with DISPATCH.profiling(profiler):
             yield profiler
         profiler.fold_into(self.rollup)
 

@@ -48,7 +48,7 @@ from typing import Sequence
 
 from repro.api.backend import as_backend
 from repro.api.vector import CipherVector, as_vector
-from repro.core.dispatch import get_dispatcher
+from repro.core.dispatch import DISPATCH
 from repro.core.memory import FusedFootprintError, OutOfDeviceMemory
 from repro.obs.registry import MetricsRegistry
 from repro.serve.bucketing import (
@@ -478,7 +478,7 @@ class Server:
             return self.executor.execute(
                 key.program, vectors, key=key, now=now, max_fuse=max_fuse
             )
-        with get_dispatcher().record() as trace:
+        with DISPATCH.record() as trace:
             results, degradations = self.executor.execute(
                 key.program, vectors, key=key, now=now, max_fuse=max_fuse
             )

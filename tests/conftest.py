@@ -7,6 +7,7 @@ operations return new ciphertexts, so this is the natural usage anyway).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -19,7 +20,9 @@ from repro.ckks.encryption import Decryptor, Encryptor
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator, KeySet
 from repro.ckks.params import CKKSParameters, PARAMETER_SETS
+from repro.core import modmath
 from repro.core.limb import LimbFormat
+from repro.core.ntt import get_stacked_engine
 from repro.core.rns_poly import RNSPoly
 from repro.openfhe.adapter import RawCiphertext, RawPolynomial
 
@@ -83,6 +86,34 @@ def session(context, keys, evaluator, encryptor, decryptor) -> CKKSSession:
 def rng() -> np.random.Generator:
     """Deterministic random generator for message sampling."""
     return np.random.default_rng(20250614)
+
+
+@pytest.fixture
+def object_backend():
+    """A context manager: inside it, every context runs on the exact oracle.
+
+    Every modulus at or above 2**31 leaves the dword backend for the object
+    one (``DWORD_MODULUS_LIMIT`` drops to ``FAST_MODULUS_LIMIT``), the block
+    must warn that it does, and the caches that bake in the backend decision
+    are cleared on entry and on exit, so the computation before and after
+    the block is untouched.
+    """
+    def clear_backend_caches():
+        modmath._moduli_column_cached.cache_clear()
+        get_stacked_engine.cache_clear()
+
+    @contextlib.contextmanager
+    def oracle():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(modmath, "DWORD_MODULUS_LIMIT", modmath.FAST_MODULUS_LIMIT)
+            clear_backend_caches()
+            try:
+                with pytest.warns(RuntimeWarning, match="object backend"):
+                    yield
+            finally:
+                clear_backend_caches()
+
+    return oracle
 
 
 def coefficient_frame(raw: RawCiphertext) -> RawCiphertext:

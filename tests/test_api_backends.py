@@ -25,7 +25,7 @@ from repro.api.vector import CipherVector
 from repro.apps.logistic_regression import EncryptedLogisticRegression
 from repro.apps.stats import EncryptedStatistics
 from repro.ckks.params import PARAMETER_SETS, CKKSParameters
-from repro.core.dispatch import get_dispatcher
+from repro.core.dispatch import DISPATCH
 from repro.gpu.platforms import GPU_RTX_4090
 from repro.perf.calibration import kernel_kind
 from repro.perf.costmodel import CKKSOperationCosts
@@ -309,7 +309,7 @@ class TestSymbolicEmission:
 
         costmodel = session.cost_backend(costs=NoBuilders())
         state = dict(vars(costmodel))
-        assert not get_dispatcher().recording
+        assert not DISPATCH.recording
         for _ in range(3):
             polynomial_program(
                 CipherVector(costmodel, costmodel.encrypt([0.5])),
@@ -362,7 +362,7 @@ class TestPaperScaleCostModel:
         columns, labels = model.encrypt_batch(
             rng.uniform(-1, 1, (8, 4)), rng.integers(0, 2, 8).astype(float)
         )
-        with get_dispatcher().record() as trace:
+        with DISPATCH.record() as trace:
             model.train_batch(columns, labels, batch_size=8)
         operations = Counter(
             event.scope for event in trace

@@ -27,7 +27,7 @@ from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.params import CKKSParameters
-from repro.core.dispatch import get_dispatcher
+from repro.core.dispatch import DISPATCH
 from repro.core.fusion import TraceProgram, expand_stages, fuse_trace
 from repro.core.limb import LimbFormat
 from repro.core.memory import MemoryPool
@@ -207,7 +207,7 @@ class TestBitIdenticalOutputs:
             reference = [fn(be, a, b) for a, b in zip(cts_a, cts_b)]
             fused_a, fused_b = Ciphertext.fuse(cts_a), Ciphertext.fuse(cts_b)
             if tracing:
-                with get_dispatcher().record():
+                with DISPATCH.record():
                     result = fn(be, fused_a, fused_b)
             else:
                 result = fn(be, fused_a, fused_b)
@@ -221,7 +221,7 @@ class TestBitIdenticalOutputs:
 
     def test_hoisted_rotations_share_one_decomposition(self, evaluator, cts_a):
         fused = Ciphertext.fuse(cts_a)
-        with get_dispatcher().record() as trace:
+        with DISPATCH.record() as trace:
             batched = evaluator.hoisted_rotations(fused, [1, 2, 0])
         sequential = [evaluator.hoisted_rotations(a, [1, 2, 0]) for a in cts_a]
         for step in (1, 2, 0):
@@ -230,7 +230,7 @@ class TestBitIdenticalOutputs:
             )
         # One ModUp for the whole batch and both keyed rotations.
         modup = [e for e in trace.events if e.scope.endswith("modup")]
-        with get_dispatcher().record() as single:
+        with DISPATCH.record() as single:
             evaluator.hoisted_rotations(cts_a[0], [1, 2, 0])
         assert len(modup) == len(
             [e for e in single.events if e.scope.endswith("modup")]
@@ -412,11 +412,11 @@ class TestBatchTrace:
         ]
 
     def test_kernel_counts_match_single_op(self, evaluator, cts_a, cts_b):
-        with get_dispatcher().record() as single:
+        with DISPATCH.record() as single:
             evaluator.multiply(cts_a[0], cts_b[0])
         batch_a = Ciphertext.fuse(cts_a)
         batch_b = Ciphertext.fuse(cts_b)
-        with get_dispatcher().record() as batched:
+        with DISPATCH.record() as batched:
             evaluator.multiply(batch_a, batch_b)
         assert batched.kernel_count == single.kernel_count
         assert batched.bytes_moved == pytest.approx(
@@ -436,7 +436,7 @@ class TestBatchTrace:
 
         def record(*operands):
             # Stage-granular: the unfused stream derived from the record.
-            with get_dispatcher().record(executable=stage_launches) as trace:
+            with DISPATCH.record(executable=stage_launches) as trace:
                 fn(evaluator, *operands)
             return expand_stages(trace) if stage_launches else trace
 
@@ -464,7 +464,7 @@ class TestBatchTrace:
 
     def test_stage_granular_fused_trace_replays(self, evaluator, cts_a, cts_b):
         fused_a, fused_b = Ciphertext.fuse(cts_a), Ciphertext.fuse(cts_b)
-        with get_dispatcher().record(executable=True) as trace:
+        with DISPATCH.record(executable=True) as trace:
             evaluator.rotate(evaluator.multiply(fused_a, fused_b), 1)
         TraceProgram(trace).verify()
         staged = expand_stages(trace)
@@ -475,10 +475,10 @@ class TestBatchTrace:
         assert result.fused_trace.int_ops == pytest.approx(staged.int_ops)
 
     def test_batch_scope_prefix_tags_provenance(self, evaluator, cts_a, cts_b):
-        with get_dispatcher().record() as trace:
+        with DISPATCH.record() as trace:
             evaluator.multiply(Ciphertext.fuse(cts_a), Ciphertext.fuse(cts_b))
         assert any(s.startswith(f"batch{BATCH}/hmult") for s in trace.scopes())
-        with get_dispatcher().record() as single:
+        with DISPATCH.record() as single:
             evaluator.multiply(cts_a[0], cts_b[0])
         assert not any("batch" in s for s in single.scopes())
 

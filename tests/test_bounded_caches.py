@@ -1,9 +1,13 @@
-"""Process-global caches are bounded (ROADMAP 5(c)).
+"""Process-global caches are bounded (ROADMAP 5(c)) and read-only.
 
 A long-lived process (a server, a test session) meets new ring degrees,
 moduli tuples, rotation exponents and parameter sets; a ``functools`` cache
 with ``maxsize=None`` would keep every one of them.  Each cache in the
 package names a finite bound that the measured workloads stay under.
+
+A cached table is shared by every caller on every thread, so every array
+reachable from one is frozen: an in-place write raises instead of
+poisoning every later use.
 """
 
 from __future__ import annotations
@@ -11,7 +15,14 @@ from __future__ import annotations
 import importlib
 import pkgutil
 
+import numpy as np
+import pytest
+
 import repro
+from repro.ckks.encoding import rotation_group
+from repro.core import modmath
+from repro.core.ntt import gemm_tables, get_stacked_engine, twiddle_tables
+from repro.core.primes import generate_ntt_primes
 
 
 def _functools_caches():
@@ -36,3 +47,64 @@ def test_every_functools_cache_has_a_finite_bound():
         if cache.cache_parameters()["maxsize"] is None
     )
     assert not unbounded, unbounded
+
+
+def _arrays(value, seen: set) -> list[np.ndarray]:
+    """Every ndarray reachable from ``value``: through containers, object
+    attributes and the arrays a view is a view of."""
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return [value] + _arrays(value.base, seen)
+    if isinstance(value, dict):
+        children = list(value.values())
+    elif isinstance(value, (list, tuple)):
+        children = list(value)
+    elif hasattr(value, "__dict__") and not isinstance(value, type):
+        children = list(vars(value).values())
+    else:
+        return []
+    return [array for child in children for array in _arrays(child, seen)]
+
+
+_UINT64 = tuple(generate_ntt_primes(3, 28, 1 << 10))
+_DWORD = tuple(generate_ntt_primes(3, 59, 1 << 10))
+_UINT64_WIDE = tuple(generate_ntt_primes(2, 28, 1 << 15))
+
+CACHED = {
+    "rotation_group": lambda: rotation_group(1 << 10),
+    "twiddle_tables": lambda: twiddle_tables(1 << 10, _DWORD[0]),
+    "gemm_tables": lambda: gemm_tables(1 << 10, _UINT64[0]),
+    "moduli_column": lambda: modmath.moduli_column(_DWORD),
+    "engine-uint64-gemm": lambda: get_stacked_engine(1 << 10, _UINT64),
+    "engine-dword": lambda: get_stacked_engine(1 << 10, _DWORD),
+    "engine-uint64-2^15": lambda: get_stacked_engine(1 << 15, _UINT64_WIDE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED))
+def test_every_cached_array_is_read_only(name):
+    arrays = _arrays(CACHED[name](), set())
+    assert arrays  # the walk reaches the tables
+    writable = [a.shape for a in arrays if a.flags.writeable]
+    assert not writable, f"{name}: writable arrays of shape {writable}"
+
+
+def test_the_walk_reaches_every_engine_table():
+    engine = get_stacked_engine(1 << 10, _DWORD)
+    assert not engine.gemm and engine._grid  # stage and transposed tables
+    reached = {id(a) for a in _arrays(engine, set())}
+    tables = [engine._two3, engine._two4]
+    for stages in (engine._fw_stages, engine._fw_trans,
+                   engine._inv_stages, engine._inv_trans):
+        tables += [table for stage in stages for table in stage]
+    assert {id(a) for a in tables} <= reached
+    gemm = get_stacked_engine(1 << 10, _UINT64)
+    assert gemm.gemm
+    assert {id(gemm._qf), id(gemm._qinv)} <= {id(a) for a in _arrays(gemm, set())}
+
+
+def test_a_cached_table_refuses_an_in_place_write():
+    with pytest.raises(ValueError, match="read-only"):
+        rotation_group(1 << 10)[:] += 1

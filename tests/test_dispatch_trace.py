@@ -22,7 +22,7 @@ import pytest
 
 from repro.api import CKKSSession, CipherVector, TracingBackend
 from repro.ckks.params import CKKSParameters
-from repro.core.dispatch import KernelTrace, get_dispatcher
+from repro.core.dispatch import DISPATCH, KernelTrace
 from repro.gpu.kernel import Kernel
 from repro.gpu.platforms import GPU_RTX_4090
 from repro.gpu.stream import StreamScheduler
@@ -85,7 +85,7 @@ def hmult_trace(traced_session):
 
 class TestRecording:
     def test_nothing_recorded_without_trace(self, traced_session):
-        dispatcher = get_dispatcher()
+        dispatcher = DISPATCH
         assert not dispatcher.recording
         ct = traced_session.encrypt([0.5])
         ct + ct  # executes without an active trace
@@ -144,7 +144,7 @@ class TestRecording:
         assert plain.scale == traced.scale
 
     def test_nested_scopes_and_suppression(self):
-        dispatcher = get_dispatcher()
+        dispatcher = DISPATCH
         with dispatcher.record() as trace:
             with dispatcher.scope("outer"), dispatcher.scope("inner"):
                 dispatcher.elementwise(
@@ -164,7 +164,7 @@ class TestRecording:
         assert trace.events[0].scope == "outer/inner"
 
     def test_launch_groups_leaf_kernels_into_one_event(self):
-        dispatcher = get_dispatcher()
+        dispatcher = DISPATCH
         a, b, c = (np.full((2, 4), v, dtype=np.uint64) for v in (1, 2, 3))
         s, t = np.empty_like(a), np.empty_like(a)
 
@@ -202,7 +202,7 @@ class TestRecording:
     def test_launch_covers_the_rows_written_per_allocation(self):
         # Row windows of one accumulator add up to one grid (the key inner
         # product below the top level); separate outputs share it.
-        dispatcher = get_dispatcher()
+        dispatcher = DISPATCH
         x = np.ones((5, 4), dtype=np.uint64)
         acc, other = np.empty_like(x), np.empty_like(x)
         with dispatcher.record() as trace, dispatcher.launch("windows"):
@@ -218,7 +218,7 @@ class TestRecording:
 
     @pytest.mark.parametrize("emit", ["transform", "base_conversion", "gather"])
     def test_launch_refuses_kernels_that_are_their_own_launch(self, emit):
-        dispatcher = get_dispatcher()
+        dispatcher = DISPATCH
         a = np.zeros((2, 4), dtype=np.uint64)
         with dispatcher.record() as trace:
             with pytest.raises(RuntimeError, match="inside a launch group"):
@@ -237,7 +237,7 @@ class TestRecording:
         assert [e.kernel.name for e in trace.events] == ["after[2]"]
 
     def test_launch_is_the_null_context_when_nothing_records(self):
-        dispatcher = get_dispatcher()
+        dispatcher = DISPATCH
         assert dispatcher.launch("site") is dispatcher.scope("op")
 
     def test_hmult_record_equals_the_parents(self, hmult_trace):

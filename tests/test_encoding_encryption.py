@@ -1,5 +1,7 @@
 """Tests for canonical-embedding encoding and RLWE encryption/decryption."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,49 @@ class TestEncoder:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             self.encoder.encode([1.0], 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_rejects_non_finite_slot_values(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before the FFT warns
+            with pytest.raises(ValueError, match="non-finite"):
+                self.encoder.encode([0.5, bad], 2**30)
+            with pytest.raises(ValueError, match="non-finite"):
+                self.encoder.encode_diagonal(np.full(128, bad), 2**30)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -2.0**30])
+    def test_rejects_non_finite_or_non_positive_scale(self, scale):
+        for encode_fn in (self.encoder.encode, self.encoder.encode_diagonal):
+            with pytest.raises(ValueError, match="scale must be positive and finite"):
+                encode_fn(np.ones(128), scale)
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            self.encoder.decode(np.zeros(256), scale)
+
+    def test_rejects_a_message_that_overflows_when_scaled(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows float64"):
+                self.encoder.encode([1e300], 2**30)
+            with pytest.raises(ValueError, match="overflows float64"):
+                self.encoder.encode_diagonal(np.full(128, -1e300), 2**30)
+        # Large but representable: the coefficients go exact (object) instead.
+        assert self.encoder.encode([1e250], 2**30).dtype == np.object_
+
+    @pytest.mark.parametrize("length, expected", [
+        (0, 0), (1, 1), (128, 128), (np.int64(5), 5), (None, 128),
+    ])
+    def test_decode_length_in_range(self, length, expected):
+        coeffs = self.encoder.encode(np.linspace(-1, 1, 8), 2**30)
+        assert len(self.encoder.decode(coeffs, 2**30, length)) == expected
+
+    @pytest.mark.parametrize("length, error", [
+        (-1, ValueError), (129, ValueError), (10**6, ValueError),
+        (2.5, TypeError), ("3", TypeError), (np.float64(3.0), TypeError),
+    ])
+    def test_decode_rejects_length_out_of_range(self, length, error):
+        coeffs = self.encoder.encode([0.5], 2**30)
+        with pytest.raises(error):
+            self.encoder.decode(coeffs, 2**30, length)
 
     def test_rotation_group_orbit(self):
         group = rotation_group(256)
@@ -131,6 +176,20 @@ class TestEncryption:
         sym_err = np.max(np.abs(decryptor.decrypt_values(sym, 8).real - values))
         pub_err = np.max(np.abs(decryptor.decrypt_values(pub, 8).real - values))
         assert sym_err <= pub_err * 2  # symmetric encryption is at least as clean
+
+    @pytest.mark.parametrize("length", [-1, 513, 10**6])
+    def test_session_decrypt_rejects_length_out_of_range(self, session, length):
+        ct = session.encrypt([0.25, 0.5])
+        assert session.slots == 512
+        with pytest.raises(ValueError, match=r"length must be in \[0, 512\]"):
+            session.decrypt(ct, length)
+        assert len(session.decrypt(ct, np.int32(512))) == 512
+
+    def test_session_encrypt_rejects_nan(self, session):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                session.encrypt([np.nan])
 
     def test_lower_level_encryption(self, context, encryptor, decryptor):
         ct = encryptor.encrypt_values([0.5], limb_count=3)

@@ -22,7 +22,7 @@ import pytest
 from repro.api import CKKSSession
 from repro.ckks.params import CKKSParameters
 from repro.core import modmath
-from repro.core.dispatch import Dispatcher, KernelTrace, get_dispatcher
+from repro.core.dispatch import DISPATCH, Dispatcher, KernelTrace
 from repro.core.fusion import TraceProgram, expand_stages, fuse_trace
 from repro.core.ntt import Fused, get_stacked_engine
 from repro.gpu.platforms import GPU_RTX_4090
@@ -65,7 +65,7 @@ def _emit(dispatcher, tag, src, out, replay, *, ops=1.0):
 
 class TestFusionLegality:
     def test_simple_chain_fuses_and_verifies(self):
-        d = get_dispatcher()
+        d = DISPATCH
         a = np.arange(32, dtype=np.uint64).reshape(4, 8)
         t = np.empty_like(a)
         out = np.empty_like(a)
@@ -86,7 +86,7 @@ class TestFusionLegality:
         assert np.array_equal(prog.output(out), (a + 1) * 3)
 
     def test_multi_consumer_intermediate_blocks_fusion(self):
-        d = get_dispatcher()
+        d = DISPATCH
         a = np.arange(32, dtype=np.uint64).reshape(4, 8)
         t, out1, out2 = (np.empty_like(a) for _ in range(3))
         with d.record(executable=True) as trace:
@@ -98,7 +98,7 @@ class TestFusionLegality:
         TraceProgram(trace).verify()
 
     def test_overlapping_but_not_equal_ranges_block_fusion(self):
-        d = get_dispatcher()
+        d = DISPATCH
         a = np.arange(32, dtype=np.uint64).reshape(4, 8)
         t = np.empty_like(a)
         out = np.empty((2, 8), dtype=np.uint64)
@@ -109,7 +109,7 @@ class TestFusionLegality:
         assert fuse_trace(trace).chains == []
 
     def test_interleaved_writer_blocks_fusion(self):
-        d = get_dispatcher()
+        d = DISPATCH
         a = np.arange(32, dtype=np.uint64).reshape(4, 8)
         t = np.empty_like(a)
         out = np.empty_like(a)
@@ -124,7 +124,7 @@ class TestFusionLegality:
         TraceProgram(trace).verify()
 
     def test_operand_clobber_vetoes_chain_extension(self):
-        d = get_dispatcher()
+        d = DISPATCH
         a = np.arange(32, dtype=np.uint64).reshape(4, 8)
         t = np.empty_like(a)
         out = np.empty_like(a)
@@ -140,7 +140,7 @@ class TestFusionLegality:
         TraceProgram(trace).verify()
 
     def test_in_place_tail_fuses_with_live_output(self):
-        d = get_dispatcher()
+        d = DISPATCH
         a = np.arange(32, dtype=np.uint64).reshape(4, 8)
         t = np.empty_like(a)
         out = np.empty_like(a)
@@ -209,7 +209,7 @@ class TestExecutableFlag:
         # then refused.
         plain = KernelTrace()
         with pytest.raises(ValueError, match="plain trace"):
-            with get_dispatcher().record(plain, executable=True):
+            with DISPATCH.record(plain, executable=True):
                 pass
         with pytest.raises(ValueError, match="plain trace"):
             with fusion_session.trace(plain, executable=True):
@@ -248,7 +248,7 @@ class TestBufferIdentityGeneration:
         # new allocation the last-writer intervals of a freed one whose
         # finalize callback has not run yet.  The generation tag (weakref
         # to the exact allocation) must detect this and start fresh.
-        d = get_dispatcher()
+        d = DISPATCH
         with d.record() as trace:
             src = np.ones((2, 4), dtype=np.uint64)
             victim = np.zeros((2, 4), dtype=np.uint64)
@@ -270,7 +270,7 @@ class TestBufferIdentityGeneration:
     def test_output_of_an_unseen_array_registers_nothing(self):
         # Regression: the failed lookup used to give the array a token, pin
         # it among the trace's allocations and attach a finalizer.
-        d = get_dispatcher()
+        d = DISPATCH
         a = np.arange(8, dtype=np.uint64).reshape(2, 4)
         out = np.empty_like(a)
         with d.record(executable=True) as trace:
@@ -284,7 +284,7 @@ class TestBufferIdentityGeneration:
         assert np.array_equal(program.output(out), a + 1)
 
     def test_free_and_reallocate_between_kernels(self):
-        d = get_dispatcher()
+        d = DISPATCH
         src = np.ones((2, 4), dtype=np.uint64)
         with d.record() as trace:
             for _ in range(32):
@@ -341,14 +341,9 @@ class TestReplayAcrossBackends:
         rng = np.random.default_rng(9)
         a = encryptor.encrypt_values(rng.uniform(-1, 1, 8))
         b = encryptor.encrypt_values(rng.uniform(-1, 1, 8))
-        with get_dispatcher().record(executable=True) as trace:
+        with DISPATCH.record(executable=True) as trace:
             evaluator.multiply(a, b)
         return context, trace
-
-    @staticmethod
-    def _clear_backend_caches():
-        modmath._moduli_column_cached.cache_clear()
-        get_stacked_engine.cache_clear()
 
     def test_uint64_backend_replay(self):
         context, trace = self._record_hmult(28, 30)
@@ -379,19 +374,11 @@ class TestReplayAcrossBackends:
         result = fuse_trace(staged)
         assert result.fused_trace.int_ops == pytest.approx(staged.int_ops)
 
-    def test_object_backend_replay(self, monkeypatch):
-        monkeypatch.setattr(
-            modmath, "DWORD_MODULUS_LIMIT", modmath.FAST_MODULUS_LIMIT
-        )
-        self._clear_backend_caches()
-        try:
-            with pytest.warns(RuntimeWarning, match="object backend"):
-                context, trace = self._record_hmult(59, 60)
+    def test_object_backend_replay(self, object_backend):
+        with object_backend():
+            context, trace = self._record_hmult(59, 60)
             assert context.numeric_backend == modmath.BACKEND_OBJECT
             TraceProgram(trace).verify()
-        finally:
-            monkeypatch.undo()
-            self._clear_backend_caches()
 
 
 class TestOperationSurfaceReplays:
@@ -513,7 +500,7 @@ class TestFusedEndToEnd:
         assert fused.makespan <= unfused.makespan * (1 + 1e-9)
 
     def test_trace_program_rejects_partial_ir(self):
-        d = get_dispatcher()
+        d = DISPATCH
         a = np.zeros((2, 4), dtype=np.uint64)
         out = np.empty_like(a)
         with d.record(executable=True) as trace:
@@ -526,7 +513,7 @@ class TestFusedEndToEnd:
         # verify() is the check that a record's declared byte ranges are
         # honest: a thunk reading an array its event never declared replays
         # against whatever that array holds later.
-        d = get_dispatcher()
+        d = DISPATCH
         a = np.arange(8, dtype=np.uint64).reshape(2, 4)
         hidden = np.ones_like(a)
         out = np.empty_like(a)
@@ -613,7 +600,7 @@ class TestExpandStages:
         def copy(reads, writes):
             np.copyto(writes[0], reads[0])
 
-        with get_dispatcher().record(executable=True) as trace:
+        with DISPATCH.record(executable=True) as trace:
             engine.forward(x)
             y = engine.inverse(x)
             engine.inverse(segments=(1, 1), prologue=Fused("pro", 1.0, (y,), copy),

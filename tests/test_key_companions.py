@@ -21,7 +21,7 @@ from repro.ckks.keys import KeyGenerator, KeySwitchingKey
 from repro.ckks.keyswitch import key_switch
 from repro.ckks.params import CKKSParameters
 from repro.core import modmath
-from repro.core.dispatch import get_dispatcher
+from repro.core.dispatch import DISPATCH
 from repro.core.fusion import TraceProgram, expand_stages, fuse_trace
 from repro.core.limb import LimbFormat
 from repro.core.memory import MemoryPool
@@ -196,7 +196,7 @@ class TestBitIdentity:
 
         x, y = operand(), operand()
         low = (x * y).rescale()  # below the top level: two key-row windows
-        with get_dispatcher().record(executable=True) as trace:
+        with DISPATCH.record(executable=True) as trace:
             x * y
             x << 1
             low << 1

@@ -471,12 +471,6 @@ class TestBenchmarkTableJson:
 # ---------------------------------------------------------------------------
 
 
-def _clear_backend_caches():
-    """Flush caches that bake in the backend decision (test-only)."""
-    modmath._moduli_column_cached.cache_clear()
-    get_stacked_engine.cache_clear()
-
-
 class TestDwordEndToEnd:
     """Paper-class 59-bit chains: dword path vs the exact object oracle."""
 
@@ -507,34 +501,25 @@ class TestDwordEndToEnd:
         b = encryptor.encrypt_values(rng.uniform(-1, 1, 8))
         return context, evaluator.multiply(a, b)
 
-    def test_dword_path_matches_object_oracle(self, monkeypatch):
+    def test_dword_path_matches_object_oracle(self, object_backend):
         context, fast = self._run_hmult_rescale()
         assert context.numeric_backend == modmath.BACKEND_DWORD
         # The hot path ran on one uint64 word per residue, not Python integers.
         for poly in (fast.c0, fast.c1):
             assert poly.data.ndim == 2
             assert poly.data.dtype == np.uint64
-        # Re-run the identical computation on the exact object oracle by
-        # forcing every modulus above 2**31 off the dword backend.
-        monkeypatch.setattr(
-            modmath, "DWORD_MODULUS_LIMIT", modmath.FAST_MODULUS_LIMIT
-        )
-        _clear_backend_caches()
-        try:
-            with pytest.warns(RuntimeWarning, match="object backend"):
-                oracle_context, exact = self._run_hmult_rescale()
-            assert oracle_context.numeric_backend == modmath.BACKEND_OBJECT
-            assert exact.c0.data.dtype == np.object_
-            assert fast.scale == exact.scale
-            for fast_poly, exact_poly in (
-                (fast.c0, exact.c0), (fast.c1, exact.c1)
-            ):
-                assert fast_poly.data.tolist() == [
-                    [int(x) for x in row] for row in exact_poly.data
-                ]
-        finally:
-            monkeypatch.undo()
-            _clear_backend_caches()
+        # Re-run the identical computation on the exact object oracle.
+        with object_backend():
+            oracle_context, exact = self._run_hmult_rescale()
+        assert oracle_context.numeric_backend == modmath.BACKEND_OBJECT
+        assert exact.c0.data.dtype == np.object_
+        assert fast.scale == exact.scale
+        for fast_poly, exact_poly in (
+            (fast.c0, exact.c0), (fast.c1, exact.c1)
+        ):
+            assert fast_poly.data.tolist() == [
+                [int(x) for x in row] for row in exact_poly.data
+            ]
 
     @staticmethod
     def _run_mixed_chain():
@@ -556,32 +541,24 @@ class TestDwordEndToEnd:
         hoisted = be.hoisted_rotations(x, [1, 2])
         return session, [be.multiply(x, y), be.rotate(x, 2), hoisted[1], hoisted[2]]
 
-    def test_mixed_chain_matches_object_oracle(self, monkeypatch):
+    def test_mixed_chain_matches_object_oracle(self, object_backend):
         session, fast = self._run_mixed_chain()
         assert session.numeric_backend == modmath.BACKEND_DWORD
         assert modmath.backend_for_moduli(session.context.moduli[1:]) == (
             modmath.BACKEND_UINT64
         )
-        monkeypatch.setattr(
-            modmath, "DWORD_MODULUS_LIMIT", modmath.FAST_MODULUS_LIMIT
-        )
-        _clear_backend_caches()
-        try:
-            with pytest.warns(RuntimeWarning, match="object backend"):
-                oracle_session, exact = self._run_mixed_chain()
-            assert oracle_session.numeric_backend == modmath.BACKEND_OBJECT
-            for fast_ct, exact_ct in zip(fast, exact):
-                for fast_poly, exact_poly in (
-                    (fast_ct.c0, exact_ct.c0), (fast_ct.c1, exact_ct.c1)
-                ):
-                    assert fast_poly.data.dtype == np.uint64
-                    assert exact_poly.data.dtype == np.object_
-                    assert [row.tolist() for row in fast_poly.limb_arrays()] == [
-                        [int(x) for x in row] for row in exact_poly.limb_arrays()
-                    ]
-        finally:
-            monkeypatch.undo()
-            _clear_backend_caches()
+        with object_backend():
+            oracle_session, exact = self._run_mixed_chain()
+        assert oracle_session.numeric_backend == modmath.BACKEND_OBJECT
+        for fast_ct, exact_ct in zip(fast, exact):
+            for fast_poly, exact_poly in (
+                (fast_ct.c0, exact_ct.c0), (fast_ct.c1, exact_ct.c1)
+            ):
+                assert fast_poly.data.dtype == np.uint64
+                assert exact_poly.data.dtype == np.object_
+                assert [row.tolist() for row in fast_poly.limb_arrays()] == [
+                    [int(x) for x in row] for row in exact_poly.limb_arrays()
+                ]
 
     def test_59_bit_context_reports_dword_backend(self):
         context, product = self._run_hmult_rescale()

@@ -577,10 +577,10 @@ class TestConstantSideDot:
         assert out.tolist() == self._oracle(moduli, pairs)
 
     def test_recorded_kernel_reads_the_products_alone(self):
-        from repro.core.dispatch import get_dispatcher
+        from repro.core.dispatch import DISPATCH
 
         col, pairs = self._pairs(BUDGET_CHAINS["near-2^59"], 2, seed=5)
-        with get_dispatcher().record() as trace:
+        with DISPATCH.record() as trace:
             modmath.stack_dot_mod(pairs, col)
         (event,) = trace.events
         assert event.kernel.name.startswith("stack-dot")

@@ -1,7 +1,6 @@
 """Tests for the negacyclic NTT: twiddle tables, the oracle and the engine."""
 
 import contextlib
-import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -9,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import modmath
-from repro.core.dispatch import get_dispatcher
+from repro.core import dispatch, modmath
+from repro.core.dispatch import DISPATCH
 from repro.core.fusion import TraceProgram
 from repro.core.ntt import (
     _SPLIT_BITS,
@@ -299,7 +298,7 @@ class TestFusedOperands:
             (dict(sources=[x[:1], x[1:]], segments=[2, 1], epilogue=fold), "epilogue reads"),
             (dict(stack=x, epilogue=fold._replace(reads=(x[:, :8],))), "epilogue reads"),
         ]
-        with get_dispatcher().record() if recording else contextlib.nullcontext():
+        with DISPATCH.record() if recording else contextlib.nullcontext():
             for kwargs, message in bad_calls:
                 for transform in (engine.forward, engine.inverse):
                     with pytest.raises(ValueError, match=message):
@@ -333,7 +332,7 @@ class TestFusedOperands:
         def bump(reads, writes):
             np.add(reads[0], reads[1], out=writes[0])
 
-        with get_dispatcher().record(executable=True) as trace:
+        with DISPATCH.record(executable=True) as trace:
             out = engine.inverse(
                 sources=[x[:1], x[1:]], segments=[1, 2],
                 epilogue=Fused("bump", 3.0, (ones,), bump),
@@ -352,23 +351,27 @@ class TestFusedOperands:
 
 
 class TestScratchCacheBudget:
-    """The one scratch pool: LRU byte budget and single-thread ownership."""
+    """The scratch pool (``Dispatcher.scratch``): an LRU byte budget.
+
+    That each thread draws from a pool of its own is in
+    ``tests/test_threading.py``.
+    """
 
     @pytest.fixture
     def empty_pool(self, monkeypatch):
-        monkeypatch.setattr(modmath, "_scratch_buffers", OrderedDict())
-        return modmath._scratch_buffers
+        monkeypatch.setattr(DISPATCH, "_scratch", OrderedDict())
+        return DISPATCH._scratch
 
     def test_budget_bounds_cache_and_evicts_lru(self, empty_pool, monkeypatch):
-        monkeypatch.setattr(modmath, "_SCRATCH_BUDGET_BYTES", 1 << 20)  # 1 MiB
+        monkeypatch.setattr(dispatch, "_SCRATCH_BUDGET_BYTES", 1 << 20)  # 1 MiB
         # Wide batched shapes would pin ~4 MiB without the bound.
         for tag in ("a", "b", "c", "d"):
-            modmath._scratch(tag, (128, 1024))  # 1 MiB each
+            DISPATCH.scratch(tag, (128, 1024))  # 1 MiB each
             assert sum(b.nbytes for b in empty_pool.values()) <= (1 << 20)
         # The most recent key survives; the oldest were evicted.
         assert [key[0] for key in empty_pool] == ["d"]
         # A single buffer above the budget is still served (and kept).
-        buf = modmath._scratch("big", (512, 1024))  # 4 MiB
+        buf = DISPATCH.scratch("big", (512, 1024))  # 4 MiB
         assert buf.shape == (512, 1024)
         assert [key[0] for key in empty_pool] == ["big"]
 
@@ -378,29 +381,8 @@ class TestScratchCacheBudget:
         rng = np.random.default_rng(3)
         stack = rng.integers(0, min(q), size=(2, 64)).astype(np.uint64)
         reference = engine.forward(stack)
-        monkeypatch.setattr(modmath, "_SCRATCH_BUDGET_BYTES", 4096)
+        monkeypatch.setattr(dispatch, "_SCRATCH_BUDGET_BYTES", 4096)
         assert np.array_equal(engine.forward(stack), reference)
-
-    def test_second_thread_is_refused(self):
-        q = generate_ntt_primes(1, 26, 64)[0]
-        engine = get_stacked_engine(64, (q,))
-        stack = np.ones((1, 64), dtype=np.uint64)
-        engine.forward(stack)  # this thread owns the pool from here on
-        caught = []
-
-        def worker():
-            try:
-                engine.forward(stack)
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        thread = threading.Thread(target=worker, name="second-caller")
-        thread.start()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert len(caught) == 1
-        assert threading.current_thread().name in caught[0]
-        assert "second-caller" in caught[0]
 
 
 #: A chain just below the dword cap: ``4q`` all but fills the word, so the

@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 
 from repro.api.session import CKKSSession
-from repro.core.dispatch import get_dispatcher, _NULL_CONTEXT
+from repro.core.dispatch import DISPATCH, _NULL_CONTEXT
 from repro.core.memory import MemoryPool
 from repro.gpu.kernel import Kernel, KernelCostModel
 from repro.gpu.platforms import GPU_RTX_4090
@@ -520,7 +520,7 @@ class TestScopeRollup:
     def test_rollup_trace_helper(self, obs_session):
         session = obs_session
         ct = session.encrypt(np.linspace(-1, 1, 8))
-        with get_dispatcher().record() as trace:
+        with DISPATCH.record() as trace:
             ct * ct
         rollup = rollup_trace(trace, TraceCostModel(GPU_RTX_4090))
         assert rollup.reconciliation() <= 0.01
@@ -539,7 +539,7 @@ class TestScopeRollup:
         assert report.wall_total > 0
         assert any(row.wall_s > 0 for row in report.rows.values())
         # The profiler detached: the dispatcher is back on the null path.
-        assert get_dispatcher().scope("x") is _NULL_CONTEXT
+        assert DISPATCH.scope("x") is _NULL_CONTEXT
 
 
 # -- pool + disabled path -----------------------------------------------------
@@ -580,4 +580,4 @@ class TestPoolAndDisabled:
             BatchingPolicy(max_batch_size=4), observability=obs,
         )
         assert server.obs is None
-        assert get_dispatcher().scope("anything") is _NULL_CONTEXT
+        assert DISPATCH.scope("anything") is _NULL_CONTEXT

@@ -1,0 +1,210 @@
+"""One runtime per thread: ``DISPATCH`` is a ``threading.local``.
+
+Each thread has its own recording state and its own scratch pool, and the
+cached tables every thread reads are read-only
+(``tests/test_bounded_caches.py``), so threads can run numeric work at
+once: each result is bit-identical to a single-thread run, a trace records
+only its own thread's kernels, and a thread's scratch buffers die with it.
+"""
+
+from __future__ import annotations
+
+import gc
+import itertools
+import sys
+import threading
+import weakref
+
+import numpy as np
+
+from repro.core import modmath
+from repro.core.dispatch import DISPATCH
+from repro.core.ntt import get_stacked_engine
+from repro.core.primes import generate_ntt_primes
+
+#: Transforms each worker runs (every kernel family: GEMM, dword butterflies
+#: with the transposed grid).
+_ENGINES = (
+    (1 << 12, tuple(generate_ntt_primes(3, 28, 1 << 12))),
+    (1 << 11, tuple(generate_ntt_primes(2, 59, 1 << 11))),
+)
+
+
+#: More workers than the two cores the suite is sized for.
+_WORKERS = 4
+
+
+def _run_threads(worker, count: int = _WORKERS, timeout: float = 120.0) -> list:
+    """Run ``worker(index, barrier)`` on ``count`` threads; re-raise any error.
+
+    The interpreter switches threads every 10 µs meanwhile, so an
+    interleaving that could corrupt shared state gets many chances to.
+    """
+    barrier = threading.Barrier(count)
+    results: list = [None] * count
+    errors: list = []
+
+    def body(index):
+        try:
+            results[index] = worker(index, barrier)
+        except Exception as exc:  # re-raised on the calling thread
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=body, args=(i,), name=f"worker-{i}")
+               for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+            assert not thread.is_alive(), f"{thread.name} did not finish"
+    finally:
+        sys.setswitchinterval(interval)
+    if errors:
+        raise errors[0]
+    return results
+
+
+class TestConcurrentNumericWork:
+    def test_hmult_rescale_on_concurrent_threads_is_bit_identical(self, session):
+        rng = np.random.default_rng(7)
+        pairs = [
+            (session.encrypt(rng.uniform(-1, 1, 16)),
+             session.encrypt(rng.uniform(-1, 1, 16)))
+            for _ in range(_WORKERS)
+        ]
+
+        def product(x, y):
+            ct = (x * y).handle
+            return ct.c0.data.copy(), ct.c1.data.copy()
+
+        solo = [product(x, y) for x, y in pairs]
+
+        def worker(index, barrier):
+            x, y = pairs[index]
+            barrier.wait()
+            return [product(x, y) for _ in range(2)]
+
+        for index, runs in enumerate(_run_threads(worker)):
+            for c0, c1 in runs:
+                np.testing.assert_array_equal(c0, solo[index][0])
+                np.testing.assert_array_equal(c1, solo[index][1])
+
+    def test_stacked_transforms_on_concurrent_threads_are_bit_identical(self):
+        rng = np.random.default_rng(11)
+        inputs = [
+            [rng.integers(0, min(moduli), size=(len(moduli), n), dtype=np.uint64)
+             for n, moduli in _ENGINES]
+            for _ in range(_WORKERS)
+        ]
+
+        def transforms(stacks):
+            out = []
+            for (n, moduli), stack in zip(_ENGINES, stacks):
+                engine = get_stacked_engine(n, moduli)
+                forward = engine.forward(stack)
+                out += [forward, engine.inverse(forward)]
+            return out
+
+        solo = [transforms(stacks) for stacks in inputs]
+        assert not get_stacked_engine(*_ENGINES[1]).fast  # the dword loop runs
+
+        def worker(index, barrier):
+            barrier.wait()
+            return [transforms(inputs[index]) for _ in range(3)]
+
+        for index, runs in enumerate(_run_threads(worker)):
+            for run in runs:
+                for got, want in zip(run, solo[index]):
+                    np.testing.assert_array_equal(got, want)
+            # The inverse undoes the forward on every thread.
+            for got, stack in zip(runs[-1][1::2], inputs[index]):
+                np.testing.assert_array_equal(got, stack)
+
+
+class TestPerThreadRecording:
+    def test_a_trace_records_only_its_own_thread(self, session):
+        rng = np.random.default_rng(5)
+        x = session.encrypt(rng.uniform(-1, 1, 16))
+        y = session.encrypt(rng.uniform(-1, 1, 16))
+        with session.trace() as solo:
+            x * y
+        stop = threading.Event()
+
+        def worker(index, barrier):
+            barrier.wait()
+            if index == 0:
+                try:
+                    with session.trace() as trace:
+                        x * y
+                    return trace
+                finally:
+                    stop.set()
+            count = 0
+            while not stop.is_set() or count == 0:
+                x * y
+                (x + y) << 1
+                count += 1
+            assert not DISPATCH.recording
+            return count
+
+        trace, *evaluations = _run_threads(worker)
+        assert min(evaluations) >= 1
+        assert trace.kernel_count == solo.kernel_count
+        assert [e.kernel.name for e in trace] == [e.kernel.name for e in solo]
+        assert trace.scopes() == solo.scopes()
+        assert not DISPATCH.recording
+
+    def test_recording_state_is_not_shared(self):
+        seen = []
+
+        def worker(index, barrier):
+            if index == 0:
+                with DISPATCH.record(), DISPATCH.scope("outer"):
+                    barrier.wait()  # the others look while this one records
+                    barrier.wait()
+                return None
+            barrier.wait()
+            seen.append((DISPATCH.recording, list(DISPATCH._scopes)))
+            barrier.wait()
+            return None
+
+        _run_threads(worker)
+        assert seen == [(False, [])] * (_WORKERS - 1)
+
+
+class TestPerThreadScratch:
+    def test_threads_never_share_a_scratch_buffer(self):
+        mine = DISPATCH.scratch("probe", (4, 16))
+
+        def worker(index, barrier):
+            buf = DISPATCH.scratch("probe", (4, 16))
+            barrier.wait()  # every thread holds its own at once
+            assert DISPATCH.scratch("probe", (4, 16)) is buf  # reused
+            return buf
+
+        bufs = _run_threads(worker) + [mine]
+        for a, b in itertools.combinations(bufs, 2):
+            assert not np.shares_memory(a, b)
+
+    def test_worker_scratch_is_freed_when_the_thread_exits(self):
+        refs = []
+        moduli = _ENGINES[1][1]
+        engine = get_stacked_engine(_ENGINES[1][0], moduli)
+        stack = np.ones((len(moduli), engine.ring_degree), dtype=np.uint64)
+
+        def worker():
+            engine.forward(stack)  # fills this thread's pool
+            modmath.stack_mul_mod(stack, stack, engine._col)
+            refs.extend(weakref.ref(buf) for buf in DISPATCH._scratch.values())
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        gc.collect()
+        assert refs
+        assert all(ref() is None for ref in refs)
