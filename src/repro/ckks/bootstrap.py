@@ -19,18 +19,25 @@ Outline (for input ciphertext ``ct`` at level 0, scale ``Δ0``, modulus
    ``t``, scaled to the Chebyshev interval.
 3. **ApproxModEval** -- evaluate ``cos(2π·y)`` via a Chebyshev series,
    apply ``r`` double-angle iterations, obtaining ``sin(2π·t/q0)`` which
-   approximates ``2π·(t mod q0)/q0``.
+   approximates ``2π·(t mod q0)/q0``.  The two halves are independent and
+   of one shape, so they are fused (:meth:`Ciphertext.fuse`) and evaluated
+   once at ``B=2`` -- one launch per operation for both, bit-identical per
+   member (§III-F.1) -- and split again for SlotToCoeff.
 4. **SlotToCoeff** -- homomorphic DFT scaled by ``q0/(2π·Δ0)`` recombining
    both halves into a ciphertext encrypting ``m`` again, now with many
    levels left.
 
-The functional backend runs this at reduced (insecure) ring dimensions;
-the paper-scale cost is reproduced by :mod:`repro.perf`.
+A fused input of ``k`` ciphertexts bootstraps every member at once: ModRaise
+lifts each member over its own copy of ``Q`` and ApproxModEval runs at
+``B=2k``.  The functional backend runs this at reduced (insecure) ring
+dimensions; the paper-scale cost is reproduced by :mod:`repro.perf`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +55,20 @@ from repro.ckks.linear_transform import (
     coeff_to_slot_matrix,
     slot_to_coeff_matrix,
 )
+from repro.core import modmath
 from repro.core.dispatch import DISPATCH
+from repro.core.limb import LimbFormat
 from repro.core.rns_poly import RNSPoly
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a :class:`BootstrapConfig` field that is no integer ``>= least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"BootstrapConfig.{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"BootstrapConfig.{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +86,12 @@ class BootstrapConfig:
     #: Baby-step count for the BSGS linear transforms (None = sqrt heuristic).
     baby_steps: int | None = None
 
+    def __post_init__(self) -> None:
+        _check_count("chebyshev_degree", self.chebyshev_degree, 1)
+        _check_count("double_angle_iterations", self.double_angle_iterations, 0)
+        if self.baby_steps is not None:
+            _check_count("baby_steps", self.baby_steps, 1)
+
     @property
     def range_bound(self) -> int:
         """Largest |I| the sine approximation tolerates (K in the paper)."""
@@ -76,11 +101,21 @@ class BootstrapConfig:
 class Bootstrapper:
     """Precomputes and runs the CKKS bootstrapping procedure."""
 
+    #: Cached linear transforms (steady state: one CoeffToSlot and one
+    #: SlotToCoeff per input scale in use).
+    TRANSFORMS = 4
+
     def __init__(self, context: Context, evaluator: Evaluator,
                  config: BootstrapConfig | None = None) -> None:
         self.context = context
         self.evaluator = evaluator
         self.config = config or BootstrapConfig()
+        baby = self.config.baby_steps
+        if baby is not None and context.slots % baby:
+            raise ValueError(
+                f"BootstrapConfig.baby_steps={baby} must divide the slot count "
+                f"{context.slots}"
+            )
         weight = context.params.secret_hamming_weight
         bound = (weight + 1) / 2 + 1
         if bound > (1 << self.config.double_angle_iterations):
@@ -91,9 +126,10 @@ class Bootstrapper:
         self._cos_coefficients = chebyshev_coefficients(
             lambda y: math.cos(2.0 * math.pi * y), self.config.chebyshev_degree
         )
-        # The linear-transform matrices depend on the input scale, which is
-        # only known per ciphertext; the unscaled DFT matrices are cached.
-        self._transforms: dict[tuple[str, float], LinearTransform] = {}
+        # The SlotToCoeff matrix depends on the input scale, which is only
+        # known per ciphertext: transforms are cached per (kind, factor), the
+        # least recently used dropped past ``TRANSFORMS``.
+        self._transforms: OrderedDict[tuple[str, float], LinearTransform] = OrderedDict()
 
     # ------------------------------------------------------------------
     # key requirements
@@ -122,16 +158,27 @@ class Bootstrapper:
     # ------------------------------------------------------------------
 
     def mod_raise(self, ct: Ciphertext) -> Ciphertext:
-        """Reinterpret a level-0 ciphertext over the full modulus ``Q``."""
+        """Reinterpret a level-0 ciphertext over the full modulus ``Q``.
+
+        Each member of a fused ciphertext is raised over its own copy of
+        the basis, so the result is fused like the input.
+        """
         if ct.limb_count != 1:
             ct = self.evaluator.mod_reduce(ct, 1)
         moduli = self.context.moduli
+        column = modmath.moduli_column(moduli)
 
         def raise_poly(poly: RNSPoly) -> RNSPoly:
             # Server work: transformed explicitly, so the NTT is recorded.
-            coefficients = poly.to_int_coefficients(centered=True)
-            return RNSPoly.from_int_coefficients(
-                self.context.ring_degree, moduli, coefficients
+            members = poly.to_coefficient().split(ct.batch_size)
+            rows = [
+                modmath.lift_residues(
+                    member.basis().compose(member.limb_arrays(), centered=True), column
+                )
+                for member in members
+            ]
+            return RNSPoly(
+                moduli * ct.batch_size, np.concatenate(rows), LimbFormat.COEFFICIENT
             ).to_evaluation()
 
         with DISPATCH.scope("modraise"):
@@ -181,13 +228,22 @@ class Bootstrapper:
     # ------------------------------------------------------------------
 
     def bootstrap(self, ct: Ciphertext) -> Ciphertext:
-        """Refresh ``ct`` (Table I's ``Bootstrap`` primitive)."""
-        original_scale = ct.scale if ct.limb_count == 1 else self.context.scale_at(0)
+        """Refresh ``ct`` (Table I's ``Bootstrap`` primitive).
+
+        The message is read at ``ct.scale`` whatever the input level
+        (``mod_reduce`` keeps the scale).  A fused ``ct`` refreshes every
+        member, bit-identical to bootstrapping each member alone.
+        """
         raised = self.mod_raise(ct)
         lower, upper = self.coeff_to_slot(raised)
-        lower = self.approx_mod_eval(lower)
-        upper = self.approx_mod_eval(upper)
-        refreshed = self.slot_to_coeff(lower, upper, original_scale)
+        # Both halves in one ApproxModEval at twice the batch width; the
+        # fused rows are member-major, so each half is a zero-copy row window.
+        both = self.approx_mod_eval(Ciphertext.fuse([lower, upper]))
+        lower, upper = (
+            half.with_polys(c0, c1, scale=both.scale)
+            for half, c0, c1 in zip((lower, upper), both.c0.split(2), both.c1.split(2))
+        )
+        refreshed = self.slot_to_coeff(lower, upper, ct.scale)
         refreshed.encoded_length = ct.encoded_length
         refreshed.slots = ct.slots
         return refreshed
@@ -199,14 +255,18 @@ class Bootstrapper:
     def _transform(self, kind: str, factor: float) -> LinearTransform:
         key = (kind, round(float(factor), 14))
         transform = self._transforms.get(key)
-        if transform is None:
-            if kind == "c2s":
-                matrix = coeff_to_slot_matrix(self.context.ring_degree, factor)
-            else:
-                matrix = slot_to_coeff_matrix(self.context.ring_degree, factor)
-            transform = LinearTransform(self.context, matrix,
-                                        baby_steps=self.config.baby_steps)
-            self._transforms[key] = transform
+        if transform is not None:
+            self._transforms.move_to_end(key)
+            return transform
+        if kind == "c2s":
+            matrix = coeff_to_slot_matrix(self.context.ring_degree, factor)
+        else:
+            matrix = slot_to_coeff_matrix(self.context.ring_degree, factor)
+        transform = LinearTransform(self.context, matrix,
+                                    baby_steps=self.config.baby_steps)
+        self._transforms[key] = transform
+        if len(self._transforms) > self.TRANSFORMS:
+            self._transforms.popitem(last=False)
         return transform
 
 

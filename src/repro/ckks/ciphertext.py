@@ -83,14 +83,19 @@ def match_for_sum(a, b, adjust) -> tuple:
     """
     check_same_batch(a, b)
     if a.level == b.level:
-        if scales_match(a.scale, b.scale):
-            return a, b
-        raise ValueError(
-            f"scale mismatch at equal level: {a.scale:.6g} vs {b.scale:.6g}"
-        )
+        check_sum_scales(a.scale, b.scale)
+        return a, b
     if a.level > b.level:
         return adjust(a, b.level, b.scale), b
     return a, adjust(b, a.level, a.scale)
+
+
+def check_sum_scales(scale_a: float, scale_b: float) -> None:
+    """Reject two addends at one level whose scales differ."""
+    if not scales_match(scale_a, scale_b):
+        raise ValueError(
+            f"scale mismatch at equal level: {scale_a:.6g} vs {scale_b:.6g}"
+        )
 
 
 def match_for_product(a, b, adjust) -> tuple:
@@ -337,6 +342,7 @@ __all__ = [
     "check_same_batch",
     "adjust_is_noop",
     "match_for_sum",
+    "check_sum_scales",
     "match_for_product",
     "check_plain_scale",
     "check_scalar_rescale",

@@ -40,7 +40,9 @@ from repro.ckks.ciphertext import (
     check_dot_operands,
     check_finite_scalar,
     check_plain_scale,
+    check_same_batch,
     check_scalar_rescale,
+    check_sum_scales,
     match_for_product,
     match_for_sum,
 )
@@ -417,13 +419,33 @@ class Evaluator:
                           *, rescale: bool = True) -> Ciphertext:
         """Fused weighted sum ``Σ ct_i ⊙ pt_i`` (the dot-product fusion of §III-F.5).
 
-        Each ``pt_i`` is a :class:`Plaintext` or a raw value row.
+        Each ``pt_i`` is a :class:`Plaintext` or a raw value row.  Both
+        components accumulate their products in one launch with one
+        reduction (:meth:`RNSPoly.multiply_accumulate`) instead of a reduced
+        product and a reduced add per term; modular sums are exact, so the
+        residues are those of the ``multiply_plain``/``add`` chain.  The
+        terms meet like ``add`` operands: a ciphertext above the lowest
+        level is adjusted down to it at the scale that gives its product
+        the common scale, and products whose scales differ are rejected.
         """
         check_dot_operands(cts, plaintexts)
-        acc = self.multiply_plain(cts[0], plaintexts[0], rescale=False)
-        for ct, pt in zip(cts[1:], plaintexts[1:]):
-            acc = self.add(acc, self.multiply_plain(ct, pt, rescale=False))
-        return self.rescale(acc) if rescale else acc
+        pts = [self._as_plaintext(ct, pt, for_multiplication=True)
+               for ct, pt in zip(cts, plaintexts)]
+        level = min(ct.level for ct in cts)
+        lowest = next(i for i, ct in enumerate(cts) if ct.level == level)
+        scale = cts[lowest].scale * pts[lowest].scale
+        cts = [ct if ct.level == level else self.adjust(ct, level, scale / pt.scale)
+               for ct, pt in zip(cts, pts)]
+        for ct, pt in zip(cts, pts):
+            check_same_batch(cts[0], ct)
+            check_sum_scales(scale, ct.scale * pt.scale)
+        with self._scope(cts[0], "ptdot"):
+            with DISPATCH.launch("ptdot"):
+                plain = [self._plain_operand(ct, pt) for ct, pt in zip(cts, pts)]
+                c0 = RNSPoly.multiply_accumulate(list(zip([ct.c0 for ct in cts], plain)))
+                c1 = RNSPoly.multiply_accumulate(list(zip([ct.c1 for ct in cts], plain)))
+            result = cts[0].with_polys(c0, c1, scale=scale)
+        return self.rescale(result) if rescale else result
 
     def describe(self) -> dict:
         """Backend self-description (the :class:`EvaluationBackend` report)."""

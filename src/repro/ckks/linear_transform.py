@@ -6,7 +6,8 @@ evaluates them with the Baby-Step Giant-Step (BSGS) algorithm of
 Bossuat et al. [42]: the matrix is decomposed into its generalized
 diagonals, baby-step rotations of the input are produced once with the
 hoisted-rotation optimisation, and each giant step combines ``n1``
-plaintext multiplications with a single rotation.
+plaintext multiplications -- one fused dot product -- with a single
+rotation.
 
 :class:`LinearTransform` implements that algorithm for an arbitrary
 ``slots x slots`` complex matrix; :func:`coeff_to_slot_matrix` and
@@ -17,6 +18,7 @@ plaintext multiplications with a single rotation.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 
@@ -69,6 +71,9 @@ class LinearTransform:
         rounded to a divisor of the slot count.
     """
 
+    #: Encoded diagonal sets kept per transform (a bootstrap uses one).
+    ENCODED_SETS = 2
+
     def __init__(self, context: Context, matrix: np.ndarray,
                  baby_steps: int | None = None) -> None:
         slots = context.slots
@@ -85,8 +90,9 @@ class LinearTransform:
         self.baby_steps = baby_steps
         self.giant_steps = slots // baby_steps
         # Generalized diagonals diag_k[j] = M[j, (j + k) mod slots], pre-rotated
-        # by -giant*n1 so each giant step needs a single output rotation.
-        self._diagonals: dict[tuple[int, int], np.ndarray] = {}
+        # by -giant*n1 so each giant step needs a single output rotation;
+        # giant -> baby -> diagonal, zero diagonals left out.
+        self._diagonals: dict[int, dict[int, np.ndarray]] = {}
         indices = np.arange(slots)
         for giant in range(self.giant_steps):
             for baby in range(self.baby_steps):
@@ -95,23 +101,20 @@ class LinearTransform:
                 if not np.any(np.abs(diag) > 1e-12):
                     continue
                 rotated = np.roll(diag, giant * self.baby_steps)
-                self._diagonals[(giant, baby)] = rotated
-        # Encoded diagonal plaintexts, cached per (key, limb_count, scale):
-        # bootstrapping applies the same transform to many ciphertexts at
-        # the same level, and each encode is a full limb-stack build.
-        self._plaintext_cache: dict[tuple, Plaintext] = {}
+                self._diagonals.setdefault(giant, {})[baby] = rotated
+        # Encoded diagonal plaintexts, one set per (limb_count, scale), the
+        # least recently used dropped past ``ENCODED_SETS``: bootstrapping
+        # applies the same transform to many ciphertexts at one level, and
+        # each encode is a full limb-stack build.
+        self._encoded: OrderedDict[tuple[int, float], dict] = OrderedDict()
 
     # -- rotation-key requirements --------------------------------------------
 
     def required_rotations(self) -> list[int]:
         """Return the rotation steps the evaluator needs keys for."""
-        steps = set()
-        for baby in range(1, self.baby_steps):
-            if any(key[1] == baby for key in self._diagonals):
-                steps.add(baby)
-        for giant in range(1, self.giant_steps):
-            if any(key[0] == giant for key in self._diagonals):
-                steps.add(giant * self.baby_steps)
+        steps = {baby for babies in self._diagonals.values() for baby in babies}
+        steps.update(giant * self.baby_steps for giant in self._diagonals)
+        steps.discard(0)
         return sorted(steps)
 
     # -- evaluation ------------------------------------------------------------
@@ -120,58 +123,56 @@ class LinearTransform:
         """Return the ciphertext whose slots are ``matrix @ slots(ct)``.
 
         Consumes exactly one multiplicative level.  Baby-step rotations are
-        produced with the hoisted-rotation routine; plaintext diagonals are
-        encoded at the scale that restores the context's scale ladder after
-        the final rescale.
+        produced with the hoisted-rotation routine, and each giant step is
+        one fused plaintext dot product (§III-F.5) and one rotation;
+        plaintext diagonals are encoded at the scale that restores the
+        context's scale ladder after the final rescale.
         """
         if ct.level < 1:
             raise ValueError("linear transform needs at least one spare level")
-        baby_rotations = self._baby_rotations(evaluator, ct)
-        plaintext_scale = self._plaintext_scale(ct)
-        accumulator: Ciphertext | None = None
-        for giant in range(self.giant_steps):
-            inner: Ciphertext | None = None
-            for baby in range(self.baby_steps):
-                diag = self._diagonals.get((giant, baby))
-                if diag is None:
-                    continue
-                pt = self._cached_diagonal(
-                    (giant, baby), diag, ct.limb_count, plaintext_scale
-                )
-                term = evaluator.multiply_plain(baby_rotations[baby], pt, rescale=False)
-                inner = term if inner is None else evaluator.add(inner, term)
-            if inner is None:
-                continue
-            if giant != 0:
-                inner = self._rotate_product(evaluator, inner, giant * self.baby_steps)
-            accumulator = inner if accumulator is None else evaluator.add(accumulator, inner)
-        if accumulator is None:
+        if not self._diagonals:
             raise ValueError("the transform matrix is identically zero")
+        rotations = self._baby_rotations(evaluator, ct)
+        encoded = self._encoded_diagonals(ct.limb_count, self._plaintext_scale(ct))
+        accumulator: Ciphertext | None = None
+        for giant, plaintexts in encoded.items():
+            inner = evaluator.dot_product_plain(
+                [rotations[baby] for baby in plaintexts], list(plaintexts.values()),
+                rescale=False,
+            )
+            if giant != 0:
+                inner = evaluator.rotate(inner, giant * self.baby_steps)
+            accumulator = inner if accumulator is None else evaluator.add(accumulator, inner)
         return evaluator.rescale(accumulator)
 
     def _baby_rotations(self, evaluator: Evaluator, ct: Ciphertext) -> dict[int, Ciphertext]:
-        steps = sorted({baby for _, baby in self._diagonals})
+        steps = sorted({baby for babies in self._diagonals.values() for baby in babies})
         nonzero = [s for s in steps if s != 0]
         rotations = evaluator.hoisted_rotations(ct, nonzero) if nonzero else {}
         rotations[0] = ct
         return rotations
-
-    def _rotate_product(self, evaluator: Evaluator, ct: Ciphertext, steps: int) -> Ciphertext:
-        return evaluator.rotate(ct, steps)
 
     def _plaintext_scale(self, ct: Ciphertext) -> float:
         q = ct.moduli[-1]
         target = self.context.scale_at(ct.level - 1)
         return q * target / ct.scale
 
-    def _cached_diagonal(self, key: tuple[int, int], diagonal: np.ndarray,
-                         limb_count: int, scale: float) -> Plaintext:
-        cache_key = (key, limb_count, scale)
-        plaintext = self._plaintext_cache.get(cache_key)
-        if plaintext is None:
-            plaintext = self._encode_diagonal(diagonal, limb_count, scale)
-            self._plaintext_cache[cache_key] = plaintext
-        return plaintext
+    def _encoded_diagonals(self, limb_count: int,
+                           scale: float) -> dict[int, dict[int, Plaintext]]:
+        key = (limb_count, scale)
+        encoded = self._encoded.get(key)
+        if encoded is not None:
+            self._encoded.move_to_end(key)
+            return encoded
+        encoded = {
+            giant: {baby: self._encode_diagonal(diag, limb_count, scale)
+                    for baby, diag in babies.items()}
+            for giant, babies in self._diagonals.items()
+        }
+        self._encoded[key] = encoded
+        if len(self._encoded) > self.ENCODED_SETS:
+            self._encoded.popitem(last=False)
+        return encoded
 
     def _encode_diagonal(self, diagonal: np.ndarray, limb_count: int,
                          scale: float) -> Plaintext:

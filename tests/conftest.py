@@ -133,3 +133,10 @@ def assert_close(actual, expected, tolerance=5e-4):
     assert actual.shape == expected.shape
     error = float(np.max(np.abs(actual - expected))) if actual.size else 0.0
     assert error < tolerance, f"max error {error} exceeds tolerance {tolerance}"
+
+
+def assert_same_ciphertext(a, b):
+    """Assert two ciphertexts are bit-identical: shape, scale and residues."""
+    assert (a.level, a.batch_size, a.scale) == (b.level, b.batch_size, b.scale)
+    np.testing.assert_array_equal(a.c0.data, b.c0.data)
+    np.testing.assert_array_equal(a.c1.data, b.c1.data)

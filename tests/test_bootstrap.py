@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.ckks.bootstrap import BootstrapConfig, Bootstrapper
+from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.context import Context
 from repro.ckks.encryption import Decryptor, Encryptor
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator, KeySet
 from repro.ckks.params import PARAMETER_SETS
+from tests.conftest import assert_same_ciphertext
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +41,43 @@ def bootstrap_setup():
     }
 
 
+@pytest.fixture(scope="module")
+def small_bootstrap():
+    """The toy-bootstrap chain at a 64-coefficient ring: a fast bootstrap
+    for bit-identity checks (not for precision)."""
+    params = PARAMETER_SETS["toy-bootstrap"].with_overrides(ring_degree=1 << 6)
+    context = Context(params)
+    generator = KeyGenerator(context, seed=5)
+    secret = generator.generate_secret()
+    keys = KeySet(
+        public_key=generator.generate_public(secret),
+        relinearization_key=generator.generate_relinearization_key(secret),
+        secret_key=secret,
+    )
+    evaluator = Evaluator(context, keys)
+    bootstrapper = Bootstrapper(context, evaluator)
+    for step in bootstrapper.required_rotations():
+        keys.rotation_keys[step] = generator.generate_rotation_key(secret, step)
+    keys.conjugation_key = generator.generate_conjugation_key(secret)
+    return bootstrapper, Encryptor(context, keys.public_key, seed=3)
+
+
 class TestBootstrapConfig:
+    @pytest.mark.parametrize("overrides, error, field", [
+        ({"double_angle_iterations": -1}, ValueError, "double_angle_iterations"),
+        ({"chebyshev_degree": 2.5}, TypeError, "chebyshev_degree"),
+        ({"baby_steps": 0}, ValueError, "baby_steps"),
+        ({"baby_steps": 3}, ValueError, "baby_steps=3 must divide the slot count"),
+    ], ids=["negative-iterations", "fractional-degree", "zero-baby-steps",
+            "non-divisor-baby-steps"])
+    def test_invalid_config_rejected_up_front(self, small_bootstrap, overrides,
+                                              error, field):
+        # Regression: these raised a bare "negative shift count", an unrelated
+        # TypeError, or nothing until the first linear transform.
+        boot, _ = small_bootstrap
+        with pytest.raises(error, match=field):
+            Bootstrapper(boot.context, boot.evaluator, BootstrapConfig(**overrides))
+
     def test_range_bound(self):
         assert BootstrapConfig(double_angle_iterations=3).range_bound == 7
 
@@ -114,3 +152,33 @@ class TestFullBootstrap:
         )
         decoded = decryptor.decrypt_values(refreshed, 4).real
         assert measured_precision_bits(message, decoded) > 4.0
+
+
+class TestBatchedBootstrap:
+    """``bootstrap`` runs both ApproxModEval halves as one fused ``B=2``
+    ciphertext, and a fused input bootstraps every member at once."""
+
+    @pytest.mark.parametrize("level", [0, 3])
+    def test_equals_the_stage_by_stage_composition(self, small_bootstrap, level):
+        boot, encryptor = small_bootstrap
+        rng = np.random.default_rng(level)
+        ct = encryptor.encrypt_values(rng.uniform(-0.4, 0.4, 8), limb_count=level + 1)
+        raised = boot.mod_raise(ct)
+        lower, upper = boot.coeff_to_slot(raised)
+        expected = boot.slot_to_coeff(
+            boot.approx_mod_eval(lower), boot.approx_mod_eval(upper), ct.scale
+        )
+        assert_same_ciphertext(boot.bootstrap(ct), expected)
+
+    @pytest.mark.parametrize("members", [2, 3])
+    def test_fused_input_is_bootstrapped_per_member(self, small_bootstrap, members):
+        boot, encryptor = small_bootstrap
+        rng = np.random.default_rng(members)
+        cts = [
+            encryptor.encrypt_values(rng.uniform(-0.4, 0.4, 8), limb_count=1)
+            for _ in range(members)
+        ]
+        fused = boot.bootstrap(Ciphertext.fuse(cts))
+        assert fused.batch_size == members
+        for member, ct in zip(fused.split(), cts):
+            assert_same_ciphertext(member, boot.bootstrap(ct))

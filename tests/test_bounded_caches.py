@@ -3,7 +3,9 @@
 A long-lived process (a server, a test session) meets new ring degrees,
 moduli tuples, rotation exponents and parameter sets; a ``functools`` cache
 with ``maxsize=None`` would keep every one of them.  Each cache in the
-package names a finite bound that the measured workloads stay under.
+package names a finite bound that the measured workloads stay under.  So does a
+per-object cache keyed by a value the caller picks (the bootstrap's
+transforms and encoded diagonals, keyed by input scale): it is an LRU.
 
 A cached table is shared by every caller on every thread, so every array
 reachable from one is frozen: an in-place write raises instead of
@@ -108,3 +110,45 @@ def test_the_walk_reaches_every_engine_table():
 def test_a_cached_table_refuses_an_in_place_write():
     with pytest.raises(ValueError, match="read-only"):
         rotation_group(1 << 10)[:] += 1
+
+
+def test_bootstrap_transform_caches_are_bounded_lrus():
+    """``Bootstrapper`` keys its transforms, and each transform its encoded
+    diagonals, by the input scale: both are LRUs that hold the steady state
+    of repeated bootstraps and stay bounded over many distinct scales."""
+    from repro.api import CKKSSession
+    from repro.ckks.bootstrap import Bootstrapper
+    from repro.ckks.linear_transform import LinearTransform
+    from repro.ckks.params import PARAMETER_SETS
+
+    params = PARAMETER_SETS["toy-bootstrap"].with_overrides(ring_degree=1 << 6)
+    session = CKKSSession.create(params, seed=3, conjugation=True, register_default=False)
+    boot = Bootstrapper(session.context, session.evaluator)
+    session.add_rotation_keys(boot.required_rotations())
+    ev = session.evaluator
+    values = np.linspace(-0.4, 0.4, 8)
+
+    def cached():
+        """Each cached transform with its encoded diagonal sets."""
+        return {key: (transform, *transform._encoded.values())
+                for key, transform in boot._transforms.items()}
+
+    ct = ev.encrypt(values, level=0)
+    boot.bootstrap(ct)
+    steady = cached()
+    assert len(steady) == 2 and all(len(entry) == 2 for entry in steady.values())
+    boot.bootstrap(ct)
+    again = cached()
+    assert again.keys() == steady.keys()
+    assert all(a is b for key in steady for a, b in zip(again[key], steady[key]))
+
+    top = ev.encrypt(values)
+    scales = [2.0 ** (18 + k) for k in range(10)]
+    for scale in scales:
+        boot.slot_to_coeff(top, top, scale)
+    assert len(boot._transforms) == Bootstrapper.TRANSFORMS
+
+    transform = boot._transform("c2s", 1.0)
+    for scale in scales:
+        transform.apply(ev, ev.encrypt(values, scale=scale))
+    assert len(transform._encoded) == LinearTransform.ENCODED_SETS

@@ -5,12 +5,14 @@ executed by the (GPU-style) evaluator and the decrypted result is compared
 with the plaintext-computed reference.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import assert_close
+from tests.conftest import assert_close, assert_same_ciphertext
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +302,99 @@ class TestOperandsAreImmutable:
             assert ct is not x and ct.c0 is x.c0 and ct.c1 is x.c1
             ct.scale = 1.0  # metadata stays independently assignable
         assert x.scale != 1.0
+
+
+#: Word-size chains ``(scale_bits, first_mod_bits)`` and the backend each runs.
+DOT_CHAINS = {"uint64": (28, 30), "dword": (59, 60), "object": (59, 63)}
+
+
+@pytest.fixture(scope="module")
+def chain_sessions():
+    from repro.api import CKKSSession
+    from repro.ckks.params import CKKSParameters
+
+    sessions = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # object fallback notice
+        for name, (scale_bits, first_mod_bits) in DOT_CHAINS.items():
+            sessions[name] = CKKSSession.create(
+                CKKSParameters(
+                    ring_degree=1 << 6, mult_depth=3, scale_bits=scale_bits, dnum=2,
+                    first_mod_bits=first_mod_bits, secret_hamming_weight=16,
+                    label=f"dot-{name}",
+                ),
+                seed=13, register_default=False,
+            )
+    assert {k: s.numeric_backend for k, s in sessions.items()} == {
+        k: k for k in DOT_CHAINS
+    }
+    return sessions
+
+
+def _pairwise_dot(evaluator, cts, plaintexts):
+    """The chain the fused dot product replaces: a product and an add per term."""
+    acc = evaluator.multiply_plain(cts[0], plaintexts[0], rescale=False)
+    for ct, pt in zip(cts[1:], plaintexts[1:]):
+        acc = evaluator.add(acc, evaluator.multiply_plain(ct, pt, rescale=False))
+    return acc
+
+
+class TestFusedDotProduct:
+    """``dot_product_plain`` is one launch with one reduction per component,
+    and its residues are the pairwise chain's (modular sums are exact)."""
+
+    @pytest.mark.parametrize("members", [1, 3], ids=["B1", "B3"])
+    @pytest.mark.parametrize("chain", sorted(DOT_CHAINS))
+    def test_bit_identical_to_the_pairwise_chain(self, chain_sessions, chain, members):
+        ev = chain_sessions[chain].evaluator
+        rng = np.random.default_rng(17)
+        rows = lambda: [rng.uniform(-1, 1, 8) for _ in range(members)]  # noqa: E731
+        cts = [ev.encrypt_batch(rows()) if members > 1 else ev.encrypt(rows()[0])
+               for _ in range(5)]
+        # Raw value rows and pre-encoded plaintexts both take part.
+        weights = [rng.uniform(-1, 1, 8) for _ in cts]
+        plaintexts = weights[:2] + [ev.encode_for(ct, w) for ct, w in zip(cts[2:], weights[2:])]
+        reference = _pairwise_dot(ev, cts, plaintexts)
+        assert_same_ciphertext(
+            ev.dot_product_plain(cts, plaintexts, rescale=False), reference
+        )
+        assert_same_ciphertext(
+            ev.dot_product_plain(cts, plaintexts), ev.rescale(reference)
+        )
+
+    def test_is_one_launch(self, session, evaluator, encryptor, rng):
+        cts = [encryptor.encrypt_values(rng.uniform(-1, 1, 8)) for _ in range(4)]
+        plaintexts = [evaluator.encode_for(ct, rng.uniform(-1, 1, 8)) for ct in cts]
+        with session.trace() as trace:
+            evaluator.dot_product_plain(cts, plaintexts, rescale=False)
+        assert [k.name.split("[")[0] for k in trace.kernels()] == ["ptdot"]
+
+    def test_product_scale_mismatch_is_the_error_add_raises(
+            self, evaluator, encryptor, context, rng):
+        from repro.ckks.encryption import encode
+
+        cts = [encryptor.encrypt_values(rng.uniform(-1, 1, 8)) for _ in range(2)]
+        plaintexts = [
+            evaluator.encode_for(cts[0], rng.uniform(-1, 1, 8)),
+            encode(context, rng.uniform(-1, 1, 8), scale=2.0 ** 20,
+                   limb_count=cts[1].limb_count),
+        ]
+        with pytest.raises(ValueError) as chained:
+            _pairwise_dot(evaluator, cts, plaintexts)
+        with pytest.raises(ValueError) as fused:
+            evaluator.dot_product_plain(cts, plaintexts)
+        assert str(fused.value) == str(chained.value)
+        assert "scale mismatch at equal level" in str(fused.value)
+
+    def test_mixed_levels_are_aligned_like_add(self, evaluator, encryptor, decryptor, rng):
+        vectors = [rng.uniform(-1, 1, 8) for _ in range(3)]
+        weights = [rng.uniform(-1, 1, 8) for _ in range(3)]
+        cts = [encryptor.encrypt_values(v) for v in vectors]
+        cts[1] = evaluator.adjust(cts[1], cts[1].level - 2)
+        result = evaluator.dot_product_plain(cts, weights)
+        assert result.level == cts[1].level - 1
+        expected = sum(v * w for v, w in zip(vectors, weights))
+        assert_close(decryptor.decrypt_values(result, 8).real, expected)
 
 
 @given(

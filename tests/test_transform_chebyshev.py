@@ -19,7 +19,7 @@ from repro.ckks.linear_transform import (
     decoding_matrix,
     slot_to_coeff_matrix,
 )
-from tests.conftest import assert_close
+from tests.conftest import assert_close, assert_same_ciphertext
 
 
 class TestChebyshevMath:
@@ -159,6 +159,28 @@ class TestLinearTransform:
             matrix @ message.astype(complex),
             1e-3,
         )
+
+    def test_giant_steps_equal_the_pairwise_loop(self, lt_setup, rng):
+        """One fused dot product per giant step, bit-identical to the
+        ``multiply_plain`` + ``add`` loop it replaced."""
+        context, ev = lt_setup["context"], lt_setup["evaluator"]
+        slots = context.slots
+        matrix = (rng.normal(size=(slots, slots)) + 1j * rng.normal(size=(slots, slots))) / slots
+        transform = LinearTransform(context, matrix)
+        ct = lt_setup["encryptor"].encrypt_values(rng.uniform(-0.5, 0.5, slots))
+        rotations = transform._baby_rotations(ev, ct)
+        encoded = transform._encoded_diagonals(ct.limb_count, transform._plaintext_scale(ct))
+        assert sum(map(len, encoded.values())) == slots  # dense: every diagonal
+        accumulator = None
+        for giant, plaintexts in encoded.items():
+            inner = None
+            for baby, pt in plaintexts.items():
+                term = ev.multiply_plain(rotations[baby], pt, rescale=False)
+                inner = term if inner is None else ev.add(inner, term)
+            if giant:
+                inner = ev.rotate(inner, giant * transform.baby_steps)
+            accumulator = inner if accumulator is None else ev.add(accumulator, inner)
+        assert_same_ciphertext(transform.apply(ev, ct), ev.rescale(accumulator))
 
     def test_diagonal_matrix_uses_no_rotations(self, lt_setup):
         context = lt_setup["context"]
