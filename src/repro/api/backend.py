@@ -51,6 +51,7 @@ from repro.ckks.ciphertext import (
     check_plain_scale,
     check_scalar_rescale,
     fused_lengths,
+    match_for_dot,
     match_for_product,
     match_for_sum,
     member_lengths,
@@ -425,10 +426,13 @@ class CostModelBackend:
     def dot_product_plain(self, handles: Sequence[SymbolicCiphertext],
                           value_rows: Sequence) -> SymbolicCiphertext:
         check_dot_operands(handles, value_rows)
-        acc = self.multiply_plain(handles[0], value_rows[0], rescale=False)
-        for ct, row in zip(handles[1:], value_rows[1:]):
-            acc = self.add(acc, self.multiply_plain(ct, row, rescale=False))
-        return self.rescale(acc)
+        handles, scale = match_for_dot(
+            handles, [self._plain_scale(h, row, for_multiplication=True)
+                      for h, row in zip(handles, value_rows)], self.at_level,
+        )
+        with self._scope(handles[0], "ptdot"):
+            self._emit(handles[0], self.costs.ptdot, handles[0].limb_count, len(handles))
+        return self.rescale(replace(handles[0], scale=scale))
 
     # -- reporting ----------------------------------------------------------
 

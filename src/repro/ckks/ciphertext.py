@@ -108,6 +108,25 @@ def match_for_product(a, b, adjust) -> tuple:
     return a, adjust(b, a.level)
 
 
+def match_for_dot(handles: Sequence, plain_scales: Sequence[float], adjust) -> tuple:
+    """Bring the terms of ``Σ handle_i ⊙ pt_i`` to one level and product scale.
+
+    The terms meet like ``add`` operands: a handle above the lowest level
+    is adjusted down to it at the scale that gives its product the common
+    scale, and products whose scales differ are rejected.  Returns the
+    handles and the common product scale.
+    """
+    level = min(h.level for h in handles)
+    lowest = next(i for i, h in enumerate(handles) if h.level == level)
+    scale = handles[lowest].scale * plain_scales[lowest]
+    handles = [h if h.level == level else adjust(h, level, scale / s)
+               for h, s in zip(handles, plain_scales)]
+    for h, s in zip(handles, plain_scales):
+        check_same_batch(handles[0], h)
+        check_sum_scales(scale, h.scale * s)
+    return handles, scale
+
+
 def check_plain_scale(handle, plain_scale: float) -> None:
     """Reject a plaintext addend encoded at another scale than ``handle``."""
     if not scales_match(handle.scale, plain_scale):
@@ -344,6 +363,7 @@ __all__ = [
     "match_for_sum",
     "check_sum_scales",
     "match_for_product",
+    "match_for_dot",
     "check_plain_scale",
     "check_scalar_rescale",
     "check_finite_scalar",

@@ -8,7 +8,8 @@ precomputed once per parameter set live here:
   ModDown at every level), cached on first use;
 * rescaling and ``P^{-1}`` constants;
 * the CRT factors ``T_j`` embedded into key-switching keys, and the
-  key digits tiled to a fused operand's member count (byte-bounded LRU);
+  layout a key multiply reads a key's digits in (the keys themselves are
+  read-only and hold no per-context state);
 * the canonical-embedding encoder.
 
 FIDESlib treats the context as a singleton so GPU constant memory can hold
@@ -20,7 +21,6 @@ allowing several contexts to coexist (e.g. in the unit tests).
 from __future__ import annotations
 
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 
@@ -33,13 +33,6 @@ from repro.core.rns import BaseConverter, RNSBasis, partition_digits
 
 class Context:
     """Precomputed state shared by every operation under one parameter set."""
-
-    #: Byte budget of the tiled key-switching-key cache.  Each entry holds
-    #: two ``(B·(L+K), N)`` stacks (four with their Shoup companions on a
-    #: dword chain), so a rotation-heavy workload across
-    #: levels and batch sizes would otherwise grow it without bound; least
-    #: recently used entries are evicted beyond this.
-    TILED_KEY_BUDGET_BYTES = 128 << 20
 
     def __init__(self, params: CKKSParameters) -> None:
         self.params = params
@@ -118,10 +111,6 @@ class Context:
         # --- caches -----------------------------------------------------------
         self._modup_converters: dict[tuple[int, int], BaseConverter] = {}
         self._moddown_converters: dict[int, BaseConverter] = {}
-        #: ``(id(key), digit, limb_count, B) -> (key, tiled components)``.
-        #: The entry holds the key object itself, so the ``id`` cannot be
-        #: recycled by another key while the entry is alive.
-        self._tiled_keys: "OrderedDict[tuple, tuple]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -221,39 +210,26 @@ class Context:
         constant-side ``stack_dot_mod`` pair.  For a plain operand, the
         key's own stacks over the full extended basis: below the top level
         the multiply reads the active rows where they lie
-        (:meth:`key_row_windows`), so nothing is gathered or cached.  For a
-        fused operand, the active rows repeated member-major; tiled stacks
-        are cached, since keys are shared by every request and the tiling
-        is paid once per batch shape.
+        (:meth:`key_row_windows`), so nothing is gathered.  For a fused
+        operand, the active rows repeated member-major, tiled per call the
+        way a plaintext meets a fused operand (:meth:`RNSPoly.tile`): an
+        unrecorded copy nothing writes, which dies with the key switch.
         """
-        components = tuple((poly.data,) for poly in key.digits[digit_index])
-        companions = key.companions(digit_index)
-        if companions is not None:
-            components = tuple(
-                (*component, companion)
-                for component, companion in zip(components, companions)
-            )
+        companions = key.companions(digit_index) or (None, None)
+        components = tuple(
+            (poly.data,) if companion is None else (poly.data, companion)
+            for poly, companion in zip(key.digits[digit_index], companions)
+        )
         if members == 1:
             return components
-        cache_key = (id(key), digit_index, limb_count, members)
-        entry = self._tiled_keys.get(cache_key)
-        if entry is not None:
-            self._tiled_keys.move_to_end(cache_key)
-            return entry[1]
         windows = self.key_row_windows(limb_count, 1)
-        tiled = tuple(
+        return tuple(
             tuple(
                 np.concatenate([data[rows] for _, rows in windows] * members)
                 for data in component
             )
             for component in components
         )
-        self._tiled_keys[cache_key] = (key, tiled)
-        total = sum(_tiled_bytes(t) for _, t in self._tiled_keys.values())
-        while total > self.TILED_KEY_BUDGET_BYTES and len(self._tiled_keys) > 1:
-            _, (_, old) = self._tiled_keys.popitem(last=False)
-            total -= _tiled_bytes(old)
-        return tiled
 
     def key_row_windows(self, limb_count: int, members: int) -> list[tuple[slice, slice]]:
         """``(digit rows, key rows)`` pairs lining an extended digit up with
@@ -296,11 +272,6 @@ class Context:
             "log_qp": sum(q.bit_length() for q in self.extended_moduli),
             "scale_bits": self.params.scale_bits,
         }
-
-
-def _tiled_bytes(components) -> int:
-    """Bytes of one tiled key-cache entry (stacks and companions)."""
-    return sum(data.nbytes for component in components for data in component)
 
 
 _default_context: Context | None = None

@@ -40,9 +40,8 @@ from repro.ckks.ciphertext import (
     check_dot_operands,
     check_finite_scalar,
     check_plain_scale,
-    check_same_batch,
     check_scalar_rescale,
-    check_sum_scales,
+    match_for_dot,
     match_for_product,
     match_for_sum,
 )
@@ -424,21 +423,12 @@ class Evaluator:
         reduction (:meth:`RNSPoly.multiply_accumulate`) instead of a reduced
         product and a reduced add per term; modular sums are exact, so the
         residues are those of the ``multiply_plain``/``add`` chain.  The
-        terms meet like ``add`` operands: a ciphertext above the lowest
-        level is adjusted down to it at the scale that gives its product
-        the common scale, and products whose scales differ are rejected.
+        terms meet like ``add`` operands (:func:`match_for_dot`).
         """
         check_dot_operands(cts, plaintexts)
         pts = [self._as_plaintext(ct, pt, for_multiplication=True)
                for ct, pt in zip(cts, plaintexts)]
-        level = min(ct.level for ct in cts)
-        lowest = next(i for i, ct in enumerate(cts) if ct.level == level)
-        scale = cts[lowest].scale * pts[lowest].scale
-        cts = [ct if ct.level == level else self.adjust(ct, level, scale / pt.scale)
-               for ct, pt in zip(cts, pts)]
-        for ct, pt in zip(cts, pts):
-            check_same_batch(cts[0], ct)
-            check_sum_scales(scale, ct.scale * pt.scale)
+        cts, scale = match_for_dot(cts, [pt.scale for pt in pts], self.adjust)
         with self._scope(cts[0], "ptdot"):
             with DISPATCH.launch("ptdot"):
                 plain = [self._plain_operand(ct, pt) for ct, pt in zip(cts, pts)]

@@ -52,16 +52,40 @@ class PublicKey:
     a: RNSPoly
 
 
-@dataclass
+@dataclass(frozen=True)
 class KeySwitchingKey:
-    """Hybrid key-switching key: one ``(b_j, a_j)`` pair per digit."""
+    """Hybrid key-switching key: one ``(b_j, a_j)`` pair per digit.
+
+    Read-only once built: every key multiply on every thread reads the
+    same digits and companions, and nothing is derived from them later.
+    """
 
     digits: list[tuple[RNSPoly, RNSPoly]]
     target_description: str = ""
-    #: One ``(b_j', a_j')`` pair of companion polynomials per digit (None
-    #: per digit off the dword backend), built by :meth:`companions`.
-    _companions: list | None = field(default=None, init=False, repr=False,
-                                     compare=False)
+    #: One ``(b_j', a_j')`` pair of 64-bit Shoup companion polynomials per
+    #: digit, or empty for a key without them (see :meth:`with_companions`).
+    companion_digits: tuple = field(default=(), repr=False, compare=False)
+
+    @classmethod
+    def with_companions(cls, digits: list[tuple[RNSPoly, RNSPoly]],
+                        target_description: str = "") -> "KeySwitchingKey":
+        """A key built with its companions: on a dword chain, one
+        :func:`~repro.core.modmath.dword_shoup_column` per digit polynomial
+        (the key multiply's constant side, Table III), 8 B per residue and
+        charged to the polynomial's pool.  The uint64 and exact backends
+        get none: a companion would not make their products cheaper."""
+        companions = ()
+        if modmath.stack_is_dword(digits[0][0].moduli_col):
+            companions = tuple(
+                tuple(
+                    RNSPoly(poly.moduli,
+                            modmath.dword_shoup_column(poly.data, poly.moduli_col),
+                            poly.fmt, pool=poly.pool)
+                    for poly in digit
+                )
+                for digit in digits
+            )
+        return cls(digits, target_description, companions)
 
     @property
     def dnum(self) -> int:
@@ -69,31 +93,11 @@ class KeySwitchingKey:
         return len(self.digits)
 
     def companions(self, digit_index: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """64-bit Shoup companions of digit ``digit_index``'s ``(b_j, a_j)``.
-
-        The key multiply's constant side (Table III): on a dword chain every
-        digit polynomial gets one the first time any is asked for -- one
-        vectorized :func:`~repro.core.modmath.dword_shoup_column` each,
-        8 B per residue, charged to the key's pool for as long as the key
-        lives.  None on the uint64 and exact backends, whose products a
-        companion would not make cheaper.
-        """
-        if self._companions is None:
-            self._companions = [
-                tuple(
-                    RNSPoly(
-                        poly.moduli,
-                        modmath.dword_shoup_column(poly.data, poly.moduli_col),
-                        poly.fmt,
-                        pool=poly.pool,
-                    )
-                    for poly in digit
-                )
-                if modmath.stack_is_dword(digit[0].moduli_col) else None
-                for digit in self.digits
-            ]
-        pair = self._companions[digit_index]
-        return None if pair is None else tuple(poly.data for poly in pair)
+        """64-bit Shoup companions of digit ``digit_index``'s ``(b_j, a_j)``,
+        or None for a key without them."""
+        if not self.companion_digits:
+            return None
+        return tuple(poly.data for poly in self.companion_digits[digit_index])
 
     def footprint_bytes(self) -> int:
         """Device-memory footprint of the key (Figure 8 discussion)."""
@@ -229,7 +233,7 @@ class KeyGenerator:
             payload = target.multiply_scalar(factors)
             b_j = a_j.multiply(secret.poly).negate().add(e_j).add(payload)
             digits.append((b_j, a_j))
-        return KeySwitchingKey(digits=digits, target_description=description)
+        return KeySwitchingKey.with_companions(digits, description)
 
     def generate_relinearization_key(self, secret: SecretKey) -> KeySwitchingKey:
         """Generate the key for switching ``s^2`` back to ``s`` after HMult."""

@@ -282,6 +282,21 @@ class CKKSOperationCosts:
         )
         return cost
 
+    def ptdot(self, limbs: int, terms: int) -> OperationCost:
+        """PtDot: the fused ``Σ ct_i ⊙ pt_i`` of ``terms`` plaintext products.
+
+        One launch reads every term's two components and its plaintext and
+        accumulates both components with one reduction each (the
+        dot-product fusion of §III-F.5, as in the key inner product).
+        """
+        cost = OperationCost("PtDot")
+        cost.kernels = self.elementwise_kernels(
+            "ptdot", limbs, polys_read=3.0 * terms,
+            polys_written=2.0 if self.fusion else 2.0 * terms * self.fusion_penalty,
+            ops_per_element=terms * 2.0 * (self.arith.modmul_ops + self.arith.modadd_ops),
+        )
+        return cost
+
     def scalar_mult(self, limbs: int) -> OperationCost:
         """ScalarMult: multiplication by a broadcast constant.
 

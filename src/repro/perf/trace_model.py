@@ -95,23 +95,13 @@ class TraceCostModel:
         platform: ComputePlatform,
         *,
         streams: int | None = None,
-        compute_efficiency: float | None = None,
-        bandwidth_efficiency: float | None = None,
     ) -> None:
         self.platform = platform
         self.streams = streams if streams is not None else GPU_CALIBRATION.fideslib_streams
         self.cost_model = KernelCostModel(
             platform,
-            compute_efficiency=(
-                compute_efficiency
-                if compute_efficiency is not None
-                else GPU_CALIBRATION.compute_efficiency
-            ),
-            bandwidth_efficiency=(
-                bandwidth_efficiency
-                if bandwidth_efficiency is not None
-                else GPU_CALIBRATION.bandwidth_efficiency
-            ),
+            compute_efficiency=GPU_CALIBRATION.compute_efficiency,
+            bandwidth_efficiency=GPU_CALIBRATION.bandwidth_efficiency,
         )
 
     def price(self, trace, *, streams: int | None = None) -> TraceReport:

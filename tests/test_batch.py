@@ -249,12 +249,13 @@ class TestBitIdenticalOutputs:
 
     def test_replaced_rotation_key_is_not_served_stale_tiles(self, context, keys,
                                                              cts_a):
-        """Tiled key stacks are cached per key *object*, never per ``id``.
+        """A fused operand meets the key it is switched with, never a stale one.
 
         A rotation key swapped for a freshly generated one must rotate the
-        fused batch with the new key -- the old key's cached tiles may not
-        be handed to its replacement (regression: the cache used to key on
-        ``id(key)`` alone, which the allocator recycles).
+        fused batch with the new key -- the old key's tiles may not be
+        handed to its replacement (regression: a tiled-key cache once keyed
+        on ``id(key)`` alone, which the allocator recycles; key rows are now
+        tiled per call).
         """
         from repro.ckks.keys import KeySet, KeySwitchingKey
 
@@ -266,13 +267,13 @@ class TestBitIdenticalOutputs:
         )
         evaluator = Evaluator(context, own_keys)
         fused = Ciphertext.fuse(cts_a)
-        evaluator.rotate(fused, 2)  # caches tiles of the first key
+        evaluator.rotate(fused, 2)  # tiles the first key
         for _ in range(3):
             digits = generator.generate_rotation_key(keys.secret_key, 2).digits
             # Free the old key and allocate its replacement back to back:
             # CPython hands the freed slot -- the old ``id`` -- straight to
-            # the next object of the same size, unless something (the cache
-            # entry) still holds the old key.
+            # the next object of the same size, so anything keyed by
+            # ``id(key)`` would meet the replacement.
             del own_keys.rotation_keys[2]
             own_keys.rotation_keys[2] = KeySwitchingKey(digits=digits)
             rotated = evaluator.rotate(fused, 2)

@@ -152,3 +152,38 @@ def test_bootstrap_transform_caches_are_bounded_lrus():
     for scale in scales:
         transform.apply(ev, ev.encrypt(values, scale=scale))
     assert len(transform._encoded) == LinearTransform.ENCODED_SETS
+
+
+@pytest.mark.parametrize("scale_bits, first_mod_bits", [(22, 26), (59, 60)],
+                         ids=["uint64", "dword"])
+def test_a_fused_key_switch_leaves_no_state_behind(scale_bits, first_mod_bits):
+    """Key material is read-only once loaded: after a plain HMult has built
+    the context's converters, a fused B=3 HMult on a fresh ``Context``
+    leaves no new array reachable from the context or the key set -- a
+    fused operand's key tiles die with the key switch, and a key's dword
+    companions were built with it."""
+    from repro.ckks.ciphertext import Ciphertext
+    from repro.ckks.context import Context
+    from repro.ckks.encryption import Encryptor
+    from repro.ckks.evaluator import Evaluator
+    from repro.ckks.keys import KeyGenerator
+    from repro.ckks.params import CKKSParameters
+
+    params = CKKSParameters(
+        ring_degree=1 << 6, mult_depth=3, scale_bits=scale_bits, dnum=2,
+        first_mod_bits=first_mod_bits, secret_hamming_weight=16,
+        label=f"read-only-keys-{scale_bits}",
+    )
+    context = Context(params)
+    keys = KeyGenerator(context, seed=5).generate([])
+    evaluator = Evaluator(context, keys)
+    encryptor = Encryptor(context, keys.public_key, seed=6)
+    values = np.linspace(-0.5, 0.5, 8)
+    cts = [encryptor.encrypt_values(values * (k + 1)) for k in range(3)]
+    evaluator.multiply(cts[0], cts[1])  # builds the converters at this level
+    fused = Ciphertext.fuse(cts)
+    held = _arrays((context, keys), set())  # held, so no id is recycled
+    before = {id(a) for a in held}
+    evaluator.multiply(fused, fused)
+    new = [a.shape for a in _arrays((context, keys), set()) if id(a) not in before]
+    assert held and not new, f"arrays left behind: {new}"

@@ -360,6 +360,47 @@ class TestReconciliation:
         if members == 1:
             assert not [e for e in recorded if e.kernel.name.startswith("limb-copy")]
 
+    @pytest.mark.parametrize("members", [1, 3], ids=["B1", "B3"])
+    def test_dot_product_twin_matches_the_recording(self, members, traced_session):
+        """The twin prices a 3-term dot product as the evaluator launches
+        it: one ``ptdot`` launch in a ``ptdot`` scope, then the rescale."""
+        session = traced_session
+        rows = [np.linspace(-1.0, 1.0, 8)] * members
+        weights = [np.full(8, w) for w in (0.5, -0.25, 0.125)]
+        traces = []
+        for producer in (session.backend, session.cost_backend()):
+            handles = [producer.encrypt_batch(rows) if members > 1
+                       else producer.encrypt(rows[0]) for _ in weights]
+            with session.trace() as trace:
+                producer.dot_product_plain(handles, weights)
+            traces.append(trace)
+        recorded, closed_form = traces
+        report = reconcile_trace(recorded, closed_form.kernels(),
+                                 name=f"3-term dot product B={members}")
+        assert report.within(kernel_tolerance=0.05, bytes_tolerance=0.05), \
+            report.describe()
+        assert recorded.scopes() == closed_form.scopes()
+        assert [s.rsplit("/", 1)[-1] for s in closed_form.scopes()] == \
+            ["ptdot", "rescale"]
+
+    def test_dot_product_twin_follows_the_operand_rules(self, traced_session):
+        """Terms meet at the lowest level, as on the evaluator, and a term
+        of another batch size is refused by both."""
+        session = traced_session
+        weights = [np.full(8, w) for w in (0.5, -0.25, 0.125)]
+        outcomes = []
+        for producer in (session.backend, session.cost_backend()):
+            top = producer.encrypt(np.full(8, 0.5))
+            low = producer.encrypt(np.full(8, 0.5), level=session.max_level - 1)
+            result = producer.dot_product_plain([top, low, top], weights)
+            outcomes.append((result.level, result.scale))
+            fused = producer.encrypt_batch([np.full(8, 0.5)] * 2)
+            with pytest.raises(ValueError, match="batch sizes differ"):
+                producer.dot_product_plain([top, fused], weights[:2])
+        (level, scale), (twin_level, twin_scale) = outcomes
+        assert twin_level == level == session.max_level - 2
+        assert twin_scale == pytest.approx(scale, rel=1e-12)
+
     def test_acceptance_n13_hmult_rescale_within_5_percent(self):
         # Acceptance criterion: N=2^13 HMult+rescale kernel counts within 5%.
         params = CKKSParameters(

@@ -2,12 +2,13 @@
 
 The key multiply of hybrid key switching has a constant side -- the key
 digits -- so on the double-word backend each digit polynomial gets a
-companion ``floor(k * 2**64 / q)`` once, charged to the key's pool, and
-the inner product sums three-product Shoup terms instead of Barrett
-products.  The tests pin the companion's life cycle (built once, charged
-exactly, tiled and evicted with the key, never built off the dword
-backend) and that a key switch with companions is bit-identical to one
-without, eagerly and replayed from an executable trace.
+companion ``floor(k * 2**64 / q)`` when the key is built, charged to the
+key's pool, and the inner product sums three-product Shoup terms instead
+of Barrett products.  The tests pin the companion's life cycle (built with
+the key, charged once, released with it, tiled with it for a fused
+operand, never built by a key switch nor off the dword backend) and that
+a key switch with companions is bit-identical to one without, eagerly and
+replayed from an executable trace.
 """
 
 import gc
@@ -43,22 +44,22 @@ def dword():
     return context, KeyGenerator(context, seed=7).generate([1])
 
 
-def _on_pool(key: KeySwitchingKey, pool: MemoryPool) -> KeySwitchingKey:
+def _digits_on(key: KeySwitchingKey, pool: MemoryPool) -> list:
     """The same key digits, charged to ``pool``."""
-    return KeySwitchingKey(digits=[
-        tuple(
-            RNSPoly(p.moduli, p.data, p.fmt, pool=pool)
-            for p in digit
-        )
+    return [
+        tuple(RNSPoly(p.moduli, p.data, p.fmt, pool=pool) for p in digit)
         for digit in key.digits
-    ])
+    ]
+
+
+def _on_pool(key: KeySwitchingKey, pool: MemoryPool) -> KeySwitchingKey:
+    """The same key, built on ``pool`` with its companions."""
+    return KeySwitchingKey.with_companions(_digits_on(key, pool))
 
 
 def _without_companions(key: KeySwitchingKey) -> KeySwitchingKey:
-    """The same key with its companions switched off (Barrett products)."""
-    bare = KeySwitchingKey(digits=key.digits)
-    bare._companions = [None] * key.dnum
-    return bare
+    """The same key digits without companions (Barrett products)."""
+    return KeySwitchingKey(digits=key.digits)
 
 
 def _random_eval_poly(context, limb_count, seed):
@@ -71,20 +72,24 @@ def _random_eval_poly(context, limb_count, seed):
 
 
 class TestLifecycle:
-    def test_built_once_charged_exactly_and_released(self, dword):
+    def test_built_with_the_key_charged_once_and_released(self, dword):
         _, keys = dword
         pool = MemoryPool()
-        key = _on_pool(keys.relinearization_key, pool)
+        digits = _digits_on(keys.relinearization_key, pool)
         before, allocations = pool.bytes_in_use, pool.allocation_count
-        first = key.companions(0)
+        key = KeySwitchingKey.with_companions(digits)
+        del digits
         key_bytes = sum(p.footprint_bytes() for d in key.digits for p in d)
-        # One charge per digit polynomial, 8 B per residue: the key's size.
+        # Charged with the key: one charge per digit polynomial, 8 B per
+        # residue -- the key's own size.
         assert pool.bytes_in_use - before == key_bytes
         assert pool.allocation_count - allocations == 2 * key.dnum
-        # Built once, for every digit.
+        # Reading them charges and builds nothing.
+        first = key.companions(0)
         assert key.companions(0)[0] is first[0]
         key.companions(1)
         assert pool.bytes_in_use - before == key_bytes
+        assert pool.allocation_count - allocations == 2 * key.dnum
         # Each is floor(k * 2**64 / q) of its key stack.
         b0 = key.digits[0][0]
         for row, q, companion in zip(b0.data, b0.moduli, first[0]):
@@ -94,18 +99,23 @@ class TestLifecycle:
         gc.collect()
         assert pool.bytes_in_use == 0
 
-    def test_second_key_switch_builds_nothing(self, dword, monkeypatch):
+    def test_first_key_switch_builds_nothing(self, dword, monkeypatch):
         context, keys = dword
-        key = _on_pool(keys.rotation_keys[1], MemoryPool())
         poly = _random_eval_poly(context, len(context.moduli), seed=3)
-        first = key_switch(context, poly, key)
+        # Warm the context's converters and engines with another key.
+        key_switch(context, poly, keys.relinearization_key)
+        key = KeyGenerator(context, seed=11).generate([1]).rotation_keys[1]
+        barrett = key_switch(context, poly, _without_companions(key))
+        calls = []
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a companion was built again")
+            calls.append(args)
+            raise AssertionError("a key switch built a companion")
 
         monkeypatch.setattr(modmath, "dword_shoup_column", refuse)
-        second = key_switch(context, poly, key)
-        for a, b in zip(first, second):
+        first = key_switch(context, poly, key)
+        assert not calls
+        for a, b in zip(first, barrett):
             assert a.data.tolist() == b.data.tolist()
 
     @pytest.mark.parametrize(
@@ -130,10 +140,9 @@ class TestLifecycle:
             assert [len(component) for component in stacks] == [1, 1]
         assert pool.bytes_in_use == charged
 
-    def test_tiled_companions_count_against_the_budget(self, dword):
+    def test_tiled_stacks_and_companions_repeat_the_windows(self, dword):
         context, keys = dword
         key = keys.relinearization_key
-        context = Context(context.params)  # a fresh, empty tiled-key cache
         limb_count = len(context.moduli) - 1
         tiled = context.key_digit_stacks(key, 0, limb_count, 3)
         assert [len(component) for component in tiled] == [2, 2]
@@ -144,16 +153,6 @@ class TestLifecycle:
                         for a in (key_stack, key_companion)]
             assert stack.tolist() == expected[0].tolist()
             assert companion.tolist() == expected[1].tolist()
-        entry = sum(a.nbytes for component in tiled for a in component)
-        # Two entries fit only if the companions were left out of the count.
-        context.TILED_KEY_BUDGET_BYTES = 2 * entry - 1
-        context.key_digit_stacks(key, 1, limb_count, 3)
-        assert len(context._tiled_keys) == 1
-        (cache_key,) = context._tiled_keys
-        assert cache_key[1] == 1  # the least recently used entry went
-        context.TILED_KEY_BUDGET_BYTES = 2 * entry
-        context.key_digit_stacks(key, 0, limb_count, 3)
-        assert len(context._tiled_keys) == 2
 
 
 class TestBitIdentity:
@@ -173,7 +172,7 @@ class TestBitIdentity:
             for shoup, barrett in zip(key_switch(context, poly, key),
                                       key_switch(context, poly, bare)):
                 assert shoup.data.tolist() == barrett.data.tolist()
-        assert key._companions is not None and bare.companions(0) is None
+        assert key.companions(0) is not None and bare.companions(0) is None
 
     @pytest.fixture(scope="class")
     def session(self):

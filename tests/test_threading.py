@@ -16,7 +16,10 @@ import threading
 import weakref
 
 import numpy as np
+import pytest
 
+from repro.api import CKKSSession
+from repro.ckks.params import CKKSParameters
 from repro.core import modmath
 from repro.core.dispatch import DISPATCH
 from repro.core.ntt import get_stacked_engine
@@ -68,14 +71,37 @@ def _run_threads(worker, count: int = _WORKERS, timeout: float = 120.0) -> list:
     return results
 
 
+@pytest.fixture(scope="module")
+def dword_session():
+    """A small session on paper-class 59-bit moduli (dword key companions)."""
+    session = CKKSSession.create(
+        CKKSParameters(ring_degree=1 << 8, mult_depth=3, scale_bits=59, dnum=2,
+                       first_mod_bits=60, secret_hamming_weight=16,
+                       label="threads-dword"),
+        seed=9, register_default=False,
+    )
+    assert session.numeric_backend == modmath.BACKEND_DWORD
+    return session
+
+
 class TestConcurrentNumericWork:
-    def test_hmult_rescale_on_concurrent_threads_is_bit_identical(self, session):
+    @pytest.mark.parametrize("members", [1, 3], ids=["B1", "B3"])
+    @pytest.mark.parametrize("backend", ["uint64", "dword"])
+    def test_hmult_rescale_on_concurrent_threads_is_bit_identical(
+            self, request, backend, members):
+        """Every thread shares one ``Context`` and ``KeySet``: key material
+        is read-only, so fused operands (whose key rows are tiled per call)
+        and dword companions give the solo run's bits."""
+        session = request.getfixturevalue(
+            "session" if backend == "uint64" else "dword_session")
         rng = np.random.default_rng(7)
-        pairs = [
-            (session.encrypt(rng.uniform(-1, 1, 16)),
-             session.encrypt(rng.uniform(-1, 1, 16)))
-            for _ in range(_WORKERS)
-        ]
+
+        def operand():
+            rows = [rng.uniform(-1, 1, 16) for _ in range(members)]
+            return session.encrypt_batch(rows) if members > 1 else \
+                session.encrypt(rows[0])
+
+        pairs = [(operand(), operand()) for _ in range(_WORKERS)]
 
         def product(x, y):
             ct = (x * y).handle
