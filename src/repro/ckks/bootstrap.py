@@ -172,10 +172,7 @@ class Bootstrapper:
             # Server work: transformed explicitly, so the NTT is recorded.
             members = poly.to_coefficient().split(ct.batch_size)
             rows = [
-                modmath.lift_residues(
-                    member.basis().compose(member.limb_arrays(), centered=True), column
-                )
-                for member in members
+                modmath.lift_residues(member.compose(), column) for member in members
             ]
             return RNSPoly(
                 moduli * ct.batch_size, np.concatenate(rows), LimbFormat.COEFFICIENT

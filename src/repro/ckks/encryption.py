@@ -54,7 +54,7 @@ def encode(
 
 def decode(context: Context, plaintext: Plaintext, length: int | None = None) -> np.ndarray:
     """Decode a :class:`Plaintext` back into complex message values."""
-    coefficients = plaintext.poly.to_int_coefficients(centered=True)
+    coefficients = plaintext.poly.to_coefficient().compose()
     if length is None:
         length = plaintext.encoded_length
     return context.encoder.decode(coefficients, plaintext.scale, length)

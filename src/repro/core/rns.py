@@ -6,7 +6,8 @@ modulo a basis of word-sized primes ``B = {q_0, ..., q_l}`` so all
 arithmetic stays within machine words.  Three ingredients live here:
 
 * :class:`RNSBasis` -- a prime basis with its CRT constants
-  (``Q``, ``q̂_i = Q/q_i``, ``q̂_i^{-1} mod q_i``).
+  (``Q``, ``q̂_i = Q/q_i``, ``q̂_i^{-1} mod q_i``) and the recombination of
+  residues into integer coefficients (:meth:`RNSBasis.compose`).
 * :class:`BaseConverter` -- the fast base conversion of Equation 1 of the
   paper, the core of ModUp / ModDown / Rescale.  It is implemented, as the
   paper describes, as a modular matrix-vector product preceded by a
@@ -27,6 +28,9 @@ import numpy as np
 from repro.core import modmath
 from repro.core.dispatch import DISPATCH
 
+#: The largest int64: a composed coefficient up to it in magnitude is a word.
+_INT64_MAX = (1 << 63) - 1
+
 
 @dataclass(frozen=True)
 class RNSBasis:
@@ -36,6 +40,10 @@ class RNSBasis:
     modulus: int = field(init=False)
     q_hat: tuple[int, ...] = field(init=False)
     q_hat_inv: tuple[int, ...] = field(init=False)
+    #: ``garner_inv[m - 1] = (q_m^{-1} mod q_{m-1}, ..., q_m^{-1} mod q_0)``,
+    #: the constants of :meth:`compose`'s step at ``q_m``; a prefix basis's
+    #: table is a prefix of this one.
+    garner_inv: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __init__(self, moduli: Sequence[int]) -> None:
         moduli = tuple(int(q) for q in moduli)
@@ -54,6 +62,10 @@ class RNSBasis:
         object.__setattr__(self, "modulus", product)
         object.__setattr__(self, "q_hat", q_hat)
         object.__setattr__(self, "q_hat_inv", q_hat_inv)
+        object.__setattr__(self, "garner_inv", tuple(
+            tuple(modmath.inv_mod(q % p, p) for p in reversed(moduli[:m]))
+            for m, q in enumerate(moduli) if m
+        ))
 
     def __len__(self) -> int:
         return len(self.moduli)
@@ -61,48 +73,74 @@ class RNSBasis:
     def __iter__(self):
         return iter(self.moduli)
 
-    def subbasis(self, count: int) -> "RNSBasis":
-        """Return the basis formed by the first ``count`` moduli."""
-        if not 1 <= count <= len(self.moduli):
-            raise ValueError(f"invalid sub-basis size {count}")
-        return RNSBasis(self.moduli[:count])
+    # -- conversions between residue vectors and integers --------------------
 
-    # -- conversions between integers and residue vectors --------------------
+    def compose(self, limbs: Sequence[np.ndarray]) -> np.ndarray:
+        """Recombine per-limb residue rows (or one ``(L, N)`` stack) into
+        signed integer coefficients in ``(-Q/2, Q/2]``, the convention CKKS
+        decoding expects.
 
-    def to_rns(self, value: int) -> list[int]:
-        """Return the residue vector of a (possibly negative) integer."""
-        return [int(value) % q for q in self.moduli]
-
-    def crt_reconstruct(self, residues: Sequence[int]) -> int:
-        """Recombine one residue per modulus into the value in ``[0, Q)``."""
-        if len(residues) != len(self.moduli):
-            raise ValueError("residue count does not match basis size")
-        total = 0
-        for r, q_hat, q_hat_inv in zip(residues, self.q_hat, self.q_hat_inv):
-            total += q_hat * ((int(r) * q_hat_inv) % (self.modulus // q_hat))
-        return total % self.modulus
-
-    def compose(self, limbs: Sequence[np.ndarray], *, centered: bool = True) -> list[int]:
-        """Recombine per-limb residue arrays into integer coefficients.
-
-        With ``centered=True`` the result is mapped to ``(-Q/2, Q/2]``,
-        which is the signed convention CKKS decoding expects.  The CRT sum
-        is evaluated as vectorized object-array expressions across all
-        coefficients at once (no per-coefficient Python loop).
+        Garner's mixed-radix digits ``x = v_0 + v_1·q_l + v_2·q_l·q_{l-1} +
+        ...`` come from the stack's own modular subtract and constant
+        multiply, one row block per step, from the top modulus ``q_l`` down:
+        then the step at ``q_m`` works on the rows ``q_{m-1}, ..., q_0`` at
+        every level, and the constant tables the modular arithmetic caches
+        per row set number one per modulus of the chain, not one per level
+        and step.  A value below ``2**63`` in magnitude is read off its low
+        digits in machine words: its high digits are all zero (positive) or
+        all ``q_i - 1`` (negative, read from the digit complement
+        ``Q - 1 - x``).  The result is an int64 array when every coefficient
+        fits one, and an object array of Python integers for an exact chain
+        (a modulus at or above 2**62) or a coefficient past int64.
         """
         if len(limbs) != len(self.moduli):
             raise ValueError("limb count does not match basis size")
-        length = len(limbs[0])
-        big_q = self.modulus
-        half = big_q >> 1
-        total = np.zeros(length, dtype=object)
-        for row, q, q_hat, q_hat_inv in zip(limbs, self.moduli, self.q_hat, self.q_hat_inv):
-            residues = modmath.object_row(np.asarray(row).ravel())
-            total = total + q_hat * ((residues * q_hat_inv) % q)
-        total = total % big_q
-        if centered:
-            total = np.where(total > half, total - big_q, total)
-        return [int(v) for v in total]
+        col = modmath.moduli_column(self.moduli)
+        digits = np.array(modmath.coerce_stack(np.asarray(limbs), col)[::-1])
+        col = col[::-1]
+        with DISPATCH.suppressed():
+            for j, inverses in enumerate(reversed(self.garner_inv)):
+                rest, tail = col[j + 1 :], digits[j + 1 :]
+                modmath.stack_sub_mod(
+                    tail, modmath.lift_residues(digits[j], rest), rest, out=tail
+                )
+                modmath.stack_scalar_mod(tail, inverses, rest, out=tail)
+        weights = [1]
+        for q in self.moduli[:0:-1]:
+            weights.append(weights[-1] * q)
+        if digits.dtype != np.object_:
+            words = self._int64_words(digits, weights, col)
+            if words is not None:
+                return words
+        total = 0
+        for row, weight in zip(digits, weights):
+            total = total + modmath.object_row(row) * weight
+        return np.where(total > self.modulus >> 1, total - self.modulus, total)
+
+    def _int64_words(self, digits: np.ndarray, weights: list[int],
+                     col: np.ndarray) -> np.ndarray | None:
+        """The centred value of uint64 mixed-radix ``digits`` (weights
+        ``W_i``) as int64, or None when a coefficient does not fit a word."""
+        big_q, half = self.modulus, self.modulus >> 1
+        # Digits below k are whole words of a value below 2**63; digit k is
+        # partial, and every digit above it must be zero.
+        k = sum(1 for w in weights if w <= _INT64_MAX) - 1
+
+        def at_most(rows: np.ndarray, bound: int):
+            """(mask of values <= bound, the values mod 2**64)."""
+            low = sum(row * np.uint64(w) for row, w in zip(rows[:k], weights))
+            fits = rows[k] <= (np.uint64(bound) - low) // np.uint64(weights[k])
+            fits &= ~rows[k + 1 :].any(axis=0)
+            return fits, low + rows[k] * np.uint64(weights[k])
+
+        positive, value = at_most(digits, min(_INT64_MAX, half))
+        # x > Q/2 is x - Q = -(y + 1) = ~y for the complement y = Q - 1 - x.
+        negative, complement = at_most(
+            (col - np.uint64(1)) - digits, min(_INT64_MAX, big_q - 2 - half)
+        )
+        if not (positive | negative).all():
+            return None
+        return np.where(positive, value, ~complement).view(np.int64)
 
 
 class BaseConverter:
@@ -129,8 +167,6 @@ class BaseConverter:
             [h % p for h in source.q_hat] for p in target.moduli
         ]
         self.q_hat_inv = list(source.q_hat_inv)
-        # Q mod p_k, used by the exact (flooring) variant.
-        self.source_modulus_mod_target = [source.modulus % p for p in target.moduli]
         # Stacked tables for the batched (limb-stack) conversion path.
         self._source_col = modmath.moduli_column(source.moduli)
         self._target_col = modmath.moduli_column(target.moduli)
@@ -172,16 +208,6 @@ class BaseConverter:
             self._q_hat_shoup_matrix = modmath.dword_shoup_column(
                 self._q_hat_matrix, self._target_col
             )
-
-    def _scaled_limbs(self, limbs: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Return the limb-wise scaling ``x_i * q̂_i^{-1} mod q_i`` of Eq. 1."""
-        return [
-            np.array(
-                [(int(v) * inv) % q for v in np.asarray(limb).ravel()],
-                dtype=object,
-            )
-            for limb, q, inv in zip(limbs, self.source.moduli, self.q_hat_inv)
-        ]
 
     def convert(self, limbs: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Convert per-limb residue arrays from the source to the target basis."""
@@ -318,40 +344,6 @@ class BaseConverter:
                 for i in range(len(self.source)):
                     acc = acc + scaled[i] * row[i]
                 out[k] = acc % p
-
-    def convert_exact(self, limbs: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Exact base conversion removing the ``α·Q`` overshoot.
-
-        Uses the floating-point estimate of ``α = round(Σ y_i / q_i)`` from
-        the HPS full-RNS variant; exact for the parameter ranges used here.
-        The unit tests compare :meth:`convert` against this reference to
-        bound the approximation error.
-        """
-        if len(limbs) != len(self.source):
-            raise ValueError(
-                f"expected {len(self.source)} source limbs, got {len(limbs)}"
-            )
-        length = len(limbs[0])
-        scaled = self._scaled_limbs(limbs)
-        fractions = np.zeros(length, dtype=np.float64)
-        for y, q in zip(scaled, self.source.moduli):
-            fractions += np.array([float(v) for v in y]) / float(q)
-        alphas = np.rint(fractions).astype(np.int64)
-        alpha_obj = np.array([int(a) for a in alphas], dtype=object)
-        outputs = []
-        for k, p in enumerate(self.target.moduli):
-            row = self.q_hat_mod_target[k]
-            q_mod_p = self.source_modulus_mod_target[k]
-            acc = np.zeros(length, dtype=object)
-            for i in range(len(self.source)):
-                acc = acc + np.array([int(v) for v in scaled[i]], dtype=object) * row[i]
-            acc = acc - alpha_obj * q_mod_p
-            outputs.append(modmath.as_residue_array(acc % p, p))
-        return outputs
-
-    def shared_memory_bytes_per_thread(self) -> int:
-        """Shared-memory bytes per GPU thread used by the kernel (§III-F.3)."""
-        return 4 * len(self.source)
 
 
 def partition_digits(moduli: Sequence[int], dnum: int) -> list[list[int]]:

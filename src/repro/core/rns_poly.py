@@ -600,10 +600,16 @@ class RNSPoly:
         """Return the raw residue arrays of every limb (zero-copy views)."""
         return list(self.data)
 
-    def to_int_coefficients(self, *, centered: bool = True) -> list[int]:
-        """CRT-recombine the limbs into signed integer coefficients."""
-        poly = self.to_coefficient()
-        return poly.basis().compose(poly.limb_arrays(), centered=centered)
+    def compose(self) -> np.ndarray:
+        """CRT-recombine the limbs of a coefficient-format polynomial into
+        signed integer coefficients (:meth:`RNSBasis.compose`)."""
+        if self._fmt is not LimbFormat.COEFFICIENT:
+            raise ValueError("compose needs a coefficient-format polynomial")
+        return self.basis().compose(self.data)
+
+    def to_int_coefficients(self) -> list[int]:
+        """The signed integer coefficients as Python ints."""
+        return self.to_coefficient().compose().tolist()
 
     def __len__(self) -> int:
         return self.ring_degree

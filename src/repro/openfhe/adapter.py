@@ -6,8 +6,9 @@ sharing rich library objects.  :class:`RawCiphertext` / :class:`RawPlaintext`
 are those structures here: the ``(L, N)`` residue array of each polynomial
 plus the metadata CKKS needs (moduli, scale, slot count, format, noise
 estimate).  The export functions copy server storage into raw structures;
-the import functions check a raw structure against the context (moduli,
-format, shape, canonical residues) and adopt its array as server storage,
+the import functions check a raw structure against the context (metadata,
+moduli, format, shape, canonical residues) and adopt its array as server
+storage,
 in evaluation format: a ``"coeff"`` polynomial is converted on import with
 one stacked NTT, so no kernel behind the boundary sees another format.
 The ciphertext round trip also carries the static noise estimate back to
@@ -16,6 +17,7 @@ the client, as described in §III-B.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +54,7 @@ class RawPolynomial:
         format a known one, and the array ``(len(moduli), N)`` canonical
         residues; a :class:`ValueError` names the field that is not.
         """
-        if list(self.moduli) != context.moduli[: len(self.moduli)]:
+        if not self.moduli or list(self.moduli) != context.moduli[: len(self.moduli)]:
             raise ValueError(
                 "raw object moduli do not match the server context "
                 f"(got {len(self.moduli)} limbs)"
@@ -104,6 +106,21 @@ class RawPlaintext:
     parameter_tag: str = ""
 
 
+def _check_metadata(context: Context, raw: "RawCiphertext | RawPlaintext",
+                    noise_bits: float = 0.0) -> None:
+    """Reject metadata no producer writes: a :class:`ValueError` names the field."""
+    if not (math.isfinite(raw.scale) and raw.scale > 0):
+        raise ValueError(f"scale: need a finite positive scale, got {raw.scale!r}")
+    if raw.slots != context.slots:
+        raise ValueError(f"slots: the context has {context.slots} slots, got {raw.slots!r}")
+    if raw.encoded_length is not None and not 1 <= raw.encoded_length <= raw.slots:
+        raise ValueError(
+            f"encoded_length: need None or 1..{raw.slots}, got {raw.encoded_length!r}"
+        )
+    if not (math.isfinite(noise_bits) and noise_bits >= 0):
+        raise ValueError(f"noise_bits: need a finite estimate >= 0, got {noise_bits!r}")
+
+
 def export_ciphertext(ciphertext: Ciphertext, *, parameter_tag: str = "") -> RawCiphertext:
     """Flatten a server ciphertext into the raw exchange structure."""
     return RawCiphertext(
@@ -119,7 +136,9 @@ def export_ciphertext(ciphertext: Ciphertext, *, parameter_tag: str = "") -> Raw
 
 def import_ciphertext(context: Context, raw: RawCiphertext) -> Ciphertext:
     """Rebuild a server ciphertext from the raw exchange structure (checked
-    against ``context`` by :meth:`RawPolynomial.to_rns_poly`)."""
+    against ``context``: the metadata, and each polynomial by
+    :meth:`RawPolynomial.to_rns_poly`)."""
+    _check_metadata(context, raw, raw.noise_bits)
     return Ciphertext(
         c0=raw.c0.to_rns_poly(context),
         c1=raw.c1.to_rns_poly(context),
@@ -142,7 +161,9 @@ def export_plaintext(plaintext: Plaintext, *, parameter_tag: str = "") -> RawPla
 
 
 def import_plaintext(context: Context, raw: RawPlaintext) -> Plaintext:
-    """Rebuild a plaintext from the raw exchange structure."""
+    """Rebuild a plaintext from the raw exchange structure (checked like a
+    ciphertext's)."""
+    _check_metadata(context, raw)
     return Plaintext(
         poly=raw.poly.to_rns_poly(context),
         scale=raw.scale,

@@ -3,50 +3,62 @@
 OpenFHE handles serialization on the client side (Figure 1); the adapter
 structures defined in :mod:`repro.openfhe.adapter` are the objects that
 actually travel between client and server, so they are what gets
-serialized here.  The format (version 1) is a JSON envelope whose residue
-payload is one hexadecimal string per limb: the row's residues as
-big-endian 64-bit words, 16 digits each -- written with one
-``astype(">u8").tobytes().hex()`` per row and read back with
-``bytes.fromhex`` + ``np.frombuffer``.  Portable and byte-for-byte
-reproducible, which is what the round-trip unit tests assert.
+serialized here.  ``serialize_*`` write one binary frame (version 2), all
+integers little-endian::
+
+    header    4-byte magic (0x89 "FHE"), u16 version (2), u32 metadata
+              length, u64 payload length
+    metadata  a JSON object: type, scale, slots, noise_bits (ciphertexts),
+              encoded_length, parameter_tag, and per polynomial its
+              moduli (decimal strings), fmt and ring degree n
+    payload   each polynomial's (L, n) residue rows as u64 words, in
+              metadata order (c0 then c1, or poly)
+    checksum  u32 zlib.crc32 of metadata and payload
+
+A raw structure holds one member, so the frame has no member count.  The
+reader checks every length before it views the payload as an array.
+
+``deserialize_*`` also read the version-1 envelope (read-only: nothing
+writes it any more), told apart by the magic: a JSON object whose residue
+payload is one hexadecimal string per limb, the row's residues as
+big-endian 64-bit words, 16 digits each.
 
 The wire is untrusted: ``deserialize_*`` raises :class:`ValueError` naming
-the offending field for anything that is not a well-formed envelope.  What
+the offending field for anything that is not a well-formed frame.  What
 needs the server's context (moduli, ring degree, canonical residues, limb
-format) is checked by the adapter's ``import_*``.
+format, slot count) is checked by the adapter's ``import_*``.
 """
 
 from __future__ import annotations
 
 import json
+import struct
+import zlib
 
 import numpy as np
 
 from repro.openfhe.adapter import RawCiphertext, RawPlaintext, RawPolynomial
 
+#: Version-2 frame: magic, version, metadata length, payload length.
+_MAGIC = b"\x89FHE"
+_VERSION = 2
+_HEADER = struct.Struct("<4sHIQ")
+_CHECKSUM = struct.Struct("<I")
+
+#: The version of the JSON/hex envelope ``deserialize_*`` still reads.
 _FORMAT_VERSION = 1
 
 _MISSING = object()
 
 
-def _encode_polynomial(poly: RawPolynomial) -> dict:
-    return {
-        "moduli": [str(q) for q in poly.moduli],
-        "fmt": poly.fmt,
-        "limbs": [row.astype(">u8").tobytes().hex() for row in poly.limbs],
-    }
-
-
-def _envelope(blob: bytes, kind: str) -> dict:
-    """Parse ``blob`` and check it is a version-1 envelope of ``kind``."""
+def _json_object(text: bytes, kind: str) -> dict:
+    """Parse ``text`` and check it is a JSON object of type ``kind``."""
     try:
-        payload = json.loads(blob.decode("utf-8"))
+        payload = json.loads(text.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 and bad JSON are ValueErrors
         raise ValueError(f"blob is not a JSON envelope: {exc}") from None
     if not isinstance(payload, dict) or payload.get("type") != kind:
         raise ValueError(f"blob does not contain a {kind}")
-    if payload.get("version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported serialization version {payload.get('version')}")
     return payload
 
 
@@ -77,13 +89,99 @@ def _metadata(payload: dict) -> dict:
     }
 
 
+def _moduli(payload: dict, name: str) -> list[int]:
+    """A polynomial's ``moduli`` field as integers."""
+    try:
+        return [int(q) for q in _field(payload, "moduli", list, name)]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name}: malformed moduli ({exc})") from None
+
+
+# -- version 2: the binary frame ----------------------------------------------
+
+
+def _frame(blob: bytes, kind: str) -> tuple[dict, memoryview]:
+    """Check a version-2 frame of ``kind``; return its metadata and payload."""
+    if len(blob) < _HEADER.size + _CHECKSUM.size:
+        raise ValueError(f"frame: {len(blob)} bytes cannot hold a header and checksum")
+    _, version, text_length, payload_length = _HEADER.unpack_from(blob)
+    if version != _VERSION:
+        raise ValueError(f"unsupported serialization version {version}")
+    end = _HEADER.size + text_length + payload_length
+    if end + _CHECKSUM.size != len(blob):
+        raise ValueError(
+            f"frame: header lengths {text_length} + {payload_length} do not "
+            f"match a {len(blob)}-byte frame"
+        )
+    body = memoryview(blob)[_HEADER.size : end]
+    if zlib.crc32(body) != _CHECKSUM.unpack_from(blob, end)[0]:
+        raise ValueError("frame: checksum mismatch")
+    return _json_object(bytes(body[:text_length]), kind), body[text_length:]
+
+
+def _frame_polynomials(metadata: dict, names: tuple[str, ...],
+                       payload: memoryview) -> list[RawPolynomial]:
+    """The polynomials ``names`` of a version-2 frame: their metadata
+    checked, then the payload split into their ``(L, n)`` rows."""
+    shapes = []
+    for name in names:
+        header = _field(metadata, name, dict)
+        moduli = _moduli(header, name)
+        fmt = _field(header, "fmt", str, name)
+        n = _field(header, "n", int, name)
+        if n < 0:
+            raise ValueError(f"{name}: ring degree n = {n} is negative")
+        shapes.append((moduli, fmt, n))
+    need = sum(8 * len(moduli) * n for moduli, _, n in shapes)
+    if need != len(payload):
+        raise ValueError(
+            f"{'/'.join(names)} limbs: the payload holds {len(payload)} bytes, "
+            f"their moduli and ring degrees need {need}"
+        )
+    polys, offset = [], 0
+    for moduli, fmt, n in shapes:
+        count = len(moduli) * n
+        words = np.frombuffer(payload, dtype="<u8", count=count, offset=offset)
+        offset += 8 * count
+        limbs = words.astype(np.uint64).reshape(len(moduli), n)
+        polys.append(RawPolynomial(moduli=moduli, limbs=limbs, fmt=fmt))
+    return polys
+
+
+def _write_frame(kind: str, metadata: dict, polys: dict[str, RawPolynomial]) -> bytes:
+    """The version-2 frame of ``metadata`` and ``polys`` (module docstring)."""
+    rows = {name: np.asarray(poly.limbs) for name, poly in polys.items()}
+    shapes = {
+        name: {"moduli": [str(q) for q in poly.moduli], "fmt": poly.fmt,
+               "n": rows[name].shape[-1]}
+        for name, poly in polys.items()
+    }
+    text = json.dumps({"type": kind, **metadata, **shapes}).encode("utf-8")
+    payload = np.concatenate([r.astype("<u8").ravel() for r in rows.values()]).tobytes()
+    checksum = zlib.crc32(payload, zlib.crc32(text))
+    return b"".join((
+        _HEADER.pack(_MAGIC, _VERSION, len(text), len(payload)),
+        text, payload, _CHECKSUM.pack(checksum),
+    ))
+
+
+# -- version 1: the JSON envelope, read only ---------------------------------
+
+
+def _envelope(blob: bytes, kind: str) -> dict:
+    """Parse ``blob`` and check it is a version-1 envelope of ``kind``."""
+    payload = _json_object(blob, kind)
+    if payload.get("version") != _FORMAT_VERSION:
+        raise ValueError(f"unsupported serialization version {payload.get('version')}")
+    return payload
+
+
 def _decode_polynomial(envelope: dict, name: str) -> RawPolynomial:
     payload = _field(envelope, name, dict)
-    moduli_text = _field(payload, "moduli", list, name)
+    moduli = _moduli(payload, name)
     limbs_text = _field(payload, "limbs", list, name)
     fmt = _field(payload, "fmt", str, name)
     try:
-        moduli = [int(q) for q in moduli_text]
         n = len(limbs_text[0]) // 16 if limbs_text else 0
         words = bytes.fromhex("".join(limbs_text))
         # fromhex skips whitespace, so the decoded byte count is checked too.
@@ -96,53 +194,52 @@ def _decode_polynomial(envelope: dict, name: str) -> RawPolynomial:
     return RawPolynomial(moduli=moduli, limbs=limbs, fmt=fmt)
 
 
+# -- the public functions -----------------------------------------------------
+
+
 def serialize_ciphertext(raw: RawCiphertext) -> bytes:
-    """Serialize a raw ciphertext into bytes."""
-    payload = {
-        "version": _FORMAT_VERSION,
-        "type": "ciphertext",
+    """Serialize a raw ciphertext into one version-2 frame."""
+    return _write_frame("ciphertext", {
         "scale": raw.scale,
         "slots": raw.slots,
         "noise_bits": raw.noise_bits,
         "encoded_length": raw.encoded_length,
         "parameter_tag": raw.parameter_tag,
-        "c0": _encode_polynomial(raw.c0),
-        "c1": _encode_polynomial(raw.c1),
-    }
-    return json.dumps(payload).encode("utf-8")
+    }, {"c0": raw.c0, "c1": raw.c1})
 
 
 def deserialize_ciphertext(blob: bytes) -> RawCiphertext:
-    """Deserialize bytes produced by :func:`serialize_ciphertext`."""
-    payload = _envelope(blob, "ciphertext")
+    """Deserialize a :func:`serialize_ciphertext` frame or a version-1 envelope."""
+    if blob[: len(_MAGIC)] == _MAGIC:
+        payload, body = _frame(blob, "ciphertext")
+        c0, c1 = _frame_polynomials(payload, ("c0", "c1"), body)
+    else:
+        payload = _envelope(blob, "ciphertext")
+        c0, c1 = _decode_polynomial(payload, "c0"), _decode_polynomial(payload, "c1")
     return RawCiphertext(
-        c0=_decode_polynomial(payload, "c0"),
-        c1=_decode_polynomial(payload, "c1"),
-        noise_bits=_real(payload, "noise_bits"),
-        **_metadata(payload),
+        c0=c0, c1=c1, noise_bits=_real(payload, "noise_bits"), **_metadata(payload)
     )
 
 
 def serialize_plaintext(raw: RawPlaintext) -> bytes:
-    """Serialize a raw plaintext into bytes."""
-    payload = {
-        "version": _FORMAT_VERSION,
-        "type": "plaintext",
+    """Serialize a raw plaintext into one version-2 frame."""
+    return _write_frame("plaintext", {
         "scale": raw.scale,
         "slots": raw.slots,
         "encoded_length": raw.encoded_length,
         "parameter_tag": raw.parameter_tag,
-        "poly": _encode_polynomial(raw.poly),
-    }
-    return json.dumps(payload).encode("utf-8")
+    }, {"poly": raw.poly})
 
 
 def deserialize_plaintext(blob: bytes) -> RawPlaintext:
-    """Deserialize bytes produced by :func:`serialize_plaintext`."""
-    payload = _envelope(blob, "plaintext")
-    return RawPlaintext(
-        poly=_decode_polynomial(payload, "poly"), **_metadata(payload)
-    )
+    """Deserialize a :func:`serialize_plaintext` frame or a version-1 envelope."""
+    if blob[: len(_MAGIC)] == _MAGIC:
+        payload, body = _frame(blob, "plaintext")
+        (poly,) = _frame_polynomials(payload, ("poly",), body)
+    else:
+        payload = _envelope(blob, "plaintext")
+        poly = _decode_polynomial(payload, "poly")
+    return RawPlaintext(poly=poly, **_metadata(payload))
 
 
 __all__ = [

@@ -9,7 +9,9 @@ adapter exchange structures.
 import hashlib
 import json
 import random
+import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from repro.ckks.evaluator import Evaluator
 from repro.ckks.params import CKKSParameters
 from repro.core.limb import LimbFormat
 from repro.openfhe.adapter import (
+    RawCiphertext,
     export_ciphertext,
     export_plaintext,
     import_ciphertext,
@@ -112,7 +115,7 @@ class TestAdapter:
 
     def test_coefficient_frame_imports_in_evaluation_format(self, client):
         # The server decides the format once, here: a "coeff" frame (read
-        # off the v1 wire) becomes the ciphertext its "eval" frame imports.
+        # off the wire) becomes the ciphertext its "eval" frame imports.
         values = np.array([0.1, -0.2, 0.3])
         raw = client.encrypt(values)
         sent = deserialize_ciphertext(serialize_ciphertext(coefficient_frame(raw)))
@@ -223,6 +226,104 @@ class TestSerialization:
         with pytest.raises(ValueError):
             deserialize_ciphertext(pt_blob)
 
+    def test_binary_frame_is_half_the_hex_envelope(self, client):
+        raw = client.encrypt([0.5])
+        blob = serialize_ciphertext(raw)
+        residues = 8 * (raw.c0.limbs.size + raw.c1.limbs.size)
+        assert residues < len(blob) < residues + 1024
+        assert len(blob) < 0.55 * len(v1_frame(raw))
+
+
+# ---------------------------------------------------------------------------
+# test-side frame codecs: the version-1 writer (byte for byte the one src/
+# used before the binary frame) and both versions as an editable
+# version-1-shaped envelope
+# ---------------------------------------------------------------------------
+
+#: The version-2 header and checksum (repro.openfhe.serialization).
+V2_HEADER = struct.Struct("<4sHIQ")
+V2_CHECKSUM = struct.Struct("<I")
+POLYNOMIALS = ("c0", "c1", "poly")
+
+
+def _v1_polynomial(poly) -> dict:
+    return {
+        "moduli": [str(q) for q in poly.moduli],
+        "fmt": poly.fmt,
+        "limbs": [row.astype(">u8").tobytes().hex() for row in poly.limbs],
+    }
+
+
+def v1_frame(raw) -> bytes:
+    """The version-1 JSON/hex envelope of a raw ciphertext or plaintext."""
+    payload = {"version": 1}
+    if isinstance(raw, RawCiphertext):
+        payload.update(type="ciphertext", scale=raw.scale, slots=raw.slots,
+                       noise_bits=raw.noise_bits, encoded_length=raw.encoded_length,
+                       parameter_tag=raw.parameter_tag,
+                       c0=_v1_polynomial(raw.c0), c1=_v1_polynomial(raw.c1))
+    else:
+        payload.update(type="plaintext", scale=raw.scale, slots=raw.slots,
+                       encoded_length=raw.encoded_length,
+                       parameter_tag=raw.parameter_tag, poly=_v1_polynomial(raw.poly))
+    return json.dumps(payload).encode("utf-8")
+
+
+def write_frame(raw, version: int) -> bytes:
+    """``raw`` on the wire as a frame of ``version``."""
+    if version == 1:
+        return v1_frame(raw)
+    write = serialize_ciphertext if isinstance(raw, RawCiphertext) else serialize_plaintext
+    return write(raw)
+
+
+def _v2_envelope(blob: bytes) -> dict:
+    """A version-2 frame as a version-1-shaped envelope (hex limbs)."""
+    _, version, text_length, _ = V2_HEADER.unpack_from(blob)
+    payload = json.loads(blob[V2_HEADER.size : V2_HEADER.size + text_length])
+    words = memoryview(blob)[V2_HEADER.size + text_length : -V2_CHECKSUM.size]
+    for name in (p for p in POLYNOMIALS if p in payload):
+        poly = payload[name]
+        count, n = len(poly["moduli"]), poly.pop("n")
+        rows = np.frombuffer(words[: 8 * count * n], "<u8").reshape(count, n)
+        poly["limbs"] = [row.astype(">u8").tobytes().hex() for row in rows]
+        words = words[8 * count * n :]
+    return {"version": version, **payload}
+
+
+def _v2_words(hex_row: str) -> bytes:
+    """A hex limb's big-endian words as little-endian ones (a partial word as is)."""
+    raw = bytes.fromhex(hex_row)
+    whole = len(raw) // 8 * 8
+    return np.frombuffer(raw[:whole], ">u8").astype("<u8").tobytes() + raw[whole:]
+
+
+def _v2_frame(envelope: dict) -> bytes:
+    """The version-2 frame of a version-1-shaped envelope, sealed: each
+    polynomial's ``n`` is read off its first limb, as the v1 reader does."""
+    envelope, payload = dict(envelope), b""
+    version = envelope.pop("version")
+    for name in (p for p in POLYNOMIALS if isinstance(envelope.get(p), dict)):
+        poly = envelope[name] = dict(envelope[name])
+        limbs = poly.pop("limbs", [])
+        poly["n"] = len(limbs[0]) // 16 if limbs else 0
+        payload += b"".join(_v2_words(t) for t in limbs)
+    text = json.dumps(envelope).encode("utf-8")
+    header = V2_HEADER.pack(b"\x89FHE", version, len(text), len(payload))
+    return _sealed(header + text + payload + bytes(V2_CHECKSUM.size))
+
+
+def _sealed(blob: bytes) -> bytes:
+    """``blob`` with its trailing checksum recomputed over metadata and payload."""
+    if len(blob) < V2_HEADER.size + V2_CHECKSUM.size:
+        return blob
+    body = blob[V2_HEADER.size : -V2_CHECKSUM.size]
+    return blob[: -V2_CHECKSUM.size] + V2_CHECKSUM.pack(zlib.crc32(body))
+
+
+def _is_v2(blob: bytes) -> bool:
+    return blob[:4] == b"\x89FHE"
+
 
 # ---------------------------------------------------------------------------
 # hostile input: the wire is untrusted
@@ -239,16 +340,22 @@ def toy_client():
     return client
 
 
+@pytest.fixture(scope="module", params=[1, 2], ids=["v1", "v2"])
+def version(request):
+    """The frame version a hostile-input test runs on: every case runs on both."""
+    return request.param
+
+
 @pytest.fixture(scope="module")
-def toy_frame(toy_client):
-    return serialize_ciphertext(toy_client.encrypt([0.5, -0.25], limb_count=2))
+def toy_frame(toy_client, version):
+    return write_frame(toy_client.encrypt([0.5, -0.25], limb_count=2), version)
 
 
 def _edited(blob, edit):
-    """``blob`` with ``edit(payload)`` applied to its JSON envelope."""
-    payload = json.loads(blob)
+    """``blob`` with ``edit(payload)`` applied to its envelope, in its own version."""
+    payload = _v2_envelope(blob) if _is_v2(blob) else json.loads(blob)
     edit(payload)
-    return json.dumps(payload).encode("utf-8")
+    return _v2_frame(payload) if _is_v2(blob) else json.dumps(payload).encode("utf-8")
 
 
 def _set(path, value):
@@ -285,6 +392,46 @@ REJECTED = {
     "missing-limbs": (_set(("c1", "limbs"), _DELETE), "limbs"),
     "mistyped-modulus": (_set(("c0", "moduli", 0), None), "c0"),
     "infinite-modulus": (_set(("c0", "moduli", 0), float("inf")), "c0"),
+    # Metadata no producer writes: the frame parses, import refuses it.
+    "nan-scale": (_set(("scale",), float("nan")), "scale"),
+    "infinite-scale": (_set(("scale",), float("inf")), "scale"),
+    "negative-scale": (_set(("scale",), -1.0), "scale"),
+    "zero-scale": (_set(("scale",), 0), "scale"),
+    "negative-slots": (_set(("slots",), -4), "slots"),
+    "zero-slots": (_set(("slots",), 0), "slots"),
+    "foreign-slots": (_set(("slots",), 99999), "slots"),
+    "negative-encoded-length": (_set(("encoded_length",), -1), "encoded_length"),
+    "huge-encoded-length": (_set(("encoded_length",), 100000), "encoded_length"),
+    "nan-noise-bits": (_set(("noise_bits",), float("nan")), "noise_bits"),
+}
+
+
+def _header(blob, **fields):
+    """``blob`` with version-2 header ``fields`` replaced (checksum kept)."""
+    magic, version, text_length, payload_length = V2_HEADER.unpack_from(blob)
+    values = {**dict(magic=magic, version=version, text_length=text_length,
+                     payload_length=payload_length), **fields}
+    return V2_HEADER.pack(*values.values()) + blob[V2_HEADER.size :]
+
+
+def _short_payload(blob):
+    """``blob`` less its last payload word, with lengths and checksum kept consistent."""
+    _, _, _, payload_length = V2_HEADER.unpack_from(blob)
+    return _sealed(_header(blob[:-12] + bytes(4), payload_length=payload_length - 8))
+
+
+#: name -> (edit of the version-2 frame bytes, what the error must name).
+V2_REJECTED = {
+    "bad-magic": (lambda b: b"\x89FHX" + b[4:], "envelope"),
+    "bad-version": (lambda b: _header(b, version=3), "version"),
+    "long-metadata-length": (lambda b: _header(b, text_length=V2_HEADER.unpack_from(b)[2] + 1),
+                             "header lengths"),
+    "short-payload-length": (lambda b: _header(b, payload_length=V2_HEADER.unpack_from(b)[3] - 8),
+                             "header lengths"),
+    "truncated-payload": (_short_payload, "limbs"),
+    "trailing-bytes": (lambda b: b + b"\0", "header lengths"),
+    "short-frame": (lambda b: b[: V2_HEADER.size], "header"),
+    "wrong-checksum": (lambda b: b[:-1] + bytes([b[-1] ^ 1]), "checksum"),
 }
 
 
@@ -300,6 +447,19 @@ class TestHostileInput:
         edit, field = REJECTED[name]
         with pytest.raises(ValueError, match=field):
             self._load(toy_client, _edited(toy_frame, edit))
+
+    def test_unedited_frame_imports(self, toy_client, toy_frame):
+        # The edit machinery itself is faithful: a no-op edit round-trips.
+        unedited = _edited(toy_frame, lambda payload: None)
+        assert unedited == toy_frame
+        self._load(toy_client, unedited)
+
+    @pytest.mark.parametrize("name", sorted(V2_REJECTED))
+    def test_malformed_binary_frame_is_rejected(self, toy_client, name):
+        edit, field = V2_REJECTED[name]
+        blob = write_frame(toy_client.encrypt([0.5, -0.25], limb_count=2), 2)
+        with pytest.raises(ValueError, match=field):
+            self._load(toy_client, edit(blob))
 
     def test_non_canonical_residue_is_rejected_not_reduced(self, toy_client, toy_frame):
         q0 = toy_client.context.moduli[0]
@@ -317,14 +477,17 @@ class TestHostileInput:
         with pytest.raises(ValueError):
             deserialize_plaintext(blob)
 
-    def test_plaintext_frames_are_checked_too(self, toy_client):
+    def test_plaintext_frames_are_checked_too(self, toy_client, version):
         pt = encode(toy_client.context, [0.5], limb_count=2)
-        blob = serialize_plaintext(export_plaintext(pt))
+        blob = write_frame(export_plaintext(pt), version)
         for edit, field in (
             (_set(("poly", "fmt"), "banana"), "fmt"),
             (_set(("poly", "limbs", 0), lambda t: t[:-8]), "poly"),
             (_set(("slots",), _DELETE), "slots"),
-            (_set(("version",), 2), "version"),
+            (_set(("slots",), 0), "slots"),
+            (_set(("scale",), float("nan")), "scale"),
+            (_set(("encoded_length",), 0), "encoded_length"),
+            (_set(("version",), lambda v: v + 1), "version"),
         ):
             with pytest.raises(ValueError, match=field):
                 import_plaintext(toy_client.context,
@@ -339,6 +502,10 @@ class TestHostileInput:
         raw.c1.limbs = raw.c1.limbs[:, :-1]
         with pytest.raises(ValueError, match="limbs"):
             import_ciphertext(toy_client.context, raw)
+        raw = toy_client.encrypt([0.5], limb_count=2)
+        raw.c1.moduli, raw.c1.limbs = [], raw.c1.limbs[:0]
+        with pytest.raises(ValueError, match="moduli"):
+            import_ciphertext(toy_client.context, raw)
 
 
 _HEX = b"0123456789abcdef"
@@ -347,10 +514,11 @@ _HEX = b"0123456789abcdef"
 def _mutated(frame: bytes, structural: list[int], rng: random.Random) -> bytes:
     """``frame`` after one to three flips, truncations, splices or duplicated spans.
 
-    Half the edits aim at the envelope's ``structural`` bytes (those that are
-    not residue digits, 2 % of a frame) so metadata is hit as often as
-    payload, and most flips write a byte the frame already uses, so the
-    mutant often still parses and reaches the field and residue checks.
+    Half the edits aim at the frame's ``structural`` bytes (those that are
+    not residue payload, 2 % of a v1 frame, 3 % of a v2 one) so metadata is
+    hit as often as payload, and most flips write a byte the frame already
+    uses, so the mutant often still parses and reaches the field and
+    residue checks.
     """
     blob = bytearray(frame)
     for _ in range(rng.randint(1, 3)):
@@ -372,27 +540,34 @@ def _mutated(frame: bytes, structural: list[int], rng: random.Random) -> bytes:
     return bytes(blob)
 
 
-#: Examples of the byte-mutation run; 10**4 fit tier-1's 10 s budget at N = 2**8.
-FUZZ_EXAMPLES = 10_000
+#: Examples of the byte-mutation run, two mutated frames each: 10**4 frames
+#: per version fit tier-1's budget at N = 2**8.
+FUZZ_EXAMPLES = 5_000
+
+
+def _structural(frame: bytes) -> list[int]:
+    """The byte positions of a frame that are not residue payload."""
+    if not _is_v2(frame):
+        return [i for i, b in enumerate(frame) if b not in _HEX]
+    _, _, text_length, payload_length = V2_HEADER.unpack_from(frame)
+    end = V2_HEADER.size + text_length
+    return [*range(end), *range(end + payload_length, len(frame))]
 
 
 def test_mutated_frames_raise_value_error_or_import_canonical(toy_client, toy_frame):
     context = toy_client.context
-    structural = [i for i, b in enumerate(toy_frame) if b not in _HEX]
+    structural = _structural(toy_frame)
+    binary = _is_v2(toy_frame)
     outcomes = {"rejected": 0, "imported": 0}
 
-    # One drawn seed per example: the mutation itself is plain ``random`` so
-    # the engine's per-draw cost does not eat the example budget.
-    @given(st.integers(0, 2**64 - 1))
-    @settings(max_examples=FUZZ_EXAMPLES, deadline=None, derandomize=True,
-              database=None)
-    def run(seed):
-        blob = _mutated(toy_frame, structural, random.Random(seed))
+    def check(blob, resealed):
         try:
             ct = import_ciphertext(context, deserialize_ciphertext(blob))
         except ValueError:
             outcomes["rejected"] += 1
             return
+        # A binary mutant left unsealed fails its checksum.
+        assert resealed or not binary or blob == toy_frame
         outcomes["imported"] += 1
         for poly in (ct.c0, ct.c1):
             rows = poly.data
@@ -400,6 +575,19 @@ def test_mutated_frames_raise_value_error_or_import_canonical(toy_client, toy_fr
             assert rows.dtype == np.uint64
             assert rows.shape == (len(poly.moduli), context.ring_degree)
             assert bool(np.all(rows < poly.moduli_col))
+
+    # One drawn seed per example: the mutation itself is plain ``random`` so
+    # the engine's per-draw cost does not eat the example budget.
+    @given(st.integers(0, 2**64 - 1))
+    @settings(max_examples=FUZZ_EXAMPLES, deadline=None, derandomize=True,
+              database=None)
+    def run(seed):
+        rng = random.Random(seed)
+        # Half the binary mutants get their checksum recomputed, so they
+        # reach the length, field and residue checks.
+        for resealed in (False, binary):
+            blob = _mutated(toy_frame, structural, rng)
+            check(_sealed(blob) if resealed else blob, resealed)
 
     run()
     # Both arms are exercised: most mutations break the frame, some survive
@@ -419,28 +607,36 @@ GOLDEN_CHAINS = {
 }
 
 #: sha256 of the big-endian uint64 rows (keys, ciphertext) and of the wire
-#: bytes, produced by commit a7e5dae with OpenFHEClient(seed=7).
+#: bytes, produced by commit a7e5dae with OpenFHEClient(seed=7); the v1
+#: ``blob`` digests are that commit's writer, the ``*_v2`` ones the binary
+#: frame's.
 GOLDEN = {'uint64': {'secret': 'fba59b5ee495b0b8a4feab1934c42fe0831b1151c94107a7d6bdb5508a420c34',
             'public': '68261399f95600b85c2fcde6c3d5b7949d59162ac838f13eaca85dabfb9efd50',
             'relin': 'd3a7981c8a13d236b84e1de2e9a51e5e212281aef571b3ab1e2f5f6b14cd372b',
             'rotation': '2e61d38ff1d1f21fb2a2d55d60ff6ae39bcaa47b49d8ae75a12bab92c6cf4753',
             'ciphertext': '56fb3b4d0f904281b9e1ff055ee34737d844a793e4aba4887f1d0ae4f65dbbb6',
             'blob': 'b4a5e52bc0aa757f2060139335dcfa2fbbde0870a0bbaf83caa7cb97d593a160',
-            'plaintext_blob': '476a31c35b7bfb04787ba0b26d2f268e279d89bffb6a1ca00173f32db58653e8'},
+            'plaintext_blob': '476a31c35b7bfb04787ba0b26d2f268e279d89bffb6a1ca00173f32db58653e8',
+            'blob_v2': 'f1ef123f2eaecad5f55c37b77ecf246052db110b7fa270b498ca7bb9af2430d4',
+            'plaintext_blob_v2': '28c81625ef7994d7308b5a87a058cc0352b7ed37800221801157a4a480dbc9cd'},
  'dword': {'secret': '45ed9976a0bc662f0c79c02e05684d377135f1c2e88a590264b5111f7c77b235',
            'public': 'fcfa5f22742b78af17cbd192f7c7c377641b8647f12a35c8f499a8a53adcc76b',
            'relin': '197d234d43a32ba91859ae7aabb90b2960e03bd5083d080a1674651148d231b4',
            'rotation': '968b8e8a835d1a17a64d76767ff5cfc3159dd15fd8a829ebac879a6bb09350a5',
            'ciphertext': '8b474c2010963364fbc5cc58a7cfa6660d0bd0f1d86b83d80a98ffdec0c8391e',
            'blob': '969da4a3f1e0d51fc6c40272be0900b04adbaa25e6cba8a7b4b5aef3cba890ea',
-           'plaintext_blob': 'a65e47ddbce371a9c48d846582becdc0f9a122ff091034603b6a7f9c20438689'},
+           'plaintext_blob': 'a65e47ddbce371a9c48d846582becdc0f9a122ff091034603b6a7f9c20438689',
+           'blob_v2': 'e3f6b2a4d6887aea16301b10caeeacf2419a090327235cc0f263614538e4fd20',
+           'plaintext_blob_v2': '444c163cbde01b958a0a4d6d9d2675af859390246169afd82905097b2a7d232b'},
  'object': {'secret': '2672b41ca22717bdb87c23b22ee9d2b9f4c08dddc07f18e5b55bfc0ed6ede05f',
             'public': '7e652793da45a87fdf8c3d358e2fb2188d319588a03f274cbe7cce0212f56806',
             'relin': '8ae12962760bbe68335ce5bc287fa8edc029117fd6dbfb2f5afafe9092bb6cdd',
             'rotation': '85abb883418f13f92312b40e23ea92e147ddbe89567e7e33e5ca2f831ab966c7',
             'ciphertext': '8861f3f1a48eebf0a4bc19d00f39e0c12fa0ac29e1d059b1e32c47744cdba169',
             'blob': '097c82696361bfd402dd6c35d083ed6f5799aa98c6c4fbc824d3e90729d87939',
-            'plaintext_blob': '5abca6af5d1c61b84b272b111b6e3532a08b3875b212d540a191340f5e231d05'}}
+            'plaintext_blob': '5abca6af5d1c61b84b272b111b6e3532a08b3875b212d540a191340f5e231d05',
+            'blob_v2': 'e994204596adfde6ca39065df830b587682da1b1b8da7d1d391fed5d45fa0461',
+            'plaintext_blob_v2': '9063c7d92f6bef0d8f2a83410c0763f3ed930b9571bc125eb937e915365f155b'}}
 
 
 def _rows_digest(*polys):
@@ -460,8 +656,9 @@ def test_same_seed_keys_ciphertext_and_wire_are_the_parents(chain):
     keys = client.keys
     plaintext = encode(client.context, np.array([0.5, -0.25, 0.125, 0.75 - 0.5j]))
     ciphertext = client.encryptor.encrypt(plaintext)
-    blob = serialize_ciphertext(export_ciphertext(ciphertext, parameter_tag="golden"))
-    plain_blob = serialize_plaintext(export_plaintext(plaintext, parameter_tag="golden"))
+    raw = export_ciphertext(ciphertext, parameter_tag="golden")
+    raw_plain = export_plaintext(plaintext, parameter_tag="golden")
+    blob, plain_blob = v1_frame(raw), v1_frame(raw_plain)
     assert {
         "secret": _rows_digest(keys.secret_key.poly),
         "public": _rows_digest(keys.public_key.b, keys.public_key.a),
@@ -470,8 +667,12 @@ def test_same_seed_keys_ciphertext_and_wire_are_the_parents(chain):
         "ciphertext": _rows_digest(ciphertext.c0, ciphertext.c1),
         "blob": hashlib.sha256(blob).hexdigest(),
         "plaintext_blob": hashlib.sha256(plain_blob).hexdigest(),
+        "blob_v2": hashlib.sha256(serialize_ciphertext(raw)).hexdigest(),
+        "plaintext_blob_v2": hashlib.sha256(serialize_plaintext(raw_plain)).hexdigest(),
     } == GOLDEN[chain]
-    # The parent's bytes are these bytes, so its frames import here unchanged.
-    imported = import_ciphertext(client.context, deserialize_ciphertext(blob))
-    assert _rows_digest(imported.c0, imported.c1) == GOLDEN[chain]["ciphertext"]
-    assert imported.c0.data.dtype == ciphertext.c0.data.dtype
+    # Frames written before the binary frame are these v1 bytes, so they
+    # import here unchanged -- as do the v2 frames written now.
+    for sent in (blob, serialize_ciphertext(raw)):
+        imported = import_ciphertext(client.context, deserialize_ciphertext(sent))
+        assert _rows_digest(imported.c0, imported.c1) == GOLDEN[chain]["ciphertext"]
+        assert imported.c0.data.dtype == ciphertext.c0.data.dtype
