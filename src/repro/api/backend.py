@@ -49,6 +49,7 @@ from repro.ckks.ciphertext import (
     check_finite_scalar,
     check_fusable,
     check_plain_scale,
+    check_product_rescale,
     check_scalar_rescale,
     fused_lengths,
     match_for_dot,
@@ -245,15 +246,16 @@ class CostModelBackend:
     _scope = staticmethod(Evaluator._scope)
 
     @staticmethod
-    def _emit(handle: SymbolicCiphertext, build, *args) -> None:
-        """Emit ``build(*args)``'s kernels, covering every member of ``handle``.
+    def _emit(handle: SymbolicCiphertext, build, *args, **kwargs) -> None:
+        """Emit ``build(*args, **kwargs)``'s kernels, covering every member
+        of ``handle``.
 
         The builder only runs inside a recording region, so an unobserved
         symbolic program constructs no kernel descriptors.
         """
         if not DISPATCH.recording:
             return
-        for kernel in build(*args).kernels:
+        for kernel in build(*args, **kwargs).kernels:
             if handle.batch_size > 1:
                 kernel = kernel.batched(handle.batch_size)
             DISPATCH.emit(kernel)
@@ -301,6 +303,10 @@ class CostModelBackend:
             raise ValueError("cannot rescale a level-0 ciphertext")
         with self._scope(a, "rescale"):
             self._emit(a, self.costs.rescale, a.limb_count)
+        return self._dropped(a)
+
+    def _dropped(self, a: SymbolicCiphertext) -> SymbolicCiphertext:
+        """``a`` one level down, its scale divided by the dropped prime."""
         return replace(
             a, limb_count=a.limb_count - 1,
             scale=a.scale / self._last_modulus(a.limb_count),
@@ -359,15 +365,17 @@ class CostModelBackend:
     # -- multiplications ----------------------------------------------------
 
     def multiply(self, a: SymbolicCiphertext, b: SymbolicCiphertext) -> SymbolicCiphertext:
+        check_product_rescale(a, b)
         with self._scope(a, "hmult"):
             a2, b2 = match_for_product(a, b, self.at_level)
-            self._emit(a2, self.costs.hmult, a2.limb_count)
-            return self.rescale(replace(a2, scale=a2.scale * b2.scale))
+            self._emit(a2, self.costs.product_rescale, a2.limb_count)
+            return self._dropped(replace(a2, scale=a2.scale * b2.scale))
 
     def square(self, a: SymbolicCiphertext) -> SymbolicCiphertext:
+        check_product_rescale(a)
         with self._scope(a, "hsquare"):
-            self._emit(a, self.costs.hsquare, a.limb_count)
-            return self.rescale(replace(a, scale=a.scale * a.scale))
+            self._emit(a, self.costs.product_rescale, a.limb_count, square=True)
+            return self._dropped(replace(a, scale=a.scale * a.scale))
 
     def multiply_plain(self, a: SymbolicCiphertext, values, *,
                        rescale: bool = True) -> SymbolicCiphertext:

@@ -147,6 +147,13 @@ def check_scalar_rescale(handle) -> None:
         )
 
 
+def check_product_rescale(*handles) -> None:
+    """Reject a rescaling HMult/HSquare with a level-0 operand, before any
+    work: the product would have no limb to drop."""
+    if min(h.level for h in handles) == 0:
+        raise ValueError("cannot rescale a level-0 ciphertext")
+
+
 def check_finite_scalar(operation: str, value) -> float:
     """Reject a scalar operand with no fixed-point encoding (``inf``, ``nan``)."""
     value = float(value)
@@ -365,6 +372,7 @@ __all__ = [
     "match_for_product",
     "match_for_dot",
     "check_plain_scale",
+    "check_product_rescale",
     "check_scalar_rescale",
     "check_finite_scalar",
     "check_dot_operands",

@@ -28,7 +28,7 @@ from repro.ckks.encoding import CKKSEncoder
 from repro.ckks.params import CKKSParameters
 from repro.core import modmath
 from repro.core.primes import find_ntt_prime_near, generate_ntt_primes
-from repro.core.rns import BaseConverter, RNSBasis, partition_digits
+from repro.core.rns import BaseConverter, RNSBasis, RoundingConverter, partition_digits
 
 
 class Context:
@@ -111,6 +111,7 @@ class Context:
         # --- caches -----------------------------------------------------------
         self._modup_converters: dict[tuple[int, int], BaseConverter] = {}
         self._moddown_converters: dict[int, BaseConverter] = {}
+        self._moddown_rescale_converters: dict[int, RoundingConverter] = {}
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -252,6 +253,18 @@ class Context:
                 self.p_basis, RNSBasis(self.moduli[:limb_count])
             )
             self._moddown_converters[limb_count] = converter
+        return converter
+
+    def moddown_rescale_converter(self, limb_count: int) -> RoundingConverter:
+        """Exactly rounded converter from ``{q_l} ∪ P`` to ``q_0..q_{l-1}``
+        (``l = limb_count - 1``), the merged ModDown-rescale tail's."""
+        converter = self._moddown_rescale_converters.get(limb_count)
+        if converter is None:
+            converter = RoundingConverter(
+                RNSBasis([self.moduli[limb_count - 1], *self.special_moduli]),
+                RNSBasis(self.moduli[: limb_count - 1]),
+            )
+            self._moddown_rescale_converters[limb_count] = converter
         return converter
 
     # ------------------------------------------------------------------

@@ -40,6 +40,7 @@ from repro.ckks.ciphertext import (
     check_dot_operands,
     check_finite_scalar,
     check_plain_scale,
+    check_product_rescale,
     check_scalar_rescale,
     match_for_dot,
     match_for_product,
@@ -48,7 +49,13 @@ from repro.ckks.ciphertext import (
 from repro.ckks.context import Context
 from repro.ckks.encryption import Encryptor, encode
 from repro.ckks.keys import KeySet, KeySwitchingKey
-from repro.ckks.keyswitch import apply_key, decompose_and_mod_up, key_switch
+from repro.ckks.keyswitch import (
+    apply_key,
+    decompose_and_mod_up,
+    key_switch,
+    mod_down_many,
+    mod_down_rescale_many,
+)
 from repro.core import modmath
 from repro.core.automorphism import conjugation_exponent, rotation_to_exponent
 from repro.core.dispatch import DISPATCH
@@ -222,10 +229,6 @@ class Evaluator:
         with self._scope(ct, "scalaradd"):
             return ct.with_polys(ct.c0.add_scalar(integer), ct.c1)
 
-    def sub_scalar(self, ct: Ciphertext, value: float) -> Ciphertext:
-        """Constant subtraction."""
-        return self.add_scalar(ct, -float(value))
-
     # ------------------------------------------------------------------
     # multiplications (HMult, PtMult, ScalarMult, HSquare)
     # ------------------------------------------------------------------
@@ -274,9 +277,20 @@ class Evaluator:
                 ct, "scalarmult", lambda c: c.multiply_scalar(int(value))
             )
 
-    def multiply(self, ct1: Ciphertext, ct2: Ciphertext, *, rescale: bool = True,
-                 relinearize: bool = True) -> Ciphertext:
-        """Homomorphic multiplication (``HMult``) with relinearisation."""
+    def multiply(self, ct1: Ciphertext, ct2: Ciphertext, *,
+                 rescale: bool = True) -> Ciphertext:
+        """Homomorphic multiplication (``HMult``) with relinearisation.
+
+        With ``rescale`` (the default) the product ends in one merged tail:
+        the relinearisation key switch's accumulators ``acc`` and the
+        tensor's ``d0``, ``d1`` are divided by ``P·q_l`` in one exactly
+        rounded ModDown (:func:`~repro.ckks.keyswitch.mod_down_rescale_many`),
+        so the result is ``round((acc + P·d)/(P·q_l))`` one level down, with
+        no separate rescale.  ``rescale=False`` returns the raw product:
+        ModDown, then the relinearisation add.
+        """
+        if rescale:
+            check_product_rescale(ct1, ct2)
         with self._scope(ct1, "hmult"):
             a, b = match_for_product(ct1, ct2, self.adjust)
             # The GPU launches the whole tensor product as one fused kernel
@@ -287,12 +301,17 @@ class Evaluator:
                 # cross term instead of two reduced products plus a reduced add.
                 d1 = RNSPoly.multiply_accumulate([(a.c0, b.c1), (a.c1, b.c0)])
                 d2 = a.c1.multiply(b.c1)
-            result = self._relinearize(a, d0, d1, d2, a.scale * b.scale) if relinearize else \
-                a.with_polys(d0, d1, scale=a.scale * b.scale)
-            return self.rescale(result) if rescale else result
+            return self._relinearize(a, d0, d1, d2, a.scale * b.scale, rescale)
 
     def square(self, ct: Ciphertext, *, rescale: bool = True) -> Ciphertext:
-        """Homomorphic squaring (``HSquare``), cheaper than a general HMult."""
+        """Homomorphic squaring (``HSquare``), cheaper than a general HMult.
+
+        Three tensor products instead of four, then the same tail as
+        :meth:`multiply`: one merged ModDown-rescale with ``rescale``, the
+        ModDown and relinearisation add without.
+        """
+        if rescale:
+            check_product_rescale(ct)
         with self._scope(ct, "hsquare"):
             with DISPATCH.launch("square-tensor"):
                 d0 = ct.c0.multiply(ct.c0)
@@ -302,17 +321,23 @@ class Evaluator:
                 data = d1.data
                 modmath.stack_add_mod(data, data, d1.moduli_col, out=data)
                 d2 = ct.c1.multiply(ct.c1)
-            result = self._relinearize(ct, d0, d1, d2, ct.scale * ct.scale)
-            return self.rescale(result) if rescale else result
+            return self._relinearize(ct, d0, d1, d2, ct.scale * ct.scale, rescale)
 
     def _relinearize(self, template: Ciphertext, d0: RNSPoly, d1: RNSPoly,
-                     d2: RNSPoly, scale: float) -> Ciphertext:
-        delta0, delta1 = key_switch(self.context, d2, self.keys.relinearization_key)
-        # Both component additions are one fused GPU launch.
-        with DISPATCH.launch("relin-add"):
-            c0 = d0.add(delta0)
-            c1 = d1.add(delta1)
-        return template.with_polys(c0, c1, scale=scale)
+                     d2: RNSPoly, scale: float, rescale: bool) -> Ciphertext:
+        key = self.keys.relinearization_key
+        if not rescale:
+            delta0, delta1 = key_switch(self.context, d2, key)
+            # Both component additions are one fused GPU launch.
+            with DISPATCH.launch("relin-add"):
+                c0 = d0.add(delta0)
+                c1 = d1.add(delta1)
+            return template.with_polys(c0, c1, scale=scale)
+        decomposed = decompose_and_mod_up(self.context, d2)
+        with DISPATCH.scope("keyswitch"):
+            accs = apply_key(self.context, decomposed, key)
+            c0, c1 = mod_down_rescale_many(self.context, list(accs), [d0, d1])
+        return template.with_polys(c0, c1, scale=scale / template.moduli[-1])
 
     def multiply_by_monomial(self, ct: Ciphertext, power: int) -> Ciphertext:
         """Multiply by ``X^power`` (no scale change).
@@ -389,9 +414,10 @@ class Evaluator:
                     continue
                 key = self.keys.rotation_key(step, self.context.slots)
                 exponent = rotation_to_exponent(self.context.ring_degree, step)
-                delta0, delta1 = apply_key(
-                    self.context, decomposed, key, automorphism_exponent=exponent
-                )
+                with DISPATCH.scope("keyswitch"):
+                    delta0, delta1 = mod_down_many(self.context, list(apply_key(
+                        self.context, decomposed, key, automorphism_exponent=exponent
+                    )))
                 rotated_c0 = ct.c0.automorphism(exponent)
                 results[step] = ct.with_polys(rotated_c0.add(delta0), delta1)
         return results

@@ -12,11 +12,27 @@ to ``s`` using the hybrid technique of Han-Ki [37]:
 4. **ModDown** the accumulators by ``P``: an iNTT of the special limbs,
    another base conversion, and an NTT with the ``P^{-1}(x - Conv(x'))``
    step folded into it, as the paper folds it into its NTT kernels.
+   :func:`apply_key` stops at the accumulators over ``Q_l ∪ P`` and its
+   caller places the ModDown.  A rotation takes :func:`mod_down_many` and
+   adds the result.  A rescaling HMult or HSquare takes the merged tail
+   :func:`mod_down_rescale_many` instead of a ModDown, a relinearisation
+   add and a rescale: it divides ``acc + P·d`` by ``P·q_l`` in one
+   conversion from the ``α+1`` limbs ``{q_l} ∪ P`` to ``Q_{l-1}``, with one
+   iNTT over ``α+1`` rows and one NTT over ``l`` rows per component.  That
+   conversion is exactly rounded (:class:`~repro.core.rns.RoundingConverter`,
+   Halevi-Polyakov-Shoup): it subtracts ``v·P·q_l`` for the float estimate
+   ``v = ⌊Σ_j y_j/m_j⌉`` inside the same launch, so the result is
+   ``round((acc + P·d)/(P·q_l))``.  The two-step tail rounds twice -- the
+   ModDown's fast conversion leaves ``⌊acc/P⌋ − u`` with ``0 ≤ u < α``,
+   and the rescale rounds that divided by ``q_l`` -- so the two agree
+   except where a value lies within ``α/q_l`` of a rounding boundary, and
+   on the test seeds they agree bit for bit.
 
 The functions here operate on :class:`~repro.core.rns_poly.RNSPoly`
 objects in evaluation format, the only format a server polynomial is in
-(ModDown raises :class:`ValueError` on any other), and return deltas that
-the caller adds to the ciphertext components.  Every step is batched over
+(ModDown raises :class:`ValueError` on any other), and return polynomials
+the caller adds to (or, for the merged tail, takes as) the ciphertext
+components.  Every step is batched over
 the polynomials' flat ``(L, N)`` arrays (``RNSPoly.data``): digit rows are
 gathered and iNTT'd in one stacked call, the base conversion runs as one
 ``convert_stack`` matrix expression, and the converted limbs re-enter the
@@ -202,6 +218,97 @@ def mod_down_many(context: Context, polys: list[RNSPoly]) -> list[RNSPoly]:
     ]
 
 
+def mod_down_rescale_many(context: Context, accs: list[RNSPoly],
+                          addends: list[RNSPoly]) -> list[RNSPoly]:
+    """ModDown and rescale in one: ``round((acc + P·d) / (P·q_l))`` over ``Q_{l-1}``.
+
+    ``accs`` are key-switch accumulators over ``Q_l ∪ P`` and ``addends``
+    the matching polynomials ``d`` over ``Q_l`` (a product's ``d0``,
+    ``d1``).  Per component, one iNTT of the ``α+1`` rows ``{q_l} ∪ P``
+    (the ``q_l`` row becomes ``acc_l + P·d_l`` in its prologue), one
+    exactly rounded conversion of their centred value to ``Q_{l-1}``
+    (:class:`~repro.core.rns.RoundingConverter`) and one NTT over the
+    ``l`` rows of ``Q_{l-1}`` whose epilogue folds
+    ``(acc_i − x_i)·(P·q_l)^{-1} + d_i·q_l^{-1}`` -- the ``P·d_i`` term
+    enters as ``d_i·q_l^{-1}``, so no ``P·d`` buffer is built.  It replaces
+    :func:`mod_down_many`, the add of ``d`` and the rescale that follow it:
+    the value is the same division, rounded once instead of twice.
+    """
+    first = accs[0]
+    for poly in accs[1:]:
+        first._check_compatible(poly)
+    for poly in addends[1:]:
+        addends[0]._check_compatible(poly)
+    first.require_evaluation("ModDown")
+    members = first.members
+    count = len(accs)
+    special_count = len(context.special_moduli)
+    limb_count = first.level_count // members - special_count
+    if limb_count < 2:
+        raise ValueError("cannot rescale a level-0 ciphertext")
+    n = context.ring_degree
+    width = special_count + 1
+    source_moduli = tuple(first.moduli[limb_count - 1 : limb_count + special_count])
+    q_last = source_moduli[0]
+    # The q_l row in the source stack's word type (Python integers when a
+    # special modulus is past 2**62).
+    last_col = modmath.moduli_column(source_moduli)[:1]
+    converter = context.moddown_rescale_converter(limb_count)
+    target_moduli = tuple(context.moduli_at(limb_count - 1))
+    target_col = modmath.moduli_column(target_moduli)
+
+    def head(reads, writes):
+        # Each member's {q_l} ∪ P rows, in the transform's layout, with
+        # ``P·d_l`` added to the q_l row.
+        for k, (rows, last) in enumerate(zip(reads[0::2], reads[1::2])):
+            block = writes[0][k * width : (k + 1) * width]
+            np.copyto(block, rows, casting="unsafe")
+            top = block[:1]
+            modmath.stack_add_mod(top, modmath.stack_scalar_mod(
+                modmath.coerce_stack(last, last_col), [context.p_modulus], last_col,
+            ), last_col, out=top)
+
+    # Prologue and epilogue read, per component and member, a block of the
+    # accumulator and the matching block of the addend.
+    sources = [
+        block
+        for acc, d in zip(accs, addends)
+        for pair in zip(acc.member_rows(limb_count - 1), d.member_rows(-1))
+        for block in pair
+    ]
+    heads = [
+        block
+        for acc, d in zip(accs, addends)
+        for pair in zip(acc.member_rows(0, limb_count - 1), d.member_rows(0, -1))
+        for block in pair
+    ]
+    pq_inv = [modmath.inv_mod(context.p_modulus * q_last % q, q) for q in target_moduli]
+    q_last_inv = [modmath.inv_mod(q_last % q, q) for q in target_moduli]
+    fold = modmath.head_addend_fold(pq_inv, q_last_inv, target_col)
+    with DISPATCH.scope("moddown"), DISPATCH.interleaved():
+        # The head's multiply-add touches one row of the α+1; N^-1 folds
+        # into the conversion's constants, as in ModDown.
+        source_rows = get_stacked_engine(n, source_moduli * (members * count)).inverse(
+            segments=[members * width] * count,
+            prologue=Fused("moddown-rescale-head", MODMUL_OPS + MODADD_OPS, sources, head),
+            fused_ops_per_element=(MODMUL_OPS + MODADD_OPS) / width,
+        )
+        blocks = np.split(source_rows, members * count)
+        out = np.empty((count * members * (limb_count - 1), n), dtype=target_col.dtype)
+        for i, block in enumerate(np.split(out, count)):
+            DISPATCH.segment = i
+            converter.convert_members(blocks[i * members : (i + 1) * members], block)
+        out = get_stacked_engine(n, target_moduli * (members * count)).forward(
+            out, consume=True, segments=[members * (limb_count - 1)] * count,
+            epilogue=Fused("moddown-rescale-tail", 2.0 * (MODMUL_OPS + MODADD_OPS),
+                           heads, fold),
+        )
+    return [
+        RNSPoly(target_moduli * members, block, LimbFormat.EVALUATION, pool=poly.pool)
+        for poly, block in zip(accs, np.split(out, count))
+    ]
+
+
 def apply_key(
     context: Context,
     decomposed: DecomposedPolynomial,
@@ -209,7 +316,7 @@ def apply_key(
     *,
     automorphism_exponent: int | None = None,
 ) -> tuple[RNSPoly, RNSPoly]:
-    """Multiply ModUp'd digits with a key-switching key and ModDown the result.
+    """Multiply ModUp'd digits with a key-switching key, left in ``Q_l ∪ P``.
 
     When ``automorphism_exponent`` is given, the automorphism is applied to
     every extended digit before the key multiplication -- this is the
@@ -217,48 +324,48 @@ def apply_key(
     rotation keys.  The digits are in evaluation format, so that is one
     gather of the ``dnum`` extended stacks (a single ``Automorph`` launch)
     and no transform: a hoisted step costs the gather, the inner product
-    and the ModDown.
+    and its caller's ModDown.
 
-    Returns the pair ``(delta_c0, delta_c1)`` over the ciphertext basis.
+    Returns the two accumulators over the extended basis; the caller
+    places the ModDown (:func:`mod_down_many`, or
+    :func:`mod_down_rescale_many` where a rescale follows).
     """
-    with DISPATCH.scope("keyswitch"):
-        template = decomposed.extended_digits[0]
-        col = template.moduli_col
-        digit_polys = decomposed.extended_digits
-        if automorphism_exponent is not None:
-            # One Automorph launch gathers every extended digit.
-            digit_polys = RNSPoly.automorphism_many(
-                digit_polys, automorphism_exponent
-            )
-        digits = [poly.data for poly in digit_polys]
-        # Below the top level only some key rows are active, and they are
-        # read where they lie: each window pairs a row range of the digits
-        # with the key rows it meets (a tiled fused key is one window).
-        keys = [
-            context.key_digit_stacks(key, j, decomposed.limb_count, template.members)
-            for j in range(len(digits))
-        ]
-        windows = context.key_row_windows(decomposed.limb_count, template.members)
-        # Dot-product fusion (§III-F.5): each accumulator is one wide
-        # multiply-accumulate with a single reduction instead of a reduced
-        # product and a reduced add per digit, and the GPU launches both as
-        # one inner-product kernel.  The key is the constant side: on a
-        # dword chain its Shoup companion rides along with every key stack.
-        acc_data = [np.empty(digits[0].shape, dtype=col.dtype) for _ in range(2)]
-        with DISPATCH.launch("ks-inner-product"):
-            for rows, key_rows in windows:
-                for component, acc in enumerate(acc_data):
-                    modmath.stack_dot_mod(
-                        [(d[rows], *(y[key_rows] for y in k[component]))
-                         for d, k in zip(digits, keys)],
-                        col[rows], out=acc[rows],
-                    )
-        accs = [
-            RNSPoly(template.moduli, data, LimbFormat.EVALUATION, pool=template.pool)
-            for data in acc_data
-        ]
-        delta0, delta1 = mod_down_many(context, accs)
-        return delta0, delta1
+    template = decomposed.extended_digits[0]
+    col = template.moduli_col
+    digit_polys = decomposed.extended_digits
+    if automorphism_exponent is not None:
+        # One Automorph launch gathers every extended digit.
+        digit_polys = RNSPoly.automorphism_many(
+            digit_polys, automorphism_exponent
+        )
+    digits = [poly.data for poly in digit_polys]
+    # Below the top level only some key rows are active, and they are
+    # read where they lie: each window pairs a row range of the digits
+    # with the key rows it meets (a tiled fused key is one window).
+    keys = [
+        context.key_digit_stacks(key, j, decomposed.limb_count, template.members)
+        for j in range(len(digits))
+    ]
+    windows = context.key_row_windows(decomposed.limb_count, template.members)
+    # Dot-product fusion (§III-F.5): each accumulator is one wide
+    # multiply-accumulate with a single reduction instead of a reduced
+    # product and a reduced add per digit, and the GPU launches both as
+    # one inner-product kernel.  The key is the constant side: on a
+    # dword chain its Shoup companion rides along with every key stack.
+    acc_data = [np.empty(digits[0].shape, dtype=col.dtype) for _ in range(2)]
+    with DISPATCH.launch("ks-inner-product"):
+        for rows, key_rows in windows:
+            for component, acc in enumerate(acc_data):
+                modmath.stack_dot_mod(
+                    [(d[rows], *(y[key_rows] for y in k[component]))
+                     for d, k in zip(digits, keys)],
+                    col[rows], out=acc[rows],
+                )
+    acc0, acc1 = (
+        RNSPoly(template.moduli, data, LimbFormat.EVALUATION, pool=template.pool)
+        for data in acc_data
+    )
+    return acc0, acc1
 
 
 def key_switch(
@@ -266,7 +373,9 @@ def key_switch(
 ) -> tuple[RNSPoly, RNSPoly]:
     """Full key switch of ``poly`` (decompose, ModUp, key multiply, ModDown)."""
     decomposed = decompose_and_mod_up(context, poly)
-    return apply_key(context, decomposed, key)
+    with DISPATCH.scope("keyswitch"):
+        delta0, delta1 = mod_down_many(context, list(apply_key(context, decomposed, key)))
+    return delta0, delta1
 
 
 __all__ = [
@@ -274,6 +383,7 @@ __all__ = [
     "decompose_and_mod_up",
     "mod_down",
     "mod_down_many",
+    "mod_down_rescale_many",
     "apply_key",
     "key_switch",
 ]

@@ -861,6 +861,35 @@ def head_fold(scalars, moduli_col: np.ndarray):
     return fold
 
 
+def head_addend_fold(scalars, addend_scalars, moduli_col: np.ndarray):
+    """The ``c_i·(head_i − x_i) + e_i·addend_i`` tail of the merged
+    ModDown-rescale, as a kernel: :func:`head_fold` with one more term.
+
+    ``reads[1:]`` alternate a member's head block and its addend block;
+    the scaled difference and the scaled addend are one
+    :func:`stack_dot_mod`, reduced once.
+    """
+    terms = [scalar_column(s, moduli_col) for s in (scalars, addend_scalars)]
+    companions = [()] * 2
+    if stack_backend(moduli_col) == BACKEND_DWORD:
+        companions = [(_dword_scalar_shoup(s, moduli_col),)
+                      for s in (scalars, addend_scalars)]
+
+    def fold(reads, writes):
+        gather_rows(reads[:1], writes[0])
+        row = 0
+        for head, addend in zip(reads[1::2], reads[2::2]):
+            seg = writes[0][row : row + len(head)]
+            row += len(head)
+            stack_sub_mod(coerce_stack(head, moduli_col), seg, moduli_col, out=seg)
+            stack_dot_mod([
+                (seg, terms[0], *companions[0]),
+                (coerce_stack(addend, moduli_col), terms[1], *companions[1]),
+            ], moduli_col, out=seg)
+
+    return fold
+
+
 def _dword_scalar_shoup(scalars, moduli_col: np.ndarray) -> np.ndarray:
     """Cached 64-bit Shoup companions of a per-row scalar column."""
     return _dword_scalar_shoup_cached(
@@ -990,6 +1019,7 @@ __all__ = [
     "stack_dot_mod",
     "stack_scalar_mod",
     "head_fold",
+    "head_addend_fold",
     "stack_add_scalar_mod",
     "stack_automorphism",
     "stack_switch_modulus_many",

@@ -36,7 +36,7 @@ per-stage stream.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -430,7 +430,8 @@ class StackedNTTEngine:
                 (r0, min(r0 + step, length), r0, min(r0 + step, length))
                 for r0 in range(0, length, step)
             ]
-        tables = [twiddle_tables(ring_degree, q) for q in base]
+        #: The distinct moduli the stage tables cover, one row each.
+        self._table_moduli = base
         base_col = modmath.moduli_column(base)
         self._base_col = base_col
         self._col3 = base_col.reshape(-1, 1, 1)
@@ -444,8 +445,26 @@ class StackedNTTEngine:
         self._grid = 0
         if self.ring_degree >= 2 * self._block:
             self._grid = self.ring_degree // self._block
-        self._fw_stages, self._fw_trans = self._stage_tables([t[0] for t in tables])
-        self._inv_stages, self._inv_trans = self._stage_tables([t[1] for t in tables])
+
+    # An engine builds a direction's stage tables on its first transform in
+    # that direction: most stacks only ever run one (a ModDown's special
+    # limbs go in, a ModUp's extended digits come out), and a dword table
+    # set is three (rows, N) words per modulus.  A second thread racing the
+    # first build computes the same read-only tables.
+
+    @cached_property
+    def _forward_tables(self) -> tuple[list, list]:
+        """The forward ``(stages, transposed stages)`` (:meth:`_stage_tables`)."""
+        return self._stage_tables([
+            twiddle_tables(self.ring_degree, q)[0] for q in self._table_moduli
+        ])
+
+    @cached_property
+    def _inverse_tables(self) -> tuple[list, list]:
+        """The inverse ``(stages, transposed stages)`` (:meth:`_stage_tables`)."""
+        return self._stage_tables([
+            twiddle_tables(self.ring_degree, q)[1] for q in self._table_moduli
+        ])
 
     @staticmethod
     def _groups(moduli: tuple[int, ...]) -> list[tuple[slice, int]]:
@@ -767,8 +786,9 @@ class StackedNTTEngine:
         q3 = self._col3[t0:t1]
         tq3 = self._two3[t0:t1]
         grid = self._grid
+        stages, transposed = self._forward_tables
         t = n
-        for tw, sh in self._fw_stages:
+        for tw, sh in stages:
             t //= 2
             view = data.reshape(rows, -1, 2 * t)
             _butterflies(
@@ -781,7 +801,7 @@ class StackedNTTEngine:
             np.copyto(gbuf, data.reshape(rows, grid, block).transpose(0, 2, 1))
             q4 = self._col4[t0:t1]
             tq4 = self._two4[t0:t1]
-            for tw, sh in self._fw_trans:
+            for tw, sh in transposed:
                 t //= 2
                 view = gbuf.reshape(rows, -1, 2 * t, grid)
                 _butterflies(
@@ -799,6 +819,7 @@ class StackedNTTEngine:
         q3 = self._col3[t0:t1]
         tq3 = self._two3[t0:t1]
         grid = self._grid
+        stages, transposed = self._inverse_tables
         t = 1
         if grid:
             block = self._block
@@ -806,7 +827,7 @@ class StackedNTTEngine:
             np.copyto(gbuf, data.reshape(rows, grid, block).transpose(0, 2, 1))
             q4 = self._col4[t0:t1]
             tq4 = self._two4[t0:t1]
-            for tw, sh in reversed(self._inv_trans):
+            for tw, sh in reversed(transposed):
                 view = gbuf.reshape(rows, -1, 2 * t, grid)
                 _gs_butterflies(
                     view[:, :, :t, :], view[:, :, t:, :], tw[t0:t1], sh[t0:t1],
@@ -814,7 +835,7 @@ class StackedNTTEngine:
                 )
                 t *= 2
             np.copyto(data.reshape(rows, grid, block), gbuf.transpose(0, 2, 1))
-        for tw, sh in reversed(self._inv_stages):
+        for tw, sh in reversed(stages):
             view = data.reshape(rows, -1, 2 * t)
             _gs_butterflies(
                 view[:, :, :t], view[:, :, t:], tw[t0:t1], sh[t0:t1], q3, tq3,

@@ -162,9 +162,10 @@ class BaseConverter:
             raise ValueError(f"source and target bases overlap: {sorted(overlap)}")
         self.source = source
         self.target = target
-        # [q̂_i]_{p_k} table, indexed [k][i] as in Equation 1.
+        # [q̂_i]_{p_k} table, indexed [k][i] as in Equation 1 (plus any
+        # correction column a subclass weighs in, see ``_weights``).
         self.q_hat_mod_target = [
-            [h % p for h in source.q_hat] for p in target.moduli
+            [w % p for w in self._weights()] for p in target.moduli
         ]
         self.q_hat_inv = list(source.q_hat_inv)
         # Stacked tables for the batched (limb-stack) conversion path.
@@ -208,6 +209,14 @@ class BaseConverter:
             self._q_hat_shoup_matrix = modmath.dword_shoup_column(
                 self._q_hat_matrix, self._target_col
             )
+
+    def _weights(self) -> list[int]:
+        """The integers the scaled source rows are weighed with: ``q̂_i``."""
+        return list(self.source.q_hat)
+
+    def _terms(self, scaled):
+        """The rows the accumulation multiplies with the table's columns."""
+        return scaled
 
     def convert(self, limbs: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Convert per-limb residue arrays from the source to the target basis."""
@@ -293,17 +302,16 @@ class BaseConverter:
         """
         if self._fast:
             stack = modmath.coerce_stack(source_stack, self._source_col)
+            scaled = modmath.stack_shoup_mul(
+                stack,
+                self._q_hat_inv_col,
+                self._q_hat_inv_shoup,
+                self._source_col,
+            )
             modmath.stack_dot_mod(
                 [
-                    (scaled_row[None, :], self._q_hat_matrix[:, i : i + 1])
-                    for i, scaled_row in enumerate(
-                        modmath.stack_shoup_mul(
-                            stack,
-                            self._q_hat_inv_col,
-                            self._q_hat_inv_shoup,
-                            self._source_col,
-                        )
-                    )
+                    (row[None, :], self._q_hat_matrix[:, i : i + 1])
+                    for i, row in enumerate(self._terms(scaled))
                 ],
                 self._target_col,
                 out=out,
@@ -325,25 +333,57 @@ class BaseConverter:
             )
             modmath._dword_dot(
                 [
-                    (scaled[i][None, :], self._q_hat_matrix[:, i : i + 1],
+                    (row[None, :], self._q_hat_matrix[:, i : i + 1],
                      self._q_hat_shoup_matrix[:, i : i + 1])
-                    for i in range(len(self.source))
+                    for i, row in enumerate(self._terms(scaled))
                 ],
                 self._target_col,
                 out,
             )
         else:
-            scaled = [
+            scaled = self._terms(np.array([
                 modmath.object_row(row) * inv % q
                 for row, inv, q in zip(source_stack, self.q_hat_inv, self.source.moduli)
-            ]
+            ]))
             length = source_stack.shape[1]
             for k, p in enumerate(self.target.moduli):
-                row = self.q_hat_mod_target[k]
                 acc = np.zeros(length, dtype=object)
-                for i in range(len(self.source)):
-                    acc = acc + scaled[i] * row[i]
+                for term, weight in zip(scaled, self.q_hat_mod_target[k]):
+                    acc = acc + term * weight
                 out[k] = acc % p
+
+
+class RoundingConverter(BaseConverter):
+    """Exactly rounded base conversion (Halevi-Polyakov-Shoup, ePrint 2018/117).
+
+    Produces the residues over the target of the *centred* representative
+    ``[x]_M`` of ``x`` modulo the source modulus ``M`` -- no ``α·M``
+    overshoot.  Equation 1's sum ``Σ_j y_j·q̂_j`` with the scaled source
+    rows ``y_j = [x_j·q̂_j^{-1}]_{m_j}`` equals ``[x]_M + v·M`` for
+    ``v = ⌊Σ_j y_j/m_j⌉``, so ``v`` is one more term of the same
+    accumulation, weighed with ``-M``: the launch estimates it in float64
+    from the scaled rows (exact Python integers on an exact chain) and the
+    table carries ``[-M]_{p_k}`` as one more column.  The float estimate
+    can round the wrong way only where ``x/M`` lies within about
+    ``|source|·2**-52`` of a half-integer.
+    """
+
+    def __init__(self, source: RNSBasis, target: RNSBasis) -> None:
+        super().__init__(source, target)
+        self._reciprocals = np.array([1.0 / m for m in source.moduli])
+
+    def _weights(self) -> list[int]:
+        return [*self.source.q_hat, -self.source.modulus]
+
+    def _terms(self, scaled):
+        if scaled.dtype == np.object_:
+            # Exact: round(Σ y_j·q̂_j / M), M odd, so no tie to break.
+            total = sum(y * h for y, h in zip(scaled, self.source.q_hat))
+            big_m = self.source.modulus
+            rounded = (2 * total + big_m) // (2 * big_m)
+            return np.concatenate([scaled, rounded[None, :]])
+        estimate = np.rint(self._reciprocals @ scaled.astype(np.float64))
+        return np.concatenate([scaled, estimate.astype(np.uint64)[None, :]])
 
 
 def partition_digits(moduli: Sequence[int], dnum: int) -> list[list[int]]:
@@ -371,6 +411,7 @@ def digit_of_limb(limb_index: int, total_limbs: int, dnum: int) -> int:
 __all__ = [
     "RNSBasis",
     "BaseConverter",
+    "RoundingConverter",
     "partition_digits",
     "digit_of_limb",
 ]

@@ -336,32 +336,9 @@ class CKKSOperationCosts:
 
     def key_switch(self, limbs: int, *, input_in_coeff: bool = False) -> OperationCost:
         """Hybrid key switching of one polynomial at ``limbs`` active limbs."""
-        params = self.params
-        alpha = params.digit_size
-        special = params.special_limb_count
-        digits = math.ceil(limbs / alpha)
-        extended = limbs + special
         cost = OperationCost("KeySwitch")
-        # iNTT of the input polynomial (fused into the tensor step for HMult).
-        if not input_in_coeff:
-            cost.kernels += self.ntt_kernels(limbs, tag="ks-intt",
-                                             fused_elementwise_polys=1.0,
-                                             fused_ops_per_element=self.arith.modmul_ops)
-        for digit in range(digits):
-            digit_limbs = min(alpha, limbs - digit * alpha)
-            target = extended - digit_limbs
-            cost.kernels += self.base_conversion_kernels(digit_limbs, target, tag="modup")
-            cost.kernels += self.ntt_kernels(target, tag="modup-ntt",
-                                             fused_elementwise_polys=2.0,
-                                             fused_ops_per_element=self.arith.modmul_ops)
-        # Key inner product (dot-product fusion saves intermediate writes).
-        writes = 2.0 if self.fusion else 2.0 * digits * self.fusion_penalty
-        cost.kernels += self.elementwise_kernels(
-            "ks-inner-product", extended,
-            polys_read=3.0 * digits,
-            polys_written=writes,
-            ops_per_element=digits * 2.0 * (self.arith.modmul_ops + self.arith.modadd_ops),
-        )
+        cost.kernels += self._key_switch_up(limbs, input_in_coeff=input_in_coeff)
+        special = self.params.special_limb_count
         # ModDown of both accumulated components.
         for _ in range(2):
             cost.kernels += self.ntt_kernels(special, tag="moddown-intt")
@@ -373,18 +350,59 @@ class CKKSOperationCosts:
             )
         return cost
 
-    def hmult(self, limbs: int, *, include_rescale: bool = False) -> OperationCost:
-        """HMult: tensor product, relinearisation key switch and final add."""
-        cost = OperationCost("HMult")
-        cost.kernels += self.elementwise_kernels(
+    def _key_switch_up(self, limbs: int, *, input_in_coeff: bool = False) -> list[Kernel]:
+        """A key switch up to its two accumulators over ``Q_l ∪ P``: the
+        digit iNTT, each digit's ModUp and the key inner product."""
+        params = self.params
+        alpha = params.digit_size
+        digits = math.ceil(limbs / alpha)
+        extended = limbs + params.special_limb_count
+        kernels = []
+        # iNTT of the input polynomial (fused into the tensor step for HMult).
+        if not input_in_coeff:
+            kernels += self.ntt_kernels(limbs, tag="ks-intt",
+                                        fused_elementwise_polys=1.0,
+                                        fused_ops_per_element=self.arith.modmul_ops)
+        for digit in range(digits):
+            digit_limbs = min(alpha, limbs - digit * alpha)
+            target = extended - digit_limbs
+            kernels += self.base_conversion_kernels(digit_limbs, target, tag="modup")
+            kernels += self.ntt_kernels(target, tag="modup-ntt",
+                                        fused_elementwise_polys=2.0,
+                                        fused_ops_per_element=self.arith.modmul_ops)
+        # Key inner product (dot-product fusion saves intermediate writes).
+        writes = 2.0 if self.fusion else 2.0 * digits * self.fusion_penalty
+        kernels += self.elementwise_kernels(
+            "ks-inner-product", extended,
+            polys_read=3.0 * digits,
+            polys_written=writes,
+            ops_per_element=digits * 2.0 * (self.arith.modmul_ops + self.arith.modadd_ops),
+        )
+        return kernels
+
+    def _tensor(self, limbs: int, *, square: bool) -> list[Kernel]:
+        """HMult's tensor product (HSquare's needs 3 products instead of 4)."""
+        if square:
+            return self.elementwise_kernels(
+                "square-tensor", limbs, polys_read=2.0, polys_written=3.0,
+                ops_per_element=3.0 * self.arith.modmul_ops + self.arith.modadd_ops,
+            )
+        return self.elementwise_kernels(
             "tensor", limbs, polys_read=4.0, polys_written=3.0,
             ops_per_element=4.0 * self.arith.modmul_ops + 2.0 * self.arith.modadd_ops,
         )
+
+    def hmult(self, limbs: int, *, include_rescale: bool = False) -> OperationCost:
+        """HMult: tensor product, relinearisation key switch and final add.
+
+        ``include_rescale`` appends FIDESlib's separate rescale (Tables V,
+        VII); this repo's data plane merges it into the ModDown instead
+        (:meth:`product_rescale`).
+        """
+        cost = OperationCost("HMult")
+        cost.kernels += self._tensor(limbs, square=False)
         cost.extend(self.key_switch(limbs))
-        cost.kernels += self.elementwise_kernels(
-            "relin-add", limbs, polys_read=4.0, polys_written=2.0,
-            ops_per_element=2.0 * self.arith.modadd_ops,
-        )
+        cost.kernels += self._relin_add(limbs)
         if include_rescale:
             cost.extend(self.rescale(limbs))
         return cost
@@ -392,15 +410,47 @@ class CKKSOperationCosts:
     def hsquare(self, limbs: int) -> OperationCost:
         """HSquare: cheaper tensor step (3 products instead of 4)."""
         cost = OperationCost("HSquare")
-        cost.kernels += self.elementwise_kernels(
-            "square-tensor", limbs, polys_read=2.0, polys_written=3.0,
-            ops_per_element=3.0 * self.arith.modmul_ops + self.arith.modadd_ops,
-        )
+        cost.kernels += self._tensor(limbs, square=True)
         cost.extend(self.key_switch(limbs))
-        cost.kernels += self.elementwise_kernels(
+        cost.kernels += self._relin_add(limbs)
+        return cost
+
+    def _relin_add(self, limbs: int) -> list[Kernel]:
+        return self.elementwise_kernels(
             "relin-add", limbs, polys_read=4.0, polys_written=2.0,
             ops_per_element=2.0 * self.arith.modadd_ops,
         )
+
+    def product_rescale(self, limbs: int, *, square: bool = False) -> OperationCost:
+        """HMult (or HSquare) + rescale with one merged ModDown-rescale tail.
+
+        The stream this repo's data plane launches: the relinearisation
+        key switch stops at its accumulators over ``Q_l ∪ P``, and per
+        component one iNTT of the ``α+1`` rows ``{q_l} ∪ P`` (adding
+        ``P·d_l`` to the ``q_l`` row on the way in), one exactly rounded
+        conversion to ``Q_{l-1}`` and one NTT over ``l`` rows with the
+        fold of the accumulator and the tensor's ``d_i`` divide by
+        ``P·q_l`` -- no relinearisation add and no separate rescale.
+        """
+        special = self.params.special_limb_count
+        mul_add = self.arith.modmul_ops + self.arith.modadd_ops
+        cost = OperationCost("HSquare+Rescale" if square else "HMult+Rescale")
+        cost.kernels += self._tensor(limbs, square=square)
+        cost.kernels += self._key_switch_up(limbs)
+        for _ in range(2):  # both ciphertext components
+            cost.kernels += self.ntt_kernels(
+                special + 1, tag="moddown-rescale-intt",
+                fused_elementwise_polys=1.0,
+                fused_ops_per_element=mul_add / (special + 1),
+            )
+            cost.kernels += self.base_conversion_kernels(
+                special + 1, limbs - 1, tag="moddown-rescale-conv"
+            )
+            cost.kernels += self.ntt_kernels(
+                limbs - 1, tag="moddown-rescale-ntt",
+                fused_elementwise_polys=3.0,
+                fused_ops_per_element=2.0 * mul_add,
+            )
         return cost
 
     def hrotate(self, limbs: int) -> OperationCost:

@@ -225,12 +225,11 @@ class TestSymbolicEmission:
         with session.trace() as trace:
             _ = 2.0 * (ct * other) + 1.0
         assert trace.scopes() == [
-            "hmult", "hmult/rescale", "scalarmult", "scalarmult/rescale",
-            "scalaradd",
+            "hmult", "scalarmult", "scalarmult/rescale", "scalaradd",
         ]
         costs, limbs = costmodel.costs, ct.limb_count
         expected = [
-            costs.hmult(limbs), costs.rescale(limbs),
+            costs.product_rescale(limbs),
             costs.scalar_mult(limbs - 1), costs.rescale(limbs - 1),
             costs.scalar_add(limbs - 2),
         ]
@@ -253,7 +252,8 @@ class TestSymbolicEmission:
         ]
 
     def test_session_twin_emits_the_data_planes_hmult(self):
-        """Regression: the twin used to limb-batch by ``params.limb_batch`` (43 vs 20)."""
+        """Regression: the twin used to limb-batch by ``params.limb_batch`` (43 vs 20,
+        the separate-rescale stream; 15 with the merged ModDown-rescale)."""
         params = CKKSParameters(
             ring_degree=1 << 13, mult_depth=5, scale_bits=28, dnum=3,
             first_mod_bits=30, label="twin-13-5",
@@ -267,13 +267,13 @@ class TestSymbolicEmission:
                 x * y
             traces.append(trace)
         functional, symbolic = traces
-        assert functional.kernel_count == symbolic.kernel_count == 20
-        assert functional.bytes_moved == symbolic.bytes_moved == 27_131_904
+        assert functional.kernel_count == symbolic.kernel_count == 15
+        assert functional.bytes_moved == symbolic.bytes_moved == 21_626_880
         kinds = [
             Counter(kernel_kind(k.name) for k in trace.kernels()) for trace in traces
         ]
         assert kinds[0] == kinds[1] == {
-            "ntt": 7, "intt": 5, "baseconv": 5, "elementwise": 3,
+            "ntt": 5, "intt": 3, "baseconv": 5, "elementwise": 2,
         }
 
     def test_both_backends_fill_a_trace_with_the_same_operation_scopes(self, session):
@@ -290,15 +290,15 @@ class TestSymbolicEmission:
                 scopes.append(operation_scopes(trace))
             assert scopes[0] == scopes[1]
             prefix = "batch4/" if fused else ""
-            assert {f"{prefix}hmult", f"{prefix}hmult/{prefix}rescale",
-                    f"{prefix}hrotate"} <= set(scopes[1])
+            assert {f"{prefix}hmult", f"{prefix}hrotate"} <= set(scopes[1])
+            assert f"{prefix}hmult/{prefix}rescale" not in scopes[1]
 
     def test_tracing_backend_records_symbolic_kernels(self, session):
         tracing = TracingBackend(session.cost_backend())
         ct = tracing.encrypt([0.25, -0.5])
         tracing.multiply(ct, ct)
         assert tracing.trace.kernel_count > 0
-        assert tracing.trace.scopes() == ["hmult", "hmult/rescale"]
+        assert tracing.trace.scopes() == ["hmult"]
 
     def test_unobserved_program_builds_no_kernel_and_keeps_no_state(self, session):
         class NoBuilders:

@@ -470,9 +470,13 @@ class TestBatchTrace:
         TraceProgram(trace).verify()
         staged = expand_stages(trace)
         result = fuse_trace(staged)
-        # The unfused B-row stream fuses back to fewer launches than the
-        # fused record holds, with the arithmetic conserved.
-        assert result.events_after < len(trace)
+        # The unfused B-row stream fuses back to the fused record's launches
+        # but for each multi-digit inner product, which fuse_trace keeps as
+        # one chain per component, with the arithmetic conserved.
+        inner_products = sum(
+            e.kernel.name.startswith("ks-inner-product") for e in trace
+        )
+        assert result.events_after <= len(trace) + inner_products < len(staged)
         assert result.fused_trace.int_ops == pytest.approx(staged.int_ops)
 
     def test_batch_scope_prefix_tags_provenance(self, evaluator, cts_a, cts_b):

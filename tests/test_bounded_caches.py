@@ -96,11 +96,11 @@ def test_every_cached_array_is_read_only(name):
 def test_the_walk_reaches_every_engine_table():
     engine = get_stacked_engine(1 << 10, _DWORD)
     assert not engine.gemm and engine._grid  # stage and transposed tables
-    reached = {id(a) for a in _arrays(engine, set())}
+    # A direction's tables are built on its first transform that way.
     tables = [engine._two3, engine._two4]
-    for stages in (engine._fw_stages, engine._fw_trans,
-                   engine._inv_stages, engine._inv_trans):
+    for stages in (*engine._forward_tables, *engine._inverse_tables):
         tables += [table for stage in stages for table in stage]
+    reached = {id(a) for a in _arrays(engine, set())}
     assert {id(a) for a in tables} <= reached
     gemm = get_stacked_engine(1 << 10, _UINT64)
     assert gemm.gemm

@@ -97,7 +97,8 @@ class TestRecording:
         assert "hmult" in scopes
         assert "hmult/modup" in scopes
         assert "hmult/keyswitch/moddown" in scopes
-        assert "hmult/rescale" in scopes
+        # The rescale is merged into the ModDown: no scope of its own.
+        assert not any(scope.endswith("rescale") for scope in scopes)
         names = [event.kernel.name for event in hmult_trace]
         assert "tensor[7]" in names         # 7 limbs at the top level
         assert any(name.startswith("baseconv[") for name in names)
@@ -105,9 +106,9 @@ class TestRecording:
     def test_dependencies_reference_earlier_events(self, hmult_trace):
         for event in hmult_trace:
             assert all(0 <= dep < event.index for dep in event.deps)
-        # The relinearisation add depends (transitively) on earlier work.
-        relin = next(e for e in hmult_trace if e.kernel.name.startswith("relin-add"))
-        assert relin.deps
+        # The merged ModDown-rescale tail depends on earlier work.
+        tail = [e for e in hmult_trace if e.scope == "hmult/keyswitch/moddown"]
+        assert tail and all(e.deps for e in tail)
 
     def test_trace_determinism(self, traced_session):
         rng = np.random.default_rng(5)
@@ -241,14 +242,18 @@ class TestRecording:
         assert dispatcher.launch("site") is dispatcher.scope("op")
 
     def test_hmult_record_equals_the_parents(self, hmult_trace):
-        # The four composite kernels are launch groups now; what they record
-        # is what the hand-written emitters recorded at ba71412.
-        assert hmult_trace.kernel_count == 20
-        assert hmult_trace.bytes_moved == 16613376.0
-        assert hmult_trace.int_ops == 19574784.0
+        # The four composite kernels are launch groups; what they record is
+        # what the hand-written emitters recorded at ba71412 (20 kernels,
+        # 16,613,376 B, 19,574,784 ops) less the relinearisation add and
+        # the separate rescale, which the merged ModDown-rescale tail folds
+        # into its transforms.
+        assert hmult_trace.kernel_count == 15
+        assert hmult_trace.bytes_moved == 13402112.0
+        assert hmult_trace.int_ops == 16445440.0
         names = [e.kernel.name for e in hmult_trace]
         assert names[0] == "tensor[7]" and "ks-inner-product[10]" in names
-        assert "relin-add[7]" in names
+        assert names[-3:] == ["intt[4]", "baseconv[4->6]", "ntt[6]"]
+        assert not any(name.startswith("relin-add") for name in names)
 
     def test_tracing_backend_accumulates_across_operations(self, traced_session):
         backend = TracingBackend(traced_session.backend)
@@ -257,7 +262,7 @@ class TestRecording:
         backend.rescale_count = None  # attribute access does not break tracing
         assert backend.trace.kernel_count > 0
         leafs = backend.trace.leaf_segments()
-        assert "rescale" in leafs
+        assert "moddown" in leafs and "rescale" not in leafs
         assert backend.describe()["backend"] == "tracing"
         assert result.limb_count == ct.limb_count - 1
 
@@ -312,7 +317,7 @@ class TestReconciliation:
         costs = CKKSOperationCosts(session.params, limb_batch=None, fusion=True)
         report = reconcile_trace(
             record_hmult(session),
-            costs.hmult(session.max_level + 1, include_rescale=True),
+            costs.product_rescale(session.max_level + 1),
         )
         assert report.within(kernel_tolerance=0.05, bytes_tolerance=0.05), \
             report.describe()
@@ -414,18 +419,25 @@ class TestReconciliation:
         with session.trace() as trace:
             ct_a * ct_b
         costs = CKKSOperationCosts(params, limb_batch=None, fusion=True)
-        cost = costs.hmult(ct_a.limb_count, include_rescale=True)
+        cost = costs.product_rescale(ct_a.limb_count)
         report = reconcile_trace(trace, cost, name="HMult+rescale @ N=2^13")
         assert report.kernel_count_delta <= 0.05, report.describe()
         assert report.bytes_delta <= 0.05, report.describe()
-        # The rescale segment alone matches the standalone Rescale cost.
-        rescale_events = [
-            e.kernel for e in trace if e.scope.endswith("rescale")
+        # The merged ModDown-rescale tail alone matches its closed form and
+        # transforms 2(α+1) + 2(L-1) rows (16 here): a ModDown, then a
+        # separate rescale, transformed 2(α+L) + 2L (28).
+        tail_events = [
+            e.kernel for e in trace if e.scope == "hmult/keyswitch/moddown"
         ]
-        rescale_report = reconcile_trace(
-            rescale_events, costs.rescale(ct_a.limb_count)
-        )
-        assert rescale_report.within()
+        tail_report = reconcile_trace(tail_events, [
+            k for k in cost.kernels if k.name.startswith("moddown-rescale")
+        ])
+        assert tail_report.within()
+        alpha, limbs = params.special_limb_count, ct_a.limb_count
+        assert sum(
+            int(k.name.split("[")[1][:-1]) for k in tail_events
+            if kernel_kind(k.name) in ("intt", "ntt")
+        ) == 2 * (alpha + 1) + 2 * (limbs - 1) == 16
 
     def test_keyswitch_segments_reconcile(self, traced_session, hmult_trace):
         # ModUp + inner product + ModDown of the trace against the
@@ -514,7 +526,7 @@ class TestTracePricing:
         rollup.add_report(hmult_trace, report)
         assert sum(row.kernels for row in rollup.rows.values()) == \
             hmult_trace.kernel_count
-        for name in ("modup", "moddown", "rescale"):
+        for name in ("modup", "moddown"):
             assert rollup.rows[name].execution_s > 0
         summary = report.summary()
         assert summary["kernel_count"] == hmult_trace.kernel_count

@@ -58,7 +58,7 @@ class TestAdditions:
         assert_close(decryptor.decrypt_values(ct, 16).real, messages[0] + 0.375)
 
     def test_scalar_sub(self, evaluator, decryptor, ciphertexts, messages):
-        ct = evaluator.sub_scalar(ciphertexts[0], 0.25)
+        ct = evaluator.add_scalar(ciphertexts[0], -0.25)
         assert_close(decryptor.decrypt_values(ct, 16).real, messages[0] - 0.25)
 
     def test_addition_is_commutative(self, evaluator, decryptor, ciphertexts):

@@ -323,7 +323,7 @@ class TestReplayAcrossBackends:
     """TraceProgram bit-identity on the uint64, dword and object planes."""
 
     @staticmethod
-    def _record_hmult(scale_bits, first_mod_bits):
+    def _record_hmult(scale_bits, first_mod_bits, *, then_rescale=False):
         from repro.ckks.context import Context
         from repro.ckks.encryption import Encryptor
         from repro.ckks.evaluator import Evaluator
@@ -342,7 +342,9 @@ class TestReplayAcrossBackends:
         a = encryptor.encrypt_values(rng.uniform(-1, 1, 8))
         b = encryptor.encrypt_values(rng.uniform(-1, 1, 8))
         with DISPATCH.record(executable=True) as trace:
-            evaluator.multiply(a, b)
+            product = evaluator.multiply(a, b)
+            if then_rescale:
+                evaluator.rescale(product)
         return context, trace
 
     def test_uint64_backend_replay(self):
@@ -357,9 +359,10 @@ class TestReplayAcrossBackends:
 
     @pytest.mark.parametrize("mode", ["fused", "stage-granular"])
     def test_mixed_chain_replay(self, mode):
-        # 60-bit q_0 over 28-bit scale primes: the rescale's kept sub-basis
-        # selects the single-word arithmetic and reads its parent's rows.
-        context, trace = self._record_hmult(28, 60)
+        # 60-bit q_0 over 28-bit scale primes: the rescale's dropped
+        # 28-bit limb selects the single-word arithmetic.  (Every transform
+        # of the HMult itself meets q_0 or P, so a rescale follows it.)
+        context, trace = self._record_hmult(28, 60, then_rescale=True)
         assert context.numeric_backend == modmath.BACKEND_DWORD
         if mode == "fused":
             TraceProgram(trace).verify()

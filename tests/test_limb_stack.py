@@ -421,7 +421,11 @@ def test_default_pool_accounting_is_the_parents():
     encryptions stop charging ten stacks: ``keep_limbs`` of the public
     key's two polynomials at the top level returns the polynomial itself
     (it was ``LimbStack.head`` -> ``.copy()``).  Peak and final bytes are
-    unmoved; every other site in the program charges what it did.
+    unmoved; every other site in the program charges what it did.  Since
+    HMult ends in one merged ModDown-rescale, each of the two products
+    charges four stacks fewer (the ModDown's two and the relinearisation
+    add's two; the tail's two replace the rescale's), and the peak drops
+    from 489472 to 477184 bytes.
     """
     from repro.api import CKKSSession
     from repro.ckks.ciphertext import Ciphertext
@@ -452,7 +456,7 @@ def test_default_pool_accounting_is_the_parents():
         default_pool.allocation_count - allocations,
         default_pool.peak_bytes - baseline,
         default_pool.bytes_in_use - baseline,
-    ) == (102, 489472, 0)
+    ) == (94, 477184, 0)
 
 
 class TestBenchmarkTableJson:

@@ -105,9 +105,10 @@ SERVE_SERIES = {
 
 
 #: sha256 of the sorted-key JSON export of one priced B=8 drain with spans
-#: (``TestChromeTraceExport.test_single_drain_export_is_pinned``).
+#: (``TestChromeTraceExport.test_single_drain_export_is_pinned``), with the
+#: program's HMult ending in one merged ModDown-rescale.
 SINGLE_DRAIN_EXPORT_SHA256 = (
-    "f046b9e03398e8f4ca98709cf92000437a0bdb8aa17aa28c690181e32b60e6bc"
+    "0d8a3e64e86567f5f5cb6a2617ee57e3ec4cb8d888e4a45d4c95c3e02f07b5cd"
 )
 
 
