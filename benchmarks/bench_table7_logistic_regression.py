@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.api import CostModelBackend, TracingBackend
+from repro.api import CostModelBackend
 from repro.apps.logistic_regression import EncryptedLogisticRegression
 from repro.bench.reporting import BenchmarkTable, format_seconds, speedup
+from repro.core.dispatch import DISPATCH
 from repro.gpu.platforms import GPU_RTX_4090
 from repro.perf.fideslib_model import FIDESlibModel
 from repro.perf.openfhe_model import OpenFHEModel
@@ -59,14 +60,15 @@ def test_table7_program_on_cost_backend(benchmark, lr_params, lr_models):
     rng = np.random.default_rng(0)
 
     def run_program():
-        backend = TracingBackend(CostModelBackend.for_model(lr_models["fideslib"]))
+        backend = CostModelBackend.for_model(lr_models["fideslib"])
         model = EncryptedLogisticRegression(backend=backend, feature_count=features)
-        columns, labels = model.encrypt_batch(
-            rng.uniform(-1, 1, (batch_size, features)),
-            rng.integers(0, 2, batch_size).astype(float),
-        )
-        model.train_batch(columns, labels, batch_size)
-        return backend.trace
+        with DISPATCH.record() as trace:
+            columns, labels = model.encrypt_batch(
+                rng.uniform(-1, 1, (batch_size, features)),
+                rng.integers(0, 2, batch_size).astype(float),
+            )
+            model.train_batch(columns, labels, batch_size)
+        return trace
 
     trace = benchmark(run_program)
     gpu_time = lr_models["fideslib"].pricer.price(trace).makespan

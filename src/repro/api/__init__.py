@@ -15,8 +15,7 @@ stay available underneath):
   functional backend and executes for real,
   :class:`~repro.api.backend.CostModelBackend` replays the same program
   symbolically, emitting each operation's closed-form kernels onto the
-  execution-plane dispatcher -- so ``session.trace()``,
-  :class:`~repro.api.backend.TracingBackend` and a priced
+  execution-plane dispatcher -- so ``session.trace()`` and a priced
   :class:`~repro.serve.Server` record, price
   (:class:`~repro.perf.trace_model.TraceCostModel`) and roll up
   (:class:`~repro.obs.rollup.ScopeRollup`) either backend the same way.
@@ -26,7 +25,6 @@ from repro.api.backend import (
     CostModelBackend,
     EvaluationBackend,
     SymbolicCiphertext,
-    TracingBackend,
     as_backend,
 )
 from repro.api.session import CKKSSession, resolve_parameters, resolve_rotations
@@ -38,7 +36,6 @@ __all__ = [
     "EvaluationBackend",
     "CostModelBackend",
     "SymbolicCiphertext",
-    "TracingBackend",
     "as_backend",
     "as_vector",
     "resolve_parameters",

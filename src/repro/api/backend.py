@@ -19,9 +19,9 @@ to whichever backend its handle belongs to.
   neighbours), only the ladder and the way down a level are symbolic --
   while every operation emits its closed-form kernel decomposition through
   the execution-plane dispatcher, inside the operation scopes the evaluator
-  opens.  It keeps no books of its own: ``session.trace()``,
-  :class:`TracingBackend` and a ``Server(trace_costs=...)`` observe, price
-  and roll up a symbolic program exactly as they do a functional one, and
+  opens.  It keeps no books of its own: ``session.trace()`` and a
+  ``Server(trace_costs=...)`` observe, price and roll up a symbolic
+  program exactly as they do a functional one, and
   outside a recording region a symbolic operation builds no kernel at all.
 
 Both backends accept plaintext operands either pre-encoded
@@ -40,8 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Protocol, Sequence, runtime_checkable
 
-import numpy as np
-
 from repro.ckks.ciphertext import (
     Plaintext,
     adjust_is_noop,
@@ -58,10 +56,11 @@ from repro.ckks.ciphertext import (
     member_lengths,
 )
 from repro.ckks.context import Context
+from repro.ckks.encoding import check_message
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeySet
 from repro.ckks.params import CKKSParameters
-from repro.core.dispatch import DISPATCH, KernelTrace
+from repro.core.dispatch import DISPATCH
 from repro.perf.costmodel import CKKSOperationCosts
 
 
@@ -109,13 +108,6 @@ class EvaluationBackend(Protocol):
     def describe(self) -> dict: ...
 
 
-#: Every operation of the protocol (its public methods except ``describe``).
-BACKEND_OPERATIONS = tuple(
-    name for name, member in vars(EvaluationBackend).items()
-    if callable(member) and not name.startswith("_") and name != "describe"
-)
-
-
 def as_backend(obj) -> EvaluationBackend:
     """Normalise a backend-ish object (session or backend) to a backend.
 
@@ -152,7 +144,7 @@ class SymbolicCiphertext:
     limb_count: int
     scale: float
     slots: int
-    encoded_length: int | tuple | None = None
+    encoded_length: int | tuple
     batch_size: int = 1
 
     @property
@@ -262,17 +254,20 @@ class CostModelBackend:
 
     # -- ciphertext sources -------------------------------------------------
 
-    def encrypt(self, values=None, *, scale: float | None = None,
+    def encrypt(self, values, *, scale: float | None = None,
                 level: int | None = None) -> SymbolicCiphertext:
-        """Return a fresh symbolic ciphertext (client-side, hence cost-free)."""
+        """Return a fresh symbolic ciphertext (client-side, hence cost-free).
+
+        ``values`` and ``scale`` pass the encoder's checks
+        (:func:`~repro.ckks.encoding.check_message`), so a message the
+        functional backend refuses is refused here too.
+        """
         limb_count = self.params.mult_depth + 1 if level is None else level + 1
         if not 1 <= limb_count <= self.params.mult_depth + 1:
             raise ValueError(f"invalid level {level}")
         scale = self.params.scale if scale is None else float(scale)
-        encoded_length = None
-        if values is not None:
-            encoded_length = int(np.atleast_1d(np.asarray(values)).shape[0])
-        return SymbolicCiphertext(limb_count, scale, self.params.slots, encoded_length)
+        message = check_message(values, scale, self.params.slots)
+        return SymbolicCiphertext(limb_count, scale, self.params.slots, len(message))
 
     def encrypt_batch(self, value_rows: Sequence, *, scale: float | None = None,
                       level: int | None = None) -> SymbolicCiphertext:
@@ -452,66 +447,9 @@ class CostModelBackend:
         }
 
 
-# ----------------------------------------------------------------------
-# tracing backend
-# ----------------------------------------------------------------------
-
-
-class TracingBackend:
-    """Wraps a backend and records the kernel stream of every operation.
-
-    Each dispatched operation runs inside an execution-plane recording
-    region (:meth:`repro.core.dispatch.Dispatcher.record`), so the wrapped
-    backend executes unchanged -- handles, levels, scales and ciphertext
-    bits are identical with and without the wrapper -- while every batched
-    data-plane kernel it launches lands in :attr:`trace` with operation
-    scopes and dependency edges intact across calls.
-
-    Both kernel producers land in it: an
-    :class:`~repro.ckks.evaluator.Evaluator` records the kernels its data
-    plane launches, a :class:`CostModelBackend` the closed-form kernels it
-    emits for the same operations.
-    """
-
-    name = "tracing"
-
-    def __init__(self, inner, *, trace: KernelTrace | None = None) -> None:
-        self.inner = as_backend(inner)
-        self.params: CKKSParameters = self.inner.params
-        self.trace = trace if trace is not None else KernelTrace()
-
-    def _recorded(self, method: str, *args, **kwargs):
-        with DISPATCH.record(self.trace):
-            return getattr(self.inner, method)(*args, **kwargs)
-
-    def describe(self) -> dict:
-        return {
-            "backend": self.name,
-            "inner": self.inner.describe(),
-            "kernels_recorded": self.trace.kernel_count,
-        }
-
-
-def _recording_op(name: str):
-    def op(self, *args, **kwargs):
-        return self._recorded(name, *args, **kwargs)
-
-    op.__name__ = name
-    op.__doc__ = f"``inner.{name}`` inside a recording region."
-    return op
-
-
-# The delegated surface is every operation of the protocol, by construction.
-for _name in BACKEND_OPERATIONS:
-    setattr(TracingBackend, _name, _recording_op(_name))
-del _name
-
-
 __all__ = [
     "EvaluationBackend",
     "CostModelBackend",
     "SymbolicCiphertext",
-    "TracingBackend",
-    "BACKEND_OPERATIONS",
     "as_backend",
 ]

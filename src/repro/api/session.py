@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.api.backend import CostModelBackend, TracingBackend
+from repro.api.backend import CostModelBackend
 from repro.api.vector import CipherVector
 from repro.core.dispatch import DISPATCH, KernelTrace
 from repro.ckks.ciphertext import Ciphertext, Plaintext
@@ -372,22 +372,16 @@ class CKKSSession:
         :func:`repro.core.fusion.expand_stages` derives from it the unfused
         GPU baseline -- transforms and key-switch inner products at
         per-stage launch granularity -- that the fusions are priced
-        against.  For tracing scoped to a single backend rather than a code
-        region, see :class:`~repro.api.backend.TracingBackend`.
+        against.
         """
         with DISPATCH.record(trace, executable=executable) as active:
             yield active
-
-    def tracing_backend(self, trace: KernelTrace | None = None) -> TracingBackend:
-        """A wrapper of this session's backend that records every operation."""
-        return TracingBackend(self.backend, trace=trace)
 
     # ------------------------------------------------------------------
     # serving plane
     # ------------------------------------------------------------------
 
-    def observability(self, *, enabled=True, registry=None, clock=None,
-                      watch_default_pool=True):
+    def observability(self, *, clock=None, watch_default_pool=True):
         """The unified observability plane (:class:`repro.obs.Observability`).
 
         Returns a facade bundling a metrics registry, a span tracer, the
@@ -405,16 +399,15 @@ class CKKSSession:
             print(obs.report().to_text())          # per-scope rollup
             obs.export_chrome_trace("trace.perfetto.json")
 
-        ``enabled=False`` returns an inert facade (every hook early-outs;
-        a server given one behaves exactly as one given no observability
-        at all).  ``watch_default_pool`` (default) publishes the
+        A server given no facade records none of this.
+        ``watch_default_pool`` (default) publishes the
         process-wide :data:`repro.core.memory.default_pool` accounting as
         ``memory_pool_*`` gauges.
         """
         from repro.core.memory import default_pool
         from repro.obs import Observability
 
-        obs = Observability(enabled=enabled, registry=registry, clock=clock)
+        obs = Observability(clock=clock)
         if watch_default_pool:
             obs.watch_pool(default_pool)
         return obs

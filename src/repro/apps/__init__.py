@@ -10,9 +10,8 @@ parameters.
   for the proprietary 45,000-sample dataset of the paper's LR experiment.
 * :mod:`repro.apps.logistic_regression` -- encrypted mini-batch logistic
   regression training (Table VII's workload) plus a plaintext reference.
-* :mod:`repro.apps.linear_algebra` -- encrypted dot products, rotation
-  sums and matrix-vector products using hoisted rotations.
-* :mod:`repro.apps.stats` -- encrypted descriptive statistics.
+* :mod:`repro.apps.linear_algebra` -- encrypted slot sums (the
+  rotate-and-add tree the regression reduces its gradients with).
 """
 
 from repro.apps.dataset import make_loan_dataset
@@ -21,12 +20,10 @@ from repro.apps.logistic_regression import (
     PlaintextLogisticRegression,
 )
 from repro.apps.linear_algebra import EncryptedLinearAlgebra
-from repro.apps.stats import EncryptedStatistics
 
 __all__ = [
     "make_loan_dataset",
     "EncryptedLogisticRegression",
     "PlaintextLogisticRegression",
     "EncryptedLinearAlgebra",
-    "EncryptedStatistics",
 ]

@@ -1,12 +1,9 @@
-"""Encrypted linear-algebra building blocks on the backend seam.
+"""Encrypted slot sums on the backend seam.
 
-These helpers exercise the rotation machinery (including hoisted
-rotations) on realistic patterns: slot sums, inner products between
-ciphertexts, and small matrix-vector products evaluated with the diagonal
-method.  They are written against the
-:class:`~repro.api.backend.EvaluationBackend` protocol, so the same code
-runs functionally (real ciphertexts) or symbolically (GPU cost model).
-The logistic-regression and statistics apps are built on top of them.
+The rotate-and-add tree the logistic-regression app reduces its gradients
+with, written against the :class:`~repro.api.backend.EvaluationBackend`
+protocol, so the same code runs functionally (real ciphertexts) or
+symbolically (GPU cost model).
 """
 
 from __future__ import annotations
@@ -45,51 +42,6 @@ class EncryptedLinearAlgebra:
         for step in self.rotation_steps_for_sum(length):
             result = result + (result << step)
         return result
-
-    def inner_product(self, ct_a, ct_b, length: int) -> CipherVector:
-        """Inner product of two encrypted vectors, broadcast to every slot."""
-        product = as_vector(self.backend, ct_a) * as_vector(self.backend, ct_b)
-        return self.sum_slots(product, length)
-
-    def weighted_sum(self, cts, weights) -> CipherVector:
-        """Return ``Σ_i weights[i] * cts[i]`` (scalar multiplications + adds)."""
-        if len(cts) != len(weights) or not cts:
-            raise ValueError("need equally many ciphertexts and weights")
-        result = as_vector(self.backend, cts[0]) * float(weights[0])
-        for ct, weight in zip(cts[1:], weights[1:]):
-            result = result + as_vector(self.backend, ct) * float(weight)
-        return result
-
-    def matrix_vector(self, matrix: np.ndarray, ct) -> CipherVector:
-        """Multiply an encrypted vector by a small plaintext square matrix.
-
-        Uses the diagonal method: ``M·v = Σ_k diag_k(M) ⊙ rot_k(v)``, with
-        all rotations produced by one hoisted decomposition (§III-F.6) and
-        the accumulation by the dot-product fusion of §III-F.5.  The
-        matrix dimension must divide the slot count.
-        """
-        matrix = np.asarray(matrix, dtype=np.float64)
-        dim = matrix.shape[0]
-        if matrix.shape != (dim, dim):
-            raise ValueError("matrix must be square")
-        vector = as_vector(self.backend, ct)
-        steps = [k for k in range(1, dim)]
-        rotations = vector.rotate_many(steps) if steps else {}
-        rotations[0] = vector
-        handles, diagonal_rows = [], []
-        indices = np.arange(dim)
-        repeats = vector.slots // dim
-        for k in range(dim):
-            diagonal = matrix[indices, (indices + k) % dim]
-            if not np.any(np.abs(diagonal) > 1e-12):
-                continue
-            handles.append(rotations[k].handle)
-            diagonal_rows.append(np.tile(diagonal, repeats))
-        if not handles:
-            raise ValueError("matrix is identically zero")
-        return CipherVector(
-            self.backend, self.backend.dot_product_plain(handles, diagonal_rows)
-        )
 
 
 __all__ = ["EncryptedLinearAlgebra"]

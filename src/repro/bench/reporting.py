@@ -76,23 +76,6 @@ class BenchmarkTable:
                 lines.append("  ".join("-" * width for width in widths))
         return "\n".join(lines)
 
-    def to_markdown(self) -> str:
-        """Render as a GitHub-flavoured markdown table."""
-        cells = self._formatted()
-        lines = [f"### {self.title}", ""]
-        if self.note:
-            lines += [self.note, ""]
-        lines.append("| " + " | ".join(cells[0]) + " |")
-        lines.append("|" + "|".join(["---"] * len(cells[0])) + "|")
-        for row in cells[1:]:
-            lines.append("| " + " | ".join(row) + " |")
-        return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        """Render as CSV."""
-        cells = self._formatted()
-        return "\n".join(",".join(row) for row in cells)
-
     def to_json(self, **metadata) -> str:
         """Render as a JSON document (machine-readable BENCH artifact).
 

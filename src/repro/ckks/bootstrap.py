@@ -92,11 +92,6 @@ class BootstrapConfig:
         if self.baby_steps is not None:
             _check_count("baby_steps", self.baby_steps, 1)
 
-    @property
-    def range_bound(self) -> int:
-        """Largest |I| the sine approximation tolerates (K in the paper)."""
-        return (1 << self.double_angle_iterations) - 1
-
 
 class Bootstrapper:
     """Precomputes and runs the CKKS bootstrapping procedure."""
@@ -147,11 +142,6 @@ class Bootstrapper:
         steps = set(range(1, baby))
         steps.update(baby * j for j in range(1, giant))
         return sorted(steps)
-
-    def depth_required(self) -> int:
-        """Multiplicative levels consumed by one bootstrap invocation."""
-        cheb_depth = math.ceil(math.log2(self.config.chebyshev_degree + 1)) + 1
-        return 3 + cheb_depth + self.config.double_angle_iterations
 
     # ------------------------------------------------------------------
     # pipeline stages

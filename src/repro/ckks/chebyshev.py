@@ -51,14 +51,6 @@ def chebyshev_coefficients(function, degree: int, interval: tuple[float, float] 
     return coefficients
 
 
-def chebyshev_series_value(coefficients: np.ndarray, x: float) -> float:
-    """Evaluate a Chebyshev series at a scalar point (plaintext reference)."""
-    result = 0.0
-    for k, c in enumerate(coefficients):
-        result += c * math.cos(k * math.acos(max(-1.0, min(1.0, x))))
-    return result
-
-
 def _chebyshev_basis(evaluator: Evaluator, ct: Ciphertext, degree: int) -> dict[int, Ciphertext]:
     """Return ciphertexts of ``T_1 ... T_degree`` evaluated at ``ct``.
 
@@ -219,7 +211,6 @@ def double_angle(evaluator: Evaluator, ct: Ciphertext, iterations: int) -> Ciphe
 
 __all__ = [
     "chebyshev_coefficients",
-    "chebyshev_series_value",
     "evaluate_chebyshev",
     "evaluate_chebyshev_direct",
     "double_angle",

@@ -142,7 +142,7 @@ def check_scalar_rescale(handle) -> None:
         raise ValueError(
             "multiply_scalar(..., rescale=True) on a level-0 ciphertext: there is "
             "no limb left to drop, so the result scale cannot be restored to the "
-            "ladder; pass rescale=False (the result keeps scale * scalar_scale) "
+            "ladder; pass rescale=False (the result keeps scale * Δ) "
             "or bootstrap the ciphertext first"
         )
 

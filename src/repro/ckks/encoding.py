@@ -57,14 +57,9 @@ class CKKSEncoder:
     # -- message layout -------------------------------------------------------
 
     def expand_message(self, values) -> np.ndarray:
-        """Zero-pad to a power of two and replicate to fill all ``N/2`` slots."""
-        values = np.asarray(values, dtype=np.complex128).ravel()
-        if len(values) == 0:
-            raise ValueError("cannot encode an empty message")
-        if len(values) > self.max_slots:
-            raise ValueError(
-                f"message has {len(values)} entries; at most {self.max_slots} slots"
-            )
+        """Zero-pad a message (:func:`check_message`) to a power of two and
+        replicate it to fill all ``N/2`` slots."""
+        values = np.asarray(values, dtype=np.complex128)
         padded_len = _next_power_of_two(len(values))
         padded = np.zeros(padded_len, dtype=np.complex128)
         padded[: len(values)] = values
@@ -100,7 +95,8 @@ class CKKSEncoder:
 
     def encode(self, values, scale: float) -> np.ndarray:
         """Encode a message into integer polynomial coefficients at ``scale``."""
-        return self._integer_coefficients(self.expand_message(values), scale)
+        message = check_message(values, scale, self.max_slots)
+        return self._integer_coefficients(self.expand_message(message), scale)
 
     def decode(self, coefficients, scale: float, length: int | None = None) -> np.ndarray:
         """Decode integer (or float) coefficients back into complex slot values.
@@ -123,22 +119,17 @@ class CKKSEncoder:
         Used by the linear-transform machinery, where diagonals are already
         full-length slot vectors (possibly non-repeating).
         """
-        diagonal = np.asarray(diagonal, dtype=np.complex128).ravel()
+        diagonal = check_message(diagonal, scale, self.max_slots)
         if len(diagonal) != self.max_slots:
             raise ValueError("diagonal must have exactly N/2 entries")
         return self._integer_coefficients(diagonal, scale)
 
     def _integer_coefficients(self, slots: np.ndarray, scale: float) -> np.ndarray:
-        """``rint(embed(slots) * scale)``, refusing input it cannot represent.
-
-        Checked before the FFT: a non-finite slot value, a non-finite or
-        non-positive scale, or a message that may overflow float64 -- a
-        coefficient is below twice the largest slot part, an FFT partial
-        sum below ``N`` times that.
+        """``rint(embed(slots) * scale)`` of checked slots and scale
+        (:func:`check_message`), refusing a message that may overflow
+        float64 before the FFT -- a coefficient is below twice the largest
+        slot part, an FFT partial sum below ``N`` times that.
         """
-        _check_scale(scale)
-        if not np.all(np.isfinite(slots)):
-            raise ValueError("message has a non-finite (NaN or infinite) slot value")
         peak = float(max(np.abs(slots.real).max(), np.abs(slots.imag).max()))
         if not math.isfinite(2 * peak * max(float(scale), self.ring_degree)):
             raise ValueError(
@@ -153,4 +144,32 @@ def _check_scale(scale: float) -> None:
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
 
 
-__all__ = ["CKKSEncoder", "rotation_group"]
+def check_message(values, scale: float, max_slots: int) -> np.ndarray:
+    """``values`` as the one complex vector a ciphertext encodes at
+    ``scale``, or raise :class:`ValueError`.
+
+    The rule both producers share (the encoder, and the cost model's
+    symbolic ``encrypt``): a positive finite scale, and a scalar or one
+    vector -- a matrix is a batch, which ``encrypt_batch`` encrypts row by
+    row -- of 1 to ``max_slots`` finite entries.
+    """
+    _check_scale(scale)
+    message = np.asarray(values, dtype=np.complex128)
+    if message.ndim > 1:
+        raise ValueError(
+            f"a message is one vector, got shape {message.shape}; "
+            f"encrypt the rows with encrypt_batch"
+        )
+    message = message.reshape(-1)
+    if message.size == 0:
+        raise ValueError("cannot encode an empty message")
+    if message.size > max_slots:
+        raise ValueError(
+            f"message has {message.size} entries; at most {max_slots} slots"
+        )
+    if not np.all(np.isfinite(message)):
+        raise ValueError("message has a non-finite (NaN or infinite) slot value")
+    return message
+
+
+__all__ = ["CKKSEncoder", "check_message", "rotation_group"]

@@ -97,33 +97,6 @@ class Encryptor:
         return self.encrypt(plaintext)
 
 
-class SymmetricEncryptor:
-    """Secret-key encryption (used for key-material-style encryptions)."""
-
-    def __init__(self, context: Context, secret_key: SecretKey, seed: int | None = None) -> None:
-        self.context = context
-        self.secret_key = secret_key
-        self._keygen = KeyGenerator(context, seed)
-
-    def encrypt(self, plaintext: Plaintext) -> Ciphertext:
-        """Encrypt an encoded plaintext under the secret key."""
-        ctx = self.context
-        limb_count = plaintext.limb_count
-        moduli = ctx.moduli_at(limb_count)
-        a = self._keygen.sample_uniform_poly(moduli)
-        e = self._keygen.lift(self._keygen.sample_error(), moduli)
-        s = self.secret_key.restricted(limb_count)
-        c0 = a.multiply(s).negate().add(e).add(plaintext.poly)
-        return Ciphertext(
-            c0=c0,
-            c1=a,
-            scale=plaintext.scale,
-            slots=plaintext.slots,
-            noise_bits=float(self.context.params.error_std),
-            encoded_length=plaintext.encoded_length,
-        )
-
-
 class Decryptor:
     """Secret-key decryption and decoding."""
 
@@ -157,6 +130,5 @@ __all__ = [
     "encode",
     "decode",
     "Encryptor",
-    "SymmetricEncryptor",
     "Decryptor",
 ]

@@ -243,22 +243,21 @@ class Evaluator:
             )
             return self.rescale(result) if rescale else result
 
-    def multiply_scalar(self, ct: Ciphertext, value: float, *, rescale: bool = True,
-                        scalar_scale: float | None = None) -> Ciphertext:
+    def multiply_scalar(self, ct: Ciphertext, value: float, *,
+                        rescale: bool = True) -> Ciphertext:
         """Constant multiplication (``ScalarMult``).
 
         The constant is encoded at the scale that restores the ladder after
-        the rescale, so chained operations keep exact per-level scales.
+        the rescale, so chained operations keep exact per-level scales;
+        without the rescale it is encoded at ``Δ``.
         """
         value = check_finite_scalar("multiply_scalar", value)
         if rescale:
             check_scalar_rescale(ct)
-        if scalar_scale is None:
-            if rescale:
-                q = ct.moduli[-1]
-                scalar_scale = q * self.context.scale_at(ct.level - 1) / ct.scale
-            else:
-                scalar_scale = self.context.scale
+            q = ct.moduli[-1]
+            scalar_scale = q * self.context.scale_at(ct.level - 1) / ct.scale
+        else:
+            scalar_scale = self.context.scale
         integer = int(round(value * scalar_scale))
         with self._scope(ct, "scalarmult"):
             result = self._on_both(
@@ -277,20 +276,19 @@ class Evaluator:
                 ct, "scalarmult", lambda c: c.multiply_scalar(int(value))
             )
 
-    def multiply(self, ct1: Ciphertext, ct2: Ciphertext, *,
-                 rescale: bool = True) -> Ciphertext:
-        """Homomorphic multiplication (``HMult``) with relinearisation.
+    def multiply(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
+        """Homomorphic multiplication (``HMult``) with relinearisation and
+        rescale.
 
-        With ``rescale`` (the default) the product ends in one merged tail:
-        the relinearisation key switch's accumulators ``acc`` and the
-        tensor's ``d0``, ``d1`` are divided by ``P·q_l`` in one exactly
-        rounded ModDown (:func:`~repro.ckks.keyswitch.mod_down_rescale_many`),
-        so the result is ``round((acc + P·d)/(P·q_l))`` one level down, with
-        no separate rescale.  ``rescale=False`` returns the raw product:
-        ModDown, then the relinearisation add.
+        The product ends in one merged tail: the relinearisation key
+        switch's accumulators ``acc`` and the tensor's ``d0``, ``d1`` are
+        divided by ``P·q_l`` in one exactly rounded ModDown
+        (:func:`~repro.ckks.keyswitch.mod_down_rescale_many`), so the result
+        is ``round((acc + P·d)/(P·q_l))`` one level down, with no separate
+        rescale.  A raw-scale ciphertext comes from
+        ``multiply_plain(..., rescale=False)``.
         """
-        if rescale:
-            check_product_rescale(ct1, ct2)
+        check_product_rescale(ct1, ct2)
         with self._scope(ct1, "hmult"):
             a, b = match_for_product(ct1, ct2, self.adjust)
             # The GPU launches the whole tensor product as one fused kernel
@@ -301,17 +299,15 @@ class Evaluator:
                 # cross term instead of two reduced products plus a reduced add.
                 d1 = RNSPoly.multiply_accumulate([(a.c0, b.c1), (a.c1, b.c0)])
                 d2 = a.c1.multiply(b.c1)
-            return self._relinearize(a, d0, d1, d2, a.scale * b.scale, rescale)
+            return self._relinearize(a, d0, d1, d2, a.scale * b.scale)
 
-    def square(self, ct: Ciphertext, *, rescale: bool = True) -> Ciphertext:
+    def square(self, ct: Ciphertext) -> Ciphertext:
         """Homomorphic squaring (``HSquare``), cheaper than a general HMult.
 
         Three tensor products instead of four, then the same tail as
-        :meth:`multiply`: one merged ModDown-rescale with ``rescale``, the
-        ModDown and relinearisation add without.
+        :meth:`multiply`: one merged ModDown-rescale.
         """
-        if rescale:
-            check_product_rescale(ct)
+        check_product_rescale(ct)
         with self._scope(ct, "hsquare"):
             with DISPATCH.launch("square-tensor"):
                 d0 = ct.c0.multiply(ct.c0)
@@ -321,21 +317,13 @@ class Evaluator:
                 data = d1.data
                 modmath.stack_add_mod(data, data, d1.moduli_col, out=data)
                 d2 = ct.c1.multiply(ct.c1)
-            return self._relinearize(ct, d0, d1, d2, ct.scale * ct.scale, rescale)
+            return self._relinearize(ct, d0, d1, d2, ct.scale * ct.scale)
 
     def _relinearize(self, template: Ciphertext, d0: RNSPoly, d1: RNSPoly,
-                     d2: RNSPoly, scale: float, rescale: bool) -> Ciphertext:
-        key = self.keys.relinearization_key
-        if not rescale:
-            delta0, delta1 = key_switch(self.context, d2, key)
-            # Both component additions are one fused GPU launch.
-            with DISPATCH.launch("relin-add"):
-                c0 = d0.add(delta0)
-                c1 = d1.add(delta1)
-            return template.with_polys(c0, c1, scale=scale)
+                     d2: RNSPoly, scale: float) -> Ciphertext:
         decomposed = decompose_and_mod_up(self.context, d2)
         with DISPATCH.scope("keyswitch"):
-            accs = apply_key(self.context, decomposed, key)
+            accs = apply_key(self.context, decomposed, self.keys.relinearization_key)
             c0, c1 = mod_down_rescale_many(self.context, list(accs), [d0, d1])
         return template.with_polys(c0, c1, scale=scale / template.moduli[-1])
 

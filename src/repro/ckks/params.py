@@ -113,26 +113,10 @@ class CKKSParameters:
         """Number of extension limbs in ``P`` (equal to the digit size)."""
         return self.digit_size
 
-    @property
-    def log_q(self) -> int:
-        """Approximate bit size of the ciphertext modulus ``Q``."""
-        return self.first_mod_bits + self.mult_depth * self.scale_bits
-
-    @property
-    def log_qp(self) -> int:
-        """Approximate bit size of the extended modulus ``Q * P``."""
-        return self.log_q + self.special_limb_count * self.special_mod_bits
-
     def key_switching_key_bytes(self) -> int:
         """Approximate size of one key-switching key (paper §III-F.1)."""
         limbs = self.limb_count + self.special_limb_count
         return 2 * self.dnum * limbs * self.ring_degree * ELEMENT_BYTES
-
-    def ciphertext_bytes(self, limbs: int | None = None) -> int:
-        """Approximate size of a ciphertext with ``limbs`` limbs."""
-        if limbs is None:
-            limbs = self.limb_count
-        return 2 * limbs * self.ring_degree * ELEMENT_BYTES
 
     def describe(self) -> str:
         """Return the ``[logN, L, Δ, dnum]`` shorthand used by the paper."""

@@ -242,9 +242,8 @@ class KernelTrace:
 
     A trace is append-only; buffer identity and last-writer state live on
     the trace itself, so a single trace can accumulate several recorded
-    regions (e.g. every operation routed through a
-    :class:`repro.api.backend.TracingBackend`) with dependency edges intact
-    across them.  Buffers are held through weak references only: when the
+    regions (``session.trace(trace)`` appends to ``trace``) with dependency
+    edges intact across them.  Buffers are held through weak references only: when the
     data plane drops an array, its tracking state is discarded, so traced
     workloads do not accumulate dead intermediates.
 
@@ -720,8 +719,7 @@ class Dispatcher(threading.local):
         With no active trace (and no profiler) this is a zero-allocation
         no-op: scope names only matter to recorded kernels, so a recording
         started *inside* an already-open scope block does not see that
-        outer name (recording regions wrap whole operations in practice --
-        see :class:`repro.api.backend.TracingBackend`).
+        outer name (recording regions wrap whole operations in practice).
         """
         if self._trace is None and self._profiler is None:
             return _NULL_CONTEXT

@@ -3,8 +3,7 @@
 Format is tracked per polynomial (:class:`~repro.core.rns_poly.RNSPoly`),
 never per row, which is what lets every cross-limb kernel batch.  A limb
 itself is not an object: it is row ``i`` of the polynomial's flat
-``(L, N)`` array ``RNSPoly.data``, handed out by
-``RNSPoly.limb_arrays()``.
+``(L, N)`` array ``RNSPoly.data``.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ precomputes during :class:`~repro.ckks.context.Context` creation.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.modmath import pow_mod
 
@@ -218,18 +218,9 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-def prime_basis_product(primes: Sequence[int]) -> int:
-    """Return the product of a prime basis (the composite modulus ``Q``)."""
-    product = 1
-    for p in primes:
-        product *= p
-    return product
-
-
 __all__ = [
     "is_prime",
     "generate_ntt_primes",
     "find_primitive_root",
     "find_root_of_unity",
-    "prime_basis_product",
 ]

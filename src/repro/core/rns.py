@@ -218,16 +218,6 @@ class BaseConverter:
         """The rows the accumulation multiplies with the table's columns."""
         return scaled
 
-    def convert(self, limbs: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Convert per-limb residue arrays from the source to the target basis."""
-        if len(limbs) != len(self.source):
-            raise ValueError(
-                f"expected {len(self.source)} source limbs, got {len(limbs)}"
-            )
-        stack = modmath.lift_residues(limbs, self._source_col)
-        converted = self.convert_stack(stack)
-        return [converted[k] for k in range(len(self.target))]
-
     def convert_stack(
         self, stack: np.ndarray, *, out: np.ndarray | None = None
     ) -> np.ndarray:
@@ -402,16 +392,9 @@ def partition_digits(moduli: Sequence[int], dnum: int) -> list[list[int]]:
     return digits
 
 
-def digit_of_limb(limb_index: int, total_limbs: int, dnum: int) -> int:
-    """Return the digit index that limb ``limb_index`` belongs to."""
-    per_digit = -(-total_limbs // dnum)
-    return limb_index // per_digit
-
-
 __all__ = [
     "RNSBasis",
     "BaseConverter",
     "RoundingConverter",
     "partition_digits",
-    "digit_of_limb",
 ]

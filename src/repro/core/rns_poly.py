@@ -16,8 +16,8 @@ stacked NTT engine) on ``data`` with the ``(L, 1)`` moduli column
 ``moduli_col`` broadcast over the rows: vectorized expressions with no
 per-limb Python loop, matching the batched kernels of §III-F.
 
-Per-limb access is a view, not a second arithmetic:
-``poly.limb_arrays()[i]`` is row ``i`` of ``data``, zero-copy.
+Per-limb access is a view, not a second arithmetic: ``poly.data[i]`` is
+row ``i``, zero-copy.
 
 The server computes in evaluation format, so products, the scalar add and
 the fused rescale have no coefficient pipeline: such an operand is a
@@ -516,29 +516,19 @@ class RNSPoly:
             return self._window(0, count)
         return self.take([m * per + j for m in range(members) for j in range(count)])
 
-    def rescale_last(self) -> "RNSPoly":
-        """Divide by the last prime ``q_l`` and drop its limb (RNS rescale).
-
-        For every remaining limb ``i``:
-        ``c_i' = q_l^{-1} · (c_i - SwitchModulus(c_l)) mod q_i``.
-        This is the computation FIDESlib fuses into its NTT kernels
-        ("Rescale fusion", §III-F.5).  Here, in evaluation format, the last
-        limb is iNTT'd, switched into every remaining modulus and brought
-        back with one stacked NTT that folds in the subtract/scale tail.
-        """
-        return RNSPoly.rescale_last_many([self])[0]
-
     @staticmethod
     def rescale_last_many(polys: Sequence["RNSPoly"]) -> list["RNSPoly"]:
-        """Rescale several same-basis polynomials in fused stacked kernels.
+        """Divide each polynomial by its last prime ``q_l`` and drop that
+        limb (RNS rescale), in fused stacked kernels.
 
-        The two components of a ciphertext (and every member of a fused
-        ``(B·L, N)`` polynomial -- the member count is read off the
+        For every remaining limb ``i``:
+        ``c_i' = q_l^{-1} · (c_i - SwitchModulus(c_l)) mod q_i`` -- the
+        computation FIDESlib fuses into its NTT kernels ("Rescale fusion",
+        §III-F.5).  The two components of a ciphertext (and every member of
+        a fused ``(B·L, N)`` polynomial -- the member count is read off the
         operands) share every transform: the switched last limbs and the
         NTT passes of all ``P·B`` member polynomials are concatenated
-        row-wise into single stacked calls, cutting the per-call overhead
-        without changing any residue -- the per-row math is exactly
-        :meth:`rescale_last`.
+        row-wise into single stacked calls.
         """
         if not polys:
             return []
@@ -596,20 +586,12 @@ class RNSPoly:
 
     # -- conversions ---------------------------------------------------------
 
-    def limb_arrays(self) -> list[np.ndarray]:
-        """Return the raw residue arrays of every limb (zero-copy views)."""
-        return list(self.data)
-
     def compose(self) -> np.ndarray:
         """CRT-recombine the limbs of a coefficient-format polynomial into
         signed integer coefficients (:meth:`RNSBasis.compose`)."""
         if self._fmt is not LimbFormat.COEFFICIENT:
             raise ValueError("compose needs a coefficient-format polynomial")
         return self.basis().compose(self.data)
-
-    def to_int_coefficients(self) -> list[int]:
-        """The signed integer coefficients as Python ints."""
-        return self.to_coefficient().compose().tolist()
 
     def __len__(self) -> int:
         return self.ring_degree

@@ -74,11 +74,6 @@ class ComputePlatform:
         """Peak integer throughput in operations per second."""
         return self.int32_tops * 1e12
 
-    @property
-    def is_gpu(self) -> bool:
-        """True for GPU platforms."""
-        return self.kind == "gpu"
-
 
 #: AMD Ryzen 9 7900 (12 cores, SMT, AVX-512), DDR5-5200.
 CPU_RYZEN_9_7900 = ComputePlatform(

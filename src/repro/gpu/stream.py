@@ -84,20 +84,6 @@ class ScheduleResult:
     kernel_count: int
     timeline: tuple[ScheduledKernel, ...] = field(default_factory=tuple)
 
-    @property
-    def launch_bound(self) -> bool:
-        """True when kernel-launch overhead dominates the makespan."""
-        return self.launch_time > self.execution_time
-
-    def stream_timelines(self) -> dict[int, list[ScheduledKernel]]:
-        """Per-stream execution timelines, each sorted by start time."""
-        streams: dict[int, list[ScheduledKernel]] = {}
-        for slot in self.timeline:
-            streams.setdefault(slot.stream, []).append(slot)
-        for slots in streams.values():
-            slots.sort(key=lambda slot: slot.start)
-        return streams
-
 
 class StreamScheduler:
     """Schedules kernel timings onto the streams of one device."""

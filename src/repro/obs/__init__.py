@@ -49,10 +49,9 @@ Module map (sources -> instruments / spans / timelines -> exports)
 :class:`Observability` (``session.observability()``) is the facade that
 bundles one registry, one tracer, one rollup and the export timelines;
 hand it to ``session.server(observability=...)`` and every hook above is
-wired -- to that one server: an enabled facade handed to a second server
-raises.  Instrumentation is zero-cost when disabled: a disabled facade
-hands out shared no-op contexts (the :meth:`Dispatcher.scope` trick) and
-every hook early-outs.
+wired -- to that one server: a facade handed to a second server raises.
+A server given none keeps its counts in a registry of its own, and each
+hook costs it one ``is not None`` check.
 """
 
 from repro.obs.perfetto import (

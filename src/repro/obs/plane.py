@@ -13,16 +13,14 @@ returns and what :class:`~repro.serve.executor.Server` accepts via its
   modeled time/bytes from every priced drain;
 * the drain timeline records the Perfetto exporter renders.
 
-**Zero cost when disabled.**  ``Observability(enabled=False)`` is inert:
-every hook early-outs, :meth:`span` hands back a shared no-op context
-(the same trick as :meth:`repro.core.dispatch.Dispatcher.scope`), and a
-server given a disabled object behaves exactly as one given ``None``.
+Observability is off by passing none: a server given
+``observability=None`` keeps its counts in a registry of its own and
+every hook is one ``is not None`` check.
 
-**One enabled facade, one server.**  The registry, the span clock and the
-rollup belong to the server that claims them
-(:meth:`Observability.claim`); a second server raises instead of mixing
-its counts and timestamps into the first one's.  A disabled facade is
-never claimed and stays shareable.
+**One facade, one server.**  The registry, the span clock and the rollup
+belong to the server that claims them (:meth:`Observability.claim`); a
+second server raises instead of mixing its counts and timestamps into
+the first one's.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.core.dispatch import DISPATCH, _NULL_CONTEXT
+from repro.core.dispatch import DISPATCH
 from repro.obs.perfetto import export_chrome_trace
 from repro.obs.registry import BYTES_BUCKETS, MetricsRegistry
 from repro.obs.rollup import ScopeRollup, WallClockProfiler
@@ -56,15 +54,12 @@ class DrainTimeline:
 class Observability:
     """Unified observability plane: registry + spans + timelines + rollups."""
 
-    def __init__(self, *, enabled: bool = True,
-                 registry: MetricsRegistry | None = None,
-                 clock=None) -> None:
-        self.enabled = bool(enabled)
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self, *, clock=None) -> None:
+        self.registry = MetricsRegistry()
         self.tracer = SpanTracer(clock=clock)
         self.rollup = ScopeRollup()
         self.timelines: list[DrainTimeline] = []
-        #: The one server this enabled facade is wired to (see :meth:`claim`).
+        #: The one server this facade is wired to (see :meth:`claim`).
         self.owner = None
         self._pools: dict[str, object] = {}
 
@@ -88,17 +83,13 @@ class Observability:
     # -- ad-hoc spans --------------------------------------------------------
 
     def span(self, name: str, **attributes):
-        """A user-facing span context; shared no-op when disabled."""
-        if not self.enabled:
-            return _NULL_CONTEXT
+        """A user-facing span context."""
         return self.tracer.span(name, **attributes)
 
     # -- watchers (pull-style series over live state) ------------------------
 
     def watch_pool(self, pool, name: str = "default") -> None:
         """Publish a memory pool's accounting as function-backed gauges."""
-        if not self.enabled:
-            return
         self._pools[name] = pool
         registry = self.registry
         registry.gauge(
@@ -122,8 +113,6 @@ class Observability:
 
     def watch_queue(self, queue) -> None:
         """Publish a bucket queue's live depths (one series per bucket)."""
-        if not self.enabled:
-            return
         depth_gauge = self.registry.gauge(
             "serve_bucket_depth", "Queued requests per shape bucket",
         )
@@ -142,8 +131,6 @@ class Observability:
 
     def watch_injector(self, injector) -> None:
         """Publish the fault injector's per-kind fire counts."""
-        if not self.enabled:
-            return
         counter = self.registry.counter(
             "faults_fired_total", "Fault-injector events by kind",
         )
@@ -160,8 +147,6 @@ class Observability:
     def record_drain(self, trace, report, *, offset: float,
                      label: str = "") -> None:
         """Fold one priced drain into the rollup and the export timeline."""
-        if not self.enabled:
-            return
         self.rollup.add_report(trace, report)
         self.timelines.append(DrainTimeline(
             offset=float(offset), label=label, schedule=report.schedule,
@@ -170,14 +155,12 @@ class Observability:
 
     def reset_drain_peaks(self) -> None:
         """Rewind every watched pool's high-water mark (drain start)."""
-        if not self.enabled:
-            return
         for pool in self._pools.values():
             pool.reset_peak()
 
     def observe_drain_peaks(self) -> None:
         """Sample every watched pool's per-drain peak (drain end)."""
-        if not self.enabled or not self._pools:
+        if not self._pools:
             return
         histogram = self.registry.histogram(
             "serve_drain_peak_bytes",
@@ -190,17 +173,12 @@ class Observability:
     # -- eager profiling -----------------------------------------------------
 
     @contextmanager
-    def profile(self) -> Iterator[WallClockProfiler | None]:
+    def profile(self) -> Iterator[WallClockProfiler]:
         """Attribute eager wall-clock time to dispatcher scopes.
 
         Folds the profiler's exclusive per-scope seconds into
-        :attr:`rollup` (the ``wall_s`` column) on exit.  No-op when
-        disabled (yields ``None``; the dispatcher hot path stays on the
-        shared null context).
+        :attr:`rollup` (the ``wall_s`` column) on exit.
         """
-        if not self.enabled:
-            yield None
-            return
         profiler = WallClockProfiler()
         with DISPATCH.profiling(profiler):
             yield profiler
@@ -215,10 +193,6 @@ class Observability:
     def to_prometheus(self) -> str:
         """Prometheus text dump of the registry (collectors included)."""
         return self.registry.to_prometheus()
-
-    def snapshot(self) -> dict:
-        """Deterministic registry snapshot (collectors included)."""
-        return self.registry.snapshot()
 
     def export_chrome_trace(self, path=None) -> dict:
         """Write/return the Perfetto JSON covering kernels and spans."""

@@ -140,9 +140,6 @@ class Gauge(_Instrument):
         key = _label_key(labels)
         self._series[key] = self._series.get(key, 0.0) + float(amount)
 
-    def dec(self, amount: float = 1.0, **labels) -> None:
-        self.inc(-amount, **labels)
-
     def set_function(self, fn: Callable[[], float], **labels) -> None:
         """Pull-style series: ``fn()`` is evaluated at every readout."""
         self._functions[_label_key(labels)] = fn

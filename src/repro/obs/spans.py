@@ -115,15 +115,8 @@ class SpanTracer:
 
     # -- views ---------------------------------------------------------------
 
-    def roots(self) -> list[Span]:
-        """Top-level spans (request roots, drain roots) in start order."""
-        return [span for span in self.spans if span.parent_id is None]
-
     def children(self, span: Span) -> list[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
-
-    def find(self, name: str) -> list[Span]:
-        return [s for s in self.spans if s.name == name]
 
     def validate(self) -> None:
         """Assert structural integrity of the recorded span tree.

@@ -142,11 +142,6 @@ class KindDelta:
     trace_int_ops: float = 0.0
     model_int_ops: float = 0.0
 
-    @property
-    def kernel_delta(self) -> float:
-        """Relative kernel-count divergence of this kind."""
-        return _relative_delta(self.trace_kernels, self.model_kernels)
-
 
 def _relative_delta(measured: float, reference: float) -> float:
     baseline = max(abs(reference), abs(measured))

@@ -334,10 +334,10 @@ class CKKSOperationCosts:
             )
         return cost
 
-    def key_switch(self, limbs: int, *, input_in_coeff: bool = False) -> OperationCost:
+    def key_switch(self, limbs: int) -> OperationCost:
         """Hybrid key switching of one polynomial at ``limbs`` active limbs."""
         cost = OperationCost("KeySwitch")
-        cost.kernels += self._key_switch_up(limbs, input_in_coeff=input_in_coeff)
+        cost.kernels += self._key_switch_up(limbs)
         special = self.params.special_limb_count
         # ModDown of both accumulated components.
         for _ in range(2):
@@ -350,19 +350,17 @@ class CKKSOperationCosts:
             )
         return cost
 
-    def _key_switch_up(self, limbs: int, *, input_in_coeff: bool = False) -> list[Kernel]:
+    def _key_switch_up(self, limbs: int) -> list[Kernel]:
         """A key switch up to its two accumulators over ``Q_l ∪ P``: the
         digit iNTT, each digit's ModUp and the key inner product."""
         params = self.params
         alpha = params.digit_size
         digits = math.ceil(limbs / alpha)
         extended = limbs + params.special_limb_count
-        kernels = []
         # iNTT of the input polynomial (fused into the tensor step for HMult).
-        if not input_in_coeff:
-            kernels += self.ntt_kernels(limbs, tag="ks-intt",
-                                        fused_elementwise_polys=1.0,
-                                        fused_ops_per_element=self.arith.modmul_ops)
+        kernels = self.ntt_kernels(limbs, tag="ks-intt",
+                                   fused_elementwise_polys=1.0,
+                                   fused_ops_per_element=self.arith.modmul_ops)
         for digit in range(digits):
             digit_limbs = min(alpha, limbs - digit * alpha)
             target = extended - digit_limbs

@@ -97,15 +97,4 @@ def feature_table() -> list[dict[str, str]]:
     return [library.as_row() for library in FEATURE_MATRIX]
 
 
-def feature_counts() -> dict[str, int]:
-    """Count, per feature, how many libraries provide it (used by tests)."""
-    counts: dict[str, int] = {}
-    for library in FEATURE_MATRIX:
-        for key, value in library.as_row().items():
-            if key == "Library":
-                continue
-            counts[key] = counts.get(key, 0) + (1 if value not in (NO,) else 0)
-    return counts
-
-
-__all__ = ["LibraryFeatures", "FEATURE_MATRIX", "feature_table", "feature_counts", "YES", "NO", "WIP", "LR"]
+__all__ = ["LibraryFeatures", "FEATURE_MATRIX", "feature_table", "YES", "NO", "WIP", "LR"]

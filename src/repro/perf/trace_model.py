@@ -7,7 +7,7 @@
 streams (§III-F.1) included.  Everything that wants modeled seconds hands
 it a :class:`repro.core.dispatch.KernelTrace`::
 
-    recorded data plane   session.trace() / TracingBackend / Server drains
+    recorded data plane   session.trace() / Server drains
     symbolic programs     CostModelBackend emits closed-form kernels onto
                           the same dispatcher seam, so the above observe it
     paper-scale models    FIDESlibModel / PhantomModel.execute(cost) price

@@ -205,9 +205,9 @@ class Server:
     into the facade's registry (its own otherwise), live queue/fault
     state is published next to it, and (with ``trace_costs``) every
     priced drain feeds the per-scope rollup and the Perfetto timeline
-    export.  An enabled facade belongs to one server -- a second one
-    raises :class:`ValueError`; a disabled facade (or ``None``) costs one
-    ``is not None`` check per hook.
+    export.  A facade belongs to one server -- a second one raises
+    :class:`ValueError`; ``None`` (the default) costs one ``is not None``
+    check per hook.
     """
 
     def __init__(self, backend, policy: BatchingPolicy | None = None, *,
@@ -230,17 +230,15 @@ class Server:
         else:
             self.injector = FaultInjector(fault_plan)
         self.queue = BucketQueue()
-        # The observability plane (repro.obs.Observability): a disabled or
-        # absent facade leaves self.obs None, so every hook below is one
-        # `is not None` check -- the zero-cost-when-disabled contract.
-        self.obs = None
-        if observability is not None and getattr(observability, "enabled", False):
+        # The observability plane (repro.obs.Observability); without one
+        # every hook below is one `is not None` check.
+        self.obs = observability
+        if observability is not None:
             observability.claim(self, self.clock)
-            self.obs = observability
             observability.watch_queue(self.queue)
             if self.injector is not None:
                 observability.watch_injector(self.injector)
-        #: Counts into the enabled facade's registry, else the server's own.
+        #: Counts into the facade's registry, else the server's own.
         self.metrics = ServeMetrics(
             self.obs.registry if self.obs is not None else MetricsRegistry()
         )
@@ -498,7 +496,7 @@ class Server:
         The retry loop: a :class:`TransientFault` or a bare
         :class:`OutOfDeviceMemory` advances the simulated clock by the
         retry policy's backoff and tries again (halving the fused cap each
-        retry when ``degrade_on_retry``), up to ``max_retries``; then the
+        retry), up to ``max_retries``; then the
         survivors resolve with :class:`DrainFailed` chaining the last
         error.  Requests whose deadlines pass during backoff resolve with
         :class:`DeadlineExceeded` instead of retrying.  Footprint denials
@@ -561,7 +559,7 @@ class Server:
                     )
                     obs.tracer.finish(backoff, at=now)
                 self._advance_faults()
-                if self.retry.degrade_on_retry and len(requests) > 1:
+                if len(requests) > 1:
                     cap = max_fuse if max_fuse is not None else len(requests)
                     max_fuse = max(1, cap // 2)
                 # Backoff moved the clock: requests whose deadline passed
@@ -629,7 +627,6 @@ class Server:
                 "max_retries": self.retry.max_retries,
                 "backoff": self.retry.backoff,
                 "backoff_factor": self.retry.backoff_factor,
-                "degrade_on_retry": self.retry.degrade_on_retry,
             },
             "fault_plan": (
                 self.injector.plan.describe()

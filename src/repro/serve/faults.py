@@ -216,12 +216,6 @@ class FaultInjector:
         pool.charge_hook = self._charge_hook
         self.pool = pool
 
-    def remove_pool_hook(self) -> None:
-        """Uninstall the pool charge hook (idempotent)."""
-        if self.pool is not None:
-            self.pool.charge_hook = None
-            self.pool = None
-
     def _record(self, entry: tuple) -> None:
         self.log.append(entry)
         self.fired[entry[0]] = self.fired.get(entry[0], 0) + 1

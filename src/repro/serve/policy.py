@@ -22,16 +22,19 @@ Two further policies make the server failure-first (PR 9):
   resolves to typed :class:`~repro.serve.errors.RequestRejected`
   responses (load shedding) instead of unbounded queues;
 * :class:`RetryPolicy` -- bounded retry-with-backoff for transient drain
-  failures on the simulated clock, optionally halving the fused batch
-  size each retry (the degradation cascade's retry arm).
+  failures on the simulated clock, halving the fused batch size each
+  retry (the degradation cascade's retry arm).
 
 All timing runs on :class:`SimulatedClock`, a deterministic virtual clock
 the caller advances explicitly, so policy behaviour -- and every serving
-test -- is reproducible with no wall-clock flakiness.
+test -- is reproducible with no wall-clock flakiness.  Every time a
+policy or the clock accepts is finite: an infinite wait or backoff would
+send the clock to ``inf``, past every deadline and latency it reports.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,14 +57,19 @@ class SimulatedClock:
         return self._now
 
     def advance(self, seconds: float) -> float:
-        """Move time forward by ``seconds`` (negative or NaN steps are rejected)."""
-        if not seconds >= 0:
-            raise ValueError("the simulated clock cannot run backwards")
+        """Move time forward by ``seconds`` (a finite, non-negative step)."""
+        if not 0 <= seconds < math.inf:
+            raise ValueError(
+                f"the simulated clock cannot run backwards or to infinity "
+                f"(step {seconds!r})"
+            )
         self._now += float(seconds)
         return self._now
 
     def advance_to(self, timestamp: float) -> float:
         """Move time forward to an absolute timestamp (no-op if in the past)."""
+        if not math.isfinite(timestamp):
+            raise ValueError(f"the simulated clock cannot move to {timestamp!r}")
         self._now = max(self._now, float(timestamp))
         return self._now
 
@@ -79,9 +87,11 @@ class BatchingPolicy:
 
     def __post_init__(self) -> None:
         _check_count("max_batch_size", self.max_batch_size, 1)
-        # ``not x >= 0`` rather than ``x < 0``, so NaN is rejected too.
-        if not self.max_wait >= 0:
-            raise ValueError("max_wait must be non-negative")
+        # ``not 0 <= x < inf`` rather than ``x < 0``, so NaN is rejected too.
+        if not 0 <= self.max_wait < math.inf:
+            raise ValueError(
+                f"max_wait must be finite and non-negative, got {self.max_wait!r}"
+            )
         if self.memory_budget_bytes is not None:
             _check_count("memory_budget_bytes", self.memory_budget_bytes, 1)
 
@@ -188,23 +198,27 @@ class RetryPolicy:
     :class:`~repro.core.memory.OutOfDeviceMemory`, the server advances the
     simulated clock by :meth:`delay` and retries the drain, at most
     ``max_retries`` times before resolving the survivors with
-    :class:`~repro.serve.errors.DrainFailed`.  With ``degrade_on_retry``
-    each retry also halves the maximum fused batch size (``B -> B/2 ->
-    ... -> singleton``), so repeated capacity pressure converges on the
-    allocation-free sequential path.
+    :class:`~repro.serve.errors.DrainFailed`.  Each retry also halves the
+    maximum fused batch size (``B -> B/2 -> ... -> singleton``), so
+    repeated capacity pressure converges on the allocation-free sequential
+    path.
     """
 
     max_retries: int = 3
     backoff: float = 1e-4
     backoff_factor: float = 2.0
-    degrade_on_retry: bool = True
 
     def __post_init__(self) -> None:
         _check_count("max_retries", self.max_retries, 0)
-        if not self.backoff >= 0:
-            raise ValueError("backoff cannot be negative")
-        if not self.backoff_factor >= 1.0:
-            raise ValueError("backoff_factor must be at least 1.0")
+        if not 0 <= self.backoff < math.inf:
+            raise ValueError(
+                f"backoff cannot be negative or infinite, got {self.backoff!r}"
+            )
+        if not 1.0 <= self.backoff_factor < math.inf:
+            raise ValueError(
+                f"backoff_factor must be finite and at least 1.0, "
+                f"got {self.backoff_factor!r}"
+            )
 
     def delay(self, attempt: int) -> float:
         """Simulated backoff before retry number ``attempt`` (1-based)."""

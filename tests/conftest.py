@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.api.backend import EvaluationBackend
 from repro.api.session import CKKSSession
 from repro.apps.linear_algebra import EncryptedLinearAlgebra
 from repro.ckks.context import Context
@@ -26,6 +27,13 @@ from repro.core.ntt import get_stacked_engine
 from repro.core.rns_poly import RNSPoly
 from repro.openfhe.adapter import RawCiphertext, RawPolynomial
 
+
+#: Every operation of the backend protocol (its public methods except
+#: ``describe``).
+BACKEND_OPERATIONS = tuple(
+    name for name, member in vars(EvaluationBackend).items()
+    if callable(member) and not name.startswith("_") and name != "describe"
+)
 
 #: Rotation steps made available in the shared key set.
 TEST_ROTATIONS = (1, 2, 3, 4, 8, -1)
@@ -124,6 +132,11 @@ def coefficient_frame(raw: RawCiphertext) -> RawCiphertext:
         return RawPolynomial(list(poly.moduli), rows.data, fmt="coeff")
 
     return dataclasses.replace(raw, c0=convert(raw.c0), c1=convert(raw.c1))
+
+
+def int_coefficients(poly: RNSPoly) -> list[int]:
+    """The signed integer coefficients of ``poly`` as Python ints."""
+    return poly.to_coefficient().compose().tolist()
 
 
 def assert_close(actual, expected, tolerance=5e-4):

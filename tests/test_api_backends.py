@@ -17,13 +17,11 @@ import pytest
 from repro.api.backend import (
     CostModelBackend,
     EvaluationBackend,
-    TracingBackend,
     as_backend,
 )
 from repro.api.session import CKKSSession
 from repro.api.vector import CipherVector
 from repro.apps.logistic_regression import EncryptedLogisticRegression
-from repro.apps.stats import EncryptedStatistics
 from repro.ckks.params import PARAMETER_SETS, CKKSParameters
 from repro.core.dispatch import DISPATCH
 from repro.gpu.platforms import GPU_RTX_4090
@@ -220,8 +218,8 @@ class TestSymbolicEmission:
 
     def test_scopes_and_totals_of_a_program(self, session):
         costmodel = session.cost_backend()
-        ct = CipherVector(costmodel, costmodel.encrypt())
-        other = CipherVector(costmodel, costmodel.encrypt())
+        ct = CipherVector(costmodel, costmodel.encrypt([0.5]))
+        other = CipherVector(costmodel, costmodel.encrypt([0.5]))
         with session.trace() as trace:
             _ = 2.0 * (ct * other) + 1.0
         assert trace.scopes() == [
@@ -242,7 +240,7 @@ class TestSymbolicEmission:
 
     def test_hoisted_rotations_emitted_once(self, session):
         costmodel = session.cost_backend()
-        ct = CipherVector(costmodel, costmodel.encrypt())
+        ct = CipherVector(costmodel, costmodel.encrypt([0.5]))
         with session.trace() as trace:
             rotated = ct.rotate_many([1, 2, 4])
         assert set(rotated) == {1, 2, 4}
@@ -293,12 +291,13 @@ class TestSymbolicEmission:
             assert {f"{prefix}hmult", f"{prefix}hrotate"} <= set(scopes[1])
             assert f"{prefix}hmult/{prefix}rescale" not in scopes[1]
 
-    def test_tracing_backend_records_symbolic_kernels(self, session):
-        tracing = TracingBackend(session.cost_backend())
-        ct = tracing.encrypt([0.25, -0.5])
-        tracing.multiply(ct, ct)
-        assert tracing.trace.kernel_count > 0
-        assert tracing.trace.scopes() == ["hmult"]
+    def test_recording_captures_symbolic_kernels(self, session):
+        cost = session.cost_backend()
+        with session.trace() as trace:
+            ct = cost.encrypt([0.25, -0.5])
+            cost.multiply(ct, ct)
+        assert trace.kernel_count > 0
+        assert trace.scopes() == ["hmult"]
 
     def test_unobserved_program_builds_no_kernel_and_keeps_no_state(self, session):
         class NoBuilders:
@@ -325,7 +324,7 @@ class TestPaperScaleCostModel:
     def test_ideal_ladder_tracks_levels(self):
         params = PARAMETER_SETS["paper-default"]
         backend = CostModelBackend(params)
-        ct = CipherVector(backend, backend.encrypt())
+        ct = CipherVector(backend, backend.encrypt([0.5]))
         result = (ct * ct) + 1.0
         assert result.level == params.mult_depth - 1
         assert result.scale == pytest.approx(params.scale)
@@ -335,10 +334,11 @@ class TestPaperScaleCostModel:
 
         params = PARAMETER_SETS["paper-default"]
         model = FIDESlibModel(GPU_RTX_4090, params, limb_batch=4)
-        backend = TracingBackend(CostModelBackend.for_model(model))
-        ct = CipherVector(backend, backend.encrypt())
-        _ = 2.0 * (ct * ct) + 1.0
-        elapsed = model.pricer.price(backend.trace).makespan
+        backend = CostModelBackend.for_model(model)
+        ct = CipherVector(backend, backend.encrypt([0.5]))
+        with DISPATCH.record() as trace:
+            _ = 2.0 * (ct * ct) + 1.0
+        elapsed = model.pricer.price(trace).makespan
         assert elapsed > 0
         # A single HMult at full level dominates; sanity-check magnitude.
         hmult_alone = model.time_operation("HMult")
@@ -347,13 +347,6 @@ class TestPaperScaleCostModel:
     def test_apps_run_symbolically(self):
         """Whole applications run unmodified on the cost backend."""
         params = PARAMETER_SETS["paper-lr"]
-        backend = CostModelBackend(params)
-
-        stats = EncryptedStatistics(backend)
-        sample = CipherVector(backend, backend.encrypt())
-        variance = stats.variance(sample, 8)
-        assert variance.level < params.mult_depth
-
         lr_backend = CostModelBackend(
             params, costs=CKKSOperationCosts(params, limb_batch=None)
         )
@@ -393,3 +386,34 @@ class TestBackendProtocol:
         assert cm["backend"] == "costmodel"
         assert cm["mode"] == "context-exact"
         assert CostModelBackend(session.params).describe()["mode"] == "ideal-ladder"
+
+
+#: Messages and scales the encoder refuses, with what the error names
+#: (scale ``None``: the default; the too-long message is sized to the
+#: session's slots in the test).
+BAD_MESSAGES = {
+    "scale-zero": ([0.5], 0.0, "scale"),
+    "scale-negative": ([0.5], -1.0, "scale"),
+    "scale-nan": ([0.5], float("nan"), "scale"),
+    "scale-inf": ([0.5], float("inf"), "scale"),
+    "empty": ([], None, "empty"),
+    "too-long": (None, None, "at most"),
+    "nan-entry": ([0.5, float("nan")], None, "non-finite"),
+    # Used to be raveled, with the first axis recorded as its length: a
+    # (2, 2) message decrypted to 2 of its 4 values.
+    "matrix": (np.arange(4).reshape(2, 2) / 10, None, r"shape \(2, 2\)"),
+    "cube": (np.arange(8).reshape(2, 2, 2) / 10, None, r"shape \(2, 2, 2\)"),
+}
+
+
+class TestMessageRule:
+    """Both producers refuse the same messages (``check_message``)."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_MESSAGES))
+    def test_both_producers_refuse(self, session, case):
+        values, scale, names = BAD_MESSAGES[case]
+        if values is None:
+            values = np.zeros(session.slots + 1)
+        for backend in (session.backend, session.cost_backend()):
+            with pytest.raises(ValueError, match=names):
+                backend.encrypt(values, scale=scale)

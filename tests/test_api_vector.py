@@ -181,7 +181,7 @@ class TestLevelAndScaleManagement:
     def test_rescale_after_raw_product(self, session, vectors):
         a, b, ct_a, ct_b = vectors
         raw = session.wrap(
-            session.evaluator.multiply(ct_a.handle, ct_b.handle, rescale=False)
+            session.evaluator.multiply_plain(ct_a.handle, b, rescale=False)
         )
         rescaled = raw.rescale()
         assert rescaled.level == ct_a.level - 1
@@ -194,9 +194,9 @@ class TestLevelAndScaleManagement:
         assert_close(session.decrypt(deeper * ct_b, 8).real, a * a * b, 5e-3)
 
     def test_scale_mismatch_is_rejected(self, session, vectors):
-        _, _, ct_a, ct_b = vectors
+        _, b, ct_a, _ = vectors
         raw = session.wrap(
-            session.evaluator.multiply(ct_a.handle, ct_b.handle, rescale=False)
+            session.evaluator.multiply_plain(ct_a.handle, b, rescale=False)
         )
         with pytest.raises(ValueError, match="scale mismatch"):
             raw + ct_a
@@ -218,7 +218,7 @@ class TestDispatchGuards:
     def test_cross_backend_mixing_rejected(self, session, vectors):
         _, _, ct_a, _ = vectors
         cost = session.cost_backend()
-        other = CipherVector(cost, cost.encrypt())
+        other = CipherVector(cost, cost.encrypt([0.5]))
         with pytest.raises(ValueError, match="different backends"):
             ct_a + other
 

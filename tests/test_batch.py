@@ -21,7 +21,6 @@ from repro.api import (
     CostModelBackend,
     EvaluationBackend,
     SymbolicCiphertext,
-    TracingBackend,
 )
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.evaluator import Evaluator
@@ -34,6 +33,7 @@ from repro.core.memory import MemoryPool
 from repro.core.rns_poly import RNSPoly
 from repro.gpu.platforms import GPU_RTX_4090
 from repro.perf.trace_model import TraceCostModel
+from tests.conftest import BACKEND_OPERATIONS
 
 
 BATCH = 3
@@ -153,8 +153,6 @@ class TestSingleSurfaceEquivalence:
     """Fused == per-member loop, residue for residue, for every operation."""
 
     def test_surface_ops_cover_the_protocol(self):
-        from repro.api.backend import BACKEND_OPERATIONS
-
         sources = {"encrypt", "encrypt_batch", "batch_from", "batch_split"}
         assert set(BACKEND_OPERATIONS) - sources <= set(SURFACE_OPS)
 
@@ -577,23 +575,21 @@ class TestApiSurface:
         assert isinstance(batch, SymbolicCiphertext) and batch.batch_size == BATCH
         assert [h.encoded_length for h in backend.batch_split(batch)] == [1] * BATCH
 
-    def test_tracing_backend_batch_handles_match_inner(self, session):
+    def test_recorded_batch_handles_match_unrecorded(self, session):
         rng = np.random.default_rng(5)
         rows = [rng.uniform(-1, 1, 8) for _ in range(BATCH)]
         cts = [session.encrypt(row).handle for row in rows]
-        tracing = session.tracing_backend()
-        batch = tracing.batch_from(cts)
-        result = tracing.multiply(batch, batch)
-        assert tracing.trace.kernel_count > 0
-        plain = session.backend.multiply(
-            session.backend.batch_from(cts),
-            session.backend.batch_from(cts),
-        )
+        backend = session.backend
+        with session.trace() as trace:
+            batch = backend.batch_from(cts)
+            result = backend.multiply(batch, batch)
+        assert trace.kernel_count > 0
+        plain = backend.multiply(backend.batch_from(cts), backend.batch_from(cts))
         assert_members_identical(result, plain.split())
 
 
 class TestOpSurface:
-    """Drift guard: three backends, one protocol, no ``batch_*`` twins."""
+    """Drift guard: two backends, one protocol, no ``batch_*`` twins."""
 
     @staticmethod
     def _public_ops(cls):
@@ -610,8 +606,7 @@ class TestOpSurface:
                 "batch_from", "batch_split"
             ), name
         constructors = {"from_context", "for_model"}
-        for backend in (CostModelBackend, TracingBackend):
-            assert self._public_ops(backend) - constructors == protocol, backend
+        assert self._public_ops(CostModelBackend) - constructors == protocol
         # The functional backend is the evaluator itself: the protocol plus
         # the evaluator's own verbs, none of them a second batch surface.
         functional = self._public_ops(Evaluator)
@@ -666,7 +661,7 @@ class TestBatchAdjust:
         with pytest.raises(ValueError, match="higher level"):
             evaluator.adjust(lowered, lowered.level + 1)
 
-    def test_api_at_level_on_all_three_backends(self, session):
+    def test_api_at_level_on_both_backends(self, session):
         rng = np.random.default_rng(23)
         rows = [rng.uniform(-1, 1, 8) for _ in range(BATCH)]
         vectors = [session.encrypt(row) for row in rows]
@@ -686,10 +681,11 @@ class TestBatchAdjust:
         assert symbolic.level == target
         assert symbolic.scale == pytest.approx(fused.scale, rel=1e-9)
 
-        tracing = session.tracing_backend()
-        traced = tracing.at_level(
-            tracing.batch_from([v.handle for v in vectors]), target
-        )
+        backend = session.backend
+        with session.trace():
+            traced = backend.at_level(
+                backend.batch_from([v.handle for v in vectors]), target
+            )
         assert_members_identical(traced, sequential)
 
 

@@ -10,7 +10,7 @@ from repro.ckks.encryption import Decryptor, Encryptor
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator, KeySet
 from repro.ckks.params import PARAMETER_SETS
-from tests.conftest import assert_same_ciphertext
+from tests.conftest import assert_same_ciphertext, int_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -78,13 +78,6 @@ class TestBootstrapConfig:
         with pytest.raises(error, match=field):
             Bootstrapper(boot.context, boot.evaluator, BootstrapConfig(**overrides))
 
-    def test_range_bound(self):
-        assert BootstrapConfig(double_angle_iterations=3).range_bound == 7
-
-    def test_depth_estimate_positive(self, bootstrap_setup):
-        boot = bootstrap_setup["bootstrapper"]
-        assert 0 < boot.depth_required() <= bootstrap_setup["params"].mult_depth
-
     def test_dense_secret_rejected(self):
         params = PARAMETER_SETS["toy-bootstrap"].with_overrides(secret_hamming_weight=256)
         context = Context(params)
@@ -111,7 +104,7 @@ class TestModRaise:
         # its coefficients recovers the message.
         plain = decryptor.decrypt(raised)
         q0 = bootstrap_setup["context"].moduli[0]
-        coeffs = np.array(plain.poly.to_int_coefficients(), dtype=np.float64)
+        coeffs = np.array(int_coefficients(plain.poly), dtype=np.float64)
         centred = coeffs - q0 * np.round(coeffs / q0)
         decoded = bootstrap_setup["context"].encoder.decode(centred, ct.scale, 4)
         assert np.max(np.abs(decoded.real - message)) < 1e-3

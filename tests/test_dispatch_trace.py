@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.api import CKKSSession, CipherVector, TracingBackend
+from repro.api import CKKSSession, CipherVector
 from repro.ckks.params import CKKSParameters
 from repro.core.dispatch import DISPATCH, KernelTrace
 from repro.gpu.kernel import Kernel
@@ -255,15 +255,18 @@ class TestRecording:
         assert names[-3:] == ["intt[4]", "baseconv[4->6]", "ntt[6]"]
         assert not any(name.startswith("relin-add") for name in names)
 
-    def test_tracing_backend_accumulates_across_operations(self, traced_session):
-        backend = TracingBackend(traced_session.backend)
+    def test_trace_accumulates_across_regions(self, traced_session):
+        backend = traced_session.backend
         ct = backend.encrypt([0.25, -0.5])
-        result = backend.multiply(ct, ct)
-        backend.rescale_count = None  # attribute access does not break tracing
-        assert backend.trace.kernel_count > 0
-        leafs = backend.trace.leaf_segments()
+        with traced_session.trace() as trace:
+            product = backend.multiply(ct, ct)
+        first = trace.kernel_count
+        with traced_session.trace(trace):
+            result = backend.add(product, product)
+        assert trace.kernel_count > first > 0
+        leafs = trace.leaf_segments()
         assert "moddown" in leafs and "rescale" not in leafs
-        assert backend.describe()["backend"] == "tracing"
+        assert [s for s in trace.scopes() if "/" not in s] == ["hmult", "hadd"]
         assert result.limb_count == ct.limb_count - 1
 
 

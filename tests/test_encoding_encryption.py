@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckks.encoding import CKKSEncoder, rotation_group
-from repro.ckks.encryption import SymmetricEncryptor, decode, encode
+from repro.ckks.encryption import decode, encode
 from repro.ckks.params import CKKSParameters
 from tests.conftest import assert_close
 
@@ -155,27 +155,10 @@ class TestEncryption:
         assert ct.slots == context.slots
         assert ct.encoded_length == 2
 
-    def test_symmetric_encryption_roundtrip(self, context, keys, decryptor, rng):
-        values = rng.uniform(-1, 1, 8)
-        ct = SymmetricEncryptor(context, keys.secret_key, seed=3).encrypt(
-            encode(context, values)
-        )
-        assert_close(decryptor.decrypt_values(ct, 8).real, values)
-
     def test_complex_messages(self, context, encryptor, decryptor, rng):
         values = rng.uniform(-0.5, 0.5, 8) + 1j * rng.uniform(-0.5, 0.5, 8)
         ct = encryptor.encrypt_values(values)
         assert_close(decryptor.decrypt_values(ct, 8), values)
-
-    def test_symmetric_noise_smaller_than_public(self, context, keys, encryptor, decryptor, rng):
-        values = rng.uniform(-1, 1, 8)
-        sym = SymmetricEncryptor(context, keys.secret_key, seed=4).encrypt(
-            encode(context, values)
-        )
-        pub = encryptor.encrypt_values(values)
-        sym_err = np.max(np.abs(decryptor.decrypt_values(sym, 8).real - values))
-        pub_err = np.max(np.abs(decryptor.decrypt_values(pub, 8).real - values))
-        assert sym_err <= pub_err * 2  # symmetric encryption is at least as clean
 
     @pytest.mark.parametrize("length", [-1, 513, 10**6])
     def test_session_decrypt_rejects_length_out_of_range(self, session, length):

@@ -138,8 +138,8 @@ class TestMultiplications:
 
 
 class TestRescaleAndLevels:
-    def test_rescale_reduces_level_and_scale(self, evaluator, ciphertexts):
-        raw = evaluator.multiply(*ciphertexts, rescale=False)
+    def test_rescale_reduces_level_and_scale(self, evaluator, ciphertexts, messages):
+        raw = evaluator.multiply_plain(ciphertexts[0], messages[1], rescale=False)
         rescaled = evaluator.rescale(raw)
         assert rescaled.level == raw.level - 1
         assert rescaled.scale < raw.scale

@@ -218,7 +218,7 @@ class TestExecutableFlag:
             TraceProgram(plain)
 
     def test_appending_to_an_executable_trace_needs_no_flag(self, fusion_session):
-        # How TracingBackend accumulates: record(trace) with the default flag.
+        # How a trace accumulates: record(trace) with the default flag.
         ct = fusion_session.encrypt([0.5, 0.25])
         with fusion_session.trace(executable=True) as trace:
             doubled = ct + ct

@@ -13,6 +13,7 @@ from repro.core.limb import LimbFormat
 from repro.core.memory import MemoryPool, OutOfDeviceMemory
 from repro.core.primes import generate_ntt_primes
 from repro.core.rns_poly import RNSPoly
+from tests.conftest import int_coefficients
 
 N = 64
 PRIMES = generate_ntt_primes(3, 28, N)
@@ -106,7 +107,7 @@ def one_limb_poly(q, seed, fmt=LimbFormat.COEFFICIENT):
 
 def limb_values(poly):
     """Residues of a one-limb polynomial, read through its row view."""
-    (row,) = poly.limb_arrays()
+    (row,) = poly.data
     return [int(x) for x in row]
 
 
@@ -126,7 +127,7 @@ class TestLimb:
     def test_format_conversion_roundtrip(self):
         poly = one_limb_poly(PRIMES[0], 1)
         evaluated = poly.to_evaluation()
-        (row,) = evaluated.limb_arrays()
+        (row,) = evaluated.data
         assert evaluated.fmt is LimbFormat.EVALUATION and len(row) == N
         assert limb_values(evaluated.to_coefficient()) == limb_values(poly)
 
@@ -136,7 +137,7 @@ class TestLimb:
         poly, coeffs = random_poly(2, fmt=LimbFormat.EVALUATION)
         shifted = poly.add_scalar(17)
         assert shifted.fmt is LimbFormat.EVALUATION
-        assert shifted.to_int_coefficients() == [coeffs[0] + 17, *coeffs[1:]]
+        assert int_coefficients(shifted) == [coeffs[0] + 17, *coeffs[1:]]
 
     def test_incompatible_moduli_rejected(self):
         a = RNSPoly.zeros(N, PRIMES[:1])
@@ -174,34 +175,34 @@ class TestAutomorphism:
                 expected[idx - N] = (expected[idx - N] - c) % q
             else:
                 expected[idx] = (expected[idx] + c) % q
-        assert [int(x) for x in transformed.limb_arrays()[0]] == expected
+        assert [int(x) for x in transformed.data[0]] == expected
 
     def test_inverse_automorphism_restores(self):
         poly, _ = random_poly(4)
         k = rotation_to_exponent(N, 3)
         k_inv = pow(k, -1, 2 * N)
         back = poly.automorphism(k).automorphism(k_inv)
-        assert back.to_int_coefficients() == poly.to_int_coefficients()
+        assert int_coefficients(back) == int_coefficients(poly)
 
 
 class TestRNSPoly:
     def test_roundtrip_int_coefficients(self):
         poly, coeffs = random_poly(5)
-        assert poly.to_int_coefficients() == coeffs
+        assert int_coefficients(poly) == coeffs
 
     def test_eval_roundtrip(self):
         poly, coeffs = random_poly(6)
-        assert poly.to_evaluation().to_coefficient().to_int_coefficients() == coeffs
+        assert int_coefficients(poly.to_evaluation().to_coefficient()) == coeffs
 
     def test_add_matches_integer_arithmetic(self):
         a, ca = random_poly(7)
         b, cb = random_poly(8)
-        assert a.add(b).to_int_coefficients() == [x + y for x, y in zip(ca, cb)]
+        assert int_coefficients(a.add(b)) == [x + y for x, y in zip(ca, cb)]
 
     def test_multiply_matches_negacyclic_reference(self):
         a, ca = random_poly(9, fmt=LimbFormat.EVALUATION)
         b, cb = random_poly(10, fmt=LimbFormat.EVALUATION)
-        product = a.multiply(b).to_int_coefficients()
+        product = int_coefficients(a.multiply(b))
         expected = [0] * N
         for i, x in enumerate(ca):
             for j, y in enumerate(cb):
@@ -214,7 +215,7 @@ class TestRNSPoly:
     def test_multiply_scalar_per_limb(self):
         poly, coeffs = random_poly(11)
         scaled = poly.multiply_scalar(3)
-        assert scaled.to_int_coefficients() == [3 * c for c in coeffs]
+        assert int_coefficients(scaled) == [3 * c for c in coeffs]
 
     def test_drop_and_keep_limbs(self):
         poly, _ = random_poly(12)
@@ -232,16 +233,16 @@ class TestRNSPoly:
 
     def test_rescale_divides_by_last_prime(self):
         poly, quotients = last_prime_multiple(16)
-        rescaled = poly.rescale_last()
+        (rescaled,) = RNSPoly.rescale_last_many([poly])
         assert rescaled.level_count == 2 and rescaled.fmt is LimbFormat.EVALUATION
-        assert rescaled.to_int_coefficients() == quotients
+        assert int_coefficients(rescaled) == quotients
 
     def test_rescale_requires_two_limbs(self):
         poly = RNSPoly.from_int_coefficients(
             N, PRIMES[:1], [1, 2, 3], fmt=LimbFormat.EVALUATION
         )
         with pytest.raises(ValueError, match="single-limb"):
-            poly.rescale_last()
+            RNSPoly.rescale_last_many([poly])
 
     @pytest.mark.parametrize("operation", ["rescale_last", "add_scalar", "mod_down"])
     def test_coefficient_format_operand_is_rejected(self, operation, context):
@@ -250,7 +251,7 @@ class TestRNSPoly:
         moduli = list(context.moduli) + list(context.special_moduli)
         poly = RNSPoly.zeros(context.ring_degree, moduli)
         run = {
-            "rescale_last": poly.rescale_last,
+            "rescale_last": lambda: RNSPoly.rescale_last_many([poly]),
             "add_scalar": lambda: poly.add_scalar(1),
             "mod_down": lambda: mod_down(context, poly),
         }[operation]

@@ -27,6 +27,7 @@ from repro.core.memory import (
 from repro.core.ntt import get_stacked_engine, reference_transform
 from repro.core.primes import generate_ntt_primes
 from repro.core.rns_poly import RNSPoly
+from tests.conftest import int_coefficients
 from tests.test_limb_poly import last_prime_multiple
 
 N = 64
@@ -138,7 +139,7 @@ class TestStackedNTT:
         poly, _ = _random_poly(6)
         eval_poly = poly.to_evaluation()
         back = eval_poly.to_coefficient()
-        assert back.to_int_coefficients() == poly.to_int_coefficients()
+        assert int_coefficients(back) == int_coefficients(poly)
         assert eval_poly.fmt is LimbFormat.EVALUATION
 
 
@@ -152,7 +153,7 @@ class TestRNSPolyStorage:
     def test_limb_views_are_zero_copy(self):
         poly, _ = _random_poly(7)
         allocations = default_pool.allocation_count
-        rows = poly.limb_arrays()
+        rows = list(poly.data)
         assert len(rows) == len(PRIMES)
         for i, row in enumerate(rows):
             assert np.shares_memory(row, poly.data)
@@ -168,7 +169,7 @@ class TestRNSPolyStorage:
             N, moduli, [int(v) for v in rng.integers(-50, 50, N)]
         )
         data = poly.data
-        for i, row in enumerate(poly.limb_arrays()):
+        for i, row in enumerate(poly.data):
             assert np.shares_memory(row, data)
             row[0] = np.uint64(moduli[i] - 1)  # wider than 32 bits on dword
             assert int(data[i, 0]) == moduli[i] - 1
@@ -177,8 +178,8 @@ class TestRNSPolyStorage:
         (a, qa), (b, qb) = last_prime_multiple(8), last_prime_multiple(9)
         fused = RNSPoly.rescale_last_many([a, b])
         for out, poly, quotients in zip(fused, (a, b), (qa, qb)):
-            np.testing.assert_array_equal(out.data, poly.rescale_last().data)
-            assert out.to_int_coefficients() == quotients
+            np.testing.assert_array_equal(out.data, RNSPoly.rescale_last_many([poly])[0].data)
+            assert int_coefficients(out) == quotients
 
     def test_multiply_accumulate_matches_sequential(self):
         a = _random_poly(10)[0].to_evaluation()
@@ -187,7 +188,7 @@ class TestRNSPolyStorage:
         d = _random_poly(13)[0].to_evaluation()
         fused = RNSPoly.multiply_accumulate([(a, b), (c, d)])
         expected = a.multiply(b).add(c.multiply(d))
-        assert fused.to_int_coefficients() == expected.to_int_coefficients()
+        assert int_coefficients(fused) == int_coefficients(expected)
 
     def test_mixed_format_limbs_rejected(self):
         # Format is tracked per polynomial; operands whose limbs are in
@@ -227,7 +228,7 @@ class TestPoolAccountingUnderRNSPoly:
         stack = RNSPoly.zeros(N, PRIMES, pool=pool)
         charged = pool.bytes_in_use
         assert charged == stack.footprint_bytes()  # one flat allocation
-        rows = stack.limb_arrays()
+        rows = list(stack.data)
         assert pool.bytes_in_use == charged  # row views charge nothing
         del rows
         assert pool.bytes_in_use == charged  # dropping views frees nothing
@@ -376,7 +377,7 @@ class TestPoolAccountingUnderRNSPoly:
         baseline = pool.bytes_in_use
         clone = poly.copy()
         assert clone.pool is pool
-        for row, original in zip(clone.limb_arrays(), poly.limb_arrays()):
+        for row, original in zip(clone.data, poly.data):
             assert not np.shares_memory(row, original)
         assert pool.bytes_in_use == 2 * baseline
         clone.release()
@@ -560,8 +561,8 @@ class TestDwordEndToEnd:
             ):
                 assert fast_poly.data.dtype == np.uint64
                 assert exact_poly.data.dtype == np.object_
-                assert [row.tolist() for row in fast_poly.limb_arrays()] == [
-                    [int(x) for x in row] for row in exact_poly.limb_arrays()
+                assert [row.tolist() for row in fast_poly.data] == [
+                    [int(x) for x in row] for row in exact_poly.data
                 ]
 
     def test_59_bit_context_reports_dword_backend(self):

@@ -29,6 +29,7 @@ from repro.ckks.keyswitch import (
 )
 from repro.core import modmath
 from repro.core.rns_poly import RNSPoly
+from tests.conftest import int_coefficients
 
 from test_recorded_stream import CHAINS, make_session
 
@@ -57,7 +58,7 @@ def tensor(x, y, square: bool):
 
 def integers(poly: RNSPoly, members: int) -> list[list[int]]:
     """Each member's coefficients as Python integers (CRT-composed)."""
-    return [member.to_int_coefficients() for member in poly.split(members)]
+    return [int_coefficients(member) for member in poly.split(members)]
 
 
 def expected_residues(context, acc, d, members: int, limb_count: int) -> np.ndarray:

@@ -17,10 +17,9 @@ The contracts under test:
 * a serve count has **one home**: ``server.metrics``, ``report.summary()``
   and the registry's ``serve_*`` series are the same numbers with or
   without a facade, request spans close with the outcome the counters
-  count, and an enabled facade belongs to exactly one server;
-* everything is **zero-cost when disabled**: the dispatcher hands out the
-  shared null context and a server built with a disabled facade carries
-  no observability hooks at all.
+  count, and a facade belongs to exactly one server;
+* a profiler detaches on exit: the dispatcher is back on the shared null
+  context.
 """
 
 from __future__ import annotations
@@ -150,13 +149,22 @@ def run_instrumented_burst(session, *, requests: int = 8, seed: int = 3,
     return obs, server, report
 
 
+def root_spans(tracer) -> list:
+    """Top-level spans (request roots, drain roots) in start order."""
+    return [span for span in tracer.spans if span.parent_id is None]
+
+
+def spans_named(tracer, name: str) -> list:
+    return [span for span in tracer.spans if span.name == name]
+
+
 def seeded_snapshot(obs) -> dict:
     """The registry snapshot minus what is not a function of the seeds.
 
     Pool gauges track the live process-wide default pool, which other
     tests in the session mutate -- everything else must be reproducible.
     """
-    snap = obs.snapshot()
+    snap = obs.registry.snapshot()
     return {name: entry for name, entry in snap.items()
             if not name.startswith("memory_pool_")}
 
@@ -176,8 +184,7 @@ class TestMetricsRegistry:
         depth = registry.gauge("depth", "Current depth")
         depth.set(4)
         depth.inc()
-        depth.dec(2)
-        assert registry.value("depth") == 3
+        assert registry.value("depth") == 5
 
         lat = registry.histogram("lat_seconds", "Latency",
                                  buckets=(0.1, 1.0))
@@ -291,7 +298,7 @@ class TestMetricsRegistry:
         assert bare.metrics.registry.value(
             "serve_requests_total", outcome="completed") == 12
 
-    def test_one_enabled_facade_serves_one_server(self, obs_session):
+    def test_one_facade_serves_one_server(self, obs_session):
         backend = obs_session.cost_backend()
 
         def serve(count, observability):
@@ -311,11 +318,6 @@ class TestMetricsRegistry:
             serve(2, obs)
         assert obs.registry.value(
             "serve_requests_total", outcome="completed") == 5
-        # A disabled facade is inert, so it stays shareable.
-        disabled = Observability(enabled=False)
-        assert serve(5, disabled).metrics.completed == 5
-        assert serve(2, disabled).metrics.completed == 2
-        assert disabled.owner is None
 
     def test_modeled_throughput_is_completed_per_modeled_second(self):
         metrics = ServeMetrics(MetricsRegistry())
@@ -332,7 +334,7 @@ class TestMetricsRegistry:
 
     def test_modeled_gpu_seconds_is_one_unlabeled_series(self, obs_session):
         obs, server, _ = run_instrumented_burst(obs_session)
-        (series,) = obs.snapshot()["serve_modeled_gpu_seconds"]["series"]
+        (series,) = obs.registry.snapshot()["serve_modeled_gpu_seconds"]["series"]
         assert series["labels"] == {}
         assert series["value"] == server.metrics.modeled_seconds > 0
 
@@ -354,7 +356,7 @@ class TestSpans:
         assert ping.parent_id == child.span_id
         assert ping.duration == 0.0
         assert tracer.children(root) == [child]
-        assert tracer.find("child") == [child]
+        assert spans_named(tracer, "child") == [child]
 
     def test_serve_run_span_integrity(self, obs_session):
         obs, _, report = run_instrumented_burst(obs_session, faults=True)
@@ -364,18 +366,18 @@ class TestSpans:
         assert {"request", "admission", "queued", "drain", "fused"} <= names
         # Every request root closes with an outcome and its children nest
         # inside it on the simulated clock.
-        roots = [span for span in tracer.roots() if span.name == "request"]
+        roots = [span for span in root_spans(tracer) if span.name == "request"]
         metrics = report.metrics
         assert len(roots) == metrics.admitted + metrics.shed_requests == 24
         for root in roots:
             assert root.finished
             assert root.attributes["outcome"] in {"ok", "error", "shed"}
-        fused = tracer.find("fused")
+        fused = spans_named(tracer, "fused")
         assert fused and all(span.parent_id is not None for span in fused)
 
     def test_retry_spans_on_faulted_run(self, obs_session):
         obs, server, _ = run_instrumented_burst(obs_session, faults=True)
-        retries = obs.tracer.find("retry")
+        retries = spans_named(obs.tracer, "retry")
         assert len(retries) == server.metrics.retries == 1
         assert all(span.attributes["error_kind"] for span in retries)
 
@@ -386,17 +388,17 @@ class TestSpans:
         metrics = server.metrics
         outcomes = [
             (root.attributes["outcome"], root.attributes["error_kind"])
-            for root in obs.tracer.roots() if root.name == "request"
+            for root in root_spans(obs.tracer) if root.name == "request"
         ]
         assert outcomes.count(("error", "DeadlineExceeded")) == \
             metrics.deadline_misses == 6
         assert outcomes.count(("shed", "RequestRejected")) == \
             metrics.shed_requests == 6
         assert outcomes.count(("ok", None)) == metrics.completed == 12
-        assert len(obs.tracer.find("retry")) == metrics.retries
+        assert len(spans_named(obs.tracer, "retry")) == metrics.retries
         # The drain whose every request went overdue closes as a miss too.
         assert [span.attributes["error_kind"]
-                for span in obs.tracer.find("drain")
+                for span in spans_named(obs.tracer, "drain")
                 if span.attributes["outcome"] == "error"] == ["DeadlineExceeded"]
 
 
@@ -543,10 +545,10 @@ class TestScopeRollup:
         assert DISPATCH.scope("x") is _NULL_CONTEXT
 
 
-# -- pool + disabled path -----------------------------------------------------
+# -- pool -----------------------------------------------------------------
 
 
-class TestPoolAndDisabled:
+class TestPool:
     def test_peak_gauge_and_reset_peak(self):
         pool = MemoryPool()
         obs = Observability()
@@ -566,19 +568,6 @@ class TestPoolAndDisabled:
 
     def test_drain_peak_histogram_recorded(self, obs_session):
         obs, _, _ = run_instrumented_burst(obs_session)
-        snap = obs.snapshot()
+        snap = obs.registry.snapshot()
         series = snap["serve_drain_peak_bytes"]["series"]
         assert series and all(entry["count"] >= 1 for entry in series)
-
-    def test_disabled_facade_is_inert(self, obs_session):
-        obs = obs_session.observability(enabled=False)
-        assert not obs.enabled
-        with obs.span("x") as span:
-            assert span is None
-        with obs.profile() as profiler:
-            assert profiler is None
-        server = obs_session.server(
-            BatchingPolicy(max_batch_size=4), observability=obs,
-        )
-        assert server.obs is None
-        assert DISPATCH.scope("anything") is _NULL_CONTEXT

@@ -11,7 +11,6 @@ from repro.core.primes import (
     find_root_of_unity,
     generate_ntt_primes,
     is_prime,
-    prime_basis_product,
 )
 
 
@@ -60,10 +59,6 @@ class TestGeneration:
         first = find_ntt_prime_near(target, 512)
         second = find_ntt_prime_near(target, 512, exclude=[first])
         assert first != second
-
-    def test_basis_product(self):
-        primes = generate_ntt_primes(3, 25, 64)
-        assert prime_basis_product(primes) == primes[0] * primes[1] * primes[2]
 
 
 class TestRoots:

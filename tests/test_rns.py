@@ -15,7 +15,7 @@ from repro.ckks.params import CKKSParameters
 from repro.core import modmath
 from repro.core.limb import LimbFormat
 from repro.core.primes import generate_ntt_primes
-from repro.core.rns import BaseConverter, RNSBasis, digit_of_limb, partition_digits
+from repro.core.rns import BaseConverter, RNSBasis, partition_digits
 from repro.core.rns_poly import RNSPoly
 
 
@@ -113,9 +113,6 @@ class TestRNSBasis:
     def test_digit_partition(self):
         digits = partition_digits(list(range(7)), 3)
         assert digits == [[0, 1, 2], [3, 4, 5], [6]]
-        assert digit_of_limb(0, 7, 3) == 0
-        assert digit_of_limb(5, 7, 3) == 1
-        assert digit_of_limb(6, 7, 3) == 2
 
     def test_digit_partition_rejects_bad_dnum(self):
         with pytest.raises(ValueError):
@@ -139,8 +136,8 @@ class TestBaseConversion:
         import random
         rng = random.Random(1)
         values = [rng.randrange(source.modulus) for _ in range(16)]
-        limbs = decompose(source, values)
-        converted = BaseConverter(source, target).convert(limbs)
+        limbs = np.stack(decompose(source, values))
+        converted = BaseConverter(source, target).convert_stack(limbs)
         recomposed = RNSBasis(target.moduli).compose(converted)
         for got, value in zip(recomposed.tolist(), values):
             difference = (got - value) % target.modulus
@@ -153,12 +150,6 @@ class TestBaseConversion:
         source, _ = bases
         with pytest.raises(ValueError):
             BaseConverter(source, source)
-
-    def test_convert_validates_limb_count(self, bases):
-        source, target = bases
-        converter = BaseConverter(source, target)
-        with pytest.raises(ValueError):
-            converter.convert([np.zeros(4, dtype=np.uint64)])
 
     def test_object_backend_conversion(self):
         source = RNSBasis(generate_ntt_primes(2, 59, 64))

@@ -452,12 +452,10 @@ class TestServeBackends:
         assert symbolic.metrics.modeled_seconds == \
             pricer.price(emitted, streams=1).makespan
 
-    def test_tracing_backend_serving_is_bit_identical(self, session, rng):
+    def test_recorded_serving_is_bit_identical(self, session, rng):
         rows = [rng.uniform(-1, 1, 8) for _ in range(3)]
         plain = Server(session, BatchingPolicy(max_batch_size=4, max_wait=0.0))
-        tracing_backend = session.tracing_backend()
-        traced = Server(tracing_backend,
-                        BatchingPolicy(max_batch_size=4, max_wait=0.0))
+        traced = Server(session, BatchingPolicy(max_batch_size=4, max_wait=0.0))
         # One encryption per row, served through both stacks: encryption is
         # randomised, so bit-identity only holds for the same input handle.
         handles = [session.encrypt(row).handle for row in rows]
@@ -466,14 +464,15 @@ class TestServeBackends:
             for handle in handles
         ]
         observed = [
-            traced.submit(SQUARE_PROGRAM, CipherVector(tracing_backend, handle))
+            traced.submit(SQUARE_PROGRAM, CipherVector(session.backend, handle))
             for handle in handles
         ]
         plain.flush()
-        traced.flush()
+        with session.trace() as trace:
+            traced.flush()
         for want, got in zip(expected, observed):
             assert bitwise_equal(got.result(), want.result())
-        assert tracing_backend.trace.kernel_count > 0
+        assert trace.kernel_count > 0
 
     def test_trace_costs_accumulate_modeled_gpu_time(self, session, rng):
         server = Server(

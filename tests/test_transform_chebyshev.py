@@ -8,7 +8,6 @@ import pytest
 from repro.ckks.chebyshev import (
     chebyshev_coefficients,
     chebyshev_divide,
-    chebyshev_series_value,
     double_angle,
     evaluate_chebyshev,
     evaluate_chebyshev_direct,
@@ -20,6 +19,12 @@ from repro.ckks.linear_transform import (
     slot_to_coeff_matrix,
 )
 from tests.conftest import assert_close, assert_same_ciphertext
+
+
+def chebyshev_series_value(coefficients, x: float) -> float:
+    """Evaluate a Chebyshev series at a scalar point (plaintext reference)."""
+    return sum(c * math.cos(k * math.acos(max(-1.0, min(1.0, x))))
+               for k, c in enumerate(coefficients))
 
 
 class TestChebyshevMath:
