@@ -31,7 +31,7 @@ as raw value arrays, which are encoded at the ladder-restoring scale
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.ckks.ciphertext import (
     Ciphertext,
@@ -41,7 +41,9 @@ from repro.ckks.ciphertext import (
     check_finite_scalar,
     check_plain_scale,
     check_product_rescale,
+    check_same_batch,
     check_scalar_rescale,
+    check_sum_scales,
     match_for_dot,
     match_for_product,
     match_for_sum,
@@ -61,6 +63,11 @@ from repro.core.automorphism import conjugation_exponent, rotation_to_exponent
 from repro.core.dispatch import DISPATCH
 from repro.core.limb import LimbFormat
 from repro.core.rns_poly import RNSPoly
+
+
+def _plus(total: RNSPoly | None, poly: RNSPoly) -> RNSPoly:
+    """A running sum: ``poly`` starts it, later terms add to it."""
+    return poly if total is None else total.add(poly)
 
 
 class Evaluator:
@@ -327,6 +334,63 @@ class Evaluator:
             c0, c1 = mod_down_rescale_many(self.context, list(accs), [d0, d1])
         return template.with_polys(c0, c1, scale=scale / template.moduli[-1])
 
+    def rotated_sum(self, terms: Iterable[tuple[Ciphertext, int]]) -> Ciphertext:
+        """Return ``Σ rotate(ct_j, s_j)`` rescaled, ending in one merged ModDown.
+
+        The giant half of double hoisting (Bossuat et al., Eurocrypt 2021):
+        a rotated term's key switch stops at its accumulators over
+        ``Q_l ∪ P`` (:func:`~repro.ckks.keyswitch.apply_key` on the ModUp'd
+        ``c1``, the automorphism applied to the digits), which sum there
+        into ``A``; its gathered ``σ(c0)``, and both components of an
+        unrotated term, sum over ``Q_l`` into ``D``.  One
+        :func:`~repro.ckks.keyswitch.mod_down_rescale_many` then returns
+        ``round((A + P·D)/(P·q_l))`` one level down, where a rotation per
+        term would pay a ModDown each and the sum a separate rescale.  With
+        no rotated term this is ``rescale(D)``.
+
+        ``terms`` yields ``(ciphertext, step)`` pairs at one level, scale
+        and member count; it is consumed lazily, so only the running sums
+        stay live.
+        """
+        first = a0 = a1 = d0 = d1 = None
+        for ct, step in terms:
+            if first is None:
+                check_product_rescale(ct)
+                first = ct
+            else:
+                check_same_batch(first, ct)
+                if ct.level != first.level:
+                    raise ValueError(
+                        f"rotated_sum terms must share one level, got "
+                        f"{first.level} and {ct.level}"
+                    )
+                check_sum_scales(first.scale, ct.scale)
+            if step % ct.slots == 0:
+                with self._scope(ct, "hadd"), DISPATCH.launch("hadd"):
+                    d0, d1 = _plus(d0, ct.c0), _plus(d1, ct.c1)
+                continue
+            with self._scope(ct, "hrotate"):
+                key = self.keys.rotation_key(step, self.context.slots)
+                exponent = rotation_to_exponent(self.context.ring_degree, step)
+                decomposed = decompose_and_mod_up(self.context, ct.c1)
+                with DISPATCH.scope("keyswitch"):
+                    acc0, acc1 = apply_key(self.context, decomposed, key,
+                                           automorphism_exponent=exponent)
+                rotated_c0 = ct.c0.automorphism(exponent)
+                with DISPATCH.launch("hadd"):
+                    a0, a1 = _plus(a0, acc0), _plus(a1, acc1)
+                    d0 = _plus(d0, rotated_c0)
+        if first is None:
+            raise ValueError("rotated_sum needs at least one term")
+        if d1 is None:
+            d1 = RNSPoly.zeros(d0.ring_degree, d0.moduli, fmt=LimbFormat.EVALUATION,
+                               pool=d0.pool)
+        if a0 is None:
+            return self.rescale(first.with_polys(d0, d1))
+        with self._scope(first, "keyswitch"):
+            c0, c1 = mod_down_rescale_many(self.context, [a0, a1], [d0, d1])
+            return first.with_polys(c0, c1, scale=first.scale / first.moduli[-1])
+
     def multiply_by_monomial(self, ct: Ciphertext, power: int) -> Ciphertext:
         """Multiply by ``X^power`` (no scale change).
 
@@ -342,10 +406,10 @@ class Evaluator:
             sign = -1
         coefficients = [0] * n
         coefficients[power] = sign
-        monomial = RNSPoly.from_int_coefficients(
-            n, ct.moduli, coefficients, fmt=LimbFormat.EVALUATION
-        ).tile(ct.batch_size)
         with self._scope(ct, "monomial"):
+            monomial = RNSPoly.from_int_coefficients(
+                n, ct.moduli, coefficients, fmt=LimbFormat.EVALUATION
+            ).tile(ct.batch_size)
             return self._on_both(ct, "monomial", lambda c: c.multiply(monomial))
 
     def multiply_by_i(self, ct: Ciphertext) -> Ciphertext:

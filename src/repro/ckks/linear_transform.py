@@ -6,8 +6,12 @@ evaluates them with the Baby-Step Giant-Step (BSGS) algorithm of
 Bossuat et al. [42]: the matrix is decomposed into its generalized
 diagonals, baby-step rotations of the input are produced once with the
 hoisted-rotation optimisation, and each giant step combines ``n1``
-plaintext multiplications -- one fused dot product -- with a single
-rotation.
+plaintext multiplications -- one fused dot product.  The giant steps end
+in one merged tail (the giant half of Bossuat et al.'s double hoisting):
+each rotated inner product's key switch stops in the extended basis
+``Q_l ∪ P``, the accumulators sum there, and one ModDown divides the sum
+by ``P·q_l`` (:meth:`~repro.ckks.evaluator.Evaluator.rotated_sum`) instead
+of a ModDown per giant step and a rescale.
 
 :class:`LinearTransform` implements that algorithm for an arbitrary
 ``slots x slots`` complex matrix; :func:`coeff_to_slot_matrix` and
@@ -18,6 +22,7 @@ rotation.
 from __future__ import annotations
 
 import math
+import operator
 from collections import OrderedDict
 
 import numpy as np
@@ -57,6 +62,21 @@ def slot_to_coeff_matrix(ring_degree: int, scale_factor: float) -> np.ndarray:
     return scale_factor * decoding_matrix(ring_degree)
 
 
+def _check_baby_steps(value, slots: int) -> int:
+    """Reject a baby-step count that is no integer ``>= 1`` dividing ``slots``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"baby_steps must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"baby_steps must be >= 1, got {value}")
+    if slots % value:
+        raise ValueError(f"baby_steps={value} must divide the slot count {slots}")
+    return value
+
+
 class LinearTransform:
     """BSGS evaluation of ``slots x slots`` plaintext matrices.
 
@@ -80,15 +100,15 @@ class LinearTransform:
         matrix = np.asarray(matrix, dtype=np.complex128)
         if matrix.shape != (slots, slots):
             raise ValueError(f"matrix must be {slots}x{slots}, got {matrix.shape}")
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("the transform matrix must be finite (no NaN or inf)")
+        if baby_steps is None:
+            baby_steps = 1 << math.ceil(math.log2(max(1, math.isqrt(slots))))
         self.context = context
         self.matrix = matrix
         self.slots = slots
-        if baby_steps is None:
-            baby_steps = 1 << math.ceil(math.log2(max(1, math.isqrt(slots))))
-        if slots % baby_steps != 0:
-            raise ValueError("baby_steps must divide the slot count")
-        self.baby_steps = baby_steps
-        self.giant_steps = slots // baby_steps
+        self.baby_steps = _check_baby_steps(baby_steps, slots)
+        self.giant_steps = slots // self.baby_steps
         # Generalized diagonals diag_k[j] = M[j, (j + k) mod slots], pre-rotated
         # by -giant*n1 so each giant step needs a single output rotation;
         # giant -> baby -> diagonal, zero diagonals left out.
@@ -124,9 +144,12 @@ class LinearTransform:
 
         Consumes exactly one multiplicative level.  Baby-step rotations are
         produced with the hoisted-rotation routine, and each giant step is
-        one fused plaintext dot product (§III-F.5) and one rotation;
-        plaintext diagonals are encoded at the scale that restores the
-        context's scale ladder after the final rescale.
+        one fused plaintext dot product (§III-F.5); the giant steps' rotated
+        sum ends in one merged ModDown-rescale
+        (:meth:`~repro.ckks.evaluator.Evaluator.rotated_sum`), which takes
+        the inner products one at a time.  Plaintext diagonals are encoded
+        at the scale that restores the context's scale ladder after that
+        division.
         """
         if ct.level < 1:
             raise ValueError("linear transform needs at least one spare level")
@@ -134,16 +157,13 @@ class LinearTransform:
             raise ValueError("the transform matrix is identically zero")
         rotations = self._baby_rotations(evaluator, ct)
         encoded = self._encoded_diagonals(ct.limb_count, self._plaintext_scale(ct))
-        accumulator: Ciphertext | None = None
-        for giant, plaintexts in encoded.items():
-            inner = evaluator.dot_product_plain(
+        return evaluator.rotated_sum(
+            (evaluator.dot_product_plain(
                 [rotations[baby] for baby in plaintexts], list(plaintexts.values()),
                 rescale=False,
-            )
-            if giant != 0:
-                inner = evaluator.rotate(inner, giant * self.baby_steps)
-            accumulator = inner if accumulator is None else evaluator.add(accumulator, inner)
-        return evaluator.rescale(accumulator)
+            ), giant * self.baby_steps)
+            for giant, plaintexts in encoded.items()
+        )
 
     def _baby_rotations(self, evaluator: Evaluator, ct: Ciphertext) -> dict[int, Ciphertext]:
         steps = sorted({baby for babies in self._diagonals.values() for baby in babies})

@@ -88,7 +88,12 @@ class BootstrapWorkload:
 
         Each stage is a BSGS multiplication by a sparse block matrix with
         ``~2*radix`` generalized diagonals; baby-step rotations are hoisted
-        (§III-F.6) and the accumulation uses the dot-product fusion.
+        (§III-F.6) and the accumulation uses the dot-product fusion.  Each
+        giant step is priced as a full rotation with its own ModDown, and
+        the stage as one rescale, on purpose: that is FIDESlib's algorithm,
+        which Table VI times.  The repo's ``LinearTransform.apply`` ends
+        its giant steps in one merged ModDown-rescale instead
+        (``Evaluator.rotated_sum``), which this closed form does not model.
         """
         cost = OperationCost("LinearTransform")
         stage_limbs = limbs

@@ -18,7 +18,14 @@ from repro.ckks.linear_transform import (
     decoding_matrix,
     slot_to_coeff_matrix,
 )
-from tests.conftest import assert_close, assert_same_ciphertext
+from repro.ckks.keyswitch import apply_key, decompose_and_mod_up
+from repro.core import modmath
+from repro.core.automorphism import rotation_to_exponent
+from repro.core.limb import LimbFormat
+from repro.core.rns_poly import RNSPoly
+from tests.conftest import assert_close
+
+from test_moddown_rescale import expected_residues
 
 
 def chebyshev_series_value(coefficients, x: float) -> float:
@@ -119,6 +126,91 @@ def lt_setup():
     }
 
 
+@pytest.fixture(scope="module")
+def small_context():
+    """An N=2^6 context: construction checks need no keys."""
+    from repro.ckks.context import Context
+    from repro.ckks.params import CKKSParameters
+
+    return Context(CKKSParameters(ring_degree=1 << 6, mult_depth=3, scale_bits=28,
+                                  dnum=2, first_mod_bits=30, label="lt-small"))
+
+
+def lt_baby_steps(context) -> int:
+    return LinearTransform(context, np.eye(context.slots, dtype=complex)).baby_steps
+
+
+@pytest.fixture(scope="module")
+def lt_chains(lt_setup):
+    """``lt_setup`` and a dword (59-bit) twin at N=2^6."""
+    from repro.ckks.context import Context
+    from repro.ckks.encryption import Decryptor, Encryptor
+    from repro.ckks.evaluator import Evaluator
+    from repro.ckks.keys import KeyGenerator
+    from repro.ckks.params import CKKSParameters
+
+    params = CKKSParameters(ring_degree=1 << 6, mult_depth=3, scale_bits=59,
+                            dnum=2, first_mod_bits=60, secret_hamming_weight=16,
+                            label="lt-dword")
+    context = Context(params)
+    n1 = lt_baby_steps(context)
+    rotations = sorted(set(range(1, n1)) | set(range(n1, context.slots, n1)))
+    keys = KeyGenerator(context, seed=7).generate(rotations)
+    dword = {
+        "context": context,
+        "evaluator": Evaluator(context, keys),
+        "encryptor": Encryptor(context, keys.public_key, seed=8),
+        "decryptor": Decryptor(context, keys.secret_key),
+    }
+    assert context.numeric_backend == "dword"
+    return {"uint64": lt_setup, "dword": dword}
+
+
+def banded_matrix(rng, slots: int, n1: int, shape: str) -> np.ndarray:
+    """A random matrix whose nonzero generalized diagonals ``k`` are all
+    (``dense``), only ``k < n1`` (``giant0-only``: no giant step rotates)
+    or only ``k >= n1`` (``no-giant0``: every giant step rotates)."""
+    dense = (rng.normal(size=(slots, slots)) + 1j * rng.normal(size=(slots, slots))) / slots
+    rows = np.arange(slots)
+    k = (np.arange(slots)[None, :] - rows[:, None]) % slots
+    keep = {"dense": k >= 0, "giant0-only": k < n1, "no-giant0": k >= n1}[shape]
+    return np.where(keep, dense, 0)
+
+
+def giant_inner_products(transform, ev, ct) -> dict:
+    """Each giant step's ``ptdot`` inner product over ``Q_l``, before rotation."""
+    rotations = transform._baby_rotations(ev, ct)
+    encoded = transform._encoded_diagonals(ct.limb_count, transform._plaintext_scale(ct))
+    return {
+        giant: ev.dot_product_plain([rotations[baby] for baby in plaintexts],
+                                    list(plaintexts.values()), rescale=False)
+        for giant, plaintexts in encoded.items()
+    }
+
+
+def merged_tail_operands(context, ev, inners: dict, n1: int):
+    """``(A, D0, D1)``: the rotated inner products' hoisted key-switch
+    accumulators summed over ``Q_l ∪ P``, and ``σ_j(u_j)`` plus the
+    unrotated inner product summed over ``Q_l`` (``None`` where empty)."""
+    accs = d0 = d1 = None
+
+    def plus(total, poly):
+        return poly if total is None else total.add(poly)
+
+    for giant, inner in inners.items():
+        if giant == 0:
+            d0, d1 = plus(d0, inner.c0), plus(d1, inner.c1)
+            continue
+        step = giant * n1
+        exponent = rotation_to_exponent(context.ring_degree, step)
+        pair = apply_key(context, decompose_and_mod_up(context, inner.c1),
+                         ev.keys.rotation_key(step, context.slots),
+                         automorphism_exponent=exponent)
+        accs = list(pair) if accs is None else [a.add(b) for a, b in zip(accs, pair)]
+        d0 = plus(d0, inner.c0.automorphism(exponent))
+    return accs, d0, d1
+
+
 class TestLinearTransform:
     def test_decoding_matrix_identity(self, context):
         # sigma(m) = E0 (m_lo + i m_hi) for real coefficient vectors.
@@ -165,27 +257,106 @@ class TestLinearTransform:
             1e-3,
         )
 
-    def test_giant_steps_equal_the_pairwise_loop(self, lt_setup, rng):
-        """One fused dot product per giant step, bit-identical to the
-        ``multiply_plain`` + ``add`` loop it replaced."""
-        context, ev = lt_setup["context"], lt_setup["evaluator"]
+    @pytest.mark.parametrize("shape", ["dense", "giant0-only", "no-giant0"])
+    @pytest.mark.parametrize("chain", ["uint64", "dword"])
+    def test_giant_steps_equal_the_pairwise_loop(self, lt_chains, chain, shape):
+        """The giant steps end in one merged ModDown-rescale.
+
+        (a) The output is ``round((A + P·D)/(P·q_l))`` on CRT-composed
+        integers, with ``A`` the rotated inner products' key-switch
+        accumulators over ``Q_l ∪ P`` and ``D`` the unrotated sums, both
+        built here from the hoisted key-switch steps.  (b) It decrypts
+        within 2^-20 of the ``rotate`` + ``add`` + ``rescale`` loop it
+        replaced, and no farther from NumPy than that loop by more than
+        those 2^-20: each tail rounds its value once (the loop's per-step
+        ModDown errors shrink by ``q_l`` before its rescale rounds), so
+        which of the two lands nearer on a given seed is chance.
+        """
+        setup = lt_chains[chain]
+        context, ev = setup["context"], setup["evaluator"]
+        rng = np.random.default_rng(17)
         slots = context.slots
-        matrix = (rng.normal(size=(slots, slots)) + 1j * rng.normal(size=(slots, slots))) / slots
-        transform = LinearTransform(context, matrix)
-        ct = lt_setup["encryptor"].encrypt_values(rng.uniform(-0.5, 0.5, slots))
-        rotations = transform._baby_rotations(ev, ct)
-        encoded = transform._encoded_diagonals(ct.limb_count, transform._plaintext_scale(ct))
-        assert sum(map(len, encoded.values())) == slots  # dense: every diagonal
+        n1 = lt_baby_steps(context)
+        matrix = banded_matrix(rng, slots, n1, shape)
+        transform = LinearTransform(context, matrix, baby_steps=n1)
+        message = rng.uniform(-0.5, 0.5, slots)
+        ct = setup["encryptor"].encrypt_values(message)
+        result = transform.apply(ev, ct)
+
+        # (a) one exactly rounded division of A + P·D by P·q_l.
+        inners = giant_inner_products(transform, ev, ct)
+        accs, d0, d1 = merged_tail_operands(context, ev, inners, transform.baby_steps)
+        assert (accs is None) == (shape == "giant0-only")
+        assert (d1 is None) == (shape == "no-giant0")
+        if d1 is None:
+            d1 = RNSPoly.zeros(context.ring_degree, d0.moduli, fmt=LimbFormat.EVALUATION)
+        if accs is None:
+            extended = context.moduli_at(ct.limb_count) + context.special_moduli
+            accs = [RNSPoly.zeros(context.ring_degree, extended, fmt=LimbFormat.EVALUATION)] * 2
+        assert result.level == ct.level - 1
+        assert result.scale == ct.scale * transform._plaintext_scale(ct) / ct.moduli[-1]
+        for got, acc, d in zip((result.c0, result.c1), accs, (d0, d1)):
+            np.testing.assert_array_equal(
+                modmath.object_row(got.to_coefficient().data),
+                expected_residues(context, acc, d, 1, ct.limb_count),
+            )
+
+        # (b) the pairwise loop: a ModDown per rotation, then a rescale.
         accumulator = None
-        for giant, plaintexts in encoded.items():
-            inner = None
-            for baby, pt in plaintexts.items():
-                term = ev.multiply_plain(rotations[baby], pt, rescale=False)
-                inner = term if inner is None else ev.add(inner, term)
+        for giant, inner in inners.items():
             if giant:
                 inner = ev.rotate(inner, giant * transform.baby_steps)
             accumulator = inner if accumulator is None else ev.add(accumulator, inner)
-        assert_same_ciphertext(transform.apply(ev, ct), ev.rescale(accumulator))
+        pairwise = ev.rescale(accumulator)
+        decrypt = setup["decryptor"].decrypt_values
+        got, old = decrypt(result, slots), decrypt(pairwise, slots)
+        assert np.max(np.abs(got - old)) <= 2.0 ** -20
+        want = matrix @ message.astype(complex)
+        assert np.max(np.abs(got - want)) <= np.max(np.abs(old - want)) + 2.0 ** -20
+
+    @pytest.mark.parametrize("terms, message", [
+        ("empty", "at least one term"),
+        ("mixed-levels", "share one level"),
+        ("level-0", "level-0"),
+    ])
+    def test_rotated_sum_rejects_bad_terms(self, lt_setup, terms, message):
+        ev = lt_setup["evaluator"]
+        ct = lt_setup["encryptor"].encrypt_values(np.ones(4))
+        lower = ev.mod_reduce(ct, ct.limb_count - 1)
+        pairs = {
+            "empty": [],
+            "mixed-levels": [(ct, 0), (lower, 0)],
+            "level-0": [(ev.mod_reduce(ct, 1), 0)],
+        }[terms]
+        with pytest.raises(ValueError, match=message):
+            ev.rotated_sum(pairs)
+
+    def test_recorded_transform_is_scoped(self, lt_setup, rng):
+        """Every event of a recorded transform carries an operation scope,
+        the giant steps' key switches sit under ``hrotate`` and the merged
+        tail under ``keyswitch/moddown``: no ``rescale`` scope is left."""
+        from repro.core.dispatch import DISPATCH
+
+        context, ev = lt_setup["context"], lt_setup["evaluator"]
+        slots = context.slots
+        matrix = rng.normal(size=(slots, slots)) / slots
+        transform = LinearTransform(context, matrix)
+        ct = lt_setup["encryptor"].encrypt_values(rng.uniform(-0.5, 0.5, slots))
+        with DISPATCH.record() as trace:
+            transform.apply(ev, ct)
+        scopes = {event.scope for event in trace}
+        assert all(scopes) and not any("rescale" in scope for scope in scopes)
+        giant_switches = [
+            event.scope for event in trace
+            if event.kernel.name.startswith("ks-inner-product")
+            and not event.scope.startswith("hoisted")
+        ]
+        assert giant_switches == ["hrotate/keyswitch"] * (transform.giant_steps - 1)
+        tail = [event.kernel.name for event in trace if event.scope == "keyswitch/moddown"
+                and event.kind == "transform"]
+        alpha = len(context.special_moduli)
+        limbs = ct.limb_count
+        assert sorted(tail) == [f"intt[{alpha + 1}]"] * 2 + [f"ntt[{limbs - 1}]"] * 2
 
     def test_diagonal_matrix_uses_no_rotations(self, lt_setup):
         context = lt_setup["context"]
@@ -202,6 +373,33 @@ class TestLinearTransform:
         ct = lt_setup["encryptor"].encrypt_values(np.ones(4))
         with pytest.raises(ValueError):
             transform.apply(lt_setup["evaluator"], ct)
+
+    @pytest.mark.parametrize("baby_steps, error, message", [
+        (0, ValueError, "baby_steps must be >= 1"),
+        (-4, ValueError, "baby_steps must be >= 1"),
+        (True, TypeError, "baby_steps must be an integer"),
+        (2.0, TypeError, "baby_steps must be an integer"),
+    ], ids=["zero", "negative", "bool", "float"])
+    def test_rejects_bad_baby_steps(self, small_context, baby_steps, error, message):
+        # Regression: 0 raised ZeroDivisionError, and -4, True and 2.0 were
+        # accepted (-4 built no diagonals at all).
+        context = small_context
+        with pytest.raises(error, match=message):
+            LinearTransform(context, np.eye(context.slots, dtype=complex),
+                            baby_steps=baby_steps)
+
+    @pytest.mark.parametrize("fill", ["all-nan", "one-nan", "one-inf"])
+    def test_rejects_non_finite_matrix(self, small_context, fill):
+        # Regression: an all-NaN matrix was reported as identically zero,
+        # and one NaN entry only failed in apply after every baby step ran.
+        context = small_context
+        matrix = np.eye(context.slots, dtype=complex)
+        if fill == "all-nan":
+            matrix[:] = np.nan
+        else:
+            matrix[3, 5] = np.nan if fill == "one-nan" else np.inf
+        with pytest.raises(ValueError, match="finite"):
+            LinearTransform(context, matrix)
 
     def test_required_rotations_within_slot_range(self, lt_setup, rng):
         context = lt_setup["context"]
