@@ -4,8 +4,8 @@ Bootstrapping refreshes an exhausted ciphertext (one remaining limb) into a
 high-level ciphertext encrypting approximately the same message, following
 the blueprint of Cheon et al. [38] with the improvements FIDESlib adopts
 from OpenFHE: a Chebyshev/Paterson-Stockmeyer approximation of the scaled
-sine (Han-Ki [37], Bossuat et al. [43]) and BSGS homomorphic DFTs for the
-CoeffToSlot / SlotToCoeff linear transforms [40], [42], [44].
+sine (Han-Ki [37], Bossuat et al. [43]) and factored BSGS homomorphic DFTs
+for the CoeffToSlot / SlotToCoeff linear transforms [40], [42], [44].
 
 Outline (for input ciphertext ``ct`` at level 0, scale ``Δ0``, modulus
 ``q0``, encrypting the integer polynomial ``m``):
@@ -14,18 +14,23 @@ Outline (for input ciphertext ``ct`` at level 0, scale ``Δ0``, modulus
    ``Q``.  The underlying polynomial becomes ``t = m + q0·I`` with
    ``‖I‖_∞`` bounded by the sparse secret's Hamming weight.
 2. **CoeffToSlot** -- homomorphic inverse DFT scaled by
-   ``Δ0 / (2·q0·2^r)``; together with a conjugation this yields two
+   ``Δ0 / (2·q0·2^r)``, run as ``L`` sparse factors
+   ``G_L⁻¹, …, G_1⁻¹`` (:func:`~repro.ckks.linear_transform.dft_factors`,
+   one level each); together with a conjugation this yields two
    ciphertexts whose slots hold the lower and upper coefficient halves of
-   ``t``, scaled to the Chebyshev interval.
+   ``t`` in bit-reversed order, scaled to the Chebyshev interval.
 3. **ApproxModEval** -- evaluate ``cos(2π·y)`` via a Chebyshev series,
    apply ``r`` double-angle iterations, obtaining ``sin(2π·t/q0)`` which
    approximates ``2π·(t mod q0)/q0``.  The two halves are independent and
    of one shape, so they are fused (:meth:`Ciphertext.fuse`) and evaluated
    once at ``B=2`` -- one launch per operation for both, bit-identical per
    member (§III-F.1) -- and split again for SlotToCoeff.
-4. **SlotToCoeff** -- homomorphic DFT scaled by ``q0/(2π·Δ0)`` recombining
-   both halves into a ciphertext encrypting ``m`` again, now with many
-   levels left.
+4. **SlotToCoeff** -- homomorphic DFT scaled by ``q0/(2π·Δ0)``, the
+   factors ``G_1, …, G_L`` with the scale on ``G_L``, recombining both
+   halves into a ciphertext encrypting ``m`` again, now with many levels
+   left.  The bit-reversal permutation ``P`` of ``E0 = G_L ⋯ G_1 · P``
+   cancels between the two DFTs, since ApproxModEval works slot by slot,
+   so it is never evaluated.
 
 A fused input of ``k`` ciphertexts bootstraps every member at once: ModRaise
 lifts each member over its own copy of ``Q`` and ApproxModEval runs at
@@ -50,11 +55,7 @@ from repro.ckks.chebyshev import (
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.context import Context
 from repro.ckks.evaluator import Evaluator
-from repro.ckks.linear_transform import (
-    LinearTransform,
-    coeff_to_slot_matrix,
-    slot_to_coeff_matrix,
-)
+from repro.ckks.linear_transform import LinearTransform, dft_factors
 from repro.core import modmath
 from repro.core.dispatch import DISPATCH
 from repro.core.limb import LimbFormat
@@ -83,34 +84,24 @@ class BootstrapConfig:
     #: secrets (small K) buy precision (the sparse-secret encapsulation of
     #: [43]).
     double_angle_iterations: int = 2
-    #: Baby-step count for the BSGS linear transforms (None = sqrt heuristic).
-    baby_steps: int | None = None
 
     def __post_init__(self) -> None:
         _check_count("chebyshev_degree", self.chebyshev_degree, 1)
         _check_count("double_angle_iterations", self.double_angle_iterations, 0)
-        if self.baby_steps is not None:
-            _check_count("baby_steps", self.baby_steps, 1)
 
 
 class Bootstrapper:
     """Precomputes and runs the CKKS bootstrapping procedure."""
 
-    #: Cached linear transforms (steady state: one CoeffToSlot and one
-    #: SlotToCoeff per input scale in use).
-    TRANSFORMS = 4
+    #: Cached SlotToCoeff factor chains (steady state: one per input scale
+    #: in use).
+    TRANSFORMS = 3
 
     def __init__(self, context: Context, evaluator: Evaluator,
                  config: BootstrapConfig | None = None) -> None:
         self.context = context
         self.evaluator = evaluator
         self.config = config or BootstrapConfig()
-        baby = self.config.baby_steps
-        if baby is not None and context.slots % baby:
-            raise ValueError(
-                f"BootstrapConfig.baby_steps={baby} must divide the slot count "
-                f"{context.slots}"
-            )
         weight = context.params.secret_hamming_weight
         bound = (weight + 1) / 2 + 1
         if bound > (1 << self.config.double_angle_iterations):
@@ -121,27 +112,28 @@ class Bootstrapper:
         self._cos_coefficients = chebyshev_coefficients(
             lambda y: math.cos(2.0 * math.pi * y), self.config.chebyshev_degree
         )
-        # The SlotToCoeff matrix depends on the input scale, which is only
-        # known per ciphertext: transforms are cached per (kind, factor), the
-        # least recently used dropped past ``TRANSFORMS``.
-        self._transforms: OrderedDict[tuple[str, float], LinearTransform] = OrderedDict()
+        self._coeff_to_slot = tuple(
+            LinearTransform(context, factor)
+            for factor in dft_factors(context.ring_degree, inverse=True)
+        )
+        # SlotToCoeff's last factor carries the input scale, which is only
+        # known per ciphertext: chains are cached per scale factor, the least
+        # recently used dropped past ``TRANSFORMS``.
+        self._slot_to_coeff: OrderedDict[float, tuple[LinearTransform, ...]] = OrderedDict()
 
     # ------------------------------------------------------------------
     # key requirements
     # ------------------------------------------------------------------
 
     def required_rotations(self) -> list[int]:
-        """Rotation steps for which keys must be generated before bootstrapping."""
-        probe = LinearTransform(
-            self.context,
-            np.eye(self.context.slots, dtype=np.complex128),
-            baby_steps=self.config.baby_steps,
-        )
-        baby = probe.baby_steps
-        giant = probe.giant_steps
-        steps = set(range(1, baby))
-        steps.update(baby * j for j in range(1, giant))
-        return sorted(steps)
+        """Rotation steps for which keys must be generated before bootstrapping.
+
+        ``G_i`` and ``G_i⁻¹`` have the same nonzero diagonals (a butterfly
+        and its inverse pair the same slots), hence the same BSGS split, so
+        the CoeffToSlot chain names every step SlotToCoeff needs too.
+        """
+        return sorted({step for transform in self._coeff_to_slot
+                       for step in transform.required_rotations()})
 
     # ------------------------------------------------------------------
     # pipeline stages
@@ -174,19 +166,19 @@ class Bootstrapper:
     def coeff_to_slot(self, ct: Ciphertext) -> tuple[Ciphertext, Ciphertext]:
         """Return ciphertexts whose slots are the lower/upper coefficients of ``t``.
 
-        Both outputs are scaled to the Chebyshev argument
-        ``y = (t/q0 - 1/4) / 2^r`` expected by ApproxModEval.  The small
-        overall factor ``Δ0 / (2·q0·2^r)`` is applied as a separate scalar
-        multiplication (one extra level) so the encoded DFT diagonals keep
-        full precision -- the same reason OpenFHE spends a level budget on
-        its CoeffToSlot factorisation.
+        The coefficients sit in bit-reversed slot order, the order
+        :meth:`slot_to_coeff` takes them in.  Both outputs are scaled to the
+        Chebyshev argument ``y = (t/q0 - 1/4) / 2^r`` expected by
+        ApproxModEval.  The small overall factor ``Δ0 / (2·q0·2^r)`` is
+        applied as a separate scalar multiplication (one extra level) so the
+        encoded DFT diagonals keep full precision.
         """
         ev = self.evaluator
         q0 = self.context.moduli[0]
         prescale = ct.scale / (2.0 * q0 * (1 << self.config.double_angle_iterations))
-        scaled = ev.multiply_scalar(ct, prescale)
-        transform = self._transform("c2s", 1.0)
-        combined = transform.apply(ev, scaled)
+        combined = ev.multiply_scalar(ct, prescale)
+        for transform in self._coeff_to_slot:
+            combined = transform.apply(ev, combined)
         conjugated = ev.conjugate(combined)
         ct_lower = ev.add(combined, conjugated)
         difference = ev.sub(combined, conjugated)
@@ -202,13 +194,13 @@ class Bootstrapper:
 
     def slot_to_coeff(self, ct_lower: Ciphertext, ct_upper: Ciphertext,
                       original_scale: float) -> Ciphertext:
-        """Recombine the two halves into a ciphertext encrypting ``m``."""
+        """Recombine the two (bit-reversed) halves into a ciphertext encrypting ``m``."""
         ev = self.evaluator
         q0 = self.context.moduli[0]
         combined = ev.add(ct_lower, ev.multiply_by_i(ct_upper))
-        factor = q0 / (2.0 * math.pi * original_scale)
-        transform = self._transform("s2c", factor)
-        return transform.apply(ev, combined)
+        for transform in self._slot_to_coeff_chain(q0 / (2.0 * math.pi * original_scale)):
+            combined = transform.apply(ev, combined)
+        return combined
 
     # ------------------------------------------------------------------
     # full pipeline
@@ -239,22 +231,19 @@ class Bootstrapper:
     # helpers
     # ------------------------------------------------------------------
 
-    def _transform(self, kind: str, factor: float) -> LinearTransform:
-        key = (kind, round(float(factor), 14))
-        transform = self._transforms.get(key)
-        if transform is not None:
-            self._transforms.move_to_end(key)
-            return transform
-        if kind == "c2s":
-            matrix = coeff_to_slot_matrix(self.context.ring_degree, factor)
-        else:
-            matrix = slot_to_coeff_matrix(self.context.ring_degree, factor)
-        transform = LinearTransform(self.context, matrix,
-                                    baby_steps=self.config.baby_steps)
-        self._transforms[key] = transform
-        if len(self._transforms) > self.TRANSFORMS:
-            self._transforms.popitem(last=False)
-        return transform
+    def _slot_to_coeff_chain(self, factor: float) -> tuple[LinearTransform, ...]:
+        key = round(float(factor), 14)
+        chain = self._slot_to_coeff.get(key)
+        if chain is not None:
+            self._slot_to_coeff.move_to_end(key)
+            return chain
+        *head, last = dft_factors(self.context.ring_degree)
+        chain = tuple(LinearTransform(self.context, matrix)
+                      for matrix in (*head, factor * last))
+        self._slot_to_coeff[key] = chain
+        if len(self._slot_to_coeff) > self.TRANSFORMS:
+            self._slot_to_coeff.popitem(last=False)
+        return chain
 
 
 __all__ = ["Bootstrapper", "BootstrapConfig"]

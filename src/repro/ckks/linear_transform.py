@@ -1,12 +1,12 @@
 """Homomorphic linear transforms (ciphertext-vector x plaintext-matrix).
 
 The CoeffToSlot and SlotToCoeff stages of bootstrapping are homomorphic
-multiplications by fixed DFT-derived matrices.  FIDESlib (like OpenFHE)
-evaluates them with the Baby-Step Giant-Step (BSGS) algorithm of
-Bossuat et al. [42]: the matrix is decomposed into its generalized
-diagonals, baby-step rotations of the input are produced once with the
-hoisted-rotation optimisation, and each giant step combines ``n1``
-plaintext multiplications -- one fused dot product.  The giant steps end
+DFTs.  FIDESlib (like OpenFHE) factors each into ``L`` sparse matrices
+[40], [44] and evaluates every factor with the Baby-Step Giant-Step (BSGS)
+algorithm of Bossuat et al. [42]: the matrix is decomposed into its
+generalized diagonals, baby-step rotations of the input are produced once
+with the hoisted-rotation optimisation, and each giant step combines its
+plaintext multiplications in one fused dot product.  The giant steps end
 in one merged tail (the giant half of Bossuat et al.'s double hoisting):
 each rotated inner product's key switch stops in the extended basis
 ``Q_l ∪ P``, the accumulators sum there, and one ModDown divides the sum
@@ -14,9 +14,14 @@ by ``P·q_l`` (:meth:`~repro.ckks.evaluator.Evaluator.rotated_sum`) instead
 of a ModDown per giant step and a rescale.
 
 :class:`LinearTransform` implements that algorithm for an arbitrary
-``slots x slots`` complex matrix; :func:`coeff_to_slot_matrix` and
-:func:`slot_to_coeff_matrix` build the (scaled) DFT matrices used by
-:mod:`repro.ckks.bootstrap`.
+``slots x slots`` complex matrix.  :func:`dft_factors` builds the factors:
+the decoding matrix is ``E0 = G_L ⋯ G_1 · P``, the radix-2 "special FFT"
+over the rotation group (Chen-Chillotti-Song, ePrint 2018/1043) with ``P``
+the bit-reversal permutation.  A factor of ``r`` butterfly stages has at
+most ``2^(r+1) - 1`` nonzero diagonals (31 and 16 at 256 slots, against 256
+for ``E0``).  ``P`` is never evaluated: CoeffToSlot stops at ``P·E0⁻¹``,
+so the slots hold the coefficients in bit-reversed order between the two
+halves, and ApproxModEval, which works slot by slot, does not see the order.
 """
 
 from __future__ import annotations
@@ -35,31 +40,71 @@ from repro.core.limb import LimbFormat
 from repro.core.rns_poly import RNSPoly
 
 
-def decoding_matrix(ring_degree: int) -> np.ndarray:
-    """Return ``E0``: the slots-from-lower-coefficients decoding matrix.
+def dft_levels(slots: int) -> int:
+    """Sparse factors, one level each, that a homomorphic DFT over ``slots`` uses.
 
-    ``E0[j, t] = ζ^{5^j * t}`` with ``ζ = exp(iπ/N)`` and ``t < N/2``.  The
-    full canonical embedding of a real polynomial ``m`` satisfies
-    ``σ(m) = E0 · (m_lo + i·m_hi)``, which is the identity CoeffToSlot and
-    SlotToCoeff exploit.
+    The level budget of [40], [44]: 1 up to 16 slots, 2 up to 512, 3 beyond.
+    Both the bootstrap and its closed form
+    (:class:`repro.perf.workloads.BootstrapWorkload`) read it here.
     """
-    n = ring_degree
-    slots = n // 2
-    group = rotation_group(n)
-    zeta = np.exp(1j * np.pi / n)
-    exponents = np.outer(group, np.arange(slots))
-    return zeta ** (exponents % (2 * n))
+    return max(1, min(3, math.ceil(math.log2(2 * slots) / 5)))
 
 
-def coeff_to_slot_matrix(ring_degree: int, scale_factor: float) -> np.ndarray:
-    """Return ``scale_factor * E0^{-1}`` used by CoeffToSlot."""
-    e0 = decoding_matrix(ring_degree)
-    return scale_factor * np.linalg.inv(e0)
+def _butterflies(rows: np.ndarray, half: int, ring_degree: int,
+                 inverse: bool) -> np.ndarray:
+    """Apply one radix-2 stage of the special FFT to the rows of ``rows``.
+
+    The stage maps each pair ``(u, v)`` of rows ``half`` apart to
+    ``(u + ψ_j·v, u − ψ_j·v)``, ``ψ_j = exp(2πi·(5^j mod 8·half)/(8·half))``
+    for ``j`` the pair's position in its block; ``inverse`` undoes it.
+    """
+    exponents = rotation_group(ring_degree)[:half] % (8 * half)
+    psi = np.exp(2j * np.pi * exponents / (8 * half))[:, None]
+    pairs = rows.reshape(-1, 2, half, rows.shape[-1])
+    u, v = pairs[:, 0], pairs[:, 1]
+    if inverse:
+        out = ((u + v) / 2, (u - v) * psi.conj() / 2)
+    else:
+        out = (u + psi * v, u - psi * v)
+    return np.stack(out, axis=1).reshape(rows.shape)
 
 
-def slot_to_coeff_matrix(ring_degree: int, scale_factor: float) -> np.ndarray:
-    """Return ``scale_factor * E0`` used by SlotToCoeff."""
-    return scale_factor * decoding_matrix(ring_degree)
+def dft_factors(ring_degree: int, inverse: bool = False) -> list[np.ndarray]:
+    """Return the sparse factors of the slot DFT in the order they apply.
+
+    ``E0 = G_L ⋯ G_1 · P``, with ``E0[j, t] = ζ^(5^j·t)`` (``ζ = exp(iπ/N)``,
+    ``t < N/2``) the matrix with ``σ(m) = E0 · (m_lo + i·m_hi)`` for a real
+    polynomial ``m``, ``P`` the bit-reversal permutation and ``L =``
+    :func:`dft_levels`.  The ``log2(N/2)`` butterfly stages split into ``L``
+    runs whose lengths differ by at most one, the longer runs last, and
+    ``G_i`` is the product of run ``i``.  The list is ``[G_1, …, G_L]``, or
+    with ``inverse`` ``[G_L⁻¹, …, G_1⁻¹]``, each built from its stages'
+    inverse butterflies.
+    """
+    slots = ring_degree // 2
+    stages = slots.bit_length() - 1
+    levels = dft_levels(slots)
+    bounds = [stages * i // levels for i in range(levels + 1)]
+    factors = []
+    for low, high in zip(bounds, bounds[1:]):
+        halves = [1 << s for s in range(low, high)]
+        factor = np.eye(slots, dtype=np.complex128)
+        for half in (halves[::-1] if inverse else halves):
+            factor = _butterflies(factor, half, ring_degree, inverse)
+        factors.append(factor)
+    return factors[::-1] if inverse else factors
+
+
+def _fewest_rotations(offsets: np.ndarray, slots: int) -> int:
+    """Return the baby-step count, a power of two up to the (power-of-two)
+    ``slots``, that needs the fewest baby plus giant rotations over the
+    nonzero diagonal ``offsets``; a tie goes to more baby steps, which share
+    one hoisted ModUp."""
+    def rotations(baby: int) -> int:
+        return (np.count_nonzero(np.unique(offsets % baby))
+                + np.count_nonzero(np.unique(offsets // baby)))
+
+    return min((1 << e for e in reversed(range(slots.bit_length()))), key=rotations)
 
 
 def _check_baby_steps(value, slots: int) -> int:
@@ -87,8 +132,10 @@ class LinearTransform:
     matrix:
         Complex matrix applied to the slot vector.
     baby_steps:
-        Number of baby steps ``n1``; defaults to ``ceil(sqrt(slots))``
-        rounded to a divisor of the slot count.
+        Number of baby steps ``n1``; defaults to the power-of-two divisor of
+        the slot count that needs the fewest rotations over the matrix's
+        nonzero diagonals (``ceil(sqrt(slots))`` rounded up to a power of
+        two for a dense matrix).
     """
 
     #: Encoded diagonal sets kept per transform (a bootstrap uses one).
@@ -102,26 +149,27 @@ class LinearTransform:
             raise ValueError(f"matrix must be {slots}x{slots}, got {matrix.shape}")
         if not np.all(np.isfinite(matrix)):
             raise ValueError("the transform matrix must be finite (no NaN or inf)")
+        # Generalized diagonals diag_k[j] = M[j, (j + k) mod slots]; diagonal
+        # k is zero when none of its entries exceeds 1e-12 of the largest
+        # entry of M, so the test does not depend on the matrix's scale.
+        indices = np.arange(slots)
+        diagonals = matrix[indices, (indices[None, :] + indices[:, None]) % slots]
+        magnitude = np.abs(diagonals).max(axis=1)
+        offsets = np.flatnonzero(magnitude > 1e-12 * magnitude.max())
         if baby_steps is None:
-            baby_steps = 1 << math.ceil(math.log2(max(1, math.isqrt(slots))))
+            baby_steps = _fewest_rotations(offsets, slots)
         self.context = context
-        self.matrix = matrix
         self.slots = slots
         self.baby_steps = _check_baby_steps(baby_steps, slots)
         self.giant_steps = slots // self.baby_steps
-        # Generalized diagonals diag_k[j] = M[j, (j + k) mod slots], pre-rotated
-        # by -giant*n1 so each giant step needs a single output rotation;
-        # giant -> baby -> diagonal, zero diagonals left out.
+        # Each diagonal pre-rotated by -giant*n1 so each giant step needs a
+        # single output rotation; giant -> baby -> diagonal, zero diagonals
+        # left out.
         self._diagonals: dict[int, dict[int, np.ndarray]] = {}
-        indices = np.arange(slots)
-        for giant in range(self.giant_steps):
-            for baby in range(self.baby_steps):
-                k = giant * self.baby_steps + baby
-                diag = matrix[indices, (indices + k) % slots]
-                if not np.any(np.abs(diag) > 1e-12):
-                    continue
-                rotated = np.roll(diag, giant * self.baby_steps)
-                self._diagonals.setdefault(giant, {})[baby] = rotated
+        for k in offsets.tolist():
+            giant, baby = divmod(k, self.baby_steps)
+            rotated = np.roll(diagonals[k], giant * self.baby_steps)
+            self._diagonals.setdefault(giant, {})[baby] = rotated
         # Encoded diagonal plaintexts, one set per (limb_count, scale), the
         # least recently used dropped past ``ENCODED_SETS``: bootstrapping
         # applies the same transform to many ciphertexts at one level, and
@@ -206,9 +254,4 @@ class LinearTransform:
         return Plaintext(poly=poly, scale=scale, slots=self.slots)
 
 
-__all__ = [
-    "LinearTransform",
-    "decoding_matrix",
-    "coeff_to_slot_matrix",
-    "slot_to_coeff_matrix",
-]
+__all__ = ["LinearTransform", "dft_factors", "dft_levels"]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.ckks.linear_transform import dft_levels
 from repro.ckks.params import CKKSParameters
 from repro.perf.costmodel import CKKSOperationCosts, OperationCost
 
@@ -49,11 +50,12 @@ class BootstrapWorkload:
         Following [40], [44] the DFT plaintext matrix is split into
         ``level_budget`` sparser block matrices; sparse packings need fewer
         blocks, which is why the paper's Table VI reports more remaining
-        levels for small slot counts.
+        levels for small slot counts.  The default is the rule the
+        functional bootstrap factors its DFTs by.
         """
         if self.level_budget is not None:
             return self.level_budget
-        return max(1, min(3, math.ceil(math.log2(2 * self.slots) / 5)))
+        return dft_levels(self.slots)
 
     @property
     def chebyshev_depth(self) -> int:

@@ -10,6 +10,7 @@ from repro.ckks.encryption import Decryptor, Encryptor
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator, KeySet
 from repro.ckks.params import PARAMETER_SETS
+from repro.perf.workloads import BootstrapWorkload
 from tests.conftest import assert_same_ciphertext, int_coefficients
 
 
@@ -66,10 +67,7 @@ class TestBootstrapConfig:
     @pytest.mark.parametrize("overrides, error, field", [
         ({"double_angle_iterations": -1}, ValueError, "double_angle_iterations"),
         ({"chebyshev_degree": 2.5}, TypeError, "chebyshev_degree"),
-        ({"baby_steps": 0}, ValueError, "baby_steps"),
-        ({"baby_steps": 3}, ValueError, "baby_steps=3 must divide the slot count"),
-    ], ids=["negative-iterations", "fractional-degree", "zero-baby-steps",
-            "non-divisor-baby-steps"])
+    ], ids=["negative-iterations", "fractional-degree"])
     def test_invalid_config_rejected_up_front(self, small_bootstrap, overrides,
                                               error, field):
         # Regression: these raised a bare "negative shift count", an unrelated
@@ -108,6 +106,33 @@ class TestModRaise:
         centred = coeffs - q0 * np.round(coeffs / q0)
         decoded = bootstrap_setup["context"].encoder.decode(centred, ct.scale, 4)
         assert np.max(np.abs(decoded.real - message)) < 1e-3
+
+
+class TestFactoredDFT:
+    def test_two_sparse_factors_need_sixteen_rotation_keys(self, bootstrap_setup):
+        # 256 slots, CoeffToSlot applies G_2⁻¹ then G_1⁻¹: G_2 (the 16
+        # multiples of 16) needs 3 baby and 3 giant rotations, G_1 (offsets
+        # -15..15) 7 and 3; the dense E0 needed 30.
+        boot = bootstrap_setup["bootstrapper"]
+        assert [sum(map(len, t._diagonals.values())) for t in boot._coeff_to_slot] == [16, 31]
+        assert len(boot.required_rotations()) == 16
+
+    @pytest.mark.parametrize("ring", ["n9", "n6"])
+    def test_levels_left_follow_the_closed_form(self, bootstrap_setup, small_bootstrap,
+                                                ring):
+        """The functional bootstrap spends the levels ``BootstrapWorkload``
+        prices for the same configuration (Table VI's level schedule)."""
+        if ring == "n9":
+            boot, encryptor = bootstrap_setup["bootstrapper"], bootstrap_setup["encryptor"]
+        else:
+            boot, encryptor = small_bootstrap
+        params, config = boot.context.params, boot.config
+        ct = encryptor.encrypt_values(np.array([0.25, -0.125]), limb_count=1)
+        expected = BootstrapWorkload(
+            params, params.slots, chebyshev_degree=config.chebyshev_degree,
+            double_angle_iterations=config.double_angle_iterations,
+        ).remaining_levels
+        assert boot.bootstrap(ct).level == expected
 
 
 class TestFullBootstrap:

@@ -113,12 +113,13 @@ def test_a_cached_table_refuses_an_in_place_write():
 
 
 def test_bootstrap_transform_caches_are_bounded_lrus():
-    """``Bootstrapper`` keys its transforms, and each transform its encoded
-    diagonals, by the input scale: both are LRUs that hold the steady state
-    of repeated bootstraps and stay bounded over many distinct scales."""
+    """``Bootstrapper`` keys its SlotToCoeff factor chains, and each factor
+    its encoded diagonals, by the input scale: both are LRUs that hold the
+    steady state of repeated bootstraps and stay bounded over many distinct
+    scales."""
     from repro.api import CKKSSession
     from repro.ckks.bootstrap import Bootstrapper
-    from repro.ckks.linear_transform import LinearTransform
+    from repro.ckks.linear_transform import LinearTransform, dft_levels
     from repro.ckks.params import PARAMETER_SETS
 
     params = PARAMETER_SETS["toy-bootstrap"].with_overrides(ring_degree=1 << 6)
@@ -127,16 +128,18 @@ def test_bootstrap_transform_caches_are_bounded_lrus():
     session.add_rotation_keys(boot.required_rotations())
     ev = session.evaluator
     values = np.linspace(-0.4, 0.4, 8)
+    levels = dft_levels(params.slots)
 
     def cached():
-        """Each cached transform with its encoded diagonal sets."""
-        return {key: (transform, *transform._encoded.values())
-                for key, transform in boot._transforms.items()}
+        """Each cached chain's factors with their encoded diagonal sets."""
+        chains = {"c2s": boot._coeff_to_slot, **boot._slot_to_coeff}
+        return {(key, i): (transform, *transform._encoded.values())
+                for key, chain in chains.items() for i, transform in enumerate(chain)}
 
     ct = ev.encrypt(values, level=0)
     boot.bootstrap(ct)
     steady = cached()
-    assert len(steady) == 2 and all(len(entry) == 2 for entry in steady.values())
+    assert len(steady) == 2 * levels and all(len(entry) == 2 for entry in steady.values())
     boot.bootstrap(ct)
     again = cached()
     assert again.keys() == steady.keys()
@@ -146,9 +149,9 @@ def test_bootstrap_transform_caches_are_bounded_lrus():
     scales = [2.0 ** (18 + k) for k in range(10)]
     for scale in scales:
         boot.slot_to_coeff(top, top, scale)
-    assert len(boot._transforms) == Bootstrapper.TRANSFORMS
+    assert len(boot._slot_to_coeff) == Bootstrapper.TRANSFORMS
 
-    transform = boot._transform("c2s", 1.0)
+    transform = boot._coeff_to_slot[0]
     for scale in scales:
         transform.apply(ev, ev.encrypt(values, scale=scale))
     assert len(transform._encoded) == LinearTransform.ENCODED_SETS

@@ -12,12 +12,8 @@ from repro.ckks.chebyshev import (
     evaluate_chebyshev,
     evaluate_chebyshev_direct,
 )
-from repro.ckks.linear_transform import (
-    LinearTransform,
-    coeff_to_slot_matrix,
-    decoding_matrix,
-    slot_to_coeff_matrix,
-)
+from repro.ckks.encoding import rotation_group
+from repro.ckks.linear_transform import LinearTransform, dft_factors, dft_levels
 from repro.ckks.keyswitch import apply_key, decompose_and_mod_up
 from repro.core import modmath
 from repro.core.automorphism import rotation_to_exponent
@@ -26,6 +22,42 @@ from repro.core.rns_poly import RNSPoly
 from tests.conftest import assert_close
 
 from test_moddown_rescale import expected_residues
+
+
+def decoding_matrix(ring_degree: int) -> np.ndarray:
+    """Return ``E0``: the slots-from-lower-coefficients decoding matrix.
+
+    ``E0[j, t] = ζ^{5^j * t}`` with ``ζ = exp(iπ/N)`` and ``t < N/2``.  The
+    full canonical embedding of a real polynomial ``m`` satisfies
+    ``σ(m) = E0 · (m_lo + i·m_hi)``, which is the identity CoeffToSlot and
+    SlotToCoeff exploit.
+    """
+    n = ring_degree
+    slots = n // 2
+    zeta = np.exp(1j * np.pi / n)
+    exponents = np.outer(rotation_group(n), np.arange(slots))
+    return zeta ** (exponents % (2 * n))
+
+
+def bit_reversal(slots: int) -> np.ndarray:
+    """The permutation matrix ``P`` with ``(P·w)[i] = w[bitrev(i)]``."""
+    width = slots.bit_length() - 1
+    order = [int(format(i, f"0{width}b")[::-1], 2) for i in range(slots)]
+    return np.eye(slots)[order]
+
+
+def chained(factors) -> np.ndarray:
+    """The product of ``factors`` applied first to last."""
+    product = np.eye(len(factors[0]), dtype=complex)
+    for factor in factors:
+        product = factor @ product
+    return product
+
+
+def nonzero_diagonals(matrix: np.ndarray) -> int:
+    """Generalized diagonals ``k`` with an entry ``M[j, (j + k) mod n] != 0``."""
+    n = len(matrix)
+    return sum(bool(np.any(np.diagonal(np.roll(matrix, -k, axis=1)))) for k in range(n))
 
 
 def chebyshev_series_value(coefficients, x: float) -> float:
@@ -112,10 +144,12 @@ def lt_setup():
     params = CKKSParameters(ring_degree=256, mult_depth=3, scale_bits=28,
                             dnum=2, first_mod_bits=30, label="lt-test")
     context = Context(params)
-    probe = LinearTransform(context, np.eye(context.slots, dtype=complex))
+    probe = LinearTransform(context, np.ones((context.slots, context.slots)))
     rotations = sorted(
         set(range(1, probe.baby_steps))
         | {probe.baby_steps * j for j in range(1, probe.giant_steps)}
+        | {step for factor in dft_factors(context.ring_degree, inverse=True)
+           for step in LinearTransform(context, factor).required_rotations()}
     )
     keys = KeyGenerator(context, seed=99).generate(rotations, conjugation=True)
     return {
@@ -137,7 +171,8 @@ def small_context():
 
 
 def lt_baby_steps(context) -> int:
-    return LinearTransform(context, np.eye(context.slots, dtype=complex)).baby_steps
+    """The baby-step count of a dense matrix's transform."""
+    return LinearTransform(context, np.ones((context.slots, context.slots))).baby_steps
 
 
 @pytest.fixture(scope="module")
@@ -224,10 +259,6 @@ class TestLinearTransform:
         combined = coeffs[: n // 2] + 1j * coeffs[n // 2 :]
         assert_close(e0 @ combined, sigma, 1e-8)
 
-    def test_scaled_matrices(self):
-        assert_close(coeff_to_slot_matrix(64, 2.0), 2.0 * np.linalg.inv(decoding_matrix(64)), 1e-9)
-        assert_close(slot_to_coeff_matrix(64, 0.5), 0.5 * decoding_matrix(64), 1e-9)
-
     def test_apply_matches_numpy(self, lt_setup, rng):
         context = lt_setup["context"]
         slots = context.slots
@@ -243,17 +274,21 @@ class TestLinearTransform:
             1e-3,
         )
 
-    def test_coeff_to_slot_matrix_applied(self, lt_setup, rng):
+    def test_coeff_to_slot_chain_applied(self, lt_setup, rng):
+        """The CoeffToSlot factors, applied one level each, decrypt to
+        ``P·E0⁻¹`` times the slots: the coefficients in bit-reversed order."""
         context = lt_setup["context"]
         slots = context.slots
-        matrix = coeff_to_slot_matrix(context.ring_degree, 1.0)
         message = rng.uniform(-0.5, 0.5, slots)
-        transform = LinearTransform(context, matrix)
         ct = lt_setup["encryptor"].encrypt_values(message)
-        result = transform.apply(lt_setup["evaluator"], ct)
+        result = ct
+        for factor in dft_factors(context.ring_degree, inverse=True):
+            result = LinearTransform(context, factor).apply(lt_setup["evaluator"], result)
+        assert result.level == ct.level - dft_levels(slots)
+        e0 = decoding_matrix(context.ring_degree)
         assert_close(
             lt_setup["decryptor"].decrypt_values(result, slots),
-            matrix @ message.astype(complex),
+            bit_reversal(slots) @ np.linalg.solve(e0, message.astype(complex)),
             1e-3,
         )
 
@@ -367,6 +402,30 @@ class TestLinearTransform:
         with pytest.raises(ValueError):
             LinearTransform(lt_setup["context"], np.eye(4, dtype=complex))
 
+    @pytest.mark.parametrize("size", ["tiny", "large"])
+    def test_zero_diagonals_are_relative_to_the_matrix(self, lt_setup, size):
+        """A diagonal is zero relative to the matrix's largest entry.
+
+        Regression: an absolute 1e-12 threshold dropped every diagonal of a
+        dense matrix scaled by 1e-13 (``apply`` then called a nonzero matrix
+        identically zero), and kept float residue of 1e-8 on the zero
+        diagonals of a band scaled by 1e6."""
+        context = lt_setup["context"]
+        slots = context.slots
+        rng = np.random.default_rng(3)
+        if size == "tiny":
+            matrix = 1e-13 * rng.normal(size=(slots, slots))
+            expected = slots
+        else:
+            n1 = lt_baby_steps(context)
+            band = banded_matrix(rng, slots, n1, "giant0-only")
+            matrix = 1e6 * band + 1e-8 * np.where(band == 0, 1.0, 0.0)
+            expected = n1
+        transform = LinearTransform(context, matrix)
+        assert sum(map(len, transform._diagonals.values())) == expected
+        ct = lt_setup["encryptor"].encrypt_values(np.ones(4))
+        assert transform.apply(lt_setup["evaluator"], ct).level == ct.level - 1
+
     def test_rejects_zero_matrix(self, lt_setup):
         context = lt_setup["context"]
         transform = LinearTransform(context, np.zeros((context.slots, context.slots), dtype=complex))
@@ -407,6 +466,39 @@ class TestLinearTransform:
         transform = LinearTransform(context, matrix)
         steps = transform.required_rotations()
         assert steps and all(0 < s < context.slots for s in steps)
+
+
+class TestDFTFactors:
+    """The bootstrap's DFTs are ``dft_levels`` sparse factors of ``E0``."""
+
+    @pytest.mark.parametrize("log_n", range(5, 10))
+    def test_factor_chain_is_the_dft(self, log_n):
+        n = 1 << log_n
+        slots = n // 2
+        forward = dft_factors(n)
+        inverse = dft_factors(n, inverse=True)
+        assert len(forward) == len(inverse) == dft_levels(slots)
+        e0 = decoding_matrix(n)
+        assert np.max(np.abs(chained(forward) @ bit_reversal(slots) - e0)) < 1e-12
+        assert np.max(np.abs(chained(inverse) @ e0 - bit_reversal(slots))) < 1e-12
+
+    @pytest.mark.parametrize("log_n", range(5, 10))
+    def test_factors_are_sparse(self, log_n):
+        """A factor of ``r`` butterfly stages has ``2^(r+1) − 1`` nonzero
+        diagonals, or ``2^r`` when its offsets wrap mod ``slots`` (the last
+        factor, which holds the widest stage); its inverse has the same."""
+        n = 1 << log_n
+        slots = n // 2
+        levels = dft_levels(slots)
+        stages = log_n - 1
+        runs = [stages * (i + 1) // levels - stages * i // levels for i in range(levels)]
+        forward = dft_factors(n)
+        inverse = dft_factors(n, inverse=True)[::-1]
+        for index, (r, factor, undo) in enumerate(zip(runs, forward, inverse)):
+            expected = (1 << r) if index == levels - 1 else (2 << r) - 1
+            assert nonzero_diagonals(factor) == nonzero_diagonals(undo) == expected
+        if n == 1 << 9:
+            assert [nonzero_diagonals(f) for f in forward] == [31, 16]
 
 
 class TestFusedCircuits:
