@@ -21,7 +21,11 @@ Outline (for input ciphertext ``ct`` at level 0, scale ``Δ0``, modulus
    ``t`` in bit-reversed order, scaled to the Chebyshev interval.
 3. **ApproxModEval** -- evaluate ``cos(2π·y)`` via a Chebyshev series,
    apply ``r`` double-angle iterations, obtaining ``sin(2π·t/q0)`` which
-   approximates ``2π·(t mod q0)/q0``.  The two halves are independent and
+   approximates ``2π·(t mod q0)/q0``.  The series
+   (:func:`~repro.ckks.chebyshev.evaluate_chebyshev`) builds only the
+   ``T_i`` its Paterson-Stockmeyer blocks read (``T_1 … T_4, T_6, T_8``
+   for the even degree-30 cosine) and sums each block with integer
+   weights before one rescale.  The two halves are independent and
    of one shape, so they are fused (:meth:`Ciphertext.fuse`) and evaluated
    once at ``B=2`` -- one launch per operation for both, bit-identical per
    member (§III-F.1) -- and split again for SlotToCoeff.

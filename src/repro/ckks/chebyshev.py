@@ -6,16 +6,17 @@ Bootstrapping approximates the modular-reduction step with a scaled cosine
 ``r`` double-angle iterations that extend the effective range to
 ``[-2^r, 2^r]``.
 
-Two evaluation strategies are provided:
-
-* :func:`evaluate_chebyshev` -- the Baby-Step Giant-Step +
-  Paterson-Stockmeyer strategy used by FIDESlib/OpenFHE (quasi-optimal
-  multiplication count, ``~2*sqrt(d)`` ciphertext products);
-* :func:`evaluate_chebyshev_direct` -- a simple reference evaluator that
-  materialises every Chebyshev basis polynomial; used to cross-check the
-  BSGS/PS implementation in the tests.
-
-Both keep the multiplicative depth at ``ceil(log2(d)) + 1``.
+:func:`evaluate_chebyshev` is the Baby-Step Giant-Step +
+Paterson-Stockmeyer strategy of FIDESlib/OpenFHE (``~2*sqrt(d)``
+ciphertext products).  It first splits the series by the giant steps
+``T_k, T_{2k}, ...`` (``k ≈ sqrt(d)``) into blocks of degree below ``k``,
+then builds only the ``T_i`` those blocks read (a lazy basis: the even
+cosine never builds ``T_5`` or ``T_7``).  Each block is one weighted sum
+whose integer weights absorb every ``T_i``'s scale, and one rescale
+(the scale-invariant evaluation of Bossuat et al., Eurocrypt 2021), so no
+term is rescaled or realigned on its own.  A degree-``d`` series costs
+at most ``ceil(log2(d + 1)) + 1`` levels, the ``chebyshev_depth`` that
+:class:`~repro.perf.workloads.BootstrapWorkload` prices.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.evaluator import Evaluator
+from repro.core.dispatch import DISPATCH
 
 
 def chebyshev_coefficients(function, degree: int, interval: tuple[float, float] = (-1.0, 1.0)) -> np.ndarray:
@@ -49,52 +51,6 @@ def chebyshev_coefficients(function, degree: int, interval: tuple[float, float] 
         )
     coefficients[0] *= 0.5
     return coefficients
-
-
-def _chebyshev_basis(evaluator: Evaluator, ct: Ciphertext, degree: int) -> dict[int, Ciphertext]:
-    """Return ciphertexts of ``T_1 ... T_degree`` evaluated at ``ct``.
-
-    Uses the recurrences ``T_{2k} = 2*T_k^2 - 1`` and
-    ``T_{2k+1} = 2*T_k*T_{k+1} - T_1`` so the depth of ``T_k`` is
-    ``ceil(log2(k))``.
-    """
-    basis: dict[int, Ciphertext] = {1: ct}
-    for k in range(2, degree + 1):
-        if k in basis:
-            continue
-        half = k // 2
-        if k % 2 == 0:
-            squared = evaluator.square(basis[half])
-            term = evaluator.multiply_scalar_int(squared, 2)
-            basis[k] = evaluator.add_scalar(term, -1.0)
-        else:
-            prod = evaluator.multiply(basis[half], basis[half + 1])
-            term = evaluator.multiply_scalar_int(prod, 2)
-            basis[k] = evaluator.sub(term, ct)
-    return basis
-
-
-def evaluate_chebyshev_direct(evaluator: Evaluator, ct: Ciphertext,
-                              coefficients: np.ndarray) -> Ciphertext:
-    """Reference evaluation materialising every Chebyshev basis polynomial."""
-    coefficients = np.asarray(coefficients, dtype=np.float64)
-    degree = len(coefficients) - 1
-    basis = _chebyshev_basis(evaluator, ct, degree) if degree >= 1 else {}
-    deepest = min((b.level for b in basis.values()), default=ct.level)
-    target_level = deepest - 1
-    result: Ciphertext | None = None
-    for k in range(1, degree + 1):
-        if abs(coefficients[k]) < 1e-12:
-            continue
-        term = evaluator.multiply_scalar(basis[k], float(coefficients[k]))
-        term = evaluator.adjust(term, target_level) if term.level > target_level else term
-        result = term if result is None else evaluator.add(result, term)
-    if result is None:
-        result = evaluator.adjust(ct, target_level)
-        result = evaluator.multiply_scalar(result, 0.0, rescale=False)
-        result = evaluator.rescale(result) if result.level >= 1 else result
-    result = evaluator.add_scalar(result, float(coefficients[0]))
-    return result
 
 
 def chebyshev_divide(coefficients: np.ndarray, divisor_degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,74 +83,120 @@ def chebyshev_divide(coefficients: np.ndarray, divisor_degree: int) -> tuple[np.
     return quotient, remainder
 
 
+def _split(block: np.ndarray, k: int, budget: int, read: set[int]):
+    """The Paterson-Stockmeyer split of ``block`` down to degrees below ``k``.
+
+    Returns ``None`` when nothing of ``block`` is kept, a leaf
+    ``{i: c_i}`` of the kept terms (``0`` the constant), or
+    ``(half, quotient, remainder)`` with ``block = quotient·T_half +
+    remainder``, ``half = k·2^(budget-1)``.  Adds each ``i > 0`` a leaf
+    keeps to ``read``.
+    """
+    block = np.trim_zeros(np.asarray(block, dtype=np.float64), trim="b")
+    if len(block) == 0:
+        return None
+    if len(block) - 1 < k:
+        terms = {i: float(c) for i, c in enumerate(block) if i and abs(c) >= 1e-12}
+        read.update(terms)
+        if abs(block[0]) > 1e-12:
+            terms[0] = float(block[0])
+        return terms or None
+    half = k << (budget - 1)
+    quotient, remainder = chebyshev_divide(block, half)
+    return (half, _split(quotient, k, budget - 1, read),
+            _split(remainder, k, budget - 1, read))
+
+
+def _chebyshev_basis(evaluator: Evaluator, ct: Ciphertext,
+                     indices) -> dict[int, Ciphertext]:
+    """Ciphertexts of ``T_1`` and of ``T_i`` at ``ct`` for every ``i`` in
+    ``indices``, plus whatever their recurrences read.
+
+    ``T_{2m} = 2·T_m² − 1`` and ``T_{2m+1} = 2·T_m·T_{m+1} − T_1`` give
+    ``T_i`` depth ``ceil(log2(i))``.
+    """
+    basis: dict[int, Ciphertext] = {1: ct}
+
+    def build(i: int) -> Ciphertext:
+        if i not in basis:
+            if i % 2 == 0:
+                doubled = evaluator.multiply_scalar_int(evaluator.square(build(i // 2)), 2)
+                basis[i] = evaluator.add_scalar(doubled, -1.0)
+            else:
+                product = evaluator.multiply(build(i // 2), build(i // 2 + 1))
+                basis[i] = evaluator.sub(evaluator.multiply_scalar_int(product, 2), ct)
+        return basis[i]
+
+    for i in sorted(indices):
+        build(i)
+    return basis
+
+
 def evaluate_chebyshev(evaluator: Evaluator, ct: Ciphertext,
                        coefficients: np.ndarray) -> Ciphertext:
     """BSGS + Paterson-Stockmeyer evaluation of a Chebyshev series.
 
-    The baby steps ``T_1 ... T_k`` (``k ≈ sqrt(d)``) and the giant steps
-    ``T_k, T_{2k}, T_{4k}, ...`` are computed once; the series is then
-    recursively split with :func:`chebyshev_divide` so that only
-    ``O(sqrt(d) + log d)`` ciphertext multiplications are needed instead of
-    ``O(d)`` -- the optimisation FIDESlib adopts from [39]/[37] for
-    ApproxModEval.
+    The series is split with :func:`chebyshev_divide` by the giant steps
+    ``T_k, T_{2k}, T_{4k}, ...`` (``k ≈ sqrt(d)``) into blocks of degree
+    below ``k``, so only ``O(sqrt(d) + log d)`` ciphertext multiplications
+    are needed instead of ``O(d)`` -- the optimisation FIDESlib adopts from
+    [39]/[37] for ApproxModEval.  Only the ``T_i`` a block reads and the
+    giant steps are built; each block is one weighted sum at the level of
+    ``T_k`` and one rescale.
     """
     coefficients = np.asarray(coefficients, dtype=np.float64)
     degree = len(coefficients) - 1
-    if degree <= 2:
-        return evaluate_chebyshev_direct(evaluator, ct, coefficients)
-
-    k = 1 << max(1, math.ceil(math.log2(math.sqrt(degree + 1))))
+    # A series of degree <= 2 is one block: a giant step would spend a
+    # ciphertext product on a constant.
+    k = degree + 1 if degree <= 2 else 1 << math.ceil(math.log2(math.sqrt(degree + 1)))
     splits = 0
-    while k * (1 << splits) <= degree:
+    while k << splits <= degree:
         splits += 1
+    read = {k << j for j in range(splits)}  # the giant steps
+    tree = _split(coefficients, k, splits, read)
+    basis = _chebyshev_basis(evaluator, ct, read)
+    # Blocks meet at the level of T_k, or of the deepest T_i a lone block reads.
+    baby_level = basis[k].level if splits else min(b.level for b in basis.values())
 
-    baby = _chebyshev_basis(evaluator, ct, k)
-    baby_level = min(b.level for b in baby.values())
-
-    giants: dict[int, Ciphertext] = {k: baby[k]}
-    power = k
-    for _ in range(1, splits):
-        giants[2 * power] = double_angle(evaluator, giants[power], 1)
-        power *= 2
-
-    def eval_small(block: np.ndarray) -> Ciphertext | None:
-        """Linear combination of baby-step polynomials (degree < k)."""
-        target_level = baby_level - 1
-        result: Ciphertext | None = None
-        for idx in range(1, len(block)):
-            if abs(block[idx]) < 1e-12:
-                continue
-            term = evaluator.multiply_scalar(baby[idx], float(block[idx]))
-            if term.level > target_level:
-                term = evaluator.adjust(term, target_level)
-            result = term if result is None else evaluator.add(result, term)
-        if abs(block[0]) > 1e-12:
-            if result is None:
-                zero = evaluator.multiply_scalar(baby[1], 0.0)
-                if zero.level > target_level:
-                    zero = evaluator.adjust(zero, target_level)
-                result = zero
-            result = evaluator.add_scalar(result, float(block[0]))
+    def eval_small(terms: dict[int, float]) -> Ciphertext:
+        """``Σ c_i·T_i + c_0`` as one weighted sum at ``baby_level`` and one
+        rescale: each integer weight ``round(c_i·q·Δ/scale_i)`` absorbs the
+        scale of its ``T_i``, so the sum sits at ``q·Δ`` (``Δ`` the ladder
+        scale one level down) and the rescale lands on ``Δ``."""
+        target_scale = evaluator.context.scale_at(baby_level - 1)
+        # A constant alone rides on T_1 at weight 0.
+        reads = [i for i in terms if i] or [1]
+        operands = [evaluator.mod_reduce(basis[i], baby_level + 1) for i in reads]
+        first = operands[0]
+        scale = first.moduli[-1] * target_scale
+        weights = [int(round(terms.get(i, 0.0) * scale / basis[i].scale)) for i in reads]
+        with Evaluator._scope(first, "scalardot"), DISPATCH.launch("scalardot"):
+            c0, c1 = (first.c0.multiply_scalar(weights[0]),
+                      first.c1.multiply_scalar(weights[0]))
+            for operand, weight in zip(operands[1:], weights[1:]):
+                c0 = c0.add(operand.c0.multiply_scalar(weight))
+                c1 = c1.add(operand.c1.multiply_scalar(weight))
+            if 0 in terms:
+                c0 = c0.add_scalar(int(round(terms[0] * scale)))
+        result = evaluator.rescale(first.with_polys(c0, c1, scale=scale))
+        result.scale = target_scale
         return result
 
-    def eval_recursive(block: np.ndarray, level_budget: int) -> Ciphertext | None:
-        block = np.trim_zeros(np.asarray(block, dtype=np.float64), trim="b")
-        if len(block) == 0:
+    def evaluate(tree) -> Ciphertext | None:
+        if tree is None:
             return None
-        if len(block) - 1 < k:
-            return eval_small(block)
-        half = k * (1 << (level_budget - 1))
-        quotient, remainder = chebyshev_divide(block, half)
-        q_ct = eval_recursive(quotient, level_budget - 1)
-        r_ct = eval_recursive(remainder, level_budget - 1)
+        if isinstance(tree, dict):
+            return eval_small(tree)
+        half, quotient, remainder = tree
+        q_ct, r_ct = evaluate(quotient), evaluate(remainder)
         if q_ct is None:
             return r_ct
-        combined = evaluator.multiply(q_ct, giants[half])
+        combined = evaluator.multiply(q_ct, basis[half])
         if r_ct is None:
             return combined
         return evaluator.add(combined, r_ct)
 
-    result = eval_recursive(coefficients, splits)
+    result = evaluate(tree)
     assert result is not None
     return result
 
@@ -212,6 +214,5 @@ def double_angle(evaluator: Evaluator, ct: Ciphertext, iterations: int) -> Ciphe
 __all__ = [
     "chebyshev_coefficients",
     "evaluate_chebyshev",
-    "evaluate_chebyshev_direct",
     "double_angle",
 ]

@@ -1,8 +1,11 @@
 """End-to-end bootstrapping tests (the paper's headline functionality)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.ckks import chebyshev
 from repro.ckks.bootstrap import BootstrapConfig, Bootstrapper
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.context import Context
@@ -10,6 +13,7 @@ from repro.ckks.encryption import Decryptor, Encryptor
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator, KeySet
 from repro.ckks.params import PARAMETER_SETS
+from repro.core.dispatch import DISPATCH
 from repro.perf.workloads import BootstrapWorkload
 from tests.conftest import assert_same_ciphertext, int_coefficients
 
@@ -133,6 +137,73 @@ class TestFactoredDFT:
             double_angle_iterations=config.double_angle_iterations,
         ).remaining_levels
         assert boot.bootstrap(ct).level == expected
+
+
+class ScopeCounter:
+    """A :meth:`Dispatcher.profiling` observer counting scope entries by leaf
+    name (``batch2/hmult`` counts as ``hmult``)."""
+
+    def __init__(self) -> None:
+        self.entries = Counter()
+
+    def enter(self, name: str) -> None:
+        self.entries[name.rsplit("/", 1)[-1]] += 1
+
+    def exit(self, name: str) -> None:
+        pass
+
+
+class TestApproxModEval:
+    """ApproxModEval on the bootstrap's own Chebyshev argument: the
+    ``coeff_to_slot`` halves of a seeded exhausted ciphertext."""
+
+    @pytest.fixture(scope="class")
+    def halves(self, bootstrap_setup):
+        evaluator, boot = bootstrap_setup["evaluator"], bootstrap_setup["bootstrapper"]
+        message = np.random.default_rng(3).uniform(-0.4, 0.4, 8)
+        exhausted = evaluator.mod_reduce(
+            bootstrap_setup["encryptor"].encrypt_values(message), 1)
+        return boot.coeff_to_slot(boot.mod_raise(exhausted))
+
+    def test_fused_call_builds_only_what_it_reads(self, bootstrap_setup, halves,
+                                                  monkeypatch):
+        """One fused B=2 call: 4 HMults (6 with the odd ``T_5``/``T_7``), the
+        7 squares of ``T_2, T_4, T_6, T_8``, ``T_16`` and the two double
+        angles, and at most 15 rescale scopes (28 with a rescale per term and
+        per realignment)."""
+        boot = bootstrap_setup["bootstrapper"]
+        lazy_basis, built = chebyshev._chebyshev_basis, []
+
+        def spy(*args):
+            basis = lazy_basis(*args)
+            built.append(sorted(basis))
+            return basis
+
+        monkeypatch.setattr(chebyshev, "_chebyshev_basis", spy)
+        counter = ScopeCounter()
+        with DISPATCH.profiling(counter):
+            result = boot.approx_mod_eval(Ciphertext.fuse(list(halves)))
+        # The even blocks read T_2, T_4, T_6; T_8 and T_16 are the giant steps.
+        assert built == [[1, 2, 3, 4, 6, 8, 16]]
+        assert counter.entries["hmult"] <= 4
+        assert counter.entries["hsquare"] == 7
+        assert counter.entries["rescale"] <= 15
+        # ceil(log2(31)) + 1 levels for the series, one per double angle.
+        assert result.level == halves[0].level - 8
+
+    def test_series_error_within_2_to_the_minus_17(self, bootstrap_setup, halves):
+        """The decrypted series is within 2^-17 of the exact Chebyshev
+        series at the decrypted argument, in every slot: the arithmetic
+        error of the evaluation, with the approximation error left out."""
+        boot, decryptor = bootstrap_setup["bootstrapper"], bootstrap_setup["decryptor"]
+        slots = bootstrap_setup["context"].slots
+        argument = halves[0]
+        ys = decryptor.decrypt_values(argument, slots).real
+        exact = np.polynomial.chebyshev.chebval(ys, boot._cos_coefficients)
+        series = chebyshev.evaluate_chebyshev(
+            bootstrap_setup["evaluator"], argument, boot._cos_coefficients)
+        got = decryptor.decrypt_values(series, slots).real
+        assert np.max(np.abs(got - exact)) <= 2.0 ** -17
 
 
 class TestFullBootstrap:

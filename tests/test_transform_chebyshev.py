@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.ckks.chebyshev import (
+    _chebyshev_basis,
     chebyshev_coefficients,
     chebyshev_divide,
     double_angle,
     evaluate_chebyshev,
-    evaluate_chebyshev_direct,
 )
 from repro.ckks.encoding import rotation_group
 from repro.ckks.linear_transform import LinearTransform, dft_factors, dft_levels
@@ -19,7 +19,7 @@ from repro.core import modmath
 from repro.core.automorphism import rotation_to_exponent
 from repro.core.limb import LimbFormat
 from repro.core.rns_poly import RNSPoly
-from tests.conftest import assert_close
+from tests.conftest import assert_close, assert_same_ciphertext
 
 from test_moddown_rescale import expected_residues
 
@@ -58,6 +58,46 @@ def nonzero_diagonals(matrix: np.ndarray) -> int:
     """Generalized diagonals ``k`` with an entry ``M[j, (j + k) mod n] != 0``."""
     n = len(matrix)
     return sum(bool(np.any(np.diagonal(np.roll(matrix, -k, axis=1)))) for k in range(n))
+
+
+def chebyshev_basis(evaluator, ct, degree: int) -> dict:
+    """Ciphertexts of every ``T_1 ... T_degree`` at ``ct``, by the
+    recurrences ``T_{2k} = 2*T_k^2 - 1`` and ``T_{2k+1} = 2*T_k*T_{k+1} - T_1``
+    (the eager basis: the reference for the evaluator's lazy one)."""
+    basis = {1: ct}
+    for k in range(2, degree + 1):
+        half = k // 2
+        if k % 2 == 0:
+            squared = evaluator.square(basis[half])
+            term = evaluator.multiply_scalar_int(squared, 2)
+            basis[k] = evaluator.add_scalar(term, -1.0)
+        else:
+            prod = evaluator.multiply(basis[half], basis[half + 1])
+            term = evaluator.multiply_scalar_int(prod, 2)
+            basis[k] = evaluator.sub(term, ct)
+    return basis
+
+
+def evaluate_chebyshev_direct(evaluator, ct, coefficients):
+    """Reference evaluation materialising every Chebyshev basis polynomial,
+    each term scaled and realigned on its own."""
+    coefficients = np.asarray(coefficients, dtype=np.float64)
+    degree = len(coefficients) - 1
+    basis = chebyshev_basis(evaluator, ct, degree) if degree >= 1 else {}
+    deepest = min((b.level for b in basis.values()), default=ct.level)
+    target_level = deepest - 1
+    result = None
+    for k in range(1, degree + 1):
+        if abs(coefficients[k]) < 1e-12:
+            continue
+        term = evaluator.multiply_scalar(basis[k], float(coefficients[k]))
+        term = evaluator.adjust(term, target_level) if term.level > target_level else term
+        result = term if result is None else evaluator.add(result, term)
+    if result is None:
+        result = evaluator.adjust(ct, target_level)
+        result = evaluator.multiply_scalar(result, 0.0, rescale=False)
+        result = evaluator.rescale(result) if result.level >= 1 else result
+    return evaluator.add_scalar(result, float(coefficients[0]))
 
 
 def chebyshev_series_value(coefficients, x: float) -> float:
@@ -124,6 +164,28 @@ class TestHomomorphicChebyshev:
         direct = decryptor.decrypt_values(evaluate_chebyshev_direct(evaluator, ct, coeffs), 8).real
         bsgs = decryptor.decrypt_values(evaluate_chebyshev(evaluator, ct, coeffs), 8).real
         assert_close(bsgs, direct, 5e-3)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_low_degree_is_one_block(self, evaluator, decryptor, inputs, degree):
+        """Degree <= 2 is one weighted sum and one rescale: no product
+        spends a level on a constant, and the result matches the oracle."""
+        _, ct = inputs
+        coeffs = [0.25, -0.5, 0.75][: degree + 1]
+        result = evaluate_chebyshev(evaluator, ct, coeffs)
+        assert result.level == ct.level - max(1, degree)
+        direct = evaluate_chebyshev_direct(evaluator, ct, coeffs)
+        assert_close(decryptor.decrypt_values(result, 8).real,
+                     decryptor.decrypt_values(direct, 8).real, 2e-3)
+
+    def test_lazy_basis_is_the_eager_one(self, evaluator, inputs):
+        """The lazy basis builds only the requested ``T_i`` and what their
+        recurrences read, each bit-identical to the eager basis's."""
+        _, ct = inputs
+        lazy = _chebyshev_basis(evaluator, ct, {6, 8})
+        assert sorted(lazy) == [1, 2, 3, 4, 6, 8]
+        eager = chebyshev_basis(evaluator, ct, 8)
+        for i, poly in lazy.items():
+            assert_same_ciphertext(poly, eager[i])
 
     def test_double_angle(self, evaluator, decryptor, encryptor, rng):
         ys = rng.uniform(-0.2, 0.2, 8)
