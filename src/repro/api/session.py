@@ -102,7 +102,9 @@ class CKKSSession:
     share expensive session-scoped key material).
 
     ``session.backend is session.evaluator``: the evaluator is the
-    functional backend, bound to this session's encryptor.  A pre-built
+    functional backend, bound to this session's encryptor -- by default the
+    client's public-key one, so the server half references no secret key
+    (the client's own ``encrypt`` is the secret-key one).  A pre-built
     evaluator bound to another encryptor (or none) is left untouched; the
     session evaluates on a sibling over the same context and keys.
     """
@@ -122,7 +124,7 @@ class CKKSSession:
         self.keys = keys if keys is not None else evaluator.keys
         self.client = client
         self._encryptor = encryptor if encryptor is not None else (
-            client.encryptor if client is not None else None
+            client.public_encryptor if client is not None else None
         )
         self._decryptor = decryptor if decryptor is not None else (
             client.decryptor if client is not None else None
@@ -167,7 +169,7 @@ class CKKSSession:
         client = OpenFHEClient(params, seed=seed)
         steps = resolve_rotations(rotations, params.slots)
         server_keys = client.key_gen(steps, conjugation=conjugation)
-        evaluator = Evaluator(client.context, server_keys, encryptor=client.encryptor)
+        evaluator = Evaluator(client.context, server_keys, encryptor=client.public_encryptor)
         return cls(
             context=client.context,
             evaluator=evaluator,
@@ -199,7 +201,7 @@ class CKKSSession:
                 client.keys.without_secret()
             if conjugation and server_keys.conjugation_key is None:
                 server_keys = client.add_conjugation_key()
-        evaluator = Evaluator(client.context, server_keys, encryptor=client.encryptor)
+        evaluator = Evaluator(client.context, server_keys, encryptor=client.public_encryptor)
         return cls(
             context=client.context,
             evaluator=evaluator,

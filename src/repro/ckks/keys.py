@@ -17,6 +17,7 @@ in :mod:`repro.ckks.keyswitch`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +30,57 @@ from repro.core.automorphism import (
 )
 from repro.core.limb import LimbFormat
 from repro.core.rns_poly import RNSPoly
+
+
+#: Bytes in the seed that stands for a uniform polynomial (:func:`expand_seed`).
+SEED_BYTES = 32
+
+
+def expand_seed(seed: bytes, moduli: Sequence[int], ring_degree: int) -> RNSPoly:
+    """The uniform evaluation-format polynomial a 32-byte ``seed`` stands for.
+
+    One PCG64 bit generator, seeded with
+    ``SeedSequence(int.from_bytes(seed, "little"))``, feeds the limbs in
+    modulus order.  Limb ``i`` reads the generator's next 64-bit words
+    (``random_raw``), masks each to ``q_i.bit_length()`` bits and keeps
+    those below ``q_i``, in stream order, until it holds ``ring_degree`` of
+    them; limb ``i + 1`` starts at the word after.  Bit generators and
+    ``SeedSequence`` are stream-stable across NumPy versions
+    (``Generator.integers`` is not promised to be), so the rows are a
+    function of the seed, the moduli and ``N`` alone, on every backend:
+    ``uint64`` words that an exact chain's polynomial holds as Python
+    integers.  A limb over fewer moduli is a row prefix of one over more.
+
+    The returned polynomial carries ``seed`` (:attr:`RNSPoly.seed`), so a
+    ciphertext whose ``c1`` it is can travel as the seed.
+    """
+    if not isinstance(seed, bytes) or len(seed) != SEED_BYTES:
+        raise ValueError(f"seed: need {SEED_BYTES} bytes, got {seed!r:.80}")
+    generator = np.random.PCG64(np.random.SeedSequence(int.from_bytes(seed, "little")))
+    rows = np.empty((len(moduli), ring_degree), dtype=np.uint64)
+    stream = np.empty(0, dtype=np.uint64)  # drawn, not yet read
+    for row, q in zip(rows, moduli):
+        q = int(q)
+        bits = q.bit_length()
+        if bits > 64:
+            raise ValueError(f"moduli: {q} does not fit a 64-bit word")
+        mask, bound = np.uint64((1 << bits) - 1), np.uint64(q)
+        # The words N acceptances take at the rate q / 2^bits, plus slack;
+        # a window that falls short grows by what is still missing.
+        window = 0
+        kept = np.empty(0, dtype=np.intp)
+        while kept.size < ring_degree:
+            short = (ring_degree - kept.size) * (1 << bits) // q
+            window += short + short // 16 + 64
+            if stream.size < window:
+                stream = np.concatenate((stream, generator.random_raw(window - stream.size)))
+            masked = stream[:window] & mask
+            kept = np.flatnonzero(masked < bound)
+        row[:] = masked[kept[:ring_degree]]
+        stream = stream[kept[ring_degree - 1] + 1 :]
+    poly = RNSPoly(moduli, rows, LimbFormat.EVALUATION)
+    poly.seed = seed
+    return poly
 
 
 @dataclass
@@ -295,6 +347,8 @@ def _square_coefficients(coefficients: np.ndarray, ring_degree: int) -> np.ndarr
 
 
 __all__ = [
+    "SEED_BYTES",
+    "expand_seed",
     "SecretKey",
     "PublicKey",
     "KeySwitchingKey",

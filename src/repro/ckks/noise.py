@@ -19,12 +19,18 @@ import numpy as np
 from repro.ckks.params import CKKSParameters
 
 
-def fresh_encryption_noise_bits(params: CKKSParameters) -> float:
-    """Expected log2 noise of a fresh public-key encryption."""
-    n = params.ring_degree
-    sigma = params.error_std
-    # v*e_pk + e0 + e1*s: dominated by the ring products of two small polys.
-    magnitude = sigma * math.sqrt(n) * (1.0 + math.sqrt(params.secret_hamming_weight))
+def fresh_encryption_noise_bits(params: CKKSParameters, *,
+                                secret_key: bool = False) -> float:
+    """Expected log2 noise of a fresh encryption, public-key by default.
+
+    Under the public key the noise is ``v*e_pk + e0 + e1*s``, dominated by
+    the ring products of two small polynomials; under the secret key it is
+    the one error ``e``.  Each Gaussian term counts ``σ·√N``, which the
+    largest coefficient of a fresh ciphertext's error stays below.
+    """
+    magnitude = params.error_std * math.sqrt(params.ring_degree)
+    if not secret_key:
+        magnitude *= 1.0 + math.sqrt(params.secret_hamming_weight)
     return math.log2(max(2.0, magnitude))
 
 

@@ -77,10 +77,15 @@ class RNSPoly:
     pool:
         Memory pool charged for the flat allocation (the process-wide
         ``default_pool`` when omitted).
+
+    ``seed`` is the 32-byte seed the rows expand from
+    (:func:`repro.ckks.keys.expand_seed` sets it on the polynomial it
+    builds), else None.  Rows are never written once built, so the pair
+    stays true; a result or a view is a new polynomial and starts at None.
     """
 
     __slots__ = ("moduli", "moduli_col", "data", "ring_degree", "pool",
-                 "_fmt", "_charged", "_owner")
+                 "seed", "_fmt", "_charged", "_owner")
 
     def __init__(
         self,
@@ -120,6 +125,7 @@ class RNSPoly:
         self.moduli_col = col  # the broadcastable (L, 1) moduli column
         self.data = data
         self.ring_degree = int(data.shape[-1])
+        self.seed = None
         self._fmt = fmt
         self.pool = pool
         self._owner = owner

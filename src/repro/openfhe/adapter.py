@@ -12,7 +12,9 @@ storage,
 in evaluation format: a ``"coeff"`` polynomial is converted on import with
 one stacked NTT, so no kernel behind the boundary sees another format.
 The ciphertext round trip also carries the static noise estimate back to
-the client, as described in §III-B.
+the client, as described in §III-B.  A fresh client ciphertext's ``c1`` is
+uniform and crosses as the 32-byte seed it expands from; import expands it
+into canonical evaluation rows.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.context import Context
+from repro.ckks.keys import expand_seed
 from repro.core import modmath
 from repro.core.limb import LimbFormat
 from repro.core.rns_poly import RNSPoly
@@ -38,12 +41,16 @@ class RawPolynomial:
 
     ``limbs`` is the ``(L, N)`` residue array itself -- row ``i`` holds the
     residues mod ``moduli[i]`` -- as ``uint64`` words (Python integers in
-    an object array for an exact chain).
+    an object array for an exact chain).  A seeded polynomial has no rows:
+    ``limbs`` is None and ``seed`` holds the 32 bytes that
+    :func:`~repro.ckks.keys.expand_seed` expands into them (evaluation
+    format).  Only a ciphertext's ``c1`` may be seeded.
     """
 
     moduli: list[int]
-    limbs: np.ndarray
+    limbs: np.ndarray | None
     fmt: str = "eval"
+    seed: bytes | None = None
 
     def to_rns_poly(self, context: Context) -> RNSPoly:
         """Check the raw structure against ``context`` and adopt its array
@@ -52,7 +59,9 @@ class RawPolynomial:
         The moduli must be a prefix of the context's chain (the check
         FIDESlib's adapter performs before copying data to the GPU), the
         format a known one, and the array ``(len(moduli), N)`` canonical
-        residues; a :class:`ValueError` names the field that is not.
+        residues; a :class:`ValueError` names the field that is not.  A
+        seeded polynomial is expanded instead; it must be in evaluation
+        format and carry no rows.
         """
         if not self.moduli or list(self.moduli) != context.moduli[: len(self.moduli)]:
             raise ValueError(
@@ -61,6 +70,12 @@ class RawPolynomial:
             )
         if self.fmt not in _FORMATS:
             raise ValueError(f"fmt: unknown limb format {self.fmt!r}")
+        if self.seed is not None:
+            if self.fmt != "eval":
+                raise ValueError(f"fmt: a seeded polynomial is 'eval', got {self.fmt!r}")
+            if self.limbs is not None:
+                raise ValueError("seed: a seeded polynomial carries no limbs")
+            return expand_seed(self.seed, self.moduli, context.ring_degree)
         rows = np.asarray(self.limbs)
         expected = (len(self.moduli), context.ring_degree)
         if rows.dtype not in (np.uint64, np.object_) or rows.shape != expected:
@@ -121,11 +136,24 @@ def _check_metadata(context: Context, raw: "RawCiphertext | RawPlaintext",
         raise ValueError(f"noise_bits: need a finite estimate >= 0, got {noise_bits!r}")
 
 
+def _check_unseeded(poly: RawPolynomial, name: str) -> None:
+    """Reject a seed anywhere but on a ciphertext's ``c1``."""
+    if poly.seed is not None:
+        raise ValueError(f"{name}: only a ciphertext's c1 may carry a seed")
+
+
 def export_ciphertext(ciphertext: Ciphertext, *, parameter_tag: str = "") -> RawCiphertext:
-    """Flatten a server ciphertext into the raw exchange structure."""
+    """Flatten a server ciphertext into the raw exchange structure.
+
+    ``c1`` travels as its seed when it is the very polynomial the seed
+    expanded (:attr:`RNSPoly.seed`; polynomials are never written, so the
+    seed cannot be stale), as its rows otherwise.
+    """
+    c1 = ciphertext.c1
     return RawCiphertext(
         c0=RawPolynomial.from_rns_poly(ciphertext.c0),
-        c1=RawPolynomial.from_rns_poly(ciphertext.c1),
+        c1=RawPolynomial.from_rns_poly(c1) if c1.seed is None
+        else RawPolynomial(moduli=list(c1.moduli), limbs=None, seed=c1.seed),
         scale=ciphertext.scale,
         slots=ciphertext.slots,
         noise_bits=ciphertext.noise_bits,
@@ -139,6 +167,7 @@ def import_ciphertext(context: Context, raw: RawCiphertext) -> Ciphertext:
     against ``context``: the metadata, and each polynomial by
     :meth:`RawPolynomial.to_rns_poly`)."""
     _check_metadata(context, raw, raw.noise_bits)
+    _check_unseeded(raw.c0, "c0")
     return Ciphertext(
         c0=raw.c0.to_rns_poly(context),
         c1=raw.c1.to_rns_poly(context),
@@ -164,6 +193,7 @@ def import_plaintext(context: Context, raw: RawPlaintext) -> Plaintext:
     """Rebuild a plaintext from the raw exchange structure (checked like a
     ciphertext's)."""
     _check_metadata(context, raw)
+    _check_unseeded(raw.poly, "poly")
     return Plaintext(
         poly=raw.poly.to_rns_poly(context),
         scale=raw.scale,

@@ -6,6 +6,13 @@ key generation, encoding, encryption, decryption and serialization on the
 material with the server (:class:`repro.ckks.evaluator.Evaluator`).  The
 paper's integration tests compare every server-side operation against this
 client; :mod:`tests.integration` reproduces that methodology.
+
+The client encrypts under its secret key (:attr:`OpenFHEClient.encryptor`):
+``c1`` is uniform, expanded from a fresh 32-byte seed, and the exported
+ciphertext carries that seed in place of ``c1``'s rows, which halves a
+request.  The seed is as public as ``a`` is.  The server half of a session
+encrypts with :attr:`OpenFHEClient.public_encryptor`, which holds the
+public key only.
 """
 
 from __future__ import annotations
@@ -34,7 +41,9 @@ class OpenFHEClient:
         CKKS parameter set shared with the server.
     seed:
         Seed for key generation and encryption randomness (tests use fixed
-        seeds for reproducibility).
+        seeds for reproducibility): keys draw on ``seed``, the secret-key
+        encryptor on two ``SeedSequence`` children of it, the public-key
+        encryptor on ``seed + 1``.
     """
 
     def __init__(self, params: CKKSParameters, seed: int | None = None) -> None:
@@ -44,6 +53,7 @@ class OpenFHEClient:
         self._keygen = KeyGenerator(self.context, seed)
         self._keys: KeySet | None = None
         self._encryptor: Encryptor | None = None
+        self._public_encryptor: Encryptor | None = None
         self._decryptor: Decryptor | None = None
 
     # ------------------------------------------------------------------
@@ -59,8 +69,9 @@ class OpenFHEClient:
         evaluation keys.
         """
         self._keys = self._keygen.generate(rotations, conjugation=conjugation)
-        encryption_seed = None if self._seed is None else self._seed + 1
-        self._encryptor = Encryptor(self.context, self._keys.public_key, seed=encryption_seed)
+        public_seed = None if self._seed is None else self._seed + 1
+        self._encryptor = Encryptor(self.context, self._keys.secret_key, seed=self._seed)
+        self._public_encryptor = Encryptor(self.context, self._keys.public_key, seed=public_seed)
         self._decryptor = Decryptor(self.context, self._keys.secret_key)
         return self._keys.without_secret()
 
@@ -93,9 +104,17 @@ class OpenFHEClient:
 
     @property
     def encryptor(self) -> Encryptor:
-        """The public-key encryptor (available after :meth:`key_gen`)."""
+        """The secret-key encryptor (available after :meth:`key_gen`): what
+        :meth:`encrypt` uses; its ciphertexts export ``c1`` as a seed."""
         self._require_keys()
         return self._encryptor
+
+    @property
+    def public_encryptor(self) -> Encryptor:
+        """A public-key encryptor (available after :meth:`key_gen`): what the
+        server half of a session encrypts with.  It holds no secret."""
+        self._require_keys()
+        return self._public_encryptor
 
     @property
     def decryptor(self) -> Decryptor:
@@ -109,7 +128,8 @@ class OpenFHEClient:
 
     def encrypt(self, values, *, scale: float | None = None,
                 limb_count: int | None = None) -> RawCiphertext:
-        """Encode and encrypt a message, returning the raw exchange object."""
+        """Encode and encrypt a message under the secret key, returning the
+        raw exchange object (``c1`` as its seed)."""
         self._require_keys()
         plaintext = encode(self.context, values, scale=scale, limb_count=limb_count)
         ciphertext = self._encryptor.encrypt(plaintext)

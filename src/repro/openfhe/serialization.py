@@ -10,18 +10,36 @@ integers little-endian::
               length, u64 payload length
     metadata  a JSON object: type, scale, slots, noise_bits (ciphertexts),
               encoded_length, parameter_tag, and per polynomial its
-              moduli (decimal strings), fmt and ring degree n
-    payload   each polynomial's (L, n) residue rows as u64 words, in
-              metadata order (c0 then c1, or poly)
+              moduli (decimal strings), fmt and ring degree n, plus seed
+              for a seeded c1
+    payload   the (L, n) residue rows of each polynomial that is not
+              seeded, as u64 words, in metadata order (c0 then c1, or poly)
     checksum  u32 zlib.crc32 of metadata and payload
 
 A raw structure holds one member, so the frame has no member count.  The
 reader checks every length before it views the payload as an array.
 
-``deserialize_*`` also read the version-1 envelope (read-only: nothing
-writes it any more), told apart by the magic: a JSON object whose residue
-payload is one hexadecimal string per limb, the row's residues as
-big-endian 64-bit words, 16 digits each.
+**Seeded c1.**  A ciphertext the client encrypted under its secret key
+has a uniform ``c1``, and the frame carries the 32 bytes it expands from
+instead of its rows: ``"seed": "<64 lowercase hex digits>"`` in ``c1``'s
+metadata, ``fmt`` ``"eval"``, ``n`` the ring degree, and 0 payload bytes.
+A reader that predates the field computes ``8·L·n`` bytes for ``c1`` and
+fails closed on the payload length.  Only ``c1`` may carry a seed.  The
+expansion, :func:`repro.ckks.keys.expand_seed`, is: one NumPy ``PCG64``
+bit generator seeded with ``SeedSequence(int.from_bytes(seed,
+"little"))``; for each modulus ``q`` in order, read its next 64-bit words
+(``random_raw``), mask each to ``q.bit_length()`` bits, keep those below
+``q`` in stream order until ``n`` are kept, and continue the next modulus
+at the following word.  The rows are canonical residues in evaluation
+format.  The seed is public, as the uniform ``c1`` it replaces is.
+
+``deserialize_*`` also read the version-1 envelope, told apart by the
+magic: a JSON object whose residue payload is one hexadecimal string per
+limb, the row's residues as big-endian 64-bit words, 16 digits each.
+Nothing writes it any more and it cannot carry a seed.  Reading it is a
+promise while the golden pins and the hostile-input suite
+(``tests/test_openfhe_interop.py``) hold it on every case; dropping it
+would be a deliberate wire change, not a clean-up.
 
 The wire is untrusted: ``deserialize_*`` raises :class:`ValueError` naming
 the offending field for anything that is not a well-formed frame.  What
@@ -31,12 +49,15 @@ format, slot count) is checked by the adapter's ``import_*``.
 
 from __future__ import annotations
 
+import binascii
 import json
+import re
 import struct
 import zlib
 
 import numpy as np
 
+from repro.ckks.keys import SEED_BYTES
 from repro.openfhe.adapter import RawCiphertext, RawPlaintext, RawPolynomial
 
 #: Version-2 frame: magic, version, metadata length, payload length.
@@ -44,6 +65,9 @@ _MAGIC = b"\x89FHE"
 _VERSION = 2
 _HEADER = struct.Struct("<4sHIQ")
 _CHECKSUM = struct.Struct("<I")
+
+#: A seeded polynomial's ``seed`` field: the 32 bytes as lowercase hex.
+_SEED_HEX = re.compile(f"[0-9a-f]{{{2 * SEED_BYTES}}}")
 
 #: The version of the JSON/hex envelope ``deserialize_*`` still reads.
 _FORMAT_VERSION = 1
@@ -122,7 +146,8 @@ def _frame(blob: bytes, kind: str) -> tuple[dict, memoryview]:
 def _frame_polynomials(metadata: dict, names: tuple[str, ...],
                        payload: memoryview) -> list[RawPolynomial]:
     """The polynomials ``names`` of a version-2 frame: their metadata
-    checked, then the payload split into their ``(L, n)`` rows."""
+    checked, then the payload split into the ``(L, n)`` rows of those
+    that are not seeded."""
     shapes = []
     for name in names:
         header = _field(metadata, name, dict)
@@ -131,15 +156,30 @@ def _frame_polynomials(metadata: dict, names: tuple[str, ...],
         n = _field(header, "n", int, name)
         if n < 0:
             raise ValueError(f"{name}: ring degree n = {n} is negative")
-        shapes.append((moduli, fmt, n))
-    need = sum(8 * len(moduli) * n for moduli, _, n in shapes)
+        seed = header.get("seed")
+        if seed is not None:
+            if name != "c1":
+                raise ValueError(f"{name}: only a ciphertext's c1 may carry a seed")
+            if not isinstance(seed, str) or not _SEED_HEX.fullmatch(seed):
+                raise ValueError(f"{name}: seed must be {2 * SEED_BYTES} lowercase "
+                                 f"hex digits, got {seed!r:.80}")
+            seed = bytes.fromhex(seed)
+        shapes.append((moduli, fmt, n, seed))
+    need = sum(8 * len(moduli) * n for moduli, _, n, seed in shapes if seed is None)
     if need != len(payload):
+        seeded = " (a polynomial with a seed has none)" if any(s for *_, s in shapes) else ""
         raise ValueError(
             f"{'/'.join(names)} limbs: the payload holds {len(payload)} bytes, "
-            f"their moduli and ring degrees need {need}"
+            f"their moduli and ring degrees need {need}{seeded}"
         )
     polys, offset = [], 0
-    for moduli, fmt, n in shapes:
+    for moduli, fmt, n, seed in shapes:
+        if seed is not None:
+            if n != shapes[0][2]:
+                raise ValueError(f"n: the seeded polynomial's ring degree {n} is "
+                                 f"not c0's {shapes[0][2]}")
+            polys.append(RawPolynomial(moduli=moduli, limbs=None, fmt=fmt, seed=seed))
+            continue
         count = len(moduli) * n
         words = np.frombuffer(payload, dtype="<u8", count=count, offset=offset)
         offset += 8 * count
@@ -149,13 +189,21 @@ def _frame_polynomials(metadata: dict, names: tuple[str, ...],
 
 
 def _write_frame(kind: str, metadata: dict, polys: dict[str, RawPolynomial]) -> bytes:
-    """The version-2 frame of ``metadata`` and ``polys`` (module docstring)."""
-    rows = {name: np.asarray(poly.limbs) for name, poly in polys.items()}
-    shapes = {
-        name: {"moduli": [str(q) for q in poly.moduli], "fmt": poly.fmt,
-               "n": rows[name].shape[-1]}
-        for name, poly in polys.items()
-    }
+    """The version-2 frame of ``metadata`` and ``polys`` (module docstring).
+
+    A seeded polynomial writes its seed and no rows; its ``n`` is the
+    ring degree of the first polynomial that has rows.
+    """
+    rows = {name: np.asarray(poly.limbs) for name, poly in polys.items()
+            if poly.seed is None}
+    ring_degree = next((r.shape[-1] for r in rows.values()), 0)
+    shapes = {}
+    for name, poly in polys.items():
+        shape = {"moduli": [str(q) for q in poly.moduli], "fmt": poly.fmt,
+                 "n": rows[name].shape[-1] if name in rows else ring_degree}
+        if poly.seed is not None:
+            shape["seed"] = binascii.hexlify(poly.seed).decode("ascii")
+        shapes[name] = shape
     text = json.dumps({"type": kind, **metadata, **shapes}).encode("utf-8")
     payload = np.concatenate([r.astype("<u8").ravel() for r in rows.values()]).tobytes()
     checksum = zlib.crc32(payload, zlib.crc32(text))

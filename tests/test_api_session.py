@@ -5,6 +5,8 @@ client/server round trip, the key inventory in ``describe()``, and the
 default-context wiring of the singleton in :mod:`repro.ckks.context`.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.ckks.context import (
     get_default_context,
     set_default_context,
 )
+from repro.ckks.keys import PublicKey, SecretKey
 from repro.ckks.params import CKKSParameters, PARAMETER_SETS
 from repro.openfhe.client import OpenFHEClient
 from tests.conftest import assert_close
@@ -108,6 +111,57 @@ class TestCreate:
         assert tiny_session.params is TINY_PARAMS
         assert tiny_session.slots == TINY_PARAMS.slots
         assert tiny_session.max_level == TINY_PARAMS.mult_depth
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through the attributes of
+    ``repro`` objects and through containers."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro."):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            stack.extend(getattr(obj, slot) for cls in type(obj).__mro__
+                         for slot in getattr(cls, "__slots__", ()) if hasattr(obj, slot))
+
+
+class TestServerHalf:
+    """The server half of a session encrypts under the public key and
+    references no secret key; the client encrypts under its secret key."""
+
+    #: sha256 of ``session.encrypt([0.5, -0.25])``'s rows at seed 11,
+    #: the same public-key ciphertext the session encrypted before the
+    #: client moved to secret-key encryption.
+    PUBLIC_KEY_CIPHERTEXT = "d7ee0d4841079fb6581363326e6d4603b1566718a165eb1099818c84caafe5d4"
+
+    def test_evaluator_and_its_encryptor_hold_no_secret_key(self):
+        params = CKKSParameters(ring_degree=1 << 8, mult_depth=2, scale_bits=28,
+                                dnum=2, first_mod_bits=30)
+        for session in (
+            CKKSSession.create(params, seed=11, register_default=False),
+            CKKSSession.from_client(OpenFHEClient(params, seed=11), register_default=False),
+        ):
+            evaluator = session.evaluator
+            assert isinstance(evaluator.encryptor.key, PublicKey)
+            for root in (evaluator, evaluator.encryptor):
+                assert not any(isinstance(obj, SecretKey) for obj in _reachable(root))
+            # The walk does find the client's own key.
+            assert any(isinstance(obj, SecretKey) for obj in _reachable(session.client.encryptor))
+            ct = session.encrypt([0.5, -0.25]).handle
+            sha = hashlib.sha256()
+            for poly in (ct.c0, ct.c1):
+                sha.update(np.asarray(poly.data).astype(">u8").tobytes())
+            assert sha.hexdigest() == self.PUBLIC_KEY_CIPHERTEXT
+            assert ct.c1.seed is None
 
 
 class TestFromClient:

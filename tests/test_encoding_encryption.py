@@ -1,5 +1,6 @@
 """Tests for canonical-embedding encoding and RLWE encryption/decryption."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ckks.context import Context
 from repro.ckks.encoding import CKKSEncoder, rotation_group
-from repro.ckks.encryption import decode, encode
+from repro.ckks.encryption import Decryptor, Encryptor, decode, encode
+from repro.ckks.keys import KeyGenerator
+from repro.ckks.noise import fresh_encryption_noise_bits
 from repro.ckks.params import CKKSParameters
 from tests.conftest import assert_close
 
@@ -178,6 +182,39 @@ class TestEncryption:
         ct = encryptor.encrypt_values([0.5], limb_count=3)
         assert ct.limb_count == 3
         assert_close(decryptor.decrypt_values(ct, 1).real, [0.5])
+
+
+class TestFreshNoise:
+    """A fresh ciphertext's ``noise_bits`` is the log2 estimate of its
+    scheme, and bounds the error it decrypts with."""
+
+    @pytest.fixture(scope="class")
+    def ring(self):
+        params = CKKSParameters(ring_degree=1 << 8, mult_depth=2, scale_bits=28,
+                                dnum=2, first_mod_bits=30)
+        context = Context(params)
+        return context, KeyGenerator(context, seed=4).generate()
+
+    @pytest.mark.parametrize("mode", ["public-key", "secret-key"])
+    def test_measured_fresh_error_is_within_the_estimate(self, ring, mode):
+        context, keys = ring
+        secret = mode == "secret-key"
+        encryptor = Encryptor(context, keys.secret_key if secret else keys.public_key, seed=9)
+        decryptor = Decryptor(context, keys.secret_key)
+        estimate = fresh_encryption_noise_bits(context.params, secret_key=secret)
+        worst = 0
+        rng = np.random.default_rng(2)
+        for _ in range(8):
+            plaintext = encode(context, rng.uniform(-1, 1, 16))
+            ct = encryptor.encrypt(plaintext)
+            assert ct.noise_bits == estimate
+            # decrypt − encode in the coefficient domain: the fresh error.
+            error = (decryptor.decrypt(ct).poly.to_coefficient().compose()
+                     - plaintext.poly.to_coefficient().compose())
+            worst = max(worst, int(np.abs(error).max()))
+        assert 0 < math.log2(worst) <= estimate
+        # The secret-key error is e alone, below the public-key estimate.
+        assert secret == (estimate < fresh_encryption_noise_bits(context.params))
 
 
 @given(st.lists(st.floats(min_value=-1, max_value=1, allow_nan=False), min_size=1, max_size=32))
