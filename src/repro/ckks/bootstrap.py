@@ -29,10 +29,14 @@ Outline (for input ciphertext ``ct`` at level 0, scale ``Δ0``, modulus
    of one shape, so they are fused (:meth:`Ciphertext.fuse`) and evaluated
    once at ``B=2`` -- one launch per operation for both, bit-identical per
    member (§III-F.1) -- and split again for SlotToCoeff.
-4. **SlotToCoeff** -- homomorphic DFT scaled by ``q0/(2π·Δ0)``, the
+4. **SlotToCoeff** -- homomorphic DFT scaled by ``q0/(2π·Δ)``, the
    factors ``G_1, …, G_L`` with the scale on ``G_L``, recombining both
    halves into a ciphertext encrypting ``m`` again, now with many levels
-   left.  The bit-reversal permutation ``P`` of ``E0 = G_L ⋯ G_1 · P``
+   left.  There is one chain, built with CoeffToSlot's, for ``Δ`` the
+   context's encoding scale; an input at another scale ``Δ0`` keeps the
+   chain and has its declared scale multiplied by ``Δ0/Δ``.  Each factor
+   encodes its diagonals once per level, at that level's ladder scale.
+   The bit-reversal permutation ``P`` of ``E0 = G_L ⋯ G_1 · P``
    cancels between the two DFTs, since ApproxModEval works slot by slot,
    so it is never evaluated.
 
@@ -46,7 +50,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,10 +100,6 @@ class BootstrapConfig:
 class Bootstrapper:
     """Precomputes and runs the CKKS bootstrapping procedure."""
 
-    #: Cached SlotToCoeff factor chains (steady state: one per input scale
-    #: in use).
-    TRANSFORMS = 3
-
     def __init__(self, context: Context, evaluator: Evaluator,
                  config: BootstrapConfig | None = None) -> None:
         self.context = context
@@ -120,10 +119,12 @@ class Bootstrapper:
             LinearTransform(context, factor)
             for factor in dft_factors(context.ring_degree, inverse=True)
         )
-        # SlotToCoeff's last factor carries the input scale, which is only
-        # known per ciphertext: chains are cached per scale factor, the least
-        # recently used dropped past ``TRANSFORMS``.
-        self._slot_to_coeff: OrderedDict[float, tuple[LinearTransform, ...]] = OrderedDict()
+        # SlotToCoeff's last factor carries q0/(2π·Δ) for a message encoded
+        # at Δ = context.scale; slot_to_coeff relabels any other input scale.
+        *head, last = dft_factors(context.ring_degree)
+        factor = context.moduli[0] / (2.0 * math.pi * context.scale)
+        self._slot_to_coeff = tuple(LinearTransform(context, matrix)
+                                    for matrix in (*head, factor * last))
 
     # ------------------------------------------------------------------
     # key requirements
@@ -198,12 +199,18 @@ class Bootstrapper:
 
     def slot_to_coeff(self, ct_lower: Ciphertext, ct_upper: Ciphertext,
                       original_scale: float) -> Ciphertext:
-        """Recombine the two (bit-reversed) halves into a ciphertext encrypting ``m``."""
+        """Recombine the two (bit-reversed) halves into a ciphertext encrypting ``m``.
+
+        The chain decodes a message that was encoded at ``context.scale``;
+        one encoded at ``original_scale`` comes out multiplied by
+        ``original_scale / context.scale``, so that ratio multiplies the
+        declared scale instead.
+        """
         ev = self.evaluator
-        q0 = self.context.moduli[0]
         combined = ev.add(ct_lower, ev.multiply_by_i(ct_upper))
-        for transform in self._slot_to_coeff_chain(q0 / (2.0 * math.pi * original_scale)):
+        for transform in self._slot_to_coeff:
             combined = transform.apply(ev, combined)
+        combined.scale *= original_scale / self.context.scale
         return combined
 
     # ------------------------------------------------------------------
@@ -230,24 +237,6 @@ class Bootstrapper:
         refreshed.encoded_length = ct.encoded_length
         refreshed.slots = ct.slots
         return refreshed
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-
-    def _slot_to_coeff_chain(self, factor: float) -> tuple[LinearTransform, ...]:
-        key = round(float(factor), 14)
-        chain = self._slot_to_coeff.get(key)
-        if chain is not None:
-            self._slot_to_coeff.move_to_end(key)
-            return chain
-        *head, last = dft_factors(self.context.ring_degree)
-        chain = tuple(LinearTransform(self.context, matrix)
-                      for matrix in (*head, factor * last))
-        self._slot_to_coeff[key] = chain
-        if len(self._slot_to_coeff) > self.TRANSFORMS:
-            self._slot_to_coeff.popitem(last=False)
-        return chain
 
 
 __all__ = ["Bootstrapper", "BootstrapConfig"]

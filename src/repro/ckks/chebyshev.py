@@ -27,11 +27,10 @@ import numpy as np
 
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.evaluator import Evaluator
-from repro.core.dispatch import DISPATCH
 
 
-def chebyshev_coefficients(function, degree: int, interval: tuple[float, float] = (-1.0, 1.0)) -> np.ndarray:
-    """Return Chebyshev interpolation coefficients of ``function``.
+def chebyshev_coefficients(function, degree: int) -> np.ndarray:
+    """Return Chebyshev interpolation coefficients of ``function`` on ``[-1, 1]``.
 
     Uses the Chebyshev-Gauss nodes; ``coefficients[k]`` multiplies
     ``T_k(x)`` with the usual halved ``c_0`` convention already applied, so
@@ -39,11 +38,9 @@ def chebyshev_coefficients(function, degree: int, interval: tuple[float, float] 
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    lo, hi = interval
     count = degree + 1
     nodes = np.cos(np.pi * (np.arange(count) + 0.5) / count)
-    scaled_nodes = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    values = np.array([function(x) for x in scaled_nodes], dtype=np.float64)
+    values = np.array([function(x) for x in nodes], dtype=np.float64)
     coefficients = np.zeros(count, dtype=np.float64)
     for k in range(count):
         coefficients[k] = (2.0 / count) * np.sum(
@@ -120,8 +117,7 @@ def _chebyshev_basis(evaluator: Evaluator, ct: Ciphertext,
     def build(i: int) -> Ciphertext:
         if i not in basis:
             if i % 2 == 0:
-                doubled = evaluator.multiply_scalar_int(evaluator.square(build(i // 2)), 2)
-                basis[i] = evaluator.add_scalar(doubled, -1.0)
+                basis[i] = _double(evaluator, build(i // 2))
             else:
                 product = evaluator.multiply(build(i // 2), build(i // 2 + 1))
                 basis[i] = evaluator.sub(evaluator.multiply_scalar_int(product, 2), ct)
@@ -159,28 +155,14 @@ def evaluate_chebyshev(evaluator: Evaluator, ct: Ciphertext,
     baby_level = basis[k].level if splits else min(b.level for b in basis.values())
 
     def eval_small(terms: dict[int, float]) -> Ciphertext:
-        """``Σ c_i·T_i + c_0`` as one weighted sum at ``baby_level`` and one
-        rescale: each integer weight ``round(c_i·q·Δ/scale_i)`` absorbs the
-        scale of its ``T_i``, so the sum sits at ``q·Δ`` (``Δ`` the ladder
-        scale one level down) and the rescale lands on ``Δ``."""
-        target_scale = evaluator.context.scale_at(baby_level - 1)
+        """``Σ c_i·T_i + c_0`` as one weighted sum one level below
+        ``baby_level`` (:meth:`Evaluator.weighted_sum`): each integer weight
+        absorbs the scale of its ``T_i``, so the sum lands on the ladder."""
         # A constant alone rides on T_1 at weight 0.
-        reads = [i for i in terms if i] or [1]
-        operands = [evaluator.mod_reduce(basis[i], baby_level + 1) for i in reads]
-        first = operands[0]
-        scale = first.moduli[-1] * target_scale
-        weights = [int(round(terms.get(i, 0.0) * scale / basis[i].scale)) for i in reads]
-        with Evaluator._scope(first, "scalardot"), DISPATCH.launch("scalardot"):
-            c0, c1 = (first.c0.multiply_scalar(weights[0]),
-                      first.c1.multiply_scalar(weights[0]))
-            for operand, weight in zip(operands[1:], weights[1:]):
-                c0 = c0.add(operand.c0.multiply_scalar(weight))
-                c1 = c1.add(operand.c1.multiply_scalar(weight))
-            if 0 in terms:
-                c0 = c0.add_scalar(int(round(terms[0] * scale)))
-        result = evaluator.rescale(first.with_polys(c0, c1, scale=scale))
-        result.scale = target_scale
-        return result
+        weighted = [(basis[i], c) for i, c in terms.items() if i] or [(basis[1], 0.0)]
+        with Evaluator._scope(weighted[0][0], "scalardot"):
+            return evaluator.weighted_sum(weighted, baby_level - 1,
+                                          constant=terms.get(0, 0.0))
 
     def evaluate(tree) -> Ciphertext | None:
         if tree is None:
@@ -201,14 +183,16 @@ def evaluate_chebyshev(evaluator: Evaluator, ct: Ciphertext,
     return result
 
 
+def _double(evaluator: Evaluator, ct: Ciphertext) -> Ciphertext:
+    """``2·ct² − 1``: ``T_{2m}`` from ``T_m``, and ``cos(2x)`` from ``cos(x)``."""
+    return evaluator.add_scalar(evaluator.multiply_scalar_int(evaluator.square(ct), 2), -1.0)
+
+
 def double_angle(evaluator: Evaluator, ct: Ciphertext, iterations: int) -> Ciphertext:
     """Apply ``cos(2x) = 2cos(x)^2 - 1`` ``iterations`` times (Han-Ki [37])."""
-    result = ct
     for _ in range(iterations):
-        squared = evaluator.square(result)
-        doubled = evaluator.multiply_scalar_int(squared, 2)
-        result = evaluator.add_scalar(doubled, -1.0)
-    return result
+        ct = _double(evaluator, ct)
+    return ct
 
 
 __all__ = [

@@ -41,13 +41,13 @@ from repro.core.rns_poly import RNSPoly
 _SCALE_TOLERANCE = 1e-6
 
 
-def scales_match(scale_a: float, scale_b: float, tolerance: float = _SCALE_TOLERANCE) -> bool:
-    """Return True when two scales are equal up to ``tolerance`` (relative).
+def scales_match(scale_a: float, scale_b: float) -> bool:
+    """Return True when two scales are equal up to ``_SCALE_TOLERANCE`` (relative).
 
     Shared by the evaluator and the symbolic cost-model backend of
     :mod:`repro.api` so both reject mismatched scales identically.
     """
-    return math.isclose(scale_a, scale_b, rel_tol=tolerance)
+    return math.isclose(scale_a, scale_b, rel_tol=_SCALE_TOLERANCE)
 
 
 def check_same_batch(a, b) -> None:

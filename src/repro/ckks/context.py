@@ -149,6 +149,18 @@ class Context:
             raise ValueError(f"invalid level {level}")
         return self.scale_ladder[level]
 
+    def rescale_factor(self, level: int, scale: float, target: float) -> float:
+        """Return ``q_{level+1}·target/scale``: the factor by which a message
+        at ``scale`` is multiplied so that the rescale dropping ``q_{level+1}``
+        lands it on ``target`` at ``level``.
+
+        The one home of the ladder-restoring weight (``target`` is the
+        ladder scale of ``level`` unless the caller asks for another); the
+        evaluator's weighted sum, ``encode_for`` and the linear transforms'
+        diagonals all read it here.
+        """
+        return self.moduli[level + 1] * target / scale
+
     # ------------------------------------------------------------------
     # hybrid key-switching layout
     # ------------------------------------------------------------------

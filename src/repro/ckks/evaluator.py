@@ -156,25 +156,51 @@ class Evaluator:
                target_scale: float | None = None) -> Ciphertext:
         """Bring ``ct`` to ``target_level`` with the requested scale.
 
-        Uses a scalar multiplication folded with a rescale so the output
-        scale matches ``target_scale`` (default: the ladder scale of the
-        target level) to within rounding error.
+        One :meth:`weighted_sum` of ``ct`` alone: its weight is folded with
+        the rescale so the output scale matches ``target_scale`` (default:
+        the ladder scale of the target level) to within rounding error.
         """
         if target_scale is None:
             target_scale = self.context.scale_at(target_level)
         if adjust_is_noop(ct, target_level, target_scale):
             return ct.with_polys(ct.c0, ct.c1)
         with self._scope(ct, "at_level"):
-            reduced = self.mod_reduce(ct, target_level + 2)
-            q = reduced.moduli[-1]
-            weight = max(1, int(round(q * target_scale / reduced.scale)))
-            adjusted = self._on_both(
-                reduced, "scalarmult", lambda c: c.multiply_scalar(weight),
-                scale=reduced.scale * weight,
-            )
-            rescaled = self.rescale(adjusted)
-        rescaled.scale = target_scale
-        return rescaled
+            return self.weighted_sum([(ct, 1.0)], target_level, target_scale)
+
+    def weighted_sum(self, terms: Sequence[tuple[Ciphertext, float]], level: int,
+                     scale: float | None = None, constant: float = 0.0) -> Ciphertext:
+        """Return ``Σ c_i·ct_i + constant`` at ``level`` after one rescale.
+
+        Each ``(ct_i, c_i)`` term is mod-reduced to ``level + 2`` limbs and
+        multiplied by the integer weight ``round(c_i·q·scale/s_i)``
+        (:meth:`~repro.ckks.context.Context.rescale_factor`, ``q`` the prime
+        the rescale drops, ``s_i`` the term's scale), and the constant is
+        added as ``round(constant·q·scale)``, all in one launch (tagged
+        ``scalarmult`` for one term and no constant, ``scalardot``
+        otherwise).  The rescale then lands the sum on ``scale`` (default:
+        the ladder scale of ``level``) whatever the terms' scales: the
+        scale-invariant evaluation of Bossuat et al. (Eurocrypt 2021).  A
+        term taken whole (coefficient 1, as ``adjust`` passes it) keeps a
+        weight of at least 1, so a far-off target cannot zero it.  The
+        caller opens the operation's scope.
+        """
+        if scale is None:
+            scale = self.context.scale_at(level)
+        factor = self.context.rescale_factor
+        reduced = [self.mod_reduce(ct, level + 2) for ct, _ in terms]
+        weights = [int(round(c * factor(level, ct.scale, scale))) for ct, c in terms]
+        weights = [max(1, w) if c == 1 else w for (_, c), w in zip(terms, weights)]
+        c0 = c1 = None
+        with DISPATCH.launch("scalarmult" if len(terms) == 1 and not constant
+                             else "scalardot"):
+            for ct, weight in zip(reduced, weights):
+                c0 = _plus(c0, ct.c0.multiply_scalar(weight))
+                c1 = _plus(c1, ct.c1.multiply_scalar(weight))
+            if constant:
+                c0 = c0.add_scalar(int(round(constant * factor(level, 1.0, scale))))
+        result = self.rescale(reduced[0].with_polys(c0, c1))
+        result.scale = scale
+        return result
 
     #: The backend protocol's name (it passes no scale: the ladder's applies).
     at_level = adjust
@@ -254,27 +280,22 @@ class Evaluator:
                         rescale: bool = True) -> Ciphertext:
         """Constant multiplication (``ScalarMult``).
 
-        The constant is encoded at the scale that restores the ladder after
-        the rescale, so chained operations keep exact per-level scales;
-        without the rescale it is encoded at ``Δ``.
+        With the rescale it is a one-term :meth:`weighted_sum`, so the
+        result sits on the ladder one level down and chained operations
+        keep exact per-level scales; without it the constant is encoded at
+        ``Δ``.
         """
         value = check_finite_scalar("multiply_scalar", value)
         if rescale:
             check_scalar_rescale(ct)
-            q = ct.moduli[-1]
-            scalar_scale = q * self.context.scale_at(ct.level - 1) / ct.scale
-        else:
-            scalar_scale = self.context.scale
-        integer = int(round(value * scalar_scale))
         with self._scope(ct, "scalarmult"):
-            result = self._on_both(
-                ct, "scalarmult", lambda c: c.multiply_scalar(integer),
-                scale=ct.scale * scalar_scale,
-            )
             if rescale:
-                result = self.rescale(result)
-                result.scale = self.context.scale_at(ct.level - 1) * 1.0
-        return result
+                return self.weighted_sum([(ct, value)], ct.level - 1)
+            integer = int(round(value * self.context.scale))
+            return self._on_both(
+                ct, "scalarmult", lambda c: c.multiply_scalar(integer),
+                scale=ct.scale * self.context.scale,
+            )
 
     def multiply_scalar_int(self, ct: Ciphertext, value: int) -> Ciphertext:
         """Multiply by a small integer without changing the scale."""
@@ -486,8 +507,8 @@ class Evaluator:
         encoded at the ciphertext's own scale.
         """
         if for_multiplication and ct.level >= 1:
-            q = ct.moduli[-1]
-            scale = q * self.context.scale_at(ct.level - 1) / ct.scale
+            scale = self.context.rescale_factor(
+                ct.level - 1, ct.scale, self.context.scale_at(ct.level - 1))
         else:
             scale = ct.scale
         return encode(self.context, values, scale=scale, limb_count=ct.limb_count)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import OrderedDict
 
 import numpy as np
 
@@ -138,9 +137,6 @@ class LinearTransform:
         two for a dense matrix).
     """
 
-    #: Encoded diagonal sets kept per transform (a bootstrap uses one).
-    ENCODED_SETS = 2
-
     def __init__(self, context: Context, matrix: np.ndarray,
                  baby_steps: int | None = None) -> None:
         slots = context.slots
@@ -170,11 +166,12 @@ class LinearTransform:
             giant, baby = divmod(k, self.baby_steps)
             rotated = np.roll(diagonals[k], giant * self.baby_steps)
             self._diagonals.setdefault(giant, {})[baby] = rotated
-        # Encoded diagonal plaintexts, one set per (limb_count, scale), the
-        # least recently used dropped past ``ENCODED_SETS``: bootstrapping
-        # applies the same transform to many ciphertexts at one level, and
-        # each encode is a full limb-stack build.
-        self._encoded: OrderedDict[tuple[int, float], dict] = OrderedDict()
+        # Encoded diagonal plaintexts, one set per limb count (so at most one
+        # per level of the chain), built on first use: bootstrapping applies
+        # the same transform to many ciphertexts at one level, and each
+        # encode is a full limb-stack build.  Two threads may both build a
+        # missing set; the sets are equal, so either one is kept.
+        self._encoded: dict[int, dict[int, dict[int, Plaintext]]] = {}
 
     # -- rotation-key requirements --------------------------------------------
 
@@ -196,15 +193,16 @@ class LinearTransform:
         sum ends in one merged ModDown-rescale
         (:meth:`~repro.ckks.evaluator.Evaluator.rotated_sum`), which takes
         the inner products one at a time.  Plaintext diagonals are encoded
-        at the scale that restores the context's scale ladder after that
-        division.
+        once per level, at the scale that takes a message on that level's
+        ladder scale to the next level's after that division; an input off
+        the ladder keeps its offset.
         """
         if ct.level < 1:
             raise ValueError("linear transform needs at least one spare level")
         if not self._diagonals:
             raise ValueError("the transform matrix is identically zero")
         rotations = self._baby_rotations(evaluator, ct)
-        encoded = self._encoded_diagonals(ct.limb_count, self._plaintext_scale(ct))
+        encoded = self._encoded_diagonals(ct.limb_count)
         return evaluator.rotated_sum(
             (evaluator.dot_product_plain(
                 [rotations[baby] for baby in plaintexts], list(plaintexts.values()),
@@ -220,26 +218,18 @@ class LinearTransform:
         rotations[0] = ct
         return rotations
 
-    def _plaintext_scale(self, ct: Ciphertext) -> float:
-        q = ct.moduli[-1]
-        target = self.context.scale_at(ct.level - 1)
-        return q * target / ct.scale
-
-    def _encoded_diagonals(self, limb_count: int,
-                           scale: float) -> dict[int, dict[int, Plaintext]]:
-        key = (limb_count, scale)
-        encoded = self._encoded.get(key)
-        if encoded is not None:
-            self._encoded.move_to_end(key)
-            return encoded
-        encoded = {
-            giant: {baby: self._encode_diagonal(diag, limb_count, scale)
-                    for baby, diag in babies.items()}
-            for giant, babies in self._diagonals.items()
-        }
-        self._encoded[key] = encoded
-        if len(self._encoded) > self.ENCODED_SETS:
-            self._encoded.popitem(last=False)
+    def _encoded_diagonals(self, limb_count: int) -> dict[int, dict[int, Plaintext]]:
+        encoded = self._encoded.get(limb_count)
+        if encoded is None:
+            level = limb_count - 1
+            scale = self.context.rescale_factor(
+                level - 1, self.context.scale_at(level), self.context.scale_at(level - 1))
+            encoded = {
+                giant: {baby: self._encode_diagonal(diag, limb_count, scale)
+                        for baby, diag in babies.items()}
+                for giant, babies in self._diagonals.items()
+            }
+            self._encoded[limb_count] = encoded
         return encoded
 
     def _encode_diagonal(self, diagonal: np.ndarray, limb_count: int,

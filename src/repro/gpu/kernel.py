@@ -48,9 +48,9 @@ from repro.gpu.platforms import ComputePlatform
 ELEMENT_BYTES = 8
 
 # Table III integer-operation counts of the modular primitives.  These are
-# the canonical values shared by the cost model's ArithmeticCosts defaults
-# (:mod:`repro.perf.calibration`) and the execution-plane dispatcher, so
-# the two kernel producers cannot drift apart silently.
+# the one copy the cost model (:mod:`repro.perf.costmodel`) and the
+# execution-plane dispatcher both read, so the two kernel producers cannot
+# drift apart silently.
 #: int ops of one modular multiplication with Barrett reduction.
 MODMUL_OPS = 6.0
 #: int ops of one Shoup (constant-operand) modular multiplication.
@@ -62,8 +62,10 @@ BUTTERFLY_OPS = 9.0
 #: int ops of one multiply-accumulate in the base-conversion kernel.
 BASECONV_MAC_OPS = 4.0
 
-#: Default multiplier of :func:`default_working_set` (how many limb-batches
-#: of intermediate buffers the in-flight streams keep resident, §III-F.1).
+#: Multiplier of :func:`default_working_set`: how many limb-batches of
+#: intermediate buffers the in-flight streams keep resident, which decides
+#: whether consecutive kernels find their data in the L2 cache (the
+#: limb-batching trade-off of §III-F.1 and Figure 7).
 WORKING_SET_FACTOR = 8.0
 
 
@@ -149,10 +151,9 @@ def default_working_set(
     n: int,
     *,
     polys: float = 2.0,
-    factor: float = WORKING_SET_FACTOR,
 ) -> float:
     """Bytes of data the in-flight kernels keep hot in the L2 cache."""
-    return factor * max(1.0, min(polys / 2.0, 2.0)) * batch_limbs * n * ELEMENT_BYTES
+    return WORKING_SET_FACTOR * max(1.0, min(polys / 2.0, 2.0)) * batch_limbs * n * ELEMENT_BYTES
 
 
 def elementwise_kernel(

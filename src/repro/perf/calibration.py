@@ -4,8 +4,8 @@ The execution model's structural parameters (bytes moved, operation
 counts, kernel decomposition, cache behaviour) come from the algorithm
 descriptions in the paper and from the functional implementation in
 :mod:`repro.ckks`.  The constants here are the remaining free parameters
--- arithmetic cost of a modular multiplication, roofline efficiencies,
-backend-specific overheads -- chosen once so that the reproduced
+-- roofline efficiencies and backend-specific overheads (the Table III
+arithmetic counts live in :mod:`repro.gpu.kernel`) -- chosen once so that the reproduced
 Table V/VI headline numbers land in the right range on the RTX 4090 and
 Ryzen 9 7900.  They are *not* tuned per experiment; every table and figure
 uses the same constants, so the trends (the paper's "shape") emerge from
@@ -25,37 +25,6 @@ Each constant below carries its calibration rationale in its comment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro.gpu.kernel import (
-    BASECONV_MAC_OPS,
-    BUTTERFLY_OPS,
-    MODADD_OPS,
-    MODMUL_OPS,
-    SHOUP_MUL_OPS,
-)
-
-
-@dataclass(frozen=True)
-class ArithmeticCosts:
-    """Integer-operation counts of the modular primitives (Table III).
-
-    Defaults come from :mod:`repro.gpu.kernel`, the shared formula layer,
-    so the cost model and the execution-plane dispatcher price arithmetic
-    identically.
-    """
-
-    #: int ops of one modular multiplication with Barrett reduction
-    #: (2 wide + 1 low multiplications plus correction).
-    modmul_ops: float = MODMUL_OPS
-    #: int ops of one Shoup modular multiplication (1 wide + 2 low).
-    shoup_mul_ops: float = SHOUP_MUL_OPS
-    #: int ops of one modular addition/subtraction.
-    modadd_ops: float = MODADD_OPS
-    #: int ops of one NTT butterfly (Shoup multiply + add + sub).
-    butterfly_ops: float = BUTTERFLY_OPS
-    #: int ops of one multiply-accumulate in the base-conversion kernel
-    #: (128-bit accumulation, single reduction amortised away).
-    baseconv_mac_ops: float = BASECONV_MAC_OPS
 
 
 @dataclass(frozen=True)
@@ -97,7 +66,6 @@ class CPUModelCalibration:
     hexl_op_overhead: float = 1.0e-4
 
 
-ARITHMETIC = ArithmeticCosts()
 GPU_CALIBRATION = GPUModelCalibration()
 CPU_CALIBRATION = CPUModelCalibration()
 
@@ -268,10 +236,8 @@ def reconcile_trace(trace, cost, *, name: str | None = None) -> TraceReconciliat
 
 
 __all__ = [
-    "ArithmeticCosts",
     "GPUModelCalibration",
     "CPUModelCalibration",
-    "ARITHMETIC",
     "GPU_CALIBRATION",
     "CPU_CALIBRATION",
     "KERNEL_KINDS",

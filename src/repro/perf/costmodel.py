@@ -30,13 +30,17 @@ from dataclasses import dataclass, field
 from repro.ckks.params import CKKSParameters
 from repro.core.dispatch import KernelTrace
 from repro.gpu.kernel import (
+    BASECONV_MAC_OPS,
+    BUTTERFLY_OPS,
     ELEMENT_BYTES,
+    MODADD_OPS,
+    MODMUL_OPS,
     Kernel,
     base_conversion_kernel,
+    default_working_set,
     elementwise_kernel,
     ntt_kernel,
 )
-from repro.perf.calibration import ARITHMETIC, ArithmeticCosts
 
 
 @dataclass
@@ -91,8 +95,6 @@ class CKKSOperationCosts:
         ntt_compute_factor: float = 1.0,
         fusion_penalty: float = 1.0,
         ntt_twiddle_traffic: bool = False,
-        working_set_factor: float = 8.0,
-        arithmetic: ArithmeticCosts = ARITHMETIC,
     ) -> None:
         self.params = params
         self.n = params.ring_degree
@@ -104,19 +106,10 @@ class CKKSOperationCosts:
         #: from memory instead of computing them "on the fly" (§III-F.4);
         #: used to model the Phantom baseline.
         self.ntt_twiddle_traffic = ntt_twiddle_traffic
-        #: How many limb-batches of intermediate buffers the in-flight
-        #: streams keep resident; determines whether consecutive kernels
-        #: find their data in the L2 cache (the limb-batching trade-off of
-        #: §III-F.1 and Figure 7).
-        self.working_set_factor = working_set_factor
-        self.arith = arithmetic
 
     # ------------------------------------------------------------------
     # kernel builders
     # ------------------------------------------------------------------
-
-    def _limb_bytes(self) -> float:
-        return self.n * ELEMENT_BYTES
 
     def _batches(self, limbs: int) -> list[int]:
         """Split ``limbs`` into per-kernel batches according to limb batching."""
@@ -157,15 +150,12 @@ class CKKSOperationCosts:
                     polys_written=polys_written,
                     ops_per_element=ops_per_element,
                     reuse=reuse,
-                    working_set_bytes=self._working_set(batch, polys_read + polys_written),
+                    working_set_bytes=default_working_set(
+                        batch, self.n, polys=polys_read + polys_written),
                     stream=index,
                 )
             )
         return kernels
-
-    def _working_set(self, batch_limbs: int, polys: float = 2.0) -> float:
-        """Bytes of data the in-flight kernels keep hot in the L2 cache."""
-        return self.working_set_factor * max(1.0, min(polys / 2.0, 2.0)) * batch_limbs * self._limb_bytes()
 
     def ntt_kernels(
         self,
@@ -201,11 +191,11 @@ class CKKSOperationCosts:
                     tag,
                     batch,
                     self.n,
-                    butterfly_ops=self.arith.butterfly_ops,
+                    butterfly_ops=BUTTERFLY_OPS,
                     compute_factor=self.ntt_compute_factor,
                     fused_ops_per_element=fused_ops,
                     extra_bytes_read=extra_bytes,
-                    working_set_bytes=self._working_set(batch),
+                    working_set_bytes=default_working_set(batch, self.n),
                     stream=index,
                 )
             )
@@ -223,7 +213,7 @@ class CKKSOperationCosts:
                 source_limbs,
                 target_limbs,
                 self.n,
-                mac_ops=self.arith.baseconv_mac_ops,
+                mac_ops=BASECONV_MAC_OPS,
             )
         ]
 
@@ -243,7 +233,7 @@ class CKKSOperationCosts:
         cost = OperationCost("HAdd")
         cost.kernels = self.elementwise_kernels(
             "hadd", limbs, polys_read=4.0, polys_written=2.0,
-            ops_per_element=2.0 * self.arith.modadd_ops,
+            ops_per_element=2.0 * MODADD_OPS,
         )
         return cost
 
@@ -260,7 +250,7 @@ class CKKSOperationCosts:
         cost = OperationCost("PtAdd")
         cost.kernels = self.elementwise_kernels(
             "ptadd", limbs, polys_read=2.0, polys_written=1.0,
-            ops_per_element=self.arith.modadd_ops,
+            ops_per_element=MODADD_OPS,
         )
         return cost
 
@@ -269,7 +259,7 @@ class CKKSOperationCosts:
         cost = OperationCost("ScalarAdd")
         cost.kernels = self.elementwise_kernels(
             "scalaradd", limbs, polys_read=1.0, polys_written=1.0,
-            ops_per_element=self.arith.modadd_ops,
+            ops_per_element=MODADD_OPS,
         )
         return cost
 
@@ -278,7 +268,7 @@ class CKKSOperationCosts:
         cost = OperationCost("PtMult")
         cost.kernels = self.elementwise_kernels(
             "ptmult", limbs, polys_read=3.0, polys_written=2.0,
-            ops_per_element=2.0 * self.arith.modmul_ops,
+            ops_per_element=2.0 * MODMUL_OPS,
         )
         return cost
 
@@ -293,7 +283,7 @@ class CKKSOperationCosts:
         cost.kernels = self.elementwise_kernels(
             "ptdot", limbs, polys_read=3.0 * terms,
             polys_written=2.0 if self.fusion else 2.0 * terms * self.fusion_penalty,
-            ops_per_element=terms * 2.0 * (self.arith.modmul_ops + self.arith.modadd_ops),
+            ops_per_element=terms * 2.0 * (MODMUL_OPS + MODADD_OPS),
         )
         return cost
 
@@ -307,11 +297,11 @@ class CKKSOperationCosts:
         cost = OperationCost("ScalarMult")
         cost.kernels = self.elementwise_kernels(
             "scalarmult", limbs, polys_read=2.0, polys_written=2.0,
-            ops_per_element=2.0 * self.arith.modmul_ops + self.arith.modadd_ops,
+            ops_per_element=2.0 * MODMUL_OPS + MODADD_OPS,
         )
         cost.kernels += self.elementwise_kernels(
             "scalar-encode", limbs, polys_read=1.0, polys_written=1.0,
-            ops_per_element=self.arith.modmul_ops,
+            ops_per_element=MODMUL_OPS,
         )
         return cost
 
@@ -330,7 +320,7 @@ class CKKSOperationCosts:
                 remaining,
                 tag="rescale-ntt",
                 fused_elementwise_polys=2.0,
-                fused_ops_per_element=self.arith.modmul_ops + self.arith.modadd_ops,
+                fused_ops_per_element=MODMUL_OPS + MODADD_OPS,
             )
         return cost
 
@@ -346,7 +336,7 @@ class CKKSOperationCosts:
             cost.kernels += self.ntt_kernels(
                 limbs, tag="moddown-ntt",
                 fused_elementwise_polys=2.0,
-                fused_ops_per_element=self.arith.modmul_ops + self.arith.modadd_ops,
+                fused_ops_per_element=MODMUL_OPS + MODADD_OPS,
             )
         return cost
 
@@ -360,21 +350,21 @@ class CKKSOperationCosts:
         # iNTT of the input polynomial (fused into the tensor step for HMult).
         kernels = self.ntt_kernels(limbs, tag="ks-intt",
                                    fused_elementwise_polys=1.0,
-                                   fused_ops_per_element=self.arith.modmul_ops)
+                                   fused_ops_per_element=MODMUL_OPS)
         for digit in range(digits):
             digit_limbs = min(alpha, limbs - digit * alpha)
             target = extended - digit_limbs
             kernels += self.base_conversion_kernels(digit_limbs, target, tag="modup")
             kernels += self.ntt_kernels(target, tag="modup-ntt",
                                         fused_elementwise_polys=2.0,
-                                        fused_ops_per_element=self.arith.modmul_ops)
+                                        fused_ops_per_element=MODMUL_OPS)
         # Key inner product (dot-product fusion saves intermediate writes).
         writes = 2.0 if self.fusion else 2.0 * digits * self.fusion_penalty
         kernels += self.elementwise_kernels(
             "ks-inner-product", extended,
             polys_read=3.0 * digits,
             polys_written=writes,
-            ops_per_element=digits * 2.0 * (self.arith.modmul_ops + self.arith.modadd_ops),
+            ops_per_element=digits * 2.0 * (MODMUL_OPS + MODADD_OPS),
         )
         return kernels
 
@@ -383,11 +373,11 @@ class CKKSOperationCosts:
         if square:
             return self.elementwise_kernels(
                 "square-tensor", limbs, polys_read=2.0, polys_written=3.0,
-                ops_per_element=3.0 * self.arith.modmul_ops + self.arith.modadd_ops,
+                ops_per_element=3.0 * MODMUL_OPS + MODADD_OPS,
             )
         return self.elementwise_kernels(
             "tensor", limbs, polys_read=4.0, polys_written=3.0,
-            ops_per_element=4.0 * self.arith.modmul_ops + 2.0 * self.arith.modadd_ops,
+            ops_per_element=4.0 * MODMUL_OPS + 2.0 * MODADD_OPS,
         )
 
     def hmult(self, limbs: int, *, include_rescale: bool = False) -> OperationCost:
@@ -416,7 +406,7 @@ class CKKSOperationCosts:
     def _relin_add(self, limbs: int) -> list[Kernel]:
         return self.elementwise_kernels(
             "relin-add", limbs, polys_read=4.0, polys_written=2.0,
-            ops_per_element=2.0 * self.arith.modadd_ops,
+            ops_per_element=2.0 * MODADD_OPS,
         )
 
     def product_rescale(self, limbs: int, *, square: bool = False) -> OperationCost:
@@ -431,7 +421,7 @@ class CKKSOperationCosts:
         ``P·q_l`` -- no relinearisation add and no separate rescale.
         """
         special = self.params.special_limb_count
-        mul_add = self.arith.modmul_ops + self.arith.modadd_ops
+        mul_add = MODMUL_OPS + MODADD_OPS
         cost = OperationCost("HSquare+Rescale" if square else "HMult+Rescale")
         cost.kernels += self._tensor(limbs, square=square)
         cost.kernels += self._key_switch_up(limbs)
@@ -458,7 +448,7 @@ class CKKSOperationCosts:
         cost.extend(self.key_switch(limbs))
         cost.kernels += self.elementwise_kernels(
             "rotate-add", limbs, polys_read=2.0, polys_written=1.0,
-            ops_per_element=self.arith.modadd_ops,
+            ops_per_element=MODADD_OPS,
         )
         return cost
 
@@ -484,18 +474,18 @@ class CKKSOperationCosts:
             cost.kernels += self.elementwise_kernels(
                 "hoist-inner-product", extended,
                 polys_read=3.0 * digits, polys_written=2.0,
-                ops_per_element=digits * 2.0 * (self.arith.modmul_ops + self.arith.modadd_ops),
+                ops_per_element=digits * 2.0 * (MODMUL_OPS + MODADD_OPS),
             )
             for _ in range(2):
                 cost.kernels += self.ntt_kernels(special, tag="hoist-moddown-intt")
                 cost.kernels += self.base_conversion_kernels(special, limbs, tag="hoist-moddown")
                 cost.kernels += self.ntt_kernels(limbs, tag="hoist-moddown-ntt",
                                                  fused_elementwise_polys=2.0,
-                                                 fused_ops_per_element=self.arith.modmul_ops)
+                                                 fused_ops_per_element=MODMUL_OPS)
             cost.kernels += self.automorphism_kernels(limbs, polys=1, tag="hoist-c0")
             cost.kernels += self.elementwise_kernels(
                 "hoist-add", limbs, polys_read=2.0, polys_written=1.0,
-                ops_per_element=self.arith.modadd_ops,
+                ops_per_element=MODADD_OPS,
             )
         return cost
 

@@ -28,8 +28,8 @@ driven by a dynamic-batching policy (:mod:`repro.serve.policy`) on a
 deterministic simulated clock, with metrics (:mod:`repro.serve.metrics`)
 and optional per-drain GPU pricing through a
 :class:`~repro.perf.trace_model.TraceCostModel`.  It works unchanged on
-all three backends -- functional, cost-model and tracing -- since it only
-speaks the :class:`~repro.api.backend.EvaluationBackend` surface.
+both backends -- functional and cost-model -- since it only speaks the
+:class:`~repro.api.backend.EvaluationBackend` surface.
 
 The failure-first layer (PR 9) threads through both classes: requests are
 shape-validated and admission-controlled at :meth:`Server.submit`,

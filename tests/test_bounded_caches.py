@@ -112,14 +112,14 @@ def test_a_cached_table_refuses_an_in_place_write():
         rotation_group(1 << 10)[:] += 1
 
 
-def test_bootstrap_transform_caches_are_bounded_lrus():
-    """``Bootstrapper`` keys its SlotToCoeff factor chains, and each factor
-    its encoded diagonals, by the input scale: both are LRUs that hold the
-    steady state of repeated bootstraps and stay bounded over many distinct
-    scales."""
+def test_bootstrap_transforms_are_keyed_by_level():
+    """``Bootstrapper`` builds its one SlotToCoeff chain with CoeffToSlot,
+    and each factor encodes its diagonals once per level: repeated
+    bootstraps reuse them, and inputs at many scales add no chain and, on
+    one level, no encoded set (the sets are bounded by the chain length)."""
     from repro.api import CKKSSession
     from repro.ckks.bootstrap import Bootstrapper
-    from repro.ckks.linear_transform import LinearTransform, dft_levels
+    from repro.ckks.linear_transform import dft_levels
     from repro.ckks.params import PARAMETER_SETS
 
     params = PARAMETER_SETS["toy-bootstrap"].with_overrides(ring_degree=1 << 6)
@@ -129,13 +129,14 @@ def test_bootstrap_transform_caches_are_bounded_lrus():
     ev = session.evaluator
     values = np.linspace(-0.4, 0.4, 8)
     levels = dft_levels(params.slots)
+    chains = {"c2s": boot._coeff_to_slot, "s2c": boot._slot_to_coeff}
 
     def cached():
-        """Each cached chain's factors with their encoded diagonal sets."""
-        chains = {"c2s": boot._coeff_to_slot, **boot._slot_to_coeff}
+        """Each factor with its encoded diagonal sets."""
         return {(key, i): (transform, *transform._encoded.values())
                 for key, chain in chains.items() for i, transform in enumerate(chain)}
 
+    assert all(not transform._encoded for transform, *_ in cached().values())
     ct = ev.encrypt(values, level=0)
     boot.bootstrap(ct)
     steady = cached()
@@ -147,14 +148,18 @@ def test_bootstrap_transform_caches_are_bounded_lrus():
 
     top = ev.encrypt(values)
     scales = [2.0 ** (18 + k) for k in range(10)]
+    reference = boot.slot_to_coeff(top, top, params.scale)
     for scale in scales:
-        boot.slot_to_coeff(top, top, scale)
-    assert len(boot._slot_to_coeff) == Bootstrapper.TRANSFORMS
+        result = boot.slot_to_coeff(top, top, scale)
+        assert result.scale == reference.scale * (scale / params.scale)
+    assert boot._slot_to_coeff is chains["s2c"]
+    assert cached().keys() == steady.keys()
 
     transform = boot._coeff_to_slot[0]
+    bootstrap_limbs = set(transform._encoded)
     for scale in scales:
         transform.apply(ev, ev.encrypt(values, scale=scale))
-    assert len(transform._encoded) == LinearTransform.ENCODED_SETS
+    assert set(transform._encoded) == bootstrap_limbs | {top.limb_count}
 
 
 @pytest.mark.parametrize("scale_bits, first_mod_bits", [(22, 26), (59, 60)],

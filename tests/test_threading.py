@@ -151,6 +151,44 @@ class TestConcurrentNumericWork:
                 np.testing.assert_array_equal(got, stack)
 
 
+class TestConcurrentBootstrap:
+    def test_a_fresh_bootstrapper_on_two_threads_is_bit_identical(self):
+        """Two threads bootstrap different ciphertexts through one fresh
+        ``Bootstrapper`` on a shared ``Context`` and ``KeySet``, so both
+        build the transforms' per-level encodings at once: a set either
+        thread builds equals the other's, and the results are the solo
+        runs' bits."""
+        from repro.ckks.bootstrap import Bootstrapper
+        from repro.ckks.params import PARAMETER_SETS
+
+        params = PARAMETER_SETS["toy-bootstrap"].with_overrides(ring_degree=1 << 6)
+        session = CKKSSession.create(params, seed=3, conjugation=True,
+                                     register_default=False)
+        ev = session.evaluator
+        solo_boot = Bootstrapper(session.context, ev)
+        session.add_rotation_keys(solo_boot.required_rotations())
+        rng = np.random.default_rng(13)
+        inputs = [ev.encrypt(rng.uniform(-0.4, 0.4, 8), level=0) for _ in range(2)]
+        solo = [solo_boot.bootstrap(ct) for ct in inputs]
+
+        shared = Bootstrapper(session.context, ev)
+        transforms = (*shared._coeff_to_slot, *shared._slot_to_coeff)
+        assert not any(t._encoded for t in transforms)
+
+        def worker(index, barrier):
+            barrier.wait()
+            ct = shared.bootstrap(inputs[index])
+            return ct.c0.data.copy(), ct.c1.data.copy(), ct.scale
+
+        for (c0, c1, scale), want in zip(_run_threads(worker, count=2), solo):
+            np.testing.assert_array_equal(c0, want.c0.data)
+            np.testing.assert_array_equal(c1, want.c1.data)
+            assert scale == want.scale
+        solo_transforms = (*solo_boot._coeff_to_slot, *solo_boot._slot_to_coeff)
+        assert [sorted(t._encoded) for t in transforms] == \
+            [sorted(t._encoded) for t in solo_transforms]
+
+
 class TestPerThreadRecording:
     def test_a_trace_records_only_its_own_thread(self, session):
         rng = np.random.default_rng(5)

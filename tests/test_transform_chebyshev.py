@@ -277,7 +277,7 @@ def banded_matrix(rng, slots: int, n1: int, shape: str) -> np.ndarray:
 def giant_inner_products(transform, ev, ct) -> dict:
     """Each giant step's ``ptdot`` inner product over ``Q_l``, before rotation."""
     rotations = transform._baby_rotations(ev, ct)
-    encoded = transform._encoded_diagonals(ct.limb_count, transform._plaintext_scale(ct))
+    encoded = transform._encoded_diagonals(ct.limb_count)
     return {
         giant: ev.dot_product_plain([rotations[baby] for baby in plaintexts],
                                     list(plaintexts.values()), rescale=False)
@@ -391,7 +391,11 @@ class TestLinearTransform:
             extended = context.moduli_at(ct.limb_count) + context.special_moduli
             accs = [RNSPoly.zeros(context.ring_degree, extended, fmt=LimbFormat.EVALUATION)] * 2
         assert result.level == ct.level - 1
-        assert result.scale == ct.scale * transform._plaintext_scale(ct) / ct.moduli[-1]
+        # The diagonals sit at the scale that takes the level's ladder scale
+        # to the next level's after the division by q_l.
+        plain_scale = context.rescale_factor(
+            ct.level - 1, context.scale_at(ct.level), context.scale_at(ct.level - 1))
+        assert result.scale == ct.scale * plain_scale / ct.moduli[-1]
         for got, acc, d in zip((result.c0, result.c1), accs, (d0, d1)):
             np.testing.assert_array_equal(
                 modmath.object_row(got.to_coefficient().data),
