@@ -55,7 +55,7 @@ from repro.ckks.ciphertext import (
     match_for_sum,
     member_lengths,
 )
-from repro.ckks.context import Context
+from repro.ckks.context import Context, ladder_scale, rescale_factor
 from repro.ckks.encoding import check_message
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeySet
@@ -223,11 +223,6 @@ class CostModelBackend:
 
     # -- ladder helpers -----------------------------------------------------
 
-    def _scale_at(self, level: int) -> float:
-        if not 0 <= level <= self.params.mult_depth:
-            raise ValueError(f"invalid level {level}")
-        return self._ladder[level]
-
     def _last_modulus(self, limb_count: int):
         return self._moduli[limb_count - 1]
 
@@ -310,7 +305,7 @@ class CostModelBackend:
     def at_level(self, a: SymbolicCiphertext, target_level: int,
                  target_scale: float | None = None) -> SymbolicCiphertext:
         if target_scale is None:
-            target_scale = self._scale_at(target_level)
+            target_scale = ladder_scale(self._ladder, target_level)
         if adjust_is_noop(a, target_level, target_scale):
             return a.copy()
         with self._scope(a, "at_level"):
@@ -324,8 +319,8 @@ class CostModelBackend:
         if isinstance(values, Plaintext):
             return values.scale
         if for_multiplication and a.level >= 1:
-            q = self._last_modulus(a.limb_count)
-            return q * self._scale_at(a.level - 1) / a.scale
+            return rescale_factor(self._moduli, a.level - 1, a.scale,
+                                  ladder_scale(self._ladder, a.level - 1))
         return a.scale
 
     # -- additions ----------------------------------------------------------
@@ -385,7 +380,8 @@ class CostModelBackend:
         check_scalar_rescale(a)
         with self._scope(a, "scalarmult"):
             self._emit(a, self.costs.scalar_mult, a.limb_count)
-            return replace(self.rescale(a), scale=self._scale_at(a.level - 1) * 1.0)
+            return replace(self.rescale(a),
+                           scale=float(ladder_scale(self._ladder, a.level - 1)))
 
     # -- rotations ----------------------------------------------------------
 

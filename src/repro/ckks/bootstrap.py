@@ -24,8 +24,12 @@ Outline (for input ciphertext ``ct`` at level 0, scale ``Δ0``, modulus
    approximates ``2π·(t mod q0)/q0``.  The series
    (:func:`~repro.ckks.chebyshev.evaluate_chebyshev`) builds only the
    ``T_i`` its Paterson-Stockmeyer blocks read (``T_1 … T_4, T_6, T_8``
-   for the even degree-30 cosine) and sums each block with integer
-   weights before one rescale.  The two halves are independent and
+   for the even degree-30 cosine; ``T_16`` is squared from ``T_8`` where
+   its product needs it) and plans its levels: each node is evaluated at
+   the level its parent's product consumes it, so a remainder block, a
+   giant step one level down and the double angles' ``×2`` and ``− 1``
+   all end in a product's merged ModDown-rescale, and only the two
+   quotient blocks rescale on their own.  The two halves are independent and
    of one shape, so they are fused (:meth:`Ciphertext.fuse`) and evaluated
    once at ``B=2`` -- one launch per operation for both, bit-identical per
    member (§III-F.1) -- and split again for SlotToCoeff.

@@ -11,11 +11,25 @@ Paterson-Stockmeyer strategy of FIDESlib/OpenFHE (``~2*sqrt(d)``
 ciphertext products).  It first splits the series by the giant steps
 ``T_k, T_{2k}, ...`` (``k ≈ sqrt(d)``) into blocks of degree below ``k``,
 then builds only the ``T_i`` those blocks read (a lazy basis: the even
-cosine never builds ``T_5`` or ``T_7``).  Each block is one weighted sum
-whose integer weights absorb every ``T_i``'s scale, and one rescale
-(the scale-invariant evaluation of Bossuat et al., Eurocrypt 2021), so no
-term is rescaled or realigned on its own.  A degree-``d`` series costs
-at most ``ceil(log2(d + 1)) + 1`` levels, the ``chebyshev_depth`` that
+cosine never builds ``T_5`` or ``T_7``).  Every sum is one
+:meth:`~repro.ckks.evaluator.Evaluator.weighted_sum` or
+:meth:`~repro.ckks.evaluator.Evaluator.product_sum` whose integer weights
+absorb each term's scale (the scale-invariant evaluation of Bossuat et
+al., Eurocrypt 2021), so no term is rescaled or realigned on its own.
+
+The levels are planned top-down: :func:`evaluate_chebyshev` finds the
+highest level the whole tree can land on, and evaluates each node at the
+level its parent's product consumes it.  ``quotient·T_g + remainder`` is
+one ``product_sum`` with the remainder's ``T_i`` (or the remainder's own
+product) summed into its tensor, so it ends in the product's merged
+ModDown-rescale; operands above the product's level are mod-reduced, not
+realigned; a giant step past ``T_k`` is squared once per level it is
+consumed at; and a quotient block is one weighted sum at the scale that
+lands its product on the target.  ``2·T_m² − 1`` and ``2·T_m·T_{m+1} −
+T_1`` are one HSquare and one HMult with the ``×2`` and the ``− 1`` (or
+``− T_1``) in their tails.  For the degree-30 cosine only the two quotient
+blocks rescale.  A degree-``d`` series costs at most ``ceil(log2(d + 1)) +
+1`` levels, the ``chebyshev_depth`` that
 :class:`~repro.perf.workloads.BootstrapWorkload` prices.
 """
 
@@ -110,7 +124,9 @@ def _chebyshev_basis(evaluator: Evaluator, ct: Ciphertext,
     ``indices``, plus whatever their recurrences read.
 
     ``T_{2m} = 2·T_m² − 1`` and ``T_{2m+1} = 2·T_m·T_{m+1} − T_1`` give
-    ``T_i`` depth ``ceil(log2(i))``.
+    ``T_i`` depth ``ceil(log2(i))``; each is one HSquare or HMult whose
+    operands meet mod-reduced at the lower one's level, with ``− T_1``
+    summed into the product (:meth:`Evaluator.product_sum`).
     """
     basis: dict[int, Ciphertext] = {1: ct}
 
@@ -119,8 +135,9 @@ def _chebyshev_basis(evaluator: Evaluator, ct: Ciphertext,
             if i % 2 == 0:
                 basis[i] = _double(evaluator, build(i // 2))
             else:
-                product = evaluator.multiply(build(i // 2), build(i // 2 + 1))
-                basis[i] = evaluator.sub(evaluator.multiply_scalar_int(product, 2), ct)
+                low, high = build(i // 2), build(i // 2 + 1)
+                basis[i] = evaluator.product_sum(
+                    low, high, min(low.level, high.level) - 1, [(ct, -1.0)], multiplier=2)
         return basis[i]
 
     for i in sorted(indices):
@@ -136,9 +153,10 @@ def evaluate_chebyshev(evaluator: Evaluator, ct: Ciphertext,
     ``T_k, T_{2k}, T_{4k}, ...`` (``k ≈ sqrt(d)``) into blocks of degree
     below ``k``, so only ``O(sqrt(d) + log d)`` ciphertext multiplications
     are needed instead of ``O(d)`` -- the optimisation FIDESlib adopts from
-    [39]/[37] for ApproxModEval.  Only the ``T_i`` a block reads and the
-    giant steps are built; each block is one weighted sum at the level of
-    ``T_k`` and one rescale.
+    [39]/[37] for ApproxModEval.  Only the ``T_i`` a block reads and
+    ``T_k`` are built; the result lands on the ladder scale of the highest
+    level the tree can reach, with each node at the level its parent's
+    product consumes it (the level plan of the module docstring).
     """
     coefficients = np.asarray(coefficients, dtype=np.float64)
     degree = len(coefficients) - 1
@@ -148,44 +166,73 @@ def evaluate_chebyshev(evaluator: Evaluator, ct: Ciphertext,
     splits = 0
     while k << splits <= degree:
         splits += 1
-    read = {k << j for j in range(splits)}  # the giant steps
+    read = {k} if splits else set()  # T_k; the higher giants come from giant()
     tree = _split(coefficients, k, splits, read)
     basis = _chebyshev_basis(evaluator, ct, read)
-    # Blocks meet at the level of T_k, or of the deepest T_i a lone block reads.
-    baby_level = basis[k].level if splits else min(b.level for b in basis.values())
+    rescale_factor = evaluator.context.rescale_factor
+    giants: dict[tuple[int, int], Ciphertext] = {}
 
-    def eval_small(terms: dict[int, float]) -> Ciphertext:
-        """``Σ c_i·T_i + c_0`` as one weighted sum one level below
-        ``baby_level`` (:meth:`Evaluator.weighted_sum`): each integer weight
-        absorbs the scale of its ``T_i``, so the sum lands on the ladder."""
-        # A constant alone rides on T_1 at weight 0.
-        weighted = [(basis[i], c) for i, c in terms.items() if i] or [(basis[1], 0.0)]
-        with Evaluator._scope(weighted[0][0], "scalardot"):
-            return evaluator.weighted_sum(weighted, baby_level - 1,
-                                          constant=terms.get(0, 0.0))
+    def reach(i: int) -> int:
+        """The highest level ``T_i`` exists at (a giant one below its half)."""
+        return basis[i].level if i in basis else reach(i // 2) - 1
 
-    def evaluate(tree) -> Ciphertext | None:
-        if tree is None:
-            return None
+    def giant(g: int, level: int) -> Ciphertext:
+        """``T_g`` for a product at ``level``, each built once per level: a
+        built one as it is (the product mod-reduces it), a higher giant
+        squared from its half one level up."""
+        if (g, level) not in giants:
+            giants[g, level] = basis[g] if g in basis else _double(
+                evaluator, giant(g // 2, level + 1), level)
+        return giants[g, level]
+
+    def highest(tree) -> int:
+        """The highest level ``tree`` can be evaluated at."""
         if isinstance(tree, dict):
-            return eval_small(tree)
+            return min((reach(i) for i in tree if i), default=ct.level) - 1
         half, quotient, remainder = tree
-        q_ct, r_ct = evaluate(quotient), evaluate(remainder)
-        if q_ct is None:
-            return r_ct
-        combined = evaluator.multiply(q_ct, basis[half])
-        if r_ct is None:
-            return combined
-        return evaluator.add(combined, r_ct)
+        if quotient is None:
+            return highest(remainder)
+        level = min(reach(half), highest(quotient))
+        if isinstance(remainder, dict):
+            level = min([level] + [reach(i) for i in remainder if i])
+        elif remainder is not None:
+            level = min(level, highest(remainder))
+        return level - 1
 
-    result = evaluate(tree)
-    assert result is not None
-    return result
+    def evaluate(tree, level: int, scale: float) -> Ciphertext:
+        """``tree`` at ``level`` and ``scale``: a leaf is one weighted sum,
+        a node one product with its remainder summed in."""
+        if isinstance(tree, dict):
+            # A constant alone rides on T_1 at weight 0.
+            terms = [(basis[i], c) for i, c in tree.items() if i] or [(ct, 0.0)]
+            with Evaluator._scope(ct, "scalardot"):
+                return evaluator.weighted_sum(terms, level, scale, constant=tree.get(0, 0.0))
+        half, quotient, remainder = tree
+        if quotient is None:
+            return evaluate(remainder, level, scale)
+        t_half = giant(half, level + 1)
+        # The quotient's scale lands quotient·T_half on ``scale``.
+        q_ct = evaluate(quotient, level + 1, rescale_factor(level, t_half.scale, scale))
+        addends, constant = [], 0.0
+        if isinstance(remainder, dict):
+            addends = [(basis[i], c) for i, c in remainder.items() if i]
+            constant = remainder.get(0, 0.0)
+        elif remainder is not None:
+            addends = [(evaluate(remainder, level + 1, scale), 1.0)]
+        return evaluator.product_sum(q_ct, t_half, level, addends, constant=constant)
+
+    level = highest(tree)
+    return evaluate(tree, level, evaluator.context.scale_at(level))
 
 
-def _double(evaluator: Evaluator, ct: Ciphertext) -> Ciphertext:
-    """``2·ct² − 1``: ``T_{2m}`` from ``T_m``, and ``cos(2x)`` from ``cos(x)``."""
-    return evaluator.add_scalar(evaluator.multiply_scalar_int(evaluator.square(ct), 2), -1.0)
+def _double(evaluator: Evaluator, ct: Ciphertext, level: int | None = None) -> Ciphertext:
+    """``2·ct² − 1`` at ``level`` (default one below ``ct``): ``T_{2m}``
+    from ``T_m``, and ``cos(2x)`` from ``cos(x)``.  One HSquare: the ``×2``
+    and the ``− 1`` ride in its merged ModDown-rescale, bit-identical to a
+    square, a ``×2`` of every residue and ``add_scalar(·, −1)``."""
+    if level is None:
+        level = ct.level - 1
+    return evaluator.product_sum(ct, ct, level, multiplier=2, constant=-1.0)
 
 
 def double_angle(evaluator: Evaluator, ct: Ciphertext, iterations: int) -> Ciphertext:

@@ -145,21 +145,11 @@ class Context:
 
     def scale_at(self, level: int) -> float:
         """Return the canonical (ladder) scale of a level-``level`` ciphertext."""
-        if not 0 <= level <= self.max_level:
-            raise ValueError(f"invalid level {level}")
-        return self.scale_ladder[level]
+        return ladder_scale(self.scale_ladder, level)
 
     def rescale_factor(self, level: int, scale: float, target: float) -> float:
-        """Return ``q_{level+1}·target/scale``: the factor by which a message
-        at ``scale`` is multiplied so that the rescale dropping ``q_{level+1}``
-        lands it on ``target`` at ``level``.
-
-        The one home of the ladder-restoring weight (``target`` is the
-        ladder scale of ``level`` unless the caller asks for another); the
-        evaluator's weighted sum, ``encode_for`` and the linear transforms'
-        diagonals all read it here.
-        """
-        return self.moduli[level + 1] * target / scale
+        """:func:`rescale_factor` on this context's moduli chain."""
+        return rescale_factor(self.moduli, level, scale, target)
 
     # ------------------------------------------------------------------
     # hybrid key-switching layout
@@ -300,6 +290,28 @@ class Context:
 
 
 _default_context: Context | None = None
+
+
+def ladder_scale(ladder, level: int) -> float:
+    """The scale of a level-``level`` ciphertext on ``ladder`` (one scale
+    per level, as :attr:`Context.scale_ladder`)."""
+    if not 0 <= level < len(ladder):
+        raise ValueError(f"invalid level {level}")
+    return ladder[level]
+
+
+def rescale_factor(moduli, level: int, scale: float, target: float) -> float:
+    """Return ``q_{level+1}·target/scale``: the factor by which a message at
+    ``scale`` is multiplied so that the rescale dropping ``q_{level+1}``
+    (``moduli[level + 1]``) lands it on ``target`` at ``level``.
+
+    The one home of the ladder-restoring weight (``target`` is the ladder
+    scale of ``level`` unless the caller asks for another): the evaluator's
+    weighted sum, ``encode_for``, the linear transforms' diagonals and the
+    Chebyshev quotients read it through :meth:`Context.rescale_factor`, and
+    the cost-model twin on its own chain.
+    """
+    return moduli[level + 1] * target / scale
 
 
 def set_default_context(context: Context | None) -> Context | None:

@@ -31,6 +31,7 @@ as raw value arrays, which are encoded at the ladder-restoring scale
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from repro.ckks.ciphertext import (
@@ -181,15 +182,24 @@ class Evaluator:
         the ladder scale of ``level``) whatever the terms' scales: the
         scale-invariant evaluation of Bossuat et al. (Eurocrypt 2021).  A
         term taken whole (coefficient 1, as ``adjust`` passes it) keeps a
-        weight of at least 1, so a far-off target cannot zero it.  The
-        caller opens the operation's scope.
+        weight of at least 1, so a far-off target cannot zero it.  Terms
+        are checked before any work (:meth:`_check_sum`).  The caller
+        opens the operation's scope.
         """
+        terms = list(terms)
+        if not terms:
+            raise ValueError("weighted_sum needs at least one term")
+        coefficients = self._check_sum(
+            "weighted_sum",
+            [(f"weighted_sum term {i}", ct, c) for i, (ct, c) in enumerate(terms)],
+            level, constant)
         if scale is None:
             scale = self.context.scale_at(level)
         factor = self.context.rescale_factor
         reduced = [self.mod_reduce(ct, level + 2) for ct, _ in terms]
-        weights = [int(round(c * factor(level, ct.scale, scale))) for ct, c in terms]
-        weights = [max(1, w) if c == 1 else w for (_, c), w in zip(terms, weights)]
+        weights = [int(round(c * factor(level, ct.scale, scale)))
+                   for (ct, _), c in zip(terms, coefficients)]
+        weights = [max(1, w) if c == 1 else w for c, w in zip(coefficients, weights)]
         c0 = c1 = None
         with DISPATCH.launch("scalarmult" if len(terms) == 1 and not constant
                              else "scalardot"):
@@ -201,6 +211,65 @@ class Evaluator:
         result = self.rescale(reduced[0].with_polys(c0, c1))
         result.scale = scale
         return result
+
+    def product_sum(self, a: Ciphertext, b: Ciphertext, level: int,
+                    addends: Sequence[tuple[Ciphertext, float]] = (),
+                    multiplier: int = 1, constant: float = 0.0) -> Ciphertext:
+        """Return ``multiplier·a·b + Σ c_i·ct_i + constant`` at ``level`` as
+        one HMult (an HSquare when ``a is b``), rounded once.
+
+        ``a``, ``b`` and each addend are mod-reduced to ``level + 2`` limbs;
+        the addends join the tensor with integer weights
+        ``round(c_i·s_a·s_b/(multiplier·s_i))``, and the product's merged
+        ModDown-rescale divides everything by ``P·q`` once
+        (:meth:`_product`).  The result sits at the product's scale
+        ``s_a·s_b/q``.  ``multiplier`` is a nonzero integer.  The operands
+        are checked before any work (:meth:`_check_sum`), and the call opens
+        its own ``hmult``/``hsquare`` scope.
+        """
+        if isinstance(multiplier, bool) or not isinstance(multiplier, int) or not multiplier:
+            raise ValueError(f"product_sum's multiplier must be a nonzero integer, "
+                             f"got {multiplier!r}")
+        addends = list(addends)
+        coefficients = self._check_sum(
+            "product_sum",
+            [("product_sum's a", a, 1.0), ("product_sum's b", b, 1.0)]
+            + [(f"product_sum addend {i}", ct, c) for i, (ct, c) in enumerate(addends)],
+            level, constant)[2:]
+        square = a is b
+        with self._scope(a, "hsquare" if square else "hmult"):
+            a = self.mod_reduce(a, level + 2)
+            b = a if square else self.mod_reduce(b, level + 2)
+            landing = a.scale * b.scale / a.moduli[-1]
+            factor = self.context.rescale_factor
+            weighted = [(self.mod_reduce(ct, level + 2),
+                         int(round(c * factor(level, ct.scale, landing / multiplier))))
+                        for (ct, _), c in zip(addends, coefficients)]
+            return self._product(a, b, square, weighted, multiplier,
+                                 int(round(constant * landing)))
+
+    @staticmethod
+    def _check_sum(operation: str, terms: list[tuple[str, Ciphertext, float]],
+                   level: int, constant: float) -> list[float]:
+        """The checks :meth:`weighted_sum` and :meth:`product_sum` make
+        before any work: every named ``(name, ct, coefficient)`` operand
+        sits at ``level + 1`` or above and holds as many members as the
+        first, and every coefficient and the constant are finite.  Returns
+        the coefficients as floats, or raises ``ValueError`` naming the
+        operand."""
+        if level < 0:
+            raise ValueError(f"{operation} cannot land below level 0, got {level}")
+        check_finite_scalar(f"{operation}'s constant", constant)
+        coefficients = []
+        for name, ct, coefficient in terms:
+            coefficients.append(check_finite_scalar(name, coefficient))
+            if ct.level < level + 1:
+                raise ValueError(f"{name} is at level {ct.level}, below level {level} + 1")
+            try:
+                check_same_batch(terms[0][1], ct)
+            except ValueError as error:
+                raise ValueError(f"{name}: {error}") from None
+        return coefficients
 
     #: The backend protocol's name (it passes no scale: the ladder's applies).
     at_level = adjust
@@ -297,13 +366,6 @@ class Evaluator:
                 scale=ct.scale * self.context.scale,
             )
 
-    def multiply_scalar_int(self, ct: Ciphertext, value: int) -> Ciphertext:
-        """Multiply by a small integer without changing the scale."""
-        with self._scope(ct, "scalarmult"):
-            return self._on_both(
-                ct, "scalarmult", lambda c: c.multiply_scalar(int(value))
-            )
-
     def multiply(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         """Homomorphic multiplication (``HMult``) with relinearisation and
         rescale.
@@ -319,15 +381,7 @@ class Evaluator:
         check_product_rescale(ct1, ct2)
         with self._scope(ct1, "hmult"):
             a, b = match_for_product(ct1, ct2, self.adjust)
-            # The GPU launches the whole tensor product as one fused kernel
-            # (4 products + 2 additions per element).
-            with DISPATCH.launch("tensor"):
-                d0 = a.c0.multiply(b.c0)
-                # Dot-product fusion (§III-F.5): one wide accumulation for the
-                # cross term instead of two reduced products plus a reduced add.
-                d1 = RNSPoly.multiply_accumulate([(a.c0, b.c1), (a.c1, b.c0)])
-                d2 = a.c1.multiply(b.c1)
-            return self._relinearize(a, d0, d1, d2, a.scale * b.scale)
+            return self._product(a, b, square=False)
 
     def square(self, ct: Ciphertext) -> Ciphertext:
         """Homomorphic squaring (``HSquare``), cheaper than a general HMult.
@@ -337,23 +391,55 @@ class Evaluator:
         """
         check_product_rescale(ct)
         with self._scope(ct, "hsquare"):
-            with DISPATCH.launch("square-tensor"):
-                d0 = ct.c0.multiply(ct.c0)
-                d1 = ct.c0.multiply(ct.c1)
+            return self._product(ct, ct, square=True)
+
+    def _product(self, a: Ciphertext, b: Ciphertext, square: bool,
+                 addends: Sequence[tuple[Ciphertext, int]] = (),
+                 multiplier: int = 1, constant: int = 0) -> Ciphertext:
+        """``multiplier·(a·b + Σ w·r)/q_l + constant`` over ``Q_{l-1}``, one
+        rounding: the tensor of ``a`` and ``b`` at one level (three products
+        for a ``square``), relinearised in the merged ModDown-rescale.
+
+        Each addend ``r`` (at ``a``'s limbs) enters the tensor's ``d0``,
+        ``d1`` times its integer weight ``w`` in the tensor's launch.  The
+        ``multiplier`` scales the tail's constants
+        (:func:`~repro.ckks.keyswitch.mod_down_rescale_many`), and the
+        constant joins ``d0`` as ``q_l·constant/multiplier`` (mod
+        ``Q_{l-1}``, ``0`` mod ``q_l``): a multiple of ``q_l`` leaves the
+        tail's rounding alone, so the result is exactly ``constant`` more,
+        the residues of a separate ``×multiplier`` and constant add.  With
+        no addend, multiplier or constant it is HMult's launches alone.
+        """
+        q_last = a.moduli[-1]
+        with DISPATCH.launch("square-tensor" if square else "tensor"):
+            if square:
+                d0 = a.c0.multiply(a.c0)
+                d1 = a.c0.multiply(a.c1)
                 # 2·c0·c1: the product is still private to this launch, so
                 # it doubles in place instead of through a fourth buffer.
                 data = d1.data
                 modmath.stack_add_mod(data, data, d1.moduli_col, out=data)
-                d2 = ct.c1.multiply(ct.c1)
-            return self._relinearize(ct, d0, d1, d2, ct.scale * ct.scale)
-
-    def _relinearize(self, template: Ciphertext, d0: RNSPoly, d1: RNSPoly,
-                     d2: RNSPoly, scale: float) -> Ciphertext:
+                d2 = a.c1.multiply(a.c1)
+            else:
+                # The GPU launches the whole tensor product as one fused
+                # kernel (4 products + 2 additions per element).
+                d0 = a.c0.multiply(b.c0)
+                # Dot-product fusion (§III-F.5): one wide accumulation for the
+                # cross term instead of two reduced products plus a reduced add.
+                d1 = RNSPoly.multiply_accumulate([(a.c0, b.c1), (a.c1, b.c0)])
+                d2 = a.c1.multiply(b.c1)
+            for ct, weight in addends:
+                d0 = d0.add(ct.c0.multiply_scalar(weight))
+                d1 = d1.add(ct.c1.multiply_scalar(weight))
+            if constant:
+                below = math.prod(a.moduli[:-1])
+                d0 = d0.add_scalar(q_last * constant * pow(multiplier, -1, below))
         decomposed = decompose_and_mod_up(self.context, d2)
         with DISPATCH.scope("keyswitch"):
             accs = apply_key(self.context, decomposed, self.keys.relinearization_key)
-            c0, c1 = mod_down_rescale_many(self.context, list(accs), [d0, d1])
-        return template.with_polys(c0, c1, scale=scale / template.moduli[-1])
+            c0, c1 = mod_down_rescale_many(self.context, list(accs), [d0, d1],
+                                           multiplier=multiplier)
+        return a.with_polys(c0, c1, scale=a.scale * b.scale / q_last)
 
     def rotated_sum(self, terms: Iterable[tuple[Ciphertext, int]]) -> Ciphertext:
         """Return ``Σ rotate(ct_j, s_j)`` rescaled, ending in one merged ModDown.

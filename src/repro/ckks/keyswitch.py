@@ -219,7 +219,7 @@ def mod_down_many(context: Context, polys: list[RNSPoly]) -> list[RNSPoly]:
 
 
 def mod_down_rescale_many(context: Context, accs: list[RNSPoly],
-                          addends: list[RNSPoly]) -> list[RNSPoly]:
+                          addends: list[RNSPoly], *, multiplier: int = 1) -> list[RNSPoly]:
     """ModDown and rescale in one: ``round((acc + P·d) / (P·q_l))`` over ``Q_{l-1}``.
 
     ``accs`` are key-switch accumulators over ``Q_l ∪ P`` and ``addends``
@@ -233,6 +233,11 @@ def mod_down_rescale_many(context: Context, accs: list[RNSPoly],
     enters as ``d_i·q_l^{-1}``, so no ``P·d`` buffer is built.  It replaces
     :func:`mod_down_many`, the add of ``d`` and the rescale that follow it:
     the value is the same division, rounded once instead of twice.
+
+    A ``multiplier`` scales both epilogue constants, so the result is
+    ``multiplier·round(...)`` mod each ``q_i`` -- the residues of a
+    separate ``×multiplier`` launch, at no cost (``chebyshev``'s
+    ``2·T_m² − 1``).
     """
     first = accs[0]
     for poly in accs[1:]:
@@ -282,8 +287,9 @@ def mod_down_rescale_many(context: Context, accs: list[RNSPoly],
         for pair in zip(acc.member_rows(0, limb_count - 1), d.member_rows(0, -1))
         for block in pair
     ]
-    pq_inv = [modmath.inv_mod(context.p_modulus * q_last % q, q) for q in target_moduli]
-    q_last_inv = [modmath.inv_mod(q_last % q, q) for q in target_moduli]
+    pq_inv = [modmath.inv_mod(context.p_modulus * q_last % q, q) * multiplier % q
+              for q in target_moduli]
+    q_last_inv = [modmath.inv_mod(q_last % q, q) * multiplier % q for q in target_moduli]
     fold = modmath.head_addend_fold(pq_inv, q_last_inv, target_col)
     with DISPATCH.scope("moddown"), DISPATCH.interleaved():
         # The head's multiply-add touches one row of the α+1; N^-1 folds

@@ -9,11 +9,14 @@ pool -- calls :meth:`MemoryPool.charge` once when it is built and
 nothing).  Admission control,
 :class:`FusedFootprintError` and the ``memory_pool_*`` instruments read the
 counters; the fault injector denies charges through ``charge_hook``.
+``charge``, ``release`` and ``reset_peak`` update the counters under one
+lock, so threads may share a pool (the process-wide ``default_pool``).
 """
 
 from __future__ import annotations
 
 import operator
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -74,6 +77,11 @@ class MemoryPool:
     charge_hook: Callable | None = field(default=None, init=False)
     #: Live bytes as requested, before rounding (for the fragmentation readout).
     _requested_in_use: int = field(default=0, init=False, repr=False)
+    #: Serialises the read-modify-write of the counters across threads.  It
+    #: is reentrant: ``RNSPoly.__del__`` releases, and a finaliser may run
+    #: on a thread that holds the lock.
+    _lock: threading.RLock = field(default_factory=threading.RLock, init=False,
+                                   repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # A zero granularity divides by zero on the first charge; a zero
@@ -87,20 +95,31 @@ class MemoryPool:
         if self.charge_hook is not None:
             self.charge_hook(self, nbytes, tag)
         rounded = self._round_up(nbytes)
-        if self.capacity_bytes is not None and self.bytes_in_use + rounded > self.capacity_bytes:
+        capacity = self.capacity_bytes
+        # The locked section makes no call and builds no object, so no
+        # collection (and no ``RNSPoly.__del__`` releasing into this pool)
+        # can run between a counter's read and its write.
+        with self._lock:
+            in_use = self.bytes_in_use + rounded
+            admitted = capacity is None or in_use <= capacity
+            if admitted:
+                self.bytes_in_use = in_use
+                self._requested_in_use += nbytes
+                if in_use > self.peak_bytes:
+                    self.peak_bytes = in_use
+                self.allocation_count += 1
+        if not admitted:
             raise OutOfDeviceMemory(
                 f"allocation of {rounded} bytes exceeds capacity "
-                f"({self.bytes_in_use}/{self.capacity_bytes} in use)"
+                f"({in_use - rounded}/{capacity} in use)"
             )
-        self.bytes_in_use += rounded
-        self._requested_in_use += nbytes
-        self.peak_bytes = max(self.peak_bytes, self.bytes_in_use)
-        self.allocation_count += 1
 
     def release(self, nbytes: int) -> None:
         """Credit back one admitted charge of ``nbytes`` (call once per charge)."""
-        self.bytes_in_use -= self._round_up(nbytes)
-        self._requested_in_use -= nbytes
+        rounded = self._round_up(nbytes)
+        with self._lock:
+            self.bytes_in_use -= rounded
+            self._requested_in_use -= nbytes
 
     def free_bytes(self) -> int | None:
         """Remaining capacity in bytes, or ``None`` for an unbounded pool."""
@@ -145,8 +164,9 @@ class MemoryPool:
         (sampled into the ``serve_drain_peak_bytes`` histogram); lifetime
         counters are untouched.
         """
-        previous = self.peak_bytes
-        self.peak_bytes = self.bytes_in_use
+        with self._lock:
+            previous = self.peak_bytes
+            self.peak_bytes = self.bytes_in_use
         return previous
 
     def _round_up(self, nbytes: int) -> int:

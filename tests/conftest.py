@@ -139,6 +139,12 @@ def int_coefficients(poly: RNSPoly) -> list[int]:
     return poly.to_coefficient().compose().tolist()
 
 
+def times_int(ct, value: int):
+    """``value·ct`` at ``ct``'s scale: every residue times ``value`` (the
+    oracle of a ``×value`` folded into a product's tail)."""
+    return ct.with_polys(ct.c0.multiply_scalar(value), ct.c1.multiply_scalar(value))
+
+
 def assert_close(actual, expected, tolerance=5e-4):
     """Assert CKKS approximate equality with a default tolerance."""
     actual = np.asarray(actual)

@@ -165,31 +165,49 @@ class TestApproxModEval:
             bootstrap_setup["encryptor"].encrypt_values(message), 1)
         return boot.coeff_to_slot(boot.mod_raise(exhausted))
 
-    def test_fused_call_builds_only_what_it_reads(self, bootstrap_setup, halves,
-                                                  monkeypatch):
-        """One fused B=2 call: 4 HMults (6 with the odd ``T_5``/``T_7``), the
-        7 squares of ``T_2, T_4, T_6, T_8``, ``T_16`` and the two double
-        angles, and at most 15 rescale scopes (28 with a rescale per term and
-        per realignment)."""
+    def test_fused_call_follows_the_level_plan(self, bootstrap_setup, halves,
+                                               monkeypatch):
+        """One fused B=2 call evaluates each node at the level its parent
+        consumes it: the basis holds ``T_1 … T_4, T_6, T_8`` and ``T_16`` is
+        squared once, from the memo, where its product needs it.  4 HMults
+        (``T_3``, two ``q·T_8 + r`` and ``q·T_16 + r``), the 7 squares of
+        ``T_2, T_4, T_8, T_6, T_16`` and the two double angles, and a rescale
+        scope only for the two quotient blocks (12 with an ``at_level`` per
+        realignment and a rescale per block, 28 with one per term)."""
         boot = bootstrap_setup["bootstrapper"]
         lazy_basis, built = chebyshev._chebyshev_basis, []
+        lazy_double, doubled = chebyshev._double, Counter()
 
         def spy(*args):
             basis = lazy_basis(*args)
             built.append(sorted(basis))
             return basis
 
+        def spy_double(evaluator, ct, level=None):
+            doubled[ct.level if level is None else level + 1] += 1
+            return lazy_double(evaluator, ct, level)
+
         monkeypatch.setattr(chebyshev, "_chebyshev_basis", spy)
+        monkeypatch.setattr(chebyshev, "_double", spy_double)
         counter = ScopeCounter()
         with DISPATCH.profiling(counter):
             result = boot.approx_mod_eval(Ciphertext.fuse(list(halves)))
-        # The even blocks read T_2, T_4, T_6; T_8 and T_16 are the giant steps.
-        assert built == [[1, 2, 3, 4, 6, 8, 16]]
-        assert counter.entries["hmult"] <= 4
+        top = halves[0].level
+        # The even blocks read T_2, T_4, T_6; T_8 is the first giant step.
+        assert built == [[1, 2, 3, 4, 6, 8]]
+        # Squares run at T_1's, T_2's, T_3's and T_4's levels, T_16's on
+        # T_8 one level below its own (a square per level it is built at),
+        # and the double angles at the series' level and one below.
+        assert doubled == Counter({top: 1, top - 1: 1, top - 2: 2, top - 4: 1,
+                                   top - 6: 1, top - 7: 1})
+        assert counter.entries["hmult"] == 4
         assert counter.entries["hsquare"] == 7
-        assert counter.entries["rescale"] <= 15
+        assert counter.entries["rescale"] == 2
+        assert counter.entries["at_level"] == 0
+        # The ×2 and −1 ride in the squares' and products' tails.
+        assert counter.entries["scalarmult"] == counter.entries["scalaradd"] == 0
         # ceil(log2(31)) + 1 levels for the series, one per double angle.
-        assert result.level == halves[0].level - 8
+        assert result.level == top - 8
 
     def test_series_error_within_2_to_the_minus_17(self, bootstrap_setup, halves):
         """The decrypted series is within 2^-17 of the exact Chebyshev

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ckks.ciphertext import Ciphertext
 from tests.conftest import assert_close, assert_same_ciphertext
 
 
@@ -98,10 +99,6 @@ class TestMultiplications:
     def test_scalar_mult(self, evaluator, decryptor, ciphertexts, messages):
         ct = evaluator.multiply_scalar(ciphertexts[0], -0.75)
         assert_close(decryptor.decrypt_values(ct, 16).real, -0.75 * messages[0])
-
-    def test_scalar_mult_integer(self, evaluator, decryptor, ciphertexts, messages):
-        ct = evaluator.multiply_scalar_int(ciphertexts[0], 3)
-        assert_close(decryptor.decrypt_values(ct, 16).real, 3 * messages[0])
 
     def test_multiply_by_i(self, evaluator, decryptor, ciphertexts, messages):
         ct = evaluator.multiply_by_i(ciphertexts[0])
@@ -198,15 +195,6 @@ class TestRescaleAndLevels:
         scaled = evaluator.multiply_scalar(bottom, 2.0, rescale=False)
         assert scaled.level == 0
         assert scaled.scale == pytest.approx(bottom.scale * context.scale, rel=1e-9)
-
-    def test_multiply_scalar_int_level_zero_preserves_scale(
-            self, evaluator, decryptor, context, ciphertexts, messages):
-        bottom = evaluator.adjust(ciphertexts[0], 0)
-        doubled = evaluator.multiply_scalar_int(bottom, 2)
-        assert doubled.level == 0
-        assert doubled.scale == bottom.scale
-        decoded = decryptor.decrypt_values(doubled, 16).real
-        assert np.max(np.abs(decoded - 2.0 * messages[0])) < 1e-2
 
 
 class TestRotations:
@@ -395,6 +383,75 @@ class TestFusedDotProduct:
         assert result.level == cts[1].level - 1
         expected = sum(v * w for v, w in zip(vectors, weights))
         assert_close(decryptor.decrypt_values(result, 8).real, expected)
+
+
+class TestWeightedSumChecks:
+    """``Evaluator.weighted_sum`` and ``product_sum`` refuse a malformed sum
+    before they launch anything, with a ``ValueError`` that names the
+    term."""
+
+    def _refused(self, session, evaluator, terms, level, match, **kwargs):
+        self._refused_call(session, lambda: evaluator.weighted_sum(terms, level, **kwargs),
+                           match)
+
+    @staticmethod
+    def _refused_call(session, call, match):
+        with session.trace() as trace:
+            with pytest.raises(ValueError, match=match):
+                call()
+        assert trace.kernel_count == 0 and len(trace) == 0
+
+    def test_empty_term_list(self, session, evaluator):
+        self._refused(session, evaluator, [], 2, "at least one term")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coefficient(self, session, evaluator, ciphertexts, bad):
+        x, y = ciphertexts
+        self._refused(session, evaluator, [(x, 0.5), (y, bad)], x.level - 1,
+                      "weighted_sum term 1 needs a finite scalar")
+
+    def test_non_finite_constant(self, session, evaluator, ciphertexts):
+        x, _ = ciphertexts
+        self._refused(session, evaluator, [(x, 0.5)], x.level - 1,
+                      "weighted_sum's constant needs a finite scalar", constant=float("nan"))
+
+    def test_term_below_the_level(self, session, evaluator, ciphertexts):
+        x, y = ciphertexts
+        low = evaluator.mod_reduce(y, y.limb_count - 2)
+        self._refused(session, evaluator, [(x, 0.5), (low, 0.5)], x.level - 1,
+                      f"weighted_sum term 1 is at level {low.level}, below level "
+                      rf"{x.level - 1} \+ 1")
+        # A product's operand and addend too.
+        self._refused_call(session, lambda: evaluator.product_sum(x, low, x.level - 1),
+                           f"product_sum's b is at level {low.level}")
+        self._refused_call(
+            session, lambda: evaluator.product_sum(x, y, x.level - 1, [(low, 1.0)]),
+            "product_sum addend 0 is at level")
+
+    def test_batch_mismatch(self, session, evaluator, ciphertexts):
+        x, y = ciphertexts
+        fused = Ciphertext.fuse([x, y])
+        self._refused(session, evaluator, [(x, 0.5), (fused, 0.5)], x.level - 1,
+                      r"weighted_sum term 1: batch sizes differ \(1 vs 2\)")
+        self._refused_call(session, lambda: evaluator.product_sum(x, fused, x.level - 1),
+                           r"product_sum's b: batch sizes differ \(1 vs 2\)")
+
+    @pytest.mark.parametrize("bad", [0, 2.0, True])
+    def test_product_multiplier_is_a_nonzero_integer(self, session, evaluator,
+                                                     ciphertexts, bad):
+        x, y = ciphertexts
+        self._refused_call(
+            session, lambda: evaluator.product_sum(x, y, x.level - 1, multiplier=bad),
+            "product_sum's multiplier must be a nonzero integer")
+
+    def test_non_finite_product_addend_and_constant(self, session, evaluator, ciphertexts):
+        x, y = ciphertexts
+        self._refused_call(
+            session, lambda: evaluator.product_sum(x, y, x.level - 1, [(x, float("nan"))]),
+            "product_sum addend 0 needs a finite scalar")
+        self._refused_call(
+            session, lambda: evaluator.product_sum(x, y, x.level - 1, constant=float("inf")),
+            "product_sum's constant needs a finite scalar")
 
 
 @given(

@@ -18,9 +18,12 @@ anything, on the data plane and on its symbolic twin.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.ckks import chebyshev
 from repro.ckks.keyswitch import (
     apply_key,
     decompose_and_mod_up,
@@ -29,7 +32,7 @@ from repro.ckks.keyswitch import (
 )
 from repro.core import modmath
 from repro.core.rns_poly import RNSPoly
-from tests.conftest import int_coefficients
+from tests.conftest import assert_same_ciphertext, int_coefficients, times_int
 
 from test_recorded_stream import CHAINS, make_session
 
@@ -132,3 +135,60 @@ def test_a_level0_product_fails_before_it_launches(op, sessions):
                 else:
                     producer.multiply(high, low)
         assert trace.kernel_count == 0 and len(trace) == 0, producer.name
+
+
+@pytest.mark.parametrize("members", [1, 3], ids=["B1", "B3"])
+@pytest.mark.parametrize("chain", ["uint64", "dword"])
+def test_a_double_folds_its_x2_and_minus_1_into_the_tail(chain, members, sessions):
+    """``2·x² − 1`` as one HSquare (the ``×2`` scaling the tail's
+    constants, the ``− 1`` added before the division as a multiple of
+    ``q_l``) is bit-identical to a square, a ``×2`` of every residue and
+    ``add_scalar(·, −1)``, and launches no scalar kernel of its own."""
+    session = sessions[chain]
+    evaluator = session.evaluator
+    rng = np.random.default_rng(43)
+    rows = [rng.uniform(-1, 1, 8) for _ in range(members)]
+    x = (session.encrypt_batch(rows) if members > 1 else session.encrypt(rows[0])).handle
+    with session.trace() as trace:
+        folded = chebyshev._double(evaluator, x)
+    assert not {"scalarmult", "scalaradd"} & {
+        k.name.split("[")[0] for k in trace.kernels()}
+    two_step = evaluator.add_scalar(
+        times_int(evaluator.square(x), 2), -1.0)
+    assert_same_ciphertext(folded, two_step)
+
+
+@pytest.mark.parametrize("members", [1, 3], ids=["B1", "B3"])
+@pytest.mark.parametrize("chain", ["uint64", "dword"])
+def test_a_product_term_carries_its_addends_within_one_rounding(chain, members, sessions):
+    """``product_sum(a, b, l, [(r1, c1), (r2, c2)], constant=k)`` rounds
+    once: every coefficient of both components is within 1 of
+    ``multiply(a, b)`` plus ``weighted_sum([(r1, c1), (r2, c2)])`` at the
+    product's scale plus ``k``, which round the product and the addends
+    apart.  ``r2`` sits a level higher and is mod-reduced."""
+    session = sessions[chain]
+    evaluator = session.evaluator
+    rng = np.random.default_rng(47)
+
+    def operand(down):
+        rows = [rng.uniform(-1, 1, 8) for _ in range(members)]
+        ct = session.encrypt_batch(rows) if members > 1 else session.encrypt(rows[0])
+        return ct.at_level(ct.level - down).handle
+
+    a, b, r1, r2 = operand(1), operand(1), operand(1), operand(0)
+    level = a.level - 1
+    terms, constant = [(r1, 0.375), (r2, -1.25)], 0.5
+    with session.trace() as trace:
+        fused = evaluator.product_sum(a, b, level, terms, constant=constant)
+    # One HMult's kernels: the addends ride in the tensor launch.
+    assert "rescale" not in {k.name.split("[")[0] for k in trace.kernels()}
+    product = evaluator.multiply(a, b)
+    apart = evaluator.add_scalar(evaluator.add(
+        product, evaluator.weighted_sum(terms, level, scale=product.scale)), constant)
+    assert (fused.level, fused.scale) == (apart.level, apart.scale)
+    modulus = math.prod(fused.moduli)
+    for got, want in ((fused.c0, apart.c0), (fused.c1, apart.c1)):
+        for got_m, want_m in zip(integers(got, members), integers(want, members)):
+            gap = [(g - w + modulus // 2) % modulus - modulus // 2
+                   for g, w in zip(got_m, want_m)]
+            assert max(map(abs, gap)) <= 1

@@ -22,6 +22,7 @@ from repro.api import CKKSSession
 from repro.ckks.params import CKKSParameters
 from repro.core import modmath
 from repro.core.dispatch import DISPATCH
+from repro.core.memory import MemoryPool
 from repro.core.ntt import get_stacked_engine
 from repro.core.primes import generate_ntt_primes
 
@@ -272,3 +273,77 @@ class TestPerThreadScratch:
         gc.collect()
         assert refs
         assert all(ref() is None for ref in refs)
+
+
+def _switch_point() -> None:
+    """A Python call: the interpreter may switch threads on entering it."""
+
+
+class _YieldingPool(MemoryPool):
+    """A pool with a thread-switch point after every counter read, so a
+    switch can fall between a counter's read and its write."""
+
+    def __getattribute__(self, name):
+        value = super().__getattribute__(name)
+        if name in ("bytes_in_use", "allocation_count"):
+            _switch_point()
+        return value
+
+
+class TestSharedMemoryPool:
+    def test_two_threads_charging_one_pool_keep_exact_counters(self):
+        """``charge``, ``release`` and ``reset_peak`` update a pool's counters
+        under one lock: 10⁴ charge/release pairs per thread on one pool
+        leave nothing in use and count every charge."""
+        pool = _YieldingPool()
+        pairs, sizes = 10_000, (1000, 3000)
+
+        def worker(index, barrier):
+            barrier.wait()
+            for _ in range(pairs):
+                pool.charge(sizes[index])
+                pool.release(sizes[index])
+                pool.reset_peak()
+
+        _run_threads(worker, count=2)
+        assert pool.bytes_in_use == 0
+        assert pool.allocation_count == 2 * pairs
+        assert pool.internal_fragmentation() == 0.0
+        assert pool.peak_bytes <= sum(pool._round_up(s) for s in sizes)
+
+    def test_a_release_inside_charge_neither_deadlocks_nor_loses_an_update(self):
+        """``RNSPoly.__del__`` releases into its pool, so a collection may
+        finalise a polynomial on a thread inside ``charge``'s locked
+        section.  That release must finish and keep the counters exact."""
+        pending = [4000]
+
+        class FinalisingPool(MemoryPool):
+            # ``charge`` reads ``allocation_count`` only under its lock.
+            def __getattribute__(self, name):
+                if name == "allocation_count" and pending:
+                    self.release(pending.pop())
+                return super().__getattribute__(name)
+
+        pool = FinalisingPool()
+        held = pending.pop()
+        pool.charge(held)
+        pending.append(held)
+        outcome: list = []
+
+        def charge():
+            try:
+                pool.charge(1000)
+                outcome.append("done")
+            except Exception as exc:  # re-raised on the calling thread
+                outcome.append(exc)
+
+        thread = threading.Thread(target=charge, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert outcome, "a release inside charge's locked section deadlocked"
+        assert outcome == ["done"], outcome
+        assert not pending
+        assert pool.bytes_in_use == pool._round_up(1000)
+        assert pool._requested_in_use == 1000
+        assert pool.allocation_count == 2
+        assert pool.peak_bytes == pool._round_up(4000) + pool._round_up(1000)

@@ -19,7 +19,12 @@ from repro.core import modmath
 from repro.core.automorphism import rotation_to_exponent
 from repro.core.limb import LimbFormat
 from repro.core.rns_poly import RNSPoly
-from tests.conftest import assert_close, assert_same_ciphertext
+from tests.conftest import (
+    assert_close,
+    assert_same_ciphertext,
+    int_coefficients,
+    times_int,
+)
 
 from test_moddown_rescale import expected_residues
 
@@ -69,11 +74,11 @@ def chebyshev_basis(evaluator, ct, degree: int) -> dict:
         half = k // 2
         if k % 2 == 0:
             squared = evaluator.square(basis[half])
-            term = evaluator.multiply_scalar_int(squared, 2)
+            term = times_int(squared, 2)
             basis[k] = evaluator.add_scalar(term, -1.0)
         else:
             prod = evaluator.multiply(basis[half], basis[half + 1])
-            term = evaluator.multiply_scalar_int(prod, 2)
+            term = times_int(prod, 2)
             basis[k] = evaluator.sub(term, ct)
     return basis
 
@@ -177,15 +182,40 @@ class TestHomomorphicChebyshev:
         assert_close(decryptor.decrypt_values(result, 8).real,
                      decryptor.decrypt_values(direct, 8).real, 2e-3)
 
-    def test_lazy_basis_is_the_eager_one(self, evaluator, inputs):
+    def test_lazy_basis_is_the_eager_one(self, evaluator, decryptor, inputs):
         """The lazy basis builds only the requested ``T_i`` and what their
-        recurrences read, each bit-identical to the eager basis's."""
-        _, ct = inputs
+        recurrences read.  ``T_2, T_4, T_8`` square the same operands as the
+        eager basis and are bit-identical to its.  ``T_3`` multiplies ``T_1``
+        mod-reduced (the eager basis realigns it) and sums ``− T_1`` into the
+        product before its one rounding, so every coefficient is within one
+        rounding, doubled, of the same product plus ``− T_1`` rescaled apart
+        at the same weight, times 2.  ``T_6`` is exactly ``2·T_3² − 1`` of
+        that ``T_3``."""
+        ys, ct = inputs
         lazy = _chebyshev_basis(evaluator, ct, {6, 8})
         assert sorted(lazy) == [1, 2, 3, 4, 6, 8]
         eager = chebyshev_basis(evaluator, ct, 8)
+        for i in (1, 2, 4, 8):
+            assert_same_ciphertext(lazy[i], eager[i])
+        t1, t2, t3 = lazy[1], lazy[2], lazy[3]
+        product = evaluator.multiply(evaluator.mod_reduce(t1, t2.limb_count), t2)
+        # ``×2`` after the sum: ``− T_1`` is weighted for half the product's scale.
+        minus_t1 = evaluator.weighted_sum([(t1, -1.0)], product.level,
+                                          scale=product.scale / 2)
+        assert (t3.level, t3.scale) == (product.level, product.scale)
+        modulus = math.prod(t3.moduli)
+        for got, part, addend in ((t3.c0, product.c0, minus_t1.c0),
+                                  (t3.c1, product.c1, minus_t1.c1)):
+            want = int_coefficients(part.add(addend).multiply_scalar(2))
+            gaps = {(g - w + modulus // 2) % modulus - modulus // 2
+                    for g, w in zip(int_coefficients(got), want)}
+            assert gaps <= {-2, 0, 2}
+        assert_same_ciphertext(
+            lazy[6], evaluator.add_scalar(times_int(evaluator.square(t3), 2), -1.0))
         for i, poly in lazy.items():
-            assert_same_ciphertext(poly, eager[i])
+            assert poly.level == eager[i].level
+            assert_close(decryptor.decrypt_values(poly, 8).real,
+                         np.cos(i * np.arccos(ys)), 2e-3)
 
     def test_double_angle(self, evaluator, decryptor, encryptor, rng):
         ys = rng.uniform(-0.2, 0.2, 8)
