@@ -48,7 +48,9 @@ from repro.ckks.ciphertext import (
     check_fusable,
     check_plain_scale,
     check_product_rescale,
+    check_product_sum,
     check_scalar_rescale,
+    check_sum,
     fused_lengths,
     match_for_dot,
     match_for_product,
@@ -71,7 +73,11 @@ class EvaluationBackend(Protocol):
     Handles are opaque to the caller; both backends expose ``level``,
     ``scale``, ``slots``, ``limb_count`` and ``batch_size`` attributes on
     them so the high-level API can report ciphertext metadata without
-    knowing which backend produced it.
+    knowing which backend produced it.  Both backends also carry the chain
+    they track, ``moduli`` (``q_0 … q_L``) and ``scale_ladder`` (one scale
+    per level), which a program reads through
+    :func:`~repro.ckks.context.rescale_factor` and
+    :func:`~repro.ckks.context.ladder_scale` to plan its scales.
     """
 
     params: CKKSParameters
@@ -97,6 +103,10 @@ class EvaluationBackend(Protocol):
     def rescale(self, a): ...
     def at_level(self, a, level: int): ...
     def dot_product_plain(self, handles: Sequence, value_rows: Sequence): ...
+    def weighted_sum(self, terms: Sequence, level: int, scale: float | None = None,
+                     constant: float = 0.0): ...
+    def product_sum(self, a, b, level: int, addends: Sequence = (), multiplier: int = 1,
+                    constant: float = 0.0): ...
 
     # -- fuse / split (a handle is a batch of ``batch_size`` members) --------
 
@@ -201,12 +211,12 @@ class CostModelBackend:
         self.context = context
         self.key_inventory = key_inventory
         if context is not None:
-            self._ladder: list[float] = list(context.scale_ladder)
-            self._moduli: list = list(context.moduli)
+            self.scale_ladder: list[float] = list(context.scale_ladder)
+            self.moduli: list = list(context.moduli)
         else:
             delta = params.scale
-            self._ladder = [delta] * (params.mult_depth + 1)
-            self._moduli = [float(2 ** params.first_mod_bits)] + [
+            self.scale_ladder = [delta] * (params.mult_depth + 1)
+            self.moduli = [float(2 ** params.first_mod_bits)] + [
                 float(2 ** params.scale_bits)
             ] * params.mult_depth
 
@@ -224,7 +234,7 @@ class CostModelBackend:
     # -- ladder helpers -----------------------------------------------------
 
     def _last_modulus(self, limb_count: int):
-        return self._moduli[limb_count - 1]
+        return self.moduli[limb_count - 1]
 
     # -- kernel emission (in Evaluator's scopes) --------------------------------
 
@@ -305,7 +315,7 @@ class CostModelBackend:
     def at_level(self, a: SymbolicCiphertext, target_level: int,
                  target_scale: float | None = None) -> SymbolicCiphertext:
         if target_scale is None:
-            target_scale = ladder_scale(self._ladder, target_level)
+            target_scale = ladder_scale(self.scale_ladder, target_level)
         if adjust_is_noop(a, target_level, target_scale):
             return a.copy()
         with self._scope(a, "at_level"):
@@ -319,8 +329,8 @@ class CostModelBackend:
         if isinstance(values, Plaintext):
             return values.scale
         if for_multiplication and a.level >= 1:
-            return rescale_factor(self._moduli, a.level - 1, a.scale,
-                                  ladder_scale(self._ladder, a.level - 1))
+            return rescale_factor(self.moduli, a.level - 1, a.scale,
+                                  ladder_scale(self.scale_ladder, a.level - 1))
         return a.scale
 
     # -- additions ----------------------------------------------------------
@@ -381,7 +391,7 @@ class CostModelBackend:
         with self._scope(a, "scalarmult"):
             self._emit(a, self.costs.scalar_mult, a.limb_count)
             return replace(self.rescale(a),
-                           scale=float(ladder_scale(self._ladder, a.level - 1)))
+                           scale=float(ladder_scale(self.scale_ladder, a.level - 1)))
 
     # -- rotations ----------------------------------------------------------
 
@@ -432,6 +442,62 @@ class CostModelBackend:
         with self._scope(handles[0], "ptdot"):
             self._emit(handles[0], self.costs.ptdot, handles[0].limb_count, len(handles))
         return self.rescale(replace(handles[0], scale=scale))
+
+    def _reduce(self, handles: Sequence[SymbolicCiphertext], limb_count: int) -> int:
+        """Mod-reduce ``handles`` to ``limb_count`` limbs for one launch and
+        return how many distinct operands it reads.  A fused operand above
+        ``limb_count`` is a gather per component on the data plane (every
+        member keeps its head rows), once per occurrence; any other operand
+        is a window, read once however often it occurs."""
+        windows: set[int] = set()
+        gathered = 0
+        for h in handles:
+            if h.batch_size > 1 and h.limb_count > limb_count:
+                for _ in range(2):
+                    self._emit(h, self.costs.limb_copy, limb_count)
+                gathered += 1
+            else:
+                windows.add(id(h))
+        return gathered + len(windows)
+
+    def weighted_sum(self, terms: Sequence[tuple[SymbolicCiphertext, float]], level: int,
+                     scale: float | None = None, constant: float = 0.0) -> SymbolicCiphertext:
+        """The evaluator's weighted sum: one ``scalarmult``/``scalardot``
+        launch over ``level + 2`` limbs and one rescale, landing on
+        ``scale`` (default: the ladder scale of ``level``)."""
+        terms = list(terms)
+        check_sum("weighted_sum",
+                  [(f"weighted_sum term {i}", h, c) for i, (h, c) in enumerate(terms)],
+                  level, constant)
+        first = terms[0][0]
+        with self._scope(first, "scalardot"):
+            operands = self._reduce([h for h, _ in terms], level + 2)
+            reduced = replace(first, limb_count=level + 2)
+            self._emit(reduced, self.costs.weighted_sum, level + 2, len(terms),
+                       operands, bool(constant))
+            result = self.rescale(reduced)
+        if scale is None:
+            scale = ladder_scale(self.scale_ladder, level)
+        return replace(result, scale=float(scale))
+
+    def product_sum(self, a: SymbolicCiphertext, b: SymbolicCiphertext, level: int,
+                    addends: Sequence[tuple[SymbolicCiphertext, float]] = (),
+                    multiplier: int = 1, constant: float = 0.0) -> SymbolicCiphertext:
+        """The evaluator's product sum: one HMult (HSquare when ``a is b``)
+        over ``level + 2`` limbs whose addends and constant ride in the
+        tensor launch, ending in the merged ModDown-rescale at the product's
+        scale ``s_a·s_b/q``."""
+        addends = list(addends)
+        check_product_sum(a, b, level, addends, multiplier, constant)
+        square = a is b
+        limbs = level + 2
+        with self._scope(a, "hsquare" if square else "hmult"):
+            operands = self._reduce(([a] if square else [a, b]) + [h for h, _ in addends],
+                                    limbs)
+            self._emit(a, self.costs.product_rescale, limbs, square=square,
+                       operands=operands, addends=len(addends), constant=bool(constant))
+        return replace(a, limb_count=level + 1,
+                       scale=a.scale * b.scale / self._last_modulus(limbs))
 
     # -- reporting ----------------------------------------------------------
 

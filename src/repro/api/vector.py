@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.ckks.ciphertext import Plaintext
+from repro.ckks.ciphertext import Plaintext, check_sum
 
 #: Operand kinds an operator can dispatch to.
 _CT, _PLAIN, _SCALAR = "ciphertext", "plaintext", "scalar"
@@ -122,6 +122,14 @@ class CipherVector:
         if isinstance(other, (list, tuple, np.ndarray)):
             return _PLAIN, np.asarray(other)
         return None
+
+    def _operand(self, other):
+        """``other``'s backend handle: it must be a CipherVector on this
+        vector's backend."""
+        kind = self._classify(other)
+        if kind is None or kind[0] != _CT:
+            raise TypeError(f"expected a CipherVector operand, got {type(other).__name__}")
+        return kind[1]
 
     # -- additions ----------------------------------------------------------
 
@@ -238,6 +246,38 @@ class CipherVector:
     def at_level(self, level: int) -> "CipherVector":
         """Return a copy adjusted down to ``level`` at the ladder scale."""
         return self._wrap(self.backend.at_level(self.handle, level))
+
+    # -- sums that share one rescale -------------------------------------------
+
+    @staticmethod
+    def weighted_sum(terms, level: int, scale: float | None = None,
+                     constant: float = 0.0) -> "CipherVector":
+        """``Σ c_i·x_i + constant`` at ``level`` after one rescale.
+
+        ``terms`` are ``(CipherVector, coefficient)`` pairs on one backend;
+        its ``weighted_sum``
+        (:meth:`~repro.ckks.evaluator.Evaluator.weighted_sum`) weighs every
+        term for ``scale`` (default: the ladder scale of ``level``) in one
+        launch.
+        """
+        terms = list(terms)
+        if not terms:
+            check_sum("weighted_sum", terms, level, constant)  # raises
+        first = terms[0][0]
+        handles = [(first._operand(vector), c) for vector, c in terms]
+        return first._wrap(first.backend.weighted_sum(handles, level, scale, constant))
+
+    def product_sum(self, b, level: int, addends=(), multiplier: int = 1,
+                    constant: float = 0.0) -> "CipherVector":
+        """``multiplier·self·b + Σ c_i·x_i + constant`` at ``level`` as one
+        HMult (an HSquare when ``b is self``), rounded once.
+
+        ``addends`` are ``(CipherVector, coefficient)`` pairs; see
+        :meth:`~repro.ckks.evaluator.Evaluator.product_sum`.
+        """
+        handles = [(self._operand(vector), c) for vector, c in addends]
+        return self._wrap(self.backend.product_sum(
+            self.handle, self._operand(b), level, handles, multiplier, constant))
 
     # -- fuse / split -------------------------------------------------------
 

@@ -205,8 +205,7 @@ def evaluate_chebyshev(evaluator: Evaluator, ct: Ciphertext,
         if isinstance(tree, dict):
             # A constant alone rides on T_1 at weight 0.
             terms = [(basis[i], c) for i, c in tree.items() if i] or [(ct, 0.0)]
-            with Evaluator._scope(ct, "scalardot"):
-                return evaluator.weighted_sum(terms, level, scale, constant=tree.get(0, 0.0))
+            return evaluator.weighted_sum(terms, level, scale, constant=tree.get(0, 0.0))
         half, quotient, remainder = tree
         if quotient is None:
             return evaluate(remainder, level, scale)

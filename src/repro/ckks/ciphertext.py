@@ -162,6 +162,45 @@ def check_finite_scalar(operation: str, value) -> float:
     return value
 
 
+def check_sum(operation: str, terms: Sequence[tuple], level: int,
+              constant: float) -> list[float]:
+    """The checks a weighted sum and a product sum make before any work,
+    on both backends: there is a term, every named ``(name, handle,
+    coefficient)`` operand sits at ``level + 1`` or above and holds as many
+    members as the first, and every coefficient and the constant are
+    finite.  Returns the coefficients as floats, or raises ``ValueError``
+    naming the operand."""
+    if not terms:
+        raise ValueError(f"{operation} needs at least one term")
+    if level < 0:
+        raise ValueError(f"{operation} cannot land below level 0, got {level}")
+    check_finite_scalar(f"{operation}'s constant", constant)
+    coefficients = []
+    for name, handle, coefficient in terms:
+        coefficients.append(check_finite_scalar(name, coefficient))
+        if handle.level < level + 1:
+            raise ValueError(f"{name} is at level {handle.level}, below level {level} + 1")
+        try:
+            check_same_batch(terms[0][1], handle)
+        except ValueError as error:
+            raise ValueError(f"{name}: {error}") from None
+    return coefficients
+
+
+def check_product_sum(a, b, level: int, addends: Sequence[tuple], multiplier,
+                      constant: float) -> list[float]:
+    """:func:`check_sum` of a product sum's operands and addends, and its
+    multiplier a nonzero integer.  Returns the addends' coefficients."""
+    if isinstance(multiplier, bool) or not isinstance(multiplier, int) or not multiplier:
+        raise ValueError(f"product_sum's multiplier must be a nonzero integer, "
+                         f"got {multiplier!r}")
+    return check_sum(
+        "product_sum",
+        [("product_sum's a", a, 1.0), ("product_sum's b", b, 1.0)]
+        + [(f"product_sum addend {i}", h, c) for i, (h, c) in enumerate(addends)],
+        level, constant)[2:]
+
+
 def check_dot_operands(handles: Sequence, plaintexts: Sequence) -> None:
     """Reject an empty or unequally long ``dot_product_plain`` operand pair."""
     if not handles:
@@ -365,7 +404,9 @@ __all__ = [
     "Plaintext",
     "Ciphertext",
     "scales_match",
+    "check_product_sum",
     "check_same_batch",
+    "check_sum",
     "adjust_is_noop",
     "match_for_sum",
     "check_sum_scales",

@@ -42,8 +42,10 @@ from repro.ckks.ciphertext import (
     check_finite_scalar,
     check_plain_scale,
     check_product_rescale,
+    check_product_sum,
     check_same_batch,
     check_scalar_rescale,
+    check_sum,
     check_sum_scales,
     match_for_dot,
     match_for_product,
@@ -87,6 +89,16 @@ class Evaluator:
         self.params = context.params
         self.keys = keys
         self.encryptor = encryptor
+
+    @property
+    def moduli(self) -> list[int]:
+        """The chain this backend tracks, ``q_0 … q_L`` (the context's)."""
+        return self.context.moduli
+
+    @property
+    def scale_ladder(self) -> list[float]:
+        """The scale of each level on this backend's chain (the context's)."""
+        return self.context.scale_ladder
 
     @staticmethod
     def _scope(ct: Ciphertext, name: str):
@@ -166,7 +178,7 @@ class Evaluator:
         if adjust_is_noop(ct, target_level, target_scale):
             return ct.with_polys(ct.c0, ct.c1)
         with self._scope(ct, "at_level"):
-            return self.weighted_sum([(ct, 1.0)], target_level, target_scale)
+            return self._weighted_sum([(ct, 1.0)], [1.0], target_level, target_scale)
 
     def weighted_sum(self, terms: Sequence[tuple[Ciphertext, float]], level: int,
                      scale: float | None = None, constant: float = 0.0) -> Ciphertext:
@@ -183,16 +195,23 @@ class Evaluator:
         scale-invariant evaluation of Bossuat et al. (Eurocrypt 2021).  A
         term taken whole (coefficient 1, as ``adjust`` passes it) keeps a
         weight of at least 1, so a far-off target cannot zero it.  Terms
-        are checked before any work (:meth:`_check_sum`).  The caller
-        opens the operation's scope.
+        are checked before any work
+        (:func:`~repro.ckks.ciphertext.check_sum`), and the call opens its
+        own ``scalardot`` scope (``adjust`` and a rescaling
+        ``multiply_scalar`` run the same sum in theirs).
         """
         terms = list(terms)
-        if not terms:
-            raise ValueError("weighted_sum needs at least one term")
-        coefficients = self._check_sum(
+        coefficients = check_sum(
             "weighted_sum",
             [(f"weighted_sum term {i}", ct, c) for i, (ct, c) in enumerate(terms)],
             level, constant)
+        with self._scope(terms[0][0], "scalardot"):
+            return self._weighted_sum(terms, coefficients, level, scale, constant)
+
+    def _weighted_sum(self, terms: list[tuple[Ciphertext, float]],
+                      coefficients: list[float], level: int,
+                      scale: float | None = None, constant: float = 0.0) -> Ciphertext:
+        """:meth:`weighted_sum` of checked terms, in the caller's scope."""
         if scale is None:
             scale = self.context.scale_at(level)
         factor = self.context.rescale_factor
@@ -224,18 +243,12 @@ class Evaluator:
         ModDown-rescale divides everything by ``P·q`` once
         (:meth:`_product`).  The result sits at the product's scale
         ``s_a·s_b/q``.  ``multiplier`` is a nonzero integer.  The operands
-        are checked before any work (:meth:`_check_sum`), and the call opens
-        its own ``hmult``/``hsquare`` scope.
+        are checked before any work
+        (:func:`~repro.ckks.ciphertext.check_sum`), and the call opens its
+        own ``hmult``/``hsquare`` scope.
         """
-        if isinstance(multiplier, bool) or not isinstance(multiplier, int) or not multiplier:
-            raise ValueError(f"product_sum's multiplier must be a nonzero integer, "
-                             f"got {multiplier!r}")
         addends = list(addends)
-        coefficients = self._check_sum(
-            "product_sum",
-            [("product_sum's a", a, 1.0), ("product_sum's b", b, 1.0)]
-            + [(f"product_sum addend {i}", ct, c) for i, (ct, c) in enumerate(addends)],
-            level, constant)[2:]
+        coefficients = check_product_sum(a, b, level, addends, multiplier, constant)
         square = a is b
         with self._scope(a, "hsquare" if square else "hmult"):
             a = self.mod_reduce(a, level + 2)
@@ -247,29 +260,6 @@ class Evaluator:
                         for (ct, _), c in zip(addends, coefficients)]
             return self._product(a, b, square, weighted, multiplier,
                                  int(round(constant * landing)))
-
-    @staticmethod
-    def _check_sum(operation: str, terms: list[tuple[str, Ciphertext, float]],
-                   level: int, constant: float) -> list[float]:
-        """The checks :meth:`weighted_sum` and :meth:`product_sum` make
-        before any work: every named ``(name, ct, coefficient)`` operand
-        sits at ``level + 1`` or above and holds as many members as the
-        first, and every coefficient and the constant are finite.  Returns
-        the coefficients as floats, or raises ``ValueError`` naming the
-        operand."""
-        if level < 0:
-            raise ValueError(f"{operation} cannot land below level 0, got {level}")
-        check_finite_scalar(f"{operation}'s constant", constant)
-        coefficients = []
-        for name, ct, coefficient in terms:
-            coefficients.append(check_finite_scalar(name, coefficient))
-            if ct.level < level + 1:
-                raise ValueError(f"{name} is at level {ct.level}, below level {level} + 1")
-            try:
-                check_same_batch(terms[0][1], ct)
-            except ValueError as error:
-                raise ValueError(f"{name}: {error}") from None
-        return coefficients
 
     #: The backend protocol's name (it passes no scale: the ladder's applies).
     at_level = adjust
@@ -359,7 +349,7 @@ class Evaluator:
             check_scalar_rescale(ct)
         with self._scope(ct, "scalarmult"):
             if rescale:
-                return self.weighted_sum([(ct, value)], ct.level - 1)
+                return self._weighted_sum([(ct, value)], [value], ct.level - 1)
             integer = int(round(value * self.context.scale))
             return self._on_both(
                 ct, "scalarmult", lambda c: c.multiply_scalar(integer),

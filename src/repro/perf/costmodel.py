@@ -305,6 +305,36 @@ class CKKSOperationCosts:
         )
         return cost
 
+    def weighted_sum(self, limbs: int, terms: int, operands: int,
+                     constant: bool) -> OperationCost:
+        """A weighted sum's launch before its rescale: ``Σ w_i·ct_i + K``.
+
+        One launch (``scalarmult`` for one term and no constant,
+        ``scalardot`` otherwise) reads the ``operands`` distinct ciphertexts
+        and writes what the data plane's launch records -- each weighted
+        component, each partial sum and the constant's sum on ``c0``.  An
+        integer weight is one word per limb, so there is no scalar-encode
+        pass.
+        """
+        cost = OperationCost("WeightedSum")
+        cost.kernels = self.elementwise_kernels(
+            "scalarmult" if terms == 1 and not constant else "scalardot", limbs,
+            polys_read=2.0 * operands,
+            polys_written=2.0 * (2 * terms - 1) + constant,
+            ops_per_element=terms * 2.0 * MODMUL_OPS
+            + (terms - 1) * 2.0 * MODADD_OPS + constant * MODADD_OPS,
+        )
+        return cost
+
+    def limb_copy(self, limbs: int) -> OperationCost:
+        """A gather of ``limbs`` rows into a fresh stack: a fused operand's
+        mod-reduce keeps each member's head rows, one launch per component."""
+        cost = OperationCost("LimbCopy")
+        cost.kernels = self.elementwise_kernels(
+            "limb-copy", limbs, polys_read=1.0, polys_written=1.0, ops_per_element=0.0,
+        )
+        return cost
+
     def rescale(self, limbs: int) -> OperationCost:
         """Rescale: divide by the last prime and drop its limb.
 
@@ -368,16 +398,25 @@ class CKKSOperationCosts:
         )
         return kernels
 
-    def _tensor(self, limbs: int, *, square: bool) -> list[Kernel]:
-        """HMult's tensor product (HSquare's needs 3 products instead of 4)."""
-        if square:
-            return self.elementwise_kernels(
-                "square-tensor", limbs, polys_read=2.0, polys_written=3.0,
-                ops_per_element=3.0 * MODMUL_OPS + MODADD_OPS,
-            )
+    def _tensor(self, limbs: int, *, square: bool, operands: int | None = None,
+                addends: int = 0, constant: bool = False) -> list[Kernel]:
+        """HMult's tensor product (HSquare's needs 3 products instead of 4).
+
+        A product sum's launch also reads its ``operands`` distinct
+        ciphertexts (``a`` and ``b``, or ``a`` alone for a square, plus the
+        addends that are neither), and for each addend writes its weighted
+        components and their sums with ``d0``/``d1``; a constant is one more
+        sum on ``d0`` -- the writes the data plane's launch records.
+        """
+        if operands is None:
+            operands = 1 if square else 2
+        products = 3.0 * MODMUL_OPS + MODADD_OPS if square else \
+            4.0 * MODMUL_OPS + 2.0 * MODADD_OPS
         return self.elementwise_kernels(
-            "tensor", limbs, polys_read=4.0, polys_written=3.0,
-            ops_per_element=4.0 * MODMUL_OPS + 2.0 * MODADD_OPS,
+            "square-tensor" if square else "tensor", limbs,
+            polys_read=2.0 * operands, polys_written=3.0 + 4.0 * addends + constant,
+            ops_per_element=products + addends * 2.0 * (MODMUL_OPS + MODADD_OPS)
+            + constant * MODADD_OPS,
         )
 
     def hmult(self, limbs: int, *, include_rescale: bool = False) -> OperationCost:
@@ -409,7 +448,9 @@ class CKKSOperationCosts:
             ops_per_element=2.0 * MODADD_OPS,
         )
 
-    def product_rescale(self, limbs: int, *, square: bool = False) -> OperationCost:
+    def product_rescale(self, limbs: int, *, square: bool = False,
+                        operands: int | None = None, addends: int = 0,
+                        constant: bool = False) -> OperationCost:
         """HMult (or HSquare) + rescale with one merged ModDown-rescale tail.
 
         The stream this repo's data plane launches: the relinearisation
@@ -418,12 +459,15 @@ class CKKSOperationCosts:
         ``P·d_l`` to the ``q_l`` row on the way in), one exactly rounded
         conversion to ``Q_{l-1}`` and one NTT over ``l`` rows with the
         fold of the accumulator and the tensor's ``d_i`` divide by
-        ``P·q_l`` -- no relinearisation add and no separate rescale.
+        ``P·q_l`` -- no relinearisation add and no separate rescale.  A
+        product sum's addends and constant ride in the tensor launch
+        (:meth:`_tensor`); its multiplier only scales the tail's constants.
         """
         special = self.params.special_limb_count
         mul_add = MODMUL_OPS + MODADD_OPS
         cost = OperationCost("HSquare+Rescale" if square else "HMult+Rescale")
-        cost.kernels += self._tensor(limbs, square=square)
+        cost.kernels += self._tensor(limbs, square=square, operands=operands,
+                                     addends=addends, constant=constant)
         cost.kernels += self._key_switch_up(limbs)
         for _ in range(2):  # both ciphertext components
             cost.kernels += self.ntt_kernels(

@@ -10,7 +10,9 @@ same ciphertext shape are what the bucket queue fuses into one
 
 Programs are written once against the
 :class:`~repro.api.vector.CipherVector` operator surface (``+ - * **``
-``<< >>`` ``square/rescale/at_level/conj``), so the executor can run the
+``<< >>`` ``square/rescale/at_level/conj``, and ``weighted_sum`` /
+``product_sum``, which fold scalars into a rescale the operation already
+pays for), so the executor can run the
 identical op sequence either per request (singleton buckets) or on one
 handle fused across a drained bucket -- the evaluator takes the member
 count from its operand, which is exactly why batched responses are
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.api.vector import CipherVector
+from repro.ckks.context import ladder_scale, rescale_factor
 
 #: Process-wide request id source (ids only need to be unique per server,
 #: but a shared counter keeps logs unambiguous across servers).
@@ -65,40 +68,43 @@ class OpProgram:
 
     @classmethod
     def polynomial(cls, coeffs, *, name: str | None = None) -> "OpProgram":
-        """Evaluate ``c0 + c1·x + ... + cd·x^d`` under encryption.
+        """Evaluate ``c0 + c1·x + ... + cd·x^d`` under encryption, in Horner
+        form.
 
-        Powers are built by a level-aligned product chain and every term is
-        brought to the common (deepest) level before the additions.  Consumes ``degree``
-        multiplicative levels (plus the scalar multiplications' rescales).
+        Trailing zero coefficients are dropped, so ``d`` is the degree that
+        remains.  ``c_d·x + c_{d-1}`` is one weighted sum (one launch and one
+        rescale), and each ``t·x + c_i`` after it is one product sum: an
+        HMult with ``c_i`` riding in its merged ModDown-rescale.  That is one
+        rescale and ``d − 1`` HMults in all -- no HSquare, no realignment and
+        no rescale per coefficient -- and ``d`` levels.  The weighted sum's
+        scale is planned back from the end (``rescale_factor`` on the
+        backend's chain), so the result lands on the ladder scale of
+        ``x.level − d``.
         """
         coeffs = [float(c) for c in coeffs]
-        if len(coeffs) < 2 or all(c == 0.0 for c in coeffs[1:]):
+        while coeffs and coeffs[-1] == 0.0:
+            coeffs.pop()
+        if len(coeffs) < 2:
             raise ValueError(
                 "a serving polynomial needs at least one non-zero "
                 "non-constant coefficient (a constant program has no "
                 "ciphertext input)"
             )
-        label = name if name is not None else f"poly-deg{len(coeffs) - 1}"
+        degree = len(coeffs) - 1
+        label = name if name is not None else f"poly-deg{degree}"
 
         def evaluate(x):
-            terms = []
-            power = None
-            for degree, c in enumerate(coeffs[1:], start=1):
-                if power is None:
-                    power = x
-                else:
-                    power = power * x.at_level(power.level)
-                if c == 0.0:
-                    continue
-                terms.append(power if c == 1.0 else power * c)
-            floor = min(term.level for term in terms)
-            result = None
-            for term in terms:
-                term = term.at_level(floor)
-                result = term if result is None else result + term
-            if coeffs[0] != 0.0:
-                result = result + coeffs[0]
-            return result
+            bottom = x.level - degree
+            # The scale t needs one level above each product for the last
+            # product to land on the ladder.
+            scale = ladder_scale(x.backend.scale_ladder, bottom)
+            for level in range(bottom, x.level - 1):
+                scale = rescale_factor(x.backend.moduli, level, x.scale, scale)
+            t = CipherVector.weighted_sum([(x, coeffs[degree])], x.level - 1,
+                                          scale=scale, constant=coeffs[degree - 1])
+            for c in reversed(coeffs[:degree - 1]):
+                t = t.product_sum(x, t.level - 1, constant=c)
+            return t
 
         return cls(label, evaluate, key=("polynomial", tuple(coeffs)))
 

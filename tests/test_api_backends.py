@@ -150,6 +150,7 @@ class TestSharedMatchingRule:
     @pytest.mark.parametrize("case", [
         "scale-mismatch", "level-0-multiply-scalar", "dot-empty",
         "dot-surplus-rows", "dot-missing-rows", "add-inf", "multiply-nan",
+        "weighted-sum-empty", "weighted-sum-below", "product-sum-multiplier",
     ])
     def test_operand_errors_are_the_same_error(self, session, case):
         def attempt(backend):
@@ -165,6 +166,12 @@ class TestSharedMatchingRule:
                 return lambda: backend.add_scalar(fresh(), float("inf"))
             if case == "multiply-nan":
                 return lambda: backend.multiply_scalar(fresh(), float("nan"))
+            if case == "weighted-sum-empty":
+                return lambda: backend.weighted_sum([], 1)
+            if case == "weighted-sum-below":
+                return lambda: backend.weighted_sum([(fresh(level=1), 0.5)], 1)
+            if case == "product-sum-multiplier":
+                return lambda: backend.product_sum(fresh(), fresh(), 1, multiplier=0.5)
             handles, rows = {
                 "dot-empty": (0, 0), "dot-surplus-rows": (1, 2),
                 "dot-missing-rows": (2, 1),

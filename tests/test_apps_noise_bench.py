@@ -279,7 +279,8 @@ class TestBenchReporting:
         assert spelled == {
             "EvaluationBackend": operations,
             "CostModelBackend": operations,
-            "CipherVector": {"square", "rotate", "rescale", "at_level"},
+            "CipherVector": {"square", "rotate", "rescale", "at_level",
+                             "weighted_sum", "product_sum"},
             "CKKSSession": {"encrypt", "encrypt_batch"},
         }
         assert not {"_match", "_match_for_product"} & set(vars(CostModelBackend))

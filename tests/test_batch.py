@@ -102,6 +102,12 @@ SURFACE_OPS = {
         [x, y], [[0.5] * 8, [0.25] * 8]),
     # Mixed levels: the single evaluator aligns a fused operand like any other.
     "add_mixed_level": lambda be, x, y: be.add(x, be.at_level(y, y.level - 1)),
+    # A term below the top is mod-reduced: a fused one's members each keep
+    # their head rows.
+    "weighted_sum": lambda be, x, y: be.weighted_sum(
+        [(x, 0.5), (y, -0.25)], x.level - 2, constant=0.125),
+    "product_sum": lambda be, x, y: be.product_sum(
+        x, y, x.level - 2, [(x, 0.75)], constant=-0.5),
 }
 
 
@@ -600,7 +606,7 @@ class TestOpSurface:
 
     def test_backends_expose_exactly_the_protocol_ops(self):
         protocol = self._public_ops(EvaluationBackend)
-        assert len(protocol - {"describe"}) == 20  # 17 ops + 3 fuse/split
+        assert len(protocol - {"describe"}) == 22  # 19 ops + 3 fuse/split
         for name in protocol:
             assert not name.startswith("batch_") or name in (
                 "batch_from", "batch_split"

@@ -288,6 +288,14 @@ OP_SURFACE = {
     "negate": lambda x, y: -x,
     "rotate0": lambda x, y: x << 0,
     "at_level-same": lambda x, y: x.at_level(x.level),
+    # Scalars folded into the rescale an operation already pays for, one
+    # level below the lower operand.
+    "weighted_sum": lambda x, y: CipherVector.weighted_sum(
+        [(x, 0.5), (y, -0.25)], min(x.level, y.level) - 1, constant=0.125),
+    "product_sum": lambda x, y: x.product_sum(
+        y, min(x.level, y.level) - 1, [(x, 0.75)], constant=-0.5),
+    "product_sum-square": lambda x, y: x.product_sum(
+        x, x.level - 1, multiplier=2, constant=-1.0),
 }
 
 #: Operations whose recorded kernel stream is known to differ from the
@@ -306,6 +314,19 @@ KNOWN_DRIFT = {
                 "pass; at B=8 7 vs 6, a fused mod-reduce gathers each "
                 "component) -- ROADMAP 4(e)",
 }
+
+#: The sums two levels below their operands, so every operand is
+#: mod-reduced; and the operands a fused run gathers (the square reads its
+#: operand once, a repeated operand is gathered per occurrence).
+SUMS_BELOW = {
+    "weighted_sum": lambda x, y: CipherVector.weighted_sum(
+        [(x, 0.5), (y, -0.25)], x.level - 2, constant=0.125),
+    "product_sum": lambda x, y: x.product_sum(
+        y, x.level - 2, [(x, 0.75), (y, 1.0)], constant=-0.5),
+    "product_sum-square": lambda x, y: x.product_sum(x, x.level - 2, [(y, 1.0)],
+                                                     multiplier=2),
+}
+GATHERED = {"weighted_sum": "xy", "product_sum": "xyxy", "product_sum-square": "xy"}
 
 #: Launches of the rows whose point is their count, on both producers.
 EXACT_KERNELS = {"negate": 1, "rotate0": 0, "at_level-same": 0}
@@ -367,6 +388,37 @@ class TestReconciliation:
             assert recorded.kernel_count == closed_form.kernel_count == EXACT_KERNELS[op]
         if members == 1:
             assert not [e for e in recorded if e.kernel.name.startswith("limb-copy")]
+
+    @pytest.mark.parametrize("backend", ["uint64", "dword"])
+    @pytest.mark.parametrize("members", [1, 8], ids=["B1", "B8"])
+    @pytest.mark.parametrize("op", sorted(SUMS_BELOW))
+    def test_sum_twins_launch_what_the_data_plane_launches(
+            self, op, members, backend, reconcile_sessions):
+        """Two levels below their operands, the twin's weighted and product
+        sums emit the recorded launches one for one -- at B=8 with the
+        gather per component of each fused operand they mod-reduce -- the
+        same bytes (up to the weights' one word per limb) and land on the
+        same level and scale."""
+        session = reconcile_sessions[backend]
+        rows = [np.linspace(-1.0, 1.0, 8)] * members
+        traces, results = [], []
+        for producer in (session.backend, session.cost_backend()):
+            x, y = (
+                CipherVector(producer, producer.encrypt_batch(rows)
+                             if members > 1 else producer.encrypt(rows[0]))
+                for _ in range(2)
+            )
+            with session.trace() as trace:
+                results.append(SUMS_BELOW[op](x, y))
+            traces.append(trace)
+        recorded, closed_form = traces
+        assert recorded.kernel_count == closed_form.kernel_count
+        gathers = [sum(k.name.startswith("limb-copy") for k in t.kernels()) for t in traces]
+        assert gathers[0] == gathers[1] == (0 if members == 1 else 2 * len(GATHERED[op]))
+        assert closed_form.bytes_moved == pytest.approx(recorded.bytes_moved, rel=1e-3)
+        real, twin = results
+        assert twin.level == real.level
+        assert twin.scale == pytest.approx(real.scale, rel=1e-12)
 
     @pytest.mark.parametrize("members", [1, 3], ids=["B1", "B3"])
     def test_dot_product_twin_matches_the_recording(self, members, traced_session):

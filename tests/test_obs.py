@@ -105,9 +105,10 @@ SERVE_SERIES = {
 
 #: sha256 of the sorted-key JSON export of one priced B=8 drain with spans
 #: (``TestChromeTraceExport.test_single_drain_export_is_pinned``), with the
-#: program's HMult ending in one merged ModDown-rescale.
+#: program in Horner form: one weighted sum, then one HMult whose constant
+#: rides in its merged ModDown-rescale.
 SINGLE_DRAIN_EXPORT_SHA256 = (
-    "0d8a3e64e86567f5f5cb6a2617ee57e3ec4cb8d888e4a45d4c95c3e02f07b5cd"
+    "e13454af3c0bfbb2d67e602d3a5a72381790685c441b7590a5a7cc9784503829"
 )
 
 

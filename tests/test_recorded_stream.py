@@ -92,7 +92,9 @@ def stream_digest(trace) -> str:
 #: launches, when the stage-granular stream was a second recording mode),
 #: N=2^8, depth 4, dnum 3: ``op/B/backend/mode`` -> digest.  The ``hmult``
 #: and ``hsquare`` rows are those of the merged ModDown-rescale tail (no
-#: relinearisation add, no separate rescale).
+#: relinearisation add, no separate rescale).  The ``product_sum`` and
+#: ``weighted_sum`` rows were added with those operations' protocol rows,
+#: read off the data plane that first served them.
 GOLDEN: dict[str, str] = {
     "at_level/B1/uint64/fused": "f1c0b1961aa552fc",
     "at_level/B1/uint64/stage-granular": "e92ebb1185cb4dd0",
@@ -174,6 +176,22 @@ GOLDEN: dict[str, str] = {
     "ptadd/B8/uint64/stage-granular": "25c0ca914aaa552a",
     "ptadd/B8/dword/fused": "25c0ca914aaa552a",
     "ptadd/B8/dword/stage-granular": "25c0ca914aaa552a",
+    "product_sum/B1/uint64/fused": "8ae561e415e3c3d6",
+    "product_sum/B1/uint64/stage-granular": "aed4104003c7ce96",
+    "product_sum/B1/dword/fused": "8ae561e415e3c3d6",
+    "product_sum/B1/dword/stage-granular": "1492083bfd5a5879",
+    "product_sum/B8/uint64/fused": "04fccc8769197245",
+    "product_sum/B8/uint64/stage-granular": "94cf2d0edeb32dbb",
+    "product_sum/B8/dword/fused": "04fccc8769197245",
+    "product_sum/B8/dword/stage-granular": "568c580ebfb00dbc",
+    "product_sum-square/B1/uint64/fused": "580c7d9afed44f20",
+    "product_sum-square/B1/uint64/stage-granular": "bdb8f43e264d2948",
+    "product_sum-square/B1/dword/fused": "580c7d9afed44f20",
+    "product_sum-square/B1/dword/stage-granular": "15f01e30ddde15dd",
+    "product_sum-square/B8/uint64/fused": "a538104ffbf627ed",
+    "product_sum-square/B8/uint64/stage-granular": "feca2ff197e54581",
+    "product_sum-square/B8/dword/fused": "a538104ffbf627ed",
+    "product_sum-square/B8/dword/stage-granular": "e2b5db9e0cc7b258",
     "ptmult+rescale/B1/uint64/fused": "ab60b4138a17abea",
     "ptmult+rescale/B1/uint64/stage-granular": "e63a7335813daaf6",
     "ptmult+rescale/B1/dword/fused": "ab60b4138a17abea",
@@ -206,6 +224,14 @@ GOLDEN: dict[str, str] = {
     "scalarmult+rescale/B8/uint64/stage-granular": "984bd89efb5ac7f4",
     "scalarmult+rescale/B8/dword/fused": "874ab55072ad7959",
     "scalarmult+rescale/B8/dword/stage-granular": "874ab55072ad7959",
+    "weighted_sum/B1/uint64/fused": "72b4fb297b782e55",
+    "weighted_sum/B1/uint64/stage-granular": "f4af19ad2739648e",
+    "weighted_sum/B1/dword/fused": "72b4fb297b782e55",
+    "weighted_sum/B1/dword/stage-granular": "72b4fb297b782e55",
+    "weighted_sum/B8/uint64/fused": "f2a73b2bcb8b5c0a",
+    "weighted_sum/B8/uint64/stage-granular": "b596fc223f13c23a",
+    "weighted_sum/B8/dword/fused": "f2a73b2bcb8b5c0a",
+    "weighted_sum/B8/dword/stage-granular": "f2a73b2bcb8b5c0a",
 }
 
 
@@ -234,6 +260,7 @@ class TestGoldenStreams:
 PIPELINE_OPS = [
     "hmult", "hsquare", "hrotate", "hconjugate", "hoisted-x3",
     "ptmult+rescale", "scalarmult+rescale", "at_level", "hadd",
+    "weighted_sum", "product_sum", "product_sum-square",
 ]
 
 

@@ -12,11 +12,14 @@ functional, cost-model and tracing -- through the
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.api.vector import CipherVector
 from repro.apps.logistic_regression import EncryptedLRScorer, sigmoid_poly
+from repro.core.dispatch import DISPATCH
 from repro.core.memory import FusedFootprintError
 from repro.gpu.platforms import GPU_RTX_4090
 from repro.perf.trace_model import TraceCostModel
@@ -36,6 +39,14 @@ from tests.conftest import coefficient_frame
 
 #: 1 + 2x^2: two levels deep, no rotation keys needed.
 POLY_PROGRAM = OpProgram.polynomial([1.0, 0.0, 2.0])
+
+#: The serve_burst_b8 polynomial: 0.5 + 0.25x − 0.02x^3.
+BURST_POLYNOMIAL = [0.5, 0.25, 0.0, -0.02]
+
+#: Horner programs checked against ``np.polyval``: degrees 3, 2 and 1, and a
+#: trailing zero that is dropped.
+HORNER_SETS = [BURST_POLYNOMIAL, [1.0, 0.0, 2.0], [0.5, -1.0, 0.0, 0.25],
+               [0.3, -0.7], [1.0, 2.0, 0.0]]
 
 #: (x*x) + 0.5 written directly against the shared operator surface.
 SQUARE_PROGRAM = OpProgram("square-shift", lambda x: (x * x) + 0.5)
@@ -452,6 +463,26 @@ class TestServeBackends:
         assert symbolic.metrics.modeled_seconds == \
             pricer.price(emitted, streams=1).makespan
 
+    @pytest.mark.parametrize("coeffs", HORNER_SETS, ids=str)
+    def test_cost_model_serves_horner_to_the_same_level_and_scale(
+            self, session, rng, coeffs):
+        """The twin runs the same weighted sum and product sums: the same
+        level and scale, and the kernels the data plane launches."""
+        program = OpProgram.polynomial(coeffs)
+        rows = [rng.uniform(-1, 1, 8) for _ in range(3)]
+        results, traces = [], []
+        for backend in (session.backend, session.cost_backend()):
+            x = CipherVector(backend, backend.encrypt_batch(rows))
+            with session.trace() as trace:
+                results.append(program(x))
+            traces.append(trace)
+        real, ghost = results
+        assert ghost.level == real.level
+        assert ghost.scale == pytest.approx(real.scale, rel=1e-12)
+        recorded, emitted = traces
+        assert emitted.kernel_count == recorded.kernel_count
+        assert emitted.bytes_moved == pytest.approx(recorded.bytes_moved, rel=1e-3)
+
     def test_recorded_serving_is_bit_identical(self, session, rng):
         rows = [rng.uniform(-1, 1, 8) for _ in range(3)]
         plain = Server(session, BatchingPolicy(max_batch_size=4, max_wait=0.0))
@@ -500,22 +531,50 @@ class TestServeBackends:
 
 
 class TestOpProgram:
-    def test_polynomial_matches_plain_math(self, session, rng):
-        coeffs = [0.5, -1.0, 0.0, 0.25]  # 0.5 - x + 0.25 x^3
-        program = OpProgram.polynomial(coeffs)
-        values = rng.uniform(-1, 1, 8)
-        result = program(session.encrypt(values))
-        decrypted = session.decrypt(result, 8).real
-        expected = np.polynomial.polynomial.polyval(values, coeffs)
-        assert np.max(np.abs(decrypted - expected)) < 5e-3
-
-    def test_polynomial_batched_is_bit_identical(self, session, rng):
-        program = OpProgram.polynomial([0.5, -1.0, 0.0, 0.25])
-        vectors = [session.encrypt(rng.uniform(-1, 1, 8)) for _ in range(3)]
+    @pytest.mark.parametrize("members", [1, 3, 8])
+    def test_polynomial_batched_is_bit_identical(self, session, rng, members):
+        program = OpProgram.polynomial(BURST_POLYNOMIAL)
+        vectors = [session.encrypt(rng.uniform(-1, 1, 8)) for _ in range(members)]
         sequential = [program(v) for v in vectors]
         fused = program(session.batch(vectors)).split()
+        assert len(fused) == members
         for member, reference in zip(fused, sequential):
             assert bitwise_equal(member, reference)
+
+    @pytest.mark.parametrize("coeffs", HORNER_SETS, ids=str)
+    def test_polynomial_matches_plain_math(self, session, rng, coeffs):
+        """Horner form against ``np.polyval``: ``d`` levels consumed (the
+        trailing zeros of ``[1, 2, 0]`` cost none), and the result on the
+        ladder scale of its level."""
+        program = OpProgram.polynomial(coeffs)
+        values = rng.uniform(-1, 1, 8)
+        x = session.encrypt(values)
+        result = program(x)
+        decrypted = session.decrypt(result, 8).real
+        assert np.max(np.abs(decrypted - np.polyval(coeffs[::-1], values))) < 5e-3
+        degree = max(i for i, c in enumerate(coeffs) if c)
+        assert result.level == x.level - degree
+        ladder = session.context.scale_at(result.level)
+        assert abs(result.scale - ladder) <= 1e-12 * ladder
+
+    def test_horner_is_one_weighted_sum_and_d_minus_one_products(self, session, rng):
+        class Scopes(Counter):
+            def enter(self, name):
+                self[name.rsplit("/", 1)[-1]] += 1
+
+            def exit(self, name):
+                pass
+
+        scopes = Scopes()
+        x = session.encrypt(rng.uniform(-1, 1, 8))
+        with DISPATCH.profiling(scopes):
+            OpProgram.polynomial(BURST_POLYNOMIAL)(x)
+        # No HSquare, realignment, addition or standalone scalar operation.
+        assert {name: scopes[name] for name in (
+            "scalardot", "rescale", "hmult", "hsquare", "at_level", "hadd",
+            "scalarmult", "scalaradd")} == {
+            "scalardot": 1, "rescale": 1, "hmult": 2, "hsquare": 0, "at_level": 0,
+            "hadd": 0, "scalarmult": 0, "scalaradd": 0}
 
     def test_constant_polynomial_rejected(self):
         with pytest.raises(ValueError, match="non-constant"):
