@@ -46,6 +46,7 @@ from repro.ckks.ciphertext import (
     check_dot_operands,
     check_finite_scalar,
     check_fusable,
+    check_mod_reduce,
     check_plain_scale,
     check_product_rescale,
     check_product_sum,
@@ -101,6 +102,7 @@ class EvaluationBackend(Protocol):
     def hoisted_rotations(self, a, steps: Sequence[int]) -> dict: ...
 
     def rescale(self, a): ...
+    def mod_reduce(self, a, limb_count: int): ...
     def at_level(self, a, level: int): ...
     def dot_product_plain(self, handles: Sequence, value_rows: Sequence): ...
     def weighted_sum(self, terms: Sequence, level: int, scale: float | None = None,
@@ -304,6 +306,15 @@ class CostModelBackend:
         with self._scope(a, "rescale"):
             self._emit(a, self.costs.rescale, a.limb_count)
         return self._dropped(a)
+
+    def mod_reduce(self, a: SymbolicCiphertext, limb_count: int) -> SymbolicCiphertext:
+        """The evaluator's mod-reduce: ``limb_count`` limbs at an unchanged
+        scale.  A fused handle above ``limb_count`` emits its two gathers
+        (:meth:`_reduce`) in a ``modreduce`` scope; a window emits nothing."""
+        check_mod_reduce(a, limb_count)
+        with self._scope(a, "modreduce"):
+            self._reduce([a], limb_count)
+        return replace(a, limb_count=limb_count)
 
     def _dropped(self, a: SymbolicCiphertext) -> SymbolicCiphertext:
         """``a`` one level down, its scale divided by the dropped prime."""

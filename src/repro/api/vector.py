@@ -243,6 +243,11 @@ class CipherVector:
         """Drop the last limb, dividing the scale by its prime."""
         return self._wrap(self.backend.rescale(self.handle))
 
+    def mod_reduce(self, limb_count: int) -> "CipherVector":
+        """Drop limbs down to ``limb_count`` without rescaling: exact, at the
+        same scale (see :meth:`~repro.ckks.evaluator.Evaluator.mod_reduce`)."""
+        return self._wrap(self.backend.mod_reduce(self.handle, limb_count))
+
     def at_level(self, level: int) -> "CipherVector":
         """Return a copy adjusted down to ``level`` at the ladder scale."""
         return self._wrap(self.backend.at_level(self.handle, level))

@@ -25,10 +25,16 @@ from repro.api.backend import as_backend
 from repro.api.vector import CipherVector, as_vector
 from repro.apps.dataset import _next_power_of_two
 from repro.apps.linear_algebra import EncryptedLinearAlgebra
+from repro.ckks.context import reply_limbs
 
 #: Degree-3 least-squares approximation of the sigmoid on [-6, 6]
 #: (the approximation used by Han et al. for encrypted LR training).
 SIGMOID_COEFFS = (0.5, 0.197, 0.0, -0.004)
+
+
+#: Multiplicative levels of :class:`EncryptedLRScorer`'s circuit: the
+#: PtMult, the square (beside ``c3·z``) and the cubic product.
+SCORE_DEPTH = 3
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -184,7 +190,11 @@ class EncryptedLRScorer:
     whose two ciphertext factors sit at the same level by construction.
 
     Requires rotation keys for the powers of two below the padded feature
-    count (:meth:`required_rotations`).  Uses 3 multiplicative levels.
+    count (:meth:`required_rotations`).  The circuit is 3 levels deep, and
+    its first step mod-reduces the input to ``min(x.limb_count, 3 + k)``
+    limbs, where ``k`` is :func:`~repro.ckks.context.reply_limbs` of
+    :attr:`output_bound`: every HMult, rotation and rescale runs on the limbs
+    the depth and the score need, and the score leaves with ``k`` limbs.
     """
 
     backend: object
@@ -199,6 +209,13 @@ class EncryptedLRScorer:
         self._padded_count = padded
         self._padded_weights = np.zeros(padded)
         self._padded_weights[: self.weights.size] = self.weights
+
+    @property
+    def output_bound(self) -> float:
+        """A bound on ``|sigmoid_poly(w·x)|`` for features in [−1, 1]:
+        ``Σ|c_i|·W^i`` with ``W = Σ|w_j|`` bounding ``|w·x|``."""
+        total = float(np.abs(self.weights).sum())
+        return sum(abs(c) * total**i for i, c in enumerate(SIGMOID_COEFFS))
 
     @property
     def feature_count(self) -> int:
@@ -217,6 +234,9 @@ class EncryptedLRScorer:
     def _score(self, x):
         """The shared circuit over a (possibly fused) CipherVector."""
         c0, c1, _, c3 = SIGMOID_COEFFS
+        backend = x.backend
+        k = reply_limbs(backend.moduli, backend.scale_ladder, self.output_bound)
+        x = x.mod_reduce(min(x.limb_count, SCORE_DEPTH + k))
         masked = x * self._padded_weights          # PtMult: w_j * x_j per slot
         logits = masked
         for step in EncryptedLinearAlgebra.rotation_steps_for_sum(self._padded_count):

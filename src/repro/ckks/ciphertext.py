@@ -154,6 +154,15 @@ def check_product_rescale(*handles) -> None:
         raise ValueError("cannot rescale a level-0 ciphertext")
 
 
+def check_mod_reduce(handle, limb_count) -> None:
+    """Reject a mod-reduce to no limbs or to more limbs than ``handle`` has."""
+    if not 1 <= limb_count <= handle.limb_count:
+        raise ValueError(
+            f"cannot mod-reduce a {handle.limb_count}-limb ciphertext to "
+            f"{limb_count} limbs: keep 1 to {handle.limb_count}"
+        )
+
+
 def check_finite_scalar(operation: str, value) -> float:
     """Reject a scalar operand with no fixed-point encoding (``inf``, ``nan``)."""
     value = float(value)
@@ -416,6 +425,7 @@ __all__ = [
     "check_product_rescale",
     "check_scalar_rescale",
     "check_finite_scalar",
+    "check_mod_reduce",
     "check_dot_operands",
     "check_fusable",
     "member_lengths",

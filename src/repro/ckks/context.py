@@ -20,6 +20,7 @@ allowing several contexts to coexist (e.g. in the unit tests).
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -312,6 +313,37 @@ def rescale_factor(moduli, level: int, scale: float, target: float) -> float:
     the cost-model twin on its own chain.
     """
     return moduli[level + 1] * target / scale
+
+
+#: Bits of headroom a program's output keeps in the modulus it lands on,
+#: above ``2·bound·Δ``: at one bit of output precision or more the
+#: decryption noise is below ``Δ``, so a few bits cover it.
+REPLY_MARGIN_BITS = 4
+
+
+def reply_limbs(moduli, ladder, bound: float) -> int:
+    """The fewest limbs ``k`` that hold an output of magnitude at most
+    ``bound``: ``q_0⋯q_{k−1} ≥ 2^(1+M)·bound·Δ_{k−1}``, where ``Δ_{k−1}``
+    (``ladder[k − 1]``) is the scale the output lands on and ``M`` is
+    :data:`REPLY_MARGIN_BITS`; every limb when no shorter chain holds it.
+
+    Dropping limbs keeps the remaining residues, so a ciphertext decrypts to
+    the same integer ``m·Δ + e`` while that is below half the remaining
+    modulus.  A depth-``d`` program that mod-reduces its input to
+    ``min(limb_count, d + k)`` limbs therefore runs its whole circuit on the
+    limbs its output needs and replies with ``k`` (OpenFHE's
+    ``Compress(ct, towersLeft)``, applied at the program's entry).
+    """
+    bound = float(bound)
+    if not (math.isfinite(bound) and bound >= 0.0):
+        raise ValueError(f"an output bound is a finite magnitude, got {bound!r}")
+    need = 2.0 ** (1 + REPLY_MARGIN_BITS) * bound
+    product = 1
+    for k, q in enumerate(moduli, start=1):
+        product *= q
+        if product >= need * ladder[k - 1]:
+            return k
+    return len(moduli)
 
 
 def set_default_context(context: Context | None) -> Context | None:

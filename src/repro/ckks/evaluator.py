@@ -40,6 +40,7 @@ from repro.ckks.ciphertext import (
     adjust_is_noop,
     check_dot_operands,
     check_finite_scalar,
+    check_mod_reduce,
     check_plain_scale,
     check_product_rescale,
     check_product_sum,
@@ -157,9 +158,21 @@ class Evaluator:
         return ct.with_polys(c0, c1, scale=ct.scale / q_last)
 
     def mod_reduce(self, ct: Ciphertext, limb_count: int) -> Ciphertext:
-        """Drop limbs without rescaling (message and scale unchanged)."""
-        if limb_count > ct.limb_count:
-            raise ValueError("cannot mod-reduce to a larger limb count")
+        """Drop limbs without rescaling (message and scale unchanged).
+
+        Exact while the decrypted ``|m·Δ + e|`` is below half the remaining
+        modulus (:func:`~repro.ckks.context.reply_limbs`).  Keeping every
+        limb is a new handle over the same polynomials and a plain operand
+        keeps a row window; a fused operand gathers each component (every
+        member's head rows), in a ``modreduce`` scope.
+        """
+        check_mod_reduce(ct, limb_count)
+        with self._scope(ct, "modreduce"):
+            return self._mod_reduce(ct, limb_count)
+
+    @staticmethod
+    def _mod_reduce(ct: Ciphertext, limb_count: int) -> Ciphertext:
+        """:meth:`mod_reduce` in the caller's scope."""
         return ct.with_polys(
             ct.c0.keep_limbs(limb_count),
             ct.c1.keep_limbs(limb_count),
@@ -215,7 +228,7 @@ class Evaluator:
         if scale is None:
             scale = self.context.scale_at(level)
         factor = self.context.rescale_factor
-        reduced = [self.mod_reduce(ct, level + 2) for ct, _ in terms]
+        reduced = [self._mod_reduce(ct, level + 2) for ct, _ in terms]
         weights = [int(round(c * factor(level, ct.scale, scale)))
                    for (ct, _), c in zip(terms, coefficients)]
         weights = [max(1, w) if c == 1 else w for c, w in zip(coefficients, weights)]
@@ -251,11 +264,11 @@ class Evaluator:
         coefficients = check_product_sum(a, b, level, addends, multiplier, constant)
         square = a is b
         with self._scope(a, "hsquare" if square else "hmult"):
-            a = self.mod_reduce(a, level + 2)
-            b = a if square else self.mod_reduce(b, level + 2)
+            a = self._mod_reduce(a, level + 2)
+            b = a if square else self._mod_reduce(b, level + 2)
             landing = a.scale * b.scale / a.moduli[-1]
             factor = self.context.rescale_factor
-            weighted = [(self.mod_reduce(ct, level + 2),
+            weighted = [(self._mod_reduce(ct, level + 2),
                          int(round(c * factor(level, ct.scale, landing / multiplier))))
                         for (ct, _), c in zip(addends, coefficients)]
             return self._product(a, b, square, weighted, multiplier,

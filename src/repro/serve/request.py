@@ -10,9 +10,9 @@ same ciphertext shape are what the bucket queue fuses into one
 
 Programs are written once against the
 :class:`~repro.api.vector.CipherVector` operator surface (``+ - * **``
-``<< >>`` ``square/rescale/at_level/conj``, and ``weighted_sum`` /
-``product_sum``, which fold scalars into a rescale the operation already
-pays for), so the executor can run the
+``<< >>`` ``square/rescale/mod_reduce/at_level/conj``, and
+``weighted_sum`` / ``product_sum``, which fold scalars into a rescale the
+operation already pays for), so the executor can run the
 identical op sequence either per request (singleton buckets) or on one
 handle fused across a drained bucket -- the evaluator takes the member
 count from its operand, which is exactly why batched responses are
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.api.vector import CipherVector
-from repro.ckks.context import ladder_scale, rescale_factor
+from repro.ckks.context import ladder_scale, reply_limbs, rescale_factor
 
 #: Process-wide request id source (ids only need to be unique per server,
 #: but a shared counter keeps logs unambiguous across servers).
@@ -76,10 +76,16 @@ class OpProgram:
         rescale), and each ``t·x + c_i`` after it is one product sum: an
         HMult with ``c_i`` riding in its merged ModDown-rescale.  That is one
         rescale and ``d − 1`` HMults in all -- no HSquare, no realignment and
-        no rescale per coefficient -- and ``d`` levels.  The weighted sum's
-        scale is planned back from the end (``rescale_factor`` on the
-        backend's chain), so the result lands on the ladder scale of
-        ``x.level − d``.
+        no rescale per coefficient -- and ``d`` levels.
+
+        The first step mod-reduces ``x`` to ``min(x.limb_count, d + k)``
+        limbs, where ``k`` is :func:`~repro.ckks.context.reply_limbs` of the
+        output bound ``Σ|c_i|`` (inputs in [−1, 1]): the circuit runs on the
+        limbs its depth and its output need, and the result has ``k`` limbs
+        (fewer only when ``x`` arrived with fewer than ``d + k``).  The
+        weighted sum's scale is planned back from the end
+        (``rescale_factor`` on the backend's chain), so the result lands on
+        the ladder scale of its level.
         """
         coeffs = [float(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0.0:
@@ -92,14 +98,18 @@ class OpProgram:
             )
         degree = len(coeffs) - 1
         label = name if name is not None else f"poly-deg{degree}"
+        bound = sum(abs(c) for c in coeffs)
 
         def evaluate(x):
+            backend = x.backend
+            k = reply_limbs(backend.moduli, backend.scale_ladder, bound)
+            x = x.mod_reduce(min(x.limb_count, degree + k))
             bottom = x.level - degree
             # The scale t needs one level above each product for the last
             # product to land on the ladder.
-            scale = ladder_scale(x.backend.scale_ladder, bottom)
+            scale = ladder_scale(backend.scale_ladder, bottom)
             for level in range(bottom, x.level - 1):
-                scale = rescale_factor(x.backend.moduli, level, x.scale, scale)
+                scale = rescale_factor(backend.moduli, level, x.scale, scale)
             t = CipherVector.weighted_sum([(x, coeffs[degree])], x.level - 1,
                                           scale=scale, constant=coeffs[degree - 1])
             for c in reversed(coeffs[:degree - 1]):

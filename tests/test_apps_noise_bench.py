@@ -279,7 +279,7 @@ class TestBenchReporting:
         assert spelled == {
             "EvaluationBackend": operations,
             "CostModelBackend": operations,
-            "CipherVector": {"square", "rotate", "rescale", "at_level",
+            "CipherVector": {"square", "rotate", "rescale", "mod_reduce", "at_level",
                              "weighted_sum", "product_sum"},
             "CKKSSession": {"encrypt", "encrypt_batch"},
         }

@@ -98,6 +98,7 @@ SURFACE_OPS = {
     "rescale": lambda be, x, y: be.rescale(
         be.multiply_plain(x, [0.5] * 8, rescale=False)),
     "at_level": lambda be, x, y: be.at_level(x, x.level - 2),
+    "mod_reduce": lambda be, x, y: be.mod_reduce(x, 2),
     "dot_product_plain": lambda be, x, y: be.dot_product_plain(
         [x, y], [[0.5] * 8, [0.25] * 8]),
     # Mixed levels: the single evaluator aligns a fused operand like any other.
@@ -606,7 +607,7 @@ class TestOpSurface:
 
     def test_backends_expose_exactly_the_protocol_ops(self):
         protocol = self._public_ops(EvaluationBackend)
-        assert len(protocol - {"describe"}) == 22  # 19 ops + 3 fuse/split
+        assert len(protocol - {"describe"}) == 23  # 20 ops + 3 fuse/split
         for name in protocol:
             assert not name.startswith("batch_") or name in (
                 "batch_from", "batch_split"

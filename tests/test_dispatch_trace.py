@@ -288,6 +288,9 @@ OP_SURFACE = {
     "negate": lambda x, y: -x,
     "rotate0": lambda x, y: x << 0,
     "at_level-same": lambda x, y: x.at_level(x.level),
+    # Dropping limbs to a serving program's entry: a window at B=1 (no
+    # launch), one gather per component of a fused operand.
+    "mod_reduce": lambda x, y: x.mod_reduce(2),
     # Scalars folded into the rescale an operation already pays for, one
     # level below the lower operand.
     "weighted_sum": lambda x, y: CipherVector.weighted_sum(

@@ -105,10 +105,11 @@ SERVE_SERIES = {
 
 #: sha256 of the sorted-key JSON export of one priced B=8 drain with spans
 #: (``TestChromeTraceExport.test_single_drain_export_is_pinned``), with the
-#: program in Horner form: one weighted sum, then one HMult whose constant
-#: rides in its merged ModDown-rescale.
+#: program in Horner form: one mod-reduce of the input to the 4 limbs its
+#: depth and output need (a gather per component), one weighted sum, then
+#: one HMult whose constant rides in its merged ModDown-rescale.
 SINGLE_DRAIN_EXPORT_SHA256 = (
-    "e13454af3c0bfbb2d67e602d3a5a72381790685c441b7590a5a7cc9784503829"
+    "8dbc7800a5e22377f1bf928a8eec14112cf8531b0ca71259d5ec68dda6d08ee9"
 )
 
 

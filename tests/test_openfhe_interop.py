@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.vector import CipherVector
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.encryption import Encryptor, encode
 from repro.ckks.evaluator import Evaluator
@@ -42,6 +43,7 @@ from repro.openfhe.serialization import (
     serialize_ciphertext,
     serialize_plaintext,
 )
+from repro.serve import OpProgram
 from tests.conftest import assert_close, coefficient_frame
 
 
@@ -372,6 +374,24 @@ def toy_frame(toy_client, version):
 
 
 @pytest.fixture(scope="module")
+def toy_reply(toy_client):
+    """The burst polynomial served on a fresh top-level request: the server's
+    reply handle, entered at the 5 limbs its depth and output need, so it
+    leaves with 2."""
+    server = Evaluator(toy_client.context, toy_client.keys.without_secret())
+    request = toy_client.upload(toy_client.encrypt([0.5, -0.25]))
+    reply = OpProgram.polynomial([0.5, 0.25, 0.0, -0.02])(CipherVector(server, request))
+    assert reply.limb_count == 2 < request.limb_count
+    return reply.handle
+
+
+@pytest.fixture(scope="module")
+def reply_frame(toy_reply, version):
+    """The 2-limb reply as the server exports and writes it."""
+    return write_frame(export_ciphertext(toy_reply), version)
+
+
+@pytest.fixture(scope="module")
 def seeded_frame(toy_client):
     """A fresh two-limb request as the client sends it: ``c1`` is its seed."""
     frame = serialize_ciphertext(toy_client.encrypt([0.5, -0.25], limb_count=2))
@@ -497,6 +517,26 @@ class TestHostileInput:
         unedited = _edited(toy_frame, lambda payload: None)
         assert unedited == toy_frame
         self._load(toy_client, unedited)
+
+    @pytest.mark.parametrize("name", sorted(REJECTED))
+    def test_malformed_reply_frame_is_rejected(self, toy_client, reply_frame, name):
+        edit, field = REJECTED[name]
+        with pytest.raises(ValueError, match=field):
+            self._load(toy_client, _edited(reply_frame, edit))
+
+    def test_reply_frame_round_trips_to_the_servers_decryption(
+            self, toy_client, toy_reply, reply_frame):
+        """export → serialize → deserialize → import → decrypt of the 2-limb
+        reply is the decryption of the server's handle, bit for bit."""
+        reply = toy_reply
+        unedited = _edited(reply_frame, lambda payload: None)
+        assert unedited == reply_frame
+        imported = self._load(toy_client, unedited)
+        assert imported.c0.moduli == toy_client.context.moduli[:2]
+        np.testing.assert_array_equal(imported.c0.data, reply.c0.data)
+        np.testing.assert_array_equal(imported.c1.data, reply.c1.data)
+        np.testing.assert_array_equal(toy_client.decrypt(imported, 2),
+                                      toy_client.decrypt(reply, 2))
 
     @pytest.mark.parametrize("name", sorted(V2_REJECTED))
     def test_malformed_binary_frame_is_rejected(self, toy_client, seeded_frame, name):
@@ -638,6 +678,12 @@ def test_mutated_frames_raise_value_error_or_import_canonical(toy_client, toy_fr
 
 def test_mutated_seeded_frames_raise_value_error_or_import_canonical(toy_client, seeded_frame):
     _fuzz(toy_client.context, seeded_frame)
+
+
+def test_mutated_reply_frames_raise_value_error_or_import_canonical(toy_client, toy_reply):
+    # A server writes its reply as a version-2 frame (version 1 is read-only,
+    # and its reader is fuzzed on the request frame above).
+    _fuzz(toy_client.context, serialize_ciphertext(export_ciphertext(toy_reply)))
 
 
 def _fuzz(context, toy_frame: bytes) -> None:

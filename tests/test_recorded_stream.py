@@ -94,7 +94,8 @@ def stream_digest(trace) -> str:
 #: and ``hsquare`` rows are those of the merged ModDown-rescale tail (no
 #: relinearisation add, no separate rescale).  The ``product_sum`` and
 #: ``weighted_sum`` rows were added with those operations' protocol rows,
-#: read off the data plane that first served them.
+#: read off the data plane that first served them, and so were the
+#: ``mod_reduce`` rows (a window at B=1, two gathers at B=8).
 GOLDEN: dict[str, str] = {
     "at_level/B1/uint64/fused": "f1c0b1961aa552fc",
     "at_level/B1/uint64/stage-granular": "e92ebb1185cb4dd0",
@@ -160,6 +161,14 @@ GOLDEN: dict[str, str] = {
     "hsquare/B8/uint64/stage-granular": "e87b048c97f064b6",
     "hsquare/B8/dword/fused": "3fd56166e99c079e",
     "hsquare/B8/dword/stage-granular": "33485b86afc424d4",
+    "mod_reduce/B1/uint64/fused": "4f53cda18c2baa0c",
+    "mod_reduce/B1/uint64/stage-granular": "4f53cda18c2baa0c",
+    "mod_reduce/B1/dword/fused": "4f53cda18c2baa0c",
+    "mod_reduce/B1/dword/stage-granular": "4f53cda18c2baa0c",
+    "mod_reduce/B8/uint64/fused": "d1de34227e83d307",
+    "mod_reduce/B8/uint64/stage-granular": "d1de34227e83d307",
+    "mod_reduce/B8/dword/fused": "d1de34227e83d307",
+    "mod_reduce/B8/dword/stage-granular": "d1de34227e83d307",
     "negate/B1/uint64/fused": "49837c5fe0312f87",
     "negate/B1/uint64/stage-granular": "49837c5fe0312f87",
     "negate/B1/dword/fused": "49837c5fe0312f87",

@@ -18,7 +18,11 @@ import numpy as np
 import pytest
 
 from repro.api.vector import CipherVector
-from repro.apps.logistic_regression import EncryptedLRScorer, sigmoid_poly
+from repro.apps import logistic_regression
+from repro.apps.logistic_regression import SCORE_DEPTH, EncryptedLRScorer, sigmoid_poly
+from repro.ckks.context import REPLY_MARGIN_BITS, Context, reply_limbs
+from repro.ckks.noise import measured_precision_bits
+from repro.ckks.params import CKKSParameters
 from repro.core.dispatch import DISPATCH
 from repro.core.memory import FusedFootprintError
 from repro.gpu.platforms import GPU_RTX_4090
@@ -34,6 +38,7 @@ from repro.serve import (
     SimulatedClock,
     shape_key_of,
 )
+from repro.serve import request as request_module
 from repro.serve.request import Request
 from tests.conftest import coefficient_frame
 
@@ -48,6 +53,9 @@ BURST_POLYNOMIAL = [0.5, 0.25, 0.0, -0.02]
 HORNER_SETS = [BURST_POLYNOMIAL, [1.0, 0.0, 2.0], [0.5, -1.0, 0.0, 0.25],
                [0.3, -0.7], [1.0, 2.0, 0.0]]
 
+#: The serve_burst_b8 model: four weights, features in [-1, 1].
+LR_WEIGHTS = np.random.default_rng(42).uniform(-1.0, 1.0, 4)
+
 #: (x*x) + 0.5 written directly against the shared operator surface.
 SQUARE_PROGRAM = OpProgram("square-shift", lambda x: (x * x) + 0.5)
 
@@ -55,6 +63,13 @@ SQUARE_PROGRAM = OpProgram("square-shift", lambda x: (x * x) + 0.5)
 def bitwise_equal(a: CipherVector, b: CipherVector) -> bool:
     return np.array_equal(a.handle.c0.data, b.handle.c0.data) and \
         np.array_equal(a.handle.c1.data, b.handle.c1.data)
+
+
+def keep_every_limb(monkeypatch) -> None:
+    """Both programs as before the entry rule: no chain shorter than the
+    whole one holds their output, so they keep every limb."""
+    for module in (request_module, logistic_regression):
+        monkeypatch.setattr(module, "reply_limbs", lambda moduli, *_: len(moduli))
 
 
 def fresh_vector(session, rng, *, level: int | None = None) -> CipherVector:
@@ -463,6 +478,27 @@ class TestServeBackends:
         assert symbolic.metrics.modeled_seconds == \
             pricer.price(emitted, streams=1).makespan
 
+    def test_cost_model_serves_both_programs_to_the_same_limbs(self, session, rng):
+        """The symbolic server runs each program's entry mod-reduce too: the
+        same level, scale and limb count as the functional reply."""
+        scorer = EncryptedLRScorer(session, LR_WEIGHTS)
+        symbolic_backend = session.cost_backend()
+        servers = [Server(backend, BatchingPolicy(max_batch_size=4, max_wait=0.0))
+                   for backend in (session.backend, symbolic_backend)]
+        rows = [rng.uniform(-1, 1, 4) for _ in range(4)]
+        for program in (scorer.program(), OpProgram.polynomial(BURST_POLYNOMIAL)):
+            real = [servers[0].submit(program, session.encrypt(row)) for row in rows]
+            ghosts = [servers[1].submit(program, CipherVector(
+                symbolic_backend, symbolic_backend.encrypt(row))) for row in rows]
+            for server in servers:
+                server.poll()
+            for request, ghost in zip(real, ghosts):
+                want, got = request.result(), ghost.result()
+                assert ghost.response().batch_size == 4
+                assert (got.level, got.limb_count) == (want.level, want.limb_count) \
+                    == (1, 2)
+                assert got.scale == pytest.approx(want.scale, rel=1e-12)
+
     @pytest.mark.parametrize("coeffs", HORNER_SETS, ids=str)
     def test_cost_model_serves_horner_to_the_same_level_and_scale(
             self, session, rng, coeffs):
@@ -543,9 +579,10 @@ class TestOpProgram:
 
     @pytest.mark.parametrize("coeffs", HORNER_SETS, ids=str)
     def test_polynomial_matches_plain_math(self, session, rng, coeffs):
-        """Horner form against ``np.polyval``: ``d`` levels consumed (the
-        trailing zeros of ``[1, 2, 0]`` cost none), and the result on the
-        ladder scale of its level."""
+        """Horner form against ``np.polyval``: entered at ``d + k`` limbs,
+        ``d`` levels consumed (the trailing zeros of ``[1, 2, 0]`` cost
+        none), so the result has the rule's ``k`` limbs, on the ladder scale
+        of its level."""
         program = OpProgram.polynomial(coeffs)
         values = rng.uniform(-1, 1, 8)
         x = session.encrypt(values)
@@ -553,7 +590,9 @@ class TestOpProgram:
         decrypted = session.decrypt(result, 8).real
         assert np.max(np.abs(decrypted - np.polyval(coeffs[::-1], values))) < 5e-3
         degree = max(i for i, c in enumerate(coeffs) if c)
-        assert result.level == x.level - degree
+        k = reply_limbs(session.context.moduli, session.context.scale_ladder,
+                        sum(abs(c) for c in coeffs))
+        assert result.limb_count == k < x.limb_count - degree
         ladder = session.context.scale_at(result.level)
         assert abs(result.scale - ladder) <= 1e-12 * ladder
 
@@ -588,6 +627,117 @@ class TestOpProgram:
         assert hash(OpProgram("a", abs)) == hash(OpProgram("a", str))
         with pytest.raises(TypeError, match="OpProgram"):
             Request(lambda x: x, None, arrival_time=0.0)
+
+
+# ----------------------------------------------------------------------
+# the entry rule: a program runs at the fewest limbs its depth and output need
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def p13_context():
+    """The serving workloads' chain: N=2^13, 7 limbs of 28-30 bits."""
+    return Context(CKKSParameters(ring_degree=2**13, mult_depth=6, scale_bits=28,
+                                  dnum=3, first_mod_bits=30))
+
+
+def both_programs(session):
+    """``(program, depth, bound)`` of the LR scorer and the burst polynomial."""
+    scorer = EncryptedLRScorer(session, LR_WEIGHTS)
+    return [(scorer.program(), SCORE_DEPTH, scorer.output_bound),
+            (OpProgram.polynomial(BURST_POLYNOMIAL), 3,
+             sum(abs(c) for c in BURST_POLYNOMIAL))]
+
+
+class TestEntryRule:
+    def test_both_programs_reply_with_two_limbs_on_p13(self, session, p13_context):
+        moduli, ladder = p13_context.moduli, p13_context.scale_ladder
+        for program, depth, bound in both_programs(session):
+            k = reply_limbs(moduli, ladder, bound)
+            assert k == 2, program
+            # The fewest: one limb does not hold 2^(1+M)·bound·Δ, two do.
+            need = 2.0 ** (1 + REPLY_MARGIN_BITS) * bound
+            assert moduli[0] < need * ladder[0]
+            assert moduli[0] * moduli[1] >= need * ladder[1]
+            assert depth + k == 5 < len(moduli)
+
+    def test_a_bound_no_shorter_chain_holds_keeps_every_limb(self, p13_context):
+        moduli, ladder = p13_context.moduli, p13_context.scale_ladder
+        assert reply_limbs(moduli, ladder, 2.0 ** 200) == len(moduli)
+        assert reply_limbs(moduli, ladder, 0.0) == 1
+        for bound in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="bound"):
+                reply_limbs(moduli, ladder, bound)
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_an_input_at_or_below_the_entry_is_untouched(
+            self, session, rng, monkeypatch, members):
+        """An input that arrives with at most ``d + k`` limbs is not reduced:
+        no ``modreduce`` launch, and the bits of the program without the
+        rule."""
+        context = session.context
+        for program, depth, bound in both_programs(session):
+            entry = depth + reply_limbs(context.moduli, context.scale_ladder, bound)
+            for limbs in (entry, entry - 1):
+                vectors = [fresh_vector(session, rng, level=limbs - 1)
+                           for _ in range(members)]
+                x = session.batch(vectors) if members > 1 else vectors[0]
+                with session.trace() as trace:
+                    ruled = program(x)
+                assert not [e for e in trace if e.scope.endswith("modreduce")]
+                assert ruled.limb_count == limbs - depth
+                with monkeypatch.context() as patch:
+                    keep_every_limb(patch)
+                    assert bitwise_equal(ruled, program(x))
+
+    @pytest.mark.parametrize("members", [1, 3, 8])
+    def test_fused_members_are_the_sequential_results(self, session, rng, members):
+        """Fused, served and sequential runs of both programs are the same
+        bits, and each reply has the rule's 2 limbs."""
+        scorer = EncryptedLRScorer(session, LR_WEIGHTS)
+        server = Server(session, BatchingPolicy(max_batch_size=members, max_wait=0.0))
+        vectors = [session.encrypt(rng.uniform(-1, 1, 4)) for _ in range(members)]
+        polynomial = OpProgram.polynomial(BURST_POLYNOMIAL)
+        for program, sequential in ((scorer.program(), scorer.score),
+                                    (polynomial, polynomial)):
+            expected = [sequential(v) for v in vectors]
+            fused = program(session.batch(vectors)) if members > 1 else program(vectors[0])
+            served = [server.submit(program, v) for v in vectors]
+            server.flush()
+            for member, request, reference in zip(fused.split(), served, expected):
+                assert reference.limb_count == 2
+                assert bitwise_equal(member, reference)
+                assert bitwise_equal(request.result(), reference)
+
+    def test_precision_is_within_a_third_of_a_bit_of_every_limb(
+            self, session, monkeypatch):
+        """Median measured precision over 96 seeded inputs, entered at
+        ``d + k`` limbs against every limb: within 0.3 bit, both programs.
+        (Over 24 inputs the two medians already differ by 0.3 bit either
+        way from the sampling alone, so fewer inputs cannot resolve it.)"""
+        rng = np.random.default_rng(7)
+        rows = [rng.uniform(-1, 1, 4) for _ in range(96)]
+        vectors = [session.encrypt(row) for row in rows]
+        scorer = EncryptedLRScorer(session, LR_WEIGHTS)
+        cases = [
+            (scorer.program(), 1,
+             [sigmoid_poly(np.array([LR_WEIGHTS @ row])) for row in rows]),
+            (OpProgram.polynomial(BURST_POLYNOMIAL), 4,
+             [np.polynomial.polynomial.polyval(row, BURST_POLYNOMIAL) for row in rows]),
+        ]
+
+        def median_bits(program, length, expected):
+            members = [member for i in range(0, len(vectors), 32)
+                       for member in program(session.batch(vectors[i:i + 32])).split()]
+            return float(np.median([
+                measured_precision_bits(want, session.decrypt(member, length).real)
+                for member, want in zip(members, expected)]))
+
+        ruled = [median_bits(*case) for case in cases]
+        keep_every_limb(monkeypatch)
+        full = [median_bits(*case) for case in cases]
+        for got, want in zip(ruled, full):
+            assert got >= want - 0.3, (ruled, full)
 
 
 # ----------------------------------------------------------------------
