@@ -169,27 +169,26 @@ def _gemm_sides(ring_degree: int) -> tuple[int, int]:
     return n1, ring_degree // n1
 
 
-class GemmFactors(NamedTuple):
-    """One direction of the four-step transform of one ``(N, q)``.
-
-    Entries are centred residues in float64.  A product factor carries the
-    split ``x = h * 2**15 + l`` of its data operand: a left factor is
-    ``[W * 2**15 | W]``, ``(n1, 2 n1)``, one GEMM against ``[h; l]``; a
-    right factor is the pair ``(W * 2**15, W)``, ``(2, n2, n2)``, one
-    batched GEMM against ``(h, l)`` whose halves add up.  Either way the
-    result is ``W x mod q`` up to one reduction.  The twist is
-    ``(n1, n2)``: ``twist_hi`` multiplies ``h`` and ``twist`` multiplies ``l``.
-    """
-
-    first: np.ndarray
-    twist_hi: np.ndarray
-    twist: np.ndarray
-    second: np.ndarray
+def _factor_views(packed: np.ndarray, n1: int, n2: int, inverse: bool,
+                  shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """``(first, twist, second)`` of the ``(m, size)`` packed factor rows
+    (:func:`gemm_tables`) of ``m = prod(shape)`` moduli, each laid out
+    ``(2, *shape, rows, cols)``: the split halves lead, then the rows'
+    batch axes (views, no copy)."""
+    a, b = (n2, n1) if inverse else (n1, n2)
+    views, start = [], 0
+    for rows, cols in ((a, a), (n1, n2), (b, b)):
+        stop = start + 2 * rows * cols
+        views.append(packed[:, start:stop].reshape(-1, 2, rows, cols)
+                     .swapaxes(0, 1).reshape(2, *shape, rows, cols))
+        start = stop
+    return tuple(views)
 
 
 @lru_cache(maxsize=128)
-def gemm_tables(ring_degree: int, modulus: int) -> tuple[GemmFactors, GemmFactors]:
-    """The forward and inverse :class:`GemmFactors` of one ``(N, q)``.
+def gemm_tables(ring_degree: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """The forward and inverse factors of one ``(N, q)``, each one packed
+    float64 row.
 
     With ``N = n1 * n2``, ``X = a.reshape(n1, n2)`` and ``r`` the bit
     reversal of a row index, the forward transform is
@@ -198,8 +197,19 @@ def gemm_tables(ring_degree: int, modulus: int) -> tuple[GemmFactors, GemmFactor
     taking the rows in bit-reversed order makes ``Z`` the engine's
     bit-reversed output as it lies.  The inverse is the mirror image over
     ``ψ⁻¹`` -- ``X = V1 ((Z V2) * T')`` -- with ``N⁻¹`` folded into ``V1``.
-    Cached per ``(N, q)`` like :func:`twiddle_tables` and read-only; an
-    engine looks its factors up per call and never copies them.
+
+    Entries are centred residues.  Every factor carries the split
+    ``x = h * 2**15 + l`` of the operand it multiplies as a pair
+    ``[W * 2**15, W]``: the first half multiplies ``h``, the second ``l``,
+    and the halves add up to ``W x mod q`` up to one reduction.  A row
+    holds the first DFT factor the transform applies, ``(2, k, k)``, the
+    ``(2, n1, n2)`` twist and the second DFT factor -- forward ``W1``
+    (``k = n1``, from the left) then ``W2^T`` (``k = n2``, from the
+    right), the inverse mirrored -- so a chunk of rows over several moduli
+    gathers every factor it needs in one copy (:func:`_factor_views` cuts
+    them out).  Cached per ``(N, q)`` like :func:`twiddle_tables` and
+    read-only; an engine looks its factors up per call and never keeps a
+    copy.
     """
     n, q = ring_degree, modulus
     n1, n2 = _gemm_sides(n)
@@ -213,12 +223,13 @@ def gemm_tables(ring_degree: int, modulus: int) -> tuple[GemmFactors, GemmFactor
 
     lift = pow(2, _SPLIT_BITS, q)
 
-    def centred(values, split=None):
-        values = np.asarray(values, dtype=np.int64) % q
-        if split == "left":     # [W 2**15 | W]
-            values = np.concatenate([values * lift % q, values], axis=1)
-        elif split == "right":  # [W 2**15, W]
-            values = np.stack([values * lift % q, values])
+    def packed(*factors):
+        """``[F 2**15, F]`` of each factor, centred, in one float64 row."""
+        halves = []
+        for values in factors:
+            values = np.asarray(values, dtype=np.int64) % q
+            halves += [values * lift % q, values]
+        values = np.concatenate([h.ravel() for h in halves])
         return modmath.read_only(
             np.where(values > q // 2, values - q, values).astype(np.float64)
         )
@@ -228,19 +239,10 @@ def gemm_tables(ring_degree: int, modulus: int) -> tuple[GemmFactors, GemmFactor
     outer = rows1 * n2 * np.arange(n1)                 # (p1, j1)
     twist = rows1 * np.arange(n2)                      # (p1, j2)
     inner = 2 * n1 * rows2 * np.arange(n2)             # (p2, j2)
-    forward = GemmFactors(
-        first=centred(power(outer), "left"),
-        twist_hi=centred(power(twist) * lift),
-        twist=centred(power(twist)),
-        second=centred(power(inner).T, "right"),
+    return (
+        packed(power(outer), power(twist), power(inner).T),
+        packed(power(-inner), power(-twist), power(-outer).T * n_inv),
     )
-    inverse = GemmFactors(
-        first=centred(power(-inner), "right"),
-        twist_hi=centred(power(-twist) * lift),
-        twist=centred(power(-twist)),
-        second=centred(power(-outer).T * n_inv, "left"),
-    )
-    return forward, inverse
 
 
 #: Contiguous block size (elements) below which radix-2 stages run in a
@@ -254,11 +256,14 @@ _TRANSPOSED_BLOCK = 16
 #: Scratch bytes one chunk of rows may use -- the CPU analogue of the
 #: paper's ``limb_batch`` parameter (§III-F.1, Figure 7): batches must be
 #: wide enough to amortize kernel overhead but small enough that the
-#: working set stays resident in the private cache.  Both paths stage
-#: :data:`_SCRATCH_PER_COEFF` bytes per coefficient: four float64 rows for
-#: the GEMM transform; four half-row stage buffers, a transposed grid row
-#: and a reduction row of uint64 for the butterflies.  Three rows at
-#: ``N = 2**12``.
+#: working set stays resident in the private cache.  The butterflies stage
+#: :data:`_SCRATCH_PER_COEFF` bytes per coefficient: four half-row stage
+#: buffers, a transposed grid row and a reduction row of uint64.  The GEMM
+#: transform takes the same row count and stages more: six float64 planes
+#: per row, plus the packed factors of up to one modulus per row when a
+#: chunk holds several (six or seven words per coefficient; a chunk of one
+#: modulus reads its factors in place).  24 rows at ``N = 2**9``, three at
+#: ``N = 2**12`` and one from ``N = 2**13``.
 _NTT_CHUNK_BYTES = 384 << 10
 _SCRATCH_PER_COEFF = 32
 
@@ -331,11 +336,11 @@ class StackedNTTEngine:
     * **Four-step GEMMs** for moduli below 2**31 and ``N <= 2**14`` (every
       uint64 stack in use): each row is an ``(n1, n2)`` matrix, and the
       transform is a left product with ``W1``, a twist and a right product
-      with ``W2^T`` (:func:`gemm_tables`) -- two BLAS calls per row instead
-      of ``log2 N`` sweeps, the hierarchical NTT of §III-F.4 with the small
-      DFTs on matrix units as in TensorFHE.  Values are centred float64
-      residues; a data operand is split into 15-bit halves, so every
-      product sum is an exact integer below 2**53 and one
+      with ``W2^T`` (:func:`gemm_tables`) -- two stacked GEMMs per chunk of
+      rows instead of ``log2 N`` sweeps, the hierarchical NTT of §III-F.4
+      with the small DFTs on matrix units as in TensorFHE.  Values are
+      centred float64 residues; a data operand is split into 15-bit
+      halves, so every product sum is an exact integer below 2**53 and one
       ``x - q * rint(x / q)`` reduces it.
     * **Radix-2 butterflies** for everything else word-sized (the dword
       backend, and uint64 stacks beyond ``N = 2**14``): stacking the
@@ -358,10 +363,13 @@ class StackedNTTEngine:
     only for the distinct moduli: a GPU keeps one twiddle table in
     constant memory no matter how many ciphertexts a kernel covers, and
     duplicating the tables ``B×`` on the CPU would just evict them from
-    cache.  The GEMM kernel multiplies all rows of one modulus in a chunk
-    by its factors in one call; the butterflies walk a tiled stack one
-    repeat period at a time (single-modulus tilings broadcast one table
-    row over the whole stack).  Neither changes a residue.
+    cache.  The GEMM kernel gathers the factors of a chunk's distinct
+    moduli into scratch once per call (a chunk of one modulus reads them in
+    place) and broadcasts them over the members of a tiling or the rows of
+    a run, so each step of a chunk is one ``np.matmul`` over every row; the
+    butterflies walk a tiled stack one repeat period at a time
+    (single-modulus tilings broadcast one table row over the whole stack).
+    Neither changes a residue.
     """
 
     def __init__(self, ring_degree: int, moduli: Sequence[int]) -> None:
@@ -385,14 +393,9 @@ class StackedNTTEngine:
             return
         length = len(self.moduli)
         if self.gemm:
-            #: ``(row_lo, row_hi, groups)`` chunks: each group is the rows of
-            #: one modulus, which share its factors (:meth:`_groups`).
-            self._blocks = [
-                (r0, min(r0 + self._chunk_rows, length),
-                 self._groups(self.moduli[r0 : r0 + self._chunk_rows]))
-                for r0 in range(0, length, self._chunk_rows)
-            ]
-            self._qf = modmath.read_only(col.astype(np.float64).reshape(-1, 1, 1))
+            #: The GEMM kernel's chunks (:meth:`_gemm_chunks`).
+            self._blocks = self._gemm_chunks(self.moduli, self._chunk_rows)
+            self._qf = modmath.read_only(col.astype(np.float64))
             self._qinv = modmath.read_only(1.0 / self._qf)
             return
         # Twiddle tables cover one row per *distinct* chunk modulus: fused
@@ -466,22 +469,33 @@ class StackedNTTEngine:
             twiddle_tables(self.ring_degree, q)[1] for q in self._table_moduli
         ])
 
-    @staticmethod
-    def _groups(moduli: tuple[int, ...]) -> list[tuple[slice, int]]:
-        """``(rows, modulus)`` pairs covering ``moduli`` -- one evenly spaced
-        slice per distinct modulus (a tiling's period, a run), else one per
-        row."""
-        where: dict[int, list[int]] = {}
-        for row, q in enumerate(moduli):
-            where.setdefault(q, []).append(row)
-        groups = []
-        for q, rows in where.items():
-            step = rows[1] - rows[0] if len(rows) > 1 else 1
-            if rows == list(range(rows[0], rows[-1] + 1, step)):
-                groups.append((slice(rows[0], rows[-1] + 1, step), q))
+    @classmethod
+    def _gemm_chunks(cls, moduli: tuple[int, ...], chunk_rows: int) -> list[tuple]:
+        """``(row_lo, row_hi, shape, factor_shape, base)`` for each chunk of
+        ``chunk_rows`` rows of ``moduli``, for the GEMM kernel.
+
+        A chunk's rows are a ``shape`` batch over the distinct moduli
+        ``base``, whose factors, laid out ``factor_shape``, broadcast over
+        the rest: ``(k, p)`` for ``k`` members of a period-``p`` tiling
+        (factors ``(1, p)``), ``(p, r)`` for ``p`` runs of ``r`` rows of one
+        modulus (factors ``(p, 1)``), else ``(rows,)`` with one modulus per
+        row.  So a fused batch gathers each factor once per chunk, not once
+        per member.
+        """
+        chunks = []
+        for r0 in range(0, len(moduli), chunk_rows):
+            rows = moduli[r0 : r0 + chunk_rows]
+            period, runs = cls._repeat_period(rows), cls._runs(rows)
+            if period < len(rows):
+                shapes = ((len(rows) // period, period), (1, period))
+                base = rows[:period]
+            elif len(runs) < len(rows) and len({c for _, c in runs}) == 1:
+                shapes = ((len(runs), runs[0][1]), (len(runs), 1))
+                base = tuple(q for q, _ in runs)
             else:
-                groups += [(slice(row, row + 1), q) for row in rows]
-        return groups
+                shapes, base = ((len(rows),), (len(rows),)), rows
+            chunks.append((r0, r0 + len(rows), *shapes, base))
+        return chunks
 
     @staticmethod
     def _repeat_period(moduli: tuple[int, ...]) -> int:
@@ -643,8 +657,8 @@ class StackedNTTEngine:
             if self.backend == modmath.BACKEND_OBJECT:
                 a[...] = reference_transform(a, self.moduli, inverse=inverse)
             elif self.gemm:
-                for r0, r1, groups in self._blocks:
-                    self._gemm_block(a[r0:r1], groups, r0, inverse)
+                for r0, r1, *chunk in self._blocks:
+                    self._gemm_block(a[r0:r1], r0, *chunk, inverse)
             else:
                 rows_fn = self._inverse_rows if inverse else self._forward_rows
                 for r0, r1, t0, t1 in self._chunks:
@@ -713,40 +727,59 @@ class StackedNTTEngine:
 
     # -- the four-step GEMM transform ------------------------------------------
     #
-    # A chunk of rows runs through one float64 scratch of four rows per data
-    # row: ``x`` (the values) and ``tmp`` (the reduction's quotient) side by
-    # side, then the split operand ``(hi, lo)``.  Between steps every value
-    # is a centred residue, |x| <= (q+1)/2.
+    # A chunk of rows runs through six contiguous float64 planes, staggered
+    # like the stage buffers: ``x`` (the values), ``tmp`` (the reduction's
+    # quotient, and the second half of a product), the split operand
+    # ``(hi, lo)``, then each row's ``q`` and ``1/q`` (a chunk of one
+    # modulus reads scalars instead).  Each step is one stacked
+    # ``np.matmul`` over both halves of every row, the factors gathered
+    # once per chunk and broadcast over its ``shape``.  Between steps every
+    # value is a centred residue, |x| <= (q+1)/2.
 
-    def _gemm_block(self, data, groups, r0: int, inverse: bool) -> None:
+    def _gemm_block(self, data, r0: int, shape, factor_shape, base,
+                    inverse: bool) -> None:
         """Transform the chunk ``data`` (stack rows ``r0:``) in place."""
         rows, n = data.shape
         n1, n2 = _gemm_sides(n)
-        block = [(rows_of, gemm_tables(n, q)[inverse]) for rows_of, q in groups]
-        q, qinv = self._qf[r0 : r0 + rows], self._qinv[r0 : r0 + rows]
-        buf = DISPATCH.scratch("ntt-gemm", (self._chunk_rows, 4 * n), np.float64)
-        pair = buf[:rows, : 2 * n].reshape(rows, 2, n1, n2)
-        x, tmp = pair[:, 0], pair[:, 1]
-        split = buf[:rows, 2 * n :].reshape(rows, 2, n1, n2)
-        hi, lo = split[:, 0], split[:, 1]
+        bufs = DISPATCH.scratch(
+            "ntt-gemm", (6, self._chunk_rows * n + _STAGE_BUFFER_STAGGER), np.float64
+        )
+        lead = _STAGE_BUFFER_STAGGER // 2
+        planes = bufs[:, lead : lead + rows * n].reshape(6, rows, n)
+        x, tmp, hi, lo, q, qinv = planes
+        pair = planes[:2].reshape(2, *shape, n1, n2)
+        split = planes[2:4].reshape(2, *shape, n1, n2)
+        packs = [gemm_tables(n, modulus)[inverse] for modulus in base]
+        if len(packs) == 1:
+            # One modulus: its cached factors, read in place, and scalars.
+            packed = packs[0][None]
+            q = float(base[0])
+            qinv = 1.0 / q
+        else:
+            packed = DISPATCH.scratch(
+                "ntt-gemm-factors", (self._chunk_rows, packs[0].size), np.float64
+            )[: len(packs)]
+            np.concatenate(packs, out=packed.reshape(-1))
+            # A ufunc broadcasting a column costs more than reading a plane.
+            np.copyto(q, self._qf[r0 : r0 + rows])
+            np.copyto(qinv, self._qinv[r0 : r0 + rows])
+        first, twist, second = _factor_views(packed, n1, n2, inverse, factor_shape)
         # Residues are below 2**32: the int64 view converts in one pass.
-        matrix = data.view(np.int64).reshape(rows, n1, n2)
+        matrix = data.view(np.int64)
         np.copyto(x, matrix)
         _reduce(x, q, qinv, tmp)
         # Forward: W1 from the left, the twist, W2^T from the right; the
         # inverse mirrors it.
         _split(x, hi, lo)
-        _product(pair, split, block, "first", left=not inverse)
+        _product(pair, split, first, left=not inverse)
         _reduce(x, q, qinv, tmp)
         _split(x, hi, lo)
-        for rows_of, factors in block:
-            # x * T = hi * (T 2**15) + lo * T, below 2**46.
-            hi[rows_of] *= factors.twist_hi
-            lo[rows_of] *= factors.twist
+        # x * T = hi * (T 2**15) + lo * T, below 2**46.
+        np.multiply(split, twist, out=split)
         np.add(hi, lo, out=x)
         _reduce(x, q, qinv, tmp)
         _split(x, hi, lo)
-        _product(pair, split, block, "second", left=inverse)
+        _product(pair, split, second, left=inverse)
         _reduce(x, q, qinv, tmp)
         # Centred -> canonical [0, q).
         np.less(x, 0.0, out=tmp)
@@ -868,24 +901,14 @@ def _split(x, hi, lo) -> None:
     np.subtract(x, lo, out=lo)
 
 
-def _product(pair, split, block, which: str, *, left: bool) -> None:
-    """``x = W x`` (``left``) or ``x W``, ``W`` each group's ``which``
-    factor, from the split ``(hi, lo)`` of ``x = pair[:, 0]``.
-
-    A left factor takes ``[hi; lo]`` as one ``(2 n1, n2)`` operand; a right
-    factor multiplies ``hi`` and ``lo`` by its two halves into ``pair`` and
-    the halves add up.
-    """
-    n1, n2 = split.shape[2:]
-    x = pair[:, 0]
-    for rows_of, factors in block:
-        w = getattr(factors, which)
-        if left:
-            np.matmul(w, split[rows_of].reshape(-1, 2 * n1, n2), out=x[rows_of])
-        else:
-            np.matmul(split[rows_of], w, out=pair[rows_of])
-    if not left:
-        np.add(x, pair[:, 1], out=x)
+def _product(pair, split, factor, *, left: bool) -> None:
+    """``x = W x`` (``left``) or ``x W`` from the split ``(hi, lo)`` of ``x``:
+    one stacked GEMM of both halves into ``pair = (x, tmp)``, which add up."""
+    if left:
+        np.matmul(factor, split, out=pair)
+    else:
+        np.matmul(split, factor, out=pair)
+    np.add(pair[0], pair[1], out=pair[0])
 
 
 def _butterflies(u, x, tw, sh, q, two_q, bufs) -> None:
@@ -1002,7 +1025,6 @@ def _unfused_launches(tag: str, n: int, given: int, before: int, after: int,
 
 __all__ = [
     "Fused",
-    "GemmFactors",
     "StackedNTTEngine",
     "gemm_tables",
     "bit_reverse_indices",

@@ -14,6 +14,7 @@ from repro.core.fusion import TraceProgram
 from repro.core.ntt import (
     _SPLIT_BITS,
     Fused,
+    _factor_views,
     bit_reverse_indices,
     gemm_tables,
     get_stacked_engine,
@@ -211,15 +212,15 @@ class TestGemmExactness:
 
     def test_sign_aligned_rows_match_reference(self):
         # Every row of X equals one centred x whose split halves take the
-        # signs of the heaviest row of the forward left factor [W 2**b | W]
+        # signs of the heaviest row of the forward left factor [W 2**b, W]
         # at near-maximal size: that row's product sums are the largest any
         # input can make them.
         n, n1, b = 1 << 13, 128, _SPLIT_BITS
         q = generate_ntt_primes(1, 31, n)[0]
-        first = gemm_tables(n, q)[0].first
-        row = first[np.argmax(np.abs(first).sum(axis=1))]
+        first, _, _ = _factor_views(gemm_tables(n, q)[0][None], n1, n // n1, False, ())
+        high, low = first[:, np.argmax(np.abs(first).sum(axis=(0, 2)))]
         big = ((q - 1) // 2 - (1 << (b - 1))) >> b
-        x = np.sign(row[:n1]) * big * (1 << b) + np.sign(row[n1:]) * ((1 << (b - 1)) - 1)
+        x = np.sign(high) * big * (1 << b) + np.sign(low) * ((1 << (b - 1)) - 1)
         stack = (np.repeat(x.astype(np.int64), n // n1) % q).astype(np.uint64)[None]
         engine = get_stacked_engine(n, (q,))
         assert engine.forward(stack).tolist() == reference_transform(stack, [q]).tolist()
@@ -245,6 +246,77 @@ class TestGemmExactness:
 def test_roundtrip_property(values):
     q = generate_ntt_primes(1, 26, 32)[0]
     assert inverse(forward(values, q), q) == [v % q for v in values]
+
+
+#: Distinct 28-bit primes, NTT-friendly up to N = 2**10: more than the
+#: twelve rows a chunk holds there.
+_LAYOUT_POOL = tuple(generate_ntt_primes(14, 28, 1 << 10))
+
+
+@st.composite
+def stacked_layouts(draw):
+    """``(N, moduli, seed)``: a ring and a row layout of a stacked transform.
+
+    Distinct moduli, member-major tilings of a base (a fused batch), runs of
+    one modulus (ModUp's limb-major layout) and random runs of random
+    moduli, each sometimes longer than the rows one chunk holds.
+    """
+    n = 1 << draw(st.integers(4, 10))
+    chunk = get_stacked_engine(n, _LAYOUT_POOL[:1])._chunk_rows
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    base = [int(q) for q in rng.permutation(_LAYOUT_POOL)[: draw(st.integers(1, 6))]]
+    repeats = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        repeats += chunk // len(base)  # past one chunk
+    kind = draw(st.sampled_from(["distinct", "tiled", "runs", "irregular"]))
+    if kind == "distinct":
+        moduli = rng.permutation(_LAYOUT_POOL)[: draw(st.integers(1, len(_LAYOUT_POOL)))]
+    elif kind == "tiled":
+        moduli = base * repeats
+    elif kind == "runs":
+        moduli = np.repeat(base, repeats)
+    else:
+        picks = rng.choice(base, 2 * len(base))
+        moduli = np.repeat(picks, rng.integers(1, repeats, len(picks), endpoint=True))
+    return n, tuple(int(q) for q in moduli), seed
+
+
+@given(stacked_layouts(), st.booleans(),
+       st.sampled_from(["stack", "sources", "prologue", "epilogue"]))
+@settings(max_examples=100, deadline=None)
+def test_stacked_transform_matches_reference_on_any_layout(layout, inverse, route):
+    """Every row layout, both directions and every way a call hands over its
+    rows: bit-identical to the oracle, one recorded launch per segment."""
+    n, moduli, seed = layout
+    rng = np.random.default_rng(seed)
+    col = modmath.moduli_column(moduli)
+    x = rng.integers(0, 1 << 62, (len(moduli), n), dtype=np.uint64) % (2 * col)
+    want = np.array(reference_transform(x, moduli, inverse=inverse), dtype=np.uint64)
+    engine = get_stacked_engine(n, moduli)
+    assert engine.gemm
+    transform = engine.inverse if inverse else engine.forward
+    cuts = sorted(rng.choice(np.arange(1, len(moduli)), min(3, len(moduli) - 1),
+                             replace=False).tolist())
+    parts = np.diff([0, *cuts, len(moduli)]).tolist()
+    with DISPATCH.record() as trace:
+        if route == "stack":
+            got = transform(x)
+        elif route == "sources":
+            got = transform(sources=np.split(x, cuts), segments=parts)
+        elif route == "prologue":
+            got = transform(segments=parts, prologue=Fused(
+                "copy", 1.0, (x,), lambda reads, writes: np.copyto(writes[0], reads[0])))
+        else:
+            addend = x % col
+            want += addend
+            got = transform(x.copy(), consume=True, segments=parts, epilogue=Fused(
+                "add", 1.0, (addend,),
+                lambda reads, writes: np.add(reads[0], reads[1], out=writes[0])))
+    np.testing.assert_array_equal(got, want)
+    launches = 1 if route == "stack" else len(parts)
+    assert [e.kernel.name.split("[")[0] for e in trace] == [
+        "intt" if inverse else "ntt"] * launches
 
 
 class TestOperandChecks:
@@ -374,6 +446,28 @@ class TestScratchCacheBudget:
         buf = DISPATCH.scratch("big", (512, 1024))  # 4 MiB
         assert buf.shape == (512, 1024)
         assert [key[0] for key in empty_pool] == ["big"]
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_gemm_scratch_does_not_grow_with_the_row_count(self, empty_pool, inverse):
+        # The GEMM kernel's planes and gathered factors are sized by the
+        # chunk, not by the rows a call brings: stacks of every row count up
+        # to two chunks leave the same scratch entries behind.
+        n = 1 << 9
+        primes = tuple(generate_ntt_primes(24, 28, n))
+        chunk = get_stacked_engine(n, primes)._chunk_rows
+        assert chunk <= len(primes)
+
+        def run(moduli):
+            engine = get_stacked_engine(n, moduli)
+            stack = np.zeros((len(moduli), n), dtype=np.uint64)
+            (engine.inverse if inverse else engine.forward)(stack)
+            return {key: buf.nbytes for key, buf in empty_pool.items()
+                    if key[0].startswith("ntt-gemm")}
+
+        held = run(primes[:chunk])
+        assert {key[0] for key in held} == {"ntt-gemm", "ntt-gemm-factors"}
+        for rows in range(1, 2 * chunk + 1):
+            assert run((primes * 2)[:rows]) == held, rows
 
     def test_transforms_unchanged_under_tiny_budget(self, empty_pool, monkeypatch):
         q = generate_ntt_primes(2, 26, 64)

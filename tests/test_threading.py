@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.api import CKKSSession
-from repro.ckks.params import CKKSParameters
+from repro.ckks.context import Context
+from repro.ckks.params import PARAMETER_SETS, CKKSParameters
 from repro.core import modmath
 from repro.core.dispatch import DISPATCH
 from repro.core.memory import MemoryPool
@@ -31,6 +32,8 @@ from repro.core.primes import generate_ntt_primes
 _ENGINES = (
     (1 << 12, tuple(generate_ntt_primes(3, 28, 1 << 12))),
     (1 << 11, tuple(generate_ntt_primes(2, 59, 1 << 11))),
+    # The bootstrap's 17-modulus chain: one chunk, one stacked GEMM a step.
+    (1 << 9, tuple(Context(PARAMETER_SETS["toy-bootstrap"]).moduli)),
 )
 
 
