@@ -11,13 +11,13 @@ explicit bit reversal is ever needed.
   bit-reversed ``ψ``/``ψ⁻¹`` tables and ``N⁻¹`` per modulus;
 * :class:`StackedNTTEngine` is the only engine: it transforms every row
   of a flat ``(rows, N)`` limb stack at once.  Moduli below 2**31 (the
-  uint64 backend) at ``N <= 2**14`` take the hierarchical four-step
-  transform of §III-F.4 as three exact float64 matrix steps -- two GEMMs
-  of small DFTs around a twiddle ``twist``, the matrix-unit mapping of
-  TensorFHE -- over the per-``(N, q)`` factors of :func:`gemm_tables`;
-  every other word-sized stack runs radix-2 Cooley-Tukey /
-  Gentleman-Sande butterflies with 64-bit Shoup twiddles (Table III) in
-  double-word arithmetic on lazy ``[0, 2q)`` representatives;
+  uint64 backend) take the hierarchical transform of §III-F.4 as exact
+  float64 matrix steps -- GEMMs of small DFTs around one twiddle
+  ``twist``, the matrix-unit mapping of TensorFHE -- over the
+  per-``(N, q)`` factors of :func:`gemm_tables`: two sides below
+  ``N = 2**12``, three from there; the double-word backend runs radix-2
+  Cooley-Tukey / Gentleman-Sande butterflies with 64-bit Shoup twiddles
+  (Table III) on lazy ``[0, 2q)`` representatives;
 * :func:`reference_transform` is the exact-integer oracle: the production
   path for moduli at or above 2**62 and the reference every test compares
   the vectorized paths against.
@@ -36,6 +36,7 @@ per-stage stream.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -150,39 +151,86 @@ def reference_transform(
 #: Bits of the low half a GEMM data operand is split into,
 #: ``x = h * 2**15 + l``.  Residues are kept centred, ``|x| <= (q+1)/2 <=
 #: 2**30`` for ``q < 2**31``, so ``|h| <= 2**15`` and ``|l| <= 2**14``.
+#: The operand's high half is kept as ``h * 2**15``: adding and subtracting
+#: ``1.5 * 2**67`` rounds any ``|x| < 2**66`` to the nearest multiple of
+#: 2**15 (the float64 spacing there), and the factor half it meets carries
+#: ``2**-15``, so each product is still the integer ``h * w``.
 _SPLIT_BITS = 15
-_SPLIT = float(1 << _SPLIT_BITS)
-_INV_SPLIT = 1.0 / _SPLIT
+_SPLIT_ROUND = 1.5 * 2.0 ** (52 + _SPLIT_BITS)
 
 #: Largest inner dimension ``k`` of an exact GEMM step: a factor entry is
 #: centred too, ``|w| < 2**30``, so a dot product of a split operand is at
 #: most ``k * 2**30 * (2**15 + 2**14) <= 1.5 * 2**52`` -- every partial sum
 #: is an integer below 2**53 and exact in float64, whatever order BLAS
-#: adds in.  ``n1, n2 <= 128`` means ``N <= 2**14``.
+#: adds in.  Every side of a plan is a step's inner dimension, and three
+#: sides of at most 128 cover ``N <= 2**21``.
 _GEMM_MAX_SIDE = 128
 
+#: Largest inner dimension of a first step that takes the rows as they
+#: come, any residue below 2**32 (canonical or lazy), without centring
+#: them: ``|h| <= 2**17``, so its sums stay below ``k * 2**30 * (2**17 +
+#: 2**14) <= 1.125 * 2**52``.  A wider first step centres its operand.
+_UNCENTRED_MAX_SIDE = 32
 
-def _gemm_sides(ring_degree: int) -> tuple[int, int]:
-    """``(n1, n2)`` with ``N = n1 * n2`` and ``n1 = 2**ceil(log2(N) / 2)``."""
+#: Smallest ring cut into three sides; smaller rings keep two.
+_THREE_SIDES_FROM = 1 << 12
+
+
+def _gemm_sides(ring_degree: int) -> tuple[int, int, int]:
+    """The plan ``(n1, n2, n3)`` with ``N = n1 * n2 * n3``.
+
+    From ``N = 2**12`` a row is an ``(n1, n2, n3)`` cube with ``n3 =
+    2**ceil(log2(N) / 3)`` and the rest halved as evenly, ``n1 >= n2``
+    (``16 * 16 * 32`` at ``2**13``); below it the two sides ``n1 =
+    2**ceil(log2(N) / 2)`` and ``n3 = N / n1``, with ``n2 = 1``: the same
+    steps with the middle one left out.
+    """
     bits = ring_degree.bit_length() - 1
-    n1 = 1 << ((bits + 1) // 2)
-    return n1, ring_degree // n1
+    if ring_degree < _THREE_SIDES_FROM:
+        n1 = 1 << ((bits + 1) // 2)
+        return n1, 1, ring_degree // n1
+    n3 = 1 << -(-bits // 3)
+    rest = bits - (n3.bit_length() - 1)
+    n1 = 1 << ((rest + 1) // 2)
+    return n1, (1 << rest) // n1, n3
 
 
-def _factor_views(packed: np.ndarray, n1: int, n2: int, inverse: bool,
-                  shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """``(first, twist, second)`` of the ``(m, size)`` packed factor rows
-    (:func:`gemm_tables`) of ``m = prod(shape)`` moduli, each laid out
-    ``(2, *shape, rows, cols)``: the split halves lead, then the rows'
-    batch axes (views, no copy)."""
-    a, b = (n2, n1) if inverse else (n1, n2)
+def _plan_steps(sides: tuple[int, int, int]) -> list[tuple[str, tuple, tuple]]:
+    """The forward steps of a plan, as ``(kind, row dims, factor dims)``.
+
+    A row of ``N = n1 * n2 * n3`` values is viewed ``row dims`` for the
+    step: ``"left"`` multiplies it by its factor from the left (``W1`` over
+    ``n1``, then one ``M2[p1]`` per ``p1`` over ``n2``), ``"twist"``
+    element-wise, ``"right"`` from the right (``W3^T`` over ``n3``).  The
+    inverse runs the same steps in reverse order.  A plan with ``n2 = 1``
+    has no middle step.
+    """
+    n1, n2, n3 = sides
+    steps = [
+        ("left", (n1, n2 * n3), (n1, n1)),
+        ("left", (n1, n2, n3), (n1, n2, n2)),
+        ("twist", (n1, n2, n3), (n1, n2, n3)),
+        ("right", (n1 * n2, n3), (n3, n3)),
+    ]
+    return steps if n2 > 1 else steps[:1] + steps[2:]
+
+
+def _factor_views(packed: np.ndarray, sides: tuple[int, int, int], inverse: bool,
+                  shape: tuple[int, ...]) -> list[np.ndarray]:
+    """The factors of the ``(m, size)`` packed rows (:func:`gemm_tables`) of
+    ``m = prod(shape)`` moduli in the order the transform applies them,
+    each laid out ``(2, *shape, *dims)``: the split halves lead, then the
+    rows' batch axes (views, no copy)."""
+    steps = _plan_steps(sides)
     views, start = [], 0
-    for rows, cols in ((a, a), (n1, n2), (b, b)):
-        stop = start + 2 * rows * cols
-        views.append(packed[:, start:stop].reshape(-1, 2, rows, cols)
-                     .swapaxes(0, 1).reshape(2, *shape, rows, cols))
+    for _, _, dims in reversed(steps) if inverse else steps:
+        stop = start + 2 * math.prod(dims)
+        block = packed[:, start:stop]
+        if len(packed) > 1:
+            block = block.reshape(-1, 2, *dims).swapaxes(0, 1)
+        views.append(block.reshape(2, *shape, *dims))
         start = stop
-    return tuple(views)
+    return views
 
 
 @lru_cache(maxsize=128)
@@ -190,29 +238,34 @@ def gemm_tables(ring_degree: int, modulus: int) -> tuple[np.ndarray, np.ndarray]
     """The forward and inverse factors of one ``(N, q)``, each one packed
     float64 row.
 
-    With ``N = n1 * n2``, ``X = a.reshape(n1, n2)`` and ``r`` the bit
-    reversal of a row index, the forward transform is
-    ``Z = ((W1 X) * T) W2^T`` with ``W1[p1, j1] = ψ^((2 r(p1) + 1) n2 j1)``,
-    ``T[p1, j2] = ψ^((2 r(p1) + 1) j2)`` and ``W2[p2, j2] = ψ^(2 n1 r(p2) j2)``;
-    taking the rows in bit-reversed order makes ``Z`` the engine's
-    bit-reversed output as it lies.  The inverse is the mirror image over
-    ``ψ⁻¹`` -- ``X = V1 ((Z V2) * T')`` -- with ``N⁻¹`` folded into ``V1``.
+    With the plan ``N = n1 * n2 * n3`` (:func:`_gemm_sides`), a row
+    ``a.reshape(n1, n2, n3)`` and ``r`` the bit reversal of an index, the
+    forward transform is a left product with ``W1[p1, j1] = ψ^((2 r(p1) +
+    1) n2 n3 j1)``; per ``p1`` a left product with ``M2[p1][p2, j2] =
+    ψ^((2 n1 n3 r(p2) + (2 r(p1) + 1) n3) j2)``, which carries the first
+    twist; the twist ``B[p1, p2, j3] = ψ^((2 r(p1) + 1 + 2 n1 r(p2)) j3)``;
+    and a right product with ``W3^T``, ``W3[p3, j3] = ψ^(2 n1 n2 r(p3)
+    j3)``.  Taking every row in bit-reversed order makes the result the
+    engine's bit-reversed output as it lies.  The inverse is the mirror
+    image over ``ψ⁻¹`` -- ``W3'``, ``B'``, ``M2'[p1]^T``, ``W1'^T`` -- with
+    ``N⁻¹`` folded into its last factor.  With ``n2 = 1`` (``N < 2**12``)
+    ``M2`` is 1 and left out: ``W1``, ``B`` and ``W3`` are the two-sided
+    four-step transform.
 
     Entries are centred residues.  Every factor carries the split
     ``x = h * 2**15 + l`` of the operand it multiplies as a pair
-    ``[W * 2**15, W]``: the first half multiplies ``h``, the second ``l``,
-    and the halves add up to ``W x mod q`` up to one reduction.  A row
-    holds the first DFT factor the transform applies, ``(2, k, k)``, the
-    ``(2, n1, n2)`` twist and the second DFT factor -- forward ``W1``
-    (``k = n1``, from the left) then ``W2^T`` (``k = n2``, from the
-    right), the inverse mirrored -- so a chunk of rows over several moduli
-    gathers every factor it needs in one copy (:func:`_factor_views` cuts
-    them out).  Cached per ``(N, q)`` like :func:`twiddle_tables` and
+    ``[(F * 2**15 mod q) * 2**-15, F]``: the first half multiplies the high
+    half as the kernel keeps it, ``h * 2**15``, the second ``l``, and the
+    halves add up to ``F x mod q`` up to one reduction.  A row
+    holds the pairs in the order the transform applies them
+    (:func:`_plan_steps`), so a chunk of rows over several moduli gathers
+    every factor it needs in one copy (:func:`_factor_views` cuts them
+    out).  Cached per ``(N, q)`` like :func:`twiddle_tables` and
     read-only; an engine looks its factors up per call and never keeps a
     copy.
     """
     n, q = ring_degree, modulus
-    n1, n2 = _gemm_sides(n)
+    n1, n2, n3 = _gemm_sides(n)
     forward_table, _, n_inv = twiddle_tables(n, q)
     natural = forward_table.astype(np.int64)[bit_reverse_indices(n)]  # ψ^e
 
@@ -223,26 +276,31 @@ def gemm_tables(ring_degree: int, modulus: int) -> tuple[np.ndarray, np.ndarray]
 
     lift = pow(2, _SPLIT_BITS, q)
 
+    def centred(values):
+        return np.where(values > q // 2, values - q, values).astype(np.float64)
+
     def packed(*factors):
-        """``[F 2**15, F]`` of each factor, centred, in one float64 row."""
+        """``[F 2**15 / 2**15, F]`` of each factor, centred (the first half
+        scaled after centring, so it stays exact), in one float64 row."""
         halves = []
         for values in factors:
             values = np.asarray(values, dtype=np.int64) % q
-            halves += [values * lift % q, values]
-        values = np.concatenate([h.ravel() for h in halves])
-        return modmath.read_only(
-            np.where(values > q // 2, values - q, values).astype(np.float64)
-        )
+            halves += [centred(values * lift % q) / 2.0**_SPLIT_BITS, centred(values)]
+        return modmath.read_only(np.concatenate([h.ravel() for h in halves]))
 
-    rows1 = 2 * bit_reverse_indices(n1)[:, None] + 1   # 2 r(p1) + 1
-    rows2 = bit_reverse_indices(n2)[:, None]           # r(p2)
-    outer = rows1 * n2 * np.arange(n1)                 # (p1, j1)
-    twist = rows1 * np.arange(n2)                      # (p1, j2)
-    inner = 2 * n1 * rows2 * np.arange(n2)             # (p2, j2)
-    return (
-        packed(power(outer), power(twist), power(inner).T),
-        packed(power(-inner), power(-twist), power(-outer).T * n_inv),
-    )
+    odd = 2 * bit_reverse_indices(n1)[:, None, None] + 1  # 2 r(p1) + 1
+    rows2 = bit_reverse_indices(n2)[None, :, None]         # r(p2)
+    rows3 = bit_reverse_indices(n3)[:, None]               # r(p3)
+    outer = odd[:, :, 0] * n2 * n3 * np.arange(n1)         # (p1, j1)
+    middle = (2 * n1 * n3 * rows2 + odd * n3) * np.arange(n2)  # (p1, p2, j2)
+    twist = (odd + 2 * n1 * rows2) * np.arange(n3)         # (p1, p2, j3)
+    inner = 2 * n1 * n2 * rows3 * np.arange(n3)            # (p3, j3)
+    forward = [power(outer), power(middle), power(twist), power(inner).T]
+    inverse = [power(-inner), power(-twist), power(-middle).swapaxes(1, 2),
+               power(-outer).T * n_inv]
+    if n2 == 1:
+        del forward[1], inverse[2]
+    return packed(*forward), packed(*inverse)
 
 
 #: Contiguous block size (elements) below which radix-2 stages run in a
@@ -261,9 +319,11 @@ _TRANSPOSED_BLOCK = 16
 #: buffers, a transposed grid row and a reduction row of uint64.  The GEMM
 #: transform takes the same row count and stages more: six float64 planes
 #: per row, plus the packed factors of up to one modulus per row when a
-#: chunk holds several (six or seven words per coefficient; a chunk of one
-#: modulus reads its factors in place).  24 rows at ``N = 2**9``, three at
-#: ``N = 2**12`` and one from ``N = 2**13``.
+#: chunk holds several (seven words per coefficient at ``N = 2**9``; with
+#: three sides about four, two each for the middle factors and the twist; a
+#: chunk of one modulus reads its factors in place).  24 rows at
+#: ``N = 2**9``, three at ``N = 2**12`` (three-sided cubes with gathered
+#: middle factors) and one from ``N = 2**13``.
 _NTT_CHUNK_BYTES = 384 << 10
 _SCRATCH_PER_COEFF = 32
 
@@ -333,17 +393,20 @@ class StackedNTTEngine:
 
     One engine, two kernels chosen from ``(max q, N)`` alone:
 
-    * **Four-step GEMMs** for moduli below 2**31 and ``N <= 2**14`` (every
-      uint64 stack in use): each row is an ``(n1, n2)`` matrix, and the
-      transform is a left product with ``W1``, a twist and a right product
-      with ``W2^T`` (:func:`gemm_tables`) -- two stacked GEMMs per chunk of
-      rows instead of ``log2 N`` sweeps, the hierarchical NTT of §III-F.4
-      with the small DFTs on matrix units as in TensorFHE.  Values are
-      centred float64 residues; a data operand is split into 15-bit
-      halves, so every product sum is an exact integer below 2**53 and one
-      ``x - q * rint(x / q)`` reduces it.
+    * **Hierarchical GEMMs** for moduli below 2**31 (every uint64 stack,
+      up to ``N = 2**21``): each row is an ``(n1, n2, n3)`` cube
+      (:func:`_gemm_sides`, ``16 * 16 * 32`` at ``N = 2**13``), and the
+      transform is a left product with ``W1``, a left product with one
+      ``M2[p1]`` per ``p1`` that carries the first twist, one twist and a
+      right product with ``W3^T`` (:func:`gemm_tables`) -- three stacked
+      GEMMs per chunk of rows instead of ``log2 N`` sweeps, the
+      hierarchical NTT of §III-F.4 with the small DFTs on matrix units as
+      in TensorFHE.  Below ``N = 2**12`` the plan has two sides and no
+      middle step.  Values are centred float64 residues; a data operand is
+      split into 15-bit halves, so every product sum is an exact integer
+      below 2**53 and one ``x - q * rint(x / q)`` reduces it.
     * **Radix-2 butterflies** for everything else word-sized (the dword
-      backend, and uint64 stacks beyond ``N = 2**14``): stacking the
+      backend): stacking the
       per-modulus twiddle tables into ``(L, N)`` matrices lets one pass of
       ``log2 N`` broadcast expressions transform every limb at once, with
       64-bit Shoup companions and double-word products, on lazy
@@ -385,7 +448,8 @@ class StackedNTTEngine:
         )
         for q in dict.fromkeys(self.moduli):
             twiddle_tables(ring_degree, q)  # validates (N, q)
-        #: The four-step GEMM kernel's precondition (see ``_GEMM_MAX_SIDE``).
+        #: The GEMM kernel's precondition (see ``_GEMM_MAX_SIDE``): every
+        #: uint64 stack up to ``N = 2**21``.
         self.gemm = self.fast and max(_gemm_sides(ring_degree)) <= _GEMM_MAX_SIDE
         if self.backend == modmath.BACKEND_OBJECT:
             # The exact backend keeps no tables -- reference_transform is
@@ -657,8 +721,7 @@ class StackedNTTEngine:
             if self.backend == modmath.BACKEND_OBJECT:
                 a[...] = reference_transform(a, self.moduli, inverse=inverse)
             elif self.gemm:
-                for r0, r1, *chunk in self._blocks:
-                    self._gemm_block(a[r0:r1], r0, *chunk, inverse)
+                self._gemm_rows(a, inverse)
             else:
                 rows_fn = self._inverse_rows if inverse else self._forward_rows
                 for r0, r1, t0, t1 in self._chunks:
@@ -725,67 +788,80 @@ class StackedNTTEngine:
                 replay=replay, unfused=unfused,
             )
 
-    # -- the four-step GEMM transform ------------------------------------------
+    # -- the hierarchical GEMM transform ---------------------------------------
     #
-    # A chunk of rows runs through six contiguous float64 planes, staggered
-    # like the stage buffers: ``x`` (the values), ``tmp`` (the reduction's
-    # quotient, and the second half of a product), the split operand
-    # ``(hi, lo)``, then each row's ``q`` and ``1/q`` (a chunk of one
-    # modulus reads scalars instead).  Each step is one stacked
-    # ``np.matmul`` over both halves of every row, the factors gathered
-    # once per chunk and broadcast over its ``shape``.  Between steps every
-    # value is a centred residue, |x| <= (q+1)/2.
+    # A chunk of rows runs through three staggered float64 scratch regions
+    # of two planes each: ``(x, tmp)`` (the values; the reduction's
+    # quotient and the second half of a product), ``(hi, lo)`` (the split
+    # operand, ``h * 2**15`` and ``l``) and each row's ``(q, 1/q)`` (a chunk
+    # of one modulus reads scalars instead).  Each step of the plan
+    # (:func:`_plan_steps`) views them in its own dims and is one stacked
+    # ``np.matmul`` over both halves of every row, or one twist, the
+    # factors gathered once per chunk and broadcast over its ``shape``.
+    # Between steps every value is a centred residue, |x| <= (q+1)/2.
 
-    def _gemm_block(self, data, r0: int, shape, factor_shape, base,
-                    inverse: bool) -> None:
-        """Transform the chunk ``data`` (stack rows ``r0:``) in place."""
-        rows, n = data.shape
-        n1, n2 = _gemm_sides(n)
+    def _gemm_rows(self, a: np.ndarray, inverse: bool) -> None:
+        """Transform the rows of ``a`` in place, chunk by chunk."""
+        n = self.ring_degree
+        sides = _gemm_sides(n)
+        steps = _plan_steps(sides)
+        if inverse:
+            steps.reverse()
+        # Only a first step wider than _UNCENTRED_MAX_SIDE centres its operand.
+        centre = steps[0][2][-1] > _UNCENTRED_MAX_SIDE
         bufs = DISPATCH.scratch(
-            "ntt-gemm", (6, self._chunk_rows * n + _STAGE_BUFFER_STAGGER), np.float64
+            "ntt-gemm", (3, 2 * self._chunk_rows * n + _STAGE_BUFFER_STAGGER),
+            np.float64,
         )
         lead = _STAGE_BUFFER_STAGGER // 2
-        planes = bufs[:, lead : lead + rows * n].reshape(6, rows, n)
-        x, tmp, hi, lo, q, qinv = planes
-        pair = planes[:2].reshape(2, *shape, n1, n2)
-        split = planes[2:4].reshape(2, *shape, n1, n2)
-        packs = [gemm_tables(n, modulus)[inverse] for modulus in base]
-        if len(packs) == 1:
-            # One modulus: its cached factors, read in place, and scalars.
-            packed = packs[0][None]
-            q = float(base[0])
-            qinv = 1.0 / q
-        else:
-            packed = DISPATCH.scratch(
-                "ntt-gemm-factors", (self._chunk_rows, packs[0].size), np.float64
-            )[: len(packs)]
-            np.concatenate(packs, out=packed.reshape(-1))
-            # A ufunc broadcasting a column costs more than reading a plane.
-            np.copyto(q, self._qf[r0 : r0 + rows])
-            np.copyto(qinv, self._qinv[r0 : r0 + rows])
-        first, twist, second = _factor_views(packed, n1, n2, inverse, factor_shape)
-        # Residues are below 2**32: the int64 view converts in one pass.
-        matrix = data.view(np.int64)
-        np.copyto(x, matrix)
-        _reduce(x, q, qinv, tmp)
-        # Forward: W1 from the left, the twist, W2^T from the right; the
-        # inverse mirrors it.
-        _split(x, hi, lo)
-        _product(pair, split, first, left=not inverse)
-        _reduce(x, q, qinv, tmp)
-        _split(x, hi, lo)
-        # x * T = hi * (T 2**15) + lo * T, below 2**46.
-        np.multiply(split, twist, out=split)
-        np.add(hi, lo, out=x)
-        _reduce(x, q, qinv, tmp)
-        _split(x, hi, lo)
-        _product(pair, split, second, left=inverse)
-        _reduce(x, q, qinv, tmp)
-        # Centred -> canonical [0, q).
-        np.less(x, 0.0, out=tmp)
-        tmp *= q
-        x += tmp
-        np.copyto(matrix, x, casting="unsafe")
+        for r0, r1, shape, factor_shape, base in self._blocks:
+            rows = r1 - r0
+            pair, split, columns = bufs[:, lead : lead + 2 * rows * n].reshape(3, 2, rows, n)
+            (x, tmp), (hi, lo) = pair, split
+            packs = [gemm_tables(n, modulus)[inverse] for modulus in base]
+            if len(packs) == 1:
+                # One modulus: its cached factors, read in place, and scalars.
+                packed = packs[0][None]
+                q = float(base[0])
+                qinv = 1.0 / q
+            else:
+                packed = DISPATCH.scratch(
+                    "ntt-gemm-factors", (self._chunk_rows, packs[0].size), np.float64
+                )[: len(packs)]
+                np.concatenate(packs, out=packed.reshape(-1))
+                # A ufunc broadcasting a column costs more than reading a plane.
+                q, qinv = columns
+                np.copyto(q, self._qf[r0:r1])
+                np.copyto(qinv, self._qinv[r0:r1])
+            factors = _factor_views(packed, sides, inverse, factor_shape)
+            # Residues are below 2**32: the int64 view converts in one pass.
+            matrix = a[r0:r1].view(np.int64)
+            np.copyto(x, matrix)
+            if centre:
+                _reduce(x, q, qinv, tmp)
+            # Forward: W1 and M2 from the left, the twist, W3^T from the
+            # right; the inverse runs the mirrored factors in reverse.
+            for (kind, dims, _), factor in zip(steps, factors):
+                _split(x, hi, lo)
+                operand = split.reshape(2, *shape, *dims)
+                if kind == "twist":
+                    # x * B = (h 2**15) * (B 2**15 / 2**15) + l * B, below 2**46.
+                    np.multiply(operand, factor, out=operand)
+                    np.add(hi, lo, out=x)
+                else:
+                    # The product of each half lands in x and tmp.
+                    halves = pair.reshape(2, *shape, *dims)
+                    if kind == "left":
+                        np.matmul(factor, operand, out=halves)
+                    else:
+                        np.matmul(operand, factor, out=halves)
+                    np.add(x, tmp, out=x)
+                _reduce(x, q, qinv, tmp)
+            # Centred -> canonical [0, q).
+            np.less(x, 0.0, out=tmp)
+            tmp *= q
+            x += tmp
+            np.copyto(matrix, x, casting="unsafe")
 
     # -- the radix-2 stage pipeline -------------------------------------------
     #
@@ -894,21 +970,11 @@ def _reduce(x, q, qinv, tmp) -> None:
 
 
 def _split(x, hi, lo) -> None:
-    """Write ``x = hi * 2**15 + lo`` with ``|lo| <= 2**14``."""
-    np.multiply(x, _INV_SPLIT, out=hi)
-    np.rint(hi, out=hi)
-    np.multiply(hi, _SPLIT, out=lo)
-    np.subtract(x, lo, out=lo)
-
-
-def _product(pair, split, factor, *, left: bool) -> None:
-    """``x = W x`` (``left``) or ``x W`` from the split ``(hi, lo)`` of ``x``:
-    one stacked GEMM of both halves into ``pair = (x, tmp)``, which add up."""
-    if left:
-        np.matmul(factor, split, out=pair)
-    else:
-        np.matmul(split, factor, out=pair)
-    np.add(pair[0], pair[1], out=pair[0])
+    """Write ``x = hi + lo`` with ``hi`` a multiple of 2**15 and ``|lo| <=
+    2**14``."""
+    np.add(x, _SPLIT_ROUND, out=hi)
+    hi -= _SPLIT_ROUND
+    np.subtract(x, hi, out=lo)
 
 
 def _butterflies(u, x, tw, sh, q, two_q, bufs) -> None:

@@ -107,6 +107,26 @@ def test_the_walk_reaches_every_engine_table():
     assert {id(gemm._qf), id(gemm._qinv)} <= {id(a) for a in _arrays(gemm, set())}
 
 
+def test_a_large_ring_engine_reads_its_plan_from_gemm_tables():
+    """At N = 2**15 a uint64 engine is a GEMM engine: its three-sided plan
+    tables are the packed rows of ``gemm_tables``, read-only, and kept by
+    no new cache and by no engine."""
+    n = 1 << 15
+    engine = get_stacked_engine(n, _UINT64_WIDE)
+    assert engine.gemm
+    engine.forward(np.zeros((len(_UINT64_WIDE), n), dtype=np.uint64))
+    plans = [gemm_tables(n, q) for q in _UINT64_WIDE]
+    tables = [table for plan in plans for table in plan]
+    reached = _arrays(plans, set())
+    assert {id(a) for a in tables} <= {id(a) for a in reached}
+    assert not [a.shape for a in reached if a.flags.writeable]
+    assert not {id(a) for a in tables} & {id(a) for a in _arrays(engine, set())}
+    ntt_caches = {name for name, _ in _functools_caches()
+                  if name.startswith("repro.core.ntt.")}
+    assert ntt_caches == {"repro.core.ntt.twiddle_tables", "repro.core.ntt.gemm_tables",
+                          "repro.core.ntt.get_stacked_engine"}
+
+
 def test_a_cached_table_refuses_an_in_place_write():
     with pytest.raises(ValueError, match="read-only"):
         rotation_group(1 << 10)[:] += 1

@@ -15,6 +15,8 @@ from repro.core.ntt import (
     _SPLIT_BITS,
     Fused,
     _factor_views,
+    _gemm_sides,
+    _plan_steps,
     bit_reverse_indices,
     gemm_tables,
     get_stacked_engine,
@@ -127,10 +129,11 @@ class TestRadix2:
 
 class TestHierarchical:
     """The hierarchical transform of §III-F.4: on the uint64 backend every
-    row is an ``(n1, n2)`` matrix transformed by two exact float64 GEMMs
-    around a twist (:func:`repro.core.ntt.gemm_tables`); the radix-2
-    butterflies, whose last stages run on a transposed grid for N > 16,
-    remain for the dword backend and uint64 stacks beyond N = 2**14."""
+    row is an ``(n1, n2, n3)`` cube (``n2 = 1`` below N = 2**12) transformed
+    by exact float64 GEMMs around one twist
+    (:func:`repro.core.ntt.gemm_tables`); the radix-2 butterflies, whose
+    last stages run on a transposed grid for N > 16, remain for the dword
+    backend."""
 
     @staticmethod
     def _engine_multiply(a, b, q, n):
@@ -189,10 +192,10 @@ class TestBitReversal:
 
 
 class TestGemmExactness:
-    """The four-step GEMM transform where its float64 sums come closest to
-    2**53: 31-bit primes, extreme residues and lazy ``[0, 2q)`` input."""
+    """The hierarchical GEMM transform where its float64 sums come closest
+    to 2**53: 31-bit primes, extreme residues and lazy ``[0, 2q)`` input."""
 
-    @pytest.mark.parametrize("log_n", range(3, 15))
+    @pytest.mark.parametrize("log_n", range(3, 16))
     def test_extreme_rows_match_reference(self, log_n):
         n = 1 << log_n
         q = generate_ntt_primes(1, 31, n)[0]
@@ -211,28 +214,39 @@ class TestGemmExactness:
             stack, moduli, inverse=True).tolist()
 
     def test_sign_aligned_rows_match_reference(self):
-        # Every row of X equals one centred x whose split halves take the
-        # signs of the heaviest row of the forward left factor [W 2**b, W]
-        # at near-maximal size: that row's product sums are the largest any
-        # input can make them.
-        n, n1, b = 1 << 13, 128, _SPLIT_BITS
+        # The step with the largest inner dimension at N = 2**13 is the
+        # forward's last, ``Y W3^T`` over n3 = 32.  Every row of its operand
+        # Y equals one centred y whose split halves take the signs of the
+        # heaviest column of the factor pair at near-maximal size: that
+        # column's product sums are the largest any input can make them.
+        # The input is the inverse transform of Z = Y W3^T, so the steps
+        # before leave exactly Y.
+        n, b = 1 << 13, _SPLIT_BITS
+        sides = _gemm_sides(n)
+        kind, dims, factor_dims = _plan_steps(sides)[-1]
+        assert kind == "right" and factor_dims[0] == max(sides) == 32
         q = generate_ntt_primes(1, 31, n)[0]
-        first, _, _ = _factor_views(gemm_tables(n, q)[0][None], n1, n // n1, False, ())
-        high, low = first[:, np.argmax(np.abs(first).sum(axis=(0, 2)))]
+        last = _factor_views(gemm_tables(n, q)[0][None], sides, False, ())[-1]
+        # The first half multiplies h * 2**b and carries 2**-b.
+        weight = np.abs(last[0]) * (1 << b) * (1 << b) + np.abs(last[1]) * (1 << (b - 1))
+        high, low = last[:, :, np.argmax(weight.sum(axis=0))]
         big = ((q - 1) // 2 - (1 << (b - 1))) >> b
-        x = np.sign(high) * big * (1 << b) + np.sign(low) * ((1 << (b - 1)) - 1)
-        stack = (np.repeat(x.astype(np.int64), n // n1) % q).astype(np.uint64)[None]
+        y = (np.sign(high) * big * (1 << b) + np.sign(low) * ((1 << (b - 1)) - 1)).astype(np.int64)
+        z = [sum(int(v) * int(w) for v, w in zip(y, col)) % q
+             for col in last[1].astype(np.int64).T]
+        want = np.array([z * dims[0]], dtype=np.uint64)
+        stack = np.array(reference_transform(want, [q], inverse=True), dtype=np.uint64)
         engine = get_stacked_engine(n, (q,))
-        assert engine.forward(stack).tolist() == reference_transform(stack, [q]).tolist()
+        assert engine.forward(stack).tolist() == want.tolist()
 
-    def test_beyond_largest_side_runs_the_butterflies(self):
-        # N = 2**15 needs a 256-wide GEMM, past the exact bound: the uint64
-        # stack takes the double-word butterflies and stays exact.
+    def test_uint64_stack_at_n15_runs_the_gemms(self):
+        # N = 2**15 is three 32-wide sides: the uint64 stack is the GEMM
+        # transform, exact on lazy [0, 2q) input in both directions.
         n = 1 << 15
         moduli = tuple(generate_ntt_primes(2, 31, n))
         engine = get_stacked_engine(n, moduli)
         assert engine.backend == modmath.BACKEND_UINT64
-        assert not engine.gemm
+        assert engine.gemm
         rng = np.random.default_rng(11)
         stack = rng.integers(0, 2 * min(moduli), (2, n), dtype=np.uint64)
         forward = engine.forward(stack)
@@ -248,9 +262,13 @@ def test_roundtrip_property(values):
     assert inverse(forward(values, q), q) == [v % q for v in values]
 
 
-#: Distinct 28-bit primes, NTT-friendly up to N = 2**10: more than the
-#: twelve rows a chunk holds there.
-_LAYOUT_POOL = tuple(generate_ntt_primes(14, 28, 1 << 10))
+#: Distinct 28-bit primes, NTT-friendly up to N = 2**13: more than the
+#: twelve rows a chunk holds at N = 2**10.
+_LAYOUT_POOL = tuple(generate_ntt_primes(14, 28, 1 << 13))
+
+#: Rows a layout keeps above N = 2**11, where the oracle is slow: one
+#: chunk's worth at N = 2**12 (three rows of three-sided cubes).
+_LARGE_RING_ROWS = 3
 
 
 @st.composite
@@ -259,9 +277,10 @@ def stacked_layouts(draw):
 
     Distinct moduli, member-major tilings of a base (a fused batch), runs of
     one modulus (ModUp's limb-major layout) and random runs of random
-    moduli, each sometimes longer than the rows one chunk holds.
+    moduli, each sometimes longer than the rows one chunk holds; above
+    N = 2**11 the first ``_LARGE_RING_ROWS`` rows of one.
     """
-    n = 1 << draw(st.integers(4, 10))
+    n = 1 << draw(st.integers(4, 13))
     chunk = get_stacked_engine(n, _LAYOUT_POOL[:1])._chunk_rows
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -279,6 +298,8 @@ def stacked_layouts(draw):
     else:
         picks = rng.choice(base, 2 * len(base))
         moduli = np.repeat(picks, rng.integers(1, repeats, len(picks), endpoint=True))
+    if n > 1 << 11:
+        moduli = moduli[:_LARGE_RING_ROWS]
     return n, tuple(int(q) for q in moduli), seed
 
 
@@ -447,12 +468,15 @@ class TestScratchCacheBudget:
         assert buf.shape == (512, 1024)
         assert [key[0] for key in empty_pool] == ["big"]
 
+    @pytest.mark.parametrize("log_n", [9, 12])
     @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
-    def test_gemm_scratch_does_not_grow_with_the_row_count(self, empty_pool, inverse):
+    def test_gemm_scratch_does_not_grow_with_the_row_count(self, empty_pool, inverse,
+                                                            log_n):
         # The GEMM kernel's planes and gathered factors are sized by the
         # chunk, not by the rows a call brings: stacks of every row count up
-        # to two chunks leave the same scratch entries behind.
-        n = 1 << 9
+        # to two chunks leave the same scratch entries behind, with two
+        # sides (N = 2**9) and three (N = 2**12).
+        n = 1 << log_n
         primes = tuple(generate_ntt_primes(24, 28, n))
         chunk = get_stacked_engine(n, primes)._chunk_rows
         assert chunk <= len(primes)
@@ -500,8 +524,9 @@ def test_stacked_roundtrip_near_dword_cap(values):
     assert engine.inverse(forward).tolist() == stack.tolist()
 
 
-#: The widest uint64 chain at the largest GEMM inner dimension in use
-#: (N = 2**13, n1 = 128): the float64 product sums come closest to 2**53.
+#: The widest uint64 chain at the ring every uint64 workload uses
+#: (N = 2**13, three sides of at most 32): 31-bit primes bring the float64
+#: product sums closest to 2**53.
 _NEAR_UINT64_CAP = tuple(generate_ntt_primes(3, 31, 1 << 13))
 
 

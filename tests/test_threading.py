@@ -24,16 +24,21 @@ from repro.ckks.params import PARAMETER_SETS, CKKSParameters
 from repro.core import modmath
 from repro.core.dispatch import DISPATCH
 from repro.core.memory import MemoryPool
-from repro.core.ntt import get_stacked_engine
+from repro.core.ntt import gemm_tables, get_stacked_engine
 from repro.core.primes import generate_ntt_primes
 
-#: Transforms each worker runs (every kernel family: GEMM, dword butterflies
-#: with the transposed grid).
+#: Transforms each worker runs (every kernel family: two- and three-sided
+#: GEMM plans, dword butterflies with the transposed grid).
 _ENGINES = (
     (1 << 12, tuple(generate_ntt_primes(3, 28, 1 << 12))),
     (1 << 11, tuple(generate_ntt_primes(2, 59, 1 << 11))),
     # The bootstrap's 17-modulus chain: one chunk, one stacked GEMM a step.
     (1 << 9, tuple(Context(PARAMETER_SETS["toy-bootstrap"]).moduli)),
+    # The 7-modulus N = 2**13 chain of the uint64 workloads: one-row
+    # chunks of the three-sided plan.
+    (1 << 13, tuple(Context(CKKSParameters(
+        ring_degree=1 << 13, mult_depth=6, scale_bits=28, dnum=3,
+        first_mod_bits=30)).moduli)),
 )
 
 
@@ -141,6 +146,8 @@ class TestConcurrentNumericWork:
 
         solo = [transforms(stacks) for stacks in inputs]
         assert not get_stacked_engine(*_ENGINES[1]).fast  # the dword loop runs
+        # The workers build the GEMM plan tables at once, each its own.
+        gemm_tables.cache_clear()
 
         def worker(index, barrier):
             barrier.wait()
