@@ -40,6 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Protocol, Sequence, runtime_checkable
 
+import numpy as np
+
 from repro.ckks.ciphertext import (
     Plaintext,
     adjust_is_noop,
@@ -53,6 +55,7 @@ from repro.ckks.ciphertext import (
     check_scalar_rescale,
     check_sum,
     fused_lengths,
+    longest_length,
     match_for_dot,
     match_for_product,
     match_for_sum,
@@ -344,13 +347,22 @@ class CostModelBackend:
                                   ladder_scale(self.scale_ladder, a.level - 1))
         return a.scale
 
+    @staticmethod
+    def _longest(result: SymbolicCiphertext, *operands) -> SymbolicCiphertext:
+        """``result`` with the evaluator's length rule: the longest
+        ``encoded_length`` of the ciphertext, plaintext or raw-value
+        ``operands`` (:func:`~repro.ckks.ciphertext.longest_length`)."""
+        lengths = [op.encoded_length if isinstance(op, (SymbolicCiphertext, Plaintext))
+                   else np.asarray(op).size for op in operands]
+        return replace(result, encoded_length=longest_length(*lengths))
+
     # -- additions ----------------------------------------------------------
 
     def add(self, a: SymbolicCiphertext, b: SymbolicCiphertext) -> SymbolicCiphertext:
         with self._scope(a, "hadd"):
             a2, b2 = match_for_sum(a, b, self.at_level)
             self._emit(a2, self.costs.hadd, a2.limb_count)
-        return a2.copy()
+        return self._longest(a2, a2, b2)
 
     sub = add  # HSub launches HAdd's kernels in HAdd's scope
 
@@ -363,7 +375,7 @@ class CostModelBackend:
         check_plain_scale(a, self._plain_scale(a, values, for_multiplication=False))
         with self._scope(a, "ptadd"):
             self._emit(a, self.costs.ptadd, a.limb_count)
-        return a.copy()
+        return self._longest(a, a, values)
 
     sub_plain = add_plain  # PtSub launches PtAdd's kernels in PtAdd's scope
 
@@ -380,7 +392,8 @@ class CostModelBackend:
         with self._scope(a, "hmult"):
             a2, b2 = match_for_product(a, b, self.at_level)
             self._emit(a2, self.costs.product_rescale, a2.limb_count)
-            return self._dropped(replace(a2, scale=a2.scale * b2.scale))
+            return self._longest(self._dropped(replace(a2, scale=a2.scale * b2.scale)),
+                                 a2, b2)
 
     def square(self, a: SymbolicCiphertext) -> SymbolicCiphertext:
         check_product_rescale(a)
@@ -393,7 +406,7 @@ class CostModelBackend:
         pt_scale = self._plain_scale(a, values, for_multiplication=True)
         with self._scope(a, "ptmult"):
             self._emit(a, self.costs.ptmult, a.limb_count)
-            raw = replace(a, scale=a.scale * pt_scale)
+            raw = self._longest(replace(a, scale=a.scale * pt_scale), a, values)
             return self.rescale(raw) if rescale else raw
 
     def multiply_scalar(self, a: SymbolicCiphertext, value: float) -> SymbolicCiphertext:
@@ -452,7 +465,8 @@ class CostModelBackend:
         )
         with self._scope(handles[0], "ptdot"):
             self._emit(handles[0], self.costs.ptdot, handles[0].limb_count, len(handles))
-        return self.rescale(replace(handles[0], scale=scale))
+        return self.rescale(self._longest(replace(handles[0], scale=scale),
+                                          *handles, *value_rows))
 
     def _reduce(self, handles: Sequence[SymbolicCiphertext], limb_count: int) -> int:
         """Mod-reduce ``handles`` to ``limb_count`` limbs for one launch and
@@ -489,7 +503,7 @@ class CostModelBackend:
             result = self.rescale(reduced)
         if scale is None:
             scale = ladder_scale(self.scale_ladder, level)
-        return replace(result, scale=float(scale))
+        return self._longest(replace(result, scale=float(scale)), *(h for h, _ in terms))
 
     def product_sum(self, a: SymbolicCiphertext, b: SymbolicCiphertext, level: int,
                     addends: Sequence[tuple[SymbolicCiphertext, float]] = (),
@@ -507,8 +521,9 @@ class CostModelBackend:
                                     limbs)
             self._emit(a, self.costs.product_rescale, limbs, square=square,
                        operands=operands, addends=len(addends), constant=bool(constant))
-        return replace(a, limb_count=level + 1,
-                       scale=a.scale * b.scale / self._last_modulus(limbs))
+        return self._longest(replace(a, limb_count=level + 1,
+                                     scale=a.scale * b.scale / self._last_modulus(limbs)),
+                             a, b, *(h for h, _ in addends))
 
     # -- reporting ----------------------------------------------------------
 

@@ -87,6 +87,13 @@ class CipherVector:
         """Number of RNS limbs currently attached."""
         return self.handle.limb_count
 
+    @property
+    def encoded_length(self) -> int | tuple | None:
+        """Values a decrypt decodes by default: the longest message an
+        operator combined into this vector (``None``: every slot), one per
+        member of a fused handle."""
+        return self.handle.encoded_length
+
     def __repr__(self) -> str:
         fused = f"B={self.batch_size}, " if self.batch_size > 1 else ""
         return (

@@ -261,6 +261,22 @@ def fused_lengths(handles: Sequence):
     return lengths if len(lengths) > 1 else lengths[0]
 
 
+def longest_length(*lengths):
+    """``encoded_length`` of a slot-wise combination of operands of these
+    lengths: the longest, or ``None`` (every slot) when one is unknown.
+
+    A message of ``n`` values repeats with period ``next_pow2(n)``, so the
+    result repeats with the longest operand's period.  A fused operand's
+    length is a tuple, combined member by member; a single length (a
+    plaintext) broadcasts to every member.
+    """
+    width = max((len(n) for n in lengths if isinstance(n, tuple)), default=0)
+    if not width:
+        return None if None in lengths else max(lengths)
+    columns = zip(*(n if isinstance(n, tuple) else (n,) * width for n in lengths))
+    return tuple(longest_length(*column) for column in columns)
+
+
 @dataclass
 class Plaintext:
     """An encoded (unencrypted) CKKS message; ``poly`` is immutable once
@@ -430,4 +446,5 @@ __all__ = [
     "check_fusable",
     "member_lengths",
     "fused_lengths",
+    "longest_length",
 ]

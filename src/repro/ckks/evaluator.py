@@ -18,7 +18,11 @@ kernels over ``(B·L, N)`` stacks -- one launch per operation for the whole
 batch, bit-identical per member to evaluating the members one at a time --
 and records the same kernel structure at ``B×`` the rows and bytes under a
 ``batch{B}/`` scope prefix.  Plaintext and scalar operands broadcast to
-every member; ciphertext operands must hold equally many members.
+every member; ciphertext operands must hold equally many members.  A
+result that combines operands slot by slot carries the longest operand's
+``encoded_length``, or ``None`` (every slot) when one is unknown
+(:func:`~repro.ckks.ciphertext.longest_length`): its slots repeat with that
+operand's period.
 
 The evaluator *is* the functional
 :class:`~repro.api.backend.EvaluationBackend`: a
@@ -48,6 +52,7 @@ from repro.ckks.ciphertext import (
     check_scalar_rescale,
     check_sum,
     check_sum_scales,
+    longest_length,
     match_for_dot,
     match_for_product,
     match_for_sum,
@@ -72,6 +77,13 @@ from repro.core.rns_poly import RNSPoly
 def _plus(total: RNSPoly | None, poly: RNSPoly) -> RNSPoly:
     """A running sum: ``poly`` starts it, later terms add to it."""
     return poly if total is None else total.add(poly)
+
+
+def _longest(result: Ciphertext, *operands) -> Ciphertext:
+    """``result`` carrying the longest ``encoded_length`` of ``operands``
+    (:func:`~repro.ckks.ciphertext.longest_length`)."""
+    result.encoded_length = longest_length(*(op.encoded_length for op in operands))
+    return result
 
 
 class Evaluator:
@@ -219,7 +231,8 @@ class Evaluator:
             [(f"weighted_sum term {i}", ct, c) for i, (ct, c) in enumerate(terms)],
             level, constant)
         with self._scope(terms[0][0], "scalardot"):
-            return self._weighted_sum(terms, coefficients, level, scale, constant)
+            result = self._weighted_sum(terms, coefficients, level, scale, constant)
+        return _longest(result, *(ct for ct, _ in terms))
 
     def _weighted_sum(self, terms: list[tuple[Ciphertext, float]],
                       coefficients: list[float], level: int,
@@ -271,8 +284,9 @@ class Evaluator:
             weighted = [(self._mod_reduce(ct, level + 2),
                          int(round(c * factor(level, ct.scale, landing / multiplier))))
                         for (ct, _), c in zip(addends, coefficients)]
-            return self._product(a, b, square, weighted, multiplier,
-                                 int(round(constant * landing)))
+            result = self._product(a, b, square, weighted, multiplier,
+                                   int(round(constant * landing)))
+        return _longest(result, a, b, *(ct for ct, _ in addends))
 
     #: The backend protocol's name (it passes no scale: the ladder's applies).
     at_level = adjust
@@ -293,7 +307,7 @@ class Evaluator:
         with self._scope(ct1, "hadd"):
             a, b = match_for_sum(ct1, ct2, self.adjust)
             with DISPATCH.launch(tag):
-                return a.with_polys(op(a.c0, b.c0), op(a.c1, b.c1))
+                return _longest(a.with_polys(op(a.c0, b.c0), op(a.c1, b.c1)), a, b)
 
     def negate(self, ct: Ciphertext) -> Ciphertext:
         """Homomorphic negation."""
@@ -319,7 +333,8 @@ class Evaluator:
         check_plain_scale(ct, pt.scale)
         with self._scope(ct, "ptadd"):
             # Only c0 changes: c1 is the operand's own (immutable) polynomial.
-            return ct.with_polys(op(ct.c0, self._plain_operand(ct, pt)), ct.c1)
+            return _longest(ct.with_polys(op(ct.c0, self._plain_operand(ct, pt)), ct.c1),
+                            ct, pt)
 
     @staticmethod
     def _plain_operand(ct: Ciphertext, pt: Plaintext) -> RNSPoly:
@@ -343,9 +358,9 @@ class Evaluator:
         pt = self._as_plaintext(ct, values, for_multiplication=True)
         with self._scope(ct, "ptmult"):
             poly = self._plain_operand(ct, pt)
-            result = self._on_both(
+            result = _longest(self._on_both(
                 ct, "ptmult", lambda c: c.multiply(poly), scale=ct.scale * pt.scale
-            )
+            ), ct, pt)
             return self.rescale(result) if rescale else result
 
     def multiply_scalar(self, ct: Ciphertext, value: float, *,
@@ -384,7 +399,7 @@ class Evaluator:
         check_product_rescale(ct1, ct2)
         with self._scope(ct1, "hmult"):
             a, b = match_for_product(ct1, ct2, self.adjust)
-            return self._product(a, b, square=False)
+            return _longest(self._product(a, b, square=False), a, b)
 
     def square(self, ct: Ciphertext) -> Ciphertext:
         """Homomorphic squaring (``HSquare``), cheaper than a general HMult.
@@ -467,7 +482,9 @@ class Evaluator:
             if first is None:
                 check_product_rescale(ct)
                 first = ct
+                length = ct.encoded_length
             else:
+                length = longest_length(length, ct.encoded_length)
                 check_same_batch(first, ct)
                 if ct.level != first.level:
                     raise ValueError(
@@ -496,10 +513,13 @@ class Evaluator:
             d1 = RNSPoly.zeros(d0.ring_degree, d0.moduli, fmt=LimbFormat.EVALUATION,
                                pool=d0.pool)
         if a0 is None:
-            return self.rescale(first.with_polys(d0, d1))
-        with self._scope(first, "keyswitch"):
-            c0, c1 = mod_down_rescale_many(self.context, [a0, a1], [d0, d1])
-            return first.with_polys(c0, c1, scale=first.scale / first.moduli[-1])
+            result = self.rescale(first.with_polys(d0, d1))
+        else:
+            with self._scope(first, "keyswitch"):
+                c0, c1 = mod_down_rescale_many(self.context, [a0, a1], [d0, d1])
+            result = first.with_polys(c0, c1, scale=first.scale / first.moduli[-1])
+        result.encoded_length = length
+        return result
 
     def multiply_by_monomial(self, ct: Ciphertext, power: int) -> Ciphertext:
         """Multiply by ``X^power`` (no scale change).
@@ -520,7 +540,11 @@ class Evaluator:
             monomial = RNSPoly.from_int_coefficients(
                 n, ct.moduli, coefficients, fmt=LimbFormat.EVALUATION
             ).tile(ct.batch_size)
-            return self._on_both(ct, "monomial", lambda c: c.multiply(monomial))
+            result = self._on_both(ct, "monomial", lambda c: c.multiply(monomial))
+        # X^power lies in Z[X^g], g = gcd(power, N/2): its slots repeat every N/(2g).
+        result.encoded_length = longest_length(ct.encoded_length,
+                                               n // (2 * math.gcd(power, n // 2)))
+        return result
 
     def multiply_by_i(self, ct: Ciphertext) -> Ciphertext:
         """Multiply every slot by the imaginary unit ``i``."""
@@ -622,7 +646,7 @@ class Evaluator:
                 plain = [self._plain_operand(ct, pt) for ct, pt in zip(cts, pts)]
                 c0 = RNSPoly.multiply_accumulate(list(zip([ct.c0 for ct in cts], plain)))
                 c1 = RNSPoly.multiply_accumulate(list(zip([ct.c1 for ct in cts], plain)))
-            result = cts[0].with_polys(c0, c1, scale=scale)
+            result = _longest(cts[0].with_polys(c0, c1, scale=scale), *cts, *pts)
         return self.rescale(result) if rescale else result
 
     def describe(self) -> dict:

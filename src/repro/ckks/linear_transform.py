@@ -14,7 +14,13 @@ by ``P·q_l`` (:meth:`~repro.ckks.evaluator.Evaluator.rotated_sum`) instead
 of a ModDown per giant step and a rescale.
 
 :class:`LinearTransform` implements that algorithm for an arbitrary
-``slots x slots`` complex matrix.  :func:`dft_factors` builds the factors:
+``slots x slots`` complex matrix, and for periodic layouts: a ``p_out x
+p_in`` matrix maps a slot vector that repeats every ``p_in`` slots to one
+that repeats every ``p_out``, with at most ``p_in`` diagonals, and may plan
+its rotations on the keys a caller already holds (a rotation of a
+``p``-periodic vector by ``r`` is one by ``r + j·p``).  The sparse bootstrap
+runs its one-factor DFTs that way over :func:`subring_dft`.
+:func:`dft_factors` builds the full-slot factors:
 the decoding matrix is ``E0 = G_L ⋯ G_1 · P``, the radix-2 "special FFT"
 over the rotation group (Chen-Chillotti-Song, ePrint 2018/1043) with ``P``
 the bit-reversal permutation.  A factor of ``r`` butterfly stages has at
@@ -94,20 +100,33 @@ def dft_factors(ring_degree: int, inverse: bool = False) -> list[np.ndarray]:
     return factors[::-1] if inverse else factors
 
 
-def _fewest_rotations(offsets: np.ndarray, slots: int) -> int:
-    """Return the baby-step count, a power of two up to the (power-of-two)
-    ``slots``, that needs the fewest baby plus giant rotations over the
-    nonzero diagonal ``offsets``; a tie goes to more baby steps, which share
-    one hoisted ModUp."""
-    def rotations(baby: int) -> int:
-        return (np.count_nonzero(np.unique(offsets % baby))
-                + np.count_nonzero(np.unique(offsets // baby)))
+def subring_dft(slots: int) -> np.ndarray:
+    """The dense special DFT of a sparse packing of ``slots`` values.
 
-    return min((1 << e for e in reversed(range(slots.bit_length()))), key=rotations)
+    A message of ``s = slots`` values replicated over the ``N/2`` slots is a
+    polynomial of ``Z[X^(N/2s)]``: ``2s`` coefficients ``c_k`` at
+    ``X^(k·N/2s)``.  Its slots repeat every ``s`` and equal
+    ``E·(c_lo + i·c_hi)`` with ``E[j, k] = ζ^(5^j·k)``, ``ζ = exp(iπ/2s)``,
+    ``j, k < s``: the ``E0`` of the ring of degree ``2s``, whose inverse is
+    ``E^H / s``.
+    """
+    exponents = np.outer(rotation_group(2 * slots), np.arange(slots)) % (4 * slots)
+    return np.exp(2j * np.pi * exponents / (4 * slots))
 
 
-def _check_baby_steps(value, slots: int) -> int:
-    """Reject a baby-step count that is no integer ``>= 1`` dividing ``slots``."""
+def _representative(step: int, period: int, slots: int, keys) -> int | None:
+    """The rotation that moves a ``period``-periodic slot vector by ``step``:
+    ``step`` itself when it is 0 or there is no key set, else the first
+    ``step + j·period`` (mod ``slots``) that ``keys`` holds, or ``None`` when
+    it holds none."""
+    if keys is None or step == 0:
+        return step
+    return next(((step + j * period) % slots for j in range(slots // period)
+                 if (step + j * period) % slots in keys), None)
+
+
+def _check_baby_steps(value, period: int) -> int:
+    """Reject a baby-step count that is no integer ``>= 1`` dividing ``period``."""
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -116,48 +135,90 @@ def _check_baby_steps(value, slots: int) -> int:
         raise TypeError(f"baby_steps must be an integer, got {value!r}") from None
     if value < 1:
         raise ValueError(f"baby_steps must be >= 1, got {value}")
-    if slots % value:
-        raise ValueError(f"baby_steps={value} must divide the slot count {slots}")
+    if period % value:
+        raise ValueError(f"baby_steps={value} must divide the slot count {period}")
     return value
 
 
+def _is_period(size: int, slots: int) -> bool:
+    """Whether ``size`` is a power of two dividing ``slots``."""
+    return 0 < size <= slots and slots % size == 0 and size & (size - 1) == 0
+
+
 class LinearTransform:
-    """BSGS evaluation of ``slots x slots`` plaintext matrices.
+    """BSGS evaluation of plaintext matrices on (periodic) slot vectors.
+
+    A ``slots x slots`` matrix maps the full slot vector.  A ``p_out x
+    p_in`` matrix, both powers of two dividing ``slots``, is a periodic
+    layout: it maps a slot vector that repeats every ``p_in`` slots (a
+    sparsely packed message, :mod:`repro.ckks.encoding`) to one that repeats
+    every ``p_out``.  On a ``p_in``-periodic vector a rotation by ``r``
+    equals one by ``r mod p_in``, so such a map has at most ``p_in``
+    diagonals, ``d_k[j] = M[j mod p_out, (j + k) mod p_in]``, and a rotation
+    may be served by any key for ``r + j·p`` (``p`` the period of the
+    vector it rotates).
 
     Parameters
     ----------
     context:
-        The CKKS context (the matrix must be ``N/2 x N/2``).
+        The CKKS context.
     matrix:
-        Complex matrix applied to the slot vector.
+        Complex matrix applied to the slot vector (one period of each).
     baby_steps:
         Number of baby steps ``n1``; defaults to the power-of-two divisor of
-        the slot count that needs the fewest rotations over the matrix's
-        nonzero diagonals (``ceil(sqrt(slots))`` rounded up to a power of
-        two for a dense matrix).
+        ``p_in`` that needs the fewest rotations over the matrix's nonzero
+        diagonals (``ceil(sqrt(slots))`` rounded up to a power of two for a
+        dense full matrix), a tie going to more baby steps, which share one
+        hoisted ModUp.
+    rotations:
+        The rotation steps keys exist for (default: any step).  Only splits
+        whose every rotation has a representative in it are considered, and
+        each rotation uses that representative; :class:`ValueError` when no
+        split qualifies.
     """
 
     def __init__(self, context: Context, matrix: np.ndarray,
-                 baby_steps: int | None = None) -> None:
+                 baby_steps: int | None = None, rotations=None) -> None:
         slots = context.slots
         matrix = np.asarray(matrix, dtype=np.complex128)
-        if matrix.shape != (slots, slots):
-            raise ValueError(f"matrix must be {slots}x{slots}, got {matrix.shape}")
+        if matrix.ndim != 2 or not all(_is_period(n, slots) for n in matrix.shape):
+            raise ValueError(
+                f"matrix must be {slots}x{slots}, or p_out x p_in with powers of "
+                f"two dividing {slots}, got {matrix.shape}")
         if not np.all(np.isfinite(matrix)):
             raise ValueError("the transform matrix must be finite (no NaN or inf)")
-        # Generalized diagonals diag_k[j] = M[j, (j + k) mod slots]; diagonal
-        # k is zero when none of its entries exceeds 1e-12 of the largest
-        # entry of M, so the test does not depend on the matrix's scale.
+        period_out, period_in = matrix.shape
+        # Generalized diagonals diag_k[j] = M[j mod p_out, (j + k) mod p_in];
+        # diagonal k is zero when none of its entries exceeds 1e-12 of the
+        # largest entry of M, so the test does not depend on the matrix's scale.
         indices = np.arange(slots)
-        diagonals = matrix[indices, (indices[None, :] + indices[:, None]) % slots]
+        diagonals = matrix[indices % period_out,
+                           (indices[None, :] + np.arange(period_in)[:, None]) % period_in]
         magnitude = np.abs(diagonals).max(axis=1)
         offsets = np.flatnonzero(magnitude > 1e-12 * magnitude.max())
+        keys = None if rotations is None else {int(r) % slots for r in rotations}
         if baby_steps is None:
-            baby_steps = _fewest_rotations(offsets, slots)
+            candidates = [1 << e for e in reversed(range(period_in.bit_length()))]
+        else:
+            candidates = [_check_baby_steps(baby_steps, period_in)]
+        plans = {}
+        for baby in candidates:
+            babies = {int(b): _representative(int(b), period_in, slots, keys)
+                      for b in np.unique(offsets % baby)}
+            # A giant step rotates a baby-step sum, which repeats every
+            # max(p_in, p_out) slots.
+            giants = {int(g): _representative(int(g) * baby, max(matrix.shape), slots, keys)
+                      for g in np.unique(offsets // baby)}
+            if None not in babies.values() and None not in giants.values():
+                plans[baby] = (babies, giants)
+        if not plans:
+            raise ValueError("no baby-step split of this matrix uses only the given rotations")
+        self.baby_steps = min(plans, key=lambda b: sum(
+            sum(step != 0 for step in steps.values()) for steps in plans[b]))
+        self._baby_rotation, self._giant_rotation = plans[self.baby_steps]
         self.context = context
         self.slots = slots
-        self.baby_steps = _check_baby_steps(baby_steps, slots)
-        self.giant_steps = slots // self.baby_steps
+        self.giant_steps = period_in // self.baby_steps
         # Each diagonal pre-rotated by -giant*n1 so each giant step needs a
         # single output rotation; giant -> baby -> diagonal, zero diagonals
         # left out.
@@ -177,8 +238,7 @@ class LinearTransform:
 
     def required_rotations(self) -> list[int]:
         """Return the rotation steps the evaluator needs keys for."""
-        steps = {baby for babies in self._diagonals.values() for baby in babies}
-        steps.update(giant * self.baby_steps for giant in self._diagonals)
+        steps = {*self._baby_rotation.values(), *self._giant_rotation.values()}
         steps.discard(0)
         return sorted(steps)
 
@@ -207,14 +267,15 @@ class LinearTransform:
             (evaluator.dot_product_plain(
                 [rotations[baby] for baby in plaintexts], list(plaintexts.values()),
                 rescale=False,
-            ), giant * self.baby_steps)
+            ), self._giant_rotation[giant])
             for giant, plaintexts in encoded.items()
         )
 
     def _baby_rotations(self, evaluator: Evaluator, ct: Ciphertext) -> dict[int, Ciphertext]:
-        steps = sorted({baby for babies in self._diagonals.values() for baby in babies})
-        nonzero = [s for s in steps if s != 0]
-        rotations = evaluator.hoisted_rotations(ct, nonzero) if nonzero else {}
+        """``ct`` rotated by each baby step, keyed by the step mod ``p_in``."""
+        steps = {baby: step for baby, step in sorted(self._baby_rotation.items()) if step}
+        rotated = evaluator.hoisted_rotations(ct, list(steps.values())) if steps else {}
+        rotations = {baby: rotated[step] for baby, step in steps.items()}
         rotations[0] = ct
         return rotations
 
@@ -244,4 +305,4 @@ class LinearTransform:
         return Plaintext(poly=poly, scale=scale, slots=self.slots)
 
 
-__all__ = ["LinearTransform", "dft_factors", "dft_levels"]
+__all__ = ["LinearTransform", "dft_factors", "dft_levels", "subring_dft"]

@@ -1,6 +1,8 @@
 """End-to-end bootstrapping tests (the paper's headline functionality)."""
 
+import hashlib
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,22 +123,29 @@ class TestFactoredDFT:
         assert [sum(map(len, t._diagonals.values())) for t in boot._coeff_to_slot] == [16, 31]
         assert len(boot.required_rotations()) == 16
 
+    @pytest.mark.parametrize("length", [8, "full"])
     @pytest.mark.parametrize("ring", ["n9", "n6"])
     def test_levels_left_follow_the_closed_form(self, bootstrap_setup, small_bootstrap,
-                                                ring):
-        """The functional bootstrap spends the levels ``BootstrapWorkload``
-        prices for the same configuration (Table VI's level schedule)."""
+                                                ring, length):
+        """The functional bootstrap of an ``s``-value message spends the
+        levels ``BootstrapWorkload(params, s)`` prices for the same
+        configuration (Table VI's level schedule): the sparse path's one
+        factor each way leaves 5 levels at N=2⁹ for ``s = 8``, the full
+        path's two leave 3 for ``s = 256``."""
         if ring == "n9":
             boot, encryptor = bootstrap_setup["bootstrapper"], bootstrap_setup["encryptor"]
         else:
             boot, encryptor = small_bootstrap
-        params, config = boot.context.params, boot.config
-        ct = encryptor.encrypt_values(np.array([0.25, -0.125]), limb_count=1)
-        expected = BootstrapWorkload(
-            params, params.slots, chebyshev_degree=config.chebyshev_degree,
-            double_angle_iterations=config.double_angle_iterations,
-        ).remaining_levels
+        params = boot.context.params
+        slots = params.slots if length == "full" else length
+        message = np.random.default_rng(slots).uniform(-0.4, 0.4, slots)
+        ct = encryptor.encrypt_values(message, limb_count=1)
+        assert (boot.sparse_plan(ct) is None) == (length == "full")
+        expected = BootstrapWorkload(params, slots, chebyshev_degree=30,
+                                     double_angle_iterations=2).remaining_levels
         assert boot.bootstrap(ct).level == expected
+        if ring == "n9":
+            assert expected == (3 if length == "full" else 5)
 
 
 class ScopeCounter:
@@ -265,27 +274,98 @@ class TestBatchedBootstrap:
     """``bootstrap`` runs both ApproxModEval halves as one fused ``B=2``
     ciphertext, and a fused input bootstraps every member at once."""
 
+    @pytest.mark.parametrize("length", [8, 32], ids=["sparse", "full"])
     @pytest.mark.parametrize("level", [0, 3])
-    def test_equals_the_stage_by_stage_composition(self, small_bootstrap, level):
+    def test_equals_the_stage_by_stage_composition(self, small_bootstrap, level, length):
+        """The stage calls compose to ``bootstrap`` on either path; on the
+        sparse one ``coeff_to_slot`` returns the packed ciphertext as both
+        halves, so ApproxModEval on each and ``slot_to_coeff`` stay valid."""
         boot, encryptor = small_bootstrap
         rng = np.random.default_rng(level)
-        ct = encryptor.encrypt_values(rng.uniform(-0.4, 0.4, 8), limb_count=level + 1)
+        ct = encryptor.encrypt_values(rng.uniform(-0.4, 0.4, length), limb_count=level + 1)
         raised = boot.mod_raise(ct)
         lower, upper = boot.coeff_to_slot(raised)
+        assert (lower is upper) == (length == 8)
         expected = boot.slot_to_coeff(
             boot.approx_mod_eval(lower), boot.approx_mod_eval(upper), ct.scale
         )
         assert_same_ciphertext(boot.bootstrap(ct), expected)
 
+    @pytest.mark.parametrize("length", [8, 32], ids=["sparse", "full"])
     @pytest.mark.parametrize("members", [2, 3])
-    def test_fused_input_is_bootstrapped_per_member(self, small_bootstrap, members):
+    def test_fused_input_is_bootstrapped_per_member(self, small_bootstrap, members,
+                                                    length):
         boot, encryptor = small_bootstrap
         rng = np.random.default_rng(members)
         cts = [
-            encryptor.encrypt_values(rng.uniform(-0.4, 0.4, 8), limb_count=1)
+            encryptor.encrypt_values(rng.uniform(-0.4, 0.4, length), limb_count=1)
             for _ in range(members)
         ]
-        fused = boot.bootstrap(Ciphertext.fuse(cts))
+        fused_input = Ciphertext.fuse(cts)
+        assert (boot.sparse_plan(fused_input) is None) == (length == 32)
+        fused = boot.bootstrap(fused_input)
         assert fused.batch_size == members
+        assert fused.encoded_length == (length,) * members
         for member, ct in zip(fused.split(), cts):
             assert_same_ciphertext(member, boot.bootstrap(ct))
+
+
+class TestSparseBootstrap:
+    """A message of ``s < N/2`` values bootstraps its own slots: the
+    partial-sum trace, one DFT factor each way and one ApproxModEval at the
+    input's batch width."""
+
+    def test_precision_is_not_below_the_full_path(self, bootstrap_setup):
+        """On the same sixteen 8-value ciphertexts, the sparse path's median
+        precision is at least the full path's (an unknown length runs the
+        full path on the same ciphertext)."""
+        from repro.ckks.noise import measured_precision_bits
+
+        evaluator, boot = bootstrap_setup["evaluator"], bootstrap_setup["bootstrapper"]
+        decryptor = bootstrap_setup["decryptor"]
+        encryptor = Encryptor(bootstrap_setup["context"],
+                              bootstrap_setup["keys"].public_key, seed=16)
+        rng = np.random.default_rng(16)
+        bits = {"sparse": [], "full": []}
+        for _ in range(16):
+            message = rng.uniform(-0.4, 0.4, 8)
+            sparse = evaluator.mod_reduce(encryptor.encrypt_values(message), 1)
+            full = sparse.with_polys(sparse.c0, sparse.c1)
+            full.encoded_length = None
+            assert boot.sparse_plan(sparse) is not None and boot.sparse_plan(full) is None
+            for path, ct in (("sparse", sparse), ("full", full)):
+                decoded = decryptor.decrypt_values(boot.bootstrap(ct), 8).real
+                bits[path].append(measured_precision_bits(message, decoded))
+        assert np.median(bits["sparse"]) >= np.median(bits["full"])
+
+    def test_a_full_slot_message_is_bootstrapped_as_before(self, bootstrap_setup):
+        """A 256-value message at N=2⁹ runs the full-slot path, bit for bit:
+        the digest is of the output the bootstrap gave before the sparse
+        path existed."""
+        context, keys = bootstrap_setup["context"], bootstrap_setup["keys"]
+        message = np.random.default_rng(256).uniform(-0.4, 0.4, 256)
+        ct = Encryptor(context, keys.public_key, seed=256).encrypt_values(
+            message, limb_count=1)
+        out = bootstrap_setup["bootstrapper"].bootstrap(ct)
+        digest = hashlib.sha256(out.c0.data.tobytes() + out.c1.data.tobytes()).hexdigest()
+        assert digest == "48ccdbd8054bec45f228f02a0bb56dcf7abd5cd527b213b4ae498eb9e4720556"
+        assert (out.level, out.scale.hex()) == (3, "0x1.ffdd26c59d963p+26")
+
+    def test_plans_use_only_the_declared_keys(self, bootstrap_setup, small_bootstrap):
+        """Every sparse plan's trace and DFTs rotate by steps
+        ``required_rotations`` already declares; at N=2⁹ the plans for
+        ``s ≤ 16`` exist, at N=2⁶ ``s = 16`` needs another key and runs the
+        full path."""
+        for boot, periods in ((bootstrap_setup["bootstrapper"], {1, 2, 4, 8, 16}),
+                              (small_bootstrap[0], {1, 2, 4, 8})):
+            keys = set(boot.required_rotations())
+            found = set()
+            for s in (1, 2, 4, 8, 16, 32):
+                # A length is all the plan reads off a ciphertext.
+                plan = boot.sparse_plan(SimpleNamespace(batch_size=1, encoded_length=s))
+                if plan is None:
+                    continue
+                found.add(s)
+                assert set(plan.trace) | set(plan.coeff_to_slot.required_rotations()) \
+                    | set(plan.slot_to_coeff.required_rotations()) <= keys
+            assert found == periods

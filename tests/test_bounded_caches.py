@@ -136,7 +136,9 @@ def test_bootstrap_transforms_are_keyed_by_level():
     """``Bootstrapper`` builds its one SlotToCoeff chain with CoeffToSlot,
     and each factor encodes its diagonals once per level: repeated
     bootstraps reuse them, and inputs at many scales add no chain and, on
-    one level, no encoded set (the sets are bounded by the chain length)."""
+    one level, no encoded set (the sets are bounded by the chain length).
+    The full-slot chains run on a full-slot message; a sparse one builds
+    one plan per replication period, reused at every scale."""
     from repro.api import CKKSSession
     from repro.ckks.bootstrap import Bootstrapper
     from repro.ckks.linear_transform import dft_levels
@@ -147,7 +149,7 @@ def test_bootstrap_transforms_are_keyed_by_level():
     boot = Bootstrapper(session.context, session.evaluator)
     session.add_rotation_keys(boot.required_rotations())
     ev = session.evaluator
-    values = np.linspace(-0.4, 0.4, 8)
+    values = np.linspace(-0.4, 0.4, params.slots)
     levels = dft_levels(params.slots)
     chains = {"c2s": boot._coeff_to_slot, "s2c": boot._slot_to_coeff}
 
@@ -180,6 +182,13 @@ def test_bootstrap_transforms_are_keyed_by_level():
     for scale in scales:
         transform.apply(ev, ev.encrypt(values, scale=scale))
     assert set(transform._encoded) == bootstrap_limbs | {top.limb_count}
+
+    assert not boot._sparse
+    for scale in scales:
+        boot.bootstrap(ev.encrypt(values[:8], scale=scale, level=0))
+    plan = boot._sparse[8]
+    assert list(boot._sparse) == [8]
+    assert [len(t._encoded) for t in (plan.coeff_to_slot, plan.slot_to_coeff)] == [1, 1]
 
 
 @pytest.mark.parametrize("scale_bits, first_mod_bits", [(22, 26), (59, 60)],

@@ -494,9 +494,35 @@ class TestLinearTransform:
         transform = LinearTransform(context, np.eye(context.slots, dtype=complex))
         assert transform.required_rotations() == []
 
-    def test_rejects_wrong_shape(self, lt_setup):
-        with pytest.raises(ValueError):
-            LinearTransform(lt_setup["context"], np.eye(4, dtype=complex))
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 6), (256, 256), (128,)],
+                             ids=["not-a-power-of-two", "non-dividing", "too-large",
+                                  "vector"])
+    def test_rejects_wrong_shape(self, lt_setup, shape):
+        # A p_out x p_in matrix of powers of two dividing the slot count is a
+        # periodic layout; anything else is refused.
+        with pytest.raises(ValueError, match="matrix must be"):
+            LinearTransform(lt_setup["context"], np.ones(shape, dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(16, 8), (8, 16), (16, 16)])
+    def test_periodic_layout_matches_numpy(self, lt_setup, rng, shape):
+        """A ``p_out x p_in`` matrix maps a message repeating every ``p_in``
+        slots to the product repeating every ``p_out``, with at most
+        ``p_in`` diagonals and only rotations whose keys are loaded."""
+        context, ev = lt_setup["context"], lt_setup["evaluator"]
+        p_out, p_in = shape
+        matrix = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / p_in
+        keys = set(ev.keys.rotation_keys)
+        transform = LinearTransform(context, matrix, rotations=keys)
+        assert sum(map(len, transform._diagonals.values())) <= p_in
+        assert set(transform.required_rotations()) <= keys
+        message = rng.uniform(-0.5, 0.5, p_in)
+        result = transform.apply(ev, lt_setup["encryptor"].encrypt_values(message))
+        assert_close(lt_setup["decryptor"].decrypt_values(result, context.slots),
+                     np.tile(matrix @ message, context.slots // p_out), 1e-3)
+
+    def test_periodic_layout_without_a_serving_key_is_refused(self, small_context):
+        with pytest.raises(ValueError, match="no baby-step split"):
+            LinearTransform(small_context, np.ones((8, 8)), rotations=[1])
 
     @pytest.mark.parametrize("size", ["tiny", "large"])
     def test_zero_diagonals_are_relative_to_the_matrix(self, lt_setup, size):
