@@ -11,6 +11,8 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # The NTT kernel's C source, compiled on first use.
+    package_data={"repro.core": ["ntt.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
 )

@@ -808,8 +808,8 @@ class Dispatcher(threading.local):
     def scratch(self, tag: str, shape: tuple, dtype=np.uint64) -> np.ndarray:
         """This thread's reusable buffer of exactly ``shape``/``dtype``.
 
-        Kernel temporaries (the stack kernels', the NTT's GEMM and stage
-        buffers), LRU-evicted past ``_SCRATCH_BUDGET_BYTES``.  Fused
+        Kernel temporaries (the stack kernels'; the compiled NTT needs
+        none), LRU-evicted past ``_SCRATCH_BUDGET_BYTES``.  Fused
         ``(B·L, N)`` intermediates are megabytes, and a fresh allocation's
         zero-fill can cost more than the arithmetic; results stay fresh --
         scratch never escapes a kernel.

@@ -14,6 +14,7 @@ poisoning every later use.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import pkgutil
 
@@ -23,7 +24,12 @@ import pytest
 import repro
 from repro.ckks.encoding import rotation_group
 from repro.core import modmath
-from repro.core.ntt import gemm_tables, get_stacked_engine, twiddle_tables
+from repro.core.ntt import (
+    get_stacked_engine,
+    kernel_tables,
+    reference_transform,
+    twiddle_tables,
+)
 from repro.core.primes import generate_ntt_primes
 
 
@@ -77,9 +83,9 @@ _UINT64_WIDE = tuple(generate_ntt_primes(2, 28, 1 << 15))
 CACHED = {
     "rotation_group": lambda: rotation_group(1 << 10),
     "twiddle_tables": lambda: twiddle_tables(1 << 10, _DWORD[0]),
-    "gemm_tables": lambda: gemm_tables(1 << 10, _UINT64[0]),
+    "kernel_tables": lambda: kernel_tables(1 << 10, _UINT64[0]),
     "moduli_column": lambda: modmath.moduli_column(_DWORD),
-    "engine-uint64-gemm": lambda: get_stacked_engine(1 << 10, _UINT64),
+    "engine-uint64": lambda: get_stacked_engine(1 << 10, _UINT64),
     "engine-dword": lambda: get_stacked_engine(1 << 10, _DWORD),
     "engine-uint64-2^15": lambda: get_stacked_engine(1 << 15, _UINT64_WIDE),
 }
@@ -93,38 +99,47 @@ def test_every_cached_array_is_read_only(name):
     assert not writable, f"{name}: writable arrays of shape {writable}"
 
 
-def test_the_walk_reaches_every_engine_table():
-    engine = get_stacked_engine(1 << 10, _DWORD)
-    assert not engine.gemm and engine._grid  # stage and transposed tables
-    # A direction's tables are built on its first transform that way.
-    tables = [engine._two3, engine._two4]
-    for stages in (*engine._forward_tables, *engine._inverse_tables):
-        tables += [table for stage in stages for table in stage]
+@pytest.mark.parametrize("moduli", [_UINT64, _DWORD], ids=["uint64", "dword"])
+def test_the_walk_reaches_every_engine_table(moduli):
+    engine = get_stacked_engine(1 << 10, moduli)
+    tables = [*engine._tables.values(), engine._row_tables]
     reached = {id(a) for a in _arrays(engine, set())}
     assert {id(a) for a in tables} <= reached
-    gemm = get_stacked_engine(1 << 10, _UINT64)
-    assert gemm.gemm
-    assert {id(gemm._qf), id(gemm._qinv)} <= {id(a) for a in _arrays(gemm, set())}
 
 
-def test_a_large_ring_engine_reads_its_plan_from_gemm_tables():
-    """At N = 2**15 a uint64 engine is a GEMM engine: its three-sided plan
-    tables are the packed rows of ``gemm_tables``, read-only, and kept by
-    no new cache and by no engine."""
+def test_an_engine_points_into_kernel_tables():
+    """At N = 2**15 an engine's rows point into the cached
+    ``kernel_tables`` arrays, read-only, which it holds and never copies;
+    the NTT keeps no other cache."""
     n = 1 << 15
     engine = get_stacked_engine(n, _UINT64_WIDE)
-    assert engine.gemm
-    engine.forward(np.zeros((len(_UINT64_WIDE), n), dtype=np.uint64))
-    plans = [gemm_tables(n, q) for q in _UINT64_WIDE]
-    tables = [table for plan in plans for table in plan]
-    reached = _arrays(plans, set())
-    assert {id(a) for a in tables} <= {id(a) for a in reached}
-    assert not [a.shape for a in reached if a.flags.writeable]
-    assert not {id(a) for a in tables} & {id(a) for a in _arrays(engine, set())}
+    tables = [kernel_tables(n, q) for q in _UINT64_WIDE]
+    assert all(engine._tables[q] is table for q, table in zip(_UINT64_WIDE, tables))
+    assert engine._row_tables.tolist() == [
+        [table[d].ctypes.data for table in tables] for d in (0, 1)]
+    assert not [a.shape for a in _arrays(tables, set()) if a.flags.writeable]
     ntt_caches = {name for name, _ in _functools_caches()
                   if name.startswith("repro.core.ntt.")}
-    assert ntt_caches == {"repro.core.ntt.twiddle_tables", "repro.core.ntt.gemm_tables",
-                          "repro.core.ntt.get_stacked_engine"}
+    assert ntt_caches == {"repro.core.ntt.twiddle_tables", "repro.core.ntt.kernel_tables",
+                          "repro.core.ntt.get_stacked_engine", "repro.core.ntt._library"}
+
+
+@pytest.mark.parametrize("moduli", [_UINT64, _DWORD], ids=["uint64", "dword"])
+def test_an_engine_outlives_a_cleared_table_cache(moduli):
+    """The engine owns the tables its rows point at: with the table caches
+    cleared (and their arrays collected were nothing else holding them),
+    a live engine still transforms like the oracle."""
+    n = 1 << 10
+    engine = get_stacked_engine(n, moduli)
+    twiddle_tables.cache_clear()
+    kernel_tables.cache_clear()
+    gc.collect()
+    np.zeros((64, n), dtype=np.uint64).fill(1)  # reuse any freed memory
+    rng = np.random.default_rng(5)
+    stack = rng.integers(0, min(moduli), (len(moduli), n), dtype=np.uint64)
+    for inverse in (False, True):
+        got = (engine.inverse if inverse else engine.forward)(stack)
+        assert got.tolist() == reference_transform(stack, moduli, inverse=inverse).tolist()
 
 
 def test_a_cached_table_refuses_an_in_place_write():

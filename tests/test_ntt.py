@@ -8,17 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import dispatch, modmath
+from repro.core import dispatch, modmath, ntt
 from repro.core.dispatch import DISPATCH
 from repro.core.fusion import TraceProgram
 from repro.core.ntt import (
-    _SPLIT_BITS,
     Fused,
-    _factor_views,
-    _gemm_sides,
-    _plan_steps,
+    StackedNTTEngine,
     bit_reverse_indices,
-    gemm_tables,
     get_stacked_engine,
     reference_transform,
     twiddle_tables,
@@ -127,13 +123,9 @@ class TestRadix2:
         assert get_stacked_engine(64, (q,)) is get_stacked_engine(64, (q,))
 
 
-class TestHierarchical:
-    """The hierarchical transform of §III-F.4: on the uint64 backend every
-    row is an ``(n1, n2, n3)`` cube (``n2 = 1`` below N = 2**12) transformed
-    by exact float64 GEMMs around one twist
-    (:func:`repro.core.ntt.gemm_tables`); the radix-2 butterflies, whose
-    last stages run on a transposed grid for N > 16, remain for the dword
-    backend."""
+class TestKernel:
+    """The engine's compiled radix-2 kernel (``core/ntt.c``) against the
+    schoolbook product and the oracle."""
 
     @staticmethod
     def _engine_multiply(a, b, q, n):
@@ -191,17 +183,18 @@ class TestBitReversal:
             bit_reverse_indices(n)
 
 
-class TestGemmExactness:
-    """The hierarchical GEMM transform where its float64 sums come closest
-    to 2**53: 31-bit primes, extreme residues and lazy ``[0, 2q)`` input."""
+class TestKernelExactness:
+    """The kernel on extreme residues and lazy ``[0, 2q)`` input, on primes
+    just below 2**31 and just below the 2**62 word cap, where the lazy
+    ``[0, 4q)`` butterflies leave no slack in the word."""
 
+    @pytest.mark.parametrize("bits", [31, 62])
     @pytest.mark.parametrize("log_n", range(3, 16))
-    def test_extreme_rows_match_reference(self, log_n):
+    def test_extreme_rows_match_reference(self, log_n, bits):
         n = 1 << log_n
-        q = generate_ntt_primes(1, 31, n)[0]
+        q = generate_ntt_primes(1, bits, n)[0]
         moduli = (q,) * 4
         engine = get_stacked_engine(n, moduli)
-        assert engine.gemm
         stack = np.array([
             [q - 1] * n,
             [q // 2 + 1] * n,
@@ -213,46 +206,48 @@ class TestGemmExactness:
         assert engine.inverse(stack).tolist() == reference_transform(
             stack, moduli, inverse=True).tolist()
 
-    def test_sign_aligned_rows_match_reference(self):
-        # The step with the largest inner dimension at N = 2**13 is the
-        # forward's last, ``Y W3^T`` over n3 = 32.  Every row of its operand
-        # Y equals one centred y whose split halves take the signs of the
-        # heaviest column of the factor pair at near-maximal size: that
-        # column's product sums are the largest any input can make them.
-        # The input is the inverse transform of Z = Y W3^T, so the steps
-        # before leave exactly Y.
-        n, b = 1 << 13, _SPLIT_BITS
-        sides = _gemm_sides(n)
-        kind, dims, factor_dims = _plan_steps(sides)[-1]
-        assert kind == "right" and factor_dims[0] == max(sides) == 32
-        q = generate_ntt_primes(1, 31, n)[0]
-        last = _factor_views(gemm_tables(n, q)[0][None], sides, False, ())[-1]
-        # The first half multiplies h * 2**b and carries 2**-b.
-        weight = np.abs(last[0]) * (1 << b) * (1 << b) + np.abs(last[1]) * (1 << (b - 1))
-        high, low = last[:, :, np.argmax(weight.sum(axis=0))]
-        big = ((q - 1) // 2 - (1 << (b - 1))) >> b
-        y = (np.sign(high) * big * (1 << b) + np.sign(low) * ((1 << (b - 1)) - 1)).astype(np.int64)
-        z = [sum(int(v) * int(w) for v, w in zip(y, col)) % q
-             for col in last[1].astype(np.int64).T]
-        want = np.array([z * dims[0]], dtype=np.uint64)
-        stack = np.array(reference_transform(want, [q], inverse=True), dtype=np.uint64)
-        engine = get_stacked_engine(n, (q,))
-        assert engine.forward(stack).tolist() == want.tolist()
-
-    def test_uint64_stack_at_n15_runs_the_gemms(self):
-        # N = 2**15 is three 32-wide sides: the uint64 stack is the GEMM
-        # transform, exact on lazy [0, 2q) input in both directions.
+    def test_uint64_stack_at_n15_matches_reference(self):
+        # Lazy [0, 2q) input on two 31-bit primes at N = 2**15, both
+        # directions.
         n = 1 << 15
         moduli = tuple(generate_ntt_primes(2, 31, n))
         engine = get_stacked_engine(n, moduli)
         assert engine.backend == modmath.BACKEND_UINT64
-        assert engine.gemm
         rng = np.random.default_rng(11)
         stack = rng.integers(0, 2 * min(moduli), (2, n), dtype=np.uint64)
         forward = engine.forward(stack)
         assert forward.tolist() == reference_transform(stack, moduli).tolist()
         assert engine.inverse(stack).tolist() == reference_transform(
             stack, moduli, inverse=True).tolist()
+
+
+class TestKernelBuild:
+    """The kernel is built with the system C compiler and reads one
+    C-contiguous uint64 row per modulus."""
+
+    def test_a_missing_compiler_is_named(self, monkeypatch):
+        monkeypatch.setattr(ntt, "_COMPILER", "no-such-cc")
+        ntt._library.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="no-such-cc"):
+                StackedNTTEngine(64, tuple(generate_ntt_primes(2, 26, 64)))
+        finally:
+            ntt._library.cache_clear()
+
+    @pytest.mark.parametrize("bits", [26, 59], ids=["uint64", "dword"])
+    def test_a_non_contiguous_stack_transforms_correctly(self, bits):
+        n = 64
+        moduli = tuple(generate_ntt_primes(3, bits, n))
+        rng = np.random.default_rng(4)
+        wide = rng.integers(0, min(moduli), (6, 2 * n), dtype=np.uint64)
+        stack = wide[::2, ::2]  # every other row and column
+        assert not stack.flags.c_contiguous
+        engine = get_stacked_engine(n, moduli)
+        for inverse in (False, True):
+            want = reference_transform(stack, moduli, inverse=inverse).tolist()
+            transform = engine.inverse if inverse else engine.forward
+            assert transform(stack).tolist() == want
+            assert transform(stack, consume=True).tolist() == want
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**25 - 1), min_size=32, max_size=32))
@@ -263,12 +258,17 @@ def test_roundtrip_property(values):
 
 
 #: Distinct 28-bit primes, NTT-friendly up to N = 2**13: more than the
-#: twelve rows a chunk holds at N = 2**10.
+#: twelve rows of a long stack at N = 2**10.
 _LAYOUT_POOL = tuple(generate_ntt_primes(14, 28, 1 << 13))
 
-#: Rows a layout keeps above N = 2**11, where the oracle is slow: one
-#: chunk's worth at N = 2**12 (three rows of three-sided cubes).
+#: Rows a layout keeps above N = 2**11, where the oracle is slow.
 _LARGE_RING_ROWS = 3
+
+
+def _long_stack_rows(n: int) -> int:
+    """Rows of a long stack at ring ``n``: 384 KiB at 32 bytes a
+    coefficient (twelve rows at N = 2**10, 768 at N = 2**4)."""
+    return max(1, (384 << 10) // (32 * n))
 
 
 @st.composite
@@ -277,17 +277,17 @@ def stacked_layouts(draw):
 
     Distinct moduli, member-major tilings of a base (a fused batch), runs of
     one modulus (ModUp's limb-major layout) and random runs of random
-    moduli, each sometimes longer than the rows one chunk holds; above
+    moduli, each sometimes a long stack (:func:`_long_stack_rows`); above
     N = 2**11 the first ``_LARGE_RING_ROWS`` rows of one.
     """
     n = 1 << draw(st.integers(4, 13))
-    chunk = get_stacked_engine(n, _LAYOUT_POOL[:1])._chunk_rows
+    long_rows = _long_stack_rows(n)
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     base = [int(q) for q in rng.permutation(_LAYOUT_POOL)[: draw(st.integers(1, 6))]]
     repeats = draw(st.integers(2, 3))
     if draw(st.booleans()):
-        repeats += chunk // len(base)  # past one chunk
+        repeats += long_rows // len(base)  # a long stack
     kind = draw(st.sampled_from(["distinct", "tiled", "runs", "irregular"]))
     if kind == "distinct":
         moduli = rng.permutation(_LAYOUT_POOL)[: draw(st.integers(1, len(_LAYOUT_POOL)))]
@@ -315,7 +315,6 @@ def test_stacked_transform_matches_reference_on_any_layout(layout, inverse, rout
     x = rng.integers(0, 1 << 62, (len(moduli), n), dtype=np.uint64) % (2 * col)
     want = np.array(reference_transform(x, moduli, inverse=inverse), dtype=np.uint64)
     engine = get_stacked_engine(n, moduli)
-    assert engine.gemm
     transform = engine.inverse if inverse else engine.forward
     cuts = sorted(rng.choice(np.arange(1, len(moduli)), min(3, len(moduli) - 1),
                              replace=False).tolist())
@@ -468,30 +467,16 @@ class TestScratchCacheBudget:
         assert buf.shape == (512, 1024)
         assert [key[0] for key in empty_pool] == ["big"]
 
-    @pytest.mark.parametrize("log_n", [9, 12])
+    @pytest.mark.parametrize("bits", [28, 59], ids=["uint64", "dword"])
     @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
-    def test_gemm_scratch_does_not_grow_with_the_row_count(self, empty_pool, inverse,
-                                                            log_n):
-        # The GEMM kernel's planes and gathered factors are sized by the
-        # chunk, not by the rows a call brings: stacks of every row count up
-        # to two chunks leave the same scratch entries behind, with two
-        # sides (N = 2**9) and three (N = 2**12).
-        n = 1 << log_n
-        primes = tuple(generate_ntt_primes(24, 28, n))
-        chunk = get_stacked_engine(n, primes)._chunk_rows
-        assert chunk <= len(primes)
-
-        def run(moduli):
-            engine = get_stacked_engine(n, moduli)
-            stack = np.zeros((len(moduli), n), dtype=np.uint64)
-            (engine.inverse if inverse else engine.forward)(stack)
-            return {key: buf.nbytes for key, buf in empty_pool.items()
-                    if key[0].startswith("ntt-gemm")}
-
-        held = run(primes[:chunk])
-        assert {key[0] for key in held} == {"ntt-gemm", "ntt-gemm-factors"}
-        for rows in range(1, 2 * chunk + 1):
-            assert run((primes * 2)[:rows]) == held, rows
+    def test_a_transform_leaves_no_ntt_scratch(self, empty_pool, inverse, bits):
+        # The kernel works in the rows it transforms: no scratch buffer.
+        n = 1 << 9
+        moduli = tuple(generate_ntt_primes(4, bits, n))
+        engine = get_stacked_engine(n, moduli * 2)
+        stack = np.zeros((len(engine.moduli), n), dtype=np.uint64)
+        (engine.inverse if inverse else engine.forward)(stack)
+        assert not [key for key in empty_pool if key[0].startswith("ntt-")]
 
     def test_transforms_unchanged_under_tiny_budget(self, empty_pool, monkeypatch):
         q = generate_ntt_primes(2, 26, 64)
@@ -525,8 +510,7 @@ def test_stacked_roundtrip_near_dword_cap(values):
 
 
 #: The widest uint64 chain at the ring every uint64 workload uses
-#: (N = 2**13, three sides of at most 32): 31-bit primes bring the float64
-#: product sums closest to 2**53.
+#: (N = 2**13): 31-bit primes.
 _NEAR_UINT64_CAP = tuple(generate_ntt_primes(3, 31, 1 << 13))
 
 
@@ -536,11 +520,11 @@ _NEAR_UINT64_CAP = tuple(generate_ntt_primes(3, 31, 1 << 13))
 def test_stacked_roundtrip_near_uint64_cap(seed, kind):
     n = 1 << 13
     engine = get_stacked_engine(n, _NEAR_UINT64_CAP)
-    assert engine.backend == modmath.BACKEND_UINT64 and engine.gemm
+    assert engine.backend == modmath.BACKEND_UINT64
     col = modmath.moduli_column(_NEAR_UINT64_CAP)
     rng = np.random.default_rng(seed)
     if kind == "extreme":
-        # Residues farthest from zero once centred, and their neighbours.
+        # The largest residues, those around q/2, and their neighbours.
         choices = np.concatenate([col - 1, col // 2, col // 2 + 1, np.ones_like(col)], axis=1)
         stack = np.take_along_axis(choices, rng.integers(0, 4, (3, n)), axis=1)
     else:

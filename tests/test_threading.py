@@ -9,6 +9,7 @@ only its own thread's kernels, and a thread's scratch buffers die with it.
 
 from __future__ import annotations
 
+import ctypes
 import gc
 import itertools
 import sys
@@ -21,21 +22,20 @@ import pytest
 from repro.api import CKKSSession
 from repro.ckks.context import Context
 from repro.ckks.params import PARAMETER_SETS, CKKSParameters
-from repro.core import modmath
+from repro.core import modmath, ntt
 from repro.core.dispatch import DISPATCH
 from repro.core.memory import MemoryPool
-from repro.core.ntt import gemm_tables, get_stacked_engine
+from repro.core.ntt import get_stacked_engine, kernel_tables
 from repro.core.primes import generate_ntt_primes
 
-#: Transforms each worker runs (every kernel family: two- and three-sided
-#: GEMM plans, dword butterflies with the transposed grid).
+#: Transforms each worker runs: the compiled kernel, which releases the
+#: GIL, on uint64 and dword stacks.
 _ENGINES = (
     (1 << 12, tuple(generate_ntt_primes(3, 28, 1 << 12))),
     (1 << 11, tuple(generate_ntt_primes(2, 59, 1 << 11))),
-    # The bootstrap's 17-modulus chain: one chunk, one stacked GEMM a step.
+    # The bootstrap's 17-modulus chain.
     (1 << 9, tuple(Context(PARAMETER_SETS["toy-bootstrap"]).moduli)),
-    # The 7-modulus N = 2**13 chain of the uint64 workloads: one-row
-    # chunks of the three-sided plan.
+    # The 7-modulus N = 2**13 chain of the uint64 workloads.
     (1 << 13, tuple(Context(CKKSParameters(
         ring_degree=1 << 13, mult_depth=6, scale_bits=28, dnum=3,
         first_mod_bits=30)).moduli)),
@@ -145,9 +145,11 @@ class TestConcurrentNumericWork:
             return out
 
         solo = [transforms(stacks) for stacks in inputs]
-        assert not get_stacked_engine(*_ENGINES[1]).fast  # the dword loop runs
-        # The workers build the GEMM plan tables at once, each its own.
-        gemm_tables.cache_clear()
+        # A CDLL (not a PyDLL) call releases the GIL: the kernels run at once.
+        assert type(ntt._library()) is ctypes.CDLL
+        # The workers build the engines and their tables at once.
+        get_stacked_engine.cache_clear()
+        kernel_tables.cache_clear()
 
         def worker(index, barrier):
             barrier.wait()
@@ -272,7 +274,9 @@ class TestPerThreadScratch:
         stack = np.ones((len(moduli), engine.ring_degree), dtype=np.uint64)
 
         def worker():
-            engine.forward(stack)  # fills this thread's pool
+            engine.forward(stack)
+            # A dword Shoup multiply fills this thread's pool.
+            modmath.stack_scalar_mod(stack, [3] * len(moduli), engine._col)
             modmath.stack_mul_mod(stack, stack, engine._col)
             refs.extend(weakref.ref(buf) for buf in DISPATCH._scratch.values())
 
