@@ -11,8 +11,9 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    # The NTT kernel's C source, compiled on first use.
-    package_data={"repro.core": ["ntt.c"]},
+    # The word kernel's C source (products, dot products, the NTT),
+    # compiled on first use.
+    package_data={"repro.core": ["word_kernel.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
 )

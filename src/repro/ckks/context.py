@@ -92,18 +92,18 @@ class Context:
         self.encoder = CKKSEncoder(n)
 
         # --- numeric backend --------------------------------------------------
-        #: Which stack backend the full extended basis selects: ``uint64``
-        #: (single-word products), ``dword`` (emulated 128-bit products on
-        #: the same one-word storage) or ``object`` (exact Python integers,
-        #: the slow oracle).
+        #: Which stack backend the full extended basis selects, by modulus
+        #: width: ``uint64`` (below 2**31) and ``dword`` (below 2**62), one
+        #: word per residue and one compiled kernel for both, or ``object``
+        #: (exact Python integers, the slow oracle).
         self.numeric_backend: str = modmath.backend_for_moduli(self.extended_moduli)
         if self.numeric_backend == modmath.BACKEND_OBJECT:
             widest = max(self.extended_moduli)
             warnings.warn(
                 f"modulus {widest} ({widest.bit_length()} bits) exceeds the "
-                f"double-word limit (2**62), so this context falls back to "
+                f"word limit (2**62), so this context falls back to "
                 f"the exact object backend -- orders of magnitude slower "
-                f"than the vectorized uint64/dword paths; choose moduli "
+                f"than the compiled word kernel; choose moduli "
                 f"below 62 bits to stay on the fast path",
                 RuntimeWarning,
                 stacklevel=2,
@@ -205,34 +205,24 @@ class Context:
         return converter
 
     def key_digit_stacks(self, key, digit_index: int, limb_count: int,
-                         members: int) -> tuple[tuple[np.ndarray, ...], ...]:
+                         members: int) -> tuple[np.ndarray, np.ndarray]:
         """Digit ``digit_index`` of a key-switching key as the key multiply reads it.
 
-        One tuple per component ``b_j``, ``a_j``: its residue stack, then
-        -- on a dword chain -- the stack's 64-bit Shoup companion
-        (:meth:`KeySwitchingKey.companions`), the ``(y, y')`` tail of a
-        constant-side ``stack_dot_mod`` pair.  For a plain operand, the
-        key's own stacks over the full extended basis: below the top level
-        the multiply reads the active rows where they lie
+        The residue stacks of its components ``b_j``, ``a_j``.  For a plain
+        operand, the key's own stacks over the full extended basis: below
+        the top level the multiply reads the active rows where they lie
         (:meth:`key_row_windows`), so nothing is gathered.  For a fused
         operand, the active rows repeated member-major, tiled per call the
         way a plaintext meets a fused operand (:meth:`RNSPoly.tile`): an
         unrecorded copy nothing writes, which dies with the key switch.
         """
-        companions = key.companions(digit_index) or (None, None)
-        components = tuple(
-            (poly.data,) if companion is None else (poly.data, companion)
-            for poly, companion in zip(key.digits[digit_index], companions)
-        )
+        components = tuple(poly.data for poly in key.digits[digit_index])
         if members == 1:
             return components
         windows = self.key_row_windows(limb_count, 1)
         return tuple(
-            tuple(
-                np.concatenate([data[rows] for _, rows in windows] * members)
-                for data in component
-            )
-            for component in components
+            np.concatenate([data[rows] for _, rows in windows] * members)
+            for data in components
         )
 
     def key_row_windows(self, limb_count: int, members: int) -> list[tuple[slice, slice]]:

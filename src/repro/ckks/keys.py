@@ -109,47 +109,18 @@ class KeySwitchingKey:
     """Hybrid key-switching key: one ``(b_j, a_j)`` pair per digit.
 
     Read-only once built: every key multiply on every thread reads the
-    same digits and companions, and nothing is derived from them later.
+    same digits, and nothing is derived from them later: the key product
+    reads each digit's residues as they are
+    (:func:`repro.core.modmath.stack_dot_mod`).
     """
 
     digits: list[tuple[RNSPoly, RNSPoly]]
     target_description: str = ""
-    #: One ``(b_j', a_j')`` pair of 64-bit Shoup companion polynomials per
-    #: digit, or empty for a key without them (see :meth:`with_companions`).
-    companion_digits: tuple = field(default=(), repr=False, compare=False)
-
-    @classmethod
-    def with_companions(cls, digits: list[tuple[RNSPoly, RNSPoly]],
-                        target_description: str = "") -> "KeySwitchingKey":
-        """A key built with its companions: on a dword chain, one
-        :func:`~repro.core.modmath.dword_shoup_column` per digit polynomial
-        (the key multiply's constant side, Table III), 8 B per residue and
-        charged to the polynomial's pool.  The uint64 and exact backends
-        get none: a companion would not make their products cheaper."""
-        companions = ()
-        if modmath.stack_is_dword(digits[0][0].moduli_col):
-            companions = tuple(
-                tuple(
-                    RNSPoly(poly.moduli,
-                            modmath.dword_shoup_column(poly.data, poly.moduli_col),
-                            poly.fmt, pool=poly.pool)
-                    for poly in digit
-                )
-                for digit in digits
-            )
-        return cls(digits, target_description, companions)
 
     @property
     def dnum(self) -> int:
         """Number of digits."""
         return len(self.digits)
-
-    def companions(self, digit_index: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """64-bit Shoup companions of digit ``digit_index``'s ``(b_j, a_j)``,
-        or None for a key without them."""
-        if not self.companion_digits:
-            return None
-        return tuple(poly.data for poly in self.companion_digits[digit_index])
 
     def footprint_bytes(self) -> int:
         """Device-memory footprint of the key (Figure 8 discussion)."""
@@ -285,7 +256,7 @@ class KeyGenerator:
             payload = target.multiply_scalar(factors)
             b_j = a_j.multiply(secret.poly).negate().add(e_j).add(payload)
             digits.append((b_j, a_j))
-        return KeySwitchingKey.with_companions(digits, description)
+        return KeySwitchingKey(digits, description)
 
     def generate_relinearization_key(self, secret: SecretKey) -> KeySwitchingKey:
         """Generate the key for switching ``s^2`` back to ``s`` after HMult."""

@@ -356,15 +356,13 @@ def apply_key(
     # Dot-product fusion (§III-F.5): each accumulator is one wide
     # multiply-accumulate with a single reduction instead of a reduced
     # product and a reduced add per digit, and the GPU launches both as
-    # one inner-product kernel.  The key is the constant side: on a
-    # dword chain its Shoup companion rides along with every key stack.
+    # one inner-product kernel.
     acc_data = [np.empty(digits[0].shape, dtype=col.dtype) for _ in range(2)]
     with DISPATCH.launch("ks-inner-product"):
         for rows, key_rows in windows:
             for component, acc in enumerate(acc_data):
                 modmath.stack_dot_mod(
-                    [(d[rows], *(y[key_rows] for y in k[component]))
-                     for d, k in zip(digits, keys)],
+                    [(d[rows], k[component][key_rows]) for d, k in zip(digits, keys)],
                     col[rows], out=acc[rows],
                 )
     acc0, acc1 = (

@@ -167,7 +167,7 @@ def paper_parameter_set(log_n: int, depth: int, scale_bits: int, dnum: int,
 #: * ``paper-lr`` -- the logistic-regression set [2^16, 26, 59, 4].
 #: * ``fig8-*`` -- the Figure 8 parameter sweep.
 #: * ``toy`` / ``toy-deep`` / ``toy-bootstrap`` -- reduced sets sized for the
-#:   functional Python backend (fast NumPy arithmetic, < 2^31 primes).
+#:   functional Python backend (one-word products, < 2^31 primes).
 PARAMETER_SETS: dict[str, CKKSParameters] = {
     "paper-default": paper_parameter_set(16, 29, 59, 4, "paper-default"),
     "paper-lr": paper_parameter_set(16, 26, 59, 4, "paper-lr"),

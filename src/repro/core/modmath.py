@@ -12,55 +12,50 @@ reciprocal is precomputed).  Their integer-operation counts price the
 kernels in :mod:`repro.gpu.kernel`.
 
 This module holds the batched limb-stack kernels (``stack_*``) that are
-the library's only modular arithmetic on residues, built from improved
-Barrett and Shoup.  A residue below 2**62 is one ``uint64`` word of an
-``(L, N)`` stack whatever its modulus; the three backends differ only in
-how a *product* is reduced:
+the library's only modular arithmetic on residues.  There are two paths:
 
-* the **fast backend** (``uint64``) for moduli below 2**31, where a product
-  of two residues fits in an unsigned 64-bit lane and NumPy's native ``%``
-  (or a 32-bit Shoup companion) is exact;
-* the **double-word backend** (``dword``) for moduli in ``[2**31, 2**62)``
-  -- the regime of the paper's 59/60-bit primes -- which emulates the
-  64x64 -> 128-bit products with four 32-bit digit multiplications and
-  reduces with improved Barrett (variable x variable) or, when one
-  operand is a constant with a 64-bit Shoup companion (twiddles, scalars,
-  conversion tables, switching keys), with a three-product Shoup quotient
-  whose lazy ``[0, 4q)`` terms are summed before one reduction --
-  entirely vectorized, no object arrays, no Python loops over ``N``; and
-* the **exact backend** backed by Python integers (``dtype=object``), kept
-  only as the exactness oracle for moduli at or above 2**62.
+* **word**: a residue below 2**62 is one ``uint64`` word of an ``(L, N)``
+  stack, whatever its modulus.  Additions are NumPy expressions; every
+  product -- variable x variable, per-row constant, fused dot product --
+  is one call of the compiled word kernel (``word_kernel.c``, built on
+  first use, :func:`word_kernel`), which picks per row, from its
+  operands' bounds, a 64-bit accumulator with one Barrett reduction or a
+  128-bit one folded by a Shoup and a Barrett step.  The NTT of
+  :mod:`repro.core.ntt` is the same kernel's other entry point.
+* **exact**: Python integers (``dtype=object``), the oracle every word
+  result is tested against and the path for moduli at or above 2**62.
 
-The backend is chosen per moduli column by :func:`stack_backend`.
+The backend names ``uint64`` (every modulus below 2**31), ``dword``
+(below 2**62) and ``object`` (:func:`stack_backend`) name the width of a
+chain's moduli; the first two share the word path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 from repro.core.dispatch import DISPATCH, gather_rows
 from repro.gpu import kernel as _kernelforms
 
-#: Largest modulus for which the fast uint64 NumPy backend is exact:
-#: residues are < 2**31, so products are < 2**62 and fit in a uint64 lane.
+#: The ``uint64`` backend's bound: every modulus below 2**31, so a product
+#: of two residues fits one 64-bit word.
 FAST_MODULUS_LIMIT = 1 << 31
 
-#: Largest modulus the double-word backend supports.  The
-#: improved-Barrett remainder before correction lies in ``[0, 3q)``, which
-#: must fit a uint64 lane, and the lazy ``[0, 2q)`` representatives the
-#: NTT uses must leave headroom for one uncorrected butterfly sum
-#: (``< 4q``); both hold exactly when ``q < 2**62`` (the same 62-bit cap
-#: word-sized RNS libraries impose).  Paper-class 59/60-bit primes are
-#: comfortably inside.
+#: Largest modulus of the word path.  The kernel's remainders before their
+#: last correction lie in ``[0, 4q)`` -- the NTT's lazy representatives and
+#: the 128-bit fold alike -- which fits a uint64 word exactly when
+#: ``q < 2**62`` (the same 62-bit cap word-sized RNS libraries impose).
+#: Paper-class 59/60-bit primes are comfortably inside.
 DWORD_MODULUS_LIMIT = 1 << 62
-
-#: ``2**64``: the machine word the double-word Barrett and Shoup constants
-#: are built over.
-WORD_BASE = 1 << 64
-
 
 # ---------------------------------------------------------------------------
 # Scalar helpers
@@ -81,16 +76,6 @@ def inv_mod(a: int, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Word-size predicate
-# ---------------------------------------------------------------------------
-
-
-def is_fast_modulus(q: int) -> bool:
-    """Return True when the fast uint64 backend is exact for modulus ``q``."""
-    return q < FAST_MODULUS_LIMIT
-
-
-# ---------------------------------------------------------------------------
 # Batched limb-stack routines
 # ---------------------------------------------------------------------------
 #
@@ -98,11 +83,10 @@ def is_fast_modulus(q: int) -> bool:
 # flattened allocation strategy of §III-D -- with the per-limb moduli held in
 # an ``(L, 1)`` column that NumPy broadcasts across every row.  One call
 # replaces a Python loop over per-limb vector routines, which is the batching
-# the paper's §III-F kernels perform across limbs on the GPU.  The backend is
-# chosen per moduli column (:func:`stack_backend`): single-word products
-# below :data:`FAST_MODULUS_LIMIT`, emulated double-word products below
-# :data:`DWORD_MODULUS_LIMIT` -- both on one ``uint64`` word per residue --
-# and exact Python integers in an object array beyond that.
+# the paper's §III-F kernels perform across limbs on the GPU.  The path is
+# chosen per moduli column: one ``uint64`` word per residue below
+# :data:`DWORD_MODULUS_LIMIT`, exact Python integers in an object array
+# beyond that.
 
 #: Elementwise ``int()`` over an array; the safe way to turn a uint64 array
 #: into Python-integer objects (``astype(object)`` would keep ``np.uint64``
@@ -119,10 +103,11 @@ BACKEND_OBJECT = "object"
 def backend_for_moduli(moduli) -> str:
     """Return the stack backend a set of moduli selects.
 
-    ``uint64`` when every modulus is below 2**31, ``dword`` (emulated
-    128-bit products) when every modulus is below 2**62, ``object`` (exact
-    Python integers) otherwise.  The backend is a pure function of the
-    modulus values, so any sub-basis of a chain classifies consistently.
+    ``uint64`` when every modulus is below 2**31, ``dword`` when every
+    modulus is below 2**62 (both one word per residue, one kernel),
+    ``object`` (exact Python integers) otherwise.  The backend is a pure
+    function of the modulus values, so any sub-basis of a chain classifies
+    consistently.
     """
     largest = max(int(q) for q in moduli)
     if largest < FAST_MODULUS_LIMIT:
@@ -180,11 +165,6 @@ def stack_backend(moduli_col: np.ndarray) -> str:
     if int(col.max()) < FAST_MODULUS_LIMIT:
         return BACKEND_UINT64
     return BACKEND_DWORD
-
-
-def stack_is_dword(moduli_col: np.ndarray) -> bool:
-    """True when a moduli column selects the double-word backend."""
-    return stack_backend(moduli_col) == BACKEND_DWORD
 
 
 def object_row(values) -> np.ndarray:
@@ -299,23 +279,15 @@ def scalar_column(scalars, moduli_col: np.ndarray) -> np.ndarray:
     return np.array(values, dtype=moduli_col.dtype).reshape(-1, 1)
 
 
-#: Shift of the Shoup constant-operand multiplication on the fast backend:
-#: with residues below 2**31 and ``w' = floor(w * 2**32 / q)``, every
-#: intermediate fits a uint64 lane and the pre-reduction result lies in
-#: ``[0, 2q)`` (Table III's one-wide-two-low-multiplications scheme).
-STACK_SHOUP_SHIFT = np.uint64(32)
-
-
-def _fast_reduce_once(s: np.ndarray, moduli_col: np.ndarray) -> np.ndarray:
+def _reduce_once(s: np.ndarray, moduli_col: np.ndarray) -> np.ndarray:
     """Map ``s`` in ``[0, 2q)`` to ``[0, q)`` without a branch or division.
 
     When ``s < q`` the uint64 subtraction ``s - q`` wraps far above ``2q``,
     so the elementwise minimum selects the already-reduced value; when
     ``s >= q`` it selects ``s - q``.  One subtract and one min replace the
     compare/where/subtract triple -- exact for every ``q < 2**63`` (``2q``
-    still fits the lane), so the fast and the double-word backend share it.
-    ``s`` must be a kernel-owned temporary: the reduction happens in place
-    (the correction term lives in scratch).
+    still fits the lane).  ``s`` must be a kernel-owned temporary: the
+    reduction happens in place (the correction term lives in scratch).
     """
     tmp = DISPATCH.scratch("reduce", s.shape)
     np.subtract(s, moduli_col, out=tmp)
@@ -323,262 +295,106 @@ def _fast_reduce_once(s: np.ndarray, moduli_col: np.ndarray) -> np.ndarray:
     return s
 
 
-def shoup_column(constants: np.ndarray, moduli_col: np.ndarray) -> np.ndarray:
-    """Precompute ``floor(c * 2**32 / q)`` companions for fast constants."""
-    return (constants << STACK_SHOUP_SHIFT) // moduli_col
-
-
-# -- double-word kernel internals -------------------------------------------
+# -- the word kernel ---------------------------------------------------------
 #
-# All helpers below take one uint64 word per residue and derive its 32-bit
-# digits themselves, with per-row constants from :class:`_DWordTables`.
-# Every supported modulus is below 2**62, so a residue -- and even a lazy
-# ``[0, 4q)`` representative -- always fits the word.  A variable x
-# variable product emulates the 64x64 -> 128-bit product with four 32-bit
-# digit multiplications and reduces with the improved Barrett of Shivdikar
-# et al. (quotient estimate off by at most two, so two branch-free min
-# corrections) -- the one user of the exact high word :func:`_dword_mulhi`.
-# A constant ``w`` with its companion ``w' = floor(w * 2**64 / q)`` needs
-# only the three-product quotient of :func:`_dword_shoup_quotient`.
+# One C source holds every modular product on word residues: ``dot`` here
+# (products, per-row constants and fused dot products) and the NTT that
+# :mod:`repro.core.ntt` calls.  It is built on first use with the system C
+# compiler and called through :mod:`ctypes`.
 
-_M32 = np.uint64(0xFFFFFFFF)
-_SH32 = np.uint64(32)
+#: The C compiler that builds the kernel, looked up on ``PATH``.
+_COMPILER = "cc"
+_COMPILE_FLAGS = ("-O3", "-shared", "-fPIC")
+_SOURCE = Path(__file__).with_name("word_kernel.c")
 
 
-@dataclass(frozen=True)
-class _DWordTables:
-    """Per-basis constants of the dword backend (broadcast columns).
+@lru_cache(maxsize=1)
+def word_kernel() -> ctypes.CDLL:
+    """The compiled :data:`_SOURCE`, built on first use into ``__pycache__``.
 
-    With ``n = bitlen(q)`` and ``mu = floor(2**(2n) / q)`` (at most n+1
-    bits, so a uint64 for every supported modulus), the improved Barrett
-    quotient of a product ``x < q**2`` is
-    ``q_est = (floor(x / 2**(n-1)) * mu) >> (n+1)`` -- within 2 of the true
-    quotient, leaving a remainder in ``[0, 3q)`` that fits a lane for
-    ``q < 2**62``.  ``r``, ``base`` and ``q_inv`` build Shoup companions
-    (:func:`dword_shoup_column`); ``q_inv`` is 0 for an even modulus, which
-    has none.
+    The file is named by a hash of the source and the compile command, so
+    an edit builds a new one.  A build writes a temporary name and renames
+    it, so processes racing the first build end with the same file.
+    ``ctypes.CDLL`` releases the GIL for each call, and the kernel keeps no
+    static state, so threads may call it at once.
     """
-
-    q: np.ndarray        # (L, 1) moduli
-    q2: np.ndarray       # (L, 1) doubled moduli (lazy-representative bound)
-    mu_hi: np.ndarray    # (L, 1) high/low 32-bit digits of mu
-    mu_lo: np.ndarray
-    s1: np.ndarray       # (L, 1) n-1   (t = x >> (n-1))
-    s1c: np.ndarray      # (L, 1) 65-n  (complementary shift of the hi word)
-    s2: np.ndarray       # (L, 1) n+1   (q_est = t*mu >> (n+1))
-    s2c: np.ndarray      # (L, 1) 63-n
-    r: np.ndarray        # (L, 1) 2**64 mod q
-    base: np.ndarray     # (L, 1) floor(2**64 / q), the companion of 1
-    q_inv: np.ndarray    # (L, 1) q**-1 mod 2**64
-
-
-def _dword_tables(moduli_col: np.ndarray) -> _DWordTables:
-    """Return the (cached) Barrett tables of a dword moduli column."""
-    return _dword_tables_cached(
-        tuple(int(q) for q in np.asarray(moduli_col).ravel())
-    )
-
-
-@lru_cache(maxsize=_TUPLE_CACHE_SIZE)
-def _dword_tables_cached(moduli: tuple) -> _DWordTables:
-    def column(values) -> np.ndarray:
-        return read_only(np.array(values, dtype=np.uint64).reshape(-1, 1))
-
-    qs = [int(q) for q in moduli]
-    if max(qs) >= DWORD_MODULUS_LIMIT:
-        raise ValueError(
-            f"modulus {max(qs)} (>= 2**62) exceeds the double-word backend"
-        )
-    bits = [q.bit_length() for q in qs]
-    mu = [(1 << (2 * n)) // q for q, n in zip(qs, bits)]
-    return _DWordTables(
-        q=column(qs),
-        q2=column([2 * q for q in qs]),
-        mu_hi=column([m >> 32 for m in mu]),
-        mu_lo=column([m & 0xFFFFFFFF for m in mu]),
-        s1=column([n - 1 for n in bits]),
-        s1c=column([65 - n for n in bits]),
-        s2=column([n + 1 for n in bits]),
-        s2c=column([63 - n for n in bits]),
-        r=column([WORD_BASE % q for q in qs]),
-        base=column([WORD_BASE // q for q in qs]),
-        q_inv=column([pow(q, -1, WORD_BASE) if q % 2 else 0 for q in qs]),
-    )
-
-
-def dword_shoup_column(constants: np.ndarray, moduli_col: np.ndarray) -> np.ndarray:
-    """Precompute ``floor(c * 2**64 / q)`` companions of canonical constants.
-
-    Word arithmetic only.  With ``r = 2**64 mod q``,
-    ``c * 2**64 = c * floor(2**64 / q) * q + c * r``, so the companion is
-    ``c * floor(2**64 / q) + floor(c * r / q)``; that last quotient is
-    exact, hence ``(c*r - (c*r mod q)) * q**-1 mod 2**64`` with the
-    remainder from the Barrett product.  The companion is below 2**64, so
-    every wrap of the word products cancels.  Moduli must be odd.
-    """
-    dw = _dword_tables(moduli_col)
-    if not np.all(dw.q & np.uint64(1)):
-        raise ValueError("a 64-bit Shoup companion needs an odd modulus")
-    c = np.asarray(constants, dtype=np.uint64)
-    companion = c * dw.r - _dword_mul(c, dw.r, dw)
-    companion *= dw.q_inv
-    companion += c * dw.base
-    return companion
-
-
-def _dword_mulhi(a: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray) -> np.ndarray:
-    """High 64 bits of ``a * b`` from the 32-bit digits of ``b``."""
-    a_lo = a & _M32
-    a_hi = a >> _SH32
-    lh = a_lo * b_hi
-    hl = a_hi * b_lo
-    cross = ((a_lo * b_lo) >> _SH32) + (lh & _M32) + (hl & _M32)
-    return a_hi * b_hi + (lh >> _SH32) + (hl >> _SH32) + (cross >> _SH32)
-
-
-def _dword_barrett(p_hi: np.ndarray, p_lo: np.ndarray,
-                   dw: _DWordTables) -> np.ndarray:
-    """Reduce 128-bit products ``p_hi:p_lo < q**2`` to canonical residues."""
-    t = (p_hi << dw.s1c) | (p_lo >> dw.s1)
-    tm_lo = t * (dw.mu_lo | (dw.mu_hi << _SH32))
-    tm_hi = _dword_mulhi(t, dw.mu_hi, dw.mu_lo)
-    q_est = (tm_hi << dw.s2c) | (tm_lo >> dw.s2)
-    r = p_lo - q_est * dw.q  # wraps mod 2**64; the true remainder is < 3q
-    np.minimum(r, r - dw.q2, out=r)
-    np.minimum(r, r - dw.q, out=r)
-    return r
-
-
-def _dword_mul(am: np.ndarray, bm: np.ndarray,
-               dw: _DWordTables) -> np.ndarray:
-    """Canonical ``(am * bm) mod q`` for canonical operands."""
-    a_lo = am & _M32
-    a_hi = am >> _SH32
-    b_lo = bm & _M32
-    b_hi = bm >> _SH32
-    ll = a_lo * b_lo
-    lh = a_lo * b_hi
-    hl = a_hi * b_lo
-    cross = (ll >> _SH32) + (lh & _M32) + (hl & _M32)
-    p_lo = ((cross & _M32) << _SH32) | (ll & _M32)
-    p_hi = a_hi * b_hi + (lh >> _SH32) + (hl >> _SH32) + (cross >> _SH32)
-    return _dword_barrett(p_hi, p_lo, dw)
-
-
-def _dword_shoup_quotient(x: np.ndarray, w_hi: np.ndarray, w_lo: np.ndarray,
-                          out: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """The three-product Shoup quotient of ``x * w`` from ``w'``'s 32-bit digits.
-
-    ``out = x_hi*w'_hi + (x_hi*w'_lo >> 32) + (x_lo*w'_hi >> 32)`` drops
-    the low-by-low product and the carries of the two cross products, so it
-    is ``mulhi64(x, w')`` minus 0, 1 or 2 -- and ``mulhi64`` is at most one
-    short of ``floor(x * w / q)``.  For any uint64 ``x``, ``x*w - out*q``
-    therefore lies in ``[0, 4q)``, which fits the word for ``q < 2**62``.
-    ``out`` and ``spare`` have the broadcast shape and alias no input.
-    """
-    np.right_shift(x, _SH32, out=spare)
-    np.multiply(spare, w_lo, out=out)
-    out >>= _SH32
-    spare *= w_hi
-    out += spare
-    np.bitwise_and(x, _M32, out=spare)
-    spare *= w_hi
-    spare >>= _SH32
-    out += spare
-    return out
-
-
-def _dword_fold(acc: np.ndarray, bound: int, target: int,
-                moduli_col: np.ndarray, spare: np.ndarray) -> int:
-    """Bring ``acc < bound*q`` below ``target*q`` in place; returns the new bound.
-
-    One branch-free ``min(acc, acc - 2**j q)`` per halving (``acc - c``
-    wraps above ``acc`` exactly when ``acc < c``); ``target`` is a power
-    of two and ``bound * q`` at most 2**64.
-    """
-    while bound > target:
-        step = (bound - 1).bit_length() - 1  # the largest 2**step < bound
-        np.subtract(acc, moduli_col << np.uint64(step), out=spare)
-        np.minimum(acc, spare, out=acc)
-        bound = 1 << step
-    return bound
-
-
-def _dword_shoup_mul(
-    am: np.ndarray,
-    constants: np.ndarray,
-    shoup: np.ndarray,
-    dw: _DWordTables,
-    *,
-    lazy: bool = False,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """``(am * constants) mod q`` via 64-bit Shoup companions.
-
-    ``am`` may be any uint64 value (lazy representatives included); the
-    three-product quotient leaves the product in ``[0, 4q)`` -- returned
-    as-is when ``lazy``, canonicalized by two minimums otherwise.  ``out``
-    may alias ``am``.
-    """
-    shape = np.broadcast_shapes(np.shape(am), np.shape(shoup))
-    est = _dword_shoup_quotient(
-        am, shoup >> _SH32, shoup & _M32,
-        DISPATCH.scratch("dword-est", shape),
-        DISPATCH.scratch("dword-spare", shape),
-    )
-    est *= dw.q
-    r = np.multiply(am, constants, out=out)  # both products wrap mod 2**64
-    r -= est
-    if not lazy:
-        _dword_fold(r, 4, 1, dw.q, est)
-    return r
-
-
-def _dword_dot(terms, moduli_col: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """``(Σ x * y) mod q`` on the dword backend, reduced once.
-
-    A term ``(x, y, w')`` -- ``y`` a constant with its 64-bit companion --
-    is a three-product Shoup product left in ``[0, 4q)`` (any uint64 ``x``);
-    a term ``(x, y)`` is a canonical Barrett product.  The terms are summed
-    in the word while the sum provably stays below 2**64 -- counted in
-    multiples of the widest modulus -- and folded (:func:`_dword_fold`) only
-    before a term that could pass it: up to eight Shoup terms per fold at
-    2**59, one near 2**62, where the term is also halved to ``[0, 2q)`` so
-    that it fits next to the folded sum.
-    """
-    dw = _dword_tables(moduli_col)
-    room = WORD_BASE // int(np.max(moduli_col))  # the sum stays < room * q
-    shape = np.broadcast_shapes(
-        *(np.broadcast_shapes(np.shape(x), np.shape(y)) for x, y, *_ in terms)
-    )
-    spare = DISPATCH.scratch("dot-spare", shape)
-    acc, bound = out, 0  # acc < bound * q, row by row
-    for x, y, *companion in terms:
-        if companion:
-            term = _dword_shoup_mul(
-                x, y, companion[0], dw, lazy=True,
-                out=DISPATCH.scratch("dot-term", shape) if bound else acc,
+    command = (_COMPILER, *_COMPILE_FLAGS)
+    digest = hashlib.sha256(_SOURCE.read_bytes() + " ".join(command).encode())
+    cache = _SOURCE.parent / "__pycache__"
+    path = cache / f"{_SOURCE.stem}-{digest.hexdigest()[:16]}.so"
+    if not path.exists():
+        if shutil.which(_COMPILER) is None:
+            raise RuntimeError(
+                f"the word kernel is built with the C compiler {_COMPILER!r}, "
+                "which was not found"
             )
-            width = 4
-        else:
-            term = _dword_mul(x, y, dw)
-            width = 1
-        if not bound:
-            if acc is None:
-                acc = term
-            elif term is not acc:
-                acc[...] = term
-            bound = width
-            continue
-        if bound + width > room:
-            bound = _dword_fold(acc, bound, 1, moduli_col, spare)
-            if bound + width > room:
-                width = _dword_fold(term, width, 2, moduli_col, spare)
-        acc += term
-        bound += width
-    _dword_fold(acc, bound, 1, moduli_col, spare)
-    return acc
+        cache.mkdir(exist_ok=True)
+        handle, temporary = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(handle)
+        try:
+            build = subprocess.run([*command, "-o", temporary, str(_SOURCE)],
+                                   capture_output=True, text=True)
+            if build.returncode:
+                raise RuntimeError(
+                    f"{_COMPILER!r} could not build {_SOURCE.name}:\n{build.stderr}"
+                )
+            os.replace(temporary, path)
+        finally:
+            if os.path.exists(temporary):
+                os.unlink(temporary)
+    library = ctypes.CDLL(str(path))
+    size, word, address = ctypes.c_size_t, ctypes.c_uint64, ctypes.c_void_p
+    library.dot.argtypes = (size, size, size, word, address)
+    library.dot.restype = ctypes.c_int
+    library.shoup_companions.argtypes = (address, size, word)
+    library.shoup_companions.restype = None
+    library.ntt.argtypes = (address, size, size, address, address, ctypes.c_int)
+    library.ntt.restype = None
+    return library
+
+
+def _view(a: np.ndarray, rows: int, cols: int) -> list[int]:
+    """``(address, row stride, column stride)`` of a uint64 operand broadcast
+    to ``(rows, cols)``: strides in elements, 0 along a broadcast axis."""
+    shape, strides = a.shape, a.strides
+    if len(shape) == 1:
+        shape, strides = (1, *shape), (0, *strides)
+    if len(shape) != 2 or shape[0] not in (1, rows) or shape[1] not in (1, cols):
+        raise ValueError(f"operand of shape {a.shape} does not broadcast to "
+                         f"({rows}, {cols})")
+    return [a.ctypes.data,
+            strides[0] // 8 if shape[0] != 1 else 0,
+            strides[1] // 8 if shape[1] != 1 else 0]
+
+
+def _word_dot(pairs, moduli_col: np.ndarray, out: np.ndarray | None,
+              bound: int | None = None) -> np.ndarray:
+    """``(Σ x·y) mod q`` on word residues: one call of the kernel's ``dot``.
+
+    Operands are uint64 stacks, ``(1, N)`` rows or ``(L, 1)`` columns, read
+    in place through their strides.  ``y`` is canonical; ``x`` is below
+    ``bound`` (canonical when None).  ``out`` may be one of the operands;
+    an operand that overlaps it otherwise is copied first.
+    """
+    operands = [
+        a if a.dtype == np.uint64 else np.asarray(a, dtype=np.uint64)
+        for pair in pairs for a in pair
+    ]
+    if out is None:
+        rows = max(a.shape[0] if a.ndim == 2 else 1 for a in (moduli_col, *operands))
+        out = np.empty((rows, max(a.shape[-1] for a in operands)), dtype=np.uint64)
+    elif out.dtype != np.uint64 or out.ndim != 2 or not out.flags.writeable:
+        return _into(_word_dot(pairs, moduli_col, None, bound), out)
+    rows, cols = out.shape
+    table = _view(out, rows, cols) + _view(moduli_col, rows, 1)
+    for a in operands:
+        table += _view(a, rows, cols)
+    table = np.array(table, dtype=np.int64)
+    if word_kernel().dot(rows, cols, len(pairs), bound or 0, table.ctypes.data):
+        # ``out`` overlaps an operand without being it: read copies.
+        copies = [np.array(a) if np.may_share_memory(a, out) else a for a in operands]
+        return _word_dot(list(zip(copies[0::2], copies[1::2])), moduli_col, out, bound)
+    return out
 
 
 def _into(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -587,50 +403,6 @@ def _into(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         return result
     out[...] = result
     return out
-
-
-def stack_shoup_mul(
-    a: np.ndarray,
-    constants: np.ndarray,
-    shoup: np.ndarray,
-    moduli_col: np.ndarray,
-    *,
-    lazy: bool = False,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Elementwise ``(a * constants) mod q`` via Shoup multiplication.
-
-    ``constants``/``shoup`` broadcast against ``a``; all inputs uint64 with
-    residues below 2**31 (the operand ``a`` may be a lazy representative up
-    to ``2q < 2**32``).  Replaces the hardware division of ``%`` with two
-    multiplications and a shift -- the same trade the GPU butterflies make
-    (Table III).  With ``lazy=True`` the result is left in ``[0, 2q)``,
-    saving the correction passes when the caller reduces later anyway.
-    ``out`` may alias ``a`` (the quotient is read out of ``a`` first).
-
-    On the dword backend ``a`` may be any uint64 value, ``shoup`` holds
-    the 64-bit companions (:func:`dword_shoup_column`) and a lazy result
-    lies in ``[0, 4q)`` (:func:`_dword_shoup_quotient`).
-    """
-    if stack_is_dword(moduli_col):
-        return _dword_shoup_mul(a, constants, shoup, _dword_tables(moduli_col),
-                                lazy=lazy, out=out)
-    shape = np.broadcast_shapes(a.shape, np.shape(shoup))
-    quotient = DISPATCH.scratch("shoup-q", shape)
-    np.multiply(a, shoup, out=quotient)
-    quotient >>= STACK_SHOUP_SHIFT
-    np.multiply(quotient, moduli_col, out=quotient)
-    if out is None:
-        r = a * constants
-    else:
-        np.multiply(a, constants, out=out)
-        r = out
-    r -= quotient
-    if lazy:
-        return r
-    np.subtract(r, moduli_col, out=quotient)
-    np.minimum(r, quotient, out=r)
-    return r
 
 
 def stack_add_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
@@ -649,7 +421,7 @@ def stack_add_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
         else:
             np.add(a, b, out=out)
             s = out
-        out = _fast_reduce_once(s, moduli_col)
+        out = _reduce_once(s, moduli_col)
     if DISPATCH.recording:
         def replay(reads, writes, _col=moduli_col):
             stack_add_mod(reads[0], reads[1], _col, out=writes[0])
@@ -675,7 +447,7 @@ def stack_sub_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
             np.subtract(a, b, out=out)
             out += moduli_col
             s = out
-        out = _fast_reduce_once(s, moduli_col)
+        out = _reduce_once(s, moduli_col)
     if DISPATCH.recording:
         def replay(reads, writes, _col=moduli_col):
             stack_sub_mod(reads[0], reads[1], _col, out=writes[0])
@@ -706,25 +478,13 @@ def stack_mul_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
                   *, out: np.ndarray | None = None) -> np.ndarray:
     """Row-broadcast elementwise ``(a * b) mod q_i`` over a limb stack.
 
-    Exact on the fast backend because residues are below ``2**31``, so a
-    product fits in a uint64 lane.  Both operands are variable, so the
-    fast backend keeps a hardware division (Barrett-style constant tricks
-    need a fixed operand) while the dword backend reduces the emulated
-    128-bit product with improved Barrett.
+    One call of the word kernel (a one-term :func:`stack_dot_mod`) for
+    every modulus below 2**62; exact Python integers above.
     """
-    backend = stack_backend(moduli_col)
-    if backend == BACKEND_DWORD:
-        out = _into(_dword_mul(a, b, _dword_tables(moduli_col)), out)
-    elif backend == BACKEND_UINT64:
-        if out is None:
-            s = a * b
-        else:
-            np.multiply(a, b, out=out)
-            s = out
-        s %= moduli_col
-        out = s
-    else:
+    if moduli_col.dtype == np.object_:
         out = _into((a * b) % moduli_col, out)
+    else:
+        out = _word_dot([(a, b)], moduli_col, out)
     if DISPATCH.recording:
         def replay(reads, writes, _col=moduli_col):
             stack_mul_mod(reads[0], reads[1], _col, out=writes[0])
@@ -736,59 +496,36 @@ def stack_mul_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
 
 
 def stack_dot_mod(pairs, moduli_col: np.ndarray,
-                  *, out: np.ndarray | None = None) -> np.ndarray:
-    """Fused ``(Σ x_i * y_i) mod q`` over canonical stacks (§III-F.5).
+                  *, out: np.ndarray | None = None,
+                  bound: int | None = None) -> np.ndarray:
+    """Fused ``(Σ x_i * y_i) mod q`` over canonical stacks (§III-F.3, F.5).
 
-    The dot-product fusion of the paper's key-switching inner loop: on the
-    fast backend raw uint64 products are accumulated and reduced once per
-    four terms -- ``4·(q-1)² < 2**64`` for ``q < 2**31``, so the wide
-    accumulator cannot overflow -- instead of reducing after every
-    multiply-add.
-
-    A pair may carry a third element, the 64-bit Shoup companion of a
-    constant ``y_i`` (:func:`dword_shoup_column` -- a switching key's, say):
-    the dword backend then sums lazy three-product Shoup terms instead of
-    Barrett products (:func:`_dword_dot`).  The other backends ignore it,
-    and the recorded kernel reads and prices the products alone.
+    The dot-product fusion of the paper's key-switching inner loop, on
+    its wide accumulator: one word-kernel call sums the raw products and
+    reduces once per output element -- in a 64-bit word while the products
+    fit one, in a 128-bit word otherwise, folding only before the sum could
+    pass it -- instead of reducing after every multiply-add.  ``y_i`` is
+    canonical and may be an ``(L, 1)`` column of per-row constants; ``x_i``
+    may be a ``(1, N)`` row, and is below ``bound`` when one is given (base
+    conversion's source residues over a narrower target), canonical
+    otherwise.  ``out`` may alias an operand.
     """
-    operands = [tuple(pair) for pair in pairs]
-    pairs = [operand[:2] for operand in operands]
+    pairs = [tuple(pair) for pair in pairs]
     if not pairs:
         raise ValueError("stack_dot_mod needs at least one product")
-    backend = stack_backend(moduli_col)
-    if backend == BACKEND_UINT64:
-        acc = None
-        product = None
-        pending = 0
-        for x, y in pairs:
-            if acc is None:
-                if out is None:
-                    acc = x * y  # fresh: this array is the returned result
-                else:
-                    np.multiply(x, y, out=out)
-                    acc = out
-            else:
-                if product is None:
-                    product = DISPATCH.scratch("dot-prod", acc.shape)
-                np.multiply(x, y, out=product)
-                acc += product
-            pending += 1
-            if pending == 4:
-                acc %= moduli_col
-                pending = 0
-        acc %= moduli_col
-    elif backend == BACKEND_DWORD:
-        acc = _dword_dot(operands, moduli_col, out)
-    else:
+    if moduli_col.dtype == np.object_:
         acc = None
         for x, y in pairs:
             product = (x * y) % moduli_col
             acc = product if acc is None else (acc + product) % moduli_col
         acc = _into(acc, out)
+    else:
+        acc = _word_dot(pairs, moduli_col, out, bound)
     if DISPATCH.recording:
-        def replay(reads, writes, _col=moduli_col):
+        def replay(reads, writes, _col=moduli_col, _bound=bound):
             stack_dot_mod(
-                list(zip(reads[0::2], reads[1::2])), _col, out=writes[0]
+                list(zip(reads[0::2], reads[1::2])), _col, out=writes[0],
+                bound=_bound,
             )
         mul_add = _kernelforms.MODMUL_OPS + _kernelforms.MODADD_OPS
         # Unfused, the sum is one reduced product plus a reduced
@@ -820,15 +557,10 @@ def stack_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,
     straight into the transform's working buffer.
     """
     col = scalar_column(scalars, moduli_col)
-    backend = stack_backend(moduli_col)
-    if backend == BACKEND_UINT64:
-        out = stack_shoup_mul(a, col, shoup_column(col, moduli_col), moduli_col,
-                              out=out)
-    elif backend == BACKEND_DWORD:
-        out = stack_shoup_mul(a, col, _dword_scalar_shoup(scalars, moduli_col),
-                              moduli_col, out=out)
-    else:
+    if moduli_col.dtype == np.object_:
         out = _into((a * col) % moduli_col, out)
+    else:
+        out = _word_dot([(a, col)], moduli_col, out)
     if DISPATCH.recording:
         frozen = tuple(int(s) for s in scalars)
         def replay(reads, writes, _scalars=frozen, _col=moduli_col):
@@ -870,10 +602,6 @@ def head_addend_fold(scalars, addend_scalars, moduli_col: np.ndarray):
     :func:`stack_dot_mod`, reduced once.
     """
     terms = [scalar_column(s, moduli_col) for s in (scalars, addend_scalars)]
-    companions = [()] * 2
-    if stack_backend(moduli_col) == BACKEND_DWORD:
-        companions = [(_dword_scalar_shoup(s, moduli_col),)
-                      for s in (scalars, addend_scalars)]
 
     def fold(reads, writes):
         gather_rows(reads[:1], writes[0])
@@ -883,25 +611,10 @@ def head_addend_fold(scalars, addend_scalars, moduli_col: np.ndarray):
             row += len(head)
             stack_sub_mod(coerce_stack(head, moduli_col), seg, moduli_col, out=seg)
             stack_dot_mod([
-                (seg, terms[0], *companions[0]),
-                (coerce_stack(addend, moduli_col), terms[1], *companions[1]),
+                (seg, terms[0]), (coerce_stack(addend, moduli_col), terms[1]),
             ], moduli_col, out=seg)
 
     return fold
-
-
-def _dword_scalar_shoup(scalars, moduli_col: np.ndarray) -> np.ndarray:
-    """Cached 64-bit Shoup companions of a per-row scalar column."""
-    return _dword_scalar_shoup_cached(
-        tuple(int(s) for s in scalars),
-        tuple(int(q) for q in np.asarray(moduli_col).ravel()),
-    )
-
-
-@lru_cache(maxsize=512)
-def _dword_scalar_shoup_cached(scalars: tuple, moduli: tuple) -> np.ndarray:
-    col = moduli_column(moduli)
-    return read_only(dword_shoup_column(scalar_column(scalars, col), col))
 
 
 def stack_add_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,
@@ -916,7 +629,7 @@ def stack_add_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,
         else:
             np.add(a, col, out=out)
             s = out
-        out = _fast_reduce_once(s, moduli_col)
+        out = _reduce_once(s, moduli_col)
     if DISPATCH.recording:
         frozen = tuple(int(s) for s in scalars)
         def replay(reads, writes, _scalars=frozen, _col=moduli_col):
@@ -991,7 +704,6 @@ __all__ = [
     "DWORD_MODULUS_LIMIT",
     "pow_mod",
     "inv_mod",
-    "is_fast_modulus",
     "as_residue_array",
     "backend_for_moduli",
     "BACKEND_UINT64",
@@ -999,9 +711,8 @@ __all__ = [
     "BACKEND_OBJECT",
     "moduli_column",
     "read_only",
+    "word_kernel",
     "stack_backend",
-    "stack_is_dword",
-    "dword_shoup_column",
     "object_row",
     "coerce_stack",
     "lift_residues",
@@ -1009,9 +720,6 @@ __all__ = [
     "stack_zeros",
     "stack_take",
     "scalar_column",
-    "STACK_SHOUP_SHIFT",
-    "shoup_column",
-    "stack_shoup_mul",
     "stack_add_mod",
     "stack_sub_mod",
     "stack_neg_mod",

@@ -12,8 +12,8 @@ explicit bit reversal is ever needed.
 * :class:`StackedNTTEngine` is the only engine: it transforms every row
   of a flat ``(rows, N)`` limb stack at once, on every word-sized modulus
   (``q < 2**62``: the uint64 and the double-word backends alike), with one
-  compiled radix-2 kernel (``ntt.c``, built on first use with the system C
-  compiler and called through :mod:`ctypes`) over the per-``(N, q)``
+  compiled radix-2 kernel (the ``ntt`` entry point of the word kernel,
+  :func:`repro.core.modmath.word_kernel`) over the per-``(N, q)``
   tables of :func:`kernel_tables`: Cooley-Tukey / Gentleman-Sande
   butterflies with 64-bit Shoup twiddles (Table III) on lazy ``[0, 4q)``
   representatives, FIDESlib's one hand-written kernel per transform
@@ -36,14 +36,7 @@ per-stage stream.
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
 from functools import lru_cache
-from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -93,22 +86,27 @@ def twiddle_tables(ring_degree: int, modulus: int) -> tuple[np.ndarray, np.ndarr
     psi = find_root_of_unity(2 * n, q)
     if modmath.pow_mod(psi, 2 * n, q) != 1 or modmath.pow_mod(psi, n, q) == 1:
         raise ValueError("psi is not a primitive 2N-th root of unity")
-    psi_inv = modmath.inv_mod(psi, q)
-    powers = np.empty(n, dtype=object)
-    inv_powers = np.empty(n, dtype=object)
-    acc = 1
-    acc_inv = 1
-    for i in range(n):
-        powers[i] = acc
-        inv_powers[i] = acc_inv
-        acc = (acc * psi) % q
-        acc_inv = (acc_inv * psi_inv) % q
     rev = bit_reverse_indices(n)
     return (
-        modmath.read_only(modmath.as_residue_array(powers[rev], q)),
-        modmath.read_only(modmath.as_residue_array(inv_powers[rev], q)),
+        modmath.read_only(_powers(psi, n, q)[rev]),
+        modmath.read_only(_powers(modmath.inv_mod(psi, q), n, q)[rev]),
         modmath.inv_mod(n, q),
     )
+
+
+def _powers(root: int, n: int, q: int) -> np.ndarray:
+    """``root**i mod q`` for ``i < n`` (a power of two), in the stack dtype of
+    ``q``: by doubling, ``powers[k:2k] = powers[:k] · root**k``, one
+    vectorised product per step."""
+    col = modmath.moduli_column((q,))
+    powers = modmath.stack_zeros(1, n, col)
+    powers[0, 0] = 1
+    k, step = 1, root
+    with DISPATCH.suppressed():
+        while k < n:
+            modmath.stack_scalar_mod(powers[:, :k], (step,), col, out=powers[:, k : 2 * k])
+            k, step = 2 * k, step * step % q
+    return powers[0]
 
 
 def reference_transform(
@@ -160,63 +158,19 @@ def kernel_tables(ring_degree: int, modulus: int) -> np.ndarray:
 
     A read-only ``(2, N, 2)`` uint64 array: per direction (forward, then
     inverse) the :func:`twiddle_tables` row with each twiddle ``w`` next to
-    its Shoup companion ``floor(w * 2**64 / q)``, so a butterfly reads
+    its Shoup companion ``floor(w * 2**64 / q)`` (computed by the kernel's
+    ``shoup_companions``, in 128-bit integers), so a butterfly reads
     both from one cache line.  No stage reads entry 0, so the inverse's
     holds ``N⁻¹`` instead, for the kernel's last pass.  Cached per ``(N,
     q)`` with the same bound as :func:`twiddle_tables`; an engine points
     each row at its modulus' table and holds the array, never a copy.
     """
     forward, inverse, n_inv = twiddle_tables(ring_degree, modulus)
-    twiddles = np.stack([forward, inverse]).astype(np.uint64)
-    twiddles[1, 0] = n_inv
-    companions = modmath.dword_shoup_column(twiddles, modmath.moduli_column([modulus]))
-    return modmath.read_only(np.stack([twiddles, companions], axis=-1))
-
-
-#: The C compiler that builds the kernel, looked up on ``PATH``.
-_COMPILER = "cc"
-_COMPILE_FLAGS = ("-O3", "-shared", "-fPIC")
-_SOURCE = Path(__file__).with_suffix(".c")
-
-
-@lru_cache(maxsize=1)
-def _library() -> ctypes.CDLL:
-    """The compiled :data:`_SOURCE`, built on first use into ``__pycache__``.
-
-    The file is named by a hash of the source and the compile command, so
-    an edit builds a new one.  A build writes a temporary name and renames
-    it, so processes racing the first build end with the same file.
-    ``ctypes.CDLL`` releases the GIL for each call.
-    """
-    command = (_COMPILER, *_COMPILE_FLAGS)
-    digest = hashlib.sha256(_SOURCE.read_bytes() + " ".join(command).encode())
-    cache = _SOURCE.parent / "__pycache__"
-    path = cache / f"{_SOURCE.stem}-{digest.hexdigest()[:16]}.so"
-    if not path.exists():
-        if shutil.which(_COMPILER) is None:
-            raise RuntimeError(
-                f"the NTT kernel is built with the C compiler {_COMPILER!r}, "
-                "which was not found"
-            )
-        cache.mkdir(exist_ok=True)
-        handle, temporary = tempfile.mkstemp(suffix=".so", dir=cache)
-        os.close(handle)
-        try:
-            build = subprocess.run([*command, "-o", temporary, str(_SOURCE)],
-                                   capture_output=True, text=True)
-            if build.returncode:
-                raise RuntimeError(
-                    f"{_COMPILER!r} could not build {_SOURCE.name}:\n{build.stderr}"
-                )
-            os.replace(temporary, path)
-        finally:
-            if os.path.exists(temporary):
-                os.unlink(temporary)
-    library = ctypes.CDLL(str(path))
-    library.ntt.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
-                            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int)
-    library.ntt.restype = None
-    return library
+    tables = np.empty((2, ring_degree, 2), dtype=np.uint64)
+    tables[..., 0] = (forward, inverse)
+    tables[1, 0, 0] = n_inv
+    modmath.word_kernel().shoup_companions(tables.ctypes.data, 2 * ring_degree, modulus)
+    return modmath.read_only(tables)
 
 
 class Fused(NamedTuple):
@@ -273,12 +227,12 @@ def _segment_blocks(blocks, parts: Sequence[int], cols: int, what: str) -> list[
 class StackedNTTEngine:
     """Batched negacyclic NTT/iNTT over a flat ``(num_limbs, N)`` limb stack.
 
-    Every word-sized stack runs one compiled kernel (``ntt.c``): per row,
-    ``log2 N`` radix-2 stages -- Cooley-Tukey forward, Gentleman-Sande
-    inverse -- of Harvey butterflies on lazy ``[0, 4q)`` representatives,
-    each twiddle product a Shoup multiply with a 128-bit quotient, then one
-    pass that makes the row canonical (and, for the inverse, multiplies by
-    ``N⁻¹``).  The butterflies run in :func:`reference_transform`'s order,
+    Every word-sized stack runs one compiled kernel (the word kernel's
+    ``ntt``): per row, ``log2 N`` radix-2 stages -- Cooley-Tukey forward,
+    Gentleman-Sande inverse -- of Harvey butterflies on lazy ``[0, 4q)``
+    representatives, each twiddle product a Shoup multiply with a 128-bit
+    quotient, then one pass that makes the row canonical (and, for the
+    inverse, multiplies by ``N⁻¹``).  The butterflies run in :func:`reference_transform`'s order,
     so the results are bit-identical to it on any input in ``[0, 2q)``,
     canonical or lazy.  This is also the schedule the
     modeled GPU baseline prices (:func:`_unfused_launches`).  The exact
@@ -307,7 +261,7 @@ class StackedNTTEngine:
             # The exact backend keeps no tables -- reference_transform is
             # its whole transform.
             return
-        self._ntt = _library().ntt
+        self._ntt = modmath.word_kernel().ntt
         # The engine holds the cached tables its rows point into, so an
         # eviction from kernel_tables cannot free memory the kernel reads.
         self._tables = {q: kernel_tables(ring_degree, q) for q in distinct}

@@ -171,13 +171,8 @@ class BaseConverter:
         # Stacked tables for the batched (limb-stack) conversion path.
         self._source_col = modmath.moduli_column(source.moduli)
         self._target_col = modmath.moduli_column(target.moduli)
-        self._source_backend = modmath.stack_backend(self._source_col)
-        self._target_backend = modmath.stack_backend(self._target_col)
-        exact = self._exact = modmath.BACKEND_OBJECT in (
-            self._source_backend, self._target_backend
-        )
-        fast = self._fast = all(
-            modmath.is_fast_modulus(q) for q in (*source.moduli, *target.moduli)
+        exact = self._exact = np.object_ in (
+            self._source_col.dtype, self._target_col.dtype
         )
         table_dtype = np.object_ if exact else np.uint64
         #: (|target|, |source|) matrix of [q̂_i]_{p_k} from Equation 1.
@@ -186,29 +181,6 @@ class BaseConverter:
             [inv % q for inv, q in zip(self.q_hat_inv, source.moduli)],
             dtype=table_dtype,
         ).reshape(-1, 1)
-        if fast:
-            # Shoup companion of the scaling constants, so the limb-wise
-            # scaling step needs no hardware division.
-            self._q_hat_inv_shoup = modmath.shoup_column(
-                self._q_hat_inv_col, self._source_col
-            )
-        elif not exact:
-            # Double-word conversion path: the scaling companions match the
-            # source backend, and the matrix gets 64-bit Shoup companions
-            # under the *target* moduli -- the quotient estimate is valid
-            # for any uint64 operand, which is exactly what the scaled
-            # source rows (canonical mod q_i, not mod p_k) require.
-            if self._source_backend == modmath.BACKEND_UINT64:
-                self._q_hat_inv_shoup = modmath.shoup_column(
-                    self._q_hat_inv_col, self._source_col
-                )
-            else:
-                self._q_hat_inv_shoup = modmath.dword_shoup_column(
-                    self._q_hat_inv_col, self._source_col
-                )
-            self._q_hat_shoup_matrix = modmath.dword_shoup_column(
-                self._q_hat_matrix, self._target_col
-            )
 
     def _weights(self) -> list[int]:
         """The integers the scaled source rows are weighed with: ``q̂_i``."""
@@ -281,23 +253,17 @@ class BaseConverter:
     def _convert_rows(self, source_stack: np.ndarray, out: np.ndarray) -> None:
         """Equation 1 on one member's rows, into ``out`` (any row stride).
 
-        The whole computation -- limb-wise scaling followed by the
-        ``[q̂_i]_{p_k}`` matrix accumulation -- runs as broadcast NumPy
-        expressions with no per-limb Python loop on the fast backend.  The
-        accumulation is the wide accumulator of §III-F.3 via
-        :func:`repro.core.modmath.stack_dot_mod`: raw 64-bit products sum
-        across source limbs with an intermediate fold every four terms
-        (``4·(q-1)² < 2**64`` for fast moduli) and one final reduction per
-        output element.
+        On word moduli the whole computation is two word-kernel calls: the
+        limb-wise scaling (a per-row constant product) and the wide
+        accumulator of §III-F.3 (:func:`repro.core.modmath.stack_dot_mod`),
+        which reads each scaled row and each ``[q̂_i]_{p_k}`` column in
+        place and reduces once per output element.  The scaled rows are
+        canonical modulo the *source* moduli, which may be wider than the
+        target's, so the accumulation is told their bound.
         """
-        if self._fast:
+        if not self._exact:
             stack = modmath.coerce_stack(source_stack, self._source_col)
-            scaled = modmath.stack_shoup_mul(
-                stack,
-                self._q_hat_inv_col,
-                self._q_hat_inv_shoup,
-                self._source_col,
-            )
+            scaled = modmath.stack_mul_mod(stack, self._q_hat_inv_col, self._source_col)
             modmath.stack_dot_mod(
                 [
                     (row[None, :], self._q_hat_matrix[:, i : i + 1])
@@ -305,30 +271,7 @@ class BaseConverter:
                 ],
                 self._target_col,
                 out=out,
-            )
-        elif not self._exact:
-            # Double-word path.  The scaled source rows are canonical
-            # mod q_i but *not* mod p_k, so the accumulation cannot use
-            # the Barrett product (its quotient bound needs x < p_k**2);
-            # each term is instead a constant-operand Shoup multiply,
-            # valid for any uint64 input, and the lazy terms are summed
-            # and reduced once -- by the dword kernel itself, since the
-            # target column alone may select the single-word backend.
-            stack = modmath.coerce_stack(source_stack, self._source_col)
-            scaled = modmath.stack_shoup_mul(
-                stack,
-                self._q_hat_inv_col,
-                self._q_hat_inv_shoup,
-                self._source_col,
-            )
-            modmath._dword_dot(
-                [
-                    (row[None, :], self._q_hat_matrix[:, i : i + 1],
-                     self._q_hat_shoup_matrix[:, i : i + 1])
-                    for i, row in enumerate(self._terms(scaled))
-                ],
-                self._target_col,
-                out,
+                bound=max(self.source.moduli),
             )
         else:
             scaled = self._terms(np.array([

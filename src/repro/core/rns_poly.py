@@ -442,8 +442,8 @@ class RNSPoly:
         """Fused ``Σ a_i ⊙ b_i`` over evaluation-format polynomials.
 
         The dot-product fusion of §III-F.5: raw products accumulate in the
-        wide uint64 lane and reduce once, instead of a reduce per multiply
-        and per add.  All operands must share one basis and be in
+        word kernel's wide accumulator and reduce once, instead of a reduce
+        per multiply and per add.  All operands must share one basis and be in
         evaluation format.
         """
         if not pairs:

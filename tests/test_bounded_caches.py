@@ -121,7 +121,7 @@ def test_an_engine_points_into_kernel_tables():
     ntt_caches = {name for name, _ in _functools_caches()
                   if name.startswith("repro.core.ntt.")}
     assert ntt_caches == {"repro.core.ntt.twiddle_tables", "repro.core.ntt.kernel_tables",
-                          "repro.core.ntt.get_stacked_engine", "repro.core.ntt._library"}
+                          "repro.core.ntt.get_stacked_engine"}
 
 
 @pytest.mark.parametrize("moduli", [_UINT64, _DWORD], ids=["uint64", "dword"])
@@ -212,8 +212,7 @@ def test_a_fused_key_switch_leaves_no_state_behind(scale_bits, first_mod_bits):
     """Key material is read-only once loaded: after a plain HMult has built
     the context's converters, a fused B=3 HMult on a fresh ``Context``
     leaves no new array reachable from the context or the key set -- a
-    fused operand's key tiles die with the key switch, and a key's dword
-    companions were built with it."""
+    fused operand's key tiles die with the key switch."""
     from repro.ckks.ciphertext import Ciphertext
     from repro.ckks.context import Context
     from repro.ckks.encryption import Encryptor

@@ -204,46 +204,6 @@ class TestStackEdgeCases:
         assert row_values(modmath.stack_dot_mod(pairs, col)) == expected
 
 
-@pytest.mark.parametrize("name", ["small", "fast", "word"])
-def test_lazy_shoup_stays_in_its_bound(name):
-    """A word-backend Shoup product is congruent and below 2q (uint64) or 4q (dword)."""
-    q = PRIMES[name]
-    col = modmath.moduli_column([q])
-    dword = modmath.stack_is_dword(col)
-    rng = np.random.default_rng(3)
-    values = [0, 1, q - 1] + [int(rng.integers(0, q)) for _ in range(61)]
-    row = one_row(values, q)[0]
-    for w in (1, q - 1, int(rng.integers(0, q))):
-        constant = modmath.scalar_column([w], col)
-        companion = (modmath.dword_shoup_column(constant, col) if dword
-                     else modmath.shoup_column(constant, col))
-        lazy = modmath.stack_shoup_mul(row, constant, companion, col, lazy=True)
-        bound = (4 if dword else 2) * q
-        assert all(int(x) < bound and int(x) % q == v * w % q
-                   for x, v in zip(lazy[0], values))
-
-
-@given(a=st.integers(min_value=0, max_value=2**59), b=st.integers(min_value=0, max_value=2**59))
-@settings(max_examples=200, deadline=None)
-def test_dword_barrett_mul_property(a, b):
-    q = PRIMES["word"]
-    col = modmath.moduli_column([q])
-    x, y = one_row([a % q], q)[0], one_row([b % q], q)[0]
-    assert row_values(modmath.stack_mul_mod(x, y, col)) == [((a % q) * (b % q)) % q]
-
-
-@given(a=st.integers(min_value=0, max_value=2**62), b=st.integers(min_value=0, max_value=2**62))
-@settings(max_examples=200, deadline=None)
-def test_dword_shoup_matches_barrett_property(a, b):
-    q = PRIMES["word"]
-    col = modmath.moduli_column([q])
-    x = one_row([a % q], q)[0]
-    constant = modmath.scalar_column([b % q], col)
-    shoup = modmath.stack_shoup_mul(
-        x, constant, modmath.dword_shoup_column(constant, col), col)
-    assert row_values(shoup) == row_values(modmath.stack_mul_mod(x, constant, col))
-
-
 @given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=1, max_size=64))
 @settings(max_examples=100, deadline=None)
 def test_vector_add_neg_is_zero_property(values):
@@ -328,16 +288,17 @@ class TestLiftResidues:
 
 
 # ---------------------------------------------------------------------------
-# double-word stack kernels (products of residues in [2**31, 2**62))
+# the word kernel against the exact oracle
 # ---------------------------------------------------------------------------
 
-#: Moduli straddling the dword regime: just above the single-word cutoff
-#: (2**31), at the paper's word size (59 bits) and just under the dword
-#: cap (2**62).
-DWORD_PRIME_SETS = {
-    "near-2^31": generate_ntt_primes(3, 32, 64),
-    "59-bit": generate_ntt_primes(3, 59, 64),
-    "near-2^62": generate_ntt_primes(3, 62, 64),
+#: Word chains on both sides of 2**31 and up to the 2**62 cap: the kernel's
+#: 64-bit accumulator serves the first three, its 128-bit one the rest.
+WORD_CHAINS = {
+    "28/30-bit": generate_ntt_primes(2, 28, 64) + generate_ntt_primes(1, 30, 64),
+    "below-2^31": generate_ntt_primes(3, 31, 64),
+    "above-2^31": generate_ntt_primes(3, 32, 64, descending_from_top=False),
+    "59/60-bit": generate_ntt_primes(2, 59, 64) + generate_ntt_primes(1, 60, 64),
+    "below-2^62": generate_ntt_primes(3, 62, 64),
 }
 
 
@@ -350,277 +311,200 @@ def test_backend_decision_boundaries():
     assert modmath.backend_for_moduli([17, 1 << 40]) == modmath.BACKEND_DWORD
 
 
-class TestDwordStackKernels:
-    """Dword ``stack_*`` kernels are bit-identical to the object oracle."""
+def _exact(a) -> np.ndarray:
+    """An operand as Python integers, same shape."""
+    return modmath.object_row(np.ravel(a)).reshape(np.shape(a))
 
-    N = 64
 
-    def _operands(self, name, seed):
-        moduli = DWORD_PRIME_SETS[name]
-        col = modmath.moduli_column(moduli)
-        assert modmath.stack_backend(col) == modmath.BACKEND_DWORD
-        obj_col = np.array([int(q) for q in moduli], dtype=object).reshape(-1, 1)
-        rng = np.random.default_rng(seed)
-        a_obj = np.array(
-            [[int(x) for x in rng.integers(0, q, self.N)] for q in moduli],
-            dtype=object,
-        )
-        b_obj = np.array(
-            [[int(x) for x in rng.integers(0, q, self.N)] for q in moduli],
-            dtype=object,
-        )
-        a = modmath.coerce_stack(a_obj, col)
-        b = modmath.coerce_stack(b_obj, col)
-        assert a.dtype == b.dtype == np.uint64 and a.shape == a_obj.shape
-        return moduli, col, obj_col, a_obj, b_obj, a, b
+def _oracle(pairs, moduli) -> list:
+    """``(Σ x·y) mod q`` in Python integers, broadcast like the kernel."""
+    col = np.array(moduli, dtype=object).reshape(-1, 1)
+    return (sum(_exact(x) * _exact(y) for x, y in pairs) % col).tolist()
 
-    @staticmethod
-    def _assert_same(dword_out, obj_out):
-        assert dword_out.dtype == np.uint64 and dword_out.shape == obj_out.shape
-        assert dword_out.tolist() == [[int(x) for x in row] for row in obj_out]
 
-    @pytest.mark.parametrize("name", sorted(DWORD_PRIME_SETS))
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def _residues(rng, moduli, shape, extreme=False) -> np.ndarray:
+    """Residues canonical for every row they meet: an ``(L, N)`` stack, an
+    ``(L, 1)`` column, or a ``(1, N)`` row below the smallest modulus --
+    all ``q - 1`` when ``extreme``, the largest products there are."""
+    high = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+    if shape[0] == 1:
+        high = high.min(keepdims=True)
+    if extreme:
+        return np.broadcast_to(high - np.uint64(1), shape).copy()
+    return rng.integers(0, high, shape, dtype=np.uint64)
+
+
+#: Operand shapes of one dot-product term: ``x`` a stack or a broadcast
+#: row, ``y`` a stack or a column of per-row constants.
+_TERM_SHAPES = st.tuples(st.sampled_from(["stack", "row"]),
+                         st.sampled_from(["stack", "column"]))
+
+
+class TestWordKernel:
+    """Products, per-row constants and dot products on word moduli are
+    bit-identical to Python integers: the 64-bit and 128-bit accumulators,
+    every fold schedule, broadcast and strided operands, aliased outputs."""
+
+    N = 24
+
+    @pytest.mark.parametrize("chain", sorted(WORD_CHAINS))
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), extreme=st.booleans())
     @settings(max_examples=15, deadline=None)
-    def test_elementwise_matches_object(self, name, seed):
-        _, col, obj_col, a_obj, b_obj, a, b = self._operands(name, seed)
-        self._assert_same(
-            modmath.stack_add_mod(a, b, col), (a_obj + b_obj) % obj_col
-        )
-        self._assert_same(
-            modmath.stack_sub_mod(a, b, col), (a_obj - b_obj) % obj_col
-        )
-        self._assert_same(
-            modmath.stack_mul_mod(a, b, col), (a_obj * b_obj) % obj_col
-        )
-        self._assert_same(modmath.stack_neg_mod(a, col), (-a_obj) % obj_col)
-
-    @pytest.mark.parametrize("name", sorted(DWORD_PRIME_SETS))
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_constant_multiplies_match_object(self, name, seed):
-        moduli, col, obj_col, a_obj, _, a, _ = self._operands(name, seed)
-        rng = np.random.default_rng(seed + 1)
-        scalars = [int(rng.integers(0, q)) for q in moduli]
-        obj_scalars = np.array(scalars, dtype=object).reshape(-1, 1)
-        self._assert_same(
-            modmath.stack_scalar_mod(a, scalars, col),
-            (a_obj * obj_scalars) % obj_col,
-        )
-        constants = modmath.scalar_column(scalars, col)
-        shoup = modmath.dword_shoup_column(constants, col)
-        self._assert_same(
-            modmath.stack_shoup_mul(a, constants, shoup, col),
-            (a_obj * obj_scalars) % obj_col,
-        )
-
-    @pytest.mark.parametrize("name", sorted(DWORD_PRIME_SETS))
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=10, deadline=None)
-    def test_dot_product_matches_object(self, name, seed):
-        _, col, obj_col, *_ = self._operands(name, seed)
-        pairs, expected = [], None
-        for term in range(5):  # > 4 terms exercises accumulator handling
-            _, _, _, x_obj, y_obj, x, y = self._operands(name, seed + 7 * term)
-            pairs.append((x, y))
-            product = (x_obj * y_obj) % obj_col
-            expected = (
-                product if expected is None else (expected + product) % obj_col
-            )
-        self._assert_same(modmath.stack_dot_mod(pairs, col), expected)
-
-    @pytest.mark.parametrize("name", sorted(DWORD_PRIME_SETS))
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=10, deadline=None)
-    def test_switch_modulus_matches_object(self, name, seed):
-        moduli, _, _, a_obj, *_ = self._operands(name, seed)
-        q_from = moduli[-1]
-        target = moduli[:-1]
-        col = modmath.moduli_column(target)
-        row = modmath.coerce_stack(
-            a_obj[-1:].copy(), modmath.moduli_column([q_from])
-        )[0]
-        switched = modmath.stack_switch_modulus_many(row[None, :], q_from, col)
-        half = q_from >> 1
-        centred = [
-            int(v) - q_from if int(v) > half else int(v) for v in a_obj[-1]
-        ]
-        expected = np.array(
-            [[c % q for c in centred] for q in target], dtype=object
-        )
-        self._assert_same(switched, expected)
-
-
-# ---------------------------------------------------------------------------
-# the three-product Shoup quotient and the constant-side dot product
-# ---------------------------------------------------------------------------
-
-#: Where the lazy ``[0, 4q)`` bound is tightest: just above the single-word
-#: cutoff, at the paper's 59-bit word (eight lazy terms fit a word) and
-#: just below 2**62 (``4q`` all but fills it, one term per fold).
-SHOUP_MODULI = {
-    "above-2^31": generate_ntt_primes(1, 32, 64, descending_from_top=False)[0],
-    "2^59": generate_ntt_primes(1, 59, 64)[0],
-    "below-2^62": generate_ntt_primes(1, 62, 64)[0],
-}
-
-_WORD_VALUES = st.lists(
-    st.sampled_from([0, 1, (1 << 64) - 1, (1 << 63), (1 << 62) - 1])
-    | st.integers(min_value=0, max_value=(1 << 64) - 1),
-    min_size=1, max_size=16,
-)
-
-
-@pytest.mark.parametrize("name", sorted(SHOUP_MODULI))
-@given(xs=_WORD_VALUES, w=st.integers(min_value=0, max_value=(1 << 62) - 1))
-@settings(max_examples=80, deadline=None)
-def test_three_product_quotient_bounds(name, xs, w):
-    """For any uint64 ``x`` the estimate is at most 3 short and never over."""
-    q = SHOUP_MODULI[name]
-    w %= q
-    col = modmath.moduli_column([q])
-    x = np.array([xs], dtype=np.uint64)
-    constant = np.array([[w]], dtype=np.uint64)
-    companion = modmath.dword_shoup_column(constant, col)
-    assert int(companion[0, 0]) == (w << 64) // q
-    estimate = modmath._dword_shoup_quotient(
-        x, companion >> np.uint64(32), companion & np.uint64(0xFFFFFFFF),
-        np.empty_like(x), np.empty_like(x),
-    )
-    lazy = modmath.stack_shoup_mul(x, constant, companion, col, lazy=True)
-    exact = modmath.stack_shoup_mul(x, constant, companion, col)
-    for value, est, low, canonical in zip(xs, estimate[0], lazy[0], exact[0]):
-        quotient = value * w // q
-        assert quotient - 3 <= int(est) <= quotient
-        assert int(low) < 4 * q and int(low) % q == value * w % q
-        assert int(canonical) == value * w % q
-
-
-#: Chains for the accumulation budget: near 2**59 the sum of lazy terms
-#: runs several terms before a fold, near 2**62 one term per fold.
-BUDGET_CHAINS = {
-    "near-2^59": generate_ntt_primes(3, 59, 64),
-    "near-2^62": generate_ntt_primes(3, 62, 64),
-}
-
-
-class TestConstantSideDot:
-    """``stack_dot_mod`` with Shoup companions equals the object oracle.
-
-    A companion term takes any uint64 ``x``: ``wide`` draws ``x`` from the
-    whole word, and ``3q`` keeps only the rare draws whose lazy term lies
-    in ``[3q, 4q)`` -- the terms that overflow a word next to a folded sum
-    near 2**62 unless the schedule halves them first.
-    """
-
-    @staticmethod
-    def _pairs(moduli, count, seed, draw="canonical"):
+    def test_elementwise_matches_object(self, chain, seed, extreme):
+        moduli = WORD_CHAINS[chain]
         col = modmath.moduli_column(moduli)
+        obj_col = np.array(moduli, dtype=object).reshape(-1, 1)
         rng = np.random.default_rng(seed)
+        a = _residues(rng, moduli, (len(moduli), self.N), extreme)
+        b = _residues(rng, moduli, (len(moduli), self.N))
+        a_obj, b_obj = _exact(a), _exact(b)
+        assert modmath.stack_add_mod(a, b, col).tolist() == ((a_obj + b_obj) % obj_col).tolist()
+        assert modmath.stack_sub_mod(a, b, col).tolist() == ((a_obj - b_obj) % obj_col).tolist()
+        assert modmath.stack_neg_mod(a, col).tolist() == ((-a_obj) % obj_col).tolist()
+        assert modmath.stack_mul_mod(a, b, col).tolist() == _oracle([(a, b)], moduli)
+        scalars = [q - 1 if extreme else int(rng.integers(0, q)) for q in moduli]
+        assert modmath.stack_scalar_mod(a, scalars, col).tolist() == _oracle(
+            [(a, np.array(scalars, dtype=object).reshape(-1, 1))], moduli)
+        # Re-reducing the last row into the others (centred).
+        switched = modmath.stack_switch_modulus_many(a[-1:], moduli[-1], col[:-1])
+        centred = [v - moduli[-1] if v > moduli[-1] >> 1 else v for v in a_obj[-1]]
+        assert switched.tolist() == [[v % q for v in centred] for q in moduli[:-1]]
 
-        def one(q, size):
-            high = (1 << 64) - 1 if draw != "canonical" else q
-            x = rng.integers(0, high, (1, size), dtype=np.uint64)
-            y = rng.integers(0, q, (1, size), dtype=np.uint64)
-            return x, y
-
-        def pair():
-            xs, ys = [], []
-            for q in moduli:
-                if draw == "3q":
-                    qcol = modmath.moduli_column([q])
-                    x, y = one(q, 40000)
-                    lazy = modmath.stack_shoup_mul(
-                        x, y, modmath.dword_shoup_column(y, qcol), qcol, lazy=True
-                    )
-                    keep = np.flatnonzero(lazy[0] >= np.uint64(3 * q))[:8]
-                    assert keep.size == 8
-                    x, y = x[:, keep], y[:, keep]
-                else:
-                    x, y = one(q, 8)
-                xs.append(x)
-                ys.append(y)
-            x, y = np.concatenate(xs), np.concatenate(ys)
-            return x, y, modmath.dword_shoup_column(y, col)
-
-        return col, [pair() for _ in range(count)]
-
-    @staticmethod
-    def _oracle(moduli, pairs):
-        return [
-            [sum(int(x[i, j]) * int(y[i, j]) for x, y, _ in pairs) % q
-             for j in range(pairs[0][0].shape[1])]
-            for i, q in enumerate(moduli)
+    @pytest.mark.parametrize("chain", sorted(WORD_CHAINS))
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           shapes=st.lists(_TERM_SHAPES, min_size=1, max_size=20),
+           extreme=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_dot_matches_object(self, chain, seed, shapes, extreme):
+        moduli = WORD_CHAINS[chain]
+        rng = np.random.default_rng(seed)
+        rows = len(moduli)
+        size = {"stack": (rows, self.N), "row": (1, self.N), "column": (rows, 1)}
+        pairs = [
+            (_residues(rng, moduli, size[x], extreme),
+             _residues(rng, moduli, size[y], extreme))
+            for x, y in shapes
         ]
+        got = modmath.stack_dot_mod(pairs, modmath.moduli_column(moduli))
+        assert got.dtype == np.uint64 and got.tolist() == _oracle(pairs, moduli)
 
-    @pytest.mark.parametrize("chain", sorted(BUDGET_CHAINS))
-    @pytest.mark.parametrize("count", range(1, 9))
-    @pytest.mark.parametrize("draw", ["canonical", "wide", "3q"])
-    def test_every_fold_schedule_matches_object(self, chain, count, draw):
-        moduli = BUDGET_CHAINS[chain]
-        col, pairs = self._pairs(moduli, count, seed=count, draw=draw)
-        out = modmath.stack_dot_mod(pairs, col)
-        assert out.dtype == np.uint64
-        assert out.tolist() == self._oracle(moduli, pairs)
-        if draw == "canonical":
-            # Barrett products (no companions) and a mixed list agree.
-            barrett = modmath.stack_dot_mod([p[:2] for p in pairs], col)
-            assert barrett.tolist() == out.tolist()
-            mixed = [p if i % 2 else p[:2] for i, p in enumerate(pairs)]
-            assert modmath.stack_dot_mod(mixed, col).tolist() == out.tolist()
+    @pytest.mark.parametrize("chain", sorted(WORD_CHAINS))
+    @pytest.mark.parametrize("terms", [1, 2, 3, 4, 5, 8, 15, 16, 17, 24])
+    def test_every_fold_schedule_matches_object(self, chain, terms):
+        """The largest sums there are -- every residue ``q - 1`` -- on each
+        side of a fold: four products per 64-bit sum below 2**31, fifteen
+        per 128-bit sum near 2**62, and one broadcast row and one column of
+        constants in every second term."""
+        moduli = WORD_CHAINS[chain]
+        rows = len(moduli)
+        shapes = [((rows, self.N), (rows, self.N)), ((1, self.N), (rows, 1))]
+        pairs = [
+            tuple(_residues(None, moduli, shape, extreme=True) for shape in shapes[t % 2])
+            for t in range(terms)
+        ]
+        got = modmath.stack_dot_mod(pairs, modmath.moduli_column(moduli))
+        assert got.tolist() == _oracle(pairs, moduli)
 
-    def test_out_receives_the_sum(self):
-        moduli = BUDGET_CHAINS["near-2^62"]
-        col, pairs = self._pairs(moduli, 5, seed=11)
-        out = np.empty((len(moduli), 16), dtype=np.uint64)[:, ::2]
-        assert modmath.stack_dot_mod(pairs, col, out=out) is out
-        assert out.tolist() == self._oracle(moduli, pairs)
+    @pytest.mark.parametrize("source_bits, target_bits", [(60, 28), (62, 61), (28, 60)],
+                             ids=["60-to-28", "62-to-61", "28-to-60"])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           terms=st.integers(min_value=1, max_value=24), extreme=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_conversion_across_widths_matches_object(self, source_bits, target_bits,
+                                                     seed, terms, extreme):
+        """Base conversion's accumulation: source rows canonical for wider
+        (or narrower) source moduli -- the ``bound`` -- broadcast against
+        columns of target constants.  A 64-bit sum of 60-bit rows times
+        28-bit constants would overflow; the kernel reads the bound."""
+        source = generate_ntt_primes(terms, source_bits, 64)
+        target = generate_ntt_primes(3, target_bits, 64)
+        rng = np.random.default_rng(seed)
+        pairs = [
+            (_residues(rng, [q], (1, self.N), extreme), _residues(rng, target, (3, 1), extreme))
+            for q in source
+        ]
+        got = modmath.stack_dot_mod(pairs, modmath.moduli_column(target), bound=max(source))
+        assert got.tolist() == _oracle(pairs, target)
 
-    def test_recorded_kernel_reads_the_products_alone(self):
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           terms=st.integers(min_value=17, max_value=40), extreme=st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_long_dot_at_62_bits_folds_before_the_word_fills(self, seed, terms, extreme):
+        """At q near 2**62 a product is near 2**124, so at most 15 fit a
+        128-bit sum next to a residue: 17 terms and more fold."""
+        moduli = WORD_CHAINS["below-2^62"]
+        rng = np.random.default_rng(seed)
+        pairs = [
+            (_residues(rng, moduli, (3, self.N), extreme), _residues(rng, moduli, (3, self.N), extreme))
+            for _ in range(terms)
+        ]
+        got = modmath.stack_dot_mod(pairs, modmath.moduli_column(moduli))
+        assert got.tolist() == _oracle(pairs, moduli)
+
+    @pytest.mark.parametrize("chain", sorted(WORD_CHAINS))
+    def test_strided_operands_are_read_in_place(self, chain):
+        """Row slices, every other column, a reversed moduli column and a
+        strided ``out``, with no staging copy to get them right."""
+        moduli = WORD_CHAINS[chain]
+        rng = np.random.default_rng(8)
+        wide = np.repeat(_residues(rng, moduli, (3, 2 * self.N)), 2, axis=0)
+        x = wide[::2, ::2]                       # every other row and column
+        y = wide[::-1][1::2, 1::2]               # the same moduli, reversed
+        assert not x.flags.c_contiguous and y.strides[0] < 0
+        col = modmath.moduli_column(moduli)
+        out = np.zeros((3, 2 * self.N), dtype=np.uint64)[:, ::2]
+        assert modmath.stack_mul_mod(x, y[::-1], col, out=out) is out
+        assert out.tolist() == _oracle([(x, y[::-1])], moduli)
+        reverse = col[::-1]
+        got = modmath.stack_dot_mod([(x[::-1], y), (x[:1], reverse)], reverse)
+        assert got.tolist() == _oracle([(x[::-1], y), (x[:1], reverse)], moduli[::-1])
+
+    @pytest.mark.parametrize("chain", sorted(WORD_CHAINS))
+    def test_out_may_alias_an_input(self, chain):
+        moduli = WORD_CHAINS[chain]
+        col = modmath.moduli_column(moduli)
+        rng = np.random.default_rng(9)
+        a, b = (_residues(rng, moduli, (3, self.N)) for _ in range(2))
+        expected = {
+            "mul": _oracle([(a, b)], moduli),
+            "scalar": _oracle([(a, col - np.uint64(1))], moduli),
+            "dot": _oracle([(a, b), (b, a), (a, a)], moduli),
+        }
+        for name, run in {
+            "mul": lambda x: modmath.stack_mul_mod(x, b, col, out=x),
+            "scalar": lambda x: modmath.stack_scalar_mod(
+                x, [q - 1 for q in moduli], col, out=x),
+            "dot": lambda x: modmath.stack_dot_mod([(x, b), (b, x), (x, x)], col, out=x),
+        }.items():
+            x = a.copy()
+            assert run(x) is x and x.tolist() == expected[name]
+        # An output that overlaps an input without being it: one column over.
+        wide = np.concatenate([a, a[:, :1]], axis=1)
+        out = wide[:, 1:]
+        modmath.stack_dot_mod([(wide[:, :-1], b), (b, wide[:, :-1])], col, out=out)
+        assert out.tolist() == _oracle([(a, b), (b, a)], moduli)
+
+    def test_recorded_dot_reads_the_products_alone(self):
         from repro.core.dispatch import DISPATCH
 
-        col, pairs = self._pairs(BUDGET_CHAINS["near-2^59"], 2, seed=5)
+        moduli = WORD_CHAINS["59/60-bit"]
+        rng = np.random.default_rng(5)
+        pairs = [tuple(_residues(rng, moduli, (3, self.N)) for _ in range(2))
+                 for _ in range(2)]
         with DISPATCH.record() as trace:
-            modmath.stack_dot_mod(pairs, col)
+            modmath.stack_dot_mod(pairs, modmath.moduli_column(moduli))
         (event,) = trace.events
         assert event.kernel.name.startswith("stack-dot")
         assert len(event.reads) == 4
         assert event.kernel.bytes_read == 4 * pairs[0][0].nbytes
 
 
-class TestVectorizedCompanions:
-    """``dword_shoup_column`` equals ``floor(c * 2**64 / q)`` without objects."""
-
-    @pytest.mark.parametrize("name", sorted(DWORD_PRIME_SETS))
-    def test_matches_object_formula(self, name):
-        moduli = DWORD_PRIME_SETS[name]
-        col = modmath.moduli_column(moduli)
-        rng = np.random.default_rng(17)
-        constants = np.stack([
-            np.concatenate([[0, 1, q - 1], rng.integers(0, q, 61)]).astype(np.uint64)
-            for q in moduli
-        ])
-        companion = modmath.dword_shoup_column(constants, col)
-        assert companion.dtype == np.uint64
-        assert companion.tolist() == [
-            [(int(c) << 64) // q for c in row] for row, q in zip(constants, moduli)
-        ]
-
-    def test_even_modulus_is_refused(self):
-        col = modmath.moduli_column([(1 << 40) + 2])
-        with pytest.raises(ValueError, match="odd modulus"):
-            modmath.dword_shoup_column(np.ones((1, 4), dtype=np.uint64), col)
-
-
 @pytest.mark.parametrize(
     "cached, build",
     [
         (modmath._moduli_column_cached, lambda m: modmath.moduli_column(m).tolist()),
-        (modmath._dword_tables_cached,
-         lambda m: [c.tolist() for c in vars(modmath._dword_tables(
-             modmath.moduli_column(m))).values()]),
     ],
-    ids=["moduli_column", "dword_tables"],
+    ids=["moduli_column"],
 )
 def test_tuple_caches_are_bounded(cached, build):
     """1,000 distinct moduli tuples leave at most 128 entries, same answers."""

@@ -16,10 +16,11 @@ from repro.core.ntt import (
     StackedNTTEngine,
     bit_reverse_indices,
     get_stacked_engine,
+    kernel_tables,
     reference_transform,
     twiddle_tables,
 )
-from repro.core.primes import generate_ntt_primes
+from repro.core.primes import find_root_of_unity, generate_ntt_primes
 from repro.gpu.kernel import ELEMENT_BYTES, ntt_kernel
 
 
@@ -90,20 +91,32 @@ class TestRadix2:
         assert (twiddle_tables(n, q)[2] * n) % q == 1
 
     def test_shoup_twiddles_shape(self, ring):
-        # The engines multiply by twiddles through Shoup companions
-        # (Table III): one floor(w * 2**k / q) per twiddle, k = 32 on the
-        # single-word backend and 64 on the dword backend.
+        # The kernel multiplies by twiddles through Shoup companions
+        # (Table III): floor(w * 2**64 / q) next to each twiddle w, on
+        # every word modulus; the inverse's entry 0 holds N^-1.
         n, q = ring
-        table = np.asarray(twiddle_tables(n, q)[0]).astype(np.uint64)[None, :]
-        col = modmath.moduli_column([q])
-        if modmath.is_fast_modulus(q):
-            shoup, shift = modmath.shoup_column(table, col), 32
-        else:
-            shoup, shift = modmath.dword_shoup_column(table, col), 64
-        assert shoup.shape == (1, n)
-        assert [int(s) for s in shoup[0]] == [
-            (int(w) << shift) // q for w in table[0]
+        forward, inverse, n_inv = twiddle_tables(n, q)
+        tables = kernel_tables(n, q)
+        assert tables.shape == (2, n, 2) and tables.dtype == np.uint64
+        assert tables[..., 0].tolist() == [forward.tolist(), [n_inv, *inverse[1:].tolist()]]
+        assert [int(s) for s in tables[..., 1].ravel()] == [
+            (int(w) << 64) // q for w in tables[..., 0].ravel()
         ]
+
+    @pytest.mark.parametrize("n, bits", [(32, 25), (128, 28), (64, 59), (16, 63)],
+                             ids=["n32", "n128", "n64w59", "n16w63"])
+    def test_twiddles_are_the_powers_of_psi(self, n, bits):
+        # Built by doubling, the tables equal the powers one at a time, on
+        # the word path and the exact one.
+        q = generate_ntt_primes(1, bits, n)[0]
+        forward, inverse, _ = twiddle_tables(n, q)
+        psi = find_root_of_unity(2 * n, q)
+        rev = bit_reverse_indices(n)
+        for table, root in ((forward, psi), (inverse, pow(psi, -1, q))):
+            powers = [1]
+            for _ in range(n - 1):
+                powers.append(powers[-1] * root % q)
+            assert [int(w) for w in table] == [powers[i] for i in rev]
 
     def test_rejects_bad_degree(self):
         q = generate_ntt_primes(1, 25, 32)[0]
@@ -124,7 +137,7 @@ class TestRadix2:
 
 
 class TestKernel:
-    """The engine's compiled radix-2 kernel (``core/ntt.c``) against the
+    """The engine's compiled radix-2 kernel (``core/word_kernel.c``) against the
     schoolbook product and the oracle."""
 
     @staticmethod
@@ -226,13 +239,13 @@ class TestKernelBuild:
     C-contiguous uint64 row per modulus."""
 
     def test_a_missing_compiler_is_named(self, monkeypatch):
-        monkeypatch.setattr(ntt, "_COMPILER", "no-such-cc")
-        ntt._library.cache_clear()
+        monkeypatch.setattr(modmath, "_COMPILER", "no-such-cc")
+        modmath.word_kernel.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="no-such-cc"):
                 StackedNTTEngine(64, tuple(generate_ntt_primes(2, 26, 64)))
         finally:
-            ntt._library.cache_clear()
+            modmath.word_kernel.cache_clear()
 
     @pytest.mark.parametrize("bits", [26, 59], ids=["uint64", "dword"])
     def test_a_non_contiguous_stack_transforms_correctly(self, bits):

@@ -22,14 +22,14 @@ import pytest
 from repro.api import CKKSSession
 from repro.ckks.context import Context
 from repro.ckks.params import PARAMETER_SETS, CKKSParameters
-from repro.core import modmath, ntt
+from repro.core import modmath
 from repro.core.dispatch import DISPATCH
 from repro.core.memory import MemoryPool
 from repro.core.ntt import get_stacked_engine, kernel_tables
 from repro.core.primes import generate_ntt_primes
 
-#: Transforms each worker runs: the compiled kernel, which releases the
-#: GIL, on uint64 and dword stacks.
+#: Transforms each worker runs: the compiled word kernel, which releases
+#: the GIL, on uint64 and dword stacks.
 _ENGINES = (
     (1 << 12, tuple(generate_ntt_primes(3, 28, 1 << 12))),
     (1 << 11, tuple(generate_ntt_primes(2, 59, 1 << 11))),
@@ -82,7 +82,7 @@ def _run_threads(worker, count: int = _WORKERS, timeout: float = 120.0) -> list:
 
 @pytest.fixture(scope="module")
 def dword_session():
-    """A small session on paper-class 59-bit moduli (dword key companions)."""
+    """A small session on paper-class 59-bit moduli (128-bit key products)."""
     session = CKKSSession.create(
         CKKSParameters(ring_degree=1 << 8, mult_depth=3, scale_bits=59, dnum=2,
                        first_mod_bits=60, secret_hamming_weight=16,
@@ -100,7 +100,7 @@ class TestConcurrentNumericWork:
             self, request, backend, members):
         """Every thread shares one ``Context`` and ``KeySet``: key material
         is read-only, so fused operands (whose key rows are tiled per call)
-        and dword companions give the solo run's bits."""
+        give the solo run's bits on either width."""
         session = request.getfixturevalue(
             "session" if backend == "uint64" else "dword_session")
         rng = np.random.default_rng(7)
@@ -146,7 +146,7 @@ class TestConcurrentNumericWork:
 
         solo = [transforms(stacks) for stacks in inputs]
         # A CDLL (not a PyDLL) call releases the GIL: the kernels run at once.
-        assert type(ntt._library()) is ctypes.CDLL
+        assert type(modmath.word_kernel()) is ctypes.CDLL
         # The workers build the engines and their tables at once.
         get_stacked_engine.cache_clear()
         kernel_tables.cache_clear()
@@ -162,6 +162,44 @@ class TestConcurrentNumericWork:
             # The inverse undoes the forward on every thread.
             for got, stack in zip(runs[-1][1::2], inputs[index]):
                 np.testing.assert_array_equal(got, stack)
+
+    @pytest.mark.parametrize("bits", [28, 59], ids=["uint64", "dword"])
+    def test_multiply_kernels_on_concurrent_threads_are_bit_identical(self, bits):
+        """The word kernel's products and dot products keep no static
+        buffers: two threads calling it at once (the GIL released) on the
+        narrow (28-bit) and the wide (59-bit) accumulator each get the
+        solo run's bits, in fresh and in caller-owned outputs."""
+        n = 1 << 12
+        moduli = tuple(generate_ntt_primes(4, bits, n))
+        col = modmath.moduli_column(moduli)
+        rng = np.random.default_rng(bits)
+        inputs = [
+            [rng.integers(0, col, size=(len(moduli), n), dtype=np.uint64)
+             for _ in range(6)]
+            for _ in range(2)
+        ]
+
+        def products(stacks):
+            a, b, *rest = stacks
+            out = np.empty_like(a)
+            modmath.stack_dot_mod(list(zip(rest[0::2], rest[1::2])), col, out=out)
+            return [
+                modmath.stack_mul_mod(a, b, col),
+                modmath.stack_scalar_mod(a, range(3, 3 + len(moduli)), col),
+                modmath.stack_dot_mod([(a, b), (b[:1], col - 1)] * 9, col),
+                out,
+            ]
+
+        solo = [products(stacks) for stacks in inputs]
+
+        def worker(index, barrier):
+            barrier.wait()
+            return [products(inputs[index]) for _ in range(20)]
+
+        for index, runs in enumerate(_run_threads(worker, count=2)):
+            for run in runs:
+                for got, want in zip(run, solo[index]):
+                    np.testing.assert_array_equal(got, want)
 
 
 class TestConcurrentBootstrap:
@@ -275,9 +313,8 @@ class TestPerThreadScratch:
 
         def worker():
             engine.forward(stack)
-            # A dword Shoup multiply fills this thread's pool.
-            modmath.stack_scalar_mod(stack, [3] * len(moduli), engine._col)
-            modmath.stack_mul_mod(stack, stack, engine._col)
+            # A modular addition's reduction fills this thread's pool.
+            modmath.stack_add_mod(stack, stack, engine._col)
             refs.extend(weakref.ref(buf) for buf in DISPATCH._scratch.values())
 
         thread = threading.Thread(target=worker)
