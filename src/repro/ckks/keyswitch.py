@@ -290,7 +290,7 @@ def mod_down_rescale_many(context: Context, accs: list[RNSPoly],
     pq_inv = [modmath.inv_mod(context.p_modulus * q_last % q, q) * multiplier % q
               for q in target_moduli]
     q_last_inv = [modmath.inv_mod(q_last % q, q) * multiplier % q for q in target_moduli]
-    fold = modmath.head_addend_fold(pq_inv, q_last_inv, target_col)
+    fold = modmath.head_fold(pq_inv, target_col, q_last_inv)
     with DISPATCH.scope("moddown"), DISPATCH.interleaved():
         # The head's multiply-add touches one row of the α+1; N^-1 folds
         # into the conversion's constants, as in ModDown.

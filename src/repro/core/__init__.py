@@ -23,8 +23,7 @@ negacyclic polynomials under word-sized prime moduli:
   live/peak byte counters that an ``RNSPoly`` charges and credits.
 * :mod:`repro.core.dispatch` / :mod:`repro.core.fusion` -- the execution
   plane: every kernel above reports to ``DISPATCH``, one runtime per
-  thread that can record a ``KernelTrace`` and holds the scratch pool the
-  kernels and the NTT draw their temporaries from; an executable trace
+  thread that can record a ``KernelTrace``; an executable trace
   replays as recorded (``TraceProgram``), expands into its unfused
   baseline (``expand_stages``) and prices its fusions (``fuse_trace``).
 """

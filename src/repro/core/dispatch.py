@@ -51,12 +51,11 @@ enabled with::
     trace.kernel_count            # kernels the GPU backend would launch
     trace.dependencies()          # DAG edges for the stream scheduler
 
-**One runtime per thread.**  The dispatcher's recording state and its
-scratch pool (:meth:`Dispatcher.scratch`) are the numeric plane's only
-mutable state -- every cache holds read-only tables -- and
-:class:`Dispatcher` is a :class:`threading.local`: each thread records
-only its own kernels and draws temporaries from its own pool (freed when
-the thread exits), so threads may run numeric work at once.
+**One runtime per thread.**  The dispatcher's recording state is the
+numeric plane's only mutable state -- every cache holds read-only tables,
+and a kernel's temporaries are its own -- and :class:`Dispatcher` is a
+:class:`threading.local`: each thread records only its own kernels, so
+threads may run numeric work at once.
 
 Kernels are recorded at **GPU launch granularity**, not NumPy expression
 granularity: a stacked NTT is one kernel per limb batch even though it
@@ -130,7 +129,6 @@ from __future__ import annotations
 
 import threading
 import weakref
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -635,10 +633,6 @@ class _SuppressGuard:
         return False
 
 
-#: Byte budget of each thread's scratch pool (:meth:`Dispatcher.scratch`).
-_SCRATCH_BUDGET_BYTES = 96 << 20
-
-
 class Dispatcher(threading.local):
     """Routes batched data-plane operations, optionally recording a trace.
 
@@ -666,9 +660,6 @@ class Dispatcher(threading.local):
         #: observability plane installs via :meth:`profiling`; ``None``
         #: keeps :meth:`scope` on the shared null context.
         self._profiler = None
-        #: This thread's reusable temporaries, ``(tag, dtype, shape)`` ->
-        #: buffer in LRU order (:meth:`scratch`).
-        self._scratch: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 
     # -- state ---------------------------------------------------------------
 
@@ -802,35 +793,6 @@ class Dispatcher(threading.local):
 
     def _scope_path(self) -> str:
         return "/".join(self._scopes)
-
-    # -- scratch -------------------------------------------------------------
-
-    def scratch(self, tag: str, shape: tuple, dtype=np.uint64) -> np.ndarray:
-        """This thread's reusable buffer of exactly ``shape``/``dtype``.
-
-        Kernel temporaries (the stack kernels'; the compiled NTT needs
-        none), LRU-evicted past ``_SCRATCH_BUDGET_BYTES``.  Fused
-        ``(B·L, N)`` intermediates are megabytes, and a fresh allocation's
-        zero-fill can cost more than the arithmetic; results stay fresh --
-        scratch never escapes a kernel.
-        """
-        dtype = np.dtype(dtype)
-        key = (tag, dtype.str) + tuple(int(d) for d in shape)
-        pool = self._scratch
-        buf = pool.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            pool[key] = buf
-            total = sum(b.nbytes for b in pool.values())
-            while total > _SCRATCH_BUDGET_BYTES and len(pool) > 1:
-                oldest = next(iter(pool))
-                if oldest == key:
-                    pool.move_to_end(oldest)
-                    oldest = next(iter(pool))
-                total -= pool.pop(oldest).nbytes
-        else:
-            pool.move_to_end(key)
-        return buf
 
     # -- emitters ------------------------------------------------------------
 
@@ -994,7 +956,7 @@ class Dispatcher(threading.local):
 
 
 #: The dispatcher every data-plane call site routes through: one runtime
-#: (recording state and scratch pool) per thread.
+#: (recording state) per thread.
 DISPATCH = Dispatcher()
 
 

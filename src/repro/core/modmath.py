@@ -229,11 +229,6 @@ def lift_residues(values, moduli_col: np.ndarray,
     return _into(coerce_stack(_to_object_ints(exact) % object_row(col), col), out)
 
 
-def as_residue_array(values, q: int) -> np.ndarray:
-    """Canonical residues of ``values`` for one modulus ``q``, same shape."""
-    return lift_residues(values, moduli_column((q,)).reshape(()))
-
-
 def rint_integers(values) -> np.ndarray:
     """Round floats half-to-even into the integers :func:`lift_residues` takes.
 
@@ -287,12 +282,9 @@ def _reduce_once(s: np.ndarray, moduli_col: np.ndarray) -> np.ndarray:
     ``s >= q`` it selects ``s - q``.  One subtract and one min replace the
     compare/where/subtract triple -- exact for every ``q < 2**63`` (``2q``
     still fits the lane).  ``s`` must be a kernel-owned temporary: the
-    reduction happens in place (the correction term lives in scratch).
+    reduction happens in place (the correction term is a fresh temporary).
     """
-    tmp = DISPATCH.scratch("reduce", s.shape)
-    np.subtract(s, moduli_col, out=tmp)
-    np.minimum(s, tmp, out=s)
-    return s
+    return np.minimum(s, s - moduli_col, out=s)
 
 
 # -- the word kernel ---------------------------------------------------------
@@ -572,47 +564,37 @@ def stack_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,
     return out
 
 
-def head_fold(scalars, moduli_col: np.ndarray):
-    """The ``c_i · (head_i − x_i)`` tail of rescale and ModDown, as a kernel.
+def head_fold(scalars, moduli_col: np.ndarray, addend_scalars=None):
+    """The ``c_i·(head_i − x_i) [+ e_i·addend_i]`` tail of rescale and
+    ModDown (the merged ModDown-rescale's with ``addend_scalars``), as a
+    kernel.
 
     Returns ``fold(reads, writes)``: ``reads[0]`` holds the switched (or
     base-converted) rows ``x`` of every member, ``reads[1:]`` one block of
-    head limbs per member over ``moduli_col``, and the result lands in
+    head limbs per member over ``moduli_col`` -- alternating with the
+    member's addend block when there are addends -- and the result lands in
     ``writes[0]`` -- in place when that is ``reads[0]``, as it is wherever
-    the fold is fused into the NTT that produced ``x`` (§III-F.5).
+    the fold is fused into the NTT that produced ``x`` (§III-F.5).  Each
+    block is one :func:`stack_dot_mod` over ``(head, c)``, ``(x, q − c)``
+    and ``(addend, e)``, reduced once: ``q − c`` is congruent to ``−c``, so
+    the canonical result is the one the subtract-then-scale gives.
     """
-    def fold(reads, writes):
-        gather_rows(reads[:1], writes[0])
-        row = 0
-        for head in reads[1:]:
-            seg = writes[0][row : row + len(head)]
-            row += len(head)
-            stack_sub_mod(coerce_stack(head, moduli_col), seg, moduli_col, out=seg)
-            stack_scalar_mod(seg, scalars, moduli_col, out=seg)
-
-    return fold
-
-
-def head_addend_fold(scalars, addend_scalars, moduli_col: np.ndarray):
-    """The ``c_i·(head_i − x_i) + e_i·addend_i`` tail of the merged
-    ModDown-rescale, as a kernel: :func:`head_fold` with one more term.
-
-    ``reads[1:]`` alternate a member's head block and its addend block;
-    the scaled difference and the scaled addend are one
-    :func:`stack_dot_mod`, reduced once.
-    """
-    terms = [scalar_column(s, moduli_col) for s in (scalars, addend_scalars)]
+    c = scalar_column(scalars, moduli_col)
+    columns = [c, (moduli_col - c) % moduli_col]
+    if addend_scalars is not None:
+        columns.append(scalar_column(addend_scalars, moduli_col))
+    stride = len(columns) - 1
 
     def fold(reads, writes):
         gather_rows(reads[:1], writes[0])
         row = 0
-        for head, addend in zip(reads[1::2], reads[2::2]):
+        for k in range(1, len(reads), stride):
+            head = reads[k]
             seg = writes[0][row : row + len(head)]
             row += len(head)
-            stack_sub_mod(coerce_stack(head, moduli_col), seg, moduli_col, out=seg)
-            stack_dot_mod([
-                (seg, terms[0]), (coerce_stack(addend, moduli_col), terms[1]),
-            ], moduli_col, out=seg)
+            blocks = [coerce_stack(head, moduli_col), seg,
+                      *(coerce_stack(b, moduli_col) for b in reads[k + 1 : k + stride])]
+            stack_dot_mod(list(zip(blocks, columns)), moduli_col, out=seg)
 
     return fold
 
@@ -704,7 +686,6 @@ __all__ = [
     "DWORD_MODULUS_LIMIT",
     "pow_mod",
     "inv_mod",
-    "as_residue_array",
     "backend_for_moduli",
     "BACKEND_UINT64",
     "BACKEND_DWORD",
@@ -727,7 +708,6 @@ __all__ = [
     "stack_dot_mod",
     "stack_scalar_mod",
     "head_fold",
-    "head_addend_fold",
     "stack_add_scalar_mod",
     "stack_automorphism",
     "stack_switch_modulus_many",

@@ -70,7 +70,7 @@ def twiddle_tables(ring_degree: int, modulus: int) -> tuple[np.ndarray, np.ndarr
 
     Both tables are in bit-reversed order (entry ``m + i`` is the twiddle
     of group ``i`` in the stage with ``m`` groups) and hold canonical
-    residues as :func:`repro.core.modmath.as_residue_array` stores them.
+    residues as :func:`repro.core.modmath.lift_residues` stores them.
     ``ring_degree`` must be a power of two and ``modulus`` an NTT-friendly
     prime (``modulus ≡ 1 mod 2N``).  Cached per ``(N, q)`` and read-only,
     mirroring FIDESlib's singleton precomputation: the tables are built

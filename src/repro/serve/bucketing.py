@@ -147,13 +147,6 @@ class BucketQueue:
         bucket = self._buckets.get(key)
         return list(bucket) if bucket is not None else []
 
-    def oldest(self, key: ShapeKey) -> Request:
-        """The longest-waiting request of one bucket."""
-        bucket = self._buckets.get(key)
-        if not bucket:
-            raise KeyError(f"bucket {key} is empty")
-        return bucket[0]
-
     def __iter__(self) -> Iterable[Request]:
         for bucket in self._buckets.values():
             yield from bucket

@@ -12,6 +12,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.api.backend import EvaluationBackend
 from repro.api.session import CKKSSession
@@ -34,6 +35,11 @@ BACKEND_OPERATIONS = tuple(
     name for name, member in vars(EvaluationBackend).items()
     if callable(member) and not name.startswith("_") and name != "describe"
 )
+
+#: The differential oracle's deeper profile (``tests/test_oracle.py``, run by
+#: CI with ``--hypothesis-profile=oracle-deep``): five times its examples.
+settings.register_profile("oracle-deep", max_examples=300, derandomize=True,
+                          deadline=None)
 
 #: Rotation steps made available in the shared key set.
 TEST_ROTATIONS = (1, 2, 3, 4, 8, -1)
@@ -96,32 +102,44 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20250614)
 
 
-@pytest.fixture
-def object_backend():
-    """A context manager: inside it, every context runs on the exact oracle.
+@contextlib.contextmanager
+def exact_integers():
+    """Inside the block, every modulus takes the exact object path, a uint64
+    chain's too (the word limits drop to 2).
 
-    Every modulus at or above 2**31 leaves the dword backend for the object
-    one (``DWORD_MODULUS_LIMIT`` drops to ``FAST_MODULUS_LIMIT``), the block
-    must warn that it does, and the caches that bake in the backend decision
-    are cleared on entry and on exit, so the computation before and after
-    the block is untouched.
+    The caches that bake in the backend decision are cleared on entry and on
+    exit, so the computation before and after the block is untouched: build
+    a context inside the block and compute on it only inside one.
     """
     def clear_backend_caches():
         modmath._moduli_column_cached.cache_clear()
         get_stacked_engine.cache_clear()
 
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modmath, "DWORD_MODULUS_LIMIT", 2)
+        patch.setattr(modmath, "FAST_MODULUS_LIMIT", 2)
+        clear_backend_caches()
+        try:
+            yield
+        finally:
+            clear_backend_caches()
+
+
+@pytest.fixture
+def object_backend():
+    """A context manager: :func:`exact_integers` on a context that must warn
+    it runs on the exact object backend."""
     @contextlib.contextmanager
     def oracle():
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(modmath, "DWORD_MODULUS_LIMIT", modmath.FAST_MODULUS_LIMIT)
-            clear_backend_caches()
-            try:
-                with pytest.warns(RuntimeWarning, match="object backend"):
-                    yield
-            finally:
-                clear_backend_caches()
+        with exact_integers(), pytest.warns(RuntimeWarning, match="object backend"):
+            yield
 
     return oracle
+
+
+def as_residue_array(values, q: int) -> np.ndarray:
+    """Canonical residues of ``values`` for one modulus ``q``, same shape."""
+    return modmath.lift_residues(values, modmath.moduli_column((q,)).reshape(()))
 
 
 def coefficient_frame(raw: RawCiphertext) -> RawCiphertext:

@@ -27,7 +27,7 @@ from repro.core.memory import (
 from repro.core.ntt import get_stacked_engine, reference_transform
 from repro.core.primes import generate_ntt_primes
 from repro.core.rns_poly import RNSPoly
-from tests.conftest import int_coefficients
+from tests.conftest import as_residue_array, int_coefficients
 from tests.test_limb_poly import last_prime_multiple
 
 N = 64
@@ -94,7 +94,7 @@ class TestBatchedKernels:
     def test_switch_modulus_matches_per_limb(self):
         rng = np.random.default_rng(4)
         q_from = PRIMES[-1]
-        row = modmath.as_residue_array(rng.integers(0, q_from, N), q_from)
+        row = as_residue_array(rng.integers(0, q_from, N), q_from)
         col = modmath.moduli_column(PRIMES[:-1])
         switched = modmath.stack_switch_modulus_many(row[None, :], q_from, col)
         half = q_from >> 1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core import modmath
 from repro.core.primes import generate_ntt_primes
+from tests.conftest import as_residue_array
 
 PRIMES = {
     "small": generate_ntt_primes(1, 20, 64)[0],
@@ -56,9 +57,9 @@ class TestVectorised:
         return one_row(values, q)[0], values
 
     def test_dtype_selection(self):
-        fast = modmath.as_residue_array([1, 2], PRIMES["fast"])
-        word = modmath.as_residue_array([1, 2], PRIMES["word"])
-        exact = modmath.as_residue_array([1, 2], (1 << 62) + 1)
+        fast = as_residue_array([1, 2], PRIMES["fast"])
+        word = as_residue_array([1, 2], PRIMES["word"])
+        exact = as_residue_array([1, 2], (1 << 62) + 1)
         # A residue below 2**62 is one uint64 word, for one modulus or a stack.
         assert fast.dtype == np.uint64 and word.dtype == np.uint64
         assert exact.dtype == np.object_
@@ -102,7 +103,7 @@ class TestVectorised:
     def test_switch_modulus_centred(self):
         q_from, q_to = PRIMES["fast"], PRIMES["small"]
         values = [1, 2, q_from - 1, q_from - 2, q_from // 2]
-        row = modmath.as_residue_array(np.array(values, dtype=object), q_from)
+        row = as_residue_array(np.array(values, dtype=object), q_from)
         out = modmath.stack_switch_modulus_many(
             row[None, :], q_from, modmath.moduli_column([q_to]))
         half = q_from >> 1
@@ -111,7 +112,7 @@ class TestVectorised:
 
     def test_as_residue_array_negative_values(self):
         q = PRIMES["fast"]
-        arr = modmath.as_residue_array(np.array([-1, -q, q + 5], dtype=object), q)
+        arr = as_residue_array(np.array([-1, -q, q + 5], dtype=object), q)
         assert [int(x) for x in arr] == [q - 1, 0, 5]
 
     def test_zeros(self, vec_modulus):
@@ -404,6 +405,41 @@ class TestWordKernel:
         ]
         got = modmath.stack_dot_mod(pairs, modmath.moduli_column(moduli))
         assert got.tolist() == _oracle(pairs, moduli)
+
+    @pytest.mark.parametrize("addends", [False, True], ids=["head", "head+addend"])
+    @pytest.mark.parametrize("chain", sorted(WORD_CHAINS))
+    def test_head_fold_matches_object(self, chain, addends):
+        """The rescale / ModDown tail ``c·(head − x) [+ e·addend]`` of two
+        members, one dot per member block: random and all-``q - 1``
+        operands and constants, into fresh rows and in place over ``x``."""
+        moduli = WORD_CHAINS[chain]
+        rows, members = len(moduli), 2
+        col = modmath.moduli_column(moduli)
+        obj_col = np.array(moduli * members, dtype=object).reshape(-1, 1)
+        rng = np.random.default_rng(rows)
+        for extreme in (False, True):
+            def stack(count=1):
+                return _residues(rng, moduli * count, (rows * count, self.N), extreme)
+
+            def constants():
+                return [q - 1 if extreme else int(rng.integers(0, q)) for q in moduli]
+
+            x, c = stack(members), constants()
+            e = constants() if addends else None
+            blocks = [stack() for _ in range(members * (2 if addends else 1))]
+            heads = blocks[::2] if addends else blocks
+            want = np.array(c * members, dtype=object).reshape(-1, 1) * (
+                _exact(np.concatenate(heads)) - _exact(x))
+            if addends:
+                want += (np.array(e * members, dtype=object).reshape(-1, 1)
+                         * _exact(np.concatenate(blocks[1::2])))
+            want = (want % obj_col).tolist()
+            fold = modmath.head_fold(c, col, e)
+            fresh = np.zeros_like(x)
+            fold([x, *blocks], [fresh])
+            assert fresh.tolist() == want
+            fold([x, *blocks], [x])
+            assert x.tolist() == want
 
     @pytest.mark.parametrize("source_bits, target_bits", [(60, 28), (62, 61), (28, 60)],
                              ids=["60-to-28", "62-to-61", "28-to-60"])

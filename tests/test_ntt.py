@@ -1,14 +1,14 @@
 """Tests for the negacyclic NTT: twiddle tables, the oracle and the engine."""
 
 import contextlib
-from collections import OrderedDict
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import dispatch, modmath, ntt
+from repro.core import modmath, ntt
 from repro.core.dispatch import DISPATCH
 from repro.core.fusion import TraceProgram
 from repro.core.ntt import (
@@ -455,50 +455,24 @@ class TestFusedOperands:
         np.testing.assert_array_equal(out, engine.inverse(x) + 1)
 
 
-class TestScratchCacheBudget:
-    """The scratch pool (``Dispatcher.scratch``): an LRU byte budget.
-
-    That each thread draws from a pool of its own is in
-    ``tests/test_threading.py``.
-    """
-
-    @pytest.fixture
-    def empty_pool(self, monkeypatch):
-        monkeypatch.setattr(DISPATCH, "_scratch", OrderedDict())
-        return DISPATCH._scratch
-
-    def test_budget_bounds_cache_and_evicts_lru(self, empty_pool, monkeypatch):
-        monkeypatch.setattr(dispatch, "_SCRATCH_BUDGET_BYTES", 1 << 20)  # 1 MiB
-        # Wide batched shapes would pin ~4 MiB without the bound.
-        for tag in ("a", "b", "c", "d"):
-            DISPATCH.scratch(tag, (128, 1024))  # 1 MiB each
-            assert sum(b.nbytes for b in empty_pool.values()) <= (1 << 20)
-        # The most recent key survives; the oldest were evicted.
-        assert [key[0] for key in empty_pool] == ["d"]
-        # A single buffer above the budget is still served (and kept).
-        buf = DISPATCH.scratch("big", (512, 1024))  # 4 MiB
-        assert buf.shape == (512, 1024)
-        assert [key[0] for key in empty_pool] == ["big"]
-
-    @pytest.mark.parametrize("bits", [28, 59], ids=["uint64", "dword"])
-    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
-    def test_a_transform_leaves_no_ntt_scratch(self, empty_pool, inverse, bits):
-        # The kernel works in the rows it transforms: no scratch buffer.
-        n = 1 << 9
-        moduli = tuple(generate_ntt_primes(4, bits, n))
-        engine = get_stacked_engine(n, moduli * 2)
-        stack = np.zeros((len(engine.moduli), n), dtype=np.uint64)
-        (engine.inverse if inverse else engine.forward)(stack)
-        assert not [key for key in empty_pool if key[0].startswith("ntt-")]
-
-    def test_transforms_unchanged_under_tiny_budget(self, empty_pool, monkeypatch):
-        q = generate_ntt_primes(2, 26, 64)
-        engine = get_stacked_engine(64, tuple(q))
-        rng = np.random.default_rng(3)
-        stack = rng.integers(0, min(q), size=(2, 64)).astype(np.uint64)
-        reference = engine.forward(stack)
-        monkeypatch.setattr(dispatch, "_SCRATCH_BUDGET_BYTES", 4096)
-        assert np.array_equal(engine.forward(stack), reference)
+@pytest.mark.parametrize("bits", [28, 59], ids=["uint64", "dword"])
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+def test_a_transform_allocates_nothing_per_call(inverse, bits):
+    # The kernel works in the rows it transforms: a consumed stack is
+    # transformed in place, with no temporary of its size.
+    n = 1 << 9
+    moduli = tuple(generate_ntt_primes(4, bits, n))
+    engine = get_stacked_engine(n, moduli * 2)
+    stack = np.zeros((len(engine.moduli), n), dtype=np.uint64)
+    transform = engine.inverse if inverse else engine.forward
+    transform(stack, consume=True)  # tables built, kernel loaded
+    tracemalloc.start()
+    try:
+        assert transform(stack, consume=True) is stack
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack.nbytes // 8
 
 
 #: A chain just below the dword cap: ``4q`` all but fills the word, so the

@@ -17,6 +17,7 @@ from repro.core.limb import LimbFormat
 from repro.core.primes import generate_ntt_primes
 from repro.core.rns import BaseConverter, RNSBasis, partition_digits
 from repro.core.rns_poly import RNSPoly
+from tests.conftest import as_residue_array
 
 
 def decompose(basis, values):
@@ -59,7 +60,7 @@ def convert_exact(source, target, limbs):
     alphas = np.rint(sum(np.array([float(v) for v in y]) / float(q)
                          for y, q in zip(scaled, source.moduli)))
     return [
-        modmath.as_residue_array(np.array([
+        as_residue_array(np.array([
             sum(y[j] * (h % p) for y, h in zip(scaled, source.q_hat))
             - int(alpha) * (source.modulus % p)
             for j, alpha in enumerate(alphas)

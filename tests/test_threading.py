@@ -1,20 +1,17 @@
 """One runtime per thread: ``DISPATCH`` is a ``threading.local``.
 
-Each thread has its own recording state and its own scratch pool, and the
-cached tables every thread reads are read-only
+Each thread has its own recording state, a kernel's temporaries are its
+own, and the cached tables every thread reads are read-only
 (``tests/test_bounded_caches.py``), so threads can run numeric work at
-once: each result is bit-identical to a single-thread run, a trace records
-only its own thread's kernels, and a thread's scratch buffers die with it.
+once: each result is bit-identical to a single-thread run, and a trace
+records only its own thread's kernels.
 """
 
 from __future__ import annotations
 
 import ctypes
-import gc
-import itertools
 import sys
 import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -289,41 +286,6 @@ class TestPerThreadRecording:
 
         _run_threads(worker)
         assert seen == [(False, [])] * (_WORKERS - 1)
-
-
-class TestPerThreadScratch:
-    def test_threads_never_share_a_scratch_buffer(self):
-        mine = DISPATCH.scratch("probe", (4, 16))
-
-        def worker(index, barrier):
-            buf = DISPATCH.scratch("probe", (4, 16))
-            barrier.wait()  # every thread holds its own at once
-            assert DISPATCH.scratch("probe", (4, 16)) is buf  # reused
-            return buf
-
-        bufs = _run_threads(worker) + [mine]
-        for a, b in itertools.combinations(bufs, 2):
-            assert not np.shares_memory(a, b)
-
-    def test_worker_scratch_is_freed_when_the_thread_exits(self):
-        refs = []
-        moduli = _ENGINES[1][1]
-        engine = get_stacked_engine(_ENGINES[1][0], moduli)
-        stack = np.ones((len(moduli), engine.ring_degree), dtype=np.uint64)
-
-        def worker():
-            engine.forward(stack)
-            # A modular addition's reduction fills this thread's pool.
-            modmath.stack_add_mod(stack, stack, engine._col)
-            refs.extend(weakref.ref(buf) for buf in DISPATCH._scratch.values())
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        gc.collect()
-        assert refs
-        assert all(ref() is None for ref in refs)
 
 
 def _switch_point() -> None:
