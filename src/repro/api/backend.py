@@ -16,8 +16,8 @@ to whichever backend its handle belongs to.
   are :class:`SymbolicCiphertext` objects that follow the evaluator's level
   and scale trajectory -- the matching rule and the operand errors are the
   evaluator's own (:func:`~repro.ckks.ciphertext.match_for_sum` and its
-  neighbours), only the ladder and the way down a level are symbolic --
-  while every operation emits its closed-form kernel decomposition through
+  neighbours) and so is the chain, a real context's; only the data is
+  symbolic.  Every operation emits its closed-form kernel decomposition through
   the execution-plane dispatcher, inside the operation scopes the evaluator
   opens.  It keeps no books of its own: ``session.trace()`` and a
   ``Server(trace_costs=...)`` observe, price and roll up a symbolic
@@ -61,7 +61,7 @@ from repro.ckks.ciphertext import (
     match_for_sum,
     member_lengths,
 )
-from repro.ckks.context import Context, ladder_scale, rescale_factor
+from repro.ckks.context import Context
 from repro.ckks.encoding import check_message
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeySet
@@ -173,26 +173,25 @@ class SymbolicCiphertext:
 
 
 class CostModelBackend:
-    """Symbolic execution: level/scale tracking plus closed-form kernel emission.
+    """Symbolic execution: the evaluator's level/scale trajectory plus
+    closed-form kernel emission.
 
-    Two construction modes:
-
-    * :meth:`from_context` (or ``context=...``) -- track scales against a
-      real context's moduli chain and scale ladder, bit-identical to the
-      functional evaluator (used by the backend-parity tests).
-    * bare ``CostModelBackend(params)`` -- an idealised ladder where every
-      level's scale is ``Δ`` and every rescale prime is ``2**scale_bits``;
-      this is what paper-scale parameter sets use, since their contexts are
-      too large for the functional Python backend.
+    The twin always tracks a real :class:`~repro.ckks.context.Context`:
+    its moduli chain and scale ladder are the context's, so a program
+    follows the functional evaluator's levels and scales exactly -- at
+    paper-scale parameters too, whose contexts build in milliseconds (the
+    functional backend is what is too slow there, not the context).
+    ScalarMult and ``at_level`` are one-term weighted sums, as on the
+    evaluator.
 
     Which kernel stream an operation emits is the ``costs`` builder's
-    choice.  The default (and :meth:`for_model` of a
-    :class:`~repro.perf.fideslib_model.FIDESlibModel`) is FIDESlib's
-    decomposition -- fused, limb-batched by ``params.limb_batch``;
-    ``for_model(PhantomModel(...))`` emits Phantom's; and
-    :meth:`CKKSSession.cost_backend
-    <repro.api.session.CKKSSession.cost_backend>` emits the stream this
-    repo's own data plane launches (fused, all limbs per kernel).
+    choice.  The default is the stream this repo's own data plane launches
+    (``CKKSOperationCosts(limb_batch=None, fusion=True)``: fused, all limbs
+    per kernel), which :meth:`CKKSSession.cost_backend
+    <repro.api.session.CKKSSession.cost_backend>` builds on the session's
+    context; :meth:`for_model` of a
+    :class:`~repro.perf.fideslib_model.FIDESlibModel` emits FIDESlib's
+    decomposition (fused, limb-batched), of a ``PhantomModel`` Phantom's.
 
     Passing ``key_inventory`` (a :class:`KeySet`, typically the server key
     set of a session) makes rotations and conjugations fail with the same
@@ -203,38 +202,33 @@ class CostModelBackend:
 
     def __init__(
         self,
-        params: CKKSParameters,
+        context: Context,
         *,
         costs: CKKSOperationCosts | None = None,
-        context: Context | None = None,
         key_inventory: KeySet | None = None,
     ) -> None:
-        self.params = params
-        self.costs = costs if costs is not None else CKKSOperationCosts(
-            params, limb_batch=params.limb_batch, fusion=True
-        )
         self.context = context
+        self.params = context.params
+        self.costs = costs if costs is not None else CKKSOperationCosts(
+            self.params, limb_batch=None, fusion=True
+        )
         self.key_inventory = key_inventory
-        if context is not None:
-            self.scale_ladder: list[float] = list(context.scale_ladder)
-            self.moduli: list = list(context.moduli)
-        else:
-            delta = params.scale
-            self.scale_ladder = [delta] * (params.mult_depth + 1)
-            self.moduli = [float(2 ** params.first_mod_bits)] + [
-                float(2 ** params.scale_bits)
-            ] * params.mult_depth
-
-    @classmethod
-    def from_context(cls, context: Context, *, costs: CKKSOperationCosts | None = None,
-                     key_inventory: KeySet | None = None) -> "CostModelBackend":
-        """Build a backend whose scale trajectory matches ``context`` exactly."""
-        return cls(context.params, context=context, costs=costs, key_inventory=key_inventory)
 
     @classmethod
     def for_model(cls, model) -> "CostModelBackend":
-        """Build a backend sharing a perf model's cost builder (e.g. FIDESlibModel)."""
-        return cls(model.params, costs=model.costs)
+        """Build a backend on ``Context(model.params)`` sharing a perf
+        model's cost builder (e.g. FIDESlibModel)."""
+        return cls(Context(model.params), costs=model.costs)
+
+    @property
+    def moduli(self) -> list:
+        """The chain this backend tracks, ``q_0 … q_L`` (the context's)."""
+        return self.context.moduli
+
+    @property
+    def scale_ladder(self) -> list[float]:
+        """The scale of each level on this backend's chain (the context's)."""
+        return self.context.scale_ladder
 
     # -- ladder helpers -----------------------------------------------------
 
@@ -329,13 +323,11 @@ class CostModelBackend:
     def at_level(self, a: SymbolicCiphertext, target_level: int,
                  target_scale: float | None = None) -> SymbolicCiphertext:
         if target_scale is None:
-            target_scale = ladder_scale(self.scale_ladder, target_level)
+            target_scale = self.context.scale_at(target_level)
         if adjust_is_noop(a, target_level, target_scale):
             return a.copy()
         with self._scope(a, "at_level"):
-            reduced = replace(a, limb_count=target_level + 2)
-            self._emit(reduced, self.costs.scalar_mult, reduced.limb_count)
-            return replace(self.rescale(reduced), scale=float(target_scale))
+            return self._weighted_sum([a], target_level, target_scale)
 
     # -- plaintext scales (the ladder-restoring scale, on this ladder) ---------
 
@@ -343,8 +335,8 @@ class CostModelBackend:
         if isinstance(values, Plaintext):
             return values.scale
         if for_multiplication and a.level >= 1:
-            return rescale_factor(self.moduli, a.level - 1, a.scale,
-                                  ladder_scale(self.scale_ladder, a.level - 1))
+            return self.context.rescale_factor(a.level - 1, a.scale,
+                                               self.context.scale_at(a.level - 1))
         return a.scale
 
     @staticmethod
@@ -361,7 +353,7 @@ class CostModelBackend:
     def add(self, a: SymbolicCiphertext, b: SymbolicCiphertext) -> SymbolicCiphertext:
         with self._scope(a, "hadd"):
             a2, b2 = match_for_sum(a, b, self.at_level)
-            self._emit(a2, self.costs.hadd, a2.limb_count)
+            self._emit(a2, self.costs.hadd, a2.limb_count, 1 if a2 is b2 else 2)
         return self._longest(a2, a2, b2)
 
     sub = add  # HSub launches HAdd's kernels in HAdd's scope
@@ -413,9 +405,7 @@ class CostModelBackend:
         check_finite_scalar("multiply_scalar", value)
         check_scalar_rescale(a)
         with self._scope(a, "scalarmult"):
-            self._emit(a, self.costs.scalar_mult, a.limb_count)
-            return replace(self.rescale(a),
-                           scale=float(ladder_scale(self.scale_ladder, a.level - 1)))
+            return self._weighted_sum([a], a.level - 1)
 
     # -- rotations ----------------------------------------------------------
 
@@ -494,16 +484,21 @@ class CostModelBackend:
         check_sum("weighted_sum",
                   [(f"weighted_sum term {i}", h, c) for i, (h, c) in enumerate(terms)],
                   level, constant)
-        first = terms[0][0]
-        with self._scope(first, "scalardot"):
-            operands = self._reduce([h for h, _ in terms], level + 2)
-            reduced = replace(first, limb_count=level + 2)
-            self._emit(reduced, self.costs.weighted_sum, level + 2, len(terms),
-                       operands, bool(constant))
-            result = self.rescale(reduced)
+        handles = [h for h, _ in terms]
+        with self._scope(handles[0], "scalardot"):
+            result = self._weighted_sum(handles, level, scale, constant)
+        return self._longest(result, *handles)
+
+    def _weighted_sum(self, handles: list[SymbolicCiphertext], level: int,
+                      scale: float | None = None, constant: float = 0.0) -> SymbolicCiphertext:
+        """:meth:`weighted_sum` of checked terms, in the caller's scope."""
+        operands = self._reduce(handles, level + 2)
+        reduced = replace(handles[0], limb_count=level + 2)
+        self._emit(reduced, self.costs.weighted_sum, level + 2, len(handles),
+                   operands, bool(constant))
         if scale is None:
-            scale = ladder_scale(self.scale_ladder, level)
-        return self._longest(replace(result, scale=float(scale)), *(h for h, _ in terms))
+            scale = self.context.scale_at(level)
+        return replace(self.rescale(reduced), scale=float(scale))
 
     def product_sum(self, a: SymbolicCiphertext, b: SymbolicCiphertext, level: int,
                     addends: Sequence[tuple[SymbolicCiphertext, float]] = (),
@@ -531,7 +526,6 @@ class CostModelBackend:
         return {
             "backend": self.name,
             "parameter_set": self.params.describe(),
-            "mode": "context-exact" if self.context is not None else "ideal-ladder",
         }
 
 

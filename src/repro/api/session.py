@@ -332,21 +332,18 @@ class CKKSSession:
         """A cost-model twin of this session's functional backend.
 
         The returned backend tracks levels and scales against this
-        session's real moduli chain, so a program replayed on it follows
-        the exact trajectory of the functional backend, and it emits the
-        kernel stream *this data plane* launches for each operation --
-        fused, every limb of a stack in one kernel
-        (``CKKSOperationCosts(limb_batch=None, fusion=True)``) -- in the
-        same operation scopes, so both backends fill a ``session.trace()``
-        alike.  Pass ``costs`` to price another library's decomposition
-        instead (FIDESlib's limb-batched kernels, Phantom's unfused ones;
-        see :meth:`CostModelBackend.for_model`).  With ``check_keys``
-        (default) it also raises the same ``KeyError`` the evaluator would
-        for rotations whose keys were never generated.
+        session's context, so a program replayed on it follows the exact
+        trajectory of the functional backend, and by default it emits the
+        kernel stream *this data plane* launches for each operation (the
+        twin's default ``costs``) in the same operation scopes, so both
+        backends fill a ``session.trace()`` alike.  Pass ``costs`` to price
+        another library's decomposition instead (FIDESlib's limb-batched
+        kernels, Phantom's unfused ones; see
+        :meth:`CostModelBackend.for_model`).  With ``check_keys`` (default)
+        it also raises the same ``KeyError`` the evaluator would for
+        rotations whose keys were never generated.
         """
-        if costs is None:
-            costs = CKKSOperationCosts(self.params, limb_batch=None, fusion=True)
-        return CostModelBackend.from_context(
+        return CostModelBackend(
             self.context, costs=costs,
             key_inventory=self.keys if check_keys else None,
         )

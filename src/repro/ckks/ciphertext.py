@@ -137,13 +137,12 @@ def check_plain_scale(handle, plain_scale: float) -> None:
 
 
 def check_scalar_rescale(handle) -> None:
-    """Reject a rescaling ``multiply_scalar`` of a level-0 handle."""
+    """Reject ``multiply_scalar`` of a level-0 handle (it rescales)."""
     if handle.level == 0:
         raise ValueError(
-            "multiply_scalar(..., rescale=True) on a level-0 ciphertext: there is "
-            "no limb left to drop, so the result scale cannot be restored to the "
-            "ladder; pass rescale=False (the result keeps scale * Δ) "
-            "or bootstrap the ciphertext first"
+            "multiply_scalar on a level-0 ciphertext: there is "
+            "no limb left to drop, so the result scale cannot be restored "
+            "to the ladder; bootstrap the ciphertext first"
         )
 
 

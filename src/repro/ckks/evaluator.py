@@ -222,8 +222,8 @@ class Evaluator:
         weight of at least 1, so a far-off target cannot zero it.  Terms
         are checked before any work
         (:func:`~repro.ckks.ciphertext.check_sum`), and the call opens its
-        own ``scalardot`` scope (``adjust`` and a rescaling
-        ``multiply_scalar`` run the same sum in theirs).
+        own ``scalardot`` scope (``adjust`` and ``multiply_scalar`` run the
+        same sum in theirs).
         """
         terms = list(terms)
         coefficients = check_sum(
@@ -363,26 +363,14 @@ class Evaluator:
             ), ct, pt)
             return self.rescale(result) if rescale else result
 
-    def multiply_scalar(self, ct: Ciphertext, value: float, *,
-                        rescale: bool = True) -> Ciphertext:
-        """Constant multiplication (``ScalarMult``).
-
-        With the rescale it is a one-term :meth:`weighted_sum`, so the
-        result sits on the ladder one level down and chained operations
-        keep exact per-level scales; without it the constant is encoded at
-        ``Δ``.
-        """
+    def multiply_scalar(self, ct: Ciphertext, value: float) -> Ciphertext:
+        """Constant multiplication (``ScalarMult``): a one-term
+        :meth:`weighted_sum`, so the result sits on the ladder one level
+        down and chained operations keep exact per-level scales."""
         value = check_finite_scalar("multiply_scalar", value)
-        if rescale:
-            check_scalar_rescale(ct)
+        check_scalar_rescale(ct)
         with self._scope(ct, "scalarmult"):
-            if rescale:
-                return self._weighted_sum([(ct, value)], [value], ct.level - 1)
-            integer = int(round(value * self.context.scale))
-            return self._on_both(
-                ct, "scalarmult", lambda c: c.multiply_scalar(integer),
-                scale=ct.scale * self.context.scale,
-            )
+            return self._weighted_sum([(ct, value)], [value], ct.level - 1)
 
     def multiply(self, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         """Homomorphic multiplication (``HMult``) with relinearisation and
@@ -588,17 +576,21 @@ class Evaluator:
         transform -- the digits are in evaluation format), runs the inner
         product and ModDown, and gathers ``c0``; the result is keyed by
         the requested steps, and a step is served by any loaded key with
-        the same residue mod ``slots``.
+        the same residue mod ``slots``.  The ModUp runs at the first step
+        that rotates, so a call whose every step is ``≡ 0 mod slots``
+        launches nothing.
         """
         results: dict[int, Ciphertext] = {}
+        decomposed = None
         with self._scope(ct, "hoisted"):
-            decomposed = decompose_and_mod_up(self.context, ct.c1)
             for step in steps:
                 step = int(step)
                 if step % ct.slots == 0:
                     results[step] = ct.with_polys(ct.c0, ct.c1)
                     continue
                 key = self.keys.rotation_key(step, self.context.slots)
+                if decomposed is None:
+                    decomposed = decompose_and_mod_up(self.context, ct.c1)
                 exponent = rotation_to_exponent(self.context.ring_degree, step)
                 with DISPATCH.scope("keyswitch"):
                     delta0, delta1 = mod_down_many(self.context, list(apply_key(

@@ -228,11 +228,12 @@ class CKKSOperationCosts:
     # primitive operations (Table I / Table V)
     # ------------------------------------------------------------------
 
-    def hadd(self, limbs: int) -> OperationCost:
-        """HAdd: element-wise addition of two ciphertexts."""
+    def hadd(self, limbs: int, operands: int = 2) -> OperationCost:
+        """HAdd: element-wise addition of two ciphertexts, reading the
+        ``operands`` distinct ones (``x + x`` reads its operand once)."""
         cost = OperationCost("HAdd")
         cost.kernels = self.elementwise_kernels(
-            "hadd", limbs, polys_read=4.0, polys_written=2.0,
+            "hadd", limbs, polys_read=2.0 * operands, polys_written=2.0,
             ops_per_element=2.0 * MODADD_OPS,
         )
         return cost
@@ -288,11 +289,15 @@ class CKKSOperationCosts:
         return cost
 
     def scalar_mult(self, limbs: int) -> OperationCost:
-        """ScalarMult: multiplication by a broadcast constant.
+        """ScalarMult as the modelled libraries run it: multiplication by a
+        broadcast constant.
 
         Includes the per-limb constant preparation pass that makes the
         routine more expensive than PtMult's element-wise product alone in
-        the paper's measurements.
+        the paper's measurements.  It prices the library tables (Table V,
+        the bootstrap and logistic-regression workloads); this repo's
+        evaluator and its twin run a ScalarMult as a one-term
+        :meth:`weighted_sum`, which has no such pass.
         """
         cost = OperationCost("ScalarMult")
         cost.kernels = self.elementwise_kernels(

@@ -22,6 +22,7 @@ from repro.api.backend import (
 from repro.api.session import CKKSSession
 from repro.api.vector import CipherVector
 from repro.apps.logistic_regression import EncryptedLogisticRegression
+from repro.ckks.context import Context
 from repro.ckks.params import PARAMETER_SETS, CKKSParameters
 from repro.core.dispatch import DISPATCH
 from repro.gpu.platforms import GPU_RTX_4090
@@ -235,7 +236,7 @@ class TestSymbolicEmission:
         costs, limbs = costmodel.costs, ct.limb_count
         expected = [
             costs.product_rescale(limbs),
-            costs.scalar_mult(limbs - 1), costs.rescale(limbs - 1),
+            costs.weighted_sum(limbs - 1, 1, 1, False), costs.rescale(limbs - 1),
             costs.scalar_add(limbs - 2),
         ]
         assert [k.name for k in trace.kernels()] == [
@@ -326,14 +327,16 @@ class TestSymbolicEmission:
 
 
 class TestPaperScaleCostModel:
-    """At paper-scale parameters only the ideal-ladder mode is feasible."""
+    """At paper-scale parameters the twin runs on the real context."""
 
-    def test_ideal_ladder_tracks_levels(self):
+    def test_paper_context_tracks_levels(self):
         params = PARAMETER_SETS["paper-default"]
-        backend = CostModelBackend(params)
+        backend = CostModelBackend(Context(params))
         ct = CipherVector(backend, backend.encrypt([0.5]))
         result = (ct * ct) + 1.0
         assert result.level == params.mult_depth - 1
+        assert result.scale == pytest.approx(backend.context.scale_at(result.level),
+                                             rel=1e-12)
         assert result.scale == pytest.approx(params.scale)
 
     def test_gpu_model_executes_ledger(self):
@@ -355,7 +358,7 @@ class TestPaperScaleCostModel:
         """Whole applications run unmodified on the cost backend."""
         params = PARAMETER_SETS["paper-lr"]
         lr_backend = CostModelBackend(
-            params, costs=CKKSOperationCosts(params, limb_batch=None)
+            Context(params), costs=CKKSOperationCosts(params, limb_batch=None)
         )
         model = EncryptedLogisticRegression(backend=lr_backend, feature_count=4)
         rng = np.random.default_rng(0)
@@ -391,8 +394,6 @@ class TestBackendProtocol:
         cm = session.cost_backend().describe()
         assert fn["backend"] == "functional"
         assert cm["backend"] == "costmodel"
-        assert cm["mode"] == "context-exact"
-        assert CostModelBackend(session.params).describe()["mode"] == "ideal-ladder"
 
 
 #: Messages and scales the encoder refuses, with what the error names

@@ -23,6 +23,7 @@ from repro.api import (
     SymbolicCiphertext,
 )
 from repro.ckks.ciphertext import Ciphertext
+from repro.ckks.context import Context
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.params import CKKSParameters
@@ -363,7 +364,7 @@ class TestBatchValidation:
             Ciphertext.fuse([cts_a[0], dropped])
 
     def test_mixed_level_symbolic_batch_rejected(self, toy_params):
-        backend = CostModelBackend(toy_params)
+        backend = CostModelBackend(Context(toy_params))
         a = backend.encrypt([1.0])
         b = backend.rescale(
             backend.encrypt([1.0], scale=toy_params.scale ** 2)
@@ -612,7 +613,7 @@ class TestOpSurface:
             assert not name.startswith("batch_") or name in (
                 "batch_from", "batch_split"
             ), name
-        constructors = {"from_context", "for_model"}
+        constructors = {"for_model"}
         assert self._public_ops(CostModelBackend) - constructors == protocol
         # The functional backend is the evaluator itself: the protocol plus
         # the evaluator's own verbs, none of them a second batch surface.

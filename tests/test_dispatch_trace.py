@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.api import CKKSSession, CipherVector
-from repro.ckks.params import CKKSParameters
+from repro.ckks.params import PARAMETER_SETS, CKKSParameters
 from repro.core.dispatch import DISPATCH, KernelTrace
 from repro.gpu.kernel import Kernel
 from repro.gpu.platforms import GPU_RTX_4090
@@ -52,18 +52,26 @@ def traced_session():
     )
 
 
+#: The paper's evaluation set on a 2^6 ring: its 30 + 8 limbs of 59/60
+#: bits and dnum = 4, small enough to run every operation in tier-1.
+PAPER_PROXY = PARAMETER_SETS["paper-default"].with_overrides(ring_degree=1 << 6)
+
+#: The chains every operation is reconciled on, with their ``numeric_backend``.
+CHAINS = {"uint64": "uint64", "dword": "dword", "paper": "dword"}
+
+
 @pytest.fixture(scope="module")
 def reconcile_sessions(traced_session):
-    """One session per machine-word arithmetic, keyed by ``numeric_backend``."""
-    sessions = {
-        "uint64": traced_session,
-        "dword": CKKSSession.create(
-            DWORD_PARAMS, rotations=[1, 2, 3], conjugation=True, seed=3,
+    """One session per chain of :data:`CHAINS`."""
+    sessions = {"uint64": traced_session} | {
+        chain: CKKSSession.create(
+            params, rotations=[1, 2, 3], conjugation=True, seed=3,
             register_default=False,
-        ),
+        )
+        for chain, params in (("dword", DWORD_PARAMS), ("paper", PAPER_PROXY))
     }
-    for backend, session in sessions.items():
-        assert session.numeric_backend == backend
+    for chain, session in sessions.items():
+        assert session.numeric_backend == CHAINS[chain]
     return sessions
 
 
@@ -274,9 +282,12 @@ class TestRecording:
 #: program runs on the recorded data plane and on the symbolic emitter.
 OP_SURFACE = {
     "hadd": lambda x, y: x + y,
+    "hadd-self": lambda x, y: x + x,
     "ptadd": lambda x, y: x + np.full(8, 0.5),
     "scalaradd": lambda x, y: x + 1.0,
     "ptmult+rescale": lambda x, y: x * np.full(8, 0.5),
+    "ptdot": lambda x, y: x.backend.dot_product_plain(
+        [x.handle, y.handle], [np.full(8, 0.5), np.full(8, -0.25)]),
     "scalarmult+rescale": lambda x, y: x * 2.0,
     "hsquare": lambda x, y: x ** 2,
     "hmult": lambda x, y: x * y,
@@ -301,23 +312,6 @@ OP_SURFACE = {
         x, x.level - 1, multiplier=2, constant=-1.0),
 }
 
-#: Operations whose recorded kernel stream is known to differ from the
-#: closed form, with the delta measured on ``traced_session`` (N=2^12, 7
-#: limbs, dnum=3, B=1; recorded vs closed form) and the ROADMAP item that
-#: owns closing it.  The rows are strict xfails: the PR that closes one
-#: must delete its entry, and an operation that is not listed here may not
-#: drift past the 5% bound.
-#: Both remaining rows have one root cause: ``CKKSOperationCosts.scalar_mult``
-#: charges a ``scalar-encode`` pass (one poly read, one written) that the
-#: data plane does not launch -- its constant is one word per limb.
-KNOWN_DRIFT = {
-    "scalarmult+rescale": "5 kernels vs 6, -458,640 B (the closed form's "
-                          "scalar-encode pass) -- ROADMAP 4(e)",
-    "at_level": "5 kernels vs 6, -393,120 B (the closed form's scalar-encode "
-                "pass; at B=8 7 vs 6, a fused mod-reduce gathers each "
-                "component) -- ROADMAP 4(e)",
-}
-
 #: The sums two levels below their operands, so every operand is
 #: mod-reduced; and the operands a fused run gathers (the square reads its
 #: operand once, a repeated operand is gathered per occurrence).
@@ -336,10 +330,11 @@ EXACT_KERNELS = {"negate": 1, "rotate0": 0, "at_level-same": 0}
 
 
 class TestReconciliation:
-    @pytest.mark.parametrize("backend", ["uint64", "dword"])
+    @pytest.mark.parametrize("backend", CHAINS)
     def test_hmult_trace_matches_cost_model(self, backend, reconcile_sessions):
-        # dword: a 59-bit residue is one 64-bit word like a 28-bit one, so
-        # the trace must match the model as built (1x bytes, 1x launches).
+        # dword and paper: a 59-bit residue is one 64-bit word like a 28-bit
+        # one, so the trace must match the model as built (1x bytes, 1x
+        # launches).
         session = reconcile_sessions[backend]
         costs = CKKSOperationCosts(session.params, limb_batch=None, fusion=True)
         report = reconcile_trace(
@@ -349,14 +344,9 @@ class TestReconciliation:
         assert report.within(kernel_tolerance=0.05, bytes_tolerance=0.05), \
             report.describe()
 
-    @pytest.mark.parametrize("backend", ["uint64", "dword"])
+    @pytest.mark.parametrize("backend", CHAINS)
     @pytest.mark.parametrize("members", [1, 8], ids=["B1", "B8"])
-    @pytest.mark.parametrize("op", [
-        pytest.param(op, marks=[pytest.mark.xfail(
-            strict=True, reason=KNOWN_DRIFT[op],
-        )] if op in KNOWN_DRIFT else [])
-        for op in OP_SURFACE
-    ])
+    @pytest.mark.parametrize("op", OP_SURFACE)
     def test_every_operation_against_the_closed_form(
             self, op, members, backend, reconcile_sessions):
         """Recorded data plane vs ``CKKSOperationCosts(limb_batch=None, fusion=True)``.

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckks.ciphertext import Ciphertext
+from repro.core.dispatch import DISPATCH
 from tests.conftest import assert_close, assert_same_ciphertext
 
 
@@ -186,16 +187,6 @@ class TestRescaleAndLevels:
         with pytest.raises(ValueError, match="level-0 ciphertext"):
             evaluator.multiply_scalar(bottom, 2.0)
 
-    def test_multiply_scalar_level_zero_without_rescale_allowed(
-            self, evaluator, context, ciphertexts):
-        # rescale=False stays legal at level 0 and reports the true scale
-        # product (message recovery would need q_0 >> Δ², so no decrypt
-        # check at toy parameters -- the metadata is the contract here).
-        bottom = evaluator.adjust(ciphertexts[0], 0)
-        scaled = evaluator.multiply_scalar(bottom, 2.0, rescale=False)
-        assert scaled.level == 0
-        assert scaled.scale == pytest.approx(bottom.scale * context.scale, rel=1e-9)
-
 
 class TestRotations:
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 8])
@@ -233,6 +224,18 @@ class TestRotations:
                 decryptor.decrypt_values(individual, 16),
                 1e-4,
             )
+
+    @pytest.mark.parametrize("multiples", [(0,), (0, 1)], ids=["0", "0-slots"])
+    def test_hoisted_trivial_steps_launch_nothing(self, evaluator, ciphertexts, multiples):
+        """Steps that are all 0 mod slots pay no ModUp (it used to record
+        7 launches on ``toy``): each result is the operand's polynomials."""
+        x = ciphertexts[0]
+        steps = [k * x.slots for k in multiples]
+        with DISPATCH.record() as trace:
+            results = evaluator.hoisted_rotations(x, steps)
+        assert trace.kernel_count == 0
+        assert sorted(results) == steps
+        assert all(ct.c0 is x.c0 and ct.c1 is x.c1 for ct in results.values())
 
     def test_rotation_after_multiplication(self, evaluator, decryptor, ciphertexts, messages):
         product = evaluator.multiply(*ciphertexts)

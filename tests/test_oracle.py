@@ -17,7 +17,9 @@ same session).  It asserts that
    same input residues;
 2. the cost-model twin agrees on level, scale, encoded length and member
    count after every step -- the twin is also the generator's type system:
-   a step is drawn only if it takes it;
+   a step is drawn only if it takes it -- and, in a recording mode, emits
+   as many kernels as the run records, within 5% of its bytes per kernel
+   kind (``reconcile_trace``);
 3. decrypted, every result is the program run in plain NumPy over the slots,
    to :data:`PRECISION_FLOOR` bits.
 
@@ -43,6 +45,7 @@ from repro.ckks.params import CKKSParameters
 from repro.core.fusion import TraceProgram, expand_stages, fuse_trace
 from repro.core.limb import LimbFormat
 from repro.core.rns_poly import RNSPoly
+from repro.perf.calibration import reconcile_trace
 from repro.serve import (BatchingPolicy, FaultPlan, OpProgram, ReplayDriver, RetryPolicy,
                          Server, burst_arrivals)
 from tests.conftest import BACKEND_OPERATIONS, exact_integers
@@ -430,14 +433,15 @@ def exact_runs(case: Case, members: list, y, twin_single: list) -> list:
 
 def under_test(case: Case, session, inputs) -> tuple:
     """The program on the fused ``inputs()`` in ``case.mode`` (a recording
-    mode records the fusing too): ``(handles, fetch, digest)``, where
-    ``fetch(data)`` reads the residues the mode produced for ``data``."""
+    mode records the fusing too): ``(handles, fetch, trace)``, where
+    ``fetch(data)`` reads the residues the mode produced for ``data`` and
+    ``trace`` is the recording (``None`` when eager)."""
     if case.mode == "eager":
         return run(session.backend, inputs(), case.steps), lambda data: data, None
     with session.trace(executable=case.mode == "replay") as trace:
         pool = run(session.backend, inputs(), case.steps)
     if case.mode == "traced":
-        return pool, lambda data: data, stream_digest(trace)
+        return pool, lambda data: data, trace
     program = TraceProgram(trace)
     program.verify()
     staged = expand_stages(trace)
@@ -455,7 +459,7 @@ def under_test(case: Case, session, inputs) -> tuple:
         except KeyError:  # no kernel wrote it: an input, or a window of one
             return data
 
-    return pool, fetch, stream_digest(trace)
+    return pool, fetch, trace
 
 
 def serve(case: Case, session, members: list, y) -> dict:
@@ -519,7 +523,8 @@ def check(case: Case) -> None:
     twin_single = run(twin, [twin.encrypt(rows[0], level=x_level), y_twin], case.steps)
     x_twin = twin.encrypt_batch(rows, level=x_level) if case.members > 1 else \
         twin.encrypt(rows[0], level=x_level)
-    twin_fused = run(twin, [x_twin, fused(twin, [y_twin] * case.members)], case.steps)
+    with session.trace() as twin_trace:
+        twin_fused = run(twin, [x_twin, fused(twin, [y_twin] * case.members)], case.steps)
     oracle = exact_runs(case, members, y, twin_single)
     plain = Plain(session.slots)
     expected = run(plain, [np.stack([plain.slotwise(row) for row in rows]),
@@ -544,8 +549,15 @@ def check(case: Case) -> None:
     runs = [one_run()]
     if case.threads > 1:
         runs += _run_threads(one_run, count=case.threads)
-    assert len({digest for *_, digest in runs}) == 1, \
+    assert len({None if trace is None else stream_digest(trace)
+                for *_, trace in runs}) == 1, \
         "a thread's trace differs from the single-thread trace"
+    recorded = runs[0][2]
+    if recorded is not None:
+        assert recorded.kernel_count == twin_trace.kernel_count
+        report = reconcile_trace(recorded, twin_trace.kernels(), name="twin")
+        assert report.within(kernel_tolerance=0.05, bytes_tolerance=0.05), \
+            report.describe()
     for pool, fetch, _ in runs:
         for k, (handle, ghost) in enumerate(zip(pool, twin_fused, strict=True)):
             assert metadata(handle) == metadata(ghost), f"handle {k}"
@@ -586,6 +598,19 @@ FLOOR = (
              ("rotate", (0,), (-1,)), ("multiply", (2, 1), ()))),
 )
 
+#: The twin's drifts from the recorded run, one pinned case each: a hoisted
+#: call whose every step is 0 mod slots paid a ModUp the twin does not emit
+#: (7 launches against 0), and ``x + x`` reads its one operand once where
+#: the twin's HAdd charged two reads (0.667x the bytes).
+DRIFTS = (
+    Case(chain="uint64", members=3, fused_by="encrypt_batch", mode="traced",
+         serving=False, threads=1, levels=(4, 4), lengths=(4, 4), seed=1, steps=(
+             ("hoisted_rotations", (0,), ((0,),)),)),
+    Case(chain="mixed", members=1, fused_by="encrypt_batch", mode="replay",
+         serving=False, threads=1, levels=(4, 4), lengths=(4, 4), seed=2, steps=(
+             ("add", (0, 0), ()),)),
+)
+
 
 @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
 @given(case=cases())
@@ -593,7 +618,7 @@ def test_every_run_is_the_exact_sequential_run(case):
     check(case)
 
 
-for _case in FLOOR:
+for _case in FLOOR + DRIFTS:
     test_every_run_is_the_exact_sequential_run = example(case=_case)(
         test_every_run_is_the_exact_sequential_run)
 

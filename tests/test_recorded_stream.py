@@ -95,7 +95,8 @@ def stream_digest(trace) -> str:
 #: relinearisation add, no separate rescale).  The ``product_sum`` and
 #: ``weighted_sum`` rows were added with those operations' protocol rows,
 #: read off the data plane that first served them, and so were the
-#: ``mod_reduce`` rows (a window at B=1, two gathers at B=8).
+#: ``mod_reduce`` rows (a window at B=1, two gathers at B=8) and the
+#: ``hadd-self`` (one operand read once) and ``ptdot`` rows.
 GOLDEN: dict[str, str] = {
     "at_level/B1/uint64/fused": "f1c0b1961aa552fc",
     "at_level/B1/uint64/stage-granular": "e92ebb1185cb4dd0",
@@ -121,6 +122,14 @@ GOLDEN: dict[str, str] = {
     "hadd/B8/uint64/stage-granular": "a1dafbcfae9fa844",
     "hadd/B8/dword/fused": "a1dafbcfae9fa844",
     "hadd/B8/dword/stage-granular": "a1dafbcfae9fa844",
+    "hadd-self/B1/uint64/fused": "a4db361310058677",
+    "hadd-self/B1/uint64/stage-granular": "a4db361310058677",
+    "hadd-self/B1/dword/fused": "a4db361310058677",
+    "hadd-self/B1/dword/stage-granular": "a4db361310058677",
+    "hadd-self/B8/uint64/fused": "e00e907b07ac7f11",
+    "hadd-self/B8/uint64/stage-granular": "e00e907b07ac7f11",
+    "hadd-self/B8/dword/fused": "e00e907b07ac7f11",
+    "hadd-self/B8/dword/stage-granular": "e00e907b07ac7f11",
     "hconjugate/B1/uint64/fused": "cd062c077223f5c8",
     "hconjugate/B1/uint64/stage-granular": "9a156360034bed16",
     "hconjugate/B1/dword/fused": "cd062c077223f5c8",
@@ -201,6 +210,14 @@ GOLDEN: dict[str, str] = {
     "product_sum-square/B8/uint64/stage-granular": "feca2ff197e54581",
     "product_sum-square/B8/dword/fused": "a538104ffbf627ed",
     "product_sum-square/B8/dword/stage-granular": "e2b5db9e0cc7b258",
+    "ptdot/B1/uint64/fused": "425cb3e0a0578efe",
+    "ptdot/B1/uint64/stage-granular": "8e2e4e15d3c2e382",
+    "ptdot/B1/dword/fused": "425cb3e0a0578efe",
+    "ptdot/B1/dword/stage-granular": "730e22d31f3cdb36",
+    "ptdot/B8/uint64/fused": "a69fb8ad5fc52fa8",
+    "ptdot/B8/uint64/stage-granular": "f864bfc1d78e3417",
+    "ptdot/B8/dword/fused": "a69fb8ad5fc52fa8",
+    "ptdot/B8/dword/stage-granular": "edc784bfdff5f942",
     "ptmult+rescale/B1/uint64/fused": "ab60b4138a17abea",
     "ptmult+rescale/B1/uint64/stage-granular": "e63a7335813daaf6",
     "ptmult+rescale/B1/dword/fused": "ab60b4138a17abea",

@@ -99,9 +99,7 @@ def evaluate_chebyshev_direct(evaluator, ct, coefficients):
         term = evaluator.adjust(term, target_level) if term.level > target_level else term
         result = term if result is None else evaluator.add(result, term)
     if result is None:
-        result = evaluator.adjust(ct, target_level)
-        result = evaluator.multiply_scalar(result, 0.0, rescale=False)
-        result = evaluator.rescale(result) if result.level >= 1 else result
+        result = evaluator.weighted_sum([(ct, 0.0)], target_level)
     return evaluator.add_scalar(result, float(coefficients[0]))
 
 
