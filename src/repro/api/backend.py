@@ -311,7 +311,7 @@ class CostModelBackend:
         check_mod_reduce(a, limb_count)
         with self._scope(a, "modreduce"):
             self._reduce([a], limb_count)
-        return replace(a, limb_count=limb_count)
+        return a if limb_count == a.limb_count else replace(a, limb_count=limb_count)
 
     def _dropped(self, a: SymbolicCiphertext) -> SymbolicCiphertext:
         """``a`` one level down, its scale divided by the dropped prime."""
@@ -325,7 +325,7 @@ class CostModelBackend:
         if target_scale is None:
             target_scale = self.context.scale_at(target_level)
         if adjust_is_noop(a, target_level, target_scale):
-            return a.copy()
+            return a
         with self._scope(a, "at_level"):
             return self._weighted_sum([a], target_level, target_scale)
 
@@ -416,7 +416,7 @@ class CostModelBackend:
 
     def rotate(self, a: SymbolicCiphertext, steps: int) -> SymbolicCiphertext:
         if steps % a.slots == 0:
-            return a.copy()
+            return a
         self._check_rotation_key(steps)
         with self._scope(a, "hrotate"):
             self._emit(a, self.costs.hrotate, a.limb_count)

@@ -389,6 +389,36 @@ def _word_dot(pairs, moduli_col: np.ndarray, out: np.ndarray | None,
     return out
 
 
+def matrix_dot_mod(matrix: np.ndarray, stack: np.ndarray, moduli_col: np.ndarray,
+                   *, out: np.ndarray, bound: int | None = None) -> np.ndarray:
+    """``(matrix @ stack) mod q`` on word residues, unrecorded: row ``k`` of
+    ``out`` is ``Σ_t matrix[k, t]·stack[t] mod q_k``.
+
+    Equation 1's accumulation (base conversion records its own launch):
+    the :func:`stack_dot_mod` of the pairs ``(stack[t], matrix[:, t])``,
+    whose descriptor table is computed from the two views at once instead
+    of operand by operand.  ``stack`` is a uint64 ``(terms, N)`` stack
+    below ``bound`` (canonical when None), ``matrix`` a canonical uint64
+    ``(rows, terms)`` table and ``out`` a uint64 ``(rows, N)`` view that
+    overlaps neither.
+    """
+    rows, cols = out.shape
+    terms = len(stack)
+    index = np.arange(terms)
+    table = np.zeros((2 + 2 * terms, 3), dtype=np.int64)
+    table[0] = _view(out, rows, cols)
+    table[1] = _view(moduli_col, rows, 1)
+    # Term t: row t of the stack on every output row, column t of the
+    # matrix as a per-row constant.
+    table[2::2, 0] = stack.ctypes.data + index * stack.strides[0]
+    table[2::2, 2] = stack.strides[1] // 8
+    table[3::2, 0] = matrix.ctypes.data + index * matrix.strides[1]
+    table[3::2, 1] = matrix.strides[0] // 8
+    if word_kernel().dot(rows, cols, terms, bound or 0, table.ctypes.data):
+        raise ValueError("matrix_dot_mod: out overlaps an operand")
+    return out
+
+
 def _into(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """Return ``result``, stored into the caller's ``out`` when one is given."""
     if out is None:
@@ -706,6 +736,7 @@ __all__ = [
     "stack_neg_mod",
     "stack_mul_mod",
     "stack_dot_mod",
+    "matrix_dot_mod",
     "stack_scalar_mod",
     "head_fold",
     "stack_add_scalar_mod",

@@ -15,9 +15,9 @@ explicit bit reversal is ever needed.
   compiled radix-2 kernel (the ``ntt`` entry point of the word kernel,
   :func:`repro.core.modmath.word_kernel`) over the per-``(N, q)``
   tables of :func:`kernel_tables`: Cooley-Tukey / Gentleman-Sande
-  butterflies with 64-bit Shoup twiddles (Table III) on lazy ``[0, 4q)``
-  representatives, FIDESlib's one hand-written kernel per transform
-  (§III-F.4);
+  butterflies with Shoup twiddles (Table III) on lazy representatives,
+  eight to an AVX-512 register on a row whose ``q < 2**31``, FIDESlib's
+  one hand-written kernel per transform (§III-F.4);
 * :func:`reference_transform` is the exact-integer oracle: the production
   path for moduli at or above 2**62 and the reference every test compares
   the kernel against.
@@ -229,14 +229,17 @@ class StackedNTTEngine:
 
     Every word-sized stack runs one compiled kernel (the word kernel's
     ``ntt``): per row, ``log2 N`` radix-2 stages -- Cooley-Tukey forward,
-    Gentleman-Sande inverse -- of Harvey butterflies on lazy ``[0, 4q)``
-    representatives, each twiddle product a Shoup multiply with a 128-bit
-    quotient, then one pass that makes the row canonical (and, for the
-    inverse, multiplies by ``N⁻¹``).  The butterflies run in :func:`reference_transform`'s order,
-    so the results are bit-identical to it on any input in ``[0, 2q)``,
-    canonical or lazy.  This is also the schedule the
-    modeled GPU baseline prices (:func:`_unfused_launches`).  The exact
-    (``>= 2**62``) backend runs :func:`reference_transform` itself.
+    Gentleman-Sande inverse -- of Harvey butterflies on lazy
+    representatives, each twiddle product a Shoup multiply, then one pass
+    that makes the row canonical (and, for the inverse, multiplies by
+    ``N⁻¹``).  A row whose ``q < 2**31`` runs them eight to an AVX-512
+    register when the CPU has one, any other row one at a time with a
+    128-bit quotient; every butterfly is exact on representatives, so
+    either way the results are bit-identical to :func:`reference_transform`
+    on input in ``[0, 4q)`` forward and ``[0, 2q)`` inverse, canonical or
+    lazy.  Its radix-2 stages are the schedule the modeled GPU baseline
+    prices (:func:`_unfused_launches`).  The exact (``>= 2**62``) backend
+    runs :func:`reference_transform` itself.
 
     The kernel takes one table address per row.  Fused cross-ciphertext
     calls (the throughput plane) transform stacks whose moduli tuple is a

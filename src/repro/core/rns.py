@@ -255,7 +255,7 @@ class BaseConverter:
 
         On word moduli the whole computation is two word-kernel calls: the
         limb-wise scaling (a per-row constant product) and the wide
-        accumulator of §III-F.3 (:func:`repro.core.modmath.stack_dot_mod`),
+        accumulator of §III-F.3 (:func:`repro.core.modmath.matrix_dot_mod`),
         which reads each scaled row and each ``[q̂_i]_{p_k}`` column in
         place and reduces once per output element.  The scaled rows are
         canonical modulo the *source* moduli, which may be wider than the
@@ -264,14 +264,9 @@ class BaseConverter:
         if not self._exact:
             stack = modmath.coerce_stack(source_stack, self._source_col)
             scaled = modmath.stack_mul_mod(stack, self._q_hat_inv_col, self._source_col)
-            modmath.stack_dot_mod(
-                [
-                    (row[None, :], self._q_hat_matrix[:, i : i + 1])
-                    for i, row in enumerate(self._terms(scaled))
-                ],
-                self._target_col,
-                out=out,
-                bound=max(self.source.moduli),
+            modmath.matrix_dot_mod(
+                self._q_hat_matrix, self._terms(scaled), self._target_col,
+                out=out, bound=max(self.source.moduli),
             )
         else:
             scaled = self._terms(np.array([

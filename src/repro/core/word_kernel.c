@@ -7,9 +7,13 @@
  *           (the wide accumulator and dot-product fusion of FIDESlib
  *           §III-F.3/F.5); one term is a product, a column operand a
  *           per-row constant;
- *   ntt  -- the negacyclic (i)NTT of every row, in place (§III-F.4).
+ *   ntt  -- the negacyclic (i)NTT of every row, in place (§III-F.4); a
+ *           row below 2**31 runs eight butterflies to an AVX-512 register
+ *           on a CPU that has one.
  *
- * shoup_companions builds the NTT tables' 64-bit Shoup companions.
+ * shoup_companions builds the NTT tables' 64-bit Shoup companions.  The
+ * file is built with no host-specific flag: the one ISA-specific path is
+ * chosen at run time.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -185,11 +189,25 @@ void shoup_companions(uint64_t *pairs, size_t count, uint64_t q)
  * (w, floor(w * 2**64 / q)) pairs, the twiddles in bit-reversed order with
  * their Shoup companions (repro.core.ntt.kernel_tables).  The forward is
  * Cooley-Tukey from normal-order input to bit-reversed output, the inverse
- * Gentleman-Sande back; both run the butterflies of reference_transform in
- * its order, on Harvey's lazy representatives (arXiv:1205.2926): rows stay
- * in [0, 4q) between stages and are made canonical in one last pass.  No
- * stage reads entry 0 of a table, so the inverse's holds N^-1, which that
- * pass multiplies in.  Input: [0, 4q) forward, [0, 2q) inverse.
+ * Gentleman-Sande back.  Input: [0, 4q) forward, [0, 2q) inverse; output:
+ * canonical.  No stage reads entry 0 of a table, so the inverse's holds
+ * N^-1, which its last pass multiplies in as it makes the row canonical.
+ *
+ * A row takes one of two paths.  Both compute every butterfly exactly on
+ * representatives of its residues, so their canonical results agree bit
+ * for bit with each other and with reference_transform, whatever order
+ * the independent butterflies of a stage run in.
+ *
+ *   scalar -- any q < 2**62: reference_transform's butterflies in its
+ *             order, on Harvey's lazy representatives (arXiv:1205.2926):
+ *             rows stay in [0, 4q) between stages, each twiddle product a
+ *             Shoup multiply with a 128-bit quotient;
+ *   vector -- q < 2**31 and N >= 16 on a CPU that reports AVX-512F (asked
+ *             at run time, so the library is built with no host-specific
+ *             flag): eight residues per register, each in [0, 2q) < 2**32
+ *             in a 64-bit lane, so a Shoup multiply is three 32x32->64-bit
+ *             products with the companion's high word, floor(w * 2**32 / q)
+ *             (after Intel HEXL's AVX-512 NTT, arXiv:2103.16400).
  */
 
 /* x * w mod q in [0, 2q) for any 64-bit x: the 128-bit product's high word
@@ -240,10 +258,203 @@ static void inverse_row(uint64_t *a, size_t n, uint64_t q, const uint64_t *table
     }
 }
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+
+/* The vector path.  Stages whose butterflies span more than BLOCK words
+ * run breadth-first over the row; then each BLOCK-word block (16 KiB, well
+ * inside an L1 data cache) runs all its remaining stages before the next
+ * block starts.  The three stages of span 4, 2 and 1 -- the last forward,
+ * the first inverse -- run on 16 words in two registers, permuted between
+ * stages so that each stage's pairs sit in the same lane of two vectors:
+ *
+ *   memory  e0 .. e15 as two vectors (e0..e7, e8..e15)
+ *   span 4  (e0-3, e8-11)           with (e4-7, e12-15)
+ *   span 2  (e0 e1 e4 e5 e8 e9 e12 e13) with (e2 e3 e6 e7 e10 e11 e14 e15)
+ *   span 1  (the even words)        with (the odd words)
+ *
+ * Each permutation below picks lanes of the pair (x, y) as 0-7 from x and
+ * 8-15 from y; the ones between adjacent layouts are their own inverses,
+ * so the forward and the inverse share them. */
+#define AVX512 __attribute__((target("avx512f")))
+#define BLOCK_WORDS 2048
+#define LANES(a, b, c, d, e, f, g, h) _mm512_set_epi64(h, g, f, e, d, c, b, a)
+
+/* x - m when x >= m, else x, for x < 2m: below m, x - m wraps above x. */
+static inline AVX512 __m512i fold(__m512i x, __m512i m)
+{
+    return _mm512_min_epu64(x, _mm512_sub_epi64(x, m));
+}
+
+/* y * w mod q in [0, 2q) for y < 2**32, given wp = floor(w * 2**32 / q),
+ * the high word of w's 64-bit companion. */
+static inline AVX512 __m512i mul_shoup32(__m512i y, __m512i w, __m512i wp, __m512i q)
+{
+    const __m512i quotient = _mm512_srli_epi64(_mm512_mul_epu32(y, wp), 32);
+    return _mm512_sub_epi64(_mm512_mul_epu32(y, w), _mm512_mul_epu32(quotient, q));
+}
+
+/* One butterfly per lane on [0, 2q) representatives, results in [0, 2q):
+ * Cooley-Tukey (x + wy, x - wy) forward, Gentleman-Sande (x + y, w(x - y))
+ * inverse. */
+static inline AVX512 void butterfly(__m512i *x, __m512i *y, __m512i w, __m512i wp,
+                                    __m512i q, __m512i two_q, int inverse)
+{
+    if (inverse) {
+        const __m512i d = fold(_mm512_sub_epi64(_mm512_add_epi64(*x, two_q), *y), two_q);
+        *x = fold(_mm512_add_epi64(*x, *y), two_q);
+        *y = mul_shoup32(d, w, wp, q);
+    } else {
+        const __m512i v = mul_shoup32(*y, w, wp, q);
+        *y = fold(_mm512_sub_epi64(_mm512_add_epi64(*x, two_q), v), two_q);
+        *x = fold(_mm512_add_epi64(*x, v), two_q);
+    }
+}
+
+/* Groups [lo, hi) of the stage of span t >= 8, whose twiddles start at w. */
+static inline AVX512 void vector_stage(uint64_t *a, size_t t, size_t lo, size_t hi,
+                                       const uint64_t *w, __m512i q, __m512i two_q,
+                                       int inverse)
+{
+    for (size_t i = lo; i < hi; i++) {
+        const __m512i wi = _mm512_set1_epi64((long long)w[2 * i]);
+        const __m512i wp = _mm512_set1_epi64((long long)(w[2 * i + 1] >> 32));
+        uint64_t *x = a + 2 * i * t, *y = x + t;
+        for (size_t j = 0; j < t; j += 8) {
+            __m512i u = _mm512_loadu_si512(x + j), v = _mm512_loadu_si512(y + j);
+            butterfly(&u, &v, wi, wp, q, two_q, inverse);
+            _mm512_storeu_si512(x + j, u);
+            _mm512_storeu_si512(y + j, v);
+        }
+    }
+}
+
+/* The stages of span 4, 2 and 1 on the 16-word chunks [c0, c1) of the row:
+ * forward in that order, ending canonical; inverse in the other. */
+static inline AVX512 void register_stages(uint64_t *a, size_t n, size_t c0, size_t c1,
+                                          const uint64_t *table, __m512i q, __m512i two_q,
+                                          int inverse)
+{
+    const __m512i span4[2] = {LANES(0, 1, 2, 3, 8, 9, 10, 11),
+                              LANES(4, 5, 6, 7, 12, 13, 14, 15)};
+    const __m512i span2[2] = {LANES(0, 1, 8, 9, 4, 5, 12, 13),
+                              LANES(2, 3, 10, 11, 6, 7, 14, 15)};
+    const __m512i span1[2] = {LANES(0, 8, 2, 10, 4, 12, 6, 14),
+                              LANES(1, 9, 3, 11, 5, 13, 7, 15)};
+    const __m512i words[2] = {LANES(0, 2, 4, 6, 8, 10, 12, 14),
+                              LANES(1, 3, 5, 7, 9, 11, 13, 15)};
+    const __m512i from_span1[2] = {LANES(0, 8, 1, 9, 2, 10, 3, 11),
+                                   LANES(4, 12, 5, 13, 6, 14, 7, 15)};
+    /* Lane k's twiddle pair among those loaded, at spans 4 and 2. */
+    const __m512i pair4 = LANES(0, 0, 0, 0, 2, 2, 2, 2);
+    const __m512i pair2 = LANES(0, 0, 2, 2, 4, 4, 6, 6);
+    const __m512i one = _mm512_set1_epi64(1);
+#define PERMUTE(x, y, index)                                  \
+    do {                                                      \
+        const __m512i x_ = _mm512_permutex2var_epi64(x, index[0], y); \
+        y = _mm512_permutex2var_epi64(x, index[1], y);        \
+        x = x_;                                               \
+    } while (0)
+    for (size_t c = c0; c < c1; c++) {
+        uint64_t *p = a + 16 * c;
+        /* The twiddle pairs of this chunk's 2, 4 and 8 groups. */
+        const uint64_t *w4 = table + 2 * (n / 8 + 2 * c);
+        const uint64_t *w2 = table + 2 * (n / 4 + 4 * c);
+        const uint64_t *w1 = table + 2 * (n / 2 + 8 * c);
+        const __m512i t4 = _mm512_maskz_loadu_epi64(0x0F, w4), t2 = _mm512_loadu_si512(w2);
+        const __m512i t1a = _mm512_loadu_si512(w1), t1b = _mm512_loadu_si512(w1 + 8);
+        const __m512i w4v = _mm512_permutexvar_epi64(pair4, t4);
+        const __m512i w4p = _mm512_srli_epi64(
+            _mm512_permutexvar_epi64(_mm512_add_epi64(pair4, one), t4), 32);
+        const __m512i w2v = _mm512_permutexvar_epi64(pair2, t2);
+        const __m512i w2p = _mm512_srli_epi64(
+            _mm512_permutexvar_epi64(_mm512_add_epi64(pair2, one), t2), 32);
+        const __m512i w1v = _mm512_permutex2var_epi64(t1a, words[0], t1b);
+        const __m512i w1p = _mm512_srli_epi64(
+            _mm512_permutex2var_epi64(t1a, words[1], t1b), 32);
+        __m512i x = _mm512_loadu_si512(p), y = _mm512_loadu_si512(p + 8);
+        if (inverse) {
+            PERMUTE(x, y, words);
+            butterfly(&x, &y, w1v, w1p, q, two_q, 1);
+            PERMUTE(x, y, span1);
+            butterfly(&x, &y, w2v, w2p, q, two_q, 1);
+            PERMUTE(x, y, span2);
+            butterfly(&x, &y, w4v, w4p, q, two_q, 1);
+            PERMUTE(x, y, span4);
+        } else {
+            PERMUTE(x, y, span4);
+            butterfly(&x, &y, w4v, w4p, q, two_q, 0);
+            PERMUTE(x, y, span2);
+            butterfly(&x, &y, w2v, w2p, q, two_q, 0);
+            PERMUTE(x, y, span1);
+            butterfly(&x, &y, w1v, w1p, q, two_q, 0);
+            x = fold(x, q);
+            y = fold(y, q);
+            PERMUTE(x, y, from_span1);
+        }
+        _mm512_storeu_si512(p, x);
+        _mm512_storeu_si512(p + 8, y);
+    }
+#undef PERMUTE
+}
+
+/* The stage of span t reads its twiddles from table + n / t (2 m words
+ * in, for its m = n / 2t groups). */
+static AVX512 void forward_row_avx512(uint64_t *a, size_t n, uint64_t q64,
+                                      const uint64_t *table)
+{
+    const __m512i q = _mm512_set1_epi64((long long)q64);
+    const __m512i two_q = _mm512_set1_epi64((long long)(2 * q64));
+    const size_t block = n < BLOCK_WORDS ? n : BLOCK_WORDS;
+    for (size_t j = 0; j < n; j += 8)
+        _mm512_storeu_si512(a + j, fold(_mm512_loadu_si512(a + j), two_q));
+    for (size_t t = n / 2; t >= block; t /= 2)
+        vector_stage(a, t, 0, n / (2 * t), table + n / t, q, two_q, 0);
+    for (size_t b = 0; b < n; b += block) {
+        for (size_t t = block / 2; t >= 8; t /= 2)
+            vector_stage(a, t, b / (2 * t), (b + block) / (2 * t), table + n / t,
+                         q, two_q, 0);
+        register_stages(a, n, b / 16, (b + block) / 16, table, q, two_q, 0);
+    }
+}
+
+static AVX512 void inverse_row_avx512(uint64_t *a, size_t n, uint64_t q64,
+                                      const uint64_t *table)
+{
+    const __m512i q = _mm512_set1_epi64((long long)q64);
+    const __m512i two_q = _mm512_set1_epi64((long long)(2 * q64));
+    const __m512i n_inv = _mm512_set1_epi64((long long)table[0]);
+    const __m512i n_inv_p = _mm512_set1_epi64((long long)(table[1] >> 32));
+    const size_t block = n < BLOCK_WORDS ? n : BLOCK_WORDS;
+    for (size_t b = 0; b < n; b += block) {
+        register_stages(a, n, b / 16, (b + block) / 16, table, q, two_q, 1);
+        for (size_t t = 8; t < block; t *= 2)
+            vector_stage(a, t, b / (2 * t), (b + block) / (2 * t), table + n / t,
+                         q, two_q, 1);
+    }
+    for (size_t t = block; t < n; t *= 2)
+        vector_stage(a, t, 0, n / (2 * t), table + n / t, q, two_q, 1);
+    for (size_t j = 0; j < n; j += 8) {
+        const __m512i x = mul_shoup32(_mm512_loadu_si512(a + j), n_inv, n_inv_p, q);
+        _mm512_storeu_si512(a + j, fold(x, q));
+    }
+}
+#endif
+
 void ntt(uint64_t *a, size_t rows, size_t n, const uint64_t *q,
          const uint64_t *const *tables, int inverse)
 {
+#if defined(__x86_64__)
+    const int vector = n >= 16 && __builtin_cpu_supports("avx512f");
+#endif
     for (size_t r = 0; r < rows; r++) {
-        (inverse ? inverse_row : forward_row)(a + r * n, n, q[r], tables[r]);
+        uint64_t *row = a + r * n;
+#if defined(__x86_64__)
+        if (vector && q[r] < ((uint64_t)1 << 31)) {
+            (inverse ? inverse_row_avx512 : forward_row_avx512)(row, n, q[r], tables[r]);
+            continue;
+        }
+#endif
+        (inverse ? inverse_row : forward_row)(row, n, q[r], tables[r]);
     }
 }

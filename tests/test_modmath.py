@@ -461,6 +461,13 @@ class TestWordKernel:
         ]
         got = modmath.stack_dot_mod(pairs, modmath.moduli_column(target), bound=max(source))
         assert got.tolist() == _oracle(pairs, target)
+        # The same sum from one (terms, N) stack and one (3, terms) matrix,
+        # into every other row of a buffer.
+        buffer = np.zeros((6, self.N), dtype=np.uint64)
+        modmath.matrix_dot_mod(
+            np.hstack([y for _, y in pairs]), np.vstack([x for x, _ in pairs]),
+            modmath.moduli_column(target), out=buffer[::2], bound=max(source))
+        assert buffer[::2].tolist() == got.tolist() and not buffer[1::2].any()
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            terms=st.integers(min_value=17, max_value=40), extreme=st.booleans())

@@ -234,6 +234,41 @@ class TestKernelExactness:
             stack, moduli, inverse=True).tolist()
 
 
+class TestVectorRows:
+    """Rows whose modulus is below 2**31 run eight butterflies to an AVX-512
+    register (32-bit Shoup products, representatives in [0, 2q)) on a CPU
+    that has one, every other row the scalar path; both must equal the
+    oracle on the largest inputs the contract allows: [0, 4q) forward,
+    [0, 2q) inverse."""
+
+    @staticmethod
+    def _check(n, moduli, seed):
+        rows = moduli * 3
+        engine = get_stacked_engine(n, rows)
+        col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+        rng = np.random.default_rng(seed)
+        for transform, top in ((engine.forward, 4), (engine.inverse, 2)):
+            stack = np.concatenate([
+                np.broadcast_to(col - np.uint64(1), (len(moduli), n)),
+                np.broadcast_to(np.uint64(top) * col - np.uint64(1), (len(moduli), n)),
+                rng.integers(0, np.uint64(top) * col, (len(moduli), n), dtype=np.uint64),
+            ])
+            want = reference_transform(stack, rows, inverse=transform == engine.inverse)
+            assert transform(stack).tolist() == want.tolist(), transform.__name__
+
+    @pytest.mark.parametrize("bits", [30, 31])
+    @pytest.mark.parametrize("log_n", range(3, 17))
+    def test_rows_below_2_31_match_reference(self, log_n, bits):
+        n = 1 << log_n
+        self._check(n, (generate_ntt_primes(1, bits, n)[0],), log_n)
+
+    @pytest.mark.parametrize("log_n", [3, 4, 9, 12])
+    def test_a_mixed_60_28_stack_dispatches_rows_both_ways(self, log_n):
+        n = 1 << log_n
+        wide, narrow = generate_ntt_primes(1, 60, n), generate_ntt_primes(2, 28, n)
+        self._check(n, (wide[0], narrow[0], wide[0], narrow[1]), log_n)
+
+
 class TestKernelBuild:
     """The kernel is built with the system C compiler and reads one
     C-contiguous uint64 row per modulus."""

@@ -600,8 +600,10 @@ FLOOR = (
 
 #: The twin's drifts from the recorded run, one pinned case each: a hoisted
 #: call whose every step is 0 mod slots paid a ModUp the twin does not emit
-#: (7 launches against 0), and ``x + x`` reads its one operand once where
-#: the twin's HAdd charged two reads (0.667x the bytes).
+#: (7 launches against 0); ``x + x`` reads its one operand once where the
+#: twin's HAdd charged two reads (0.667x the bytes); and a no-op rotation,
+#: level change or mod-reduce is a handle over the same polynomials, so
+#: ``x + (x << 0)`` reads one operand, where the twin's copy charged two.
 DRIFTS = (
     Case(chain="uint64", members=3, fused_by="encrypt_batch", mode="traced",
          serving=False, threads=1, levels=(4, 4), lengths=(4, 4), seed=1, steps=(
@@ -609,6 +611,11 @@ DRIFTS = (
     Case(chain="mixed", members=1, fused_by="encrypt_batch", mode="replay",
          serving=False, threads=1, levels=(4, 4), lengths=(4, 4), seed=2, steps=(
              ("add", (0, 0), ()),)),
+    Case(chain="uint64", members=1, fused_by="encrypt_batch", mode="traced",
+         serving=False, threads=1, levels=(4, 4), lengths=(4, 4), seed=3, steps=(
+             ("rotate", (0,), (0,)), ("add", (0, 2), ()),
+             ("at_level", (0,), (4,)), ("add", (0, 4), ()),
+             ("mod_reduce", (0,), (5,)), ("add", (0, 6), ()))),
 )
 
 

@@ -36,6 +36,9 @@ _ENGINES = (
     (1 << 13, tuple(Context(CKKSParameters(
         ring_degree=1 << 13, mult_depth=6, scale_bits=28, dnum=3,
         first_mod_bits=30)).moduli)),
+    # 60- and 28-bit rows in one stack: one call runs the scalar and the
+    # vector row paths.
+    (1 << 10, (*generate_ntt_primes(1, 60, 1 << 10), *generate_ntt_primes(2, 28, 1 << 10))),
 )
 
 
