@@ -15,13 +15,18 @@ This module holds the batched limb-stack kernels (``stack_*``) that are
 the library's only modular arithmetic on residues.  There are two paths:
 
 * **word**: a residue below 2**62 is one ``uint64`` word of an ``(L, N)``
-  stack, whatever its modulus.  Additions are NumPy expressions; every
-  product -- variable x variable, per-row constant, fused dot product --
-  is one call of the compiled word kernel (``word_kernel.c``, built on
-  first use, :func:`word_kernel`), which picks per row, from its
-  operands' bounds, a 64-bit accumulator with one Barrett reduction or a
-  128-bit one folded by a Shoup and a Barrett step.  The NTT of
-  :mod:`repro.core.ntt` is the same kernel's other entry point.
+  stack, whatever its modulus.  Every product -- variable x variable,
+  per-row constant, fused dot product -- is one call of the compiled word
+  kernel's ``dot`` (``word_kernel.c``, built on first use,
+  :func:`word_kernel`), which picks per row, from its operands' bounds, a
+  64-bit accumulator with one Barrett reduction or a 128-bit one folded by
+  a Shoup and a Barrett step; every sum, difference and negation is one
+  call of its ``add``.  A row whose modulus and ``x`` bound are below
+  2**31 runs ``dot`` eight products to an AVX-512 register, and every row
+  runs ``add`` so, when the CPU has AVX-512F and the operands are
+  contiguous or broadcast; either way the result is the canonical
+  residue.  The NTT of :mod:`repro.core.ntt` is the same kernel's third
+  entry point.
 * **exact**: Python integers (``dtype=object``), the oracle every word
   result is tested against and the path for moduli at or above 2**62.
 
@@ -36,6 +41,7 @@ import ctypes
 import hashlib
 import os
 import shutil
+import struct
 import subprocess
 import tempfile
 from functools import lru_cache
@@ -274,24 +280,12 @@ def scalar_column(scalars, moduli_col: np.ndarray) -> np.ndarray:
     return np.array(values, dtype=moduli_col.dtype).reshape(-1, 1)
 
 
-def _reduce_once(s: np.ndarray, moduli_col: np.ndarray) -> np.ndarray:
-    """Map ``s`` in ``[0, 2q)`` to ``[0, q)`` without a branch or division.
-
-    When ``s < q`` the uint64 subtraction ``s - q`` wraps far above ``2q``,
-    so the elementwise minimum selects the already-reduced value; when
-    ``s >= q`` it selects ``s - q``.  One subtract and one min replace the
-    compare/where/subtract triple -- exact for every ``q < 2**63`` (``2q``
-    still fits the lane).  ``s`` must be a kernel-owned temporary: the
-    reduction happens in place (the correction term is a fresh temporary).
-    """
-    return np.minimum(s, s - moduli_col, out=s)
-
-
 # -- the word kernel ---------------------------------------------------------
 #
-# One C source holds every modular product on word residues: ``dot`` here
-# (products, per-row constants and fused dot products) and the NTT that
-# :mod:`repro.core.ntt` calls.  It is built on first use with the system C
+# One C source holds every modular operation on word residues: ``dot``
+# (products, per-row constants and fused dot products) and ``add`` (sums,
+# differences, negations) here, and the NTT that :mod:`repro.core.ntt`
+# calls.  It is built on first use with the system C
 # compiler and called through :mod:`ctypes`.
 
 #: The C compiler that builds the kernel, looked up on ``PATH``.
@@ -336,8 +330,9 @@ def word_kernel() -> ctypes.CDLL:
                 os.unlink(temporary)
     library = ctypes.CDLL(str(path))
     size, word, address = ctypes.c_size_t, ctypes.c_uint64, ctypes.c_void_p
-    library.dot.argtypes = (size, size, size, word, address)
-    library.dot.restype = ctypes.c_int
+    for entry in (library.dot, library.add):
+        entry.argtypes = (size, size, size, word, address)
+        entry.restype = ctypes.c_int
     library.shoup_companions.argtypes = (address, size, word)
     library.shoup_companions.restype = None
     library.ntt.argtypes = (address, size, size, address, address, ctypes.c_int)
@@ -359,33 +354,37 @@ def _view(a: np.ndarray, rows: int, cols: int) -> list[int]:
             strides[1] // 8 if shape[1] != 1 else 0]
 
 
-def _word_dot(pairs, moduli_col: np.ndarray, out: np.ndarray | None,
-              bound: int | None = None) -> np.ndarray:
-    """``(Σ x·y) mod q`` on word residues: one call of the kernel's ``dot``.
+def _word_call(entry: str, terms, arg: int, moduli_col: np.ndarray,
+               out: np.ndarray | None) -> np.ndarray:
+    """One call of the kernel's ``dot`` or ``add`` over word residues.
 
-    Operands are uint64 stacks, ``(1, N)`` rows or ``(L, 1)`` columns, read
-    in place through their strides.  ``y`` is canonical; ``x`` is below
-    ``bound`` (canonical when None).  ``out`` may be one of the operands;
-    an operand that overlaps it otherwise is copied first.
+    ``dot`` sums the products of ``(x, y)`` pairs, ``x`` below ``arg`` (its
+    bound; canonical when 0); ``add`` sums ``(x,)`` terms, subtracting term
+    ``t`` when bit ``t`` of ``arg`` is set.  Operands are uint64 stacks,
+    ``(1, N)`` rows or ``(L, 1)`` columns, read in place through their
+    strides.  ``out`` may be one of the operands; an operand that overlaps
+    it otherwise is copied first.
     """
     operands = [
         a if a.dtype == np.uint64 else np.asarray(a, dtype=np.uint64)
-        for pair in pairs for a in pair
+        for term in terms for a in term
     ]
     if out is None:
         rows = max(a.shape[0] if a.ndim == 2 else 1 for a in (moduli_col, *operands))
         out = np.empty((rows, max(a.shape[-1] for a in operands)), dtype=np.uint64)
     elif out.dtype != np.uint64 or out.ndim != 2 or not out.flags.writeable:
-        return _into(_word_dot(pairs, moduli_col, None, bound), out)
+        return _into(_word_call(entry, terms, arg, moduli_col, None), out)
     rows, cols = out.shape
     table = _view(out, rows, cols) + _view(moduli_col, rows, 1)
     for a in operands:
         table += _view(a, rows, cols)
-    table = np.array(table, dtype=np.int64)
-    if word_kernel().dot(rows, cols, len(pairs), bound or 0, table.ctypes.data):
+    # Packed into bytes, which ctypes passes by address.
+    table = struct.pack(f"{len(table)}q", *table)
+    if getattr(word_kernel(), entry)(rows, cols, len(terms), arg, table):
         # ``out`` overlaps an operand without being it: read copies.
-        copies = [np.array(a) if np.may_share_memory(a, out) else a for a in operands]
-        return _word_dot(list(zip(copies[0::2], copies[1::2])), moduli_col, out, bound)
+        copies = iter(np.array(a) if np.may_share_memory(a, out) else a for a in operands)
+        terms = [tuple(next(copies) for _ in term) for term in terms]
+        return _word_call(entry, terms, arg, moduli_col, out)
     return out
 
 
@@ -431,19 +430,17 @@ def stack_add_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
                   *, out: np.ndarray | None = None) -> np.ndarray:
     """Row-broadcast elementwise ``(a + b) mod q_i`` over a limb stack.
 
-    ``out`` (which may alias ``a`` or ``b``) writes the result into an
-    existing buffer -- the replay/fusion path's way of avoiding fresh
-    allocations per kernel.
+    One call of the word kernel's ``add`` for every modulus below 2**62
+    (as are :func:`stack_sub_mod`, :func:`stack_neg_mod` and
+    :func:`stack_add_scalar_mod`); exact Python integers above.  ``out``
+    (which may alias ``a`` or ``b``) writes the result into an existing
+    buffer -- the replay/fusion path's way of avoiding fresh allocations
+    per kernel.
     """
     if moduli_col.dtype == np.object_:
         out = _into((a + b) % moduli_col, out)
     else:
-        if out is None:
-            s = a + b
-        else:
-            np.add(a, b, out=out)
-            s = out
-        out = _reduce_once(s, moduli_col)
+        out = _word_call("add", [(a,), (b,)], 0, moduli_col, out)
     if DISPATCH.recording:
         def replay(reads, writes, _col=moduli_col):
             stack_add_mod(reads[0], reads[1], _col, out=writes[0])
@@ -456,20 +453,13 @@ def stack_add_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
 
 def stack_sub_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
                   *, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-broadcast elementwise ``(a - b) mod q_i`` over a limb stack."""
+    """Row-broadcast elementwise ``(a - b) mod q_i`` over a limb stack: the
+    kernel's ``add`` with ``b`` subtracted.  ``out`` may alias either
+    operand."""
     if moduli_col.dtype == np.object_:
         out = _into((a - b) % moduli_col, out)
     else:
-        if out is None:
-            s = a + moduli_col
-            s -= b
-        else:
-            # a - b first, then + q: safe when ``out`` aliases either
-            # operand (uint64 wraparound makes the order immaterial).
-            np.subtract(a, b, out=out)
-            out += moduli_col
-            s = out
-        out = _reduce_once(s, moduli_col)
+        out = _word_call("add", [(a,), (b,)], 0b10, moduli_col, out)
     if DISPATCH.recording:
         def replay(reads, writes, _col=moduli_col):
             stack_sub_mod(reads[0], reads[1], _col, out=writes[0])
@@ -482,12 +472,12 @@ def stack_sub_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
 
 def stack_neg_mod(a: np.ndarray, moduli_col: np.ndarray,
                   *, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-broadcast elementwise ``(-a) mod q_i`` over a limb stack."""
+    """Row-broadcast elementwise ``(-a) mod q_i`` over a limb stack: the
+    kernel's ``add`` of ``a`` alone, subtracted."""
     if moduli_col.dtype == np.object_:
-        result = (-a) % moduli_col
+        out = _into((-a) % moduli_col, out)
     else:
-        result = np.where(a == 0, a, moduli_col - a)
-    out = _into(result, out)
+        out = _word_call("add", [(a,)], 0b1, moduli_col, out)
     if DISPATCH.recording:
         def replay(reads, writes, _col=moduli_col):
             stack_neg_mod(reads[0], _col, out=writes[0])
@@ -506,7 +496,7 @@ def stack_mul_mod(a: np.ndarray, b: np.ndarray, moduli_col: np.ndarray,
     if moduli_col.dtype == np.object_:
         out = _into((a * b) % moduli_col, out)
     else:
-        out = _word_dot([(a, b)], moduli_col, out)
+        out = _word_call("dot", [(a, b)], 0, moduli_col, out)
     if DISPATCH.recording:
         def replay(reads, writes, _col=moduli_col):
             stack_mul_mod(reads[0], reads[1], _col, out=writes[0])
@@ -542,7 +532,7 @@ def stack_dot_mod(pairs, moduli_col: np.ndarray,
             acc = product if acc is None else (acc + product) % moduli_col
         acc = _into(acc, out)
     else:
-        acc = _word_dot(pairs, moduli_col, out, bound)
+        acc = _word_call("dot", pairs, bound or 0, moduli_col, out)
     if DISPATCH.recording:
         def replay(reads, writes, _col=moduli_col, _bound=bound):
             stack_dot_mod(
@@ -582,7 +572,7 @@ def stack_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,
     if moduli_col.dtype == np.object_:
         out = _into((a * col) % moduli_col, out)
     else:
-        out = _word_dot([(a, col)], moduli_col, out)
+        out = _word_call("dot", [(a, col)], 0, moduli_col, out)
     if DISPATCH.recording:
         frozen = tuple(int(s) for s in scalars)
         def replay(reads, writes, _scalars=frozen, _col=moduli_col):
@@ -631,17 +621,13 @@ def head_fold(scalars, moduli_col: np.ndarray, addend_scalars=None):
 
 def stack_add_scalar_mod(a: np.ndarray, scalars, moduli_col: np.ndarray,
                          *, out: np.ndarray | None = None) -> np.ndarray:
-    """Add one integer constant per row (broadcast to every element)."""
+    """Add one integer constant per row (broadcast to every element): the
+    kernel's ``add`` of ``a`` and the ``(L, 1)`` column of constants."""
     col = scalar_column(scalars, moduli_col)
     if moduli_col.dtype == np.object_:
         out = _into((a + col) % moduli_col, out)
     else:
-        if out is None:
-            s = a + col
-        else:
-            np.add(a, col, out=out)
-            s = out
-        out = _reduce_once(s, moduli_col)
+        out = _word_call("add", [(a,), (col,)], 0, moduli_col, out)
     if DISPATCH.recording:
         frozen = tuple(int(s) for s in scalars)
         def replay(reads, writes, _scalars=frozen, _col=moduli_col):

@@ -340,11 +340,17 @@ def _residues(rng, moduli, shape, extreme=False) -> np.ndarray:
 _TERM_SHAPES = st.tuples(st.sampled_from(["stack", "row"]),
                          st.sampled_from(["stack", "column"]))
 
+#: Row lengths around the kernel's eight-word vector rows and its 256-word
+#: blocks: a scalar tail alone (5), vector bodies alone (8, 24, 40, 2**9,
+#: 2**13) and both, over a partial last block (300 = 296 + 4).
+ROW_LENGTHS = [5, 8, 24, 40, 300, 1 << 9, 1 << 13]
+
 
 class TestWordKernel:
-    """Products, per-row constants and dot products on word moduli are
-    bit-identical to Python integers: the 64-bit and 128-bit accumulators,
-    every fold schedule, broadcast and strided operands, aliased outputs."""
+    """Products, per-row constants, dot products and the add family on word
+    moduli are bit-identical to Python integers: the 64-bit and 128-bit
+    accumulators, every fold schedule, vector rows and their scalar tails,
+    broadcast and strided operands, aliased outputs."""
 
     N = 24
 
@@ -484,30 +490,40 @@ class TestWordKernel:
         got = modmath.stack_dot_mod(pairs, modmath.moduli_column(moduli))
         assert got.tolist() == _oracle(pairs, moduli)
 
+    @pytest.mark.parametrize("n", [5, 24, 300])
     @pytest.mark.parametrize("chain", sorted(WORD_CHAINS))
-    def test_strided_operands_are_read_in_place(self, chain):
-        """Row slices, every other column, a reversed moduli column and a
-        strided ``out``, with no staging copy to get them right."""
+    def test_strided_operands_are_read_in_place(self, chain, n):
+        """Row slices, every other column, a reversed moduli column, a
+        reversed row and a strided ``out``, with no staging copy to get
+        them right (the scalar code: a vector row reads unit strides)."""
         moduli = WORD_CHAINS[chain]
         rng = np.random.default_rng(8)
-        wide = np.repeat(_residues(rng, moduli, (3, 2 * self.N)), 2, axis=0)
+        wide = np.repeat(_residues(rng, moduli, (3, 2 * n)), 2, axis=0)
         x = wide[::2, ::2]                       # every other row and column
         y = wide[::-1][1::2, 1::2]               # the same moduli, reversed
         assert not x.flags.c_contiguous and y.strides[0] < 0
         col = modmath.moduli_column(moduli)
-        out = np.zeros((3, 2 * self.N), dtype=np.uint64)[:, ::2]
+        out = np.zeros((3, 2 * n), dtype=np.uint64)[:, ::2]
         assert modmath.stack_mul_mod(x, y[::-1], col, out=out) is out
         assert out.tolist() == _oracle([(x, y[::-1])], moduli)
         reverse = col[::-1]
         got = modmath.stack_dot_mod([(x[::-1], y), (x[:1], reverse)], reverse)
         assert got.tolist() == _oracle([(x[::-1], y), (x[:1], reverse)], moduli[::-1])
+        # Rows read back to front beside contiguous ones.
+        backwards, ahead = wide[::2, ::-2].copy()[:, ::-1], wide[::2, :n]
+        got = modmath.stack_add_mod(backwards, ahead, col)
+        assert got.tolist() == ((_exact(backwards) + _exact(ahead))
+                                % np.array(moduli, dtype=object).reshape(-1, 1)).tolist()
+        got = modmath.stack_dot_mod([(backwards, ahead), (ahead, col)], col)
+        assert got.tolist() == _oracle([(backwards, ahead), (ahead, col)], moduli)
 
+    @pytest.mark.parametrize("n", ROW_LENGTHS)
     @pytest.mark.parametrize("chain", sorted(WORD_CHAINS))
-    def test_out_may_alias_an_input(self, chain):
+    def test_out_may_alias_an_input(self, chain, n):
         moduli = WORD_CHAINS[chain]
         col = modmath.moduli_column(moduli)
         rng = np.random.default_rng(9)
-        a, b = (_residues(rng, moduli, (3, self.N)) for _ in range(2))
+        a, b = (_residues(rng, moduli, (3, n)) for _ in range(2))
         expected = {
             "mul": _oracle([(a, b)], moduli),
             "scalar": _oracle([(a, col - np.uint64(1))], moduli),
@@ -526,6 +542,131 @@ class TestWordKernel:
         out = wide[:, 1:]
         modmath.stack_dot_mod([(wide[:, :-1], b), (b, wide[:, :-1])], col, out=out)
         assert out.tolist() == _oracle([(a, b), (b, a)], moduli)
+
+    @pytest.mark.parametrize("n", ROW_LENGTHS)
+    @pytest.mark.parametrize("chain", sorted(WORD_CHAINS))
+    def test_rows_of_every_length_match_object(self, chain, n):
+        """A product, a per-row constant and a three-term sum over stacks,
+        a broadcast row and a column of constants, random and all
+        ``q - 1``: eight-word vector bodies, scalar tails, and both."""
+        moduli = WORD_CHAINS[chain]
+        col = modmath.moduli_column(moduli)
+        rng = np.random.default_rng(n)
+        for extreme in (False, True):
+            stack, other = (_residues(rng, moduli, (3, n), extreme) for _ in range(2))
+            row = _residues(rng, moduli, (1, n), extreme)
+            column = _residues(rng, moduli, (3, 1), extreme)
+            assert modmath.stack_mul_mod(stack, other, col).tolist() == _oracle(
+                [(stack, other)], moduli)
+            assert modmath.stack_mul_mod(row, column, col).tolist() == _oracle(
+                [(row, column)], moduli)
+            pairs = [(stack, other), (row, column), (other, column)]
+            assert modmath.stack_dot_mod(pairs, col).tolist() == _oracle(pairs, moduli)
+
+    @pytest.mark.parametrize("target_bits", [30, 31])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           bound=st.integers(min_value=2, max_value=2**31 - 1),
+           terms=st.integers(min_value=1, max_value=24), extreme=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_bounded_rows_below_2_31_match_object(self, target_bits, seed, bound,
+                                                   terms, extreme):
+        """Base conversion into targets near 2**31 from rows below any
+        ``bound`` under 2**31 -- the vector rows' limit -- with every fold
+        schedule up to 24 terms; all ``bound - 1`` when ``extreme``."""
+        n = 43
+        target = generate_ntt_primes(3, target_bits, 64)
+        rng = np.random.default_rng(seed)
+        pairs = [
+            (np.full((1, n), bound - 1, dtype=np.uint64) if extreme
+             else rng.integers(0, bound, (1, n), dtype=np.uint64),
+             _residues(rng, target, (3, 1), extreme))
+            for _ in range(terms)
+        ]
+        got = modmath.stack_dot_mod(pairs, modmath.moduli_column(target), bound=bound)
+        assert got.tolist() == _oracle(pairs, target)
+
+    @pytest.mark.parametrize("target_bits", [28, 31])
+    @pytest.mark.parametrize("bound", [(1 << 31) + 1, 1 << 32, (1 << 32) + 7, 1 << 45])
+    def test_bounds_past_2_31_stay_exact(self, bound, target_bits):
+        """Rows at or past 2**31 into 28- and 31-bit targets (the scalar
+        code, whose 31-bit rows past 2**32 take the 128-bit sum): 17 terms
+        of the largest rows the bound allows."""
+        target = generate_ntt_primes(3, target_bits, 64)
+        pairs = [(np.full((1, 300), bound - 1, dtype=np.uint64),
+                  _residues(None, target, (3, 1), extreme=True))] * 17
+        got = modmath.stack_dot_mod(pairs, modmath.moduli_column(target), bound=bound)
+        assert got.tolist() == _oracle(pairs, target)
+
+    @pytest.mark.parametrize("n", [5, 40, 300])
+    def test_one_call_mixes_vector_and_scalar_rows(self, n):
+        """28-bit rows (vector) between 60-bit ones (scalar, 128-bit sums)
+        in one call: products, sums and the add family."""
+        moduli = [*generate_ntt_primes(2, 28, 64), *generate_ntt_primes(2, 60, 64)]
+        moduli = [moduli[0], moduli[2], moduli[1], moduli[3]]
+        col = modmath.moduli_column(moduli)
+        obj = np.array(moduli, dtype=object).reshape(-1, 1)
+        rng = np.random.default_rng(n)
+        for extreme in (False, True):
+            a, b = (_residues(rng, moduli, (4, n), extreme) for _ in range(2))
+            column = _residues(rng, moduli, (4, 1), extreme)
+            pairs = [(a, b), (b, column), (a, a)]
+            assert modmath.stack_dot_mod(pairs, col).tolist() == _oracle(pairs, moduli)
+            assert modmath.stack_mul_mod(a, b, col).tolist() == _oracle([(a, b)], moduli)
+            assert modmath.stack_sub_mod(a, b, col).tolist() == (
+                (_exact(a) - _exact(b)) % obj).tolist()
+
+    @pytest.mark.parametrize("n", ROW_LENGTHS)
+    @pytest.mark.parametrize("chain", sorted(WORD_CHAINS))
+    def test_add_family_matches_object(self, chain, n):
+        """Add, subtract, negate and add a constant per row over stacks,
+        ``(1, N)`` rows and ``(L, 1)`` columns, random and all ``q - 1``;
+        into fresh rows, over either operand, and over the reversed moduli
+        column :meth:`repro.core.rns.RNSBasis.compose` passes."""
+        moduli = WORD_CHAINS[chain]
+        col = modmath.moduli_column(moduli)
+        obj = np.array(moduli, dtype=object).reshape(-1, 1)
+        rng = np.random.default_rng(n)
+        family = {
+            "add": (modmath.stack_add_mod, lambda x, y: x + y),
+            "sub": (modmath.stack_sub_mod, lambda x, y: x - y),
+        }
+        for extreme in (False, True):
+            a = _residues(rng, moduli, (3, n), extreme)
+            others = {
+                "stack": _residues(rng, moduli, (3, n)),
+                "row": _residues(rng, moduli, (1, n), extreme),
+                "column": _residues(rng, moduli, (3, 1), extreme),
+            }
+            for shape, b in others.items():
+                for name, (op, exact) in family.items():
+                    for x, y in ((a, b), (b, a)):
+                        want = (exact(_exact(x), _exact(y)) % obj).tolist()
+                        assert op(x, y, col).tolist() == want, (name, shape)
+                    if shape == "stack":
+                        want = (exact(_exact(a), _exact(b)) % obj).tolist()
+                        for target in (0, 1):
+                            x, y = a.copy(), b.copy()
+                            out = (x, y)[target]
+                            assert op(x, y, col, out=out) is out and out.tolist() == want
+            assert modmath.stack_neg_mod(a, col).tolist() == ((-_exact(a)) % obj).tolist()
+            x = a.copy()
+            assert modmath.stack_neg_mod(x, col, out=x) is x
+            assert x.tolist() == ((-_exact(a)) % obj).tolist()
+            scalars = [q - 1 if extreme else int(rng.integers(0, q)) for q in moduli]
+            want = ((_exact(a) + np.array(scalars, dtype=object).reshape(-1, 1)) % obj).tolist()
+            assert modmath.stack_add_scalar_mod(a, scalars, col).tolist() == want
+            x = a.copy()
+            assert modmath.stack_add_scalar_mod(x, scalars, col, out=x) is x
+            assert x.tolist() == want
+            # Garner's step: rows over the reversed column, in place.
+            x, y = a[::-1].copy(), others["stack"][::-1].copy()
+            want = ((_exact(x) - _exact(y)) % obj[::-1]).tolist()
+            assert modmath.stack_sub_mod(x, y, col[::-1], out=x).tolist() == want
+        # An output that overlaps an input without being it: one column over.
+        wide = np.concatenate([a, a[:, :1]], axis=1)
+        out = wide[:, 1:]
+        modmath.stack_sub_mod(wide[:, :-1], others["stack"], col, out=out)
+        assert out.tolist() == ((_exact(a) - _exact(others["stack"])) % obj).tolist()
 
     def test_recorded_dot_reads_the_products_alone(self):
         from repro.core.dispatch import DISPATCH

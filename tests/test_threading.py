@@ -165,10 +165,10 @@ class TestConcurrentNumericWork:
 
     @pytest.mark.parametrize("bits", [28, 59], ids=["uint64", "dword"])
     def test_multiply_kernels_on_concurrent_threads_are_bit_identical(self, bits):
-        """The word kernel's products and dot products keep no static
-        buffers: two threads calling it at once (the GIL released) on the
-        narrow (28-bit) and the wide (59-bit) accumulator each get the
-        solo run's bits, in fresh and in caller-owned outputs."""
+        """The word kernel's products, dot products and the add family keep
+        no static buffers: two threads calling it at once (the GIL
+        released) on the narrow (28-bit) and the wide (59-bit) accumulator
+        each get the solo run's bits, in fresh and in caller-owned outputs."""
         n = 1 << 12
         moduli = tuple(generate_ntt_primes(4, bits, n))
         col = modmath.moduli_column(moduli)
@@ -188,6 +188,9 @@ class TestConcurrentNumericWork:
                 modmath.stack_scalar_mod(a, range(3, 3 + len(moduli)), col),
                 modmath.stack_dot_mod([(a, b), (b[:1], col - 1)] * 9, col),
                 out,
+                modmath.stack_add_mod(a, b, col),
+                modmath.stack_sub_mod(a, b, col),
+                modmath.stack_neg_mod(b, col),
             ]
 
         solo = [products(stacks) for stacks in inputs]
